@@ -239,25 +239,63 @@ class DRLEngine:
 
     # -- training ----------------------------------------------------------
     def train_on_records(self, records: list[AccessRecord]) -> TrainingReport:
-        """Retrain from scratch on a chronological record batch.
+        """Retrain from scratch on a chronological record batch."""
+        return self._train_window(self.pipeline.record_columns(records))
+
+    def train(self, db: ReplayDB) -> TrainingReport:
+        """Retrain on the most recent ``training_rows`` ReplayDB accesses."""
+        window = self._telemetry(db, limit=self.config.training_rows)
+        ids = window["id"]
+        if self.capture_provenance and len(ids):
+            self.last_window = (int(ids[0]), int(ids[-1]))
+        return self._train_window(window)
+
+    def _telemetry(
+        self,
+        db: ReplayDB,
+        *,
+        limit: int | None = None,
+        since: int | None = None,
+        ids: np.ndarray | None = None,
+    ) -> dict[str, np.ndarray]:
+        """One ReplayDB access window as columns (see ``access_columns``).
+
+        A columnar feature set never materializes an AccessRecord.
+        Extra-telemetry features live in each row's JSON blob, which only
+        the record readers decode: those windows are read as records and
+        adapted (without ``id`` for an ``ids`` window -- the caller named
+        them).
+        """
+        if self.pipeline.columnar:
+            return db.access_columns(limit=limit, since=since, ids=ids)
+        if ids is not None:
+            return self.pipeline.record_columns(db.accesses_by_id(ids))
+        row_ids, records = db.accesses_since(since or 0, limit=limit)
+        window = self.pipeline.record_columns(records)
+        window["id"] = np.array(row_ids, dtype=np.int64)
+        return window
+
+    def _train_window(self, window: dict[str, np.ndarray]) -> TrainingReport:
+        """Retrain from scratch on one chronological telemetry window.
 
         The paper's protocol: 60/20/20 chronological split, N epochs of
         plain SGD, MAE-sign adjustment calibrated on the validation split,
         accuracy reported on the test split.
         """
-        if len(records) < 10:
+        samples = len(window["fsid"])
+        if samples < 10:
             raise ModelError(
-                f"need at least 10 records to train, got {len(records)}"
+                f"need at least 10 records to train, got {samples}"
             )
-        with self.obs.span("train_step", samples=len(records)):
+        with self.obs.span("train_step", samples=samples):
             # Normalization bounds are learned once and then frozen: a
             # warm-started model must see consistently scaled inputs/targets
             # across cycles (later values beyond the bounds extrapolate
             # linearly, which the normalizer supports).
             with self.obs.span("feature_pipeline"):
-                self.pipeline.ensure_fitted(records)
-                x = self.pipeline.transform_features(records)
-                y = self.pipeline.transform_target(records)
+                self.pipeline.ensure_fitted(window)
+                x = self.pipeline.transform_features(window)
+                y = self.pipeline.transform_target(window)
                 if self.capture_provenance:
                     self.last_feature_digest = _digest(x)
                 if self._recurrent:
@@ -302,7 +340,7 @@ class DRLEngine:
                 np.full_like(test_true, train_mean), test_true
             )
             report = TrainingReport(
-                samples=len(records),
+                samples=samples,
                 epochs=history.epochs_run,
                 train_seconds=elapsed,
                 test_mare=mare,
@@ -316,22 +354,12 @@ class DRLEngine:
             )
         self.last_report = report
         self._m_trainings.inc()
-        self._m_train_rows.inc(len(records))
+        self._m_train_rows.inc(samples)
         self._h_train.observe(elapsed)
         self._h_engine_train.observe(elapsed)
         self._g_test_mare.set(report.test_mare)
         self._g_skillful.set(1.0 if report.skillful else 0.0)
         return report
-
-    def train(self, db: ReplayDB) -> TrainingReport:
-        """Retrain on the most recent ``training_rows`` ReplayDB accesses."""
-        records = db.recent_accesses(self.config.training_rows)
-        if self.capture_provenance and records:
-            # recent_accesses flushes the write-behind buffer, so the max
-            # rowid now names the newest record in the window.
-            hi = db.max_rowid()
-            self.last_window = (hi - len(records) + 1, hi)
-        return self.train_on_records(records)
 
     # -- online continual learning ------------------------------------------
     def _update_target_mean(self, targets: np.ndarray) -> None:
@@ -344,13 +372,12 @@ class DRLEngine:
 
     def _bootstrap_online_state(self, db: ReplayDB) -> None:
         """Initialize the cursor/replay/baseline after the base epoch."""
-        ids, records = db.accesses_since(
-            0, limit=self.config.training_rows
-        )
-        if ids:
-            self._hwm = max(self._hwm, ids[-1], db.max_rowid())
+        window = self._telemetry(db, limit=self.config.training_rows)
+        ids = window["id"]
+        if len(ids):
+            self._hwm = max(self._hwm, int(ids[-1]), db.max_rowid())
             self.replay.add(ids)
-            self._update_target_mean(self.pipeline.target_vector(records))
+            self._update_target_mean(self.pipeline.target_vector(window))
         self._updates = 0
         if self.snapshots is not None and self.model.built:
             self.snapshots.save(self.model, 0)
@@ -405,16 +432,17 @@ class DRLEngine:
                 self._bootstrap_online_state(db)
             return report
         with self.obs.span("train_incremental"):
-            ids, fresh = db.accesses_since(
-                self._hwm, limit=self.config.online_max_new_rows
+            fresh = self._telemetry(
+                db, since=self._hwm, limit=self.config.online_max_new_rows
             )
-            if not ids:
+            ids = fresh["id"]
+            if not len(ids):
                 # Nothing new arrived: the model is unchanged, the last
                 # report still describes it.
                 return self.last_report
+            self._hwm = int(ids[-1])
             if self.capture_provenance:
-                self.last_window = (ids[0], ids[-1])
-            self._hwm = ids[-1]
+                self.last_window = (int(ids[0]), self._hwm)
             start = time.perf_counter()
             # -- prequential evaluation (predict before training) ----------
             fresh_true = self.pipeline.target_vector(fresh)
@@ -437,7 +465,7 @@ class DRLEngine:
                 self.drift_detector.reset()
                 self.obs.emit(
                     "drift-detected",
-                    t=fresh[-1].close_time,
+                    t=float(fresh["cts"][-1] + fresh["ctms"][-1] / 1000.0),
                     step=self._updates,
                     mean_relative_error=mare / 100.0,
                     statistic=statistic,
@@ -455,22 +483,25 @@ class DRLEngine:
                 replay_ids = replay_ids[order]
                 replay_weights = replay_weights[order]
             self.replay.add(ids)
-            replayed = db.accesses_by_id(replay_ids)
-            if len(replayed) != len(replay_ids):
+            replayed = self._telemetry(db, ids=replay_ids)
+            n_replayed = len(replayed["fsid"])
+            if n_replayed != len(replay_ids):
                 raise ModelError(
-                    f"replay sample fetched {len(replayed)} rows for "
+                    f"replay sample fetched {n_replayed} rows for "
                     f"{len(replay_ids)} buffered ids; ReplayDB rows must "
                     "never disappear under the buffer"
                 )
-            records = replayed + fresh
-            batch_ids = np.concatenate(
-                (replay_ids, np.asarray(ids, dtype=np.int64))
-            )
+            # Replayed history first, fresh rows after: chronological.
+            window = {
+                name: np.concatenate((column, fresh[name]))
+                for name, column in replayed.items() if name != "id"
+            }
+            batch_ids = np.concatenate((replay_ids, ids))
             weights = np.concatenate(
-                (replay_weights, np.ones(len(fresh), dtype=np.float64))
+                (replay_weights, np.ones(len(ids), dtype=np.float64))
             )
-            x = self.pipeline.transform_features(records)
-            y = self.pipeline.transform_target(records)
+            x = self.pipeline.transform_features(window)
+            y = self.pipeline.transform_target(window)
             if self.capture_provenance:
                 self.last_feature_digest = _digest(x)
             epochs = self.config.online_epochs * (
@@ -479,9 +510,7 @@ class DRLEngine:
             optimizer = get_optimizer(
                 self.config.optimizer, learning_rate=self.config.learning_rate
             )
-            with self.obs.span(
-                "model_fit", epochs=epochs, rows=len(records)
-            ):
+            with self.obs.span("model_fit", epochs=epochs, rows=len(x)):
                 history = self.model.fit(
                     x, y,
                     epochs=epochs,
@@ -498,8 +527,8 @@ class DRLEngine:
                 scale = np.maximum(np.abs(post_true), 1e-12)
                 residuals = np.abs(post_pred - post_true) / scale
             self.replay.update_priorities(batch_ids, residuals)
-            fresh_post_pred = post_pred[len(replayed):]
-            fresh_post_true = post_true[len(replayed):]
+            fresh_post_pred = post_pred[n_replayed:]
+            fresh_post_true = post_true[n_replayed:]
             self.adjuster.fit(fresh_post_pred, fresh_post_true)
             diverged = bool(
                 history.diverged
@@ -515,7 +544,7 @@ class DRLEngine:
             ):
                 self.snapshots.save(self.model, self._updates)
             report = TrainingReport(
-                samples=len(records),
+                samples=len(x),
                 epochs=history.epochs_run,
                 train_seconds=elapsed,
                 test_mare=mare,
@@ -525,13 +554,13 @@ class DRLEngine:
                 adjustment_mae=self.adjuster.mae,
                 adjustment_sign=self.adjuster.sign,
                 mode="incremental",
-                new_rows=len(fresh),
-                replayed_rows=len(replayed),
+                new_rows=len(ids),
+                replayed_rows=n_replayed,
                 drift_detected=drift,
             )
         self.last_report = report
         self._m_trainings.inc()
-        self._m_train_rows.inc(len(records))
+        self._m_train_rows.inc(report.samples)
         self._h_train.observe(elapsed)
         self._h_engine_train.observe(elapsed)
         self._g_test_mare.set(report.test_mare)
@@ -625,14 +654,17 @@ class DRLEngine:
         return dict(zip(fsids, (float(v) for v in throughput)))
 
     def predict_throughput_matrix(
-        self, bases: list[AccessRecord], fsids: list[int]
+        self,
+        bases: list[AccessRecord] | dict[str, np.ndarray],
+        fsids: list[int],
     ) -> np.ndarray:
         """Predicted throughput for every (base access, location) pair.
 
         The batched decision-path core: one probe tensor covering all
-        ``len(bases) * len(fsids)`` candidate placements, one forward pass,
-        one vectorized inverse-transform/adjustment.  Returns an array of
-        shape ``(len(bases), len(fsids))`` where entry ``(i, j)`` equals
+        ``bases x fsids`` candidate placements (``bases`` as records or
+        as a window of columns), one forward pass, one vectorized
+        inverse-transform/adjustment.  Returns an array of shape
+        ``(n_bases, len(fsids))`` where entry ``(i, j)`` equals
         ``predict_location_throughputs(bases[i], fsids)[fsids[j]]`` -- the
         per-base path survives as the numeric reference, and the
         equivalence is regression-tested bit-for-bit.
@@ -640,7 +672,9 @@ class DRLEngine:
         if not self.trained:
             raise ModelError("engine must be trained before predicting")
         probe = self.pipeline.build_location_probe_batch(bases, fsids)
-        return self._predict_probe(probe, len(bases), len(fsids))
+        return self._predict_probe(
+            probe, len(probe) // len(fsids), len(fsids)
+        )
 
     def _predict_probe(
         self, probe: np.ndarray, n_bases: int, n_fsids: int
@@ -721,8 +755,8 @@ class DRLEngine:
         if len(observed) < 2:
             return 1.0
         fsids = sorted(observed)
-        bases = db.recent_accesses(probe_bases)
-        if bases:
+        bases = self._telemetry(db, limit=probe_bases)
+        if len(bases["fsid"]):
             # One batched forward pass over every (base, device) probe
             # instead of a model call per base: correlation checks run
             # every training cycle, so they ride the same fast path as

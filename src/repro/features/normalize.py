@@ -22,8 +22,17 @@ class MinMaxNormalizer:
     """
 
     def __init__(self) -> None:
-        self._min: np.ndarray | None = None
-        self._range: np.ndarray | None = None
+        self._set_bounds(None, None)
+
+    def _set_bounds(
+        self, lo: np.ndarray | None, span: np.ndarray | None
+    ) -> None:
+        """Install fitted bounds and derive the constant-column mask once."""
+        self._min = lo
+        self._range = span
+        self._nonconstant = span > 0 if span is not None else None
+        #: no constant column: transforms are one whole-array expression
+        self._all_vary = span is not None and bool(self._nonconstant.all())
 
     @property
     def fitted(self) -> bool:
@@ -33,19 +42,25 @@ class MinMaxNormalizer:
         x = self._as_matrix(x)
         if len(x) == 0:
             raise FeatureError("cannot fit normalizer on empty data")
-        self._min = x.min(axis=0)
-        self._range = x.max(axis=0) - self._min
+        lo = x.min(axis=0)
+        self._set_bounds(lo, x.max(axis=0) - lo)
         return self
 
-    def transform(self, x: np.ndarray) -> np.ndarray:
+    def _checked_matrix(self, x: np.ndarray) -> np.ndarray:
         self._require_fitted()
         x = self._as_matrix(x)
         if x.shape[1] != self._min.shape[0]:
             raise FeatureError(
                 f"fitted on {self._min.shape[0]} columns, got {x.shape[1]}"
             )
+        return x
+
+    def transform(self, x: np.ndarray) -> np.ndarray:
+        x = self._checked_matrix(x)
+        if self._all_vary:
+            return (x - self._min) / self._range
         out = np.empty_like(x)
-        nonconstant = self._range > 0
+        nonconstant = self._nonconstant
         out[:, nonconstant] = (
             x[:, nonconstant] - self._min[nonconstant]
         ) / self._range[nonconstant]
@@ -56,14 +71,11 @@ class MinMaxNormalizer:
         return self.fit(x).transform(x)
 
     def inverse_transform(self, x: np.ndarray) -> np.ndarray:
-        self._require_fitted()
-        x = self._as_matrix(x)
-        if x.shape[1] != self._min.shape[0]:
-            raise FeatureError(
-                f"fitted on {self._min.shape[0]} columns, got {x.shape[1]}"
-            )
+        x = self._checked_matrix(x)
+        if self._all_vary:
+            return x * self._range + self._min
         out = np.empty_like(x)
-        nonconstant = self._range > 0
+        nonconstant = self._nonconstant
         out[:, nonconstant] = (
             x[:, nonconstant] * self._range[nonconstant] + self._min[nonconstant]
         )
@@ -78,14 +90,11 @@ class MinMaxNormalizer:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        self._min = (
-            np.array(state["min"], dtype=np.float64)
-            if state["min"] is not None else None
-        )
-        self._range = (
-            np.array(state["range"], dtype=np.float64)
-            if state["range"] is not None else None
-        )
+        self._set_bounds(*(
+            np.array(state[key], dtype=np.float64)
+            if state[key] is not None else None
+            for key in ("min", "range")
+        ))
 
     @staticmethod
     def _as_matrix(x: np.ndarray) -> np.ndarray:

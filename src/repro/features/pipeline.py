@@ -28,38 +28,31 @@ import numpy as np
 from repro.errors import FeatureError
 from repro.features.normalize import MinMaxNormalizer, RunningNormalizer
 from repro.features.smoothing import moving_average
+from repro.features.throughput import access_throughput
 from repro.observability import get_observability
 
 if TYPE_CHECKING:  # records imports this package; avoid the import cycle
     from repro.replaydb.records import AccessRecord
+
+    #: what the pipeline accepts as telemetry: a window of columns, or
+    #: records (adapted to one through :func:`record_columns`)
+    Telemetry = dict[str, np.ndarray] | Sequence[AccessRecord]
 
 #: The Z = 6 live feature set (see the reproduction note above).
 DEFAULT_LIVE_FEATURES: tuple[str, ...] = (
     "rb", "wb", "ots", "otms", "fid", "fsid",
 )
 
-#: Column accessors: feature name -> value extractor over an AccessRecord.
-_ACCESSORS: dict[str, Callable[["AccessRecord"], float]] = {
-    "rb": lambda r: float(r.rb),
-    "wb": lambda r: float(r.wb),
-    "ots": lambda r: float(r.ots),
-    "otms": lambda r: float(r.otms),
-    "cts": lambda r: float(r.cts),
-    "ctms": lambda r: float(r.ctms),
-    "open_time": lambda r: r.open_time,
-    "close_time": lambda r: r.close_time,
-    "duration": lambda r: r.duration,
-    "fid": lambda r: float(r.fid),
-    "fsid": lambda r: float(r.fsid),
-    "total_bytes": lambda r: float(r.total_bytes),
-}
+#: The numeric fields every access carries, as the ReplayDB stores them.
+#: A telemetry *window* is a dict of equal-length float64 arrays keyed by
+#: these names (plus ``id`` and any ``extra`` telemetry a reader adds).
+NUMERIC_FIELDS: tuple[str, ...] = (
+    "fid", "fsid", "rb", "wb", "ots", "otms", "cts", "ctms",
+)
 
-
-#: Vectorized builders for the columnar probe path: feature name -> array
-#: expression over the numeric column arrays served by
-#: ``ReplayDB.recent_access_columns_per_file``.  Each mirrors its
-#: ``_ACCESSORS`` twin operation-for-operation so the columnar and
-#: record-based paths produce bit-identical matrices.
+#: Feature name -> array expression over a window's columns.  Feature
+#: names absent here are ``extra`` telemetry (EOS ``rt``/``wt``/...) and
+#: must be columns of the window themselves.
 _COLUMN_BUILDERS: dict[str, Callable[[dict[str, np.ndarray]], np.ndarray]] = {
     "rb": lambda c: c["rb"],
     "wb": lambda c: c["wb"],
@@ -77,45 +70,42 @@ _COLUMN_BUILDERS: dict[str, Callable[[dict[str, np.ndarray]], np.ndarray]] = {
 }
 
 
-def _extra_accessor(name: str) -> Callable[["AccessRecord"], float]:
-    """Accessor for telemetry living in a record's ``extra`` dict."""
+def record_columns(
+    records: "Sequence[AccessRecord]", extra: Sequence[str] = ()
+) -> dict[str, np.ndarray]:
+    """The records -> columns adapter: one window from a record list.
 
-    def accessor(record: "AccessRecord") -> float:
+    Carries every :data:`NUMERIC_FIELDS` column plus one column per name
+    in ``extra``, read from each record's ``extra`` dict (EOS-style
+    telemetry like ``rt``/``wt``/``nrc`` lives there).
+    """
+    columns = {
+        name: np.array([getattr(r, name) for r in records], dtype=np.float64)
+        for name in NUMERIC_FIELDS
+    }
+    for name in extra:
         try:
-            return float(record.extra[name])
+            columns[name] = np.array(
+                [r.extra[name] for r in records], dtype=np.float64
+            )
         except KeyError:
-            known = ", ".join(sorted(_ACCESSORS))
+            known = ", ".join(sorted(_COLUMN_BUILDERS))
             raise FeatureError(
                 f"feature {name!r} is neither a built-in column ({known}) "
                 "nor present in every record's extra telemetry"
             ) from None
-
-    return accessor
-
-
-def resolve_accessor(name: str) -> Callable[["AccessRecord"], float]:
-    """Value extractor for a feature name (built-in column or ``extra``)."""
-    accessor = _ACCESSORS.get(name)
-    return accessor if accessor is not None else _extra_accessor(name)
+    return columns
 
 
 def record_column(records: "Sequence[AccessRecord]", name: str) -> np.ndarray:
     """Extract one feature column from a record list.
 
-    Unknown names fall back to each record's ``extra`` dict (EOS-style
-    telemetry like ``rt``/``wt``/``nrc`` lives there).
+    Unknown names fall back to each record's ``extra`` dict.
     """
-    accessor = _ACCESSORS.get(name)
-    if accessor is not None:
-        return np.array([accessor(r) for r in records], dtype=np.float64)
-    try:
-        return np.array([r.extra[name] for r in records], dtype=np.float64)
-    except KeyError:
-        known = ", ".join(sorted(_ACCESSORS))
-        raise FeatureError(
-            f"feature {name!r} is neither a built-in column ({known}) nor "
-            "present in every record's extra telemetry"
-        ) from None
+    builder = _COLUMN_BUILDERS.get(name)
+    if builder is None:
+        return record_columns(records, (name,))[name]
+    return builder(record_columns(records))
 
 
 class FeaturePipeline:
@@ -166,11 +156,11 @@ class FeaturePipeline:
         else:
             self._x_norm = MinMaxNormalizer()
             self._y_norm = MinMaxNormalizer()
-        # Column accessors are resolved once here instead of per
-        # feature_matrix call: the decision path extracts features for
-        # every probed access each epoch, and the per-call dict lookups
-        # plus one full pass over the records per column dominated it.
-        self._accessors = tuple(resolve_accessor(name) for name in features)
+        #: features read from records' ``extra`` telemetry, not derivable
+        #: from the numeric access fields
+        self.extra_features = tuple(
+            name for name in self.features if name not in _COLUMN_BUILDERS
+        )
         self._fitted_features: tuple[str, ...] | None = None
         metrics = get_observability().metrics
         self._m_rows = metrics.counter(
@@ -195,49 +185,59 @@ class FeaturePipeline:
     def columnar(self) -> bool:
         """Whether every feature derives from the numeric access columns.
 
-        True for the live (and Table) feature sets; False once an
+        True for the live (and Table) feature sets, whose telemetry the
+        engine reads from the ReplayDB as columns; False once an
         ``extra``-dict feature (EOS ``rt``/``wt``/...) is configured, in
-        which case the engine falls back to record-based probe batches.
+        which case the engine reads records and adapts them.
         """
-        return all(name in _COLUMN_BUILDERS for name in self.features)
+        return not self.extra_features
 
     # -- raw extraction ----------------------------------------------------
-    def feature_matrix(self, records: "Sequence[AccessRecord]") -> np.ndarray:
-        """Raw (unnormalized) feature matrix, one row per record.
+    def record_columns(
+        self, records: "Sequence[AccessRecord]"
+    ) -> dict[str, np.ndarray]:
+        """A record list as the window of columns this feature set reads."""
+        return record_columns(records, self.extra_features)
 
-        Built in a single pass over the records using the accessors cached
-        at construction time (one pass per *column* otherwise).
-        """
-        if not records:
+    def _columns(self, telemetry: "Telemetry") -> dict[str, np.ndarray]:
+        if isinstance(telemetry, dict):
+            return telemetry
+        return self.record_columns(telemetry)
+
+    def _window(self, telemetry: "Telemetry") -> dict[str, np.ndarray]:
+        """``telemetry`` as columns, refusing an empty window."""
+        columns = self._columns(telemetry)
+        if not len(columns["fsid"]):
             raise FeatureError("no records supplied")
-        return np.array(
-            [[accessor(r) for accessor in self._accessors] for r in records],
-            dtype=np.float64,
-        )
+        return columns
+
+    def feature_matrix(self, telemetry: "Telemetry") -> np.ndarray:
+        """Raw (unnormalized) feature matrix, one row per access."""
+        return self.feature_matrix_from_columns(self._window(telemetry))
 
     def feature_matrix_from_columns(
         self, columns: dict[str, np.ndarray]
     ) -> np.ndarray:
-        """Raw feature matrix straight from columnar telemetry arrays.
+        """Raw feature matrix from a window's column arrays.
 
-        The no-record fast path: consumes the flat arrays returned by
-        ``ReplayDB.recent_access_columns_per_file`` and evaluates each
-        feature as one vectorized expression.  Bit-identical to
-        ``feature_matrix`` over the corresponding AccessRecords.
+        Each feature is one vectorized expression over the flat arrays a
+        columnar ReplayDB reader (or :func:`record_columns`) returned.
         """
         if not columns:
             raise FeatureError("no columns supplied")
         try:
-            return np.column_stack(
-                [_COLUMN_BUILDERS[name](columns) for name in self.features]
-            )
+            return np.column_stack([
+                _COLUMN_BUILDERS[name](columns)
+                if name in _COLUMN_BUILDERS else columns[name]
+                for name in self.features
+            ])
         except KeyError as exc:
             raise FeatureError(
                 f"feature {exc.args[0]!r} is not derivable from columnar "
                 "telemetry; use the record-based path"
             ) from None
 
-    def target_vector(self, records: "Sequence[AccessRecord]") -> np.ndarray:
+    def target_vector(self, telemetry: "Telemetry") -> np.ndarray:
         """Raw throughput targets in bytes/s, smoothed with a moving average.
 
         The paper smooths ReplayDB data "to mitigate outliers" before
@@ -249,22 +249,20 @@ class FeaturePipeline:
         into one target level and erase the location signal the engine
         ranks candidate placements by.
         """
-        if not records:
-            raise FeatureError("no records supplied")
+        columns = self._window(telemetry)
         if self.target == "throughput":
-            values = np.array(
-                [r.throughput for r in records], dtype=np.float64
+            values = access_throughput(
+                columns["rb"], columns["wb"], columns["ots"],
+                columns["otms"], columns["cts"], columns["ctms"],
             )
         else:
             # Latency target (paper V-C: "there exist workloads that are
             # more latency sensitive, we will explore modeling latency of
             # the system in the future"): the per-access duration.
-            values = np.array(
-                [r.duration for r in records], dtype=np.float64
-            )
+            values = _COLUMN_BUILDERS["duration"](columns)
         if self.smoothing_window == 1:
             return values
-        fsids = np.array([r.fsid for r in records])
+        fsids = columns["fsid"]
         out = np.empty_like(values)
         for fsid in np.unique(fsids):
             idx = np.flatnonzero(fsids == fsid)
@@ -272,13 +270,14 @@ class FeaturePipeline:
         return out
 
     # -- normalization -----------------------------------------------------
-    def fit(self, records: "Sequence[AccessRecord]") -> "FeaturePipeline":
-        self._x_norm.fit(self.feature_matrix(records))
-        self._y_norm.fit(self.target_vector(records))
+    def fit(self, telemetry: "Telemetry") -> "FeaturePipeline":
+        columns = self._window(telemetry)
+        self._x_norm.fit(self.feature_matrix(columns))
+        self._y_norm.fit(self.target_vector(columns))
         self._fitted_features = self.features
         return self
 
-    def ensure_fitted(self, records: "Sequence[AccessRecord]") -> "FeaturePipeline":
+    def ensure_fitted(self, telemetry: "Telemetry") -> "FeaturePipeline":
         """Fit normalization bounds once, then keep them frozen.
 
         Retrain cycles call this instead of ``fit``: as long as the feature
@@ -288,10 +287,10 @@ class FeaturePipeline:
         forces a refit because the column bounds no longer line up.
         """
         if not self.fitted or self._fitted_features != self.features:
-            self.fit(records)
+            self.fit(telemetry)
         return self
 
-    def partial_fit(self, records: "Sequence[AccessRecord]") -> "FeaturePipeline":
+    def partial_fit(self, telemetry: "Telemetry") -> "FeaturePipeline":
         """Merge new telemetry into the running normalization statistics.
 
         The online-learning update: each batch of fresh rows nudges the
@@ -300,10 +299,13 @@ class FeaturePipeline:
         normalization (the from-scratch path owns those bounds via
         ``fit``/``ensure_fitted``).
         """
-        if self.normalization != "running" or not records:
+        if self.normalization != "running":
             return self
-        x = self.feature_matrix(records)
-        y = self.target_vector(records)
+        columns = self._columns(telemetry)
+        if not len(columns["fsid"]):
+            return self
+        x = self.feature_matrix(columns)
+        y = self.target_vector(columns)
         if not self.fitted or self._fitted_features != self.features:
             self._x_norm.fit(x)
             self._y_norm.fit(y)
@@ -313,14 +315,15 @@ class FeaturePipeline:
             self._y_norm.partial_fit(y)
         return self
 
-    def transform_features(self, records: "Sequence[AccessRecord]") -> np.ndarray:
+    def transform_features(self, telemetry: "Telemetry") -> np.ndarray:
         self._require_fitted()
-        self._m_rows.inc(len(records))
-        return self._x_norm.transform(self.feature_matrix(records))
+        x = self._x_norm.transform(self.feature_matrix(telemetry))
+        self._m_rows.inc(len(x))
+        return x
 
-    def transform_target(self, records: "Sequence[AccessRecord]") -> np.ndarray:
+    def transform_target(self, telemetry: "Telemetry") -> np.ndarray:
         self._require_fitted()
-        return self._y_norm.transform(self.target_vector(records)).ravel()
+        return self._y_norm.transform(self.target_vector(telemetry)).ravel()
 
     def inverse_transform_target(self, y: np.ndarray) -> np.ndarray:
         """Map normalized model outputs back to bytes/s."""
@@ -328,11 +331,12 @@ class FeaturePipeline:
         return self._y_norm.inverse_transform(np.asarray(y)).ravel()
 
     def build_training_set(
-        self, records: "Sequence[AccessRecord]"
+        self, telemetry: "Telemetry"
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Fit on ``records`` and return normalized ``(X, y)``."""
-        self.fit(records)
-        return self.transform_features(records), self.transform_target(records)
+        """Fit on ``telemetry`` and return normalized ``(X, y)``."""
+        columns = self._window(telemetry)
+        self.fit(columns)
+        return self.transform_features(columns), self.transform_target(columns)
 
     # -- per-location probe batches ------------------------------------------
     def build_location_probe(
@@ -360,20 +364,19 @@ class FeaturePipeline:
         return self._x_norm.transform(probe)
 
     def build_location_probe_batch(
-        self, bases: "Sequence[AccessRecord]", fsids: Sequence[int]
+        self, bases: "Telemetry", fsids: Sequence[int]
     ) -> np.ndarray:
         """The whole decision epoch's probe tensor in one array.
 
-        Row ``i * len(fsids) + j`` replicates ``bases[i]``'s features with
-        the ``fsid`` column set to ``fsids[j]`` -- the batched equivalent
-        of ``build_location_probe`` called once per base.  Building every
-        (access, candidate location) probe up front lets the engine run a
-        single forward pass and a single inverse transform per decision
-        epoch instead of one per access, which is what keeps decision
-        latency small relative to the workload (paper Table IV).
+        Row ``i * len(fsids) + j`` replicates base access ``i``'s features
+        with the ``fsid`` column set to ``fsids[j]`` -- the batched
+        equivalent of ``build_location_probe`` called once per base.
+        Building every (access, candidate location) probe up front lets
+        the engine run a single forward pass and a single inverse
+        transform per decision epoch instead of one per access, which is
+        what keeps decision latency small relative to the workload (paper
+        Table IV).
         """
-        if not bases:
-            raise FeatureError("no base records supplied")
         return self.build_location_probe_from_matrix(
             self.feature_matrix(bases), fsids
         )

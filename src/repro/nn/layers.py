@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ModelError, ShapeError
-from repro.nn.activations import Activation, get_activation
+from repro.nn.activations import Activation, get_activation, linear, relu
 from repro.nn.initializers import glorot_uniform, zeros
 
 
@@ -28,6 +28,8 @@ class Layer:
 
     #: rank of the input array this layer expects (2 for Dense, 3 for RNNs)
     input_rank: int = 2
+    #: feature count fixed by ``build``
+    input_dim: int | None = None
 
     def __init__(self, units: int, activation: str | Activation = "linear") -> None:
         if units <= 0:
@@ -46,8 +48,15 @@ class Layer:
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Accumulate parameter grads and return the gradient w.r.t. input."""
+    def backward(
+        self, grad_out: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Set parameter grads and return the gradient w.r.t. the input.
+
+        ``input_grad=False`` tells the layer nobody reads that gradient
+        (it is the first of its network): it may skip computing it and
+        return ``None``.
+        """
         raise NotImplementedError
 
     # -- helpers -----------------------------------------------------------
@@ -91,19 +100,32 @@ class Dense(Layer):
         self.built = True
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._require_built()
-        x = np.asarray(x, dtype=np.float64)
+        """``activation(x @ W + b)`` for a float64 ``(batch, input_dim)`` array.
+
+        The bias add and a ReLU run in place on the one array the matmul
+        allocated, so the pre-activation does not survive a ReLU layer;
+        its sign pattern -- all :meth:`backward` needs of it -- does, in
+        the output.  ``Sequential`` validates its input once per
+        ``fit``/``predict`` call; the guard here is for direct callers.
+        """
         if x.ndim != 2 or x.shape[1] != self.input_dim:
+            self._require_built()
             raise ShapeError(
                 f"Dense expected (batch, {self.input_dim}), got {x.shape}"
             )
-        z = x @ self.params["W"] + self.params["b"]
-        y = self.activation(z)
+        z = x @ self.params["W"]
+        z += self.params["b"]
+        if self.activation is relu:
+            y = np.maximum(z, 0.0, out=z)
+        else:
+            y = self.activation(z)
         if training:
             self._cache = {"x": x, "z": z, "y": y}
         return y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray | None:
         self._require_built()
         if not self._cache:
             raise ModelError("backward() called before a training forward pass")
@@ -112,7 +134,14 @@ class Dense(Layer):
             raise ShapeError(
                 f"grad shape {grad_out.shape} does not match output {y.shape}"
             )
-        dz = grad_out * self.activation.backward(z, y)
+        if self.activation is relu:
+            # float64 * bool multiplies by exactly 1.0 / 0.0, as the
+            # materialized float mask did.
+            dz = grad_out * (y > 0.0)
+        elif self.activation is linear:
+            dz = grad_out
+        else:
+            dz = grad_out * self.activation.backward(z, y)
         self.grads["W"] = x.T @ dz
         self.grads["b"] = dz.sum(axis=0)
-        return dz @ self.params["W"].T
+        return dz @ self.params["W"].T if input_grad else None

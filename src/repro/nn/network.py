@@ -123,6 +123,11 @@ class Sequential:
                 f"{type(first).__name__} expects rank-{first.input_rank} "
                 f"input, got shape {x.shape}"
             )
+        if self.built and x.shape[-1] != self.input_dim:
+            raise ShapeError(
+                f"model was built for {self.input_dim} features, "
+                f"got shape {x.shape}"
+            )
         return x
 
     @staticmethod
@@ -158,8 +163,10 @@ class Sequential:
         return out
 
     def _backward(self, grad: np.ndarray) -> None:
-        for layer in reversed(self.layers):
+        for layer in self.layers[:0:-1]:
             grad = layer.backward(grad)
+        # Nothing sits below the first layer to read its input gradient.
+        self.layers[0].backward(grad, input_grad=False)
 
     # -- training ----------------------------------------------------------
     def fit(
@@ -225,55 +232,69 @@ class Sequential:
         loss_fn = get_loss(loss)
         opt = get_optimizer(optimizer)
         history = TrainingHistory()
-        indices = np.arange(len(x))
+        # Chronological batches are contiguous row ranges: views, not
+        # fancy-index copies.  Shuffling re-draws index batches per epoch.
+        row_ranges = [
+            slice(start, start + batch_size)
+            for start in range(0, len(x), batch_size)
+        ]
+        batches = row_ranges
+        indices = np.arange(len(x)) if shuffle else None
+        #: (optimizer state key, layer, parameter name), resolved once:
+        #: the keys are checkpoint names, not something a step computes
+        slots = [
+            (f"layer{i}/{name}", layer, name)
+            for i, layer in enumerate(self.layers)
+            for name in layer.params
+        ]
+        if validation_data is not None:
+            vx = self._adapt_input(validation_data[0])
+            vy = self._adapt_target(validation_data[1], self.output_dim)
         best_val = np.inf
         stale_epochs = 0
-        for _ in range(epochs):
-            if shuffle:
-                self._rng.shuffle(indices)
-            epoch_loss = 0.0
-            n_batches = 0
-            for start in range(0, len(x), batch_size):
-                batch_idx = indices[start : start + batch_size]
-                xb, yb = x[batch_idx], y[batch_idx]
-                wb = (
-                    sample_weight[batch_idx]
-                    if sample_weight is not None else None
-                )
-                pred = self._forward(xb, training=True)
-                epoch_loss += loss_fn.value(pred, yb, wb)
-                n_batches += 1
-                self._backward(loss_fn.gradient(pred, yb, wb))
-                self._apply_gradients(opt)
-            mean_loss = epoch_loss / n_batches
-            history.train_loss.append(mean_loss)
-            history.epochs_run += 1
-            if validation_data is not None:
-                vx, vy = validation_data
-                vp = self.predict(vx)
-                history.val_loss.append(
-                    loss_fn.value(vp, self._adapt_target(vy, self.output_dim))
-                )
-            if not np.isfinite(mean_loss):
-                history.diverged = True
-                if stop_on_divergence:
-                    break
-            if patience is not None:
-                val = history.val_loss[-1]
-                if val < best_val - 1e-12:
-                    best_val = val
-                    stale_epochs = 0
-                else:
-                    stale_epochs += 1
-                    if stale_epochs >= patience:
+        # A diverging fit overflows to inf and then multiplies inf by a
+        # zero ReLU mask; divergence is an outcome fit reports (Table II),
+        # not a numerical accident to warn about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(epochs):
+                if shuffle:
+                    self._rng.shuffle(indices)
+                    batches = [indices[rows] for rows in row_ranges]
+                epoch_loss = 0.0
+                for batch in batches:
+                    xb, yb = x[batch], y[batch]
+                    wb = (
+                        sample_weight[batch]
+                        if sample_weight is not None else None
+                    )
+                    pred = self._forward(xb, training=True)
+                    epoch_loss += loss_fn.value(pred, yb, wb)
+                    self._backward(loss_fn.gradient(pred, yb, wb))
+                    for key, layer, name in slots:
+                        opt.apply(key, layer.params[name], layer.grads[name])
+                mean_loss = epoch_loss / len(batches)
+                history.train_loss.append(mean_loss)
+                history.epochs_run += 1
+                if validation_data is not None:
+                    self._m_forward.inc(len(vx))
+                    history.val_loss.append(
+                        loss_fn.value(self._forward(vx, training=False), vy)
+                    )
+                if not np.isfinite(mean_loss):
+                    history.diverged = True
+                    if stop_on_divergence:
                         break
+                if patience is not None:
+                    val = history.val_loss[-1]
+                    if val < best_val - 1e-12:
+                        best_val = val
+                        stale_epochs = 0
+                    else:
+                        stale_epochs += 1
+                        if stale_epochs >= patience:
+                            break
         self._m_epochs.inc(history.epochs_run)
         return history
-
-    def _apply_gradients(self, optimizer: Optimizer) -> None:
-        for i, layer in enumerate(self.layers):
-            for name, param in layer.params.items():
-                optimizer.apply(f"layer{i}/{name}", param, layer.grads[name])
 
     def evaluate(
         self, x: np.ndarray, y: np.ndarray, *, loss: str | Loss = "mse"

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ReplayDBError
+from repro.features.pipeline import NUMERIC_FIELDS
 from repro.observability import get_observability
 from repro.replaydb.records import AccessRecord, MovementRecord
 
@@ -25,10 +26,8 @@ from repro.replaydb.records import AccessRecord, MovementRecord
 #: pass a real path or use :meth:`ReplayDB.snapshot_to`)
 MEMORY = ":memory:"
 
-#: numeric access fields served by the columnar probe query, in SELECT order
-PROBE_FIELDS: tuple[str, ...] = (
-    "fid", "fsid", "rb", "wb", "ots", "otms", "cts", "ctms",
-)
+#: numeric access fields served by the columnar queries, in SELECT order
+PROBE_FIELDS: tuple[str, ...] = NUMERIC_FIELDS
 
 #: SQL shared by the eager single-row and deferred bulk insert paths
 _INSERT_ACCESS_SQL = (
@@ -368,23 +367,7 @@ class ReplayDB:
         recent ``limit`` of the new rows (a burst-bound for the online
         path), still returned in chronological order.
         """
-        if rowid < 0:
-            raise ReplayDBError(f"rowid must be non-negative, got {rowid}")
-        if limit is not None and limit <= 0:
-            raise ReplayDBError(f"limit must be positive, got {limit}")
-        self._flush_accesses()
-        self._m_queries.inc()
-        if limit is None:
-            rows = self._conn.execute(
-                "SELECT * FROM accesses WHERE id > ? ORDER BY id ASC",
-                (rowid,),
-            ).fetchall()
-        else:
-            rows = self._conn.execute(
-                "SELECT * FROM (SELECT * FROM accesses WHERE id > ? "
-                "ORDER BY id DESC LIMIT ?) ORDER BY id ASC",
-                (rowid, limit),
-            ).fetchall()
+        rows = self._window_rows("*", limit=limit, since=rowid)
         ids = [int(row[0]) for row in rows]
         return ids, [self._to_record(row) for row in rows]
 
@@ -396,18 +379,83 @@ class ReplayDB:
         ids are silently absent).  Point lookups on the primary key, so
         the cost is O(k log n) for k ids.
         """
-        wanted = sorted(set(int(i) for i in ids))
-        if not wanted:
-            return []
+        return [self._to_record(row) for row in self._window_rows("*", ids=ids)]
+
+    def _window_rows(
+        self,
+        fields: str,
+        *,
+        limit: int | None = None,
+        since: int | None = None,
+        ids: Iterable[int] | None = None,
+    ) -> list[tuple]:
+        """Rows of one chronological access window, ``fields`` selected.
+
+        The window is the rows above the ``since`` rowid cursor (all rows
+        when ``None``), cut to the most recent ``limit``; or exactly the
+        rows named by ``ids``.  Both ride the primary key, so the cost is
+        O(rows returned) however large the table has grown.  Always in
+        ascending-id order.
+        """
+        if since is not None and since < 0:
+            raise ReplayDBError(f"rowid must be non-negative, got {since}")
+        if limit is not None and limit <= 0:
+            raise ReplayDBError(f"limit must be positive, got {limit}")
+        if ids is not None:
+            if limit is not None or since is not None:
+                raise ReplayDBError("ids excludes limit and since")
+            params = sorted({int(i) for i in ids})
+            if not params:
+                return []
+            placeholders = ", ".join("?" for _ in params)
+            source = f"accesses WHERE id IN ({placeholders})"
+        else:
+            params = [] if since is None else [since]
+            source = "accesses" if since is None else "accesses WHERE id > ?"
+            if limit is not None:
+                source = f"(SELECT * FROM {source} ORDER BY id DESC LIMIT ?)"
+                params.append(limit)
+        query = f"SELECT {fields} FROM {source} ORDER BY id ASC"
         self._flush_accesses()
         self._m_queries.inc()
-        placeholders = ", ".join("?" for _ in wanted)
-        rows = self._conn.execute(
-            f"SELECT * FROM accesses WHERE id IN ({placeholders}) "
-            "ORDER BY id ASC",
-            wanted,
-        ).fetchall()
-        return [self._to_record(row) for row in rows]
+        return self._conn.execute(query, params).fetchall()
+
+    def access_columns(
+        self,
+        *,
+        limit: int | None = None,
+        since: int | None = None,
+        ids: Iterable[int] | None = None,
+    ) -> dict[str, np.ndarray]:
+        """One chronological access window as flat numeric columns.
+
+        The learner's telemetry read: the training window
+        (``limit=training_rows``), the rows appended since a cursor
+        (``since=rowid``, optionally only the newest ``limit`` of them)
+        or a replay sample (``ids=...``, duplicates collapse, unknown ids
+        absent) -- the windows :meth:`recent_accesses`,
+        :meth:`accesses_since` and :meth:`accesses_by_id` serve as
+        records.  Training consumes six numbers per access, so no
+        AccessRecord is built (no JSON decode, no validation): the result
+        maps ``"id"`` (int64) and every :data:`PROBE_FIELDS` name
+        (float64) to one array over the window's rows, oldest first;
+        every array is empty when the window is.
+        """
+        fields = ", ".join(PROBE_FIELDS)
+        rows = self._window_rows(
+            f"id, {fields}", limit=limit, since=since, ids=ids
+        )
+        data = np.array(rows, dtype=np.float64).reshape(
+            len(rows), 1 + len(PROBE_FIELDS)
+        )
+        columns = self._probe_columns(data[:, 1:])
+        columns["id"] = data[:, 0].astype(np.int64)
+        return columns
+
+    @staticmethod
+    def _probe_columns(data: np.ndarray) -> dict[str, np.ndarray]:
+        """Split a ``(rows, PROBE_FIELDS)`` matrix into named columns."""
+        return {name: data[:, i] for i, name in enumerate(PROBE_FIELDS)}
 
     def recent_per_device(
         self, limit: int, *, fids: Iterable[int] | None = None
@@ -564,11 +612,8 @@ class ReplayDB:
             ).fetchall()
         if not rows:
             return [], {}
-        data = np.array(rows, dtype=np.float64)
-        columns = {
-            name: data[:, i] for i, name in enumerate(PROBE_FIELDS)
-        }
-        fid_col = data[:, 0]
+        columns = self._probe_columns(np.array(rows, dtype=np.float64))
+        fid_col = columns["fid"]
         starts = np.concatenate(
             ([0], np.flatnonzero(np.diff(fid_col)) + 1)
         )

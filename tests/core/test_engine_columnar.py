@@ -1,0 +1,222 @@
+"""The engine's columnar learner path: same bits, no records.
+
+``train`` reads the ReplayDB window as columns; ``train_on_records`` and
+extra-telemetry feature sets adapt records into the same training body.
+Reports, weights and provenance must agree bit for bit, online included,
+and a columnar decision epoch must never build an ``AccessRecord``.
+"""
+
+from dataclasses import asdict
+
+import pytest
+
+from repro.core.config import GeomancyConfig
+from repro.core.engine import DRLEngine, _digest
+from repro.experiments.decision_bench import synthetic_decision_records
+from repro.features.normalize import MinMaxNormalizer
+from repro.features.pipeline import FeaturePipeline
+from repro.features.schema import EOS_MODEL_FEATURES
+from repro.replaydb.db import ReplayDB
+from repro.workloads.eos import EOSTraceSynthesizer
+from tests.core.test_engine_online import (
+    make_config,
+    shifted_records,
+    weights_equal,
+)
+from tests.oracles.fit_loop import ReferenceSGD, reference_fit
+from tests.oracles.record_features import record_feature_matrix
+
+DEVICE_BY_FSID = {k: f"dev{k}" for k in range(1, 7)}
+
+
+def report_fields(report) -> dict:
+    fields = asdict(report)
+    del fields["train_seconds"]  # wall time, not a decision
+    return fields
+
+
+def scratch_config(**overrides) -> GeomancyConfig:
+    base = dict(
+        epochs=8, training_rows=400, batch_size=32, smoothing_window=5,
+        learning_rate=0.05, seed=1, probe_samples=4,
+    )
+    base.update(overrides)
+    return GeomancyConfig(**base)
+
+
+@pytest.fixture
+def db():
+    with ReplayDB() as db:
+        db.insert_accesses(synthetic_decision_records(rows=600, seed=0))
+        yield db
+
+
+class RecordsOnlyPipeline(FeaturePipeline):
+    """Forces the engine down its records -> columns adapter."""
+
+    columnar = False
+
+
+def records_reference_engine(config: GeomancyConfig) -> DRLEngine:
+    """An engine on the record readers and the original training loop."""
+    engine = DRLEngine(config)
+    engine.pipeline.__class__ = RecordsOnlyPipeline
+    fresh_model = engine._fresh_model
+
+    def fresh_model_on_reference_loop():
+        model = fresh_model()
+
+        def fit(x, y, *, optimizer, **kwargs):
+            return reference_fit(
+                model, x, y,
+                optimizer=ReferenceSGD(optimizer.learning_rate), **kwargs,
+            )
+
+        model.fit = fit
+        return model
+
+    engine._fresh_model = fresh_model_on_reference_loop
+    engine.model = fresh_model_on_reference_loop()
+    return engine
+
+
+class TestTrainMatchesTrainOnRecords:
+    @pytest.mark.parametrize("target", ["throughput", "latency"])
+    def test_reports_weights_and_provenance(self, db, target):
+        config = scratch_config(target=target)
+        by_columns, by_records = DRLEngine(config), DRLEngine(config)
+        by_columns.capture_provenance = by_records.capture_provenance = True
+        for _ in range(2):  # cold start, then a warm-started cycle
+            records = db.recent_accesses(config.training_rows)
+            a = by_columns.train(db)
+            b = by_records.train_on_records(records)
+            assert report_fields(a) == report_fields(b)
+            assert weights_equal(by_columns, by_records)
+            assert (
+                by_columns.last_feature_digest
+                == by_records.last_feature_digest
+            )
+            hi = db.max_rowid()
+            assert by_columns.last_window == (hi - len(records) + 1, hi)
+            assert all(type(v) is int for v in by_columns.last_window)
+            db.insert_accesses(
+                shifted_records(150, seed=4, start_t=1_600_010_000)
+            )
+        assert (
+            by_columns.pipeline.state_dict() == by_records.pipeline.state_dict()
+        )
+
+    def test_digest_is_the_per_record_matrix(self, db):
+        """Provenance digests name the matrix the record loops built."""
+        config = scratch_config()
+        engine = DRLEngine(config)
+        engine.capture_provenance = True
+        engine.train(db)
+        records = db.recent_accesses(config.training_rows)
+        raw = record_feature_matrix(config.features, records)
+        assert engine.last_feature_digest == _digest(
+            MinMaxNormalizer().fit_transform(raw)
+        )
+
+    def test_reference_loop_and_record_readers_agree(self, db):
+        config = scratch_config()
+        lean, reference = DRLEngine(config), records_reference_engine(config)
+        assert report_fields(lean.train(db)) == report_fields(
+            reference.train(db)
+        )
+        assert weights_equal(lean, reference)
+
+    def test_recurrent_model_windows(self, db):
+        config = scratch_config(model_number=13, timesteps=4, epochs=3)
+        by_columns, by_records = DRLEngine(config), DRLEngine(config)
+        a = by_columns.train(db)
+        b = by_records.train_on_records(
+            db.recent_accesses(config.training_rows)
+        )
+        assert report_fields(a) == report_fields(b)
+        assert weights_equal(by_columns, by_records)
+
+    def test_extra_telemetry_features_adapt_records(self):
+        records = EOSTraceSynthesizer(seed=3).records(500)
+        config = scratch_config(
+            features=EOS_MODEL_FEATURES, training_rows=500,
+            smoothing_window=20,
+        )
+        with ReplayDB() as db:
+            db.insert_accesses(records)
+            from_db, from_records = DRLEngine(config), DRLEngine(config)
+            from_db.capture_provenance = True
+            assert not from_db.pipeline.columnar
+            a = from_db.train(db)
+            b = from_records.train_on_records(records)
+            assert report_fields(a) == report_fields(b)
+            assert weights_equal(from_db, from_records)
+            assert from_db.last_window == (1, 500)
+            fsids = sorted({r.fsid for r in records})[:3]
+            correlation = from_db.ranking_correlation(
+                db, {fsid: records[0].device for fsid in fsids}
+            )
+            assert -1.0 <= correlation <= 1.0
+
+
+class TestOnlineCycles:
+    def test_twenty_two_incremental_cycles(self, db):
+        """Columns + lean step vs record readers + the original loop."""
+        config = make_config(
+            training_rows=400, drift_threshold=0.2, drift_min_cycles=2,
+            drift_burst_multiplier=3, target_snapshot_every=0,
+        )
+        lean, reference = DRLEngine(config), records_reference_engine(config)
+        lean.capture_provenance = reference.capture_provenance = True
+        t = 1_600_010_000
+        modes, drifts = [], 0
+        for cycle in range(23):
+            a = lean.train_incremental(db)
+            b = reference.train_incremental(db)
+            assert report_fields(a) == report_fields(b), cycle
+            assert weights_equal(lean, reference)
+            assert lean.last_window == reference.last_window
+            assert lean.last_feature_digest == reference.last_feature_digest
+            modes.append(a.mode)
+            drifts += a.drift_detected
+            db.insert_accesses(shifted_records(
+                90, seed=40 + cycle, start_t=t, invert=cycle >= 12,
+            ))
+            t += 200
+        assert modes == ["scratch"] + ["incremental"] * 22
+        assert drifts >= 1  # the burst path ran too
+        state_a, state_b = lean.state_dict(), reference.state_dict()
+        for state in (state_a, state_b):
+            del state["last_report"]["train_seconds"]
+        assert state_a == state_b
+
+
+class TestNoRecordIsMaterialised:
+    @pytest.fixture
+    def no_records(self, monkeypatch):
+        def refuse(row):
+            raise AssertionError("an AccessRecord was materialised")
+
+        monkeypatch.setattr(ReplayDB, "_to_record", staticmethod(refuse))
+
+    def test_scratch_decision_epoch(self, db, no_records):
+        engine = DRLEngine(scratch_config())
+        engine.capture_provenance = True
+        engine.train(db)
+        layout, gains = engine.propose_layout(db, db.files(), DEVICE_BY_FSID)
+        assert layout and gains
+        assert -1.0 <= engine.ranking_correlation(db, DEVICE_BY_FSID) <= 1.0
+        with pytest.raises(AssertionError, match="materialised"):
+            db.recent_accesses(1)  # the guard itself works
+
+    def test_online_decision_epochs(self, db, no_records):
+        engine = DRLEngine(make_config(target_snapshot_every=0))
+        engine.train_incremental(db)
+        for cycle in range(3):
+            db.insert_accesses(shifted_records(
+                80, seed=70 + cycle, start_t=1_600_010_000 + 200 * cycle
+            ))
+            report = engine.train_incremental(db)
+            assert report.mode == "incremental" and report.replayed_rows
+            engine.propose_layout(db, db.files(), DEVICE_BY_FSID)
+            engine.ranking_correlation(db, DEVICE_BY_FSID)

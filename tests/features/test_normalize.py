@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.errors import FeatureError
 from repro.features.normalize import CategoryEncoder, MinMaxNormalizer
+from tests.oracles.minmax import masked_inverse_transform, masked_transform
 
 FINITE = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
 
@@ -70,6 +71,66 @@ class TestMinMaxNormalizer:
     def test_rank_3_rejected(self):
         with pytest.raises(FeatureError):
             MinMaxNormalizer().fit(np.ones((2, 2, 2)))
+
+
+class TestMaskComputedOnce:
+    """Whole-array arithmetic when no column is constant: same bits."""
+
+    @staticmethod
+    def bounds(norm):
+        state = norm.state_dict()
+        return np.array(state["min"]), np.array(state["range"])
+
+    @pytest.mark.parametrize("constant_column", [False, True])
+    def test_matches_the_masked_transform(self, constant_column):
+        rng = np.random.default_rng(4)
+        fit_on = rng.random((50, 5)) * [1.0, 1e6, 1e-3, 7.0, 1.0]
+        if constant_column:
+            fit_on[:, 3] = 42.0
+        norm = MinMaxNormalizer().fit(fit_on)
+        lo, span = self.bounds(norm)
+        # rows far beyond the fitted bounds extrapolate, on both sides
+        probe = np.concatenate((fit_on, fit_on * 3.0 - 1.0))
+        got = norm.transform(probe)
+        assert np.array_equal(got, masked_transform(probe, lo, span))
+        assert got.min() < 0.0 and got.max() > 1.0
+        assert np.array_equal(
+            norm.inverse_transform(got),
+            masked_inverse_transform(got, lo, span),
+        )
+        if constant_column:
+            assert set(got[:, 3]) == {0.5}
+
+    def test_one_dimensional_target(self):
+        y = np.random.default_rng(5).random(40) * 1e9
+        norm = MinMaxNormalizer().fit(y)
+        lo, span = self.bounds(norm)
+        got = norm.transform(y * 1.5)
+        assert got.shape == (40, 1)
+        assert np.array_equal(got, masked_transform((y * 1.5)[:, None], lo, span))
+        assert np.array_equal(
+            norm.inverse_transform(got.ravel()),
+            masked_inverse_transform(got, lo, span),
+        )
+
+    def test_all_constant_target(self):
+        norm = MinMaxNormalizer().fit(np.full(6, 3.0))
+        assert set(norm.transform(np.arange(4.0)).ravel()) == {0.5}
+        assert set(norm.inverse_transform(np.arange(4.0)).ravel()) == {3.0}
+
+    def test_restored_state_rebuilds_the_mask(self):
+        data = np.random.default_rng(6).random((20, 3))
+        data[:, 1] = -2.0
+        fitted = MinMaxNormalizer().fit(data)
+        restored = MinMaxNormalizer()
+        restored.load_state_dict(fitted.state_dict())
+        assert np.array_equal(
+            restored.transform(data * 2.0), fitted.transform(data * 2.0)
+        )
+        assert set(restored.transform(data)[:, 1]) == {0.5}
+        blank = MinMaxNormalizer()
+        blank.load_state_dict(MinMaxNormalizer().state_dict())
+        assert not blank.fitted
 
 
 class TestCategoryEncoder:
