@@ -29,20 +29,21 @@ def main() -> None:
     # 1. Capture: run the workload and fill a ReplayDB.
     cluster = make_bluesky_cluster(seed=1)
     files = belle2_file_population(seed=1)
-    runner = WorkloadRunner(cluster, Belle2Workload(files, seed=2))
+    db = ReplayDB()
+    runner = WorkloadRunner(cluster, Belle2Workload(files, seed=2), db)
     runner.ensure_files_placed(
         EvenSpreadPolicy().initial_layout(files, cluster.device_names)
     )
     runner.warm_up(2000)
-    print(f"captured {runner.db.access_count()} accesses")
+    print(f"captured {db.access_count()} accesses")
 
     with tempfile.TemporaryDirectory() as tmp:
         jsonl = Path(tmp) / "bluesky_trace.jsonl"
         csv_path = Path(tmp) / "bluesky_trace.csv"
 
         # 2. Persist: JSONL for round-trips, CSV for plotting tools.
-        exported = export_db(runner.db, jsonl)
-        save_trace_csv(runner.db.recent_accesses(exported), csv_path)
+        exported = export_db(db, jsonl)
+        save_trace_csv(db.recent_accesses(exported), csv_path)
         print(f"exported {exported} records "
               f"({jsonl.stat().st_size // 1024} KiB jsonl, "
               f"{csv_path.stat().st_size // 1024} KiB csv)")

@@ -743,15 +743,15 @@ class DRLEngine:
         """
         if not self.trained:
             raise ModelError("engine must be trained before predicting")
-        observed: dict[int, float] = {}
-        for fsid, device in device_by_fsid.items():
-            try:
-                tp = db.average_throughput(device=device)
-            except Exception:
-                continue
-            # For latency targets lower observed *throughput* still means
-            # a worse device, so the observed ordering is the same.
-            observed[fsid] = tp
+        # For latency targets lower observed *throughput* still means a
+        # worse device, so the observed ordering is the same.  A device
+        # absent from the ranking has no telemetry yet.
+        mean_by_device = dict(db.device_throughput_ranking())
+        observed = {
+            fsid: mean_by_device[device]
+            for fsid, device in device_by_fsid.items()
+            if device in mean_by_device
+        }
         if len(observed) < 2:
             return 1.0
         fsids = sorted(observed)

@@ -185,7 +185,7 @@ def run_fig6(
     # makes them contend inside the devices' utilization windows.  (On a
     # shared clock the accesses would serialize and never overlap.)
     dup_runner = WorkloadRunner(
-        cluster, dup_workload, ReplayDB(), clock=SimulationClock(clock.now)
+        cluster, dup_workload, clock=SimulationClock(clock.now)
     )
     tuned_layout = cluster.layout()
     offset = dup_files[0].fid - files[0].fid

@@ -48,7 +48,6 @@ from repro.observability.profiling import (
     span_attribution,
 )
 from repro.observability.slo import ControlPlaneSLOFeed, SLOMonitor
-from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import MovementRecord
 from repro.simulation.bluesky import make_bluesky_cluster
 from repro.workloads.belle2 import Belle2Workload
@@ -201,7 +200,6 @@ def _drive(
     runner = WorkloadRunner(
         cluster,
         Belle2Workload(files, seed=WORKLOAD_SEED),
-        ReplayDB(),
         tolerate_offline=True,
     )
     # Warm-up: telemetry lands through the agents but is not traced per

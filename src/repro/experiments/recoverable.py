@@ -257,7 +257,6 @@ def run_recoverable(
     runner = WorkloadRunner(
         cluster,
         Belle2Workload(files, seed=WORKLOAD_SEED),
-        ReplayDB(),
         tolerate_offline=True,
     )
     # Warm-up: telemetry lands through the agents but is not measured.
@@ -365,7 +364,6 @@ def resume_recoverable(
     runner = WorkloadRunner(
         cluster,
         Belle2Workload(files, seed=int(meta["workload_seed"])),
-        ReplayDB(),
         tolerate_offline=True,
     )
     restore_system(geo, runner, state["system"])

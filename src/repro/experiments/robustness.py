@@ -30,7 +30,6 @@ from repro.faults.chaos_transport import ChaosTransport
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import cluster_invariant_violations
 from repro.faults.schedule import FaultSchedule
-from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import MovementRecord
 from repro.simulation.bluesky import make_bluesky_cluster
 from repro.workloads.belle2 import Belle2Workload
@@ -289,7 +288,7 @@ def _run_control_loop(
     geo = Geomancy(cluster, files, config, telemetry=telemetry)
     geo.place_initial()
     runner = WorkloadRunner(
-        cluster, Belle2Workload(files, seed=1), ReplayDB(),
+        cluster, Belle2Workload(files, seed=1),
         tolerate_offline=True, batched=config.batched_simulation,
     )
     # Warm-up: telemetry lands (through the agents) but is not measured.

@@ -16,6 +16,7 @@ from repro.core.config import GeomancyConfig
 from repro.core.engine import DRLEngine
 from repro.experiments.reporting import ascii_table, mean_std
 from repro.nn.model_zoo import MODEL_NUMBERS
+from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord
 from repro.simulation.bluesky import make_bluesky_cluster
 from repro.workloads.belle2 import Belle2Workload
@@ -41,12 +42,13 @@ def collect_mount_telemetry(
     """BELLE II telemetry with every file pinned to one mount."""
     cluster = make_bluesky_cluster(seed=seed)
     files = belle2_file_population(seed=seed)
+    db = ReplayDB()
     runner = WorkloadRunner(
-        cluster, Belle2Workload(files, seed=workload_seed)
+        cluster, Belle2Workload(files, seed=workload_seed), db
     )
     runner.ensure_files_placed({f.fid: mount for f in files})
     runner.warm_up(rows)
-    return runner.db.recent_accesses(rows)
+    return db.recent_accesses(rows)
 
 
 @dataclass

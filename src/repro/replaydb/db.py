@@ -36,6 +36,15 @@ _INSERT_ACCESS_SQL = (
     "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
 )
 
+#: the increment of the per-device aggregate: the rows above the cursor,
+#: grouped.  ``NOT INDEXED`` pins the scan to the primary-key range; left
+#: to itself SQLite serves the ``GROUP BY`` from ``idx_accesses_device``
+#: and walks that whole index however few rows are new.
+_DEVICE_TOTALS_SINCE_SQL = (
+    "SELECT device, COUNT(*), SUM(throughput), MAX(id) "
+    "FROM accesses NOT INDEXED WHERE id > ? GROUP BY device"
+)
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS accesses (
     id      INTEGER PRIMARY KEY,
@@ -120,6 +129,13 @@ class ReplayDB:
         #: workload run.  Observationally identical to eager writes --
         #: every query path flushes first.
         self._pending_accesses: list[tuple] = []
+        #: per-device ``(row count, throughput sum)`` over the rows up to
+        #: ``_totals_cursor``.  ``accesses`` is append-only and rowids
+        #: ascend in arrival order, so the rows above the cursor are
+        #: exactly the rows not yet folded in; an existing file starts at
+        #: 0 and pays one full pass on its first aggregate read.
+        self._device_totals: dict[str, tuple[int, float]] = {}
+        self._totals_cursor = 0
         self._raw_conn = sqlite3.connect(path)
         if not self.in_memory:
             # WAL survives crashes with at most the last transaction lost
@@ -218,6 +234,10 @@ class ReplayDB:
             raise ReplayDBError(
                 f"restoring snapshot {source_path!r} failed: {exc}"
             ) from exc
+        # The table was replaced wholesale: the next aggregate read
+        # starts over from the snapshot's first row.
+        self._device_totals = {}
+        self._totals_cursor = 0
         return self
 
     @classmethod
@@ -640,16 +660,38 @@ class ReplayDB:
         ).fetchall()
         return [row[0] for row in rows]
 
-    def access_count(self, *, device: str | None = None) -> int:
+    def _device_aggregates(self) -> dict[str, tuple[int, float]]:
+        """Per-device ``(row count, throughput sum)`` over every access.
+
+        One primary-key range query over the rows appended since the last
+        aggregate read, folded into the running totals: the cost is
+        O(rows since the last read) however large the table has grown.
+        """
         self._flush_accesses()
         self._m_queries.inc()
-        if device is None:
-            row = self._conn.execute("SELECT COUNT(*) FROM accesses").fetchone()
-        else:
-            row = self._conn.execute(
-                "SELECT COUNT(*) FROM accesses WHERE device = ?", (device,)
-            ).fetchone()
-        return int(row[0])
+        rows = self._conn.execute(
+            _DEVICE_TOTALS_SINCE_SQL, (self._totals_cursor,)
+        ).fetchall()
+        totals = self._device_totals
+        for device, count, total, last_id in rows:
+            have_count, have_total = totals.get(device, (0, 0.0))
+            totals[device] = (have_count + count, have_total + total)
+            self._totals_cursor = max(self._totals_cursor, last_id)
+        return totals
+
+    def _totals(self, device: str | None) -> tuple[int, float]:
+        """``(row count, throughput sum)`` of one device, or of them all."""
+        totals = self._device_aggregates()
+        if device is not None:
+            return totals.get(device, (0, 0.0))
+        return (
+            sum(count for count, _ in totals.values()),
+            sum(total for _, total in totals.values()),
+        )
+
+    def access_count(self, *, device: str | None = None) -> int:
+        """Accesses recorded so far, optionally on one device."""
+        return self._totals(device)[0]
 
     def access_count_per_file(self) -> dict[int, int]:
         """Access frequency by file id (drives the LFU baseline)."""
@@ -669,37 +711,28 @@ class ReplayDB:
 
     def average_throughput(self, *, device: str | None = None) -> float:
         """Mean per-access throughput (bytes/s), optionally for one device."""
-        self._flush_accesses()
-        self._m_queries.inc()
-        if device is None:
-            row = self._conn.execute(
-                "SELECT AVG(throughput) FROM accesses"
-            ).fetchone()
-        else:
-            row = self._conn.execute(
-                "SELECT AVG(throughput) FROM accesses WHERE device = ?",
-                (device,),
-            ).fetchone()
-        if row[0] is None:
+        count, total = self._totals(device)
+        if not count:
             raise ReplayDBError(
                 "no accesses recorded"
                 + (f" for device {device!r}" if device else "")
             )
-        return float(row[0])
+        return total / count
 
     def device_throughput_ranking(self) -> list[tuple[str, float]]:
         """Devices ordered fastest-first by mean observed throughput.
 
         The heuristic baselines (LRU/MRU/LFU) "start by taking the current
         total average throughput at each storage device using data collected
-        in the ReplayDB" (section VI).
+        in the ReplayDB" (section VI).  Equal means keep name order.
         """
-        self._flush_accesses()
-        rows = self._conn.execute(
-            "SELECT device, AVG(throughput) FROM accesses "
-            "GROUP BY device ORDER BY AVG(throughput) DESC"
-        ).fetchall()
-        return [(row[0], float(row[1])) for row in rows]
+        totals = self._device_aggregates()
+        means = [
+            (device, total / count)
+            for device, (count, total) in sorted(totals.items())
+        ]
+        means.sort(key=lambda pair: pair[1], reverse=True)
+        return means
 
     # -- movement log ------------------------------------------------------
     def movements(

@@ -388,7 +388,7 @@ class StorageCluster:
         self._m_accesses.inc()
         ots, otms = timestamp_parts(t)
         cts, ctms = timestamp_parts(t + duration)
-        return AccessRecord(
+        record = AccessRecord(
             fid=fid,
             fsid=device.fsid,
             device=device.name,
@@ -400,6 +400,11 @@ class StorageCluster:
             cts=cts,
             ctms=ctms,
         )
+        # Fill the cached throughput before the record leaves the serving
+        # path, as access_batch pre-seeds it: every consumer reads it, so a
+        # record costs its reader the same whichever path served it.
+        record.throughput_gbps
+        return record
 
     def access_batch(
         self,

@@ -6,8 +6,10 @@ data movement" (section VI) -- here, the cluster's namespace *is* that
 configuration, so accesses always hit the file's current device.
 
 The runner owns a clock shared with any co-running workloads, advances it by
-each access's duration, mirrors every access into a ReplayDB, and reports
-per-run summaries the experiment harness aggregates into Fig. 5/6 series.
+each access's duration, and reports per-run summaries the experiment harness
+aggregates into Fig. 5/6 series.  Given a ReplayDB it also writes every
+access there -- the telemetry path of the policy harnesses; a caller that
+ships the returned records through the monitoring agents gives it none.
 """
 
 from __future__ import annotations
@@ -68,7 +70,9 @@ class WorkloadRunner:
             )
         self.cluster = cluster
         self.workload = workload
-        self.db = db if db is not None else ReplayDB()
+        #: where completed accesses are written, or None: the records
+        #: the run methods return are then the only telemetry
+        self.db = db
         self.clock = clock if clock is not None else SimulationClock()
         self.think_time_s = float(think_time_s)
         #: with ``tolerate_offline`` an access to a file stranded on an
@@ -137,7 +141,8 @@ class WorkloadRunner:
                 self.clock.advance(self.offline_penalty_s + self.think_time_s)
                 continue
             self.clock.advance(record.duration + self.think_time_s)
-            self.db.insert_access(record)
+            if self.db is not None:
+                self.db.insert_access(record)
             self.total_accesses += 1
             self._m_accesses.inc()
             yield record
@@ -164,10 +169,10 @@ class WorkloadRunner:
 
         Materializes the run's ops as arrays, drives
         :meth:`StorageCluster.access_batch`, ships the whole run's
-        telemetry to the ReplayDB in one ``insert_accesses`` batch, and
-        advances the shared clock to the batch's end time.  Produces
-        bit-for-bit the records, clock position, device state, and DB
-        rows of the scalar loop.
+        telemetry to the ReplayDB (when there is one) in one
+        ``insert_accesses`` batch, and advances the shared clock to the
+        batch's end time.  Produces bit-for-bit the records, clock
+        position, device state, and DB rows of the scalar loop.
         """
         index = self.next_run_index
         self.next_run_index += 1
@@ -191,10 +196,7 @@ class WorkloadRunner:
             advance_hook=advance_hook,
         )
         records = batch.records
-        if records:
-            self.db.insert_accesses(records)
-            self.total_accesses += len(records)
-            self._m_accesses.inc(len(records))
+        self._record_batch(records)
         if batch.failed:
             self.failed_accesses += batch.failed
             self._m_failed.inc(batch.failed)
@@ -202,6 +204,14 @@ class WorkloadRunner:
         if batch.pending_error is not None:
             raise batch.pending_error
         return RunResult(run_index=index, records=records)
+
+    def _record_batch(self, records: list[AccessRecord]) -> None:
+        """Count (and, with a database, store) one batch's accesses."""
+        if records:
+            if self.db is not None:
+                self.db.insert_accesses(records)
+            self.total_accesses += len(records)
+            self._m_accesses.inc(len(records))
 
     def run_many(self, count: int) -> list[RunResult]:
         """Execute ``count`` consecutive runs.
@@ -249,10 +259,7 @@ class WorkloadRunner:
         # Every device was online and nothing could flip one mid-batch
         # (no advance hook), so every op was served.
         records = batch.records
-        if records:
-            self.db.insert_accesses(records)
-            self.total_accesses += len(records)
-            self._m_accesses.inc(len(records))
+        self._record_batch(records)
         self.clock.advance_to(batch.end_time)
         if batch.pending_error is not None:  # pragma: no cover - see above
             raise batch.pending_error
@@ -275,6 +282,10 @@ class WorkloadRunner:
         Geomancy's monitoring agents can capture 10000 accesses" (VI).
         Returns the number of runs executed.
         """
+        if self.db is None:
+            raise ConfigurationError(
+                "warm_up counts ReplayDB rows: pass the runner a db"
+            )
         if min_accesses < 1:
             raise ConfigurationError(
                 f"min_accesses must be >= 1, got {min_accesses}"

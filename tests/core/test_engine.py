@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.config import GeomancyConfig
 from repro.core.engine import DRLEngine
-from repro.errors import ModelError
+from repro.errors import ModelError, ReplayDBError
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord
 
@@ -232,6 +232,25 @@ class TestRankingCorrelation:
         db = ReplayDB()
         db.insert_accesses(records)
         assert engine.ranking_correlation(db, {0: "dev0"}) == 1.0
+
+    def test_devices_without_telemetry_are_left_out(self, trained_engine):
+        engine, records, _ = trained_engine
+        db = ReplayDB()
+        db.insert_accesses(records)
+        assert engine.ranking_correlation(
+            db, {0: "dev0", 7: "ghost", 8: "phantom"}
+        ) == 1.0
+
+    def test_closed_database_is_an_error_not_missing_telemetry(
+        self, trained_engine
+    ):
+        """A read failure must not pass the gate as "nothing to rank"."""
+        engine, records, _ = trained_engine
+        db = ReplayDB()
+        db.insert_accesses(records)
+        db.close()
+        with pytest.raises(ReplayDBError, match="closed"):
+            engine.ranking_correlation(db, {0: "dev0", 1: "dev1", 2: "dev2"})
 
     def test_untrained_engine_rejected(self):
         engine = DRLEngine(small_config())

@@ -38,12 +38,13 @@ def belle2_db(rows: int, mounts) -> ReplayDB:
     """BELLE II telemetry served by the simulated Bluesky node."""
     cluster = make_bluesky_cluster(seed=0)
     files = belle2_file_population(seed=0)
-    runner = WorkloadRunner(cluster, Belle2Workload(files, seed=1))
+    db = ReplayDB()
+    runner = WorkloadRunner(cluster, Belle2Workload(files, seed=1), db)
     runner.ensure_files_placed(
         {f.fid: mounts[i % len(mounts)] for i, f in enumerate(files)}
     )
     runner.warm_up(rows)
-    return runner.db
+    return db
 
 
 @pytest.fixture(scope="module")

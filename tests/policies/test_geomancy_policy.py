@@ -30,7 +30,8 @@ def warm_db():
     """A ReplayDB warmed with real Bluesky telemetry (shared: read-only)."""
     cluster = make_bluesky_cluster(seed=0)
     files = belle2_file_population(seed=0)
-    runner = WorkloadRunner(cluster, Belle2Workload(files, seed=1))
+    db = ReplayDB()
+    runner = WorkloadRunner(cluster, Belle2Workload(files, seed=1), db)
     names = cluster.device_names
     runner.ensure_files_placed(
         {f.fid: names[f.fid % len(names)] for f in files}
@@ -39,7 +40,7 @@ def warm_db():
     device_by_fsid = {
         cluster.device(name).fsid: name for name in names
     }
-    return runner.db, files, names, device_by_fsid
+    return db, files, names, device_by_fsid
 
 
 class TestGeomancyStatic:

@@ -8,6 +8,7 @@ from repro.errors import (
     UnknownDeviceError,
     UnknownFileError,
 )
+from repro.features.throughput import access_throughput
 from repro.simulation.cluster import FileInfo, StorageCluster
 from repro.simulation.device import DeviceSpec, StorageDevice
 from repro.simulation.interference import ConstantLoad
@@ -115,6 +116,19 @@ class TestAccess:
         fast_tp = cluster.access(1, t=0.0).throughput
         slow_tp = cluster.access(2, t=0.0).throughput
         assert fast_tp > 2 * slow_tp
+
+    def test_records_leave_both_paths_with_throughput_filled(self, cluster):
+        """Neither path leaves the derived throughput for the reader to pay."""
+        cluster.add_file(1, "a", 2 * GB, "fast")
+        scalar = cluster.access(1, t=0.0)
+        batched = cluster.access_batch([1], 10.0, [0], [0]).records[0]
+        for record in (scalar, batched):
+            cached = vars(record)
+            assert cached["throughput"] == access_throughput(
+                record.rb, record.wb, record.ots, record.otms,
+                record.cts, record.ctms,
+            )
+            assert cached["throughput_gbps"] == cached["throughput"] / 1e9
 
     def test_explicit_write_access(self, cluster):
         cluster.add_file(1, "a", 2 * GB, "fast")

@@ -79,7 +79,8 @@ class TestTraceToEngine:
     def test_exported_trace_trains_equivalent_engine(self, tmp_path):
         cluster = make_bluesky_cluster(seed=0)
         files = belle2_file_population(seed=0)
-        runner = WorkloadRunner(cluster, Belle2Workload(files, seed=3))
+        live = ReplayDB()
+        runner = WorkloadRunner(cluster, Belle2Workload(files, seed=3), live)
         runner.ensure_files_placed(
             RandomDynamicPolicy(seed=0).initial_layout(
                 files, cluster.device_names
@@ -87,14 +88,14 @@ class TestTraceToEngine:
         )
         runner.warm_up(400)
         path = tmp_path / "trace.jsonl"
-        export_db(runner.db, path)
+        export_db(live, path)
         offline = ReplayDB()
         import_db(offline, path)
 
         config = GeomancyConfig(
             epochs=8, training_rows=400, smoothing_window=10, seed=1
         )
-        live_report = DRLEngine(config).train(runner.db)
+        live_report = DRLEngine(config).train(live)
         offline_report = DRLEngine(config).train(offline)
         assert offline_report.samples == live_report.samples
         assert offline_report.test_mare == pytest.approx(
@@ -107,15 +108,14 @@ class TestPolicyAgainstFacade:
         """The LFU policy and the harness cooperate on a fresh cluster."""
         cluster = make_bluesky_cluster(seed=1)
         files = belle2_file_population(seed=1)
-        runner = WorkloadRunner(cluster, Belle2Workload(files, seed=1))
+        db = ReplayDB()
+        runner = WorkloadRunner(cluster, Belle2Workload(files, seed=1), db)
         policy = LFUPolicy()
         runner.ensure_files_placed(
             policy.initial_layout(files, cluster.device_names)
         )
         runner.warm_up(300)
-        layout = policy.update_layout(
-            runner.db, files, cluster.device_names
-        )
+        layout = policy.update_layout(db, files, cluster.device_names)
         moves = cluster.apply_layout(layout, runner.clock.now)
         # LFU regroups aggressively from the even spread.
         assert len(moves) > 0

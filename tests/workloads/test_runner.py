@@ -17,7 +17,7 @@ def setup():
     cluster = make_bluesky_cluster(seed=0)
     files = belle2_file_population(seed=0)
     workload = Belle2Workload(files, seed=1)
-    runner = WorkloadRunner(cluster, workload)
+    runner = WorkloadRunner(cluster, workload, ReplayDB())
     names = cluster.device_names
     layout = {f.fid: names[f.fid % len(names)] for f in files}
     runner.ensure_files_placed(layout)
@@ -96,10 +96,54 @@ class TestRunExecution:
         with pytest.raises(ConfigurationError):
             runner.warm_up(0)
 
+    def test_warm_up_without_db_rejected(self, setup):
+        cluster, runner = setup
+        bare = WorkloadRunner(cluster, runner.workload)
+        with pytest.raises(ConfigurationError, match="pass the runner a db"):
+            bare.warm_up(200)
+
     def test_negative_think_time_rejected(self, setup):
         cluster, runner = setup
         with pytest.raises(ConfigurationError):
             WorkloadRunner(cluster, runner.workload, think_time_s=-1.0)
+
+
+def _drive(db):
+    """One seeded runner through all three run methods; its whole state."""
+    cluster = make_bluesky_cluster(seed=0)
+    files = belle2_file_population(seed=0)
+    runner = WorkloadRunner(cluster, Belle2Workload(files, seed=1), db)
+    names = cluster.device_names
+    runner.ensure_files_placed({f.fid: names[f.fid % len(names)] for f in files})
+    records = list(runner.run_once().records)
+    for result in runner.run_many(3):
+        records.extend(result.records)
+    records.extend(runner.run_stream())
+    stats = {
+        name: (
+            cluster.device(name).stats.accesses,
+            cluster.device(name).stats.bytes_served,
+            cluster.device(name).stats.busy_time,
+            tuple(cluster.device(name).stats.throughput_samples),
+        )
+        for name in names
+    }
+    state = (
+        records, runner.clock.now, runner.next_run_index,
+        runner.total_accesses, stats,
+    )
+    return runner, state
+
+
+class TestNoDatabase:
+    def test_runner_without_db_equals_runner_with_one(self):
+        """The database is a sink: leaving it out changes nothing else."""
+        bare, bare_state = _drive(None)
+        db = ReplayDB()
+        stored, stored_state = _drive(db)
+        assert bare.db is None and stored.db is db
+        assert bare_state == stored_state
+        assert db.recent_accesses(len(stored_state[0])) == stored_state[0]
 
 
 class TestSharedCluster:
