@@ -14,7 +14,6 @@
     python -m repro saturate --multipliers 0.5 1 2 4 --capacity 64
     python -m repro deadletters dead.jsonl --requeue
     python -m repro synth-trace out.jsonl --rows 5000
-    python -m repro bench --workers 4     # decision + harness benchmarks
     python -m repro scale --devices 256 512 --files 4096 --shards 1 8
     python -m repro robustness --workers 4 --seeds 0 1 2 3
     python -m repro recover ckpt/ --checkpoint-every 5 --guardrail
@@ -29,7 +28,7 @@
 ``--log-level``/``--log-json`` (before the subcommand) turn on module
 logging for every ``repro.*`` logger.
 
-``--workers N`` (fig5a/fig5b/table2/robustness/bench) spreads the
+``--workers N`` (fig5a/fig5b/table2/robustness) spreads the
 experiment's (policy x seed / model) grid over N processes; results are
 bit-for-bit identical to ``--workers 1``, the serial fallback.
 
@@ -163,27 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     robustness.add_argument(
         "--seeds", type=int, nargs="+", default=[0, 1, 2, 3],
         help="environment seeds to sweep",
-    )
-
-    bench = sub.add_parser(
-        "bench",
-        help="decision-epoch micro-benchmark + parallel harness timing",
-    )
-    _add_common(bench, default_seed=0)
-    _add_workers(bench)
-    bench.add_argument(
-        "--seeds", type=int, nargs="+", default=[0, 1],
-        help="seeds for the serial-vs-parallel sweep (default: 0 1)",
-    )
-    bench.add_argument(
-        "--out", default="BENCH_decision.json",
-        help="where to write the JSON timing record "
-             "(default: BENCH_decision.json)",
-    )
-    bench.add_argument(
-        "--no-harness", action="store_true",
-        help="skip the serial-vs-parallel experiment sweep and only run "
-             "the decision micro-benchmark",
     )
 
     scale_cmd = sub.add_parser(
@@ -559,23 +537,6 @@ def _run_robustness(args) -> str:
     ).to_text()
 
 
-def _run_bench(args) -> str:
-    from repro.experiments.decision_bench import (
-        run_decision_benchmark,
-        run_harness_benchmark,
-    )
-
-    result = run_decision_benchmark(seed=args.seed)
-    if not args.no_harness:
-        result.harness = run_harness_benchmark(
-            seeds=tuple(args.seeds),
-            scale=_SCALES[args.scale],
-            workers=args.workers,
-        )
-    path = result.write_json(args.out)
-    return result.to_text() + f"\nwrote {path}"
-
-
 def _run_scale(args) -> str:
     from repro.experiments.scale import (
         ScalePoint,
@@ -848,7 +809,6 @@ _COMMANDS = {
     "table4": _run_table4,
     "fig6": _run_fig6,
     "robustness": _run_robustness,
-    "bench": _run_bench,
     "scale": _run_scale,
     "chaos": _run_chaos,
     "saturate": _run_saturate,

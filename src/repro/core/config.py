@@ -112,12 +112,6 @@ class GeomancyConfig:
     #: modeling target: "throughput" (the paper's live system) or
     #: "latency" (the sensitivity the paper defers to future work)
     target: str = "throughput"
-    #: drive workload runs through the vectorized access pipeline
-    #: (Cluster.access_batch / StorageDevice.serve_batch).  Bit-for-bit
-    #: identical to the scalar reference loop -- same RNG draw order per
-    #: device -- so this only trades per-access Python overhead for
-    #: batched numpy kernels; disable to run the scalar oracle instead
-    batched_simulation: bool = True
     #: -- durability & safe mode (repro.recovery) -------------------------
     #: checkpoint the full system state every N measured runs (0 disables;
     #: consumed by the recoverable harness, ignored by ordinary runs)
@@ -224,9 +218,6 @@ class GeomancyConfig:
     #: 1 (the default) is the legacy single-agent path, bit-for-bit
     #: identical to runs that predate the sharding layer
     shards: int = 1
-    #: worker processes the scale harness may spread shard cells over
-    #: (1 = the deterministic serial fallback)
-    shard_workers: int = 1
     #: a cross-shard move is accepted only when the destination shard's
     #: observed throughput beats the source's by this fraction
     cross_shard_margin: float = 0.10
@@ -506,10 +497,6 @@ class GeomancyConfig:
         if self.shards < 1:
             raise ConfigurationError(
                 f"shards must be >= 1, got {self.shards}"
-            )
-        if self.shard_workers < 1:
-            raise ConfigurationError(
-                f"shard_workers must be >= 1, got {self.shard_workers}"
             )
         if self.cross_shard_margin < 0:
             raise ConfigurationError(

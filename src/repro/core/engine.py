@@ -66,11 +66,11 @@ def _ordered_column_sum(matrix: np.ndarray) -> np.ndarray:
     """Column sums accumulated row-by-row, in order.
 
     ``matrix.sum(axis=0)`` uses pairwise summation whose grouping can
-    differ from the reference path's sequential ``total += score``
-    additions by an ulp; accumulating rows in order keeps the batched
-    decision path bit-for-bit equal to the per-file loop.  Blocks are at
-    most ``probe_samples`` rows, so this short loop costs nothing next to
-    the forward passes it replaced.
+    differ from the per-file reference loop's sequential ``total +=
+    score`` additions by an ulp; accumulating rows in order keeps the
+    decision path bit-for-bit equal to it.  Blocks are at most
+    ``probe_samples`` rows, so this short loop costs nothing next to the
+    forward pass.
     """
     total = np.zeros(matrix.shape[1], dtype=np.float64)
     for row in matrix:
@@ -250,30 +250,11 @@ class DRLEngine:
             self.last_window = (int(ids[0]), int(ids[-1]))
         return self._train_window(window)
 
-    def _telemetry(
-        self,
-        db: ReplayDB,
-        *,
-        limit: int | None = None,
-        since: int | None = None,
-        ids: np.ndarray | None = None,
-    ) -> dict[str, np.ndarray]:
-        """One ReplayDB access window as columns (see ``access_columns``).
-
-        A columnar feature set never materializes an AccessRecord.
-        Extra-telemetry features live in each row's JSON blob, which only
-        the record readers decode: those windows are read as records and
-        adapted (without ``id`` for an ``ids`` window -- the caller named
-        them).
-        """
-        if self.pipeline.columnar:
-            return db.access_columns(limit=limit, since=since, ids=ids)
-        if ids is not None:
-            return self.pipeline.record_columns(db.accesses_by_id(ids))
-        row_ids, records = db.accesses_since(since or 0, limit=limit)
-        window = self.pipeline.record_columns(records)
-        window["id"] = np.array(row_ids, dtype=np.int64)
-        return window
+    def _telemetry(self, db: ReplayDB, **window) -> dict[str, np.ndarray]:
+        """One ReplayDB access window (``limit=``/``since=``/``ids=``, see
+        :meth:`ReplayDB.access_columns`) with the columns this feature
+        set reads; no AccessRecord is ever built."""
+        return db.access_columns(**window, extra=self.pipeline.extra_features)
 
     def _train_window(self, window: dict[str, np.ndarray]) -> TrainingReport:
         """Retrain from scratch on one chronological telemetry window.
@@ -419,7 +400,7 @@ class DRLEngine:
            loss-explosion rollback.
 
         Every step is O(new + replay_sample + capacity) regardless of
-        ReplayDB size, which is what ``benchmarks/bench_online.py`` gates.
+        ReplayDB size (timed by the ``online_drift`` e2e workload).
         """
         if not self.config.online_learning:
             raise ModelError(
@@ -640,18 +621,10 @@ class DRLEngine:
     ) -> dict[int, float]:
         """Predicted throughput (bytes/s) of ``base``'s file per location.
 
-        Applies the MAE-sign adjustment when configured.  Raw (normalized)
-        model outputs are inverse-transformed into physical units so
-        locations are compared on bytes/s.
+        The one-base row of :meth:`predict_throughput_matrix`.
         """
-        if not self.trained:
-            raise ModelError("engine must be trained before predicting")
-        probe = self.pipeline.build_location_probe(base, fsids)
-        predictions = self.model.predict(probe).ravel()
-        throughput = self.pipeline.inverse_transform_target(predictions)
-        if self.config.adjust_predictions:
-            throughput = self.adjuster.adjust(throughput)
-        return dict(zip(fsids, (float(v) for v in throughput)))
+        row = self.predict_throughput_matrix([base], fsids)[0]
+        return dict(zip(fsids, (float(v) for v in row)))
 
     def predict_throughput_matrix(
         self,
@@ -660,14 +633,12 @@ class DRLEngine:
     ) -> np.ndarray:
         """Predicted throughput for every (base access, location) pair.
 
-        The batched decision-path core: one probe tensor covering all
-        ``bases x fsids`` candidate placements (``bases`` as records or
-        as a window of columns), one forward pass, one vectorized
-        inverse-transform/adjustment.  Returns an array of shape
-        ``(n_bases, len(fsids))`` where entry ``(i, j)`` equals
-        ``predict_location_throughputs(bases[i], fsids)[fsids[j]]`` -- the
-        per-base path survives as the numeric reference, and the
-        equivalence is regression-tested bit-for-bit.
+        One probe tensor covering all ``bases x fsids`` candidate
+        placements (``bases`` as records or as a window of columns), one
+        forward pass, one vectorized inverse-transform (into bytes/s, so
+        locations compare in physical units) and, when configured, the
+        MAE-sign adjustment.  Returns an array of shape
+        ``(n_bases, len(fsids))``.
         """
         if not self.trained:
             raise ModelError("engine must be trained before predicting")
@@ -693,37 +664,21 @@ class DRLEngine:
     ) -> tuple[dict[int, tuple[int, int, int]], np.ndarray | None]:
         """Recent telemetry for the probed files as one raw feature matrix.
 
-        One window-function ReplayDB query replaces the per-file loop.
-        When every feature derives from the numeric access columns the
-        telemetry never materializes AccessRecords at all (columnar fast
-        path); extra-telemetry feature sets fall back to record batches.
         Returns ``(per_fid, raw)`` where ``per_fid`` maps each probed fid
-        to its ``(start, stop, current_fsid)`` row span into ``raw``.
+        that has telemetry to its ``(start, stop, current_fsid)`` row
+        span into ``raw``; ``raw`` is None when none has.
         """
-        limit = self.config.probe_samples
-        if self.pipeline.columnar:
-            spans, columns = db.recent_access_columns_per_file(
-                limit, fids=fids
-            )
-            if not spans:
-                return {}, None
-            per_fid = {
-                fid: (start, stop, int(columns["fsid"][stop - 1]))
-                for fid, start, stop in spans
-            }
-            return per_fid, self.pipeline.feature_matrix_from_columns(columns)
-        recent_by_fid = db.recent_accesses_per_file(limit, fids=fids)
-        if not recent_by_fid:
+        spans, columns = db.recent_access_columns_per_file(
+            self.config.probe_samples, fids,
+            extra=self.pipeline.extra_features,
+        )
+        if not spans:
             return {}, None
-        bases: list[AccessRecord] = []
-        per_fid = {}
-        for fid in sorted(recent_by_fid):
-            recent = recent_by_fid[fid]
-            per_fid[fid] = (
-                len(bases), len(bases) + len(recent), recent[-1].fsid
-            )
-            bases.extend(recent)
-        return per_fid, self.pipeline.feature_matrix(bases)
+        per_fid = {
+            fid: (start, stop, int(columns["fsid"][stop - 1]))
+            for fid, start, stop in spans
+        }
+        return per_fid, self.pipeline.feature_matrix_from_columns(columns)
 
     def ranking_correlation(
         self,
@@ -757,10 +712,8 @@ class DRLEngine:
         fsids = sorted(observed)
         bases = self._telemetry(db, limit=probe_bases)
         if len(bases["fsid"]):
-            # One batched forward pass over every (base, device) probe
-            # instead of a model call per base: correlation checks run
-            # every training cycle, so they ride the same fast path as
-            # propose_layout.
+            # One forward pass over every (base, device) probe: the
+            # correlation check runs every training cycle.
             matrix = self.predict_throughput_matrix(bases, fsids)
             predicted = [float(v) for v in _ordered_column_sum(matrix)]
         else:
@@ -774,7 +727,7 @@ class DRLEngine:
     def _choose_placement(
         self, scores: dict[int, float], current_fsid: int
     ) -> tuple[int, float]:
-        """The act/skip rule shared by the batched and reference paths."""
+        """The act/skip rule: best location, and the gain of moving there."""
         if self._maximize:
             best = max(scores, key=lambda fsid: scores[fsid])
         else:
@@ -814,12 +767,11 @@ class DRLEngine:
         (bytes/s), which the move cap uses to prioritise.  Files with no
         telemetry yet are skipped (nothing to probe from).
 
-        Batched decision path: one window-function ReplayDB query fetches
-        every file's recent accesses, one forward pass scores every
-        (file, access, location) probe, and the per-file aggregation
-        reduces the prediction matrix.  Bit-for-bit equivalent to
-        :meth:`propose_layout_reference` (regression-tested), which remains
-        as the readable per-file specification.
+        One ReplayDB read fetches every file's recent accesses, one
+        forward pass scores every (file, access, location) probe, and the
+        per-file aggregation reduces the prediction matrix.  The readable
+        per-file specification it must match bit for bit is
+        ``tests/oracles/decision_loop.py``.
         """
         if not self.trained:
             raise ModelError("engine must be trained before predicting")
@@ -866,46 +818,3 @@ class DRLEngine:
                 float(np.mean(chosen_scores)) if chosen_scores else None
             )
             return layout, gains
-
-    def propose_layout_reference(
-        self,
-        db: ReplayDB,
-        fids: list[int],
-        device_by_fsid: dict[int, str],
-    ) -> tuple[dict[int, str], dict[int, float]]:
-        """The legacy per-file decision loop, kept as the numeric reference.
-
-        Issues one ReplayDB query and ``probe_samples`` model calls per
-        file -- O(files x probe_samples) forward passes against the batched
-        path's one.  :meth:`propose_layout` must match this bit-for-bit;
-        the equivalence test and the decision-epoch micro-benchmark both
-        run the two side by side.
-        """
-        if not device_by_fsid:
-            raise ModelError("no candidate locations supplied")
-        fsids = sorted(device_by_fsid)
-        layout: dict[int, str] = {}
-        gains: dict[int, float] = {}
-        chosen_scores: list[float] = []
-        self.last_chosen_scores = {}
-        for fid in fids:
-            recent = db.recent_accesses(self.config.probe_samples, fid=fid)
-            if not recent:
-                continue
-            totals = {fsid: 0.0 for fsid in fsids}
-            for base in recent:
-                scores = self.predict_location_throughputs(base, fsids)
-                for fsid in fsids:
-                    totals[fsid] += scores[fsid]
-            scores = {
-                fsid: total / len(recent) for fsid, total in totals.items()
-            }
-            best, gain = self._choose_placement(scores, recent[-1].fsid)
-            layout[fid] = device_by_fsid[best]
-            gains[fid] = gain
-            chosen_scores.append(scores[best])
-            self.last_chosen_scores[fid] = scores[best]
-        self.last_predicted_mean = (
-            float(np.mean(chosen_scores)) if chosen_scores else None
-        )
-        return layout, gains

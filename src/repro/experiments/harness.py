@@ -92,17 +92,12 @@ def run_policy_experiment(
     extra_interference: dict[str, LoadProcess] | None = None,
     cluster: StorageCluster | None = None,
     files: list[FileSpec] | None = None,
-    batched: bool = True,
 ) -> PolicyRunResult:
     """Measure one policy on the standard setup.
 
     All stochastic inputs (cluster interference, device noise, workload
     access stream) derive from ``seed``/``workload_seed``, so two policies
     run with the same seeds face exactly the same environment.
-    ``batched`` selects the vectorized access pipeline (the default) or
-    the scalar reference loop; both produce bit-for-bit identical
-    results, so the flag only matters for benchmarking the fast path
-    against its oracle.
     """
     if cluster is None:
         cluster = make_bluesky_cluster(
@@ -112,7 +107,7 @@ def run_policy_experiment(
         files = belle2_file_population(seed=seed)
     workload = Belle2Workload(files, seed=workload_seed)
     db = ReplayDB()
-    runner = WorkloadRunner(cluster, workload, db, batched=batched)
+    runner = WorkloadRunner(cluster, workload, db)
 
     # Warm-up phase: telemetry lands in the DB but is not measured.  The
     # layout is reshuffled every few runs so the warm-up telemetry covers
@@ -142,10 +137,10 @@ def run_policy_experiment(
     while run_number < scale.runs:
         # Nothing can change the cluster between two consultations of the
         # policy, so the runs up to the next decision point are handed to
-        # run_many in one group -- the batched path fuses them into a
-        # single access_batch call (static policies fuse the whole
-        # measured phase).  Record order, decision timing, and layouts
-        # are exactly those of the one-run-at-a-time loop.
+        # run_many in one group, which fuses them into a single
+        # access_batch call (static policies fuse the whole measured
+        # phase).  Record order, decision timing, and layouts are
+        # exactly those of the one-run-at-a-time loop.
         if policy.dynamic:
             group = min(
                 scale.update_every - run_number % scale.update_every,

@@ -260,22 +260,16 @@ def _run_control_loop(
     corrupt_rate: float,
     chaos: bool,
     baseline_duration: float | None = None,
-    batched: bool = True,
 ) -> tuple[_PhaseStats, Geomancy, FaultInjector | None]:
     """One full warm-up + measured Geomancy loop, optionally under faults.
 
     Telemetry flows through the monitoring agents and the (possibly lossy)
     transport rather than straight into the DB, so transport faults have
-    real consequences for what the engine trains on.  ``batched`` selects
-    the vectorized access pipeline; fault timing, telemetry batching, and
-    every RNG draw are bit-for-bit identical either way, so chaos results
-    do not depend on the flag.
+    real consequences for what the engine trains on.
     """
     cluster = make_bluesky_cluster(seed=seed)
     files = belle2_file_population(seed=seed)
-    config = make_experiment_config(
-        scale, seed=seed, batched_simulation=batched
-    )
+    config = make_experiment_config(scale, seed=seed)
     telemetry = (
         ChaosTransport(
             drop_rate=drop_rate, delay_rate=delay_rate,
@@ -288,15 +282,11 @@ def _run_control_loop(
     geo = Geomancy(cluster, files, config, telemetry=telemetry)
     geo.place_initial()
     runner = WorkloadRunner(
-        cluster, Belle2Workload(files, seed=1),
-        tolerate_offline=True, batched=config.batched_simulation,
+        cluster, Belle2Workload(files, seed=1), tolerate_offline=True
     )
     # Warm-up: telemetry lands (through the agents) but is not measured.
     while geo.db.access_count() < scale.warmup_accesses:
-        if config.batched_simulation:
-            geo.observe_run(runner.run_once().records)
-        else:
-            geo.observe_run(list(runner.run_stream()))
+        geo.observe_run(runner.run_once().records)
 
     injector = None
     phase_start = runner.clock.now
@@ -327,24 +317,14 @@ def _run_control_loop(
     stranded_since: float | None = None
     violations: list[str] = []
     for run_number in range(1, scale.runs + 1):
-        if config.batched_simulation:
-            # Same event order as the scalar loop below: the injector
-            # advances after every served access (access_batch invokes the
-            # hook at the same clock values run_stream would show), and
-            # telemetry batching sees the identical record sequence.
-            run = runner.run_once(
-                advance_hook=(
-                    injector.advance if injector is not None else None
-                )
-            )
-            throughput.extend(r.throughput_gbps for r in run.records)
-            geo.observe_records(run.records)
-        else:
-            for record in runner.run_stream():
-                if injector is not None:
-                    injector.advance(runner.clock.now)
-                throughput.append(record.throughput_gbps)
-                geo.observe(record)
+        # The injector advances after every served access (access_batch
+        # invokes the hook at the clock values an access-by-access loop
+        # would show); telemetry follows once the run is over.
+        run = runner.run_once(
+            advance_hook=injector.advance if injector is not None else None
+        )
+        throughput.extend(r.throughput_gbps for r in run.records)
+        geo.observe_records(run.records)
         if injector is not None:
             injector.advance(runner.clock.now)
         geo.flush_telemetry(at=runner.clock.now)
@@ -383,14 +363,11 @@ def run_chaos(
     delay_rate: float = 0.02,
     reorder_rate: float = 0.05,
     corrupt_rate: float = 0.01,
-    batched: bool = True,
 ) -> ChaosResult:
     """Run the Belle II workload fault-free, then under the chaos schedule.
 
     Both runs share every seed, so the throughput delta is attributable to
     the injected faults (plus the control plane's recovery work).
-    ``batched=False`` drives both twins through the scalar reference loop
-    instead of the vectorized pipeline; results are bit-for-bit identical.
     """
     specs = (
         tuple(schedule_specs) if schedule_specs is not None
@@ -400,14 +377,14 @@ def run_chaos(
     baseline, _, _ = _run_control_loop(
         scale=scale, seed=seed, schedule=None,
         migration_failure_rate=0.0, drop_rate=0.0, delay_rate=0.0,
-        reorder_rate=0.0, corrupt_rate=0.0, chaos=False, batched=batched,
+        reorder_rate=0.0, corrupt_rate=0.0, chaos=False,
     )
     stats, geo, injector = _run_control_loop(
         scale=scale, seed=seed, schedule=schedule,
         migration_failure_rate=migration_failure_rate,
         drop_rate=drop_rate, delay_rate=delay_rate,
         reorder_rate=reorder_rate, corrupt_rate=corrupt_rate, chaos=True,
-        baseline_duration=baseline.duration_s, batched=batched,
+        baseline_duration=baseline.duration_s,
     )
     telemetry = geo.telemetry
     return ChaosResult(

@@ -70,23 +70,20 @@ _COLUMN_BUILDERS: dict[str, Callable[[dict[str, np.ndarray]], np.ndarray]] = {
 }
 
 
-def record_columns(
-    records: "Sequence[AccessRecord]", extra: Sequence[str] = ()
+def extra_columns(
+    blobs: "Sequence[dict]", extra: Sequence[str]
 ) -> dict[str, np.ndarray]:
-    """The records -> columns adapter: one window from a record list.
+    """One float64 column per ``extra`` name, read from each row's blob.
 
-    Carries every :data:`NUMERIC_FIELDS` column plus one column per name
-    in ``extra``, read from each record's ``extra`` dict (EOS-style
-    telemetry like ``rt``/``wt``/``nrc`` lives there).
+    ``blobs`` are the rows' extra-telemetry dicts (EOS-style ``rt``/
+    ``wt``/``nrc`` lives there), as records carry them and as the
+    ReplayDB stores them.
     """
-    columns = {
-        name: np.array([getattr(r, name) for r in records], dtype=np.float64)
-        for name in NUMERIC_FIELDS
-    }
+    columns = {}
     for name in extra:
         try:
             columns[name] = np.array(
-                [r.extra[name] for r in records], dtype=np.float64
+                [blob[name] for blob in blobs], dtype=np.float64
             )
         except KeyError:
             known = ", ".join(sorted(_COLUMN_BUILDERS))
@@ -94,6 +91,22 @@ def record_columns(
                 f"feature {name!r} is neither a built-in column ({known}) "
                 "nor present in every record's extra telemetry"
             ) from None
+    return columns
+
+
+def record_columns(
+    records: "Sequence[AccessRecord]", extra: Sequence[str] = ()
+) -> dict[str, np.ndarray]:
+    """The records -> columns adapter: one window from a record list.
+
+    Carries every :data:`NUMERIC_FIELDS` column plus one column per name
+    in ``extra``, read from each record's ``extra`` dict.
+    """
+    columns = {
+        name: np.array([getattr(r, name) for r in records], dtype=np.float64)
+        for name in NUMERIC_FIELDS
+    }
+    columns.update(extra_columns([r.extra for r in records], extra))
     return columns
 
 
@@ -156,8 +169,9 @@ class FeaturePipeline:
         else:
             self._x_norm = MinMaxNormalizer()
             self._y_norm = MinMaxNormalizer()
-        #: features read from records' ``extra`` telemetry, not derivable
-        #: from the numeric access fields
+        #: features not derivable from the numeric access fields: keys of
+        #: each access's ``extra`` telemetry, which the engine names to the
+        #: ReplayDB's columnar readers (``extra=``)
         self.extra_features = tuple(
             name for name in self.features if name not in _COLUMN_BUILDERS
         )
@@ -180,17 +194,6 @@ class FeaturePipeline:
     @property
     def fitted(self) -> bool:
         return self._x_norm.fitted and self._y_norm.fitted
-
-    @property
-    def columnar(self) -> bool:
-        """Whether every feature derives from the numeric access columns.
-
-        True for the live (and Table) feature sets, whose telemetry the
-        engine reads from the ReplayDB as columns; False once an
-        ``extra``-dict feature (EOS ``rt``/``wt``/...) is configured, in
-        which case the engine reads records and adapts them.
-        """
-        return not self.extra_features
 
     # -- raw extraction ----------------------------------------------------
     def record_columns(
@@ -233,8 +236,8 @@ class FeaturePipeline:
             ])
         except KeyError as exc:
             raise FeatureError(
-                f"feature {exc.args[0]!r} is not derivable from columnar "
-                "telemetry; use the record-based path"
+                f"feature {exc.args[0]!r} is not a column of this window; "
+                "read it with extra=pipeline.extra_features"
             ) from None
 
     def target_vector(self, telemetry: "Telemetry") -> np.ndarray:
@@ -342,26 +345,11 @@ class FeaturePipeline:
     def build_location_probe(
         self, base: "AccessRecord", fsids: Sequence[int]
     ) -> np.ndarray:
-        """One normalized row per candidate location.
+        """One normalized row per candidate location, for one access.
 
-        Every row replicates ``base``'s features with only the ``fsid``
-        column varying -- including the file's current location so "the
-        possibility that moving the data will not improve the performance"
-        is always on the menu (section V-C).
+        The one-base case of :meth:`build_location_probe_batch`.
         """
-        self._require_fitted()
-        if not fsids:
-            raise FeatureError("no candidate locations supplied")
-        if "fsid" not in self.features:
-            raise FeatureError(
-                "per-location probing varies the 'fsid' column (paper "
-                "section V-C); include it in the feature set"
-            )
-        raw = self.feature_matrix([base])
-        probe = np.repeat(raw, len(fsids), axis=0)
-        fsid_col = self.features.index("fsid")
-        probe[:, fsid_col] = np.asarray(fsids, dtype=np.float64)
-        return self._x_norm.transform(probe)
+        return self.build_location_probe_batch([base], fsids)
 
     def build_location_probe_batch(
         self, bases: "Telemetry", fsids: Sequence[int]
@@ -369,13 +357,14 @@ class FeaturePipeline:
         """The whole decision epoch's probe tensor in one array.
 
         Row ``i * len(fsids) + j`` replicates base access ``i``'s features
-        with the ``fsid`` column set to ``fsids[j]`` -- the batched
-        equivalent of ``build_location_probe`` called once per base.
-        Building every (access, candidate location) probe up front lets
-        the engine run a single forward pass and a single inverse
-        transform per decision epoch instead of one per access, which is
-        what keeps decision latency small relative to the workload (paper
-        Table IV).
+        with only the ``fsid`` column varying, set to ``fsids[j]`` --
+        including the file's current location so "the possibility that
+        moving the data will not improve the performance" is always on
+        the menu (section V-C).  Building every (access, candidate
+        location) probe up front lets the engine run a single forward
+        pass and a single inverse transform per decision epoch instead of
+        one per access, which is what keeps decision latency small
+        relative to the workload (paper Table IV).
         """
         return self.build_location_probe_from_matrix(
             self.feature_matrix(bases), fsids
@@ -386,10 +375,9 @@ class FeaturePipeline:
     ) -> np.ndarray:
         """Probe tensor from an already-extracted raw feature matrix.
 
-        Shared tail of the record-based and columnar batch builders: each
-        of the ``len(raw)`` base rows is replicated once per candidate
-        location with only the ``fsid`` column varying, then the whole
-        tensor is normalized in one shot.
+        Each of the ``len(raw)`` base rows is replicated once per
+        candidate location with only the ``fsid`` column varying, then
+        the whole tensor is normalized in one shot.
         """
         self._require_fitted()
         if not fsids:

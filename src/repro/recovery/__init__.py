@@ -22,7 +22,7 @@ resume`` on the CLI).
 """
 
 from repro.recovery.checkpoint import CheckpointManager, LoadedCheckpoint
-from repro.recovery.events import EventLog, RecoveryEvent
+from repro.recovery.events import EventLog
 from repro.recovery.guardrail import Guardrail, GuardrailTrip
 from repro.recovery.journal import LayoutJournal
 from repro.recovery.weight_snapshots import WeightSnapshotStore
@@ -34,6 +34,5 @@ __all__ = [
     "GuardrailTrip",
     "LayoutJournal",
     "LoadedCheckpoint",
-    "RecoveryEvent",
     "WeightSnapshotStore",
 ]

@@ -1,15 +1,12 @@
-"""Structured recovery telemetry -- now a view over the event bus.
+"""Structured recovery telemetry -- a recorded view over the event bus.
 
-Historically this module owned its own event type and append-only log.
-Both survive as a compatibility shim over the unified observability
-layer: :class:`RecoveryEvent` *is*
-:class:`repro.observability.events.Event`, and :class:`EventLog` is a
-recording facade over an :class:`~repro.observability.events.EventBus`
--- every ``emit`` publishes a typed bus event (guardrail trips,
+:class:`EventLog` is a recording facade over an
+:class:`~repro.observability.events.EventBus`: every ``emit`` publishes
+a plain bus :class:`~repro.observability.events.Event` (guardrail trips,
 checkpoint commits, journal rollbacks, stranded-file rescues), so bus
 subscribers see recovery traffic alongside fault and movement events,
-while existing callers keep the familiar log API (``events``,
-``of_kind``, ``state_dict``/``load_state_dict``).
+and keeps it in an append-only log that checkpoints carry
+(``events``, ``of_kind``, ``state_dict``/``load_state_dict``).
 
 By default an ``EventLog`` bridges to the *installed* observability
 bus (see :func:`repro.observability.get_observability`), which is a
@@ -21,9 +18,6 @@ from __future__ import annotations
 
 from repro.observability import get_observability
 from repro.observability.events import Event, EventBus
-
-#: compatibility alias -- recovery events are plain bus events
-RecoveryEvent = Event
 
 
 class EventLog:

@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
 
 from repro.errors import ReplayDBError
-from repro.features.pipeline import NUMERIC_FIELDS
+from repro.features.pipeline import NUMERIC_FIELDS, extra_columns
 from repro.observability import get_observability
 from repro.replaydb.records import AccessRecord, MovementRecord
 
@@ -375,32 +375,6 @@ class ReplayDB:
         row = self._conn.execute("SELECT MAX(id) FROM accesses").fetchone()
         return int(row[0]) if row[0] is not None else 0
 
-    def accesses_since(
-        self, rowid: int, *, limit: int | None = None
-    ) -> tuple[list[int], list[AccessRecord]]:
-        """Accesses appended after the ``rowid`` cursor, chronological.
-
-        The incremental-training query: rides the primary key, so the
-        cost is O(new rows) regardless of how large the table has grown.
-        Returns ``(ids, records)`` aligned element for element; the last
-        id is the caller's next cursor.  ``limit`` keeps only the most
-        recent ``limit`` of the new rows (a burst-bound for the online
-        path), still returned in chronological order.
-        """
-        rows = self._window_rows("*", limit=limit, since=rowid)
-        ids = [int(row[0]) for row in rows]
-        return ids, [self._to_record(row) for row in rows]
-
-    def accesses_by_id(self, ids: Iterable[int]) -> list[AccessRecord]:
-        """Fetch specific access rows by id, in ascending-id order.
-
-        Serves the prioritized replay buffer: sampled row ids come back
-        as records in chronological order (duplicates collapse; unknown
-        ids are silently absent).  Point lookups on the primary key, so
-        the cost is O(k log n) for k ids.
-        """
-        return [self._to_record(row) for row in self._window_rows("*", ids=ids)]
-
     def _window_rows(
         self,
         fields: str,
@@ -446,76 +420,52 @@ class ReplayDB:
         limit: int | None = None,
         since: int | None = None,
         ids: Iterable[int] | None = None,
+        extra: Sequence[str] = (),
     ) -> dict[str, np.ndarray]:
         """One chronological access window as flat numeric columns.
 
         The learner's telemetry read: the training window
         (``limit=training_rows``), the rows appended since a cursor
-        (``since=rowid``, optionally only the newest ``limit`` of them)
-        or a replay sample (``ids=...``, duplicates collapse, unknown ids
-        absent) -- the windows :meth:`recent_accesses`,
-        :meth:`accesses_since` and :meth:`accesses_by_id` serve as
-        records.  Training consumes six numbers per access, so no
-        AccessRecord is built (no JSON decode, no validation): the result
-        maps ``"id"`` (int64) and every :data:`PROBE_FIELDS` name
+        (``since=rowid``, optionally only the newest ``limit`` of them --
+        the online path's burst bound) or a replay sample (``ids=...``,
+        duplicates collapse, unknown ids absent).  Training consumes a
+        handful of numbers per access, so no AccessRecord is built: the
+        result maps ``"id"`` (int64) and every :data:`PROBE_FIELDS` name
         (float64) to one array over the window's rows, oldest first;
-        every array is empty when the window is.
+        every array is empty when the window is.  ``extra`` names keys of
+        the rows' extra-telemetry blob (EOS ``rt``/``wt``/...) to decode
+        into one more float64 column each; a row without a named key
+        raises :class:`~repro.errors.FeatureError`.
         """
-        fields = ", ".join(PROBE_FIELDS)
         rows = self._window_rows(
-            f"id, {fields}", limit=limit, since=since, ids=ids
+            self._select(("id", *PROBE_FIELDS), extra),
+            limit=limit, since=since, ids=ids,
         )
-        data = np.array(rows, dtype=np.float64).reshape(
-            len(rows), 1 + len(PROBE_FIELDS)
-        )
-        columns = self._probe_columns(data[:, 1:])
-        columns["id"] = data[:, 0].astype(np.int64)
+        columns = self._columns(rows, ("id", *PROBE_FIELDS), extra)
+        columns["id"] = columns["id"].astype(np.int64)
         return columns
 
     @staticmethod
-    def _probe_columns(data: np.ndarray) -> dict[str, np.ndarray]:
-        """Split a ``(rows, PROBE_FIELDS)`` matrix into named columns."""
-        return {name: data[:, i] for i, name in enumerate(PROBE_FIELDS)}
+    def _select(names: Sequence[str], extra: Sequence[str]) -> str:
+        """SELECT list for ``names``, plus the JSON blob when ``extra``."""
+        return ", ".join((*names, "extra") if extra else names)
 
-    def recent_per_device(
-        self, limit: int, *, fids: Iterable[int] | None = None
-    ) -> dict[str, list[AccessRecord]]:
-        """Most recent ``limit`` accesses for each device seen so far.
+    @staticmethod
+    def _columns(
+        rows: list[tuple], names: Sequence[str], extra: Sequence[str]
+    ) -> dict[str, np.ndarray]:
+        """Rows selected by :meth:`_select` as named float64 columns.
 
-        This is the paper's training-batch request: "All requests for data
-        contain the X most recent accesses for each of the storage devices."
-        One window-function query (riding ``idx_accesses_device``) replaces
-        the former one-query-per-device loop; devices are keyed in sorted
-        order with each device's records chronological, exactly as before.
-
-        ``fids`` restricts the window to accesses of the given files --
-        the shard-slice view: a shard asking for its devices' recent
-        history never ranks (or returns) other shards' rows.
+        The blob is decoded once per row, and only when ``extra`` asks.
         """
-        if limit <= 0:
-            raise ReplayDBError(f"limit must be positive, got {limit}")
-        self._flush_accesses()
-        self._m_queries.inc()
-        where, params = "", []
-        if fids is not None:
-            wanted = sorted(set(fids))
-            if not wanted:
-                return {}
-            placeholders = ", ".join("?" for _ in wanted)
-            where = f"WHERE fid IN ({placeholders})"
-            params = wanted
-        rows = self._conn.execute(
-            "SELECT * FROM ("
-            "  SELECT a.*, ROW_NUMBER() OVER "
-            "    (PARTITION BY device ORDER BY id DESC) AS rn"
-            f"  FROM accesses AS a {where}"
-            ") WHERE rn <= ? ORDER BY device ASC, id ASC",
-            (*params, limit),
-        ).fetchall()
-        out: dict[str, list[AccessRecord]] = {}
-        for row in rows:
-            out.setdefault(row[3], []).append(self._to_record(row))
-        return out
+        blobs: list[dict] = []
+        if extra:
+            blobs = [json.loads(row[-1]) for row in rows]
+            rows = [row[:-1] for row in rows]
+        data = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
+        columns = {name: data[:, i] for i, name in enumerate(names)}
+        columns.update(extra_columns(blobs, extra))
+        return columns
 
     def _fids_with_rows(self, wanted: list[int]) -> list[int]:
         """The subset of ``wanted`` (sorted) that has access rows at all.
@@ -532,107 +482,38 @@ class ReplayDB:
         present = {int(row[0]) for row in rows}
         return [fid for fid in wanted if fid in present]
 
-    def recent_accesses_per_file(
-        self, limit: int, fids: Iterable[int] | None = None
-    ) -> dict[int, list[AccessRecord]]:
-        """Most recent ``limit`` accesses for each file, in one query.
-
-        The batched decision path's telemetry request: instead of issuing
-        one ``recent_accesses(fid=...)`` query per probed file, a single
-        window-function scan (riding ``idx_accesses_fid``) ranks every
-        file's accesses newest-first and keeps the top ``limit`` per file.
-        Each file's list is chronological; files without telemetry are
-        absent from the result (the engine skips them).
-
-        ``fids`` narrows the result to the given ids and switches to one
-        indexed top-N probe per present file, so a shard slice costs
-        O(shard files x limit) however large the access log has grown --
-        no full-window pass over other shards' rows.
-        """
-        if limit <= 0:
-            raise ReplayDBError(f"limit must be positive, got {limit}")
-        self._flush_accesses()
-        self._m_queries.inc()
-        out: dict[int, list[AccessRecord]] = {}
-        if fids is not None:
-            wanted = sorted(set(fids))
-            if not wanted:
-                return out
-            execute = self._conn.execute
-            for fid in self._fids_with_rows(wanted):
-                rows = execute(
-                    "SELECT * FROM accesses WHERE fid = ? "
-                    "ORDER BY id DESC LIMIT ?",
-                    (fid, limit),
-                ).fetchall()
-                if rows:
-                    out[fid] = [
-                        self._to_record(row) for row in reversed(rows)
-                    ]
-            return out
-        rows = self._conn.execute(
-            "SELECT * FROM ("
-            "  SELECT a.*, ROW_NUMBER() OVER "
-            "    (PARTITION BY fid ORDER BY id DESC) AS rn"
-            "  FROM accesses AS a"
-            ") WHERE rn <= ? ORDER BY fid ASC, id ASC",
-            (limit,),
-        ).fetchall()
-        for row in rows:
-            out.setdefault(int(row[1]), []).append(self._to_record(row))
-        return out
-
     def recent_access_columns_per_file(
-        self, limit: int, fids: Iterable[int] | None = None
+        self, limit: int, fids: Iterable[int], *, extra: Sequence[str] = ()
     ) -> tuple[list[tuple[int, int, int]], dict[str, np.ndarray]]:
-        """Columnar variant of :meth:`recent_accesses_per_file`.
+        """Most recent ``limit`` accesses of each file in ``fids``, as columns.
 
-        The decision path only consumes the numeric access fields, so this
-        skips AccessRecord materialization entirely (no JSON decode, no
-        dataclass validation) and returns flat float64 arrays ready for
-        the feature pipeline.  Returns ``(spans, columns)`` where
+        The decision path's telemetry read: one indexed top-N probe per
+        file (``idx_accesses_fid``, ORDER BY id DESC LIMIT k), so a
+        decision epoch costs O(files x limit) however large the access
+        log has grown, and the distinct-fid prefilter keeps a shard
+        asking about its whole (mostly untouched) file slice at O(files
+        with telemetry) probes.  Returns ``(spans, columns)`` where
         ``spans`` lists ``(fid, start, stop)`` row ranges in fid-ascending
-        order (each file's rows chronological) and ``columns`` maps every
-        :data:`PROBE_FIELDS` name to one array over all rows.
+        order (each file's rows chronological; files without telemetry
+        absent) and ``columns`` maps every :data:`PROBE_FIELDS` name --
+        and every ``extra`` key, as in :meth:`access_columns` -- to one
+        float64 array over all rows.  ``([], {})`` when no file has rows.
         """
         if limit <= 0:
             raise ReplayDBError(f"limit must be positive, got {limit}")
         self._flush_accesses()
         self._m_queries.inc()
-        fields = ", ".join(PROBE_FIELDS)
-        if fids is not None:
-            # Explicit fid list: one indexed top-N probe per file
-            # (``idx_accesses_fid``, ORDER BY id DESC LIMIT k) instead of
-            # the whole-table window scan, so the decision epoch's
-            # telemetry read costs O(files x limit) however large the
-            # access log has grown.  The distinct-fid prefilter keeps a
-            # shard asking about its whole (mostly untouched) file slice
-            # at O(files with telemetry) probes.  Row content and
-            # ordering are identical to the window query below.
-            wanted = sorted(set(fids))
-            if not wanted:
-                return [], {}
-            rows = []
-            execute = self._conn.execute
-            for fid in self._fids_with_rows(wanted):
-                per_fid = execute(
-                    f"SELECT {fields} FROM accesses WHERE fid = ? "
-                    "ORDER BY id DESC LIMIT ?",
-                    (fid, limit),
-                ).fetchall()
-                rows.extend(reversed(per_fid))
-        else:
-            rows = self._conn.execute(
-                f"SELECT {fields} FROM ("
-                f"  SELECT id, {fields}, ROW_NUMBER() OVER "
-                "    (PARTITION BY fid ORDER BY id DESC) AS rn"
-                "  FROM accesses"
-                ") WHERE rn <= ? ORDER BY fid ASC, id ASC",
-                (limit,),
-            ).fetchall()
+        query = (
+            f"SELECT {self._select(PROBE_FIELDS, extra)} FROM accesses "
+            "WHERE fid = ? ORDER BY id DESC LIMIT ?"
+        )
+        rows = []
+        execute = self._conn.execute
+        for fid in self._fids_with_rows(sorted(set(fids))):
+            rows.extend(reversed(execute(query, (fid, limit)).fetchall()))
         if not rows:
             return [], {}
-        columns = self._probe_columns(np.array(rows, dtype=np.float64))
+        columns = self._columns(rows, PROBE_FIELDS, extra)
         fid_col = columns["fid"]
         starts = np.concatenate(
             ([0], np.flatnonzero(np.diff(fid_col)) + 1)

@@ -140,7 +140,7 @@ class _ScanDevice:
         """Roll the RNG streams back to cover only the ops actually reached.
 
         Used when a batch aborts partway (offline device, tolerance off):
-        the scalar reference would have consumed draws only for the ops up
+        the scalar loop would have consumed draws only for the ops up
         to and including the failing one, so the pre-drawn remainder is
         undone by restoring the pre-batch states and re-consuming exactly
         ``cursor`` ops' worth of draws.

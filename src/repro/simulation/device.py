@@ -18,9 +18,10 @@ live system exhibits:
 
 Two access paths share this model:
 
-* the **scalar reference** (:meth:`StorageDevice.perform_access_reference`,
-  aliased as ``perform_access``) serves one access per call and is the
-  oracle the fast path is regression-tested against;
+* the **scalar access** (:meth:`StorageDevice.perform_access`) serves one
+  access per call: the path of :meth:`StorageCluster.access`, which
+  interleaved workloads take access by access, and the semantics the
+  batch kernels are regression-tested against;
 * the **batch kernels** (:meth:`StorageDevice.prepare_batch` +
   :meth:`StorageDevice.serve_prepared`, or the one-shot
   :meth:`StorageDevice.serve_batch`) pre-draw all randomness for a whole
@@ -37,7 +38,7 @@ number of draws consumed depends only on the op sequence, never on fault
 state -- which is what makes whole-batch pre-drawing safe across mid-batch
 online/offline transitions.  Numpy's batched ``random(n)`` /
 ``lognormal(.., n)`` produce bit-identical values and end states to ``n``
-sequential scalar calls, so the batch path replays the reference exactly.
+sequential scalar calls, so the batch path replays the scalar one exactly.
 """
 
 from __future__ import annotations
@@ -364,7 +365,7 @@ class StorageDevice:
         crowd = self.spec.crowding_factor * self.utilization(t)
         return base * self.degradation * (1.0 - ext) / (1.0 + crowd)
 
-    # -- scalar reference path ---------------------------------------------
+    # -- scalar path -------------------------------------------------------
     def service_time(self, t: float, rb: int, wb: int) -> float:
         """Sampled duration of an access starting at ``t`` (seconds)."""
         if rb < 0 or wb < 0:
@@ -387,12 +388,11 @@ class StorageDevice:
                 transfer *= self._rng.lognormal(-sigma * sigma / 2.0, sigma)
         return max(self.spec.latency_s + transfer, MIN_ACCESS_DURATION)
 
-    def perform_access_reference(self, t: float, rb: int, wb: int) -> float:
-        """Scalar oracle: serve one access and account for it.
+    def perform_access(self, t: float, rb: int, wb: int) -> float:
+        """Serve one access and account for it; returns its duration.
 
-        This is the reference implementation the batch kernels are
-        equivalence-tested against; it stays the semantic source of truth.
-        Returns the access duration.
+        The batch kernels are equivalence-tested against this method; it
+        stays the semantic source of truth.
         """
         duration = self.service_time(t, rb, wb)
         total = rb + wb
@@ -402,9 +402,6 @@ class StorageDevice:
         self.stats.busy_time += duration
         self.stats.append_sample(total / duration)
         return duration
-
-    #: canonical name used by the cluster's scalar path
-    perform_access = perform_access_reference
 
     def burn_access_draws(self) -> None:
         """Consume the draws a served access would have, discarding them.
@@ -489,12 +486,12 @@ class StorageDevice:
     ) -> float:
         """Serve one pre-drawn access; returns its duration.
 
-        Mirrors :meth:`perform_access_reference` float-op for float-op,
+        Mirrors :meth:`perform_access` float-op for float-op,
         with the randomness (``hit``, ``noise``) supplied from
         :meth:`prepare_batch` instead of drawn inline.  ``ext`` optionally
         supplies a precomputed sensitivity-scaled external load (the
         vectorized path); when ``None`` the scalar interference process is
-        queried, which is bit-identical to the reference.
+        queried, which is bit-identical to the scalar path.
         """
         spec = self.spec
         if hit:
@@ -543,7 +540,7 @@ class StorageDevice:
         with one vectorized generator call per stream, external loads are
         evaluated with :meth:`LoadProcess.load_batch`, and the ops are
         then served in order so each sees the crowding created by its
-        predecessors.  Equivalent to ``n`` ``perform_access_reference``
+        predecessors.  Equivalent to ``n`` :meth:`perform_access`
         calls -- bit-for-bit except for sinusoidal interference, where
         ``np.sin`` may differ from ``math.sin`` by one ulp.
         """

@@ -58,7 +58,6 @@ class WorkloadRunner:
         think_time_s: float = 0.01,
         tolerate_offline: bool = False,
         offline_penalty_s: float = 0.05,
-        batched: bool = True,
     ) -> None:
         if think_time_s < 0:
             raise ConfigurationError(
@@ -80,10 +79,6 @@ class WorkloadRunner:
         #: instead of raising -- the behaviour chaos runs need
         self.tolerate_offline = bool(tolerate_offline)
         self.offline_penalty_s = float(offline_penalty_s)
-        #: serve whole runs through the batched fast path
-        #: (:meth:`StorageCluster.access_batch`); equivalent bit-for-bit
-        #: to the scalar reference loop
-        self.batched = bool(batched)
         self.next_run_index = 0
         self.total_accesses = 0
         self.failed_accesses = 0
@@ -150,29 +145,15 @@ class WorkloadRunner:
     def run_once(self, *, advance_hook=None) -> RunResult:
         """Execute the next run of the workload; returns its summary.
 
-        ``advance_hook``, when given, is called with the simulated time
-        after each completed access -- the seam fault injectors use to
-        fire scheduled events mid-run.
-        """
-        if self.batched:
-            return self._run_once_batched(advance_hook)
-        index = self.next_run_index
-        result = RunResult(run_index=index)
-        for record in self.run_stream():
-            result.records.append(record)
-            if advance_hook is not None:
-                advance_hook(self.clock.now)
-        return result
-
-    def _run_once_batched(self, advance_hook) -> RunResult:
-        """One run through the vectorized access pipeline.
-
-        Materializes the run's ops as arrays, drives
-        :meth:`StorageCluster.access_batch`, ships the whole run's
-        telemetry to the ReplayDB (when there is one) in one
-        ``insert_accesses`` batch, and advances the shared clock to the
-        batch's end time.  Produces bit-for-bit the records, clock
-        position, device state, and DB rows of the scalar loop.
+        The run's ops go through :meth:`StorageCluster.access_batch` as
+        arrays, its telemetry to the ReplayDB (when there is one) in one
+        ``insert_accesses`` batch, and the shared clock to the batch's
+        end time -- bit-for-bit the records, clock position, device
+        state and DB rows of consuming :meth:`run_stream`
+        (``tests/oracles/scalar_runs.py``).  ``advance_hook``, when
+        given, is called with the simulated time after each completed
+        access -- the seam fault injectors use to fire scheduled events
+        mid-run.
         """
         index = self.next_run_index
         self.next_run_index += 1
@@ -216,19 +197,18 @@ class WorkloadRunner:
     def run_many(self, count: int) -> list[RunResult]:
         """Execute ``count`` consecutive runs.
 
-        On the batched path, consecutive runs are fused into one
-        :meth:`StorageCluster.access_batch` call when nothing can happen
-        between them -- no fault hook and every device online -- which
-        amortizes the per-run setup (pre-draws, RNG snapshots, one DB
-        insert) across the whole span.  Bit-for-bit identical to looping
-        :meth:`run_once`: the op sequence, clock advances, RNG draw
-        order, DB rows, and per-run record boundaries are all unchanged.
+        Consecutive runs are fused into one ``access_batch`` call when
+        nothing can happen between them -- no fault hook and every device
+        online -- which amortizes the per-run setup (pre-draws, RNG
+        snapshots, one DB insert) across the whole span.  Bit-for-bit
+        identical to looping :meth:`run_once`: the op sequence, clock
+        advances, RNG draw order, DB rows, and per-run record boundaries
+        are all unchanged.
         """
         if count < 0:
             raise ConfigurationError(f"count must be >= 0, got {count}")
         if (
-            not self.batched
-            or count <= 1
+            count <= 1
             or not hasattr(self.workload, "run_arrays")
             or any(
                 not self.cluster.device(name).online

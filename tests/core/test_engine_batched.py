@@ -1,10 +1,12 @@
-"""Batched decision path vs. the per-file reference implementation.
+"""The decision path vs. the per-file reference loop in ``tests/oracles``.
 
-The batched ``propose_layout`` / ``predict_throughput_matrix`` path must
-reproduce the legacy per-file loop: identical layouts always, and gains
-within ``atol=1e-9 + rtol * |gain|`` (BLAS picks different matmul kernels
-for different batch heights, so the last bit of a prediction may legally
-differ; everything around the matmul is bitwise-deterministic).
+``propose_layout`` / ``predict_throughput_matrix`` must reproduce the
+per-file loop (``tests/oracles/decision_loop.py``) over probe bases read
+as records (``tests/oracles/record_windows.py``): identical layouts
+always, and gains within ``atol=1e-9 + rtol * |gain|`` (BLAS picks
+different matmul kernels for different batch heights, so the last bit of
+a prediction may legally differ; everything around the matmul is
+bitwise-deterministic).
 """
 
 import math
@@ -15,8 +17,10 @@ import pytest
 from repro.core.config import GeomancyConfig
 from repro.core.engine import DRLEngine, _ordered_column_sum
 from repro.errors import ModelError
-from repro.experiments.decision_bench import synthetic_decision_records
 from repro.replaydb.db import ReplayDB
+from tests.core.test_engine_online import synthetic_decision_records
+from tests.oracles.decision_loop import propose_layout_reference
+from tests.oracles.record_windows import RecordWindows
 
 RTOL = 1e-9
 ATOL = 1e-9
@@ -64,14 +68,14 @@ class TestProposeLayoutEquivalence:
         engine, db = engine_db
         fids = db.files()
         layout_b, _ = engine.propose_layout(db, fids, _device_map())
-        layout_r, _ = engine.propose_layout_reference(db, fids, _device_map())
+        layout_r, _ = propose_layout_reference(engine, db, fids, _device_map())
         assert layout_b == layout_r
 
     def test_gains_within_tolerance(self, engine_db):
         engine, db = engine_db
         fids = db.files()
         _, gains_b = engine.propose_layout(db, fids, _device_map())
-        _, gains_r = engine.propose_layout_reference(db, fids, _device_map())
+        _, gains_r = propose_layout_reference(engine, db, fids, _device_map())
         assert gains_b.keys() == gains_r.keys()
         for fid in gains_r:
             assert math.isclose(
@@ -141,30 +145,20 @@ class TestRankingCorrelationBatched:
 
 class TestColumnarFastPath:
     def test_gather_matches_record_extraction(self, engine_db):
-        """The no-record columnar path reproduces feature_matrix bitwise."""
+        """The no-record read reproduces the record-built bases bitwise."""
         engine, db = engine_db
         fids = db.files()
-        assert engine.pipeline.columnar
         per_fid, raw = engine._gather_probe_bases(db, fids)
-
-        recent_by_fid = db.recent_accesses_per_file(
-            engine.config.probe_samples, fids=fids
+        expected_per_fid, expected = engine._gather_probe_bases(
+            RecordWindows(db), fids
         )
-        bases, expected_per_fid = [], {}
-        for fid in sorted(recent_by_fid):
-            recent = recent_by_fid[fid]
-            expected_per_fid[fid] = (
-                len(bases), len(bases) + len(recent), recent[-1].fsid
-            )
-            bases.extend(recent)
-        assert per_fid == expected_per_fid
-        expected = engine.pipeline.feature_matrix(bases)
+        assert per_fid == expected_per_fid and set(per_fid) == set(fids)
         assert raw.shape == expected.shape
         assert np.array_equal(raw, expected)  # bitwise, not approx
 
     def test_record_fallback_for_extra_features(self):
-        """An extra-telemetry feature set falls off the columnar path but
-        still matches the reference loop."""
+        """An extra-telemetry feature set (its keys live in each row's
+        JSON blob) still matches the record-reading reference loop."""
         import dataclasses
 
         records = [
@@ -184,13 +178,13 @@ class TestColumnarFastPath:
         db.insert_accesses(records)
         engine = DRLEngine(config)
         engine.train(db)
-        assert not engine.pipeline.columnar
+        assert engine.pipeline.extra_features == ("rt",)
         device_by_fsid = {k: f"dev{k}" for k in (1, 2, 3)}
         layout_b, gains_b = engine.propose_layout(
             db, db.files(), device_by_fsid
         )
-        layout_r, gains_r = engine.propose_layout_reference(
-            db, db.files(), device_by_fsid
+        layout_r, gains_r = propose_layout_reference(
+            engine, db, db.files(), device_by_fsid
         )
         assert layout_b == layout_r
         for fid in gains_r:

@@ -1,9 +1,10 @@
 """The engine's columnar learner path: same bits, no records.
 
-``train`` reads the ReplayDB window as columns; ``train_on_records`` and
-extra-telemetry feature sets adapt records into the same training body.
-Reports, weights and provenance must agree bit for bit, online included,
-and a columnar decision epoch must never build an ``AccessRecord``.
+``train`` reads the ReplayDB window as columns -- extra-telemetry
+features included; ``train_on_records`` adapts records into the same
+training body.  Reports, weights and provenance must agree bit for bit
+with an engine reading records (``tests/oracles/record_windows.py``),
+online included, and no decision epoch may build an ``AccessRecord``.
 """
 
 from dataclasses import asdict
@@ -12,19 +13,19 @@ import pytest
 
 from repro.core.config import GeomancyConfig
 from repro.core.engine import DRLEngine, _digest
-from repro.experiments.decision_bench import synthetic_decision_records
 from repro.features.normalize import MinMaxNormalizer
-from repro.features.pipeline import FeaturePipeline
 from repro.features.schema import EOS_MODEL_FEATURES
 from repro.replaydb.db import ReplayDB
 from repro.workloads.eos import EOSTraceSynthesizer
 from tests.core.test_engine_online import (
     make_config,
     shifted_records,
+    synthetic_decision_records,
     weights_equal,
 )
 from tests.oracles.fit_loop import ReferenceSGD, reference_fit
 from tests.oracles.record_features import record_feature_matrix
+from tests.oracles.record_windows import RecordWindows
 
 DEVICE_BY_FSID = {k: f"dev{k}" for k in range(1, 7)}
 
@@ -51,16 +52,9 @@ def db():
         yield db
 
 
-class RecordsOnlyPipeline(FeaturePipeline):
-    """Forces the engine down its records -> columns adapter."""
-
-    columnar = False
-
-
-def records_reference_engine(config: GeomancyConfig) -> DRLEngine:
-    """An engine on the record readers and the original training loop."""
+def reference_loop_engine(config: GeomancyConfig) -> DRLEngine:
+    """An engine on the original training loop (feed it ``RecordWindows``)."""
     engine = DRLEngine(config)
-    engine.pipeline.__class__ = RecordsOnlyPipeline
     fresh_model = engine._fresh_model
 
     def fresh_model_on_reference_loop():
@@ -120,9 +114,9 @@ class TestTrainMatchesTrainOnRecords:
 
     def test_reference_loop_and_record_readers_agree(self, db):
         config = scratch_config()
-        lean, reference = DRLEngine(config), records_reference_engine(config)
+        lean, reference = DRLEngine(config), reference_loop_engine(config)
         assert report_fields(lean.train(db)) == report_fields(
-            reference.train(db)
+            reference.train(RecordWindows(db))
         )
         assert weights_equal(lean, reference)
 
@@ -146,7 +140,7 @@ class TestTrainMatchesTrainOnRecords:
             db.insert_accesses(records)
             from_db, from_records = DRLEngine(config), DRLEngine(config)
             from_db.capture_provenance = True
-            assert not from_db.pipeline.columnar
+            assert from_db.pipeline.extra_features
             a = from_db.train(db)
             b = from_records.train_on_records(records)
             assert report_fields(a) == report_fields(b)
@@ -166,13 +160,13 @@ class TestOnlineCycles:
             training_rows=400, drift_threshold=0.2, drift_min_cycles=2,
             drift_burst_multiplier=3, target_snapshot_every=0,
         )
-        lean, reference = DRLEngine(config), records_reference_engine(config)
+        lean, reference = DRLEngine(config), reference_loop_engine(config)
         lean.capture_provenance = reference.capture_provenance = True
         t = 1_600_010_000
         modes, drifts = [], 0
         for cycle in range(23):
             a = lean.train_incremental(db)
-            b = reference.train_incremental(db)
+            b = reference.train_incremental(RecordWindows(db))
             assert report_fields(a) == report_fields(b), cycle
             assert weights_equal(lean, reference)
             assert lean.last_window == reference.last_window
@@ -192,6 +186,8 @@ class TestOnlineCycles:
 
 
 class TestNoRecordIsMaterialised:
+    """Live features, then EOS features (keys of each row's JSON blob)."""
+
     @pytest.fixture
     def no_records(self, monkeypatch):
         def refuse(row):
@@ -199,24 +195,49 @@ class TestNoRecordIsMaterialised:
 
         monkeypatch.setattr(ReplayDB, "_to_record", staticmethod(refuse))
 
-    def test_scratch_decision_epoch(self, db, no_records):
-        engine = DRLEngine(scratch_config())
-        engine.capture_provenance = True
-        engine.train(db)
-        layout, gains = engine.propose_layout(db, db.files(), DEVICE_BY_FSID)
-        assert layout and gains
-        assert -1.0 <= engine.ranking_correlation(db, DEVICE_BY_FSID) <= 1.0
-        with pytest.raises(AssertionError, match="materialised"):
-            db.recent_accesses(1)  # the guard itself works
+    @pytest.fixture
+    def cases(self, db):
+        """``(db, feature overrides, fresh batches, device map)`` per set."""
+        live_fresh = [
+            shifted_records(80, seed=70 + k, start_t=1_600_010_000 + 200 * k)
+            for k in range(3)
+        ]
+        records = EOSTraceSynthesizer(seed=3).records(840)
+        devices = {r.fsid: r.device for r in records}
+        with ReplayDB() as eos_db:
+            eos_db.insert_accesses(records[:600])
+            yield [
+                (db, {}, live_fresh, DEVICE_BY_FSID),
+                (
+                    eos_db,
+                    dict(features=EOS_MODEL_FEATURES, smoothing_window=20),
+                    [records[lo:lo + 80] for lo in (600, 680, 760)],
+                    {fsid: devices[fsid] for fsid in sorted(devices)[:4]},
+                ),
+            ]
 
-    def test_online_decision_epochs(self, db, no_records):
-        engine = DRLEngine(make_config(target_snapshot_every=0))
-        engine.train_incremental(db)
-        for cycle in range(3):
-            db.insert_accesses(shifted_records(
-                80, seed=70 + cycle, start_t=1_600_010_000 + 200 * cycle
-            ))
-            report = engine.train_incremental(db)
-            assert report.mode == "incremental" and report.replayed_rows
-            engine.propose_layout(db, db.files(), DEVICE_BY_FSID)
-            engine.ranking_correlation(db, DEVICE_BY_FSID)
+    def test_scratch_decision_epoch(self, cases, no_records):
+        for db, features, _, device_by_fsid in cases:
+            engine = DRLEngine(scratch_config(**features))
+            engine.capture_provenance = True
+            engine.train(db)
+            layout, gains = engine.propose_layout(
+                db, db.files(), device_by_fsid
+            )
+            assert layout and gains
+            assert -1.0 <= engine.ranking_correlation(db, device_by_fsid) <= 1.0
+            with pytest.raises(AssertionError, match="materialised"):
+                db.recent_accesses(1)  # the guard itself works
+
+    def test_online_decision_epochs(self, cases, no_records):
+        for db, features, fresh, device_by_fsid in cases:
+            engine = DRLEngine(
+                make_config(target_snapshot_every=0, **features)
+            )
+            engine.train_incremental(db)
+            for batch in fresh:
+                db.insert_accesses(batch)
+                report = engine.train_incremental(db)
+                assert report.mode == "incremental" and report.replayed_rows
+                engine.propose_layout(db, db.files(), device_by_fsid)
+                engine.ranking_correlation(db, device_by_fsid)

@@ -7,10 +7,10 @@ import pytest
 from repro.core.config import GeomancyConfig
 from repro.core.engine import DRLEngine
 from repro.errors import ConfigurationError, ModelError
-from repro.experiments.decision_bench import synthetic_decision_records
 from repro.nn.serialization import _weight_arrays, load_weights, save_weights
 from repro.observability import Observability
 from repro.replaydb.db import ReplayDB
+from repro.replaydb.records import AccessRecord
 
 
 def make_config(**overrides):
@@ -32,11 +32,39 @@ def make_config(**overrides):
     return GeomancyConfig(**base)
 
 
+def synthetic_decision_records(*, rows=1000, files=64, locations=6, seed=0):
+    """A seeded telemetry population with a real location signal.
+
+    Throughput scales linearly with the fsid (location k sustains about
+    ``k * 50 MB/s``) plus noise, so a trained engine has an actual ranking
+    to recover and the act/skip threshold sees realistic gain magnitudes.
+    """
+    rng = np.random.default_rng(seed)
+    records = []
+    t = 1_600_000_000
+    for _ in range(rows):
+        fid = int(rng.integers(0, files))
+        fsid = int(rng.integers(1, locations + 1))
+        rb = int(rng.integers(1 << 18, 1 << 22))
+        wb = int(rng.integers(0, 1 << 20))
+        base = 50e6 * fsid
+        duration = (rb + wb) / (base * (1 + 0.05 * rng.standard_normal()))
+        duration = max(duration, 1e-4)
+        t += 2
+        records.append(
+            AccessRecord(
+                fid=fid, fsid=fsid, device=f"dev{fsid}", path=f"/f{fid}",
+                rb=rb, wb=wb, ots=t, otms=0,
+                cts=t + int(duration),
+                ctms=max(1, int((duration % 1) * 1000)),
+            )
+        )
+    return records
+
+
 def shifted_records(rows, *, seed, start_t, invert=False):
     """Synthetic telemetry; ``invert=True`` flips the location signal."""
     rng = np.random.default_rng(seed)
-    from repro.replaydb.records import AccessRecord
-
     records, t = [], start_t
     for _ in range(rows):
         fid = int(rng.integers(0, 32))
@@ -99,6 +127,52 @@ class TestOracleEquivalence:
         layout_b, gains_b = online.propose_layout(db, fids, device_by_fsid)
         assert layout_a == layout_b
         assert gains_a == gains_b
+
+
+class TestLayoutQuality:
+    def test_online_recovers_the_location_signal_like_from_scratch(self):
+        """Flat cost must not trade away layout quality.
+
+        Location ``k`` sustains ``k * 50 MB/s``, so a layout's quality is
+        its mean fsid over the fastest one: 1.0 puts every file on the
+        fastest location.  A 1000-row base epoch, then three 512-row
+        bursts each followed by an online decision epoch; a fresh engine
+        retrained on the whole history is the yardstick.
+        """
+        locations, burst = 6, 512
+        records = synthetic_decision_records(rows=1000 + 3 * burst, seed=0)
+        device_by_fsid = {k: f"dev{k}" for k in range(1, locations + 1)}
+        shared = dict(
+            model_number=1, epochs=10, batch_size=32, smoothing_window=5,
+            learning_rate=0.05, seed=1, probe_samples=8,
+        )
+
+        def quality(layout):
+            fsids = [int(device.removeprefix("dev")) for device in layout.values()]
+            return float(np.mean(fsids)) / locations
+
+        with ReplayDB() as db:
+            db.insert_accesses(records[:1000])
+            online = DRLEngine(GeomancyConfig(
+                **shared, training_rows=1000, online_learning=True,
+                online_epochs=8, online_max_new_rows=burst,
+                replay_sample_rows=256,
+            ))
+            online.train_incremental(db)
+            for lo in range(1000, len(records), burst):
+                db.insert_accesses(records[lo:lo + burst])
+                report = online.train_incremental(db)
+                assert report.mode == "incremental"
+                layout, _ = online.propose_layout(db, db.files(), device_by_fsid)
+            scratch = DRLEngine(
+                GeomancyConfig(**shared, training_rows=len(records))
+            )
+            scratch.train(db)
+            scratch_layout, _ = scratch.propose_layout(
+                db, db.files(), device_by_fsid
+            )
+        assert quality(layout) >= 0.7
+        assert quality(layout) >= quality(scratch_layout) - 0.15
 
 
 class TestIncrementalCycle:

@@ -77,19 +77,80 @@ class TestAccessColumns:
             ]
 
     def test_since_window_is_accesses_since(self, spread_db):
-        cursor = spread_db.max_rowid() - 40
+        hi = spread_db.max_rowid()
         for limit in (None, 15):
-            ids, records = spread_db.accesses_since(cursor, limit=limit)
-            columns = spread_db.access_columns(since=cursor, limit=limit)
-            assert columns["id"].tolist() == ids
+            records = spread_db.recent_accesses(limit or 40)
+            columns = spread_db.access_columns(since=hi - 40, limit=limit)
+            assert columns["id"].tolist() == list(
+                range(hi - len(records) + 1, hi + 1)
+            )
             assert columns["rb"].tolist() == [float(r.rb) for r in records]
 
     def test_ids_window_is_accesses_by_id(self, spread_db):
         wanted = [9, 3, 9, 120, 10**9]
-        records = spread_db.accesses_by_id(wanted)
+        by_id = dict(enumerate(spread_db.recent_accesses(10**6), start=1))
         columns = spread_db.access_columns(ids=np.array(wanted))
         assert columns["id"].tolist() == [3, 9, 120]
-        assert columns["ctms"].tolist() == [float(r.ctms) for r in records]
+        assert columns["ctms"].tolist() == [
+            float(by_id[i].ctms) for i in (3, 9, 120)
+        ]
+
+    def test_extra_keys_decode_to_the_record_loops_columns(self, eos_records):
+        """``extra=``: same floats as one ``r.extra[name]`` read per record."""
+        extra = FeaturePipeline(features=EOS_MODEL_FEATURES).extra_features
+        assert extra
+        names = (*PROBE_FIELDS, *extra)
+        n = len(eos_records)
+
+        def expect(columns, records):
+            assert set(columns) - {"id"} == set(names)
+            assert np.array_equal(
+                np.column_stack([columns[name] for name in names]),
+                record_feature_matrix(names, records),
+            )
+            assert all(columns[name].dtype == np.float64 for name in extra)
+
+        with ReplayDB() as db:
+            db.insert_accesses(eos_records)
+            expect(db.access_columns(limit=120, extra=extra), eos_records[-120:])
+            expect(db.access_columns(since=n - 50, extra=extra), eos_records[-50:])
+            expect(
+                db.access_columns(since=n - 50, limit=20, extra=extra),
+                eos_records[-20:],
+            )
+            expect(
+                db.access_columns(ids=[7, 2, 7, n, n + 5], extra=extra),
+                [eos_records[1], eos_records[6], eos_records[-1]],
+            )
+            empty = db.access_columns(since=n, extra=extra)
+            assert set(empty) == {"id", *names}
+            assert all(len(column) == 0 for column in empty.values())
+            fids = sorted({r.fid for r in eos_records})[:5]
+            spans, columns = db.recent_access_columns_per_file(
+                3, fids, extra=extra
+            )
+            assert [fid for fid, _, _ in spans] == fids
+            expect(columns, [
+                r for fid in fids
+                for r in [r for r in eos_records if r.fid == fid][-3:]
+            ])
+
+    def test_row_missing_an_extra_key_is_the_record_adapters_error(
+        self, eos_records
+    ):
+        with ReplayDB() as db:
+            db.insert_accesses(eos_records[:20])
+            with pytest.raises(FeatureError) as from_records:
+                record_columns(eos_records[:20], ("rt", "no_such_key"))
+            for read in (
+                lambda **kw: db.access_columns(limit=20, **kw),
+                lambda **kw: db.recent_access_columns_per_file(
+                    3, [eos_records[0].fid], **kw
+                ),
+            ):
+                with pytest.raises(FeatureError) as from_columns:
+                    read(extra=("rt", "no_such_key"))
+                assert str(from_columns.value) == str(from_records.value)
 
     def test_empty_windows_keep_every_column(self, spread_db):
         for query in (
@@ -164,7 +225,6 @@ class TestColumnsMatchRecordLoops:
         pipeline = FeaturePipeline(
             features=EOS_MODEL_FEATURES, smoothing_window=10
         )
-        assert not pipeline.columnar
         columns = pipeline.record_columns(eos_records)
         assert set(columns) == {*NUMERIC_FIELDS, *pipeline.extra_features}
         for telemetry in (columns, eos_records):

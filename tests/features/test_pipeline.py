@@ -209,11 +209,14 @@ class TestColumnarFeatures:
         }
 
     def test_columnar_property(self):
-        assert FeaturePipeline().columnar
+        """Only names no numeric access column derives are ``extra``."""
+        assert FeaturePipeline().extra_features == ()
         assert FeaturePipeline(
             features=("rb", "duration", "total_bytes", "fsid")
-        ).columnar
-        assert not FeaturePipeline(features=("rb", "fsid", "rt")).columnar
+        ).extra_features == ()
+        assert FeaturePipeline(
+            features=("rb", "fsid", "rt", "nrc")
+        ).extra_features == ("rt", "nrc")
 
     def test_matrix_from_columns_matches_records(self, records):
         """Every derivable feature set: columnar == record path, bitwise."""
@@ -228,7 +231,7 @@ class TestColumnarFeatures:
 
     def test_unknown_feature_raises(self, records):
         pipeline = FeaturePipeline(features=("rb", "fsid", "rt"))
-        with pytest.raises(FeatureError, match="columnar"):
+        with pytest.raises(FeatureError, match="not a column"):
             pipeline.feature_matrix_from_columns(self._columns(records))
 
     def test_empty_columns_raise(self):

@@ -4,16 +4,13 @@ import pytest
 
 from repro.observability import Observability, use
 from repro.observability.events import Event, EventBus
-from repro.recovery.events import EventLog, RecoveryEvent
+from repro.recovery.events import EventLog
 
 
 class TestEvent:
     def test_round_trips_through_dict(self):
         event = Event(kind="fault-outage", t=12.5, step=3, detail={"device": "pic"})
         assert Event.from_dict(event.to_dict()) == event
-
-    def test_recovery_event_is_the_bus_event(self):
-        assert RecoveryEvent is Event
 
 
 class TestBus:

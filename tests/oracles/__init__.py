@@ -2,8 +2,12 @@
 
 Each module here is the readable, slow version of something ``src/``
 now does another way: the per-record feature extraction loops
-(:mod:`tests.oracles.record_features`) and the mini-batch training loop
-with its allocating Dense step and optimizer updates
-(:mod:`tests.oracles.fit_loop`).  They are test fixtures, not product
+(:mod:`tests.oracles.record_features`), the learner's ReplayDB windows
+read as records (:mod:`tests.oracles.record_windows`), the mini-batch
+training loop with its allocating Dense step and optimizer updates
+(:mod:`tests.oracles.fit_loop`, :mod:`tests.oracles.minmax`), the
+per-file decision loop (:mod:`tests.oracles.decision_loop`) and the
+access-by-access workload run and chaos experiment
+(:mod:`tests.oracles.scalar_runs`).  They are test fixtures, not product
 code: nothing under ``src/`` imports them.
 """

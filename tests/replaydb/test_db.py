@@ -62,13 +62,6 @@ class TestInsertAndQuery:
         with pytest.raises(ReplayDBError):
             db.recent_accesses(0)
 
-    def test_recent_per_device(self, db):
-        for device in ("var", "file0", "var"):
-            db.insert_access(make_access(device=device, t=1))
-        per_device = db.recent_per_device(10)
-        assert set(per_device) == {"var", "file0"}
-        assert len(per_device["var"]) == 2
-
     def test_devices_and_files(self, db):
         db.insert_access(make_access(fid=1, device="var", t=1))
         db.insert_access(make_access(fid=2, device="file0", t=2))
@@ -77,7 +70,7 @@ class TestInsertAndQuery:
 
 
 class TestPerFileWindowQueries:
-    """The single-query decision-path telemetry requests."""
+    """The decision path's per-file telemetry read."""
 
     def _populate(self, db, *, files=5, rows=40):
         for i in range(rows):
@@ -90,55 +83,46 @@ class TestPerFileWindowQueries:
 
     def test_matches_per_file_loop(self, db):
         self._populate(db)
-        per_file = db.recent_accesses_per_file(4)
-        assert set(per_file) == set(db.files())
-        for fid in db.files():
-            assert per_file[fid] == db.recent_accesses(4, fid=fid)
+        spans, columns = db.recent_access_columns_per_file(4, db.files())
+        assert [fid for fid, _, _ in spans] == db.files()
+        for fid, start, stop in spans:
+            assert columns["rb"][start:stop].tolist() == [
+                float(r.rb) for r in db.recent_accesses(4, fid=fid)
+            ]
 
     def test_limit_and_chronological_order(self, db):
         self._populate(db, files=2, rows=10)
-        per_file = db.recent_accesses_per_file(3)
-        for fid, records in per_file.items():
-            assert len(records) == 3
-            assert [r.ots for r in records] == sorted(r.ots for r in records)
+        spans, columns = db.recent_access_columns_per_file(3, [0, 1])
+        for _, start, stop in spans:
+            ots = columns["ots"][start:stop].tolist()
+            assert len(ots) == 3 and ots == sorted(ots)
 
     def test_fids_filter(self, db):
         self._populate(db)
-        assert set(db.recent_accesses_per_file(4, fids=[1, 3])) == {1, 3}
-        assert db.recent_accesses_per_file(4, fids=[]) == {}
-        assert db.recent_accesses_per_file(4, fids=[999]) == {}
+        spans, _ = db.recent_access_columns_per_file(4, fids=[1, 3])
+        assert [fid for fid, _, _ in spans] == [1, 3]
+        assert db.recent_access_columns_per_file(4, fids=[]) == ([], {})
+        assert db.recent_access_columns_per_file(4, fids=[999]) == ([], {})
 
     def test_limit_zero_rejected(self, db):
         with pytest.raises(ReplayDBError):
-            db.recent_accesses_per_file(0)
-        with pytest.raises(ReplayDBError):
-            db.recent_access_columns_per_file(0)
+            db.recent_access_columns_per_file(0, [1])
 
     def test_empty_db(self, db):
-        assert db.recent_accesses_per_file(4) == {}
-        assert db.recent_access_columns_per_file(4) == ([], {})
+        assert db.recent_access_columns_per_file(4, [0, 1]) == ([], {})
 
     def test_columns_match_record_query(self, db):
         from repro.replaydb.db import PROBE_FIELDS
 
         self._populate(db)
-        spans, columns = db.recent_access_columns_per_file(4)
-        per_file = db.recent_accesses_per_file(4)
+        spans, columns = db.recent_access_columns_per_file(4, db.files())
         assert set(columns) == set(PROBE_FIELDS)
-        assert [fid for fid, _, _ in spans] == sorted(per_file)
         for fid, start, stop in spans:
-            records = per_file[fid]
+            records = db.recent_accesses(4, fid=fid)
             assert stop - start == len(records)
             for name in PROBE_FIELDS:
                 expected = [float(getattr(r, name)) for r in records]
                 assert list(columns[name][start:stop]) == expected
-
-    def test_recent_per_device_matches_per_device_loop(self, db):
-        self._populate(db)
-        per_device = db.recent_per_device(4)
-        assert set(per_device) == set(db.devices())
-        for device in db.devices():
-            assert per_device[device] == db.recent_accesses(4, device=device)
 
 
 class TestAggregates:

@@ -1,5 +1,5 @@
-"""ReplayDB additions for the online engine: cursors, point fetches,
-the bounded write-behind buffer, and the per-fid columnar fast path."""
+"""ReplayDB reads for the online engine: the rows above a cursor, point
+fetches by id, the bounded write-behind buffer, and the per-fid probes."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ReplayDBError
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord
+from tests.replaydb.test_db_subset import window_scan_columns
 
 
 def make_access(fid=1, fsid=0, device="file0", t=100, rb=1000, **overrides):
@@ -37,46 +38,48 @@ class TestMaxRowid:
 class TestAccessesSince:
     def test_rejects_bad_cursor_and_limit(self, db):
         with pytest.raises(ReplayDBError):
-            db.accesses_since(-1)
+            db.access_columns(since=-1)
         with pytest.raises(ReplayDBError):
-            db.accesses_since(0, limit=0)
+            db.access_columns(since=0, limit=0)
 
     def test_returns_only_rows_after_cursor(self, db):
         db.insert_accesses(make_access(t=i + 1) for i in range(10))
         cursor = db.max_rowid()
         db.insert_accesses(make_access(t=100 + i) for i in range(3))
-        ids, records = db.accesses_since(cursor)
-        assert len(ids) == len(records) == 3
-        assert [r.ots for r in records] == [100, 101, 102]
-        assert ids[-1] == db.max_rowid()
+        window = db.access_columns(since=cursor)
+        assert window["ots"].tolist() == [100, 101, 102]
+        assert window["id"].tolist() == [cursor + 1, cursor + 2, cursor + 3]
+        assert window["id"][-1] == db.max_rowid()
 
     def test_limit_keeps_newest_in_chronological_order(self, db):
         db.insert_accesses(make_access(t=i + 1) for i in range(10))
-        ids, records = db.accesses_since(0, limit=4)
-        assert ids == sorted(ids)
-        assert [r.ots for r in records] == [7, 8, 9, 10]
+        window = db.access_columns(since=0, limit=4)
+        assert window["id"].tolist() == [7, 8, 9, 10]
+        assert window["ots"].tolist() == [7, 8, 9, 10]
 
     def test_cursor_at_head_returns_nothing(self, db):
         db.insert_accesses(make_access(t=i + 1) for i in range(5))
-        ids, records = db.accesses_since(db.max_rowid())
-        assert ids == [] and records == []
+        window = db.access_columns(since=db.max_rowid())
+        assert all(len(column) == 0 for column in window.values())
 
 
 class TestAccessesById:
     def test_fetches_in_ascending_order_with_dedup(self, db):
         db.insert_accesses(make_access(fid=i, t=i + 1) for i in range(8))
-        got = db.accesses_by_id([5, 2, 5, 7])
-        assert [r.ots for r in got] == [2, 5, 7]
+        assert db.access_columns(ids=[5, 2, 5, 7])["ots"].tolist() == [2, 5, 7]
 
     def test_unknown_ids_silently_absent(self, db):
         db.insert_accesses(make_access(t=i + 1) for i in range(3))
-        assert db.accesses_by_id([99]) == []
-        assert db.accesses_by_id([]) == []
+        assert len(db.access_columns(ids=[99])["id"]) == 0
+        assert len(db.access_columns(ids=[])["id"]) == 0
 
     def test_aligns_with_accesses_since_ids(self, db):
         db.insert_accesses(make_access(fid=i % 3, t=i + 1) for i in range(12))
-        ids, records = db.accesses_since(0)
-        assert db.accesses_by_id(ids) == records
+        since = db.access_columns(since=0)
+        by_id = db.access_columns(ids=since["id"])
+        assert since.keys() == by_id.keys()
+        for name in since:
+            assert np.array_equal(since[name], by_id[name])
 
 
 class TestBoundedWriteBehind:
@@ -126,7 +129,7 @@ class TestPerFidColumnarFastPath:
         spans_fast, cols_fast = db.recent_access_columns_per_file(
             10, fids=fids
         )
-        spans_ref, cols_ref = db.recent_access_columns_per_file(10)
+        spans_ref, cols_ref = window_scan_columns(db, 10)
         assert spans_fast == spans_ref
         assert cols_fast.keys() == cols_ref.keys()
         for name in cols_ref:

@@ -1,18 +1,19 @@
-"""Subset (``fids=``) query paths must match the full-window queries.
+"""The per-file probes must match a whole-table window query.
 
-The sharded decision path reads telemetry through explicit file-id
-subsets (one indexed top-N probe per present file, with a distinct-fid
-prefilter for large requests).  These tests hold every ``fids=`` branch
-against the whole-table window query it replaces: same rows, same
-ordering, for any subset -- including subsets dominated by files that
-have no telemetry at all, which is the common case for a shard slice.
+The decision path reads telemetry through explicit file-id subsets (one
+indexed top-N probe per present file, with a distinct-fid prefilter for
+large requests).  These tests hold ``recent_access_columns_per_file``
+against the ``ROW_NUMBER()`` window scan it replaced (kept here as the
+reference): same rows, same ordering, for any subset -- including
+subsets dominated by files that have no telemetry at all, which is the
+common case for a shard slice.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import ReplayDBError
-from repro.replaydb.db import ReplayDB
+from repro.replaydb.db import PROBE_FIELDS, ReplayDB
 from repro.replaydb.records import AccessRecord
 
 
@@ -23,6 +24,48 @@ def make_access(fid=1, fsid=0, device="file0", t=100, rb=1000, **overrides):
     )
     base.update(overrides)
     return AccessRecord(**base)
+
+
+def window_scan_columns(db, limit):
+    """``(spans, columns)`` of every file, from one whole-table scan."""
+    fields = ", ".join(PROBE_FIELDS)
+    db._flush_accesses()
+    rows = db._conn.execute(
+        f"SELECT {fields} FROM ("
+        f"  SELECT id, {fields}, ROW_NUMBER() OVER "
+        "    (PARTITION BY fid ORDER BY id DESC) AS rn"
+        "  FROM accesses"
+        ") WHERE rn <= ? ORDER BY fid ASC, id ASC",
+        (limit,),
+    ).fetchall()
+    data = np.array(rows, dtype=np.float64)
+    columns = {name: data[:, i] for i, name in enumerate(PROBE_FIELDS)}
+    spans, start = [], 0
+    for stop in range(1, len(rows) + 1):
+        if stop == len(rows) or rows[stop][0] != rows[start][0]:
+            spans.append((int(rows[start][0]), start, stop))
+            start = stop
+    return spans, columns
+
+
+def filtered(spans, columns, wanted):
+    """The window scan's result narrowed to the ``wanted`` fids."""
+    keep = [span for span in spans if span[0] in wanted]
+    rows = [i for _, start, stop in keep for i in range(start, stop)]
+    out_spans, pos = [], 0
+    for fid, start, stop in keep:
+        out_spans.append((fid, pos, pos + stop - start))
+        pos += stop - start
+    if not rows:
+        return [], {}
+    return out_spans, {name: col[rows] for name, col in columns.items()}
+
+
+def assert_same(got, expected):
+    assert got[0] == expected[0]
+    assert got[1].keys() == expected[1].keys()
+    for name in expected[1]:
+        np.testing.assert_array_equal(got[1][name], expected[1][name])
 
 
 @pytest.fixture
@@ -44,53 +87,42 @@ def db():
 class TestRecentAccessesPerFileSubset:
     @pytest.mark.parametrize("limit", [1, 3, 100])
     def test_subset_equals_filtered_full_result(self, db, limit):
-        full = db.recent_accesses_per_file(limit)
+        full = window_scan_columns(db, limit)
         for wanted in ([0], [1, 2], [0, 2, 5, 8], [3, 4], list(range(10))):
-            subset = db.recent_accesses_per_file(limit, fids=wanted)
-            expected = {
-                fid: recs for fid, recs in full.items() if fid in wanted
-            }
-            assert subset == expected
+            assert_same(
+                db.recent_access_columns_per_file(limit, fids=wanted),
+                filtered(*full, wanted),
+            )
 
     def test_empty_and_absent_subsets(self, db):
-        assert db.recent_accesses_per_file(5, fids=[]) == {}
-        assert db.recent_accesses_per_file(5, fids=[3, 4, 99]) == {}
+        assert db.recent_access_columns_per_file(5, fids=[]) == ([], {})
+        assert db.recent_access_columns_per_file(5, fids=[3, 4, 99]) == (
+            [], {}
+        )
 
     def test_duplicate_fids_collapse(self, db):
-        assert db.recent_accesses_per_file(2, fids=[5, 5, 5]) == (
-            db.recent_accesses_per_file(2, fids=[5])
+        assert_same(
+            db.recent_access_columns_per_file(2, fids=[5, 5, 5]),
+            db.recent_access_columns_per_file(2, fids=[5]),
         )
 
     def test_limit_must_be_positive(self, db):
         with pytest.raises(ReplayDBError):
-            db.recent_accesses_per_file(0, fids=[1])
+            db.recent_access_columns_per_file(0, fids=[1])
 
 
 class TestColumnsSubset:
     @pytest.mark.parametrize("limit", [1, 3, 100])
     def test_all_fids_subset_matches_window_query(self, db, limit):
-        spans_full, cols_full = db.recent_access_columns_per_file(limit)
-        spans_sub, cols_sub = db.recent_access_columns_per_file(
-            limit, fids=range(10)
+        assert_same(
+            db.recent_access_columns_per_file(limit, fids=range(10)),
+            window_scan_columns(db, limit),
         )
-        assert spans_sub == spans_full
-        assert cols_sub.keys() == cols_full.keys()
-        for name in cols_full:
-            np.testing.assert_array_equal(cols_sub[name], cols_full[name])
 
     def test_narrow_subset_matches_filtered_rows(self, db):
-        spans_full, cols_full = db.recent_access_columns_per_file(3)
-        spans_sub, cols_sub = db.recent_access_columns_per_file(
-            3, fids=[0, 5]
-        )
+        spans_sub, _ = got = db.recent_access_columns_per_file(3, fids=[0, 5])
         assert [fid for fid, _, _ in spans_sub] == [0, 5]
-        for fid, start, stop in spans_sub:
-            full_span = next(s for s in spans_full if s[0] == fid)
-            for name in cols_full:
-                np.testing.assert_array_equal(
-                    cols_sub[name][start:stop],
-                    cols_full[name][full_span[1]:full_span[2]],
-                )
+        assert_same(got, filtered(*window_scan_columns(db, 3), [0, 5]))
 
     def test_empty_subset(self, db):
         assert db.recent_access_columns_per_file(3, fids=[]) == ([], {})
@@ -102,8 +134,9 @@ class TestPrefilter:
         # > 64 wanted fids forces the distinct-fid prefilter; the result
         # must be identical to probing each fid directly.
         sparse = list(range(200))
-        assert db.recent_accesses_per_file(4, fids=sparse) == (
-            db.recent_accesses_per_file(4, fids=[0, 1, 2, 5, 8])
+        assert_same(
+            db.recent_access_columns_per_file(4, fids=sparse),
+            db.recent_access_columns_per_file(4, fids=[0, 1, 2, 5, 8]),
         )
         assert db._fids_with_rows(sorted(sparse)) == [0, 1, 2, 5, 8]
 
@@ -111,22 +144,3 @@ class TestPrefilter:
         wanted = [0, 3, 99]
         # <= 64 ids: returned verbatim, absent fids probe to nothing.
         assert db._fids_with_rows(wanted) == wanted
-
-
-class TestRecentPerDeviceSubset:
-    def test_fids_narrowing_matches_filtered_ranking(self, db):
-        # Re-rank the full per-device window over only the wanted fids'
-        # rows: the fids= query must agree exactly.
-        wanted = {0, 5}
-        limit = 3
-        narrowed = db.recent_per_device(limit, fids=wanted)
-        big = db.recent_per_device(10_000)
-        expected = {}
-        for device, recs in big.items():
-            kept = [r for r in recs if r.fid in wanted][-limit:]
-            if kept:
-                expected[device] = kept
-        assert narrowed == expected
-
-    def test_empty_subset(self, db):
-        assert db.recent_per_device(3, fids=[]) == {}

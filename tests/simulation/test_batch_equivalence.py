@@ -1,9 +1,9 @@
-"""Batched fast path vs. scalar oracle: exact-equivalence regression tests.
+"""Batched access pipeline vs. the scalar access: exact-equivalence tests.
 
 The batched access pipeline (``prepare_batch``/``serve_batch``,
 ``LoadProcess.load_batch``, ``StorageCluster.access_batch``,
 ``WorkloadRunner.run_many`` fusion) promises *bit-for-bit* the outputs of
-the scalar reference path -- records, durations, RNG stream positions,
+the access-by-access path -- records, durations, RNG stream positions,
 device statistics, crowding windows, and the clock.  These tests hold it
 to that promise across randomized device specs, op mixes, and fault
 schedules (including devices flipping offline/online mid-batch), plus the
@@ -33,6 +33,7 @@ from repro.simulation.interference import (
 from repro.workloads.belle2 import Belle2Workload
 from repro.workloads.files import belle2_file_population
 from repro.workloads.runner import WorkloadRunner
+from tests.oracles.scalar_runs import ScalarRunner, run_chaos_scalar
 
 GB = 10**9
 
@@ -122,7 +123,7 @@ class TestServeBatchEquivalence:
         durations = batched.serve_batch(t, rb, wb)
         expected = np.asarray(
             [
-                reference.perform_access_reference(
+                reference.perform_access(
                     float(t[i]), int(rb[i]), int(wb[i])
                 )
                 for i in range(n)
@@ -373,7 +374,7 @@ class TestAccessBatchEquivalence:
 
 class TestRunnerFusionEquivalence:
     def test_run_many_matches_run_once_loop(self):
-        def build():
+        def build(runner_type=WorkloadRunner):
             cluster = make_cluster(3)
             files = belle2_file_population(seed=3)[:20]
             for spec in files:
@@ -381,28 +382,29 @@ class TestRunnerFusionEquivalence:
                     spec.fid, spec.path, spec.size_bytes,
                     cluster.device_names[spec.fid % 3],
                 )
-            return WorkloadRunner(
-                cluster, Belle2Workload(files, seed=4), ReplayDB(),
-                batched=True,
+            return runner_type(
+                cluster, Belle2Workload(files, seed=4), ReplayDB()
             )
 
         fused = build()
-        looped = build()
         fused_results = fused.run_many(6)
-        looped_results = [looped.run_once() for _ in range(6)]
-
-        assert [r.run_index for r in fused_results] == [
-            r.run_index for r in looped_results
-        ]
-        assert [r.records for r in fused_results] == [
-            r.records for r in looped_results
-        ]
-        assert fused.clock.now == looped.clock.now
-        assert fused.db.access_count() == looped.db.access_count()
-        for name in fused.cluster.device_names:
-            assert device_fingerprint(
-                fused.cluster.device(name)
-            ) == device_fingerprint(looped.cluster.device(name))
+        # ... one access_batch per run, and one scalar access per op.
+        for other in (build(), build(ScalarRunner)):
+            other_results = [other.run_once() for _ in range(6)]
+            assert [r.run_index for r in fused_results] == [
+                r.run_index for r in other_results
+            ]
+            assert [r.records for r in fused_results] == [
+                r.records for r in other_results
+            ]
+            assert fused.clock.now == other.clock.now
+            assert fused.db.recent_accesses(10**6) == (
+                other.db.recent_accesses(10**6)
+            )
+            for name in fused.cluster.device_names:
+                assert device_fingerprint(
+                    fused.cluster.device(name)
+                ) == device_fingerprint(other.cluster.device(name))
 
 
 class TestChaosEndToEndEquivalence:
@@ -410,8 +412,8 @@ class TestChaosEndToEndEquivalence:
         # The crown-jewel acceptance check: a full chaos experiment --
         # warmup, dynamic policy decisions, migrations, and injected
         # device faults -- replays identically on both paths.
-        batched = run_chaos(scale=TEST_SCALE, seed=7, batched=True)
-        scalar = run_chaos(scale=TEST_SCALE, seed=7, batched=False)
+        batched = run_chaos(scale=TEST_SCALE, seed=7)
+        scalar = run_chaos_scalar(scale=TEST_SCALE, seed=7)
         assert batched == scalar
 
 

@@ -16,7 +16,7 @@ class TestParser:
         assert commands == {
             "fig4", "table1", "table2", "table3",
             "fig5a", "fig5b", "table4", "fig6", "synth-trace", "testbed",
-            "robustness", "chaos", "overhead", "model-selection", "bench",
+            "robustness", "chaos", "overhead", "model-selection",
             "recover", "resume", "run", "metrics", "trace",
             "saturate", "deadletters", "explain", "slo", "scale",
         }
@@ -82,18 +82,9 @@ class TestParser:
 
     def test_workers_flag_parses(self):
         assert build_parser().parse_args(["fig5a"]).workers == 1
-        for cmd in ("fig5a", "fig5b", "table2", "robustness", "bench"):
+        for cmd in ("fig5a", "fig5b", "table2", "robustness"):
             args = build_parser().parse_args([cmd, "--workers", "4"])
             assert args.workers == 4
-
-    def test_bench_arguments_parse(self):
-        args = build_parser().parse_args([
-            "bench", "--seeds", "0", "1", "2", "--out", "b.json",
-            "--no-harness",
-        ])
-        assert args.seeds == [0, 1, 2]
-        assert args.out == "b.json"
-        assert args.no_harness is True
 
 
 class TestExecution:
