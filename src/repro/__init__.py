@@ -12,15 +12,19 @@ Quick start::
         Geomancy, GeomancyConfig, make_bluesky_cluster,
         Belle2Workload, belle2_file_population, WorkloadRunner,
     )
+    from repro.experiments.harness import (
+        run_through_agents, warm_up_through_agents,
+    )
 
     cluster = make_bluesky_cluster(seed=0)
     files = belle2_file_population(seed=0)
     geo = Geomancy(cluster, files, GeomancyConfig(epochs=60,
                                                   training_rows=4000))
     geo.place_initial()
-    runner = WorkloadRunner(cluster, Belle2Workload(files), geo.db)
+    runner = WorkloadRunner(cluster, Belle2Workload(files))
+    warm_up_through_agents(geo, runner, 1000)
     for run in range(1, 51):
-        result = runner.run_once()
+        run_through_agents(geo, runner)
         outcome = geo.after_run(run, runner.clock.now)
 
 Subpackages: :mod:`repro.core` (the Geomancy engine), :mod:`repro.nn`

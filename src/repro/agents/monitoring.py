@@ -90,30 +90,14 @@ class MonitoringAgent:
             "records preserved by down-sampling after transport backpressure",
         )
 
-    def observe(self, record: AccessRecord) -> None:
-        """Record one access on this agent's device.
-
-        Auto-flushes a full batch ("Geomancy captures groups of accesses as
-        one access to lower the overhead").
-        """
-        if record.device != self.device:
-            raise AgentError(
-                f"agent for {self.device!r} observed access on "
-                f"{record.device!r}"
-            )
-        self._buffer.append(record)
-        self.observed += 1
-        self._m_observed.inc()
-        if len(self._buffer) >= self.batch_size:
-            self.flush(at=record.close_time)
-
     def observe_many(self, records: list[AccessRecord]) -> None:
-        """Record a chunk of accesses on this agent's device.
+        """Record accesses on this agent's device, in order.
 
-        Equivalent to calling :meth:`observe` once per record -- the same
-        batch boundaries fire at the same records with the same ``at``
-        timestamps -- but appends chunk-wise instead of paying the
-        per-record call overhead.
+        Auto-flushes each batch as it fills, stamped with the close time
+        of the record that filled it ("Geomancy captures groups of
+        accesses as one access to lower the overhead") -- the batch
+        boundaries of feeding the records one call at a time
+        (``tests/oracles/scalar_runs.py``).
         """
         n = len(records)
         i = 0

@@ -10,6 +10,8 @@
 * :mod:`repro.core.layout` -- layout diffing and move capping.
 * :mod:`repro.core.scheduler` -- the move-every-N-runs cooldown plus the
   access-gap scheduler sketched as future work in section X.
+* :mod:`repro.core.decision` -- the one gate sequence from a trained model
+  to the layout worth applying, shared by the facade and the policy adapter.
 * :mod:`repro.core.geomancy` -- the facade tying it all together with the
   monitoring/control agents.
 """

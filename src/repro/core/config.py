@@ -16,7 +16,6 @@ from repro.errors import ConfigurationError
 from repro.faults.schedule import parse_fault_event
 from repro.features.pipeline import DEFAULT_LIVE_FEATURES
 from repro.nn.model_zoo import ARCHITECTURES, is_recurrent
-from repro.observability.metrics import DEFAULT_BUCKETS
 
 
 @dataclass
@@ -35,10 +34,6 @@ class GeomancyConfig:
     timesteps: int = 8
     #: recent accesses per file averaged in the per-location probe
     probe_samples: int = 8
-    #: a move is proposed only when the predicted throughput at the best
-    #: location exceeds the current location's by this fraction ("it only
-    #: applies layouts that the NN predicts will increase throughput")
-    min_gain_fraction: float = 0.10
     exploration_rate: float = 0.10
     cooldown_runs: int = 5
     max_files_per_move: int = 14
@@ -91,9 +86,6 @@ class GeomancyConfig:
     admission_burst_records: int = 10_000
     #: (tenant, rate) overrides for specific tenants
     admission_tenant_rates: tuple[tuple[str, float], ...] = ()
-    #: fraction of the burst reserved for control/movement traffic --
-    #: telemetry may not drain the bucket below this floor
-    admission_control_reserve_fraction: float = 0.1
     #: dead letters kept in the bounded ring store (0 disables the store;
     #: dead letters are then only counted, the legacy behaviour)
     dead_letter_capacity: int = 0
@@ -141,25 +133,13 @@ class GeomancyConfig:
     online_epochs: int = 8
     #: most recent new rows consumed per incremental update (burst bound)
     online_max_new_rows: int = 2_048
-    #: prioritized replay buffer capacity (row ids tracked)
-    replay_capacity: int = 20_000
     #: replayed history rows mixed into each incremental update
     replay_sample_rows: int = 256
-    #: prioritization sharpening exponent (0 = uniform)
-    replay_alpha: float = 0.6
-    #: importance-sampling correction strength (0 = none, 1 = full)
-    replay_beta: float = 0.4
-    #: rows after which a buffered row's recency weight halves
-    replay_recency_half_life: float = 10_000.0
     #: frozen-weight snapshot cadence in incremental updates (0 disables);
     #: the guardrail rolls back to the newest snapshot on loss explosion
     target_snapshot_every: int = 10
-    #: rotated weight snapshots kept
-    target_snapshot_keep: int = 3
     #: directory for weight snapshots (None = private temp dir)
     weight_snapshot_dir: str | None = None
-    #: Page-Hinkley drift tolerance on the per-cycle mean relative error
-    drift_delta: float = 0.05
     #: Page-Hinkley detection threshold on the cumulative statistic
     drift_threshold: float = 1.0
     #: incremental cycles before the drift detector may fire
@@ -170,21 +150,9 @@ class GeomancyConfig:
     #: master switch for the metrics/tracing/event instrumentation; off by
     #: default so ordinary experiment runs pay only no-op handles
     observability_enabled: bool = False
-    #: record counters/gauges/histograms (requires observability_enabled)
-    metrics_enabled: bool = True
-    #: record control-loop spans (requires observability_enabled)
-    trace_enabled: bool = True
     #: fraction of control ticks whose spans are recorded; sampling is
     #: deterministic in the tick index, never an RNG draw
     trace_sample_rate: float = 1.0
-    #: histogram bucket upper bounds (seconds) for latency metrics
-    histogram_buckets: tuple[float, ...] = DEFAULT_BUCKETS
-    #: JSONL sink the instrumented harness appends metric snapshots to
-    #: (None disables the sink)
-    metrics_snapshot_path: str | None = None
-    #: Chrome-trace JSON path the instrumented harness exports spans to
-    #: (None disables the export)
-    trace_path: str | None = None
     #: -- causal tracing / provenance / SLOs (PR 9) ------------------------
     #: stamp trace ids on telemetry batches, layout commands and movement
     #: records and resolve every message's fate through a CausalContext;
@@ -197,10 +165,6 @@ class GeomancyConfig:
     #: JSONL flight-recorder path for the provenance ledger (None keeps
     #: the ledger in memory only)
     provenance_path: str | None = None
-    #: in-memory entries the ledger retains per store (oldest evicted)
-    provenance_max_entries: int = 4096
-    #: bytes after which the provenance JSONL rotates to <path>.1
-    provenance_rotate_bytes: int = 4_000_000
     #: evaluate control-plane SLOs (delivery ratio, queue-delay, throughput
     #: floor) with multi-window burn-rate alerting on the event bus
     slo_enabled: bool = False
@@ -210,20 +174,6 @@ class GeomancyConfig:
     #: measured-run throughput (GB/s) below which the throughput-floor
     #: SLO's budget burns (0 = any positive throughput is good)
     slo_throughput_floor_gbps: float = 0.0
-    #: route sustained SLO burn alerts into the guardrail as external
-    #: trips (requires a guardrail-carrying harness and slo_enabled)
-    slo_arm_guardrail: bool = False
-    #: -- sharded scale-out (repro.sharding / experiments.scale) ----------
-    #: decision shards the scale harness partitions devices/files into;
-    #: 1 (the default) is the legacy single-agent path, bit-for-bit
-    #: identical to runs that predate the sharding layer
-    shards: int = 1
-    #: a cross-shard move is accepted only when the destination shard's
-    #: observed throughput beats the source's by this fraction
-    cross_shard_margin: float = 0.10
-    #: cross-shard moves the coordinator may accept per fusion boundary
-    #: (0 disables cross-shard migration entirely)
-    max_cross_shard_moves: int = 8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -259,10 +209,6 @@ class GeomancyConfig:
         if self.probe_samples < 1:
             raise ConfigurationError(
                 f"probe_samples must be >= 1, got {self.probe_samples}"
-            )
-        if self.min_gain_fraction < 0:
-            raise ConfigurationError(
-                f"min_gain_fraction must be >= 0, got {self.min_gain_fraction}"
             )
         if not 0.0 <= self.exploration_rate <= 1.0:
             raise ConfigurationError(
@@ -329,11 +275,6 @@ class GeomancyConfig:
                 f"admission_tenant_rates must all be positive, "
                 f"got {self.admission_tenant_rates}"
             )
-        if not 0.0 <= self.admission_control_reserve_fraction < 1.0:
-            raise ConfigurationError(
-                f"admission_control_reserve_fraction must be in [0, 1), "
-                f"got {self.admission_control_reserve_fraction}"
-            )
         if self.dead_letter_capacity < 0:
             raise ConfigurationError(
                 f"dead_letter_capacity must be >= 0, "
@@ -397,41 +338,15 @@ class GeomancyConfig:
                 f"online_max_new_rows must be >= 1, "
                 f"got {self.online_max_new_rows}"
             )
-        if self.replay_capacity < 1:
-            raise ConfigurationError(
-                f"replay_capacity must be >= 1, got {self.replay_capacity}"
-            )
         if self.replay_sample_rows < 0:
             raise ConfigurationError(
                 f"replay_sample_rows must be >= 0, "
                 f"got {self.replay_sample_rows}"
             )
-        if self.replay_alpha < 0:
-            raise ConfigurationError(
-                f"replay_alpha must be >= 0, got {self.replay_alpha}"
-            )
-        if not 0.0 <= self.replay_beta <= 1.0:
-            raise ConfigurationError(
-                f"replay_beta must be in [0, 1], got {self.replay_beta}"
-            )
-        if self.replay_recency_half_life <= 0:
-            raise ConfigurationError(
-                f"replay_recency_half_life must be positive, "
-                f"got {self.replay_recency_half_life}"
-            )
         if self.target_snapshot_every < 0:
             raise ConfigurationError(
                 f"target_snapshot_every must be >= 0, "
                 f"got {self.target_snapshot_every}"
-            )
-        if self.target_snapshot_keep < 1:
-            raise ConfigurationError(
-                f"target_snapshot_keep must be >= 1, "
-                f"got {self.target_snapshot_keep}"
-            )
-        if self.drift_delta < 0:
-            raise ConfigurationError(
-                f"drift_delta must be >= 0, got {self.drift_delta}"
             )
         if self.drift_threshold <= 0:
             raise ConfigurationError(
@@ -451,30 +366,6 @@ class GeomancyConfig:
                 f"trace_sample_rate must be in (0, 1], "
                 f"got {self.trace_sample_rate}"
             )
-        # Checkpoint round trips deserialize tuples as lists; normalize.
-        self.histogram_buckets = tuple(
-            float(b) for b in self.histogram_buckets
-        )
-        if not self.histogram_buckets:
-            raise ConfigurationError("histogram_buckets must be non-empty")
-        if any(
-            b2 <= b1
-            for b1, b2 in zip(self.histogram_buckets, self.histogram_buckets[1:])
-        ):
-            raise ConfigurationError(
-                f"histogram_buckets must be strictly increasing, "
-                f"got {self.histogram_buckets}"
-            )
-        if self.provenance_max_entries < 1:
-            raise ConfigurationError(
-                f"provenance_max_entries must be >= 1, "
-                f"got {self.provenance_max_entries}"
-            )
-        if self.provenance_rotate_bytes < 4096:
-            raise ConfigurationError(
-                f"provenance_rotate_bytes must be >= 4096, "
-                f"got {self.provenance_rotate_bytes}"
-            )
         if self.provenance_enabled and not self.causal_tracing_enabled:
             raise ConfigurationError(
                 "provenance_enabled requires causal_tracing_enabled "
@@ -489,24 +380,6 @@ class GeomancyConfig:
             raise ConfigurationError(
                 f"slo_throughput_floor_gbps must be >= 0, "
                 f"got {self.slo_throughput_floor_gbps}"
-            )
-        if self.slo_arm_guardrail and not self.slo_enabled:
-            raise ConfigurationError(
-                "slo_arm_guardrail requires slo_enabled"
-            )
-        if self.shards < 1:
-            raise ConfigurationError(
-                f"shards must be >= 1, got {self.shards}"
-            )
-        if self.cross_shard_margin < 0:
-            raise ConfigurationError(
-                f"cross_shard_margin must be >= 0, "
-                f"got {self.cross_shard_margin}"
-            )
-        if self.max_cross_shard_moves < 0:
-            raise ConfigurationError(
-                f"max_cross_shard_moves must be >= 0, "
-                f"got {self.max_cross_shard_moves}"
             )
         for spec in self.fault_schedule:
             # Raises ConfigurationError on a malformed entry.

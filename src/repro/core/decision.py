@@ -1,0 +1,144 @@
+"""The decision path: from a ReplayDB to the layout worth applying.
+
+One definition of the gate sequence the paper's Fig. 2 draws between the
+ReplayDB and the control agent: train, veto a model that is unskilled,
+diverged, over the error backstop or ranks the devices backwards, let the
+engine propose, pass the proposal through the Action Checker, cap the
+moves, and (section X) keep only files whose access gaps fit the
+transfer.  The :class:`~repro.core.geomancy.Geomancy` facade and
+:class:`~repro.policies.geomancy_policy.GeomancyDynamicPolicy` both act on
+what :meth:`DecisionPath.decide` returns.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable
+from dataclasses import dataclass, field
+
+from repro.core.action_checker import ActionChecker
+from repro.core.config import GeomancyConfig
+from repro.core.engine import DRLEngine, TrainingReport
+from repro.core.layout import as_layout, cap_moves, layout_diff
+from repro.core.scheduler import AccessGapScheduler
+from repro.observability import Observability
+from repro.replaydb.db import ReplayDB
+
+#: accesses required in the ReplayDB before the engine first trains
+MIN_TRAINING_ACCESSES = 50
+
+# Why a consultation ended without a layout (``Decision.veto``).
+TOO_FEW_ACCESSES = "too-few-accesses"
+DIVERGED = "diverged"
+UNSKILLED = "unskilled"
+MARE_BACKSTOP = "mare-backstop"
+NO_DEVICES = "no-devices"
+INVERTED_RANKING = "inverted-ranking"
+NO_CHANGES = "no-changes"
+
+
+@dataclass
+class Decision:
+    """What one consultation of the decision path concluded."""
+
+    #: the cycle's training report; None when the engine did not train
+    training: TrainingReport | None = None
+    #: fid -> device worth applying now; empty when ``veto`` is set
+    layout: dict[int, str] = field(default_factory=dict)
+    #: mean predicted throughput (bytes/s) at the engine's chosen
+    #: placements, or None when the engine made no prediction
+    predicted_mean: float | None = None
+    #: which gate stopped the cycle, or None when ``layout`` stands
+    veto: str | None = None
+
+
+class DecisionPath:
+    """The engine, Action Checker and gap scheduler one config asks for,
+    and the gate sequence over them."""
+
+    def __init__(
+        self, config: GeomancyConfig, *, obs: Observability | None = None
+    ) -> None:
+        self.config = config
+        self.engine = DRLEngine(config, obs=obs)
+        self.checker = ActionChecker(config.exploration_rate, seed=config.seed)
+        self.gap_scheduler = (
+            AccessGapScheduler() if config.use_gap_scheduler else None
+        )
+
+    def decide(
+        self,
+        db: ReplayDB,
+        fids: list[int],
+        device_by_fsid: dict[int, str],
+        valid_devices: set[str],
+        current: dict[int, str] | None,
+        transfer_time: Callable[[int], float],
+    ) -> Decision:
+        """Train on ``db`` and decide where ``fids`` should live.
+
+        ``device_by_fsid`` are the candidate locations, ``valid_devices``
+        what the Action Checker accepts as a target, ``current`` the
+        present placement of ``fids`` and ``transfer_time(fid)`` the
+        estimated seconds moving that file takes.  ``current=None`` asks
+        for the engine's full proposal with nothing to diff, check or cap
+        it against (a one-shot static placement).
+        """
+        config, engine = self.config, self.engine
+        decision = Decision()
+        if db.access_count() < MIN_TRAINING_ACCESSES:
+            decision.veto = TOO_FEW_ACCESSES
+            return decision
+        report = decision.training = (
+            engine.train_incremental(db)
+            if config.online_learning
+            else engine.train(db)
+        )
+        # A diverged or skill-less model's layout would be noise; skip
+        # this cycle and let the next retraining try again.
+        if report.diverged:
+            decision.veto = DIVERGED
+        elif config.require_skill and not report.skillful:
+            decision.veto = UNSKILLED
+        elif report.test_mare > config.max_actionable_mare:
+            decision.veto = MARE_BACKSTOP
+        elif not device_by_fsid:
+            decision.veto = NO_DEVICES
+        if decision.veto is not None:
+            return decision
+        with engine.obs.span("ranking_check"):
+            inverted = (
+                config.require_ranking_sanity
+                and engine.ranking_correlation(db, device_by_fsid) < 0.0
+            )
+        if inverted:
+            # The model currently ranks devices opposite to what telemetry
+            # shows; acting on it would herd files onto the worst mounts.
+            decision.veto = INVERTED_RANKING
+            return decision
+        proposal, gains = engine.propose_layout(db, fids, device_by_fsid)
+        decision.predicted_mean = engine.last_predicted_mean
+        if current is None:
+            decision.layout = proposal
+        else:
+            with engine.obs.span("action_check", proposals=len(proposal)):
+                checked = self.checker.check(proposal, valid_devices, current)
+                changes = cap_moves(
+                    layout_diff(current, checked),
+                    config.max_files_per_move,
+                    gains,
+                )
+            if self.gap_scheduler is not None:
+                # Section X extension: only move files whose observed
+                # access gaps accommodate the transfer ("We will not
+                # consider moving files that are always accessed and
+                # never released").
+                changes = [
+                    change for change in changes
+                    if self.gap_scheduler.can_move(
+                        db, change.fid, transfer_time(change.fid)
+                    )
+                ]
+            decision.layout = as_layout(changes)
+        if not decision.layout:
+            decision.veto = NO_CHANGES
+        return decision

@@ -34,6 +34,13 @@ from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord
 from repro.replaydb.replay_buffer import PrioritizedReplay
 
+#: a move is proposed only when the predicted throughput at the best
+#: location exceeds the current location's by this fraction ("it only
+#: applies layouts that the NN predicts will increase throughput")
+MIN_GAIN_FRACTION = 0.10
+#: prioritized replay buffer capacity (row ids tracked)
+REPLAY_CAPACITY = 20_000
+
 
 def _spearman(a: list[float], b: list[float]) -> float:
     """Spearman rank correlation for two small equal-length lists."""
@@ -184,19 +191,13 @@ class DRLEngine:
         self.drift_detector: PageHinkley | None = None
         if self.config.online_learning:
             self.replay = PrioritizedReplay(
-                self.config.replay_capacity,
-                alpha=self.config.replay_alpha,
-                beta=self.config.replay_beta,
-                recency_half_life=self.config.replay_recency_half_life,
-                seed=self.config.seed,
+                REPLAY_CAPACITY, seed=self.config.seed
             )
             if self.config.target_snapshot_every > 0:
                 self.snapshots = WeightSnapshotStore(
-                    self.config.weight_snapshot_dir,
-                    keep=self.config.target_snapshot_keep,
+                    self.config.weight_snapshot_dir
                 )
             self.drift_detector = PageHinkley(
-                delta=self.config.drift_delta,
                 threshold=self.config.drift_threshold,
                 min_samples=self.config.drift_min_cycles,
             )
@@ -743,7 +744,7 @@ class DRLEngine:
             # at the new location; flat or marginal predictions keep
             # the file where it is ("it only applies layouts that the
             # NN predicts will increase throughput performance", VI).
-            threshold = self.config.min_gain_fraction * abs(current_score)
+            threshold = MIN_GAIN_FRACTION * abs(current_score)
             if best != current_fsid and gain <= threshold:
                 best = current_fsid
                 gain = 0.0

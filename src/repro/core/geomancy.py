@@ -13,6 +13,7 @@ Wires together the paper's Fig. 2 components around one target cluster:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.agents.control import ControlAgent
@@ -22,11 +23,10 @@ from repro.agents.messages import LayoutCommand
 from repro.agents.monitoring import MonitoringAgent
 from repro.agents.qos import AdmissionController
 from repro.agents.transport import BoundedTransport, InMemoryTransport
-from repro.core.action_checker import ActionChecker
 from repro.core.config import GeomancyConfig
-from repro.core.engine import DRLEngine, TrainingReport
-from repro.core.layout import as_layout, cap_moves, layout_diff
-from repro.core.scheduler import AccessGapScheduler, CooldownScheduler
+from repro.core.decision import NO_DEVICES, DecisionPath
+from repro.core.engine import TrainingReport
+from repro.core.scheduler import CooldownScheduler
 from repro.errors import AgentError, ConfigurationError
 from repro.faults.health import HealthTracker
 from repro.observability import Observability, get_observability
@@ -69,9 +69,6 @@ class StepOutcome:
 
 class Geomancy:
     """Geomancy attached to one target cluster and one workload file set."""
-
-    #: accesses required in the ReplayDB before the engine first trains
-    MIN_TRAINING_ACCESSES = 50
 
     def __init__(
         self,
@@ -126,9 +123,6 @@ class Geomancy:
                 rate_records_s=self.config.admission_rate_records_s,
                 burst_records=self.config.admission_burst_records,
                 tenant_rates=dict(self.config.admission_tenant_rates),
-                control_reserve_fraction=(
-                    self.config.admission_control_reserve_fraction
-                ),
             )
             if self.config.admission_enabled
             else None
@@ -163,14 +157,12 @@ class Geomancy:
             seed=self.config.seed,
             health=self.health,
         )
-        self.engine = DRLEngine(self.config, obs=self.obs)
-        self.checker = ActionChecker(
-            self.config.exploration_rate, seed=self.config.seed
-        )
+        #: the gate sequence from ReplayDB to layout, with its engine and
+        #: Action Checker
+        self.decision_path = DecisionPath(self.config, obs=self.obs)
+        self.engine = self.decision_path.engine
+        self.checker = self.decision_path.checker
         self.scheduler = CooldownScheduler(self.config.cooldown_runs)
-        self.gap_scheduler = (
-            AccessGapScheduler() if self.config.use_gap_scheduler else None
-        )
         self.outcomes: list[StepOutcome] = []
         #: optional guardrail a recovery harness may attach; decision
         #: provenance records its mode when present
@@ -181,11 +173,7 @@ class Geomancy:
         self._decision_seq = 0
         self._movement_rows = 0
         if self.config.causal_tracing_enabled:
-            self.ledger = ProvenanceLedger(
-                self.config.provenance_path,
-                max_entries=self.config.provenance_max_entries,
-                rotate_bytes=self.config.provenance_rotate_bytes,
-            )
+            self.ledger = ProvenanceLedger(self.config.provenance_path)
             self.causal = CausalContext(self.ledger)
             self.telemetry.causal = self.causal
             self.commands.causal = self.causal
@@ -241,17 +229,13 @@ class Geomancy:
         return layout
 
     # -- telemetry -----------------------------------------------------------
-    def observe(self, record: AccessRecord) -> None:
-        """Route one access through its device's monitoring agent.
-
-        Devices added to the cluster after construction get a monitoring
-        agent lazily, so clusters can grow mid-experiment; telemetry for
-        devices the cluster has never heard of is still rejected.
-        """
-        monitor = self._monitor_for(record.device)
-        monitor.observe(record)
-
     def _monitor_for(self, device: str) -> MonitoringAgent:
+        """The device's monitoring agent.
+
+        Devices added to the cluster after construction get one lazily,
+        so clusters can grow mid-experiment; telemetry for devices the
+        cluster has never heard of is still rejected.
+        """
         monitor = self.monitors.get(device)
         if monitor is None:
             if device not in self.cluster.device_names:
@@ -264,13 +248,13 @@ class Geomancy:
         return monitor
 
     def observe_records(self, records: list[AccessRecord]) -> None:
-        """Route a batch of telemetry without a trailing flush.
+        """Route accesses through their devices' monitoring agents.
 
-        Consecutive same-device records (the common case -- BELLE II
-        accesses each file in bursts) are handed to the monitoring agent
-        as one chunk, which preserves the exact flush boundaries and send
-        order of per-record :meth:`observe` calls while skipping the
-        per-record dispatch overhead.
+        Full batches leave for the daemon as they fill; the rest waits
+        for :meth:`flush_telemetry`.  Consecutive same-device records
+        (the common case -- BELLE II accesses each file in bursts) reach
+        the agent as one chunk, with the flush boundaries and send order
+        of one call per record (``tests/oracles/scalar_runs.py``).
         """
         n = len(records)
         i = 0
@@ -281,13 +265,6 @@ class Geomancy:
                 j += 1
             self._monitor_for(device).observe_many(records[i:j])
             i = j
-
-    def observe_run(self, records: list[AccessRecord]) -> None:
-        """Route a whole run's telemetry and land it in the ReplayDB."""
-        self.observe_records(records)
-        self.flush_telemetry(
-            at=records[-1].close_time if records else 0.0
-        )
 
     def flush_telemetry(self, at: float) -> int:
         """Flush every agent's buffer and pump the daemon.
@@ -301,15 +278,19 @@ class Geomancy:
         return self.daemon.pump_telemetry(drained_at=at)
 
     # -- the decision loop -----------------------------------------------------
-    def _dispatch(
-        self, layout: dict[int, str], t: float, kind: str = "decision"
+    def dispatch(
+        self, layout: dict[int, str], t: float, *, kind: str
     ) -> list[MovementRecord]:
         """Push a layout through the daemon/command path and execute it.
 
-        With a journal attached the dispatch is a write-ahead
-        transaction: the intent is durably logged before any file moves,
-        the commit after every movement has settled, so a crash in
-        between leaves a pending intent the recovery path rolls back.
+        ``kind`` says whose layout it is -- ``"decision"`` (the model's),
+        ``"rescue"``, ``"retry"``, or a harness's own (``"rollback"``,
+        ``"fallback"``) -- and is what the provenance ledger files the
+        dispatch under.  With a journal attached the dispatch is a
+        write-ahead transaction: the intent is durably logged before any
+        file moves, the commit after every movement has settled, so a
+        crash in between leaves a pending intent the recovery path rolls
+        back.
         On a causal plane the command is stamped with a trace id that
         flows onto every resulting movement record, and the dispatch is
         journaled in the provenance ledger as one decision entry.
@@ -391,8 +372,8 @@ class Geomancy:
             movement_duration_s=sum(m.duration for m in movements),
         )
         if kind == "decision":
-            # Rescue/retry dispatches are not model decisions: the
-            # engine's captured window/digest/candidates describe the
+            # Only a model decision carries the engine's view: for any
+            # other kind the captured window/digest/candidates describe the
             # *last* training epoch and would mislead there.
             if engine.last_window is not None:
                 entry.window_lo, entry.window_hi = engine.last_window
@@ -409,11 +390,6 @@ class Geomancy:
                 entry.skillful = report.skillful
                 entry.drift_detected = report.drift_detected
         self.ledger.record_decision(entry)
-
-    def _drive_retries(self, outcome: StepOutcome, t: float) -> None:
-        """Give backed-off failed moves another chance this cycle."""
-        if self.control.has_due_retries(t):
-            outcome.movements.extend(self._dispatch({}, t, kind="retry"))
 
     def _rescue_layout(self, available: list[str]) -> dict[int, str]:
         """Targets for files stranded on offline devices.
@@ -446,9 +422,28 @@ class Geomancy:
         """Consult Geomancy after workload run ``run_index`` finished at ``t``.
 
         Trains + moves only when the cooldown scheduler allows it and
-        enough telemetry has accumulated.  Independent of training, every
-        eligible cycle first rescues files stranded on offline devices and
-        re-attempts failed moves whose retry backoff has expired.
+        enough telemetry has accumulated; the safety duties of
+        :meth:`safety_step` run on every eligible cycle regardless.
+        """
+        return self.safety_step(run_index, t, self._learn)
+
+    def safety_step(
+        self,
+        run_index: int,
+        t: float,
+        act: Callable[[StepOutcome, list[str], float], list[MovementRecord]]
+        | None = None,
+    ) -> StepOutcome:
+        """One control cycle's safety duties, around an optional ``act``.
+
+        On a cycle the cooldown scheduler allows: files stranded on
+        offline devices are rescued first, then ``act(outcome, available,
+        t)`` dispatches whatever layout its policy wants and returns the
+        movements (the learner in :meth:`after_run`; a guardrail's
+        fallback policy, or nothing, while the learner is benched), and
+        failed moves whose backoff has expired are re-attempted -- they
+        ride along with any dispatch, so they get one of their own only
+        when nothing else went out this cycle.
         """
         outcome = StepOutcome(run_index=run_index)
         self.outcomes.append(outcome)
@@ -463,11 +458,11 @@ class Geomancy:
             self.cluster.available_device_names, t
         )
         # Priority re-placement: files stranded on offline mounts are
-        # rescued before (and regardless of) any model-driven layout.
+        # rescued before (and regardless of) any other layout.
         rescue = self._rescue_layout(available)
         if rescue:
             with self.obs.span("rescue", files=len(rescue)):
-                rescued = self._dispatch(rescue, t, kind="rescue")
+                rescued = self.dispatch(rescue, t, kind="rescue")
             outcome.movements.extend(rescued)
             outcome.rescued_files = sum(1 for m in rescued if m.succeeded)
             self._m_rescued.inc(outcome.rescued_files)
@@ -479,101 +474,39 @@ class Geomancy:
                 attempted=len(rescue),
                 targets={str(fid): dst for fid, dst in sorted(rescue.items())},
             )
-        if self.db.access_count() < self.MIN_TRAINING_ACCESSES:
-            self._drive_retries(outcome, t)
-            return outcome
-        outcome.training = (
-            self.engine.train_incremental(self.db)
-            if self.config.online_learning
-            else self.engine.train(self.db)
-        )
-        outcome.trained = True
-        if (
-            (self.config.require_skill and not outcome.training.skillful)
-            or outcome.training.diverged
-            or outcome.training.test_mare > self.config.max_actionable_mare
-        ):
-            # A diverged or skill-less model's layout would be noise; skip
-            # this cycle and let the next retraining try again.
-            self._m_skipped.inc()
-            self._drive_retries(outcome, t)
-            return outcome
-        device_by_fsid = {
-            self.cluster.device(name).fsid: name for name in available
-        }
-        if not device_by_fsid:
-            self._drive_retries(outcome, t)
-            return outcome
-        with self.obs.span("ranking_check"):
-            ranking_ok = not (
-                self.config.require_ranking_sanity
-                and self.engine.ranking_correlation(self.db, device_by_fsid)
-                < 0.0
-            )
-        if not ranking_ok:
-            # The model currently ranks devices opposite to what telemetry
-            # shows; acting on it would herd files onto the worst mounts.
-            self._m_skipped.inc()
-            self._drive_retries(outcome, t)
-            return outcome
-        fids = [spec.fid for spec in self.files]
-        proposal, gains = self.engine.propose_layout(
-            self.db, fids, device_by_fsid
-        )
-        if self.engine.last_predicted_mean is not None:
-            outcome.predicted_gbps = (
-                self.engine.last_predicted_mean / BYTES_PER_GB
-            )
-            self._g_predicted.set(outcome.predicted_gbps)
-        current = {
-            fid: device for fid, device in self.cluster.layout().items()
-            if fid in set(fids)
-        }
-        with self.obs.span("action_check", proposals=len(proposal)):
-            checked = self.checker.check(proposal, set(available), current)
-            changes = layout_diff(current, checked)
-            changes = cap_moves(
-                changes, self.config.max_files_per_move, gains
-            )
-        if self.gap_scheduler is not None:
-            # Section X extension: only move files whose observed access
-            # gaps accommodate the transfer ("We will not consider moving
-            # files that are always accessed and never released").
-            changes = [
-                change for change in changes
-                if self.gap_scheduler.can_move(
-                    self.db,
-                    change.fid,
-                    self.cluster.link.transfer_time(
-                        self.cluster.file(change.fid).size_bytes
-                    ),
-                )
-            ]
-        if not changes:
-            self._m_skipped.inc()
-            self._drive_retries(outcome, t)
-            return outcome
-        self._m_acted.inc()
-        outcome.movements.extend(self._dispatch(as_layout(changes), t))
+        if act is not None:
+            outcome.movements.extend(act(outcome, available, t))
+        if self.control.has_due_retries(t):
+            outcome.movements.extend(self.dispatch({}, t, kind="retry"))
         return outcome
 
-    def export_candidates(self, limit: int, *, shard: int = 0):
-        """The ``limit`` files this instance serves worst, for scale-out.
-
-        Reads the engine's chosen-placement scores from its most recent
-        proposal: the files with the lowest predicted throughput even at
-        their best local device are the ones a sharded deployment should
-        offer to a faster shard.  Returns
-        :class:`~repro.sharding.coordinator.ExportCandidate` tuples
-        stamped with ``shard`` (the caller's shard id); empty before the
-        first proposal.
-        """
-        from repro.sharding.coordinator import select_exports
-
-        sizes = {info.fid: info.size_bytes for info in self.cluster.files}
-        return select_exports(
-            self.engine.last_chosen_scores, sizes, shard=shard, limit=limit
+    def _learn(
+        self, outcome: StepOutcome, available: list[str], t: float
+    ) -> list[MovementRecord]:
+        """Walk the decision path; dispatch the layout it stands behind."""
+        fids = [spec.fid for spec in self.files]
+        decision = self.decision_path.decide(
+            self.db,
+            fids,
+            {self.cluster.device(name).fsid: name for name in available},
+            set(available),
+            self.cluster.layout(set(fids)),
+            lambda fid: self.cluster.link.transfer_time(
+                self.cluster.file(fid).size_bytes
+            ),
         )
+        outcome.training = decision.training
+        outcome.trained = decision.training is not None
+        if decision.predicted_mean is not None:
+            outcome.predicted_gbps = decision.predicted_mean / BYTES_PER_GB
+            self._g_predicted.set(outcome.predicted_gbps)
+        if decision.veto is None:
+            self._m_acted.inc()
+            return self.dispatch(decision.layout, t, kind="decision")
+        if outcome.trained and decision.veto != NO_DEVICES:
+            # A gate stopped a trained model (nowhere to move to is not one).
+            self._m_skipped.inc()
+        return []
 
     # -- reporting -----------------------------------------------------------
     @property

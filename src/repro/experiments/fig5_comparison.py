@@ -12,11 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ExperimentError
-from repro.experiments.harness import (
-    PolicyRunResult,
-    make_experiment_config,
-    run_policy_experiment,
-)
+from repro.experiments.harness import PolicyRunResult, shuffled_warm_up
 from repro.experiments.reporting import (
     ascii_table,
     bucket_series,
@@ -24,15 +20,6 @@ from repro.experiments.reporting import (
     sparkline,
 )
 from repro.experiments.spec import ExperimentScale, TEST_SCALE
-from repro.policies.geomancy_policy import (
-    GeomancyDynamicPolicy,
-    GeomancyStaticPolicy,
-)
-from repro.policies.lfu import LFUPolicy
-from repro.policies.lru import LRUPolicy
-from repro.policies.mru import MRUPolicy
-from repro.policies.random_policy import RandomDynamicPolicy, RandomStaticPolicy
-from repro.policies.static import EvenSpreadPolicy
 from repro.replaydb.db import ReplayDB
 from repro.simulation.bluesky import make_bluesky_cluster
 from repro.workloads.belle2 import Belle2Workload
@@ -120,30 +107,14 @@ def run_fig5a(
     """Experiment 1, dynamic policies: LRU / MRU / LFU / random dynamic
     versus Geomancy dynamic.
 
-    ``workers > 1`` farms each policy out to its own process via
-    :mod:`repro.experiments.parallel`; the merged result is bit-for-bit
-    identical to the serial loop (every cell is a pure function of the
-    seeds).
+    Each policy is one cell of :mod:`repro.experiments.parallel`'s grid:
+    rebuilt from the seeds and measured on its own, in this process
+    (``workers=1``) or each in a process of its own -- bit-for-bit the
+    same result either way.
     """
-    if workers > 1:
-        from repro.experiments import parallel
+    from repro.experiments import parallel
 
-        return parallel.run_fig5a(scale=scale, seed=seed, workers=workers)
-    device_by_fsid = _geomancy_device_map(seed)
-    policies = [
-        LRUPolicy(),
-        MRUPolicy(),
-        LFUPolicy(),
-        RandomDynamicPolicy(seed=seed),
-        GeomancyDynamicPolicy(
-            device_by_fsid, make_experiment_config(scale, seed=seed)
-        ),
-    ]
-    results = {
-        policy.name: run_policy_experiment(policy, scale=scale, seed=seed)
-        for policy in policies
-    }
-    return Fig5Result(results=results)
+    return parallel.run_fig5a(scale=scale, seed=seed, workers=workers)
 
 
 def collect_random_dynamic_telemetry(
@@ -158,18 +129,7 @@ def collect_random_dynamic_telemetry(
     runner = WorkloadRunner(
         cluster, Belle2Workload(files, seed=1), db
     )
-    policy = RandomDynamicPolicy(seed=seed)
-    runner.ensure_files_placed(
-        policy.initial_layout(files, cluster.device_names)
-    )
-    run_number = 0
-    while db.access_count() < scale.warmup_accesses:
-        runner.run_once()
-        run_number += 1
-        if run_number % scale.update_every == 0:
-            layout = policy.update_layout(db, files, cluster.device_names)
-            if layout:
-                cluster.apply_layout(layout, runner.clock.now)
+    shuffled_warm_up(runner, files, scale, seed=seed)
     return db
 
 
@@ -179,26 +139,8 @@ def run_fig5b(
     """Experiment 1, static policies: random static / even spread /
     Geomancy static versus Geomancy dynamic.
 
-    ``workers > 1`` parallelizes over policies (see :func:`run_fig5a`).
+    One grid cell per policy, as in :func:`run_fig5a`.
     """
-    if workers > 1:
-        from repro.experiments import parallel
+    from repro.experiments import parallel
 
-        return parallel.run_fig5b(scale=scale, seed=seed, workers=workers)
-    device_by_fsid = _geomancy_device_map(seed)
-    warmup_db = collect_random_dynamic_telemetry(scale=scale, seed=seed)
-    policies = [
-        RandomStaticPolicy(seed=seed),
-        EvenSpreadPolicy(),
-        GeomancyStaticPolicy(
-            warmup_db, device_by_fsid, make_experiment_config(scale, seed=seed)
-        ),
-        GeomancyDynamicPolicy(
-            device_by_fsid, make_experiment_config(scale, seed=seed)
-        ),
-    ]
-    results = {
-        policy.name: run_policy_experiment(policy, scale=scale, seed=seed)
-        for policy in policies
-    }
-    return Fig5Result(results=results)
+    return parallel.run_fig5b(scale=scale, seed=seed, workers=workers)

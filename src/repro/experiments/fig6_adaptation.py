@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ExperimentError
-from repro.experiments.harness import make_experiment_config
+from repro.experiments.harness import consult_policy, make_experiment_config
 from repro.experiments.reporting import bucket_series, sparkline
 from repro.experiments.spec import ExperimentScale, TEST_SCALE
 from repro.policies.geomancy_policy import GeomancyDynamicPolicy
@@ -153,26 +153,20 @@ def run_fig6(
     result = Fig6Result()
     run_number = 0
 
-    def tuned_step() -> None:
+    def run_finished() -> None:
         nonlocal run_number
-        run = runner.run_once()
-        result.tuned_gbps.extend(r.throughput_gbps for r in run.records)
         run_number += 1
         if run_number % scale.update_every == 0:
-            current = {
-                fid: device
-                for fid, device in cluster.layout().items()
-                if fid in {f.fid for f in files}
-            }
-            layout = policy.update_layout(
-                db, files, cluster.device_names, current
+            consult_policy(
+                policy, db, cluster, files, cluster.device_names, clock.now
             )
-            if layout:
-                cluster.apply_layout(layout, clock.now)
 
     # Phase 1: alone.
     for _ in range(runs_before):
-        tuned_step()
+        result.tuned_gbps.extend(
+            r.throughput_gbps for r in runner.run_once().records
+        )
+        run_finished()
     result.disturbance_access = len(result.tuned_gbps)
 
     # Phase 2: the duplicate workload joins, untouched by Geomancy.  Its
@@ -200,7 +194,6 @@ def run_fig6(
     # Interleave the two workloads access-by-access so they genuinely
     # contend inside each device's utilization window.
     def interleaved_tuned_run() -> None:
-        nonlocal run_number
         tuned_stream = runner.run_stream()
         dup_stream = dup_runner.run_stream()
         while True:
@@ -215,18 +208,7 @@ def run_fig6(
                 progressed = True
             if not progressed:
                 break
-        run_number += 1
-        if run_number % scale.update_every == 0:
-            current = {
-                fid: device
-                for fid, device in cluster.layout().items()
-                if fid in {f.fid for f in files}
-            }
-            layout = policy.update_layout(
-                db, files, cluster.device_names, current
-            )
-            if layout:
-                cluster.apply_layout(layout, clock.now)
+        run_finished()
 
     for _ in range(runs_after):
         interleaved_tuned_run()

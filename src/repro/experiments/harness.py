@@ -1,7 +1,11 @@
-"""The shared policy-comparison loop (Experiment 1 and 2 machinery).
+"""The shared experiment loops: one driver per loop shape.
 
-One call runs one policy on a fresh Bluesky cluster with the same seeded
-workload and interference as every other policy in the comparison:
+**Policy loop** (Experiment 1 and 2 machinery).  A ``PlacementPolicy``
+reads the ReplayDB the runner writes.  :func:`consult_policy` is one
+consultation -- current layout of the tuned files, ``update_layout``,
+``apply_layout``, movements recorded.  :func:`run_policy_experiment` runs
+one policy on a fresh Bluesky cluster with the same seeded workload and
+interference as every other policy in the comparison:
 
 1. place files per the policy's initial layout;
 2. warm up until the ReplayDB holds the configured access count ("BELLE 2
@@ -9,21 +13,30 @@ workload and interference as every other policy in the comparison:
 3. run the measured phase, consulting dynamic policies every
    ``update_every`` runs and applying their relayouts (movement overhead
    lands on the shared devices and is therefore part of every measurement).
+
+**Facade loop.**  The :class:`~repro.core.geomancy.Geomancy` facade gets
+its telemetry through the monitoring agents: :func:`start_facade_loop`
+builds it warmed up that way (:func:`warm_up_through_agents`), and
+:func:`run_through_agents` is one measured run, optionally under a fault
+injector, after which the caller consults ``geo.after_run``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.core.config import GeomancyConfig
+from repro.core.geomancy import Geomancy
 from repro.errors import ExperimentError
 from repro.experiments.spec import ExperimentScale, TEST_SCALE
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FaultSchedule
 from repro.policies.base import PlacementPolicy
 from repro.policies.random_policy import RandomDynamicPolicy
 from repro.replaydb.db import ReplayDB
-from repro.replaydb.records import MovementRecord
+from repro.replaydb.records import AccessRecord, MovementRecord
 from repro.simulation.bluesky import make_bluesky_cluster
 from repro.simulation.cluster import StorageCluster
 from repro.simulation.interference import LoadProcess
@@ -83,6 +96,152 @@ def make_experiment_config(
     return GeomancyConfig(**params)
 
 
+def consult_policy(
+    policy: PlacementPolicy,
+    db: ReplayDB,
+    cluster: StorageCluster,
+    files: list[FileSpec],
+    devices: list[str],
+    t: float,
+) -> list[MovementRecord]:
+    """One consultation of a dynamic policy; returns the moves it caused.
+
+    The policy sees the present placement of ``files`` (the cluster may
+    hold other workloads' files too) and may target ``devices``; its
+    relayout is applied at ``t`` and the movements land in ``db``.
+    """
+    current = cluster.layout({f.fid for f in files})
+    layout = policy.update_layout(db, files, devices, current)
+    if not layout:
+        return []
+    moves = cluster.apply_layout(layout, t)
+    if moves:
+        db.insert_movements(moves)
+    return moves
+
+
+#: the workload access stream seed every control-loop harness shares
+WORKLOAD_SEED = 1
+
+
+def start_facade_loop(
+    config: GeomancyConfig, *, seed: int, warmup_accesses: int, **wiring
+) -> tuple[Geomancy, WorkloadRunner]:
+    """Geomancy on a fresh Bluesky testbed, warmed up through its agents.
+
+    ``wiring`` goes to the :class:`Geomancy` constructor (a lossy
+    ``telemetry`` transport, an ``obs`` instance, a ``journal`` ...).
+    The runner gets no ReplayDB of its own and tolerates offline devices.
+    """
+    cluster = make_bluesky_cluster(seed=seed)
+    files = belle2_file_population(seed=seed)
+    geo = Geomancy(cluster, files, config, **wiring)
+    geo.place_initial()
+    runner = WorkloadRunner(
+        cluster,
+        Belle2Workload(files, seed=WORKLOAD_SEED),
+        tolerate_offline=True,
+    )
+    warm_up_through_agents(geo, runner, warmup_accesses)
+    return geo, runner
+
+
+def install_faults(
+    cluster: StorageCluster,
+    schedule: FaultSchedule,
+    *,
+    phase_start: float,
+    migration_failure_rate: float,
+    seed: int,
+) -> FaultInjector:
+    """An installed injector; schedule times count from ``phase_start``."""
+    shifted = FaultSchedule(
+        replace(event, at=event.at + phase_start) for event in schedule
+    )
+    return FaultInjector(
+        cluster, shifted,
+        migration_failure_rate=migration_failure_rate, seed=seed,
+    ).install()
+
+
+def movement_fingerprint(movements: list[MovementRecord]) -> tuple:
+    """Hashable movement history for bit-for-bit determinism comparisons."""
+    return tuple(
+        (m.timestamp, m.fid, m.src_device, m.dst_device, m.succeeded)
+        for m in movements
+    )
+
+
+def warm_up_through_agents(
+    geo: Geomancy, runner: WorkloadRunner, accesses: int
+) -> None:
+    """Run the workload until ``accesses`` rows landed in ``geo.db``.
+
+    Every run's telemetry travels monitoring agents -> transport ->
+    daemon; the run's stragglers are flushed at its last access's close
+    time.
+    """
+    while geo.db.access_count() < accesses:
+        records = runner.run_once().records
+        geo.observe_records(records)
+        geo.flush_telemetry(at=records[-1].close_time if records else 0.0)
+
+
+def run_through_agents(
+    geo: Geomancy,
+    runner: WorkloadRunner,
+    injector: FaultInjector | None = None,
+) -> list[AccessRecord]:
+    """One measured run of the facade loop; returns its access records.
+
+    The injector's scheduled faults fire after each served access and
+    once more at the end of the run; then the records go through the
+    monitoring agents and everything still buffered is flushed, so the
+    ReplayDB is current when the caller consults ``geo.after_run``.
+    """
+    obs = geo.obs
+    with obs.span("simulator_advance"):
+        records = runner.run_once(
+            advance_hook=injector.advance if injector is not None else None
+        ).records
+        if injector is not None:
+            injector.advance(runner.clock.now)
+    with obs.span("telemetry_collect", records=len(records)):
+        geo.observe_records(records)
+    with obs.span("telemetry_flush"):
+        geo.flush_telemetry(at=runner.clock.now)
+    return records
+
+
+def shuffled_warm_up(
+    runner: WorkloadRunner,
+    files: list[FileSpec],
+    scale: ExperimentScale,
+    *,
+    seed: int,
+) -> None:
+    """Warm the runner's ReplayDB up under a random-dynamic layout.
+
+    Telemetry lands in the DB but is not measured.  The layout is
+    reshuffled every few runs so the warm-up telemetry covers (file,
+    device) combinations -- the paper's warm-up data for Geomancy static
+    likewise comes "from the dynamic random experiment".
+    """
+    cluster, db = runner.cluster, runner.db
+    shuffler = RandomDynamicPolicy(seed=seed)
+    runner.ensure_files_placed(
+        shuffler.initial_layout(files, cluster.device_names)
+    )
+    warm_runs = 0
+    while db.access_count() < scale.warmup_accesses:
+        runner.run_once()
+        warm_runs += 1
+        if warm_runs % scale.update_every == 0:
+            shuffled = shuffler.update_layout(db, files, cluster.device_names)
+            if shuffled:
+                cluster.apply_layout(shuffled, runner.clock.now)
+
+
 def run_policy_experiment(
     policy: PlacementPolicy,
     *,
@@ -109,23 +268,8 @@ def run_policy_experiment(
     db = ReplayDB()
     runner = WorkloadRunner(cluster, workload, db)
 
-    # Warm-up phase: telemetry lands in the DB but is not measured.  The
-    # layout is reshuffled every few runs so the warm-up telemetry covers
-    # (file, device) combinations -- the paper's warm-up data for Geomancy
-    # static likewise comes "from the dynamic random experiment".  Every
-    # policy gets the identical warm-up for a fair comparison.
-    shuffler = RandomDynamicPolicy(seed=seed)
-    runner.ensure_files_placed(
-        shuffler.initial_layout(files, cluster.device_names)
-    )
-    warm_runs = 0
-    while db.access_count() < scale.warmup_accesses:
-        runner.run_once()
-        warm_runs += 1
-        if warm_runs % scale.update_every == 0:
-            shuffled = shuffler.update_layout(db, files, cluster.device_names)
-            if shuffled:
-                cluster.apply_layout(shuffled, runner.clock.now)
+    # Every policy gets the identical warm-up for a fair comparison.
+    shuffled_warm_up(runner, files, scale, seed=seed)
 
     # Hand the cluster over to the policy under test.
     layout = policy.initial_layout(files, cluster.device_names)
@@ -154,21 +298,12 @@ def run_policy_experiment(
             )
         run_number += group
         if policy.dynamic and run_number % scale.update_every == 0:
-            current = {
-                fid: device
-                for fid, device in cluster.layout().items()
-                if fid in {f.fid for f in files}
-            }
-            new_layout = policy.update_layout(
-                db, files, cluster.available_device_names, current
+            moves = consult_policy(
+                policy, db, cluster, files,
+                cluster.available_device_names, runner.clock.now,
             )
-            if new_layout:
-                moves = cluster.apply_layout(new_layout, runner.clock.now)
-                _record_moves(db, moves)
-                if moves:
-                    result.movements.append(
-                        (result.access_count, len(moves))
-                    )
+            if moves:
+                result.movements.append((result.access_count, len(moves)))
     result.usage_percent = cluster.usage_percent()
     for name in cluster.device_names:
         stats = cluster.device(name).stats
@@ -178,8 +313,3 @@ def run_policy_experiment(
                 stats.std_throughput_gbps(),
             )
     return result
-
-
-def _record_moves(db: ReplayDB, moves: list[MovementRecord]) -> None:
-    if moves:
-        db.insert_movements(moves)

@@ -27,18 +27,21 @@ benchmark and the integration tests both lean on that.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.config import GeomancyConfig
-from repro.core.geomancy import Geomancy
 from repro.errors import ExperimentError
-from repro.experiments.harness import make_experiment_config
+from repro.experiments.harness import (
+    install_faults,
+    make_experiment_config,
+    movement_fingerprint,
+    run_through_agents,
+    start_facade_loop,
+)
 from repro.experiments.reporting import ascii_table
 from repro.experiments.spec import ExperimentScale, TEST_SCALE
-from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
 from repro.observability import Observability, use
 from repro.observability.profiling import (
@@ -49,13 +52,6 @@ from repro.observability.profiling import (
 )
 from repro.observability.slo import ControlPlaneSLOFeed, SLOMonitor
 from repro.replaydb.records import MovementRecord
-from repro.simulation.bluesky import make_bluesky_cluster
-from repro.workloads.belle2 import Belle2Workload
-from repro.workloads.files import belle2_file_population
-from repro.workloads.runner import WorkloadRunner
-
-#: the workload access stream seed every control-loop harness shares
-WORKLOAD_SEED = 1
 
 
 @dataclass
@@ -85,11 +81,7 @@ class InstrumentedRunResult:
     slo: list[dict] | None = None
 
     def movement_fingerprint(self) -> tuple:
-        """Hashable history for bit-for-bit determinism comparisons."""
-        return tuple(
-            (m.timestamp, m.fid, m.src_device, m.dst_device, m.succeeded)
-            for m in self.movements
-        )
+        return movement_fingerprint(self.movements)
 
     def to_text(self, profile_top: int = 15) -> str:
         rows = [
@@ -162,173 +154,117 @@ def run_instrumented(
     if obs is None:
         obs = Observability.from_config(config)
     with use(obs):
-        return _drive(
-            config=config,
-            scale=scale,
-            seed=seed,
-            obs=obs,
-            metrics_path=metrics_path,
-            metrics_snapshot_path=metrics_snapshot_path,
-            snapshot_every=snapshot_every,
-            trace_path=trace_path,
-            profile=profile,
-            specs=specs,
-            migration_failure_rate=migration_failure_rate,
+        # Components cache their handles at construction, so the system is
+        # built *after* the instance is installed.  Warm-up telemetry lands
+        # through the agents but is not traced per tick (ticks number the
+        # *measured* runs, matching the other harnesses' run indices).
+        geo, runner = start_facade_loop(
+            config, seed=seed, warmup_accesses=scale.warmup_accesses, obs=obs
         )
+        cluster = geo.cluster
 
+        slo_feed = None
+        if config.slo_enabled:
+            monitor = SLOMonitor(
+                ControlPlaneSLOFeed.default_specs(), bus=obs.bus
+            )
+            slo_feed = ControlPlaneSLOFeed(
+                monitor,
+                geo,
+                queue_delay_threshold_s=config.slo_queue_delay_threshold_s,
+                throughput_floor_gbps=config.slo_throughput_floor_gbps,
+            )
 
-def _drive(
-    *,
-    config: GeomancyConfig,
-    scale: ExperimentScale,
-    seed: int,
-    obs: Observability,
-    metrics_path,
-    metrics_snapshot_path,
-    snapshot_every: int,
-    trace_path,
-    profile: bool,
-    specs: tuple[str, ...],
-    migration_failure_rate: float,
-) -> InstrumentedRunResult:
-    # Components cache their handles at construction, so the system is
-    # built *after* the instance is installed (run_instrumented's `use`).
-    cluster = make_bluesky_cluster(seed=seed)
-    files = belle2_file_population(seed=seed)
-    geo = Geomancy(cluster, files, config, obs=obs)
-    geo.place_initial()
-    runner = WorkloadRunner(
-        cluster,
-        Belle2Workload(files, seed=WORKLOAD_SEED),
-        tolerate_offline=True,
-    )
-    # Warm-up: telemetry lands through the agents but is not traced per
-    # tick (ticks number the *measured* runs, matching the other
-    # harnesses' run indices).
-    while geo.db.access_count() < scale.warmup_accesses:
-        geo.observe_run(list(runner.run_stream()))
+        injector = None
+        if specs or migration_failure_rate:
+            injector = install_faults(
+                cluster,
+                FaultSchedule.from_specs(specs),
+                phase_start=runner.clock.now,
+                migration_failure_rate=migration_failure_rate,
+                seed=seed,
+            )
 
-    slo_feed = None
-    if config.slo_enabled:
-        monitor = SLOMonitor(
-            ControlPlaneSLOFeed.default_specs(), bus=obs.bus
-        )
-        slo_feed = ControlPlaneSLOFeed(
-            monitor,
-            geo,
-            queue_delay_threshold_s=config.slo_queue_delay_threshold_s,
-            throughput_floor_gbps=config.slo_throughput_floor_gbps,
-        )
-        if config.slo_arm_guardrail and geo.guardrail is not None:
-            monitor.arm(geo.guardrail)
+        throughput: list[float] = []
 
-    injector = None
-    if specs or migration_failure_rate:
-        # Fault times in the specs are relative to the start of the
-        # measured phase.
-        phase_start = runner.clock.now
-        schedule = FaultSchedule(
-            replace(event, at=event.at + phase_start)
-            for event in FaultSchedule.from_specs(specs)
-        )
-        injector = FaultInjector(
-            cluster,
-            schedule,
-            migration_failure_rate=migration_failure_rate,
-            seed=seed,
-        ).install()
-
-    throughput: list[float] = []
-
-    def measured_phase() -> None:
-        for run_number in range(1, scale.runs + 1):
-            with obs.tick(run_number):
-                with obs.span("simulator_advance"):
-                    records = []
-                    for record in runner.run_stream():
-                        if injector is not None:
-                            injector.advance(runner.clock.now)
-                        records.append(record)
-                    if injector is not None:
-                        injector.advance(runner.clock.now)
-                with obs.span("telemetry_collect", records=len(records)):
-                    run_gbps: list[float] = []
-                    for record in records:
-                        run_gbps.append(float(record.throughput_gbps))
-                        throughput.append(run_gbps[-1])
-                        geo.observe(record)
-                with obs.span("telemetry_flush"):
-                    geo.flush_telemetry(at=runner.clock.now)
-                geo.after_run(run_number, runner.clock.now)
-                if slo_feed is not None:
-                    now = runner.clock.now
-                    slo_feed.tick(now, run_index=run_number)
-                    slo_feed.observe_run(
-                        now,
-                        float(np.mean(run_gbps)) if run_gbps else 0.0,
-                        run_index=run_number,
+        def measured_phase() -> None:
+            for run_number in range(1, scale.runs + 1):
+                with obs.tick(run_number):
+                    run_gbps = [
+                        float(record.throughput_gbps)
+                        for record in run_through_agents(geo, runner, injector)
+                    ]
+                    throughput.extend(run_gbps)
+                    geo.after_run(run_number, runner.clock.now)
+                    if slo_feed is not None:
+                        now = runner.clock.now
+                        slo_feed.tick(now, run_index=run_number)
+                        slo_feed.observe_run(
+                            now,
+                            float(np.mean(run_gbps)) if run_gbps else 0.0,
+                            run_index=run_number,
+                        )
+                        slo_feed.monitor.evaluate(now, run_index=run_number)
+                if (
+                    metrics_snapshot_path is not None
+                    and run_number % snapshot_every == 0
+                ):
+                    obs.metrics.write_snapshot(
+                        metrics_snapshot_path, run=run_number, seed=seed
                     )
-                    slo_feed.monitor.evaluate(now, run_index=run_number)
-            if (
-                metrics_snapshot_path is not None
-                and run_number % snapshot_every == 0
-            ):
-                obs.metrics.write_snapshot(
-                    metrics_snapshot_path, run=run_number, seed=seed
-                )
 
-    report: ProfileReport | None = None
-    if profile:
-        report = profile_call(measured_phase)
-    else:
-        measured_phase()
-    if injector is not None:
-        injector.uninstall()
+        report: ProfileReport | None = None
+        if profile:
+            report = profile_call(measured_phase)
+        else:
+            measured_phase()
+        if injector is not None:
+            injector.uninstall()
 
-    artifacts: dict[str, str] = {}
-    prometheus = obs.metrics.render_prometheus()
-    if metrics_path is not None:
-        path = Path(metrics_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(prometheus)
-        artifacts["metrics"] = str(path)
-    if metrics_snapshot_path is not None:
-        artifacts["metrics_snapshots"] = str(Path(metrics_snapshot_path))
-    if trace_path is not None:
-        path = Path(trace_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # The provenance ledger contributes a causal track (batches and
-        # decisions as linked spans) alongside the tracer's own spans.
-        extra = geo.ledger.chrome_events() if geo.ledger is not None else None
-        obs.tracer.export_chrome(path, extra_events=extra)
-        artifacts["trace"] = str(path)
-    if geo.ledger is not None and geo.ledger.path is not None:
-        artifacts["provenance"] = str(geo.ledger.path)
+        artifacts: dict[str, str] = {}
+        prometheus = obs.metrics.render_prometheus()
+        if metrics_path is not None:
+            path = Path(metrics_path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(prometheus)
+            artifacts["metrics"] = str(path)
+        if metrics_snapshot_path is not None:
+            artifacts["metrics_snapshots"] = str(Path(metrics_snapshot_path))
+        if trace_path is not None:
+            path = Path(trace_path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            # The provenance ledger contributes a causal track (batches and
+            # decisions as linked spans) alongside the tracer's own spans.
+            extra = geo.ledger.chrome_events() if geo.ledger is not None else None
+            obs.tracer.export_chrome(path, extra_events=extra)
+            artifacts["trace"] = str(path)
+        if geo.ledger is not None and geo.ledger.path is not None:
+            artifacts["provenance"] = str(geo.ledger.path)
 
-    layout = cluster.layout()
-    return InstrumentedRunResult(
-        seed=seed,
-        scale_name=scale.name,
-        runs_completed=scale.runs,
-        accesses=len(throughput),
-        mean_gbps=float(np.mean(throughput)) if throughput else 0.0,
-        final_layout={spec.fid: layout[spec.fid] for spec in geo.files},
-        movements=geo.db.movements(),
-        prometheus=prometheus,
-        metrics=obs.metrics.snapshot(),
-        events=[event.to_dict() for event in obs.bus],
-        spans_recorded=len(obs.tracer.spans),
-        artifacts=artifacts,
-        profile=report,
-        attribution=(
-            span_attribution(obs.tracer) if obs.tracer.spans else None
-        ),
-        slo=(
-            [
-                status.to_dict()
-                for status in slo_feed.monitor.evaluate(runner.clock.now)
-            ]
-            if slo_feed is not None
-            else None
-        ),
-    )
+        layout = cluster.layout()
+        return InstrumentedRunResult(
+            seed=seed,
+            scale_name=scale.name,
+            runs_completed=scale.runs,
+            accesses=len(throughput),
+            mean_gbps=float(np.mean(throughput)) if throughput else 0.0,
+            final_layout={spec.fid: layout[spec.fid] for spec in geo.files},
+            movements=geo.db.movements(),
+            prometheus=prometheus,
+            metrics=obs.metrics.snapshot(),
+            events=[event.to_dict() for event in obs.bus],
+            spans_recorded=len(obs.tracer.spans),
+            artifacts=artifacts,
+            profile=report,
+            attribution=(
+                span_attribution(obs.tracer) if obs.tracer.spans else None
+            ),
+            slo=(
+                [
+                    status.to_dict()
+                    for status in slo_feed.monitor.evaluate(runner.clock.now)
+                ]
+                if slo_feed is not None
+                else None
+            ),
+        )

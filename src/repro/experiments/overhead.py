@@ -100,8 +100,7 @@ def run_overhead_study(
     telemetry = InMemoryTransport()
     daemon = InterfaceDaemon(ReplayDB(), telemetry, InMemoryTransport())
     agent = MonitoringAgent("people", telemetry, batch_size=32)
-    for record in live_records[:320]:
-        agent.observe(record)
+    agent.observe_many(live_records[:320])
     agent.flush(at=live_records[319].close_time)
     daemon.pump_telemetry()
     transfer_ms = (

@@ -28,7 +28,8 @@ just after the commit.  All raise :class:`~repro.errors.SimulatedCrash`.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,14 @@ import numpy as np
 from repro.core.config import GeomancyConfig
 from repro.core.geomancy import Geomancy
 from repro.errors import ExperimentError, SimulatedCrash
-from repro.experiments.harness import make_experiment_config
+from repro.experiments.harness import (
+    WORKLOAD_SEED,
+    install_faults,
+    make_experiment_config,
+    movement_fingerprint,
+    run_through_agents,
+    start_facade_loop,
+)
 from repro.experiments.reporting import ascii_table
 from repro.experiments.spec import ExperimentScale, TEST_SCALE
 from repro.faults.injector import FaultInjector
@@ -58,8 +66,6 @@ from repro.workloads.runner import WorkloadRunner
 
 #: file name of the write-ahead layout journal inside the checkpoint dir
 JOURNAL_NAME = "layout.journal"
-#: the workload access stream seed every control-loop harness shares
-WORKLOAD_SEED = 1
 
 KILL_POINTS = ("pre-commit", "mid-checkpoint", "post-commit")
 
@@ -90,11 +96,7 @@ class RecoverableRunResult:
     warnings: list[str] = field(default_factory=list)
 
     def movement_fingerprint(self) -> tuple:
-        """Hashable history for bit-for-bit determinism comparisons."""
-        return tuple(
-            (m.timestamp, m.fid, m.src_device, m.dst_device, m.succeeded)
-            for m in self.movements
-        )
+        return movement_fingerprint(self.movements)
 
     def to_text(self) -> str:
         rows = [
@@ -188,18 +190,13 @@ def _build_injector(
     specs = tuple(meta["schedule_specs"])
     if not specs:
         return None
-    schedule = FaultSchedule.from_specs(specs)
-    # Times are relative to the start of the measured phase.
-    shifted = FaultSchedule(
-        replace(event, at=event.at + meta["phase_start"])
-        for event in schedule
-    )
-    return FaultInjector(
+    return install_faults(
         cluster,
-        shifted,
+        FaultSchedule.from_specs(specs),
+        phase_start=meta["phase_start"],
         migration_failure_rate=meta["migration_failure_rate"],
         seed=seed,
-    ).install()
+    )
 
 
 def run_recoverable(
@@ -246,24 +243,17 @@ def run_recoverable(
         **config_overrides,
     )
     checkpoint_dir = Path(checkpoint_dir)
-    cluster = make_bluesky_cluster(seed=seed)
-    files = belle2_file_population(seed=seed)
-    journal = LayoutJournal(checkpoint_dir / JOURNAL_NAME)
     event_log = EventLog()
-    geo = Geomancy(
-        cluster, files, config, journal=journal, event_log=event_log
-    )
-    geo.place_initial()
-    runner = WorkloadRunner(
-        cluster,
-        Belle2Workload(files, seed=WORKLOAD_SEED),
-        tolerate_offline=True,
-    )
     # Warm-up: telemetry lands through the agents but is not measured.
     # Checkpoints only cover the measured phase; a kill during warm-up
     # means starting over (warm-up is cheap and fully deterministic).
-    while geo.db.access_count() < scale.warmup_accesses:
-        geo.observe_run(list(runner.run_stream()))
+    geo, runner = start_facade_loop(
+        config,
+        seed=seed,
+        warmup_accesses=scale.warmup_accesses,
+        journal=LayoutJournal(checkpoint_dir / JOURNAL_NAME),
+        event_log=event_log,
+    )
 
     meta = {
         "seed": seed,
@@ -274,7 +264,7 @@ def run_recoverable(
         "migration_failure_rate": float(migration_failure_rate),
         "phase_start": runner.clock.now,
     }
-    injector = _build_injector(cluster, meta, seed)
+    injector = _build_injector(geo.cluster, meta, seed)
     rail = _build_guardrail(
         config, event_log, weight_rollback=geo.engine.rollback_weights
     )
@@ -429,7 +419,7 @@ def _rollback_to_known_good(s: _Session, *, t: float, run_number: int) -> None:
         for fid, device in target.items()
         if current.get(fid) != device
     }
-    movements = s.geo._dispatch(diff, t) if diff else []
+    movements = s.geo.dispatch(diff, t, kind="rollback") if diff else []
     s.loop["pending_predicted"] = None
     s.geo.event_log.emit(
         "guardrail-rollback",
@@ -441,45 +431,33 @@ def _rollback_to_known_good(s: _Session, *, t: float, run_number: int) -> None:
     )
 
 
+def _lru_fallback(geo: Geomancy, _outcome, available: list[str], t: float):
+    """The ``lru`` fallback policy's layout for one benched cycle."""
+    if not available:
+        return []
+    current = geo.cluster.layout({spec.fid for spec in geo.files})
+    proposal = LRUPolicy().update_layout(
+        geo.db, geo.files, available, current
+    )
+    diff = {
+        fid: device
+        for fid, device in (proposal or {}).items()
+        if current.get(fid) != device
+    }
+    return geo.dispatch(diff, t, kind="fallback") if diff else []
+
+
 def _fallback_cycle(s: _Session, *, t: float, run_number: int) -> None:
     """Safety duties (and the fallback policy) while the learner is benched."""
     geo = s.geo
-    if not geo.scheduler.should_move(run_number):
-        return
-    available = geo.health.healthy(geo.cluster.available_device_names, t)
-    rescue = geo._rescue_layout(available)
-    if rescue:
-        moved = geo._dispatch(rescue, t)
-        rescued = sum(1 for m in moved if m.succeeded)
-        s.loop["rescued"] += rescued
-        geo.event_log.emit(
-            "stranded-file-rescued",
-            t=t,
-            step=run_number,
-            rescued=rescued,
-            attempted=len(rescue),
-            targets={str(fid): dst for fid, dst in sorted(rescue.items())},
-        )
-    if s.config.fallback_policy == "lru" and available:
-        fids = {spec.fid for spec in geo.files}
-        current = {
-            fid: device
-            for fid, device in geo.cluster.layout().items()
-            if fid in fids
-        }
-        proposal = LRUPolicy().update_layout(
-            geo.db, geo.files, available, current
-        )
-        if proposal:
-            diff = {
-                fid: device
-                for fid, device in proposal.items()
-                if current.get(fid) != device
-            }
-            if diff:
-                geo._dispatch(diff, t)
-    if geo.control.has_due_retries(t):
-        geo._dispatch({}, t)
+    outcome = geo.safety_step(
+        run_number,
+        t,
+        partial(_lru_fallback, geo)
+        if s.config.fallback_policy == "lru"
+        else None,
+    )
+    s.loop["rescued"] += outcome.rescued_files
 
 
 def _measured_loop(
@@ -492,17 +470,11 @@ def _measured_loop(
     cluster = geo.cluster
     checkpoint_every = s.config.checkpoint_every
     for run_number in range(loop["next_run"], s.scale.runs + 1):
-        run_gbps: list[float] = []
-        for record in runner.run_stream():
-            if s.injector is not None:
-                s.injector.advance(runner.clock.now)
-            gbps = float(record.throughput_gbps)
-            run_gbps.append(gbps)
-            loop["throughput"].append(gbps)
-            geo.observe(record)
-        if s.injector is not None:
-            s.injector.advance(runner.clock.now)
-        geo.flush_telemetry(at=runner.clock.now)
+        run_gbps = [
+            float(record.throughput_gbps)
+            for record in run_through_agents(geo, runner, s.injector)
+        ]
+        loop["throughput"].extend(run_gbps)
         t = runner.clock.now
         realized = float(np.mean(run_gbps)) if run_gbps else None
 

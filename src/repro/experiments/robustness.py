@@ -16,14 +16,19 @@ movement history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.geomancy import Geomancy
 from repro.errors import ExperimentError
-from repro.experiments.fig5_comparison import GEOMANCY, run_fig5a
-from repro.experiments.harness import make_experiment_config
+from repro.experiments.harness import (
+    install_faults,
+    make_experiment_config,
+    movement_fingerprint,
+    run_through_agents,
+    start_facade_loop,
+)
 from repro.experiments.reporting import ascii_table
 from repro.experiments.spec import ExperimentScale, TEST_SCALE
 from repro.faults.chaos_transport import ChaosTransport
@@ -31,10 +36,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.invariants import cluster_invariant_violations
 from repro.faults.schedule import FaultSchedule
 from repro.replaydb.records import MovementRecord
-from repro.simulation.bluesky import make_bluesky_cluster
-from repro.workloads.belle2 import Belle2Workload
-from repro.workloads.files import belle2_file_population
-from repro.workloads.runner import WorkloadRunner
 
 
 @dataclass
@@ -114,31 +115,14 @@ def run_robustness(
 ) -> RobustnessResult:
     """Repeat Fig. 5a for each seed.
 
-    ``workers > 1`` spreads the (policy x seed) grid across processes via
-    :mod:`repro.experiments.parallel`; merging is seed-deterministic, so
-    the result equals the serial sweep bit-for-bit.
+    The (policy x seed) grid runs through
+    :mod:`repro.experiments.parallel`, in this process (``workers=1``) or
+    spread across ``workers`` processes; merging is seed-deterministic,
+    so the result is bit-for-bit the same either way.
     """
-    if not seeds:
-        raise ExperimentError("need at least one seed")
-    if workers > 1:
-        from repro.experiments import parallel
+    from repro.experiments import parallel
 
-        return parallel.run_robustness(
-            seeds=seeds, scale=scale, workers=workers
-        )
-    outcomes = []
-    for seed in seeds:
-        result = run_fig5a(scale=scale, seed=seed)
-        best = result.best_baseline()
-        outcomes.append(
-            SeedOutcome(
-                seed=seed,
-                geomancy_gbps=result.mean(GEOMANCY),
-                best_baseline=best,
-                best_baseline_gbps=result.mean(best),
-            )
-        )
-    return RobustnessResult(outcomes=outcomes)
+    return parallel.run_robustness(seeds=seeds, scale=scale, workers=workers)
 
 
 # -- chaos engineering ---------------------------------------------------
@@ -207,11 +191,7 @@ class ChaosResult:
         return self.recovery_times[-1] if self.recovery_times else None
 
     def movement_fingerprint(self) -> tuple:
-        """Hashable history for determinism comparisons across runs."""
-        return tuple(
-            (m.timestamp, m.fid, m.src_device, m.dst_device, m.succeeded)
-            for m in self.movements
-        )
+        return movement_fingerprint(self.movements)
 
     def to_text(self) -> str:
         rows = [
@@ -252,41 +232,31 @@ def _run_control_loop(
     *,
     scale: ExperimentScale,
     seed: int,
-    schedule: FaultSchedule | None,
-    migration_failure_rate: float,
-    drop_rate: float,
-    delay_rate: float,
-    reorder_rate: float,
-    corrupt_rate: float,
-    chaos: bool,
+    transport_faults: dict[str, float] | None = None,
+    schedule: FaultSchedule | None = None,
+    migration_failure_rate: float = 0.0,
     baseline_duration: float | None = None,
 ) -> tuple[_PhaseStats, Geomancy, FaultInjector | None]:
     """One full warm-up + measured Geomancy loop, optionally under faults.
 
-    Telemetry flows through the monitoring agents and the (possibly lossy)
+    ``transport_faults`` (the :class:`ChaosTransport` rates) makes it the
+    chaos twin; without it the loop is the fault-free baseline.  Telemetry
+    flows through the monitoring agents and the (possibly lossy)
     transport rather than straight into the DB, so transport faults have
     real consequences for what the engine trains on.
     """
-    cluster = make_bluesky_cluster(seed=seed)
-    files = belle2_file_population(seed=seed)
-    config = make_experiment_config(scale, seed=seed)
+    chaos = transport_faults is not None
     telemetry = (
-        ChaosTransport(
-            drop_rate=drop_rate, delay_rate=delay_rate,
-            reorder_rate=reorder_rate, corrupt_rate=corrupt_rate,
-            seed=seed,
-        )
-        if chaos
-        else None
-    )
-    geo = Geomancy(cluster, files, config, telemetry=telemetry)
-    geo.place_initial()
-    runner = WorkloadRunner(
-        cluster, Belle2Workload(files, seed=1), tolerate_offline=True
+        ChaosTransport(seed=seed, **transport_faults) if chaos else None
     )
     # Warm-up: telemetry lands (through the agents) but is not measured.
-    while geo.db.access_count() < scale.warmup_accesses:
-        geo.observe_run(runner.run_once().records)
+    geo, runner = start_facade_loop(
+        make_experiment_config(scale, seed=seed),
+        seed=seed,
+        warmup_accesses=scale.warmup_accesses,
+        telemetry=telemetry,
+    )
+    cluster, files = geo.cluster, geo.files
 
     injector = None
     phase_start = runner.clock.now
@@ -301,14 +271,10 @@ def _run_control_loop(
                     "duration was provided to resolve them"
                 )
             resolved = resolved.resolved(baseline_duration)
-        # Schedule times are relative to the start of the measured phase.
-        shifted = FaultSchedule(
-            replace(event, at=event.at + phase_start) for event in resolved
-        )
-        injector = FaultInjector(
-            cluster, shifted,
+        injector = install_faults(
+            cluster, resolved, phase_start=phase_start,
             migration_failure_rate=migration_failure_rate, seed=seed,
-        ).install()
+        )
 
     throughput: list[float] = []
     measured_fail_start = runner.failed_accesses
@@ -317,17 +283,10 @@ def _run_control_loop(
     stranded_since: float | None = None
     violations: list[str] = []
     for run_number in range(1, scale.runs + 1):
-        # The injector advances after every served access (access_batch
-        # invokes the hook at the clock values an access-by-access loop
-        # would show); telemetry follows once the run is over.
-        run = runner.run_once(
-            advance_hook=injector.advance if injector is not None else None
+        throughput.extend(
+            r.throughput_gbps
+            for r in run_through_agents(geo, runner, injector)
         )
-        throughput.extend(r.throughput_gbps for r in run.records)
-        geo.observe_records(run.records)
-        if injector is not None:
-            injector.advance(runner.clock.now)
-        geo.flush_telemetry(at=runner.clock.now)
         outcome = geo.after_run(run_number, runner.clock.now)
         rescued += outcome.rescued_files
         stranded = len(cluster.files_stranded())
@@ -374,16 +333,14 @@ def run_chaos(
         else DEFAULT_CHAOS_SCHEDULE
     )
     schedule = FaultSchedule.from_specs(specs) if specs else None
-    baseline, _, _ = _run_control_loop(
-        scale=scale, seed=seed, schedule=None,
-        migration_failure_rate=0.0, drop_rate=0.0, delay_rate=0.0,
-        reorder_rate=0.0, corrupt_rate=0.0, chaos=False,
-    )
+    baseline, _, _ = _run_control_loop(scale=scale, seed=seed)
     stats, geo, injector = _run_control_loop(
         scale=scale, seed=seed, schedule=schedule,
         migration_failure_rate=migration_failure_rate,
-        drop_rate=drop_rate, delay_rate=delay_rate,
-        reorder_rate=reorder_rate, corrupt_rate=corrupt_rate, chaos=True,
+        transport_faults=dict(
+            drop_rate=drop_rate, delay_rate=delay_rate,
+            reorder_rate=reorder_rate, corrupt_rate=corrupt_rate,
+        ),
         baseline_duration=baseline.duration_s,
     )
     telemetry = geo.telemetry

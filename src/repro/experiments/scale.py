@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.core.config import GeomancyConfig
 from repro.errors import ExperimentError, ShardingError
+from repro.experiments.harness import consult_policy
 from repro.experiments.reporting import ascii_table
 from repro.policies.geomancy_policy import GeomancyDynamicPolicy
 from repro.replaydb.db import ReplayDB
@@ -228,9 +229,6 @@ def _shard_config(point: ScalePoint, shard: int) -> GeomancyConfig:
         require_skill=point.gates,
         require_ranking_sanity=point.gates,
         max_actionable_mare=300.0 if point.gates else 1e18,
-        shards=point.shards,
-        cross_shard_margin=point.margin,
-        max_cross_shard_moves=point.max_moves,
         seed=point.seed + shard,
     )
 
@@ -286,7 +284,6 @@ def _run_span(
         accesses += count
     cluster.reset_stats()
 
-    fidset = {f.fid for f in files}
     measured_accesses = 0
     throughput_sum = 0.0
     decision_epochs = 0
@@ -308,19 +305,12 @@ def _run_span(
         run_number += group
         if run_number % point.update_every == 0:
             t0 = time.perf_counter()
-            current = {
-                fid: device
-                for fid, device in cluster.layout().items()
-                if fid in fidset
-            }
-            new_layout = policy.update_layout(
-                db, files, cluster.available_device_names, current
+            moved_files += len(
+                consult_policy(
+                    policy, db, cluster, files,
+                    cluster.available_device_names, runner.clock.now,
+                )
             )
-            if new_layout:
-                moves = cluster.apply_layout(new_layout, runner.clock.now)
-                if moves:
-                    db.insert_movements(moves)
-                    moved_files += len(moves)
             decision_seconds += time.perf_counter() - t0
             decision_epochs += 1
 
@@ -459,6 +449,43 @@ class ScalePointResult:
         }
 
 
+def _point_result(
+    point: ScalePoint,
+    spans: list[tuple[int, ShardSpanResult]],
+    t_start: float,
+    cross_moves: list[CrossShardMove] = (),
+) -> ScalePointResult:
+    """Fold a point's ``(round, span)`` results into one row."""
+    measured_accesses = sum(span.measured_accesses for _, span in spans)
+    throughput_weighted = sum(
+        span.mean_throughput_gbps * span.measured_accesses
+        for _, span in spans
+    )
+    fingerprints = tuple(
+        (round_index, span.shard, span.fingerprint)
+        for round_index, span in spans
+    )
+    return ScalePointResult(
+        point=point,
+        accesses=sum(span.accesses for _, span in spans),
+        measured_accesses=measured_accesses,
+        decision_epochs=sum(span.decision_epochs for _, span in spans),
+        decision_seconds=sum(span.decision_seconds for _, span in spans),
+        simulation_seconds=sum(span.simulation_seconds for _, span in spans),
+        wall_seconds=time.perf_counter() - t_start,
+        mean_throughput_gbps=(
+            throughput_weighted / measured_accesses
+            if measured_accesses
+            else 0.0
+        ),
+        moved_files=sum(span.moved_files for _, span in spans),
+        cross_shard_moves=len(cross_moves),
+        cross_shard_bytes=sum(m.size_bytes for m in cross_moves),
+        peak_rss_bytes=_peak_rss_bytes(),
+        fingerprint=hashlib.sha256(repr(fingerprints).encode()).hexdigest(),
+    )
+
+
 def run_scale_point(
     point: ScalePoint, *, workers: int = 1
 ) -> ScalePointResult:
@@ -483,15 +510,8 @@ def run_scale_point(
     # needs to cross the process boundary.
     reassigned: tuple[tuple[int, int], ...] = ()
     runs_per_round = point.warmup_runs + point.runs
-    accesses = 0
-    measured_accesses = 0
-    decision_epochs = 0
-    decision_seconds = 0.0
-    simulation_seconds = 0.0
-    throughput_weighted = 0.0
-    moved_files = 0
+    all_spans: list[tuple[int, ShardSpanResult]] = []
     cross_moves: list[CrossShardMove] = []
-    fingerprints: list[tuple[int, int, str]] = []
     for round_index in range(point.rounds):
         specs = [
             ShardSpanSpec(
@@ -503,17 +523,7 @@ def run_scale_point(
             for shard in range(point.shards)
         ]
         spans = run_scale_spans(specs, workers=workers)
-        for span in spans:
-            accesses += span.accesses
-            measured_accesses += span.measured_accesses
-            decision_epochs += span.decision_epochs
-            decision_seconds += span.decision_seconds
-            simulation_seconds += span.simulation_seconds
-            throughput_weighted += (
-                span.mean_throughput_gbps * span.measured_accesses
-            )
-            moved_files += span.moved_files
-            fingerprints.append((round_index, span.shard, span.fingerprint))
+        all_spans.extend((round_index, span) for span in spans)
         if point.shards > 1 and round_index < point.rounds - 1:
             digests = [
                 ShardDigest(
@@ -532,26 +542,7 @@ def run_scale_point(
             reassigned = reassigned + tuple(
                 (move.fid, move.dst_shard) for move in moves
             )
-    combined = hashlib.sha256(repr(tuple(fingerprints)).encode()).hexdigest()
-    return ScalePointResult(
-        point=point,
-        accesses=accesses,
-        measured_accesses=measured_accesses,
-        decision_epochs=decision_epochs,
-        decision_seconds=decision_seconds,
-        simulation_seconds=simulation_seconds,
-        wall_seconds=time.perf_counter() - t_start,
-        mean_throughput_gbps=(
-            throughput_weighted / measured_accesses
-            if measured_accesses
-            else 0.0
-        ),
-        moved_files=moved_files,
-        cross_shard_moves=len(cross_moves),
-        cross_shard_bytes=sum(m.size_bytes for m in cross_moves),
-        peak_rss_bytes=_peak_rss_bytes(),
-        fingerprint=combined,
-    )
+    return _point_result(point, all_spans, t_start, cross_moves)
 
 
 def run_unsharded_oracle(point: ScalePoint) -> ScalePointResult:
@@ -567,14 +558,7 @@ def run_unsharded_oracle(point: ScalePoint) -> ScalePointResult:
         )
     t_start = time.perf_counter()
     runs_per_round = point.warmup_runs + point.runs
-    accesses = 0
-    measured_accesses = 0
-    decision_epochs = 0
-    decision_seconds = 0.0
-    simulation_seconds = 0.0
-    throughput_weighted = 0.0
-    moved_files = 0
-    fingerprints: list[tuple[int, int, str]] = []
+    spans: list[tuple[int, ShardSpanResult]] = []
     for round_index in range(point.rounds):
         files = belle2_file_population(point.files, seed=point.seed)
         cluster = make_scaled_cluster(
@@ -592,34 +576,8 @@ def run_unsharded_oracle(point: ScalePoint) -> ScalePointResult:
             workload=workload,
             run_offset=round_index * runs_per_round,
         )
-        accesses += span.accesses
-        measured_accesses += span.measured_accesses
-        decision_epochs += span.decision_epochs
-        decision_seconds += span.decision_seconds
-        simulation_seconds += span.simulation_seconds
-        throughput_weighted += span.mean_throughput_gbps * span.measured_accesses
-        moved_files += span.moved_files
-        fingerprints.append((round_index, 0, span.fingerprint))
-    combined = hashlib.sha256(repr(tuple(fingerprints)).encode()).hexdigest()
-    return ScalePointResult(
-        point=point,
-        accesses=accesses,
-        measured_accesses=measured_accesses,
-        decision_epochs=decision_epochs,
-        decision_seconds=decision_seconds,
-        simulation_seconds=simulation_seconds,
-        wall_seconds=time.perf_counter() - t_start,
-        mean_throughput_gbps=(
-            throughput_weighted / measured_accesses
-            if measured_accesses
-            else 0.0
-        ),
-        moved_files=moved_files,
-        cross_shard_moves=0,
-        cross_shard_bytes=0,
-        peak_rss_bytes=_peak_rss_bytes(),
-        fingerprint=combined,
-    )
+        spans.append((round_index, span))
+    return _point_result(point, spans, t_start)
 
 
 _SWEEP_HEADERS = (

@@ -54,19 +54,12 @@ class Observability:
         self,
         *,
         enabled: bool = True,
-        metrics_enabled: bool = True,
-        trace_enabled: bool = True,
         trace_sample_rate: float = 1.0,
-        histogram_buckets: tuple[float, ...] = DEFAULT_BUCKETS,
     ) -> None:
         self.enabled = bool(enabled)
-        self.metrics = MetricsRegistry(
-            enabled=self.enabled and metrics_enabled,
-            default_buckets=tuple(histogram_buckets),
-        )
+        self.metrics = MetricsRegistry(enabled=self.enabled)
         self.tracer = Tracer(
-            enabled=self.enabled and trace_enabled,
-            sample_rate=trace_sample_rate,
+            enabled=self.enabled, sample_rate=trace_sample_rate
         )
         self.tracer._drop_counter = self.metrics.counter(
             "repro_trace_spans_dropped_total",
@@ -101,10 +94,7 @@ class Observability:
         """Build from the :class:`~repro.core.config.GeomancyConfig` knobs."""
         return cls(
             enabled=config.observability_enabled,
-            metrics_enabled=config.metrics_enabled,
-            trace_enabled=config.trace_enabled,
             trace_sample_rate=config.trace_sample_rate,
-            histogram_buckets=config.histogram_buckets,
         )
 
 

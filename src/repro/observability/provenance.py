@@ -139,7 +139,8 @@ class DecisionProvenance:
     decision_id: str
     #: trace id stamped onto the LayoutCommand and its MovementRecords
     trace_id: str
-    #: "decision" (model-proposed layout), "rescue", or "retry"
+    #: "decision" (model-proposed layout), "rescue", "retry", or a
+    #: recovery harness's "rollback" / "fallback"
     kind: str
     run_index: int
     t: float

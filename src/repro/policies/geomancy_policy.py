@@ -14,11 +14,9 @@ loop as every baseline).
 
 from __future__ import annotations
 
-from repro.core.action_checker import ActionChecker
 from repro.core.config import GeomancyConfig
+from repro.core.decision import DecisionPath
 from repro.core.engine import DRLEngine
-from repro.core.layout import as_layout, cap_moves, layout_diff
-from repro.core.scheduler import AccessGapScheduler
 from repro.errors import PolicyError
 from repro.policies.base import PlacementPolicy, spread_in_groups
 from repro.replaydb.db import ReplayDB
@@ -62,12 +60,17 @@ class GeomancyStaticPolicy(PlacementPolicy):
 class GeomancyDynamicPolicy(PlacementPolicy):
     """Retrains and relayouts every time the harness consults it.
 
-    Applies the full decision path: engine proposal, Action Checker
-    validity filter + 10% exploration, and the 1-14-file move cap.
+    Applies the full decision path (:class:`~repro.core.decision.
+    DecisionPath`): engine proposal behind its actionability gates, Action
+    Checker validity filter + 10% exploration, and the 1-14-file move cap.
     """
 
     name = "Geomancy dynamic"
     dynamic = True
+
+    #: assumed migration bandwidth for gap estimation (10 GbE); the
+    #: policy interface has no cluster handle to measure the real link
+    ASSUMED_LINK_BYTES_PER_S = 1.25e9
 
     def __init__(
         self,
@@ -77,17 +80,9 @@ class GeomancyDynamicPolicy(PlacementPolicy):
         if not device_by_fsid:
             raise PolicyError("device_by_fsid must not be empty")
         self.config = config if config is not None else GeomancyConfig()
-        self.engine = DRLEngine(self.config)
+        self.decision_path = DecisionPath(self.config)
+        self.engine = self.decision_path.engine
         self.device_by_fsid = dict(device_by_fsid)
-        self.checker = ActionChecker(
-            self.config.exploration_rate, seed=self.config.seed
-        )
-        self.gap_scheduler = (
-            AccessGapScheduler() if self.config.use_gap_scheduler else None
-        )
-        #: assumed migration bandwidth for gap estimation (10 GbE); the
-        #: policy interface has no cluster handle to measure the real link
-        self.assumed_link_bytes_per_s = 1.25e9
 
     def initial_layout(
         self, files: list[FileSpec], devices: list[str]
@@ -103,43 +98,13 @@ class GeomancyDynamicPolicy(PlacementPolicy):
         current: dict[int, str] | None = None,
     ) -> dict[int, str] | None:
         self._require(files, devices)
-        if db.access_count() < 50:
-            return None
-        report = (
-            self.engine.train_incremental(db)
-            if self.config.online_learning
-            else self.engine.train(db)
+        sizes = {f.fid: f.size_bytes for f in files}
+        decision = self.decision_path.decide(
+            db,
+            list(sizes),
+            self.device_by_fsid,
+            set(devices),
+            current,
+            lambda fid: sizes.get(fid, 0) / self.ASSUMED_LINK_BYTES_PER_S,
         )
-        skip = (
-            (self.config.require_skill and not report.skillful)
-            or report.diverged
-            or report.test_mare > self.config.max_actionable_mare
-        )
-        if skip:
-            return None
-        if (
-            self.config.require_ranking_sanity
-            and self.engine.ranking_correlation(db, self.device_by_fsid) < 0.0
-        ):
-            return None
-        proposal, gains = self.engine.propose_layout(
-            db, [f.fid for f in files], self.device_by_fsid
-        )
-        if current is None:
-            return proposal or None
-        checked = self.checker.check(proposal, set(devices), dict(current))
-        changes = layout_diff(dict(current), checked)
-        changes = cap_moves(changes, self.config.max_files_per_move, gains)
-        if self.gap_scheduler is not None:
-            # Section X extension: only move files whose observed access
-            # gaps accommodate the (estimated) transfer time.
-            sizes = {f.fid: f.size_bytes for f in files}
-            changes = [
-                change for change in changes
-                if self.gap_scheduler.can_move(
-                    db,
-                    change.fid,
-                    sizes.get(change.fid, 0) / self.assumed_link_bytes_per_s,
-                )
-            ]
-        return as_layout(changes) or None
+        return decision.layout or None

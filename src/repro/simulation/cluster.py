@@ -341,13 +341,17 @@ class StorageCluster:
     def files(self) -> list[FileInfo]:
         return list(self._files.values())
 
-    def layout(self) -> dict[int, str]:
-        """Current placement: fid -> device name.
+    def layout(self, fids: set[int] | None = None) -> dict[int, str]:
+        """Current placement: fid -> device name (of ``fids`` only, if given).
 
         This is the paper's "configuration file" that workloads consult
         before each access (section VI).
         """
-        return {fid: info.device for fid, info in self._files.items()}
+        return {
+            fid: info.device
+            for fid, info in self._files.items()
+            if fids is None or fid in fids
+        }
 
     def files_on(self, device: str) -> list[FileInfo]:
         self.device(device)  # validate

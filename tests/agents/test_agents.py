@@ -89,16 +89,16 @@ class TestMonitoringAgent:
     def test_buffers_until_batch_size(self):
         transport = InMemoryTransport()
         agent = MonitoringAgent("var", transport, batch_size=3)
-        agent.observe(access(t=1))
-        agent.observe(access(t=2))
+        agent.observe_many([access(t=1)])
+        agent.observe_many([access(t=2)])
         assert transport.pending == 0 and agent.buffered == 2
-        agent.observe(access(t=3))
+        agent.observe_many([access(t=3)])
         assert transport.pending == 1 and agent.buffered == 0
 
     def test_flush_sends_partial_batch(self):
         transport = InMemoryTransport()
         agent = MonitoringAgent("var", transport, batch_size=100)
-        agent.observe(access())
+        agent.observe_many([access()])
         assert agent.flush(at=11.0)
         batch = transport.receive()
         assert isinstance(batch, TelemetryBatch)
@@ -111,7 +111,7 @@ class TestMonitoringAgent:
     def test_wrong_device_rejected(self):
         agent = MonitoringAgent("var", InMemoryTransport())
         with pytest.raises(AgentError, match="observed access on"):
-            agent.observe(access("file0"))
+            agent.observe_many([access("file0")])
 
     def test_invalid_construction(self):
         with pytest.raises(AgentError):
@@ -208,15 +208,15 @@ class TestAutoFlushTiming:
     def test_auto_flush_uses_last_record_close_time(self):
         transport = InMemoryTransport()
         agent = MonitoringAgent("var", transport, batch_size=2)
-        agent.observe(access(t=5))
-        agent.observe(access(t=9))
+        agent.observe_many([access(t=5)])
+        agent.observe_many([access(t=9)])
         batch = transport.receive()
         assert batch.sent_at == pytest.approx(10.0)  # close of t=9 access
 
     def test_observed_counter_survives_flushes(self):
         agent = MonitoringAgent("var", InMemoryTransport(), batch_size=1)
         for t in (1, 3, 5):
-            agent.observe(access(t=t))
+            agent.observe_many([access(t=t)])
         assert agent.observed == 3
         assert agent.buffered == 0
 

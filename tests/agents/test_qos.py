@@ -229,7 +229,7 @@ class TestMonitoringBackpressure:
             "var", transport, batch_size=8, downsample_factor=2,
         )
         for i in range(8):
-            agent.observe(access(fid=i, t=i + 1))
+            agent.observe_many([access(fid=i, t=i + 1)])
         # The auto-flush was refused: half the records survive as backlog.
         assert agent.sends_rejected == 1
         assert agent.buffered == 4
@@ -241,10 +241,10 @@ class TestMonitoringBackpressure:
         transport.send("occupier")
         agent = MonitoringAgent("var", transport, batch_size=4)
         for i in range(4):
-            agent.observe(access(fid=i, t=i + 1))
+            agent.observe_many([access(fid=i, t=i + 1)])
         assert agent.buffered == 2
         transport.receive()  # pressure clears
-        agent.observe(access(fid=9, t=9))
+        agent.observe_many([access(fid=9, t=9)])
         assert agent.flush(at=10.0) is True
         sent = transport.receive()
         fids = [record.fid for record in sent.records]
@@ -258,21 +258,21 @@ class TestMonitoringBackpressure:
             backlog_batches=1,
         )
         for i in range(32):
-            agent.observe(access(fid=i, t=i + 1))
+            agent.observe_many([access(fid=i, t=i + 1)])
         assert agent.buffered <= 4 + agent.batch_size
 
     def test_tenant_rides_on_batches(self):
         transport = InMemoryTransport()
         agent = MonitoringAgent("var", transport, batch_size=2, tenant="b2")
-        agent.observe(access(fid=1, t=1))
-        agent.observe(access(fid=2, t=2))
+        agent.observe_many([access(fid=1, t=1)])
+        agent.observe_many([access(fid=2, t=2)])
         assert transport.receive().tenant == "b2"
 
     def test_drop_oldest_transport_never_backpressures(self):
         transport = InMemoryTransport(maxsize=1, policy="drop-oldest")
         agent = MonitoringAgent("var", transport, batch_size=2)
         for i in range(8):
-            agent.observe(access(fid=i, t=i + 1))
+            agent.observe_many([access(fid=i, t=i + 1)])
         # Queue sheds internally; the sender never coalesces.
         assert agent.sends_rejected == 0
         assert agent.buffered == 0

@@ -57,9 +57,10 @@ class TestTelemetryPath:
         _, geo, runner = setup
         result = runner.run_once()
         before = geo.db.access_count()
-        geo.observe_run(result.records)
-        # Note the runner also wrote directly into geo.db; observe_run
-        # routes through the agents, so the count at least doubles.
+        geo.observe_records(result.records)
+        geo.flush_telemetry(at=runner.clock.now)
+        # Note the runner also wrote directly into geo.db; this route
+        # goes through the agents, so the count at least doubles.
         assert geo.db.access_count() > before
 
     def test_observe_unknown_device_rejected(self, setup):
@@ -70,7 +71,7 @@ class TestTelemetryPath:
             ots=0, otms=0, cts=1, ctms=0,
         )
         with pytest.raises(AgentError):
-            geo.observe(bad)
+            geo.observe_records([bad])
 
     def test_monitoring_agents_per_device(self, setup):
         cluster, geo, _ = setup
@@ -237,7 +238,8 @@ class TestQosWiring:
                 cluster, Belle2Workload(files, seed=1), geo.db,
             )
             for i in range(6):
-                geo.observe_run(runner.run_once().records)
+                geo.observe_records(runner.run_once().records)
+                geo.flush_telemetry(at=runner.clock.now)
                 geo.after_run(i, float(i))
             return (
                 cluster.layout(),

@@ -61,7 +61,7 @@ class TestLazyMonitors:
             fid=0, fsid=99, device="late", path="p", rb=1, wb=0,
             ots=0, otms=0, cts=1, ctms=0,
         )
-        geo.observe(record)
+        geo.observe_records([record])
         assert "late" in geo.monitors
         assert geo.monitors["late"].observed == 1
 
@@ -72,7 +72,7 @@ class TestLazyMonitors:
             ots=0, otms=0, cts=1, ctms=0,
         )
         with pytest.raises(AgentError, match="ghost"):
-            geo.observe(record)
+            geo.observe_records([record])
         assert "ghost" not in geo.monitors
 
 
@@ -121,7 +121,9 @@ class TestStrandedRescue:
         geo.config = quick_config(max_files_per_move=2)
         warm_up(geo, runner)
         cluster.set_device_online("file0", False)
-        assert len(geo._rescue_layout(["var", "tmp"])) <= 2
+        assert len(cluster.files_stranded()) > 2
+        outcome = geo.safety_step(1, runner.clock.now)
+        assert 0 < len(outcome.movements) <= 2
 
     def test_quarantined_devices_get_no_rescued_files(self, setup):
         cluster, geo, runner = setup

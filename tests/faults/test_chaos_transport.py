@@ -102,7 +102,7 @@ class TestDaemonUnderChaos:
         transport = ChaosTransport(corrupt_rate=1.0)
         daemon = InterfaceDaemon(db, transport, InMemoryTransport())
         agent = MonitoringAgent("a", transport)
-        agent.observe(make_record())
+        agent.observe_many([make_record()])
         agent.flush(at=2.0)
         assert daemon.pump_telemetry() == 0
         assert daemon.dead_letters == 1
@@ -114,7 +114,7 @@ class TestDaemonUnderChaos:
         daemon = InterfaceDaemon(db, transport, InMemoryTransport())
         agent = MonitoringAgent("a", transport)
         for n in range(10):
-            agent.observe(make_record(n))
+            agent.observe_many([make_record(n)])
             agent.flush(at=float(n) + 1.5)
         stored = daemon.pump_telemetry()
         assert stored == db.access_count()

@@ -84,7 +84,7 @@ def _drive(causal, monitor, daemon, transport, op_list):
         else:
             _, n = op
             for _ in range(n):
-                monitor.observe(_record(i))
+                monitor.observe_many([_record(i)])
                 i += 1
     return clock
 

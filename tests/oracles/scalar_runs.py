@@ -1,19 +1,25 @@
-"""Workload runs served access by access, and a chaos experiment on them.
+"""Workload runs served access by access, and the control loops on them.
 
 ``WorkloadRunner.run_once``/``run_many`` hand whole runs to
 ``StorageCluster.access_batch``; here every run is ``run_stream``
-consumed one ``StorageCluster.access`` at a time, and every record
-reaches the monitoring agents through its own ``Geomancy.observe`` call.
-Records, clock, device state, DB rows and every downstream decision must
-come out bit for bit the same.
+consumed one ``StorageCluster.access`` at a time.  ``Geomancy.
+observe_records`` and ``MonitoringAgent.observe_many`` take a run's
+records as chunks; here every record reaches its monitoring agent through
+its own call (:func:`observe_each`, :func:`agent_observe`).  Records,
+clock, device state, batch boundaries, DB rows and every downstream
+decision must come out bit for bit the same.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from unittest import mock
 
+from repro.agents.monitoring import MonitoringAgent
 from repro.core.geomancy import Geomancy
-from repro.experiments import robustness
+from repro.errors import AgentError
+from repro.experiments import harness, recoverable, robustness
+from repro.replaydb.records import AccessRecord
 from repro.workloads.runner import RunResult, WorkloadRunner
 
 
@@ -32,13 +38,41 @@ class ScalarRunner(WorkloadRunner):
         return [self.run_once() for _ in range(count)]
 
 
-def _observe_each(geo: Geomancy, records) -> None:
+def agent_observe(agent: MonitoringAgent, record: AccessRecord) -> None:
+    """Record one access on the agent's device.
+
+    Auto-flushes a full batch ("Geomancy captures groups of accesses as
+    one access to lower the overhead").
+    """
+    if record.device != agent.device:
+        raise AgentError(
+            f"agent for {agent.device!r} observed access on "
+            f"{record.device!r}"
+        )
+    agent._buffer.append(record)
+    agent.observed += 1
+    agent._m_observed.inc()
+    if len(agent._buffer) >= agent.batch_size:
+        agent.flush(at=record.close_time)
+
+
+def observe_each(geo: Geomancy, records: list[AccessRecord]) -> None:
+    """Route every access through its device's agent, one at a time."""
     for record in records:
-        geo.observe(record)
+        agent_observe(geo._monitor_for(record.device), record)
+
+
+@contextmanager
+def scalar_control_loop():
+    """Every facade-loop harness on the scalar runner, record by record."""
+    # recoverable builds its own runner when it resumes from a checkpoint.
+    with mock.patch.object(harness, "WorkloadRunner", ScalarRunner), \
+            mock.patch.object(recoverable, "WorkloadRunner", ScalarRunner), \
+            mock.patch.object(Geomancy, "observe_records", observe_each):
+        yield
 
 
 def run_chaos_scalar(**kwargs) -> robustness.ChaosResult:
     """``run_chaos`` with both twins on the scalar runner, record by record."""
-    with mock.patch.object(robustness, "WorkloadRunner", ScalarRunner), \
-            mock.patch.object(Geomancy, "observe_records", _observe_each):
+    with scalar_control_loop():
         return robustness.run_chaos(**kwargs)

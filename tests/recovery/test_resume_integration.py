@@ -186,6 +186,44 @@ class TestGuardrailAcceptance:
         assert result.fallback_runs >= 1
         assert result.guardrail_mode == "learning"  # re-admitted
 
+    def test_fallback_cycle_rescue_is_ledgered_as_a_rescue(self, tmp_path):
+        # The learner is benched at its first control step (run 5) for
+        # ten runs; file0 dies in between, so it is a fallback cycle that
+        # rescues the stranded files.
+        from repro.observability import Observability, use
+        from repro.observability.provenance import ProvenanceLedger
+
+        obs = Observability(enabled=True)
+        with use(obs):
+            result = run_recoverable(
+                checkpoint_dir=tmp_path / "ckpt",
+                checkpoint_every=0,
+                seed=0,
+                guardrail=True,
+                learning_rate=1e6,
+                guardrail_cooldown_runs=10,
+                schedule_specs=("kill:file0@150",),
+                causal_tracing_enabled=True,
+                provenance_enabled=True,
+                provenance_path=str(tmp_path / "prov.jsonl"),
+            )
+        assert result.guardrail_trips[0]["run_index"] == 5
+        assert result.fallback_runs == 10 and result.rescued_files > 0
+        decisions = ProvenanceLedger.load(tmp_path / "prov.jsonl").decisions
+        assert "decision" not in {d.kind for d in decisions}
+        rescues = [d for d in decisions if d.kind == "rescue"]
+        assert rescues
+        for entry in rescues:
+            assert 5 < entry.run_index <= 15
+            # Not a model decision: nothing of the engine's stale epoch.
+            assert not entry.candidates
+            assert entry.window_lo is None and entry.test_mare is None
+        counters = obs.metrics.snapshot()["counters"]
+        assert (
+            counters["repro_engine_files_rescued_total"]
+            == result.rescued_files
+        )
+
     def test_guardrail_not_below_static_baseline_under_chaos(
         self, tmp_path_factory
     ):

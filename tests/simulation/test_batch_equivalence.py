@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DeviceOfflineError
+from repro.errors import DeviceOfflineError, SimulatedCrash
+from repro.experiments.instrumented import run_instrumented
+from repro.experiments.recoverable import resume_recoverable, run_recoverable
 from repro.experiments.robustness import run_chaos
 from repro.experiments.spec import TEST_SCALE
 from repro.replaydb.db import ReplayDB
@@ -33,7 +35,11 @@ from repro.simulation.interference import (
 from repro.workloads.belle2 import Belle2Workload
 from repro.workloads.files import belle2_file_population
 from repro.workloads.runner import WorkloadRunner
-from tests.oracles.scalar_runs import ScalarRunner, run_chaos_scalar
+from tests.oracles.scalar_runs import (
+    ScalarRunner,
+    run_chaos_scalar,
+    scalar_control_loop,
+)
 
 GB = 10**9
 
@@ -415,6 +421,50 @@ class TestChaosEndToEndEquivalence:
         batched = run_chaos(scale=TEST_SCALE, seed=7)
         scalar = run_chaos_scalar(scale=TEST_SCALE, seed=7)
         assert batched == scalar
+
+    def test_run_instrumented_bit_identical_to_scalar(self):
+        kwargs = dict(
+            scale=TEST_SCALE, seed=0, migration_failure_rate=0.1,
+            schedule_specs=("kill:file0@40", "outage:pic@60+30"),
+        )
+        batched = run_instrumented(**kwargs)
+        with scalar_control_loop():
+            scalar = run_instrumented(**kwargs)
+        assert batched.movements  # the faults and the learner both moved
+        assert batched.movement_fingerprint() == scalar.movement_fingerprint()
+        assert batched.final_layout == scalar.final_layout
+        assert batched.mean_gbps == scalar.mean_gbps
+        assert batched.spans_recorded == scalar.spans_recorded
+
+    def test_run_recoverable_and_resume_bit_identical_to_scalar(
+        self, tmp_path
+    ):
+        kwargs = dict(
+            scale=TEST_SCALE, seed=0, checkpoint_every=2,
+            schedule_specs=("kill:file0@40",), migration_failure_rate=0.1,
+        )
+        batched = run_recoverable(
+            checkpoint_dir=tmp_path / "batched", **kwargs
+        )
+        with scalar_control_loop():
+            scalar = run_recoverable(
+                checkpoint_dir=tmp_path / "scalar", **kwargs
+            )
+            # Killed between checkpoints, resumed on the scalar path too.
+            with pytest.raises(SimulatedCrash):
+                run_recoverable(
+                    checkpoint_dir=tmp_path / "killed", kill_at_run=5,
+                    kill_point="pre-commit", **kwargs,
+                )
+            resumed = resume_recoverable(tmp_path / "killed")
+        assert batched.movements and batched.rescued_files
+        assert resumed.resumed_from_step == 4
+        for other in (scalar, resumed):
+            assert (
+                batched.movement_fingerprint() == other.movement_fingerprint()
+            )
+            assert batched.final_layout == other.final_layout
+            assert batched.mean_gbps == other.mean_gbps
 
 
 class TestStoredBytesCounters:

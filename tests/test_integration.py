@@ -72,7 +72,7 @@ class TestFullSession:
             served = cluster.device(name).stats.accesses
             if served:
                 assert monitor.observed == 0  # runner wrote directly;
-                # agents are exercised via observe_run in their own tests
+                # agents are exercised via observe_records in their own tests
 
 
 class TestTraceToEngine:
