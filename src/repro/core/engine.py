@@ -40,6 +40,12 @@ from repro.replaydb.replay_buffer import PrioritizedReplay
 MIN_GAIN_FRACTION = 0.10
 #: prioritized replay buffer capacity (row ids tracked)
 REPLAY_CAPACITY = 20_000
+#: Fewest probe rows one forward pass scores.  A block is a multiple of
+#: 16 bases (so it starts on a multiple-of-16 row for any device count),
+#: at least this tall (below ~2k rows OpenBLAS' small-matrix kernel gives
+#: other low bits), and the remainder joins the last block (a short block
+#: of its own changes bits): the blocks then equal one whole-tensor gemm.
+PROBE_BLOCK_ROWS = 4096
 
 
 def _spearman(a: list[float], b: list[float]) -> float:
@@ -69,20 +75,24 @@ def _digest(matrix: np.ndarray) -> str:
     ).hexdigest()[:16]
 
 
-def _ordered_column_sum(matrix: np.ndarray) -> np.ndarray:
-    """Column sums accumulated row-by-row, in order.
+def _ordered_span_sums(
+    matrix: np.ndarray, starts: np.ndarray, stops: np.ndarray
+) -> np.ndarray:
+    """Column sums of each ``matrix[start:stop]``, accumulated in row order.
 
-    ``matrix.sum(axis=0)`` uses pairwise summation whose grouping can
-    differ from the per-file reference loop's sequential ``total +=
-    score`` additions by an ulp; accumulating rows in order keeps the
-    decision path bit-for-bit equal to it.  Blocks are at most
-    ``probe_samples`` rows, so this short loop costs nothing next to the
-    forward pass.
+    ``matrix[start:stop].sum(axis=0)`` uses pairwise summation whose
+    grouping can differ from sequential ``total += row`` additions by an
+    ulp; adding row ``s`` of every span that has one, for ``s = 0, 1,
+    ...``, keeps each span's additions in that order (the row loop in
+    ``tests/oracles/decision_loop.py`` it must equal bit for bit) in as
+    many numpy operations as the longest span has rows.
     """
-    total = np.zeros(matrix.shape[1], dtype=np.float64)
-    for row in matrix:
-        total += row
-    return total
+    lengths = stops - starts
+    totals = np.zeros((len(starts), matrix.shape[1]), dtype=np.float64)
+    for s in range(int(lengths.max(initial=0))):
+        live = np.flatnonzero(lengths > s)
+        totals[live] += matrix[starts[live] + s]
+    return totals
 
 
 @dataclass
@@ -237,6 +247,11 @@ class DRLEngine:
     @property
     def trained(self) -> bool:
         return self.last_report is not None
+
+    def close(self) -> None:
+        """Remove the online mode's private weight-snapshot directory."""
+        if self.snapshots is not None:
+            self.snapshots.close()
 
     # -- training ----------------------------------------------------------
     def train_on_records(self, records: list[AccessRecord]) -> TrainingReport:
@@ -634,31 +649,52 @@ class DRLEngine:
     ) -> np.ndarray:
         """Predicted throughput for every (base access, location) pair.
 
-        One probe tensor covering all ``bases x fsids`` candidate
-        placements (``bases`` as records or as a window of columns), one
-        forward pass, one vectorized inverse-transform (into bytes/s, so
-        locations compare in physical units) and, when configured, the
-        MAE-sign adjustment.  Returns an array of shape
-        ``(n_bases, len(fsids))``.
+        ``bases`` as records or as a window of columns; returns an array
+        of shape ``(n_bases, len(fsids))`` in bytes/s (so locations
+        compare in physical units), MAE-sign adjusted when configured.
         """
         if not self.trained:
             raise ModelError("engine must be trained before predicting")
-        probe = self.pipeline.build_location_probe_batch(bases, fsids)
-        return self._predict_probe(
-            probe, len(probe) // len(fsids), len(fsids)
+        return self._score_locations(
+            self.pipeline.feature_matrix(bases), fsids
         )
 
-    def _predict_probe(
-        self, probe: np.ndarray, n_bases: int, n_fsids: int
+    def _score_locations(
+        self, raw: np.ndarray, fsids: list[int]
     ) -> np.ndarray:
-        """One forward pass + vectorized post-processing over a probe."""
-        with self.obs.span("model_predict", rows=len(probe)):
-            predictions = self.model.predict(probe).ravel()
-            throughput = self.pipeline.inverse_transform_target(predictions)
-            if self.config.adjust_predictions:
-                throughput = self.adjuster.adjust(throughput)
-        self._m_predictions.inc(len(probe))
-        return throughput.reshape(n_bases, n_fsids)
+        """Score every (raw base row, location) probe, a block at a time.
+
+        The bases and the candidate ``fsid`` values are normalized once;
+        each block of bases is then replicated across the locations,
+        pushed through the network, inverse-transformed and adjusted into
+        its rows of the ``(n_bases, len(fsids))`` result, so the ``bases
+        x locations``-row probe tensor and its activations never exist
+        beyond one block.  Blocks follow :data:`PROBE_BLOCK_ROWS`' rule,
+        which keeps the scores bit-for-bit those of one whole-tensor
+        forward pass (``tests/core/test_engine_streamed.py``).
+        """
+        n_bases, n_fsids = len(raw), len(fsids)
+        bases, locations = self.pipeline.build_location_probe_parts(
+            raw, fsids
+        )
+        step = 16 * -(-PROBE_BLOCK_ROWS // (16 * n_fsids))
+        n_blocks = max(1, n_bases // step)
+        scores = np.empty((n_bases, n_fsids), dtype=np.float64)
+        with self.obs.span("model_predict", rows=n_bases * n_fsids):
+            for block in range(n_blocks):
+                start = block * step
+                stop = n_bases if block == n_blocks - 1 else start + step
+                probe = self.pipeline.build_location_probe_block(
+                    bases[start:stop], locations
+                )
+                throughput = self.pipeline.inverse_transform_target(
+                    self.model.predict(probe).ravel()
+                )
+                if self.config.adjust_predictions:
+                    throughput = self.adjuster.adjust(throughput)
+                scores[start:stop] = throughput.reshape(-1, n_fsids)
+        self._m_predictions.inc(n_bases * n_fsids)
+        return scores
 
     def _gather_probe_bases(
         self, db: ReplayDB, fids: list[int]
@@ -713,10 +749,10 @@ class DRLEngine:
         fsids = sorted(observed)
         bases = self._telemetry(db, limit=probe_bases)
         if len(bases["fsid"]):
-            # One forward pass over every (base, device) probe: the
-            # correlation check runs every training cycle.
             matrix = self.predict_throughput_matrix(bases, fsids)
-            predicted = [float(v) for v in _ordered_column_sum(matrix)]
+            predicted = _ordered_span_sums(
+                matrix, np.array([0]), np.array([len(matrix)])
+            )[0].tolist()
         else:
             predicted = [0.0 for _ in fsids]
         if not self._maximize:
@@ -768,11 +804,11 @@ class DRLEngine:
         (bytes/s), which the move cap uses to prioritise.  Files with no
         telemetry yet are skipped (nothing to probe from).
 
-        One ReplayDB read fetches every file's recent accesses, one
-        forward pass scores every (file, access, location) probe, and the
-        per-file aggregation reduces the prediction matrix.  The readable
-        per-file specification it must match bit for bit is
-        ``tests/oracles/decision_loop.py``.
+        One ReplayDB read fetches every file's recent accesses, the
+        streamed scorer (:meth:`_score_locations`) scores every (file,
+        access, location) probe, and one ordered reduction averages each
+        file's rows.  The readable per-file specification it must match
+        bit for bit is ``tests/oracles/decision_loop.py``.
         """
         if not self.trained:
             raise ModelError("engine must be trained before predicting")
@@ -783,31 +819,29 @@ class DRLEngine:
             per_fid, raw = self._gather_probe_bases(db, fids)
             layout: dict[int, str] = {}
             gains: dict[int, float] = {}
-            chosen_scores: list[float] = []
             self.last_chosen_scores = {}
             if self.capture_provenance:
                 self.last_candidates = {}
             if raw is None:
                 self.last_predicted_mean = None
                 return layout, gains
-            probe = self.pipeline.build_location_probe_from_matrix(
-                raw, fsids
+            probed = [fid for fid in fids if fid in per_fid]
+            starts, stops, currents = (
+                np.array(column) for column in
+                zip(*(per_fid[fid] for fid in probed))
             )
-            matrix = self._predict_probe(probe, len(raw), len(fsids))
-            for fid in fids:
-                span = per_fid.get(fid)
-                if span is None:
-                    continue
-                start, stop, current_fsid = span
-                # Average the per-location scores over several recent
-                # accesses: a single access's features carry noise (burst
-                # position, request size) that would otherwise whipsaw
-                # placements.
-                totals = _ordered_column_sum(matrix[start:stop])
-                scores = {
-                    fsid: float(total) / (stop - start)
-                    for fsid, total in zip(fsids, totals)
-                }
+            # Average the per-location scores over several recent
+            # accesses: a single access's features carry noise (burst
+            # position, request size) that would otherwise whipsaw
+            # placements.
+            means = _ordered_span_sums(
+                self._score_locations(raw, fsids), starts, stops
+            ) / (stops - starts)[:, None]
+            chosen_scores: list[float] = []
+            for fid, current_fsid, row in zip(
+                probed, currents.tolist(), means.tolist()
+            ):
+                scores = dict(zip(fsids, row))
                 best, gain = self._choose_placement(scores, current_fsid)
                 layout[fid] = device_by_fsid[best]
                 gains[fid] = gain

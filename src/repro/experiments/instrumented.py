@@ -27,6 +27,7 @@ benchmark and the integration tests both lean on that.
 from __future__ import annotations
 
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -153,7 +154,7 @@ def run_instrumented(
     )
     if obs is None:
         obs = Observability.from_config(config)
-    with use(obs):
+    with use(obs), ExitStack() as cleanup:
         # Components cache their handles at construction, so the system is
         # built *after* the instance is installed.  Warm-up telemetry lands
         # through the agents but is not traced per tick (ticks number the
@@ -161,6 +162,7 @@ def run_instrumented(
         geo, runner = start_facade_loop(
             config, seed=seed, warmup_accesses=scale.warmup_accesses, obs=obs
         )
+        cleanup.callback(geo.close)
         cluster = geo.cluster
 
         slo_feed = None

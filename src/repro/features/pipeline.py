@@ -354,30 +354,30 @@ class FeaturePipeline:
     def build_location_probe_batch(
         self, bases: "Telemetry", fsids: Sequence[int]
     ) -> np.ndarray:
-        """The whole decision epoch's probe tensor in one array.
+        """Every (base access, candidate location) probe row in one array.
 
         Row ``i * len(fsids) + j`` replicates base access ``i``'s features
         with only the ``fsid`` column varying, set to ``fsids[j]`` --
         including the file's current location so "the possibility that
         moving the data will not improve the performance" is always on
-        the menu (section V-C).  Building every (access, candidate
-        location) probe up front lets the engine run a single forward
-        pass and a single inverse transform per decision epoch instead of
-        one per access, which is what keeps decision latency small
-        relative to the workload (paper Table IV).
+        the menu (section V-C).  The engine never holds this array for a
+        whole decision epoch: it builds the same rows a block of bases at
+        a time from :meth:`build_location_probe_parts`.
         """
-        return self.build_location_probe_from_matrix(
-            self.feature_matrix(bases), fsids
+        return self.build_location_probe_block(
+            *self.build_location_probe_parts(self.feature_matrix(bases), fsids)
         )
 
-    def build_location_probe_from_matrix(
+    def build_location_probe_parts(
         self, raw: np.ndarray, fsids: Sequence[int]
-    ) -> np.ndarray:
-        """Probe tensor from an already-extracted raw feature matrix.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """What every probe row is made of, normalized once.
 
-        Each of the ``len(raw)`` base rows is replicated once per
-        candidate location with only the ``fsid`` column varying, then
-        the whole tensor is normalized in one shot.
+        Returns the normalized rows of the raw feature matrix ``raw`` and
+        the normalized value of each candidate ``fsid``.  Normalization is
+        elementwise per column, so replicating these
+        (:meth:`build_location_probe_block`) gives the bits normalizing
+        the replicated raw rows would.
         """
         self._require_fitted()
         if not fsids:
@@ -387,13 +387,26 @@ class FeaturePipeline:
                 "per-location probing varies the 'fsid' column (paper "
                 "section V-C); include it in the feature set"
             )
-        probe = np.repeat(raw, len(fsids), axis=0)
         fsid_col = self.features.index("fsid")
-        probe[:, fsid_col] = np.tile(
-            np.asarray(fsids, dtype=np.float64), len(raw)
+        candidates = np.zeros((len(fsids), self.z), dtype=np.float64)
+        candidates[:, fsid_col] = fsids
+        return (
+            self._x_norm.transform(raw),
+            self._x_norm.transform(candidates)[:, fsid_col],
         )
+
+    def build_location_probe_block(
+        self, bases: np.ndarray, locations: np.ndarray
+    ) -> np.ndarray:
+        """The probe rows of a block of normalized ``bases``.
+
+        Each base row is replicated once per candidate location with only
+        the ``fsid`` column varying, over the normalized ``locations``.
+        """
+        probe = np.repeat(bases, len(locations), axis=0)
+        probe[:, self.features.index("fsid")] = np.tile(locations, len(bases))
         self._m_probe_rows.inc(len(probe))
-        return self._x_norm.transform(probe)
+        return probe
 
     def _require_fitted(self) -> None:
         if not self.fitted:

@@ -142,19 +142,18 @@ class Sequential:
         return y
 
     # -- inference ---------------------------------------------------------
-    def predict(self, x: np.ndarray, *, batch_size: int | None = None) -> np.ndarray:
-        """Forward pass; returns ``(n, output_dim)`` predictions."""
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Forward pass; returns ``(n, output_dim)`` predictions.
+
+        One gemm per layer over all of ``x``: row chunks of arbitrary
+        height are not bit-stable, so the one caller that streams
+        inference (``DRLEngine._score_locations``) picks aligned blocks.
+        """
         x = self._adapt_input(x)
         if not self.built:
             self.build(x.shape[-1])
         self._m_forward.inc(len(x))
-        if batch_size is None or batch_size >= len(x):
-            return self._forward(x, training=False)
-        chunks = [
-            self._forward(x[i : i + batch_size], training=False)
-            for i in range(0, len(x), batch_size)
-        ]
-        return np.concatenate(chunks, axis=0)
+        return self._forward(x, training=False)
 
     def _forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         out = x

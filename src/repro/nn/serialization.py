@@ -148,7 +148,8 @@ def save_weights(
 def _load_archive(path: str | os.PathLike) -> dict[str, np.ndarray]:
     """Read every array in the archive, mapping damage to corrupt errors."""
     try:
-        with np.load(path) as data:
+        # np.load leaks the handle it opens when the zip is damaged.
+        with open(path, "rb") as handle, np.load(handle) as data:
             return {key: np.array(data[key]) for key in data.files}
     except FileNotFoundError:
         raise

@@ -99,6 +99,7 @@ class WeightSnapshotStore:
         return None
 
     def close(self) -> None:
+        """Remove the private temporary directory, if this store made one."""
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None

@@ -96,12 +96,12 @@ def inverted_ranking(monkeypatch):
 def best_device_ahead_by(fraction):
     """Every file predicted ``fraction`` faster on the first device."""
     def stub(monkeypatch):
-        def predict(self, probe, n_bases, n_fsids):
-            row = np.full(n_fsids, 1e9)
+        def score(self, raw, fsids):
+            row = np.full(len(fsids), 1e9)
             row[0] *= 1.0 + fraction
-            return np.tile(row, (n_bases, 1))
+            return np.tile(row, (len(raw), 1))
 
-        monkeypatch.setattr(DRLEngine, "_predict_probe", predict)
+        monkeypatch.setattr(DRLEngine, "_score_locations", score)
 
     return stub
 

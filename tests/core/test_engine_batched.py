@@ -10,16 +10,21 @@ bitwise-deterministic).
 """
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from repro.core.config import GeomancyConfig
-from repro.core.engine import DRLEngine, _ordered_column_sum
+from repro.core.engine import DRLEngine, _ordered_span_sums
 from repro.errors import ModelError
+from repro.observability import use
 from repro.replaydb.db import ReplayDB
 from tests.core.test_engine_online import synthetic_decision_records
-from tests.oracles.decision_loop import propose_layout_reference
+from tests.oracles.decision_loop import (
+    ordered_column_sum,
+    propose_layout_reference,
+)
 from tests.oracles.record_windows import RecordWindows
 
 RTOL = 1e-9
@@ -29,7 +34,12 @@ N_FILES = 24
 N_LOCATIONS = 4
 
 
-def _engine_and_db(model_number, **overrides):
+def engine_and_db(
+    model_number, *, files=N_FILES, locations=N_LOCATIONS, rows=400,
+    obs=None, **overrides,
+):
+    """A trained engine and the ReplayDB it trained on; with ``obs``,
+    every layer of it reports there."""
     params = dict(
         model_number=model_number,
         epochs=8,
@@ -45,11 +55,14 @@ def _engine_and_db(model_number, **overrides):
     db = ReplayDB()
     db.insert_accesses(
         synthetic_decision_records(
-            rows=400, files=N_FILES, locations=N_LOCATIONS, seed=3
+            rows=rows, files=files, locations=locations, seed=3
         )
     )
-    engine = DRLEngine(config)
-    engine.train(db)
+    # The pipeline and the network take their metric handles from the
+    # installed instance, at construction (the model's: first train).
+    with use(obs) if obs is not None else nullcontext():
+        engine = DRLEngine(config, obs=obs)
+        engine.train(db)
     return engine, db
 
 
@@ -60,7 +73,7 @@ def _device_map():
 @pytest.fixture(scope="module", params=[1, 14], ids=["dense", "recurrent"])
 def engine_db(request):
     """One dense and one recurrent Table-I architecture."""
-    return _engine_and_db(request.param)
+    return engine_and_db(request.param)
 
 
 class TestProposeLayoutEquivalence:
@@ -193,11 +206,18 @@ class TestColumnarFastPath:
             )
 
     def test_ordered_column_sum_matches_sequential(self):
+        """Ragged spans, an empty one included: each span's sum is the
+        oracle's row-by-row sum of it, bit for bit."""
         rng = np.random.default_rng(0)
-        matrix = rng.uniform(1e7, 2e8, size=(8, 5))
-        total = _ordered_column_sum(matrix)
-        for j in range(matrix.shape[1]):
-            expected = 0.0
-            for i in range(matrix.shape[0]):
-                expected += matrix[i, j]
-            assert total[j] == expected  # bitwise: same addition order
+        matrix = rng.uniform(1e7, 2e8, size=(40, 5))
+        starts = np.array([0, 8, 9, 9, 17, 32])
+        stops = np.array([8, 9, 9, 17, 32, 40])
+        totals = _ordered_span_sums(matrix, starts, stops)
+        assert totals.shape == (len(starts), matrix.shape[1])
+        for total, start, stop in zip(totals, starts, stops):
+            assert np.array_equal(
+                total, ordered_column_sum(matrix[start:stop])
+            )
+        assert _ordered_span_sums(
+            matrix, starts[:0], stops[:0]
+        ).shape == (0, 5)

@@ -91,6 +91,20 @@ def weights_equal(a, b):
 
 
 @pytest.fixture
+def make_engine():
+    """``DRLEngine(...)`` whose snapshot directory is removed afterwards."""
+    engines = []
+
+    def build(*args, **kwargs):
+        engines.append(DRLEngine(*args, **kwargs))
+        return engines[-1]
+
+    yield build
+    for engine in engines:
+        engine.close()
+
+
+@pytest.fixture
 def db():
     with ReplayDB() as db:
         db.insert_accesses(synthetic_decision_records(rows=500, seed=0))
@@ -98,8 +112,8 @@ def db():
 
 
 class TestModeGates:
-    def test_requires_online_config(self, db):
-        engine = DRLEngine(make_config(online_learning=False))
+    def test_requires_online_config(self, db, make_engine):
+        engine = make_engine(make_config(online_learning=False))
         with pytest.raises(ModelError):
             engine.train_incremental(db)
 
@@ -107,15 +121,15 @@ class TestModeGates:
         with pytest.raises(ConfigurationError):
             make_config(model_number=12)
 
-    def test_train_still_works_under_online_config(self, db):
-        report = DRLEngine(make_config()).train(db)
+    def test_train_still_works_under_online_config(self, db, make_engine):
+        report = make_engine(make_config()).train(db)
         assert report.mode == "scratch"
 
 
 class TestOracleEquivalence:
-    def test_first_incremental_epoch_is_from_scratch_train(self, db):
+    def test_first_incremental_epoch_is_from_scratch_train(self, db, make_engine):
         config = make_config()
-        scratch, online = DRLEngine(config), DRLEngine(config)
+        scratch, online = make_engine(config), make_engine(config)
         report_a = scratch.train(db)
         report_b = online.train_incremental(db)
         assert report_a.test_mare == report_b.test_mare
@@ -130,7 +144,7 @@ class TestOracleEquivalence:
 
 
 class TestLayoutQuality:
-    def test_online_recovers_the_location_signal_like_from_scratch(self):
+    def test_online_recovers_the_location_signal_like_from_scratch(self, make_engine):
         """Flat cost must not trade away layout quality.
 
         Location ``k`` sustains ``k * 50 MB/s``, so a layout's quality is
@@ -153,7 +167,7 @@ class TestLayoutQuality:
 
         with ReplayDB() as db:
             db.insert_accesses(records[:1000])
-            online = DRLEngine(GeomancyConfig(
+            online = make_engine(GeomancyConfig(
                 **shared, training_rows=1000, online_learning=True,
                 online_epochs=8, online_max_new_rows=burst,
                 replay_sample_rows=256,
@@ -164,7 +178,7 @@ class TestLayoutQuality:
                 report = online.train_incremental(db)
                 assert report.mode == "incremental"
                 layout, _ = online.propose_layout(db, db.files(), device_by_fsid)
-            scratch = DRLEngine(
+            scratch = make_engine(
                 GeomancyConfig(**shared, training_rows=len(records))
             )
             scratch.train(db)
@@ -176,8 +190,8 @@ class TestLayoutQuality:
 
 
 class TestIncrementalCycle:
-    def test_cursor_advances_and_fits_only_new_rows(self, db):
-        engine = DRLEngine(make_config())
+    def test_cursor_advances_and_fits_only_new_rows(self, db, make_engine):
+        engine = make_engine(make_config())
         engine.train_incremental(db)
         assert engine._hwm == db.max_rowid()
         db.insert_accesses(
@@ -190,14 +204,14 @@ class TestIncrementalCycle:
         assert report.samples == report.new_rows + report.replayed_rows
         assert engine._hwm == db.max_rowid()
 
-    def test_no_new_rows_is_a_noop(self, db):
-        engine = DRLEngine(make_config())
+    def test_no_new_rows_is_a_noop(self, db, make_engine):
+        engine = make_engine(make_config())
         first = engine.train_incremental(db)
         again = engine.train_incremental(db)
         assert again is first
 
-    def test_burst_bound_caps_consumed_rows(self, db):
-        engine = DRLEngine(make_config(online_max_new_rows=50))
+    def test_burst_bound_caps_consumed_rows(self, db, make_engine):
+        engine = make_engine(make_config(online_max_new_rows=50))
         engine.train_incremental(db)
         db.insert_accesses(
             shifted_records(300, seed=2, start_t=1_600_010_000)
@@ -207,8 +221,8 @@ class TestIncrementalCycle:
         # Skipped older rows are never revisited: cursor is at the head.
         assert engine._hwm == db.max_rowid()
 
-    def test_replay_disabled_when_sample_rows_zero(self, db):
-        engine = DRLEngine(make_config(replay_sample_rows=0))
+    def test_replay_disabled_when_sample_rows_zero(self, db, make_engine):
+        engine = make_engine(make_config(replay_sample_rows=0))
         engine.train_incremental(db)
         db.insert_accesses(
             shifted_records(80, seed=3, start_t=1_600_010_000)
@@ -219,9 +233,9 @@ class TestIncrementalCycle:
 
 
 class TestDrift:
-    def test_distribution_shift_detected_with_burst(self):
+    def test_distribution_shift_detected_with_burst(self, make_engine):
         obs = Observability()
-        engine = DRLEngine(
+        engine = make_engine(
             make_config(
                 drift_threshold=0.2,
                 drift_min_cycles=2,
@@ -264,8 +278,8 @@ class TestDrift:
 
 
 class TestSnapshotsAndRollback:
-    def test_periodic_snapshots_and_rollback(self, db):
-        engine = DRLEngine(make_config(target_snapshot_every=2))
+    def test_periodic_snapshots_and_rollback(self, db, make_engine):
+        engine = make_engine(make_config(target_snapshot_every=2))
         engine.train_incremental(db)
         assert engine.snapshots.steps() == [0]
         t = 1_600_010_000
@@ -284,17 +298,48 @@ class TestSnapshotsAndRollback:
         for key in frozen:
             np.testing.assert_array_equal(restored[key], frozen[key])
 
-    def test_rollback_without_snapshots_is_none(self, db):
-        engine = DRLEngine(make_config(target_snapshot_every=0))
+    def test_rollback_without_snapshots_is_none(self, db, make_engine):
+        engine = make_engine(make_config(target_snapshot_every=0))
         engine.train_incremental(db)
         assert engine.snapshots is None
         assert engine.rollback_weights() is None
 
 
+class TestClose:
+    def test_close_removes_the_private_snapshot_directory(self):
+        engine = DRLEngine(make_config(target_snapshot_every=2))
+        directory = engine.snapshots.directory
+        assert directory.is_dir()
+        engine.close()
+        assert not directory.exists()
+        engine.close()  # and again is harmless
+
+    def test_close_leaves_a_configured_directory(self, tmp_path):
+        engine = DRLEngine(make_config(weight_snapshot_dir=str(tmp_path)))
+        engine.close()
+        assert tmp_path.is_dir()
+
+    def test_from_scratch_engine_has_nothing_to_close(self):
+        DRLEngine(make_config(online_learning=False)).close()
+
+    def test_facade_closes_its_engine(self):
+        from repro.core.geomancy import Geomancy
+        from repro.simulation.bluesky import make_bluesky_cluster
+        from repro.workloads.files import belle2_file_population
+
+        geo = Geomancy(
+            make_bluesky_cluster(seed=0), belle2_file_population(seed=0),
+            make_config(),
+        )
+        directory = geo.engine.snapshots.directory
+        geo.close()
+        assert not directory.exists()
+
+
 class TestCheckpointing:
-    def test_state_round_trip_resumes_identically(self, db, tmp_path):
+    def test_state_round_trip_resumes_identically(self, db, tmp_path, make_engine):
         config = make_config()
-        a = DRLEngine(config)
+        a = make_engine(config)
         a.train_incremental(db)
         db.insert_accesses(
             shifted_records(90, seed=40, start_t=1_600_010_000)
@@ -303,7 +348,7 @@ class TestCheckpointing:
 
         save_weights(a.model, tmp_path / "w.npz")
         state = a.state_dict()
-        b = DRLEngine(config)
+        b = make_engine(config)
         b.model.build(a.model.layers[0].params["W"].shape[0])
         load_weights(b.model, tmp_path / "w.npz")
         b.load_state_dict(state)
@@ -319,20 +364,20 @@ class TestCheckpointing:
         assert report_a.replayed_rows == report_b.replayed_rows
         assert weights_equal(a, b)
 
-    def test_legacy_state_without_online_section_loads(self, db):
-        engine = DRLEngine(make_config())
+    def test_legacy_state_without_online_section_loads(self, db, make_engine):
+        engine = make_engine(make_config())
         engine.train_incremental(db)
         state = engine.state_dict()
         del state["online"]
-        fresh = DRLEngine(make_config())
+        fresh = make_engine(make_config())
         fresh.train(db)
         fresh.load_state_dict(state)  # must not raise
 
 
 class TestTelemetry:
-    def test_training_metrics_move(self, db):
+    def test_training_metrics_move(self, db, make_engine):
         obs = Observability()
-        engine = DRLEngine(make_config(), obs=obs)
+        engine = make_engine(make_config(), obs=obs)
         engine.train_incremental(db)
         db.insert_accesses(
             shifted_records(70, seed=50, start_t=1_600_010_000)
@@ -343,9 +388,9 @@ class TestTelemetry:
         assert rows.value >= 400 + report.samples
         assert seconds.count >= 1
 
-    def test_incremental_cycle_traced(self, db):
+    def test_incremental_cycle_traced(self, db, make_engine):
         obs = Observability()
-        engine = DRLEngine(make_config(), obs=obs)
+        engine = make_engine(make_config(), obs=obs)
         engine.train_incremental(db)
         db.insert_accesses(
             shifted_records(70, seed=51, start_t=1_600_010_000)

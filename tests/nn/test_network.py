@@ -121,13 +121,6 @@ class TestPredict:
         net = Sequential([Dense(8, "relu"), Dense(1, "linear")], seed=1)
         assert net.predict(x).shape == (300, 1)
 
-    def test_batched_predict_matches_full(self, linear_data):
-        x, _ = linear_data
-        net = Sequential([Dense(8, "relu"), Dense(1, "linear")], seed=1)
-        full = net.predict(x)
-        batched = net.predict(x, batch_size=37)
-        np.testing.assert_allclose(full, batched)
-
     def test_recurrent_first_promotes_2d_input(self):
         net = Sequential([SimpleRNN(4), Dense(1, "linear")], seed=1)
         out = net.predict(np.random.default_rng(0).random((10, 3)))

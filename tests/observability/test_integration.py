@@ -2,6 +2,7 @@
 PR's acceptance bar -- subsystem coverage, span nesting, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +35,7 @@ class TestMetricsCoverage:
         assert REQUIRED_SUBSYSTEMS <= subsystems
 
     def test_prometheus_dump_written_and_parseable(self, result):
-        text = open(result.artifacts["metrics"]).read()
+        text = Path(result.artifacts["metrics"]).read_text()
         assert text == result.prometheus
         assert "# TYPE repro_engine_ticks_total counter" in text
         assert "# TYPE repro_nn_train_seconds histogram" in text
@@ -48,7 +49,9 @@ class TestMetricsCoverage:
     def test_snapshots_track_the_run(self, result):
         lines = [
             json.loads(line)
-            for line in open(result.artifacts["metrics_snapshots"])
+            for line in Path(
+                result.artifacts["metrics_snapshots"]
+            ).read_text().splitlines()
         ]
         assert [line["run"] for line in lines] == list(
             range(1, result.runs_completed + 1)
@@ -63,7 +66,7 @@ class TestMetricsCoverage:
 
 class TestTraceNesting:
     def test_spans_nest_under_per_tick_roots(self, result):
-        trace = json.load(open(result.artifacts["trace"]))
+        trace = json.loads(Path(result.artifacts["trace"]).read_text())
         events = trace["traceEvents"]
         assert len(events) == result.spans_recorded > 0
         parents_of: dict[str, set] = {}
@@ -93,7 +96,7 @@ class TestTraceNesting:
         assert parents_of["simulator_advance"] == {"tick"}
 
     def test_every_tick_has_a_root(self, result):
-        trace = json.load(open(result.artifacts["trace"]))
+        trace = json.loads(Path(result.artifacts["trace"]).read_text())
         roots = [
             e["args"]["tick"]
             for e in trace["traceEvents"]
