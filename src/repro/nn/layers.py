@@ -23,7 +23,11 @@ class Layer:
     Subclasses implement ``build`` (allocate parameters once the input
     dimension is known), ``forward`` and ``backward``.  Parameters and their
     gradients live in the ``params`` / ``grads`` dicts so optimizers can
-    treat all layers uniformly.
+    treat all layers uniformly.  A layer allocates both at ``build`` and
+    from then on only writes *into* them: :class:`~repro.nn.network.
+    Sequential` re-homes the arrays as views of its two flat vectors, and
+    a layer that rebound an entry would detach itself from the vector the
+    optimizer updates.
     """
 
     #: rank of the input array this layer expects (2 for Dense, 3 for RNNs)
@@ -39,7 +43,6 @@ class Layer:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.built = False
-        self._cache: dict[str, np.ndarray] = {}
 
     # -- lifecycle ---------------------------------------------------------
     def build(self, input_dim: int, rng: np.random.Generator) -> None:
@@ -69,8 +72,13 @@ class Layer:
         return int(sum(p.size for p in self.params.values()))
 
     def zero_grads(self) -> None:
+        """Zero every gradient in place (allocating it on first use)."""
         for name, p in self.params.items():
-            self.grads[name] = np.zeros_like(p)
+            grad = self.grads.get(name)
+            if grad is None or grad.shape != p.shape:
+                self.grads[name] = np.zeros_like(p)
+            else:
+                grad.fill(0.0)
 
     def _require_built(self) -> None:
         if not self.built:
@@ -87,6 +95,10 @@ class Dense(Layer):
     """Fully connected layer: ``y = activation(x @ W + b)``."""
 
     input_rank = 2
+    #: input, pre-activation and output of the last training forward pass
+    _x: np.ndarray | None = None
+    _z: np.ndarray | None = None
+    _y: np.ndarray | None = None
 
     def build(self, input_dim: int, rng: np.random.Generator) -> None:
         if input_dim <= 0:
@@ -120,16 +132,16 @@ class Dense(Layer):
         else:
             y = self.activation(z)
         if training:
-            self._cache = {"x": x, "z": z, "y": y}
+            self._x, self._z, self._y = x, z, y
         return y
 
     def backward(
         self, grad_out: np.ndarray, *, input_grad: bool = True
     ) -> np.ndarray | None:
         self._require_built()
-        if not self._cache:
+        x, z, y = self._x, self._z, self._y
+        if y is None:
             raise ModelError("backward() called before a training forward pass")
-        x, z, y = self._cache["x"], self._cache["z"], self._cache["y"]
         if grad_out.shape != y.shape:
             raise ShapeError(
                 f"grad shape {grad_out.shape} does not match output {y.shape}"
@@ -142,6 +154,9 @@ class Dense(Layer):
             dz = grad_out
         else:
             dz = grad_out * self.activation.backward(z, y)
-        self.grads["W"] = x.T @ dz
-        self.grads["b"] = dz.sum(axis=0)
+        # Written into the arrays ``build`` allocated (views of the
+        # model's flat gradient vector), by the calls ``x.T @ dz`` and
+        # ``dz.sum(axis=0)`` make themselves.
+        np.matmul(x.T, dz, out=self.grads["W"])
+        np.add.reduce(dz, axis=0, out=self.grads["b"])
         return dz @ self.params["W"].T if input_grad else None

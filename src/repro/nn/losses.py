@@ -32,18 +32,36 @@ class Loss:
 
     ``weight`` optionally carries per-row importance weights (prioritized
     replay's bias correction); ``None`` is the exact unweighted
-    computation.
+    computation.  A loss implements :meth:`value_and_gradient` -- what a
+    training step needs, from one difference and one shape check;
+    :meth:`value` and :meth:`gradient` are each one half of its result.
     """
 
     name = "loss"
 
+    def value_and_gradient(
+        self,
+        y_pred: np.ndarray,
+        y_true: np.ndarray,
+        weight: np.ndarray | None = None,
+    ) -> tuple[float, np.ndarray]:
+        """The loss and its gradient w.r.t. ``y_pred``.
+
+        Opens no ``errstate`` of its own: ``Sequential.fit`` calls it once
+        per step under the one it holds for the whole fit.
+        """
+        raise NotImplementedError
+
+    # Divergence (overflow to inf, then inf - inf) is a reportable
+    # outcome, not a bug: Table II marks diverged models explicitly.
     def value(
         self,
         y_pred: np.ndarray,
         y_true: np.ndarray,
         weight: np.ndarray | None = None,
     ) -> float:
-        raise NotImplementedError
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.value_and_gradient(y_pred, y_true, weight)[0]
 
     def gradient(
         self,
@@ -51,7 +69,13 @@ class Loss:
         y_true: np.ndarray,
         weight: np.ndarray | None = None,
     ) -> np.ndarray:
-        raise NotImplementedError
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.value_and_gradient(y_pred, y_true, weight)[1]
+
+
+def _mean(values: np.ndarray) -> float:
+    """``float(np.mean(values))`` by the ufunc pair ``np.mean`` runs."""
+    return float(np.add.reduce(values, axis=None) / values.size)
 
 
 class MeanSquaredError(Loss):
@@ -59,32 +83,18 @@ class MeanSquaredError(Loss):
 
     name = "mse"
 
-    def value(
+    def value_and_gradient(
         self,
         y_pred: np.ndarray,
         y_true: np.ndarray,
         weight: np.ndarray | None = None,
-    ) -> float:
+    ) -> tuple[float, np.ndarray]:
         _check_shapes(y_pred, y_true)
-        # Divergence (overflow to inf) is a reportable outcome, not a bug:
-        # Table II marks diverged models explicitly.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if weight is None:
-                return float(np.mean((y_pred - y_true) ** 2))
-            w = _row_weights(weight, y_pred)
-            return float(np.mean(w * (y_pred - y_true) ** 2))
-
-    def gradient(
-        self,
-        y_pred: np.ndarray,
-        y_true: np.ndarray,
-        weight: np.ndarray | None = None,
-    ) -> np.ndarray:
-        _check_shapes(y_pred, y_true)
+        diff = y_pred - y_true
         if weight is None:
-            return 2.0 * (y_pred - y_true) / y_pred.size
+            return _mean(diff ** 2), 2.0 * diff / diff.size
         w = _row_weights(weight, y_pred)
-        return 2.0 * w * (y_pred - y_true) / y_pred.size
+        return _mean(w * diff ** 2), 2.0 * w * diff / diff.size
 
 
 class MeanAbsoluteError(Loss):
@@ -92,29 +102,18 @@ class MeanAbsoluteError(Loss):
 
     name = "mae"
 
-    def value(
+    def value_and_gradient(
         self,
         y_pred: np.ndarray,
         y_true: np.ndarray,
         weight: np.ndarray | None = None,
-    ) -> float:
+    ) -> tuple[float, np.ndarray]:
         _check_shapes(y_pred, y_true)
+        diff = y_pred - y_true
         if weight is None:
-            return float(np.mean(np.abs(y_pred - y_true)))
+            return _mean(np.abs(diff)), np.sign(diff) / diff.size
         w = _row_weights(weight, y_pred)
-        return float(np.mean(w * np.abs(y_pred - y_true)))
-
-    def gradient(
-        self,
-        y_pred: np.ndarray,
-        y_true: np.ndarray,
-        weight: np.ndarray | None = None,
-    ) -> np.ndarray:
-        _check_shapes(y_pred, y_true)
-        if weight is None:
-            return np.sign(y_pred - y_true) / y_pred.size
-        w = _row_weights(weight, y_pred)
-        return w * np.sign(y_pred - y_true) / y_pred.size
+        return _mean(w * np.abs(diff)), w * np.sign(diff) / diff.size
 
 
 _REGISTRY: dict[str, type[Loss]] = {

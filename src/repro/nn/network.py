@@ -43,6 +43,17 @@ class TrainingHistory:
         return self.val_loss[-1] if self.val_loss else None
 
 
+def _is_window(arr: np.ndarray, flat: np.ndarray, start: int) -> bool:
+    """Whether ``arr`` is the contiguous run of ``flat`` that begins at
+    element ``start`` (the same memory, not an equal copy of it)."""
+    return (
+        arr.dtype == flat.dtype
+        and arr.flags.c_contiguous
+        and arr.__array_interface__["data"][0]
+        == flat.__array_interface__["data"][0] + start * flat.itemsize
+    )
+
+
 def train_val_test_split(
     x: np.ndarray,
     y: np.ndarray,
@@ -74,7 +85,14 @@ def train_val_test_split(
 
 
 class Sequential:
-    """A linear stack of layers with fit/predict/evaluate."""
+    """A linear stack of layers with fit/predict/evaluate.
+
+    All parameters live in one flat float64 vector and all gradients in
+    another; every ``layer.params[name]`` / ``layer.grads[name]`` is a
+    reshaped view into them, laid out in ``layer{i}/{name}`` order (the
+    optimizer-state and weight-archive keys).  An elementwise, stateless
+    optimizer can therefore update the whole model in one call.
+    """
 
     def __init__(self, layers: list[Layer], *, seed: int | None = None) -> None:
         if not layers:
@@ -83,6 +101,11 @@ class Sequential:
         self._rng = np.random.default_rng(seed)
         self.built = False
         self.input_dim: int | None = None
+        #: the flat parameter and gradient vectors, allocated by ``build``
+        self._theta = self._grad = np.empty(0)
+        #: (state key, layer, parameter name, start, shape) per parameter:
+        #: where in the flat vectors it lives
+        self._slot_table: list[tuple] = []
         metrics = get_observability().metrics
         self._m_epochs = metrics.counter(
             "repro_nn_epochs_total", "training epochs completed"
@@ -102,7 +125,58 @@ class Sequential:
         for layer in self.layers:
             layer.build(dim, self._rng)
             dim = layer.output_dim
+        size = 0
+        self._slot_table = []
+        for i, layer in enumerate(self.layers):
+            for name, param in layer.params.items():
+                self._slot_table.append(
+                    (f"layer{i}/{name}", layer, name, size, param.shape)
+                )
+                size += param.size
+        self._theta = np.empty(size)
+        self._grad = np.empty(size)
+        self._home_parameters()
         self.built = True
+
+    def _home_parameters(self) -> None:
+        """Make every layer parameter and gradient a view of the flat vectors.
+
+        ``build`` moves the freshly initialized arrays in this way, and
+        ``fit`` repeats it as a guard: whoever rebinds ``layer.params[k]``,
+        deep-copies or unpickles a built model (each array then comes
+        back on a buffer of its own) would otherwise train a vector
+        ``predict`` no longer reads.  What a layer holds is the truth; it
+        is copied into its window and replaced by the view.
+        """
+        for key, layer, name, start, shape in self._slot_table:
+            for arrays, flat in (
+                (layer.params, self._theta), (layer.grads, self._grad)
+            ):
+                held = arrays[name]
+                if _is_window(held, flat, start):
+                    continue
+                if held.shape != shape:
+                    raise ShapeError(
+                        f"{key} was built with shape {shape}, "
+                        f"now holds {held.shape}"
+                    )
+                view = flat[start : start + held.size].reshape(shape)
+                view[...] = held
+                arrays[name] = view
+
+    def _optimizer_slots(
+        self, opt: Optimizer
+    ) -> list[tuple[str, np.ndarray, np.ndarray]]:
+        """The ``(key, parameters, gradients)`` triples one step updates:
+        one per named parameter, or the whole vectors as a single slot
+        when the optimizer's rule allows (see ``Optimizer.per_parameter``).
+        """
+        if not opt.per_parameter:
+            return [("all", self._theta, self._grad)]
+        return [
+            (key, layer.params[name], layer.grads[name])
+            for key, layer, name, _, _ in self._slot_table
+        ]
 
     @property
     def output_dim(self) -> int:
@@ -228,24 +302,33 @@ class Sequential:
                     f"x has {len(x)} rows but sample_weight has "
                     f"{len(sample_weight)}"
                 )
+            # one column, as the loss broadcasts it over the outputs
+            sample_weight = sample_weight[:, None]
         loss_fn = get_loss(loss)
         opt = get_optimizer(optimizer)
         history = TrainingHistory()
+        self._home_parameters()
+        slots = self._optimizer_slots(opt)
+
+        def batches_of(selectors):
+            """``(x, y, weight)`` of each batch, lazily."""
+            return (
+                (
+                    x[rows], y[rows],
+                    sample_weight[rows] if sample_weight is not None else None,
+                )
+                for rows in selectors
+            )
+
         # Chronological batches are contiguous row ranges: views, not
-        # fancy-index copies.  Shuffling re-draws index batches per epoch.
+        # fancy-index copies, sliced once.  Shuffling re-draws index
+        # batches per epoch.
         row_ranges = [
             slice(start, start + batch_size)
             for start in range(0, len(x), batch_size)
         ]
-        batches = row_ranges
+        batches = () if shuffle else list(batches_of(row_ranges))
         indices = np.arange(len(x)) if shuffle else None
-        #: (optimizer state key, layer, parameter name), resolved once:
-        #: the keys are checkpoint names, not something a step computes
-        slots = [
-            (f"layer{i}/{name}", layer, name)
-            for i, layer in enumerate(self.layers)
-            for name in layer.params
-        ]
         if validation_data is not None:
             vx = self._adapt_input(validation_data[0])
             vy = self._adapt_target(validation_data[1], self.output_dim)
@@ -258,20 +341,16 @@ class Sequential:
             for _ in range(epochs):
                 if shuffle:
                     self._rng.shuffle(indices)
-                    batches = [indices[rows] for rows in row_ranges]
+                    batches = batches_of(indices[rows] for rows in row_ranges)
                 epoch_loss = 0.0
-                for batch in batches:
-                    xb, yb = x[batch], y[batch]
-                    wb = (
-                        sample_weight[batch]
-                        if sample_weight is not None else None
-                    )
+                for xb, yb, wb in batches:
                     pred = self._forward(xb, training=True)
-                    epoch_loss += loss_fn.value(pred, yb, wb)
-                    self._backward(loss_fn.gradient(pred, yb, wb))
-                    for key, layer, name in slots:
-                        opt.apply(key, layer.params[name], layer.grads[name])
-                mean_loss = epoch_loss / len(batches)
+                    value, grad = loss_fn.value_and_gradient(pred, yb, wb)
+                    epoch_loss += value
+                    self._backward(grad)
+                    for key, param, param_grad in slots:
+                        opt.apply(key, param, param_grad)
+                mean_loss = epoch_loss / len(row_ranges)
                 history.train_loss.append(mean_loss)
                 history.epochs_run += 1
                 if validation_data is not None:

@@ -24,6 +24,18 @@ class Optimizer:
             )
         self.learning_rate = float(learning_rate)
 
+    @property
+    def per_parameter(self) -> bool:
+        """Whether :meth:`apply` must see each named parameter on its own.
+
+        True when the rule reads a per-parameter quantity (``clipnorm``'s
+        gradient norm) or keeps state under the parameter's key (which is
+        also its checkpoint name).  False when it is elementwise and
+        stateless: one call over all parameters laid end to end is then
+        the same arithmetic, and ``Sequential.fit`` makes that one call.
+        """
+        return True
+
     def apply(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
         """Update ``param`` in place given its gradient."""
         raise NotImplementedError
@@ -87,6 +99,10 @@ class SGD(Optimizer):
         self.momentum = float(momentum)
         self.clipnorm = clipnorm
         self._velocity: dict[str, np.ndarray] = {}
+
+    @property
+    def per_parameter(self) -> bool:
+        return bool(self.momentum) or self.clipnorm is not None
 
     def apply(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
         if grad.shape != param.shape:

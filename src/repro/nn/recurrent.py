@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ModelError, ShapeError
-from repro.nn.activations import sigmoid
+from repro.nn.activations import Activation, sigmoid
 from repro.nn.initializers import glorot_uniform, orthogonal, zeros
 from repro.nn.layers import Layer
 
@@ -27,6 +27,11 @@ class _Recurrent(Layer):
 
     #: number of stacked gate blocks in the combined weight matrices
     n_gates = 1
+
+    def __init__(self, units: int, activation: str | Activation = "linear") -> None:
+        super().__init__(units, activation)
+        #: what the last training forward pass left for :meth:`backward`
+        self._cache: dict = {}
 
     def build(self, input_dim: int, rng: np.random.Generator) -> None:
         if input_dim <= 0:
@@ -49,6 +54,15 @@ class _Recurrent(Layer):
                 f"{self.input_dim}), got {x.shape}"
             )
         return x
+
+    def _zeroed_grads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``W``/``U``/``b`` gradient arrays, zeroed for BPTT to sum into.
+
+        The arrays ``build`` allocated (views of the model's flat gradient
+        vector), never fresh ones: see :class:`~repro.nn.layers.Layer`.
+        """
+        self.zero_grads()
+        return self.grads["W"], self.grads["U"], self.grads["b"]
 
     def _gate(self, z: np.ndarray, index: int) -> np.ndarray:
         """Slice gate ``index`` out of a combined pre-activation array."""
@@ -87,9 +101,7 @@ class SimpleRNN(_Recurrent):
         x, hs, zs = self._cache["x"], self._cache["hs"], self._cache["zs"]
         batch, steps, _ = x.shape
         w, u = self.params["W"], self.params["U"]
-        dw = np.zeros_like(w)
-        du = np.zeros_like(u)
-        db = np.zeros_like(self.params["b"])
+        dw, du, db = self._zeroed_grads()
         dx = np.zeros_like(x) if input_grad else None
         dh = grad_out.copy()
         for t in range(steps - 1, -1, -1):
@@ -100,7 +112,6 @@ class SimpleRNN(_Recurrent):
             if input_grad:
                 dx[:, t, :] = dz @ w.T
             dh = dz @ u.T
-        self.grads = {"W": dw, "U": du, "b": db}
         return dx
 
 
@@ -154,9 +165,7 @@ class LSTM(_Recurrent):
         cache = self._cache["steps_cache"]
         batch, steps, _ = x.shape
         w, u = self.params["W"], self.params["U"]
-        dw = np.zeros_like(w)
-        du = np.zeros_like(u)
-        db = np.zeros_like(self.params["b"])
+        dw, du, db = self._zeroed_grads()
         dx = np.zeros_like(x) if input_grad else None
         dh = grad_out.copy()
         dc = np.zeros((batch, self.units))
@@ -179,7 +188,6 @@ class LSTM(_Recurrent):
                 dx[:, t, :] = dz @ w.T
             dh = dz @ u.T
             dc = dc * s["f"]
-        self.grads = {"W": dw, "U": du, "b": db}
         return dx
 
 
@@ -237,9 +245,7 @@ class GRU(_Recurrent):
         un = self.units
         wz, wr, wh = w[:, :un], w[:, un : 2 * un], w[:, 2 * un :]
         uz, ur, uh = u[:, :un], u[:, un : 2 * un], u[:, 2 * un :]
-        dw = np.zeros_like(w)
-        du = np.zeros_like(u)
-        db = np.zeros_like(self.params["b"])
+        dw, du, db = self._zeroed_grads()
         dx = np.zeros_like(x) if input_grad else None
         dh = grad_out.copy()
         for t in range(steps - 1, -1, -1):
@@ -271,5 +277,4 @@ class GRU(_Recurrent):
                 + dzr @ ur.T
                 + d_rh * s["r"]
             )
-        self.grads = {"W": dw, "U": du, "b": db}
         return dx

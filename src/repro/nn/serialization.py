@@ -252,7 +252,9 @@ def load_weights(
                     f"layer{i}/{name}: stored dtype {arr.dtype} != "
                     f"model dtype {current.dtype}"
                 )
-            layer.params[name] = arr
+            # In place: the array is a view of the model's flat parameter
+            # vector, which is what the optimizer updates.
+            current[...] = arr
     if optimizer is not None and opt_state:
         declared = meta.get("optimizer") if meta is not None else None
         if declared is not None and declared != type(optimizer).__name__:

@@ -11,6 +11,7 @@ from repro.nn.serialization import _weight_arrays, load_weights, save_weights
 from repro.observability import Observability
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord
+from tests.nn.test_flat_parameters import assert_homed
 
 
 def make_config(**overrides):
@@ -372,6 +373,45 @@ class TestCheckpointing:
         fresh = make_engine(make_config())
         fresh.train(db)
         fresh.load_state_dict(state)  # must not raise
+
+
+class TestWeightsStayViewsOfTheFlatVector:
+    """Whatever restores weights must leave them where the optimizer
+    updates them: a detached array would make training a silent no-op."""
+
+    def test_cold_start_checkpoint_round_trip_and_rollback(
+        self, db, tmp_path, make_engine
+    ):
+        config = make_config(target_snapshot_every=1)
+        a = make_engine(config)
+        a.train_incremental(db)  # cold start: _fresh_model() + a full fit
+        assert_homed(a.model)
+
+        save_weights(a.model, tmp_path / "w.npz")
+        b = make_engine(config)
+        b.load_state_dict(a.state_dict())  # builds the model
+        load_weights(b.model, tmp_path / "w.npz")
+        assert_homed(b.model)
+        assert weights_equal(a, b)
+
+        db.insert_accesses(
+            shifted_records(90, seed=60, start_t=1_600_010_000, invert=True)
+        )
+        for engine in (a, b):
+            before = engine.model._theta.copy()
+            engine.train_incremental(db)
+            # the resumed model trains, on the vector its layers read
+            assert not np.array_equal(before, engine.model._theta)
+            assert_homed(engine.model)
+        assert weights_equal(a, b)
+
+        assert b.rollback_weights() is not None
+        assert_homed(b.model)
+        probe = np.random.default_rng(0).random((16, config.z))
+        restored = b.model.predict(probe)
+        b.model.fit(probe, probe[:, 0], epochs=1)
+        assert_homed(b.model)
+        assert not np.array_equal(restored, b.model.predict(probe))
 
 
 class TestTelemetry:
