@@ -13,7 +13,7 @@ Quick start::
         Belle2Workload, belle2_file_population, WorkloadRunner,
     )
     from repro.experiments.harness import (
-        run_through_agents, warm_up_through_agents,
+        run_measured_loop, warm_up_through_agents,
     )
 
     cluster = make_bluesky_cluster(seed=0)
@@ -23,9 +23,7 @@ Quick start::
     geo.place_initial()
     runner = WorkloadRunner(cluster, Belle2Workload(files))
     warm_up_through_agents(geo, runner, 1000)
-    for run in range(1, 51):
-        run_through_agents(geo, runner)
-        outcome = geo.after_run(run, runner.clock.now)
+    gbps = run_measured_loop(geo, runner, range(1, 51))
 
 Subpackages: :mod:`repro.core` (the Geomancy engine), :mod:`repro.nn`
 (from-scratch numpy neural networks), :mod:`repro.features` (telemetry

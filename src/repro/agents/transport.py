@@ -122,6 +122,10 @@ class InMemoryTransport:
     def pending(self) -> int:
         return len(self._queue)
 
+    def iter_pending(self):
+        """The pending messages, in the order a drain would deliver them."""
+        return iter(self._queue)
+
 
 class BoundedTransport(InMemoryTransport):
     """Priority-laned bounded channel for the QoS control plane.
@@ -168,9 +172,6 @@ class BoundedTransport(InMemoryTransport):
     @property
     def capacity(self) -> int:
         return self.maxsize  # type: ignore[return-value]
-
-    def _total(self) -> int:
-        return self._pending_total
 
     def _evict_lowest(self, below: int | None = None) -> bool:
         """Drop the oldest message of the lowest-priority non-empty lane.
@@ -237,6 +238,10 @@ class BoundedTransport(InMemoryTransport):
     @property
     def pending(self) -> int:
         return self._pending_total
+
+    def iter_pending(self):
+        for priority in self._lane_order:
+            yield from self._lanes[priority]
 
     def pending_by_priority(self) -> dict[int, int]:
         return {

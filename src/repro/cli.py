@@ -716,8 +716,6 @@ def _run_run(args) -> str:
             provenance_enabled=True,
             provenance_path=args.provenance,
         )
-    if args.slo:
-        overrides["slo_enabled"] = True
     result = run_instrumented(
         scale=_SCALES[args.scale],
         seed=args.seed,
@@ -728,6 +726,7 @@ def _run_run(args) -> str:
         profile=args.profile,
         schedule_specs=tuple(args.schedule),
         migration_failure_rate=args.migration_failure_rate,
+        slo_enabled=args.slo,
         trace_sample_rate=args.sample_rate,
         online_learning=args.online,
         **overrides,

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from repro.agents.transport import SHED_POLICIES
 from repro.errors import ConfigurationError
-from repro.faults.schedule import parse_fault_event
 from repro.features.pipeline import DEFAULT_LIVE_FEATURES
 from repro.nn.model_zoo import ARCHITECTURES, is_recurrent
 
@@ -97,20 +96,13 @@ class GeomancyConfig:
     #: how long a quarantined device is off-limits before one probe move
     #: is allowed through again
     quarantine_duration_s: float = 600.0
-    #: fault-schedule entries for chaos runs, in the spec-string grammar of
-    #: :mod:`repro.faults.schedule` (e.g. "kill:file0@40%"); consumed by
-    #: the chaos harness, ignored by ordinary runs
-    fault_schedule: tuple[str, ...] = ()
     #: modeling target: "throughput" (the paper's live system) or
     #: "latency" (the sensitivity the paper defers to future work)
     target: str = "throughput"
-    #: -- durability & safe mode (repro.recovery) -------------------------
-    #: checkpoint the full system state every N measured runs (0 disables;
-    #: consumed by the recoverable harness, ignored by ordinary runs)
-    checkpoint_every: int = 0
-    #: rotated checkpoint generations kept on disk
-    checkpoint_keep: int = 3
-    #: wrap the learning policy in the safe-mode guardrail
+    #: -- safe mode (repro.recovery.guardrail) ----------------------------
+    #: watch training health and realized-vs-predicted throughput in
+    #: ``Geomancy.after_run``; a trip rolls the layout back to the marked
+    #: known-good one and benches the learner
     guardrail_enabled: bool = False
     #: realized-vs-predicted throughput pairs per regression check window
     guardrail_window: int = 4
@@ -146,14 +138,7 @@ class GeomancyConfig:
     drift_min_cycles: int = 8
     #: online_epochs multiplier for the re-adaptation burst after drift
     drift_burst_multiplier: int = 4
-    #: -- observability (repro.observability) -----------------------------
-    #: master switch for the metrics/tracing/event instrumentation; off by
-    #: default so ordinary experiment runs pay only no-op handles
-    observability_enabled: bool = False
-    #: fraction of control ticks whose spans are recorded; sampling is
-    #: deterministic in the tick index, never an RNG draw
-    trace_sample_rate: float = 1.0
-    #: -- causal tracing / provenance / SLOs (PR 9) ------------------------
+    #: -- causal tracing / provenance (repro.observability.provenance) ----
     #: stamp trace ids on telemetry batches, layout commands and movement
     #: records and resolve every message's fate through a CausalContext;
     #: off by default -- the legacy plane carries no ids at all
@@ -165,15 +150,6 @@ class GeomancyConfig:
     #: JSONL flight-recorder path for the provenance ledger (None keeps
     #: the ledger in memory only)
     provenance_path: str | None = None
-    #: evaluate control-plane SLOs (delivery ratio, queue-delay, throughput
-    #: floor) with multi-window burn-rate alerting on the event bus
-    slo_enabled: bool = False
-    #: queue delay (seconds) above which a drained batch burns the
-    #: queue-delay SLO's error budget
-    slo_queue_delay_threshold_s: float = 0.05
-    #: measured-run throughput (GB/s) below which the throughput-floor
-    #: SLO's budget burns (0 = any positive throughput is good)
-    slo_throughput_floor_gbps: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -290,14 +266,6 @@ class GeomancyConfig:
                 f"quarantine_duration_s must be positive, "
                 f"got {self.quarantine_duration_s}"
             )
-        if self.checkpoint_every < 0:
-            raise ConfigurationError(
-                f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
-            )
-        if self.checkpoint_keep < 1:
-            raise ConfigurationError(
-                f"checkpoint_keep must be >= 1, got {self.checkpoint_keep}"
-            )
         if self.guardrail_window < 1:
             raise ConfigurationError(
                 f"guardrail_window must be >= 1, got {self.guardrail_window}"
@@ -361,29 +329,11 @@ class GeomancyConfig:
                 f"drift_burst_multiplier must be >= 1, "
                 f"got {self.drift_burst_multiplier}"
             )
-        if not 0.0 < self.trace_sample_rate <= 1.0:
-            raise ConfigurationError(
-                f"trace_sample_rate must be in (0, 1], "
-                f"got {self.trace_sample_rate}"
-            )
         if self.provenance_enabled and not self.causal_tracing_enabled:
             raise ConfigurationError(
                 "provenance_enabled requires causal_tracing_enabled "
                 "(decisions join to telemetry through trace ids)"
             )
-        if self.slo_queue_delay_threshold_s <= 0:
-            raise ConfigurationError(
-                f"slo_queue_delay_threshold_s must be positive, "
-                f"got {self.slo_queue_delay_threshold_s}"
-            )
-        if self.slo_throughput_floor_gbps < 0:
-            raise ConfigurationError(
-                f"slo_throughput_floor_gbps must be >= 0, "
-                f"got {self.slo_throughput_floor_gbps}"
-            )
-        for spec in self.fault_schedule:
-            # Raises ConfigurationError on a malformed entry.
-            parse_fault_event(spec)
 
     @property
     def z(self) -> int:

@@ -35,8 +35,10 @@ from repro.observability.provenance import (
     DecisionProvenance,
     ProvenanceLedger,
 )
+from repro.policies.lru import LRUPolicy
 from repro.policies.static import EvenSpreadPolicy
 from repro.recovery.events import EventLog
+from repro.recovery.guardrail import Guardrail
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import BYTES_PER_GB, AccessRecord, MovementRecord
 from repro.simulation.cluster import StorageCluster
@@ -55,8 +57,12 @@ class StepOutcome:
     rescued_files: int = 0
     #: mean predicted throughput (GB/s) at the engine's chosen placements
     #: this cycle, or None when the engine made no prediction; the
-    #: recovery guardrail compares realized throughput against this
+    #: guardrail compares realized throughput against this
     predicted_gbps: float | None = None
+    #: the guardrail had the learner benched: this was a fallback cycle
+    fallback: bool = False
+    #: reason of the guardrail trip that fired this cycle, if one did
+    trip: str | None = None
 
     @property
     def moved_files(self) -> int:
@@ -164,13 +170,34 @@ class Geomancy:
         self.checker = self.decision_path.checker
         self.scheduler = CooldownScheduler(self.config.cooldown_runs)
         self.outcomes: list[StepOutcome] = []
-        #: optional guardrail a recovery harness may attach; decision
-        #: provenance records its mode when present
-        self.guardrail = None
+        #: the safe-mode guardrail (None unless ``guardrail_enabled``):
+        #: watches training health and realized-vs-predicted throughput in
+        #: :meth:`after_run`, benches the learner when it trips
+        self.guardrail = (
+            Guardrail(
+                window=self.config.guardrail_window,
+                regression_fraction=self.config.guardrail_regression_fraction,
+                explode_factor=self.config.guardrail_explode_factor,
+                cooldown_runs=self.config.guardrail_cooldown_runs,
+                fallback=self.config.fallback_policy,
+                event_log=self.event_log,
+                weight_rollback=self.engine.rollback_weights,
+            )
+            if self.config.guardrail_enabled
+            else None
+        )
+        #: the layout a guardrail trip rolls back to and the step it was
+        #: marked at (:meth:`mark_known_good`); fids are strings because
+        #: it travels in checkpoints as JSON
+        self.known_good: dict = {"step": 0, "layout": {}}
+        #: throughput (GB/s) the engine last predicted for its own
+        #: placements, which the next runs' realized throughput is held to
+        self.pending_predicted: float | None = None
+        #: cycles spent under the fallback policy so far
+        self.fallback_runs = 0
         # -- causal tracing + decision provenance (all off by default) ----
         self.causal: CausalContext | None = None
         self.ledger: ProvenanceLedger | None = None
-        self._decision_seq = 0
         self._movement_rows = 0
         if self.config.causal_tracing_enabled:
             self.ledger = ProvenanceLedger(self.config.provenance_path)
@@ -288,8 +315,8 @@ class Geomancy:
         """Push a layout through the daemon/command path and execute it.
 
         ``kind`` says whose layout it is -- ``"decision"`` (the model's),
-        ``"rescue"``, ``"retry"``, or a harness's own (``"rollback"``,
-        ``"fallback"``) -- and is what the provenance ledger files the
+        ``"rescue"``, ``"retry"``, or the guardrail's ``"rollback"`` /
+        ``"fallback"`` -- and is what the provenance ledger files the
         dispatch under.  With a journal attached the dispatch is a
         write-ahead transaction: the intent is durably logged before any
         file moves, the commit after every movement has settled, so a
@@ -358,12 +385,11 @@ class Geomancy:
         movement_ids: list[int],
     ) -> None:
         """Append one decision-epoch entry to the provenance ledger."""
-        self._decision_seq += 1
         run_index = self.outcomes[-1].run_index if self.outcomes else 0
         engine = self.engine
         report = engine.last_report
         entry = DecisionProvenance(
-            decision_id=f"d:{self._decision_seq}",
+            decision_id=self.causal.stamp_decision(),
             trace_id=trace_id,
             kind=kind,
             run_index=run_index,
@@ -422,14 +448,111 @@ class Geomancy:
             free[target] -= info.size_bytes
         return layout
 
-    def after_run(self, run_index: int, t: float) -> StepOutcome:
+    def after_run(
+        self, run_index: int, t: float, *, realized_gbps: float | None = None
+    ) -> StepOutcome:
         """Consult Geomancy after workload run ``run_index`` finished at ``t``.
 
         Trains + moves only when the cooldown scheduler allows it and
         enough telemetry has accumulated; the safety duties of
         :meth:`safety_step` run on every eligible cycle regardless.
+
+        With the guardrail enabled the learner keeps that authority only
+        while it behaves.  ``realized_gbps`` is the mean throughput the
+        run just measured -- what the placements of earlier cycles
+        actually deliver -- and is held against what the engine predicted
+        for them; without it only training health is watched.  A trip
+        rolls the layout back to the known-good one
+        (:meth:`mark_known_good`) and benches the learner: the following
+        ``guardrail_cooldown_runs`` cycles run the fallback policy
+        (``outcome.fallback``) before the learner is re-admitted.
         """
-        return self.safety_step(run_index, t, self._learn)
+        rail = self.guardrail
+        if rail is None:
+            return self.safety_step(run_index, t, self._learn)
+        if not rail.in_fallback and realized_gbps is not None:
+            trip = rail.observe_throughput(
+                realized_gbps, self.pending_predicted,
+                run_index=run_index, t=t,
+            )
+            if trip is not None:
+                # Tripped on what this run measured, before anything was
+                # consulted: roll back first, so the ledger files the
+                # dispatch under the last finished cycle; the fallback
+                # policy takes over from the next one.
+                self._rollback_to_known_good(run_index, t)
+                outcome = StepOutcome(run_index=run_index, trip=trip.reason)
+                self.outcomes.append(outcome)
+                return outcome
+        if rail.in_fallback:
+            outcome = self.safety_step(
+                run_index, t,
+                self._lru_fallback if rail.fallback == "lru" else None,
+            )
+            outcome.fallback = True
+            self.fallback_runs += 1
+            rail.tick(run_index=run_index, t=t)
+            return outcome
+        outcome = self.safety_step(run_index, t, self._learn)
+        trip = rail.check_training(outcome.training, run_index=run_index, t=t)
+        if trip is not None:
+            outcome.trip = trip.reason
+            self._rollback_to_known_good(run_index, t)
+        elif outcome.predicted_gbps is not None:
+            self.pending_predicted = outcome.predicted_gbps
+        return outcome
+
+    def mark_known_good(self, step: int) -> None:
+        """Make the present layout the one a guardrail trip returns to.
+
+        Callers mark at the points they trust (the recoverable harness:
+        after warm-up and at every checkpoint).  Ignored while the
+        guardrail has the learner benched: the mark then still names the
+        layout that trip rolled back to.
+        """
+        if self.guardrail is not None and self.guardrail.in_fallback:
+            return
+        layout = self.cluster.layout()
+        self.known_good = {
+            "step": step,
+            "layout": {str(spec.fid): layout[spec.fid] for spec in self.files},
+        }
+
+    def _rollback_to_known_good(self, run_index: int, t: float) -> None:
+        """Return every file to its known-good placement."""
+        current = self.cluster.layout()
+        diff = {
+            int(fid): device
+            for fid, device in self.known_good["layout"].items()
+            if current.get(int(fid)) != device
+        }
+        movements = self.dispatch(diff, t, kind="rollback") if diff else []
+        self.pending_predicted = None
+        self.event_log.emit(
+            "guardrail-rollback",
+            t=t,
+            step=run_index,
+            checkpoint_step=self.known_good["step"],
+            files_targeted=len(diff),
+            files_moved=sum(1 for m in movements if m.succeeded),
+        )
+
+    def _lru_fallback(
+        self, _outcome: StepOutcome, available: list[str], t: float
+    ) -> list[MovementRecord]:
+        """The ``lru`` fallback policy's layout for one benched cycle."""
+        if not available:
+            return []
+        current = self.cluster.layout({spec.fid for spec in self.files})
+        proposal = LRUPolicy().update_layout(
+            self.db, self.files, available, current
+        )
+        diff = {
+            fid: device
+            for fid, device in (proposal or {}).items()
+            if current.get(fid) != device
+        }
+        return self.dispatch(diff, t, kind="fallback") if diff else []
 
     def safety_step(
         self,
@@ -443,8 +566,8 @@ class Geomancy:
         On a cycle the cooldown scheduler allows: files stranded on
         offline devices are rescued first, then ``act(outcome, available,
         t)`` dispatches whatever layout its policy wants and returns the
-        movements (the learner in :meth:`after_run`; a guardrail's
-        fallback policy, or nothing, while the learner is benched), and
+        movements (:meth:`after_run` passes the learner -- or, while the
+        guardrail has it benched, the fallback policy or nothing), and
         failed moves whose backoff has expired are re-attempted -- they
         ride along with any dispatch, so they get one of their own only
         when nothing else went out this cycle.

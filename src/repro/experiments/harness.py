@@ -17,18 +17,21 @@ interference as every other policy in the comparison:
 **Facade loop.**  The :class:`~repro.core.geomancy.Geomancy` facade gets
 its telemetry through the monitoring agents: :func:`start_facade_loop`
 builds it warmed up that way (:func:`warm_up_through_agents`), and
-:func:`run_through_agents` is one measured run, optionally under a fault
-injector, after which the caller consults ``geo.after_run``.
+:func:`run_measured_loop` is the measured phase -- per run one
+:func:`run_through_agents` (optionally under a fault injector), one
+``geo.after_run``, then the harness's own bookkeeping -- reported as a
+:class:`FacadeLoopResult`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.core.config import GeomancyConfig
-from repro.core.geomancy import Geomancy
+from repro.core.geomancy import Geomancy, StepOutcome
 from repro.errors import ExperimentError
 from repro.experiments.spec import ExperimentScale, TEST_SCALE
 from repro.faults.injector import FaultInjector
@@ -124,26 +127,47 @@ def consult_policy(
 WORKLOAD_SEED = 1
 
 
-def start_facade_loop(
-    config: GeomancyConfig, *, seed: int, warmup_accesses: int, **wiring
+def build_facade_loop(
+    config: GeomancyConfig, *, seed: int, **wiring
 ) -> tuple[Geomancy, WorkloadRunner]:
-    """Geomancy on a fresh Bluesky testbed, warmed up through its agents.
+    """Geomancy over an empty Bluesky testbed, and the runner that drives it.
 
     ``wiring`` goes to the :class:`Geomancy` constructor (a lossy
     ``telemetry`` transport, an ``obs`` instance, a ``journal`` ...).
     The runner gets no ReplayDB of its own and tolerates offline devices.
+    No file is placed yet: a fresh loop places and warms up
+    (:func:`start_facade_loop`), a resumed one restores a checkpoint.
     """
     cluster = make_bluesky_cluster(seed=seed)
     files = belle2_file_population(seed=seed)
     geo = Geomancy(cluster, files, config, **wiring)
-    geo.place_initial()
     runner = WorkloadRunner(
         cluster,
         Belle2Workload(files, seed=WORKLOAD_SEED),
         tolerate_offline=True,
     )
+    return geo, runner
+
+
+def start_facade_loop(
+    config: GeomancyConfig, *, seed: int, warmup_accesses: int, **wiring
+) -> tuple[Geomancy, WorkloadRunner]:
+    """:func:`build_facade_loop`, files placed, warmed up through the agents."""
+    geo, runner = build_facade_loop(config, seed=seed, **wiring)
+    geo.place_initial()
     warm_up_through_agents(geo, runner, warmup_accesses)
     return geo, runner
+
+
+def absolute_fault_schedule(specs: tuple[str, ...]) -> FaultSchedule:
+    """Parse ``specs`` for a loop with no baseline twin to scale them by."""
+    schedule = FaultSchedule.from_specs(specs)
+    if schedule.has_fractional_times:
+        raise ExperimentError(
+            "this harness needs absolute fault times "
+            "(fractional '@N%' times depend on a baseline twin run)"
+        )
+    return schedule
 
 
 def install_faults(
@@ -162,14 +186,6 @@ def install_faults(
         cluster, shifted,
         migration_failure_rate=migration_failure_rate, seed=seed,
     ).install()
-
-
-def movement_fingerprint(movements: list[MovementRecord]) -> tuple:
-    """Hashable movement history for bit-for-bit determinism comparisons."""
-    return tuple(
-        (m.timestamp, m.fid, m.src_device, m.dst_device, m.succeeded)
-        for m in movements
-    )
 
 
 def warm_up_through_agents(
@@ -211,6 +227,87 @@ def run_through_agents(
     with obs.span("telemetry_flush"):
         geo.flush_telemetry(at=runner.clock.now)
     return records
+
+
+@dataclass
+class FacadeLoopResult:
+    """What every measured facade loop reports; each harness adds its own."""
+
+    seed: int
+    scale_name: str
+    runs_completed: int
+    accesses: int
+    mean_gbps: float
+    final_layout: dict[int, str]
+    movements: list[MovementRecord]
+
+    def movement_fingerprint(self) -> tuple:
+        """Hashable movement history for bit-for-bit determinism comparisons."""
+        return tuple(
+            (m.timestamp, m.fid, m.src_device, m.dst_device, m.succeeded)
+            for m in self.movements
+        )
+
+    @classmethod
+    def measured(
+        cls,
+        geo: Geomancy,
+        throughput: list[float],
+        *,
+        seed: int,
+        scale: ExperimentScale,
+        runs_completed: int,
+        **extra,
+    ):
+        """The shared fields read off ``geo``; ``extra`` fills a subclass's."""
+        layout = geo.cluster.layout()
+        return cls(
+            seed=seed,
+            scale_name=scale.name,
+            runs_completed=runs_completed,
+            accesses=len(throughput),
+            mean_gbps=float(np.mean(throughput)) if throughput else 0.0,
+            final_layout={spec.fid: layout[spec.fid] for spec in geo.files},
+            movements=geo.db.movements(),
+            **extra,
+        )
+
+
+def run_measured_loop(
+    geo: Geomancy,
+    runner: WorkloadRunner,
+    runs: Iterable[int],
+    *,
+    injector: FaultInjector | None = None,
+    each_run: Callable[[int, list[float], StepOutcome], None] | None = None,
+) -> list[float]:
+    """The measured phase: run, consult, book-keep -- once per run number.
+
+    Every run is one observability tick around :func:`run_through_agents`
+    and ``geo.after_run``, which is told the run's mean throughput so an
+    enabled guardrail can hold it against the engine's prediction.
+    ``each_run(run_number, per-access GB/s, outcome)`` is the harness's
+    own bookkeeping; it may raise to abandon the loop.  The injector is
+    uninstalled after the last run.  Returns every access's GB/s.
+    """
+    throughput: list[float] = []
+    for run_number in runs:
+        with geo.obs.tick(run_number):
+            run_gbps = [
+                float(record.throughput_gbps)
+                for record in run_through_agents(geo, runner, injector)
+            ]
+            outcome = geo.after_run(
+                run_number,
+                runner.clock.now,
+                realized_gbps=float(np.mean(run_gbps)) if run_gbps else None,
+            )
+        throughput.extend(run_gbps)
+        if each_run is not None:
+            each_run(run_number, run_gbps, outcome)
+    if injector is not None:
+        injector.uninstall()
+    return throughput
 
 
 def shuffled_warm_up(

@@ -29,21 +29,23 @@ from __future__ import annotations
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from repro.core.geomancy import StepOutcome
 from repro.errors import ExperimentError
 from repro.experiments.harness import (
+    FacadeLoopResult,
+    absolute_fault_schedule,
     install_faults,
     make_experiment_config,
-    movement_fingerprint,
-    run_through_agents,
+    run_measured_loop,
     start_facade_loop,
 )
 from repro.experiments.reporting import ascii_table
 from repro.experiments.spec import ExperimentScale, TEST_SCALE
-from repro.faults.schedule import FaultSchedule
 from repro.observability import Observability, use
 from repro.observability.profiling import (
     ProfileReport,
@@ -52,20 +54,12 @@ from repro.observability.profiling import (
     span_attribution,
 )
 from repro.observability.slo import ControlPlaneSLOFeed, SLOMonitor
-from repro.replaydb.records import MovementRecord
 
 
 @dataclass
-class InstrumentedRunResult:
+class InstrumentedRunResult(FacadeLoopResult):
     """Outcome of one observed control loop, plus its telemetry."""
 
-    seed: int
-    scale_name: str
-    runs_completed: int
-    accesses: int
-    mean_gbps: float
-    final_layout: dict[int, str]
-    movements: list[MovementRecord]
     #: full Prometheus text exposition captured at run end
     prometheus: str
     #: per-metric snapshot dict captured at run end
@@ -80,9 +74,6 @@ class InstrumentedRunResult:
     attribution: SpanAttribution | None = None
     #: final SLO burn-rate statuses (None when SLO monitoring was off)
     slo: list[dict] | None = None
-
-    def movement_fingerprint(self) -> tuple:
-        return movement_fingerprint(self.movements)
 
     def to_text(self, profile_top: int = 15) -> str:
         rows = [
@@ -122,38 +113,36 @@ def run_instrumented(
     profile: bool = False,
     schedule_specs: tuple[str, ...] = (),
     migration_failure_rate: float = 0.0,
+    slo_enabled: bool = False,
+    slo_queue_delay_threshold_s: float = 0.05,
+    slo_throughput_floor_gbps: float = 0.0,
+    trace_sample_rate: float = 1.0,
     **config_overrides,
 ) -> InstrumentedRunResult:
     """One warm-up + measured loop under full observability.
 
-    ``obs`` defaults to a fully enabled instance built from the run's
-    config knobs; pass ``Observability(enabled=False)`` to measure the
-    disabled baseline through the *identical* code path (the overhead
-    benchmark does exactly that).  ``metrics_path`` receives the final
-    Prometheus dump, ``metrics_snapshot_path`` a JSONL snapshot every
-    ``snapshot_every`` measured runs, ``trace_path`` the Chrome-trace
-    JSON.  ``profile=True`` additionally wraps the measured phase in
-    cProfile.
+    ``obs`` defaults to a fully enabled instance tracing
+    ``trace_sample_rate`` of the ticks; pass ``Observability(enabled=
+    False)`` to measure the disabled baseline through the *identical*
+    code path (the overhead benchmark does exactly that).
+    ``metrics_path`` receives the final Prometheus dump,
+    ``metrics_snapshot_path`` a JSONL snapshot every ``snapshot_every``
+    measured runs, ``trace_path`` the Chrome-trace JSON.  ``profile=True``
+    additionally wraps the measured phase in cProfile.  ``slo_enabled``
+    evaluates the stock control-plane SLOs (delivery ratio, queue delay
+    within ``slo_queue_delay_threshold_s``, throughput at or above
+    ``slo_throughput_floor_gbps``) after every run, with multi-window
+    burn-rate alerting on the event bus.
     """
     if snapshot_every < 1:
         raise ExperimentError(
             f"snapshot_every must be >= 1, got {snapshot_every}"
         )
     specs = tuple(schedule_specs)
-    if specs and FaultSchedule.from_specs(specs).has_fractional_times:
-        raise ExperimentError(
-            "the instrumented harness needs absolute fault times "
-            "(fractional '@N%' times depend on a baseline twin run)"
-        )
-    config = make_experiment_config(
-        scale,
-        seed=seed,
-        observability_enabled=True,
-        fault_schedule=specs,
-        **config_overrides,
-    )
+    schedule = absolute_fault_schedule(specs)
+    config = make_experiment_config(scale, seed=seed, **config_overrides)
     if obs is None:
-        obs = Observability.from_config(config)
+        obs = Observability(trace_sample_rate=trace_sample_rate)
     with use(obs), ExitStack() as cleanup:
         # Components cache their handles at construction, so the system is
         # built *after* the instance is installed.  Warm-up telemetry lands
@@ -163,65 +152,59 @@ def run_instrumented(
             config, seed=seed, warmup_accesses=scale.warmup_accesses, obs=obs
         )
         cleanup.callback(geo.close)
-        cluster = geo.cluster
 
         slo_feed = None
-        if config.slo_enabled:
+        if slo_enabled:
             monitor = SLOMonitor(
                 ControlPlaneSLOFeed.default_specs(), bus=obs.bus
             )
             slo_feed = ControlPlaneSLOFeed(
                 monitor,
                 geo,
-                queue_delay_threshold_s=config.slo_queue_delay_threshold_s,
-                throughput_floor_gbps=config.slo_throughput_floor_gbps,
+                queue_delay_threshold_s=slo_queue_delay_threshold_s,
+                throughput_floor_gbps=slo_throughput_floor_gbps,
             )
 
         injector = None
         if specs or migration_failure_rate:
             injector = install_faults(
-                cluster,
-                FaultSchedule.from_specs(specs),
+                geo.cluster,
+                schedule,
                 phase_start=runner.clock.now,
                 migration_failure_rate=migration_failure_rate,
                 seed=seed,
             )
 
-        throughput: list[float] = []
+        def feed_and_snapshot(
+            run_number: int, run_gbps: list[float], _outcome: StepOutcome
+        ) -> None:
+            if slo_feed is not None:
+                now = runner.clock.now
+                slo_feed.tick(now, run_index=run_number)
+                slo_feed.observe_run(
+                    now,
+                    float(np.mean(run_gbps)) if run_gbps else 0.0,
+                    run_index=run_number,
+                )
+                slo_feed.monitor.evaluate(now, run_index=run_number)
+            if (
+                metrics_snapshot_path is not None
+                and run_number % snapshot_every == 0
+            ):
+                obs.metrics.write_snapshot(
+                    metrics_snapshot_path, run=run_number, seed=seed
+                )
 
-        def measured_phase() -> None:
-            for run_number in range(1, scale.runs + 1):
-                with obs.tick(run_number):
-                    run_gbps = [
-                        float(record.throughput_gbps)
-                        for record in run_through_agents(geo, runner, injector)
-                    ]
-                    throughput.extend(run_gbps)
-                    geo.after_run(run_number, runner.clock.now)
-                    if slo_feed is not None:
-                        now = runner.clock.now
-                        slo_feed.tick(now, run_index=run_number)
-                        slo_feed.observe_run(
-                            now,
-                            float(np.mean(run_gbps)) if run_gbps else 0.0,
-                            run_index=run_number,
-                        )
-                        slo_feed.monitor.evaluate(now, run_index=run_number)
-                if (
-                    metrics_snapshot_path is not None
-                    and run_number % snapshot_every == 0
-                ):
-                    obs.metrics.write_snapshot(
-                        metrics_snapshot_path, run=run_number, seed=seed
-                    )
-
+        measured_phase = partial(
+            run_measured_loop, geo, runner, range(1, scale.runs + 1),
+            injector=injector, each_run=feed_and_snapshot,
+        )
         report: ProfileReport | None = None
         if profile:
             report = profile_call(measured_phase)
+            throughput = report.result
         else:
-            measured_phase()
-        if injector is not None:
-            injector.uninstall()
+            throughput = measured_phase()
 
         artifacts: dict[str, str] = {}
         prometheus = obs.metrics.render_prometheus()
@@ -243,15 +226,8 @@ def run_instrumented(
         if geo.ledger is not None and geo.ledger.path is not None:
             artifacts["provenance"] = str(geo.ledger.path)
 
-        layout = cluster.layout()
-        return InstrumentedRunResult(
-            seed=seed,
-            scale_name=scale.name,
-            runs_completed=scale.runs,
-            accesses=len(throughput),
-            mean_gbps=float(np.mean(throughput)) if throughput else 0.0,
-            final_layout={spec.fid: layout[spec.fid] for spec in geo.files},
-            movements=geo.db.movements(),
+        return InstrumentedRunResult.measured(
+            geo, throughput, seed=seed, scale=scale, runs_completed=scale.runs,
             prometheus=prometheus,
             metrics=obs.metrics.snapshot(),
             events=[event.to_dict() for event in obs.bus],

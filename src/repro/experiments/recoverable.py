@@ -7,10 +7,10 @@ the chaos harness, but wired through the :mod:`repro.recovery` stack:
 * every ``checkpoint_every`` measured runs the full system state --
   ReplayDB snapshot, model weights, layout, scheduler position, every
   RNG stream -- is committed as an atomic checkpoint generation;
-* the safe-mode :class:`~repro.recovery.guardrail.Guardrail` (optional)
-  watches training health and realized-vs-predicted throughput, rolling
-  the layout back to the last known-good checkpoint and demoting the
-  learner to a fallback policy when it trips.
+* the facade's safe-mode guardrail (optional) is told which layouts are
+  known good -- the post-warm-up one, then every checkpoint taken while
+  the learner holds authority -- so a trip rolls back to the last of
+  them before the learner is demoted to the fallback policy.
 
 ``resume_recoverable`` restarts a killed run from its checkpoint
 directory alone (all parameters travel inside the checkpoint) and
@@ -29,20 +29,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.config import GeomancyConfig
-from repro.core.geomancy import Geomancy
+from repro.core.geomancy import Geomancy, StepOutcome
 from repro.errors import ExperimentError, SimulatedCrash
 from repro.experiments.harness import (
-    WORKLOAD_SEED,
+    FacadeLoopResult,
+    absolute_fault_schedule,
+    build_facade_loop,
     install_faults,
     make_experiment_config,
-    movement_fingerprint,
-    run_through_agents,
+    run_measured_loop,
     start_facade_loop,
 )
 from repro.experiments.reporting import ascii_table
@@ -51,17 +49,10 @@ from repro.faults.injector import FaultInjector
 from repro.faults.invariants import cluster_invariant_violations
 from repro.faults.schedule import FaultSchedule
 from repro.nn.serialization import load_weights
-from repro.policies.lru import LRUPolicy
 from repro.recovery.checkpoint import CheckpointManager
-from repro.recovery.events import EventLog
-from repro.recovery.guardrail import Guardrail
 from repro.recovery.journal import LayoutJournal
 from repro.recovery.snapshot import capture_system, restore_system
 from repro.replaydb.db import ReplayDB
-from repro.replaydb.records import MovementRecord
-from repro.simulation.bluesky import make_bluesky_cluster
-from repro.workloads.belle2 import Belle2Workload
-from repro.workloads.files import belle2_file_population
 from repro.workloads.runner import WorkloadRunner
 
 #: file name of the write-ahead layout journal inside the checkpoint dir
@@ -71,16 +62,9 @@ KILL_POINTS = ("pre-commit", "mid-checkpoint", "post-commit")
 
 
 @dataclass
-class RecoverableRunResult:
+class RecoverableRunResult(FacadeLoopResult):
     """Outcome of one (possibly resumed) recoverable control loop."""
 
-    seed: int
-    scale_name: str
-    runs_completed: int
-    accesses: int
-    mean_gbps: float
-    final_layout: dict[int, str]
-    movements: list[MovementRecord]
     checkpoints_written: int
     #: step of the checkpoint generation this process restored from
     #: (None for an uninterrupted run)
@@ -94,9 +78,6 @@ class RecoverableRunResult:
     invariant_violations: list[str] = field(default_factory=list)
     #: torn/corrupt-checkpoint fallbacks and other recovery notes
     warnings: list[str] = field(default_factory=list)
-
-    def movement_fingerprint(self) -> tuple:
-        return movement_fingerprint(self.movements)
 
     def to_text(self) -> str:
         rows = [
@@ -130,23 +111,16 @@ class RecoverableRunResult:
 class _Session:
     """Everything the measured loop needs, fresh-built or restored."""
 
-    config: GeomancyConfig
     scale: ExperimentScale
     seed: int
     geo: Geomancy
     runner: WorkloadRunner
     mgr: CheckpointManager
     injector: FaultInjector | None
-    guardrail: Guardrail | None
     meta: dict
     loop: dict
     resumed_from: int | None = None
     warnings: list[str] = field(default_factory=list)
-
-
-def _current_layout(geo: Geomancy) -> dict[str, str]:
-    layout = geo.cluster.layout()
-    return {str(spec.fid): layout[spec.fid] for spec in geo.files}
 
 
 def _compose_state(s: _Session) -> dict:
@@ -154,32 +128,11 @@ def _compose_state(s: _Session) -> dict:
         "meta": s.meta,
         "system": capture_system(s.geo, s.runner),
         "loop": s.loop,
-        "guardrail": (
-            s.guardrail.state_dict() if s.guardrail is not None else None
-        ),
         "injector": (
             s.injector.state_dict() if s.injector is not None else None
         ),
         "events": s.geo.event_log.state_dict(),
     }
-
-
-def _build_guardrail(
-    config: GeomancyConfig,
-    event_log: EventLog,
-    weight_rollback=None,
-) -> Guardrail | None:
-    if not config.guardrail_enabled:
-        return None
-    return Guardrail(
-        window=config.guardrail_window,
-        regression_fraction=config.guardrail_regression_fraction,
-        explode_factor=config.guardrail_explode_factor,
-        cooldown_runs=config.guardrail_cooldown_runs,
-        fallback=config.fallback_policy,
-        event_log=event_log,
-        weight_rollback=weight_rollback,
-    )
 
 
 def _build_injector(
@@ -216,7 +169,9 @@ def run_recoverable(
 ) -> RecoverableRunResult:
     """One warm-up + measured loop under the durability stack.
 
-    Every parameter is persisted inside each checkpoint, so
+    The full system state is checkpointed every ``checkpoint_every``
+    measured runs (0 disables), ``keep`` rotated generations stay on
+    disk.  Every parameter is persisted inside each checkpoint, so
     :func:`resume_recoverable` needs only the directory.
     """
     if kill_point is not None and kill_point not in KILL_POINTS:
@@ -227,23 +182,21 @@ def run_recoverable(
         raise ExperimentError(
             "kill_at_run and kill_point must be given together"
         )
-    specs = tuple(schedule_specs)
-    if specs and FaultSchedule.from_specs(specs).has_fractional_times:
+    if checkpoint_every < 0:
         raise ExperimentError(
-            "the recoverable harness needs absolute fault times "
-            "(fractional '@N%' times depend on a baseline twin run)"
+            f"checkpoint_every must be >= 0, got {checkpoint_every}"
         )
+    specs = tuple(schedule_specs)
+    absolute_fault_schedule(specs)
     config = make_experiment_config(
         scale,
         seed=seed,
-        checkpoint_every=checkpoint_every,
-        checkpoint_keep=keep,
         guardrail_enabled=guardrail,
         fallback_policy=fallback_policy,
         **config_overrides,
     )
     checkpoint_dir = Path(checkpoint_dir)
-    event_log = EventLog()
+    mgr = CheckpointManager(checkpoint_dir, keep=keep)
     # Warm-up: telemetry lands through the agents but is not measured.
     # Checkpoints only cover the measured phase; a kill during warm-up
     # means starting over (warm-up is cheap and fully deterministic).
@@ -252,49 +205,39 @@ def run_recoverable(
         seed=seed,
         warmup_accesses=scale.warmup_accesses,
         journal=LayoutJournal(checkpoint_dir / JOURNAL_NAME),
-        event_log=event_log,
     )
+    geo.mark_known_good(0)
 
     meta = {
         "seed": seed,
-        "workload_seed": WORKLOAD_SEED,
         "scale": asdict(scale),
         "config": asdict(config),
+        "checkpoint_every": checkpoint_every,
+        "keep": keep,
         "schedule_specs": list(specs),
         "migration_failure_rate": float(migration_failure_rate),
         "phase_start": runner.clock.now,
     }
-    injector = _build_injector(geo.cluster, meta, seed)
-    rail = _build_guardrail(
-        config, event_log, weight_rollback=geo.engine.rollback_weights
-    )
-    mgr = CheckpointManager(checkpoint_dir, keep=config.checkpoint_keep)
     session = _Session(
-        config=config,
         scale=scale,
         seed=seed,
         geo=geo,
         runner=runner,
         mgr=mgr,
-        injector=injector,
-        guardrail=rail,
+        injector=_build_injector(geo.cluster, meta, seed),
         meta=meta,
         loop={
             "next_run": 1,
             "throughput": [],
-            "fail_start": runner.failed_accesses,
             "rescued": 0,
             "violations": [],
-            "pending_predicted": None,
-            "known_good": {"step": 0, "layout": _current_layout(geo)},
-            "fallback_runs": 0,
             "checkpoints_written": 0,
         },
     )
-    if config.checkpoint_every > 0:
+    if checkpoint_every > 0:
         # Generation 0: the post-warm-up baseline every resume can fall
         # back to even if every later generation is torn.
-        event_log.emit(
+        geo.event_log.emit(
             "checkpoint-saved", t=runner.clock.now, step=0, generation="gen-0"
         )
         session.loop["checkpoints_written"] += 1
@@ -330,37 +273,29 @@ def resume_recoverable(
         )
     state = loaded.state
     meta = state["meta"]
-    scale = ExperimentScale(**meta["scale"])
+    mgr.keep = int(meta["keep"])
     config_raw = dict(meta["config"])
     config_raw["features"] = tuple(config_raw["features"])
-    config_raw["fault_schedule"] = tuple(config_raw["fault_schedule"])
-    config = GeomancyConfig(**config_raw)
-    mgr.keep = config.checkpoint_keep
     seed = int(meta["seed"])
 
-    cluster = make_bluesky_cluster(seed=seed)
-    files = belle2_file_population(seed=seed)
-    db = (
-        ReplayDB.from_snapshot(loaded.replay_path)
-        if loaded.replay_path is not None
-        else ReplayDB()
-    )
     journal = LayoutJournal(checkpoint_dir / JOURNAL_NAME)
-    event_log = EventLog()
+    geo, runner = build_facade_loop(
+        GeomancyConfig(**config_raw),
+        seed=seed,
+        db=(
+            ReplayDB.from_snapshot(loaded.replay_path)
+            if loaded.replay_path is not None
+            else ReplayDB()
+        ),
+        journal=journal,
+    )
+    event_log = geo.event_log
     event_log.load_state_dict(state["events"])
-    geo = Geomancy(
-        cluster, files, config, db=db, journal=journal, event_log=event_log
-    )
-    runner = WorkloadRunner(
-        cluster,
-        Belle2Workload(files, seed=int(meta["workload_seed"])),
-        tolerate_offline=True,
-    )
     restore_system(geo, runner, state["system"])
     if loaded.model_path is not None and geo.engine.model.built:
         load_weights(geo.engine.model, loaded.model_path)
     rolled = journal.resolve_pending(
-        cluster, files, event_log, t=runner.clock.now, step=loaded.step
+        geo.cluster, geo.files, event_log, t=runner.clock.now, step=loaded.step
     )
     for warning in loaded.warnings:
         event_log.emit(
@@ -374,23 +309,16 @@ def resume_recoverable(
         generation=loaded.path.name,
         rolled_back_txns=rolled,
     )
-    injector = _build_injector(cluster, meta, seed)
+    injector = _build_injector(geo.cluster, meta, seed)
     if injector is not None:
         injector.load_state_dict(state["injector"])
-    rail = _build_guardrail(
-        config, event_log, weight_rollback=geo.engine.rollback_weights
-    )
-    if rail is not None:
-        rail.load_state_dict(state["guardrail"])
     session = _Session(
-        config=config,
-        scale=scale,
+        scale=ExperimentScale(**meta["scale"]),
         seed=seed,
         geo=geo,
         runner=runner,
         mgr=mgr,
         injector=injector,
-        guardrail=rail,
         meta=meta,
         loop=dict(state["loop"]),
         resumed_from=loaded.step,
@@ -407,114 +335,22 @@ def resume_recoverable(
 # -- the measured loop ----------------------------------------------------
 
 
-def _rollback_to_known_good(s: _Session, *, t: float, run_number: int) -> None:
-    """Return the layout to the last known-good checkpoint's placements."""
-    target = {
-        int(fid): device
-        for fid, device in s.loop["known_good"]["layout"].items()
-    }
-    current = s.geo.cluster.layout()
-    diff = {
-        fid: device
-        for fid, device in target.items()
-        if current.get(fid) != device
-    }
-    movements = s.geo.dispatch(diff, t, kind="rollback") if diff else []
-    s.loop["pending_predicted"] = None
-    s.geo.event_log.emit(
-        "guardrail-rollback",
-        t=t,
-        step=run_number,
-        checkpoint_step=s.loop["known_good"]["step"],
-        files_targeted=len(diff),
-        files_moved=sum(1 for m in movements if m.succeeded),
-    )
-
-
-def _lru_fallback(geo: Geomancy, _outcome, available: list[str], t: float):
-    """The ``lru`` fallback policy's layout for one benched cycle."""
-    if not available:
-        return []
-    current = geo.cluster.layout({spec.fid for spec in geo.files})
-    proposal = LRUPolicy().update_layout(
-        geo.db, geo.files, available, current
-    )
-    diff = {
-        fid: device
-        for fid, device in (proposal or {}).items()
-        if current.get(fid) != device
-    }
-    return geo.dispatch(diff, t, kind="fallback") if diff else []
-
-
-def _fallback_cycle(s: _Session, *, t: float, run_number: int) -> None:
-    """Safety duties (and the fallback policy) while the learner is benched."""
-    geo = s.geo
-    outcome = geo.safety_step(
-        run_number,
-        t,
-        partial(_lru_fallback, geo)
-        if s.config.fallback_policy == "lru"
-        else None,
-    )
-    s.loop["rescued"] += outcome.rescued_files
-
-
 def _measured_loop(
     s: _Session,
     *,
     kill_at_run: int | None,
     kill_point: str | None,
 ) -> RecoverableRunResult:
-    geo, runner, loop = s.geo, s.runner, s.loop
-    cluster = geo.cluster
-    checkpoint_every = s.config.checkpoint_every
-    for run_number in range(loop["next_run"], s.scale.runs + 1):
-        run_gbps = [
-            float(record.throughput_gbps)
-            for record in run_through_agents(geo, runner, s.injector)
-        ]
-        loop["throughput"].extend(run_gbps)
-        t = runner.clock.now
-        realized = float(np.mean(run_gbps)) if run_gbps else None
+    geo, loop = s.geo, s.loop
+    checkpoint_every = s.meta["checkpoint_every"]
 
-        # The prediction made at the end of an earlier cycle describes
-        # the throughput the engine expected from its own placements;
-        # this run just measured what those placements actually deliver.
-        trip = None
-        if (
-            s.guardrail is not None
-            and not s.guardrail.in_fallback
-            and realized is not None
-        ):
-            trip = s.guardrail.observe_throughput(
-                realized,
-                loop["pending_predicted"],
-                run_index=run_number,
-                t=t,
-            )
-        if s.guardrail is not None and s.guardrail.in_fallback:
-            if trip is not None:
-                # Tripped on this very run: roll back first; the
-                # fallback policy takes over from the next cycle.
-                _rollback_to_known_good(s, t=t, run_number=run_number)
-            else:
-                loop["fallback_runs"] += 1
-                _fallback_cycle(s, t=t, run_number=run_number)
-                s.guardrail.tick(run_index=run_number, t=t)
-        else:
-            outcome = geo.after_run(run_number, t)
-            loop["rescued"] += outcome.rescued_files
-            if s.guardrail is not None and outcome.trained:
-                trip = s.guardrail.check_training(
-                    outcome.training, run_index=run_number, t=t
-                )
-            if trip is not None:
-                _rollback_to_known_good(s, t=t, run_number=run_number)
-            elif outcome.predicted_gbps is not None:
-                loop["pending_predicted"] = outcome.predicted_gbps
+    def check_and_checkpoint(
+        run_number: int, run_gbps: list[float], outcome: StepOutcome
+    ) -> None:
+        loop["throughput"].extend(run_gbps)
+        loop["rescued"] += outcome.rescued_files
         loop["violations"].extend(
-            cluster_invariant_violations(cluster, geo.files)
+            cluster_invariant_violations(geo.cluster, geo.files)
         )
         loop["next_run"] = run_number + 1
 
@@ -528,14 +364,10 @@ def _measured_loop(
                 f"injected kill before checkpoint at run {run_number}"
             )
         if due:
-            if s.guardrail is None or not s.guardrail.in_fallback:
-                loop["known_good"] = {
-                    "step": run_number,
-                    "layout": _current_layout(geo),
-                }
+            geo.mark_known_good(run_number)
             geo.event_log.emit(
                 "checkpoint-saved",
-                t=t,
+                t=s.runner.clock.now,
                 step=run_number,
                 generation=f"gen-{run_number:08d}",
             )
@@ -563,34 +395,26 @@ def _measured_loop(
                 f"injected kill after checkpoint at run {run_number}"
             )
 
-    if s.injector is not None:
-        s.injector.uninstall()
-    layout = cluster.layout()
-    return RecoverableRunResult(
-        seed=s.seed,
-        scale_name=s.scale.name,
-        runs_completed=loop["next_run"] - 1,
-        accesses=len(loop["throughput"]),
-        mean_gbps=(
-            float(np.mean(loop["throughput"])) if loop["throughput"] else 0.0
-        ),
-        final_layout={
-            spec.fid: layout[spec.fid] for spec in geo.files
-        },
-        movements=geo.db.movements(),
+    try:
+        run_measured_loop(
+            geo, s.runner, range(loop["next_run"], s.scale.runs + 1),
+            injector=s.injector, each_run=check_and_checkpoint,
+        )
+    finally:
+        geo.close()
+    rail = geo.guardrail
+    return RecoverableRunResult.measured(
+        geo, loop["throughput"],
+        seed=s.seed, scale=s.scale, runs_completed=loop["next_run"] - 1,
         checkpoints_written=loop["checkpoints_written"],
         resumed_from_step=s.resumed_from,
         rolled_back_txns=loop.get("rolled_back", 0),
         rescued_files=loop["rescued"],
-        fallback_runs=loop["fallback_runs"],
+        fallback_runs=geo.fallback_runs,
         guardrail_trips=(
-            [trip.to_dict() for trip in s.guardrail.trips]
-            if s.guardrail is not None
-            else []
+            [trip.to_dict() for trip in rail.trips] if rail is not None else []
         ),
-        guardrail_mode=(
-            s.guardrail.mode if s.guardrail is not None else None
-        ),
+        guardrail_mode=rail.mode if rail is not None else None,
         events=[event.to_dict() for event in geo.event_log],
         invariant_violations=list(loop["violations"]),
         warnings=list(s.warnings),

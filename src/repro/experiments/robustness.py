@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.geomancy import Geomancy
+from repro.core.geomancy import Geomancy, StepOutcome
 from repro.errors import ExperimentError
 from repro.experiments.harness import (
+    FacadeLoopResult,
     install_faults,
     make_experiment_config,
-    movement_fingerprint,
-    run_through_agents,
+    run_measured_loop,
     start_facade_loop,
 )
 from repro.experiments.reporting import ascii_table
@@ -135,15 +135,12 @@ DEFAULT_CHAOS_SCHEDULE: tuple[str, ...] = (
 
 
 @dataclass
-class _PhaseStats:
-    """Everything measured while one (baseline or chaos) loop ran."""
+class _PhaseResult(FacadeLoopResult):
+    """One (baseline or chaos) loop, plus what only a chaos study asks."""
 
-    mean_gbps: float
     duration_s: float
     end_time: float
-    accesses: int
     failed_accesses: int
-    movements: list[MovementRecord]
     rescued_files: int
     recovery_times: list[float]
     stranded_at_end: int
@@ -190,8 +187,8 @@ class ChaosResult:
         """Time from the last outage wave until no file was stranded."""
         return self.recovery_times[-1] if self.recovery_times else None
 
-    def movement_fingerprint(self) -> tuple:
-        return movement_fingerprint(self.movements)
+    #: the chaos twin's movement history, compared like any loop's
+    movement_fingerprint = FacadeLoopResult.movement_fingerprint
 
     def to_text(self) -> str:
         rows = [
@@ -236,7 +233,7 @@ def _run_control_loop(
     schedule: FaultSchedule | None = None,
     migration_failure_rate: float = 0.0,
     baseline_duration: float | None = None,
-) -> tuple[_PhaseStats, Geomancy, FaultInjector | None]:
+) -> tuple[_PhaseResult, Geomancy, FaultInjector | None]:
     """One full warm-up + measured Geomancy loop, optionally under faults.
 
     ``transport_faults`` (the :class:`ChaosTransport` rates) makes it the
@@ -261,34 +258,22 @@ def _run_control_loop(
     injector = None
     phase_start = runner.clock.now
     if chaos:
-        resolved = schedule if schedule is not None else FaultSchedule()
-        if resolved.has_fractional_times:
+        if schedule.has_fractional_times:
             # Fractional times ("@40%") refer to the measured phase; the
             # fault-free twin already measured how long that phase lasts.
-            if baseline_duration is None:
-                raise ExperimentError(
-                    "schedule has fractional times but no baseline "
-                    "duration was provided to resolve them"
-                )
-            resolved = resolved.resolved(baseline_duration)
+            schedule = schedule.resolved(baseline_duration)
         injector = install_faults(
-            cluster, resolved, phase_start=phase_start,
+            cluster, schedule, phase_start=phase_start,
             migration_failure_rate=migration_failure_rate, seed=seed,
         )
 
-    throughput: list[float] = []
     measured_fail_start = runner.failed_accesses
-    rescued = 0
     recovery_times: list[float] = []
     stranded_since: float | None = None
     violations: list[str] = []
-    for run_number in range(1, scale.runs + 1):
-        throughput.extend(
-            r.throughput_gbps
-            for r in run_through_agents(geo, runner, injector)
-        )
-        outcome = geo.after_run(run_number, runner.clock.now)
-        rescued += outcome.rescued_files
+
+    def track_recovery(_run: int, _gbps: list[float], _outcome: StepOutcome):
+        nonlocal stranded_since
         stranded = len(cluster.files_stranded())
         if stranded and stranded_since is None:
             stranded_since = runner.clock.now
@@ -296,16 +281,17 @@ def _run_control_loop(
             recovery_times.append(runner.clock.now - stranded_since)
             stranded_since = None
         violations.extend(cluster_invariant_violations(cluster, files))
-    if injector is not None:
-        injector.uninstall()
-    return _PhaseStats(
-        mean_gbps=float(np.mean(throughput)) if throughput else 0.0,
+
+    throughput = run_measured_loop(
+        geo, runner, range(1, scale.runs + 1),
+        injector=injector, each_run=track_recovery,
+    )
+    return _PhaseResult.measured(
+        geo, throughput, seed=seed, scale=scale, runs_completed=scale.runs,
         duration_s=runner.clock.now - phase_start,
         end_time=runner.clock.now,
-        accesses=len(throughput),
         failed_accesses=runner.failed_accesses - measured_fail_start,
-        movements=geo.db.movements(),
-        rescued_files=rescued,
+        rescued_files=sum(o.rescued_files for o in geo.outcomes),
         recovery_times=recovery_times,
         stranded_at_end=len(cluster.files_stranded()),
         invariant_violations=violations,
@@ -332,10 +318,9 @@ def run_chaos(
         tuple(schedule_specs) if schedule_specs is not None
         else DEFAULT_CHAOS_SCHEDULE
     )
-    schedule = FaultSchedule.from_specs(specs) if specs else None
     baseline, _, _ = _run_control_loop(scale=scale, seed=seed)
     stats, geo, injector = _run_control_loop(
-        scale=scale, seed=seed, schedule=schedule,
+        scale=scale, seed=seed, schedule=FaultSchedule.from_specs(specs),
         migration_failure_rate=migration_failure_rate,
         transport_faults=dict(
             drop_rate=drop_rate, delay_rate=delay_rate,
@@ -362,9 +347,9 @@ def run_chaos(
         moves_retried=geo.control.moves_retried,
         retries_exhausted=len(geo.control.exhausted),
         dead_letters=geo.daemon.dead_letters,
-        batches_dropped=getattr(telemetry, "dropped", 0),
-        batches_delayed=getattr(telemetry, "delayed", 0),
-        batches_corrupted=getattr(telemetry, "corrupted", 0),
+        batches_dropped=telemetry.dropped,
+        batches_delayed=telemetry.delayed,
+        batches_corrupted=telemetry.corrupted,
         quarantined_devices=geo.health.quarantined_devices(stats.end_time),
         invariant_violations=stats.invariant_violations,
     )

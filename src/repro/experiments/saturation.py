@@ -343,10 +343,13 @@ def _run_cell(
         # Evicted messages (drop-oldest) never reach the daemon, so the
         # component counters undercount; conservation closes the books:
         # everything offered is either stored, still queued, or shed.
+        still_queued = sum(
+            len(message.records)
+            for message in transport.iter_pending()
+            if isinstance(message, TelemetryBatch)
+        )
         cell.shed_records = (
-            cell.offered_records
-            - cell.delivered_records
-            - _pending_records(transport)
+            cell.offered_records - cell.delivered_records - still_queued
         )
     else:
         cell.shed_records = sender_shed + daemon.records_shed
@@ -359,20 +362,6 @@ def _run_cell(
     cell.control_p50_s = ctl_hist.quantile(0.50)
     cell.control_p99_s = ctl_hist.quantile(0.99)
     return cell
-
-
-def _pending_records(transport) -> int:
-    """Telemetry records still queued (undelivered, but not shed)."""
-    pending = 0
-    for lane in getattr(transport, "_lanes", {}).values():
-        for message in lane:
-            if isinstance(message, TelemetryBatch):
-                pending += len(message.records)
-    if not hasattr(transport, "_lanes"):
-        for message in getattr(transport, "_queue", ()):
-            if isinstance(message, TelemetryBatch):
-                pending += len(message.records)
-    return pending
 
 
 def run_saturation(

@@ -89,14 +89,6 @@ class Observability:
     def emit(self, kind: str, *, t: float, step: int, **detail) -> Event:
         return self.bus.emit(kind, t=t, step=step, **detail)
 
-    @classmethod
-    def from_config(cls, config) -> "Observability":
-        """Build from the :class:`~repro.core.config.GeomancyConfig` knobs."""
-        return cls(
-            enabled=config.observability_enabled,
-            trace_sample_rate=config.trace_sample_rate,
-        )
-
 
 #: the process-wide disabled default; never mutated, always reusable
 _DISABLED = Observability(enabled=False)

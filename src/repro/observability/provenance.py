@@ -561,6 +561,7 @@ class CausalContext:
         self.ledger = ledger if ledger is not None else ProvenanceLedger()
         self._batch_seq: dict[str, int] = {}
         self._command_seq = 0
+        self._decision_seq = 0
         #: batches whose terminal outcome was recorded, by outcome kind
         self.resolved: dict[str, int] = {}
 
@@ -594,6 +595,27 @@ class CausalContext:
         """Mint a trace id for one layout dispatch."""
         self._command_seq += 1
         return f"cmd:{self._command_seq}"
+
+    def stamp_decision(self) -> str:
+        """Mint the id of one ledgered decision entry."""
+        self._decision_seq += 1
+        return f"d:{self._decision_seq}"
+
+    # -- persistence -----------------------------------------------------
+    def state_dict(self) -> dict:
+        """The id counters: a resumed plane must not mint an id twice."""
+        return {
+            "batch_seq": dict(self._batch_seq),
+            "command_seq": self._command_seq,
+            "decision_seq": self._decision_seq,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        self._batch_seq = {
+            str(device): int(seq) for device, seq in state["batch_seq"].items()
+        }
+        self._command_seq = int(state["command_seq"])
+        self._decision_seq = int(state["decision_seq"])
 
     # -- resolution ------------------------------------------------------
     def batch(self, trace_id: str | None) -> BatchProvenance | None:

@@ -160,7 +160,8 @@ class SLOMonitor:
         self.bus = bus
         self._alerting: set[str] = set()
         self.alerts_fired = 0
-        #: ``(status) -> None`` hooks invoked on each new alert
+        #: ``(status, now, run_index) -> None`` hooks invoked on each new
+        #: alert, with the time and run it was evaluated at
         self.on_alert: list = []
 
     def record(self, name: str, t: float, good: float, bad: float) -> None:
@@ -196,7 +197,7 @@ class SLOMonitor:
                         burns=[list(b) for b in burns],
                     )
                 for hook in self.on_alert:
-                    hook(status)
+                    hook(status, now, run_index)
             elif not alerting and name in self._alerting:
                 self._alerting.discard(name)
                 if self.bus is not None:
@@ -217,11 +218,11 @@ class SLOMonitor:
         sustained SLO burn then demotes the learned policy to its
         fallback exactly like a training-health trip would.
         """
-        def _hook(status: SLOStatus) -> None:
+        def _hook(status: SLOStatus, now: float, run_index: int) -> None:
             guardrail.trip_external(
                 f"slo-burn:{status.name}",
-                run_index=0,
-                t=max((b[0] for b in status.burns), default=0.0),
+                run_index=run_index,
+                t=now,
                 detail=status.to_dict(),
             )
 
@@ -289,6 +290,16 @@ class ControlPlaneSLOFeed:
         queue_delay_threshold_s: float = 0.05,
         throughput_floor_gbps: float = 0.0,
     ) -> None:
+        if queue_delay_threshold_s <= 0:
+            raise ConfigurationError(
+                f"queue_delay_threshold_s must be positive, "
+                f"got {queue_delay_threshold_s}"
+            )
+        if throughput_floor_gbps < 0:
+            raise ConfigurationError(
+                f"throughput_floor_gbps must be >= 0, "
+                f"got {throughput_floor_gbps}"
+            )
         self.monitor = monitor
         self.geo = geo
         self.queue_delay_threshold_s = float(queue_delay_threshold_s)
@@ -322,7 +333,7 @@ class ControlPlaneSLOFeed:
         """Sample the plane's counters and record this tick's deltas."""
         commands = self.geo.commands
         sent = commands.messages_sent
-        lost = getattr(commands, "shed", 0) + getattr(commands, "rejected", 0)
+        lost = commands.shed + commands.rejected
         d_sent, d_lost = sent - self._last_sent, lost - self._last_lost
         self._last_sent, self._last_lost = sent, lost
         # messages_sent counts successful sends; shed/rejected are the loss

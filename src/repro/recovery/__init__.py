@@ -10,9 +10,10 @@ model can inflict.  This package provides:
 * :class:`~repro.recovery.journal.LayoutJournal` -- a write-ahead log of
   movement intents/commits so interrupted relayouts are resolved on
   restore and the cluster invariants hold;
-* :class:`~repro.recovery.guardrail.Guardrail` -- the safe-mode policy
-  wrapper that demotes a misbehaving learning policy to a fallback and
-  rolls the layout back to the last known-good checkpoint;
+* :class:`~repro.recovery.guardrail.Guardrail` -- the safe-mode
+  watchdog the Geomancy facade builds when ``guardrail_enabled``: a trip
+  demotes a misbehaving learning policy to a fallback after the facade
+  rolled the layout back to the last known-good one;
 * :class:`~repro.recovery.events.EventLog` -- structured telemetry for
   every recovery-relevant event (rescues, trips, rollbacks, fallbacks).
 

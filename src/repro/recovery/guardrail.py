@@ -11,9 +11,11 @@ guardrail watches two signals every control cycle:
   ``regression_fraction`` of what the engine predicted for its own
   placements, the model is confidently wrong about the system it steers.
 
-Either signal *trips* the guardrail: the caller rolls the layout back to
-the last known-good checkpoint and the guardrail demotes the policy to
-the configured fallback (``static`` holds the layout; ``lru`` runs the
+Either signal *trips* the guardrail: its owner -- the
+:class:`~repro.core.geomancy.Geomancy` facade, which builds it from
+config and feeds it in ``after_run`` -- rolls the layout back to the
+last known-good one, and the guardrail demotes the policy to the
+configured fallback (``static`` holds the layout; ``lru`` runs the
 paper's LRU baseline) for ``cooldown_runs`` control cycles before
 re-admitting the learner.  Every trip and mode change is recorded as
 structured telemetry.

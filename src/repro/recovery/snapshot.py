@@ -6,9 +6,12 @@ returns one JSON-serializable dict covering everything the deterministic
 loop depends on: the clock, the runner's position in the run sequence,
 every file placement (in workload-spec order, so the cluster namespace
 is rebuilt with identical iteration order), per-device RNG/stat state,
-and the engine / action-checker / control-agent / health-tracker state
-dicts.  ``restore_system`` is its exact inverse over a freshly
-constructed (files *not* yet placed) Geomancy + runner pair.
+the engine / action-checker / control-agent / health-tracker state
+dicts, the guardrail with the facade's safety-net state around it
+(known-good layout, pending prediction, fallback-run count), and the
+causal plane's id counters when tracing is on.  ``restore_system`` is
+its exact inverse over a freshly constructed (files *not* yet placed)
+Geomancy + runner pair.
 
 Model weights and the ReplayDB are deliberately **not** in this dict --
 they are binary artifacts the :class:`~repro.recovery.checkpoint.
@@ -56,6 +59,19 @@ def capture_system(geo, runner) -> dict:
         "checker": geo.checker.state_dict(),
         "control": geo.control.state_dict(),
         "health": geo.health.state_dict(),
+        "causal": (
+            geo.causal.state_dict() if geo.causal is not None else None
+        ),
+        "guardrail": {
+            "rail": (
+                geo.guardrail.state_dict()
+                if geo.guardrail is not None
+                else None
+            ),
+            "known_good": geo.known_good,
+            "pending_predicted": geo.pending_predicted,
+            "fallback_runs": geo.fallback_runs,
+        },
     }
 
 
@@ -100,3 +116,11 @@ def restore_system(geo, runner, state: dict) -> None:
     geo.checker.load_state_dict(state["checker"])
     geo.control.load_state_dict(state["control"])
     geo.health.load_state_dict(state["health"])
+    if geo.causal is not None:
+        geo.causal.load_state_dict(state["causal"])
+    safety = state["guardrail"]
+    if geo.guardrail is not None:
+        geo.guardrail.load_state_dict(safety["rail"])
+    geo.known_good = dict(safety["known_good"])
+    geo.pending_predicted = safety["pending_predicted"]
+    geo.fallback_runs = int(safety["fallback_runs"])

@@ -23,6 +23,25 @@ def batch(device="var", t=1.0, tenant="default"):
     )
 
 
+class TestIterPending:
+    @pytest.mark.parametrize(
+        "transport",
+        [
+            InMemoryTransport(),
+            BoundedTransport(capacity=4),
+            ChaosTransport(delay_rate=0.5, seed=1),
+        ],
+        ids=["fifo", "bounded", "chaos"],
+    )
+    def test_walks_what_a_drain_would_deliver(self, transport):
+        for i in range(3):
+            transport.send(batch(t=float(i)))
+            transport.send(LayoutCommand(layout={}, issued_at=float(i)))
+        peeked = list(transport.iter_pending())
+        assert len(peeked) == transport.pending
+        assert peeked == transport.receive_all()
+
+
 class TestBoundedFifo:
     def test_unbounded_by_default(self):
         transport = InMemoryTransport()

@@ -106,13 +106,14 @@ class TestMonitor:
 
         class FakeGuardrail:
             def trip_external(self, reason, *, run_index, t, detail):
-                trips.append((reason, detail["name"]))
+                trips.append((reason, detail["name"], run_index, t))
 
         monitor = SLOMonitor([spec()])
         monitor.arm(FakeGuardrail())
         monitor.record("avail", 99.0, good=0, bad=10)
-        monitor.evaluate(100.0)
-        assert trips == [("slo-burn:avail", "avail")]
+        monitor.evaluate(100.0, run_index=7)
+        # Stamped with when and where it fired, not with a window length.
+        assert trips == [("slo-burn:avail", "avail", 7, 100.0)]
 
     def test_render_marks_burning_windows(self):
         monitor = SLOMonitor([spec()])

@@ -18,7 +18,7 @@ from unittest import mock
 from repro.agents.monitoring import MonitoringAgent
 from repro.core.geomancy import Geomancy
 from repro.errors import AgentError
-from repro.experiments import harness, recoverable, robustness
+from repro.experiments import harness, robustness
 from repro.replaydb.records import AccessRecord
 from repro.workloads.runner import RunResult, WorkloadRunner
 
@@ -65,9 +65,7 @@ def observe_each(geo: Geomancy, records: list[AccessRecord]) -> None:
 @contextmanager
 def scalar_control_loop():
     """Every facade-loop harness on the scalar runner, record by record."""
-    # recoverable builds its own runner when it resumes from a checkpoint.
     with mock.patch.object(harness, "WorkloadRunner", ScalarRunner), \
-            mock.patch.object(recoverable, "WorkloadRunner", ScalarRunner), \
             mock.patch.object(Geomancy, "observe_records", observe_each):
         yield
 

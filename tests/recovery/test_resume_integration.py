@@ -218,11 +218,38 @@ class TestGuardrailAcceptance:
             # Not a model decision: nothing of the engine's stale epoch.
             assert not entry.candidates
             assert entry.window_lo is None and entry.test_mare is None
+            assert entry.guardrail_mode == "fallback"
         counters = obs.metrics.snapshot()["counters"]
         assert (
             counters["repro_engine_files_rescued_total"]
             == result.rescued_files
         )
+
+        # A learner that works until the throughput collapses: what it
+        # dispatched before the trip is ledgered under its own authority.
+        tripped = run_recoverable(
+            checkpoint_dir=tmp_path / "ckpt-collapse",
+            checkpoint_every=0,
+            seed=0,
+            guardrail=True,
+            guardrail_window=2,
+            schedule_specs=("kill:file0@80", "kill:pic@80"),
+            causal_tracing_enabled=True,
+            provenance_enabled=True,
+            provenance_path=str(tmp_path / "prov-collapse.jsonl"),
+        )
+        trip_run = tripped.guardrail_trips[0]["run_index"]
+        decisions = ProvenanceLedger.load(
+            tmp_path / "prov-collapse.jsonl"
+        ).decisions
+        before = [
+            d for d in decisions
+            if d.kind == "decision" and d.run_index < trip_run
+        ]
+        assert before and {d.guardrail_mode for d in before} == {"learning"}
+        rollbacks = [d for d in decisions if d.kind == "rollback"]
+        assert rollbacks
+        assert {d.guardrail_mode for d in rollbacks} == {"fallback"}
 
     def test_guardrail_not_below_static_baseline_under_chaos(
         self, tmp_path_factory

@@ -1,0 +1,55 @@
+"""The numbers ROADMAP quotes about the product's surface, as assertions.
+
+A new config field or CLI subcommand has to raise a ceiling here, in a
+reviewed diff; a config field nothing in the product reads fails outright.
+"""
+
+import ast
+from dataclasses import fields
+from pathlib import Path
+
+import repro
+from repro.cli import build_parser
+from repro.core.config import GeomancyConfig
+
+SRC = Path(repro.__file__).parent
+#: harness and CLI code consumes the product; a field only they read is a
+#: parameter of theirs, not configuration of what ``Geomancy(...)`` builds
+CONSUMERS = ("experiments", "cli.py")
+
+CONFIG = SRC / "core" / "config.py"
+
+MAX_CONFIG_FIELDS = 53
+MAX_CLI_SUBCOMMANDS = 24
+
+
+def attributes_read_by_the_product() -> set[str]:
+    names: set[str] = set()
+    for path in SRC.rglob("*.py"):
+        # The config's own validators are not readers either.
+        if path.relative_to(SRC).parts[0] in CONSUMERS or path == CONFIG:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(
+                node.ctx, ast.Load
+            ):
+                names.add(node.attr)
+    return names
+
+
+def test_every_config_field_is_read_by_the_product():
+    read = attributes_read_by_the_product()
+    unread = [f.name for f in fields(GeomancyConfig) if f.name not in read]
+    assert unread == []
+
+
+def test_config_field_ceiling():
+    assert len(fields(GeomancyConfig)) <= MAX_CONFIG_FIELDS
+
+
+def test_cli_subcommand_ceiling():
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if hasattr(action, "choices") and action.dest == "command"
+    ]
+    assert len(subparsers.choices) <= MAX_CLI_SUBCOMMANDS
