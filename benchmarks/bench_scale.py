@@ -1,15 +1,15 @@
 """Sharded scale-out acceptance benchmark.
 
-Three gates from the scale-out work: (1) ``shards=1`` is bit-for-bit
-identical to the legacy unsharded engine loop (fingerprint-checked
-against the raw-workload oracle), (2) 8 shards beat the unsharded agent
+Two gates from the scale-out work: (1) 8 shards beat the unsharded agent
 on the decision-epoch time and on the combined decision+simulation
-epoch for the *same* workload, and (3) a sweep point at >= 10^3 devices
+epoch for the *same* workload, and (2) a sweep point at >= 10^3 devices
 x >= 10^5 files completes within the CI budget.  Writes
 ``BENCH_scale.json`` (including peak-RSS capture) to ``benchmarks/out/``
-so the scale trajectory is inspectable per PR.
+so the scale trajectory is inspectable per PR.  (That ``shards=1`` is
+bit-for-bit one agent over the raw workload is a tier-1 test,
+``tests/experiments/test_scale.py``, not a benchmark record.)
 
-Gate (2) used to be >= 4x on both and read 17-56x: that measured the
+Gate (1) used to be >= 4x on both and read 17-56x: that measured the
 unsharded epoch's one 512-device probe tensor (3-9 s and ~700 MB of
 page-faulted activations), not sharding.  The engine now scores the
 probe in cache-sized blocks, the unsharded epoch takes 0.3-0.8 s, and
@@ -34,7 +34,6 @@ def test_scale_out(benchmark, save_result):
     )
     save_result("scale", result.to_text())
     result.write_json(OUT_DIR / "BENCH_scale.json")
-    assert result.identical_at_1_shard
     assert result.decision_epoch_speedup >= 1.5
     assert result.overall_speedup >= 1.2
     big = [

@@ -17,7 +17,7 @@ from repro.agents.control import ControlAgent
 from repro.agents.daemon import InterfaceDaemon
 from repro.agents.messages import LayoutCommand, TelemetryBatch
 from repro.agents.monitoring import MonitoringAgent
-from repro.agents.transport import InMemoryTransport
+from repro.agents.transport import Transport
 
 __all__ = [
     "ControlAgent",
@@ -25,5 +25,5 @@ __all__ = [
     "LayoutCommand",
     "TelemetryBatch",
     "MonitoringAgent",
-    "InMemoryTransport",
+    "Transport",
 ]

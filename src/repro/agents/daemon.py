@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.agents.deadletter import DeadLetterStore
 from repro.agents.messages import LayoutCommand, TelemetryBatch
 from repro.agents.qos import AdmissionController, Priority
-from repro.agents.transport import InMemoryTransport
+from repro.agents.transport import Transport
 from repro.errors import ReplayDBError
 from repro.observability import Observability, get_observability
 from repro.observability.logs import get_logger
@@ -36,8 +36,8 @@ class InterfaceDaemon:
     def __init__(
         self,
         db: ReplayDB,
-        telemetry: InMemoryTransport,
-        commands: InMemoryTransport,
+        telemetry: Transport,
+        commands: Transport,
         *,
         obs: Observability | None = None,
         admission: AdmissionController | None = None,

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.agents.messages import TelemetryBatch
+from repro.agents.messages import CorruptMessage, LayoutCommand, TelemetryBatch
 from repro.errors import AgentError
 from repro.replaydb.records import AccessRecord
 
@@ -30,14 +30,14 @@ _RECORD_FIELDS = (
 )
 
 
-def _record_to_dict(record: AccessRecord) -> dict:
+def record_to_dict(record: AccessRecord) -> dict:
     raw = {name: getattr(record, name) for name in _RECORD_FIELDS}
     if record.extra:
         raw["extra"] = dict(record.extra)
     return raw
 
 
-def _record_from_dict(raw: dict) -> AccessRecord:
+def record_from_dict(raw: dict) -> AccessRecord:
     return AccessRecord(
         fid=int(raw["fid"]), fsid=int(raw["fsid"]),
         device=str(raw["device"]), path=str(raw["path"]),
@@ -46,6 +46,50 @@ def _record_from_dict(raw: dict) -> AccessRecord:
         cts=int(raw["cts"]), ctms=int(raw["ctms"]),
         extra=dict(raw.get("extra", {})),
     )
+
+
+def message_to_dict(message) -> dict:
+    """JSON form of a control-plane message.
+
+    The one codec for messages at rest: a dead letter's payload and what
+    a checkpointed :class:`~repro.agents.transport.Transport` carries.
+    """
+    if isinstance(message, TelemetryBatch):
+        return {
+            "device": message.device,
+            "tenant": message.tenant,
+            "sent_at": message.sent_at,
+            "records": [record_to_dict(r) for r in message.records],
+            "trace_id": message.trace_id,
+        }
+    if isinstance(message, LayoutCommand):
+        return {
+            "layout": {str(fid): dst for fid, dst in message.layout.items()},
+            "issued_at": message.issued_at,
+            "trace_id": message.trace_id,
+        }
+    if isinstance(message, CorruptMessage):
+        return {"corrupt": message.reason}
+    raise AgentError(f"no JSON form for a {type(message).__name__} message")
+
+
+def message_from_dict(raw: dict):
+    """Inverse of :func:`message_to_dict`."""
+    if "records" in raw:
+        return TelemetryBatch(
+            device=str(raw["device"]),
+            records=tuple(record_from_dict(r) for r in raw["records"]),
+            sent_at=float(raw["sent_at"]),
+            tenant=str(raw.get("tenant", "default")),
+            trace_id=raw.get("trace_id"),
+        )
+    if "layout" in raw:
+        return LayoutCommand(
+            layout={int(fid): str(dst) for fid, dst in raw["layout"].items()},
+            issued_at=float(raw["issued_at"]),
+            trace_id=raw.get("trace_id"),
+        )
+    return CorruptMessage(reason=str(raw["corrupt"]))
 
 
 @dataclass
@@ -92,15 +136,7 @@ class DeadLetter:
             raise AgentError(
                 f"dead letter ({self.reason}) carries no replayable payload"
             )
-        return TelemetryBatch(
-            device=str(self.payload["device"]),
-            records=tuple(
-                _record_from_dict(r) for r in self.payload["records"]
-            ),
-            sent_at=float(self.payload["sent_at"]),
-            tenant=str(self.payload.get("tenant", "default")),
-            trace_id=self.trace_id,
-        )
+        return message_from_dict({**self.payload, "trace_id": self.trace_id})
 
 
 class DeadLetterStore:
@@ -126,12 +162,7 @@ class DeadLetterStore:
         payload = None
         summary = repr(message)[:120]
         if isinstance(message, TelemetryBatch):
-            payload = {
-                "device": message.device,
-                "tenant": message.tenant,
-                "sent_at": message.sent_at,
-                "records": [_record_to_dict(r) for r in message.records],
-            }
+            payload = message_to_dict(message)
             summary = (
                 f"{len(message.records)} records from {message.device!r} "
                 f"(tenant {message.tenant!r})"

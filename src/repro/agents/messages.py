@@ -54,3 +54,10 @@ class LayoutCommand:
             raise AgentError(
                 f"issued_at must be non-negative, got {self.issued_at}"
             )
+
+
+@dataclass(frozen=True)
+class CorruptMessage:
+    """What a message mangled in transit decodes to at the receiver."""
+
+    reason: str = "corrupted in transit"

@@ -15,11 +15,15 @@ buffer on the sender side either.
 
 from __future__ import annotations
 
+from repro.agents.deadletter import record_from_dict, record_to_dict
 from repro.agents.messages import TelemetryBatch
-from repro.agents.transport import InMemoryTransport
+from repro.agents.transport import Transport
 from repro.errors import AgentError
 from repro.observability import get_observability
 from repro.replaydb.records import AccessRecord
+
+
+_COUNTERS = ("observed", "shed_records", "coalesced_records", "sends_rejected")
 
 
 class MonitoringAgent:
@@ -28,7 +32,7 @@ class MonitoringAgent:
     def __init__(
         self,
         device: str,
-        transport: InMemoryTransport,
+        transport: Transport,
         *,
         batch_size: int = 32,
         tenant: str = "default",
@@ -169,3 +173,17 @@ class MonitoringAgent:
     @property
     def buffered(self) -> int:
         return len(self._buffer) + len(self._backlog)
+
+    def state_dict(self) -> dict:
+        """What outlives a flush: the coalesced backlog and the counters."""
+        return {
+            **{name: getattr(self, name) for name in _COUNTERS},
+            "backlog": [record_to_dict(record) for record in self._backlog],
+            "backlog_parent": self._backlog_parent,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        for name in _COUNTERS:
+            setattr(self, name, state[name])
+        self._backlog = [record_from_dict(raw) for raw in state["backlog"]]
+        self._backlog_parent = state["backlog_parent"]

@@ -22,7 +22,7 @@ pattern is a pure function of the workload and the configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import IntEnum
 
 from repro.agents.messages import LayoutCommand, TelemetryBatch
@@ -130,6 +130,10 @@ class TokenBucket:
             return True
         self.denied += cost
         return False
+
+
+#: what of a :class:`TokenBucket` changes as it runs (rate and burst are config)
+_BUCKET_STATE = ("tokens", "last_refill_t", "granted", "denied")
 
 
 @dataclass
@@ -256,6 +260,29 @@ class AdmissionController:
         return AdmissionDecision(
             admitted=admitted, tenant=tenant, priority=priority, cost=cost
         )
+
+    def state_dict(self) -> dict:
+        """Every bucket's level and the admission accounting, as JSON."""
+        return {
+            "buckets": {
+                tenant: {name: getattr(bucket, name) for name in _BUCKET_STATE}
+                for tenant, bucket in self._buckets.items()
+            },
+            "usage": {tenant: asdict(usage) for tenant, usage in self.usage.items()},
+            "admitted_records": self.admitted_records,
+            "shed_records": self.shed_records,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        for tenant, levels in state["buckets"].items():
+            bucket = self.bucket(tenant)
+            for name in _BUCKET_STATE:
+                setattr(bucket, name, levels[name])
+        self.usage = {
+            tenant: TenantUsage(**usage) for tenant, usage in state["usage"].items()
+        }
+        self.admitted_records = int(state["admitted_records"])
+        self.shed_records = int(state["shed_records"])
 
     @property
     def offered_records(self) -> int:

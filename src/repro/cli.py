@@ -606,7 +606,7 @@ def _run_saturate(args) -> str:
 def _run_deadletters(args) -> str:
     from repro.agents.daemon import InterfaceDaemon
     from repro.agents.deadletter import DeadLetterStore
-    from repro.agents.transport import InMemoryTransport
+    from repro.agents.transport import Transport
     from repro.experiments.reporting import ascii_table
     from repro.replaydb.db import ReplayDB
 
@@ -632,8 +632,8 @@ def _run_deadletters(args) -> str:
         ),
     )
     if args.requeue:
-        transport = InMemoryTransport()
-        daemon = InterfaceDaemon(ReplayDB(), transport, InMemoryTransport())
+        transport = Transport()
+        daemon = InterfaceDaemon(ReplayDB(), transport, Transport())
         requeued = store.requeue_into(transport)
         stored = daemon.pump_telemetry()
         store.save(args.store)

@@ -68,7 +68,7 @@ class GeomancyConfig:
     #: failed moves into a retry storm; off by default so ordinary runs
     #: stay bit-for-bit identical to the deterministic schedule
     retry_jitter: bool = False
-    #: -- overload & QoS (repro.agents.qos / BoundedTransport) ------------
+    #: -- overload & QoS (repro.agents.qos / Transport) -------------------
     #: telemetry transport queue capacity in messages (0 = unbounded, the
     #: legacy behaviour); bounded queues shed per ``queue_shed_policy``
     telemetry_queue_capacity: int = 0

@@ -21,8 +21,8 @@ from repro.agents.daemon import InterfaceDaemon
 from repro.agents.deadletter import DeadLetterStore
 from repro.agents.messages import LayoutCommand
 from repro.agents.monitoring import MonitoringAgent
-from repro.agents.qos import AdmissionController
-from repro.agents.transport import BoundedTransport, InMemoryTransport
+from repro.agents.qos import AdmissionController, classify
+from repro.agents.transport import Transport
 from repro.core.config import GeomancyConfig
 from repro.core.decision import NO_DEVICES, DecisionPath
 from repro.core.engine import TrainingReport
@@ -68,10 +68,6 @@ class StepOutcome:
     def moved_files(self) -> int:
         return sum(1 for move in self.movements if move.succeeded)
 
-    @property
-    def failed_moves(self) -> int:
-        return sum(1 for move in self.movements if not move.succeeded)
-
 
 class Geomancy:
     """Geomancy attached to one target cluster and one workload file set."""
@@ -83,7 +79,7 @@ class Geomancy:
         config: GeomancyConfig | None = None,
         *,
         db: ReplayDB | None = None,
-        telemetry: InMemoryTransport | None = None,
+        telemetry: Transport | None = None,
         journal=None,
         event_log: EventLog | None = None,
         obs: Observability | None = None,
@@ -98,20 +94,15 @@ class Geomancy:
         #: a run enabled it)
         self.obs = obs if obs is not None else get_observability()
         self.db = db if db is not None else ReplayDB()
-        # The telemetry channel is injectable so chaos runs can swap in a
-        # lossy transport; the command channel stays internal.  With a
-        # configured queue capacity the default becomes a bounded
-        # priority transport, so overload sheds telemetry instead of
-        # growing memory without limit.
-        if telemetry is not None:
-            self.telemetry = telemetry
-        elif self.config.telemetry_queue_capacity > 0:
-            self.telemetry = BoundedTransport(
-                capacity=self.config.telemetry_queue_capacity,
-                policy=self.config.queue_shed_policy,
-            )
-        else:
-            self.telemetry = InMemoryTransport()
+        # The telemetry channel is injectable so chaos runs can hand in a
+        # lossy one; the command channel stays internal.  A configured
+        # queue capacity bounds the default channel, so overload sheds
+        # telemetry instead of growing memory without limit.
+        self.telemetry = telemetry if telemetry is not None else Transport(
+            capacity=self.config.telemetry_queue_capacity or None,
+            policy=self.config.queue_shed_policy,
+            lane_of=classify,
+        )
         #: optional write-ahead :class:`repro.recovery.journal.LayoutJournal`;
         #: when set, every dispatched layout is bracketed by intent/commit
         #: records so a crash mid-movement is resolvable on restore
@@ -121,7 +112,7 @@ class Geomancy:
         self.event_log = (
             event_log if event_log is not None else EventLog(bus=self.obs.bus)
         )
-        self.commands = InMemoryTransport()
+        self.commands = Transport()
         #: per-tenant token-bucket admission in front of the daemon; None
         #: (the default) keeps the legacy ingest-everything behaviour
         self.admission = (

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.agents.daemon import InterfaceDaemon
 from repro.agents.monitoring import MonitoringAgent
-from repro.agents.transport import InMemoryTransport
+from repro.agents.transport import Transport
 from repro.core.config import GeomancyConfig
 from repro.core.engine import DRLEngine
 from repro.experiments.reporting import ascii_table
@@ -97,8 +97,8 @@ def run_overhead_study(
     # Telemetry-transfer overhead: route one run's worth of records
     # through a monitoring agent into the daemon and read the accounted
     # per-batch latency (modeled at the paper's measured 3 ms).
-    telemetry = InMemoryTransport()
-    daemon = InterfaceDaemon(ReplayDB(), telemetry, InMemoryTransport())
+    telemetry = Transport()
+    daemon = InterfaceDaemon(ReplayDB(), telemetry, Transport())
     agent = MonitoringAgent("people", telemetry, batch_size=32)
     agent.observe_many(live_records[:320])
     agent.flush(at=live_records[319].close_time)

@@ -23,7 +23,7 @@ worker and are the only non-deterministic outputs.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 from typing import Any, TypeVar
@@ -257,28 +257,3 @@ def run_table2(
         records = collect_mount_telemetry("people", rows, seed=seed)
     cells = [(number, records, epochs, seed) for number in model_numbers]
     return run_cells(_model_cell, cells, workers=workers)
-
-
-# -- seed cells (Fig. 6 sweep) -------------------------------------------
-
-def _fig6_cell(cell: tuple[ExperimentScale, int]):
-    """One competing-workload adaptation run."""
-    from repro.experiments.fig6_adaptation import run_fig6
-
-    scale, seed = cell
-    return run_fig6(scale=scale, seed=seed)
-
-
-def run_fig6_sweep(
-    *,
-    seeds: Iterable[int] = (0, 1, 2, 3),
-    scale: ExperimentScale = TEST_SCALE,
-    workers: int = 1,
-) -> dict[int, Any]:
-    """Fig. 6 adaptation across several seeds, one run per process."""
-    seeds = tuple(seeds)
-    if not seeds:
-        raise ExperimentError("need at least one seed")
-    cells = [(scale, seed) for seed in seeds]
-    results = run_cells(_fig6_cell, cells, workers=workers)
-    return dict(zip(seeds, results))

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.agents.transport import Transport
 from repro.core.geomancy import Geomancy, StepOutcome
 from repro.errors import ExperimentError
 from repro.experiments.harness import (
@@ -31,7 +32,7 @@ from repro.experiments.harness import (
 )
 from repro.experiments.reporting import ascii_table
 from repro.experiments.spec import ExperimentScale, TEST_SCALE
-from repro.faults.chaos_transport import ChaosTransport
+from repro.faults.chaos_transport import FaultStage
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import cluster_invariant_violations
 from repro.faults.schedule import FaultSchedule
@@ -236,7 +237,7 @@ def _run_control_loop(
 ) -> tuple[_PhaseResult, Geomancy, FaultInjector | None]:
     """One full warm-up + measured Geomancy loop, optionally under faults.
 
-    ``transport_faults`` (the :class:`ChaosTransport` rates) makes it the
+    ``transport_faults`` (the :class:`FaultStage` rates) makes it the
     chaos twin; without it the loop is the fault-free baseline.  Telemetry
     flows through the monitoring agents and the (possibly lossy)
     transport rather than straight into the DB, so transport faults have
@@ -244,7 +245,9 @@ def _run_control_loop(
     """
     chaos = transport_faults is not None
     telemetry = (
-        ChaosTransport(seed=seed, **transport_faults) if chaos else None
+        Transport(faults=FaultStage(seed=seed, **transport_faults))
+        if chaos
+        else None
     )
     # Warm-up: telemetry lands (through the agents) but is not measured.
     geo, runner = start_facade_loop(
@@ -328,7 +331,7 @@ def run_chaos(
         ),
         baseline_duration=baseline.duration_s,
     )
-    telemetry = geo.telemetry
+    link = geo.telemetry.faults
     return ChaosResult(
         seed=seed,
         schedule_specs=specs,
@@ -347,9 +350,9 @@ def run_chaos(
         moves_retried=geo.control.moves_retried,
         retries_exhausted=len(geo.control.exhausted),
         dead_letters=geo.daemon.dead_letters,
-        batches_dropped=telemetry.dropped,
-        batches_delayed=telemetry.delayed,
-        batches_corrupted=telemetry.corrupted,
+        batches_dropped=link.dropped,
+        batches_delayed=link.delayed,
+        batches_corrupted=link.corrupted,
         quarantined_devices=geo.health.quarantined_devices(stats.end_time),
         invariant_violations=stats.invariant_violations,
     )

@@ -8,7 +8,7 @@ the byte-identical flood:
   admission control.  Past capacity its queue grows without limit, and
   layout commands (which share the pipe) wait behind the entire
   telemetry backlog, so decision latency explodes with the overload.
-* **bounded** -- the QoS plane: a :class:`BoundedTransport` with
+* **bounded** -- the QoS plane: a bounded :class:`Transport` with
   priority lanes (control > movement > telemetry), a per-tenant
   token-bucket :class:`AdmissionController`, and a dead-letter ring.
   Telemetry is shed by policy, queue depth stays at or below the
@@ -33,12 +33,8 @@ import numpy as np
 from repro.agents.daemon import InterfaceDaemon
 from repro.agents.deadletter import DeadLetterStore
 from repro.agents.messages import LayoutCommand, TelemetryBatch
-from repro.agents.qos import AdmissionController
-from repro.agents.transport import (
-    SHED_POLICIES,
-    BoundedTransport,
-    InMemoryTransport,
-)
+from repro.agents.qos import AdmissionController, classify
+from repro.agents.transport import SHED_POLICIES, Transport
 from repro.errors import ConfigurationError
 from repro.experiments.reporting import ascii_table
 from repro.experiments.spec import TEST_SCALE, ExperimentScale
@@ -284,15 +280,15 @@ def _run_cell(
 ) -> SaturationCell:
     mix = _tenant_mix(multiplier, service_rate, seed, slot_s)
     if plane == "bounded":
-        transport = BoundedTransport(
-            capacity=capacity, policy=policy, latency_s=0.0
+        transport = Transport(
+            latency_s=0.0, capacity=capacity, policy=policy, lane_of=classify
         )
         admission = AdmissionController(
             rate_records_s=service_rate / len(mix.tenants),
             burst_records=max(1, capacity * 32),
         )
     else:
-        transport = InMemoryTransport(latency_s=0.0)
+        transport = Transport(latency_s=0.0)
         admission = None
     store = DeadLetterStore(capacity=64)
     daemon = InterfaceDaemon(

@@ -20,10 +20,10 @@ shrinks the summed probe work to ``1/n`` of the unsharded epoch, so the
 speedup is algorithmic; process parallelism stacks on top where cores
 exist.
 
-``shards=1`` is the legacy path: the masked workload view passes every
-op through unchanged, so the run is bit-for-bit identical to the
-unsharded oracle -- fingerprint-checked by the benchmark and the test
-suite (the disabled-twin discipline).
+``shards=1`` is the single-agent path: the masked workload view passes
+every op through unchanged, so the run is bit-for-bit identical to one
+agent over the raw workload -- fingerprint-checked by the test suite
+against ``tests/oracles/unsharded_scale.py``.
 """
 
 from __future__ import annotations
@@ -246,7 +246,8 @@ def _run_span(
     """Drive one decision agent over one span (the harness loop shape).
 
     ``workload`` is either the raw global :class:`Belle2Workload` (the
-    unsharded oracle) or a :class:`ShardWorkloadView`; everything else
+    oracle in ``tests/oracles/unsharded_scale.py``) or a
+    :class:`ShardWorkloadView`; everything else
     is identical, which is what makes the ``shards=1`` fingerprint
     comparison meaningful.
     """
@@ -545,41 +546,6 @@ def run_scale_point(
     return _point_result(point, all_spans, t_start, cross_moves)
 
 
-def run_unsharded_oracle(point: ScalePoint) -> ScalePointResult:
-    """The legacy single-agent path: raw workload, no view, no partition.
-
-    Only valid for 1-shard points; its fingerprint must match
-    :func:`run_scale_point` on the same point bit for bit (the masked
-    view with an all-true mask changes nothing).
-    """
-    if point.shards != 1:
-        raise ExperimentError(
-            f"the unsharded oracle needs shards=1, got {point.shards}"
-        )
-    t_start = time.perf_counter()
-    runs_per_round = point.warmup_runs + point.runs
-    spans: list[tuple[int, ShardSpanResult]] = []
-    for round_index in range(point.rounds):
-        files = belle2_file_population(point.files, seed=point.seed)
-        cluster = make_scaled_cluster(
-            point.devices, seed=point.seed, capacity_gb=point.capacity_gb
-        )
-        workload = Belle2Workload(
-            files, seed=point.seed + 1, files_per_run=point.files_per_run
-        )
-        span = _run_span(
-            point,
-            shard=0,
-            config=_shard_config(point, 0),
-            cluster=cluster,
-            files=files,
-            workload=workload,
-            run_offset=round_index * runs_per_round,
-        )
-        spans.append((round_index, span))
-    return _point_result(point, spans, t_start)
-
-
 _SWEEP_HEADERS = (
     "devices", "files", "shards", "accesses", "epochs",
     "decision s", "sim s", "GB/s", "xmoves", "peak RSS MB",
@@ -641,17 +607,11 @@ def run_scale(
 
 @dataclass
 class ScaleBenchmarkResult:
-    """The shipped scale benchmark: identity check + speedup pair + sweep."""
+    """The shipped scale benchmark: speedup pair + sweep."""
 
-    oracle: ScalePointResult
-    sharded_once: ScalePointResult
     unsharded: ScalePointResult
     sharded: ScalePointResult
     sweep: ScaleSweepResult
-
-    @property
-    def identical_at_1_shard(self) -> bool:
-        return self.oracle.fingerprint == self.sharded_once.fingerprint
 
     @property
     def decision_epoch_speedup(self) -> float:
@@ -675,11 +635,6 @@ class ScaleBenchmarkResult:
     def to_json(self) -> dict:
         return {
             "benchmark": "scale",
-            "identity": {
-                "oracle_fingerprint": self.oracle.fingerprint,
-                "sharded_fingerprint": self.sharded_once.fingerprint,
-                "identical_at_1_shard": self.identical_at_1_shard,
-            },
             "pair": {
                 "unsharded": self.unsharded.to_json(),
                 "sharded": self.sharded.to_json(),
@@ -711,7 +666,6 @@ class ScaleBenchmarkResult:
             f"simulation throughput ratio:  "
             f"{self.simulation_throughput_speedup:.2f}x",
             f"overall epoch speedup:        {self.overall_speedup:.2f}x",
-            f"shards=1 identical to legacy: {self.identical_at_1_shard}",
             "",
             self.sweep.to_text(),
         ]
@@ -723,13 +677,13 @@ def run_scale_benchmark(
 ) -> ScaleBenchmarkResult:
     """The acceptance benchmark behind ``BENCH_scale.json``.
 
-    Three parts: (1) the shards=1 fingerprint identity against the raw
-    unsharded oracle, (2) the 1-vs-8-shard speedup pair on an identical
-    workload sized so the probe tensor dominates the epoch, and (3) a
-    sweep point at >= 10^3 devices x 10^5 files x 16 shards proving the
-    partitioned system holds at scale within a CI budget.
+    Two parts: the 1-vs-8-shard speedup pair on an identical workload
+    sized so the probe tensor dominates the epoch, and a sweep from a
+    small single-agent point up to >= 10^3 devices x 10^5 files x 16
+    shards proving the partitioned system holds at scale within a CI
+    budget.
     """
-    identity_point = ScalePoint(
+    small_point = ScalePoint(
         devices=16,
         files=64,
         shards=1,
@@ -744,8 +698,7 @@ def run_scale_benchmark(
         probe_samples=4,
         gates=False,
     )
-    oracle = run_unsharded_oracle(identity_point)
-    sharded_once = run_scale_point(identity_point, workers=workers)
+    small = run_scale_point(small_point, workers=workers)
 
     pair_point = ScalePoint(
         devices=512,
@@ -767,7 +720,7 @@ def run_scale_benchmark(
         replace(pair_point, shards=8), workers=workers
     )
 
-    sweep = ScaleSweepResult(results=[sharded_once, unsharded, sharded])
+    sweep = ScaleSweepResult(results=[small, unsharded, sharded])
     if big_sweep:
         big_point = ScalePoint(
             devices=1024,
@@ -786,8 +739,6 @@ def run_scale_benchmark(
         )
         sweep.results.append(run_scale_point(big_point, workers=workers))
     return ScaleBenchmarkResult(
-        oracle=oracle,
-        sharded_once=sharded_once,
         unsharded=unsharded,
         sharded=sharded,
         sweep=sweep,

@@ -5,13 +5,13 @@ changes in the system" (section V-H); this package supplies the changes.
 A :class:`FaultSchedule` scripts device outages and degradations at
 simulated times, a :class:`FaultInjector` applies them (and makes
 migrations abort mid-transfer with a seeded probability), a
-:class:`ChaosTransport` loses/delays/reorders/corrupts telemetry batches,
+:class:`FaultStage` makes a transport lose/delay/reorder/corrupt messages,
 and a :class:`HealthTracker` gives the control plane a circuit breaker
 over repeatedly failing placement targets.  Everything draws from seeded
 generators so chaos runs are exactly reproducible.
 """
 
-from repro.faults.chaos_transport import ChaosTransport, CorruptMessage
+from repro.faults.chaos_transport import FaultStage
 from repro.faults.health import HealthTracker
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import (
@@ -25,11 +25,10 @@ from repro.faults.schedule import (
 )
 
 __all__ = [
-    "ChaosTransport",
-    "CorruptMessage",
     "FaultEvent",
     "FaultInjector",
     "FaultSchedule",
+    "FaultStage",
     "HealthTracker",
     "assert_cluster_invariants",
     "cluster_invariant_violations",

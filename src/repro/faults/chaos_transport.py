@@ -1,119 +1,84 @@
-"""A lossy, reordering, corrupting transport for chaos runs.
+"""A seeded lossy link: the fault stage a ``Transport`` can carry.
 
-Drop-in replacement for :class:`~repro.agents.transport.InMemoryTransport`
-that makes the telemetry path unreliable the way a real network is: batches
-can be dropped outright, delayed past the next drain, delivered out of
-order, or corrupted into garbage the Interface Daemon must survive.  All
-randomness comes from one seeded generator keyed to the send/drain
-sequence, so a fixed seed reproduces the exact same loss pattern.
+Makes a channel unreliable the way a real network is: messages can be
+dropped outright, corrupted into garbage the Interface Daemon must
+survive, delayed past the next drain, or delivered out of order.  One
+seeded generator is drawn in a fixed sequence -- per send: drop, corrupt,
+delay, stopping at a drop; per drain of two or more: one draw, plus a
+permutation when it hits -- so a seed reproduces the exact loss pattern.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.agents.transport import InMemoryTransport
+from repro.agents.deadletter import message_from_dict, message_to_dict
+from repro.agents.messages import CorruptMessage
 from repro.errors import TransportError
 
-
-@dataclass(frozen=True)
-class CorruptMessage:
-    """What a mangled message decodes to at the receiver."""
-
-    reason: str = "corrupted in transit"
+_COUNTERS = ("dropped", "corrupted", "delayed", "reordered_drains")
 
 
-class ChaosTransport(InMemoryTransport):
-    """FIFO channel with seeded drop/delay/reorder/corrupt faults."""
+class FaultStage:
+    """Drop / corrupt / delay in front of a queue, reorder on its drain."""
 
     def __init__(
-        self,
-        latency_s: float = 0.003,
-        *,
-        drop_rate: float = 0.0,
-        delay_rate: float = 0.0,
-        reorder_rate: float = 0.0,
-        corrupt_rate: float = 0.0,
-        seed: int = 0,
-        maxsize: int | None = None,
-        policy: str = "drop-oldest",
+        self, *, drop_rate: float = 0.0, delay_rate: float = 0.0,
+        reorder_rate: float = 0.0, corrupt_rate: float = 0.0, seed: int = 0,
     ) -> None:
-        super().__init__(latency_s, maxsize=maxsize, policy=policy)
-        for name, rate in (
-            ("drop_rate", drop_rate),
-            ("delay_rate", delay_rate),
-            ("reorder_rate", reorder_rate),
-            ("corrupt_rate", corrupt_rate),
-        ):
+        rates = dict(
+            drop_rate=drop_rate, delay_rate=delay_rate,
+            reorder_rate=reorder_rate, corrupt_rate=corrupt_rate,
+        )
+        for name, rate in rates.items():
             if not 0.0 <= rate <= 1.0:
-                raise TransportError(
-                    f"{name} must be in [0, 1], got {rate}"
-                )
-        self.drop_rate = float(drop_rate)
-        self.delay_rate = float(delay_rate)
-        self.reorder_rate = float(reorder_rate)
-        self.corrupt_rate = float(corrupt_rate)
+                raise TransportError(f"{name} must be in [0, 1], got {rate}")
+            setattr(self, name, float(rate))
         self._rng = np.random.default_rng(seed)
-        self._held: deque = deque()
-        self.dropped = 0
-        self.delayed = 0
-        self.reordered_drains = 0
-        self.corrupted = 0
+        #: messages delayed in flight; the transport queues them after its next drain
+        self.held: deque = deque()
+        self.dropped = self.corrupted = self.delayed = self.reordered_drains = 0
 
-    def send(self, message) -> bool:
-        """Send, possibly losing/mangling the message on the way.
-
-        Returns ``False`` only when a bounded queue refused the message
-        (backpressure); chaos drops are silent network loss, so the
-        sender still sees ``True`` for them.
-        """
-        # The network charged for the message whether or not it arrives.
-        self.messages_sent += 1
-        self.total_latency_s += self.latency_s
+    def on_send(self, message, causal) -> tuple[bool, object]:
+        """Decide one sent message's fate: (arrives now, what arrives)."""
+        trace_id = getattr(message, "trace_id", None)
         if self._rng.random() < self.drop_rate:
             self.dropped += 1
-            self._resolve_causal(message, "chaos-drop")
-            return True
+            if causal is not None:
+                causal.resolve(trace_id, "chaos-drop")
+            return False, message
         if self._rng.random() < self.corrupt_rate:
             self.corrupted += 1
             # The original payload is gone; its causal chain ends here
             # (the garbage the daemon receives carries no trace id).
-            self._resolve_causal(message, "chaos-corrupt")
-            message = CorruptMessage()
+            if causal is not None:
+                causal.resolve(trace_id, "chaos-corrupt")
+            message, trace_id = CorruptMessage(), None
         if self._rng.random() < self.delay_rate:
-            # Held back past the next drain, then queued for the one after.
             self.delayed += 1
-            if self.causal is not None:
-                self.causal.note(
-                    getattr(message, "trace_id", None), "chaos-delay"
-                )
-            self._held.append(message)
-            return True
-        # A bounded chaos queue sheds like the base transport: even a
-        # lossy network must not let the receiver's backlog grow without
-        # limit.
-        return self._enqueue(message)
+            if causal is not None:
+                causal.note(trace_id, "chaos-delay")
+            self.held.append(message)
+            return False, message
+        return True, message
 
-    def receive_all(self) -> list:
-        """Drain pending messages, possibly out of order."""
-        drained = super().receive_all()
+    def on_drain(self, drained: list) -> list:
+        """The drained messages, possibly out of order."""
         if len(drained) > 1 and self._rng.random() < self.reorder_rate:
-            order = self._rng.permutation(len(drained))
-            drained = [drained[i] for i in order]
             self.reordered_drains += 1
-        while self._held:
-            # Released messages re-enter through the bounding policy too.
-            message = self._held.popleft()
-            if not self._enqueue(message):
-                # The bound refused the released message and there is no
-                # sender left to backpressure: its chain ends as a shed.
-                self._resolve_causal(message, "queue-shed")
+            return [drained[i] for i in self._rng.permutation(len(drained))]
         return drained
 
-    @property
-    def held(self) -> int:
-        """Messages currently delayed in flight."""
-        return len(self._held)
+    def state_dict(self) -> dict:
+        state = {name: getattr(self, name) for name in _COUNTERS}
+        state["rng"] = self._rng.bit_generator.state
+        state["held"] = [message_to_dict(m) for m in self.held]
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        for name in _COUNTERS:
+            setattr(self, name, state[name])
+        self._rng.bit_generator.state = state["rng"]
+        self.held = deque(message_from_dict(raw) for raw in state["held"])

@@ -50,7 +50,7 @@ BATCH_OUTCOMES = (
     "dead-letter",         # malformed or rejected by the ReplayDB
     "shed-backpressure",   # transport refused the send; survivors coalesce
     "queue-shed",          # evicted from a full bounded queue
-    "chaos-drop",          # silent network loss (ChaosTransport)
+    "chaos-drop",          # silent network loss (FaultStage)
     "chaos-corrupt",       # mangled in transit; arrives as garbage
 )
 

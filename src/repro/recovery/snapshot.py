@@ -8,10 +8,14 @@ every file placement (in workload-spec order, so the cluster namespace
 is rebuilt with identical iteration order), per-device RNG/stat state,
 the engine / action-checker / control-agent / health-tracker state
 dicts, the guardrail with the facade's safety-net state around it
-(known-good layout, pending prediction, fallback-run count), and the
-causal plane's id counters when tracing is on.  ``restore_system`` is
-its exact inverse over a freshly constructed (files *not* yet placed)
-Geomancy + runner pair.
+(known-good layout, pending prediction, fallback-run count), the causal
+plane's id counters when tracing is on, and the channel: both
+transports (counters, anything still queued, a fault stage's generator,
+fate counters and held messages), the admission controller's token
+buckets and usage, and every monitoring agent's coalesced backlog and
+counters -- what decides which telemetry the engine gets to train on
+next.  ``restore_system`` is its exact inverse over a freshly
+constructed (files *not* yet placed) Geomancy + runner pair.
 
 Model weights and the ReplayDB are deliberately **not** in this dict --
 they are binary artifacts the :class:`~repro.recovery.checkpoint.
@@ -31,10 +35,9 @@ from repro.errors import RecoveryError
 def capture_system(geo, runner) -> dict:
     """Snapshot everything the deterministic control loop depends on.
 
-    Must be called at a run boundary: monitor buffers flushed, transport
-    queues drained, no retries mid-dispatch.  (The recoverable harness
-    only checkpoints right after ``after_run`` returns, which guarantees
-    exactly that.)
+    Must be called at a run boundary: monitor buffers flushed, no
+    dispatch in progress.  (The recoverable harness only checkpoints
+    right after ``after_run`` returns, which guarantees exactly that.)
     """
     cluster = geo.cluster
     layout = cluster.layout()
@@ -71,6 +74,19 @@ def capture_system(geo, runner) -> dict:
             "known_good": geo.known_good,
             "pending_predicted": geo.pending_predicted,
             "fallback_runs": geo.fallback_runs,
+        },
+        "channel": {
+            "telemetry": geo.telemetry.state_dict(),
+            "commands": geo.commands.state_dict(),
+            "admission": (
+                geo.admission.state_dict()
+                if geo.admission is not None
+                else None
+            ),
+            "monitors": {
+                name: monitor.state_dict()
+                for name, monitor in geo.monitors.items()
+            },
         },
     }
 
@@ -124,3 +140,10 @@ def restore_system(geo, runner, state: dict) -> None:
     geo.known_good = dict(safety["known_good"])
     geo.pending_predicted = safety["pending_predicted"]
     geo.fallback_runs = int(safety["fallback_runs"])
+    channel = state["channel"]
+    geo.telemetry.load_state_dict(channel["telemetry"])
+    geo.commands.load_state_dict(channel["commands"])
+    if geo.admission is not None:
+        geo.admission.load_state_dict(channel["admission"])
+    for name, monitor_state in channel["monitors"].items():
+        geo.monitors[name].load_state_dict(monitor_state)

@@ -256,11 +256,6 @@ class StorageCluster:
             d.name for d in self._devices.values() if d.available and d.online
         ]
 
-    @property
-    def online_device_names(self) -> list[str]:
-        """Devices currently reachable (serving accesses)."""
-        return [d.name for d in self._devices.values() if d.online]
-
     def set_device_available(self, name: str, available: bool) -> None:
         """Mark a device (un)available for *new* placements.
 

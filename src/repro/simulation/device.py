@@ -153,10 +153,6 @@ class DeviceStats:
 
     # -- samples -----------------------------------------------------------
     @property
-    def sample_count(self) -> int:
-        return self._n
-
-    @property
     def throughput_samples(self) -> list[float]:
         """The recorded samples as a plain list (copy)."""
         return self._buf[: self._n].tolist()
@@ -171,12 +167,6 @@ class DeviceStats:
         self._m2 = 0.0
         for value in samples:
             self.append_sample(float(value))
-
-    def sample_array(self) -> np.ndarray:
-        """Read-only view of the sample buffer (no copy)."""
-        view = self._buf[: self._n]
-        view.flags.writeable = False
-        return view
 
     def append_sample(self, value: float) -> None:
         n = self._n

@@ -6,7 +6,7 @@ from repro.agents.control import ControlAgent
 from repro.agents.daemon import InterfaceDaemon
 from repro.agents.messages import LayoutCommand, TelemetryBatch
 from repro.agents.monitoring import MonitoringAgent
-from repro.agents.transport import InMemoryTransport
+from repro.agents.transport import Transport
 from repro.errors import AgentError
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord
@@ -56,7 +56,7 @@ class TestMessages:
 
 class TestTransport:
     def test_fifo_order(self):
-        transport = InMemoryTransport()
+        transport = Transport()
         transport.send("a")
         transport.send("b")
         assert transport.receive() == "a"
@@ -64,17 +64,17 @@ class TestTransport:
 
     def test_receive_empty_raises(self):
         with pytest.raises(AgentError):
-            InMemoryTransport().receive()
+            Transport().receive()
 
     def test_receive_all_drains(self):
-        transport = InMemoryTransport()
+        transport = Transport()
         transport.send(1)
         transport.send(2)
         assert transport.receive_all() == [1, 2]
         assert transport.pending == 0
 
     def test_latency_accounted(self):
-        transport = InMemoryTransport(latency_s=0.003)
+        transport = Transport(latency_s=0.003)
         for _ in range(5):
             transport.send("x")
         assert transport.total_latency_s == pytest.approx(0.015)
@@ -82,12 +82,12 @@ class TestTransport:
 
     def test_negative_latency_rejected(self):
         with pytest.raises(AgentError):
-            InMemoryTransport(latency_s=-0.1)
+            Transport(latency_s=-0.1)
 
 
 class TestMonitoringAgent:
     def test_buffers_until_batch_size(self):
-        transport = InMemoryTransport()
+        transport = Transport()
         agent = MonitoringAgent("var", transport, batch_size=3)
         agent.observe_many([access(t=1)])
         agent.observe_many([access(t=2)])
@@ -96,7 +96,7 @@ class TestMonitoringAgent:
         assert transport.pending == 1 and agent.buffered == 0
 
     def test_flush_sends_partial_batch(self):
-        transport = InMemoryTransport()
+        transport = Transport()
         agent = MonitoringAgent("var", transport, batch_size=100)
         agent.observe_many([access()])
         assert agent.flush(at=11.0)
@@ -105,19 +105,19 @@ class TestMonitoringAgent:
         assert len(batch.records) == 1
 
     def test_flush_empty_is_noop(self):
-        agent = MonitoringAgent("var", InMemoryTransport())
+        agent = MonitoringAgent("var", Transport())
         assert not agent.flush(at=0.0)
 
     def test_wrong_device_rejected(self):
-        agent = MonitoringAgent("var", InMemoryTransport())
+        agent = MonitoringAgent("var", Transport())
         with pytest.raises(AgentError, match="observed access on"):
             agent.observe_many([access("file0")])
 
     def test_invalid_construction(self):
         with pytest.raises(AgentError):
-            MonitoringAgent("", InMemoryTransport())
+            MonitoringAgent("", Transport())
         with pytest.raises(AgentError):
-            MonitoringAgent("var", InMemoryTransport(), batch_size=0)
+            MonitoringAgent("var", Transport(), batch_size=0)
 
 
 class TestControlAgent:
@@ -149,8 +149,8 @@ class TestControlAgent:
 class TestInterfaceDaemon:
     def test_pumps_telemetry_into_db(self):
         db = ReplayDB()
-        telemetry = InMemoryTransport()
-        daemon = InterfaceDaemon(db, telemetry, InMemoryTransport())
+        telemetry = Transport()
+        daemon = InterfaceDaemon(db, telemetry, Transport())
         telemetry.send(
             TelemetryBatch(device="var", records=(access(),), sent_at=11.0)
         )
@@ -161,8 +161,8 @@ class TestInterfaceDaemon:
 
     def test_pump_dead_letters_foreign_messages(self):
         db = ReplayDB()
-        telemetry = InMemoryTransport()
-        daemon = InterfaceDaemon(db, telemetry, InMemoryTransport())
+        telemetry = Transport()
+        daemon = InterfaceDaemon(db, telemetry, Transport())
         telemetry.send("not a batch")
         telemetry.send(
             TelemetryBatch(device="var", records=(access(),), sent_at=11.0)
@@ -177,8 +177,8 @@ class TestInterfaceDaemon:
         assert daemon.batches_ingested == 1
 
     def test_send_layout_enqueues_command(self):
-        commands = InMemoryTransport()
-        daemon = InterfaceDaemon(ReplayDB(), InMemoryTransport(), commands)
+        commands = Transport()
+        daemon = InterfaceDaemon(ReplayDB(), Transport(), commands)
         daemon.send_layout({1: "file0"}, at=5.0)
         command = commands.receive()
         assert command.layout == {1: "file0"}
@@ -187,15 +187,15 @@ class TestInterfaceDaemon:
     def test_record_movements(self):
         from repro.replaydb.records import MovementRecord
         db = ReplayDB()
-        daemon = InterfaceDaemon(db, InMemoryTransport(), InMemoryTransport())
+        daemon = InterfaceDaemon(db, Transport(), Transport())
         daemon.record_movements(
             [MovementRecord(1.0, 1, "var", "file0", 100, 0.1)]
         )
         assert len(db.movements()) == 1
 
     def test_transfer_overhead_totals_both_channels(self):
-        telemetry = InMemoryTransport(latency_s=0.003)
-        commands = InMemoryTransport(latency_s=0.003)
+        telemetry = Transport(latency_s=0.003)
+        commands = Transport(latency_s=0.003)
         daemon = InterfaceDaemon(ReplayDB(), telemetry, commands)
         telemetry.send(
             TelemetryBatch(device="var", records=(access(),), sent_at=0.0)
@@ -206,7 +206,7 @@ class TestInterfaceDaemon:
 
 class TestAutoFlushTiming:
     def test_auto_flush_uses_last_record_close_time(self):
-        transport = InMemoryTransport()
+        transport = Transport()
         agent = MonitoringAgent("var", transport, batch_size=2)
         agent.observe_many([access(t=5)])
         agent.observe_many([access(t=9)])
@@ -214,7 +214,7 @@ class TestAutoFlushTiming:
         assert batch.sent_at == pytest.approx(10.0)  # close of t=9 access
 
     def test_observed_counter_survives_flushes(self):
-        agent = MonitoringAgent("var", InMemoryTransport(), batch_size=1)
+        agent = MonitoringAgent("var", Transport(), batch_size=1)
         for t in (1, 3, 5):
             agent.observe_many([access(t=t)])
         assert agent.observed == 3

@@ -5,7 +5,7 @@ import pytest
 from repro.agents.daemon import InterfaceDaemon
 from repro.agents.deadletter import DeadLetter, DeadLetterStore
 from repro.agents.messages import TelemetryBatch
-from repro.agents.transport import InMemoryTransport
+from repro.agents.transport import Transport
 from repro.errors import AgentError
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord
@@ -90,8 +90,8 @@ class TestRequeue:
         store = DeadLetterStore()
         store.add("transient", batch(n=3, t=1.0), at=1.0)
         store.add("corrupt", "junk", at=2.0)
-        transport = InMemoryTransport()
-        daemon = InterfaceDaemon(ReplayDB(), transport, InMemoryTransport())
+        transport = Transport()
+        daemon = InterfaceDaemon(ReplayDB(), transport, Transport())
         assert store.requeue_into(transport) == 1
         assert daemon.pump_telemetry() == 3
         # The replayed letter is marked; a second requeue is a no-op.
@@ -101,7 +101,7 @@ class TestRequeue:
         store = DeadLetterStore()
         store.add("a", batch(t=1.0), at=1.0)
         store.add("b", batch(t=2.0), at=2.0)
-        transport = InMemoryTransport(maxsize=1, policy="reject")
+        transport = Transport(capacity=1, policy="reject")
         assert store.requeue_into(transport) == 1
         # The refused letter stays replayable for a later attempt.
         assert len(store.replayable()) == 1

@@ -1,7 +1,7 @@
 """The QoS hot-path memoizations must be invisible.
 
 :func:`repro.agents.qos.classify` caches per message *type* and
-:class:`~repro.agents.transport.BoundedTransport` tracks its pending
+:class:`~repro.agents.transport.Transport` tracks its pending
 total as a counter with precomputed lane walks.  Both are pure
 speedups: these tests pin the memoized paths to their from-scratch
 equivalents across every message kind and queue trajectory the control
@@ -17,7 +17,7 @@ from repro.agents.qos import (
     _classify_uncached,
     classify,
 )
-from repro.agents.transport import BoundedTransport
+from repro.agents.transport import Transport
 from repro.replaydb.records import AccessRecord, MovementRecord
 
 
@@ -93,7 +93,7 @@ def check_counter(transport):
 
 @pytest.mark.parametrize("policy", ["drop-oldest", "drop-newest", "reject"])
 def test_pending_counter_tracks_lanes_through_any_trajectory(policy):
-    transport = BoundedTransport(capacity=4, policy=policy)
+    transport = Transport(capacity=4, policy=policy, lane_of=classify)
     script = [
         batch(), movement(), batch(), LayoutCommand(layout={}, issued_at=0.0),
         batch(), movement(), "garbage", LayoutCommand(layout={}, issued_at=1.0),
@@ -114,7 +114,7 @@ def test_pending_counter_tracks_lanes_through_any_trajectory(policy):
 
 
 def test_peak_pending_and_eviction_accounting():
-    transport = BoundedTransport(capacity=2)
+    transport = Transport(capacity=2, lane_of=classify)
     transport.send(batch())
     transport.send(batch())
     check_counter(transport)

@@ -14,7 +14,7 @@ from repro.agents.qos import (
     TokenBucket,
     classify,
 )
-from repro.agents.transport import InMemoryTransport
+from repro.agents.transport import Transport
 from repro.errors import ConfigurationError
 from repro.observability import Observability
 from repro.replaydb.db import ReplayDB
@@ -156,9 +156,9 @@ class TestAdmissionController:
 
 class TestDaemonAdmission:
     def daemon(self, admission=None, store=None):
-        telemetry = InMemoryTransport()
+        telemetry = Transport()
         daemon = InterfaceDaemon(
-            ReplayDB(), telemetry, InMemoryTransport(),
+            ReplayDB(), telemetry, Transport(),
             admission=admission, dead_letter_store=store,
         )
         return daemon, telemetry
@@ -185,9 +185,9 @@ class TestDaemonAdmission:
         admission = AdmissionController(
             rate_records_s=1.0, burst_records=1.0
         )
-        telemetry = InMemoryTransport()
+        telemetry = Transport()
         daemon = InterfaceDaemon(
-            ReplayDB(), telemetry, InMemoryTransport(),
+            ReplayDB(), telemetry, Transport(),
             obs=obs, admission=admission,
         )
         telemetry.send(batch(n=5, t=0.0, tenant="noisy"))
@@ -223,7 +223,7 @@ class TestDaemonAdmission:
 
 class TestMonitoringBackpressure:
     def test_refused_send_coalesces_into_backlog(self):
-        transport = InMemoryTransport(maxsize=1, policy="reject")
+        transport = Transport(capacity=1, policy="reject")
         transport.send("occupier")
         agent = MonitoringAgent(
             "var", transport, batch_size=8, downsample_factor=2,
@@ -237,7 +237,7 @@ class TestMonitoringBackpressure:
         assert agent.coalesced_records == 4
 
     def test_backlog_rides_along_next_flush(self):
-        transport = InMemoryTransport(maxsize=1, policy="reject")
+        transport = Transport(capacity=1, policy="reject")
         transport.send("occupier")
         agent = MonitoringAgent("var", transport, batch_size=4)
         for i in range(4):
@@ -251,7 +251,7 @@ class TestMonitoringBackpressure:
         assert fids == [0, 2, 9]  # down-sampled survivors first, in order
 
     def test_backlog_is_bounded(self):
-        transport = InMemoryTransport(maxsize=1, policy="reject")
+        transport = Transport(capacity=1, policy="reject")
         transport.send("occupier")
         agent = MonitoringAgent(
             "var", transport, batch_size=4, downsample_factor=1,
@@ -262,14 +262,14 @@ class TestMonitoringBackpressure:
         assert agent.buffered <= 4 + agent.batch_size
 
     def test_tenant_rides_on_batches(self):
-        transport = InMemoryTransport()
+        transport = Transport()
         agent = MonitoringAgent("var", transport, batch_size=2, tenant="b2")
         agent.observe_many([access(fid=1, t=1)])
         agent.observe_many([access(fid=2, t=2)])
         assert transport.receive().tenant == "b2"
 
     def test_drop_oldest_transport_never_backpressures(self):
-        transport = InMemoryTransport(maxsize=1, policy="drop-oldest")
+        transport = Transport(capacity=1, policy="drop-oldest")
         agent = MonitoringAgent("var", transport, batch_size=2)
         for i in range(8):
             agent.observe_many([access(fid=i, t=i + 1)])

@@ -16,8 +16,7 @@ from repro.agents.messages import LayoutCommand, TelemetryBatch  # noqa: E402
 from repro.agents.qos import Priority, TokenBucket, classify  # noqa: E402
 from repro.agents.transport import (  # noqa: E402
     SHED_POLICIES,
-    BoundedTransport,
-    InMemoryTransport,
+    Transport,
 )
 from repro.replaydb.records import AccessRecord  # noqa: E402
 
@@ -135,7 +134,7 @@ offers = st.lists(
 )
 @settings(max_examples=200, deadline=None)
 def test_bounded_queue_invariants(capacity, policy, ops):
-    transport = BoundedTransport(capacity=capacity, policy=policy)
+    transport = Transport(capacity=capacity, policy=policy, lane_of=classify)
     offered = 0
     refused = 0
     received = 0
@@ -163,7 +162,7 @@ def test_bounded_queue_invariants(capacity, policy, ops):
 )
 @settings(max_examples=200, deadline=None)
 def test_bounded_queue_priority_ordering(capacity, policy, ops):
-    transport = BoundedTransport(capacity=capacity, policy=policy)
+    transport = Transport(capacity=capacity, policy=policy, lane_of=classify)
     t = 0.0
     for kind, _ in ops:
         t += 1.0
@@ -190,7 +189,7 @@ def test_bounded_queue_priority_ordering(capacity, policy, ops):
 )
 @settings(max_examples=100, deadline=None)
 def test_plain_bounded_fifo_conserves(maxsize, policy, n):
-    transport = InMemoryTransport(maxsize=maxsize, policy=policy)
+    transport = Transport(capacity=maxsize, policy=policy)
     accepted = 0
     for i in range(n):
         if transport.send(i):

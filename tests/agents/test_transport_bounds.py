@@ -1,12 +1,12 @@
-"""Tests for bounded transports: capacity, shed policies, priority lanes."""
+"""Tests for the transport's bound: capacity, shed policies, priority lanes."""
 
 import pytest
 
 from repro.agents.messages import LayoutCommand, TelemetryBatch
-from repro.agents.qos import Priority
-from repro.agents.transport import BoundedTransport, InMemoryTransport
+from repro.agents.qos import Priority, classify
+from repro.agents.transport import Transport
 from repro.errors import TransportError
-from repro.faults.chaos_transport import ChaosTransport
+from repro.faults.chaos_transport import FaultStage
 from repro.replaydb.records import AccessRecord
 
 
@@ -23,13 +23,22 @@ def batch(device="var", t=1.0, tenant="default"):
     )
 
 
+def laned(**kwargs):
+    return Transport(lane_of=classify, **kwargs)
+
+
+def lossless(seed, **bound):
+    """A channel carrying a fault stage that (at rate 0) never fires."""
+    return Transport(faults=FaultStage(seed=seed), **bound)
+
+
 class TestIterPending:
     @pytest.mark.parametrize(
         "transport",
         [
-            InMemoryTransport(),
-            BoundedTransport(capacity=4),
-            ChaosTransport(delay_rate=0.5, seed=1),
+            Transport(),
+            laned(capacity=4),
+            Transport(faults=FaultStage(delay_rate=0.5, seed=1)),
         ],
         ids=["fifo", "bounded", "chaos"],
     )
@@ -44,7 +53,7 @@ class TestIterPending:
 
 class TestBoundedFifo:
     def test_unbounded_by_default(self):
-        transport = InMemoryTransport()
+        transport = Transport()
         for i in range(1000):
             assert transport.send(i) is True
         assert transport.pending == 1000
@@ -52,12 +61,12 @@ class TestBoundedFifo:
 
     def test_invalid_maxsize_and_policy_rejected(self):
         with pytest.raises(TransportError):
-            InMemoryTransport(maxsize=0)
+            Transport(capacity=0)
         with pytest.raises(TransportError):
-            InMemoryTransport(policy="drop-random")
+            Transport(policy="drop-random")
 
     def test_drop_oldest_evicts_head(self):
-        transport = InMemoryTransport(maxsize=2, policy="drop-oldest")
+        transport = Transport(capacity=2, policy="drop-oldest")
         assert transport.send("a") is True
         assert transport.send("b") is True
         assert transport.send("c") is True  # the offer itself succeeds
@@ -66,7 +75,7 @@ class TestBoundedFifo:
         assert transport.rejected == 0
 
     def test_drop_newest_refuses_offer(self):
-        transport = InMemoryTransport(maxsize=2, policy="drop-newest")
+        transport = Transport(capacity=2, policy="drop-newest")
         transport.send("a")
         transport.send("b")
         assert transport.send("c") is False
@@ -75,13 +84,13 @@ class TestBoundedFifo:
         assert transport.rejected == 1
 
     def test_reject_refuses_offer(self):
-        transport = InMemoryTransport(maxsize=1, policy="reject")
+        transport = Transport(capacity=1, policy="reject")
         assert transport.send("a") is True
         assert transport.send("b") is False
         assert transport.pending == 1
 
     def test_peak_pending_high_water_mark(self):
-        transport = InMemoryTransport()
+        transport = Transport()
         for i in range(5):
             transport.send(i)
         transport.receive_all()
@@ -89,7 +98,7 @@ class TestBoundedFifo:
         assert transport.peak_pending == 5
 
     def test_len_never_exceeds_maxsize(self):
-        transport = InMemoryTransport(maxsize=3)
+        transport = Transport(capacity=3)
         for i in range(50):
             transport.send(i)
             assert transport.pending <= 3
@@ -97,7 +106,7 @@ class TestBoundedFifo:
 
 class TestBoundedPriority:
     def test_priority_drain_order(self):
-        transport = BoundedTransport(capacity=10)
+        transport = laned(capacity=10)
         transport.send(batch(t=1.0))
         transport.send(LayoutCommand(layout={}, issued_at=2.0))
         transport.send(batch(t=3.0))
@@ -109,14 +118,14 @@ class TestBoundedPriority:
         ]
 
     def test_fifo_within_a_lane(self):
-        transport = BoundedTransport(capacity=10)
+        transport = laned(capacity=10)
         transport.send(batch(t=1.0))
         transport.send(batch(t=2.0))
         drained = transport.receive_all()
         assert [m.sent_at for m in drained] == [1.0, 2.0]
 
     def test_drop_oldest_evicts_lowest_priority_first(self):
-        transport = BoundedTransport(capacity=2)
+        transport = laned(capacity=2)
         transport.send(LayoutCommand(layout={}, issued_at=1.0))
         transport.send(batch(t=2.0))
         # Full; a new control message displaces the queued telemetry.
@@ -126,7 +135,7 @@ class TestBoundedPriority:
         assert transport.shed_by_priority[int(Priority.TELEMETRY)] == 1
 
     def test_drop_newest_refuses_equal_priority_but_yields_to_higher(self):
-        transport = BoundedTransport(capacity=1, policy="drop-newest")
+        transport = laned(capacity=1, policy="drop-newest")
         transport.send(batch(t=1.0))
         assert transport.send(batch(t=2.0)) is False  # no lower lane to evict
         assert (
@@ -135,21 +144,21 @@ class TestBoundedPriority:
         assert isinstance(transport.receive(), LayoutCommand)
 
     def test_reject_refuses_even_control(self):
-        transport = BoundedTransport(capacity=1, policy="reject")
+        transport = laned(capacity=1, policy="reject")
         transport.send(batch(t=1.0))
         assert (
             transport.send(LayoutCommand(layout={}, issued_at=2.0)) is False
         )
 
     def test_capacity_bounds_total_across_lanes(self):
-        transport = BoundedTransport(capacity=4)
+        transport = laned(capacity=4)
         for t in range(20):
             transport.send(batch(t=float(t + 1)))
             transport.send(LayoutCommand(layout={}, issued_at=float(t + 1)))
             assert transport.pending <= 4
 
     def test_pending_by_priority(self):
-        transport = BoundedTransport(capacity=10)
+        transport = laned(capacity=10)
         transport.send(batch(t=1.0))
         transport.send(LayoutCommand(layout={}, issued_at=1.0))
         by_priority = transport.pending_by_priority()
@@ -158,32 +167,26 @@ class TestBoundedPriority:
 
     def test_capacity_required_and_validated(self):
         with pytest.raises(TransportError):
-            BoundedTransport(capacity=0)
+            laned(capacity=0)
 
 
 class TestChaosBounded:
     def test_chaos_transport_honors_maxsize(self):
-        transport = ChaosTransport(
-            seed=3, drop_rate=0.0, delay_rate=0.0, reorder_rate=0.0,
-            corrupt_rate=0.0, maxsize=2, policy="drop-oldest",
-        )
+        transport = lossless(seed=3, capacity=2, policy="drop-oldest")
         for t in range(10):
             assert transport.send(batch(t=float(t + 1))) is True
             assert transport.pending <= 2
         assert transport.shed == 8
 
     def test_chaos_reject_backpressures_sender(self):
-        transport = ChaosTransport(
-            seed=3, drop_rate=0.0, delay_rate=0.0, reorder_rate=0.0,
-            corrupt_rate=0.0, maxsize=1, policy="reject",
-        )
+        transport = lossless(seed=3, capacity=1, policy="reject")
         assert transport.send(batch(t=1.0)) is True
         assert transport.send(batch(t=2.0)) is False
 
     def test_chaos_delayed_release_respects_bound(self):
-        transport = ChaosTransport(
-            seed=5, drop_rate=0.0, delay_rate=1.0, reorder_rate=0.0,
-            corrupt_rate=0.0, maxsize=2, policy="drop-oldest",
+        transport = Transport(
+            faults=FaultStage(seed=5, delay_rate=1.0),
+            capacity=2, policy="drop-oldest",
         )
         # Every send is held back one drain; releases re-enter through
         # the bounded enqueue path.

@@ -194,11 +194,8 @@ class TestQosWiring:
         cluster = make_bluesky_cluster(seed=0)
         files = belle2_file_population(seed=0)
         geo = Geomancy(cluster, files, quick_config())
-        from repro.agents.transport import BoundedTransport, InMemoryTransport
-
-        assert type(geo.telemetry) is InMemoryTransport
-        assert geo.telemetry.maxsize is None
-        assert not isinstance(geo.telemetry, BoundedTransport)
+        assert geo.telemetry.capacity is None
+        assert geo.telemetry.faults is None
         assert geo.admission is None
         assert geo.dead_letter_store is None
         assert geo.daemon.admission is None
@@ -216,9 +213,6 @@ class TestQosWiring:
             dead_letter_capacity=8,
             dead_letter_path=str(tmp_path / "dead.jsonl"),
         ))
-        from repro.agents.transport import BoundedTransport
-
-        assert isinstance(geo.telemetry, BoundedTransport)
         assert geo.telemetry.capacity == 16
         assert geo.telemetry.policy == "reject"
         assert geo.admission is not None

@@ -18,13 +18,13 @@ from repro.experiments.scale import (
     run_scale,
     run_scale_point,
     run_shard_span,
-    run_unsharded_oracle,
     ShardSpanSpec,
 )
 from repro.sharding import ShardPartitioner
 from repro.simulation.topologies import make_scaled_cluster
 from repro.workloads.belle2 import Belle2Workload
 from repro.workloads.files import belle2_file_population
+from tests.oracles.unsharded_scale import run_unsharded_oracle
 
 TINY = ScalePoint(
     devices=8,

@@ -1,14 +1,19 @@
-"""Tests for the lossy chaos transport and the daemon surviving it."""
+"""Tests for a transport carrying the fault stage and the daemon surviving it."""
 
 import pytest
 
 from repro.agents.daemon import InterfaceDaemon
 from repro.agents.monitoring import MonitoringAgent
-from repro.agents.transport import InMemoryTransport
+from repro.agents.messages import CorruptMessage
+from repro.agents.transport import Transport
 from repro.errors import TransportError
-from repro.faults.chaos_transport import ChaosTransport, CorruptMessage
+from repro.faults.chaos_transport import FaultStage
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord
+
+
+def chaos(**rates):
+    return Transport(faults=FaultStage(**rates))
 
 
 def make_record(n=0):
@@ -30,61 +35,61 @@ class TestValidation:
     )
     def test_rates_out_of_range_rejected(self, kwargs):
         with pytest.raises(TransportError):
-            ChaosTransport(**kwargs)
+            FaultStage(**kwargs)
 
 
 class TestFaults:
     def test_no_faults_behaves_like_base_transport(self):
-        transport = ChaosTransport()
+        transport = chaos()
         for n in range(5):
             transport.send(n)
         assert transport.receive_all() == [0, 1, 2, 3, 4]
         assert transport.messages_sent == 5
-        assert (transport.dropped, transport.delayed, transport.corrupted) \
-            == (0, 0, 0)
+        link = transport.faults
+        assert (link.dropped, link.delayed, link.corrupted) == (0, 0, 0)
 
     def test_certain_drop_loses_everything_but_charges_the_network(self):
-        transport = ChaosTransport(drop_rate=1.0)
+        transport = chaos(drop_rate=1.0)
         for n in range(4):
             transport.send(n)
         assert transport.receive_all() == []
-        assert transport.dropped == 4
+        assert transport.faults.dropped == 4
         assert transport.messages_sent == 4
 
     def test_delayed_messages_arrive_on_the_next_drain(self):
-        transport = ChaosTransport(delay_rate=1.0)
+        transport = chaos(delay_rate=1.0)
         transport.send("late")
-        assert transport.held == 1
+        assert len(transport.faults.held) == 1
         assert transport.receive_all() == []
-        assert transport.held == 0
+        assert len(transport.faults.held) == 0
         assert transport.receive_all() == ["late"]
-        assert transport.delayed == 1
+        assert transport.faults.delayed == 1
 
     def test_certain_corruption_mangles_every_message(self):
-        transport = ChaosTransport(corrupt_rate=1.0)
+        transport = chaos(corrupt_rate=1.0)
         transport.send("payload")
         (received,) = transport.receive_all()
         assert isinstance(received, CorruptMessage)
-        assert transport.corrupted == 1
+        assert transport.faults.corrupted == 1
 
     def test_certain_reorder_permutes_but_preserves_the_set(self):
-        transport = ChaosTransport(reorder_rate=1.0, seed=0)
+        transport = chaos(reorder_rate=1.0, seed=0)
         sent = list(range(20))
         for n in sent:
             transport.send(n)
         drained = transport.receive_all()
         assert sorted(drained) == sent
-        assert transport.reordered_drains == 1
+        assert transport.faults.reordered_drains == 1
 
     def test_single_message_is_never_reordered(self):
-        transport = ChaosTransport(reorder_rate=1.0)
+        transport = chaos(reorder_rate=1.0)
         transport.send("only")
         assert transport.receive_all() == ["only"]
-        assert transport.reordered_drains == 0
+        assert transport.faults.reordered_drains == 0
 
     def test_fixed_seed_reproduces_the_loss_pattern(self):
         def survivors(seed):
-            transport = ChaosTransport(
+            transport = chaos(
                 drop_rate=0.3, delay_rate=0.2, corrupt_rate=0.1, seed=seed
             )
             for n in range(40):
@@ -99,8 +104,8 @@ class TestFaults:
 class TestDaemonUnderChaos:
     def test_daemon_dead_letters_corrupted_batches(self):
         db = ReplayDB()
-        transport = ChaosTransport(corrupt_rate=1.0)
-        daemon = InterfaceDaemon(db, transport, InMemoryTransport())
+        transport = chaos(corrupt_rate=1.0)
+        daemon = InterfaceDaemon(db, transport, Transport())
         agent = MonitoringAgent("a", transport)
         agent.observe_many([make_record()])
         agent.flush(at=2.0)
@@ -110,8 +115,8 @@ class TestDaemonUnderChaos:
 
     def test_daemon_survives_drops_and_keeps_the_rest(self):
         db = ReplayDB()
-        transport = ChaosTransport(drop_rate=0.5, seed=1)
-        daemon = InterfaceDaemon(db, transport, InMemoryTransport())
+        transport = chaos(drop_rate=0.5, seed=1)
+        daemon = InterfaceDaemon(db, transport, Transport())
         agent = MonitoringAgent("a", transport)
         for n in range(10):
             agent.observe_many([make_record(n)])
@@ -119,4 +124,4 @@ class TestDaemonUnderChaos:
         stored = daemon.pump_telemetry()
         assert stored == db.access_count()
         assert 0 < stored < 10
-        assert transport.dropped == 10 - stored
+        assert transport.faults.dropped == 10 - stored

@@ -8,7 +8,7 @@ observations, flushes, drains, sheds, and chaos faults:
   nothing is silently lost, and the rowid spans of ingested batches
   exactly partition the rows that landed in the ReplayDB;
 * linkage -- backpressure coalescing never produces an orphaned parent
-  reference, even when bounded queues shed and a :class:`ChaosTransport`
+  reference, even when bounded queues shed and a :class:`FaultStage`
   drops/corrupts/delays traffic;
 
 plus the end-to-end guarantee the ``repro explain`` CLI sells: every
@@ -24,12 +24,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 
 from repro.agents.daemon import InterfaceDaemon  # noqa: E402
 from repro.agents.monitoring import MonitoringAgent  # noqa: E402
-from repro.agents.transport import (  # noqa: E402
-    SHED_POLICIES,
-    BoundedTransport,
-    InMemoryTransport,
-)
-from repro.faults.chaos_transport import ChaosTransport  # noqa: E402
+from repro.agents.qos import classify  # noqa: E402
+from repro.agents.transport import SHED_POLICIES, Transport  # noqa: E402
+from repro.faults.chaos_transport import FaultStage  # noqa: E402
 from repro.observability.provenance import (  # noqa: E402
     IN_FLIGHT,
     CausalContext,
@@ -67,7 +64,7 @@ def _build_plane(transport):
         DEVICE, transport, batch_size=8, backlog_batches=2
     )
     monitor.causal = causal
-    daemon = InterfaceDaemon(ReplayDB(), transport, InMemoryTransport())
+    daemon = InterfaceDaemon(ReplayDB(), transport, Transport())
     daemon.attach_causal(causal)
     return causal, monitor, daemon
 
@@ -90,12 +87,10 @@ def _drive(causal, monitor, daemon, transport, op_list):
 
 
 def _queued_trace_ids(transport) -> set:
-    """Trace ids physically pending: queued, laned, or chaos-held."""
-    if hasattr(transport, "_lanes"):
-        pending = [m for lane in transport._lanes.values() for m in lane]
-    else:
-        pending = list(transport._queue)
-    pending.extend(getattr(transport, "_held", ()))
+    """Trace ids physically pending: queued in a lane or chaos-held."""
+    pending = list(transport.iter_pending())
+    if transport.faults is not None:
+        pending.extend(transport.faults.held)
     return {getattr(m, "trace_id", None) for m in pending} - {None}
 
 
@@ -147,7 +142,7 @@ class TestBoundedPlane:
     def test_sheds_never_orphan_or_lose_batches(
         self, op_list, maxsize, policy
     ):
-        transport = InMemoryTransport(maxsize=maxsize, policy=policy)
+        transport = Transport(capacity=maxsize, policy=policy)
         causal, monitor, daemon = _build_plane(transport)
         _drive(causal, monitor, daemon, transport, op_list)
         _assert_causal_integrity(causal, daemon, transport)
@@ -161,7 +156,9 @@ class TestBoundedPlane:
     def test_priority_lane_evictions_resolve_too(
         self, op_list, capacity, policy
     ):
-        transport = BoundedTransport(capacity=capacity, policy=policy)
+        transport = Transport(
+            capacity=capacity, policy=policy, lane_of=classify
+        )
         causal, monitor, daemon = _build_plane(transport)
         _drive(causal, monitor, daemon, transport, op_list)
         _assert_causal_integrity(causal, daemon, transport)
@@ -180,15 +177,21 @@ class TestChaosPlane:
     def test_chaos_faults_never_orphan_or_lose_batches(
         self, op_list, drop, corrupt, delay, seed, maxsize
     ):
-        transport = ChaosTransport(
-            drop_rate=drop, corrupt_rate=corrupt, delay_rate=delay,
-            reorder_rate=0.3, seed=seed, maxsize=maxsize,
+        transport = Transport(
+            capacity=maxsize,
+            faults=FaultStage(
+                drop_rate=drop, corrupt_rate=corrupt, delay_rate=delay,
+                reorder_rate=0.3, seed=seed,
+            ),
         )
         causal, monitor, daemon = _build_plane(transport)
         _drive(causal, monitor, daemon, transport, op_list)
         _assert_causal_integrity(causal, daemon, transport)
         # Corrupted payloads end their chain explicitly, never silently.
-        assert causal.resolved.get("chaos-corrupt", 0) <= transport.corrupted
+        assert (
+            causal.resolved.get("chaos-corrupt", 0)
+            <= transport.faults.corrupted
+        )
 
 
 class TestEndToEndChain:

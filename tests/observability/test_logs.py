@@ -7,7 +7,7 @@ import logging
 import pytest
 
 from repro.agents.daemon import InterfaceDaemon
-from repro.agents.transport import InMemoryTransport
+from repro.agents.transport import Transport
 from repro.errors import ConfigurationError
 from repro.observability.logs import ROOT_LOGGER, configure, get_logger
 from repro.replaydb.db import ReplayDB
@@ -76,8 +76,8 @@ class TestDaemonDeadLetterLogging:
     def test_non_telemetry_message_warns_with_context(self):
         stream = io.StringIO()
         configure("warning", stream=stream)
-        telemetry = InMemoryTransport()
-        daemon = InterfaceDaemon(ReplayDB(), telemetry, InMemoryTransport())
+        telemetry = Transport()
+        daemon = InterfaceDaemon(ReplayDB(), telemetry, Transport())
         telemetry.send("not a batch")
         assert daemon.pump_telemetry() == 0
         assert daemon.dead_letters == 1

@@ -1,14 +1,18 @@
 """The numbers ROADMAP quotes about the product's surface, as assertions.
 
-A new config field or CLI subcommand has to raise a ceiling here, in a
-reviewed diff; a config field nothing in the product reads fails outright.
+A new config field or CLI subcommand, or growth of ``src/``, has to raise
+a ceiling here, in a reviewed diff; a config field nothing in the product
+reads fails outright, and so does a second transport class.
 """
 
 import ast
+import importlib
+import pkgutil
 from dataclasses import fields
 from pathlib import Path
 
 import repro
+from repro.agents.transport import Transport
 from repro.cli import build_parser
 from repro.core.config import GeomancyConfig
 
@@ -21,6 +25,8 @@ CONFIG = SRC / "core" / "config.py"
 
 MAX_CONFIG_FIELDS = 53
 MAX_CLI_SUBCOMMANDS = 24
+#: ``find src -name '*.py' | xargs cat | wc -l``
+MAX_SRC_LINES = 21_817
 
 
 def attributes_read_by_the_product() -> set[str]:
@@ -53,3 +59,18 @@ def test_cli_subcommand_ceiling():
         if hasattr(action, "choices") and action.dest == "command"
     ]
     assert len(subparsers.choices) <= MAX_CLI_SUBCOMMANDS
+
+
+def test_src_line_ceiling():
+    lines = sum(
+        path.read_text().count("\n") for path in SRC.rglob("*.py")
+    )
+    assert lines <= MAX_SRC_LINES
+
+
+def test_there_is_one_transport_class():
+    """Lanes, bound and faults are arguments of the one channel, not types."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if module.name != "repro.__main__":  # importing it runs the CLI
+            importlib.import_module(module.name)
+    assert Transport.__subclasses__() == []
