@@ -9,9 +9,15 @@ which correlations carry which sign -- run inside the benchmarks.
 
 from __future__ import annotations
 
+import os
 import pathlib
 
 import pytest
+
+# Fingerprints (``BENCH_scale.json``) and timing gates hold per BLAS kernel
+# configuration; pin the one ``tests/conftest.py`` and ``benchmarks/e2e/
+# run.py`` pin, before numpy first loads OpenBLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 

@@ -19,17 +19,15 @@
     python -m repro recover ckpt/ --checkpoint-every 5 --guardrail
     python -m repro resume ckpt/          # restart a killed recover run
     python -m repro run --trace out.json --metrics-snapshot m.jsonl --profile
-    python -m repro run --provenance prov.jsonl --slo
+    python -m repro run --provenance prov.jsonl --slo --throughput-floor 2.0
+    python -m repro run --metrics m.prom  # Prometheus dump of a run
     python -m repro explain 3 --ledger prov.jsonl
-    python -m repro slo --throughput-floor 2.0
-    python -m repro metrics               # Prometheus dump of a run
-    python -m repro trace out.json        # Chrome-trace of a run
 
 ``--log-level``/``--log-json`` (before the subcommand) turn on module
 logging for every ``repro.*`` logger.
 
-``--workers N`` (fig5a/fig5b/table2/robustness) spreads the
-experiment's (policy x seed / model) grid over N processes; results are
+``--workers N`` (fig5a/fig5b/table2/robustness/scale) spreads the
+experiment's (policy x seed / model / shard) grid over N processes; results are
 bit-for-bit identical to ``--workers 1``, the serial fallback.
 
 ``--scale`` picks the experiment sizing: ``test`` (seconds), ``bench``
@@ -88,6 +86,18 @@ def _add_observability(parser: argparse.ArgumentParser) -> None:
         "--sample-rate", type=float, default=1.0,
         help="fraction of ticks to trace, sampled deterministically by "
              "tick id (default: 1.0)",
+    )
+
+
+def _add_faults(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--schedule", nargs="+", metavar="SPEC", default=(),
+        help="absolute-time fault specs to inject, e.g. 'kill:file0@120' "
+             "'outage:pic@40+30'",
+    )
+    parser.add_argument(
+        "--migration-failure-rate", type=float, default=0.0,
+        help="probability each file move aborts mid-transfer (default: 0)",
     )
 
 
@@ -322,14 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="policy while the guardrail has the learner benched "
              "(default: static)",
     )
-    recover.add_argument(
-        "--schedule", nargs="+", metavar="SPEC", default=(),
-        help="absolute-time fault specs to inject, e.g. 'kill:file0@120'",
-    )
-    recover.add_argument(
-        "--migration-failure-rate", type=float, default=0.0,
-        help="probability each file move aborts mid-transfer (default: 0)",
-    )
+    _add_faults(recover)
     recover.add_argument(
         "--kill-at-run", type=int, default=None, metavar="RUN",
         help="crash-injection: die at this measured run (testing)",
@@ -376,14 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile-top", type=int, default=15, metavar="N",
         help="rows in the cProfile table (default: 15)",
     )
-    run.add_argument(
-        "--schedule", nargs="+", metavar="SPEC", default=(),
-        help="absolute-time fault specs to inject, e.g. 'outage:pic@40+30'",
-    )
-    run.add_argument(
-        "--migration-failure-rate", type=float, default=0.0,
-        help="probability each file move aborts mid-transfer (default: 0)",
-    )
+    _add_faults(run)
     run.add_argument(
         "--provenance", default=None, metavar="PATH",
         help="enable causal tracing and write the decision-provenance "
@@ -393,6 +389,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--slo", action="store_true",
         help="evaluate the stock control-plane SLOs during the run and "
              "append the burn-rate report",
+    )
+    run.add_argument(
+        "--queue-delay-threshold", type=float, default=0.05, metavar="S",
+        help="--slo's telemetry queue-delay budget in simulated seconds "
+             "(default: 0.05)",
+    )
+    run.add_argument(
+        "--throughput-floor", type=float, default=0.0, metavar="GBPS",
+        help="--slo's per-run mean throughput floor in GB/s (default: 0)",
     )
 
     explain = sub.add_parser(
@@ -407,46 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--ledger", default="provenance.jsonl", metavar="PATH",
         help="provenance ledger a run wrote (default: provenance.jsonl)",
-    )
-
-    slo = sub.add_parser(
-        "slo",
-        help="run the control loop under SLO burn-rate monitoring and "
-             "print the final burn status",
-    )
-    _add_common(slo, default_seed=0)
-    slo.add_argument(
-        "--queue-delay-threshold", type=float, default=0.05, metavar="S",
-        help="telemetry queue-delay budget in simulated seconds "
-             "(default: 0.05)",
-    )
-    slo.add_argument(
-        "--throughput-floor", type=float, default=0.0, metavar="GBPS",
-        help="per-run mean throughput floor in GB/s (default: 0)",
-    )
-
-    metrics = sub.add_parser(
-        "metrics",
-        help="run the observed control loop; print its Prometheus dump",
-    )
-    _add_common(metrics, default_seed=0)
-    metrics.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="also write the dump to this file",
-    )
-
-    trace_cmd = sub.add_parser(
-        "trace",
-        help="run the observed control loop; write its Chrome-trace JSON",
-    )
-    _add_common(trace_cmd, default_seed=0)
-    trace_cmd.add_argument(
-        "output", help="Chrome-trace output path (load in chrome://tracing)"
-    )
-    trace_cmd.add_argument(
-        "--sample-rate", type=float, default=1.0,
-        help="fraction of ticks to trace, sampled deterministically by "
-             "tick id (default: 1.0)",
     )
 
     return parser
@@ -727,6 +692,8 @@ def _run_run(args) -> str:
         schedule_specs=tuple(args.schedule),
         migration_failure_rate=args.migration_failure_rate,
         slo_enabled=args.slo,
+        slo_queue_delay_threshold_s=args.queue_delay_threshold,
+        slo_throughput_floor_gbps=args.throughput_floor,
         trace_sample_rate=args.sample_rate,
         online_learning=args.online,
         **overrides,
@@ -741,46 +708,6 @@ def _run_explain(args) -> str:
     from repro.observability.provenance import ProvenanceLedger
 
     return ProvenanceLedger.load(args.ledger).explain_text(args.movement_id)
-
-
-def _run_slo(args) -> str:
-    from repro.experiments.instrumented import run_instrumented
-
-    result = run_instrumented(
-        scale=_SCALES[args.scale],
-        seed=args.seed,
-        slo_enabled=True,
-        slo_queue_delay_threshold_s=args.queue_delay_threshold,
-        slo_throughput_floor_gbps=args.throughput_floor,
-    )
-    return _slo_text(result.slo or [])
-
-
-def _run_metrics(args) -> str:
-    from repro.experiments.instrumented import run_instrumented
-
-    result = run_instrumented(
-        scale=_SCALES[args.scale], seed=args.seed, metrics_path=args.out
-    )
-    return result.prometheus.rstrip("\n")
-
-
-def _run_trace(args) -> str:
-    from repro.experiments.instrumented import run_instrumented
-
-    result = run_instrumented(
-        scale=_SCALES[args.scale],
-        seed=args.seed,
-        trace_path=args.output,
-        trace_sample_rate=args.sample_rate,
-    )
-    summary = (
-        f"wrote {result.spans_recorded} spans to {args.output}\n"
-        "open chrome://tracing (or https://ui.perfetto.dev) and load it"
-    )
-    if result.attribution is not None:
-        summary += "\n\n" + result.attribution.to_text()
-    return summary
 
 
 def _run_testbed(args) -> str:
@@ -820,9 +747,6 @@ _COMMANDS = {
     "synth-trace": _run_synth_trace,
     "run": _run_run,
     "explain": _run_explain,
-    "slo": _run_slo,
-    "metrics": _run_metrics,
-    "trace": _run_trace,
 }
 
 

@@ -130,8 +130,6 @@ class GeomancyConfig:
     #: frozen-weight snapshot cadence in incremental updates (0 disables);
     #: the guardrail rolls back to the newest snapshot on loss explosion
     target_snapshot_every: int = 10
-    #: directory for weight snapshots (None = private temp dir)
-    weight_snapshot_dir: str | None = None
     #: Page-Hinkley detection threshold on the cumulative statistic
     drift_threshold: float = 1.0
     #: incremental cycles before the drift detector may fire

@@ -29,7 +29,6 @@ from repro.nn.model_zoo import build_model, is_recurrent
 from repro.nn.network import train_val_test_split
 from repro.nn.optimizers import get_optimizer
 from repro.observability import Observability, get_observability
-from repro.recovery.weight_snapshots import WeightSnapshotStore
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord
 from repro.replaydb.replay_buffer import PrioritizedReplay
@@ -197,16 +196,14 @@ class DRLEngine:
         self._target_mean = 0.0
         self._target_count = 0
         self.replay: PrioritizedReplay | None = None
-        self.snapshots: WeightSnapshotStore | None = None
+        #: ``(update step, frozen copy of the model's parameter vector)``:
+        #: the target-network copy :meth:`rollback_weights` restores
+        self._frozen: tuple[int, np.ndarray] | None = None
         self.drift_detector: PageHinkley | None = None
         if self.config.online_learning:
             self.replay = PrioritizedReplay(
                 REPLAY_CAPACITY, seed=self.config.seed
             )
-            if self.config.target_snapshot_every > 0:
-                self.snapshots = WeightSnapshotStore(
-                    self.config.weight_snapshot_dir
-                )
             self.drift_detector = PageHinkley(
                 threshold=self.config.drift_threshold,
                 min_samples=self.config.drift_min_cycles,
@@ -247,11 +244,6 @@ class DRLEngine:
     @property
     def trained(self) -> bool:
         return self.last_report is not None
-
-    def close(self) -> None:
-        """Remove the online mode's private weight-snapshot directory."""
-        if self.snapshots is not None:
-            self.snapshots.close()
 
     # -- training ----------------------------------------------------------
     def train_on_records(self, records: list[AccessRecord]) -> TrainingReport:
@@ -376,19 +368,28 @@ class DRLEngine:
             self.replay.add(ids)
             self._update_target_mean(self.pipeline.target_vector(window))
         self._updates = 0
-        if self.snapshots is not None and self.model.built:
-            self.snapshots.save(self.model, 0)
+        if self.model.built:
+            self._freeze_weights_if_due()
+
+    def _freeze_weights_if_due(self) -> None:
+        """Every ``target_snapshot_every`` updates (and at the base epoch,
+        update 0), replace the frozen copy with the live weights."""
+        every = self.config.target_snapshot_every
+        if every > 0 and self._updates % every == 0:
+            self._frozen = (self._updates, self.model.parameter_vector())
 
     def rollback_weights(self) -> int | None:
-        """Restore the newest frozen-weight snapshot into the live model.
+        """Restore the frozen weight copy into the live model.
 
-        The guardrail's loss-explosion hook: returns the restored
-        snapshot's step, or ``None`` when online snapshots are disabled
-        or none exists yet.
+        The guardrail's loss-explosion hook: returns the step the copy was
+        taken at, or ``None`` when freezing is disabled
+        (``target_snapshot_every=0``) or nothing was frozen yet.
         """
-        if self.snapshots is None or not self.model.built:
+        if self._frozen is None or not self.model.built:
             return None
-        return self.snapshots.restore_latest(self.model)
+        step, theta = self._frozen
+        self.model.set_parameter_vector(theta)
+        return step
 
     def train_incremental(self, db: ReplayDB) -> TrainingReport:
         """Online update: fit on rows appended since the last decision point.
@@ -412,8 +413,8 @@ class DRLEngine:
            a drift detection multiplies the epoch budget for the cycle's
            re-adaptation burst;
         5. re-scores the batch to refresh replay priorities, and
-           periodically snapshots the weights for the guardrail's
-           loss-explosion rollback.
+           periodically freezes a copy of the weights for the
+           guardrail's loss-explosion rollback.
 
         Every step is O(new + replay_sample + capacity) regardless of
         ReplayDB size (timed by the ``online_drift`` e2e workload).
@@ -533,13 +534,8 @@ class DRLEngine:
             )
             elapsed = time.perf_counter() - start
             self._updates += 1
-            if (
-                self.snapshots is not None
-                and not diverged
-                and self.config.target_snapshot_every > 0
-                and self._updates % self.config.target_snapshot_every == 0
-            ):
-                self.snapshots.save(self.model, self._updates)
+            if not diverged:
+                self._freeze_weights_if_due()
             report = TrainingReport(
                 samples=len(x),
                 epochs=history.epochs_run,
@@ -618,18 +614,15 @@ class DRLEngine:
         if state["model_built"] and not self.model.built:
             self.model.build(self.config.z)
         self.model._rng.bit_generator.state = state["model_rng"]
-        # Checkpoints from before the online-learning mode carry no
-        # "online" section; the zero-state defaults already apply.
-        online = state.get("online")
-        if online is not None:
-            self._hwm = int(online["hwm"])
-            self._updates = int(online["updates"])
-            self._target_mean = float(online["target_mean"])
-            self._target_count = int(online["target_count"])
-            if online["replay"] is not None and self.replay is not None:
-                self.replay.load_state_dict(online["replay"])
-            if online["drift"] is not None and self.drift_detector is not None:
-                self.drift_detector.load_state_dict(online["drift"])
+        online = state["online"]
+        self._hwm = int(online["hwm"])
+        self._updates = int(online["updates"])
+        self._target_mean = float(online["target_mean"])
+        self._target_count = int(online["target_count"])
+        if online["replay"] is not None and self.replay is not None:
+            self.replay.load_state_dict(online["replay"])
+        if online["drift"] is not None and self.drift_detector is not None:
+            self.drift_detector.load_state_dict(online["drift"])
 
     # -- prediction --------------------------------------------------------
     def predict_location_throughputs(

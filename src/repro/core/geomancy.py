@@ -231,10 +231,6 @@ class Geomancy:
             "mean predicted throughput at the latest chosen placements",
         )
 
-    def close(self) -> None:
-        """Release what the engine holds on disk (weight snapshots)."""
-        self.engine.close()
-
     # -- placement -----------------------------------------------------------
     def place_initial(self, layout: dict[int, str] | None = None) -> dict[int, str]:
         """Register the workload files, spread evenly unless told otherwise."""

@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ExperimentError
-from repro.experiments.harness import PolicyRunResult, shuffled_warm_up
+from repro.experiments.harness import (
+    PolicyRunResult,
+    make_experiment_config,
+    run_policy_experiment,
+    shuffled_warm_up,
+)
+from repro.experiments.parallel import run_cells
 from repro.experiments.reporting import (
     ascii_table,
     bucket_series,
@@ -20,6 +26,15 @@ from repro.experiments.reporting import (
     sparkline,
 )
 from repro.experiments.spec import ExperimentScale, TEST_SCALE
+from repro.policies.geomancy_policy import (
+    GeomancyDynamicPolicy,
+    GeomancyStaticPolicy,
+)
+from repro.policies.lfu import LFUPolicy
+from repro.policies.lru import LRUPolicy
+from repro.policies.mru import MRUPolicy
+from repro.policies.random_policy import RandomDynamicPolicy, RandomStaticPolicy
+from repro.policies.static import EvenSpreadPolicy
 from repro.replaydb.db import ReplayDB
 from repro.simulation.bluesky import make_bluesky_cluster
 from repro.workloads.belle2 import Belle2Workload
@@ -27,6 +42,14 @@ from repro.workloads.files import belle2_file_population
 from repro.workloads.runner import WorkloadRunner
 
 GEOMANCY = "Geomancy dynamic"
+
+#: the Fig. 5a (dynamic) and Fig. 5b (static) policy grids, by policy name
+FIG5A_POLICIES: tuple[str, ...] = (
+    "LRU", "MRU", "LFU", "random dynamic", GEOMANCY,
+)
+FIG5B_POLICIES: tuple[str, ...] = (
+    "random static", "even spread", "Geomancy static", GEOMANCY,
+)
 
 
 @dataclass
@@ -101,22 +124,6 @@ def _geomancy_device_map(seed: int) -> dict[int, str]:
     }
 
 
-def run_fig5a(
-    *, scale: ExperimentScale = TEST_SCALE, seed: int = 0, workers: int = 1
-) -> Fig5Result:
-    """Experiment 1, dynamic policies: LRU / MRU / LFU / random dynamic
-    versus Geomancy dynamic.
-
-    Each policy is one cell of :mod:`repro.experiments.parallel`'s grid:
-    rebuilt from the seeds and measured on its own, in this process
-    (``workers=1``) or each in a process of its own -- bit-for-bit the
-    same result either way.
-    """
-    from repro.experiments import parallel
-
-    return parallel.run_fig5a(scale=scale, seed=seed, workers=workers)
-
-
 def collect_random_dynamic_telemetry(
     *, scale: ExperimentScale = TEST_SCALE, seed: int = 0
 ) -> ReplayDB:
@@ -133,14 +140,91 @@ def collect_random_dynamic_telemetry(
     return db
 
 
+def _build_policy(name: str, scale: ExperimentScale, seed: int):
+    """Rebuild one comparison policy from its cell spec.
+
+    The Geomancy static warm-up DB is regenerated from the seed: it
+    derives only from ``(scale, seed)``, so every process builds the
+    same telemetry.
+    """
+    if name == "LRU":
+        return LRUPolicy()
+    if name == "MRU":
+        return MRUPolicy()
+    if name == "LFU":
+        return LFUPolicy()
+    if name == "random dynamic":
+        return RandomDynamicPolicy(seed=seed)
+    if name == "random static":
+        return RandomStaticPolicy(seed=seed)
+    if name == "even spread":
+        return EvenSpreadPolicy()
+    if name == GEOMANCY:
+        return GeomancyDynamicPolicy(
+            _geomancy_device_map(seed), make_experiment_config(scale, seed=seed)
+        )
+    if name == "Geomancy static":
+        warmup_db = collect_random_dynamic_telemetry(scale=scale, seed=seed)
+        return GeomancyStaticPolicy(
+            warmup_db,
+            _geomancy_device_map(seed),
+            make_experiment_config(scale, seed=seed),
+        )
+    raise ExperimentError(f"unknown comparison policy {name!r}")
+
+
+def _policy_cell(cell: tuple[str, ExperimentScale, int]) -> PolicyRunResult:
+    """One (policy, scale, seed) measurement, rebuilt entirely from the cell."""
+    name, scale, seed = cell
+    return run_policy_experiment(
+        _build_policy(name, scale, seed), scale=scale, seed=seed
+    )
+
+
+def run_policy_grid(
+    policies: tuple[str, ...],
+    *,
+    scale: ExperimentScale,
+    seeds: tuple[int, ...],
+    workers: int,
+) -> list[Fig5Result]:
+    """Measure every (policy, seed) cell; one :class:`Fig5Result` per seed.
+
+    The grid is flattened to ``len(seeds) * len(policies)`` cells --
+    finer-grained than one task per seed, so a handful of seeds still
+    saturates the pool -- and regrouped by seed in submission order.
+    Each cell runs in this process (``workers=1``) or in a process of
+    its own, bit-for-bit the same result either way (the rules are
+    :mod:`repro.experiments.parallel`'s).
+    """
+    cells = [(name, scale, seed) for seed in seeds for name in policies]
+    results = run_cells(_policy_cell, cells, workers=workers)
+    per_seed = len(policies)
+    return [
+        Fig5Result(
+            results=dict(
+                zip(policies, results[i * per_seed : (i + 1) * per_seed])
+            )
+        )
+        for i in range(len(seeds))
+    ]
+
+
+def run_fig5a(
+    *, scale: ExperimentScale = TEST_SCALE, seed: int = 0, workers: int = 1
+) -> Fig5Result:
+    """Experiment 1, dynamic policies: LRU / MRU / LFU / random dynamic
+    versus Geomancy dynamic."""
+    return run_policy_grid(
+        FIG5A_POLICIES, scale=scale, seeds=(seed,), workers=workers
+    )[0]
+
+
 def run_fig5b(
     *, scale: ExperimentScale = TEST_SCALE, seed: int = 0, workers: int = 1
 ) -> Fig5Result:
     """Experiment 1, static policies: random static / even spread /
-    Geomancy static versus Geomancy dynamic.
-
-    One grid cell per policy, as in :func:`run_fig5a`.
-    """
-    from repro.experiments import parallel
-
-    return parallel.run_fig5b(scale=scale, seed=seed, workers=workers)
+    Geomancy static versus Geomancy dynamic."""
+    return run_policy_grid(
+        FIG5B_POLICIES, scale=scale, seeds=(seed,), workers=workers
+    )[0]

@@ -9,7 +9,6 @@ back to what it once was."
 
 from __future__ import annotations
 
-from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,73 +145,71 @@ def run_fig6(
         device_by_fsid,
         make_experiment_config(scale, seed=seed, online_learning=online),
     )
-    # The online engine keeps weight snapshots in a directory of its own.
-    with closing(policy.engine):
-        runner.ensure_files_placed(
-            policy.initial_layout(files, cluster.device_names)
-        )
-        runner.warm_up(scale.warmup_accesses)
+    runner.ensure_files_placed(
+        policy.initial_layout(files, cluster.device_names)
+    )
+    runner.warm_up(scale.warmup_accesses)
 
-        result = Fig6Result()
-        run_number = 0
+    result = Fig6Result()
+    run_number = 0
 
-        def run_finished() -> None:
-            nonlocal run_number
-            run_number += 1
-            if run_number % scale.update_every == 0:
-                consult_policy(
-                    policy, db, cluster, files, cluster.device_names, clock.now
-                )
-
-        # Phase 1: alone.
-        for _ in range(runs_before):
-            result.tuned_gbps.extend(
-                r.throughput_gbps for r in runner.run_once().records
+    def run_finished() -> None:
+        nonlocal run_number
+        run_number += 1
+        if run_number % scale.update_every == 0:
+            consult_policy(
+                policy, db, cluster, files, cluster.device_names, clock.now
             )
-            run_finished()
-        result.disturbance_access = len(result.tuned_gbps)
 
-        # Phase 2: the duplicate workload joins, untouched by Geomancy.  Its
-        # files mirror the tuned workload's current placement so the two
-        # "access common mounts" (section VI-c) and genuinely contend; the
-        # duplicate never moves afterwards.
-        dup_files, dup_workload = make_competing_workload(seed=seed + 99)
-        # The duplicate gets its own clock seeded to "now": both workloads then
-        # issue accesses at overlapping simulated timestamps, which is what
-        # makes them contend inside the devices' utilization windows.  (On a
-        # shared clock the accesses would serialize and never overlap.)
-        dup_runner = WorkloadRunner(
-            cluster, dup_workload, clock=SimulationClock(clock.now)
+    # Phase 1: alone.
+    for _ in range(runs_before):
+        result.tuned_gbps.extend(
+            r.throughput_gbps for r in runner.run_once().records
         )
-        tuned_layout = cluster.layout()
-        offset = dup_files[0].fid - files[0].fid
-        mirror = {
-            dup.fid: tuned_layout.get(
-                dup.fid - offset,
-                cluster.device_names[dup.fid % len(cluster.device_names)],
-            )
-            for dup in dup_files
-        }
-        dup_runner.ensure_files_placed(mirror)
-        # Interleave the two workloads access-by-access so they genuinely
-        # contend inside each device's utilization window.
-        def interleaved_tuned_run() -> None:
-            tuned_stream = runner.run_stream()
-            dup_stream = dup_runner.run_stream()
-            while True:
-                progressed = False
-                record = next(tuned_stream, None)
-                if record is not None:
-                    result.tuned_gbps.append(record.throughput_gbps)
-                    progressed = True
-                dup_record = next(dup_stream, None)
-                if dup_record is not None:
-                    result.competing_gbps.append(dup_record.throughput_gbps)
-                    progressed = True
-                if not progressed:
-                    break
-            run_finished()
+        run_finished()
+    result.disturbance_access = len(result.tuned_gbps)
 
-        for _ in range(runs_after):
-            interleaved_tuned_run()
-        return result
+    # Phase 2: the duplicate workload joins, untouched by Geomancy.  Its
+    # files mirror the tuned workload's current placement so the two
+    # "access common mounts" (section VI-c) and genuinely contend; the
+    # duplicate never moves afterwards.
+    dup_files, dup_workload = make_competing_workload(seed=seed + 99)
+    # The duplicate gets its own clock seeded to "now": both workloads then
+    # issue accesses at overlapping simulated timestamps, which is what
+    # makes them contend inside the devices' utilization windows.  (On a
+    # shared clock the accesses would serialize and never overlap.)
+    dup_runner = WorkloadRunner(
+        cluster, dup_workload, clock=SimulationClock(clock.now)
+    )
+    tuned_layout = cluster.layout()
+    offset = dup_files[0].fid - files[0].fid
+    mirror = {
+        dup.fid: tuned_layout.get(
+            dup.fid - offset,
+            cluster.device_names[dup.fid % len(cluster.device_names)],
+        )
+        for dup in dup_files
+    }
+    dup_runner.ensure_files_placed(mirror)
+    # Interleave the two workloads access-by-access so they genuinely
+    # contend inside each device's utilization window.
+    def interleaved_tuned_run() -> None:
+        tuned_stream = runner.run_stream()
+        dup_stream = dup_runner.run_stream()
+        while True:
+            progressed = False
+            record = next(tuned_stream, None)
+            if record is not None:
+                result.tuned_gbps.append(record.throughput_gbps)
+                progressed = True
+            dup_record = next(dup_stream, None)
+            if dup_record is not None:
+                result.competing_gbps.append(dup_record.throughput_gbps)
+                progressed = True
+            if not progressed:
+                break
+        run_finished()
+
+    for _ in range(runs_after):
+        interleaved_tuned_run()
+    return result

@@ -27,7 +27,6 @@ benchmark and the integration tests both lean on that.
 from __future__ import annotations
 
 import os
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -143,7 +142,7 @@ def run_instrumented(
     config = make_experiment_config(scale, seed=seed, **config_overrides)
     if obs is None:
         obs = Observability(trace_sample_rate=trace_sample_rate)
-    with use(obs), ExitStack() as cleanup:
+    with use(obs):
         # Components cache their handles at construction, so the system is
         # built *after* the instance is installed.  Warm-up telemetry lands
         # through the agents but is not traced per tick (ticks number the
@@ -151,7 +150,6 @@ def run_instrumented(
         geo, runner = start_facade_loop(
             config, seed=seed, warmup_accesses=scale.warmup_accesses, obs=obs
         )
-        cleanup.callback(geo.close)
 
         slo_feed = None
         if slo_enabled:

@@ -395,13 +395,10 @@ def _measured_loop(
                 f"injected kill after checkpoint at run {run_number}"
             )
 
-    try:
-        run_measured_loop(
-            geo, s.runner, range(loop["next_run"], s.scale.runs + 1),
-            injector=s.injector, each_run=check_and_checkpoint,
-        )
-    finally:
-        geo.close()
+    run_measured_loop(
+        geo, s.runner, range(loop["next_run"], s.scale.runs + 1),
+        injector=s.injector, each_run=check_and_checkpoint,
+    )
     rail = geo.guardrail
     return RecoverableRunResult.measured(
         geo, loop["throughput"],

@@ -23,6 +23,11 @@ import numpy as np
 from repro.agents.transport import Transport
 from repro.core.geomancy import Geomancy, StepOutcome
 from repro.errors import ExperimentError
+from repro.experiments.fig5_comparison import (
+    FIG5A_POLICIES,
+    GEOMANCY,
+    run_policy_grid,
+)
 from repro.experiments.harness import (
     FacadeLoopResult,
     install_faults,
@@ -114,16 +119,26 @@ def run_robustness(
     scale: ExperimentScale = TEST_SCALE,
     workers: int = 1,
 ) -> RobustnessResult:
-    """Repeat Fig. 5a for each seed.
-
-    The (policy x seed) grid runs through
-    :mod:`repro.experiments.parallel`, in this process (``workers=1``) or
-    spread across ``workers`` processes; merging is seed-deterministic,
-    so the result is bit-for-bit the same either way.
-    """
-    from repro.experiments import parallel
-
-    return parallel.run_robustness(seeds=seeds, scale=scale, workers=workers)
+    """Repeat Fig. 5a for each seed, as one (policy x seed) grid."""
+    if not seeds:
+        raise ExperimentError("need at least one seed")
+    outcomes = []
+    for seed, fig5 in zip(
+        seeds,
+        run_policy_grid(
+            FIG5A_POLICIES, scale=scale, seeds=seeds, workers=workers
+        ),
+    ):
+        best = fig5.best_baseline()
+        outcomes.append(
+            SeedOutcome(
+                seed=seed,
+                geomancy_gbps=fig5.mean(GEOMANCY),
+                best_baseline=best,
+                best_baseline_gbps=fig5.mean(best),
+            )
+        )
+    return RobustnessResult(outcomes=outcomes)
 
 
 # -- chaos engineering ---------------------------------------------------

@@ -41,6 +41,7 @@ import numpy as np
 from repro.core.config import GeomancyConfig
 from repro.errors import ExperimentError, ShardingError
 from repro.experiments.harness import consult_policy
+from repro.experiments.parallel import run_cells
 from repro.experiments.reporting import ascii_table
 from repro.policies.geomancy_policy import GeomancyDynamicPolicy
 from repro.replaydb.db import ReplayDB
@@ -494,14 +495,12 @@ def run_scale_point(
 
     Rounds are sequential (round ``r+1``'s partition depends on round
     ``r``'s arbitration); within a round the shard spans are independent
-    cells executed through :func:`repro.experiments.parallel.run_scale_spans`
+    cells executed through :func:`repro.experiments.parallel.run_cells`
     and merged in submission order, so any worker count yields identical
     results.  Between rounds the coordinator arbitrates the shards'
     export digests and every accepted move is independently re-verified
     before it rebalances the partition.
     """
-    from repro.experiments.parallel import run_scale_spans
-
     t_start = time.perf_counter()
     coordinator = ShardCoordinator(
         margin=point.margin, max_moves=point.max_moves
@@ -523,7 +522,7 @@ def run_scale_point(
             )
             for shard in range(point.shards)
         ]
-        spans = run_scale_spans(specs, workers=workers)
+        spans = run_cells(run_shard_span, specs, workers=workers)
         all_spans.extend((round_index, span) for span in spans)
         if point.shards > 1 and round_index < point.rounds - 1:
             digests = [

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.core.config import GeomancyConfig
 from repro.core.engine import DRLEngine
+from repro.experiments.parallel import run_cells
 from repro.experiments.reporting import ascii_table, mean_std
 from repro.nn.model_zoo import MODEL_NUMBERS
 from repro.replaydb.db import ReplayDB
@@ -112,6 +113,12 @@ def evaluate_model(
     )
 
 
+def _model_cell(cell: tuple[int, list[AccessRecord], int, int]) -> Table2Row:
+    """Train and score one Table-I architecture on shared telemetry."""
+    model_number, records, epochs, seed = cell
+    return evaluate_model(model_number, records, epochs=epochs, seed=seed)
+
+
 def run_table2(
     *,
     rows: int = 12_000,
@@ -123,23 +130,17 @@ def run_table2(
 ) -> list[Table2Row]:
     """Regenerate Table II (optionally for a subset of models).
 
-    ``workers > 1`` trains each architecture in its own process via
-    :mod:`repro.experiments.parallel` (accuracy columns are deterministic;
-    only wall-clock timings differ from a serial run).
+    One cell per architecture through
+    :func:`repro.experiments.parallel.run_cells`: the shared people-mount
+    telemetry is collected once and, with ``workers > 1``, shipped
+    (pickled) to each worker.  Training is deterministic per ``(model,
+    records, epochs, seed)``, so only the wall-clock timing columns
+    depend on the worker count.
     """
     if records is None:
         records = collect_mount_telemetry("people", rows, seed=seed)
-    if workers > 1:
-        from repro.experiments import parallel
-
-        return parallel.run_table2(
-            epochs=epochs, seed=seed, model_numbers=model_numbers,
-            records=records, workers=workers,
-        )
-    return [
-        evaluate_model(number, records, epochs=epochs, seed=seed)
-        for number in model_numbers
-    ]
+    cells = [(number, records, epochs, seed) for number in model_numbers]
+    return run_cells(_model_cell, cells, workers=workers)
 
 
 def table2_text(rows: list[Table2Row]) -> str:

@@ -430,9 +430,7 @@ class FeaturePipeline:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        # Checkpoints predating the online-learning mode carry no
-        # normalization tag; they are all min-max.
-        saved_mode = state.get("normalization", "minmax")
+        saved_mode = state["normalization"]
         if saved_mode != self.normalization:
             raise FeatureError(
                 f"checkpoint normalization {saved_mode!r} does not match "

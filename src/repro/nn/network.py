@@ -164,6 +164,25 @@ class Sequential:
                 view[...] = held
                 arrays[name] = view
 
+    def parameter_vector(self) -> np.ndarray:
+        """A copy of every parameter as one flat vector (slot-table order)."""
+        self._home_parameters()
+        return self._theta.copy()
+
+    def set_parameter_vector(self, theta: np.ndarray) -> None:
+        """Overwrite every parameter from :meth:`parameter_vector` output.
+
+        In place: the layers' arrays stay views of the one vector the
+        optimizer updates.
+        """
+        self._home_parameters()
+        if np.shape(theta) != self._theta.shape:
+            raise ShapeError(
+                f"parameter vector has shape {np.shape(theta)}, "
+                f"the model holds {self._theta.shape}"
+            )
+        self._theta[...] = theta
+
     def _optimizer_slots(
         self, opt: Optimizer
     ) -> list[tuple[str, np.ndarray, np.ndarray]]:

@@ -19,9 +19,6 @@ Durability contract (the recovery subsystem depends on it):
 * **Optimizer state** -- pass ``optimizer=`` to both functions to carry
   momentum/moment accumulators across a restart (``optstate/{slot}/{key}``
   arrays inside the same archive).
-
-Files written by older versions (no ``__meta__``) still load, with the
-legacy semantics (cast to float64, no checksum).
 """
 
 from __future__ import annotations
@@ -160,10 +157,12 @@ def _load_archive(path: str | os.PathLike) -> dict[str, np.ndarray]:
         ) from exc
 
 
-def _parse_meta(arrays: dict[str, np.ndarray], path: str) -> dict | None:
+def _parse_meta(arrays: dict[str, np.ndarray], path: str) -> dict:
     raw = arrays.pop(_META_KEY, None)
     if raw is None:
-        return None
+        raise CheckpointCorruptError(
+            f"weight file {path!r} has no {_META_KEY} header"
+        )
     try:
         meta = json.loads(bytes(raw).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -204,15 +203,14 @@ def load_weights(
     path_str = os.fspath(path)
     arrays = _load_archive(path)
     meta = _parse_meta(arrays, path_str)
-    if meta is not None:
-        digest = _checksum(arrays)
-        stored = meta.get("checksum", {}).get("digest")
-        if digest != stored:
-            raise CheckpointCorruptError(
-                f"weight file {path_str!r} failed checksum verification "
-                f"(stored {stored!r}, computed {digest!r}); the file is "
-                "truncated or bit-flipped"
-            )
+    digest = _checksum(arrays)
+    stored = meta.get("checksum", {}).get("digest")
+    if digest != stored:
+        raise CheckpointCorruptError(
+            f"weight file {path_str!r} failed checksum verification "
+            f"(stored {stored!r}, computed {digest!r}); the file is "
+            "truncated or bit-flipped"
+        )
     opt_state = {
         key[len(_OPT_PREFIX):]: value
         for key, value in arrays.items()
@@ -235,7 +233,6 @@ def load_weights(
             f"weight file does not match architecture "
             f"(missing={sorted(missing)}, unexpected={sorted(extra)})"
         )
-    legacy = meta is None
     for i, layer in enumerate(model.layers):
         for name in layer.params:
             arr = weights[f"layer{i}/{name}"]
@@ -245,9 +242,7 @@ def load_weights(
                     f"layer{i}/{name}: stored shape {arr.shape} != "
                     f"model shape {current.shape}"
                 )
-            if legacy:
-                arr = arr.astype(np.float64)
-            elif arr.dtype != current.dtype:
+            if arr.dtype != current.dtype:
                 raise CheckpointCorruptError(
                     f"layer{i}/{name}: stored dtype {arr.dtype} != "
                     f"model dtype {current.dtype}"
@@ -256,7 +251,7 @@ def load_weights(
             # vector, which is what the optimizer updates.
             current[...] = arr
     if optimizer is not None and opt_state:
-        declared = meta.get("optimizer") if meta is not None else None
+        declared = meta.get("optimizer")
         if declared is not None and declared != type(optimizer).__name__:
             raise ModelError(
                 f"archive stores {declared} state but a "

@@ -229,7 +229,7 @@ class SLOMonitor:
         self.on_alert.append(_hook)
 
     def render(self, now: float) -> str:
-        """ASCII burn-status report for the ``repro slo`` CLI."""
+        """ASCII burn-status report at simulated time ``now``."""
         lines = [f"SLO status at t={now:.1f}s (simulated)"]
         for status in self.evaluate(now):
             flag = "ALERT" if status.alerting else "ok"

@@ -26,7 +26,6 @@ from repro.recovery.checkpoint import CheckpointManager, LoadedCheckpoint
 from repro.recovery.events import EventLog
 from repro.recovery.guardrail import Guardrail, GuardrailTrip
 from repro.recovery.journal import LayoutJournal
-from repro.recovery.weight_snapshots import WeightSnapshotStore
 
 __all__ = [
     "CheckpointManager",
@@ -35,5 +34,4 @@ __all__ = [
     "GuardrailTrip",
     "LayoutJournal",
     "LoadedCheckpoint",
-    "WeightSnapshotStore",
 ]

@@ -105,12 +105,11 @@ class Guardrail:
         self.explode_factor = explode_factor
         self.cooldown_runs = cooldown_runs
         self.fallback = fallback
-        #: optional ``() -> int | None`` hook restoring the engine's last
-        #: frozen-weight snapshot (see
-        #: :class:`~repro.recovery.weight_snapshots.WeightSnapshotStore`);
+        #: optional ``() -> int | None`` hook restoring the engine's frozen
+        #: weight copy (:meth:`~repro.core.engine.DRLEngine.rollback_weights`);
         #: invoked on training-health trips so a poisoned online model is
         #: rolled back to stable weights, not just demoted.  Returns the
-        #: restored snapshot step, or ``None`` when nothing was restored.
+        #: step the copy was frozen at, or ``None`` when nothing was restored.
         self.weight_rollback = weight_rollback
         self.event_log = event_log if event_log is not None else EventLog()
         self._mode = LEARNING

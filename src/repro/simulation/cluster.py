@@ -70,8 +70,8 @@ class _ScanDevice:
 
     __slots__ = (
         "device", "cursor", "rng_state0", "rng_cache_state0",
-        # per-op inputs grouped in op order (cursor-indexed)
-        "rb_d", "wb_d",
+        # how many of the batch's ops land on this device
+        "ops",
         # pre-drawn randomness (cursor-indexed lists or None)
         "hit", "noise",
         # loop-invariant serving constants
@@ -86,8 +86,7 @@ class _ScanDevice:
         self.cursor = 0
         self.rng_state0 = None
         self.rng_cache_state0 = None
-        self.rb_d = []
-        self.wb_d = []
+        self.ops = 0
         self.hit = None
         self.noise = None
         spec = device.spec
@@ -110,9 +109,7 @@ class _ScanDevice:
         device = self.device
         self.rng_state0 = device._rng.bit_generator.state
         self.rng_cache_state0 = device._rng_cache.bit_generator.state
-        draws = device.prepare_batch(self.rb_d, self.wb_d, validate=False)
-        self.hit = draws.hit
-        self.noise = draws.noise
+        self.hit, self.noise = device.prepare_batch(self.ops)
 
     def flush_stats(self) -> None:
         """Apply the deferred per-device accounting.
@@ -146,17 +143,9 @@ class _ScanDevice:
         ``cursor`` ops' worth of draws.
         """
         device = self.device
-        spec = device.spec
-        k = self.cursor
         device._rng.bit_generator.state = self.rng_state0
         device._rng_cache.bit_generator.state = self.rng_cache_state0
-        misses = k
-        if spec.cache_hit_rate:
-            u = device._rng_cache.random(k)
-            misses = k - int(np.count_nonzero(u < spec.cache_hit_rate))
-        if spec.noise_sigma and misses:
-            sigma = spec.noise_sigma
-            device._rng.lognormal(-sigma * sigma / 2.0, sigma, misses)
+        device.prepare_batch(self.cursor)
 
 
 class StorageCluster:
@@ -488,8 +477,7 @@ class StorageCluster:
                 rb_list[i] = info.size_bytes
             op_state.append(state)
             paths.append(info.path)
-            state.rb_d.append(rb_list[i])
-            state.wb_d.append(wbi)
+            state.ops += 1
         for state in scan_devices.values():
             state.snapshot_and_prepare()
 
@@ -521,16 +509,17 @@ class StorageCluster:
             total = rbi + wbi
             hit = state.hit
             if hit is not None and hit[k]:
-                # Inlined serve_prepared cache-hit path: load-independent,
-                # same float-op order as the scalar branch.
+                # StorageDevice.service_time's cache-hit branch, inlined:
+                # load-independent, same float-op order.
                 duration = state.latency + total / state.cache_base
                 if duration < MIN_ACCESS_DURATION:
                     duration = MIN_ACCESS_DURATION
             else:
-                # Inlined StorageDevice.serve_prepared miss path: same
-                # float-op order, with the loop-invariant spec constants
-                # read off the scan state.  degradation/online stay live
-                # reads -- advance_hook may flip them between ops.
+                # StorageDevice.service_time's miss branch (through
+                # effective_bandwidth), inlined: same float-op order, with
+                # the loop-invariant spec constants read off the scan
+                # state.  degradation/online stay live reads --
+                # advance_hook may flip them between ops.
                 ext = state.sens * state.load(t)
                 if ext > 0.95:
                     ext = 0.95
@@ -560,7 +549,8 @@ class StorageCluster:
                 if duration < MIN_ACCESS_DURATION:
                     duration = MIN_ACCESS_DURATION
             close = t + duration
-            # Inlined _window_append; stats are deferred to flush_stats.
+            # perform_access's _window_append, inlined; its stats are
+            # deferred to flush_stats.
             dev._recent_t.append(close)
             dev._recent_b.append(total)
             dev._recent_sum += total

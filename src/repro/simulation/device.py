@@ -20,13 +20,13 @@ Two access paths share this model:
 
 * the **scalar access** (:meth:`StorageDevice.perform_access`) serves one
   access per call: the path of :meth:`StorageCluster.access`, which
-  interleaved workloads take access by access, and the semantics the
-  batch kernels are regression-tested against;
-* the **batch kernels** (:meth:`StorageDevice.prepare_batch` +
-  :meth:`StorageDevice.serve_prepared`, or the one-shot
-  :meth:`StorageDevice.serve_batch`) pre-draw all randomness for a whole
-  array of accesses with vectorized generator calls, then serve them in a
-  tight scan.
+  interleaved workloads take access by access, and the semantic source
+  of truth;
+* the **batched scan** (:meth:`StorageCluster.access_batch`) serves a
+  whole run: :meth:`StorageDevice.prepare_batch` pre-draws each device's
+  randomness with one vectorized generator call per stream, then the
+  scan repeats ``perform_access``'s arithmetic inline, op by op, and is
+  regression-tested bit-for-bit against it.
 
 RNG-draw-order contract: each device owns two independent streams -- a
 cache-hit uniform stream (``default_rng((seed, fsid, 1))``) and a
@@ -244,23 +244,6 @@ class DeviceStats:
         )
 
 
-class _BatchDraws:
-    """Pre-drawn randomness for a batch of accesses on one device.
-
-    ``hit`` is a per-op cache-hit flag list (``None`` when the device has
-    no cache), ``noise`` a per-op lognormal factor list aligned with the
-    ops (``None`` when ``noise_sigma == 0``; entries at cache-hit
-    positions are placeholders and never read).
-    """
-
-    __slots__ = ("n", "hit", "noise")
-
-    def __init__(self, n: int, hit, noise) -> None:
-        self.n = n
-        self.hit = hit
-        self.noise = noise
-
-
 class StorageDevice:
     """Runtime state and service model for one device."""
 
@@ -381,8 +364,8 @@ class StorageDevice:
     def perform_access(self, t: float, rb: int, wb: int) -> float:
         """Serve one access and account for it; returns its duration.
 
-        The batch kernels are equivalence-tested against this method; it
-        stays the semantic source of truth.
+        :meth:`StorageCluster.access_batch` is equivalence-tested against
+        this method; it stays the semantic source of truth.
         """
         duration = self.service_time(t, rb, wb)
         total = rb + wb
@@ -409,161 +392,39 @@ class StorageDevice:
             sigma = spec.noise_sigma
             self._rng.lognormal(-sigma * sigma / 2.0, sigma)
 
-    # -- batch kernels -----------------------------------------------------
-    def prepare_batch(self, rb, wb, *, validate: bool = True) -> _BatchDraws:
+    # -- batched pre-draw --------------------------------------------------
+    def prepare_batch(
+        self, n: int
+    ) -> tuple[list[bool] | None, list[float] | None]:
         """Pre-draw all randomness for ``n`` accesses in op order.
 
-        ``rb``/``wb`` are the per-op byte counts (array-likes of equal
-        length).  Consumes exactly the draws ``n`` sequential
-        :meth:`service_time` calls would: one uniform per op on the
-        cache stream (iff the device caches), one lognormal per cache
-        *miss* on the noise stream (iff it has noise).  Ops that later
-        fail against an offline device keep their draws burned, matching
-        :meth:`burn_access_draws` on the scalar path.  ``validate=False``
-        skips the byte-count checks for callers that already validated
-        (the cluster's batch scan pre-validates every op); only the op
-        *count* matters for the draws, so the byte arrays are not even
-        converted.
+        Consumes exactly the draws ``n`` sequential :meth:`service_time`
+        calls would: one uniform per op on the cache stream (iff the
+        device caches), one lognormal per cache *miss* on the noise stream
+        (iff it has noise).  Ops that later fail against an offline device
+        keep their draws burned, matching :meth:`burn_access_draws` on the
+        scalar path.  Returns ``(hit, noise)``: per-op cache-hit flags
+        (``None`` when the device has no cache) and per-op lognormal
+        factors aligned with the ops (``None`` when ``noise_sigma == 0``;
+        entries at cache-hit positions are placeholders and never read).
         """
-        if validate:
-            rb = np.asarray(rb, dtype=np.int64)
-            wb = np.asarray(wb, dtype=np.int64)
-            if rb.shape != wb.shape or rb.ndim != 1:
-                raise SimulationError("rb/wb must be equal-length 1-D arrays")
-            if rb.size and (int(rb.min()) < 0 or int(wb.min()) < 0):
-                raise SimulationError("byte counts must be non-negative")
-            if rb.size and not int(np.min(rb + wb)) > 0:
-                raise SimulationError(
-                    "access must read or write at least one byte"
-                )
-            n = rb.size
-        else:
-            n = len(rb)
         spec = self.spec
-        hit_list = None
+        hit = hit_list = noise_list = None
         miss_count = n
-        hit = None
-        if spec.cache_hit_rate and n:
-            u = self._rng_cache.random(n)
-            hit = u < spec.cache_hit_rate
+        if spec.cache_hit_rate:
+            hit = self._rng_cache.random(n) < spec.cache_hit_rate
             miss_count = n - int(np.count_nonzero(hit))
             hit_list = hit.tolist()
-        elif spec.cache_hit_rate:
-            hit_list = []
-        noise_list = None
         if spec.noise_sigma:
             sigma = spec.noise_sigma
-            if miss_count:
-                z = self._rng.lognormal(-sigma * sigma / 2.0, sigma, miss_count)
-            else:
-                z = np.empty(0, dtype=np.float64)
+            z = self._rng.lognormal(-sigma * sigma / 2.0, sigma, miss_count)
             if hit is None:
                 noise = z
             else:
                 noise = np.ones(n, dtype=np.float64)
                 noise[~hit] = z
             noise_list = noise.tolist()
-        return _BatchDraws(n, hit_list, noise_list)
-
-    def serve_prepared(
-        self,
-        t: float,
-        rb: int,
-        wb: int,
-        hit: bool,
-        noise: float,
-        ext: float | None = None,
-    ) -> float:
-        """Serve one pre-drawn access; returns its duration.
-
-        Mirrors :meth:`perform_access` float-op for float-op,
-        with the randomness (``hit``, ``noise``) supplied from
-        :meth:`prepare_batch` instead of drawn inline.  ``ext`` optionally
-        supplies a precomputed sensitivity-scaled external load (the
-        vectorized path); when ``None`` the scalar interference process is
-        queried, which is bit-identical to the scalar path.
-        """
-        spec = self.spec
-        if hit:
-            transfer = (rb + wb) / (spec.cache_gbps * GBPS)
-        else:
-            if ext is None:
-                ext = spec.interference_sensitivity * self.interference.load(t)
-            if ext > 0.95:
-                ext = 0.95
-            self._prune_recent(t)
-            crowd = spec.crowding_factor * (
-                self._recent_sum / self._window_capacity
-            )
-            # Same left-to-right float-op order as effective_bandwidth().
-            deg = self.degradation
-            one_minus_ext = 1.0 - ext
-            denom = 1.0 + crowd
-            transfer = 0.0
-            if rb:
-                transfer += rb / (
-                    spec.read_gbps * GBPS * deg * one_minus_ext / denom
-                )
-            if wb:
-                transfer += wb / (
-                    spec.write_gbps * GBPS * deg * one_minus_ext / denom
-                )
-            if spec.noise_sigma:
-                transfer *= noise
-        duration = spec.latency_s + transfer
-        if duration < MIN_ACCESS_DURATION:
-            duration = MIN_ACCESS_DURATION
-        total = rb + wb
-        self._window_append(t + duration, total)
-        stats = self.stats
-        stats.accesses += 1
-        stats.bytes_served += total
-        stats.busy_time += duration
-        stats.append_sample(total / duration)
-        return duration
-
-    def serve_batch(self, t, rb, wb) -> np.ndarray:
-        """Serve a whole array of accesses; returns their durations.
-
-        ``t`` carries the per-op start times (already known to the
-        caller), ``rb``/``wb`` the byte counts.  Randomness is pre-drawn
-        with one vectorized generator call per stream, external loads are
-        evaluated with :meth:`LoadProcess.load_batch`, and the ops are
-        then served in order so each sees the crowding created by its
-        predecessors.  Equivalent to ``n`` :meth:`perform_access`
-        calls -- bit-for-bit except for sinusoidal interference, where
-        ``np.sin`` may differ from ``math.sin`` by one ulp.
-        """
-        t = np.asarray(t, dtype=np.float64)
-        if t.ndim != 1:
-            raise SimulationError("t must be a 1-D array")
-        draws = self.prepare_batch(rb, wb)
-        if t.size != draws.n:
-            raise SimulationError("t/rb/wb must be equal-length arrays")
-        n = draws.n
-        durations = np.empty(n, dtype=np.float64)
-        if not n:
-            return durations
-        ext_arr = (
-            self.spec.interference_sensitivity
-            * self.interference.load_batch(t)
-        ).tolist()
-        t_list = t.tolist()
-        rb_list = np.asarray(rb, dtype=np.int64).tolist()
-        wb_list = np.asarray(wb, dtype=np.int64).tolist()
-        hit = draws.hit
-        noise = draws.noise
-        serve = self.serve_prepared
-        for i in range(n):
-            durations[i] = serve(
-                t_list[i],
-                rb_list[i],
-                wb_list[i],
-                hit[i] if hit is not None else False,
-                noise[i] if noise is not None else 1.0,
-                ext_arr[i],
-            )
-        return durations
+        return hit_list, noise_list
 
     # -- migrations --------------------------------------------------------
     def absorb_transfer(self, t: float, nbytes: int, duration: float) -> None:
@@ -611,8 +472,7 @@ class StorageDevice:
 
     def load_state_dict(self, state: dict) -> None:
         self._rng.bit_generator.state = state["rng"]
-        if "rng_cache" in state:
-            self._rng_cache.bit_generator.state = state["rng_cache"]
+        self._rng_cache.bit_generator.state = state["rng_cache"]
         self._recent_t = [float(t) for t, _ in state["recent"]]
         self._recent_b = [int(b) for _, b in state["recent"]]
         self._recent_head = 0

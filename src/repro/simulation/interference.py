@@ -9,12 +9,10 @@ Processes are deterministic functions of time given their construction
 seed -- two queries at the same ``t`` agree, and interleaving queries from
 multiple workloads (Experiment 3) cannot perturb the environment.
 
-Every process also exposes :meth:`LoadProcess.load_batch`, the array form
-used by the simulation fast path: one call evaluates the load at a whole
-vector of timestamps.  ``load_batch`` is elementwise-equivalent to
-``load`` (bit-for-bit for the constant/bursty/spike/composite processes;
-within one ulp for the sinusoidal diurnal process, whose batched form
-goes through ``np.sin`` instead of ``math.sin``).
+Both access paths of :mod:`repro.simulation.device` -- the scalar access
+and the cluster's batched scan -- query :meth:`LoadProcess.load` once per
+cache-miss access, at that access's start time: the start times of a run
+are only known as the scan resolves them, so there is no array form.
 """
 
 from __future__ import annotations
@@ -33,17 +31,6 @@ class LoadProcess:
         """External load at time ``t``, in [0, 1]."""
         raise NotImplementedError
 
-    def load_batch(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`load` over an array of timestamps.
-
-        The base implementation loops; subclasses override with true
-        numpy kernels.
-        """
-        t = np.asarray(t, dtype=np.float64)
-        return np.fromiter(
-            (self.load(float(x)) for x in t), dtype=np.float64, count=t.size
-        ).reshape(t.shape)
-
     def __add__(self, other: "LoadProcess") -> "CompositeLoad":
         return CompositeLoad([self, other])
 
@@ -58,10 +45,6 @@ class ConstantLoad(LoadProcess):
 
     def load(self, t: float) -> float:
         return self.level
-
-    def load_batch(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        return np.full(t.shape, self.level, dtype=np.float64)
 
 
 class DiurnalLoad(LoadProcess):
@@ -90,11 +73,6 @@ class DiurnalLoad(LoadProcess):
     def load(self, t: float) -> float:
         wave = (1.0 + math.sin(2.0 * math.pi * t / self.period + self.phase)) / 2.0
         return min(1.0, self.base + self.amplitude * wave)
-
-    def load_batch(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        wave = (1.0 + np.sin(2.0 * np.pi * t / self.period + self.phase)) / 2.0
-        return np.minimum(1.0, self.base + self.amplitude * wave)
 
 
 class BurstyLoad(LoadProcess):
@@ -155,21 +133,6 @@ class BurstyLoad(LoadProcess):
         slot = int(t / self.slot_seconds)
         return self.on_level if self._slot_on(slot) else self.off_level
 
-    def load_batch(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        if t.size and float(t.min()) < 0:
-            raise SimulationError("time must be non-negative")
-        # int() truncates toward zero; so does astype for non-negative t.
-        slots = (t / self.slot_seconds).astype(np.int64)
-        unique = np.unique(slots)
-        on_by_slot = {int(s): self._slot_on(int(s)) for s in unique}
-        on = np.fromiter(
-            (on_by_slot[int(s)] for s in slots.ravel()),
-            dtype=bool,
-            count=slots.size,
-        ).reshape(t.shape)
-        return np.where(on, self.on_level, self.off_level)
-
 
 class SpikeLoad(LoadProcess):
     """Scheduled load spikes: ``(start, duration, level)`` windows.
@@ -197,14 +160,6 @@ class SpikeLoad(LoadProcess):
                 level = max(level, spike_level)
         return level
 
-    def load_batch(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        level = np.zeros(t.shape, dtype=np.float64)
-        for start, duration, spike_level in self.spikes:
-            inside = (start <= t) & (t < start + duration)
-            level = np.where(inside, np.maximum(level, spike_level), level)
-        return level
-
 
 class CompositeLoad(LoadProcess):
     """Sum of component loads, saturating at 1.0."""
@@ -223,12 +178,3 @@ class CompositeLoad(LoadProcess):
         for component in self.components:
             total += component.load(t)
         return total if total < 1.0 else 1.0
-
-    def load_batch(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        # Accumulate in component order so the float-add sequence matches
-        # the scalar ``sum`` exactly.
-        total = np.zeros(t.shape, dtype=np.float64)
-        for component in self.components:
-            total = total + component.load_batch(t)
-        return np.minimum(1.0, total)

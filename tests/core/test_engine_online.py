@@ -92,20 +92,6 @@ def weights_equal(a, b):
 
 
 @pytest.fixture
-def make_engine():
-    """``DRLEngine(...)`` whose snapshot directory is removed afterwards."""
-    engines = []
-
-    def build(*args, **kwargs):
-        engines.append(DRLEngine(*args, **kwargs))
-        return engines[-1]
-
-    yield build
-    for engine in engines:
-        engine.close()
-
-
-@pytest.fixture
 def db():
     with ReplayDB() as db:
         db.insert_accesses(synthetic_decision_records(rows=500, seed=0))
@@ -113,8 +99,8 @@ def db():
 
 
 class TestModeGates:
-    def test_requires_online_config(self, db, make_engine):
-        engine = make_engine(make_config(online_learning=False))
+    def test_requires_online_config(self, db):
+        engine = DRLEngine(make_config(online_learning=False))
         with pytest.raises(ModelError):
             engine.train_incremental(db)
 
@@ -122,15 +108,15 @@ class TestModeGates:
         with pytest.raises(ConfigurationError):
             make_config(model_number=12)
 
-    def test_train_still_works_under_online_config(self, db, make_engine):
-        report = make_engine(make_config()).train(db)
+    def test_train_still_works_under_online_config(self, db):
+        report = DRLEngine(make_config()).train(db)
         assert report.mode == "scratch"
 
 
 class TestOracleEquivalence:
-    def test_first_incremental_epoch_is_from_scratch_train(self, db, make_engine):
+    def test_first_incremental_epoch_is_from_scratch_train(self, db):
         config = make_config()
-        scratch, online = make_engine(config), make_engine(config)
+        scratch, online = DRLEngine(config), DRLEngine(config)
         report_a = scratch.train(db)
         report_b = online.train_incremental(db)
         assert report_a.test_mare == report_b.test_mare
@@ -145,7 +131,7 @@ class TestOracleEquivalence:
 
 
 class TestLayoutQuality:
-    def test_online_recovers_the_location_signal_like_from_scratch(self, make_engine):
+    def test_online_recovers_the_location_signal_like_from_scratch(self):
         """Flat cost must not trade away layout quality.
 
         Location ``k`` sustains ``k * 50 MB/s``, so a layout's quality is
@@ -168,7 +154,7 @@ class TestLayoutQuality:
 
         with ReplayDB() as db:
             db.insert_accesses(records[:1000])
-            online = make_engine(GeomancyConfig(
+            online = DRLEngine(GeomancyConfig(
                 **shared, training_rows=1000, online_learning=True,
                 online_epochs=8, online_max_new_rows=burst,
                 replay_sample_rows=256,
@@ -179,7 +165,7 @@ class TestLayoutQuality:
                 report = online.train_incremental(db)
                 assert report.mode == "incremental"
                 layout, _ = online.propose_layout(db, db.files(), device_by_fsid)
-            scratch = make_engine(
+            scratch = DRLEngine(
                 GeomancyConfig(**shared, training_rows=len(records))
             )
             scratch.train(db)
@@ -191,8 +177,8 @@ class TestLayoutQuality:
 
 
 class TestIncrementalCycle:
-    def test_cursor_advances_and_fits_only_new_rows(self, db, make_engine):
-        engine = make_engine(make_config())
+    def test_cursor_advances_and_fits_only_new_rows(self, db):
+        engine = DRLEngine(make_config())
         engine.train_incremental(db)
         assert engine._hwm == db.max_rowid()
         db.insert_accesses(
@@ -205,14 +191,14 @@ class TestIncrementalCycle:
         assert report.samples == report.new_rows + report.replayed_rows
         assert engine._hwm == db.max_rowid()
 
-    def test_no_new_rows_is_a_noop(self, db, make_engine):
-        engine = make_engine(make_config())
+    def test_no_new_rows_is_a_noop(self, db):
+        engine = DRLEngine(make_config())
         first = engine.train_incremental(db)
         again = engine.train_incremental(db)
         assert again is first
 
-    def test_burst_bound_caps_consumed_rows(self, db, make_engine):
-        engine = make_engine(make_config(online_max_new_rows=50))
+    def test_burst_bound_caps_consumed_rows(self, db):
+        engine = DRLEngine(make_config(online_max_new_rows=50))
         engine.train_incremental(db)
         db.insert_accesses(
             shifted_records(300, seed=2, start_t=1_600_010_000)
@@ -222,8 +208,8 @@ class TestIncrementalCycle:
         # Skipped older rows are never revisited: cursor is at the head.
         assert engine._hwm == db.max_rowid()
 
-    def test_replay_disabled_when_sample_rows_zero(self, db, make_engine):
-        engine = make_engine(make_config(replay_sample_rows=0))
+    def test_replay_disabled_when_sample_rows_zero(self, db):
+        engine = DRLEngine(make_config(replay_sample_rows=0))
         engine.train_incremental(db)
         db.insert_accesses(
             shifted_records(80, seed=3, start_t=1_600_010_000)
@@ -234,9 +220,9 @@ class TestIncrementalCycle:
 
 
 class TestDrift:
-    def test_distribution_shift_detected_with_burst(self, make_engine):
+    def test_distribution_shift_detected_with_burst(self):
         obs = Observability()
-        engine = make_engine(
+        engine = DRLEngine(
             make_config(
                 drift_threshold=0.2,
                 drift_min_cycles=2,
@@ -279,68 +265,37 @@ class TestDrift:
 
 
 class TestSnapshotsAndRollback:
-    def test_periodic_snapshots_and_rollback(self, db, make_engine):
-        engine = make_engine(make_config(target_snapshot_every=2))
+    def test_periodic_snapshots_and_rollback(self, db):
+        engine = DRLEngine(make_config(target_snapshot_every=2))
         engine.train_incremental(db)
-        assert engine.snapshots.steps() == [0]
         t = 1_600_010_000
         for i in range(2):
             db.insert_accesses(shifted_records(60, seed=30 + i, start_t=t))
             t += 10_000
             engine.train_incremental(db)
-        assert engine.snapshots.steps() == [0, 2]
         frozen = _weight_arrays(engine.model)
         frozen = {k: v.copy() for k, v in frozen.items()}
-        for layer in engine.model.layers:
-            for param in layer.params.values():
-                param += 5.0  # poison the live weights
-        assert engine.rollback_weights() == 2
-        restored = _weight_arrays(engine.model)
-        for key in frozen:
-            np.testing.assert_array_equal(restored[key], frozen[key])
+        # The frozen copy outlives a rollback: a second poisoning is
+        # undone to the very same weights.
+        for poison in (5.0, -3.0):
+            for layer in engine.model.layers:
+                for param in layer.params.values():
+                    param += poison  # poison the live weights
+            assert engine.rollback_weights() == 2
+            restored = _weight_arrays(engine.model)
+            for key in frozen:
+                np.testing.assert_array_equal(restored[key], frozen[key])
 
-    def test_rollback_without_snapshots_is_none(self, db, make_engine):
-        engine = make_engine(make_config(target_snapshot_every=0))
+    def test_rollback_without_snapshots_is_none(self, db):
+        engine = DRLEngine(make_config(target_snapshot_every=0))
         engine.train_incremental(db)
-        assert engine.snapshots is None
         assert engine.rollback_weights() is None
 
 
-class TestClose:
-    def test_close_removes_the_private_snapshot_directory(self):
-        engine = DRLEngine(make_config(target_snapshot_every=2))
-        directory = engine.snapshots.directory
-        assert directory.is_dir()
-        engine.close()
-        assert not directory.exists()
-        engine.close()  # and again is harmless
-
-    def test_close_leaves_a_configured_directory(self, tmp_path):
-        engine = DRLEngine(make_config(weight_snapshot_dir=str(tmp_path)))
-        engine.close()
-        assert tmp_path.is_dir()
-
-    def test_from_scratch_engine_has_nothing_to_close(self):
-        DRLEngine(make_config(online_learning=False)).close()
-
-    def test_facade_closes_its_engine(self):
-        from repro.core.geomancy import Geomancy
-        from repro.simulation.bluesky import make_bluesky_cluster
-        from repro.workloads.files import belle2_file_population
-
-        geo = Geomancy(
-            make_bluesky_cluster(seed=0), belle2_file_population(seed=0),
-            make_config(),
-        )
-        directory = geo.engine.snapshots.directory
-        geo.close()
-        assert not directory.exists()
-
-
 class TestCheckpointing:
-    def test_state_round_trip_resumes_identically(self, db, tmp_path, make_engine):
+    def test_state_round_trip_resumes_identically(self, db, tmp_path):
         config = make_config()
-        a = make_engine(config)
+        a = DRLEngine(config)
         a.train_incremental(db)
         db.insert_accesses(
             shifted_records(90, seed=40, start_t=1_600_010_000)
@@ -349,7 +304,7 @@ class TestCheckpointing:
 
         save_weights(a.model, tmp_path / "w.npz")
         state = a.state_dict()
-        b = make_engine(config)
+        b = DRLEngine(config)
         b.model.build(a.model.layers[0].params["W"].shape[0])
         load_weights(b.model, tmp_path / "w.npz")
         b.load_state_dict(state)
@@ -365,30 +320,21 @@ class TestCheckpointing:
         assert report_a.replayed_rows == report_b.replayed_rows
         assert weights_equal(a, b)
 
-    def test_legacy_state_without_online_section_loads(self, db, make_engine):
-        engine = make_engine(make_config())
-        engine.train_incremental(db)
-        state = engine.state_dict()
-        del state["online"]
-        fresh = make_engine(make_config())
-        fresh.train(db)
-        fresh.load_state_dict(state)  # must not raise
-
 
 class TestWeightsStayViewsOfTheFlatVector:
     """Whatever restores weights must leave them where the optimizer
     updates them: a detached array would make training a silent no-op."""
 
     def test_cold_start_checkpoint_round_trip_and_rollback(
-        self, db, tmp_path, make_engine
+        self, db, tmp_path
     ):
         config = make_config(target_snapshot_every=1)
-        a = make_engine(config)
+        a = DRLEngine(config)
         a.train_incremental(db)  # cold start: _fresh_model() + a full fit
         assert_homed(a.model)
 
         save_weights(a.model, tmp_path / "w.npz")
-        b = make_engine(config)
+        b = DRLEngine(config)
         b.load_state_dict(a.state_dict())  # builds the model
         load_weights(b.model, tmp_path / "w.npz")
         assert_homed(b.model)
@@ -415,9 +361,9 @@ class TestWeightsStayViewsOfTheFlatVector:
 
 
 class TestTelemetry:
-    def test_training_metrics_move(self, db, make_engine):
+    def test_training_metrics_move(self, db):
         obs = Observability()
-        engine = make_engine(make_config(), obs=obs)
+        engine = DRLEngine(make_config(), obs=obs)
         engine.train_incremental(db)
         db.insert_accesses(
             shifted_records(70, seed=50, start_t=1_600_010_000)
@@ -428,9 +374,9 @@ class TestTelemetry:
         assert rows.value >= 400 + report.samples
         assert seconds.count >= 1
 
-    def test_incremental_cycle_traced(self, db, make_engine):
+    def test_incremental_cycle_traced(self, db):
         obs = Observability()
-        engine = make_engine(make_config(), obs=obs)
+        engine = DRLEngine(make_config(), obs=obs)
         engine.train_incremental(db)
         db.insert_accesses(
             shifted_records(70, seed=51, start_t=1_600_010_000)

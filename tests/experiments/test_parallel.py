@@ -10,10 +10,14 @@ tolerances.
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import parallel
+from repro.experiments import fig5_comparison, parallel
 from repro.experiments.fig5_comparison import run_fig5a
 from repro.experiments.robustness import run_robustness
 from repro.experiments.spec import ExperimentScale
+from repro.experiments.table2_comparison import (
+    collect_mount_telemetry,
+    run_table2,
+)
 
 TINY = ExperimentScale(
     name="tiny",
@@ -39,6 +43,14 @@ class TestRunCells:
         with pytest.raises(ExperimentError):
             parallel.run_cells(_square, [1], workers=0)
 
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_table2_rejects_invalid_workers_like_every_grid(self, workers):
+        records = collect_mount_telemetry("people", 150, seed=0)
+        with pytest.raises(ExperimentError, match="workers must be >= 1"):
+            run_table2(
+                records=records, epochs=1, model_numbers=(1,), workers=workers
+            )
+
     def test_single_cell_skips_pool(self):
         assert parallel.run_cells(_square, [5], workers=8) == [25]
 
@@ -50,7 +62,7 @@ def _square(n: int) -> int:
 class TestParallelMatchesSerial:
     def test_fig5a_bit_for_bit(self):
         serial = run_fig5a(scale=TINY, seed=2)
-        par = parallel.run_fig5a(scale=TINY, seed=2, workers=2)
+        par = run_fig5a(scale=TINY, seed=2, workers=2)
         assert serial == par
 
     def test_workers_one_is_deterministic_fallback(self):
@@ -65,14 +77,9 @@ class TestParallelMatchesSerial:
 
     def test_robustness_empty_seeds_rejected(self):
         with pytest.raises(ExperimentError):
-            parallel.run_robustness(seeds=(), scale=TINY, workers=2)
+            run_robustness(seeds=(), scale=TINY, workers=2)
 
     def test_table2_accuracy_columns_deterministic(self):
-        from repro.experiments.table2_comparison import (
-            collect_mount_telemetry,
-            run_table2,
-        )
-
         records = collect_mount_telemetry("people", 150, seed=0)
         serial = run_table2(records=records, epochs=2, model_numbers=(1, 2))
         par = run_table2(
@@ -87,4 +94,4 @@ class TestParallelMatchesSerial:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ExperimentError):
-            parallel._build_policy("no such policy", TINY, 0)
+            fig5_comparison._build_policy("no such policy", TINY, 0)

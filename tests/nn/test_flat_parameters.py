@@ -123,6 +123,32 @@ def test_rebinding_a_wrong_shape_is_refused():
         model.fit(x, y, epochs=1)
 
 
+@pytest.mark.parametrize("detach", [lambda m: m, _rebind, copy.deepcopy, _pickled])
+def test_parameter_vector_freezes_what_the_layers_hold(detach):
+    from repro.errors import ShapeError
+
+    x, y = dataset(rows=40)
+    model = build_model(1, Z, seed=11)
+    model.fit(x, y, epochs=1, optimizer=SGD(0.05))
+    model = detach(model)
+    frozen_prediction = model.predict(x)
+    theta = model.parameter_vector()
+    assert not np.shares_memory(theta, model._theta)
+    assert_homed(model)
+
+    model = detach(model)  # detached again between freeze and restore
+    for layer in model.layers:
+        for param in layer.params.values():
+            param += 1.0
+    model.set_parameter_vector(theta)
+    assert_homed(model)
+    assert same_bits(model.parameter_vector(), theta)
+    assert same_bits(model.predict(x), frozen_prediction)
+    assert_fit_moves_predictions(model, x, y)
+    with pytest.raises(ShapeError, match="parameter vector"):
+        model.set_parameter_vector(theta[:-1])
+
+
 # -- (c) batch tails ---------------------------------------------------------
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("rows", [320, 321, 336, 20])
@@ -285,4 +311,7 @@ def test_sequential_adds_no_public_method():
     assert public == {
         "build", "parameter_count", "predict", "fit", "evaluate",
         "check_divergence", "require_converged",
+        # the engine's frozen copy: one call per ``target_snapshot_every``
+        # updates, one per rollback
+        "parameter_vector", "set_parameter_vector",
     }

@@ -8,7 +8,7 @@ from repro.nn.layers import Dense
 from repro.nn.model_zoo import MODEL_NUMBERS, build_model, is_recurrent
 from repro.nn.network import Sequential
 from repro.nn.optimizers import SGD, Adam
-from repro.nn.serialization import load_weights, save_weights
+from repro.nn.serialization import _weight_arrays, load_weights, save_weights
 
 
 @pytest.fixture
@@ -189,6 +189,15 @@ class TestDurability:
         clone = build_model(1, z=6, seed=0)
         clone.build(6)
         with pytest.raises(CheckpointCorruptError):
+            load_weights(clone, path)
+
+    def test_archive_without_header_is_corrupt(self, trained_model, tmp_path):
+        net, _ = trained_model
+        path = tmp_path / "w.npz"
+        np.savez(path, **_weight_arrays(net))  # every array, no __meta__
+        clone = build_model(1, z=6, seed=0)
+        clone.build(6)
+        with pytest.raises(CheckpointCorruptError, match="no __meta__ header"):
             load_weights(clone, path)
 
 

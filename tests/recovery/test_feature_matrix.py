@@ -165,7 +165,6 @@ def test_fault_stage_rides_the_checkpoint(tmp_path):
         throughput = run_measured_loop(
             geo, runner, range(first_run, TEST_SCALE.runs + 1)
         )
-        geo.close()
         result = FacadeLoopResult.measured(
             geo, throughput, seed=seed, scale=TEST_SCALE,
             runs_completed=TEST_SCALE.runs,
@@ -192,7 +191,6 @@ def test_fault_stage_rides_the_checkpoint(tmp_path):
     assert system["channel"]["telemetry"]["pending"], "nothing in flight"
     mgr = CheckpointManager(tmp_path / "ckpt")
     mgr.save(KILL_AT, {"system": system}, db=geo.db, model=geo.engine.model)
-    geo.close()
 
     loaded = mgr.latest_valid()
     geo, runner = lossy_loop(db=ReplayDB.from_snapshot(loaded.replay_path))

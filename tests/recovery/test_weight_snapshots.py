@@ -1,20 +1,14 @@
-"""WeightSnapshotStore: rotation, restore chain, guardrail hook."""
+"""The guardrail's weight-rollback hook, on an online engine's frozen copy."""
 
 import numpy as np
-import pytest
 
-from repro.core.engine import TrainingReport
-from repro.errors import ConfigurationError
-from repro.nn.layers import Dense
-from repro.nn.network import Sequential
+from repro.core.engine import DRLEngine, TrainingReport
 from repro.recovery.guardrail import Guardrail
-from repro.recovery.weight_snapshots import WeightSnapshotStore
-
-
-def make_model(seed=0):
-    net = Sequential([Dense(4), Dense(1)], seed=seed)
-    net.build(3)
-    return net
+from repro.replaydb.db import ReplayDB
+from tests.core.test_engine_online import (
+    make_config,
+    synthetic_decision_records,
+)
 
 
 def weights_of(net):
@@ -39,75 +33,24 @@ def _report(test_mare=20.0, diverged=False):
     )
 
 
-class TestStore:
-    def test_rejects_bad_keep(self):
-        with pytest.raises(ConfigurationError):
-            WeightSnapshotStore(keep=0)
-
-    def test_rejects_negative_step(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            WeightSnapshotStore(tmp_path).save(make_model(), -1)
-
-    def test_save_restore_round_trip(self, tmp_path):
-        store = WeightSnapshotStore(tmp_path)
-        net = make_model()
-        frozen = weights_of(net)
-        store.save(net, 5)
-        perturb(net)
-        assert store.restore_latest(net) == 5
-        for got, want in zip(weights_of(net), frozen):
-            np.testing.assert_array_equal(got, want)
-
-    def test_rotation_keeps_newest(self, tmp_path):
-        store = WeightSnapshotStore(tmp_path, keep=2)
-        net = make_model()
-        for step in (1, 2, 3, 4):
-            store.save(net, step)
-        assert store.steps() == [3, 4]
-
-    def test_restore_on_empty_store_is_none(self, tmp_path):
-        assert WeightSnapshotStore(tmp_path).restore_latest(make_model()) is None
-
-    def test_corrupt_newest_falls_back_to_previous(self, tmp_path):
-        store = WeightSnapshotStore(tmp_path)
-        net = make_model()
-        frozen = weights_of(net)
-        store.save(net, 1)
-        perturb(net)
-        path = store.save(net, 2)
-        path.write_bytes(b"garbage")
-        restored = store.restore_latest(net)
-        assert restored == 1
-        assert store.steps() == [1]  # the torn generation was deleted
-        for got, want in zip(weights_of(net), frozen):
-            np.testing.assert_array_equal(got, want)
-
-    def test_private_tempdir_mode(self):
-        store = WeightSnapshotStore()
-        net = make_model()
-        store.save(net, 0)
-        assert store.restore_latest(net) == 0
-        store.close()
-
-
 class TestGuardrailRollbackHook:
-    def test_loss_explosion_restores_snapshot(self, tmp_path):
-        store = WeightSnapshotStore(tmp_path)
-        net = make_model()
+    def test_loss_explosion_restores_snapshot(self):
+        engine = DRLEngine(make_config())
+        with ReplayDB() as db:
+            db.insert_accesses(synthetic_decision_records(rows=500, seed=0))
+            engine.train_incremental(db)  # freezes the base epoch, step 0
+        net = engine.model
         frozen = weights_of(net)
-        store.save(net, 7)
         perturb(net)  # the "poisoned" online update
 
-        rail = Guardrail(
-            weight_rollback=lambda: store.restore_latest(net)
-        )
+        rail = Guardrail(weight_rollback=engine.rollback_weights)
         rail.check_training(_report(test_mare=10.0), run_index=0, t=0.0)
         trip = rail.check_training(
             _report(test_mare=500.0), run_index=1, t=1.0
         )
         assert trip is not None
         assert trip.detail["weights_rolled_back"] is True
-        assert trip.detail["weight_snapshot_step"] == 7
+        assert trip.detail["weight_snapshot_step"] == 0
         for got, want in zip(weights_of(net), frozen):
             np.testing.assert_array_equal(got, want)
 

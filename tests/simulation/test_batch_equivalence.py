@@ -1,11 +1,11 @@
 """Batched access pipeline vs. the scalar access: exact-equivalence tests.
 
-The batched access pipeline (``prepare_batch``/``serve_batch``,
-``LoadProcess.load_batch``, ``StorageCluster.access_batch``,
-``WorkloadRunner.run_many`` fusion) promises *bit-for-bit* the outputs of
-the access-by-access path -- records, durations, RNG stream positions,
-device statistics, crowding windows, and the clock.  These tests hold it
-to that promise across randomized device specs, op mixes, and fault
+The batched access pipeline (``StorageCluster.access_batch`` over
+``StorageDevice.prepare_batch``, ``WorkloadRunner.run_many`` fusion)
+promises *bit-for-bit* the outputs of the access-by-access path --
+records, durations, RNG stream positions, device statistics, crowding
+windows, and the clock.  These tests hold it to that promise across
+randomized op mixes and fault
 schedules (including devices flipping offline/online mid-batch), plus the
 satellite invariants that ride on the fast path: incremental
 ``stored_bytes`` counters, the running DeviceStats aggregates, the
@@ -29,8 +29,6 @@ from repro.simulation.interference import (
     BurstyLoad,
     CompositeLoad,
     ConstantLoad,
-    DiurnalLoad,
-    SpikeLoad,
 )
 from repro.workloads.belle2 import Belle2Workload
 from repro.workloads.files import belle2_file_population
@@ -42,30 +40,6 @@ from tests.oracles.scalar_runs import (
 )
 
 GB = 10**9
-
-
-def make_load(kind: str, seed: int):
-    """A deterministic load process of the requested kind.
-
-    Diurnal is excluded from the exact-equivalence kinds: its batched
-    form goes through ``np.sin`` and is only one-ulp-equivalent.
-    """
-    if kind == "constant":
-        return ConstantLoad(0.3)
-    if kind == "bursty":
-        return BurstyLoad(seed=seed, slot_seconds=5.0)
-    if kind == "spike":
-        return SpikeLoad([(2.0, 5.0, 0.8), (10.0, 3.0, 0.5)])
-    return CompositeLoad(
-        [ConstantLoad(0.1), BurstyLoad(seed=seed + 1, slot_seconds=3.0)]
-    )
-
-
-def make_device(params: dict, kind: str, seed: int) -> StorageDevice:
-    spec = DeviceSpec(
-        name="d", fsid=0, capacity_bytes=10**13, latency_s=0.002, **params
-    )
-    return StorageDevice(spec, make_load(kind, seed), seed=seed)
 
 
 def device_fingerprint(device: StorageDevice) -> tuple:
@@ -82,102 +56,6 @@ def device_fingerprint(device: StorageDevice) -> tuple:
         device.online,
         device.degradation,
     )
-
-
-SPEC_PARAMS = st.fixed_dictionaries(
-    dict(
-        read_gbps=st.sampled_from([0.5, 2.0, 8.0]),
-        write_gbps=st.sampled_from([0.5, 1.0]),
-        noise_sigma=st.sampled_from([0.0, 0.25]),
-        cache_hit_rate=st.sampled_from([0.0, 0.35]),
-        interference_sensitivity=st.sampled_from([0.0, 0.6, 1.0]),
-        crowding_factor=st.sampled_from([0.0, 3.0]),
-    )
-)
-
-LOAD_KINDS = st.sampled_from(["constant", "bursty", "spike", "composite"])
-
-#: (rb, wb) pairs covering read-only, write-only, mixed, and tiny ops
-OP_BYTES = st.tuples(
-    st.integers(0, 2 * GB), st.integers(0, GB)
-).filter(lambda p: p[0] + p[1] > 0)
-
-
-class TestServeBatchEquivalence:
-    @given(
-        params=SPEC_PARAMS,
-        kind=LOAD_KINDS,
-        seed=st.integers(0, 30),
-        ops=st.lists(OP_BYTES, min_size=1, max_size=40),
-        gaps=st.lists(
-            st.floats(0.0, 20.0, allow_nan=False), min_size=1, max_size=40
-        ),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_serve_batch_bit_identical_to_reference(
-        self, params, kind, seed, ops, gaps
-    ):
-        n = min(len(ops), len(gaps))
-        ops, gaps = ops[:n], gaps[:n]
-        t = np.cumsum(np.asarray(gaps, dtype=np.float64))
-        rb = np.asarray([o[0] for o in ops], dtype=np.int64)
-        wb = np.asarray([o[1] for o in ops], dtype=np.int64)
-
-        batched = make_device(params, kind, seed)
-        reference = make_device(params, kind, seed)
-
-        durations = batched.serve_batch(t, rb, wb)
-        expected = np.asarray(
-            [
-                reference.perform_access(
-                    float(t[i]), int(rb[i]), int(wb[i])
-                )
-                for i in range(n)
-            ]
-        )
-        assert np.array_equal(durations, expected)
-        assert device_fingerprint(batched) == device_fingerprint(reference)
-
-    @given(params=SPEC_PARAMS, kind=LOAD_KINDS, seed=st.integers(0, 10))
-    @settings(max_examples=15, deadline=None)
-    def test_empty_batch_leaves_device_untouched(self, params, kind, seed):
-        device = make_device(params, kind, seed)
-        before = device_fingerprint(device)
-        out = device.serve_batch(
-            np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64)
-        )
-        assert out.size == 0
-        assert device_fingerprint(device) == before
-
-
-class TestLoadBatchEquivalence:
-    @given(
-        kind=st.sampled_from(["constant", "bursty", "spike", "composite"]),
-        seed=st.integers(0, 20),
-        times=st.lists(
-            st.floats(0.0, 500.0, allow_nan=False), min_size=1, max_size=60
-        ),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_load_batch_elementwise_exact(self, kind, seed, times):
-        process = make_load(kind, seed)
-        t = np.asarray(times, dtype=np.float64)
-        batch = process.load_batch(t)
-        scalar = [process.load(float(x)) for x in times]
-        assert batch.tolist() == scalar
-
-    @given(
-        times=st.lists(
-            st.floats(0.0, 5000.0, allow_nan=False), min_size=1, max_size=60
-        )
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_diurnal_load_batch_one_ulp(self, times):
-        process = DiurnalLoad(base=0.1, amplitude=0.6, period=300.0)
-        t = np.asarray(times, dtype=np.float64)
-        batch = process.load_batch(t)
-        scalar = np.asarray([process.load(float(x)) for x in times])
-        np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0)
 
 
 class TestBurstyLoadMemoization:

@@ -17,8 +17,8 @@ class TestParser:
             "fig4", "table1", "table2", "table3",
             "fig5a", "fig5b", "table4", "fig6", "synth-trace", "testbed",
             "robustness", "chaos", "overhead", "model-selection",
-            "recover", "resume", "run", "metrics", "trace",
-            "saturate", "deadletters", "explain", "slo", "scale",
+            "recover", "resume", "run",
+            "saturate", "deadletters", "explain", "scale",
         }
 
     def test_chaos_arguments_parse(self):
@@ -185,9 +185,10 @@ class TestProvenanceCommands:
 
     def test_slo_arguments_parse(self):
         args = build_parser().parse_args(
-            ["slo", "--queue-delay-threshold", "0.1",
+            ["run", "--slo", "--queue-delay-threshold", "0.1",
              "--throughput-floor", "2.0"]
         )
+        assert args.slo is True
         assert args.queue_delay_threshold == 0.1
         assert args.throughput_floor == 2.0
 
@@ -230,7 +231,7 @@ class TestProvenanceCommands:
         assert "no provenance recorded" in capsys.readouterr().out
 
     def test_slo_command_reports_objectives(self, capsys):
-        assert main(["slo"]) == 0
+        assert main(["run", "--slo"]) == 0
         out = capsys.readouterr().out
         assert "control-delivery" in out
         assert "queue-delay" in out
