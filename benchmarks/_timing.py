@@ -22,26 +22,10 @@ two is the better point estimate of a small true overhead.
 
 from __future__ import annotations
 
-import resource
 import statistics
-import sys
 import time
 
 from repro.observability.metrics import Histogram
-
-
-def peak_rss_bytes() -> int:
-    """The process's peak resident set size so far, in bytes.
-
-    ``ru_maxrss`` is kilobytes on Linux but bytes on macOS; normalize so
-    the ``BENCH_*.json`` memory fields compare across hosts.  The
-    counter is a high-water mark -- sample it after the workload under
-    measurement, and remember it never goes back down within a process.
-    """
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":
-        return int(peak)
-    return int(peak) * 1024
 
 
 def time_call(fn, *args, repeats: int = 5, **kwargs):

@@ -22,7 +22,12 @@ from repro import (
     make_bluesky_cluster,
 )
 from repro.policies import EvenSpreadPolicy
-from repro.replaydb.traceio import export_db, import_db, save_trace_csv
+from repro.replaydb.traceio import (
+    export_db,
+    import_db,
+    load_trace_csv,
+    save_trace_csv,
+)
 
 
 def main() -> None:
@@ -48,10 +53,14 @@ def main() -> None:
               f"({jsonl.stat().st_size // 1024} KiB jsonl, "
               f"{csv_path.stat().st_size // 1024} KiB csv)")
 
-        # 3. Reload into a fresh DB (a different process, in practice).
+        # 3. Reload into a fresh DB (a different process, in practice);
+        #    the CSV, edited or filtered in a spreadsheet, loads the same way.
         offline_db = ReplayDB()
         import_db(offline_db, jsonl)
         print(f"reloaded {offline_db.access_count()} records")
+        from_csv = load_trace_csv(csv_path)
+        print(f"csv holds the same {len(from_csv)} records: "
+              f"{from_csv == db.recent_accesses(exported)}")
 
         # 4. Train offline from the trace.
         engine = DRLEngine(

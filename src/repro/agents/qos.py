@@ -22,7 +22,7 @@ pattern is a pure function of the workload and the configuration.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from enum import IntEnum
 
 from repro.agents.messages import LayoutCommand, TelemetryBatch
@@ -144,11 +144,6 @@ class TenantUsage:
     shed_records: int = 0
     admitted_messages: int = 0
     shed_messages: int = 0
-
-    @property
-    def shed_rate(self) -> float:
-        offered = self.admitted_records + self.shed_records
-        return self.shed_records / offered if offered else 0.0
 
 
 @dataclass(frozen=True)
@@ -283,29 +278,3 @@ class AdmissionController:
         }
         self.admitted_records = int(state["admitted_records"])
         self.shed_records = int(state["shed_records"])
-
-    @property
-    def offered_records(self) -> int:
-        return self.admitted_records + self.shed_records
-
-    @property
-    def shed_rate(self) -> float:
-        offered = self.offered_records
-        return self.shed_records / offered if offered else 0.0
-
-
-@dataclass
-class QosReport:
-    """Admission + shedding summary for reporting surfaces."""
-
-    admitted_records: int = 0
-    shed_records: int = 0
-    tenants: dict[str, TenantUsage] = field(default_factory=dict)
-
-    @classmethod
-    def from_controller(cls, controller: AdmissionController) -> "QosReport":
-        return cls(
-            admitted_records=controller.admitted_records,
-            shed_records=controller.shed_records,
-            tenants=dict(controller.usage),
-        )

@@ -14,7 +14,6 @@
     python -m repro saturate --multipliers 0.5 1 2 4 --capacity 64
     python -m repro deadletters dead.jsonl --requeue
     python -m repro synth-trace out.jsonl --rows 5000
-    python -m repro scale --devices 256 512 --files 4096 --shards 1 8
     python -m repro robustness --workers 4 --seeds 0 1 2 3
     python -m repro recover ckpt/ --checkpoint-every 5 --guardrail
     python -m repro resume ckpt/          # restart a killed recover run
@@ -26,9 +25,9 @@
 ``--log-level``/``--log-json`` (before the subcommand) turn on module
 logging for every ``repro.*`` logger.
 
-``--workers N`` (fig5a/fig5b/table2/robustness/scale) spreads the
-experiment's (policy x seed / model / shard) grid over N processes; results are
-bit-for-bit identical to ``--workers 1``, the serial fallback.
+``--workers N`` (table2/robustness) spreads the experiment's (policy x
+seed / model) grid over N processes; results are bit-for-bit identical
+to ``--workers 1``, the serial fallback.
 
 ``--scale`` picks the experiment sizing: ``test`` (seconds), ``bench``
 (the defaults the benchmark harness uses, minutes), or ``paper`` (the
@@ -40,6 +39,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.errors import ReproError
 from repro.experiments.spec import (
     BENCH_SCALE,
     PAPER_SCALE,
@@ -144,11 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig5a = sub.add_parser("fig5a", help="dynamic-policy comparison")
     _add_common(fig5a, default_seed=2)
-    _add_workers(fig5a)
 
     fig5b = sub.add_parser("fig5b", help="static-policy comparison")
     _add_common(fig5b, default_seed=2)
-    _add_workers(fig5b)
 
     table4 = sub.add_parser("table4", help="single-mount overhead study")
     _add_common(table4, default_seed=2)
@@ -172,48 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     robustness.add_argument(
         "--seeds", type=int, nargs="+", default=[0, 1, 2, 3],
         help="environment seeds to sweep",
-    )
-
-    scale_cmd = sub.add_parser(
-        "scale",
-        help="sharded multi-agent scale-out sweep "
-             "(devices x files x shards grid)",
-    )
-    _add_workers(scale_cmd)
-    scale_cmd.add_argument(
-        "--seed", type=int, default=0,
-        help="environment seed (default: 0)",
-    )
-    scale_cmd.add_argument(
-        "--devices", type=int, nargs="+", default=[64],
-        help="cluster sizes to sweep (default: 64)",
-    )
-    scale_cmd.add_argument(
-        "--files", type=int, nargs="+", default=[1024],
-        help="file-population sizes to sweep (default: 1024)",
-    )
-    scale_cmd.add_argument(
-        "--shards", type=int, nargs="+", default=[1, 4],
-        help="shard counts to sweep (default: 1 4)",
-    )
-    scale_cmd.add_argument(
-        "--rounds", type=int, default=1,
-        help="fusion rounds per point, with coordinator arbitration "
-             "between consecutive rounds (default: 1)",
-    )
-    scale_cmd.add_argument(
-        "--runs", type=int, default=10,
-        help="measured workload runs per round (default: 10)",
-    )
-    scale_cmd.add_argument(
-        "--benchmark", action="store_true",
-        help="run the acceptance benchmark (identity check + 1-vs-8 "
-             "speedup pair + big sweep point) instead of the grid",
-    )
-    scale_cmd.add_argument(
-        "--out", default="benchmarks/out/BENCH_scale.json",
-        help="where to write the JSON record "
-             "(default: benchmarks/out/BENCH_scale.json)",
     )
 
     chaos = sub.add_parser(
@@ -454,9 +410,7 @@ def _run_table3(args) -> str:
 def _run_fig5a(args) -> str:
     from repro.experiments.fig5_comparison import run_fig5a
 
-    result = run_fig5a(
-        scale=_SCALES[args.scale], seed=args.seed, workers=args.workers
-    )
+    result = run_fig5a(scale=_SCALES[args.scale], seed=args.seed)
     gains = "\n".join(
         f"Geomancy gain over {name}: {result.gain_percent(name):+.1f}%"
         for name in sorted(result.results)
@@ -468,9 +422,7 @@ def _run_fig5a(args) -> str:
 def _run_fig5b(args) -> str:
     from repro.experiments.fig5_comparison import run_fig5b
 
-    result = run_fig5b(
-        scale=_SCALES[args.scale], seed=args.seed, workers=args.workers
-    )
+    result = run_fig5b(scale=_SCALES[args.scale], seed=args.seed)
     gains = "\n".join(
         f"Geomancy gain over {name}: {result.gain_percent(name):+.1f}%"
         for name in sorted(result.results)
@@ -500,36 +452,6 @@ def _run_robustness(args) -> str:
         seeds=tuple(args.seeds), scale=_SCALES[args.scale],
         workers=args.workers,
     ).to_text()
-
-
-def _run_scale(args) -> str:
-    from repro.experiments.scale import (
-        ScalePoint,
-        run_scale,
-        run_scale_benchmark,
-    )
-
-    if args.benchmark:
-        result = run_scale_benchmark(seed=args.seed, workers=args.workers)
-    else:
-        points = [
-            ScalePoint(
-                devices=devices,
-                files=files,
-                shards=shards,
-                seed=args.seed,
-                rounds=args.rounds,
-                runs=args.runs,
-                gates=False,
-            )
-            for devices in args.devices
-            for files in args.files
-            for shards in args.shards
-            if devices >= shards
-        ]
-        result = run_scale(points, workers=args.workers)
-    path = result.write_json(args.out)
-    return result.to_text() + f"\nwrote {path}"
 
 
 def _run_chaos(args) -> str:
@@ -735,7 +657,6 @@ _COMMANDS = {
     "table4": _run_table4,
     "fig6": _run_fig6,
     "robustness": _run_robustness,
-    "scale": _run_scale,
     "chaos": _run_chaos,
     "saturate": _run_saturate,
     "deadletters": _run_deadletters,
@@ -756,7 +677,17 @@ def main(argv: list[str] | None = None) -> int:
         from repro.observability.logs import configure
 
         configure(args.log_level or "warning", json_format=args.log_json)
-    print(_COMMANDS[args.command](args))
+    try:
+        text = _COMMANDS[args.command](args)
+    except ReproError as error:
+        # What a user can cause (a missing ledger, --workers 0, an
+        # injected kill) is one line and exit 1; argparse keeps 2.
+        print(
+            f"repro {args.command}: {type(error).__name__}: {error}",
+            file=sys.stderr,
+        )
+        return 1
+    print(text)
     return 0
 
 

@@ -176,11 +176,6 @@ class DRLEngine:
         self.last_feature_digest: str | None = None
         #: fid -> {fsid: predicted bytes/s} from the last propose_layout
         self.last_candidates: dict[int, dict[int, float]] = {}
-        #: fid -> predicted bytes/s at the placement the last propose call
-        #: chose.  Always captured (one float per probed file): the
-        #: sharding coordinator selects cross-shard export candidates from
-        #: it -- the files a shard serves worst even at their best device.
-        self.last_chosen_scores: dict[int, float] = {}
         #: mean predicted throughput (bytes/s) at the placements chosen by
         #: the most recent propose_layout call -- the "promise" the safe-mode
         #: guardrail compares realized throughput against
@@ -625,16 +620,6 @@ class DRLEngine:
             self.drift_detector.load_state_dict(online["drift"])
 
     # -- prediction --------------------------------------------------------
-    def predict_location_throughputs(
-        self, base: AccessRecord, fsids: list[int]
-    ) -> dict[int, float]:
-        """Predicted throughput (bytes/s) of ``base``'s file per location.
-
-        The one-base row of :meth:`predict_throughput_matrix`.
-        """
-        row = self.predict_throughput_matrix([base], fsids)[0]
-        return dict(zip(fsids, (float(v) for v in row)))
-
     def predict_throughput_matrix(
         self,
         bases: list[AccessRecord] | dict[str, np.ndarray],
@@ -812,7 +797,6 @@ class DRLEngine:
             per_fid, raw = self._gather_probe_bases(db, fids)
             layout: dict[int, str] = {}
             gains: dict[int, float] = {}
-            self.last_chosen_scores = {}
             if self.capture_provenance:
                 self.last_candidates = {}
             if raw is None:
@@ -839,7 +823,6 @@ class DRLEngine:
                 layout[fid] = device_by_fsid[best]
                 gains[fid] = gain
                 chosen_scores.append(scores[best])
-                self.last_chosen_scores[fid] = scores[best]
                 if self.capture_provenance:
                     self.last_candidates[fid] = scores
             self.last_predicted_mean = (

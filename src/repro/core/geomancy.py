@@ -626,7 +626,3 @@ class Geomancy:
     @property
     def total_moves(self) -> int:
         return sum(outcome.moved_files for outcome in self.outcomes)
-
-    def movement_history(self) -> list[tuple[float, int]]:
-        """(timestamp, files moved) clusters for the Fig. 5 bar charts."""
-        return self.db.movement_clusters(gap=5.0)

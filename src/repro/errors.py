@@ -24,14 +24,6 @@ class ShapeError(ModelError):
     """An array has the wrong shape for the requested operation."""
 
 
-class DivergedError(ModelError):
-    """Training diverged (NaN/inf loss or constant useless predictions).
-
-    Table II of the paper marks models 2 and 5 as *Diverged*; this error is
-    how the training loop reports that condition programmatically.
-    """
-
-
 class CheckpointCorruptError(ModelError):
     """A persisted artifact failed integrity validation on load.
 
@@ -144,17 +136,6 @@ class RetryExhaustedError(AgentError):
 
 class ExperimentError(ReproError):
     """An experiment harness was configured or run incorrectly."""
-
-
-class ShardingError(ReproError):
-    """A shard partition or cross-shard arbitration input is invalid.
-
-    Raised by the scale-out layer (:mod:`repro.sharding`) when a
-    partition request cannot be satisfied (fewer devices than shards),
-    when a rebalance names an unknown file or shard, or when a set of
-    cross-shard moves violates the coordinator's capacity/uniqueness
-    invariants.
-    """
 
 
 class RecoveryError(ReproError):

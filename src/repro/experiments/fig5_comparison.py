@@ -186,7 +186,7 @@ def run_policy_grid(
     *,
     scale: ExperimentScale,
     seeds: tuple[int, ...],
-    workers: int,
+    workers: int = 1,
 ) -> list[Fig5Result]:
     """Measure every (policy, seed) cell; one :class:`Fig5Result` per seed.
 
@@ -195,7 +195,9 @@ def run_policy_grid(
     saturates the pool -- and regrouped by seed in submission order.
     Each cell runs in this process (``workers=1``) or in a process of
     its own, bit-for-bit the same result either way (the rules are
-    :mod:`repro.experiments.parallel`'s).
+    :mod:`repro.experiments.parallel`'s).  Only a multi-seed grid
+    (``robustness``) gains from a pool: within one seed the Geomancy
+    cell carries the learner and outlasts the other cells together.
     """
     cells = [(name, scale, seed) for seed in seeds for name in policies]
     results = run_cells(_policy_cell, cells, workers=workers)
@@ -211,20 +213,16 @@ def run_policy_grid(
 
 
 def run_fig5a(
-    *, scale: ExperimentScale = TEST_SCALE, seed: int = 0, workers: int = 1
+    *, scale: ExperimentScale = TEST_SCALE, seed: int = 0
 ) -> Fig5Result:
     """Experiment 1, dynamic policies: LRU / MRU / LFU / random dynamic
     versus Geomancy dynamic."""
-    return run_policy_grid(
-        FIG5A_POLICIES, scale=scale, seeds=(seed,), workers=workers
-    )[0]
+    return run_policy_grid(FIG5A_POLICIES, scale=scale, seeds=(seed,))[0]
 
 
 def run_fig5b(
-    *, scale: ExperimentScale = TEST_SCALE, seed: int = 0, workers: int = 1
+    *, scale: ExperimentScale = TEST_SCALE, seed: int = 0
 ) -> Fig5Result:
     """Experiment 1, static policies: random static / even spread /
     Geomancy static versus Geomancy dynamic."""
-    return run_policy_grid(
-        FIG5B_POLICIES, scale=scale, seeds=(seed,), workers=workers
-    )[0]
+    return run_policy_grid(FIG5B_POLICIES, scale=scale, seeds=(seed,))[0]

@@ -16,7 +16,7 @@ real and every control-loop stage runs under a span:
   Prometheus text or appended as JSONL snapshots every
   ``snapshot_every`` runs;
 * the event bus carries fault injections, circuit-breaker transitions,
-  rescues and movement dispatches through one subscriber API.
+  rescues and movement dispatches in one ordered history.
 
 Instrumentation never touches an RNG or the simulated clock, so the
 run's *outputs* (layout, movements, throughput) are bit-for-bit

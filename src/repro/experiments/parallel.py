@@ -3,7 +3,7 @@
 Every grid experiment in this package is a list of independent cells --
 one policy on one seeded environment (``fig5_comparison``,
 ``robustness``), one model on one shared telemetry set
-(``table2_comparison``), one shard's span of a fusion round (``scale``).
+(``table2_comparison``).
 The module that owns the experiment owns its cell function; this one
 only evaluates them.  Each cell rebuilds *everything* it needs (cluster,
 workload, ReplayDB, policy) from its seeds, so cells share no state and

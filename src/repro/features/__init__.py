@@ -22,7 +22,7 @@ from repro.features.correlation import (
     pearson,
     select_features,
 )
-from repro.features.normalize import CategoryEncoder, MinMaxNormalizer
+from repro.features.normalize import MinMaxNormalizer
 from repro.features.path_encoder import PathEncoder
 from repro.features.pipeline import FeaturePipeline, make_windows
 from repro.features.schema import (
@@ -43,7 +43,6 @@ __all__ = [
     "feature_correlations",
     "pearson",
     "select_features",
-    "CategoryEncoder",
     "MinMaxNormalizer",
     "PathEncoder",
     "FeaturePipeline",

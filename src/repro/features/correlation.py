@@ -53,13 +53,6 @@ class CorrelationReport:
             self.correlations.items(), key=lambda kv: kv[1], reverse=True
         )
 
-    def strongest(self, n: int) -> list[str]:
-        """The ``n`` fields with the largest absolute correlation."""
-        ranked = sorted(
-            self.correlations.items(), key=lambda kv: abs(kv[1]), reverse=True
-        )
-        return [name for name, _ in ranked[:n]]
-
     def sign_of(self, name: str) -> int:
         """Qualitative sign of a field's correlation (+1 / 0 / -1).
 
@@ -81,8 +74,7 @@ def feature_correlations(
     """Correlate every column of ``table`` against ``target``.
 
     ``table`` maps field name to a numeric column; categorical fields must
-    be encoded numerically first (see
-    :class:`~repro.features.normalize.CategoryEncoder`).
+    be encoded numerically first.
     """
     if not table:
         raise FeatureError("empty feature table")

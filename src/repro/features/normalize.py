@@ -2,7 +2,8 @@
 
 "The numerical data is normalized by the Interface Daemon to decimal values
 between zero and one, and the categorical data into numerical parameters in
-the same range."
+the same range."  Every feature the models use is numeric, so only the
+numeric half is implemented.
 """
 
 from __future__ import annotations
@@ -66,9 +67,6 @@ class MinMaxNormalizer:
         ) / self._range[nonconstant]
         out[:, ~nonconstant] = 0.5
         return out
-
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        return self.fit(x).transform(x)
 
     def inverse_transform(self, x: np.ndarray) -> np.ndarray:
         x = self._checked_matrix(x)
@@ -206,9 +204,6 @@ class RunningNormalizer:
         out[:, ~nonconstant] = 0.0
         return out
 
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        return self.fit(x).transform(x)
-
     def inverse_transform(self, x: np.ndarray) -> np.ndarray:
         self._require_fitted()
         x = MinMaxNormalizer._as_matrix(x)
@@ -246,44 +241,3 @@ class RunningNormalizer:
     def _require_fitted(self) -> None:
         if not self.fitted:
             raise FeatureError("normalizer used before fit()")
-
-
-class CategoryEncoder:
-    """Maps categorical values to evenly spaced numbers in [0, 1].
-
-    New categories seen after the first ``encode`` extend the mapping; codes
-    of previously seen categories change only in scale (the ordering is
-    stable), which is sufficient for features the paper treats as weakly
-    informative identifiers.
-    """
-
-    def __init__(self) -> None:
-        self._index: dict[str, int] = {}
-
-    def encode(self, value: str) -> float:
-        """Return the [0, 1] code for a category, registering it if new."""
-        if value not in self._index:
-            self._index[value] = len(self._index)
-        # Scale by the current vocabulary size; with one category the code
-        # is 0.0, with n categories codes are k/(n-1) for k in 0..n-1.
-        n = len(self._index)
-        if n == 1:
-            return 0.0
-        return self._index[value] / (n - 1)
-
-    def encode_many(self, values: list[str] | np.ndarray) -> np.ndarray:
-        """Encode a column, registering every category first for stability."""
-        for value in values:
-            if value not in self._index:
-                self._index[value] = len(self._index)
-        n = len(self._index)
-        if n == 1:
-            return np.zeros(len(values))
-        return np.array([self._index[v] / (n - 1) for v in values])
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def categories(self) -> list[str]:
-        """Registered categories in registration order."""
-        return sorted(self._index, key=self._index.get)

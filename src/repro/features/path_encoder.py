@@ -95,10 +95,6 @@ class PathEncoder:
             raise FeatureError(f"code {code} decodes to an empty path")
         return "/".join(parts)
 
-    def normalized(self, path: str) -> float:
-        """Encode and scale into [0, 1) for direct use as a model feature."""
-        return self.encode(path) / float(self.base**self.max_depth)
-
     def __len__(self) -> int:
         """Total number of distinct components seen across all depths."""
         return sum(len(v) for v in self._vocab)

@@ -110,17 +110,6 @@ def record_columns(
     return columns
 
 
-def record_column(records: "Sequence[AccessRecord]", name: str) -> np.ndarray:
-    """Extract one feature column from a record list.
-
-    Unknown names fall back to each record's ``extra`` dict.
-    """
-    builder = _COLUMN_BUILDERS.get(name)
-    if builder is None:
-        return record_columns(records, (name,))[name]
-    return builder(record_columns(records))
-
-
 class FeaturePipeline:
     """Stateful feature/target preparation shared by training and probing.
 

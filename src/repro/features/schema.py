@@ -84,9 +84,3 @@ def field(name: str) -> FieldSpec:
     except KeyError:
         known = ", ".join(sorted(_FIELDS_BY_NAME))
         raise FeatureError(f"unknown field {name!r}; known: {known}") from None
-
-
-def validate_feature_names(names: tuple[str, ...] | list[str]) -> None:
-    """Raise :class:`FeatureError` if any name is not a registered field."""
-    for name in names:
-        field(name)

@@ -82,13 +82,3 @@ def is_diverged(
         return False
     pred_var = float(np.var(y_pred))
     return (pred_var / target_var) < variance_ratio_threshold
-
-
-def prediction_accuracy_percent(y_pred: np.ndarray, y_true: np.ndarray) -> float:
-    """The paper's "accuracy": ``100 - mean absolute relative error``.
-
-    Table III reads errors this way, e.g. "no worse than 56.85% prediction
-    accuracy ... with an average accuracy of about 81.12%".  Clamped at 0.
-    """
-    mare, _ = mean_absolute_relative_error(y_pred, y_true)
-    return max(0.0, 100.0 - mare)

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DivergedError, ModelError, ShapeError
+from repro.errors import ConfigurationError, ModelError, ShapeError
 from repro.nn.layers import Layer
 from repro.nn.losses import Loss, get_loss
-from repro.nn.metrics import is_diverged
 from repro.nn.optimizers import Optimizer, get_optimizer
 from repro.observability import get_observability
 
@@ -31,16 +30,6 @@ class TrainingHistory:
     val_loss: list[float] = field(default_factory=list)
     epochs_run: int = 0
     diverged: bool = False
-
-    @property
-    def final_train_loss(self) -> float:
-        if not self.train_loss:
-            raise ModelError("no epochs were run")
-        return self.train_loss[-1]
-
-    @property
-    def final_val_loss(self) -> float | None:
-        return self.val_loss[-1] if self.val_loss else None
 
 
 def _is_window(arr: np.ndarray, flat: np.ndarray, start: int) -> bool:
@@ -281,9 +270,8 @@ class Sequential:
         The paper's defaults are 200 epochs and standard (plain) SGD; data is
         chronological so ``shuffle`` defaults off.  When training produces a
         non-finite loss the run stops and the history is flagged
-        ``diverged`` (raising :class:`DivergedError` only if
-        ``stop_on_divergence`` is False is never useful, so instead we never
-        raise here -- Table II needs to *report* divergence, not crash).
+        ``diverged``; nothing is raised -- Table II needs to *report*
+        divergence, not crash.
 
         ``patience`` enables early stopping: training halts once the
         validation loss has not improved for that many consecutive epochs
@@ -399,18 +387,6 @@ class Sequential:
         """Loss value on a held-out set."""
         pred = self.predict(x)
         return get_loss(loss).value(pred, self._adapt_target(y, self.output_dim))
-
-    def check_divergence(self, x: np.ndarray, y: np.ndarray) -> bool:
-        """Paper-style divergence test on held-out data (see Table II)."""
-        pred = self.predict(x)
-        return is_diverged(pred, self._adapt_target(y, self.output_dim))
-
-    def require_converged(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Raise :class:`DivergedError` if the model diverged on ``(x, y)``."""
-        if self.check_divergence(x, y):
-            raise DivergedError(
-                "model predictions are constant or non-finite on held-out data"
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(repr(layer) for layer in self.layers)

@@ -8,7 +8,7 @@ surfaces the stack instruments against:
 * :class:`~repro.observability.tracing.Tracer` -- nested spans with
   per-tick trace ids and Chrome-trace export;
 * :class:`~repro.observability.events.EventBus` -- typed structured
-  events with a subscriber API (the recovery ``EventLog`` rides on it).
+  events in one bounded history (the recovery ``EventLog`` rides on it).
 
 Instrumented modules resolve the *installed* instance through
 :func:`get_observability` at construction time and cache the handles

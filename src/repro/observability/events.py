@@ -1,17 +1,12 @@
-"""The structured event bus: one subscriber API for the whole stack.
+"""The structured event bus: one bounded history for the whole stack.
 
 Fault injections, guardrail trips, circuit-breaker state changes,
 checkpoint commits, journal rollbacks and file movements all flow through
 one :class:`EventBus` as typed :class:`Event` records, so any consumer --
-the recovery :class:`~repro.recovery.events.EventLog` shim, a metrics
-bridge, a test assertion -- observes the system through the same stream.
-
-Events are delivered synchronously, in publish order, to subscribers in
-subscription order; the bus also keeps an in-memory history (bounded by
-``max_history``) so post-hoc consumers need not have subscribed up front.
-A subscriber exception is contained: it is counted, the handler is *not*
-unsubscribed, and remaining subscribers still receive the event --
-telemetry must never take down the control loop it observes.
+the recovery :class:`~repro.recovery.events.EventLog`, the instrumented
+run's event export, a test assertion -- reads the system from the same
+stream, in publish order, after the fact (the history is bounded by
+``max_history``).
 
 This module is dependency-free (stdlib only) so that every layer of the
 stack can import it without cycles.
@@ -19,7 +14,6 @@ stack can import it without cycles.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 
@@ -56,11 +50,8 @@ class Event:
         )
 
 
-Subscriber = Callable[[Event], None]
-
-
 class EventBus:
-    """Synchronous publish/subscribe hub with bounded history."""
+    """Publish-ordered event history, bounded by ``max_history``."""
 
     def __init__(self, *, max_history: int | None = None) -> None:
         if max_history is not None and max_history < 0:
@@ -69,55 +60,15 @@ class EventBus:
             )
         self.max_history = max_history
         self._history: list[Event] = []
-        #: token -> (kinds filter or None, handler)
-        self._subscribers: dict[int, tuple[frozenset[str] | None, Subscriber]] = {}
-        self._next_token = 0
         self.published = 0
-        self.subscriber_errors = 0
-
-    # -- subscription ----------------------------------------------------
-    def subscribe(
-        self,
-        handler: Subscriber,
-        kinds: Iterable[str] | None = None,
-    ) -> int:
-        """Register ``handler``; returns a token for :meth:`unsubscribe`.
-
-        With ``kinds`` given, the handler only sees events whose kind is
-        in the set; otherwise it sees everything.
-        """
-        token = self._next_token
-        self._next_token += 1
-        self._subscribers[token] = (
-            frozenset(kinds) if kinds is not None else None,
-            handler,
-        )
-        return token
-
-    def unsubscribe(self, token: int) -> bool:
-        """Remove a subscription; returns whether it existed."""
-        return self._subscribers.pop(token, None) is not None
-
-    @property
-    def subscriber_count(self) -> int:
-        return len(self._subscribers)
 
     # -- publishing ------------------------------------------------------
     def publish(self, event: Event) -> Event:
-        """Record ``event`` and deliver it to matching subscribers."""
+        """Record ``event``."""
         self.published += 1
         self._history.append(event)
         if self.max_history is not None and len(self._history) > self.max_history:
             del self._history[: len(self._history) - self.max_history]
-        for kinds, handler in list(self._subscribers.values()):
-            if kinds is not None and event.kind not in kinds:
-                continue
-            try:
-                handler(event)
-            except Exception:
-                # Observability must not break the observed system; the
-                # error count surfaces misbehaving subscribers.
-                self.subscriber_errors += 1
         return event
 
     def emit(self, kind: str, *, t: float, step: int, **detail) -> Event:
@@ -139,9 +90,6 @@ class EventBus:
 
     def of_kind(self, kind: str) -> tuple[Event, ...]:
         return tuple(e for e in self._history if e.kind == kind)
-
-    def kinds(self) -> set[str]:
-        return {e.kind for e in self._history}
 
     def clear(self) -> None:
         self._history.clear()

@@ -11,9 +11,7 @@ Everything runs on the simulated clock and plain counters: evaluating an
 objective never touches an RNG, so an SLO-monitored run is bit-for-bit
 identical to an unmonitored one.  Alerts are published as ``slo-alert``
 events on the :class:`~repro.observability.events.EventBus` (recoveries
-as ``slo-clear``), and :meth:`SLOMonitor.arm` optionally wires alerts to
-the PR 3 :class:`~repro.recovery.guardrail.Guardrail` so sustained
-control-plane degradation demotes the learned policy.
+as ``slo-clear``).
 """
 
 from __future__ import annotations
@@ -160,9 +158,6 @@ class SLOMonitor:
         self.bus = bus
         self._alerting: set[str] = set()
         self.alerts_fired = 0
-        #: ``(status, now, run_index) -> None`` hooks invoked on each new
-        #: alert, with the time and run it was evaluated at
-        self.on_alert: list = []
 
     def record(self, name: str, t: float, good: float, bad: float) -> None:
         tracker = self.trackers.get(name)
@@ -196,8 +191,6 @@ class SLOMonitor:
                         slo=name, target=tracker.spec.target,
                         burns=[list(b) for b in burns],
                     )
-                for hook in self.on_alert:
-                    hook(status, now, run_index)
             elif not alerting and name in self._alerting:
                 self._alerting.discard(name)
                 if self.bus is not None:
@@ -209,41 +202,6 @@ class SLOMonitor:
     @property
     def alerting(self) -> set[str]:
         return set(self._alerting)
-
-    def arm(self, guardrail) -> None:
-        """Route new alerts into the guardrail as external trips.
-
-        ``guardrail`` needs a ``trip_external(reason, run_index, t,
-        detail)`` method (see :class:`~repro.recovery.guardrail.Guardrail`);
-        sustained SLO burn then demotes the learned policy to its
-        fallback exactly like a training-health trip would.
-        """
-        def _hook(status: SLOStatus, now: float, run_index: int) -> None:
-            guardrail.trip_external(
-                f"slo-burn:{status.name}",
-                run_index=run_index,
-                t=now,
-                detail=status.to_dict(),
-            )
-
-        self.on_alert.append(_hook)
-
-    def render(self, now: float) -> str:
-        """ASCII burn-status report at simulated time ``now``."""
-        lines = [f"SLO status at t={now:.1f}s (simulated)"]
-        for status in self.evaluate(now):
-            flag = "ALERT" if status.alerting else "ok"
-            lines.append(
-                f"  {status.name:<28} target {status.target:.3%}  "
-                f"compliance {status.compliance:.3%}  [{flag}]"
-            )
-            for window_s, threshold, burn in status.burns:
-                marker = "!" if burn > threshold else " "
-                lines.append(
-                    f"    {marker} window {window_s:>7.0f}s  "
-                    f"burn {burn:6.2f}x  (alert above {threshold:.1f}x)"
-                )
-        return "\n".join(lines)
 
 
 def histogram_counts_above(histogram, threshold: float) -> tuple[int, int]:

@@ -117,10 +117,6 @@ class Tracer:
     def __len__(self) -> int:
         return len(self.spans)
 
-    @property
-    def current_tick(self) -> int | None:
-        return self._tick
-
     # -- recording -------------------------------------------------------
     def _record(
         self,
@@ -190,9 +186,6 @@ class Tracer:
         self.dropped = 0
 
     # -- analysis --------------------------------------------------------
-    def spans_for_tick(self, tick_id: int) -> list[dict]:
-        return [s for s in self.spans if s["tick"] == tick_id]
-
     def aggregate(self) -> dict[str, dict]:
         """Per-span-name totals: count, wall seconds, CPU seconds."""
         out: dict[str, dict] = {}

@@ -3,8 +3,8 @@
 :class:`EventLog` is a recording facade over an
 :class:`~repro.observability.events.EventBus`: every ``emit`` publishes
 a plain bus :class:`~repro.observability.events.Event` (guardrail trips,
-checkpoint commits, journal rollbacks, stranded-file rescues), so bus
-subscribers see recovery traffic alongside fault and movement events,
+checkpoint commits, journal rollbacks, stranded-file rescues), so the
+bus history holds recovery traffic alongside fault and movement events,
 and keeps it in an append-only log that checkpoints carry
 (``events``, ``of_kind``, ``state_dict``/``load_state_dict``).
 
@@ -53,8 +53,7 @@ class EventLog:
     def load_state_dict(self, state: dict) -> None:
         """Restore the log's contents.
 
-        Restored events are *not* re-published: subscribers already saw
-        them when they first happened (or were never around to), and a
-        resume must not double-count trips or checkpoints.
+        Restored events are *not* re-published: a resume must not
+        double-count trips or checkpoints on the bus.
         """
         self._events = [Event.from_dict(raw) for raw in state["events"]]

@@ -192,19 +192,6 @@ class Guardrail:
             )
         return None
 
-    def trip_external(
-        self, reason: str, *, run_index: int, t: float, detail: dict
-    ):
-        """Trip on an external signal (e.g. an SLO burn-rate alert).
-
-        The demotion/cooldown machinery is identical to an internal trip;
-        weight rollback is not invoked because the signal says nothing
-        about training health.  No-op while already in fallback.
-        """
-        if self._mode == FALLBACK:
-            return None
-        return self._trip(reason, run_index=run_index, t=t, detail=detail)
-
     # -- mode machine ----------------------------------------------------
 
     def _trip(self, reason: str, *, run_index: int, t: float, detail: dict):

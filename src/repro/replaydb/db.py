@@ -310,21 +310,6 @@ class ReplayDB:
         self._m_rows_written.inc(len(rows))
         return len(rows)
 
-    def insert_movement(self, record: MovementRecord) -> int:
-        cur = self._conn.execute(
-            "INSERT INTO movements (timestamp, fid, src_device, dst_device, "
-            "bytes_moved, duration, succeeded, trace_id) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                record.timestamp, record.fid, record.src_device,
-                record.dst_device, record.bytes_moved, record.duration,
-                int(record.succeeded), record.trace_id,
-            ),
-        )
-        self._conn.commit()
-        self._m_rows_written.inc()
-        return int(cur.lastrowid)
-
     # -- reads -----------------------------------------------------------
     @staticmethod
     def _to_record(row: tuple) -> AccessRecord:
@@ -470,8 +455,8 @@ class ReplayDB:
     def _fids_with_rows(self, wanted: list[int]) -> list[int]:
         """The subset of ``wanted`` (sorted) that has access rows at all.
 
-        The sharded decision path asks for *every* file in its shard,
-        most of which may have no telemetry yet; one loose index scan
+        The decision path asks for *every* file it manages, most of
+        which may have no telemetry yet; one loose index scan
         over the distinct fids beats probing thousands of absent files
         one query at a time.  Small requests skip the scan -- the probes
         themselves are cheaper than reading the distinct list.
@@ -490,8 +475,8 @@ class ReplayDB:
         The decision path's telemetry read: one indexed top-N probe per
         file (``idx_accesses_fid``, ORDER BY id DESC LIMIT k), so a
         decision epoch costs O(files x limit) however large the access
-        log has grown, and the distinct-fid prefilter keeps a shard
-        asking about its whole (mostly untouched) file slice at O(files
+        log has grown, and the distinct-fid prefilter keeps a caller
+        asking about a large (mostly untouched) population at O(files
         with telemetry) probes.  Returns ``(spans, columns)`` where
         ``spans`` lists ``(fid, start, stop)`` row ranges in fid-ascending
         order (each file's rows chronological; files without telemetry
@@ -643,20 +628,3 @@ class ReplayDB:
             MovementRecord(*row[:6], succeeded=bool(row[6]), trace_id=row[7])
             for row in rows
         ]
-
-    def movement_clusters(self, gap: float = 1.0) -> list[tuple[float, int]]:
-        """Group movements into bursts separated by more than ``gap`` seconds.
-
-        Returns ``(cluster start timestamp, files moved)`` pairs -- the data
-        behind the bar charts under the Fig. 5 performance curves.
-        """
-        if gap <= 0:
-            raise ReplayDBError(f"gap must be positive, got {gap}")
-        clusters: list[list[float]] = []  # [start, last_seen, count]
-        for move in self.movements(succeeded_only=True):
-            if clusters and move.timestamp - clusters[-1][1] <= gap:
-                clusters[-1][1] = move.timestamp
-                clusters[-1][2] += 1
-            else:
-                clusters.append([move.timestamp, move.timestamp, 1])
-        return [(start, int(count)) for start, _, count in clusters]

@@ -86,10 +86,9 @@ _SCALED_TIERS: tuple[tuple, ...] = (
 def _scaled_device(idx: int, *, seed: int, capacity_gb: int) -> StorageDevice:
     """Device ``idx`` of the scaled cluster -- pure in ``(seed, idx)``.
 
-    Shard slices must reproduce the full build exactly, so nothing here
-    may depend on which *other* indices are being built: per-device
-    speed jitter comes from a Weyl-style integer hash of the index, and
-    the interference schedule is seeded per index, exactly as the
+    Nothing here depends on how many devices are built: per-device speed
+    jitter comes from a Weyl-style integer hash of the index, and the
+    interference schedule is seeded per index, exactly as the
     homogeneous factory seeds its nodes.
     """
     (read, write, latency, noise, crowding, sensitivity,
@@ -114,36 +113,20 @@ def make_scaled_cluster(
     n_devices: int,
     *,
     seed: int = 0,
-    indices: list[int] | None = None,
     capacity_gb: int = 100,
 ) -> StorageCluster:
-    """A tier-cycling cluster sized for the 10^3-device scale-out sweeps.
+    """A tier-cycling cluster of any size (``wide_probe`` builds 32).
 
-    Device ``i`` is a pure function of ``(seed, i)``: building the slice
-    ``indices=[3, 7]`` yields devices identical to positions 3 and 7 of
-    the full ``n_devices`` build.  That property is what lets each shard
-    of the partitioned experiment rebuild exactly its own devices from
-    seeds -- the parallel-cell discipline of ``experiments/parallel.py``
-    extended to topology slices.
+    Device ``i`` is a pure function of ``(seed, i)``, so a larger build
+    extends a smaller one without changing any device it already had.
     """
     if n_devices < 1:
         raise ConfigurationError(f"n_devices must be >= 1, got {n_devices}")
     if capacity_gb < 1:
         raise ConfigurationError(f"capacity_gb must be >= 1, got {capacity_gb}")
-    if indices is None:
-        indices = list(range(n_devices))
-    if len(set(indices)) != len(indices):
-        raise ConfigurationError(f"indices must be unique, got {indices}")
-    for idx in indices:
-        if not 0 <= idx < n_devices:
-            raise ConfigurationError(
-                f"indices must be in [0, {n_devices}), got {idx}"
-            )
-    if not indices:
-        raise ConfigurationError("indices must select at least one device")
     devices = [
         _scaled_device(idx, seed=seed, capacity_gb=capacity_gb)
-        for idx in indices
+        for idx in range(n_devices)
     ]
     return StorageCluster(devices, link=TransferLink(1.25, 0.001))
 

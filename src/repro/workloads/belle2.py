@@ -177,8 +177,3 @@ class Belle2Workload:
             raise ConfigurationError(f"count must be >= 0, got {count}")
         for i in range(start, start + count):
             yield self.run(i)
-
-    def expected_ops_per_run(self) -> float:
-        """Mean number of accesses in one run (for sizing experiments)."""
-        lo, hi = self.burst_range
-        return min(self.files_per_run, len(self.files)) * (lo + hi) / 2.0

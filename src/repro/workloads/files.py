@@ -72,8 +72,3 @@ def belle2_file_population(
         )
         for i, size in enumerate(sizes)
     ]
-
-
-def total_bytes(files: list[FileSpec]) -> int:
-    """Total size of a file population."""
-    return sum(f.size_bytes for f in files)

@@ -152,11 +152,6 @@ class TenantMix:
         self.offered_batches = 0
         self.offered_records = 0
 
-    @property
-    def total_rate_records_s(self) -> float:
-        """Mean offered load across all tenants (records per second)."""
-        return sum(spec.rate_records_s for spec in self.tenants)
-
     @staticmethod
     def _tenant_key(name: str) -> int:
         """Stable per-tenant seed component (``hash(str)`` is salted)."""

@@ -10,7 +10,6 @@ from repro.agents.monitoring import MonitoringAgent
 from repro.agents.qos import (
     AdmissionController,
     Priority,
-    QosReport,
     TokenBucket,
     classify,
 )
@@ -144,14 +143,6 @@ class TestAdmissionController:
         ctl = self.controller()
         ctl.admit("a", Priority.CONTROL, cost=100, now=0.0)
         assert ctl.bucket("a").tokens >= 0.0
-
-    def test_report_snapshot(self):
-        ctl = self.controller()
-        ctl.admit("a", Priority.TELEMETRY, cost=4, now=0.0)
-        report = QosReport.from_controller(ctl)
-        assert report.admitted_records == 4
-        assert report.tenants["a"].admitted_records == 4
-        assert ctl.shed_rate == 0.0
 
 
 class TestDaemonAdmission:

@@ -119,22 +119,20 @@ class TestTraining:
 class TestPrediction:
     def test_per_location_predictions(self, trained_engine):
         engine, records, _ = trained_engine
-        scores = engine.predict_location_throughputs(records[-1], [0, 1, 2])
-        assert set(scores) == {0, 1, 2}
-        assert all(np.isfinite(v) for v in scores.values())
+        scores = engine.predict_throughput_matrix([records[-1]], [0, 1, 2])
+        assert scores.shape == (1, 3)
+        assert np.isfinite(scores).all()
 
     def test_faster_device_predicted_faster(self, trained_engine):
         engine, records, _ = trained_engine
-        scores = engine.predict_location_throughputs(records[-1], [0, 2])
+        slow, fast = engine.predict_throughput_matrix([records[-1]], [0, 2])[0]
         # fsid 2 serves 3x the throughput of fsid 0 in the training data.
-        assert scores[2] > scores[0]
+        assert fast > slow
 
     def test_predict_before_train_rejected(self):
         engine = DRLEngine(small_config())
         with pytest.raises(ModelError, match="trained before"):
-            engine.predict_location_throughputs(
-                synthetic_records(1)[0], [0, 1]
-            )
+            engine.predict_throughput_matrix(synthetic_records(1), [0, 1])
 
     def test_adjustment_toggle_changes_predictions(self):
         records = synthetic_records(300)
@@ -142,10 +140,10 @@ class TestPrediction:
         off = DRLEngine(small_config(adjust_predictions=False))
         on.train_on_records(records)
         off.train_on_records(records)
-        s_on = on.predict_location_throughputs(records[-1], [0])
-        s_off = off.predict_location_throughputs(records[-1], [0])
+        s_on = on.predict_throughput_matrix([records[-1]], [0])
+        s_off = off.predict_throughput_matrix([records[-1]], [0])
         if on.adjuster.mae > 1e-9:
-            assert s_on[0] != pytest.approx(s_off[0])
+            assert s_on[0, 0] != pytest.approx(s_off[0, 0])
 
 
 class TestProposeLayout:

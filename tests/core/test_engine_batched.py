@@ -102,10 +102,10 @@ class TestProposeLayoutEquivalence:
         matrix = engine.predict_throughput_matrix(bases, fsids)
         assert matrix.shape == (len(bases), len(fsids))
         for i, base in enumerate(bases):
-            scores = engine.predict_location_throughputs(base, fsids)
-            for j, fsid in enumerate(fsids):
+            row = engine.predict_throughput_matrix([base], fsids)[0]
+            for j in range(len(fsids)):
                 assert math.isclose(
-                    float(matrix[i, j]), scores[fsid],
+                    float(matrix[i, j]), float(row[j]),
                     rel_tol=RTOL, abs_tol=ATOL,
                 )
 
@@ -146,9 +146,9 @@ class TestRankingCorrelationBatched:
         fsids = sorted(observed)
         totals = {fsid: 0.0 for fsid in fsids}
         for base in db.recent_accesses(32):
-            scores = engine.predict_location_throughputs(base, fsids)
-            for fsid in fsids:
-                totals[fsid] += scores[fsid]
+            row = engine.predict_throughput_matrix([base], fsids)[0]
+            for fsid, score in zip(fsids, row):
+                totals[fsid] += float(score)
         legacy = _spearman(
             [totals[fsid] for fsid in fsids],
             [observed[fsid] for fsid in fsids],

@@ -109,7 +109,7 @@ class TestTrainMatchesTrainOnRecords:
         records = db.recent_accesses(config.training_rows)
         raw = record_feature_matrix(config.features, records)
         assert engine.last_feature_digest == _digest(
-            MinMaxNormalizer().fit_transform(raw)
+            MinMaxNormalizer().fit(raw).transform(raw)
         )
 
     def test_reference_loop_and_record_readers_agree(self, db):

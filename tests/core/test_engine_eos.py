@@ -49,7 +49,5 @@ class TestEOSConfiguration:
 
     def test_location_probe_works_with_eos_features(self, eos_engine):
         engine, records, _ = eos_engine
-        scores = engine.predict_location_throughputs(
-            records[-1], [0, 1, 2]
-        )
-        assert set(scores) == {0, 1, 2}
+        scores = engine.predict_throughput_matrix([records[-1]], [0, 1, 2])
+        assert scores.shape == (1, 3)

@@ -114,14 +114,6 @@ class TestDecisionLoop:
             geo.after_run(run, runner.clock.now)
         assert [o.run_index for o in geo.outcomes] == [1, 2, 3]
 
-    def test_movement_history_clusters(self, setup):
-        _, geo, runner = setup
-        for run in range(1, 11):
-            runner.run_once()
-            geo.after_run(run, runner.clock.now)
-        history = geo.movement_history()
-        assert sum(count for _, count in history) == geo.total_moves
-
 
 class TestEndToEnd:
     def test_layout_changes_over_time(self):

@@ -11,7 +11,6 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import fig5_comparison, parallel
-from repro.experiments.fig5_comparison import run_fig5a
 from repro.experiments.robustness import run_robustness
 from repro.experiments.spec import ExperimentScale
 from repro.experiments.table2_comparison import (
@@ -60,16 +59,6 @@ def _square(n: int) -> int:
 
 
 class TestParallelMatchesSerial:
-    def test_fig5a_bit_for_bit(self):
-        serial = run_fig5a(scale=TINY, seed=2)
-        par = run_fig5a(scale=TINY, seed=2, workers=2)
-        assert serial == par
-
-    def test_workers_one_is_deterministic_fallback(self):
-        serial = run_fig5a(scale=TINY, seed=2)
-        fallback = run_fig5a(scale=TINY, seed=2, workers=1)
-        assert serial == fallback
-
     def test_robustness_bit_for_bit(self):
         serial = run_robustness(seeds=(0, 1), scale=TINY)
         par = run_robustness(seeds=(0, 1), scale=TINY, workers=2)

@@ -78,11 +78,6 @@ class TestFeatureCorrelations:
         values = [v for _, v in report.sorted_items()]
         assert values == sorted(values, reverse=True)
 
-    def test_strongest_by_absolute_value(self, table_and_target):
-        table, target = table_and_target
-        report = feature_correlations(table, target)
-        assert set(report.strongest(2)) == {"pos", "neg"}
-
     def test_unknown_field_sign_raises(self, table_and_target):
         table, target = table_and_target
         report = feature_correlations(table, target)

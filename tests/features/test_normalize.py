@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import FeatureError
-from repro.features.normalize import CategoryEncoder, MinMaxNormalizer
+from repro.features.normalize import MinMaxNormalizer
 from tests.oracles.minmax import masked_inverse_transform, masked_transform
 
 FINITE = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
@@ -16,7 +16,7 @@ FINITE = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
 class TestMinMaxNormalizer:
     def test_maps_to_unit_interval(self):
         x = np.array([[1.0, 10.0], [3.0, 20.0], [5.0, 30.0]])
-        out = MinMaxNormalizer().fit_transform(x)
+        out = MinMaxNormalizer().fit(x).transform(x)
         np.testing.assert_allclose(out.min(axis=0), 0.0)
         np.testing.assert_allclose(out.max(axis=0), 1.0)
 
@@ -34,7 +34,7 @@ class TestMinMaxNormalizer:
 
     def test_constant_column_maps_to_half(self):
         x = np.array([[5.0, 1.0], [5.0, 2.0]])
-        out = MinMaxNormalizer().fit_transform(x)
+        out = MinMaxNormalizer().fit(x).transform(x)
         np.testing.assert_allclose(out[:, 0], 0.5)
 
     def test_constant_column_inverse_restores_value(self):
@@ -131,39 +131,3 @@ class TestMaskComputedOnce:
         blank = MinMaxNormalizer()
         blank.load_state_dict(MinMaxNormalizer().state_dict())
         assert not blank.fitted
-
-
-class TestCategoryEncoder:
-    def test_single_category_is_zero(self):
-        enc = CategoryEncoder()
-        assert enc.encode("alice") == 0.0
-
-    def test_codes_span_unit_interval(self):
-        enc = CategoryEncoder()
-        codes = enc.encode_many(["a", "b", "c"])
-        np.testing.assert_allclose(codes, [0.0, 0.5, 1.0])
-
-    def test_repeated_values_share_codes(self):
-        enc = CategoryEncoder()
-        codes = enc.encode_many(["x", "y", "x", "y"])
-        assert codes[0] == codes[2] and codes[1] == codes[3]
-
-    def test_order_stable_as_vocabulary_grows(self):
-        enc = CategoryEncoder()
-        enc.encode("a")
-        enc.encode("b")
-        first = enc.encode("a")
-        enc.encode("c")
-        second = enc.encode("a")
-        # Scale changes but relative order is stable.
-        assert first == 0.0 and second == 0.0
-
-    def test_categories_in_registration_order(self):
-        enc = CategoryEncoder()
-        enc.encode_many(["z", "a", "m"])
-        assert enc.categories() == ["z", "a", "m"]
-
-    def test_len(self):
-        enc = CategoryEncoder()
-        enc.encode_many(["a", "b", "a"])
-        assert len(enc) == 2

@@ -54,11 +54,6 @@ class TestLocality:
         stranger = enc.encode("scratch/other/file_c")
         assert abs(sibling_a - sibling_b) < abs(sibling_a - stranger)
 
-    def test_normalized_in_unit_interval(self):
-        enc = PathEncoder()
-        for path in ["a", "a/b", "a/b/c/d/e/f/g/h"]:
-            assert 0.0 <= enc.normalized(path) < 1.0
-
 
 class TestErrors:
     def test_empty_path_rejected(self):

@@ -8,7 +8,6 @@ from repro.features.pipeline import (
     DEFAULT_LIVE_FEATURES,
     FeaturePipeline,
     make_windows,
-    record_column,
 )
 from repro.replaydb.records import AccessRecord
 
@@ -39,22 +38,27 @@ def records():
     return make_records()
 
 
+def column(records, name):
+    """One raw feature column, read the way the learner reads it."""
+    return FeaturePipeline(features=(name,)).feature_matrix(records)[:, 0]
+
+
 class TestRecordColumn:
     def test_builtin_columns(self, records):
-        rb = record_column(records, "rb")
+        rb = column(records, "rb")
         assert rb[0] == 1000.0 and rb[1] == 1100.0
 
     def test_derived_columns(self, records):
-        open_time = record_column(records, "open_time")
+        open_time = column(records, "open_time")
         assert open_time[0] == pytest.approx(100.0)
 
     def test_extra_columns(self, records):
-        rt = record_column(records, "rt")
+        rt = column(records, "rt")
         assert rt[5] == pytest.approx(0.5)
 
     def test_unknown_column_raises(self, records):
         with pytest.raises(FeatureError, match="neither a built-in"):
-            record_column(records, "nonexistent")
+            column(records, "nonexistent")
 
 
 class TestPipelineConstruction:

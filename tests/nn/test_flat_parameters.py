@@ -310,7 +310,6 @@ def test_sequential_adds_no_public_method():
     }
     assert public == {
         "build", "parameter_count", "predict", "fit", "evaluate",
-        "check_divergence", "require_converged",
         # the engine's frozen copy: one call per ``target_snapshot_every``
         # updates, one per rollback
         "parameter_vector", "set_parameter_vector",

@@ -11,7 +11,6 @@ from repro.nn.metrics import (
     absolute_relative_error,
     is_diverged,
     mean_absolute_relative_error,
-    prediction_accuracy_percent,
     signed_relative_error,
 )
 
@@ -90,18 +89,3 @@ class TestIsDiverged:
     def test_constant_target_not_diverged(self):
         # If the target itself is constant, constant predictions are fine.
         assert not is_diverged(np.full(10, 5.0), np.full(10, 5.0))
-
-
-class TestAccuracyPercent:
-    def test_paper_reading(self):
-        # 18.88% error -> 81.12% accuracy (section V-G).
-        pred = np.array([1.1888])
-        true = np.array([1.0])
-        assert prediction_accuracy_percent(pred, true) == pytest.approx(
-            81.12, abs=0.01
-        )
-
-    def test_clamped_at_zero(self):
-        pred = np.array([10.0])
-        true = np.array([1.0])
-        assert prediction_accuracy_percent(pred, true) == 0.0

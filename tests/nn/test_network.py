@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, DivergedError, ModelError, ShapeError
+from repro.errors import ConfigurationError, ModelError, ShapeError
 from repro.nn.layers import Dense
 from repro.nn.network import Sequential, train_val_test_split
 from repro.nn.recurrent import SimpleRNN
@@ -57,7 +57,7 @@ class TestFit:
         net = Sequential([Dense(16, "relu"), Dense(1, "linear")], seed=1)
         history = net.fit(x, y, epochs=150, batch_size=32,
                           optimizer="sgd", loss="mse")
-        assert history.final_train_loss < 0.05
+        assert history.train_loss[-1] < 0.05
         assert history.epochs_run == 150
         assert not history.diverged
 
@@ -74,7 +74,7 @@ class TestFit:
             x[:200], y[:200], epochs=10, validation_data=(x[200:], y[200:])
         )
         assert len(history.val_loss) == 10
-        assert history.final_val_loss == history.val_loss[-1]
+        assert all(np.isfinite(history.val_loss))
 
     def test_divergence_flagged_and_stopped(self, linear_data):
         x, y = linear_data
@@ -143,22 +143,6 @@ class TestEvaluateAndDivergence:
         net = Sequential([Dense(8, "relu"), Dense(1, "linear")], seed=1)
         net.fit(x, y, epochs=100)
         assert net.evaluate(x, y) < 0.1
-
-    def test_check_divergence_false_for_trained_model(self, linear_data):
-        x, y = linear_data
-        net = Sequential([Dense(8, "relu"), Dense(1, "linear")], seed=1)
-        net.fit(x, y, epochs=100)
-        assert not net.check_divergence(x, y)
-        net.require_converged(x, y)  # should not raise
-
-    def test_require_converged_raises_on_constant_output(self, linear_data):
-        x, y = linear_data
-        net = Sequential([Dense(1, "linear")], seed=1)
-        net.build(4)
-        # Zero out weights so the model outputs a constant.
-        net.layers[0].params["W"][:] = 0.0
-        with pytest.raises(DivergedError):
-            net.require_converged(x, y)
 
 
 class TestSplit:

@@ -1,4 +1,4 @@
-"""Event bus ordering, subscriptions, and the recovery EventLog shim."""
+"""Event bus ordering, bounded history, and the recovery EventLog shim."""
 
 import pytest
 
@@ -22,42 +22,6 @@ class TestBus:
         assert bus.published == 3
         assert len(bus) == 3
 
-    def test_subscribers_see_events_in_order(self):
-        bus = EventBus()
-        seen: list[str] = []
-        bus.subscribe(lambda e: seen.append(e.kind))
-        bus.emit("a", t=0.0, step=0)
-        bus.emit("b", t=1.0, step=1)
-        assert seen == ["a", "b"]
-
-    def test_kind_filter_and_unsubscribe(self):
-        bus = EventBus()
-        seen: list[str] = []
-        token = bus.subscribe(lambda e: seen.append(e.kind), kinds=["fault-outage"])
-        bus.emit("fault-outage", t=0.0, step=0)
-        bus.emit("circuit-open", t=1.0, step=0)
-        assert seen == ["fault-outage"]
-        assert bus.unsubscribe(token)
-        assert not bus.unsubscribe(token)
-        bus.emit("fault-outage", t=2.0, step=0)
-        assert seen == ["fault-outage"]
-        assert bus.subscriber_count == 0
-
-    def test_subscriber_exception_is_contained(self):
-        bus = EventBus()
-        seen: list[str] = []
-
-        def explode(event):
-            raise RuntimeError("boom")
-
-        bus.subscribe(explode)
-        bus.subscribe(lambda e: seen.append(e.kind))
-        bus.emit("a", t=0.0, step=0)
-        assert seen == ["a"]  # later subscriber still delivered
-        assert bus.subscriber_errors == 1
-        bus.emit("b", t=1.0, step=0)
-        assert bus.subscriber_errors == 2  # handler was not unsubscribed
-
     def test_history_bounded_by_max_history(self):
         bus = EventBus(max_history=2)
         for step in range(5):
@@ -67,11 +31,9 @@ class TestBus:
 
     def test_zero_history_keeps_nothing_but_delivers(self):
         bus = EventBus(max_history=0)
-        seen: list[Event] = []
-        bus.subscribe(seen.append)
-        bus.emit("tick", t=0.0, step=0)
+        event = bus.emit("tick", t=0.0, step=0)
         assert len(bus) == 0
-        assert len(seen) == 1
+        assert (event.kind, bus.published) == ("tick", 1)
 
     def test_negative_history_rejected(self):
         with pytest.raises(ValueError, match="max_history"):
@@ -83,7 +45,7 @@ class TestBus:
         bus.emit("b", t=1.0, step=0)
         bus.emit("a", t=2.0, step=0)
         assert len(bus.of_kind("a")) == 2
-        assert bus.kinds() == {"a", "b"}
+        assert [e.kind for e in bus] == ["a", "b", "a"]
 
 
 class TestEventLogShim:

@@ -26,7 +26,7 @@ class TestCounterAndGauge:
         gauge = MetricsRegistry().gauge("repro_test_depth")
         gauge.set(4.0)
         gauge.inc()
-        gauge.dec(2.0)
+        gauge.inc(-2.0)
         assert gauge.value == 3.0
 
     def test_get_or_create_returns_same_handle(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import _slo_text
 from repro.errors import ConfigurationError
 from repro.observability.events import EventBus
 from repro.observability.metrics import (
@@ -101,24 +102,10 @@ class TestMonitor:
         with pytest.raises(ConfigurationError):
             SLOMonitor([spec()]).record("ghost", 0.0, good=1, bad=0)
 
-    def test_arm_routes_alerts_to_guardrail(self):
-        trips = []
-
-        class FakeGuardrail:
-            def trip_external(self, reason, *, run_index, t, detail):
-                trips.append((reason, detail["name"], run_index, t))
-
-        monitor = SLOMonitor([spec()])
-        monitor.arm(FakeGuardrail())
-        monitor.record("avail", 99.0, good=0, bad=10)
-        monitor.evaluate(100.0, run_index=7)
-        # Stamped with when and where it fired, not with a window length.
-        assert trips == [("slo-burn:avail", "avail", 7, 100.0)]
-
     def test_render_marks_burning_windows(self):
         monitor = SLOMonitor([spec()])
         monitor.record("avail", 99.0, good=0, bad=10)
-        text = monitor.render(100.0)
+        text = _slo_text([s.to_dict() for s in monitor.evaluate(100.0)])
         assert "avail" in text and "ALERT" in text and "!" in text
 
 

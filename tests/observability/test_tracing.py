@@ -24,16 +24,14 @@ class TestNesting:
     def test_tick_is_root_and_tags_children(self):
         tracer = Tracer()
         with tracer.tick(7):
-            assert tracer.current_tick == 7
             with tracer.span("telemetry_collect"):
                 pass
-        assert tracer.current_tick is None
         collect, tick = tracer.spans
         assert tick["name"] == "tick"
         assert tick["args"] == {"n": 7}
         assert collect["tick"] == 7
         assert collect["parent"] == "tick"
-        assert tracer.spans_for_tick(7) == tracer.spans
+        assert tick["tick"] == 7
 
     def test_decorator(self):
         tracer = Tracer()

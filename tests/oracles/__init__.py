@@ -6,9 +6,8 @@ now does another way: the per-record feature extraction loops
 read as records (:mod:`tests.oracles.record_windows`), the mini-batch
 training loop with its allocating Dense step and optimizer updates
 (:mod:`tests.oracles.fit_loop`, :mod:`tests.oracles.minmax`), the
-per-file decision loop (:mod:`tests.oracles.decision_loop`), the
+per-file decision loop (:mod:`tests.oracles.decision_loop`) and the
 access-by-access workload run and chaos experiment
-(:mod:`tests.oracles.scalar_runs`) and the one-agent scale run with no
-partition or workload view (:mod:`tests.oracles.unsharded_scale`).  They
-are test fixtures, not product code: nothing under ``src/`` imports them.
+(:mod:`tests.oracles.scalar_runs`).  They are test fixtures, not product
+code: nothing under ``src/`` imports them.
 """

@@ -46,9 +46,9 @@ def propose_layout_reference(
             continue
         totals = {fsid: 0.0 for fsid in fsids}
         for base in recent:
-            scores = engine.predict_location_throughputs(base, fsids)
-            for fsid in fsids:
-                totals[fsid] += scores[fsid]
+            row = engine.predict_throughput_matrix([base], fsids)[0]
+            for fsid, score in zip(fsids, row):
+                totals[fsid] += float(score)
         scores = {fsid: total / len(recent) for fsid, total in totals.items()}
         best, gain = engine._choose_placement(scores, recent[-1].fsid)
         layout[fid] = device_by_fsid[best]

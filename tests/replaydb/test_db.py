@@ -164,57 +164,32 @@ class TestAggregates:
 class TestMovements:
     def test_round_trip(self, db):
         move = MovementRecord(5.0, 1, "var", "file0", 1024, 0.25)
-        db.insert_movement(move)
+        db.insert_movements([move])
         assert db.movements() == [move]
 
     def test_time_window_filter(self, db):
         for t in (1.0, 5.0, 9.0):
-            db.insert_movement(MovementRecord(t, 1, "a", "b", 10, 0.1))
+            db.insert_movements([MovementRecord(t, 1, "a", "b", 10, 0.1)])
         got = db.movements(since=2.0, until=9.0)
         assert [m.timestamp for m in got] == [5.0]
 
-    def test_clusters_group_nearby_moves(self, db):
-        for t in (1.0, 1.2, 1.4, 10.0, 10.1):
-            db.insert_movement(MovementRecord(t, 1, "a", "b", 10, 0.1))
-        clusters = db.movement_clusters(gap=1.0)
-        assert clusters == [(1.0, 3), (10.0, 2)]
-
-    def test_cluster_chains_extend_past_gap_from_start(self, db):
-        # Moves at 0.0, 0.8, 1.6 chain into one cluster even though the
-        # last is more than `gap` after the first.
-        for t in (0.0, 0.8, 1.6):
-            db.insert_movement(MovementRecord(t, 1, "a", "b", 10, 0.1))
-        assert db.movement_clusters(gap=1.0) == [(0.0, 3)]
-
-    def test_invalid_gap_rejected(self, db):
-        with pytest.raises(ReplayDBError):
-            db.movement_clusters(gap=0.0)
-
     def test_empty_movements(self, db):
         assert db.movements() == []
-        assert db.movement_clusters() == []
 
     def test_failed_move_round_trips(self, db):
         failed = MovementRecord(5.0, 1, "var", "file0", 512, 0.25,
                                 succeeded=False)
-        db.insert_movement(failed)
+        db.insert_movements([failed])
         (got,) = db.movements()
         assert got == failed and not got.succeeded
 
     def test_succeeded_only_filters_failures(self, db):
-        db.insert_movement(MovementRecord(1.0, 1, "a", "b", 10, 0.1))
-        db.insert_movement(
-            MovementRecord(2.0, 2, "a", "b", 10, 0.1, succeeded=False)
+        db.insert_movements([MovementRecord(1.0, 1, "a", "b", 10, 0.1)])
+        db.insert_movements(
+            [MovementRecord(2.0, 2, "a", "b", 10, 0.1, succeeded=False)]
         )
         assert len(db.movements()) == 2
         assert [m.fid for m in db.movements(succeeded_only=True)] == [1]
-
-    def test_clusters_count_only_successful_moves(self, db):
-        db.insert_movement(MovementRecord(1.0, 1, "a", "b", 10, 0.1))
-        db.insert_movement(
-            MovementRecord(1.1, 2, "a", "b", 10, 0.1, succeeded=False)
-        )
-        assert db.movement_clusters(gap=1.0) == [(1.0, 1)]
 
 
 class TestPersistence:

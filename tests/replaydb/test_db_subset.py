@@ -6,7 +6,7 @@ large requests).  These tests hold ``recent_access_columns_per_file``
 against the ``ROW_NUMBER()`` window scan it replaced (kept here as the
 reference): same rows, same ordering, for any subset -- including
 subsets dominated by files that have no telemetry at all, which is the
-common case for a shard slice.
+common case early in a run over a large population.
 """
 
 import numpy as np

@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError
 from repro.simulation.bluesky import describe_bluesky
 from repro.simulation.topologies import (
     make_homogeneous_cluster,
+    make_scaled_cluster,
     make_tiered_cluster,
 )
 
@@ -78,6 +79,62 @@ class TestHomogeneousCluster:
             make_homogeneous_cluster(3, read_gbps=0)
         with pytest.raises(ConfigurationError):
             make_homogeneous_cluster(3, capacity_gb=0)
+
+
+class TestScaledCluster:
+    """The factory the ``wide_probe`` benchmark workload builds on."""
+
+    TIERS = ("nvme node", "ssd node", "disk node", "dense disk node")
+    #: unjittered read speed per tier
+    READ_GBPS = (6.0, 3.0, 1.5, 0.6)
+
+    def test_names_and_fsids_follow_the_index(self):
+        cluster = make_scaled_cluster(12)
+        assert cluster.device_names == [f"dev{i:05d}" for i in range(12)]
+        assert cluster.fsids == list(range(12))
+
+    def test_tiers_cycle_with_the_index(self):
+        cluster = make_scaled_cluster(12)
+        for i, name in enumerate(cluster.device_names):
+            assert cluster.device(name).spec.description == self.TIERS[i % 4]
+
+    def test_jitter_stays_in_its_band(self):
+        cluster = make_scaled_cluster(64, seed=5)
+        for i, name in enumerate(cluster.device_names):
+            jitter = cluster.device(name).spec.read_gbps / self.READ_GBPS[i % 4]
+            assert 0.85 <= jitter < 1.15
+
+    def test_seed_changes_the_jitter(self):
+        a, b = make_scaled_cluster(8, seed=0), make_scaled_cluster(8, seed=1)
+        assert [a.device(n).spec.read_gbps for n in a.device_names] != [
+            b.device(n).spec.read_gbps for n in b.device_names
+        ]
+
+    def test_device_is_a_pure_function_of_seed_and_index(self):
+        """A larger build extends a smaller one, spec and behaviour."""
+        small = make_scaled_cluster(12, seed=3)
+        large = make_scaled_cluster(32, seed=3)
+        ops = [(1.5 * k, 1_000_000 + 7_919 * k, 4_096 * (k % 3))
+               for k in range(200)]
+        for name in small.device_names:
+            assert small.device(name).spec == large.device(name).spec
+            assert [
+                small.device(name).perform_access(t, rb, wb)
+                for t, rb, wb in ops
+            ] == [
+                large.device(name).perform_access(t, rb, wb)
+                for t, rb, wb in ops
+            ]
+
+    def test_capacity_configurable(self):
+        cluster = make_scaled_cluster(2, capacity_gb=7)
+        assert cluster.device("dev00001").spec.capacity_bytes == 7 * GB
+
+    def test_invalid_args_rejected(self):
+        with pytest.raises(ConfigurationError):
+            make_scaled_cluster(0)
+        with pytest.raises(ConfigurationError):
+            make_scaled_cluster(4, capacity_gb=0)
 
 
 class TestDescribeBluesky:

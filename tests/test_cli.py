@@ -18,7 +18,7 @@ class TestParser:
             "fig5a", "fig5b", "table4", "fig6", "synth-trace", "testbed",
             "robustness", "chaos", "overhead", "model-selection",
             "recover", "resume", "run",
-            "saturate", "deadletters", "explain", "scale",
+            "saturate", "deadletters", "explain",
         }
 
     def test_chaos_arguments_parse(self):
@@ -81,8 +81,8 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_workers_flag_parses(self):
-        assert build_parser().parse_args(["fig5a"]).workers == 1
-        for cmd in ("fig5a", "fig5b", "table2", "robustness"):
+        assert build_parser().parse_args(["table2"]).workers == 1
+        for cmd in ("table2", "robustness"):
             args = build_parser().parse_args([cmd, "--workers", "4"])
             assert args.workers == 4
 
@@ -117,6 +117,30 @@ class TestExecution:
         out = capsys.readouterr().out
         for mount in ("USBtmp", "pic", "tmp", "file0", "var", "people"):
             assert mount in out
+
+
+class TestUserErrors:
+    """A ``ReproError`` a user can cause is one stderr line and exit 1."""
+
+    def test_missing_ledger_is_one_line_not_a_traceback(
+        self, tmp_path, capsys
+    ):
+        ledger = tmp_path / "missing.jsonl"
+        assert main(["explain", "1", "--ledger", str(ledger)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro explain: ConfigurationError: "
+            f"no provenance ledger at {ledger}\n"
+        )
+
+    def test_zero_workers_is_one_line_not_a_traceback(self, capsys):
+        assert main(["robustness", "--workers", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro robustness: ExperimentError: workers must be >= 1, got 0\n"
+        )
 
 
 class TestSaturateCommand:

@@ -1,8 +1,9 @@
 """The numbers ROADMAP quotes about the product's surface, as assertions.
 
-A new config field or CLI subcommand, or growth of ``src/``, has to raise
-a ceiling here, in a reviewed diff; a config field nothing in the product
-reads fails outright, and so does a second transport class.
+A new config field or CLI subcommand, or growth of ``src/``, DESIGN.md or
+README.md, has to raise a ceiling here, in a reviewed diff; a config field
+nothing in the product reads fails outright, and so do a second transport
+class and a public name that only tests refer to.
 """
 
 import ast
@@ -17,6 +18,7 @@ from repro.cli import build_parser
 from repro.core.config import GeomancyConfig
 
 SRC = Path(repro.__file__).parent
+REPO = SRC.parent.parent
 #: harness and CLI code consumes the product; a field only they read is a
 #: parameter of theirs, not configuration of what ``Geomancy(...)`` builds
 CONSUMERS = ("experiments", "cli.py")
@@ -24,9 +26,56 @@ CONSUMERS = ("experiments", "cli.py")
 CONFIG = SRC / "core" / "config.py"
 
 MAX_CONFIG_FIELDS = 52
-MAX_CLI_SUBCOMMANDS = 21
+MAX_CLI_SUBCOMMANDS = 20
 #: ``find src -name '*.py' | xargs cat | wc -l``
-MAX_SRC_LINES = 21_322
+MAX_SRC_LINES = 19_692
+#: ``wc -c`` of the two documents a newcomer reads first
+MAX_DESIGN_BYTES = 87_414
+MAX_README_BYTES = 20_201
+
+#: Public names under ``src/repro`` that only tests refer to, each with the
+#: reason it stays.  A test that tests only the name is not a reason: the
+#: test observes or drives *other* behaviour through it, compares the
+#: product against it, or it is an extension the README advertises.
+TEST_SEAMS = {
+    "pending_retries": "ControlAgent: tests watch the retry queue drain",
+    "buffered": "MonitoringAgent: tests watch batching and backlog bounds",
+    "pending_by_priority": "Transport: the lane split of `pending`, held "
+                           "equal to it by the contract test",
+    "random_fraction": "ActionChecker: tests watch the exploration share "
+                       "approach `exploration_rate`",
+    "mount_mean": "Table4Result: Table IV's device ordering is asserted "
+                  "through it",
+    "consecutive_failures": "HealthTracker: tests watch a success reset "
+                            "the circuit breaker's count",
+    "pending_actions": "FaultInjector: tests watch a schedule expand into "
+                       "its start/end actions",
+    "build_training_set": "FeaturePipeline: fit + both transforms in one "
+                          "call; drives the smoothing, round-trip and "
+                          "records == columns tests",
+    "build_location_probe": "FeaturePipeline: the single-base reference "
+                            "the block builder is compared against",
+    "gradient": "Loss: seeds every backward pass of tests/nn/gradcheck.py",
+    "of_kind": "EventBus / EventLog: tests pick drift, rollback and "
+               "readmit events out of a run's history",
+    "covers_rowid": "provenance: causal-integrity check of a batch's rows",
+    "in_flight": "provenance: causal-integrity check, no batch left open",
+    "orphaned_parents": "provenance: causal-integrity check, every parent "
+                        "id resolves",
+    "closed": "ReplayDB: tests watch close() and the context manager",
+    "average_throughput": "ReplayDB: per-device view of the running totals "
+                          "that test_db_aggregates holds to full scans",
+    "total_bytes": "AccessRecord: record-at-a-time reference of the "
+                   "`total_bytes` column (tests/oracles/record_features)",
+    "max_priority": "PrioritizedReplay: tests watch a non-finite error "
+                    "leave the priority ceiling alone",
+    "add_device": "StorageCluster: drives the facade's lazy per-device "
+                  "monitor (TestLazyMonitors)",
+    "set_device_available": "StorageCluster: drives the Action Checker "
+                            "and control-agent availability paths",
+    "migrate_incremental": "StorageCluster: README extension (paper "
+                           "section VI) with its own test class",
+}
 
 
 def attributes_read_by_the_product() -> set[str]:
@@ -66,6 +115,50 @@ def test_src_line_ceiling():
         path.read_text().count("\n") for path in SRC.rglob("*.py")
     )
     assert lines <= MAX_SRC_LINES
+
+
+def test_document_byte_ceilings():
+    assert (REPO / "DESIGN.md").stat().st_size <= MAX_DESIGN_BYTES
+    assert (REPO / "README.md").stat().st_size <= MAX_README_BYTES
+
+
+def _trees(*tops: Path):
+    for top in tops:
+        for path in sorted(top.rglob("*.py")):
+            yield ast.parse(path.read_text())
+
+
+def test_every_public_name_has_a_caller():
+    """A public function, class or method nothing refers to is deleted
+    with the tests that test only it, or listed in ``TEST_SEAMS``."""
+    product = list(_trees(SRC))
+    referenced: set[str] = set()
+    for tree in (*product, *_trees(REPO / "benchmarks", REPO / "examples")):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name.rpartition(".")[2])
+    unreferenced = {
+        node.name
+        for tree in product
+        for node in ast.walk(tree)
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        )
+        and not node.name.startswith("_")
+        and node.name not in referenced
+    }
+    assert sorted(unreferenced - set(TEST_SEAMS)) == []
+    # The allowlist cannot rot: an entry whose name gained a caller, or
+    # went away, has to leave it.
+    assert sorted(set(TEST_SEAMS) - unreferenced) == []
+    assert all(
+        reason.strip() and "\n" not in reason
+        for reason in TEST_SEAMS.values()
+    )
 
 
 def test_each_grid_experiment_is_defined_once():

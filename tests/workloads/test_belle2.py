@@ -95,9 +95,6 @@ class TestRunGeneration:
         with _pytest.raises(_CE):
             Belle2Workload(files, selection="lifo")
 
-    def test_expected_ops_per_run(self, workload):
-        assert workload.expected_ops_per_run() == pytest.approx(4 * 15.0)
-
     def test_negative_run_index_rejected(self, workload):
         with pytest.raises(ConfigurationError):
             workload.run(-1)

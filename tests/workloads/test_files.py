@@ -9,7 +9,6 @@ from repro.workloads.files import (
     MIN_FILE_BYTES,
     FileSpec,
     belle2_file_population,
-    total_bytes,
 )
 
 
@@ -52,10 +51,6 @@ class TestPopulation:
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ConfigurationError):
             belle2_file_population(min_bytes=100, max_bytes=100)
-
-    def test_total_bytes(self):
-        files = [FileSpec(0, "a", 10), FileSpec(1, "b", 20)]
-        assert total_bytes(files) == 30
 
     def test_filespec_positive_size(self):
         with pytest.raises(ConfigurationError):

@@ -99,10 +99,6 @@ class TestTenantMix:
         fids = {r.fid for b in offered for r in b.records}
         assert fids <= {0, 1, 2, 3}
 
-    def test_total_rate(self):
-        mix = TenantMix([spec("a", rate=100.0), spec("b", rate=50.0)])
-        assert mix.total_rate_records_s == pytest.approx(150.0)
-
     def test_negative_slot_rejected(self):
         with pytest.raises(ConfigurationError):
             TenantMix([spec()]).batches(-1)
