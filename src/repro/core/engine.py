@@ -297,7 +297,6 @@ class DRLEngine:
                     epochs=self.config.epochs,
                     batch_size=self.config.batch_size,
                     optimizer=optimizer,
-                    validation_data=(xv, yv) if len(xv) else None,
                 )
             elapsed = time.perf_counter() - start
             # Calibrate and score in physical units (bytes/s): relative

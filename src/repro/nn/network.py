@@ -262,7 +262,6 @@ class Sequential:
         validation_data: tuple[np.ndarray, np.ndarray] | None = None,
         shuffle: bool = False,
         stop_on_divergence: bool = True,
-        patience: int | None = None,
         sample_weight: np.ndarray | None = None,
     ) -> TrainingHistory:
         """Train with mini-batch gradient descent.
@@ -273,10 +272,6 @@ class Sequential:
         ``diverged``; nothing is raised -- Table II needs to *report*
         divergence, not crash.
 
-        ``patience`` enables early stopping: training halts once the
-        validation loss has not improved for that many consecutive epochs
-        (requires ``validation_data``).
-
         ``sample_weight`` supplies per-row loss weights (the prioritized
         replay buffer's importance-sampling correction); the validation
         loss stays unweighted.  ``None`` is exactly the unweighted path.
@@ -285,15 +280,6 @@ class Sequential:
             raise ConfigurationError(f"epochs must be positive, got {epochs}")
         if batch_size <= 0:
             raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
-        if patience is not None:
-            if patience < 1:
-                raise ConfigurationError(
-                    f"patience must be >= 1, got {patience}"
-                )
-            if validation_data is None:
-                raise ConfigurationError(
-                    "early stopping (patience) requires validation_data"
-                )
         x = self._adapt_input(x)
         if not self.built:
             self.build(x.shape[-1])
@@ -339,8 +325,6 @@ class Sequential:
         if validation_data is not None:
             vx = self._adapt_input(validation_data[0])
             vy = self._adapt_target(validation_data[1], self.output_dim)
-        best_val = np.inf
-        stale_epochs = 0
         # A diverging fit overflows to inf and then multiplies inf by a
         # zero ReLU mask; divergence is an outcome fit reports (Table II),
         # not a numerical accident to warn about.
@@ -369,15 +353,6 @@ class Sequential:
                     history.diverged = True
                     if stop_on_divergence:
                         break
-                if patience is not None:
-                    val = history.val_loss[-1]
-                    if val < best_val - 1e-12:
-                        best_val = val
-                        stale_epochs = 0
-                    else:
-                        stale_epochs += 1
-                        if stale_epochs >= patience:
-                            break
         self._m_epochs.inc(history.epochs_run)
         return history
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
+from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
@@ -29,21 +30,36 @@ MEMORY = ":memory:"
 #: numeric access fields served by the columnar queries, in SELECT order
 PROBE_FIELDS: tuple[str, ...] = NUMERIC_FIELDS
 
+#: one stored access row: what an insert binds, what the per-file tails
+#: hold and what :meth:`ReplayDB._to_record` reads.  The columnar fields
+#: lead, so a probe row is a prefix of a stored one.
+_ROW_FIELDS = (*PROBE_FIELDS, "extra", "device", "path", "throughput")
+_ROW_SQL = ", ".join(_ROW_FIELDS)
+_CTS, _CTMS = _ROW_FIELDS.index("cts"), _ROW_FIELDS.index("ctms")
+
 #: SQL shared by the eager single-row and deferred bulk insert paths
 _INSERT_ACCESS_SQL = (
-    "INSERT INTO accesses (fid, fsid, device, path, rb, wb, ots, "
-    "otms, cts, ctms, throughput, extra) "
+    f"INSERT INTO accesses ({_ROW_SQL}) "
     "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
 )
 
-#: the increment of the per-device aggregate: the rows above the cursor,
-#: grouped.  ``NOT INDEXED`` pins the scan to the primary-key range; left
-#: to itself SQLite serves the ``GROUP BY`` from ``idx_accesses_device``
-#: and walks that whole index however few rows are new.
+#: newest rows held per file: the deepest per-file read in ``src/`` (the
+#: gap scheduler's 20; the engine's probe asks 8).  A deeper ask raises
+#: the database's depth for good and pays one rebuild.
+_TAIL_DEPTH = 20
+
+#: the per-device aggregate's increment: the rows above the cursor, grouped
 _DEVICE_TOTALS_SINCE_SQL = (
     "SELECT device, COUNT(*), SUM(throughput), MAX(id) "
-    "FROM accesses NOT INDEXED WHERE id > ? GROUP BY device"
+    "FROM accesses WHERE id > ? GROUP BY device"
 )
+
+#: what older files and snapshots indexed: nothing reads either any
+#: more, and their upkeep was half the cost of a bulk insert
+_DROP_LEGACY_INDEXES = """
+DROP INDEX IF EXISTS idx_accesses_device;
+DROP INDEX IF EXISTS idx_accesses_fid;
+"""
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS accesses (
@@ -61,8 +77,6 @@ CREATE TABLE IF NOT EXISTS accesses (
     throughput REAL NOT NULL,
     extra   TEXT    NOT NULL DEFAULT '{}'
 );
-CREATE INDEX IF NOT EXISTS idx_accesses_device ON accesses(device, id);
-CREATE INDEX IF NOT EXISTS idx_accesses_fid    ON accesses(fid, id);
 CREATE TABLE IF NOT EXISTS movements (
     id         INTEGER PRIMARY KEY,
     timestamp  REAL    NOT NULL,
@@ -136,6 +150,14 @@ class ReplayDB:
         #: 0 and pays one full pass on its first aggregate read.
         self._device_totals: dict[str, tuple[int, float]] = {}
         self._totals_cursor = 0
+        #: per-file state, folded from each batch where it lands: every
+        #: file's row count, latest close time and newest ``_tail_depth``
+        #: stored rows (oldest first; at most depth x files that have
+        #: telemetry).  It answers every per-file read without a query.
+        self._file_counts: dict[int, int] = {}
+        self._file_last_close: dict[int, float] = {}
+        self._file_tails: dict[int, list[tuple]] = {}
+        self._tail_depth = _TAIL_DEPTH
         self._raw_conn = sqlite3.connect(path)
         if not self.in_memory:
             # WAL survives crashes with at most the last transaction lost
@@ -143,8 +165,12 @@ class ReplayDB:
             # synchronous=NORMAL is WAL's intended durability pairing.
             self._raw_conn.execute("PRAGMA journal_mode=WAL")
             self._raw_conn.execute("PRAGMA synchronous=NORMAL")
-        self._raw_conn.executescript(_SCHEMA)
+        self._raw_conn.executescript(_SCHEMA + _DROP_LEGACY_INDEXES)
         self._raw_conn.commit()
+        #: rows this object did not land (an existing file, a restored
+        #: snapshot; a second writer is not noticed) leave that state stale
+        #: until the next per-file read rebuilds it; an empty start never is.
+        self._files_stale = self.max_rowid() > 0
         metrics = get_observability().metrics
         self._m_rows_written = metrics.counter(
             "repro_replaydb_rows_written_total",
@@ -171,12 +197,45 @@ class ReplayDB:
         return self._raw_conn
 
     def _flush_accesses(self) -> None:
-        """Land buffered access rows in sqlite (in arrival order)."""
+        """Land buffered access rows in sqlite (arrival order); fold them."""
         if self._pending_accesses:
             rows = self._pending_accesses
             self._pending_accesses = []
             self._conn.executemany(_INSERT_ACCESS_SQL, rows)
             self._conn.commit()
+            self._fold_accesses(rows)
+
+    def _fold_accesses(self, rows: list[tuple]) -> None:
+        """Fold rows that just landed (arrival order) into the per-file
+        state: one group-by-fid, then O(distinct files x depth)."""
+        groups: dict[int, list[tuple]] = defaultdict(list)
+        for row in rows:
+            groups[row[0]].append(row)
+        counts, closes = self._file_counts, self._file_last_close
+        depth = self._tail_depth
+        for fid, group in groups.items():
+            counts[fid] = counts.get(fid, 0) + len(group)
+            last = max(row[_CTS] + row[_CTMS] / 1000.0 for row in group)
+            closes[fid] = max(closes.get(fid, last), last)
+            tail = self._file_tails.setdefault(fid, [])
+            tail.extend(group[-depth:])
+            del tail[:-depth]
+
+    def _per_file_state(self, depth: int = 1) -> None:
+        """Make the per-file state current and at least ``depth`` deep."""
+        self._flush_accesses()
+        if depth > self._tail_depth:
+            self._tail_depth, self._files_stale = depth, True
+        if self._files_stale:
+            # One ordered pass, in batches no larger than the write path's.
+            self._file_counts, self._file_last_close = {}, {}
+            self._file_tails = {}
+            self._files_stale = False
+            cursor = self._conn.execute(
+                f"SELECT {_ROW_SQL} FROM accesses ORDER BY id"
+            )
+            while rows := cursor.fetchmany(self.max_pending_accesses):
+                self._fold_accesses(rows)
 
     def close(self) -> None:
         if not self._closed:
@@ -234,10 +293,12 @@ class ReplayDB:
             raise ReplayDBError(
                 f"restoring snapshot {source_path!r} failed: {exc}"
             ) from exc
-        # The table was replaced wholesale: the next aggregate read
-        # starts over from the snapshot's first row.
+        self._conn.executescript(_DROP_LEGACY_INDEXES)
+        # The table was replaced wholesale: the next aggregate read and
+        # the next per-file read start over from the snapshot's first row.
         self._device_totals = {}
         self._totals_cursor = 0
+        self._files_stale = True
         return self
 
     @classmethod
@@ -251,16 +312,14 @@ class ReplayDB:
     def insert_access(self, record: AccessRecord) -> int:
         """Store one access immediately; returns its row id."""
         self._flush_accesses()  # keep arrival order with buffered rows
-        cur = self._conn.execute(
-            _INSERT_ACCESS_SQL,
-            (
-                record.fid, record.fsid, record.device, record.path,
-                record.rb, record.wb, record.ots, record.otms,
-                record.cts, record.ctms, record.throughput,
-                json.dumps(record.extra),
-            ),
+        row = (
+            record.fid, record.fsid, record.rb, record.wb, record.ots,
+            record.otms, record.cts, record.ctms, json.dumps(record.extra),
+            record.device, record.path, record.throughput,
         )
+        cur = self._conn.execute(_INSERT_ACCESS_SQL, row)
         self._conn.commit()
+        self._fold_accesses([row])
         self._m_rows_written.inc()
         return int(cur.lastrowid)
 
@@ -279,9 +338,9 @@ class ReplayDB:
         dumps = json.dumps
         rows = [
             (
-                r.fid, r.fsid, r.device, r.path, r.rb, r.wb, r.ots, r.otms,
-                r.cts, r.ctms, r.throughput,
+                r.fid, r.fsid, r.rb, r.wb, r.ots, r.otms, r.cts, r.ctms,
                 dumps(r.extra) if r.extra else "{}",
+                r.device, r.path, r.throughput,
             )
             for r in records
         ]
@@ -313,11 +372,11 @@ class ReplayDB:
     # -- reads -----------------------------------------------------------
     @staticmethod
     def _to_record(row: tuple) -> AccessRecord:
-        return AccessRecord(
-            fid=row[1], fsid=row[2], device=row[3], path=row[4],
-            rb=row[5], wb=row[6], ots=row[7], otms=row[8],
-            cts=row[9], ctms=row[10], extra=json.loads(row[12]),
-        )
+        """The record one stored row (:data:`_ROW_FIELDS`) came from."""
+        fields = dict(zip(_ROW_FIELDS, row))
+        del fields["throughput"]  # the record derives it
+        fields["extra"] = json.loads(fields["extra"])
+        return AccessRecord(**fields)
 
     def recent_accesses(
         self,
@@ -328,12 +387,17 @@ class ReplayDB:
     ) -> list[AccessRecord]:
         """The most recent ``limit`` accesses, in chronological order.
 
-        Optionally restricted to one device or one file.
+        Optionally restricted to one device or one file; one file's
+        accesses come from the per-file state, without a query.
         """
         if limit <= 0:
             raise ReplayDBError(f"limit must be positive, got {limit}")
-        self._flush_accesses()
         self._m_queries.inc()
+        if fid is not None and device is None:
+            self._per_file_state(limit)
+            rows = self._file_tails.get(fid, [])[-limit:]
+            return [self._to_record(row) for row in rows]
+        self._flush_accesses()
         clauses, params = [], []
         if device is not None:
             clauses.append("device = ?")
@@ -343,7 +407,7 @@ class ReplayDB:
             params.append(fid)
         where = f"WHERE {' AND '.join(clauses)}" if clauses else ""
         rows = self._conn.execute(
-            f"SELECT * FROM (SELECT * FROM accesses {where} "
+            f"SELECT {_ROW_SQL} FROM (SELECT * FROM accesses {where} "
             f"ORDER BY id DESC LIMIT ?) ORDER BY id ASC",
             (*params, limit),
         ).fetchall()
@@ -452,79 +516,45 @@ class ReplayDB:
         columns.update(extra_columns(blobs, extra))
         return columns
 
-    def _fids_with_rows(self, wanted: list[int]) -> list[int]:
-        """The subset of ``wanted`` (sorted) that has access rows at all.
-
-        The decision path asks for *every* file it manages, most of
-        which may have no telemetry yet; one loose index scan
-        over the distinct fids beats probing thousands of absent files
-        one query at a time.  Small requests skip the scan -- the probes
-        themselves are cheaper than reading the distinct list.
-        """
-        if len(wanted) <= 64:
-            return wanted
-        rows = self._conn.execute("SELECT DISTINCT fid FROM accesses")
-        present = {int(row[0]) for row in rows}
-        return [fid for fid in wanted if fid in present]
-
     def recent_access_columns_per_file(
         self, limit: int, fids: Iterable[int], *, extra: Sequence[str] = ()
     ) -> tuple[list[tuple[int, int, int]], dict[str, np.ndarray]]:
         """Most recent ``limit`` accesses of each file in ``fids``, as columns.
 
-        The decision path's telemetry read: one indexed top-N probe per
-        file (``idx_accesses_fid``, ORDER BY id DESC LIMIT k), so a
-        decision epoch costs O(files x limit) however large the access
-        log has grown, and the distinct-fid prefilter keeps a caller
-        asking about a large (mostly untouched) population at O(files
-        with telemetry) probes.  Returns ``(spans, columns)`` where
-        ``spans`` lists ``(fid, start, stop)`` row ranges in fid-ascending
-        order (each file's rows chronological; files without telemetry
-        absent) and ``columns`` maps every :data:`PROBE_FIELDS` name --
-        and every ``extra`` key, as in :meth:`access_columns` -- to one
-        float64 array over all rows.  ``([], {})`` when no file has rows.
+        The decision path's telemetry read, answered from the per-file
+        state: O(files with telemetry x limit) and no query, however
+        large the access log or the (mostly untouched) population asked
+        about.  ``spans`` lists ``(fid, start, stop)`` row ranges in
+        fid-ascending order (each file's rows chronological; files
+        without telemetry absent); ``columns`` maps every
+        :data:`PROBE_FIELDS` name -- and every ``extra`` key, as in
+        :meth:`access_columns` -- to one float64 array over all rows.
+        ``([], {})`` when no file has rows.
         """
         if limit <= 0:
             raise ReplayDBError(f"limit must be positive, got {limit}")
-        self._flush_accesses()
         self._m_queries.inc()
-        query = (
-            f"SELECT {self._select(PROBE_FIELDS, extra)} FROM accesses "
-            "WHERE fid = ? ORDER BY id DESC LIMIT ?"
-        )
-        rows = []
-        execute = self._conn.execute
-        for fid in self._fids_with_rows(sorted(set(fids))):
-            rows.extend(reversed(execute(query, (fid, limit)).fetchall()))
+        self._per_file_state(limit)
+        tails, wanted = self._file_tails, set(fids)
+        spans, rows = [], []
+        for fid in sorted(fid for fid in tails if fid in wanted):
+            start = len(rows)
+            rows.extend(tails[fid][-limit:])
+            spans.append((fid, start, len(rows)))
         if not rows:
             return [], {}
-        columns = self._columns(rows, PROBE_FIELDS, extra)
-        fid_col = columns["fid"]
-        starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(fid_col)) + 1)
-        )
-        stops = np.concatenate((starts[1:], [len(fid_col)]))
-        spans = [
-            (int(fid_col[start]), int(start), int(stop))
-            for start, stop in zip(starts, stops)
-        ]
-        return spans, columns
+        width = len(PROBE_FIELDS) + bool(extra)  # the blob follows them
+        rows = [row[:width] for row in rows]
+        return spans, self._columns(rows, PROBE_FIELDS, extra)
 
     def devices(self) -> list[str]:
         """Distinct device names present in the access log."""
-        self._flush_accesses()
-        rows = self._conn.execute(
-            "SELECT DISTINCT device FROM accesses ORDER BY device"
-        ).fetchall()
-        return [row[0] for row in rows]
+        return sorted(self._device_aggregates())
 
     def files(self) -> list[int]:
         """Distinct file ids present in the access log."""
-        self._flush_accesses()
-        rows = self._conn.execute(
-            "SELECT DISTINCT fid FROM accesses ORDER BY fid"
-        ).fetchall()
-        return [row[0] for row in rows]
+        self._per_file_state()
+        return sorted(self._file_counts)
 
     def _device_aggregates(self) -> dict[str, tuple[int, float]]:
         """Per-device ``(row count, throughput sum)`` over every access.
@@ -561,19 +591,13 @@ class ReplayDB:
 
     def access_count_per_file(self) -> dict[int, int]:
         """Access frequency by file id (drives the LFU baseline)."""
-        self._flush_accesses()
-        rows = self._conn.execute(
-            "SELECT fid, COUNT(*) FROM accesses GROUP BY fid"
-        ).fetchall()
-        return {int(fid): int(count) for fid, count in rows}
+        self._per_file_state()
+        return dict(sorted(self._file_counts.items()))
 
     def last_access_time_per_file(self) -> dict[int, float]:
         """Most recent close time by file id (drives LRU/MRU baselines)."""
-        self._flush_accesses()
-        rows = self._conn.execute(
-            "SELECT fid, MAX(cts + ctms / 1000.0) FROM accesses GROUP BY fid"
-        ).fetchall()
-        return {int(fid): float(t) for fid, t in rows}
+        self._per_file_state()
+        return dict(sorted(self._file_last_close.items()))
 
     def average_throughput(self, *, device: str | None = None) -> float:
         """Mean per-access throughput (bytes/s), optionally for one device."""

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.errors import ReplayDBError
-from repro.features.throughput import BYTES_PER_GB, access_throughput
+from repro.features.throughput import BYTES_PER_GB
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,14 @@ class AccessRecord:
         """Throughput of this access in bytes/second (paper's Tp_i).
 
         Cached per record; the batched access pipeline pre-seeds the
-        cache from one vectorized :func:`access_throughput` call (whose
-        elementwise result is bit-identical to this scalar evaluation).
+        cache from one vectorized ``features.access_throughput`` call,
+        bit-identical elementwise to these float operations.  Its
+        non-positive-duration guard cannot fire on a record:
+        ``__post_init__`` and :meth:`_trusted`'s contract both guarantee
+        close strictly after open.
         """
-        return float(
-            access_throughput(self.rb, self.wb, self.ots, self.otms,
-                              self.cts, self.ctms)
+        return (float(self.rb) + float(self.wb)) / (
+            (self.cts + self.ctms / 1000.0) - (self.ots + self.otms / 1000.0)
         )
 
     @cached_property

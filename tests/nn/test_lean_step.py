@@ -117,15 +117,6 @@ def test_shuffle_draws_the_same_batches():
     )
 
 
-def test_early_stopping_stops_on_the_same_epoch():
-    x, y = dataset()
-    _, history = assert_same_training(
-        1, SGD(0.3), ReferenceSGD(0.3), x=x[:250], y=y[:250], epochs=60,
-        batch_size=32, validation_data=(x[250:], y[250:]), patience=2,
-    )
-    assert history.epochs_run < 60
-
-
 def test_non_contiguous_input_rows():
     """Batches are views now: a strided input must still give the same bits."""
     wide, y = dataset()

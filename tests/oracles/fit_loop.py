@@ -113,7 +113,6 @@ def reference_fit(
     validation_data=None,
     shuffle: bool = False,
     stop_on_divergence: bool = True,
-    patience: int | None = None,
     sample_weight: np.ndarray | None = None,
 ) -> TrainingHistory:
     """The original ``Sequential.fit`` loop over ``model``'s parameters.
@@ -131,8 +130,6 @@ def reference_fit(
     loss_fn = get_loss(loss)
     history = TrainingHistory()
     indices = np.arange(len(x))
-    best_val = np.inf
-    stale_epochs = 0
     caches = [{} for _ in model.layers]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
@@ -181,13 +178,4 @@ def reference_fit(
                 history.diverged = True
                 if stop_on_divergence:
                     break
-            if patience is not None:
-                val = history.val_loss[-1]
-                if val < best_val - 1e-12:
-                    best_val = val
-                    stale_epochs = 0
-                else:
-                    stale_epochs += 1
-                    if stale_epochs >= patience:
-                        break
     return history

@@ -11,6 +11,7 @@ import numpy as np
 
 from repro.features.pipeline import record_columns
 from repro.replaydb.db import ReplayDB
+from tests.oracles.per_file_sql import recent_accesses, record_of_table_row
 
 
 class RecordWindows:
@@ -25,7 +26,7 @@ class RecordWindows:
     def access_columns(self, *, limit=None, since=None, ids=None, extra=()):
         rows = self._db._window_rows("*", limit=limit, since=since, ids=ids)
         columns = record_columns(
-            [ReplayDB._to_record(row) for row in rows], extra
+            [record_of_table_row(row) for row in rows], extra
         )
         columns["id"] = np.array([row[0] for row in rows], dtype=np.int64)
         return columns
@@ -33,7 +34,7 @@ class RecordWindows:
     def recent_access_columns_per_file(self, limit, fids, *, extra=()):
         spans, records = [], []
         for fid in sorted(set(fids)):
-            recent = self._db.recent_accesses(limit, fid=fid)
+            recent = recent_accesses(self._db, limit, fid)
             if recent:
                 spans.append((fid, len(records), len(records) + len(recent)))
                 records.extend(recent)

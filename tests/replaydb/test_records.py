@@ -1,10 +1,12 @@
 """Tests for AccessRecord and MovementRecord validation and properties."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ReplayDBError
+from repro.features.throughput import access_throughput
 from repro.replaydb.records import AccessRecord, MovementRecord
 
 
@@ -69,6 +71,35 @@ class TestAccessRecord:
         cts, ctms = divmod(dur_ms, 1000)
         r = make_access(rb=rb, wb=wb, ots=0, otms=0, cts=cts, ctms=ctms)
         assert r.throughput >= 0.0
+
+    @given(
+        rb=st.integers(0, 10**15),
+        wb=st.integers(0, 10**15),
+        open_ms=st.integers(0, 2 * 10**12),
+        dur_ms=st.integers(1, 10**7),
+    )
+    def test_scalar_throughput_is_the_array_formula_bit_for_bit(
+        self, rb, wb, open_ms, dur_ms
+    ):
+        """The property's plain float arithmetic and the vectorized
+        ``access_throughput`` (which pre-seeds batched records and
+        derives the training target) agree to the last bit."""
+        ots, otms = divmod(open_ms, 1000)
+        cts, ctms = divmod(open_ms + dur_ms, 1000)
+        fields = dict(rb=rb, wb=wb, ots=ots, otms=otms, cts=cts, ctms=ctms)
+        scalar = access_throughput(**fields)
+        as_array = access_throughput(
+            **{name: np.array([value]) for name, value in fields.items()}
+        )
+        for record in (
+            make_access(**fields),
+            AccessRecord._trusted(dict(
+                fid=1, fsid=0, device="d", path="p", extra={}, **fields
+            )),
+        ):
+            assert type(record.throughput) is float
+            assert record.throughput.hex() == scalar.hex()
+            assert record.throughput.hex() == float(as_array[0]).hex()
 
 
 class TestMovementRecord:

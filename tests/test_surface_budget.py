@@ -3,12 +3,14 @@
 A new config field or CLI subcommand, or growth of ``src/``, DESIGN.md or
 README.md, has to raise a ceiling here, in a reviewed diff; a config field
 nothing in the product reads fails outright, and so do a second transport
-class and a public name that only tests refer to.
+class, a public name that only tests refer to and a secondary index on the
+ReplayDB's ``accesses`` table.
 """
 
 import ast
 import importlib
 import pkgutil
+import sqlite3
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,6 +18,7 @@ import repro
 from repro.agents.transport import Transport
 from repro.cli import build_parser
 from repro.core.config import GeomancyConfig
+from repro.replaydb.db import ReplayDB
 
 SRC = Path(repro.__file__).parent
 REPO = SRC.parent.parent
@@ -30,7 +33,7 @@ MAX_CLI_SUBCOMMANDS = 20
 #: ``find src -name '*.py' | xargs cat | wc -l``
 MAX_SRC_LINES = 19_692
 #: ``wc -c`` of the two documents a newcomer reads first
-MAX_DESIGN_BYTES = 87_414
+MAX_DESIGN_BYTES = 87_403
 MAX_README_BYTES = 20_201
 
 #: Public names under ``src/repro`` that only tests refer to, each with the
@@ -159,6 +162,28 @@ def test_every_public_name_has_a_caller():
         reason.strip() and "\n" not in reason
         for reason in TEST_SEAMS.values()
     )
+
+
+def test_accesses_has_no_secondary_index(tmp_path):
+    """A ratchet: the two indexes older schemas kept cost half of every
+    bulk insert and have no reader; neither a fresh database nor one
+    restored from (or opened on) a file that carried them has any."""
+    def index_list(db):
+        return db._conn.execute("PRAGMA index_list(accesses)").fetchall()
+
+    old_file = tmp_path / "old.sqlite"
+    ReplayDB(old_file).close()
+    raw = sqlite3.connect(old_file)
+    raw.executescript(
+        "CREATE INDEX idx_accesses_device ON accesses(device, id);"
+        "CREATE INDEX idx_accesses_fid ON accesses(fid, id);"
+    )
+    assert len(raw.execute("PRAGMA index_list(accesses)").fetchall()) == 2
+    raw.close()
+    with ReplayDB() as fresh, ReplayDB.from_snapshot(old_file) as restored:
+        assert index_list(fresh) == index_list(restored) == []
+    with ReplayDB(old_file) as reopened:
+        assert index_list(reopened) == []
 
 
 def test_each_grid_experiment_is_defined_once():
