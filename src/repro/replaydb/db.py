@@ -338,11 +338,11 @@ class ReplayDB:
         dumps = json.dumps
         rows = [
             (
-                r.fid, r.fsid, r.rb, r.wb, r.ots, r.otms, r.cts, r.ctms,
-                dumps(r.extra) if r.extra else "{}",
-                r.device, r.path, r.throughput,
+                fid, fsid, rb, wb, ots, otms, cts, ctms,
+                dumps(extra) if extra else "{}", device, path, throughput,
             )
-            for r in records
+            for (fid, fsid, device, path, rb, wb, ots, otms, cts, ctms,
+                 extra, throughput, _) in records
         ]
         self._pending_accesses.extend(rows)
         if len(self._pending_accesses) >= self.max_pending_accesses:

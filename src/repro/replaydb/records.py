@@ -2,70 +2,87 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections import namedtuple
+from dataclasses import dataclass
 
 from repro.errors import ReplayDBError
 from repro.features.throughput import BYTES_PER_GB
 
 
-@dataclass(frozen=True)
-class AccessRecord:
+class AccessRecord(namedtuple(
+    "AccessRecord",
+    "fid fsid device path rb wb ots otms cts ctms extra "
+    "throughput throughput_gbps",
+)):
     """One file interaction, open to close (the EOS access-log granularity).
 
     Field names follow the paper: ``rb``/``wb`` bytes read/written,
     ``ots``/``otms`` the open timestamp's second/millisecond parts,
     ``cts``/``ctms`` the close timestamp's, ``fid`` the file id and
     ``fsid`` the storage-device id.  ``device`` and ``path`` carry the
-    human-readable location for monitoring output.
+    human-readable location for monitoring output, ``extra`` any further
+    telemetry (rt, wt, nrc, ... for EOS-style records).
+
+    A record is an immutable tuple.  Field order is constructor order --
+    ``fid, fsid, device, path, rb, wb, ots, otms, cts, ctms, extra`` --
+    then the two derived fields: ``throughput`` in bytes/second (the
+    paper's Tp_i) and ``throughput_gbps`` in GB/s (the unit of Fig. 5 and
+    Table IV), computed here from the validated fields.  Every route to a
+    record passes these checks except :meth:`_trusted`.
     """
 
-    fid: int
-    fsid: int
-    device: str
-    path: str
-    rb: int
-    wb: int
-    ots: int
-    otms: int
-    cts: int
-    ctms: int
-    #: extra telemetry (rt, wt, nrc, ... for EOS-style records)
-    extra: dict[str, float] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rb < 0 or self.wb < 0:
+    def __new__(
+        cls, fid, fsid, device, path, rb, wb, ots, otms, cts, ctms, extra=None
+    ):
+        if rb < 0 or wb < 0:
             raise ReplayDBError(
-                f"byte counts must be non-negative (rb={self.rb}, wb={self.wb})"
+                f"byte counts must be non-negative (rb={rb}, wb={wb})"
             )
-        if not 0 <= self.otms < 1000 or not 0 <= self.ctms < 1000:
+        if not 0 <= otms < 1000 or not 0 <= ctms < 1000:
             raise ReplayDBError(
                 f"millisecond parts must be in [0, 1000): "
-                f"otms={self.otms}, ctms={self.ctms}"
+                f"otms={otms}, ctms={ctms}"
             )
-        if self.close_time <= self.open_time:
+        open_time = ots + otms / 1000.0
+        close_time = cts + ctms / 1000.0
+        if close_time <= open_time:
             raise ReplayDBError(
-                f"close time {self.close_time} must be after open time "
-                f"{self.open_time}"
+                f"close time {close_time} must be after open time {open_time}"
             )
+        # features.access_throughput's floats, elementwise bit-identical;
+        # its non-positive-duration guard cannot fire past the check above.
+        throughput = (float(rb) + float(wb)) / (close_time - open_time)
+        return tuple.__new__(cls, (
+            fid, fsid, device, path, rb, wb, ots, otms, cts, ctms,
+            {} if extra is None else extra,
+            throughput, throughput / BYTES_PER_GB,
+        ))
 
     @classmethod
-    def _trusted(cls, state: dict) -> "AccessRecord":
-        """Construct from a pre-validated field dict, skipping ``__init__``.
+    def _trusted(cls, fields: tuple) -> "AccessRecord":
+        """The record that *is* the finished 13-field tuple ``fields``.
 
-        The batched access pipeline builds records whose invariants hold
-        by construction (clamped millisecond parts, close strictly after
-        open), so it pays neither field-by-field frozen assignment nor
-        ``__post_init__`` re-validation.  ``state`` must contain every
-        dataclass field (including ``extra``) and may pre-seed the cached
-        ``throughput``/``throughput_gbps`` properties.  Populates the
-        instance ``__dict__`` directly -- the same route
-        ``cached_property`` uses -- which the frozen ``__setattr__``
-        cannot intercept.
+        The batched access scan builds records whose invariants hold by
+        construction (clamped millisecond parts, close strictly after
+        open) and computes both throughputs with the constructor's exact
+        floats, so it pays for one tuple and no re-validation.
         """
-        record = cls.__new__(cls)
-        record.__dict__.update(state)
-        return record
+        return tuple.__new__(cls, fields)
+
+    @classmethod
+    def _make(cls, iterable) -> "AccessRecord":
+        """The constructor over an iterable of its arguments (validating)."""
+        return cls(*iterable)
+
+    def _replace(self, **changes) -> "AccessRecord":
+        """A copy with constructor fields swapped, validated and re-derived."""
+        return type(self)(**{**dict(zip(self._fields[:-2], self)), **changes})
+
+    def __reduce__(self):
+        # namedtuple's __getnewargs__ would feed all 13 values to __new__.
+        return type(self)._trusted, (tuple(self),)
 
     @property
     def open_time(self) -> float:
@@ -85,26 +102,6 @@ class AccessRecord:
     @property
     def total_bytes(self) -> int:
         return self.rb + self.wb
-
-    @cached_property
-    def throughput(self) -> float:
-        """Throughput of this access in bytes/second (paper's Tp_i).
-
-        Cached per record; the batched access pipeline pre-seeds the
-        cache from one vectorized ``features.access_throughput`` call,
-        bit-identical elementwise to these float operations.  Its
-        non-positive-duration guard cannot fire on a record:
-        ``__post_init__`` and :meth:`_trusted`'s contract both guarantee
-        close strictly after open.
-        """
-        return (float(self.rb) + float(self.wb)) / (
-            (self.cts + self.ctms / 1000.0) - (self.ots + self.otms / 1000.0)
-        )
-
-    @cached_property
-    def throughput_gbps(self) -> float:
-        """Throughput in GB/s, the unit of Fig. 5 and Table IV."""
-        return self.throughput / BYTES_PER_GB
 
 
 @dataclass(frozen=True)

@@ -376,7 +376,7 @@ class StorageCluster:
         self._m_accesses.inc()
         ots, otms = timestamp_parts(t)
         cts, ctms = timestamp_parts(t + duration)
-        record = AccessRecord(
+        return AccessRecord(
             fid=fid,
             fsid=device.fsid,
             device=device.name,
@@ -388,11 +388,6 @@ class StorageCluster:
             cts=cts,
             ctms=ctms,
         )
-        # Fill the cached throughput before the record leaves the serving
-        # path, as access_batch pre-seeds it: every consumer reads it, so a
-        # record costs its reader the same whichever path served it.
-        record.throughput_gbps
-        return record
 
     def access_batch(
         self,
@@ -484,9 +479,9 @@ class StorageCluster:
         result = BatchAccessResult()
         t = float(t0)
         pending: Exception | None = None
-        #: per-served-op record fields, materialized after the scan
-        served: list[tuple] = []
-        append_served = served.append
+        records = result.records
+        append_record = records.append
+        trusted = AccessRecord._trusted
         for i in range(n):
             state = op_state[i]
             dev = state.device
@@ -566,12 +561,14 @@ class StorageCluster:
             if ctms > 999:
                 ctms = 999
             # ms-truncated duration: the clock advance AND the throughput
-            # denominator, exactly the floats access_throughput computes.
+            # denominator, exactly the floats AccessRecord's constructor
+            # computes -- so the tuple built here is the finished record.
             trunc = (cts + ctms / 1000.0) - (ots + otms / 1000.0)
-            append_served(
+            tp = total / trunc
+            append_record(trusted(
                 (fid_list[i], state.fsid, state.name, paths[i], rbi, wbi,
-                 ots, otms, cts, ctms, total / trunc)
-            )
+                 ots, otms, cts, ctms, {}, tp, tp / BYTES_PER_GB)
+            ))
             # The clock advances by the record's ms-truncated duration,
             # exactly as the scalar runner does.
             t += trunc + think_time_s
@@ -581,31 +578,8 @@ class StorageCluster:
         # the scalar loop would have left it.
         for state in scan_devices.values():
             state.flush_stats()
-        records = result.records
-        if served:
-            self._m_accesses.inc(len(served))
-            trusted = AccessRecord._trusted
-            append_record = records.append
-            # The scan already computed each op's throughput with the
-            # exact floats of the scalar property (total / ms-truncated
-            # duration), so the cached properties are pre-seeded here.
-            for (fid, fsid, name, path, rbi, wbi, ots, otms, cts, ctms,
-                 tp) in served:
-                append_record(trusted({
-                    "fid": fid,
-                    "fsid": fsid,
-                    "device": name,
-                    "path": path,
-                    "rb": rbi,
-                    "wb": wbi,
-                    "ots": ots,
-                    "otms": otms,
-                    "cts": cts,
-                    "ctms": ctms,
-                    "extra": {},
-                    "throughput": tp,
-                    "throughput_gbps": tp / BYTES_PER_GB,
-                }))
+        if records:
+            self._m_accesses.inc(len(records))
         if pending is not None:
             for state in scan_devices.values():
                 state.rewind_unconsumed_draws()

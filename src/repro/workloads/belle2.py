@@ -87,13 +87,22 @@ class Belle2Workload:
         self.write_probability = float(write_probability)
         self.write_fraction = float(write_fraction)
         self.selection = selection
+        # Per-file columns the op arrays gather from.
+        self._fids = np.array([f.fid for f in self.files], dtype=np.int64)
+        self._sizes = np.array(
+            [f.size_bytes for f in self.files], dtype=np.int64
+        )
+        self._write_bytes = np.array(
+            [max(1, int(f.size_bytes * self.write_fraction)) for f in self.files],
+            dtype=np.int64,
+        )
 
     @property
     def fids(self) -> list[int]:
         return [f.fid for f in self.files]
 
-    def _files_for_run(self, run_index: int) -> list[FileSpec]:
-        """Pick the files this run works on.
+    def _files_for_run(self, run_index: int) -> list[int]:
+        """Pick the files this run works on, as indices into ``files``.
 
         ``"random"`` (default) models the paper's "suite of many
         applications reading and writing many files individually": each run
@@ -105,71 +114,75 @@ class Belle2Workload:
         count = min(self.files_per_run, n)
         if self.selection == "cycle":
             start = (run_index * self.files_per_run) % n
-            picked = [(start + k) % n for k in range(count)]
-        else:
-            rng = np.random.default_rng((self.seed, run_index, 7))
-            picked = list(rng.choice(n, size=count, replace=False))
-        return [self.files[i] for i in picked]
+            return [(start + k) % n for k in range(count)]
+        rng = np.random.default_rng((self.seed, run_index, 7))
+        return rng.choice(n, size=count, replace=False).tolist()
 
     def run(self, run_index: int) -> list[AccessOp]:
         """The access stream of run ``run_index`` (deterministic)."""
-        if run_index < 0:
-            raise ConfigurationError(f"run_index must be >= 0, got {run_index}")
-        rng = np.random.default_rng((self.seed, run_index))
-        lo, hi = self.burst_range
-        frac_lo, frac_hi = self.read_fraction_range
-        ops: list[AccessOp] = []
-        for spec in self._files_for_run(run_index):
-            burst = int(rng.integers(lo, hi + 1))
-            for _ in range(burst):
-                rb = max(1, int(spec.size_bytes * rng.uniform(frac_lo, frac_hi)))
-                wb = 0
-                if rng.random() < self.write_probability:
-                    wb = max(1, int(spec.size_bytes * self.write_fraction))
-                ops.append(AccessOp(fid=spec.fid, rb=rb, wb=wb))
-        return ops
+        fids, rb, wb = self.run_arrays(run_index)
+        return [
+            AccessOp(fid=f, rb=r, wb=w)
+            for f, r, w in zip(fids.tolist(), rb.tolist(), wb.tolist())
+        ]
 
     def run_arrays(
         self, run_index: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Run ``run_index`` materialized as ``(fids, rb, wb)`` arrays.
+        """Run ``run_index`` materialized as ``(fids, rb, wb)`` arrays."""
+        return self.runs_arrays(run_index, 1)[:3]
 
-        The batched runner's input format: byte-for-byte the same access
-        stream :meth:`run` replays op by op, generated with vectorized
-        draws.  The scalar loop interleaves one ``uniform`` and one
-        ``random`` per op -- each consuming exactly one double from the
-        stream -- so one ``random(2 * burst)`` call per file yields the
-        identical doubles, and ``uniform(lo, hi)`` is reproduced exactly
-        as ``lo + (hi - lo) * d`` (numpy's own formula).
+    def runs_arrays(
+        self, start: int, count: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+        """Runs ``start .. start + count - 1`` back to back.
+
+        Returns ``(fids, rb, wb, counts)``: one array per op field over
+        all the runs' ops, and each run's op count.  The draws are the
+        access stream and stay per run and per file: a generator per run,
+        then for each of its files a burst length and one
+        ``random(2 * burst)`` -- the read fraction and the write coin of
+        each op, interleaved (``tests/oracles/scalar_ops.py`` draws them
+        op by op; ``uniform(lo, hi)`` is ``lo + (hi - lo) * d``, numpy's
+        own formula).  Every file contributes an even number of doubles,
+        so over the concatenated draws the even ones are still the read
+        fractions and the odd ones the write coins, and the byte counts
+        are one vector expression over all the runs.
         """
-        if run_index < 0:
-            raise ConfigurationError(f"run_index must be >= 0, got {run_index}")
-        rng = np.random.default_rng((self.seed, run_index))
+        if start < 0:
+            raise ConfigurationError(f"run_index must be >= 0, got {start}")
+        if count < 1:
+            raise ConfigurationError(f"count must be >= 1, got {count}")
         lo, hi = self.burst_range
+        picked: list[int] = []
+        bursts: list[int] = []
+        doubles: list[np.ndarray] = []
+        counts: list[int] = []
+        for run_index in range(start, start + count):
+            rng = np.random.default_rng((self.seed, run_index))
+            files = self._files_for_run(run_index)
+            ops = 0
+            for _ in files:
+                burst = int(rng.integers(lo, hi + 1))
+                doubles.append(rng.random(2 * burst))
+                bursts.append(burst)
+                ops += burst
+            picked.extend(files)
+            counts.append(ops)
+        draws = np.concatenate(doubles)
+        file_of_op = np.repeat(picked, bursts)
         frac_lo, frac_hi = self.read_fraction_range
-        span = frac_hi - frac_lo
-        fid_parts: list[np.ndarray] = []
-        rb_parts: list[np.ndarray] = []
-        wb_parts: list[np.ndarray] = []
-        for spec in self._files_for_run(run_index):
-            burst = int(rng.integers(lo, hi + 1))
-            doubles = rng.random(2 * burst)
-            rb = (spec.size_bytes * (frac_lo + span * doubles[0::2])).astype(
-                np.int64
-            )
-            np.maximum(rb, 1, out=rb)
-            write_bytes = max(1, int(spec.size_bytes * self.write_fraction))
-            wb = np.where(
-                doubles[1::2] < self.write_probability, write_bytes, 0
-            )
-            fid_parts.append(np.full(burst, spec.fid, dtype=np.int64))
-            rb_parts.append(rb)
-            wb_parts.append(wb)
-        return (
-            np.concatenate(fid_parts),
-            np.concatenate(rb_parts),
-            np.concatenate(wb_parts),
+        rb = (
+            self._sizes[file_of_op]
+            * (frac_lo + (frac_hi - frac_lo) * draws[0::2])
+        ).astype(np.int64)
+        np.maximum(rb, 1, out=rb)
+        wb = np.where(
+            draws[1::2] < self.write_probability,
+            self._write_bytes[file_of_op],
+            0,
         )
+        return self._fids[file_of_op], rb, wb, counts
 
     def runs(self, count: int, *, start: int = 0):
         """Yield ``count`` runs starting at index ``start``."""

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import ConfigurationError, DeviceOfflineError
 from repro.observability import get_observability
 from repro.replaydb.db import ReplayDB
@@ -158,14 +156,7 @@ class WorkloadRunner:
         index = self.next_run_index
         self.next_run_index += 1
         self._m_runs.inc()
-        workload = self.workload
-        if hasattr(workload, "run_arrays"):
-            fids, rb, wb = workload.run_arrays(index)
-        else:
-            ops = workload.run(index)
-            fids = [op.fid for op in ops]
-            rb = [op.rb for op in ops]
-            wb = [op.wb for op in ops]
+        fids, rb, wb = self.workload.run_arrays(index)
         batch = self.cluster.access_batch(
             fids,
             self.clock.now,
@@ -207,31 +198,20 @@ class WorkloadRunner:
         """
         if count < 0:
             raise ConfigurationError(f"count must be >= 0, got {count}")
-        if (
-            count <= 1
-            or not hasattr(self.workload, "run_arrays")
-            or any(
-                not self.cluster.device(name).online
-                for name in self.cluster.device_names
-            )
+        if count <= 1 or any(
+            not self.cluster.device(name).online
+            for name in self.cluster.device_names
         ):
             return [self.run_once() for _ in range(count)]
         start = self.next_run_index
         self.next_run_index += count
         self._m_runs.inc(count)
-        counts: list[int] = []
-        fid_parts, rb_parts, wb_parts = [], [], []
-        for index in range(start, start + count):
-            fids, rb, wb = self.workload.run_arrays(index)
-            counts.append(len(fids))
-            fid_parts.append(fids)
-            rb_parts.append(rb)
-            wb_parts.append(wb)
+        fids, rb, wb, counts = self.workload.runs_arrays(start, count)
         batch = self.cluster.access_batch(
-            np.concatenate(fid_parts),
+            fids,
             self.clock.now,
-            np.concatenate(rb_parts),
-            np.concatenate(wb_parts),
+            rb,
+            wb,
             think_time_s=self.think_time_s,
             tolerate_offline=self.tolerate_offline,
             offline_penalty_s=self.offline_penalty_s,

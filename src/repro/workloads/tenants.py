@@ -19,7 +19,7 @@ the exact same flood.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,7 +171,7 @@ class TenantMix:
             # A telemetry batch is per-device (one monitoring agent sent
             # it), so the tenant's whole stream reports from one mount.
             device = f"{spec.name}-dev"
-            pool = [replace(record, device=device) for record in pool]
+            pool = [record._replace(device=device) for record in pool]
             self._pools[spec.name] = pool
         return pool
 

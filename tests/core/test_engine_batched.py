@@ -172,10 +172,8 @@ class TestColumnarFastPath:
     def test_record_fallback_for_extra_features(self):
         """An extra-telemetry feature set (its keys live in each row's
         JSON blob) still matches the record-reading reference loop."""
-        import dataclasses
-
         records = [
-            dataclasses.replace(r, extra={"rt": float(i % 7)})
+            r._replace(extra={"rt": float(i % 7)})
             for i, r in enumerate(
                 synthetic_decision_records(
                     rows=150, files=6, locations=3, seed=5

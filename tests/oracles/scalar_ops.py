@@ -1,0 +1,32 @@
+"""The BELLE II op stream drawn op by op.
+
+``Belle2Workload.runs_arrays`` draws a burst length and one
+``random(2 * burst)`` per file and computes every run's byte counts as
+one vector expression; ``run`` and ``run_arrays`` unpack it.  Here each
+op draws its own ``uniform`` read fraction and its own ``random`` write
+coin, in stream order -- the loop the arrays must reproduce op for op.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.workloads.belle2 import AccessOp, Belle2Workload
+
+
+def scalar_run(workload: Belle2Workload, run_index: int) -> list[AccessOp]:
+    """The access stream of run ``run_index``, one draw pair per op."""
+    rng = np.random.default_rng((workload.seed, run_index))
+    lo, hi = workload.burst_range
+    frac_lo, frac_hi = workload.read_fraction_range
+    ops: list[AccessOp] = []
+    for index in workload._files_for_run(run_index):
+        spec = workload.files[index]
+        burst = int(rng.integers(lo, hi + 1))
+        for _ in range(burst):
+            rb = max(1, int(spec.size_bytes * rng.uniform(frac_lo, frac_hi)))
+            wb = 0
+            if rng.random() < workload.write_probability:
+                wb = max(1, int(spec.size_bytes * workload.write_fraction))
+            ops.append(AccessOp(fid=spec.fid, rb=rb, wb=wb))
+    return ops

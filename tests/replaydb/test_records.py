@@ -1,13 +1,32 @@
 """Tests for AccessRecord and MovementRecord validation and properties."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ReplayDBError
-from repro.features.throughput import access_throughput
+from repro.features.throughput import BYTES_PER_GB, access_throughput
+from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord, MovementRecord
+
+#: the record strategy: byte counts and a millisecond-resolution open
+#: time and duration, over the ranges the simulator and EOS traces reach
+TIMED_ACCESS = dict(
+    rb=st.integers(0, 10**15),
+    wb=st.integers(0, 10**15),
+    open_ms=st.integers(0, 2 * 10**12),
+    dur_ms=st.integers(1, 10**7),
+)
+
+
+def timed_fields(rb, wb, open_ms, dur_ms) -> dict:
+    ots, otms = divmod(open_ms, 1000)
+    cts, ctms = divmod(open_ms + dur_ms, 1000)
+    return dict(rb=rb, wb=wb, ots=ots, otms=otms, cts=cts, ctms=ctms)
 
 
 def make_access(**overrides):
@@ -61,6 +80,41 @@ class TestAccessRecord:
         r = make_access()
         with pytest.raises(AttributeError):
             r.rb = 5
+        with pytest.raises(AttributeError):
+            r.throughput = 5.0
+        with pytest.raises(AttributeError):
+            r.note = "no instance dict to put this in"
+        assert not hasattr(r, "__dict__")
+
+    def test_pickle_and_copy_round_trip(self):
+        """Worker processes of the grid experiments receive records
+        pickled; the derived fields travel, nothing is re-validated."""
+        r = make_access(extra={"rt": 1.5})
+        for clone in (
+            pickle.loads(pickle.dumps(r)), copy.deepcopy(r), copy.copy(r),
+        ):
+            assert type(clone) is AccessRecord
+            assert clone == r and clone is not r
+            assert clone.throughput.hex() == r.throughput.hex()
+        assert copy.deepcopy(r).extra is not r.extra
+
+    def test_replace_revalidates_and_rederives(self):
+        """Only ``_trusted`` can yield a record whose throughput disagrees
+        with its fields: the namedtuple routes re-enter the constructor."""
+        r = make_access(rb=1000, wb=0)
+        moved = r._replace(device="tmp", rb=4000)
+        assert (moved.device, moved.rb, moved.path) == ("tmp", 4000, r.path)
+        assert moved.throughput == 4 * r.throughput
+        assert moved.throughput_gbps == moved.throughput / BYTES_PER_GB
+        with pytest.raises(ReplayDBError):
+            r._replace(cts=0)
+        with pytest.raises(TypeError):
+            r._replace(throughput=1.0)
+        with pytest.raises(TypeError):
+            AccessRecord._make(tuple(r))
+        assert AccessRecord._make(tuple(r)[:11]) == r
+        with pytest.raises(ReplayDBError):
+            AccessRecord._make((1, 0, "d", "p", -1, 0, 0, 0, 1, 0))
 
     @given(
         rb=st.integers(0, 10**12),
@@ -72,34 +126,56 @@ class TestAccessRecord:
         r = make_access(rb=rb, wb=wb, ots=0, otms=0, cts=cts, ctms=ctms)
         assert r.throughput >= 0.0
 
-    @given(
-        rb=st.integers(0, 10**15),
-        wb=st.integers(0, 10**15),
-        open_ms=st.integers(0, 2 * 10**12),
-        dur_ms=st.integers(1, 10**7),
-    )
+    @given(**TIMED_ACCESS)
     def test_scalar_throughput_is_the_array_formula_bit_for_bit(
         self, rb, wb, open_ms, dur_ms
     ):
-        """The property's plain float arithmetic and the vectorized
-        ``access_throughput`` (which pre-seeds batched records and
-        derives the training target) agree to the last bit."""
-        ots, otms = divmod(open_ms, 1000)
-        cts, ctms = divmod(open_ms + dur_ms, 1000)
-        fields = dict(rb=rb, wb=wb, ots=ots, otms=otms, cts=cts, ctms=ctms)
+        """The constructor's plain float arithmetic and the vectorized
+        ``access_throughput`` (which derives the training target) agree
+        to the last bit, and ``_trusted`` stores what it is handed."""
+        fields = timed_fields(rb, wb, open_ms, dur_ms)
         scalar = access_throughput(**fields)
         as_array = access_throughput(
             **{name: np.array([value]) for name, value in fields.items()}
         )
         for record in (
             make_access(**fields),
-            AccessRecord._trusted(dict(
-                fid=1, fsid=0, device="d", path="p", extra={}, **fields
+            AccessRecord._trusted((
+                1, 0, "d", "p", *fields.values(), {},
+                float(as_array[0]), float(as_array[0]) / BYTES_PER_GB,
             )),
         ):
             assert type(record.throughput) is float
             assert record.throughput.hex() == scalar.hex()
             assert record.throughput.hex() == float(as_array[0]).hex()
+
+    @given(**TIMED_ACCESS, extra=st.booleans())
+    def test_constructor_trusted_and_stored_records_agree(
+        self, rb, wb, open_ms, dur_ms, extra
+    ):
+        """One type whichever way a record is made: validated, built as
+        a finished tuple, or read back from the ReplayDB."""
+        fields = dict(
+            fid=3, fsid=1, device="file0", path="data/a.root",
+            **timed_fields(rb, wb, open_ms, dur_ms),
+            extra={"rt": rb / 7.0} if extra else {},
+        )
+        built = AccessRecord(**fields)
+        throughput = float(access_throughput(
+            rb, wb, *(fields[name] for name in ("ots", "otms", "cts", "ctms"))
+        ))
+        trusted = AccessRecord._trusted(
+            (*fields.values(), throughput, throughput / BYTES_PER_GB)
+        )
+        assert built._fields[:11] == tuple(fields)
+        for name, ours, theirs in zip(built._fields, built, trusted):
+            assert ours == theirs and type(ours) is type(theirs), name
+            assert getattr(built, name) == ours
+        assert built.throughput.hex() == throughput.hex()
+        with ReplayDB() as db:
+            db.insert_accesses([built, trusted])
+            db.insert_access(built)
+            assert db.recent_accesses(3) == [built, trusted, built]
 
 
 class TestMovementRecord:

@@ -33,6 +33,7 @@ from repro.simulation.interference import (
 from repro.workloads.belle2 import Belle2Workload
 from repro.workloads.files import belle2_file_population
 from repro.workloads.runner import WorkloadRunner
+from tests.oracles.scalar_ops import scalar_run
 from tests.oracles.scalar_runs import (
     ScalarRunner,
     run_chaos_scalar,
@@ -410,11 +411,44 @@ class TestDeviceStatsAggregates:
 
 class TestRunArraysPacking:
     def test_run_arrays_matches_op_list(self):
+        """``run`` and ``run_arrays`` against the op-by-op draw loop."""
         files = belle2_file_population(seed=5)[:30]
-        workload = Belle2Workload(files, seed=6)
-        for index in range(4):
-            fids, rb, wb = workload.run_arrays(index)
-            ops = workload.run(index)
-            assert fids.tolist() == [op.fid for op in ops]
-            assert rb.tolist() == [op.rb for op in ops]
-            assert wb.tolist() == [op.wb for op in ops]
+        for options in (
+            {}, {"selection": "cycle"},
+            {"burst_range": (1, 3), "files_per_run": 7,
+             "write_probability": 0.5},
+        ):
+            workload = Belle2Workload(files, seed=6, **options)
+            for index in range(50):
+                fids, rb, wb = workload.run_arrays(index)
+                ops = scalar_run(workload, index)
+                assert workload.run(index) == ops
+                assert fids.tolist() == [op.fid for op in ops]
+                assert rb.tolist() == [op.rb for op in ops]
+                assert wb.tolist() == [op.wb for op in ops]
+
+    @given(
+        start=st.integers(0, 10**6),
+        count=st.integers(1, 100),
+        files_per_run=st.integers(1, 8),
+        selection=st.sampled_from(("random", "cycle")),
+        burst_range=st.sampled_from(((10, 20), (1, 3), (7, 7))),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_block_of_runs_is_its_runs_concatenated(
+        self, start, count, files_per_run, selection, burst_range
+    ):
+        workload = Belle2Workload(
+            belle2_file_population(seed=5), seed=6,
+            files_per_run=files_per_run, selection=selection,
+            burst_range=burst_range, write_probability=0.3,
+        )
+        *block, counts = workload.runs_arrays(start, count)
+        singles = [
+            workload.run_arrays(index) for index in range(start, start + count)
+        ]
+        assert counts == [len(fids) for fids, _, _ in singles]
+        for column, parts in zip(block, zip(*singles)):
+            joined = np.concatenate(parts)
+            assert column.dtype == joined.dtype == np.int64
+            assert np.array_equal(column, joined)

@@ -9,6 +9,7 @@ from repro.errors import (
     UnknownFileError,
 )
 from repro.features.throughput import access_throughput
+from repro.replaydb.records import AccessRecord
 from repro.simulation.cluster import FileInfo, StorageCluster
 from repro.simulation.device import DeviceSpec, StorageDevice
 from repro.simulation.interference import ConstantLoad
@@ -123,12 +124,14 @@ class TestAccess:
         scalar = cluster.access(1, t=0.0)
         batched = cluster.access_batch([1], 10.0, [0], [0]).records[0]
         for record in (scalar, batched):
-            cached = vars(record)
-            assert cached["throughput"] == access_throughput(
+            assert type(record) is AccessRecord
+            assert record.throughput == access_throughput(
                 record.rb, record.wb, record.ots, record.otms,
                 record.cts, record.ctms,
             )
-            assert cached["throughput_gbps"] == cached["throughput"] / 1e9
+            assert record.throughput_gbps == record.throughput / 1e9
+            # Stored fields, not something computed on first read.
+            assert record[-2:] == (record.throughput, record.throughput_gbps)
 
     def test_explicit_write_access(self, cluster):
         cluster.add_file(1, "a", 2 * GB, "fast")

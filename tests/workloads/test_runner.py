@@ -1,9 +1,12 @@
 """Tests for the workload runner (integration with cluster + ReplayDB)."""
 
+import gc
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.replaydb.db import ReplayDB
+from repro.replaydb.records import AccessRecord
 from repro.simulation.bluesky import make_bluesky_cluster
 from repro.simulation.clock import SimulationClock
 from repro.workloads.belle2 import Belle2Workload
@@ -144,6 +147,42 @@ class TestNoDatabase:
         assert bare.db is None and stored.db is db
         assert bare_state == stored_state
         assert db.recent_accesses(len(stored_state[0])) == stored_state[0]
+
+
+class TestOneObjectPerAccess:
+    """Deterministic stand-ins for a timing threshold: what the ingest
+    path allocates per access, counted instead of clocked."""
+
+    def test_batch_leaves_one_tracked_object_per_record(self, setup):
+        cluster, runner = setup
+        fids, rb, wb, _ = runner.workload.runs_arrays(0, 80)
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            batch = cluster.access_batch(fids, 0.0, rb, wb, think_time_s=0.01)
+            grown = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert len(batch.records) == len(fids) > 4000
+        assert grown <= 1.01 * len(fids)
+        assert not hasattr(batch.records[0], "__dict__")
+
+    def test_run_results_hold_the_objects_the_scan_built(
+        self, setup, monkeypatch
+    ):
+        _, runner = setup
+        built = []
+
+        def spy(cls, fields):
+            built.append(tuple.__new__(cls, fields))
+            return built[-1]
+
+        monkeypatch.setattr(AccessRecord, "_trusted", classmethod(spy))
+        results = [*runner.run_many(5), runner.run_once()]
+        returned = [r for result in results for r in result.records]
+        assert len(returned) == len(built) == runner.total_accesses
+        assert all(ours is scanned for ours, scanned in zip(returned, built))
 
 
 class TestSharedCluster:
