@@ -5,8 +5,8 @@ A checkpoint *generation* is a directory ``gen-{step:08d}`` containing:
 ``state.json``
     every JSON-serializable piece of control-plane state (layout,
     scheduler position, RNG streams, agent counters, ...);
-``replay.db`` (optional)
-    a SQLite snapshot of the ReplayDB taken with the online backup API;
+``replay.npz`` (optional)
+    a snapshot of the ReplayDB (:meth:`~repro.replaydb.db.ReplayDB.snapshot_to`);
 ``model.npz`` (optional)
     the engine's network weights (and optimizer slots) in the
     checksummed :mod:`repro.nn.serialization` format;
@@ -43,9 +43,10 @@ from repro.errors import CheckpointCorruptError, RecoveryError
 
 MANIFEST_NAME = "MANIFEST.json"
 STATE_NAME = "state.json"
-REPLAY_NAME = "replay.db"
+REPLAY_NAME = "replay.npz"
 MODEL_NAME = "model.npz"
-FORMAT_VERSION = 1
+#: 2: the ReplayDB snapshot is an ``.npz`` archive (1 held a SQLite file)
+FORMAT_VERSION = 2
 
 _GEN_PREFIX = "gen-"
 _STAGING_PREFIX = ".staging-"
@@ -120,8 +121,8 @@ class CheckpointManager:
         """Atomically persist one generation; returns its directory.
 
         ``state`` must be JSON-serializable.  ``db`` is a live
-        :class:`~repro.replaydb.db.ReplayDB` (snapshotted via the SQLite
-        backup API); ``model`` a built network saved through
+        :class:`~repro.replaydb.db.ReplayDB` (written by its
+        ``snapshot_to``); ``model`` a built network saved through
         :func:`repro.nn.serialization.save_weights`.
         """
         gen_dir = self.directory / f"{_GEN_PREFIX}{step:08d}"

@@ -20,7 +20,7 @@ constructed (files *not* yet placed) Geomancy + runner pair.
 Model weights and the ReplayDB are deliberately **not** in this dict --
 they are binary artifacts the :class:`~repro.recovery.checkpoint.
 CheckpointManager` stores as separate checksummed files (``model.npz``,
-``replay.db``) next to the JSON state.
+``replay.npz``) next to the JSON state.
 
 This module must stay import-light: it is duck-typed over the Geomancy
 facade (no ``repro.core`` imports at module level) so the recovery

@@ -5,7 +5,8 @@ SQLite database located outside the target system. ... The ReplayDB stores
 new performance data at each action taken by Geomancy, and each action is
 indexed by a timestamp representing the time when Geomancy changed the data
 layout to show an evolution of the data layout and corresponding
-performance."
+performance."  Here the store is in-memory columns (:mod:`repro.replaydb.db`)
+that outlive the process as snapshots.
 """
 
 from repro.replaydb.db import ReplayDB

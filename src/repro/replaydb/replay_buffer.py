@@ -76,24 +76,56 @@ class PrioritizedReplay:
     def max_priority(self) -> float:
         return self._max_priority
 
+    def _slots_of(self, ids: np.ndarray) -> np.ndarray:
+        """The slot holding each id, -1 where none does."""
+        get = self._slot_by_id.get
+        return np.array([get(rowid, -1) for rowid in ids.tolist()], np.int64)
+
     def add(self, ids: list[int] | np.ndarray) -> None:
-        """Admit new rows at maximum priority (oldest entries evicted)."""
-        for rowid in ids:
-            rowid = int(rowid)
-            slot = self._slot_by_id.get(rowid)
-            if slot is None:
-                slot = self._next_slot
-                evicted = self._ids[slot]
-                if self._size == self.capacity and evicted != rowid:
-                    self._slot_by_id.pop(int(evicted), None)
-                self._next_slot = (slot + 1) % self.capacity
-                if self._size < self.capacity:
-                    self._size += 1
-                self._slot_by_id[rowid] = slot
-                self._ids[slot] = rowid
-            self._priorities[slot] = self._max_priority
-            self._inserted[slot] = self._counter
-            self._counter += 1
+        """Admit new rows at maximum priority (oldest entries evicted).
+
+        As if one at a time: a held id is refreshed in place, a new one
+        takes the ring's next slot, evicting its holder.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        while len(ids):
+            ids = ids[self._add_run(ids):]
+
+    def _add_run(self, ids: np.ndarray) -> int:
+        """Admit the longest prefix of ``ids`` in which every id is held
+        throughout or new; returns its length.
+
+        A held id's slot is taken by the new id numbered ``(slot -
+        next_slot) % capacity``, so the prefix stops at the first held id
+        further in than that; and it spans at most one lap of the ring.
+        """
+        slots = self._slots_of(ids)
+        lap = (slots - self._next_slot) % self.capacity
+        unsafe = (slots >= 0) & (np.arange(len(ids)) > lap)
+        stop = int(np.argmax(unsafe)) if unsafe.any() else len(ids)
+        n = min(self.capacity, stop)
+        run, slots = ids[:n], slots[:n]
+        unique, first = np.unique(run, return_index=True)
+        last = n - 1 - np.unique(run[::-1], return_index=True)[1]
+        slot = slots[first]
+        new = np.flatnonzero(slot < 0)
+        new = new[np.argsort(first[new])]  # in arrival order
+        taken = (self._next_slot + np.arange(len(new))) % self.capacity
+        slot[new] = taken
+        for evicted in self._ids[taken[taken < self._size]].tolist():
+            del self._slot_by_id[evicted]
+        self._slot_by_id.update(zip(unique[new].tolist(), taken.tolist()))
+        self._ids[taken] = unique[new]
+        self._priorities[slot] = self._max_priority
+        # A new id lands on a held id's slot only after that id's last
+        # arrival: write the held ids' clocks first.
+        held = np.flatnonzero(slots[first] >= 0)
+        for group in (held, new):
+            self._inserted[slot[group]] = self._counter + last[group]
+        self._counter += n
+        self._next_slot = (self._next_slot + len(new)) % self.capacity
+        self._size = min(self.capacity, self._size + len(new))
+        return n
 
     def _sampling_probabilities(self) -> np.ndarray:
         priorities = self._priorities[: self._size]
@@ -142,16 +174,24 @@ class PrioritizedReplay:
             raise ReplayDBError(
                 f"{len(ids)} ids but {len(errors)} errors"
             )
-        for rowid, error in zip(ids, errors):
-            slot = self._slot_by_id.get(int(rowid))
-            if slot is None:
-                continue
-            priority = abs(float(error)) + epsilon
-            if not np.isfinite(priority):
-                priority = self._max_priority
-            self._priorities[slot] = priority
-            if priority > self._max_priority:
-                self._max_priority = priority
+        slots = self._slots_of(np.asarray(ids, dtype=np.int64))
+        held = slots >= 0
+        slots = slots[held]
+        if not len(slots):
+            return
+        priority = np.abs(np.asarray(errors, dtype=np.float64)[held]) + epsilon
+        finite = np.isfinite(priority)
+        # The ceiling as it stood after each row: a non-finite error takes
+        # it (and leaves it where it was).
+        ceiling = np.maximum(
+            self._max_priority,
+            np.maximum.accumulate(np.where(finite, priority, -np.inf)),
+        )
+        priority = np.where(finite, priority, ceiling)
+        # The last row for a slot wins.
+        last = len(slots) - 1 - np.unique(slots[::-1], return_index=True)[1]
+        self._priorities[slots[last]] = priority[last]
+        self._max_priority = float(ceiling[-1])
 
     # -- checkpointing -----------------------------------------------------
     def state_dict(self) -> dict:

@@ -3,8 +3,9 @@
 Each module here is the readable, slow version of something ``src/``
 now does another way: the per-record feature extraction loops
 (:mod:`tests.oracles.record_features`), the learner's ReplayDB windows
-read as records (:mod:`tests.oracles.record_windows`), its per-file
-reads as SQL (:mod:`tests.oracles.per_file_sql`), the mini-batch
+read as records (:mod:`tests.oracles.record_windows`), the ReplayDB
+itself as SQL (:mod:`tests.oracles.sqlite_replaydb`), the replay
+buffer's row loops (:mod:`tests.oracles.replay_loops`), the mini-batch
 training loop with its allocating Dense step and optimizer updates
 (:mod:`tests.oracles.fit_loop`, :mod:`tests.oracles.minmax`), the
 per-file decision loop (:mod:`tests.oracles.decision_loop`) and the

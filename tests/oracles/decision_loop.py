@@ -1,7 +1,8 @@
 """The per-file decision loop ``DRLEngine.propose_layout`` must match.
 
-One SQL query per file and one model call per recent access of it
--- O(files x probe_samples) forward passes against the engine's one.
+One per-file read (``recent_accesses(limit, fid=)``) and one model call
+per recent access of each file -- O(files x probe_samples) forward passes
+against the engine's one.
 Identical layouts always; gains may differ in the last bit, because BLAS
 picks different kernels for different batch heights.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ModelError
-from tests.oracles.per_file_sql import recent_accesses
 
 
 def ordered_column_sum(matrix: np.ndarray) -> np.ndarray:
@@ -42,7 +42,7 @@ def propose_layout_reference(
     layout: dict[int, str] = {}
     gains: dict[int, float] = {}
     for fid in fids:
-        recent = recent_accesses(db, engine.config.probe_samples, fid)
+        recent = db.recent_accesses(engine.config.probe_samples, fid=fid)
         if not recent:
             continue
         totals = {fsid: 0.0 for fsid in fsids}

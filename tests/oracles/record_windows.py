@@ -1,8 +1,9 @@
 """The learner's ReplayDB windows read as records, then adapted to columns.
 
-``SELECT *``, one validated ``AccessRecord`` per row with its JSON blob
-decoded, then the records -> columns adapter: what the engine did before
-the columnar readers, and what they must reproduce bit for bit.
+Every stored access as one validated ``AccessRecord`` (its extra
+telemetry decoded), the window picked from that list in Python, then the
+records -> columns adapter: what the engine did before the columnar
+readers, and what they must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -11,7 +12,12 @@ import numpy as np
 
 from repro.features.pipeline import record_columns
 from repro.replaydb.db import ReplayDB
-from tests.oracles.per_file_sql import recent_accesses, record_of_table_row
+
+
+def all_records(db: ReplayDB) -> list:
+    """Every access in ``db``, oldest first (row id = index + 1)."""
+    total = db.max_rowid()
+    return db.recent_accesses(total) if total else []
 
 
 class RecordWindows:
@@ -24,18 +30,24 @@ class RecordWindows:
         return getattr(self._db, name)
 
     def access_columns(self, *, limit=None, since=None, ids=None, extra=()):
-        rows = self._db._window_rows("*", limit=limit, since=since, ids=ids)
-        columns = record_columns(
-            [record_of_table_row(row) for row in rows], extra
-        )
-        columns["id"] = np.array([row[0] for row in rows], dtype=np.int64)
+        records = all_records(self._db)
+        if ids is not None:
+            known = range(1, len(records) + 1)
+            chosen = sorted({int(i) for i in ids if int(i) in known})
+        else:
+            chosen = list(range((since or 0) + 1, len(records) + 1))
+            if limit is not None:
+                chosen = chosen[-limit:]
+        columns = record_columns([records[i - 1] for i in chosen], extra)
+        columns["id"] = np.array(chosen, dtype=np.int64)
         return columns
 
     def recent_access_columns_per_file(self, limit, fids, *, extra=()):
-        spans, records = [], []
+        records = all_records(self._db)
+        spans, window = [], []
         for fid in sorted(set(fids)):
-            recent = recent_accesses(self._db, limit, fid)
+            recent = [r for r in records if r.fid == fid][-limit:]
             if recent:
-                spans.append((fid, len(records), len(records) + len(recent)))
-                records.extend(recent)
-        return spans, record_columns(records, extra) if records else {}
+                spans.append((fid, len(window), len(window) + len(recent)))
+                window.extend(recent)
+        return spans, record_columns(window, extra) if window else {}

@@ -121,18 +121,17 @@ class TestCrashRestartResume:
     def test_resumed_run_makes_the_same_per_file_reads(
         self, tmp_path, monkeypatch
     ):
-        """The ReplayDB's per-file state is rebuilt from the restored
-        table, not checkpointed: every decision after the restore must
+        """The ReplayDB's per-file state is folded again from the restored
+        rows, not checkpointed: every decision after the restore must
         read exactly the rows the uninterrupted run read."""
         from repro.errors import SimulatedCrash
         from repro.replaydb.db import ReplayDB
-        from tests.oracles.per_file_sql import assert_same_columns
+        from tests.oracles.sqlite_replaydb import assert_same_columns
 
-        reads, stale_at_read = [], []
+        reads = []
         real = ReplayDB.recent_access_columns_per_file
 
         def recording(db, limit, fids, **kwargs):
-            stale_at_read.append(db._files_stale)
             reads.append(real(db, limit, fids, **kwargs))
             return reads[-1]
 
@@ -143,8 +142,6 @@ class TestCrashRestartResume:
             checkpoint_dir=tmp_path / "whole", checkpoint_every=CADENCE, seed=0
         )
         whole = reads[:]
-        # A database that started empty never rebuilt.
-        assert whole and not any(stale_at_read)
         with pytest.raises(SimulatedCrash):
             run_recoverable(
                 checkpoint_dir=tmp_path / "killed",
@@ -153,13 +150,11 @@ class TestCrashRestartResume:
                 kill_at_run=KILL_AT,
                 kill_point="mid-checkpoint",
             )
-        del reads[:], stale_at_read[:]
+        del reads[:]
         resume_recoverable(tmp_path / "killed")
-        # The first read after the restore rebuilt, none after it did.
-        assert stale_at_read[0] and not any(stale_at_read[1:])
         assert 0 < len(reads) < len(whole)
         for got, want in zip(reads, whole[-len(reads):]):
-            assert_same_columns(got, want)  # exact: rebuilt rows are rows
+            assert_same_columns(got, want)  # exact: refolded rows are rows
 
     def test_fractional_schedule_times_rejected(self, tmp_path):
         from repro.errors import ExperimentError

@@ -1,4 +1,4 @@
-"""Tests for the SQLite ReplayDB."""
+"""Tests for the ReplayDB."""
 
 import pytest
 
@@ -191,11 +191,3 @@ class TestMovements:
         assert len(db.movements()) == 2
         assert [m.fid for m in db.movements(succeeded_only=True)] == [1]
 
-
-class TestPersistence:
-    def test_file_backed_database(self, tmp_path):
-        path = str(tmp_path / "replay.sqlite")
-        with ReplayDB(path) as db:
-            db.insert_access(make_access(t=1))
-        with ReplayDB(path) as db:
-            assert db.access_count() == 1

@@ -3,10 +3,10 @@
 The decision path reads telemetry through explicit file-id subsets,
 answered from per-file state the database folds where rows land.  These
 tests hold ``recent_access_columns_per_file`` against a ``ROW_NUMBER()``
-window scan of the table (the reference): same rows, same ordering, for
-any subset -- including subsets dominated by files that have no
-telemetry at all, which is the common case early in a run over a large
-population -- and hold every warm per-file read to zero queries.
+window scan of the same rows in SQLite (the reference): same rows, same
+ordering, for any subset -- including subsets dominated by files that
+have no telemetry at all, which is the common case early in a run over a
+large population.
 """
 
 import numpy as np
@@ -15,6 +15,7 @@ import pytest
 from repro.errors import ReplayDBError
 from repro.replaydb.db import PROBE_FIELDS, ReplayDB
 from repro.replaydb.records import AccessRecord
+from tests.oracles.sqlite_replaydb import as_sqlite
 
 
 def make_access(fid=1, fsid=0, device="file0", t=100, rb=1000, **overrides):
@@ -29,8 +30,7 @@ def make_access(fid=1, fsid=0, device="file0", t=100, rb=1000, **overrides):
 def window_scan_columns(db, limit):
     """``(spans, columns)`` of every file, from one whole-table scan."""
     fields = ", ".join(PROBE_FIELDS)
-    db._flush_accesses()
-    rows = db._conn.execute(
+    rows = as_sqlite(db)._conn.execute(
         f"SELECT {fields} FROM ("
         f"  SELECT id, {fields}, ROW_NUMBER() OVER "
         "    (PARTITION BY fid ORDER BY id DESC) AS rn"
@@ -137,26 +137,3 @@ class TestPrefilter:
             db.recent_access_columns_per_file(4, fids=range(200)),
             db.recent_access_columns_per_file(4, fids=[0, 1, 2, 5, 8]),
         )
-
-
-class TestWarmReadsRunNoQuery:
-    def test_per_file_reads_execute_no_select(self):
-        """A deterministic guard where a timing threshold would be: once
-        pending rows have landed, no per-file read touches sqlite."""
-        with ReplayDB() as db:
-            db.insert_accesses(
-                make_access(fid=i % 256, t=i + 1) for i in range(3000)
-            )
-            statements = []
-            db._conn.set_trace_callback(statements.append)
-            assert db.files() == list(range(256))
-            # Landing the rows is the only SQL the first read ran.
-            assert sum(s.startswith("INSERT") for s in statements) == 3000
-            assert not any("SELECT" in s for s in statements)
-            del statements[:]
-            spans, columns = db.recent_access_columns_per_file(8, range(256))
-            assert len(spans) == 256 and len(columns["fid"]) == 8 * 256
-            assert len(db.recent_accesses(8, fid=17)) == 8
-            assert sum(db.access_count_per_file().values()) == 3000
-            assert len(db.last_access_time_per_file()) == 256
-            assert statements == []

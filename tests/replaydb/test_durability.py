@@ -1,12 +1,11 @@
-"""Tests for ReplayDB lifecycle, on-disk mode, and snapshots."""
+"""Tests for ReplayDB lifecycle and snapshots."""
 
-from pathlib import Path
-
+import numpy as np
 import pytest
 
 from repro.errors import ReplayDBError
-from repro.replaydb.db import MEMORY, ReplayDB
-from repro.replaydb.records import AccessRecord
+from repro.replaydb.db import ReplayDB
+from repro.replaydb.records import AccessRecord, MovementRecord
 
 
 def _access(fid=0, t=1):
@@ -18,35 +17,9 @@ def _access(fid=0, t=1):
 
 class TestConstruction:
     def test_defaults_to_private_memory(self):
-        db = ReplayDB()
-        assert db.in_memory
-        assert db.path == MEMORY
-
-    def test_accepts_path_object(self, tmp_path):
-        db = ReplayDB(tmp_path / "telemetry.db")
-        assert not db.in_memory
-        assert Path(db.path) == tmp_path / "telemetry.db"
-        db.close()
-
-    def test_on_disk_runs_in_wal_mode(self, tmp_path):
-        db = ReplayDB(tmp_path / "t.db")
-        mode = db._conn.execute("PRAGMA journal_mode").fetchone()[0]
-        assert mode == "wal"
-        db.close()
-
-    @pytest.mark.parametrize("bad", ["", None, 42])
-    def test_invalid_path_rejected(self, bad):
-        with pytest.raises(ReplayDBError, match="path"):
-            ReplayDB(bad)
-
-    def test_on_disk_persists_across_processes_handles(self, tmp_path):
-        path = tmp_path / "t.db"
-        first = ReplayDB(path)
+        first, second = ReplayDB(), ReplayDB()
         first.insert_access(_access())
-        first.close()
-        second = ReplayDB(path)
-        assert second.access_count() == 1
-        second.close()
+        assert (first.access_count(), second.access_count()) == (1, 0)
 
 
 class TestClose:
@@ -62,8 +35,8 @@ class TestClose:
         db.close()
         assert db.closed
 
-    def test_context_manager_closes(self, tmp_path):
-        with ReplayDB(tmp_path / "t.db") as db:
+    def test_context_manager_closes(self):
+        with ReplayDB() as db:
             db.insert_access(_access())
         assert db.closed
 
@@ -95,6 +68,41 @@ class TestSnapshots:
     def test_missing_snapshot_raises(self, tmp_path):
         with pytest.raises(ReplayDBError, match="no snapshot"):
             ReplayDB().load_snapshot(tmp_path / "nope.db")
+
+    def test_snapshot_round_trips_every_table(self, tmp_path):
+        db = ReplayDB()
+        db.insert_accesses([_access(0, 1), _access(1, 2)])
+        db.insert_access(_access(0, 3)._replace(extra={"rt": 0.5}))
+        db.insert_movements([
+            MovementRecord(4.0, 0, "ssd", "hdd", 100, 0.5),
+            MovementRecord(5.0, 1, "ssd", "hdd", 7, 0.25, succeeded=False,
+                           trace_id="cmd:3"),
+        ])
+        restored = ReplayDB.from_snapshot(db.snapshot_to(tmp_path / "s"))
+        assert restored.recent_accesses(3) == db.recent_accesses(3)
+        assert restored.movements() == db.movements()
+        assert restored.access_count_per_file() == {0: 2, 1: 1}
+        assert [p.name for p in tmp_path.iterdir()] == ["s"]
+
+    @pytest.mark.parametrize("damage", ["truncated", "foreign", "npy"])
+    def test_damaged_snapshot_raises(self, tmp_path, damage):
+        db = ReplayDB()
+        db.insert_access(_access())
+        snap = db.snapshot_to(tmp_path / "snap.npz")
+        if damage == "truncated":
+            snap.write_bytes(snap.read_bytes()[:200])
+        elif damage == "foreign":
+            snap.write_text("SQLite format 3\0 not a snapshot")
+        else:
+            with open(snap, "wb") as handle:
+                np.save(handle, np.arange(3))
+        with pytest.raises(ReplayDBError, match="restoring snapshot"):
+            ReplayDB.from_snapshot(snap)
+        # A failed load leaves the database as it was.
+        db.insert_access(_access(1, 5))
+        with pytest.raises(ReplayDBError):
+            db.load_snapshot(snap)
+        assert db.access_count() == 2 and db.files() == [0, 1]
 
     def test_snapshot_of_closed_db_raises(self, tmp_path):
         db = ReplayDB()

@@ -1,4 +1,4 @@
-"""Extra-telemetry persistence through the ReplayDB (JSON column)."""
+"""Extra-telemetry persistence through the ReplayDB."""
 
 import pytest
 from hypothesis import given, settings

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReplayDBError
 from repro.replaydb.replay_buffer import PrioritizedReplay
+from tests.oracles import replay_loops
 
 
 class TestValidation:
@@ -130,3 +133,46 @@ class TestState:
         a.add(range(1, 9))
         with pytest.raises(ReplayDBError):
             PrioritizedReplay(4).load_state_dict(a.state_dict())
+
+
+#: one buffer operation: re-adds, duplicates and ring laps in ``add``;
+#: unknown ids, duplicates and non-finite errors in ``update``
+OPERATION = st.one_of(
+    st.tuples(st.just("add"), st.lists(st.integers(1, 30), max_size=25)),
+    st.tuples(st.just("sample"), st.integers(1, 8)),
+    st.tuples(
+        st.just("update"),
+        st.lists(
+            st.tuples(
+                st.integers(0, 32),
+                st.floats(-5.0, 5.0) | st.sampled_from(
+                    [float("nan"), float("inf"), -float("inf")]
+                ),
+            ),
+            max_size=12,
+        ),
+    ),
+)
+
+
+class TestLoopOracle:
+    @given(capacity=st.integers(1, 12), operations=st.lists(OPERATION))
+    @settings(max_examples=200, deadline=None)
+    def test_state_equals_the_row_loops(self, capacity, operations):
+        """The vectorized methods leave the state the row-at-a-time
+        loops (``tests/oracles/replay_loops.py``) leave."""
+        ours, theirs = PrioritizedReplay(capacity), PrioritizedReplay(capacity)
+        for kind, arg in operations:
+            if kind == "add":
+                ours.add(arg)
+                replay_loops.add(theirs, arg)
+            elif kind == "update":
+                ids = [rowid for rowid, _ in arg]
+                errors = [error for _, error in arg]
+                ours.update_priorities(ids, errors)
+                replay_loops.update_priorities(theirs, ids, errors)
+            else:
+                for got, want in zip(ours.sample(arg), theirs.sample(arg)):
+                    assert np.array_equal(got, want)
+            assert ours.state_dict() == theirs.state_dict()
+            assert ours._slot_by_id == theirs._slot_by_id
