@@ -42,9 +42,9 @@ PAIR_COLUMNS = (
 
 
 def measure_in_checkout(checkout: str, workload: str, seed: str,
-                        seconds: str) -> int:
+                        seconds: str, options: str = "{}") -> int:
     """Child mode (``--measure``): one ``measure()`` of ``checkout``, as
-    JSON on stdout."""
+    JSON on stdout; ``options`` are more ``measure()`` keywords, as JSON."""
     sys.path.insert(0, str(Path(checkout) / "benchmarks" / "e2e"))
     # One BLAS thread, as run.py's own entry point pins it.
     for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -53,15 +53,21 @@ def measure_in_checkout(checkout: str, workload: str, seed: str,
     import run  # the checkout's own benchmarks/e2e/run.py
 
     length = float(seconds) / run.load_contract()["run_seconds"]
-    record = run.measure(workload, int(seed), length, twin=False)
+    record = run.measure(
+        workload, int(seed), length, **{"twin": False, **json.loads(options)}
+    )
     print(json.dumps(record, default=str))
     return 0
 
 
-def measure(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def measure(checkout: Path, workload: str, seed: int, seconds: float,
+            **options) -> dict:
+    """One ``measure()`` of ``checkout`` in a child started there;
+    ``options`` (JSON-able) go to that ``measure()``."""
     done = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--measure",
-         str(checkout), workload, str(seed), str(seconds)],
+         str(checkout), workload, str(seed), str(seconds),
+         json.dumps(options)],
         cwd=checkout, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
         text=True, check=True,
     )
@@ -105,7 +111,7 @@ def verdict(metric: dict, parent: list[float], change: list[float]) -> dict:
 
 def main() -> int:
     if sys.argv[1:2] == ["--measure"]:
-        return measure_in_checkout(*sys.argv[2:6])
+        return measure_in_checkout(*sys.argv[2:7])
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent")
     parser.add_argument("change", type=Path, help="checkout of the change")

@@ -45,6 +45,9 @@ REPLAY_CAPACITY = 20_000
 #: other low bits), and the remainder joins the last block (a short block
 #: of its own changes bits): the blocks then equal one whole-tensor gemm.
 PROBE_BLOCK_ROWS = 4096
+#: On a cluster with more candidate locations than this, each file is
+#: scored against the best-observed devices only, plus its own.
+PROBE_TOP_DEVICES = 8
 
 
 def _spearman(a: list[float], b: list[float]) -> float:
@@ -219,9 +222,6 @@ class DRLEngine:
             "repro_nn_predictions_total",
             "probe rows scored by forward passes",
         )
-        self._h_train = metrics.histogram(
-            "repro_nn_train_seconds", "wall seconds per training cycle"
-        )
         self._g_test_mare = metrics.gauge(
             "repro_nn_test_mare_percent",
             "held-out mean absolute relative error of the latest training",
@@ -335,11 +335,14 @@ class DRLEngine:
                 adjustment_mae=self.adjuster.mae,
                 adjustment_sign=self.adjuster.sign,
             )
+        return self._finish(report)
+
+    def _finish(self, report: TrainingReport) -> TrainingReport:
+        """Keep ``report`` as the latest cycle's and publish its metrics."""
         self.last_report = report
         self._m_trainings.inc()
-        self._m_train_rows.inc(samples)
-        self._h_train.observe(elapsed)
-        self._h_engine_train.observe(elapsed)
+        self._m_train_rows.inc(report.samples)
+        self._h_engine_train.observe(report.train_seconds)
         self._g_test_mare.set(report.test_mare)
         self._g_skillful.set(1.0 if report.skillful else 0.0)
         return report
@@ -545,14 +548,7 @@ class DRLEngine:
                 replayed_rows=n_replayed,
                 drift_detected=drift,
             )
-        self.last_report = report
-        self._m_trainings.inc()
-        self._m_train_rows.inc(report.samples)
-        self._h_train.observe(elapsed)
-        self._h_engine_train.observe(elapsed)
-        self._g_test_mare.set(report.test_mare)
-        self._g_skillful.set(1.0 if report.skillful else 0.0)
-        return report
+        return self._finish(report)
 
     # -- checkpointing -----------------------------------------------------
     def state_dict(self) -> dict:
@@ -661,17 +657,58 @@ class DRLEngine:
             for block in range(n_blocks):
                 start = block * step
                 stop = n_bases if block == n_blocks - 1 else start + step
-                probe = self.pipeline.build_location_probe_block(
-                    bases[start:stop], locations
-                )
-                throughput = self.pipeline.inverse_transform_target(
-                    self.model.predict(probe).ravel()
-                )
-                if self.config.adjust_predictions:
-                    throughput = self.adjuster.adjust(throughput)
-                scores[start:stop] = throughput.reshape(-1, n_fsids)
-        self._m_predictions.inc(n_bases * n_fsids)
+                scores[start:stop] = self._throughput(
+                    self.pipeline.build_location_probe_block(
+                        bases[start:stop], locations
+                    )
+                ).reshape(-1, n_fsids)
         return scores
+
+    def _throughput(self, probe: np.ndarray) -> np.ndarray:
+        """Predicted (adjusted) throughput in bytes/s of each probe row."""
+        throughput = self.pipeline.inverse_transform_target(
+            self.model.predict(probe).ravel()
+        )
+        if self.config.adjust_predictions:
+            throughput = self.adjuster.adjust(throughput)
+        self._m_predictions.inc(len(probe))
+        return throughput
+
+    def _probe_devices(
+        self, db: ReplayDB, device_by_fsid: dict[int, str]
+    ) -> list[int]:
+        """The candidate fsids every file is scored against, ascending: all
+        up to :data:`PROBE_TOP_DEVICES`, else that many in ReplayDB ranking
+        order (devices without telemetry last, by fsid)."""
+        fsids = sorted(device_by_fsid)
+        if len(fsids) > PROBE_TOP_DEVICES:
+            rank = {
+                name: i for i, (name, _) in
+                enumerate(db.device_throughput_ranking())
+            }
+            fsids.sort(key=lambda f: rank.get(device_by_fsid[f], len(rank)))
+        return sorted(fsids[:PROBE_TOP_DEVICES])
+
+    def _score_stays(
+        self, raw: np.ndarray, spans, unprobed: set[int]
+    ) -> np.ndarray:
+        """Each raw base's score at its file's current device where that
+        is ``unprobed`` (NaN elsewhere; ``spans``: ``(start, stop, fsid)``
+        of ``raw``), so "the possibility that moving the data will not
+        improve the performance" (section V-C) is always on the menu."""
+        stays = np.full(len(raw), np.nan)
+        for start, stop, fsid in spans:
+            if fsid in unprobed:
+                stays[start:stop] = fsid
+        away = np.flatnonzero(~np.isnan(stays))
+        if len(away):
+            with self.obs.span("model_predict", rows=len(away)):
+                stays[away] = self._throughput(
+                    self.pipeline.build_location_probe_rows(
+                        raw[away], stays[away]
+                    )
+                )
+        return stays
 
     def _gather_probe_bases(
         self, db: ReplayDB, fids: list[int]
@@ -784,15 +821,15 @@ class DRLEngine:
         One ReplayDB read fetches every file's recent accesses, the
         streamed scorer (:meth:`_score_locations`) scores every (file,
         access, location) probe, and one ordered reduction averages each
-        file's rows.  The readable per-file specification it must match
-        bit for bit is ``tests/oracles/decision_loop.py``.
+        file's rows.  A file's menu is :meth:`_probe_devices` plus its own
+        device (:meth:`_score_stays`).  The readable per-file
+        specification it must match is ``tests/oracles/decision_loop.py``.
         """
         if not self.trained:
             raise ModelError("engine must be trained before predicting")
         if not device_by_fsid:
             raise ModelError("no candidate locations supplied")
         with self.obs.span("propose_layout", files=len(fids)):
-            fsids = sorted(device_by_fsid)
             per_fid, raw = self._gather_probe_bases(db, fids)
             layout: dict[int, str] = {}
             gains: dict[int, float] = {}
@@ -806,18 +843,27 @@ class DRLEngine:
                 np.array(column) for column in
                 zip(*(per_fid[fid] for fid in probed))
             )
+            fsids = self._probe_devices(db, device_by_fsid)
+            unprobed = set(device_by_fsid).difference(fsids)
+            grid = self._score_locations(raw, fsids)
+            if unprobed:
+                grid = np.column_stack((
+                    grid, self._score_stays(raw, per_fid.values(), unprobed)
+                ))
             # Average the per-location scores over several recent
             # accesses: a single access's features carry noise (burst
             # position, request size) that would otherwise whipsaw
             # placements.
-            means = _ordered_span_sums(
-                self._score_locations(raw, fsids), starts, stops
-            ) / (stops - starts)[:, None]
+            means = _ordered_span_sums(grid, starts, stops) / (
+                stops - starts
+            )[:, None]
             chosen_scores: list[float] = []
             for fid, current_fsid, row in zip(
                 probed, currents.tolist(), means.tolist()
             ):
                 scores = dict(zip(fsids, row))
+                if current_fsid in unprobed:
+                    scores[current_fsid] = row[-1]
                 best, gain = self._choose_placement(scores, current_fsid)
                 layout[fid] = device_by_fsid[best]
                 gains[fid] = gain

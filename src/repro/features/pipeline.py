@@ -331,32 +331,6 @@ class FeaturePipeline:
         return self.transform_features(columns), self.transform_target(columns)
 
     # -- per-location probe batches ------------------------------------------
-    def build_location_probe(
-        self, base: "AccessRecord", fsids: Sequence[int]
-    ) -> np.ndarray:
-        """One normalized row per candidate location, for one access.
-
-        The one-base case of :meth:`build_location_probe_batch`.
-        """
-        return self.build_location_probe_batch([base], fsids)
-
-    def build_location_probe_batch(
-        self, bases: "Telemetry", fsids: Sequence[int]
-    ) -> np.ndarray:
-        """Every (base access, candidate location) probe row in one array.
-
-        Row ``i * len(fsids) + j`` replicates base access ``i``'s features
-        with only the ``fsid`` column varying, set to ``fsids[j]`` --
-        including the file's current location so "the possibility that
-        moving the data will not improve the performance" is always on
-        the menu (section V-C).  The engine never holds this array for a
-        whole decision epoch: it builds the same rows a block of bases at
-        a time from :meth:`build_location_probe_parts`.
-        """
-        return self.build_location_probe_block(
-            *self.build_location_probe_parts(self.feature_matrix(bases), fsids)
-        )
-
     def build_location_probe_parts(
         self, raw: np.ndarray, fsids: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -396,6 +370,16 @@ class FeaturePipeline:
         probe[:, self.features.index("fsid")] = np.tile(locations, len(bases))
         self._m_probe_rows.inc(len(probe))
         return probe
+
+    def build_location_probe_rows(
+        self, raw: np.ndarray, fsids: np.ndarray
+    ) -> np.ndarray:
+        """Normalized ``raw`` with row ``i``'s ``fsid`` set to ``fsids[i]``:
+        one probe row per base, each at its own location."""
+        rows = raw.copy()
+        rows[:, self.features.index("fsid")] = fsids
+        self._m_probe_rows.inc(len(rows))
+        return self._x_norm.transform(rows)
 
     def _require_fitted(self) -> None:
         if not self.fitted:

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import engine as engine_module
 from repro.core.engine import PROBE_BLOCK_ROWS
 from repro.observability import Observability
 from tests.core.test_engine_batched import engine_and_db
 from tests.oracles.decision_loop import propose_layout_reference
+from tests.oracles.probe_grid import location_probe_batch
 
 RTOL = 1e-9
 ATOL = 1e-9
@@ -33,6 +35,13 @@ single_threaded_blas = pytest.mark.skipif(
 @pytest.fixture(scope="module")
 def engine_db():
     return engine_and_db(1)
+
+
+@pytest.fixture
+def full_grid(monkeypatch):
+    """Every candidate on every file's menu, however many there are: the
+    probe these tests stream is the whole ``bases x locations`` grid."""
+    monkeypatch.setattr(engine_module, "PROBE_TOP_DEVICES", 10**6)
 
 
 def bases_per_block(n_fsids):
@@ -53,7 +62,7 @@ def random_bases(db, n_bases, seed):
 
 def one_shot_scores(engine, bases, fsids):
     """What the parent computed: one probe tensor, one forward pass."""
-    probe = engine.pipeline.build_location_probe_batch(bases, fsids)
+    probe = location_probe_batch(engine.pipeline, bases, fsids)
     assert len(probe) == len(bases["fsid"]) * len(fsids)
     throughput = engine.pipeline.inverse_transform_target(
         engine.model.predict(probe).ravel()
@@ -103,6 +112,7 @@ class TestBlocksEqualWholeTensor:
 
 
 class TestNeverMaterialised:
+    @pytest.mark.usefixtures("full_grid")
     def test_peak_allocation_is_one_block(self):
         """256 files x 8 samples x 32 devices: 65,536 probe rows whose
         first hidden layer alone is 42 MB as one tensor."""
@@ -151,6 +161,7 @@ class TestRaggedSpansAgainstReference:
                 expected[key], rel=RTOL, abs=ATOL
             )
 
+    @pytest.mark.usefixtures("full_grid")
     def test_spans_cross_block_boundaries(self, ragged):
         engine, db = ragged
         devices = {k: f"dev{k}" for k in range(1, 513)}
@@ -199,6 +210,7 @@ class TestRaggedSpansAgainstReference:
 
 
 class TestCountersAndSpans:
+    @pytest.mark.usefixtures("full_grid")
     def test_totals_are_the_whole_probe_and_one_span_per_call(self):
         obs = Observability()
         engine, db = engine_and_db(

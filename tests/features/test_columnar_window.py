@@ -25,6 +25,7 @@ from tests.oracles.record_features import (
     record_feature_matrix,
     record_target_vector,
 )
+from tests.oracles.probe_grid import location_probe_batch
 
 FEATURE_SETS = (
     DEFAULT_LIVE_FEATURES,
@@ -248,8 +249,8 @@ class TestColumnsMatchRecordLoops:
         assert by_records.state_dict() == by_columns.state_dict()
         bases = spread_db.access_columns(limit=32)
         assert np.array_equal(
-            by_columns.build_location_probe_batch(bases, [1, 2, 3]),
-            by_records.build_location_probe_batch(records[-32:], [1, 2, 3]),
+            location_probe_batch(by_columns, bases, [1, 2, 3]),
+            location_probe_batch(by_records, records[-32:], [1, 2, 3]),
         )
 
     def test_running_normalization_partial_fit(self, spread_db):

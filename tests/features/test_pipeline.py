@@ -10,6 +10,7 @@ from repro.features.pipeline import (
     make_windows,
 )
 from repro.replaydb.records import AccessRecord
+from tests.oracles.probe_grid import location_probe_batch
 
 
 def make_records(n=60, n_files=4, n_devices=3):
@@ -77,7 +78,7 @@ class TestPipelineConstruction:
         pipeline = FeaturePipeline(features=("rb", "wb"))
         pipeline.fit(make_records())
         with pytest.raises(FeatureError, match="fsid"):
-            pipeline.build_location_probe(make_records()[0], [0, 1])
+            location_probe_batch(pipeline, [make_records()[0]], [0, 1])
 
     def test_empty_features_rejected(self):
         with pytest.raises(FeatureError):
@@ -137,13 +138,15 @@ class TestLocationProbe:
     def test_one_row_per_candidate(self, records):
         pipeline = FeaturePipeline()
         pipeline.fit(records)
-        probe = pipeline.build_location_probe(records[0], [0, 1, 2, 3, 4])
+        probe = location_probe_batch(
+            pipeline, [records[0]], [0, 1, 2, 3, 4]
+        )
         assert probe.shape == (5, 6)
 
     def test_only_fsid_column_varies(self, records):
         pipeline = FeaturePipeline()
         pipeline.fit(records)
-        probe = pipeline.build_location_probe(records[0], [0, 1, 2])
+        probe = location_probe_batch(pipeline, [records[0]], [0, 1, 2])
         fsid_col = pipeline.features.index("fsid")
         other_cols = [i for i in range(6) if i != fsid_col]
         for col in other_cols:
@@ -154,18 +157,18 @@ class TestLocationProbe:
         pipeline = FeaturePipeline()
         pipeline.fit(records)
         base = records[0]
-        probe = pipeline.build_location_probe(base, [base.fsid, 99])
+        probe = location_probe_batch(pipeline, [base], [base.fsid, 99])
         assert probe.shape[0] == 2
 
     def test_empty_candidates_raise(self, records):
         pipeline = FeaturePipeline()
         pipeline.fit(records)
         with pytest.raises(FeatureError):
-            pipeline.build_location_probe(records[0], [])
+            location_probe_batch(pipeline, [records[0]], [])
 
     def test_probe_before_fit_raises(self, records):
         with pytest.raises(FeatureError):
-            FeaturePipeline().build_location_probe(records[0], [0, 1])
+            location_probe_batch(FeaturePipeline(), [records[0]], [0, 1])
 
 
 class TestBatchedProbe:
@@ -175,10 +178,10 @@ class TestBatchedProbe:
         pipeline.fit(records)
         bases = records[:7]
         fsids = [0, 1, 2]
-        batch = pipeline.build_location_probe_batch(bases, fsids)
+        batch = location_probe_batch(pipeline, bases, fsids)
         assert batch.shape == (len(bases) * len(fsids), pipeline.z)
         expected = np.vstack(
-            [pipeline.build_location_probe(base, fsids) for base in bases]
+            [location_probe_batch(pipeline, [base], fsids) for base in bases]
         )
         assert np.array_equal(batch, expected)
 
@@ -186,19 +189,19 @@ class TestBatchedProbe:
         pipeline = FeaturePipeline()
         pipeline.fit(records)
         with pytest.raises(FeatureError):
-            pipeline.build_location_probe_batch([], [0, 1])
+            location_probe_batch(pipeline, [], [0, 1])
 
     def test_empty_candidates_raise(self, records):
         pipeline = FeaturePipeline()
         pipeline.fit(records)
         with pytest.raises(FeatureError):
-            pipeline.build_location_probe_batch(records[:2], [])
+            location_probe_batch(pipeline, records[:2], [])
 
     def test_fsid_feature_required(self, records):
         pipeline = FeaturePipeline(features=("rb", "wb"))
         pipeline.fit(records)
         with pytest.raises(FeatureError, match="fsid"):
-            pipeline.build_location_probe_batch(records[:2], [0, 1])
+            location_probe_batch(pipeline, records[:2], [0, 1])
 
 
 class TestColumnarFeatures:

@@ -38,7 +38,7 @@ class TestMetricsCoverage:
         text = Path(result.artifacts["metrics"]).read_text()
         assert text == result.prometheus
         assert "# TYPE repro_engine_ticks_total counter" in text
-        assert "# TYPE repro_nn_train_seconds histogram" in text
+        assert "# TYPE repro_engine_train_seconds histogram" in text
         # every sample line is "name[{labels}] value"
         for line in text.strip().splitlines():
             if line.startswith("#"):

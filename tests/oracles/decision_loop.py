@@ -2,7 +2,9 @@
 
 One per-file read (``recent_accesses(limit, fid=)``) and one model call
 per recent access of each file -- O(files x probe_samples) forward passes
-against the engine's one.
+against the engine's one.  Each file is scored against the same menu:
+every candidate on a cluster of at most ``PROBE_TOP_DEVICES``, otherwise
+the best-ranked ones plus the file's own device.
 Identical layouts always; gains may differ in the last bit, because BLAS
 picks different kernels for different batch heights.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import engine as engine_module
 from repro.errors import ModelError
 
 
@@ -34,26 +37,50 @@ def propose_layout_reference(
     """``(layout, gains)`` as ``engine.propose_layout`` returns them.
 
     A ``candidates`` dict is filled as the engine fills its
-    ``last_candidates``: fid -> every location's mean score.
+    ``last_candidates``: fid -> every menu location's mean score.
     """
     if not device_by_fsid:
         raise ModelError("no candidate locations supplied")
-    fsids = sorted(device_by_fsid)
+    top = top_devices(db, device_by_fsid)
     layout: dict[int, str] = {}
     gains: dict[int, float] = {}
     for fid in fids:
         recent = db.recent_accesses(engine.config.probe_samples, fid=fid)
         if not recent:
             continue
-        totals = {fsid: 0.0 for fsid in fsids}
+        current = recent[-1].fsid
+        menu = list(top)
+        if current in device_by_fsid and current not in top:
+            menu.append(current)
+        totals = {fsid: 0.0 for fsid in menu}
         for base in recent:
-            row = engine.predict_throughput_matrix([base], fsids)[0]
-            for fsid, score in zip(fsids, row):
+            row = engine.predict_throughput_matrix([base], menu)[0]
+            for fsid, score in zip(menu, row):
                 totals[fsid] += float(score)
         scores = {fsid: total / len(recent) for fsid, total in totals.items()}
-        best, gain = engine._choose_placement(scores, recent[-1].fsid)
+        best, gain = engine._choose_placement(scores, current)
         layout[fid] = device_by_fsid[best]
         gains[fid] = gain
         if candidates is not None:
             candidates[fid] = scores
     return layout, gains
+
+
+def top_devices(db, device_by_fsid: dict[int, str]) -> list[int]:
+    """The candidates every file is scored against, ascending by fsid.
+
+    All of them up to ``PROBE_TOP_DEVICES``; beyond, that many taken from
+    the ReplayDB's fastest-first device ranking, then (devices with no
+    telemetry) by fsid.
+    """
+    k = engine_module.PROBE_TOP_DEVICES
+    fsids = sorted(device_by_fsid)
+    if len(fsids) <= k:
+        return fsids
+    ranked = [
+        fsid
+        for device, _ in db.device_throughput_ranking()
+        for fsid in fsids if device_by_fsid[fsid] == device
+    ]
+    unranked = [fsid for fsid in fsids if fsid not in ranked]
+    return sorted((ranked + unranked)[:k])
