@@ -14,9 +14,10 @@ import pathlib
 
 import pytest
 
-# Fingerprints (``BENCH_scale.json``) and timing gates hold per BLAS kernel
-# configuration; pin the one ``tests/conftest.py`` and ``benchmarks/e2e/
-# run.py`` pin, before numpy first loads OpenBLAS.
+# The bench gates' bit-for-bit twins (observability on vs off, resumed vs
+# uninterrupted, parallel vs serial cells) and their timing thresholds hold
+# per BLAS kernel configuration; pin the one ``tests/conftest.py`` and
+# ``benchmarks/e2e/run.py`` pin, before numpy first loads OpenBLAS.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"

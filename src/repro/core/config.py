@@ -2,9 +2,10 @@
 
 Defaults follow the paper's live experiment: Table-I model 1, the six live
 features, 12,000 training rows, 200 epochs of plain SGD, a moving-average
-smoothing window, 10% random exploration, data movement every 5 workload
-runs, and at most 14 files moved at once ("On average, Geomancy moves
-between 1-14 files in one movement").
+smoothing window, 10% random exploration and data movement every 5
+workload runs.  What the paper fixes as part of the method rather than
+the experiment (the 8-access probe, the 14-file movement cap, the SGD
+batch) is a constant or default of the code that reads it, not a field.
 """
 
 from __future__ import annotations
@@ -19,29 +20,19 @@ from repro.nn.model_zoo import ARCHITECTURES, is_recurrent
 
 @dataclass
 class GeomancyConfig:
-    """All Geomancy tunables in one place."""
+    """The Geomancy tunables a caller sets."""
 
     model_number: int = 1
     features: tuple[str, ...] = field(default=DEFAULT_LIVE_FEATURES)
     training_rows: int = 12_000
     epochs: int = 200
-    batch_size: int = 32
     learning_rate: float = 0.2
     optimizer: str = "sgd"
     smoothing_window: int = 50
-    #: window length for the recurrent Table-I models
-    timesteps: int = 8
-    #: recent accesses per file averaged in the per-location probe
-    probe_samples: int = 8
     exploration_rate: float = 0.10
     cooldown_runs: int = 5
-    max_files_per_move: int = 14
     #: apply the section V-G MAE-sign adjustment to predictions
     adjust_predictions: bool = True
-    #: continue training the existing weights each cycle ("re-trains a
-    #: neural network using the most recent values") instead of
-    #: reinitializing; warm starts accumulate skill across cycles
-    warm_start: bool = True
     #: act only on cycles whose model out-predicts a constant baseline
     #: (skip the layout otherwise; see TrainingReport.skillful)
     require_skill: bool = True
@@ -56,18 +47,6 @@ class GeomancyConfig:
     #: estimated transfer (the section X future-work gap model,
     #: implemented by repro.core.scheduler.AccessGapScheduler)
     use_gap_scheduler: bool = False
-    #: how many times a failed file move is retried before giving up
-    #: (0 disables retries)
-    max_move_retries: int = 3
-    #: base delay before the first retry; doubles per attempt
-    retry_backoff_s: float = 5.0
-    #: cap on the exponential retry backoff
-    retry_backoff_max_s: float = 300.0
-    #: spread retry delays with seeded full jitter (uniform over the
-    #: capped backoff window) so overload bursts cannot synchronize
-    #: failed moves into a retry storm; off by default so ordinary runs
-    #: stay bit-for-bit identical to the deterministic schedule
-    retry_jitter: bool = False
     #: -- overload & QoS (repro.agents.qos / Transport) -------------------
     #: telemetry transport queue capacity in messages (0 = unbounded, the
     #: legacy behaviour); bounded queues shed per ``queue_shed_policy``
@@ -90,12 +69,6 @@ class GeomancyConfig:
     dead_letter_capacity: int = 0
     #: JSONL path the dead-letter ring persists to (None = memory only)
     dead_letter_path: str | None = None
-    #: consecutive failed moves toward one device before the circuit
-    #: breaker quarantines it from new placements
-    quarantine_threshold: int = 3
-    #: how long a quarantined device is off-limits before one probe move
-    #: is allowed through again
-    quarantine_duration_s: float = 600.0
     #: modeling target: "throughput" (the paper's live system) or
     #: "latency" (the sensitivity the paper defers to future work)
     target: str = "throughput"
@@ -121,21 +94,6 @@ class GeomancyConfig:
     #: (plus prioritized replay) instead of from scratch on the window;
     #: keeps decision-epoch cost flat as ReplayDB grows
     online_learning: bool = False
-    #: SGD epochs per incremental update (vs ``epochs`` from scratch)
-    online_epochs: int = 8
-    #: most recent new rows consumed per incremental update (burst bound)
-    online_max_new_rows: int = 2_048
-    #: replayed history rows mixed into each incremental update
-    replay_sample_rows: int = 256
-    #: frozen-weight snapshot cadence in incremental updates (0 disables);
-    #: the guardrail rolls back to the newest snapshot on loss explosion
-    target_snapshot_every: int = 10
-    #: Page-Hinkley detection threshold on the cumulative statistic
-    drift_threshold: float = 1.0
-    #: incremental cycles before the drift detector may fire
-    drift_min_cycles: int = 8
-    #: online_epochs multiplier for the re-adaptation burst after drift
-    drift_burst_multiplier: int = 4
     #: -- causal tracing / provenance (repro.observability.provenance) ----
     #: stamp trace ids on telemetry batches, layout commands and movement
     #: records and resolve every message's fate through a CausalContext;
@@ -164,10 +122,6 @@ class GeomancyConfig:
             )
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
         if self.learning_rate <= 0:
             raise ConfigurationError(
                 f"learning_rate must be positive, got {self.learning_rate}"
@@ -175,14 +129,6 @@ class GeomancyConfig:
         if self.smoothing_window < 1:
             raise ConfigurationError(
                 f"smoothing_window must be >= 1, got {self.smoothing_window}"
-            )
-        if self.timesteps < 1:
-            raise ConfigurationError(
-                f"timesteps must be >= 1, got {self.timesteps}"
-            )
-        if self.probe_samples < 1:
-            raise ConfigurationError(
-                f"probe_samples must be >= 1, got {self.probe_samples}"
             )
         if not 0.0 <= self.exploration_rate <= 1.0:
             raise ConfigurationError(
@@ -192,10 +138,6 @@ class GeomancyConfig:
             raise ConfigurationError(
                 f"cooldown_runs must be >= 1, got {self.cooldown_runs}"
             )
-        if self.max_files_per_move < 1:
-            raise ConfigurationError(
-                f"max_files_per_move must be >= 1, got {self.max_files_per_move}"
-            )
         if self.max_actionable_mare <= 0:
             raise ConfigurationError(
                 f"max_actionable_mare must be positive, "
@@ -204,19 +146,6 @@ class GeomancyConfig:
         if self.target not in ("throughput", "latency"):
             raise ConfigurationError(
                 f"target must be 'throughput' or 'latency', got {self.target!r}"
-            )
-        if self.max_move_retries < 0:
-            raise ConfigurationError(
-                f"max_move_retries must be >= 0, got {self.max_move_retries}"
-            )
-        if self.retry_backoff_s <= 0:
-            raise ConfigurationError(
-                f"retry_backoff_s must be positive, got {self.retry_backoff_s}"
-            )
-        if self.retry_backoff_max_s < self.retry_backoff_s:
-            raise ConfigurationError(
-                f"retry_backoff_max_s must be >= retry_backoff_s, "
-                f"got {self.retry_backoff_max_s} < {self.retry_backoff_s}"
             )
         if self.telemetry_queue_capacity < 0:
             raise ConfigurationError(
@@ -254,16 +183,6 @@ class GeomancyConfig:
                 f"dead_letter_capacity must be >= 0, "
                 f"got {self.dead_letter_capacity}"
             )
-        if self.quarantine_threshold < 1:
-            raise ConfigurationError(
-                f"quarantine_threshold must be >= 1, "
-                f"got {self.quarantine_threshold}"
-            )
-        if self.quarantine_duration_s <= 0:
-            raise ConfigurationError(
-                f"quarantine_duration_s must be positive, "
-                f"got {self.quarantine_duration_s}"
-            )
         if self.guardrail_window < 1:
             raise ConfigurationError(
                 f"guardrail_window must be >= 1, got {self.guardrail_window}"
@@ -294,38 +213,6 @@ class GeomancyConfig:
                 "only; recurrent windows need contiguous chronology that "
                 f"replay mixing breaks (model {self.model_number} is "
                 "recurrent)"
-            )
-        if self.online_epochs < 1:
-            raise ConfigurationError(
-                f"online_epochs must be >= 1, got {self.online_epochs}"
-            )
-        if self.online_max_new_rows < 1:
-            raise ConfigurationError(
-                f"online_max_new_rows must be >= 1, "
-                f"got {self.online_max_new_rows}"
-            )
-        if self.replay_sample_rows < 0:
-            raise ConfigurationError(
-                f"replay_sample_rows must be >= 0, "
-                f"got {self.replay_sample_rows}"
-            )
-        if self.target_snapshot_every < 0:
-            raise ConfigurationError(
-                f"target_snapshot_every must be >= 0, "
-                f"got {self.target_snapshot_every}"
-            )
-        if self.drift_threshold <= 0:
-            raise ConfigurationError(
-                f"drift_threshold must be positive, got {self.drift_threshold}"
-            )
-        if self.drift_min_cycles < 1:
-            raise ConfigurationError(
-                f"drift_min_cycles must be >= 1, got {self.drift_min_cycles}"
-            )
-        if self.drift_burst_multiplier < 1:
-            raise ConfigurationError(
-                f"drift_burst_multiplier must be >= 1, "
-                f"got {self.drift_burst_multiplier}"
             )
         if self.provenance_enabled and not self.causal_tracing_enabled:
             raise ConfigurationError(

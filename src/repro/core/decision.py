@@ -18,7 +18,12 @@ from dataclasses import dataclass, field
 from repro.core.action_checker import ActionChecker
 from repro.core.config import GeomancyConfig
 from repro.core.engine import DRLEngine, TrainingReport
-from repro.core.layout import as_layout, cap_moves, layout_diff
+from repro.core.layout import (
+    MAX_FILES_PER_MOVE,
+    as_layout,
+    cap_moves,
+    layout_diff,
+)
 from repro.core.scheduler import AccessGapScheduler
 from repro.observability import Observability
 from repro.replaydb.db import ReplayDB
@@ -123,9 +128,7 @@ class DecisionPath:
             with engine.obs.span("action_check", proposals=len(proposal)):
                 checked = self.checker.check(proposal, valid_devices, current)
                 changes = cap_moves(
-                    layout_diff(current, checked),
-                    config.max_files_per_move,
-                    gains,
+                    layout_diff(current, checked), MAX_FILES_PER_MOVE, gains
                 )
             if self.gap_scheduler is not None:
                 # Section X extension: only move files whose observed

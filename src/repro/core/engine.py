@@ -48,6 +48,21 @@ PROBE_BLOCK_ROWS = 4096
 #: On a cluster with more candidate locations than this, each file is
 #: scored against the best-observed devices only, plus its own.
 PROBE_TOP_DEVICES = 8
+#: recent accesses per file whose probe scores are averaged (section V-C)
+PROBE_SAMPLES = 8
+#: window length for the recurrent Table-I models
+TIMESTEPS = 8
+#: SGD epochs per incremental update (``config.epochs`` from scratch)
+ONLINE_EPOCHS = 8
+#: most recent new rows consumed per incremental update (burst bound)
+ONLINE_MAX_NEW_ROWS = 2_048
+#: replayed history rows mixed into each incremental update
+REPLAY_SAMPLE_ROWS = 256
+#: incremental updates between frozen weight copies, which the guardrail
+#: rolls back to on loss explosion
+FREEZE_EVERY = 10
+#: ONLINE_EPOCHS multiplier for the re-adaptation burst after drift
+DRIFT_BURST_MULTIPLIER = 4
 
 
 def _spearman(a: list[float], b: list[float]) -> float:
@@ -114,7 +129,7 @@ class TrainingReport:
     adjustment_mae: float
     adjustment_sign: int
     #: "scratch" (full-window retrain) or "incremental" (online update);
-    #: defaults keep reports from older checkpoints loadable
+    #: the defaults below are what a scratch cycle reports
     mode: str = "scratch"
     #: telemetry rows newly consumed this cycle (incremental mode)
     new_rows: int = 0
@@ -165,7 +180,9 @@ class DRLEngine:
         #: latency targets (paper V-C future work) lower is better
         self._maximize = self.config.target == "throughput"
         self._recurrent = is_recurrent(self.config.model_number)
-        self.model = self._fresh_model()
+        self.model = build_model(
+            self.config.model_number, self.config.z, seed=self.config.seed
+        )
         self.adjuster = PredictionAdjuster()
         self.last_report: TrainingReport | None = None
         # -- decision provenance capture (off unless the causal layer asks) --
@@ -202,10 +219,7 @@ class DRLEngine:
             self.replay = PrioritizedReplay(
                 REPLAY_CAPACITY, seed=self.config.seed
             )
-            self.drift_detector = PageHinkley(
-                threshold=self.config.drift_threshold,
-                min_samples=self.config.drift_min_cycles,
-            )
+            self.drift_detector = PageHinkley()
         metrics = self.obs.metrics
         self._m_train_rows = metrics.counter(
             "repro_engine_train_rows_total",
@@ -229,11 +243,6 @@ class DRLEngine:
         self._g_skillful = metrics.gauge(
             "repro_nn_skillful",
             "1 when the latest model out-predicts the constant baseline",
-        )
-
-    def _fresh_model(self):
-        return build_model(
-            self.config.model_number, self.config.z, seed=self.config.seed
         )
 
     @property
@@ -283,10 +292,8 @@ class DRLEngine:
                 if self.capture_provenance:
                     self.last_feature_digest = _digest(x)
                 if self._recurrent:
-                    x, y = make_windows(x, y, self.config.timesteps)
+                    x, y = make_windows(x, y, TIMESTEPS)
                 xt, yt, xv, yv, xs, ys = train_val_test_split(x, y)
-            if not (self.config.warm_start and self.trained):
-                self.model = self._fresh_model()
             optimizer = get_optimizer(
                 self.config.optimizer, learning_rate=self.config.learning_rate
             )
@@ -295,7 +302,6 @@ class DRLEngine:
                 history = self.model.fit(
                     xt, yt,
                     epochs=self.config.epochs,
-                    batch_size=self.config.batch_size,
                     optimizer=optimizer,
                 )
             elapsed = time.perf_counter() - start
@@ -369,18 +375,16 @@ class DRLEngine:
             self._freeze_weights_if_due()
 
     def _freeze_weights_if_due(self) -> None:
-        """Every ``target_snapshot_every`` updates (and at the base epoch,
+        """Every :data:`FREEZE_EVERY` updates (and at the base epoch,
         update 0), replace the frozen copy with the live weights."""
-        every = self.config.target_snapshot_every
-        if every > 0 and self._updates % every == 0:
+        if self._updates % FREEZE_EVERY == 0:
             self._frozen = (self._updates, self.model.parameter_vector())
 
     def rollback_weights(self) -> int | None:
         """Restore the frozen weight copy into the live model.
 
         The guardrail's loss-explosion hook: returns the step the copy was
-        taken at, or ``None`` when freezing is disabled
-        (``target_snapshot_every=0``) or nothing was frozen yet.
+        taken at, or ``None`` when nothing was frozen yet.
         """
         if self._frozen is None or not self.model.built:
             return None
@@ -428,7 +432,7 @@ class DRLEngine:
             return report
         with self.obs.span("train_incremental"):
             fresh = self._telemetry(
-                db, since=self._hwm, limit=self.config.online_max_new_rows
+                db, since=self._hwm, limit=ONLINE_MAX_NEW_ROWS
             )
             ids = fresh["id"]
             if not len(ids):
@@ -470,9 +474,9 @@ class DRLEngine:
             self.pipeline.partial_fit(fresh)
             replay_ids = np.empty(0, dtype=np.int64)
             replay_weights = np.empty(0, dtype=np.float64)
-            if self.config.replay_sample_rows > 0 and len(self.replay):
+            if len(self.replay):
                 replay_ids, replay_weights = self.replay.sample(
-                    self.config.replay_sample_rows
+                    REPLAY_SAMPLE_ROWS
                 )
                 order = np.argsort(replay_ids)
                 replay_ids = replay_ids[order]
@@ -499,9 +503,7 @@ class DRLEngine:
             y = self.pipeline.transform_target(window)
             if self.capture_provenance:
                 self.last_feature_digest = _digest(x)
-            epochs = self.config.online_epochs * (
-                self.config.drift_burst_multiplier if drift else 1
-            )
+            epochs = ONLINE_EPOCHS * (DRIFT_BURST_MULTIPLIER if drift else 1)
             optimizer = get_optimizer(
                 self.config.optimizer, learning_rate=self.config.learning_rate
             )
@@ -509,7 +511,6 @@ class DRLEngine:
                 history = self.model.fit(
                     x, y,
                     epochs=epochs,
-                    batch_size=self.config.batch_size,
                     optimizer=optimizer,
                     sample_weight=weights,
                 )
@@ -720,7 +721,7 @@ class DRLEngine:
         span into ``raw``; ``raw`` is None when none has.
         """
         spans, columns = db.recent_access_columns_per_file(
-            self.config.probe_samples, fids,
+            PROBE_SAMPLES, fids,
             extra=self.pipeline.extra_features,
         )
         if not spans:

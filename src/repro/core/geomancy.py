@@ -26,6 +26,7 @@ from repro.agents.transport import Transport
 from repro.core.config import GeomancyConfig
 from repro.core.decision import NO_DEVICES, DecisionPath
 from repro.core.engine import TrainingReport
+from repro.core.layout import MAX_FILES_PER_MOVE
 from repro.core.scheduler import CooldownScheduler
 from repro.errors import AgentError, ConfigurationError
 from repro.faults.health import HealthTracker
@@ -141,18 +142,9 @@ class Geomancy:
             name: MonitoringAgent(name, self.telemetry)
             for name in cluster.device_names
         }
-        self.health = HealthTracker(
-            quarantine_threshold=self.config.quarantine_threshold,
-            quarantine_duration_s=self.config.quarantine_duration_s,
-        )
+        self.health = HealthTracker()
         self.control = ControlAgent(
-            cluster,
-            max_move_retries=self.config.max_move_retries,
-            retry_backoff_s=self.config.retry_backoff_s,
-            retry_backoff_max_s=self.config.retry_backoff_max_s,
-            retry_jitter=self.config.retry_jitter,
-            seed=self.config.seed,
-            health=self.health,
+            cluster, seed=self.config.seed, health=self.health
         )
         #: the gate sequence from ReplayDB to layout, with its engine and
         #: Action Checker
@@ -426,7 +418,7 @@ class Geomancy:
         }
         layout: dict[int, str] = {}
         for info in sorted(stranded, key=lambda i: i.fid):
-            if len(layout) >= self.config.max_files_per_move:
+            if len(layout) >= MAX_FILES_PER_MOVE:
                 break
             target = min(sorted(free), key=lambda n: (-free[n], n))
             if free[target] < info.size_bytes:

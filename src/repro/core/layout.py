@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 from repro.errors import PolicyError
 
+#: most files one movement may move ("between 1-14 files in one movement")
+MAX_FILES_PER_MOVE = 14
+
 
 @dataclass(frozen=True)
 class LayoutChange:

@@ -45,8 +45,9 @@ MANIFEST_NAME = "MANIFEST.json"
 STATE_NAME = "state.json"
 REPLAY_NAME = "replay.npz"
 MODEL_NAME = "model.npz"
-#: 2: the ReplayDB snapshot is an ``.npz`` archive (1 held a SQLite file)
-FORMAT_VERSION = 2
+#: 2: the ReplayDB snapshot is an ``.npz`` archive (1 held a SQLite file);
+#: 3: the saved config has no method constants (2's has 18 more fields)
+FORMAT_VERSION = 3
 
 _GEN_PREFIX = "gen-"
 _STAGING_PREFIX = ".staging-"

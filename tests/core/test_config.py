@@ -3,9 +3,12 @@
 import pytest
 
 from repro.core.config import GeomancyConfig
+from repro.core.geomancy import Geomancy
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.recoverable import run_recoverable
 from repro.recovery.checkpoint import CheckpointManager
+from repro.simulation.bluesky import make_bluesky_cluster
+from repro.workloads.files import belle2_file_population
 
 
 class TestDefaults:
@@ -18,7 +21,6 @@ class TestDefaults:
         assert config.optimizer == "sgd"
         assert config.exploration_rate == 0.10
         assert config.cooldown_runs == 5
-        assert config.max_files_per_move == 14
 
     def test_z_follows_features(self):
         config = GeomancyConfig(features=("rb", "wb", "fsid"))
@@ -34,32 +36,24 @@ class TestValidation:
             {"features": ()},
             {"training_rows": 5},
             {"epochs": 0},
-            {"batch_size": 0},
             {"learning_rate": 0.0},
             {"smoothing_window": 0},
-            {"timesteps": 0},
             {"exploration_rate": -0.1},
             {"exploration_rate": 1.5},
             {"cooldown_runs": 0},
-            {"max_files_per_move": 0},
-            {"max_move_retries": -1},
-            {"retry_backoff_s": 0.0},
-            {"quarantine_threshold": 0},
-            {"quarantine_duration_s": 0.0},
+            {"max_actionable_mare": 0.0},
+            {"telemetry_queue_capacity": -1},
+            {"queue_shed_policy": "drop-random"},
+            {"admission_rate_records_s": 0.0},
+            {"admission_burst_records": 0},
+            {"admission_tenant_rates": (("b2", 0.0),)},
+            {"dead_letter_capacity": -1},
+            {"provenance_enabled": True},
         ],
     )
-    def test_invalid_rejected(self, kwargs, tmp_path):
-        # Checkpoint cadence and retention left the config for the
-        # harness that consumes them; each is rejected where it is read.
-        if "checkpoint_every" in kwargs:
-            with pytest.raises(ReproError, match="checkpoint_every"):
-                run_recoverable(checkpoint_dir=tmp_path, **kwargs)
-        elif "keep" in kwargs:
-            with pytest.raises(ReproError, match="keep"):
-                CheckpointManager(tmp_path, **kwargs)
-        else:
-            with pytest.raises(ConfigurationError):
-                GeomancyConfig(**kwargs)
+    def test_invalid_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            GeomancyConfig(**kwargs)
 
     def test_all_model_numbers_accepted(self):
         for number in range(1, 24):
@@ -81,13 +75,22 @@ class TestExtensionKnobs:
 
 class TestResilienceKnobs:
     def test_defaults(self):
-        config = GeomancyConfig()
-        assert config.max_move_retries == 3
-        assert config.retry_backoff_s == 5.0
-        assert config.quarantine_threshold == 3
-
-    def test_zero_retries_allowed(self):
-        assert GeomancyConfig(max_move_retries=0).max_move_retries == 0
+        """The facade's control agent and circuit breaker run on their own
+        defaults: 3 retries from 5 s up to 300 s without jitter, and a
+        600 s quarantine after 3 consecutive failures."""
+        geo = Geomancy(
+            make_bluesky_cluster(seed=0), belle2_file_population(seed=0),
+            GeomancyConfig(),
+        )
+        control, health = geo.control, geo.health
+        assert control.health is health
+        assert (
+            control.max_move_retries, control.retry_backoff_s,
+            control.retry_backoff_max_s, control.retry_jitter,
+        ) == (3, 5.0, 300.0, False)
+        assert (health.quarantine_threshold, health.quarantine_duration_s) == (
+            3, 600.0,
+        )
 
 
 class TestRecoveryKnobs:

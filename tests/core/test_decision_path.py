@@ -27,7 +27,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 def quick_config(**overrides):
     base = dict(
-        epochs=10, training_rows=800, batch_size=64, smoothing_window=20,
+        epochs=10, training_rows=800, smoothing_window=20,
         cooldown_runs=5, seed=0, exploration_rate=0.0,
         require_skill=False, require_ranking_sanity=False,
     )

@@ -37,8 +37,7 @@ def synthetic_records(n=400, n_devices=3, seed=0):
 
 def small_config(**overrides):
     base = dict(
-        epochs=60, training_rows=400, batch_size=32,
-        smoothing_window=5, learning_rate=0.05, seed=1,
+        epochs=60, training_rows=400, smoothing_window=5, learning_rate=0.05, seed=1,
     )
     base.update(overrides)
     return GeomancyConfig(**base)
@@ -86,20 +85,12 @@ class TestTraining:
             engine.train_on_records(synthetic_records(5))
 
     def test_recurrent_model_trains(self):
-        engine = DRLEngine(small_config(model_number=14, timesteps=4, epochs=20))
+        engine = DRLEngine(small_config(model_number=14, epochs=20))
         report = engine.train_on_records(synthetic_records(200))
         assert report.epochs == 20
 
-    def test_retraining_without_warm_start_resets_model(self):
-        engine = DRLEngine(small_config(epochs=5, warm_start=False))
-        records = synthetic_records(100)
-        engine.train_on_records(records)
-        first = engine.model
-        engine.train_on_records(records)
-        assert engine.model is not first
-
     def test_warm_start_keeps_model_instance(self):
-        engine = DRLEngine(small_config(epochs=5, warm_start=True))
+        engine = DRLEngine(small_config(epochs=5))
         records = synthetic_records(100)
         engine.train_on_records(records)
         first = engine.model
@@ -107,7 +98,7 @@ class TestTraining:
         assert engine.model is first
 
     def test_warm_start_freezes_normalization(self):
-        engine = DRLEngine(small_config(epochs=5, warm_start=True))
+        engine = DRLEngine(small_config(epochs=5))
         records = synthetic_records(100)
         engine.train_on_records(records)
         norm_min = engine.pipeline._x_norm._min.copy()

@@ -44,11 +44,9 @@ def engine_and_db(
         model_number=model_number,
         epochs=8,
         training_rows=400,
-        batch_size=32,
         smoothing_window=5,
         learning_rate=0.05,
         seed=1,
-        probe_samples=6,
     )
     params.update(overrides)
     config = GeomancyConfig(**params)
@@ -183,7 +181,7 @@ class TestColumnarFastPath:
         config = GeomancyConfig(
             features=("rb", "wb", "fsid", "rt"),
             model_number=1, epochs=3, training_rows=150,
-            smoothing_window=5, seed=1, probe_samples=4,
+            smoothing_window=5, seed=1,
         )
         db = ReplayDB()
         db.insert_accesses(records)

@@ -12,6 +12,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.core.config import GeomancyConfig
+from repro.core.drift import PageHinkley
 from repro.core.engine import DRLEngine, _digest
 from repro.features.normalize import MinMaxNormalizer
 from repro.features.schema import EOS_MODEL_FEATURES
@@ -38,8 +39,8 @@ def report_fields(report) -> dict:
 
 def scratch_config(**overrides) -> GeomancyConfig:
     base = dict(
-        epochs=8, training_rows=400, batch_size=32, smoothing_window=5,
-        learning_rate=0.05, seed=1, probe_samples=4,
+        epochs=8, training_rows=400, smoothing_window=5,
+        learning_rate=0.05, seed=1,
     )
     base.update(overrides)
     return GeomancyConfig(**base)
@@ -55,22 +56,15 @@ def db():
 def reference_loop_engine(config: GeomancyConfig) -> DRLEngine:
     """An engine on the original training loop (feed it ``RecordWindows``)."""
     engine = DRLEngine(config)
-    fresh_model = engine._fresh_model
+    model = engine.model
 
-    def fresh_model_on_reference_loop():
-        model = fresh_model()
+    def fit(x, y, *, optimizer, **kwargs):
+        return reference_fit(
+            model, x, y,
+            optimizer=ReferenceSGD(optimizer.learning_rate), **kwargs,
+        )
 
-        def fit(x, y, *, optimizer, **kwargs):
-            return reference_fit(
-                model, x, y,
-                optimizer=ReferenceSGD(optimizer.learning_rate), **kwargs,
-            )
-
-        model.fit = fit
-        return model
-
-    engine._fresh_model = fresh_model_on_reference_loop
-    engine.model = fresh_model_on_reference_loop()
+    model.fit = fit
     return engine
 
 
@@ -121,7 +115,7 @@ class TestTrainMatchesTrainOnRecords:
         assert weights_equal(lean, reference)
 
     def test_recurrent_model_windows(self, db):
-        config = scratch_config(model_number=13, timesteps=4, epochs=3)
+        config = scratch_config(model_number=13, epochs=3)
         by_columns, by_records = DRLEngine(config), DRLEngine(config)
         a = by_columns.train(db)
         b = by_records.train_on_records(
@@ -156,11 +150,10 @@ class TestTrainMatchesTrainOnRecords:
 class TestOnlineCycles:
     def test_twenty_two_incremental_cycles(self, db):
         """Columns + lean step vs record readers + the original loop."""
-        config = make_config(
-            training_rows=400, drift_threshold=0.2, drift_min_cycles=2,
-            drift_burst_multiplier=3, target_snapshot_every=0,
-        )
+        config = make_config()
         lean, reference = DRLEngine(config), reference_loop_engine(config)
+        for engine in (lean, reference):
+            engine.drift_detector = PageHinkley(threshold=0.2, min_samples=2)
         lean.capture_provenance = reference.capture_provenance = True
         t = 1_600_010_000
         modes, drifts = [], 0
@@ -231,9 +224,7 @@ class TestNoRecordIsMaterialised:
 
     def test_online_decision_epochs(self, cases, no_records):
         for db, features, fresh, device_by_fsid in cases:
-            engine = DRLEngine(
-                make_config(target_snapshot_every=0, **features)
-            )
+            engine = DRLEngine(make_config(**features))
             engine.train_incremental(db)
             for batch in fresh:
                 db.insert_accesses(batch)

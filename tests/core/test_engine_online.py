@@ -4,7 +4,9 @@ replay mixing, drift bursts, snapshots, checkpointing, telemetry."""
 import numpy as np
 import pytest
 
+from repro.core import engine as engine_module
 from repro.core.config import GeomancyConfig
+from repro.core.drift import PageHinkley
 from repro.core.engine import DRLEngine
 from repro.errors import ConfigurationError, ModelError
 from repro.nn.serialization import _weight_arrays, load_weights, save_weights
@@ -19,15 +21,10 @@ def make_config(**overrides):
         model_number=1,
         epochs=6,
         training_rows=400,
-        batch_size=32,
         smoothing_window=5,
         learning_rate=0.05,
         seed=3,
-        probe_samples=4,
         online_learning=True,
-        online_epochs=3,
-        online_max_new_rows=256,
-        replay_sample_rows=64,
     )
     base.update(overrides)
     return GeomancyConfig(**base)
@@ -144,8 +141,8 @@ class TestLayoutQuality:
         records = synthetic_decision_records(rows=1000 + 3 * burst, seed=0)
         device_by_fsid = {k: f"dev{k}" for k in range(1, locations + 1)}
         shared = dict(
-            model_number=1, epochs=10, batch_size=32, smoothing_window=5,
-            learning_rate=0.05, seed=1, probe_samples=8,
+            model_number=1, epochs=10, smoothing_window=5,
+            learning_rate=0.05, seed=1,
         )
 
         def quality(layout):
@@ -156,8 +153,6 @@ class TestLayoutQuality:
             db.insert_accesses(records[:1000])
             online = DRLEngine(GeomancyConfig(
                 **shared, training_rows=1000, online_learning=True,
-                online_epochs=8, online_max_new_rows=burst,
-                replay_sample_rows=256,
             ))
             online.train_incremental(db)
             for lo in range(1000, len(records), burst):
@@ -187,7 +182,7 @@ class TestIncrementalCycle:
         report = engine.train_incremental(db)
         assert report.mode == "incremental"
         assert report.new_rows == 100
-        assert 0 < report.replayed_rows <= 64
+        assert 0 < report.replayed_rows <= engine_module.REPLAY_SAMPLE_ROWS
         assert report.samples == report.new_rows + report.replayed_rows
         assert engine._hwm == db.max_rowid()
 
@@ -197,8 +192,9 @@ class TestIncrementalCycle:
         again = engine.train_incremental(db)
         assert again is first
 
-    def test_burst_bound_caps_consumed_rows(self, db):
-        engine = DRLEngine(make_config(online_max_new_rows=50))
+    def test_burst_bound_caps_consumed_rows(self, db, monkeypatch):
+        monkeypatch.setattr(engine_module, "ONLINE_MAX_NEW_ROWS", 50)
+        engine = DRLEngine(make_config())
         engine.train_incremental(db)
         db.insert_accesses(
             shifted_records(300, seed=2, start_t=1_600_010_000)
@@ -208,28 +204,12 @@ class TestIncrementalCycle:
         # Skipped older rows are never revisited: cursor is at the head.
         assert engine._hwm == db.max_rowid()
 
-    def test_replay_disabled_when_sample_rows_zero(self, db):
-        engine = DRLEngine(make_config(replay_sample_rows=0))
-        engine.train_incremental(db)
-        db.insert_accesses(
-            shifted_records(80, seed=3, start_t=1_600_010_000)
-        )
-        report = engine.train_incremental(db)
-        assert report.replayed_rows == 0
-        assert report.samples == 80
-
 
 class TestDrift:
     def test_distribution_shift_detected_with_burst(self):
         obs = Observability()
-        engine = DRLEngine(
-            make_config(
-                drift_threshold=0.2,
-                drift_min_cycles=2,
-                drift_burst_multiplier=4,
-            ),
-            obs=obs,
-        )
+        engine = DRLEngine(make_config(), obs=obs)
+        engine.drift_detector = PageHinkley(threshold=0.2, min_samples=2)
         db = ReplayDB()
         t = 1_600_000_000
         # Bootstrap and stationary cycles draw from the same generator,
@@ -258,15 +238,16 @@ class TestDrift:
         fired = [r for r in drift_reports if r.drift_detected]
         assert fired
         # The re-adaptation burst multiplied the epoch budget.
-        assert fired[0].epochs > 3
+        assert fired[0].epochs > engine_module.ONLINE_EPOCHS
         events = obs.bus.of_kind("drift-detected")
         assert events
         assert events[0].detail["mean_relative_error"] > 0
 
 
 class TestSnapshotsAndRollback:
-    def test_periodic_snapshots_and_rollback(self, db):
-        engine = DRLEngine(make_config(target_snapshot_every=2))
+    def test_periodic_snapshots_and_rollback(self, db, monkeypatch):
+        monkeypatch.setattr(engine_module, "FREEZE_EVERY", 2)
+        engine = DRLEngine(make_config())
         engine.train_incremental(db)
         t = 1_600_010_000
         for i in range(2):
@@ -287,8 +268,9 @@ class TestSnapshotsAndRollback:
                 np.testing.assert_array_equal(restored[key], frozen[key])
 
     def test_rollback_without_snapshots_is_none(self, db):
-        engine = DRLEngine(make_config(target_snapshot_every=0))
-        engine.train_incremental(db)
+        # A from-scratch fit builds the model but freezes nothing.
+        engine = DRLEngine(make_config())
+        engine.train(db)
         assert engine.rollback_weights() is None
 
 
@@ -326,11 +308,12 @@ class TestWeightsStayViewsOfTheFlatVector:
     updates them: a detached array would make training a silent no-op."""
 
     def test_cold_start_checkpoint_round_trip_and_rollback(
-        self, db, tmp_path
+        self, db, tmp_path, monkeypatch
     ):
-        config = make_config(target_snapshot_every=1)
+        monkeypatch.setattr(engine_module, "FREEZE_EVERY", 1)
+        config = make_config()
         a = DRLEngine(config)
-        a.train_incremental(db)  # cold start: _fresh_model() + a full fit
+        a.train_incremental(db)  # cold start: a full fit
         assert_homed(a.model)
 
         save_weights(a.model, tmp_path / "w.npz")

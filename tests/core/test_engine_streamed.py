@@ -117,7 +117,7 @@ class TestNeverMaterialised:
         """256 files x 8 samples x 32 devices: 65,536 probe rows whose
         first hidden layer alone is 42 MB as one tensor."""
         engine, db = engine_and_db(
-            1, files=256, locations=32, rows=6000, probe_samples=8
+            1, files=256, locations=32, rows=6000
         )
         fids = db.files()
         devices = {k: f"dev{k}" for k in range(1, 33)}
@@ -137,9 +137,13 @@ class TestRaggedSpansAgainstReference:
     """512 candidate locations put 16 bases in a block, so 6-row spans
     straddle block boundaries all along the probe."""
 
+    @pytest.fixture(autouse=True)
+    def six_samples(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "PROBE_SAMPLES", 6)
+
     @pytest.fixture(scope="class")
     def ragged(self):
-        engine, db = engine_and_db(1, files=24, rows=150, probe_samples=6)
+        engine, db = engine_and_db(1, files=24, rows=150)
         counts = [
             len(db.recent_accesses(6, fid=fid)) for fid in db.files()
         ]
@@ -214,7 +218,7 @@ class TestCountersAndSpans:
     def test_totals_are_the_whole_probe_and_one_span_per_call(self):
         obs = Observability()
         engine, db = engine_and_db(
-            1, files=64, rows=1200, probe_samples=8, obs=obs
+            1, files=64, rows=1200, obs=obs
         )
         devices = {k: f"dev{k}" for k in range(1, 513)}
         _, raw = engine._gather_probe_bases(db, db.files())

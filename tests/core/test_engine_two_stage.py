@@ -45,7 +45,7 @@ def scaled():
     runner.run_many(80)
     engine = DRLEngine(GeomancyConfig(
         model_number=1, epochs=5, training_rows=1500, seed=0,
-        probe_samples=8, features=("rb", "wb", "otms", "fid", "fsid"),
+        features=("rb", "wb", "otms", "fid", "fsid"),
     ))
     engine.train(db)
     devices = {
@@ -145,7 +145,7 @@ class TestThirtyTwoDevices:
             fid for fid in db.files()
             if db.recent_accesses(1, fid=fid)[0].fsid not in top
         )
-        recent = db.recent_accesses(engine.config.probe_samples, fid=fid)
+        recent = db.recent_accesses(engine_module.PROBE_SAMPLES, fid=fid)
         current = recent[-1].fsid
         engine.capture_provenance = True
         try:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import GeomancyConfig
 from repro.core.geomancy import Geomancy
+from repro.core.layout import MAX_FILES_PER_MOVE
 from repro.errors import AgentError, ConfigurationError
 from repro.simulation.bluesky import make_bluesky_cluster
 from repro.workloads.belle2 import Belle2Workload
@@ -15,7 +16,7 @@ def quick_config(**overrides):
     # Gates off by default: these tests exercise the decision-loop
     # mechanics at a scale where the model has no real skill.
     base = dict(
-        epochs=10, training_rows=800, batch_size=64,
+        epochs=10, training_rows=800,
         smoothing_window=20, cooldown_runs=5, seed=0,
         require_skill=False, require_ranking_sanity=False,
     )
@@ -98,7 +99,7 @@ class TestDecisionLoop:
         assert outcome.trained
         assert outcome.training is not None
         # Moves (if any) must respect the per-movement cap.
-        assert outcome.moved_files <= geo.config.max_files_per_move
+        assert outcome.moved_files <= MAX_FILES_PER_MOVE
 
     def test_movements_recorded_in_db(self, setup):
         _, geo, runner = setup
@@ -174,11 +175,7 @@ class TestGapScheduler:
             geo.after_run(run, runner.clock.now)
         # Bursty back-to-back re-reads leave no gap large enough for a
         # multi-hundred-MB transfer, so movements are rare or absent.
-        untuned = Geomancy(
-            make_bluesky_cluster(seed=0), files,
-            quick_config(require_skill=False),
-        )
-        assert geo.total_moves <= untuned.config.max_files_per_move
+        assert geo.total_moves <= MAX_FILES_PER_MOVE
 
 
 class TestQosWiring:

@@ -23,7 +23,7 @@ COOLDOWN = 3
 
 def guarded(**overrides):
     params = dict(
-        epochs=10, training_rows=800, batch_size=64, smoothing_window=20,
+        epochs=10, training_rows=800, smoothing_window=20,
         cooldown_runs=1, seed=0, require_skill=False,
         require_ranking_sanity=False, exploration_rate=0.0,
         guardrail_enabled=True, guardrail_cooldown_runs=COOLDOWN,

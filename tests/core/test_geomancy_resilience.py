@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import geomancy as geomancy_module
 from repro.core.config import GeomancyConfig
 from repro.core.action_checker import ActionChecker
 from repro.core.geomancy import Geomancy
@@ -19,7 +20,7 @@ GB = 10**9
 
 def quick_config(**overrides):
     base = dict(
-        epochs=10, training_rows=800, batch_size=64,
+        epochs=10, training_rows=800,
         smoothing_window=20, cooldown_runs=1, seed=0,
         require_skill=False, require_ranking_sanity=False,
         exploration_rate=0.0,
@@ -116,9 +117,9 @@ class TestStrandedRescue:
         for move in outcome.movements:
             assert move.dst_device != "file0"
 
-    def test_rescue_waves_respect_the_move_cap(self, setup):
+    def test_rescue_waves_respect_the_move_cap(self, setup, monkeypatch):
         cluster, geo, runner = setup
-        geo.config = quick_config(max_files_per_move=2)
+        monkeypatch.setattr(geomancy_module, "MAX_FILES_PER_MOVE", 2)
         warm_up(geo, runner)
         cluster.set_device_online("file0", False)
         assert len(cluster.files_stranded()) > 2

@@ -310,7 +310,7 @@ def test_sequential_adds_no_public_method():
     }
     assert public == {
         "build", "parameter_count", "predict", "fit", "evaluate",
-        # the engine's frozen copy: one call per ``target_snapshot_every``
+        # the engine's frozen copy: one call per ``FREEZE_EVERY``
         # updates, one per rollback
         "parameter_vector", "set_parameter_vector",
     }

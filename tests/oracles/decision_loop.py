@@ -1,7 +1,7 @@
 """The per-file decision loop ``DRLEngine.propose_layout`` must match.
 
 One per-file read (``recent_accesses(limit, fid=)``) and one model call
-per recent access of each file -- O(files x probe_samples) forward passes
+per recent access of each file -- O(files x PROBE_SAMPLES) forward passes
 against the engine's one.  Each file is scored against the same menu:
 every candidate on a cluster of at most ``PROBE_TOP_DEVICES``, otherwise
 the best-ranked ones plus the file's own device.
@@ -45,7 +45,7 @@ def propose_layout_reference(
     layout: dict[int, str] = {}
     gains: dict[int, float] = {}
     for fid in fids:
-        recent = db.recent_accesses(engine.config.probe_samples, fid=fid)
+        recent = db.recent_accesses(engine_module.PROBE_SAMPLES, fid=fid)
         if not recent:
             continue
         current = recent[-1].fsid

@@ -20,7 +20,7 @@ def quick_config():
     # held-out error is of course terrible, and these tests exercise the
     # proposal mechanics, not model quality.
     return GeomancyConfig(
-        epochs=8, training_rows=600, batch_size=64, smoothing_window=20,
+        epochs=8, training_rows=600, smoothing_window=20,
         max_actionable_mare=1e9, require_skill=False,
     )
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CheckpointCorruptError, RecoveryError, SimulatedCrash
+from repro.experiments.recoverable import resume_recoverable
 from repro.nn.model_zoo import build_model
 from repro.recovery.checkpoint import (
     MANIFEST_NAME,
@@ -130,6 +131,23 @@ class TestCorruptionFallback:
         manifest["format_version"] = 99
         (newest / MANIFEST_NAME).write_text(json.dumps(manifest))
         assert mgr.latest_valid().step == 1
+
+    def test_format_2_generation_is_refused_before_its_config(self, tmp_path):
+        """A format-2 checkpoint's config carries fields that are module
+        constants now; resuming names the format instead of dying inside
+        ``GeomancyConfig(**config)``."""
+        mgr = CheckpointManager(tmp_path)
+        gen = mgr.save(1, {"meta": {"config": {"warm_start": True}}})
+        manifest = json.loads((gen / MANIFEST_NAME).read_text())
+        manifest["format_version"] = 2
+        (gen / MANIFEST_NAME).write_text(json.dumps(manifest))
+        assert mgr.verify(gen) == [
+            "gen-00000001: unsupported format_version 2"
+        ]
+        with pytest.raises(RecoveryError, match="unsupported format_version 2"):
+            mgr.latest_valid()
+        with pytest.raises(RecoveryError, match="unsupported format_version 2"):
+            resume_recoverable(tmp_path)
 
 
 class TestCrashAtomicity:

@@ -12,6 +12,7 @@ from repro import (
     belle2_file_population,
     make_bluesky_cluster,
 )
+from repro.core.layout import MAX_FILES_PER_MOVE
 from repro.policies import LFUPolicy, RandomDynamicPolicy
 from repro.replaydb.traceio import export_db, import_db
 
@@ -49,7 +50,7 @@ class TestFullSession:
     def test_movements_respect_cap_and_are_logged(self, tuned_session):
         _, geo, _, outcomes = tuned_session
         for outcome in outcomes:
-            assert outcome.moved_files <= geo.config.max_files_per_move
+            assert outcome.moved_files <= MAX_FILES_PER_MOVE
         assert len(geo.db.movements()) == geo.total_moves
 
     def test_layout_consistent_with_movement_log(self, tuned_session):
