@@ -14,7 +14,6 @@ Every experiment takes a scale knob so tests run in seconds while the
 benchmark harness uses paper-scale parameters.
 """
 
-from repro.experiments.export import export_fig5_csv, export_fig6_csv
 from repro.experiments.fig4_correlation import Fig4Result, run_fig4
 from repro.experiments.fig5_comparison import (
     Fig5Result,
@@ -45,8 +44,6 @@ __all__ = [
     "run_overhead_study",
     "RobustnessResult",
     "run_robustness",
-    "export_fig5_csv",
-    "export_fig6_csv",
     "ExperimentScale",
     "TEST_SCALE",
     "BENCH_SCALE",

@@ -42,7 +42,6 @@ from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord, MovementRecord
 from repro.simulation.bluesky import make_bluesky_cluster
 from repro.simulation.cluster import StorageCluster
-from repro.simulation.interference import LoadProcess
 from repro.workloads.belle2 import Belle2Workload
 from repro.workloads.files import FileSpec, belle2_file_population
 from repro.workloads.runner import WorkloadRunner
@@ -345,7 +344,6 @@ def run_policy_experiment(
     scale: ExperimentScale = TEST_SCALE,
     seed: int = 0,
     workload_seed: int = 1,
-    extra_interference: dict[str, LoadProcess] | None = None,
     cluster: StorageCluster | None = None,
     files: list[FileSpec] | None = None,
 ) -> PolicyRunResult:
@@ -356,9 +354,7 @@ def run_policy_experiment(
     run with the same seeds face exactly the same environment.
     """
     if cluster is None:
-        cluster = make_bluesky_cluster(
-            seed=seed, extra_interference=extra_interference
-        )
+        cluster = make_bluesky_cluster(seed=seed)
     if files is None:
         files = belle2_file_population(seed=seed)
     workload = Belle2Workload(files, seed=workload_seed)

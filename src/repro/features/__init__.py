@@ -11,7 +11,7 @@ package implements the full feature path described in the paper:
 * :mod:`repro.features.path_encoder` -- the locality-preserving path-to-
   number encoding of section V-E.
 * :mod:`repro.features.normalize` -- min-max normalization to [0, 1].
-* :mod:`repro.features.smoothing` -- moving / cumulative averages.
+* :mod:`repro.features.smoothing` -- the trailing moving average.
 * :mod:`repro.features.pipeline` -- assembling ReplayDB rows into training
   batches and per-location prediction batches.
 """
@@ -31,11 +31,7 @@ from repro.features.schema import (
     LIVE_FEATURES,
     FieldSpec,
 )
-from repro.features.smoothing import (
-    cumulative_average,
-    exponential_moving_average,
-    moving_average,
-)
+from repro.features.smoothing import moving_average
 from repro.features.throughput import access_throughput
 
 __all__ = [
@@ -51,8 +47,6 @@ __all__ = [
     "EOS_MODEL_FEATURES",
     "LIVE_FEATURES",
     "FieldSpec",
-    "cumulative_average",
-    "exponential_moving_average",
     "moving_average",
     "access_throughput",
 ]

@@ -35,30 +35,3 @@ def moving_average(x: np.ndarray, window: int) -> np.ndarray:
     # Growing prefix windows.
     out[: w - 1] = csum[: w - 1] / np.arange(1, w)
     return out
-
-
-def cumulative_average(x: np.ndarray) -> np.ndarray:
-    """Running mean of everything seen so far (loses short-term swings)."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size == 0:
-        return x.copy()
-    return np.cumsum(x) / np.arange(1, x.size + 1)
-
-
-def exponential_moving_average(x: np.ndarray, alpha: float) -> np.ndarray:
-    """EMA with smoothing factor ``alpha`` in (0, 1].
-
-    Included as the heuristic the paper contrasts neural networks against
-    ("heuristics such as exponentially moving average ... need human input
-    to update", section VI).
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if not 0.0 < alpha <= 1.0:
-        raise FeatureError(f"alpha must be in (0, 1], got {alpha}")
-    if x.size == 0:
-        return x.copy()
-    out = np.empty_like(x)
-    out[0] = x[0]
-    for i in range(1, x.size):
-        out[i] = alpha * x[i] + (1.0 - alpha) * out[i - 1]
-    return out

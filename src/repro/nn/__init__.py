@@ -8,16 +8,16 @@ has no deep-learning framework dependency:
 * :mod:`repro.nn.layers` / :mod:`repro.nn.recurrent` -- trainable layers with
   full backpropagation (through time, for the recurrent ones).
 * :mod:`repro.nn.network` -- a Keras-like :class:`Sequential` container with
-  ``fit`` / ``predict`` / ``evaluate``.
+  ``fit`` / ``predict``.
 * :mod:`repro.nn.model_zoo` -- the 23 architectures of Table I.
 * :mod:`repro.nn.metrics` -- the paper's accuracy metric (mean absolute
   relative error) and its divergence test.
 """
 
 from repro.nn.activations import Activation, get_activation
-from repro.nn.initializers import glorot_uniform, he_uniform, orthogonal, zeros
+from repro.nn.initializers import glorot_uniform, orthogonal, zeros
 from repro.nn.layers import Dense, Layer
-from repro.nn.losses import Loss, MeanAbsoluteError, MeanSquaredError, get_loss
+from repro.nn.losses import MeanSquaredError
 from repro.nn.metrics import (
     absolute_relative_error,
     is_diverged,
@@ -33,15 +33,11 @@ __all__ = [
     "Activation",
     "get_activation",
     "glorot_uniform",
-    "he_uniform",
     "orthogonal",
     "zeros",
     "Dense",
     "Layer",
-    "Loss",
-    "MeanAbsoluteError",
     "MeanSquaredError",
-    "get_loss",
     "absolute_relative_error",
     "mean_absolute_relative_error",
     "is_diverged",

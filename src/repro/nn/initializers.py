@@ -20,14 +20,6 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def he_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    """He uniform initialization, suited to ReLU layers."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ShapeError(f"fan_in/fan_out must be positive, got ({fan_in}, {fan_out})")
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
 def orthogonal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Orthogonal initialization (Keras default for recurrent kernels)."""
     if rows <= 0 or cols <= 0:

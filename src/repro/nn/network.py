@@ -1,7 +1,7 @@
 """The :class:`Sequential` model container.
 
 Mirrors the slice of the Keras API the paper relies on: stack layers, train
-with a loss and an optimizer for N epochs on a chronological 60/20/20
+on squared error with an optimizer for N epochs on a chronological 60/20/20
 train/validation/test split, then predict.
 
 Recurrent-first models consume ``(batch, timesteps, features)`` windows; a
@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ModelError, ShapeError
 from repro.nn.layers import Layer
-from repro.nn.losses import Loss, get_loss
+from repro.nn.losses import MeanSquaredError
 from repro.nn.optimizers import Optimizer, get_optimizer
 from repro.observability import get_observability
 
@@ -27,7 +27,6 @@ class TrainingHistory:
     """Per-epoch record of a ``fit`` call."""
 
     train_loss: list[float] = field(default_factory=list)
-    val_loss: list[float] = field(default_factory=list)
     epochs_run: int = 0
     diverged: bool = False
 
@@ -74,13 +73,13 @@ def train_val_test_split(
 
 
 class Sequential:
-    """A linear stack of layers with fit/predict/evaluate.
+    """A linear stack of layers with fit/predict.
 
     All parameters live in one flat float64 vector and all gradients in
     another; every ``layer.params[name]`` / ``layer.grads[name]`` is a
     reshaped view into them, laid out in ``layer{i}/{name}`` order (the
-    optimizer-state and weight-archive keys).  An elementwise, stateless
-    optimizer can therefore update the whole model in one call.
+    keys of Adam's moments and of the weight archive).  Plain SGD can
+    therefore update the whole model in one call.
     """
 
     def __init__(self, layers: list[Layer], *, seed: int | None = None) -> None:
@@ -257,24 +256,20 @@ class Sequential:
         *,
         epochs: int = 200,
         batch_size: int = 32,
-        loss: str | Loss = "mse",
         optimizer: str | Optimizer = "sgd",
-        validation_data: tuple[np.ndarray, np.ndarray] | None = None,
-        shuffle: bool = False,
-        stop_on_divergence: bool = True,
         sample_weight: np.ndarray | None = None,
     ) -> TrainingHistory:
-        """Train with mini-batch gradient descent.
+        """Train on mean squared error with mini-batch gradient descent.
 
         The paper's defaults are 200 epochs and standard (plain) SGD; data is
-        chronological so ``shuffle`` defaults off.  When training produces a
-        non-finite loss the run stops and the history is flagged
+        chronological, so batches are consecutive rows.  When training
+        produces a non-finite loss the run stops and the history is flagged
         ``diverged``; nothing is raised -- Table II needs to *report*
         divergence, not crash.
 
         ``sample_weight`` supplies per-row loss weights (the prioritized
-        replay buffer's importance-sampling correction); the validation
-        loss stays unweighted.  ``None`` is exactly the unweighted path.
+        replay buffer's importance-sampling correction).  ``None`` is
+        exactly the unweighted path.
         """
         if epochs <= 0:
             raise ConfigurationError(f"epochs must be positive, got {epochs}")
@@ -297,42 +292,27 @@ class Sequential:
                 )
             # one column, as the loss broadcasts it over the outputs
             sample_weight = sample_weight[:, None]
-        loss_fn = get_loss(loss)
+        loss_fn = MeanSquaredError()
         opt = get_optimizer(optimizer)
         history = TrainingHistory()
         self._home_parameters()
         slots = self._optimizer_slots(opt)
-
-        def batches_of(selectors):
-            """``(x, y, weight)`` of each batch, lazily."""
-            return (
-                (
-                    x[rows], y[rows],
-                    sample_weight[rows] if sample_weight is not None else None,
-                )
-                for rows in selectors
-            )
-
         # Chronological batches are contiguous row ranges: views, not
-        # fancy-index copies, sliced once.  Shuffling re-draws index
-        # batches per epoch.
-        row_ranges = [
-            slice(start, start + batch_size)
+        # fancy-index copies, sliced once.
+        batches = [
+            (
+                x[start : start + batch_size],
+                y[start : start + batch_size],
+                None if sample_weight is None
+                else sample_weight[start : start + batch_size],
+            )
             for start in range(0, len(x), batch_size)
         ]
-        batches = () if shuffle else list(batches_of(row_ranges))
-        indices = np.arange(len(x)) if shuffle else None
-        if validation_data is not None:
-            vx = self._adapt_input(validation_data[0])
-            vy = self._adapt_target(validation_data[1], self.output_dim)
         # A diverging fit overflows to inf and then multiplies inf by a
         # zero ReLU mask; divergence is an outcome fit reports (Table II),
         # not a numerical accident to warn about.
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(epochs):
-                if shuffle:
-                    self._rng.shuffle(indices)
-                    batches = batches_of(indices[rows] for rows in row_ranges)
                 epoch_loss = 0.0
                 for xb, yb, wb in batches:
                     pred = self._forward(xb, training=True)
@@ -341,27 +321,14 @@ class Sequential:
                     self._backward(grad)
                     for key, param, param_grad in slots:
                         opt.apply(key, param, param_grad)
-                mean_loss = epoch_loss / len(row_ranges)
+                mean_loss = epoch_loss / len(batches)
                 history.train_loss.append(mean_loss)
                 history.epochs_run += 1
-                if validation_data is not None:
-                    self._m_forward.inc(len(vx))
-                    history.val_loss.append(
-                        loss_fn.value(self._forward(vx, training=False), vy)
-                    )
                 if not np.isfinite(mean_loss):
                     history.diverged = True
-                    if stop_on_divergence:
-                        break
+                    break
         self._m_epochs.inc(history.epochs_run)
         return history
-
-    def evaluate(
-        self, x: np.ndarray, y: np.ndarray, *, loss: str | Loss = "mse"
-    ) -> float:
-        """Loss value on a held-out set."""
-        pred = self.predict(x)
-        return get_loss(loss).value(pred, self._adapt_target(y, self.output_dim))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(repr(layer) for layer in self.layers)

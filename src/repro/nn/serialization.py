@@ -16,9 +16,9 @@ Durability contract (the recovery subsystem depends on it):
   load instead of a raw numpy/zipfile error (or worse, a silent bad
   load).  Architecture mismatches (wrong key set) remain plain
   :class:`ModelError`, since those indicate caller error, not damage.
-* **Optimizer state** -- pass ``optimizer=`` to both functions to carry
-  momentum/moment accumulators across a restart (``optstate/{slot}/{key}``
-  arrays inside the same archive).
+
+An archive holds weights only: the engine builds a fresh optimizer for
+every training cycle, so there is no optimizer state to carry.
 """
 
 from __future__ import annotations
@@ -34,13 +34,11 @@ import numpy as np
 
 from repro.errors import CheckpointCorruptError, ModelError
 from repro.nn.network import Sequential
-from repro.nn.optimizers import Optimizer
 
 FORMAT_NAME = "geomancy-weights"
 FORMAT_VERSION = 2
 
 _META_KEY = "__meta__"
-_OPT_PREFIX = "optstate/"
 
 
 def _weight_arrays(model: Sequential) -> dict[str, np.ndarray]:
@@ -111,13 +109,8 @@ def _fsync_dir(directory: Path) -> None:
         os.close(dir_fd)
 
 
-def save_weights(
-    model: Sequential,
-    path: str | os.PathLike,
-    *,
-    optimizer: Optimizer | None = None,
-) -> None:
-    """Atomically write a built model's parameters (and optimizer state).
+def save_weights(model: Sequential, path: str | os.PathLike) -> None:
+    """Atomically write a built model's parameters.
 
     The archive lands at ``path`` fully written or not at all; a crash
     mid-save leaves any previous file at ``path`` untouched.
@@ -125,15 +118,11 @@ def save_weights(
     if not model.built:
         raise ModelError("cannot save an unbuilt model; call build() or fit() first")
     arrays = _weight_arrays(model)
-    if optimizer is not None:
-        for key, value in optimizer.state_dict().items():
-            arrays[f"{_OPT_PREFIX}{key}"] = value
     meta = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "layers": _layer_schema(model),
         "input_dim": model.input_dim,
-        "optimizer": type(optimizer).__name__ if optimizer is not None else None,
         "checksum": {"algo": "sha256", "digest": _checksum(arrays)},
     }
     arrays[_META_KEY] = np.frombuffer(
@@ -182,21 +171,15 @@ def _parse_meta(arrays: dict[str, np.ndarray], path: str) -> dict:
     return meta
 
 
-def load_weights(
-    model: Sequential,
-    path: str | os.PathLike,
-    *,
-    optimizer: Optimizer | None = None,
-) -> None:
+def load_weights(model: Sequential, path: str | os.PathLike) -> None:
     """Load parameters saved by :func:`save_weights` into a built model.
 
     The model must already be built with the same architecture; the file's
     checksum is verified first, then shapes and dtypes are checked
     parameter-by-parameter.  Damage raises
     :class:`~repro.errors.CheckpointCorruptError`; an honest architecture
-    mismatch (different key set) raises :class:`ModelError`.  Passing
-    ``optimizer=`` restores its accumulated state from the archive (a
-    no-op when the file carries none).
+    mismatch (different key set, stray arrays included) raises
+    :class:`ModelError`.
     """
     if not model.built:
         raise ModelError("build the model (with the right input_dim) before loading")
@@ -211,21 +194,12 @@ def load_weights(
             f"(stored {stored!r}, computed {digest!r}); the file is "
             "truncated or bit-flipped"
         )
-    opt_state = {
-        key[len(_OPT_PREFIX):]: value
-        for key, value in arrays.items()
-        if key.startswith(_OPT_PREFIX)
-    }
-    weights = {
-        key: value for key, value in arrays.items()
-        if not key.startswith(_OPT_PREFIX)
-    }
     expected = {
         f"layer{i}/{name}"
         for i, layer in enumerate(model.layers)
         for name in layer.params
     }
-    stored_keys = set(weights)
+    stored_keys = set(arrays)
     if expected != stored_keys:
         missing = expected - stored_keys
         extra = stored_keys - expected
@@ -235,7 +209,7 @@ def load_weights(
         )
     for i, layer in enumerate(model.layers):
         for name in layer.params:
-            arr = weights[f"layer{i}/{name}"]
+            arr = arrays[f"layer{i}/{name}"]
             current = layer.params[name]
             if arr.shape != current.shape:
                 raise CheckpointCorruptError(
@@ -250,11 +224,3 @@ def load_weights(
             # In place: the array is a view of the model's flat parameter
             # vector, which is what the optimizer updates.
             current[...] = arr
-    if optimizer is not None and opt_state:
-        declared = meta.get("optimizer")
-        if declared is not None and declared != type(optimizer).__name__:
-            raise ModelError(
-                f"archive stores {declared} state but a "
-                f"{type(optimizer).__name__} was supplied"
-            )
-        optimizer.load_state_dict(opt_state)

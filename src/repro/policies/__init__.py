@@ -18,7 +18,7 @@ from repro.policies.lfu import LFUPolicy
 from repro.policies.lru import LRUPolicy
 from repro.policies.mru import MRUPolicy
 from repro.policies.random_policy import RandomDynamicPolicy, RandomStaticPolicy
-from repro.policies.static import EvenSpreadPolicy, FixedLayoutPolicy, SingleMountPolicy
+from repro.policies.static import EvenSpreadPolicy, SingleMountPolicy
 
 __all__ = [
     "PlacementPolicy",
@@ -32,6 +32,5 @@ __all__ = [
     "RandomDynamicPolicy",
     "RandomStaticPolicy",
     "EvenSpreadPolicy",
-    "FixedLayoutPolicy",
     "SingleMountPolicy",
 ]

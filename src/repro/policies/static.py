@@ -1,10 +1,9 @@
-"""Static layouts: fixed mappings, single-mount placement, even spread.
+"""Static layouts: single-mount placement and even spread.
 
 ``SingleMountPolicy`` drives Experiment 2 ("we measure the I/O performance
 of each storage point if all files are placed and read solely on those
 points"); ``EvenSpreadPolicy`` is the paper's "basic spread policy (evenly
-across all available mounts)" baseline; ``FixedLayoutPolicy`` pins any
-externally computed layout (e.g. Geomancy static's one-shot prediction).
+across all available mounts)" baseline.
 """
 
 from __future__ import annotations
@@ -12,32 +11,6 @@ from __future__ import annotations
 from repro.errors import PolicyError
 from repro.policies.base import PlacementPolicy, spread_in_groups
 from repro.workloads.files import FileSpec
-
-
-class FixedLayoutPolicy(PlacementPolicy):
-    """A caller-supplied fid -> device mapping, never changed."""
-
-    name = "fixed layout"
-    dynamic = False
-
-    def __init__(self, layout: dict[int, str], *, name: str | None = None) -> None:
-        if not layout:
-            raise PolicyError("fixed layout must not be empty")
-        self.layout = dict(layout)
-        if name is not None:
-            self.name = name
-
-    def initial_layout(
-        self, files: list[FileSpec], devices: list[str]
-    ) -> dict[int, str]:
-        self._require(files, devices)
-        missing = [f.fid for f in files if f.fid not in self.layout]
-        if missing:
-            raise PolicyError(f"fixed layout missing files {missing}")
-        unknown = set(self.layout.values()) - set(devices)
-        if unknown:
-            raise PolicyError(f"fixed layout names unknown devices {sorted(unknown)}")
-        return {f.fid: self.layout[f.fid] for f in files}
 
 
 class SingleMountPolicy(PlacementPolicy):

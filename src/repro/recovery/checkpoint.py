@@ -8,8 +8,8 @@ A checkpoint *generation* is a directory ``gen-{step:08d}`` containing:
 ``replay.npz`` (optional)
     a snapshot of the ReplayDB (:meth:`~repro.replaydb.db.ReplayDB.snapshot_to`);
 ``model.npz`` (optional)
-    the engine's network weights (and optimizer slots) in the
-    checksummed :mod:`repro.nn.serialization` format;
+    the engine's network weights in the checksummed
+    :mod:`repro.nn.serialization` format;
 ``MANIFEST.json``
     written **last**: the step number plus a sha256 for every other file.
 
@@ -117,7 +117,6 @@ class CheckpointManager:
         *,
         db=None,
         model=None,
-        optimizer=None,
     ) -> Path:
         """Atomically persist one generation; returns its directory.
 
@@ -153,7 +152,7 @@ class CheckpointManager:
             from repro.nn.serialization import save_weights
 
             model_path = staging / MODEL_NAME
-            save_weights(model, model_path, optimizer=optimizer)
+            save_weights(model, model_path)
             files[MODEL_NAME] = _sha256_file(model_path)
 
         _fsync_dir(staging)

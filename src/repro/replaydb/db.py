@@ -578,17 +578,7 @@ class ReplayDB:
         return means
 
     # -- movement log ------------------------------------------------------
-    def movements(
-        self,
-        *,
-        since: float | None = None,
-        until: float | None = None,
-        succeeded_only: bool = False,
-    ) -> list[MovementRecord]:
+    def movements(self) -> list[MovementRecord]:
+        """Every recorded movement, oldest first."""
         self._check_open()
-        return [
-            move for move in self._movements
-            if (since is None or move.timestamp >= since)
-            and (until is None or move.timestamp < until)
-            and (move.succeeded or not succeeded_only)
-        ]
+        return list(self._movements)

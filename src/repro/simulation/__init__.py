@@ -38,7 +38,6 @@ from repro.simulation.interference import (
     ConstantLoad,
     DiurnalLoad,
     LoadProcess,
-    SpikeLoad,
 )
 from repro.simulation.network import TransferLink
 from repro.simulation.topologies import (
@@ -64,6 +63,5 @@ __all__ = [
     "ConstantLoad",
     "DiurnalLoad",
     "LoadProcess",
-    "SpikeLoad",
     "TransferLink",
 ]

@@ -10,7 +10,6 @@ numbers are calibrated to land near the paper's per-mount averages
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError
 from repro.simulation.cluster import StorageCluster
 from repro.simulation.device import DeviceSpec, StorageDevice
 from repro.simulation.interference import (
@@ -133,26 +132,10 @@ def describe_bluesky() -> str:
     return "\n".join(lines)
 
 
-def make_bluesky_cluster(
-    seed: int = 0,
-    *,
-    extra_interference: dict[str, LoadProcess] | None = None,
-) -> StorageCluster:
-    """Build the Fig. 1 testbed.
-
-    ``extra_interference`` layers additional load processes onto named
-    mounts (Experiment 3 / Fig. 6 uses this to script the moment a
-    competing workload appears).
-    """
+def make_bluesky_cluster(seed: int = 0) -> StorageCluster:
+    """Build the Fig. 1 testbed."""
     specs = bluesky_device_specs()
     interference = bluesky_interference(seed)
-    if extra_interference is not None:
-        for name, process in extra_interference.items():
-            if name not in interference:
-                raise ConfigurationError(
-                    f"unknown mount {name!r}; have {sorted(interference)}"
-                )
-            interference[name] = CompositeLoad([interference[name], process])
     devices = [
         StorageDevice(specs[name], interference[name], seed=seed)
         for name in BLUESKY_DEVICE_NAMES

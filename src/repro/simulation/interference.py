@@ -134,33 +134,6 @@ class BurstyLoad(LoadProcess):
         return self.on_level if self._slot_on(slot) else self.off_level
 
 
-class SpikeLoad(LoadProcess):
-    """Scheduled load spikes: ``(start, duration, level)`` windows.
-
-    Useful for scripted scenarios (e.g. Fig. 6's "another workload is
-    started" moment) where the experiment needs a load change at an exact
-    time.
-    """
-
-    def __init__(self, spikes: list[tuple[float, float, float]]) -> None:
-        for start, duration, level in spikes:
-            if start < 0 or duration <= 0:
-                raise SimulationError(
-                    f"spike windows need start >= 0 and duration > 0, got "
-                    f"({start}, {duration})"
-                )
-            if not 0.0 <= level <= 1.0:
-                raise SimulationError(f"spike level must be in [0, 1], got {level}")
-        self.spikes = sorted(spikes)
-
-    def load(self, t: float) -> float:
-        level = 0.0
-        for start, duration, spike_level in self.spikes:
-            if start <= t < start + duration:
-                level = max(level, spike_level)
-        return level
-
-
 class CompositeLoad(LoadProcess):
     """Sum of component loads, saturating at 1.0."""
 

@@ -51,7 +51,6 @@ class Belle2Workload:
         read_fraction_range: tuple[float, float] = (0.25, 1.0),
         write_probability: float = 0.1,
         write_fraction: float = 0.02,
-        selection: str = "random",
     ) -> None:
         if not files:
             raise ConfigurationError("workload needs at least one file")
@@ -75,10 +74,6 @@ class Belle2Workload:
             raise ConfigurationError(
                 f"write_fraction must be in (0, 1], got {write_fraction}"
             )
-        if selection not in ("random", "cycle"):
-            raise ConfigurationError(
-                f"selection must be 'random' or 'cycle', got {selection!r}"
-            )
         self.files = list(files)
         self.seed = int(seed)
         self.files_per_run = int(files_per_run)
@@ -86,7 +81,6 @@ class Belle2Workload:
         self.read_fraction_range = (float(frac_lo), float(frac_hi))
         self.write_probability = float(write_probability)
         self.write_fraction = float(write_fraction)
-        self.selection = selection
         # Per-file columns the op arrays gather from.
         self._fids = np.array([f.fid for f in self.files], dtype=np.int64)
         self._sizes = np.array(
@@ -104,17 +98,12 @@ class Belle2Workload:
     def _files_for_run(self, run_index: int) -> list[int]:
         """Pick the files this run works on, as indices into ``files``.
 
-        ``"random"`` (default) models the paper's "suite of many
-        applications reading and writing many files individually": each run
-        draws a random subset, so every file recurs but without a rigid
-        period.  ``"cycle"`` walks the population in order -- the strict
-        looping sequential scan under which MRU is near-optimal.
+        Models the paper's "suite of many applications reading and writing
+        many files individually": each run draws a random subset, so every
+        file recurs but without a rigid period.
         """
         n = len(self.files)
         count = min(self.files_per_run, n)
-        if self.selection == "cycle":
-            start = (run_index * self.files_per_run) % n
-            return [(start + k) % n for k in range(count)]
         rng = np.random.default_rng((self.seed, run_index, 7))
         return rng.choice(n, size=count, replace=False).tolist()
 

@@ -1,13 +1,8 @@
-"""Tests for the robustness, overhead and export experiment extensions."""
-
-import csv
+"""Tests for the robustness and overhead experiment extensions."""
 
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.export import export_fig5_csv, export_fig6_csv
-from repro.experiments.fig5_comparison import Fig5Result
-from repro.experiments.harness import PolicyRunResult
 from repro.experiments.overhead import run_overhead_study
 from repro.experiments.robustness import (
     RobustnessResult,
@@ -75,46 +70,3 @@ class TestOverheadStudy:
     def test_text_rendering(self, study):
         text = study.to_text()
         assert "Overhead study" in text and "per batch" in text
-
-
-def _fake_fig5():
-    return Fig5Result(
-        results={
-            "A": PolicyRunResult("A", throughput_gbps=[1.0] * 10),
-            "B": PolicyRunResult("B", throughput_gbps=[2.0] * 7),
-        }
-    )
-
-
-class TestExportFig5:
-    def test_writes_aligned_columns(self, tmp_path):
-        path = tmp_path / "fig5.csv"
-        rows = export_fig5_csv(_fake_fig5(), path, bucket=5)
-        assert rows == 3  # edges 5, 7, 10
-        with open(path) as fh:
-            data = list(csv.reader(fh))
-        assert data[0] == ["access_number", "A", "B"]
-        # B's series ends at edge 7; edge 10 leaves its cell empty.
-        assert data[-1][0] == "10" and data[-1][2] == ""
-
-    def test_empty_result_rejected(self, tmp_path):
-        with pytest.raises(ExperimentError):
-            export_fig5_csv(Fig5Result(results={}), tmp_path / "x.csv")
-
-
-class TestExportFig6:
-    def test_writes_disturbance_marker(self, tmp_path):
-        from repro.experiments.fig6_adaptation import Fig6Result
-
-        result = Fig6Result(
-            tuned_gbps=[1.0] * 20,
-            competing_gbps=[0.5] * 10,
-            disturbance_access=10,
-        )
-        path = tmp_path / "fig6.csv"
-        rows = export_fig6_csv(result, path, bucket=5)
-        assert rows == 4
-        with open(path) as fh:
-            data = list(csv.reader(fh))
-        markers = [row[3] for row in data[1:]]
-        assert markers == ["0", "0", "1", "1"]

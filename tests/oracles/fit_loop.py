@@ -5,7 +5,7 @@ original mini-batch loop: a fancy-index copy per batch, a Dense step that
 allocates the bias sum, the activation output, a float mask and the input
 gradient of every layer (the first included), and optimizer updates keyed
 by an f-string built per parameter per step.  ``Sequential.fit`` must
-leave the same weights, losses and optimizer state behind.
+leave the same weights and losses behind.
 
 Recurrent layers run their own ``forward``/``backward`` (the lean step
 did not touch their arithmetic); only ``Dense`` is re-derived here.
@@ -16,33 +16,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.layers import Dense
-from repro.nn.losses import get_loss
+from repro.nn.losses import MeanSquaredError
 from repro.nn.network import Sequential, TrainingHistory
 
 
 class ReferenceSGD:
-    """Plain/momentum SGD with per-parameter gradient-norm clipping."""
+    """Plain SGD, one parameter at a time."""
 
-    def __init__(self, learning_rate=0.01, momentum=0.0, clipnorm=None):
+    def __init__(self, learning_rate=0.01):
         self.learning_rate = float(learning_rate)
-        self.momentum = float(momentum)
-        self.clipnorm = clipnorm
-        self.velocity: dict[str, np.ndarray] = {}
 
     def apply(self, key, param, grad):
-        if self.clipnorm is not None:
-            norm = float(np.linalg.norm(grad))
-            if norm > self.clipnorm:
-                grad = grad * (self.clipnorm / norm)
-        if self.momentum:
-            v = self.velocity.get(key)
-            if v is None:
-                v = np.zeros_like(param)
-            v = self.momentum * v - self.learning_rate * grad
-            self.velocity[key] = v
-            param += v
-        else:
-            param -= self.learning_rate * grad
+        param -= self.learning_rate * grad
 
 
 class ReferenceAdam:
@@ -109,17 +94,11 @@ def reference_fit(
     optimizer,
     epochs: int = 200,
     batch_size: int = 32,
-    loss="mse",
-    validation_data=None,
-    shuffle: bool = False,
-    stop_on_divergence: bool = True,
     sample_weight: np.ndarray | None = None,
 ) -> TrainingHistory:
-    """The original ``Sequential.fit`` loop over ``model``'s parameters.
-
-    ``optimizer`` is a :class:`ReferenceSGD` / :class:`ReferenceAdam`;
-    shuffling draws from ``model._rng`` exactly as ``fit`` does, so two
-    equally seeded models stay in step.
+    """The original ``Sequential.fit`` loop over ``model``'s parameters,
+    on mean squared error; ``optimizer`` is a :class:`ReferenceSGD` /
+    :class:`ReferenceAdam`.
     """
     x = model._adapt_input(x)
     if not model.built:
@@ -127,14 +106,11 @@ def reference_fit(
     y = model._adapt_target(y, model.output_dim)
     if sample_weight is not None:
         sample_weight = np.asarray(sample_weight, dtype=np.float64).ravel()
-    loss_fn = get_loss(loss)
     history = TrainingHistory()
     indices = np.arange(len(x))
     caches = [{} for _ in model.layers]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
-            if shuffle:
-                model._rng.shuffle(indices)
             epoch_loss = 0.0
             n_batches = 0
             for start in range(0, len(x), batch_size):
@@ -150,9 +126,11 @@ def reference_fit(
                         out = _dense_forward(layer, out, cache)
                     else:
                         out = layer.forward(out, training=True)
-                epoch_loss += loss_fn.value(out, yb, wb)
+                value, grad = MeanSquaredError().value_and_gradient(
+                    out, yb, wb
+                )
+                epoch_loss += value
                 n_batches += 1
-                grad = loss_fn.gradient(out, yb, wb)
                 for layer, cache in zip(
                     reversed(model.layers), reversed(caches)
                 ):
@@ -168,14 +146,7 @@ def reference_fit(
             mean_loss = epoch_loss / n_batches
             history.train_loss.append(mean_loss)
             history.epochs_run += 1
-            if validation_data is not None:
-                vx, vy = validation_data
-                history.val_loss.append(loss_fn.value(
-                    reference_predict(model, vx),
-                    model._adapt_target(vy, model.output_dim),
-                ))
             if not np.isfinite(mean_loss):
                 history.diverged = True
-                if stop_on_divergence:
-                    break
+                break
     return history

@@ -286,22 +286,10 @@ class SqliteReplayDB:
         return means
 
     # -- movement log ----------------------------------------------------
-    def movements(self, *, since=None, until=None, succeeded_only=False):
-        clauses, params = [], []
-        if since is not None:
-            clauses.append("timestamp >= ?")
-            params.append(since)
-        if until is not None:
-            clauses.append("timestamp < ?")
-            params.append(until)
-        if succeeded_only:
-            clauses.append("succeeded = 1")
-        where = f"WHERE {' AND '.join(clauses)}" if clauses else ""
+    def movements(self):
         rows = self._conn.execute(
             "SELECT timestamp, fid, src_device, dst_device, bytes_moved, "
-            f"duration, succeeded, trace_id FROM movements {where} "
-            "ORDER BY id ASC",
-            params,
+            "duration, succeeded, trace_id FROM movements ORDER BY id ASC"
         ).fetchall()
         return [
             MovementRecord(*row[:6], succeeded=bool(row[6]), trace_id=row[7])

@@ -4,11 +4,7 @@ import pytest
 
 from repro.errors import PolicyError
 from repro.policies.random_policy import RandomDynamicPolicy, RandomStaticPolicy
-from repro.policies.static import (
-    EvenSpreadPolicy,
-    FixedLayoutPolicy,
-    SingleMountPolicy,
-)
+from repro.policies.static import EvenSpreadPolicy, SingleMountPolicy
 from repro.replaydb.db import ReplayDB
 from repro.workloads.files import FileSpec
 
@@ -42,30 +38,6 @@ class TestRandomDynamic:
 
     def test_dynamic_flag(self):
         assert RandomDynamicPolicy().dynamic
-
-
-class TestFixedLayout:
-    def test_applies_given_mapping(self):
-        mapping = {f.fid: "b" for f in FILES}
-        layout = FixedLayoutPolicy(mapping).initial_layout(FILES, DEVICES)
-        assert layout == mapping
-
-    def test_missing_file_rejected(self):
-        with pytest.raises(PolicyError, match="missing files"):
-            FixedLayoutPolicy({0: "a"}).initial_layout(FILES, DEVICES)
-
-    def test_unknown_device_rejected(self):
-        mapping = {f.fid: "ghost" for f in FILES}
-        with pytest.raises(PolicyError, match="unknown devices"):
-            FixedLayoutPolicy(mapping).initial_layout(FILES, DEVICES)
-
-    def test_empty_layout_rejected(self):
-        with pytest.raises(PolicyError):
-            FixedLayoutPolicy({})
-
-    def test_custom_name(self):
-        policy = FixedLayoutPolicy({0: "a"}, name="Geomancy static")
-        assert policy.name == "Geomancy static"
 
 
 class TestSingleMount:

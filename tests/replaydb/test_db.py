@@ -167,12 +167,6 @@ class TestMovements:
         db.insert_movements([move])
         assert db.movements() == [move]
 
-    def test_time_window_filter(self, db):
-        for t in (1.0, 5.0, 9.0):
-            db.insert_movements([MovementRecord(t, 1, "a", "b", 10, 0.1)])
-        got = db.movements(since=2.0, until=9.0)
-        assert [m.timestamp for m in got] == [5.0]
-
     def test_empty_movements(self, db):
         assert db.movements() == []
 
@@ -182,12 +176,3 @@ class TestMovements:
         db.insert_movements([failed])
         (got,) = db.movements()
         assert got == failed and not got.succeeded
-
-    def test_succeeded_only_filters_failures(self, db):
-        db.insert_movements([MovementRecord(1.0, 1, "a", "b", 10, 0.1)])
-        db.insert_movements(
-            [MovementRecord(2.0, 2, "a", "b", 10, 0.1, succeeded=False)]
-        )
-        assert len(db.movements()) == 2
-        assert [m.fid for m in db.movements(succeeded_only=True)] == [1]
-

@@ -212,8 +212,6 @@ class ReplayDBMachine(RuleBasedStateMachine):
     @invariant()
     def movements_equal(self):
         self._same("movements")
-        self._same("movements", since=5.0, until=40.0)
-        self._same("movements", succeeded_only=True)
 
 
 ReplayDBMachine.TestCase.settings = settings(

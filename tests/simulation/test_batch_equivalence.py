@@ -414,7 +414,7 @@ class TestRunArraysPacking:
         """``run`` and ``run_arrays`` against the op-by-op draw loop."""
         files = belle2_file_population(seed=5)[:30]
         for options in (
-            {}, {"selection": "cycle"},
+            {},
             {"burst_range": (1, 3), "files_per_run": 7,
              "write_probability": 0.5},
         ):
@@ -431,16 +431,15 @@ class TestRunArraysPacking:
         start=st.integers(0, 10**6),
         count=st.integers(1, 100),
         files_per_run=st.integers(1, 8),
-        selection=st.sampled_from(("random", "cycle")),
         burst_range=st.sampled_from(((10, 20), (1, 3), (7, 7))),
     )
     @settings(max_examples=40, deadline=None)
     def test_a_block_of_runs_is_its_runs_concatenated(
-        self, start, count, files_per_run, selection, burst_range
+        self, start, count, files_per_run, burst_range
     ):
         workload = Belle2Workload(
             belle2_file_population(seed=5), seed=6,
-            files_per_run=files_per_run, selection=selection,
+            files_per_run=files_per_run,
             burst_range=burst_range, write_probability=0.3,
         )
         *block, counts = workload.runs_arrays(start, count)

@@ -2,14 +2,12 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.simulation.bluesky import (
     BLUESKY_DEVICE_NAMES,
     bluesky_device_specs,
     bluesky_interference,
     make_bluesky_cluster,
 )
-from repro.simulation.interference import SpikeLoad
 
 GB = 10**9
 
@@ -48,18 +46,6 @@ class TestFactory:
 
     def test_interference_processes_cover_all_mounts(self):
         assert set(bluesky_interference()) == set(BLUESKY_DEVICE_NAMES)
-
-    def test_extra_interference_layered(self):
-        spike = SpikeLoad([(100.0, 50.0, 0.9)])
-        cluster = make_bluesky_cluster(
-            seed=0, extra_interference={"file0": spike}
-        )
-        dev = cluster.device("file0")
-        assert dev.interference.load(120.0) >= 0.9
-
-    def test_extra_interference_unknown_mount_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_bluesky_cluster(extra_interference={"ghost": SpikeLoad([(0, 1, 0.5)])})
 
     def test_seed_reproducibility(self):
         a = make_bluesky_cluster(seed=5)

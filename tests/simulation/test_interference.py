@@ -10,7 +10,6 @@ from repro.simulation.interference import (
     CompositeLoad,
     ConstantLoad,
     DiurnalLoad,
-    SpikeLoad,
 )
 
 TIMES = st.floats(0, 1e7, allow_nan=False, allow_infinity=False)
@@ -90,27 +89,6 @@ class TestBurstyLoad:
             BurstyLoad(p_on=1.5)
         with pytest.raises(SimulationError):
             BurstyLoad(slot_seconds=0.0)
-
-
-class TestSpikeLoad:
-    def test_spike_window(self):
-        load = SpikeLoad([(10.0, 5.0, 0.9)])
-        assert load.load(9.9) == 0.0
-        assert load.load(10.0) == 0.9
-        assert load.load(14.9) == 0.9
-        assert load.load(15.0) == 0.0
-
-    def test_overlapping_spikes_take_max(self):
-        load = SpikeLoad([(0.0, 10.0, 0.3), (5.0, 10.0, 0.7)])
-        assert load.load(7.0) == 0.7
-
-    def test_invalid_windows(self):
-        with pytest.raises(SimulationError):
-            SpikeLoad([(-1.0, 5.0, 0.5)])
-        with pytest.raises(SimulationError):
-            SpikeLoad([(0.0, 0.0, 0.5)])
-        with pytest.raises(SimulationError):
-            SpikeLoad([(0.0, 1.0, 1.5)])
 
 
 class TestCompositeLoad:

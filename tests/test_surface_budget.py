@@ -5,8 +5,8 @@ README.md, has to raise a ceiling here, in a reviewed diff; a config field
 nothing in the product reads, or that only tests set, fails outright, and
 so do a second transport class, a public name that only tests refer to, product code that imports
 ``sqlite3``, an access log that holds more than 64 bytes per BELLE II
-row, an access record with an instance dict and product code that touches
-the garbage collector.
+row, an access record with an instance dict, product code that touches
+the garbage collector and a new ``np.errstate`` block.
 """
 
 import ast
@@ -38,9 +38,9 @@ CONFIG = SRC / "core" / "config.py"
 MAX_CONFIG_FIELDS = 34
 MAX_CLI_SUBCOMMANDS = 20
 #: ``find src -name '*.py' | xargs cat | wc -l``
-MAX_SRC_LINES = 19_555
+MAX_SRC_LINES = 19_062
 #: ``wc -c`` of the two documents a newcomer reads first
-MAX_DESIGN_BYTES = 86_005
+MAX_DESIGN_BYTES = 85_574
 MAX_README_BYTES = 20_200
 
 #: Public names under ``src/repro`` that only tests refer to, each with the
@@ -63,7 +63,6 @@ TEST_SEAMS = {
     "build_training_set": "FeaturePipeline: fit + both transforms in one "
                           "call; drives the smoothing, round-trip and "
                           "records == columns tests",
-    "gradient": "Loss: seeds every backward pass of tests/nn/gradcheck.py",
     "of_kind": "EventBus / EventLog: tests pick drift, rollback and "
                "readmit events out of a run's history",
     "covers_rowid": "provenance: causal-integrity check of a batch's rows",
@@ -83,6 +82,8 @@ TEST_SEAMS = {
                             "and control-agent availability paths",
     "migrate_incremental": "StorageCluster: README extension (paper "
                            "section VI) with its own test class",
+    "PathEncoder": "the paper's section V-E locality-preserving path "
+                   "codec, with its own test module",
 }
 
 _PLANE = "overload plane: driven through run_recoverable and kill/resume"
@@ -195,25 +196,40 @@ def test_document_byte_ceilings():
 def _trees(*tops: Path):
     for top in tops:
         for path in sorted(top.rglob("*.py")):
-            yield ast.parse(path.read_text())
+            yield path, ast.parse(path.read_text())
+
+
+def _uses(tree: ast.AST, *, count_imports: bool):
+    """Every ``ast.Name`` / ``ast.Attribute`` / imported name in ``tree``;
+    without ``count_imports``, what import statements name is skipped."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias) and count_imports:
+            yield node.name.rpartition(".")[2]
 
 
 def test_every_public_name_has_a_caller():
     """A public function, class or method nothing refers to is deleted
-    with the tests that test only it, or listed in ``TEST_SEAMS``."""
+    with the tests that test only it, or listed in ``TEST_SEAMS``.  A
+    package ``__init__.py`` that re-exports a name is not a caller of it
+    (code in such a file still is)."""
     product = list(_trees(SRC))
     referenced: set[str] = set()
-    for tree in (*product, *_trees(REPO / "benchmarks", REPO / "examples")):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.alias):
-                referenced.add(node.name.rpartition(".")[2])
+    for path, tree in (
+        *product, *_trees(REPO / "benchmarks", REPO / "examples")
+    ):
+        referenced.update(_uses(
+            tree,
+            count_imports=not (
+                path.name == "__init__.py" and path.is_relative_to(SRC)
+            ),
+        ))
     unreferenced = {
         node.name
-        for tree in product
+        for _, tree in product
         for node in ast.walk(tree)
         if isinstance(
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -229,6 +245,42 @@ def test_every_public_name_has_a_caller():
         reason.strip() and "\n" not in reason
         for reason in TEST_SEAMS.values()
     )
+
+
+#: every ``np.errstate`` block in ``src/``, as (module, enclosing function)
+ERRSTATE_SITES = [
+    # a relative residual over a target that can be 0 (clamped to 1e-12)
+    ("core/engine.py", "train_incremental"),
+    # a diverging fit overflows, then sends ``inf * 0`` through a ReLU
+    # mask: divergence is a reported outcome (Table II), not a warning
+    ("nn/network.py", "fit"),
+]
+
+
+def test_errstate_blocks_are_the_listed_ones():
+    """A ratchet: each silenced floating-point warning is a listed,
+    documented site; a new one fails here instead of hiding a NaN from
+    ``filterwarnings = ["error"]``."""
+
+    def calls(node: ast.AST, scope: str):
+        """The innermost enclosing function of every ``errstate`` call."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef):
+                yield from calls(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and "errstate" in (
+                getattr(child.func, "attr", None),
+                getattr(child.func, "id", None),
+            ):
+                yield scope
+            yield from calls(child, scope)
+
+    sites = [
+        (path.relative_to(SRC).as_posix(), scope)
+        for path in sorted(SRC.rglob("*.py"))
+        for scope in calls(ast.parse(path.read_text()), "<module>")
+    ]
+    assert sites == ERRSTATE_SITES
 
 
 def test_src_does_not_import_sqlite3():

@@ -79,21 +79,9 @@ class TestRunGeneration:
         for op in workload.run(0):
             assert 1 <= op.rb <= sizes[op.fid]
 
-    def test_cycle_selection_covers_population_in_one_pass(self, files):
-        # With selection="cycle", 6 runs of 4 files cover all 24 exactly.
-        cyclic = Belle2Workload(files, seed=1, selection="cycle")
-        fids = {op.fid for i in range(6) for op in cyclic.run(i)}
-        assert fids == {f.fid for f in files}
-
     def test_random_selection_covers_population_eventually(self, workload, files):
         fids = {op.fid for i in range(40) for op in workload.run(i)}
         assert fids == {f.fid for f in files}
-
-    def test_invalid_selection_rejected(self, files):
-        import pytest as _pytest
-        from repro.errors import ConfigurationError as _CE
-        with _pytest.raises(_CE):
-            Belle2Workload(files, selection="lifo")
 
     def test_negative_run_index_rejected(self, workload):
         with pytest.raises(ConfigurationError):
