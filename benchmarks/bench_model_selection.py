@@ -17,7 +17,6 @@ def test_model_selection(benchmark, save_result):
             "rows": BENCH_SCALE.training_rows,
             "epochs": BENCH_SCALE.epochs,
             "seed": 0,
-            "shortlist_size": 4,
         },
         rounds=1,
         iterations=1,

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro.agents.messages import LayoutCommand
 from repro.errors import (
     AgentError,
@@ -37,6 +35,19 @@ from repro.replaydb.records import MovementRecord
 from repro.simulation.cluster import StorageCluster
 
 logger = get_logger("agents.control")
+
+#: attempts a failed move gets after its first before it is given up
+MAX_MOVE_RETRIES = 3
+#: backoff before a failed move's first retry, doubled per attempt ...
+RETRY_BACKOFF_S = 5.0
+#: ... up to this cap, so deep retry chains cannot push a file's next
+#: attempt arbitrarily far into the future
+RETRY_BACKOFF_MAX_S = 300.0
+
+
+def _backoff(attempts: int) -> float:
+    """Exponential backoff, capped."""
+    return min(RETRY_BACKOFF_MAX_S, RETRY_BACKOFF_S * 2 ** (attempts - 1))
 
 
 @dataclass
@@ -55,39 +66,9 @@ class ControlAgent:
         self,
         cluster: StorageCluster,
         *,
-        max_move_retries: int = 3,
-        retry_backoff_s: float = 5.0,
-        retry_backoff_max_s: float = 300.0,
-        retry_jitter: bool = False,
-        seed: int = 0,
         health: HealthTracker | None = None,
     ) -> None:
-        if max_move_retries < 0:
-            raise AgentError(
-                f"max_move_retries must be >= 0, got {max_move_retries}"
-            )
-        if retry_backoff_s <= 0:
-            raise AgentError(
-                f"retry_backoff_s must be positive, got {retry_backoff_s}"
-            )
-        if retry_backoff_max_s < retry_backoff_s:
-            raise AgentError(
-                f"retry_backoff_max_s must be >= retry_backoff_s, "
-                f"got {retry_backoff_max_s} < {retry_backoff_s}"
-            )
         self.cluster = cluster
-        self.max_move_retries = int(max_move_retries)
-        self.retry_backoff_s = float(retry_backoff_s)
-        #: cap on the exponential backoff, so deep retry chains cannot
-        #: push a file's next attempt arbitrarily far into the future
-        self.retry_backoff_max_s = float(retry_backoff_max_s)
-        #: seeded full jitter: the actual delay is uniform in
-        #: (0, capped backoff], drawn from a generator keyed to
-        #: (seed, fid, attempts) -- deterministic per run, but different
-        #: files never retry in lockstep, so an overload burst cannot
-        #: synchronize into a retry storm
-        self.retry_jitter = bool(retry_jitter)
-        self.seed = int(seed)
         self.health = health
         self.commands_executed = 0
         self.files_moved = 0
@@ -122,7 +103,7 @@ class ControlAgent:
     def _note_failure(self, fid: int, dst: str, t: float) -> None:
         state = self._retries.get(fid)
         attempts = state.attempts + 1 if state is not None else 1
-        if attempts > self.max_move_retries:
+        if attempts > MAX_MOVE_RETRIES:
             self._retries.pop(fid, None)
             self.exhausted.append(
                 RetryExhaustedError(
@@ -137,24 +118,10 @@ class ControlAgent:
                 fid, dst, attempts,
             )
             return
-        backoff = self._backoff(fid, attempts)
         self._retries[fid] = _RetryState(
-            dst=dst, attempts=attempts, next_eligible_t=t + backoff
+            dst=dst, attempts=attempts,
+            next_eligible_t=t + _backoff(attempts),
         )
-
-    def _backoff(self, fid: int, attempts: int) -> float:
-        """Exponential backoff, capped, with optional seeded full jitter."""
-        backoff = min(
-            self.retry_backoff_max_s,
-            self.retry_backoff_s * 2 ** (attempts - 1),
-        )
-        if not self.retry_jitter:
-            return backoff
-        # Full jitter (uniform over (0, backoff]): spreads simultaneous
-        # failures across the whole window instead of re-colliding them
-        # at the same instant.  (1 - u) keeps the delay strictly positive.
-        u = np.random.default_rng((self.seed, fid, attempts)).random()
-        return backoff * (1.0 - u)
 
     def _due_retries(self, t: float) -> dict[int, str]:
         return {

@@ -10,9 +10,7 @@ Overload hardening (beyond the paper): an optional
 tenant with priority classes, so decision traffic survives telemetry
 floods; dead-lettered messages are persisted to a bounded
 :class:`~repro.agents.deadletter.DeadLetterStore` (and announced on the
-event bus) instead of being counted and thrown away; and
-:meth:`pump_telemetry` accepts a service ``budget`` so saturation studies
-can model a daemon with finite ingest capacity.
+event bus) instead of being counted and thrown away.
 """
 
 from __future__ import annotations
@@ -101,7 +99,7 @@ class InterfaceDaemon:
 
         Must be attached before telemetry flows: the landed-row counter
         is seeded from the DB's current count so rowid spans line up with
-        the write-behind buffer's arrival-order rowid assignment.
+        the ReplayDB's rowids, which it assigns in arrival order.
         """
         self.causal = causal
         self._rows_landed = self.db.access_count()
@@ -166,8 +164,8 @@ class InterfaceDaemon:
         self._m_batches.inc()
         stored = len(message.records)
         if self.causal is not None:
-            # Write-behind rowids are assigned in arrival order, so the
-            # batch's span is the next `stored` rows after the last land.
+            # The ReplayDB assigns rowids in arrival order, so the batch's
+            # span is the next `stored` rows after the last land.
             lo = self._rows_landed + 1
             self._rows_landed += stored
             self.causal.resolve(
@@ -181,13 +179,7 @@ class InterfaceDaemon:
             )
         return stored
 
-    def ingest(
-        self,
-        message,
-        *,
-        now: float | None = None,
-        drained_at: float | None = None,
-    ) -> int:
+    def ingest(self, message, *, now: float | None = None) -> int:
         """Route one already-received message; returns records stored.
 
         The seam for harnesses that drain a shared transport themselves
@@ -196,18 +188,12 @@ class InterfaceDaemon:
         single authority on admission, dead-lettering, and DB writes.
         """
         at = now if now is not None else _message_time(message)
-        stored = self._ingest(message, at, drained_at)
+        stored = self._ingest(message, at)
         self.records_ingested += stored
         self._m_records.inc(stored)
         return stored
 
-    def pump_telemetry(
-        self,
-        *,
-        budget: int | None = None,
-        now: float | None = None,
-        drained_at: float | None = None,
-    ) -> int:
+    def pump_telemetry(self, *, drained_at: float | None = None) -> int:
         """Drain pending telemetry batches into the ReplayDB.
 
         Returns the number of records stored.  Messages that are not
@@ -217,25 +203,17 @@ class InterfaceDaemon:
         controller attached, each batch must also win its tenant's token
         bucket or it is shed (counted, announced on the bus).
 
-        ``budget`` bounds the records ingested in this call (a daemon
-        with finite service capacity); unserved messages stay queued for
-        the next pump.  ``now`` is only used to timestamp dead letters
-        (defaults to each batch's ``sent_at``).  ``drained_at`` is the
-        simulated drain time the causal layer attributes queue delay
-        against (delay = ``drained_at - sent_at`` per batch); None skips
-        the attribution.
+        Dead letters are timestamped with each batch's ``sent_at``.
+        ``drained_at`` is the simulated drain time the causal layer
+        attributes queue delay against (delay = ``drained_at - sent_at``
+        per batch); None skips the attribution.
         """
         stored = 0
         with self.obs.span("replaydb_write"):
-            if budget is None:
-                for message in self.telemetry.receive_all():
-                    at = now if now is not None else _message_time(message)
-                    stored += self._ingest(message, at, drained_at)
-            else:
-                while self.telemetry.pending and stored < budget:
-                    message = self.telemetry.receive()
-                    at = now if now is not None else _message_time(message)
-                    stored += self._ingest(message, at, drained_at)
+            for message in self.telemetry.receive_all():
+                stored += self._ingest(
+                    message, _message_time(message), drained_at
+                )
         self.records_ingested += stored
         self._m_records.inc(stored)
         return stored

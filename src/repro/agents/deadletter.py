@@ -23,29 +23,7 @@ from pathlib import Path
 
 from repro.agents.messages import CorruptMessage, LayoutCommand, TelemetryBatch
 from repro.errors import AgentError
-from repro.replaydb.records import AccessRecord
-
-_RECORD_FIELDS = (
-    "fid", "fsid", "device", "path", "rb", "wb", "ots", "otms", "cts", "ctms",
-)
-
-
-def record_to_dict(record: AccessRecord) -> dict:
-    raw = {name: getattr(record, name) for name in _RECORD_FIELDS}
-    if record.extra:
-        raw["extra"] = dict(record.extra)
-    return raw
-
-
-def record_from_dict(raw: dict) -> AccessRecord:
-    return AccessRecord(
-        fid=int(raw["fid"]), fsid=int(raw["fsid"]),
-        device=str(raw["device"]), path=str(raw["path"]),
-        rb=int(raw["rb"]), wb=int(raw["wb"]),
-        ots=int(raw["ots"]), otms=int(raw["otms"]),
-        cts=int(raw["cts"]), ctms=int(raw["ctms"]),
-        extra=dict(raw.get("extra", {})),
-    )
+from repro.replaydb.records import record_from_dict, record_to_dict
 
 
 def message_to_dict(message) -> dict:

@@ -7,23 +7,33 @@ of bytes read and written on the file."
 Under overload the transport may refuse a batch (a bounded queue with a
 ``reject``/``drop-newest`` policy returns ``False`` from ``send``).  The
 agent then *coalesces* instead of silently losing telemetry: the refused
-batch is down-sampled (every ``downsample_factor``-th record kept) into a
-bounded backlog that rides along with the next flush.  Lower-resolution
+batch is down-sampled (every :data:`DOWNSAMPLE_FACTOR`-th record kept) into
+a bounded backlog that rides along with the next flush.  Lower-resolution
 telemetry still reaches the engine; the flood never grows an unbounded
 buffer on the sender side either.
 """
 
 from __future__ import annotations
 
-from repro.agents.deadletter import record_from_dict, record_to_dict
 from repro.agents.messages import TelemetryBatch
 from repro.agents.transport import Transport
 from repro.errors import AgentError
 from repro.observability import get_observability
-from repro.replaydb.records import AccessRecord
+from repro.replaydb.records import (
+    AccessRecord,
+    record_from_dict,
+    record_to_dict,
+)
 
 
 _COUNTERS = ("observed", "shed_records", "coalesced_records", "sends_rejected")
+
+#: the tenant every batch is sent under
+TENANT = "default"
+#: when a batch is refused, keep every Nth record of it
+DOWNSAMPLE_FACTOR = 2
+#: backlog capacity in units of ``batch_size`` records
+BACKLOG_BATCHES = 4
 
 
 class MonitoringAgent:
@@ -35,30 +45,14 @@ class MonitoringAgent:
         transport: Transport,
         *,
         batch_size: int = 32,
-        tenant: str = "default",
-        downsample_factor: int = 2,
-        backlog_batches: int = 4,
     ) -> None:
         if not device:
             raise AgentError("device name must be non-empty")
         if batch_size < 1:
             raise AgentError(f"batch_size must be >= 1, got {batch_size}")
-        if downsample_factor < 1:
-            raise AgentError(
-                f"downsample_factor must be >= 1, got {downsample_factor}"
-            )
-        if backlog_batches < 0:
-            raise AgentError(
-                f"backlog_batches must be >= 0, got {backlog_batches}"
-            )
         self.device = device
         self.transport = transport
         self.batch_size = int(batch_size)
-        self.tenant = tenant
-        #: when a batch is refused, keep every Nth record of it
-        self.downsample_factor = int(downsample_factor)
-        #: backlog capacity in units of ``batch_size`` records
-        self.backlog_limit = int(backlog_batches) * self.batch_size
         self._buffer: list[AccessRecord] = []
         #: down-sampled survivors of refused batches, oldest first
         self._backlog: list[AccessRecord] = []
@@ -138,13 +132,13 @@ class MonitoringAgent:
         trace_id = None
         if self.causal is not None:
             trace_id = self.causal.stamp_batch(
-                self.device, self.tenant, len(records), at,
+                self.device, TENANT, len(records), at,
                 parent=self._backlog_parent,
             )
             self._backlog_parent = None
         batch = TelemetryBatch(
             device=self.device, records=tuple(records), sent_at=at,
-            tenant=self.tenant, trace_id=trace_id,
+            tenant=TENANT, trace_id=trace_id,
         )
         if self.transport.send(batch) is False:
             self.sends_rejected += 1
@@ -159,10 +153,11 @@ class MonitoringAgent:
 
     def _shed(self, records: list[AccessRecord]) -> None:
         """Coalesce a refused batch into the bounded backlog."""
-        kept = records[:: self.downsample_factor]
-        if len(kept) > self.backlog_limit:
+        kept = records[::DOWNSAMPLE_FACTOR]
+        limit = BACKLOG_BATCHES * self.batch_size
+        if len(kept) > limit:
             # Keep the most recent survivors; telemetry value decays.
-            kept = kept[len(kept) - self.backlog_limit:]
+            kept = kept[len(kept) - limit:]
         self._backlog = kept
         shed = len(records) - len(kept)
         self.shed_records += shed

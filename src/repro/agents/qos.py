@@ -108,10 +108,6 @@ class TokenBucket:
             )
             self.last_refill_t = now
 
-    def available(self, now: float) -> float:
-        self.refill(now)
-        return self.tokens
-
     def try_acquire(
         self, cost: float, now: float, *, reserve: float = 0.0
     ) -> bool:
@@ -134,6 +130,10 @@ class TokenBucket:
 
 #: what of a :class:`TokenBucket` changes as it runs (rate and burst are config)
 _BUCKET_STATE = ("tokens", "last_refill_t", "granted", "denied")
+
+#: share of a tenant's burst telemetry may not draw its bucket below
+#: (movement traffic: half of it), kept for decision traffic
+CONTROL_RESERVE_FRACTION = 0.1
 
 
 @dataclass
@@ -161,7 +161,7 @@ class AdmissionController:
 
     One bucket per tenant (rate overrides per tenant, a shared default
     otherwise).  Priority classes map to reserve floors: ``TELEMETRY``
-    may only draw a bucket down to ``control_reserve_fraction * burst``,
+    may only draw a bucket down to ``CONTROL_RESERVE_FRACTION * burst``,
     ``MOVEMENT`` down to half of that, and ``CONTROL`` is exempt -- a
     layout command is never shed by admission, so the decision path
     stays open while telemetry is being shed.
@@ -173,7 +173,6 @@ class AdmissionController:
         rate_records_s: float,
         burst_records: float,
         tenant_rates: dict[str, float] | None = None,
-        control_reserve_fraction: float = 0.1,
     ) -> None:
         if rate_records_s <= 0:
             raise ConfigurationError(
@@ -183,11 +182,6 @@ class AdmissionController:
             raise ConfigurationError(
                 f"burst_records must be positive, got {burst_records}"
             )
-        if not 0.0 <= control_reserve_fraction < 1.0:
-            raise ConfigurationError(
-                f"control_reserve_fraction must be in [0, 1), "
-                f"got {control_reserve_fraction}"
-            )
         self.rate_records_s = float(rate_records_s)
         self.burst_records = float(burst_records)
         self.tenant_rates = dict(tenant_rates or {})
@@ -196,7 +190,6 @@ class AdmissionController:
                 raise ConfigurationError(
                     f"tenant {tenant!r} rate must be positive, got {rate}"
                 )
-        self.control_reserve_fraction = float(control_reserve_fraction)
         self._buckets: dict[str, TokenBucket] = {}
         self.usage: dict[str, TenantUsage] = {}
         self.admitted_records = 0
@@ -219,9 +212,9 @@ class AdmissionController:
 
     def _reserve_for(self, priority: Priority) -> float:
         if priority is Priority.TELEMETRY:
-            return self.control_reserve_fraction * self.burst_records
+            return CONTROL_RESERVE_FRACTION * self.burst_records
         if priority is Priority.MOVEMENT:
-            return self.control_reserve_fraction * self.burst_records / 2.0
+            return CONTROL_RESERVE_FRACTION * self.burst_records / 2.0
         return 0.0
 
     def admit(

@@ -11,15 +11,20 @@ burst instead of waiting for slow gradient drift to catch up.
 
 Page-Hinkley is the standard sequential change-point statistic for data
 streams: it tracks the cumulative difference between each observation and
-the running mean (minus a tolerance ``delta``) and signals when that sum
-rises ``threshold`` above its historical minimum.  It needs O(1) state,
+the running mean (minus a tolerance :data:`DELTA`) and signals when that
+sum rises :data:`THRESHOLD` above its historical minimum.  It needs O(1) state,
 which keeps the detector's cost flat like everything else on the online
 path.
 """
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError
+#: drift tolerance: small persistent deviations below it never accumulate
+DELTA = 0.05
+#: detection level on the cumulative statistic
+THRESHOLD = 1.0
+#: no detection before the running mean has settled over this many values
+MIN_SAMPLES = 8
 
 
 class PageHinkley:
@@ -27,33 +32,10 @@ class PageHinkley:
 
     Detects when recent values run persistently *above* the stream's
     running mean -- for prediction residuals, exactly the signature of a
-    workload phase change degrading the model.  ``delta`` is the drift
-    tolerance (small persistent deviations below it never accumulate),
-    ``threshold`` the detection level on the cumulative statistic, and
-    ``min_samples`` suppresses detections before the running mean has
-    settled.
+    workload phase change degrading the model.
     """
 
-    def __init__(
-        self,
-        *,
-        delta: float = 0.05,
-        threshold: float = 1.0,
-        min_samples: int = 8,
-    ) -> None:
-        if delta < 0:
-            raise ConfigurationError(f"delta must be non-negative, got {delta}")
-        if threshold <= 0:
-            raise ConfigurationError(
-                f"threshold must be positive, got {threshold}"
-            )
-        if min_samples < 1:
-            raise ConfigurationError(
-                f"min_samples must be >= 1, got {min_samples}"
-            )
-        self.delta = float(delta)
-        self.threshold = float(threshold)
-        self.min_samples = int(min_samples)
+    def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
@@ -82,13 +64,10 @@ class PageHinkley:
         self._n += 1
         # Running mean includes the current value (standard formulation).
         self._mean += (value - self._mean) / self._n
-        self._cumulative += value - self._mean - self.delta
+        self._cumulative += value - self._mean - DELTA
         if self._cumulative < self._cumulative_min:
             self._cumulative_min = self._cumulative
-        return (
-            self._n >= self.min_samples
-            and self.statistic > self.threshold
-        )
+        return self._n >= MIN_SAMPLES and self.statistic > THRESHOLD
 
     # -- checkpointing -----------------------------------------------------
     def state_dict(self) -> dict:

@@ -50,6 +50,9 @@ PROBE_BLOCK_ROWS = 4096
 PROBE_TOP_DEVICES = 8
 #: recent accesses per file whose probe scores are averaged (section V-C)
 PROBE_SAMPLES = 8
+#: recent accesses whose per-device predictions ``ranking_correlation``
+#: compares against the observed device ordering
+RANKING_PROBE_BASES = 32
 #: window length for the recurrent Table-I models
 TIMESTEPS = 8
 #: SGD epochs per incremental update (``config.epochs`` from scratch)
@@ -733,11 +736,7 @@ class DRLEngine:
         return per_fid, self.pipeline.feature_matrix_from_columns(columns)
 
     def ranking_correlation(
-        self,
-        db: ReplayDB,
-        device_by_fsid: dict[int, str],
-        *,
-        probe_bases: int = 32,
+        self, db: ReplayDB, device_by_fsid: dict[int, str]
     ) -> float:
         """Agreement between predicted and observed device orderings.
 
@@ -762,7 +761,7 @@ class DRLEngine:
         if len(observed) < 2:
             return 1.0
         fsids = sorted(observed)
-        bases = self._telemetry(db, limit=probe_bases)
+        bases = self._telemetry(db, limit=RANKING_PROBE_BASES)
         if len(bases["fsid"]):
             matrix = self.predict_throughput_matrix(bases, fsids)
             predicted = _ordered_span_sums(

@@ -143,9 +143,7 @@ class Geomancy:
             for name in cluster.device_names
         }
         self.health = HealthTracker()
-        self.control = ControlAgent(
-            cluster, seed=self.config.seed, health=self.health
-        )
+        self.control = ControlAgent(cluster, health=self.health)
         #: the gate sequence from ReplayDB to layout, with its engine and
         #: Action Checker
         self.decision_path = DecisionPath(self.config, obs=self.obs)
@@ -224,12 +222,11 @@ class Geomancy:
         )
 
     # -- placement -----------------------------------------------------------
-    def place_initial(self, layout: dict[int, str] | None = None) -> dict[int, str]:
-        """Register the workload files, spread evenly unless told otherwise."""
-        if layout is None:
-            layout = EvenSpreadPolicy().initial_layout(
-                self.files, self.cluster.device_names
-            )
+    def place_initial(self) -> dict[int, str]:
+        """Register the workload files, spread evenly over the devices."""
+        layout = EvenSpreadPolicy().initial_layout(
+            self.files, self.cluster.device_names
+        )
         existing = {info.fid for info in self.cluster.files}
         for spec in self.files:
             if spec.fid not in existing:

@@ -16,6 +16,11 @@ from __future__ import annotations
 from repro.errors import ConfigurationError
 from repro.replaydb.db import ReplayDB
 
+#: recent accesses per file whose gaps :class:`AccessGapScheduler` averages
+RECENT_ACCESSES = 20
+#: how many transfer times a file's mean access gap must span to move it
+SAFETY_FACTOR = 2.0
+
 
 class CooldownScheduler:
     """Allow a movement every ``cooldown_runs`` workload runs."""
@@ -38,31 +43,14 @@ class AccessGapScheduler:
     """Per-file movability from observed access gaps (section X extension).
 
     A file may move when the mean gap between its recent accesses exceeds
-    ``safety_factor`` times the estimated transfer time -- i.e. the move
-    fits inside the gap with slack.  Files under constant access never
+    :data:`SAFETY_FACTOR` times the estimated transfer time -- i.e. the
+    move fits inside the gap with slack.  Files under constant access never
     qualify ("We will not consider moving files that are always accessed").
     """
 
-    def __init__(
-        self,
-        *,
-        recent_accesses: int = 20,
-        safety_factor: float = 2.0,
-    ) -> None:
-        if recent_accesses < 2:
-            raise ConfigurationError(
-                f"recent_accesses must be >= 2, got {recent_accesses}"
-            )
-        if safety_factor <= 0:
-            raise ConfigurationError(
-                f"safety_factor must be positive, got {safety_factor}"
-            )
-        self.recent_accesses = int(recent_accesses)
-        self.safety_factor = float(safety_factor)
-
     def mean_gap(self, db: ReplayDB, fid: int) -> float | None:
         """Mean seconds between this file's recent accesses, if known."""
-        records = db.recent_accesses(self.recent_accesses, fid=fid)
+        records = db.recent_accesses(RECENT_ACCESSES, fid=fid)
         if len(records) < 2:
             return None
         gaps = [
@@ -87,4 +75,4 @@ class AccessGapScheduler:
         if gap is None:
             # Never observed: moving is safe, nothing is waiting on it.
             return True
-        return gap >= self.safety_factor * estimated_transfer_s
+        return gap >= SAFETY_FACTOR * estimated_transfer_s

@@ -66,12 +66,12 @@ class Fig5Result:
                 f"no result for {name!r}; have {sorted(self.results)}"
             ) from None
 
-    def gain_percent(self, over: str, *, of: str = GEOMANCY) -> float:
-        """Throughput gain of ``of`` (Geomancy) over policy ``over``."""
+    def gain_percent(self, over: str) -> float:
+        """Throughput gain of Geomancy over policy ``over``."""
         base = self.mean(over)
         if base <= 0:
             raise ExperimentError(f"{over!r} measured non-positive throughput")
-        return (self.mean(of) - base) / base * 100.0
+        return (self.mean(GEOMANCY) - base) / base * 100.0
 
     def best_baseline(self) -> str:
         """The strongest non-Geomancy policy."""

@@ -26,6 +26,14 @@ from repro.workloads.files import belle2_file_population
 from repro.workloads.interference import make_competing_workload
 from repro.workloads.runner import WorkloadRunner
 
+#: share of the post-disturbance series ``dip_ratio`` averages, from its start
+HEAD_FRACTION = 0.2
+#: share of the post-disturbance series ``recovery_ratio`` averages, at its end
+TAIL_FRACTION = 0.3
+#: share of the pre-disturbance mean that counts as recovered ...
+RECOVERY_THRESHOLD = 0.9
+#: ... by a trailing mean over this many accesses
+RECOVERY_WINDOW = 200
 
 @dataclass
 class Fig6Result:
@@ -42,37 +50,37 @@ class Fig6Result:
     def tuned_after(self) -> np.ndarray:
         return np.asarray(self.tuned_gbps[self.disturbance_access :])
 
-    def recovery_ratio(self, *, tail_fraction: float = 0.3) -> float:
+    def recovery_ratio(self) -> float:
         """Late post-disturbance throughput relative to pre-disturbance.
 
         1.0 means fully recovered; the immediate post-disturbance dip is
-        excluded by looking only at the final ``tail_fraction`` of the
+        excluded by looking only at the final :data:`TAIL_FRACTION` of the
         post-disturbance series.
         """
         before = self.tuned_before()
         after = self.tuned_after()
         if before.size == 0 or after.size == 0:
             raise ExperimentError("need accesses on both sides of the disturbance")
-        tail = after[int(len(after) * (1.0 - tail_fraction)) :]
+        tail = after[int(len(after) * (1.0 - TAIL_FRACTION)) :]
         return float(tail.mean() / before.mean())
 
-    def dip_ratio(self, *, head_fraction: float = 0.2) -> float:
-        """Immediate post-disturbance throughput relative to before."""
+    def dip_ratio(self) -> float:
+        """Throughput over the first :data:`HEAD_FRACTION` of the
+        post-disturbance series relative to before."""
         before = self.tuned_before()
         after = self.tuned_after()
         if before.size == 0 or after.size == 0:
             raise ExperimentError("need accesses on both sides of the disturbance")
-        head = after[: max(1, int(len(after) * head_fraction))]
+        head = after[: max(1, int(len(after) * HEAD_FRACTION))]
         return float(head.mean() / before.mean())
 
-    def recovery_accesses(
-        self, *, threshold: float = 0.9, window: int = 200
-    ) -> int | None:
+    def recovery_accesses(self) -> int | None:
         """Accesses after the disturbance until throughput recovers.
 
         Recovery is the first post-disturbance access whose trailing
-        ``window``-access mean reaches ``threshold`` of the
-        pre-disturbance mean; ``None`` if the series never gets there.
+        :data:`RECOVERY_WINDOW`-access mean reaches
+        :data:`RECOVERY_THRESHOLD` of the pre-disturbance mean; ``None``
+        if the series never gets there.
         This is the "how fast did it adapt" companion to the "how far
         did it get back" :meth:`recovery_ratio`.
         """
@@ -80,8 +88,8 @@ class Fig6Result:
         after = self.tuned_after()
         if before.size == 0 or after.size == 0:
             raise ExperimentError("need accesses on both sides of the disturbance")
-        target = threshold * before.mean()
-        window = min(window, after.size)
+        target = RECOVERY_THRESHOLD * before.mean()
+        window = min(RECOVERY_WINDOW, after.size)
         rolling = np.convolve(after, np.ones(window) / window, mode="valid")
         hits = np.nonzero(rolling >= target)[0]
         if hits.size == 0:

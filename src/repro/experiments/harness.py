@@ -46,6 +46,9 @@ from repro.workloads.belle2 import Belle2Workload
 from repro.workloads.files import FileSpec, belle2_file_population
 from repro.workloads.runner import WorkloadRunner
 
+#: seed of the BELLE II access stream every experiment measures under
+WORKLOAD_SEED = 1
+
 
 @dataclass
 class PolicyRunResult:
@@ -343,21 +346,20 @@ def run_policy_experiment(
     *,
     scale: ExperimentScale = TEST_SCALE,
     seed: int = 0,
-    workload_seed: int = 1,
     cluster: StorageCluster | None = None,
     files: list[FileSpec] | None = None,
 ) -> PolicyRunResult:
     """Measure one policy on the standard setup.
 
     All stochastic inputs (cluster interference, device noise, workload
-    access stream) derive from ``seed``/``workload_seed``, so two policies
-    run with the same seeds face exactly the same environment.
+    access stream) derive from ``seed``/:data:`WORKLOAD_SEED`, so two
+    policies run with the same seed face exactly the same environment.
     """
     if cluster is None:
         cluster = make_bluesky_cluster(seed=seed)
     if files is None:
         files = belle2_file_population(seed=seed)
-    workload = Belle2Workload(files, seed=workload_seed)
+    workload = Belle2Workload(files, seed=WORKLOAD_SEED)
     db = ReplayDB()
     runner = WorkloadRunner(cluster, workload, db)
 

@@ -26,6 +26,10 @@ from repro.experiments.table2_comparison import (
 )
 from repro.simulation.bluesky import BLUESKY_DEVICE_NAMES
 
+#: Table II's lowest-error converged models that go on to the per-mount
+#: check (model 1 joins them if it is not among them)
+SHORTLIST_SIZE = 4
+
 
 @dataclass
 class CandidateEvaluation:
@@ -89,20 +93,14 @@ def run_model_selection(
     rows: int = 4000,
     epochs: int = 60,
     seed: int = 0,
-    shortlist_size: int = 4,
-    mounts: tuple[str, ...] = BLUESKY_DEVICE_NAMES,
 ) -> ModelSelectionResult:
     """Run the full selection procedure."""
-    if shortlist_size < 1:
-        raise ExperimentError(
-            f"shortlist_size must be >= 1, got {shortlist_size}"
-        )
     people = collect_mount_telemetry("people", rows, seed=seed)
     table2 = run_table2(epochs=epochs, seed=seed, records=people)
     converged = [row for row in table2 if not row.diverged]
     if not converged:
         raise ExperimentError("every architecture diverged on people")
-    shortlist = sorted(converged, key=lambda row: row.mare)[:shortlist_size]
+    shortlist = sorted(converged, key=lambda row: row.mare)[:SHORTLIST_SIZE]
     # Model 1 always participates: it is the paper's final pick.
     if all(row.model_number != 1 for row in shortlist):
         one = next((r for r in converged if r.model_number == 1), None)
@@ -111,7 +109,7 @@ def run_model_selection(
 
     telemetry = {
         mount: collect_mount_telemetry(mount, rows, seed=seed)
-        for mount in mounts
+        for mount in BLUESKY_DEVICE_NAMES
         if mount != "people"
     }
     telemetry["people"] = people
@@ -121,7 +119,7 @@ def run_model_selection(
         evaluation = CandidateEvaluation(
             model_number=row.model_number, people_mare=row.mare
         )
-        for mount in mounts:
+        for mount in BLUESKY_DEVICE_NAMES:
             config = table_config(
                 row.model_number, rows, epochs=epochs, seed=seed
             )

@@ -249,9 +249,6 @@ def run_recoverable(
 
 def resume_recoverable(
     checkpoint_dir: str | os.PathLike,
-    *,
-    kill_at_run: int | None = None,
-    kill_point: str | None = None,
 ) -> RecoverableRunResult:
     """Restore the newest valid checkpoint and finish the run.
 
@@ -327,9 +324,7 @@ def resume_recoverable(
     session.loop["rolled_back"] = (
         session.loop.get("rolled_back", 0) + rolled
     )
-    return _measured_loop(
-        session, kill_at_run=kill_at_run, kill_point=kill_point
-    )
+    return _measured_loop(session, kill_at_run=None, kill_point=None)
 
 
 # -- the measured loop ----------------------------------------------------

@@ -8,6 +8,11 @@ import numpy as np
 
 from repro.errors import ExperimentError
 
+#: decimals of each half of a ``mean ± std`` cell
+MEAN_STD_DIGITS = 2
+#: rows of the Fig. 5 movement-bar chart
+BAR_HEIGHT = 4
+
 
 def ascii_table(
     headers: Sequence[str], rows: Sequence[Sequence[object]], *, title: str = ""
@@ -37,9 +42,9 @@ def ascii_table(
     return "\n".join(lines)
 
 
-def mean_std(value: float, std: float, *, digits: int = 2) -> str:
+def mean_std(value: float, std: float) -> str:
     """Format as the paper's ``mean +/- std``."""
-    return f"{value:.{digits}f} ± {std:.{digits}f}"
+    return f"{value:.{MEAN_STD_DIGITS}f} ± {std:.{MEAN_STD_DIGITS}f}"
 
 
 def bucket_series(
@@ -84,16 +89,15 @@ def movement_bars(
     total_accesses: int,
     *,
     width: int = 60,
-    max_height: int = 4,
 ) -> str:
     """Render the Fig. 5 movement bars: when and how many files moved.
 
     ``movements`` is a list of ``(access_number, files_moved)`` pairs; the
-    output is a ``max_height``-row text chart aligned to a ``width``-column
-    timeline of ``total_accesses`` accesses.
+    output is a :data:`BAR_HEIGHT`-row text chart aligned to a
+    ``width``-column timeline of ``total_accesses`` accesses.
     """
-    if width < 1 or max_height < 1:
-        raise ExperimentError("width and max_height must be >= 1")
+    if width < 1:
+        raise ExperimentError("width must be >= 1")
     if total_accesses < 1:
         raise ExperimentError("total_accesses must be >= 1")
     columns = [0] * width
@@ -108,8 +112,8 @@ def movement_bars(
     if peak == 0:
         return "(no file movements)"
     lines = []
-    for level in range(max_height, 0, -1):
-        threshold = peak * level / max_height
+    for level in range(BAR_HEIGHT, 0, -1):
+        threshold = peak * level / BAR_HEIGHT
         row = "".join(
             "█" if value >= threshold and value > 0 else " "
             for value in columns

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.core.config import GeomancyConfig
 from repro.core.engine import DRLEngine
+from repro.experiments.harness import WORKLOAD_SEED
 from repro.experiments.parallel import run_cells
 from repro.experiments.reporting import ascii_table, mean_std
 from repro.nn.model_zoo import MODEL_NUMBERS
@@ -38,14 +39,14 @@ TABLE_SMOOTHING_WINDOW = 200
 
 
 def collect_mount_telemetry(
-    mount: str, rows: int, *, seed: int = 0, workload_seed: int = 1
+    mount: str, rows: int, *, seed: int = 0
 ) -> list[AccessRecord]:
     """BELLE II telemetry with every file pinned to one mount."""
     cluster = make_bluesky_cluster(seed=seed)
     files = belle2_file_population(seed=seed)
     db = ReplayDB()
     runner = WorkloadRunner(
-        cluster, Belle2Workload(files, seed=workload_seed), db
+        cluster, Belle2Workload(files, seed=WORKLOAD_SEED), db
     )
     runner.ensure_files_placed({f.fid: mount for f in files})
     runner.warm_up(rows)
@@ -124,11 +125,10 @@ def run_table2(
     rows: int = 12_000,
     epochs: int = 200,
     seed: int = 0,
-    model_numbers: tuple[int, ...] = MODEL_NUMBERS,
     records: list[AccessRecord] | None = None,
     workers: int = 1,
 ) -> list[Table2Row]:
-    """Regenerate Table II (optionally for a subset of models).
+    """Regenerate Table II, one row per model of ``MODEL_NUMBERS``.
 
     One cell per architecture through
     :func:`repro.experiments.parallel.run_cells`: the shared people-mount
@@ -139,7 +139,7 @@ def run_table2(
     """
     if records is None:
         records = collect_mount_telemetry("people", rows, seed=seed)
-    cells = [(number, records, epochs, seed) for number in model_numbers]
+    cells = [(number, records, epochs, seed) for number in MODEL_NUMBERS]
     return run_cells(_model_cell, cells, workers=workers)
 
 

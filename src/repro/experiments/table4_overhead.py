@@ -80,14 +80,13 @@ def run_table4(
     *,
     scale: ExperimentScale = TEST_SCALE,
     seed: int = 0,
-    mounts: tuple[str, ...] = BLUESKY_DEVICE_NAMES,
 ) -> Table4Result:
-    """Regenerate Table IV."""
+    """Regenerate Table IV: every mount alone, then Geomancy."""
     mount_results = {
         mount: run_policy_experiment(
             SingleMountPolicy(mount), scale=scale, seed=seed
         )
-        for mount in mounts
+        for mount in BLUESKY_DEVICE_NAMES
     }
     cluster = make_bluesky_cluster(seed=seed)
     device_by_fsid = {

@@ -5,37 +5,25 @@ proposal and execution, migrations abort mid-transfer, capacity checks
 bounce -- the engine should stop proposing it rather than burn a retry
 budget every cycle.  The tracker counts consecutive per-device failures
 and *quarantines* a device once they cross a threshold; quarantine expires
-after a configurable period, after which the device gets one probe move
+after :data:`QUARANTINE_DURATION_S`, after which the device gets one probe move
 (half-open circuit): a success closes the circuit, another failure
 re-opens it immediately.
 """
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError
 from repro.observability import get_observability
+
+#: consecutive failures toward a device that quarantine it
+QUARANTINE_THRESHOLD = 3
+#: how long a quarantine keeps placements off the device
+QUARANTINE_DURATION_S = 600.0
 
 
 class HealthTracker:
     """Per-device failure counting with threshold quarantine."""
 
-    def __init__(
-        self,
-        *,
-        quarantine_threshold: int = 3,
-        quarantine_duration_s: float = 600.0,
-    ) -> None:
-        if quarantine_threshold < 1:
-            raise ConfigurationError(
-                f"quarantine_threshold must be >= 1, got {quarantine_threshold}"
-            )
-        if quarantine_duration_s <= 0:
-            raise ConfigurationError(
-                f"quarantine_duration_s must be positive, "
-                f"got {quarantine_duration_s}"
-            )
-        self.quarantine_threshold = int(quarantine_threshold)
-        self.quarantine_duration_s = float(quarantine_duration_s)
+    def __init__(self) -> None:
         self._consecutive: dict[str, int] = {}
         self._quarantined_until: dict[str, float] = {}
         self.successes = 0
@@ -61,7 +49,7 @@ class HealthTracker:
         self.failures += 1
         count = self._consecutive.get(device, 0) + 1
         self._consecutive[device] = count
-        if count >= self.quarantine_threshold:
+        if count >= QUARANTINE_THRESHOLD:
             if device not in self._quarantined_until:
                 self.quarantines_opened += 1
                 self._m_quarantines.inc()
@@ -73,7 +61,7 @@ class HealthTracker:
                         device=device,
                         consecutive_failures=count,
                     )
-            self._quarantined_until[device] = t + self.quarantine_duration_s
+            self._quarantined_until[device] = t + QUARANTINE_DURATION_S
 
     def is_quarantined(self, device: str, t: float) -> bool:
         """Whether ``device`` should receive no placements at time ``t``.
@@ -88,7 +76,7 @@ class HealthTracker:
             return False
         if t >= until:
             del self._quarantined_until[device]
-            self._consecutive[device] = self.quarantine_threshold - 1
+            self._consecutive[device] = QUARANTINE_THRESHOLD - 1
             if self.obs.enabled:
                 self.obs.emit("circuit-half-open", t=t, step=0, device=device)
             return False

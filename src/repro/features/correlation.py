@@ -13,6 +13,10 @@ import numpy as np
 
 from repro.errors import FeatureError
 
+#: ``select_features`` skips negatively correlated features (the paper's
+#: rt/wt)
+EXCLUDE_NEGATIVE = True
+
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson correlation coefficient between two equal-length vectors.
@@ -44,7 +48,6 @@ class CorrelationReport:
     """
 
     correlations: dict[str, float]
-    target_name: str = "throughput"
     chosen: tuple[str, ...] = field(default_factory=tuple)
 
     def sorted_items(self) -> list[tuple[str, float]]:
@@ -69,7 +72,7 @@ class CorrelationReport:
 
 
 def feature_correlations(
-    table: dict[str, np.ndarray], target: np.ndarray, *, target_name: str = "throughput"
+    table: dict[str, np.ndarray], target: np.ndarray
 ) -> CorrelationReport:
     """Correlate every column of ``table`` against ``target``.
 
@@ -81,14 +84,13 @@ def feature_correlations(
     correlations = {
         name: pearson(column, target) for name, column in table.items()
     }
-    return CorrelationReport(correlations=correlations, target_name=target_name)
+    return CorrelationReport(correlations=correlations)
 
 
 def select_features(
     report: CorrelationReport,
     *,
     required: tuple[str, ...] = (),
-    exclude_negative: bool = True,
     max_features: int | None = None,
 ) -> tuple[str, ...]:
     """Choose modeling features the way the paper does.
@@ -100,8 +102,8 @@ def select_features(
     the access to the file independently of the action").
 
     ``required`` names are always included; remaining slots are filled by
-    descending correlation, skipping negative ones when
-    ``exclude_negative``.
+    descending correlation, skipping negative ones while
+    :data:`EXCLUDE_NEGATIVE`.
     """
     for name in required:
         if name not in report.correlations:
@@ -112,7 +114,7 @@ def select_features(
             break
         if name in chosen:
             continue
-        if exclude_negative and r < 0.0:
+        if EXCLUDE_NEGATIVE and r < 0.0:
             continue
         chosen.append(name)
     if max_features is not None:

@@ -15,6 +15,9 @@ from repro.errors import ShapeError
 
 #: guard against division by ~0 targets when computing relative error
 _EPS = 1e-12
+#: prediction variance over target variance below which a model is
+#: diverged (its predictions are nearly constant)
+DIVERGED_VARIANCE_RATIO = 1e-3
 
 
 def absolute_relative_error(
@@ -59,18 +62,13 @@ def signed_relative_error(y_pred: np.ndarray, y_true: np.ndarray) -> float:
     )
 
 
-def is_diverged(
-    y_pred: np.ndarray,
-    y_true: np.ndarray,
-    *,
-    variance_ratio_threshold: float = 1e-3,
-) -> bool:
+def is_diverged(y_pred: np.ndarray, y_true: np.ndarray) -> bool:
     """Whether a model's predictions are useless in the paper's sense.
 
     A model is considered diverged if its predictions contain non-finite
     values, or if they are (nearly) constant while the targets are not --
     i.e. the ratio of prediction variance to target variance falls below
-    ``variance_ratio_threshold``.
+    :data:`DIVERGED_VARIANCE_RATIO`.
     """
     y_pred = np.asarray(y_pred, dtype=np.float64)
     y_true = np.asarray(y_true, dtype=np.float64)
@@ -81,4 +79,4 @@ def is_diverged(
         # Constant targets: any finite prediction is as good as any other.
         return False
     pred_var = float(np.var(y_pred))
-    return (pred_var / target_var) < variance_ratio_threshold
+    return (pred_var / target_var) < DIVERGED_VARIANCE_RATIO

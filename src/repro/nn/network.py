@@ -21,6 +21,11 @@ from repro.nn.losses import MeanSquaredError
 from repro.nn.optimizers import Optimizer, get_optimizer
 from repro.observability import get_observability
 
+#: chronological train/validation/test shares (the paper's 60/20/20)
+SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
+#: consecutive rows per mini-batch of ``Sequential.fit``
+BATCH_SIZE = 32
+
 
 @dataclass
 class TrainingHistory:
@@ -43,9 +48,7 @@ def _is_window(arr: np.ndarray, flat: np.ndarray, start: int) -> bool:
 
 
 def train_val_test_split(
-    x: np.ndarray,
-    y: np.ndarray,
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
+    x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """Chronological 60/20/20 split (the paper's protocol, section V-G).
 
@@ -55,13 +58,9 @@ def train_val_test_split(
     """
     if len(x) != len(y):
         raise ShapeError(f"x has {len(x)} rows but y has {len(y)}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigurationError(f"fractions must sum to 1, got {fractions}")
-    if any(f < 0 for f in fractions):
-        raise ConfigurationError(f"fractions must be non-negative: {fractions}")
     n = len(x)
-    n_train = int(n * fractions[0])
-    n_val = int(n * fractions[1])
+    n_train = int(n * SPLIT_FRACTIONS[0])
+    n_val = int(n * SPLIT_FRACTIONS[1])
     return (
         x[:n_train],
         y[:n_train],
@@ -255,15 +254,15 @@ class Sequential:
         y: np.ndarray,
         *,
         epochs: int = 200,
-        batch_size: int = 32,
         optimizer: str | Optimizer = "sgd",
         sample_weight: np.ndarray | None = None,
     ) -> TrainingHistory:
         """Train on mean squared error with mini-batch gradient descent.
 
         The paper's defaults are 200 epochs and standard (plain) SGD; data is
-        chronological, so batches are consecutive rows.  When training
-        produces a non-finite loss the run stops and the history is flagged
+        chronological, so batches are :data:`BATCH_SIZE` consecutive rows.
+        When training produces a non-finite loss the run stops and the
+        history is flagged
         ``diverged``; nothing is raised -- Table II needs to *report*
         divergence, not crash.
 
@@ -273,8 +272,6 @@ class Sequential:
         """
         if epochs <= 0:
             raise ConfigurationError(f"epochs must be positive, got {epochs}")
-        if batch_size <= 0:
-            raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
         x = self._adapt_input(x)
         if not self.built:
             self.build(x.shape[-1])
@@ -299,6 +296,7 @@ class Sequential:
         slots = self._optimizer_slots(opt)
         # Chronological batches are contiguous row ranges: views, not
         # fancy-index copies, sliced once.
+        batch_size = BATCH_SIZE
         batches = [
             (
                 x[start : start + batch_size],

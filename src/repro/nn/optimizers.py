@@ -12,6 +12,11 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ModelError
 
+#: Adam's moment decay rates and denominator guard (Kingma & Ba defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 class Optimizer:
     """Base class.  State is keyed by a caller-supplied parameter key so one
@@ -60,19 +65,8 @@ class Adam(Optimizer):
     """Adam (Kingma & Ba).  Included because the paper explicitly compared
     against it and found SGD produced lower error on their telemetry."""
 
-    def __init__(
-        self,
-        learning_rate: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ) -> None:
+    def __init__(self, learning_rate: float = 0.001) -> None:
         super().__init__(learning_rate)
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ConfigurationError("beta1/beta2 must be in [0, 1)")
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t: dict[str, int] = {}
@@ -87,12 +81,12 @@ class Adam(Optimizer):
         v = self._v[key]
         self._t[key] += 1
         t = self._t[key]
-        m = self.beta1 * m + (1.0 - self.beta1) * grad
-        v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
         self._m[key], self._v[key] = m, v
-        m_hat = m / (1.0 - self.beta1**t)
-        v_hat = v / (1.0 - self.beta2**t)
-        param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 _REGISTRY: dict[str, type[Optimizer]] = {"sgd": SGD, "adam": Adam}

@@ -91,5 +91,3 @@ class EventBus:
     def of_kind(self, kind: str) -> tuple[Event, ...]:
         return tuple(e for e in self._history if e.kind == kind)
 
-    def clear(self) -> None:
-        self._history.clear()

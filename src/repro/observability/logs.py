@@ -51,7 +51,6 @@ def configure(
     level: str = "warning",
     *,
     json_format: bool = False,
-    stream=None,
 ) -> logging.Logger:
     """(Re)configure the ``repro`` root logger; returns it.
 
@@ -68,7 +67,7 @@ def configure(
     for handler in list(root.handlers):
         if getattr(handler, "_repro_handler", False):
             root.removeHandler(handler)
-    handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+    handler = logging.StreamHandler(sys.stderr)
     handler._repro_handler = True
     handler.setFormatter(
         JsonFormatter() if json_format else logging.Formatter(_TEXT_FORMAT)

@@ -53,7 +53,7 @@ class Counter:
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str, help: str) -> None:
         self.name = name
         self.help = help
         self.value = 0.0
@@ -69,7 +69,7 @@ class Gauge:
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str, help: str) -> None:
         self.name = name
         self.help = help
         self.value = 0.0
@@ -216,14 +216,8 @@ def _format_value(value: float) -> str:
 class MetricsRegistry:
     """Get-or-create registry of named counters/gauges/histograms."""
 
-    def __init__(
-        self,
-        *,
-        enabled: bool = True,
-        default_buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> None:
+    def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = bool(enabled)
-        self.default_buckets = tuple(default_buckets)
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
 
     def __len__(self) -> int:
@@ -262,24 +256,8 @@ class MetricsRegistry:
             return NULL_HISTOGRAM
         return self._get_or_create(
             Histogram, name, help,
-            buckets=tuple(buckets) if buckets is not None else self.default_buckets,
+            buckets=tuple(buckets) if buckets is not None else DEFAULT_BUCKETS,
         )
-
-    def get(self, name: str):
-        """The registered metric, or None."""
-        return self._metrics.get(name)
-
-    def names(self) -> list[str]:
-        return sorted(self._metrics)
-
-    def subsystems(self) -> set[str]:
-        """Distinct ``<subsystem>`` components of registered metric names."""
-        found = set()
-        for name in self._metrics:
-            parts = name.split("_")
-            if len(parts) >= 2 and parts[0] == "repro":
-                found.add(parts[1])
-        return found
 
     # -- export ----------------------------------------------------------
     def render_prometheus(self) -> str:

@@ -57,6 +57,10 @@ def profile_call(fn, *args, **kwargs) -> ProfileReport:
     )
 
 
+#: span names the attribution table lists, heaviest first
+ATTRIBUTION_ROWS = 15
+
+
 @dataclass
 class SpanAttribution:
     """Wall/CPU totals per span name, ranked by wall time."""
@@ -64,7 +68,7 @@ class SpanAttribution:
     rows: list[dict] = field(default_factory=list)
     total_wall_s: float = 0.0
 
-    def to_text(self, top: int = 15) -> str:
+    def to_text(self) -> str:
         table_rows = [
             (
                 row["name"],
@@ -74,7 +78,7 @@ class SpanAttribution:
                 f"{row['mean_ms']:.3f}",
                 f"{row['share_percent']:.1f}%",
             )
-            for row in self.rows[:top]
+            for row in self.rows[:ATTRIBUTION_ROWS]
         ]
         return ascii_table(
             ["span", "count", "wall s", "cpu s", "mean ms", "share"],

@@ -42,6 +42,8 @@ from repro.errors import ConfigurationError
 
 #: outcome a batch carries between emission and resolution
 IN_FLIGHT = "in-flight"
+#: flight-recorder size at which the file rotates to ``<path>.1``
+ROTATE_BYTES = 4_000_000
 
 #: terminal fates a telemetry batch can meet
 BATCH_OUTCOMES = (
@@ -225,7 +227,7 @@ class ProvenanceLedger:
 
     ``max_entries`` bounds each of the batch and decision stores (oldest
     evicted first); ``path`` enables persistence, with the file rotated
-    to ``<path>.1`` once it exceeds ``rotate_bytes``.  Batches are
+    to ``<path>.1`` once it exceeds :data:`ROTATE_BYTES`.  Batches are
     persisted when they *resolve* (reach a terminal outcome), decisions
     when they are recorded; a batch resolved twice (dead-lettered, then
     requeued and ingested) appends again and the latest line wins on
@@ -237,19 +239,13 @@ class ProvenanceLedger:
         path: str | os.PathLike | None = None,
         *,
         max_entries: int = 4096,
-        rotate_bytes: int = 4_000_000,
     ) -> None:
         if max_entries < 1:
             raise ConfigurationError(
                 f"max_entries must be >= 1, got {max_entries}"
             )
-        if rotate_bytes < 4096:
-            raise ConfigurationError(
-                f"rotate_bytes must be >= 4096, got {rotate_bytes}"
-            )
         self.path = Path(path) if path is not None else None
         self.max_entries = int(max_entries)
-        self.rotate_bytes = int(rotate_bytes)
         self.batches: OrderedDict[str, BatchProvenance] = OrderedDict()
         self.decisions: deque[DecisionProvenance] = deque(maxlen=max_entries)
         #: movement id -> decision id, bounded alongside the decisions
@@ -288,7 +284,7 @@ class ProvenanceLedger:
         try:
             if (
                 self.path.exists()
-                and self.path.stat().st_size + len(line) > self.rotate_bytes
+                and self.path.stat().st_size + len(line) > ROTATE_BYTES
             ):
                 self.path.replace(self.path.with_suffix(
                     self.path.suffix + ".1"

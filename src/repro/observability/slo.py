@@ -65,14 +65,18 @@ class SLOSpec:
         return 1.0 - self.target
 
 
+#: recorded intervals an :class:`SLOTracker` keeps (oldest dropped)
+MAX_SAMPLES = 8192
+
+
 class SLOTracker:
     """Sliding-window good/bad event counts for one objective."""
 
-    def __init__(self, spec: SLOSpec, *, max_samples: int = 8192) -> None:
+    def __init__(self, spec: SLOSpec) -> None:
         self.spec = spec
         #: (t, good, bad) per recorded interval, oldest first
         self.samples: deque[tuple[float, float, float]] = deque(
-            maxlen=max_samples
+            maxlen=MAX_SAMPLES
         )
         self.total_good = 0.0
         self.total_bad = 0.0

@@ -10,9 +10,6 @@ their tick id.  Usage::
         with tracer.span("train_step", samples=n):
             ...
 
-    @tracer.trace("feature_pipeline")
-    def transform(...): ...
-
 Export is the Chrome-trace JSON event format (open the file in
 ``chrome://tracing`` or https://ui.perfetto.dev): complete ``"ph": "X"``
 events whose nesting is implied by time containment on one thread track.
@@ -165,25 +162,6 @@ class Tracer:
             return NULL_SPAN
         sampled = tick_id % self._tick_stride == 0
         return _Tick(self, int(tick_id), sampled)
-
-    def trace(self, name: str):
-        """Decorator form of :meth:`span`."""
-
-        def decorate(fn):
-            def wrapper(*args, **kwargs):
-                with self.span(name):
-                    return fn(*args, **kwargs)
-
-            wrapper.__name__ = getattr(fn, "__name__", name)
-            wrapper.__doc__ = fn.__doc__
-            wrapper.__wrapped__ = fn
-            return wrapper
-
-        return decorate
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self.dropped = 0
 
     # -- analysis --------------------------------------------------------
     def aggregate(self) -> dict[str, dict]:

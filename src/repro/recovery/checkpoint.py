@@ -99,13 +99,14 @@ class CheckpointManager:
         directory: str | os.PathLike,
         *,
         keep: int = 3,
-        fault_hook: Callable[[str], None] | None = None,
     ) -> None:
         if keep < 1:
             raise RecoveryError(f"keep must be >= 1, got {keep}")
         self.directory = Path(directory)
         self.keep = keep
-        self.fault_hook = fault_hook
+        #: called with each write phase's name; a crash-injecting caller
+        #: sets it to raise mid-save
+        self.fault_hook: Callable[[str], None] | None = None
         self.directory.mkdir(parents=True, exist_ok=True)
 
     # -- writing ---------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 from repro.errors import ReplayDBError
 from repro.features.pipeline import NUMERIC_FIELDS, extra_columns
 from repro.observability import get_observability
-from repro.replaydb.records import AccessRecord, MovementRecord
+from repro.replaydb.records import ACCESS_FIELDS, AccessRecord, MovementRecord
 
 #: numeric access fields served by the columnar queries, in column order
 PROBE_FIELDS: tuple[str, ...] = NUMERIC_FIELDS
@@ -43,11 +43,6 @@ _ROW = np.dtype([
     ("cts", np.int64), ("ctms", np.int16),
     ("device", np.int32), ("path", np.int32),
 ])
-
-#: an AccessRecord's stored fields, in constructor order
-_RECORD_FIELDS = (
-    "fid", "fsid", "device", "path", "rb", "wb", "ots", "otms", "cts", "ctms",
-)
 
 #: rows per chunk: the log grows a chunk at a time, never copying its rows
 _CHUNK_ROWS = 1 << 16
@@ -323,19 +318,14 @@ class ReplayDB:
             return chunk[offset : offset + stop - start]
         return self._take(np.arange(start, stop))
 
-    def _column(self, name: str) -> np.ndarray:
-        """One stored field over every row."""
-        parts = [chunk[name] for chunk in self._chunks]
-        return np.concatenate(parts)[: self._rows] if parts else np.empty(0)
-
     @staticmethod
     def _to_record(row: tuple) -> AccessRecord:
-        """The record of one stored row (:data:`_RECORD_FIELDS`, extra)."""
+        """The record of one stored row (:data:`ACCESS_FIELDS`, extra)."""
         return AccessRecord(*row)
 
     def _records(self, positions: np.ndarray) -> list[AccessRecord]:
         rows = self._take(positions)
-        fields = [rows[name].tolist() for name in _RECORD_FIELDS]
+        fields = [rows[name].tolist() for name in ACCESS_FIELDS]
         devices, paths = list(self._codes["device"]), list(self._codes["path"])
         fields[2] = [devices[code] for code in fields[2]]
         fields[3] = [paths[code] for code in fields[3]]
@@ -346,32 +336,22 @@ class ReplayDB:
         return [self._to_record(row) for row in zip(*fields)]
 
     def recent_accesses(
-        self,
-        limit: int,
-        *,
-        device: str | None = None,
-        fid: int | None = None,
+        self, limit: int, *, fid: int | None = None
     ) -> list[AccessRecord]:
         """The most recent ``limit`` accesses, in chronological order.
 
-        Optionally restricted to one device or one file; one file's
-        accesses come from the per-file state.
+        Optionally restricted to one file, whose accesses come from the
+        per-file state.
         """
         if limit <= 0:
             raise ReplayDBError(f"limit must be positive, got {limit}")
         self._check_open()
         self._m_queries.inc()
-        if fid is not None and device is None:
+        if fid is not None:
             self._deepen(limit)
             tail = list(self._file_tails.get(fid, ()))[-limit:]
             return self._records(np.array(tail, dtype=np.int64))
-        positions = np.arange(self._rows)
-        if device is not None:
-            code = self._codes["device"].get(device, -1)
-            positions = positions[self._column("device") == code]
-        if fid is not None:
-            positions = positions[self._column("fid")[positions] == fid]
-        return self._records(positions[-limit:])
+        return self._records(np.arange(self._rows)[-limit:])
 
     def max_rowid(self) -> int:
         """The largest access row id written so far (0 when empty).

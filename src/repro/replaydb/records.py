@@ -104,6 +104,34 @@ class AccessRecord(namedtuple(
         return self.rb + self.wb
 
 
+#: an access's schema fields, in constructor order: the stored columns and
+#: the fixed keys of every JSON and CSV form of a record
+ACCESS_FIELDS = (
+    "fid", "fsid", "device", "path", "rb", "wb", "ots", "otms", "cts", "ctms",
+)
+
+
+def record_to_dict(record: AccessRecord) -> dict:
+    """JSON form of a record: its schema fields, then ``extra`` if any."""
+    raw = {name: getattr(record, name) for name in ACCESS_FIELDS}
+    if record.extra:
+        raw["extra"] = dict(record.extra)
+    return raw
+
+
+def record_from_dict(raw: dict) -> AccessRecord:
+    """Inverse of :func:`record_to_dict`, through the validating
+    constructor."""
+    return AccessRecord(
+        fid=int(raw["fid"]), fsid=int(raw["fsid"]),
+        device=str(raw["device"]), path=str(raw["path"]),
+        rb=int(raw["rb"]), wb=int(raw["wb"]),
+        ots=int(raw["ots"]), otms=int(raw["otms"]),
+        cts=int(raw["cts"]), ctms=int(raw["ctms"]),
+        extra=dict(raw.get("extra", {})),
+    )
+
+
 @dataclass(frozen=True)
 class MovementRecord:
     """One file migration commanded by Geomancy (or a baseline policy).

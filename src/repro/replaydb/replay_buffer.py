@@ -7,9 +7,9 @@ catastrophic-forgetting guard).  Following prioritized experience replay
 (Schaul et al., referenced via the Sibyl/HDFS-RL lineage in PAPERS.md),
 history is not sampled uniformly: each stored row carries a priority
 derived from the model's last prediction error on it, sharpened by
-``alpha`` and multiplied by an exponential recency decay, so surprising
+:data:`ALPHA` and multiplied by an exponential recency decay, so surprising
 and recent telemetry is replayed more often.  The induced sampling bias
-is corrected with importance-sampling weights ``(1 / (N * P(i)))**beta``
+is corrected with importance-sampling weights ``(1 / (N * P(i)))**BETA``
 (normalized by the batch maximum) that the trainer applies per-row in the
 loss.
 
@@ -24,6 +24,15 @@ import numpy as np
 
 from repro.errors import ReplayDBError
 
+#: priority sharpening exponent applied at sample time
+ALPHA = 0.6
+#: importance-sampling correction exponent
+BETA = 0.4
+#: insertions over which a row's recency weight halves
+RECENCY_HALF_LIFE = 10_000.0
+#: added to each error magnitude so no row's priority is zero
+PRIORITY_EPSILON = 1e-6
+
 
 class PrioritizedReplay:
     """Fixed-capacity priority/recency-weighted sampler of ReplayDB rows.
@@ -36,29 +45,10 @@ class PrioritizedReplay:
     Sampling is deterministic given the seed.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        *,
-        alpha: float = 0.6,
-        beta: float = 0.4,
-        recency_half_life: float = 10_000.0,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, capacity: int, *, seed: int = 0) -> None:
         if capacity < 1:
             raise ReplayDBError(f"capacity must be >= 1, got {capacity}")
-        if alpha < 0:
-            raise ReplayDBError(f"alpha must be non-negative, got {alpha}")
-        if not 0.0 <= beta <= 1.0:
-            raise ReplayDBError(f"beta must be in [0, 1], got {beta}")
-        if recency_half_life <= 0:
-            raise ReplayDBError(
-                f"recency_half_life must be positive, got {recency_half_life}"
-            )
         self.capacity = int(capacity)
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.recency_half_life = float(recency_half_life)
         self._ids = np.zeros(self.capacity, dtype=np.int64)
         self._priorities = np.zeros(self.capacity, dtype=np.float64)
         self._inserted = np.zeros(self.capacity, dtype=np.int64)
@@ -130,8 +120,8 @@ class PrioritizedReplay:
     def _sampling_probabilities(self) -> np.ndarray:
         priorities = self._priorities[: self._size]
         age = self._counter - self._inserted[: self._size]
-        recency = np.exp2(-age / self.recency_half_life)
-        weights = np.power(priorities, self.alpha) * recency
+        recency = np.exp2(-age / RECENCY_HALF_LIFE)
+        weights = np.power(priorities, ALPHA) * recency
         total = weights.sum()
         if not np.isfinite(total) or total <= 0.0:
             return np.full(self._size, 1.0 / self._size)
@@ -153,7 +143,7 @@ class PrioritizedReplay:
         probs = self._sampling_probabilities()
         chosen = self._rng.choice(self._size, size=k, replace=False, p=probs)
         ids = self._ids[chosen].copy()
-        weights = np.power(self._size * probs[chosen], -self.beta)
+        weights = np.power(self._size * probs[chosen], -BETA)
         weights /= weights.max()
         return ids, weights
 
@@ -161,13 +151,11 @@ class PrioritizedReplay:
         self,
         ids: list[int] | np.ndarray,
         errors: list[float] | np.ndarray,
-        *,
-        epsilon: float = 1e-6,
     ) -> None:
         """Re-score rows from fresh prediction errors.
 
-        ``priority = |error| + epsilon`` -- the TD-style magnitude; the
-        ``alpha`` sharpening happens at sample time so stored priorities
+        ``priority = |error| + PRIORITY_EPSILON`` -- the TD-style magnitude;
+        the ``ALPHA`` sharpening happens at sample time so stored priorities
         remain raw errors.  Rows evicted since sampling are skipped.
         """
         if len(ids) != len(errors):
@@ -179,7 +167,10 @@ class PrioritizedReplay:
         slots = slots[held]
         if not len(slots):
             return
-        priority = np.abs(np.asarray(errors, dtype=np.float64)[held]) + epsilon
+        priority = (
+            np.abs(np.asarray(errors, dtype=np.float64)[held])
+            + PRIORITY_EPSILON
+        )
         finite = np.isfinite(priority)
         # The ceiling as it stood after each row: a non-finite error takes
         # it (and leaves it where it was).

@@ -20,12 +20,11 @@ from collections.abc import Iterable, Sequence
 
 from repro.errors import ReplayDBError
 from repro.replaydb.db import ReplayDB
-from repro.replaydb.records import AccessRecord
-
-#: fixed schema columns, in file order
-_FIXED_FIELDS = (
-    "fid", "fsid", "device", "path", "rb", "wb",
-    "ots", "otms", "cts", "ctms",
+from repro.replaydb.records import (
+    ACCESS_FIELDS,
+    AccessRecord,
+    record_from_dict,
+    record_to_dict,
 )
 
 
@@ -36,10 +35,7 @@ def save_trace_jsonl(
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            row = {name: getattr(record, name) for name in _FIXED_FIELDS}
-            if record.extra:
-                row["extra"] = record.extra
-            fh.write(json.dumps(row) + "\n")
+            fh.write(json.dumps(record_to_dict(record)) + "\n")
             count += 1
     return count
 
@@ -59,13 +55,8 @@ def load_trace_jsonl(path: str | os.PathLike) -> list[AccessRecord]:
                     f"{path}:{lineno}: invalid JSON ({exc})"
                 ) from None
             try:
-                records.append(
-                    AccessRecord(
-                        **{name: row[name] for name in _FIXED_FIELDS},
-                        extra=row.get("extra", {}),
-                    )
-                )
-            except (KeyError, TypeError) as exc:
+                records.append(record_from_dict(row))
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ReplayDBError(
                     f"{path}:{lineno}: malformed record ({exc})"
                 ) from None
@@ -81,12 +72,12 @@ def save_trace_csv(
     all records); records missing a key get an empty cell.
     """
     extra_keys = sorted({key for r in records for key in r.extra})
-    header = list(_FIXED_FIELDS) + extra_keys
+    header = list(ACCESS_FIELDS) + extra_keys
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for record in records:
-            row = [getattr(record, name) for name in _FIXED_FIELDS]
+            row = [getattr(record, name) for name in ACCESS_FIELDS]
             row.extend(record.extra.get(key, "") for key in extra_keys)
             writer.writerow(row)
     return len(records)
@@ -99,13 +90,13 @@ def load_trace_csv(path: str | os.PathLike) -> list[AccessRecord]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ReplayDBError(f"{path}: empty CSV trace")
-        missing = set(_FIXED_FIELDS) - set(reader.fieldnames)
+        missing = set(ACCESS_FIELDS) - set(reader.fieldnames)
         if missing:
             raise ReplayDBError(
                 f"{path}: missing required columns {sorted(missing)}"
             )
         extra_keys = [
-            name for name in reader.fieldnames if name not in _FIXED_FIELDS
+            name for name in reader.fieldnames if name not in ACCESS_FIELDS
         ]
         for lineno, row in enumerate(reader, start=2):
             try:

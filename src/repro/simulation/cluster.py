@@ -742,33 +742,18 @@ class StorageCluster:
         return move
 
     def apply_layout(
-        self, layout: dict[int, str], t: float, *, strict: bool = True
+        self, layout: dict[int, str], t: float
     ) -> list[MovementRecord]:
         """Migrate every file whose target differs from its current device.
 
         Returns the movements actually performed, in fid order; the caller
-        charges their total duration to its timeline.  With
-        ``strict=False`` individually unsatisfiable moves (capacity
-        exceeded, device stopped accepting placements) are skipped instead
-        of aborting the whole layout mid-application -- the behaviour the
-        Geomancy loop wants, since conditions can change between the
-        Action Checker's validation and execution.
+        charges their total duration to its timeline.  An unsatisfiable
+        move (capacity exceeded, device stopped accepting placements,
+        injected mid-transfer failure) raises and aborts the rest.
         """
         moves = []
         for fid in sorted(layout):
-            try:
-                move = self.migrate(fid, layout[fid], t)
-            except (CapacityError, DeviceUnavailableError):
-                if strict:
-                    raise
-                continue
-            except MigrationError as exc:
-                # Injected mid-transfer failure: the file stayed on its
-                # source; charge the wasted time and carry on.
-                if strict:
-                    raise
-                t += exc.duration
-                continue
+            move = self.migrate(fid, layout[fid], t)
             if move is not None:
                 moves.append(move)
                 t += move.duration

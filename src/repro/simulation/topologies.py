@@ -17,27 +17,26 @@ from repro.simulation.interference import BurstyLoad, ConstantLoad
 from repro.simulation.network import TransferLink
 
 GB = 10**9
+#: the tiered cluster's burst-buffer size
+BUFFER_CAPACITY_GB = 50
+#: every scaled-cluster device's size
+SCALED_CAPACITY_GB = 100
+#: every homogeneous node's read speed (writes run at 70 % of it) and size
+HOMOGENEOUS_READ_GBPS = 1.5
+HOMOGENEOUS_CAPACITY_GB = 500
 
 
-def make_tiered_cluster(
-    *,
-    seed: int = 0,
-    buffer_capacity_gb: int = 50,
-) -> StorageCluster:
+def make_tiered_cluster(*, seed: int = 0) -> StorageCluster:
     """A strict performance hierarchy: burst buffer > disk pool > archive.
 
     Performance strictly increases as capacity decreases -- the storage
     shape Univistor and Stacker are built for.
     """
-    if buffer_capacity_gb < 1:
-        raise ConfigurationError(
-            f"buffer_capacity_gb must be >= 1, got {buffer_capacity_gb}"
-        )
     devices = [
         StorageDevice(
             DeviceSpec(
                 name="burst", fsid=0, read_gbps=8.0, write_gbps=6.0,
-                capacity_bytes=buffer_capacity_gb * GB, latency_s=0.0003,
+                capacity_bytes=BUFFER_CAPACITY_GB * GB, latency_s=0.0003,
                 noise_sigma=0.2, crowding_factor=1.5,
                 interference_sensitivity=0.05,
                 description="NVRAM burst buffer",
@@ -83,7 +82,7 @@ _SCALED_TIERS: tuple[tuple, ...] = (
 )
 
 
-def _scaled_device(idx: int, *, seed: int, capacity_gb: int) -> StorageDevice:
+def _scaled_device(idx: int, *, seed: int) -> StorageDevice:
     """Device ``idx`` of the scaled cluster -- pure in ``(seed, idx)``.
 
     Nothing here depends on how many devices are built: per-device speed
@@ -98,7 +97,7 @@ def _scaled_device(idx: int, *, seed: int, capacity_gb: int) -> StorageDevice:
         DeviceSpec(
             name=f"dev{idx:05d}", fsid=idx,
             read_gbps=read * jitter, write_gbps=write * jitter,
-            capacity_bytes=capacity_gb * GB, latency_s=latency,
+            capacity_bytes=SCALED_CAPACITY_GB * GB, latency_s=latency,
             noise_sigma=noise, crowding_factor=crowding,
             interference_sensitivity=sensitivity,
             description=desc,
@@ -109,12 +108,7 @@ def _scaled_device(idx: int, *, seed: int, capacity_gb: int) -> StorageDevice:
     )
 
 
-def make_scaled_cluster(
-    n_devices: int,
-    *,
-    seed: int = 0,
-    capacity_gb: int = 100,
-) -> StorageCluster:
+def make_scaled_cluster(n_devices: int, *, seed: int = 0) -> StorageCluster:
     """A tier-cycling cluster of any size (``wide_probe`` builds 32).
 
     Device ``i`` is a pure function of ``(seed, i)``, so a larger build
@@ -122,21 +116,12 @@ def make_scaled_cluster(
     """
     if n_devices < 1:
         raise ConfigurationError(f"n_devices must be >= 1, got {n_devices}")
-    if capacity_gb < 1:
-        raise ConfigurationError(f"capacity_gb must be >= 1, got {capacity_gb}")
-    devices = [
-        _scaled_device(idx, seed=seed, capacity_gb=capacity_gb)
-        for idx in range(n_devices)
-    ]
+    devices = [_scaled_device(idx, seed=seed) for idx in range(n_devices)]
     return StorageCluster(devices, link=TransferLink(1.25, 0.001))
 
 
 def make_homogeneous_cluster(
-    n_devices: int = 4,
-    *,
-    seed: int = 0,
-    read_gbps: float = 1.5,
-    capacity_gb: int = 500,
+    n_devices: int = 4, *, seed: int = 0
 ) -> StorageCluster:
     """N identical devices differing only in their external interference.
 
@@ -146,16 +131,13 @@ def make_homogeneous_cluster(
     """
     if n_devices < 2:
         raise ConfigurationError(f"need >= 2 devices, got {n_devices}")
-    if read_gbps <= 0:
-        raise ConfigurationError(f"read_gbps must be positive, got {read_gbps}")
-    if capacity_gb < 1:
-        raise ConfigurationError(f"capacity_gb must be >= 1, got {capacity_gb}")
     devices = [
         StorageDevice(
             DeviceSpec(
                 name=f"node{i}", fsid=i,
-                read_gbps=read_gbps, write_gbps=read_gbps * 0.7,
-                capacity_bytes=capacity_gb * GB, latency_s=0.003,
+                read_gbps=HOMOGENEOUS_READ_GBPS,
+                write_gbps=HOMOGENEOUS_READ_GBPS * 0.7,
+                capacity_bytes=HOMOGENEOUS_CAPACITY_GB * GB, latency_s=0.003,
                 noise_sigma=0.4, crowding_factor=2.5,
                 interference_sensitivity=0.8,
                 description="homogeneous storage node",

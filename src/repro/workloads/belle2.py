@@ -20,6 +20,16 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.workloads.files import FileSpec
 
+#: accesses per file per run: "each file is accessed 10-20 times in
+#: succession" (inclusive bounds)
+BURST_RANGE = (10, 20)
+#: share of a file one read covers, drawn uniformly per access
+READ_FRACTION_RANGE = (0.25, 1.0)
+#: chance that an access also writes a small result back ...
+WRITE_PROBABILITY = 0.1
+#: ... of this share of the file's size
+WRITE_FRACTION = 0.02
+
 
 @dataclass(frozen=True)
 class AccessOp:
@@ -47,10 +57,6 @@ class Belle2Workload:
         *,
         seed: int = 0,
         files_per_run: int = 4,
-        burst_range: tuple[int, int] = (10, 20),
-        read_fraction_range: tuple[float, float] = (0.25, 1.0),
-        write_probability: float = 0.1,
-        write_fraction: float = 0.02,
     ) -> None:
         if not files:
             raise ConfigurationError("workload needs at least one file")
@@ -58,36 +64,16 @@ class Belle2Workload:
             raise ConfigurationError(
                 f"files_per_run must be >= 1, got {files_per_run}"
             )
-        lo, hi = burst_range
-        if not 1 <= lo <= hi:
-            raise ConfigurationError(f"invalid burst_range {burst_range}")
-        frac_lo, frac_hi = read_fraction_range
-        if not 0.0 < frac_lo <= frac_hi <= 1.0:
-            raise ConfigurationError(
-                f"invalid read_fraction_range {read_fraction_range}"
-            )
-        if not 0.0 <= write_probability <= 1.0:
-            raise ConfigurationError(
-                f"write_probability must be in [0, 1], got {write_probability}"
-            )
-        if not 0.0 < write_fraction <= 1.0:
-            raise ConfigurationError(
-                f"write_fraction must be in (0, 1], got {write_fraction}"
-            )
         self.files = list(files)
         self.seed = int(seed)
         self.files_per_run = int(files_per_run)
-        self.burst_range = (int(lo), int(hi))
-        self.read_fraction_range = (float(frac_lo), float(frac_hi))
-        self.write_probability = float(write_probability)
-        self.write_fraction = float(write_fraction)
         # Per-file columns the op arrays gather from.
         self._fids = np.array([f.fid for f in self.files], dtype=np.int64)
         self._sizes = np.array(
             [f.size_bytes for f in self.files], dtype=np.int64
         )
         self._write_bytes = np.array(
-            [max(1, int(f.size_bytes * self.write_fraction)) for f in self.files],
+            [max(1, int(f.size_bytes * WRITE_FRACTION)) for f in self.files],
             dtype=np.int64,
         )
 
@@ -142,7 +128,7 @@ class Belle2Workload:
             raise ConfigurationError(f"run_index must be >= 0, got {start}")
         if count < 1:
             raise ConfigurationError(f"count must be >= 1, got {count}")
-        lo, hi = self.burst_range
+        lo, hi = BURST_RANGE
         picked: list[int] = []
         bursts: list[int] = []
         doubles: list[np.ndarray] = []
@@ -160,22 +146,22 @@ class Belle2Workload:
             counts.append(ops)
         draws = np.concatenate(doubles)
         file_of_op = np.repeat(picked, bursts)
-        frac_lo, frac_hi = self.read_fraction_range
+        frac_lo, frac_hi = READ_FRACTION_RANGE
         rb = (
             self._sizes[file_of_op]
             * (frac_lo + (frac_hi - frac_lo) * draws[0::2])
         ).astype(np.int64)
         np.maximum(rb, 1, out=rb)
         wb = np.where(
-            draws[1::2] < self.write_probability,
+            draws[1::2] < WRITE_PROBABILITY,
             self._write_bytes[file_of_op],
             0,
         )
         return self._fids[file_of_op], rb, wb, counts
 
-    def runs(self, count: int, *, start: int = 0):
-        """Yield ``count`` runs starting at index ``start``."""
+    def runs(self, count: int):
+        """Yield runs ``0 .. count - 1``."""
         if count < 0:
             raise ConfigurationError(f"count must be >= 0, got {count}")
-        for i in range(start, start + count):
+        for i in range(count):
             yield self.run(i)

@@ -31,6 +31,13 @@ _SEC_GROUPS = ("atlas", "cms", "alice", "lhcb", "ops")
 _SEC_ROLES = ("production", "analysis", "admin")
 _SEC_APPS = ("root", "xrdcp", "fuse", "gridftp")
 
+#: EOS filesystems the accesses spread over
+N_FILESYSTEMS = 40
+#: latent per-access throughput (bytes/s) at the start of a trace ...
+BASE_THROUGHPUT = 1.2e9
+#: ... and its drift per access (the planted ots/cts correlation)
+DRIFT_PER_ACCESS = 6.0e4
+
 
 class EOSTraceSynthesizer:
     """Generates EOS-style access records with planted Fig. 4 correlations."""
@@ -40,24 +47,11 @@ class EOSTraceSynthesizer:
         *,
         seed: int = 0,
         n_files: int = 500,
-        n_filesystems: int = 40,
-        base_throughput: float = 1.2e9,
-        drift_per_access: float = 6.0e4,
     ) -> None:
-        if n_files < 1 or n_filesystems < 1:
-            raise ConfigurationError(
-                f"need n_files >= 1 and n_filesystems >= 1, got "
-                f"({n_files}, {n_filesystems})"
-            )
-        if base_throughput <= 0:
-            raise ConfigurationError(
-                f"base_throughput must be positive, got {base_throughput}"
-            )
+        if n_files < 1:
+            raise ConfigurationError(f"need n_files >= 1, got {n_files}")
         self.seed = int(seed)
         self.n_files = int(n_files)
-        self.n_filesystems = int(n_filesystems)
-        self.base_throughput = float(base_throughput)
-        self.drift_per_access = float(drift_per_access)
 
     #: order of the ``extra`` telemetry fields on every record
     _EXTRA_KEYS = (
@@ -76,12 +70,12 @@ class EOSTraceSynthesizer:
         rng = np.random.default_rng(self.seed)
         # Latent per-access throughput: lognormal around a drifting base.
         tp = (
-            self.base_throughput + self.drift_per_access * np.arange(n)
+            BASE_THROUGHPUT + DRIFT_PER_ACCESS * np.arange(n)
         ) * rng.lognormal(0.0, 0.45, n)
         # Total bytes moved this access; read-dominated.  Coupled to the
         # latent throughput (big transfers run when the system is
         # healthy), which plants Fig. 4's positive rb/wb correlation.
-        scale = tp / self.base_throughput
+        scale = tp / BASE_THROUGHPUT
         nbytes = (
             np.exp(rng.uniform(np.log(1e8), np.log(2e9), n)) * scale
         ).astype(np.int64)
@@ -102,7 +96,7 @@ class EOSTraceSynthesizer:
         )
         nwc = np.maximum(0, (wt * rng.uniform(50, 150, n)).astype(np.int64))
         fid = rng.integers(0, self.n_files, n)
-        fsid = rng.integers(0, self.n_filesystems, n)
+        fsid = rng.integers(0, N_FILESYSTEMS, n)
         osize = (nbytes * rng.uniform(1.0, 3.0, n)).astype(np.int64)
         csize = osize + wb
         sfwdb = rng.integers(0, nbytes + 1)

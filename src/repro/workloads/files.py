@@ -43,27 +43,22 @@ def belle2_file_population(
     count: int = DEFAULT_FILE_COUNT,
     *,
     seed: int = 0,
-    min_bytes: int = MIN_FILE_BYTES,
-    max_bytes: int = MAX_FILE_BYTES,
     path_prefix: str = "belle2/mc",
 ) -> list[FileSpec]:
     """Build the workload's file set.
 
-    The smallest and largest files are pinned to the bounds; the rest are
-    log-uniform in between, deterministically for a given ``seed``.
+    The smallest and largest files are pinned to :data:`MIN_FILE_BYTES`
+    and :data:`MAX_FILE_BYTES`; the rest are log-uniform in between,
+    deterministically for a given ``seed``.
     """
     if count < 2:
         raise ConfigurationError(f"need at least 2 files, got {count}")
-    if not 0 < min_bytes < max_bytes:
-        raise ConfigurationError(
-            f"need 0 < min_bytes < max_bytes, got ({min_bytes}, {max_bytes})"
-        )
     rng = np.random.default_rng(seed)
     sizes = np.exp(
-        rng.uniform(np.log(min_bytes), np.log(max_bytes), size=count)
+        rng.uniform(np.log(MIN_FILE_BYTES), np.log(MAX_FILE_BYTES), size=count)
     ).astype(np.int64)
-    sizes[0] = min_bytes
-    sizes[-1] = max_bytes
+    sizes[0] = MIN_FILE_BYTES
+    sizes[-1] = MAX_FILE_BYTES
     return [
         FileSpec(
             fid=i,

@@ -18,8 +18,6 @@ COMPETING_FID_OFFSET = 1000
 def make_competing_workload(
     *,
     seed: int = 99,
-    count: int = DEFAULT_FILE_COUNT,
-    fid_offset: int = COMPETING_FID_OFFSET,
 ) -> tuple[list[FileSpec], Belle2Workload]:
     """A duplicate BELLE II workload over its own file population.
 
@@ -27,11 +25,12 @@ def make_competing_workload(
     distinct path prefix so both workloads can coexist in one cluster.
     """
     base = belle2_file_population(
-        count, seed=seed, path_prefix="belle2_dup/mc"
+        DEFAULT_FILE_COUNT, seed=seed, path_prefix="belle2_dup/mc"
     )
     files = [
         FileSpec(
-            fid=f.fid + fid_offset, path=f.path, size_bytes=f.size_bytes
+            fid=f.fid + COMPETING_FID_OFFSET, path=f.path,
+            size_bytes=f.size_bytes,
         )
         for f in base
     ]

@@ -24,6 +24,11 @@ from repro.simulation.clock import SimulationClock
 from repro.simulation.cluster import StorageCluster
 from repro.workloads.belle2 import Belle2Workload
 
+#: simulated pause between consecutive accesses of a run
+THINK_TIME_S = 0.01
+#: simulated timeout charged to an access that hit an offline device
+OFFLINE_PENALTY_S = 0.05
+
 
 @dataclass
 class RunResult:
@@ -53,30 +58,18 @@ class WorkloadRunner:
         db: ReplayDB | None = None,
         *,
         clock: SimulationClock | None = None,
-        think_time_s: float = 0.01,
         tolerate_offline: bool = False,
-        offline_penalty_s: float = 0.05,
     ) -> None:
-        if think_time_s < 0:
-            raise ConfigurationError(
-                f"think_time_s must be non-negative, got {think_time_s}"
-            )
-        if offline_penalty_s < 0:
-            raise ConfigurationError(
-                f"offline_penalty_s must be non-negative, got {offline_penalty_s}"
-            )
         self.cluster = cluster
         self.workload = workload
         #: where completed accesses are written, or None: the records
         #: the run methods return are then the only telemetry
         self.db = db
         self.clock = clock if clock is not None else SimulationClock()
-        self.think_time_s = float(think_time_s)
         #: with ``tolerate_offline`` an access to a file stranded on an
         #: offline device is counted as failed (and charged a timeout)
         #: instead of raising -- the behaviour chaos runs need
         self.tolerate_offline = bool(tolerate_offline)
-        self.offline_penalty_s = float(offline_penalty_s)
         self.next_run_index = 0
         self.total_accesses = 0
         self.failed_accesses = 0
@@ -131,9 +124,9 @@ class WorkloadRunner:
                 # carry on with the rest of the run.
                 self.failed_accesses += 1
                 self._m_failed.inc()
-                self.clock.advance(self.offline_penalty_s + self.think_time_s)
+                self.clock.advance(OFFLINE_PENALTY_S + THINK_TIME_S)
                 continue
-            self.clock.advance(record.duration + self.think_time_s)
+            self.clock.advance(record.duration + THINK_TIME_S)
             if self.db is not None:
                 self.db.insert_access(record)
             self.total_accesses += 1
@@ -162,9 +155,9 @@ class WorkloadRunner:
             self.clock.now,
             rb,
             wb,
-            think_time_s=self.think_time_s,
+            think_time_s=THINK_TIME_S,
             tolerate_offline=self.tolerate_offline,
-            offline_penalty_s=self.offline_penalty_s,
+            offline_penalty_s=OFFLINE_PENALTY_S,
             advance_hook=advance_hook,
         )
         records = batch.records
@@ -212,9 +205,9 @@ class WorkloadRunner:
             self.clock.now,
             rb,
             wb,
-            think_time_s=self.think_time_s,
+            think_time_s=THINK_TIME_S,
             tolerate_offline=self.tolerate_offline,
-            offline_penalty_s=self.offline_penalty_s,
+            offline_penalty_s=OFFLINE_PENALTY_S,
         )
         # Every device was online and nothing could flip one mid-batch
         # (no advance hook), so every op was served.

@@ -7,9 +7,7 @@ arrivals), some in on/off bursts (the overload case the QoS plane exists
 for).  :class:`TenantMix` assigns each :class:`TenantSpec` an arrival
 process over discrete time slots and materializes real
 :class:`~repro.agents.messages.TelemetryBatch` payloads by slicing a
-per-tenant record stream from the existing generators (EOS synthetic
-trace by default, BELLE II ops converted to records when a file set is
-given).
+per-tenant record stream from the EOS synthetic trace generator.
 
 Everything is a pure function of ``(seed, slot)``: two sweeps at the same
 seed offer byte-identical load, so bounded-vs-unbounded comparisons see
@@ -26,9 +24,7 @@ import numpy as np
 from repro.agents.messages import TelemetryBatch
 from repro.errors import ConfigurationError
 from repro.replaydb.records import AccessRecord
-from repro.workloads.belle2 import Belle2Workload
 from repro.workloads.eos import EOSTraceSynthesizer
-from repro.workloads.files import FileSpec
 
 #: supported arrival patterns
 ARRIVAL_PATTERNS = ("poisson", "bursty")
@@ -80,47 +76,6 @@ class TenantSpec:
             )
 
 
-def _belle2_records(
-    files: list[FileSpec], seed: int, count: int
-) -> list[AccessRecord]:
-    """Materialize BELLE II ops as access records without a cluster.
-
-    Timing is synthesized at a nominal device throughput -- the QoS layer
-    cares about batch sizes and tenancy, not the simulated transfer
-    physics -- but the op stream (fids, byte counts, burst structure) is
-    the real generator's.
-    """
-    workload = Belle2Workload(files, seed=seed)
-    by_fid = {spec.fid: spec for spec in files}
-    nominal_bps = 1.2e9
-    records: list[AccessRecord] = []
-    t = 0.0
-    run_index = 0
-    while len(records) < count:
-        for op in workload.run(run_index):
-            spec = by_fid[op.fid]
-            duration = max((op.rb + op.wb) / nominal_bps, 0.002)
-            close = t + duration
-            ots, cts = int(t), int(close)
-            otms = int((t - ots) * 1000)
-            ctms = int((close - cts) * 1000)
-            if cts == ots and ctms <= otms:
-                ctms = min(otms + 1, 999)
-            records.append(
-                AccessRecord(
-                    fid=op.fid, fsid=op.fid % 8,
-                    device=f"dev{op.fid % 8}", path=spec.path,
-                    rb=op.rb, wb=op.wb,
-                    ots=ots, otms=otms, cts=cts, ctms=ctms,
-                )
-            )
-            t = close + 0.01
-            if len(records) >= count:
-                break
-        run_index += 1
-    return records
-
-
 class TenantMix:
     """Deterministic multi-tenant offered-load generator over time slots."""
 
@@ -134,7 +89,6 @@ class TenantMix:
         *,
         seed: int = 0,
         slot_s: float = 0.05,
-        files: list[FileSpec] | None = None,
     ) -> None:
         if not tenants:
             raise ConfigurationError("TenantMix needs at least one tenant")
@@ -146,7 +100,6 @@ class TenantMix:
         self.tenants = list(tenants)
         self.seed = int(seed)
         self.slot_s = float(slot_s)
-        self.files = list(files) if files is not None else None
         self._pools: dict[str, list[AccessRecord]] = {}
         self._cursors: dict[str, int] = {spec.name: 0 for spec in tenants}
         self.offered_batches = 0
@@ -161,13 +114,8 @@ class TenantMix:
         pool = self._pools.get(spec.name)
         if pool is None:
             tenant_seed = self._tenant_key(spec.name) ^ self.seed
-            if self.files is not None:
-                pool = _belle2_records(
-                    self.files, tenant_seed, self.POOL_RECORDS
-                )
-            else:
-                synth = EOSTraceSynthesizer(seed=tenant_seed, n_files=64)
-                pool = synth.records(self.POOL_RECORDS)
+            synth = EOSTraceSynthesizer(seed=tenant_seed, n_files=64)
+            pool = synth.records(self.POOL_RECORDS)
             # A telemetry batch is per-device (one monitoring agent sent
             # it), so the tenant's whole stream reports from one mount.
             device = f"{spec.name}-dev"

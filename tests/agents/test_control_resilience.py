@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.agents import control as control_module
 from repro.agents.control import ControlAgent
 from repro.agents.messages import LayoutCommand
 from repro.errors import AgentError
+from repro.faults import health as health_module
 from repro.faults.health import HealthTracker
 from repro.simulation.cluster import StorageCluster
 from repro.simulation.device import DeviceSpec, StorageDevice
@@ -31,6 +33,13 @@ def make_cluster():
     return cluster
 
 
+def control_agent(monkeypatch, cluster, health=None, **constants):
+    """A control agent under the retry constants given in lower case."""
+    for name, value in constants.items():
+        monkeypatch.setattr(control_module, name.upper(), value)
+    return ControlAgent(cluster, health=health)
+
+
 def failing_interceptor(times):
     """Abort the first ``times`` migration attempts halfway through."""
     state = {"left": times}
@@ -48,7 +57,7 @@ class TestTransactionalExecution:
     def test_failed_move_is_recorded_and_rolled_back(self):
         cluster = make_cluster()
         cluster.migration_interceptor = failing_interceptor(1)
-        control = ControlAgent(cluster, retry_backoff_s=5.0)
+        control = ControlAgent(cluster)
         records = control.execute(LayoutCommand({1: "b"}, issued_at=10.0))
         assert len(records) == 1 and not records[0].succeeded
         assert records[0].bytes_moved == GB // 2
@@ -93,7 +102,7 @@ class TestRetries:
     def test_backoff_gates_the_retry(self):
         cluster = make_cluster()
         cluster.migration_interceptor = failing_interceptor(1)
-        control = ControlAgent(cluster, retry_backoff_s=5.0)
+        control = ControlAgent(cluster)
         control.execute(LayoutCommand({1: "b"}, issued_at=10.0))
         failed_at = 10.0 + control.cluster.link.latency_s
         assert not control.has_due_retries(failed_at + 1.0)
@@ -105,7 +114,7 @@ class TestRetries:
     def test_due_retry_rides_along_and_succeeds(self):
         cluster = make_cluster()
         cluster.migration_interceptor = failing_interceptor(1)
-        control = ControlAgent(cluster, retry_backoff_s=5.0)
+        control = ControlAgent(cluster)
         control.execute(LayoutCommand({1: "b"}, issued_at=10.0))
         records = control.execute(LayoutCommand({}, issued_at=100.0))
         assert control.moves_retried == 1
@@ -113,11 +122,11 @@ class TestRetries:
         assert cluster.file(1).device == "b"
         assert control.pending_retries == 0
 
-    def test_backoff_doubles_per_attempt(self):
+    def test_backoff_doubles_per_attempt(self, monkeypatch):
         cluster = make_cluster()
         cluster.migration_interceptor = failing_interceptor(10)
-        control = ControlAgent(
-            cluster, max_move_retries=5, retry_backoff_s=4.0
+        control = control_agent(
+            monkeypatch, cluster, max_move_retries=5, retry_backoff_s=4.0
         )
         control.execute(LayoutCommand({1: "b"}, issued_at=0.0))
         first = control._retries[1].next_eligible_t
@@ -127,10 +136,10 @@ class TestRetries:
         # from when the failed re-attempt finished).
         assert second - (first + records[0].duration) == pytest.approx(8.0)
 
-    def test_fresh_target_supersedes_the_retry(self):
+    def test_fresh_target_supersedes_the_retry(self, monkeypatch):
         cluster = make_cluster()
         cluster.migration_interceptor = failing_interceptor(1)
-        control = ControlAgent(cluster, retry_backoff_s=1.0)
+        control = control_agent(monkeypatch, cluster, retry_backoff_s=1.0)
         control.execute(LayoutCommand({1: "b"}, issued_at=0.0))
         records = control.execute(LayoutCommand({1: "c"}, issued_at=50.0))
         assert control.moves_retried == 0
@@ -138,11 +147,11 @@ class TestRetries:
         assert cluster.file(1).device == "c"
         assert control.pending_retries == 0
 
-    def test_retries_exhaust_after_the_cap(self):
+    def test_retries_exhaust_after_the_cap(self, monkeypatch):
         cluster = make_cluster()
         cluster.migration_interceptor = failing_interceptor(100)
-        control = ControlAgent(
-            cluster, max_move_retries=2, retry_backoff_s=1.0
+        control = control_agent(
+            monkeypatch, cluster, max_move_retries=2, retry_backoff_s=1.0
         )
         t = 0.0
         for _ in range(5):
@@ -154,24 +163,25 @@ class TestRetries:
         assert (exhausted.fid, exhausted.dst, exhausted.attempts) == (1, "b", 3)
         assert control.moves_retried == 2
 
-    def test_zero_retries_exhausts_immediately(self):
+    def test_zero_retries_exhausts_immediately(self, monkeypatch):
         cluster = make_cluster()
         cluster.migration_interceptor = failing_interceptor(1)
-        control = ControlAgent(cluster, max_move_retries=0)
+        control = control_agent(monkeypatch, cluster, max_move_retries=0)
         control.execute(LayoutCommand({1: "b"}, issued_at=0.0))
         assert control.pending_retries == 0
         assert len(control.exhausted) == 1
 
 
 class TestHealthIntegration:
-    def test_repeated_failures_quarantine_the_destination(self):
+    def test_repeated_failures_quarantine_the_destination(self, monkeypatch):
         cluster = make_cluster()
         cluster.migration_interceptor = failing_interceptor(100)
-        health = HealthTracker(
-            quarantine_threshold=2, quarantine_duration_s=1000.0
-        )
-        control = ControlAgent(
-            cluster, max_move_retries=5, retry_backoff_s=1.0, health=health
+        monkeypatch.setattr(health_module, "QUARANTINE_THRESHOLD", 2)
+        monkeypatch.setattr(health_module, "QUARANTINE_DURATION_S", 1000.0)
+        health = HealthTracker()
+        control = control_agent(
+            monkeypatch, cluster, health,
+            max_move_retries=5, retry_backoff_s=1.0,
         )
         control.execute(LayoutCommand({1: "b"}, issued_at=0.0))
         control.execute(LayoutCommand({}, issued_at=100.0))
@@ -186,47 +196,19 @@ class TestHealthIntegration:
 
 
 class TestBackoffJitter:
-    def test_backoff_is_capped(self):
-        cluster = make_cluster()
-        control = ControlAgent(
-            cluster, max_move_retries=20, retry_backoff_s=4.0,
-            retry_backoff_max_s=10.0,
-        )
-        assert control._backoff(1, 1) == pytest.approx(4.0)
-        assert control._backoff(1, 2) == pytest.approx(8.0)
-        assert control._backoff(1, 3) == pytest.approx(10.0)
-        assert control._backoff(1, 15) == pytest.approx(10.0)
+    def test_backoff_is_capped(self, monkeypatch):
+        monkeypatch.setattr(control_module, "RETRY_BACKOFF_S", 4.0)
+        monkeypatch.setattr(control_module, "RETRY_BACKOFF_MAX_S", 10.0)
+        backoff = control_module._backoff
+        assert backoff(1) == pytest.approx(4.0)
+        assert backoff(2) == pytest.approx(8.0)
+        assert backoff(3) == pytest.approx(10.0)
+        assert backoff(15) == pytest.approx(10.0)
 
     def test_cap_below_base_rejected(self):
-        with pytest.raises(AgentError):
-            ControlAgent(
-                make_cluster(), retry_backoff_s=5.0, retry_backoff_max_s=1.0
-            )
+        assert control_module.RETRY_BACKOFF_MAX_S >= control_module.RETRY_BACKOFF_S
 
     def test_jitter_off_by_default_and_deterministic(self):
-        control = ControlAgent(make_cluster(), retry_backoff_s=4.0)
-        assert control.retry_jitter is False
-        assert control._backoff(7, 2) == pytest.approx(8.0)
-
-    def test_jitter_spreads_within_the_window(self):
-        control = ControlAgent(
-            make_cluster(), retry_backoff_s=4.0, retry_jitter=True, seed=1
-        )
-        delays = [control._backoff(fid, 2) for fid in range(50)]
-        assert all(0.0 < d <= 8.0 for d in delays)
-        # Full jitter actually spreads: distinct files, distinct delays.
-        assert len({round(d, 9) for d in delays}) > 40
-
-    def test_jitter_is_a_pure_function_of_seed_fid_attempt(self):
-        a = ControlAgent(
-            make_cluster(), retry_backoff_s=4.0, retry_jitter=True, seed=3
-        )
-        b = ControlAgent(
-            make_cluster(), retry_backoff_s=4.0, retry_jitter=True, seed=3
-        )
-        c = ControlAgent(
-            make_cluster(), retry_backoff_s=4.0, retry_jitter=True, seed=4
-        )
-        assert a._backoff(1, 1) == b._backoff(1, 1)
-        assert a._backoff(1, 1) != c._backoff(1, 1)
-        assert a._backoff(1, 1) != a._backoff(2, 1)
+        """Retries never jitter: the delay is a function of the attempt."""
+        assert control_module._backoff(2) == pytest.approx(10.0)
+        assert control_module._backoff(2) == control_module._backoff(2)

@@ -21,6 +21,12 @@ from repro.agents.transport import (  # noqa: E402
 from repro.replaydb.records import AccessRecord  # noqa: E402
 
 
+def tokens_at(bucket, now):
+    """The bucket's level once refilled to ``now``."""
+    bucket.refill(now)
+    return bucket.tokens
+
+
 def access(device="var", fid=1):
     return AccessRecord(
         fid=fid, fsid=0, device=device, path="p", rb=1000, wb=0,
@@ -85,7 +91,7 @@ def test_bucket_conserves_tokens(rate, burst, reqs):
     level = burst
     for cost, dt in reqs:
         now += dt
-        before = bucket.available(now)
+        before = tokens_at(bucket, now)
         # Track the refill the bucket itself applied (capped at burst).
         refilled += before - level
         level = before

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.agents import control as control_module
 from repro.core.config import GeomancyConfig
 from repro.core.geomancy import Geomancy
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.recoverable import run_recoverable
+from repro.faults import health as health_module
 from repro.recovery.checkpoint import CheckpointManager
 from repro.simulation.bluesky import make_bluesky_cluster
 from repro.workloads.files import belle2_file_population
@@ -76,21 +78,21 @@ class TestExtensionKnobs:
 class TestResilienceKnobs:
     def test_defaults(self):
         """The facade's control agent and circuit breaker run on their own
-        defaults: 3 retries from 5 s up to 300 s without jitter, and a
+        constants: 3 retries from 5 s up to 300 s, and a
         600 s quarantine after 3 consecutive failures."""
         geo = Geomancy(
             make_bluesky_cluster(seed=0), belle2_file_population(seed=0),
             GeomancyConfig(),
         )
-        control, health = geo.control, geo.health
-        assert control.health is health
+        assert geo.control.health is geo.health
         assert (
-            control.max_move_retries, control.retry_backoff_s,
-            control.retry_backoff_max_s, control.retry_jitter,
-        ) == (3, 5.0, 300.0, False)
-        assert (health.quarantine_threshold, health.quarantine_duration_s) == (
-            3, 600.0,
-        )
+            control_module.MAX_MOVE_RETRIES, control_module.RETRY_BACKOFF_S,
+            control_module.RETRY_BACKOFF_MAX_S,
+        ) == (3, 5.0, 300.0)
+        assert (
+            health_module.QUARANTINE_THRESHOLD,
+            health_module.QUARANTINE_DURATION_S,
+        ) == (3, 600.0)
 
 
 class TestRecoveryKnobs:

@@ -12,6 +12,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.core.config import GeomancyConfig
+from repro.core import drift
 from repro.core.drift import PageHinkley
 from repro.core.engine import DRLEngine, _digest
 from repro.features.normalize import MinMaxNormalizer
@@ -148,12 +149,14 @@ class TestTrainMatchesTrainOnRecords:
 
 
 class TestOnlineCycles:
-    def test_twenty_two_incremental_cycles(self, db):
+    def test_twenty_two_incremental_cycles(self, db, monkeypatch):
         """Columns + lean step vs record readers + the original loop."""
+        monkeypatch.setattr(drift, "THRESHOLD", 0.2)
+        monkeypatch.setattr(drift, "MIN_SAMPLES", 2)
         config = make_config()
         lean, reference = DRLEngine(config), reference_loop_engine(config)
         for engine in (lean, reference):
-            engine.drift_detector = PageHinkley(threshold=0.2, min_samples=2)
+            engine.drift_detector = PageHinkley()
         lean.capture_provenance = reference.capture_provenance = True
         t = 1_600_010_000
         modes, drifts = [], 0

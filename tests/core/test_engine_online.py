@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import engine as engine_module
 from repro.core.config import GeomancyConfig
+from repro.core import drift
 from repro.core.drift import PageHinkley
 from repro.core.engine import DRLEngine
 from repro.errors import ConfigurationError, ModelError
@@ -206,10 +207,12 @@ class TestIncrementalCycle:
 
 
 class TestDrift:
-    def test_distribution_shift_detected_with_burst(self):
+    def test_distribution_shift_detected_with_burst(self, monkeypatch):
+        monkeypatch.setattr(drift, "THRESHOLD", 0.2)
+        monkeypatch.setattr(drift, "MIN_SAMPLES", 2)
         obs = Observability()
         engine = DRLEngine(make_config(), obs=obs)
-        engine.drift_detector = PageHinkley(threshold=0.2, min_samples=2)
+        engine.drift_detector = PageHinkley()
         db = ReplayDB()
         t = 1_600_000_000
         # Bootstrap and stationary cycles draw from the same generator,

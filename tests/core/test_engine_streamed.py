@@ -224,17 +224,19 @@ class TestCountersAndSpans:
         _, raw = engine._gather_probe_bases(db, db.files())
         rows = len(raw) * len(devices)
         assert len(raw) >= 2 * bases_per_block(len(devices))  # many blocks
-        counters = [
-            obs.metrics.get(name) for name in (
-                "repro_nn_predictions_total",
-                "repro_nn_forward_rows_total",
-                "repro_features_probe_rows_total",
-            )
-        ]
-        before = [counter.value for counter in counters]
-        obs.tracer.clear()
+        names = (
+            "repro_nn_predictions_total",
+            "repro_nn_forward_rows_total",
+            "repro_features_probe_rows_total",
+        )
+        before = obs.metrics.snapshot()["counters"]
+        first_span = len(obs.tracer.spans)
         engine.propose_layout(db, db.files(), devices)
-        assert [c.value - b for c, b in zip(counters, before)] == [rows] * 3
-        spans = [s for s in obs.tracer.spans if s["name"] == "model_predict"]
+        after = obs.metrics.snapshot()["counters"]
+        assert [after[n] - before[n] for n in names] == [rows] * 3
+        spans = [
+            s for s in obs.tracer.spans[first_span:]
+            if s["name"] == "model_predict"
+        ]
         assert [s["args"] for s in spans] == [{"rows": rows}]
         assert spans[0]["parent"] == "propose_layout"

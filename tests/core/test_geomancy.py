@@ -9,6 +9,7 @@ from repro.errors import AgentError, ConfigurationError
 from repro.simulation.bluesky import make_bluesky_cluster
 from repro.workloads.belle2 import Belle2Workload
 from repro.workloads.files import belle2_file_population
+from repro.workloads import runner as runner_module
 from repro.workloads.runner import WorkloadRunner
 
 
@@ -39,14 +40,6 @@ class TestPlacement:
     def test_initial_layout_registers_files(self, setup):
         cluster, geo, _ = setup
         assert len(cluster.files) == 24
-
-    def test_custom_initial_layout(self):
-        cluster = make_bluesky_cluster(seed=0)
-        files = belle2_file_population(seed=0)
-        geo = Geomancy(cluster, files, quick_config())
-        layout = geo.place_initial({f.fid: "file0" for f in files})
-        assert set(layout.values()) == {"file0"}
-        assert cluster.file(0).device == "file0"
 
     def test_empty_files_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -157,8 +150,10 @@ class TestAvailability:
 
 
 class TestGapScheduler:
-    def test_gap_scheduler_filters_hot_files(self):
+    def test_gap_scheduler_filters_hot_files(self, monkeypatch):
         """With use_gap_scheduler, constantly accessed files stay put."""
+        # back-to-back accesses: gaps ~ 0
+        monkeypatch.setattr(runner_module, "THINK_TIME_S", 0.0)
         cluster = make_bluesky_cluster(seed=0)
         files = belle2_file_population(seed=0)
         geo = Geomancy(
@@ -166,10 +161,7 @@ class TestGapScheduler:
             quick_config(use_gap_scheduler=True, require_skill=False),
         )
         geo.place_initial()
-        runner = WorkloadRunner(
-            cluster, Belle2Workload(files, seed=1), geo.db,
-            think_time_s=0.0,  # back-to-back accesses: gaps ~ 0
-        )
+        runner = WorkloadRunner(cluster, Belle2Workload(files, seed=1), geo.db)
         for run in range(1, 11):
             runner.run_once()
             geo.after_run(run, runner.clock.now)

@@ -7,6 +7,7 @@ from repro.core.config import GeomancyConfig
 from repro.core.action_checker import ActionChecker
 from repro.core.geomancy import Geomancy
 from repro.errors import AgentError, DeviceOfflineError
+from repro.faults.health import QUARANTINE_THRESHOLD
 from repro.replaydb.records import AccessRecord
 from repro.simulation.bluesky import make_bluesky_cluster
 from repro.simulation.device import DeviceSpec, StorageDevice
@@ -131,7 +132,7 @@ class TestStrandedRescue:
         warm_up(geo, runner)
         cluster.set_device_online("file0", False)
         t = runner.clock.now
-        for n in range(geo.health.quarantine_threshold):
+        for n in range(QUARANTINE_THRESHOLD):
             geo.health.record_failure("var", t + n)
         outcome = geo.after_run(1, t + 10.0)
         assert outcome.rescued_files > 0

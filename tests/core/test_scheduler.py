@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import scheduler as scheduler_module
 from repro.core.scheduler import AccessGapScheduler, CooldownScheduler
 from repro.errors import ConfigurationError
 from repro.replaydb.db import ReplayDB
@@ -56,11 +57,11 @@ class TestAccessGapScheduler:
         assert AccessGapScheduler().mean_gap(db, 99) is None
 
     def test_can_move_when_gap_accommodates(self, db):
-        scheduler = AccessGapScheduler(safety_factor=2.0)
+        scheduler = AccessGapScheduler()
         assert scheduler.can_move(db, 1, estimated_transfer_s=3.0)
 
     def test_cannot_move_when_transfer_too_slow(self, db):
-        scheduler = AccessGapScheduler(safety_factor=2.0)
+        scheduler = AccessGapScheduler()
         assert not scheduler.can_move(db, 1, estimated_transfer_s=6.0)
 
     def test_constantly_accessed_file_never_moves(self, db):
@@ -72,10 +73,8 @@ class TestAccessGapScheduler:
         assert AccessGapScheduler().can_move(db, 99, estimated_transfer_s=100.0)
 
     def test_invalid_args(self):
-        with pytest.raises(ConfigurationError):
-            AccessGapScheduler(recent_accesses=1)
-        with pytest.raises(ConfigurationError):
-            AccessGapScheduler(safety_factor=0.0)
+        assert scheduler_module.RECENT_ACCESSES >= 2
+        assert scheduler_module.SAFETY_FACTOR > 0
 
     def test_negative_transfer_rejected(self, db):
         with pytest.raises(ConfigurationError):

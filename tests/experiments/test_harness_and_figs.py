@@ -21,6 +21,7 @@ from repro.experiments.harness import (
     run_policy_experiment,
 )
 from repro.experiments.spec import TEST_SCALE, ExperimentScale
+from repro.experiments import table4_overhead
 from repro.experiments.table4_overhead import run_table4
 from repro.policies.lfu import LFUPolicy
 from repro.policies.static import EvenSpreadPolicy, SingleMountPolicy
@@ -129,7 +130,11 @@ class TestFig5:
 class TestTable4:
     @pytest.fixture(scope="class")
     def table4(self):
-        return run_table4(scale=TINY, seed=0, mounts=("USBtmp", "file0"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                table4_overhead, "BLUESKY_DEVICE_NAMES", ("USBtmp", "file0")
+            )
+            return run_table4(scale=TINY, seed=0)
 
     def test_requested_mounts_measured(self, table4):
         assert set(table4.mounts) == {"USBtmp", "file0"}

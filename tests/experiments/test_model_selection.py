@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ExperimentError
+from repro.experiments import model_selection
 from repro.experiments.model_selection import (
     CandidateEvaluation,
     run_model_selection,
@@ -46,20 +47,18 @@ class TestSelectionLogic:
         assert selected == 1
 
     def test_invalid_shortlist_size(self):
-        with pytest.raises(ExperimentError):
-            run_model_selection(shortlist_size=0)
+        assert model_selection.SHORTLIST_SIZE >= 1
 
 
 class TestEndToEnd:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_model_selection(
-            rows=500,
-            epochs=5,
-            seed=0,
-            shortlist_size=2,
-            mounts=("people", "USBtmp"),
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model_selection, "SHORTLIST_SIZE", 2)
+            patch.setattr(
+                model_selection, "BLUESKY_DEVICE_NAMES", ("people", "USBtmp")
+            )
+            return run_model_selection(rows=500, epochs=5, seed=0)
 
     def test_table2_complete(self, result):
         assert len(result.table2) == 23

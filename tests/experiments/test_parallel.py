@@ -10,7 +10,7 @@ tolerances.
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import fig5_comparison, parallel
+from repro.experiments import fig5_comparison, parallel, table2_comparison
 from repro.experiments.robustness import run_robustness
 from repro.experiments.spec import ExperimentScale
 from repro.experiments.table2_comparison import (
@@ -43,12 +43,13 @@ class TestRunCells:
             parallel.run_cells(_square, [1], workers=0)
 
     @pytest.mark.parametrize("workers", [0, -5])
-    def test_table2_rejects_invalid_workers_like_every_grid(self, workers):
+    def test_table2_rejects_invalid_workers_like_every_grid(
+        self, workers, monkeypatch
+    ):
+        monkeypatch.setattr(table2_comparison, "MODEL_NUMBERS", (1,))
         records = collect_mount_telemetry("people", 150, seed=0)
         with pytest.raises(ExperimentError, match="workers must be >= 1"):
-            run_table2(
-                records=records, epochs=1, model_numbers=(1,), workers=workers
-            )
+            run_table2(records=records, epochs=1, workers=workers)
 
     def test_single_cell_skips_pool(self):
         assert parallel.run_cells(_square, [5], workers=8) == [25]
@@ -68,12 +69,11 @@ class TestParallelMatchesSerial:
         with pytest.raises(ExperimentError):
             run_robustness(seeds=(), scale=TINY, workers=2)
 
-    def test_table2_accuracy_columns_deterministic(self):
+    def test_table2_accuracy_columns_deterministic(self, monkeypatch):
+        monkeypatch.setattr(table2_comparison, "MODEL_NUMBERS", (1, 2))
         records = collect_mount_telemetry("people", 150, seed=0)
-        serial = run_table2(records=records, epochs=2, model_numbers=(1, 2))
-        par = run_table2(
-            records=records, epochs=2, model_numbers=(1, 2), workers=2
-        )
+        serial = run_table2(records=records, epochs=2)
+        par = run_table2(records=records, epochs=2, workers=2)
         for s, p in zip(serial, par):
             # Wall-clock columns differ across processes by design; every
             # deterministic column must agree exactly.

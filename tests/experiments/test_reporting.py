@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
+from repro.experiments import reporting
 from repro.experiments.reporting import (
     ascii_table,
     bucket_series,
@@ -46,8 +47,9 @@ class TestMeanStd:
     def test_format(self):
         assert mean_std(4.98, 1.23) == "4.98 ± 1.23"
 
-    def test_digits(self):
-        assert mean_std(1.0, 2.0, digits=1) == "1.0 ± 2.0"
+    def test_digits(self, monkeypatch):
+        monkeypatch.setattr(reporting, "MEAN_STD_DIGITS", 1)
+        assert mean_std(1.0, 2.0) == "1.0 ± 2.0"
 
 
 class TestBucketSeries:
@@ -92,20 +94,22 @@ class TestSparkline:
 
 
 class TestMovementBars:
-    def test_bars_positioned_by_access_number(self):
+    def test_bars_positioned_by_access_number(self, monkeypatch):
+        monkeypatch.setattr(reporting, "BAR_HEIGHT", 2)
         from repro.experiments.reporting import movement_bars
 
-        text = movement_bars([(0, 5)], 100, width=10, max_height=2)
+        text = movement_bars([(0, 5)], 100, width=10)
         lines = text.splitlines()
         # the single burst lands in the first column of every bar row
         assert lines[0][0] == "█"
         assert lines[1][0] == "█"
         assert "peak: 5" in lines[-1]
 
-    def test_taller_bars_for_bigger_moves(self):
+    def test_taller_bars_for_bigger_moves(self, monkeypatch):
+        monkeypatch.setattr(reporting, "BAR_HEIGHT", 4)
         from repro.experiments.reporting import movement_bars
 
-        text = movement_bars([(0, 2), (50, 8)], 100, width=10, max_height=4)
+        text = movement_bars([(0, 2), (50, 8)], 100, width=10)
         lines = text.splitlines()
         top_row = lines[0]
         # Only the 8-file burst reaches the top row.
@@ -127,8 +131,9 @@ class TestMovementBars:
         with pytest.raises(ExperimentError):
             movement_bars([], 100, width=0)
 
-    def test_out_of_range_accesses_clamped_to_last_column(self):
+    def test_out_of_range_accesses_clamped_to_last_column(self, monkeypatch):
+        monkeypatch.setattr(reporting, "BAR_HEIGHT", 1)
         from repro.experiments.reporting import movement_bars
 
-        text = movement_bars([(500, 3)], 100, width=10, max_height=1)
+        text = movement_bars([(500, 3)], 100, width=10)
         assert text.splitlines()[0][-1] == "█"

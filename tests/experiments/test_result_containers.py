@@ -82,8 +82,8 @@ class TestFig6Result:
             competing_gbps=[0.5] * 10,
             disturbance_access=10,
         )
-        assert result.dip_ratio(head_fraction=0.2) == pytest.approx(0.5)
-        assert result.recovery_ratio(tail_fraction=0.3) == pytest.approx(0.9)
+        assert result.dip_ratio() == pytest.approx(0.5)
+        assert result.recovery_ratio() == pytest.approx(0.9)
 
     def test_before_after_split(self):
         result = Fig6Result(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import table2_comparison, table3_permount
 from repro.experiments.table1_zoo import table1_rows, table1_text
 from repro.experiments.table2_comparison import (
     Table2Row,
@@ -41,10 +42,9 @@ def telemetry():
 
 
 class TestTable2:
-    def test_subset_evaluation(self, telemetry):
-        rows = run_table2(
-            epochs=5, model_numbers=(1, 11), records=telemetry
-        )
+    def test_subset_evaluation(self, telemetry, monkeypatch):
+        monkeypatch.setattr(table2_comparison, "MODEL_NUMBERS", (1, 11))
+        rows = run_table2(epochs=5, records=telemetry)
         assert [r.model_number for r in rows] == [1, 11]
         for row in rows:
             assert row.train_seconds > 0
@@ -56,14 +56,14 @@ class TestTable2:
         assert "±" in ok.error_cell()
         assert bad.error_cell() == "Diverged"
 
-    def test_recurrent_model_evaluates(self, telemetry):
-        rows = run_table2(
-            epochs=3, model_numbers=(14,), records=telemetry
-        )
+    def test_recurrent_model_evaluates(self, telemetry, monkeypatch):
+        monkeypatch.setattr(table2_comparison, "MODEL_NUMBERS", (14,))
+        rows = run_table2(epochs=3, records=telemetry)
         assert rows[0].model_number == 14
 
-    def test_text_rendering(self, telemetry):
-        rows = run_table2(epochs=3, model_numbers=(1,), records=telemetry)
+    def test_text_rendering(self, telemetry, monkeypatch):
+        monkeypatch.setattr(table2_comparison, "MODEL_NUMBERS", (1,))
+        rows = run_table2(epochs=3, records=telemetry)
         text = table2_text(rows)
         assert "Table II" in text and "Prediction time" in text
 
@@ -74,9 +74,11 @@ class TestTable2:
 class TestTable3:
     @pytest.fixture(scope="class")
     def rows(self):
-        return run_table3(
-            rows=700, epochs=8, mounts=("USBtmp", "file0"), seed=0
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                table3_permount, "BLUESKY_DEVICE_NAMES", ("USBtmp", "file0")
+            )
+            return run_table3(rows=700, epochs=8, seed=0)
 
     def test_one_row_per_mount(self, rows):
         assert [r.mount for r in rows] == ["USBtmp", "file0"]

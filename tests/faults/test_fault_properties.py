@@ -7,11 +7,15 @@ rates.  Whatever happens, no file may be lost or duplicated, no placement
 may reference an unknown device, and no device may exceed its capacity.
 """
 
+from unittest.mock import patch
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.agents import control as control_module
 from repro.agents.control import ControlAgent
 from repro.agents.messages import LayoutCommand
+from repro.faults import health as health_module
 from repro.faults.health import HealthTracker
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import cluster_invariant_violations
@@ -70,6 +74,10 @@ commands = st.lists(
     failure_rate=st.sampled_from([0.0, 0.5, 1.0]),
     seed=st.integers(min_value=0, max_value=3),
 )
+@patch.multiple(control_module, MAX_MOVE_RETRIES=2, RETRY_BACKOFF_S=1.0)
+@patch.multiple(
+    health_module, QUARANTINE_THRESHOLD=2, QUARANTINE_DURATION_S=30.0
+)
 def test_invariants_hold_under_any_fault_sequence(
     events, moves, failure_rate, seed
 ):
@@ -83,11 +91,7 @@ def test_invariants_hold_under_any_fault_sequence(
         migration_failure_rate=failure_rate,
         seed=seed,
     ).install()
-    control = ControlAgent(
-        cluster, max_move_retries=2, retry_backoff_s=1.0,
-        health=HealthTracker(quarantine_threshold=2,
-                             quarantine_duration_s=30.0),
-    )
+    control = ControlAgent(cluster, health=HealthTracker())
     t = 0.0
     for fid, dst in moves:
         t += 5.0
@@ -109,6 +113,7 @@ def test_invariants_hold_under_any_fault_sequence(
     failure_rate=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     seed=st.integers(min_value=0, max_value=5),
 )
+@patch.multiple(control_module, MAX_MOVE_RETRIES=1, RETRY_BACKOFF_S=1.0)
 def test_failed_moves_always_roll_back(moves, failure_rate, seed):
     cluster = build_cluster()
     files = make_files()
@@ -117,7 +122,7 @@ def test_failed_moves_always_roll_back(moves, failure_rate, seed):
     FaultInjector(
         cluster, migration_failure_rate=failure_rate, seed=seed
     ).install()
-    control = ControlAgent(cluster, max_move_retries=1, retry_backoff_s=1.0)
+    control = ControlAgent(cluster)
     t = 0.0
     for fid, dst in moves:
         t += 3.0

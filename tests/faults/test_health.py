@@ -2,35 +2,37 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.faults import health as health_module
 from repro.faults.health import HealthTracker
 
 
-def make_tracker(threshold=3, duration=100.0):
-    return HealthTracker(
-        quarantine_threshold=threshold, quarantine_duration_s=duration
-    )
+@pytest.fixture
+def make_tracker(monkeypatch):
+    def make(threshold=3, duration=100.0):
+        monkeypatch.setattr(health_module, "QUARANTINE_THRESHOLD", threshold)
+        monkeypatch.setattr(health_module, "QUARANTINE_DURATION_S", duration)
+        return HealthTracker()
+
+    return make
 
 
 class TestValidation:
     def test_bad_threshold_rejected(self):
-        with pytest.raises(ConfigurationError):
-            HealthTracker(quarantine_threshold=0)
+        assert health_module.QUARANTINE_THRESHOLD >= 1
 
     def test_bad_duration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            HealthTracker(quarantine_duration_s=0.0)
+        assert health_module.QUARANTINE_DURATION_S > 0
 
 
 class TestCircuit:
-    def test_below_threshold_stays_healthy(self):
+    def test_below_threshold_stays_healthy(self, make_tracker):
         tracker = make_tracker()
         tracker.record_failure("a", t=0.0)
         tracker.record_failure("a", t=1.0)
         assert not tracker.is_quarantined("a", 2.0)
         assert tracker.consecutive_failures("a") == 2
 
-    def test_threshold_opens_the_circuit(self):
+    def test_threshold_opens_the_circuit(self, make_tracker):
         tracker = make_tracker()
         for t in range(3):
             tracker.record_failure("a", t=float(t))
@@ -38,7 +40,7 @@ class TestCircuit:
         assert tracker.quarantines_opened == 1
         assert tracker.quarantined_devices(3.0) == ["a"]
 
-    def test_success_resets_the_count_and_closes_the_circuit(self):
+    def test_success_resets_the_count_and_closes_the_circuit(self, make_tracker):
         tracker = make_tracker()
         tracker.record_failure("a", t=0.0)
         tracker.record_failure("a", t=1.0)
@@ -47,14 +49,14 @@ class TestCircuit:
         assert tracker.consecutive_failures("a") == 1
         assert not tracker.is_quarantined("a", 3.0)
 
-    def test_failures_are_tracked_per_device(self):
+    def test_failures_are_tracked_per_device(self, make_tracker):
         tracker = make_tracker(threshold=2)
         tracker.record_failure("a", t=0.0)
         tracker.record_failure("b", t=0.0)
         assert not tracker.is_quarantined("a", 1.0)
         assert not tracker.is_quarantined("b", 1.0)
 
-    def test_expiry_goes_half_open(self):
+    def test_expiry_goes_half_open(self, make_tracker):
         tracker = make_tracker(threshold=3, duration=100.0)
         for t in range(3):
             tracker.record_failure("a", t=float(t))
@@ -66,7 +68,7 @@ class TestCircuit:
         assert tracker.is_quarantined("a", 105.0)
         assert tracker.quarantines_opened == 2
 
-    def test_probe_success_fully_closes_the_circuit(self):
+    def test_probe_success_fully_closes_the_circuit(self, make_tracker):
         tracker = make_tracker(threshold=3, duration=100.0)
         for t in range(3):
             tracker.record_failure("a", t=float(t))
@@ -77,7 +79,7 @@ class TestCircuit:
         tracker.record_failure("a", t=202.0)
         assert not tracker.is_quarantined("a", 203.0)
 
-    def test_healthy_filters_quarantined_devices(self):
+    def test_healthy_filters_quarantined_devices(self, make_tracker):
         tracker = make_tracker(threshold=1)
         tracker.record_failure("b", t=0.0)
         assert tracker.healthy(["a", "b", "c"], 1.0) == ["a", "c"]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import FeatureError
+from repro.features import correlation
 from repro.features.correlation import (
     feature_correlations,
     pearson,
@@ -110,8 +111,9 @@ class TestSelectFeatures:
         chosen = select_features(report)
         assert "rt" not in chosen
 
-    def test_negative_features_kept_when_asked(self, report):
-        chosen = select_features(report, exclude_negative=False)
+    def test_negative_features_kept_when_asked(self, report, monkeypatch):
+        monkeypatch.setattr(correlation, "EXCLUDE_NEGATIVE", False)
+        chosen = select_features(report)
         assert "rt" in chosen
 
     def test_max_features_respected(self, report):

@@ -158,7 +158,7 @@ def test_batch_tails(rows, weighted):
     weights = np.random.default_rng(5).random(rows) if weighted else None
     assert_same_training(
         1, SGD(0.05), ReferenceSGD(0.05), x=x, y=y, epochs=3,
-        batch_size=32, sample_weight=weights,
+        sample_weight=weights,
     )
 
 

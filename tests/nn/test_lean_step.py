@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.nn import network
 from repro.nn.model_zoo import ARCHITECTURES, build_model
 from repro.nn.optimizers import SGD, Adam
 from tests.oracles.fit_loop import (
@@ -41,7 +42,10 @@ def assert_same_training(model_number, lean_opt, ref_opt, *, x, y, **fit_kwargs)
     lean = build_model(model_number, Z, seed=11)
     ref = build_model(model_number, Z, seed=11)
     got = lean.fit(x, y, optimizer=lean_opt, **fit_kwargs)
-    want = reference_fit(ref, x, y, optimizer=ref_opt, **fit_kwargs)
+    want = reference_fit(
+        ref, x, y, optimizer=ref_opt, batch_size=network.BATCH_SIZE,
+        **fit_kwargs,
+    )
     assert got.epochs_run == want.epochs_run
     assert got.diverged == want.diverged
     assert same_bits(got.train_loss, want.train_loss)
@@ -58,16 +62,17 @@ def test_every_dense_zoo_model(model_number):
     x, y = dataset()
     assert_same_training(
         model_number, SGD(0.05), ReferenceSGD(0.05), x=x, y=y,
-        epochs=4, batch_size=32,
+        epochs=4,
     )
 
 
 @pytest.mark.parametrize("model_number", RECURRENT_MODELS)
-def test_recurrent_first_layer(model_number):
+def test_recurrent_first_layer(model_number, monkeypatch):
+    monkeypatch.setattr(network, "BATCH_SIZE", 16)
     x, y = dataset(rows=90, timesteps=4)
     assert_same_training(
         model_number, SGD(0.05), ReferenceSGD(0.05), x=x, y=y,
-        epochs=3, batch_size=16,
+        epochs=3,
     )
 
 
@@ -75,7 +80,7 @@ def test_adam():
     x, y = dataset()
     lean_opt, ref_opt = Adam(0.01), ReferenceAdam(0.01)
     assert_same_training(
-        3, lean_opt, ref_opt, x=x, y=y, epochs=5, batch_size=32,
+        3, lean_opt, ref_opt, x=x, y=y, epochs=5,
     )
     # per-key moments and step counts, held for the one fit
     assert lean_opt._t == ref_opt.t
@@ -89,7 +94,7 @@ def test_sample_weight():
     weights = np.random.default_rng(5).random(len(x))
     assert_same_training(
         1, SGD(0.05), ReferenceSGD(0.05), x=x, y=y, epochs=4,
-        batch_size=32, sample_weight=weights,
+        sample_weight=weights,
     )
 
 
@@ -101,7 +106,7 @@ def test_non_contiguous_input_rows():
         assert not x.flags.c_contiguous
         assert_same_training(
             1, SGD(0.05), ReferenceSGD(0.05), x=x, y=y[: len(x)],
-            epochs=2, batch_size=32,
+            epochs=2,
         )
 
 
@@ -120,7 +125,7 @@ def test_diverging_fit_reports_divergence_without_warning(model_number):
         warnings.simplefilter("error")
         lean, history = assert_same_training(
             model_number, SGD(5.0), ReferenceSGD(5.0), x=x, y=y,
-            epochs=30, batch_size=32,
+            epochs=30,
         )
     assert history.diverged is True
     assert history.epochs_run < 30

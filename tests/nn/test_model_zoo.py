@@ -115,5 +115,5 @@ class TestTraining:
         x = rng.random((200, 6))
         y = (x.sum(axis=1) + 1.0)[:, None]
         net = build_model(number, z=6, seed=3)
-        history = net.fit(x, y, epochs=30, batch_size=32)
+        history = net.fit(x, y, epochs=30)
         assert history.train_loss[-1] < history.train_loss[0]

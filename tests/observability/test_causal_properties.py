@@ -22,6 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
+from repro.agents import monitoring as monitoring_module  # noqa: E402
 from repro.agents.daemon import InterfaceDaemon  # noqa: E402
 from repro.agents.monitoring import MonitoringAgent  # noqa: E402
 from repro.agents.qos import classify  # noqa: E402
@@ -57,12 +58,18 @@ ops = st.lists(
 )
 
 
+@pytest.fixture(scope="class")
+def two_batch_backlog():
+    """``_build_plane``'s monitor keeps a backlog of two batches."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monitoring_module, "BACKLOG_BATCHES", 2)
+        yield
+
+
 def _build_plane(transport):
     causal = CausalContext()
     transport.causal = causal
-    monitor = MonitoringAgent(
-        DEVICE, transport, batch_size=8, backlog_batches=2
-    )
+    monitor = MonitoringAgent(DEVICE, transport, batch_size=8)
     monitor.causal = causal
     daemon = InterfaceDaemon(ReplayDB(), transport, Transport())
     daemon.attach_causal(causal)
@@ -132,6 +139,7 @@ def _assert_causal_integrity(causal, daemon, transport):
     assert resolved_total == terminal + reresolved
 
 
+@pytest.mark.usefixtures("two_batch_backlog")
 class TestBoundedPlane:
     @given(
         op_list=ops,
@@ -164,6 +172,7 @@ class TestBoundedPlane:
         _assert_causal_integrity(causal, daemon, transport)
 
 
+@pytest.mark.usefixtures("two_batch_backlog")
 class TestChaosPlane:
     @given(
         op_list=ops,

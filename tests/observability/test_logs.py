@@ -1,6 +1,5 @@
 """Module logging: configure(), JSON output, dead-letter warnings."""
 
-import io
 import json
 import logging
 
@@ -23,6 +22,12 @@ def _reset_repro_logger():
     root.setLevel(previous[2])
 
 
+@pytest.fixture
+def stderr(capsys):
+    """What configure()'s handler has written to stderr so far."""
+    return lambda: capsys.readouterr().err
+
+
 class TestGetLogger:
     def test_namespaces_under_repro(self):
         assert get_logger("agents.daemon").name == "repro.agents.daemon"
@@ -43,29 +48,26 @@ class TestConfigure:
         assert root.level == logging.DEBUG
         assert root.propagate is False
 
-    def test_text_format(self):
-        stream = io.StringIO()
-        configure("info", stream=stream)
+    def test_text_format(self, stderr):
+        configure("info")
         get_logger("test").info("hello %s", "world")
-        line = stream.getvalue().strip()
+        line = stderr().strip()
         assert "INFO" in line
         assert "repro.test" in line
         assert line.endswith("hello world")
 
-    def test_json_format(self):
-        stream = io.StringIO()
-        configure("warning", json_format=True, stream=stream)
+    def test_json_format(self, stderr):
+        configure("warning", json_format=True)
         get_logger("test").warning("trouble at %d", 7)
-        record = json.loads(stream.getvalue())
+        record = json.loads(stderr())
         assert record["level"] == "WARNING"
         assert record["logger"] == "repro.test"
         assert record["message"] == "trouble at 7"
 
-    def test_level_filtering(self):
-        stream = io.StringIO()
-        configure("error", stream=stream)
+    def test_level_filtering(self, stderr):
+        configure("error")
         get_logger("test").warning("suppressed")
-        assert stream.getvalue() == ""
+        assert stderr() == ""
 
     def test_invalid_level_rejected(self):
         with pytest.raises(ConfigurationError, match="log level"):
@@ -73,15 +75,14 @@ class TestConfigure:
 
 
 class TestDaemonDeadLetterLogging:
-    def test_non_telemetry_message_warns_with_context(self):
-        stream = io.StringIO()
-        configure("warning", stream=stream)
+    def test_non_telemetry_message_warns_with_context(self, stderr):
+        configure("warning")
         telemetry = Transport()
         daemon = InterfaceDaemon(ReplayDB(), telemetry, Transport())
         telemetry.send("not a batch")
         assert daemon.pump_telemetry() == 0
         assert daemon.dead_letters == 1
-        line = stream.getvalue()
+        line = stderr()
         assert "WARNING" in line
         assert "dead-lettered" in line
         assert "str" in line  # the offending message type is named

@@ -1,6 +1,7 @@
 """Metric semantics, null handles, and the two export surfaces."""
 
 import json
+import re
 
 import pytest
 
@@ -173,4 +174,7 @@ class TestExport:
         )
 
     def test_subsystems(self, registry):
-        assert registry.subsystems() == {"engine", "nn"}
+        typed = re.findall(
+            r"^# TYPE repro_([a-z]+)_", registry.render_prometheus(), re.M
+        )
+        assert set(typed) == {"engine", "nn"}

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.observability import provenance
 from repro.observability.provenance import (
     BATCH_OUTCOMES,
     IN_FLIGHT,
@@ -105,8 +106,7 @@ class TestLedgerBounds:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ProvenanceLedger(max_entries=0)
-        with pytest.raises(ConfigurationError):
-            ProvenanceLedger(rotate_bytes=16)
+        assert provenance.ROTATE_BYTES >= 4096
 
     def test_batches_evict_oldest(self):
         ledger = ProvenanceLedger(max_entries=2)
@@ -154,9 +154,10 @@ class TestLedgerPersistence:
         loaded.record_decision_loaded(decision("d:2", movement_ids=[9]))
         assert path.stat().st_size == size
 
-    def test_rotation_keeps_bounded_disk(self, tmp_path):
+    def test_rotation_keeps_bounded_disk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(provenance, "ROTATE_BYTES", 4096)
         path = tmp_path / "prov.jsonl"
-        ledger = ProvenanceLedger(path, rotate_bytes=4096)
+        ledger = ProvenanceLedger(path)
         causal = CausalContext(ledger)
         for i in range(100):
             bid = causal.stamp_batch("var", "default", 1, float(i))

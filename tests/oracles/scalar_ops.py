@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.workloads import belle2
 from repro.workloads.belle2 import AccessOp, Belle2Workload
 
 
 def scalar_run(workload: Belle2Workload, run_index: int) -> list[AccessOp]:
     """The access stream of run ``run_index``, one draw pair per op."""
     rng = np.random.default_rng((workload.seed, run_index))
-    lo, hi = workload.burst_range
-    frac_lo, frac_hi = workload.read_fraction_range
+    lo, hi = belle2.BURST_RANGE
+    frac_lo, frac_hi = belle2.READ_FRACTION_RANGE
     ops: list[AccessOp] = []
     for index in workload._files_for_run(run_index):
         spec = workload.files[index]
@@ -26,7 +27,7 @@ def scalar_run(workload: Belle2Workload, run_index: int) -> list[AccessOp]:
         for _ in range(burst):
             rb = max(1, int(spec.size_bytes * rng.uniform(frac_lo, frac_hi)))
             wb = 0
-            if rng.random() < workload.write_probability:
-                wb = max(1, int(spec.size_bytes * workload.write_fraction))
+            if rng.random() < belle2.WRITE_PROBABILITY:
+                wb = max(1, int(spec.size_bytes * belle2.WRITE_FRACTION))
             ops.append(AccessOp(fid=spec.fid, rb=rb, wb=wb))
     return ops

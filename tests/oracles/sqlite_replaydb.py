@@ -158,15 +158,8 @@ class SqliteReplayDB:
         return len(rows)
 
     # -- reads -----------------------------------------------------------
-    def recent_accesses(self, limit, *, device=None, fid=None):
-        clauses, params = [], []
-        if device is not None:
-            clauses.append("device = ?")
-            params.append(device)
-        if fid is not None:
-            clauses.append("fid = ?")
-            params.append(fid)
-        where = f"WHERE {' AND '.join(clauses)}" if clauses else ""
+    def recent_accesses(self, limit, *, fid=None):
+        where, params = ("WHERE fid = ?", [fid]) if fid is not None else ("", [])
         rows = self._conn.execute(
             f"SELECT {_ROW_SQL} FROM (SELECT * FROM accesses {where} "
             f"ORDER BY id DESC LIMIT ?) ORDER BY id ASC",

@@ -46,12 +46,6 @@ class TestInsertAndQuery:
         got = db.recent_accesses(3)
         assert [r.ots for r in got] == [2, 3, 4]
 
-    def test_recent_filters_by_device(self, db):
-        db.insert_access(make_access(device="var", t=1))
-        db.insert_access(make_access(device="file0", t=2))
-        got = db.recent_accesses(10, device="var")
-        assert len(got) == 1 and got[0].device == "var"
-
     def test_recent_filters_by_fid(self, db):
         db.insert_access(make_access(fid=1, t=1))
         db.insert_access(make_access(fid=2, t=2))

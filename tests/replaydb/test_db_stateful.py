@@ -184,9 +184,7 @@ class ReplayDBMachine(RuleBasedStateMachine):
             )
             self._same("access_columns", ids=[], extra=extra)
         self._same("recent_accesses", 3)
-        for device in DEVICES:
-            self._same("recent_accesses", max(total, 1), device=device)
-        self._same("recent_accesses", 4, device="dev1", fid=2)
+        self._same("recent_accesses", max(total, 1))
 
     @invariant()
     def per_file_reads_equal(self):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReplayDBError
+from repro.replaydb import replay_buffer
 from repro.replaydb.replay_buffer import PrioritizedReplay
 from tests.oracles import replay_loops
 
@@ -16,12 +17,9 @@ class TestValidation:
             PrioritizedReplay(0)
 
     def test_rejects_bad_alpha_beta_half_life(self):
-        with pytest.raises(ReplayDBError):
-            PrioritizedReplay(4, alpha=-0.1)
-        with pytest.raises(ReplayDBError):
-            PrioritizedReplay(4, beta=1.5)
-        with pytest.raises(ReplayDBError):
-            PrioritizedReplay(4, recency_half_life=0.0)
+        assert replay_buffer.ALPHA >= 0
+        assert 0.0 <= replay_buffer.BETA <= 1.0
+        assert replay_buffer.RECENCY_HALF_LIFE > 0
 
     def test_rejects_bad_sample_size(self):
         with pytest.raises(ReplayDBError):
@@ -74,8 +72,10 @@ class TestSampling:
         ids, _ = buf.sample(20)
         assert len(set(ids.tolist())) == 20
 
-    def test_high_error_rows_sampled_more(self):
-        buf = PrioritizedReplay(100, alpha=1.0, recency_half_life=1e9, seed=3)
+    def test_high_error_rows_sampled_more(self, monkeypatch):
+        monkeypatch.setattr(replay_buffer, "ALPHA", 1.0)
+        monkeypatch.setattr(replay_buffer, "RECENCY_HALF_LIFE", 1e9)
+        buf = PrioritizedReplay(100, seed=3)
         buf.add(range(1, 101))
         errors = np.full(100, 1e-4)
         errors[:5] = 10.0  # rows 1..5 are the surprising ones
@@ -87,8 +87,12 @@ class TestSampling:
         # 5 hot rows hold ~99.9% of the probability mass.
         assert hot > 200
 
-    def test_is_weights_capped_at_one_and_downweight_favorites(self):
-        buf = PrioritizedReplay(100, alpha=1.0, beta=1.0, seed=5)
+    def test_is_weights_capped_at_one_and_downweight_favorites(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(replay_buffer, "ALPHA", 1.0)
+        monkeypatch.setattr(replay_buffer, "BETA", 1.0)
+        buf = PrioritizedReplay(100, seed=5)
         buf.add(range(1, 101))
         errors = np.full(100, 0.1)
         errors[0] = 10.0

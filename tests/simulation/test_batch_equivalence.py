@@ -12,6 +12,8 @@ satellite invariants that ride on the fast path: incremental
 memoized BurstyLoad slot table, and ``Belle2Workload.run_arrays``.
 """
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from repro.simulation.interference import (
     CompositeLoad,
     ConstantLoad,
 )
+from repro.workloads import belle2
 from repro.workloads.belle2 import Belle2Workload
 from repro.workloads.files import belle2_file_population
 from repro.workloads.runner import WorkloadRunner
@@ -413,19 +416,23 @@ class TestRunArraysPacking:
     def test_run_arrays_matches_op_list(self):
         """``run`` and ``run_arrays`` against the op-by-op draw loop."""
         files = belle2_file_population(seed=5)[:30]
-        for options in (
-            {},
-            {"burst_range": (1, 3), "files_per_run": 7,
-             "write_probability": 0.5},
+        for files_per_run, constants in (
+            (4, {}),
+            (7, {"BURST_RANGE": (1, 3), "WRITE_PROBABILITY": 0.5}),
         ):
-            workload = Belle2Workload(files, seed=6, **options)
-            for index in range(50):
-                fids, rb, wb = workload.run_arrays(index)
-                ops = scalar_run(workload, index)
-                assert workload.run(index) == ops
-                assert fids.tolist() == [op.fid for op in ops]
-                assert rb.tolist() == [op.rb for op in ops]
-                assert wb.tolist() == [op.wb for op in ops]
+            with pytest.MonkeyPatch.context() as patched:
+                for name, value in constants.items():
+                    patched.setattr(belle2, name, value)
+                workload = Belle2Workload(
+                    files, seed=6, files_per_run=files_per_run
+                )
+                for index in range(50):
+                    fids, rb, wb = workload.run_arrays(index)
+                    ops = scalar_run(workload, index)
+                    assert workload.run(index) == ops
+                    assert fids.tolist() == [op.fid for op in ops]
+                    assert rb.tolist() == [op.rb for op in ops]
+                    assert wb.tolist() == [op.wb for op in ops]
 
     @given(
         start=st.integers(0, 10**6),
@@ -440,12 +447,15 @@ class TestRunArraysPacking:
         workload = Belle2Workload(
             belle2_file_population(seed=5), seed=6,
             files_per_run=files_per_run,
-            burst_range=burst_range, write_probability=0.3,
         )
-        *block, counts = workload.runs_arrays(start, count)
-        singles = [
-            workload.run_arrays(index) for index in range(start, start + count)
-        ]
+        with patch.multiple(
+            belle2, BURST_RANGE=burst_range, WRITE_PROBABILITY=0.3
+        ):
+            *block, counts = workload.runs_arrays(start, count)
+            singles = [
+                workload.run_arrays(index)
+                for index in range(start, start + count)
+            ]
         assert counts == [len(fids) for fids, _, _ in singles]
         for column, parts in zip(block, zip(*singles)):
             joined = np.concatenate(parts)

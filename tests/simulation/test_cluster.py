@@ -317,24 +317,3 @@ class TestApplyLayoutFailureModes:
         cluster.add_file(2, "b", 4 * GB, "fast")
         with pytest.raises(CapacityError):
             cluster.apply_layout({2: "slow"}, t=0.0)
-
-    def test_non_strict_skips_unsatisfiable_moves(self, cluster):
-        cluster.add_file(1, "a", 4 * GB, "slow")
-        cluster.add_file(2, "b", 4 * GB, "fast")
-        cluster.add_file(3, "c", GB, "fast")
-        moves = cluster.apply_layout(
-            {2: "slow", 3: "slow"}, t=0.0, strict=False
-        )
-        # File 2 does not fit on slow (4+4 > 5 GB) and is skipped; file 3
-        # fits (4+1 = 5 GB) and moves.
-        assert [m.fid for m in moves] == [3]
-        assert cluster.file(2).device == "fast"
-        assert cluster.file(3).device == "slow"
-
-    def test_non_strict_skips_unavailable_targets(self, cluster):
-        from repro.errors import DeviceUnavailableError  # noqa: F401
-        cluster.add_file(1, "a", GB, "fast")
-        cluster.set_device_available("slow", False)
-        moves = cluster.apply_layout({1: "slow"}, t=0.0, strict=False)
-        assert moves == []
-        assert cluster.file(1).device == "fast"

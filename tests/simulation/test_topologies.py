@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.simulation import topologies
 from repro.simulation.bluesky import describe_bluesky
 from repro.simulation.topologies import (
     make_homogeneous_cluster,
@@ -34,23 +35,24 @@ class TestTieredCluster:
         ]
         assert capacities == sorted(capacities)
 
-    def test_buffer_capacity_configurable(self):
-        cluster = make_tiered_cluster(buffer_capacity_gb=5)
+    def test_buffer_capacity_configurable(self, monkeypatch):
+        monkeypatch.setattr(topologies, "BUFFER_CAPACITY_GB", 5)
+        cluster = make_tiered_cluster()
         assert cluster.device("burst").spec.capacity_bytes == 5 * GB
 
-    def test_small_buffer_forces_spill(self):
+    def test_small_buffer_forces_spill(self, monkeypatch):
         # The burst buffer cannot hold everything: a placement beyond its
         # capacity must fail, which is why the tier shape matters.
         from repro.errors import CapacityError
 
-        cluster = make_tiered_cluster(buffer_capacity_gb=1)
+        monkeypatch.setattr(topologies, "BUFFER_CAPACITY_GB", 1)
+        cluster = make_tiered_cluster()
         cluster.add_file(0, "a", 900_000_000, "burst")
         with pytest.raises(CapacityError):
             cluster.add_file(1, "b", 900_000_000, "burst")
 
     def test_invalid_capacity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_tiered_cluster(buffer_capacity_gb=0)
+        assert topologies.BUFFER_CAPACITY_GB >= 1
 
 
 class TestHomogeneousCluster:
@@ -75,10 +77,6 @@ class TestHomogeneousCluster:
     def test_invalid_args_rejected(self):
         with pytest.raises(ConfigurationError):
             make_homogeneous_cluster(1)
-        with pytest.raises(ConfigurationError):
-            make_homogeneous_cluster(3, read_gbps=0)
-        with pytest.raises(ConfigurationError):
-            make_homogeneous_cluster(3, capacity_gb=0)
 
 
 class TestScaledCluster:
@@ -126,15 +124,14 @@ class TestScaledCluster:
                 for t, rb, wb in ops
             ]
 
-    def test_capacity_configurable(self):
-        cluster = make_scaled_cluster(2, capacity_gb=7)
+    def test_capacity_configurable(self, monkeypatch):
+        monkeypatch.setattr(topologies, "SCALED_CAPACITY_GB", 7)
+        cluster = make_scaled_cluster(2)
         assert cluster.device("dev00001").spec.capacity_bytes == 7 * GB
 
     def test_invalid_args_rejected(self):
         with pytest.raises(ConfigurationError):
             make_scaled_cluster(0)
-        with pytest.raises(ConfigurationError):
-            make_scaled_cluster(4, capacity_gb=0)
 
 
 class TestDescribeBluesky:

@@ -3,7 +3,8 @@
 A new config field or CLI subcommand, or growth of ``src/``, DESIGN.md or
 README.md, has to raise a ceiling here, in a reviewed diff; a config field
 nothing in the product reads, or that only tests set, fails outright, and
-so do a second transport class, a public name that only tests refer to, product code that imports
+so do a second transport class, a public name that only tests refer to,
+a defaulted parameter that only tests set, product code that imports
 ``sqlite3``, an access log that holds more than 64 bytes per BELLE II
 row, an access record with an instance dict, product code that touches
 the garbage collector and a new ``np.errstate`` block.
@@ -38,9 +39,9 @@ CONFIG = SRC / "core" / "config.py"
 MAX_CONFIG_FIELDS = 34
 MAX_CLI_SUBCOMMANDS = 20
 #: ``find src -name '*.py' | xargs cat | wc -l``
-MAX_SRC_LINES = 19_062
+MAX_SRC_LINES = 18_753
 #: ``wc -c`` of the two documents a newcomer reads first
-MAX_DESIGN_BYTES = 85_574
+MAX_DESIGN_BYTES = 85_541
 MAX_README_BYTES = 20_200
 
 #: Public names under ``src/repro`` that only tests refer to, each with the
@@ -244,6 +245,145 @@ def test_every_public_name_has_a_caller():
     assert all(
         reason.strip() and "\n" not in reason
         for reason in TEST_SEAMS.values()
+    )
+
+
+_OPTIMIZER = "forwarded: DRLEngine passes it to get_optimizer(**kwargs)"
+_PER_DEVICE = ("ReplayDB: the per-device totals device_throughput_ranking "
+               "folds, held to the SQLite twin per device")
+#: Defaulted parameters of public functions that no call in ``src/``,
+#: ``benchmarks/`` or ``examples/`` sets, as ``callee.parameter``, each with
+#: the reason it is not a constant of its module.
+TEST_OPTIONS = {
+    "SGD.learning_rate": _OPTIMIZER,
+    "Adam.learning_rate": _OPTIMIZER,
+    "Histogram.help": "forwarded: MetricsRegistry builds every metric as "
+                      "cls(name, help)",
+    "access_count.device": _PER_DEVICE,
+    "average_throughput.device": _PER_DEVICE,
+    "main.argv": "the CLI entry point: `python -m repro` parses sys.argv, "
+                 "tests pass a list",
+}
+
+
+def _options(tree: ast.AST):
+    """``(callee, parameter, positional index or None, offset)`` for every
+    defaulted parameter of a public function, method or constructor
+    (``__init__`` is called by its class name); classes in ``TEST_SEAMS``
+    are skipped with their methods."""
+
+    def defaults(func: ast.FunctionDef, callee: str, offset: int):
+        positional = [*func.args.posonlyargs, *func.args.args]
+        first = len(positional) - len(func.args.defaults)
+        for index, arg in enumerate(positional[first:], first):
+            yield callee, arg.arg, index, offset
+        for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+            if default is not None:
+                yield callee, arg.arg, None, offset
+
+    for node in getattr(tree, "body", []):
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield from defaults(node, node.name, 0)
+        elif (
+            isinstance(node, ast.ClassDef)
+            and not node.name.startswith("_")
+            and node.name not in TEST_SEAMS
+        ):
+            for method in node.body:
+                if not isinstance(method, ast.FunctionDef) or (
+                    method.name.startswith("_") and method.name != "__init__"
+                ):
+                    continue
+                static = any(
+                    getattr(d, "id", None) == "staticmethod"
+                    for d in method.decorator_list
+                )
+                callee = node.name if method.name == "__init__" else method.name
+                yield from defaults(method, callee, 0 if static else 1)
+
+
+def _calls(tree: ast.AST):
+    """``(callee, call)`` for every call; in a class, a classmethod's
+    ``cls(...)`` calls the class and ``super().__init__(...)`` each of its
+    bases."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        bases = [getattr(b, "id", getattr(b, "attr", None)) for b in cls.bases]
+        for call in ast.walk(cls):
+            if (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "__init__"
+                and isinstance(call.func.value, ast.Call)
+                and getattr(call.func.value.func, "id", None) == "super"
+            ):
+                for base in bases:
+                    yield base, call
+        for method in cls.body:
+            if isinstance(method, ast.FunctionDef) and any(
+                getattr(d, "id", None) == "classmethod"
+                for d in method.decorator_list
+            ):
+                for call in ast.walk(method):
+                    if (
+                        isinstance(call, ast.Call)
+                        and getattr(call.func, "id", None) == "cls"
+                    ):
+                        yield cls.name, call
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call):
+            func = call.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name:
+                yield name, call
+
+
+def options_without_a_caller() -> set[str]:
+    set_by_call: set[tuple[str, str]] = set()
+    product = list(_trees(SRC))
+    options = [opt for _, tree in product for opt in _options(tree)]
+    wanted = {callee for callee, *_ in options}
+    positional_set: dict[str, int] = {}
+    forwards_all: set[str] = set()
+    for _, tree in (*product, *_trees(REPO / "benchmarks", REPO / "examples")):
+        for callee, call in _calls(tree):
+            if callee not in wanted:
+                continue
+            for keyword in call.keywords:
+                if keyword.arg is None:
+                    forwards_all.add(callee)
+                else:
+                    set_by_call.add((callee, keyword.arg))
+            if any(isinstance(arg, ast.Starred) for arg in call.args):
+                forwards_all.add(callee)
+            positional_set[callee] = max(
+                positional_set.get(callee, 0), len(call.args)
+            )
+    flagged = set()
+    for callee, param, index, offset in options:
+        if callee in forwards_all or (callee, param) in set_by_call:
+            continue
+        if index is not None and index - offset < positional_set.get(callee, 0):
+            continue
+        flagged.add(f"{callee}.{param}")
+    return flagged
+
+
+def test_every_option_has_a_caller():
+    """A defaulted parameter nothing outside the tests passes is a
+    constant of its module (tests monkeypatch it), deleted with the tests
+    that test only it, or listed in ``TEST_OPTIONS``.  A call counts by
+    callee name (the class name for ``__init__``, also reached as a
+    classmethod's ``cls(...)``), by keyword, by position or by forwarding
+    ``*args`` / ``**kwargs`` / ``super().__init__``."""
+    flagged = options_without_a_caller()
+    assert sorted(flagged - set(TEST_OPTIONS)) == []
+    assert sorted(set(TEST_OPTIONS) - flagged) == []
+    assert len(TEST_OPTIONS) <= 15
+    assert all(
+        reason.strip() and "\n" not in reason
+        for reason in TEST_OPTIONS.values()
     )
 
 

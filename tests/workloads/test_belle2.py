@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.workloads import belle2
 from repro.workloads.belle2 import AccessOp, Belle2Workload
 from repro.workloads.files import belle2_file_population
 
@@ -88,9 +89,9 @@ class TestRunGeneration:
             workload.run(-1)
 
     def test_runs_iterator(self, workload):
-        runs = list(workload.runs(3, start=2))
+        runs = list(workload.runs(3))
         assert len(runs) == 3
-        assert runs[0] == workload.run(2)
+        assert runs[2] == workload.run(2)
 
     def test_runs_negative_count_rejected(self, workload):
         with pytest.raises(ConfigurationError):
@@ -102,26 +103,20 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             Belle2Workload([])
 
-    def test_invalid_burst_range(self, files):
-        with pytest.raises(ConfigurationError):
-            Belle2Workload(files, burst_range=(20, 10))
-        with pytest.raises(ConfigurationError):
-            Belle2Workload(files, burst_range=(0, 5))
+    def test_invalid_burst_range(self):
+        lo, hi = belle2.BURST_RANGE
+        assert 1 <= lo <= hi
 
-    def test_invalid_read_fraction(self, files):
-        with pytest.raises(ConfigurationError):
-            Belle2Workload(files, read_fraction_range=(0.0, 1.0))
-        with pytest.raises(ConfigurationError):
-            Belle2Workload(files, read_fraction_range=(0.5, 1.5))
+    def test_invalid_read_fraction(self):
+        lo, hi = belle2.READ_FRACTION_RANGE
+        assert 0.0 < lo <= hi <= 1.0
 
-    def test_invalid_write_probability(self, files):
-        with pytest.raises(ConfigurationError):
-            Belle2Workload(files, write_probability=1.5)
+    def test_invalid_write_probability(self):
+        assert 0.0 <= belle2.WRITE_PROBABILITY <= 1.0
 
     def test_invalid_files_per_run(self, files):
         with pytest.raises(ConfigurationError):
             Belle2Workload(files, files_per_run=0)
 
-    def test_invalid_write_fraction(self, files):
-        with pytest.raises(ConfigurationError):
-            Belle2Workload(files, write_fraction=0.0)
+    def test_invalid_write_fraction(self):
+        assert 0.0 < belle2.WRITE_FRACTION <= 1.0

