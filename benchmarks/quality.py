@@ -16,6 +16,8 @@ parent, in percentage points) of ``sim_gain_pct`` and
 two-sided sign test over the seeds that did not tie.  Both are
 higher-is-better.  An A/A run (one checkout on both sides) must print a
 zero difference on every seed: the measurement is deterministic per seed.
+The children run ``os.cpu_count()`` at a time; the report lists them in
+seed order.
 
 Nothing is written anywhere.
 """
@@ -24,7 +26,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from pairs import measure, quartiles
@@ -32,7 +36,7 @@ from pairs import measure, quartiles
 #: the graded results, both higher-is-better
 GRADED = ("sim_gain_pct", "sim_speed_vs_static_pct")
 #: ``facts`` shown per side and seed
-FACTS = ("moves_ok", "moves_failed", "epochs_diverged")
+FACTS = ("moves_ok", "moves_failed", "epochs_acted", "epochs_diverged")
 
 
 def parse_seeds(tokens: list[str]) -> list[int]:
@@ -110,18 +114,25 @@ def main() -> int:
     args = parser.parse_args()
     seeds = parse_seeds(args.seeds)
     sides = (args.parent.resolve(), args.change.resolve())
-    failed = False
-    for workload in args.workload:
-        parent, change = [], []
-        for seed in seeds:
-            for side, runs in zip(sides, (parent, change)):
-                runs.append(measure(
-                    side, workload, seed, args.seconds, twin=True, setups=1
-                ))
-                for failure in runs[-1]["failures"]:
-                    failed = True
-                    print(f"FAILED {side} seed {seed}: {failure}")
-        print(report(workload, seeds, parent, change) + "\n", flush=True)
+    jobs = [
+        (side, workload, seed)
+        for workload in args.workload for seed in seeds for side in sides
+    ]
+    with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
+        # The threads only wait: each measurement runs in a child process.
+        records = pool.map(
+            lambda job: measure(*job, args.seconds, twin=True, setups=1), jobs
+        )
+        failed = False
+        for workload in args.workload:
+            parent, change = [], []
+            for seed in seeds:
+                for side, runs in zip(sides, (parent, change)):
+                    runs.append(next(records))
+                    for failure in runs[-1]["failures"]:
+                        failed = True
+                        print(f"FAILED {side} seed {seed}: {failure}")
+            print(report(workload, seeds, parent, change) + "\n", flush=True)
     return 1 if failed else 0
 
 

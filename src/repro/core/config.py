@@ -77,16 +77,6 @@ class GeomancyConfig:
     #: ``Geomancy.after_run``; a trip rolls the layout back to the marked
     #: known-good one and benches the learner
     guardrail_enabled: bool = False
-    #: realized-vs-predicted throughput pairs per regression check window
-    guardrail_window: int = 4
-    #: trip when realized throughput over the window falls below this
-    #: fraction of what the engine predicted for its own placements
-    guardrail_regression_fraction: float = 0.5
-    #: trip when held-out training error exceeds this multiple of the
-    #: first healthy cycle's error (loss explosion)
-    guardrail_explode_factor: float = 10.0
-    #: control cycles the policy stays demoted to the fallback after a trip
-    guardrail_cooldown_runs: int = 3
     #: policy used while demoted: "static" (hold layout) or "lru"
     fallback_policy: str = "static"
     #: -- online continual learning (DRLEngine.train_incremental) ---------
@@ -182,25 +172,6 @@ class GeomancyConfig:
             raise ConfigurationError(
                 f"dead_letter_capacity must be >= 0, "
                 f"got {self.dead_letter_capacity}"
-            )
-        if self.guardrail_window < 1:
-            raise ConfigurationError(
-                f"guardrail_window must be >= 1, got {self.guardrail_window}"
-            )
-        if not 0.0 < self.guardrail_regression_fraction < 1.0:
-            raise ConfigurationError(
-                f"guardrail_regression_fraction must be in (0, 1), "
-                f"got {self.guardrail_regression_fraction}"
-            )
-        if self.guardrail_explode_factor <= 1.0:
-            raise ConfigurationError(
-                f"guardrail_explode_factor must be > 1, "
-                f"got {self.guardrail_explode_factor}"
-            )
-        if self.guardrail_cooldown_runs < 1:
-            raise ConfigurationError(
-                f"guardrail_cooldown_runs must be >= 1, "
-                f"got {self.guardrail_cooldown_runs}"
             )
         if self.fallback_policy not in ("static", "lru"):
             raise ConfigurationError(

@@ -156,10 +156,6 @@ class Geomancy:
         #: :meth:`after_run`, benches the learner when it trips
         self.guardrail = (
             Guardrail(
-                window=self.config.guardrail_window,
-                regression_fraction=self.config.guardrail_regression_fraction,
-                explode_factor=self.config.guardrail_explode_factor,
-                cooldown_runs=self.config.guardrail_cooldown_runs,
                 fallback=self.config.fallback_policy,
                 event_log=self.event_log,
                 weight_rollback=self.engine.rollback_weights,
@@ -440,7 +436,7 @@ class Geomancy:
         for them; without it only training health is watched.  A trip
         rolls the layout back to the known-good one
         (:meth:`mark_known_good`) and benches the learner: the following
-        ``guardrail_cooldown_runs`` cycles run the fallback policy
+        ``guardrail.COOLDOWN_RUNS`` cycles run the fallback policy
         (``outcome.fallback``) before the learner is re-admitted.
         """
         rail = self.guardrail

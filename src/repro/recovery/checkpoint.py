@@ -46,8 +46,9 @@ STATE_NAME = "state.json"
 REPLAY_NAME = "replay.npz"
 MODEL_NAME = "model.npz"
 #: 2: the ReplayDB snapshot is an ``.npz`` archive (1 held a SQLite file);
-#: 3: the saved config has no method constants (2's has 18 more fields)
-FORMAT_VERSION = 3
+#: 3: the saved config has no method constants (2's has 18 more fields);
+#: 4: nor guardrail tunables (3's has 4 more fields)
+FORMAT_VERSION = 4
 
 _GEN_PREFIX = "gen-"
 _STAGING_PREFIX = ".staging-"

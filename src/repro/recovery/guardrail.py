@@ -5,18 +5,19 @@ guardrail watches two signals every control cycle:
 
 * **training health** -- a NaN/inf held-out error, a diverged training
   report, or an error explosion (``test_mare`` exceeding
-  ``explode_factor`` times the first healthy cycle's error);
+  :data:`EXPLODE_FACTOR` times the first healthy cycle's error);
 * **realized vs. predicted throughput** -- over a sliding window of
-  measured runs, if the realized throughput sums to less than
-  ``regression_fraction`` of what the engine predicted for its own
-  placements, the model is confidently wrong about the system it steers.
+  :data:`WINDOW` measured runs, if the realized throughput sums to less
+  than :data:`REGRESSION_FRACTION` of what the engine predicted for its
+  own placements, the model is confidently wrong about the system it
+  steers.
 
 Either signal *trips* the guardrail: its owner -- the
 :class:`~repro.core.geomancy.Geomancy` facade, which builds it from
 config and feeds it in ``after_run`` -- rolls the layout back to the
 last known-good one, and the guardrail demotes the policy to the
 configured fallback (``static`` holds the layout; ``lru`` runs the
-paper's LRU baseline) for ``cooldown_runs`` control cycles before
+paper's LRU baseline) for :data:`COOLDOWN_RUNS` control cycles before
 re-admitting the learner.  Every trip and mode change is recorded as
 structured telemetry.
 """
@@ -38,6 +39,17 @@ LOSS_EXPLOSION = "loss-explosion"
 THROUGHPUT_REGRESSION = "throughput-regression"
 
 FALLBACK_POLICIES = ("static", "lru")
+
+#: realized-vs-predicted throughput pairs per regression check window
+WINDOW = 4
+#: trip when realized throughput over the window falls below this
+#: fraction of what the engine predicted for its own placements
+REGRESSION_FRACTION = 0.5
+#: trip when held-out error exceeds this multiple of the first healthy
+#: cycle's error (loss explosion)
+EXPLODE_FACTOR = 10.0
+#: control cycles the policy stays demoted to the fallback after a trip
+COOLDOWN_RUNS = 3
 
 
 @dataclass(frozen=True)
@@ -73,37 +85,14 @@ class Guardrail:
     def __init__(
         self,
         *,
-        window: int = 4,
-        regression_fraction: float = 0.5,
-        explode_factor: float = 10.0,
-        cooldown_runs: int = 3,
         fallback: str = "static",
         event_log: EventLog | None = None,
         weight_rollback=None,
     ) -> None:
-        if window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
-        if not 0.0 < regression_fraction < 1.0:
-            raise ConfigurationError(
-                f"regression_fraction must be in (0, 1), "
-                f"got {regression_fraction}"
-            )
-        if explode_factor <= 1.0:
-            raise ConfigurationError(
-                f"explode_factor must be > 1, got {explode_factor}"
-            )
-        if cooldown_runs < 1:
-            raise ConfigurationError(
-                f"cooldown_runs must be >= 1, got {cooldown_runs}"
-            )
         if fallback not in FALLBACK_POLICIES:
             raise ConfigurationError(
                 f"fallback must be one of {FALLBACK_POLICIES}, got {fallback!r}"
             )
-        self.window = window
-        self.regression_fraction = regression_fraction
-        self.explode_factor = explode_factor
-        self.cooldown_runs = cooldown_runs
         self.fallback = fallback
         #: optional ``() -> int | None`` hook restoring the engine's frozen
         #: weight copy (:meth:`~repro.core.engine.DRLEngine.rollback_weights`);
@@ -115,7 +104,7 @@ class Guardrail:
         self._mode = LEARNING
         self._cooldown_left = 0
         self._baseline_mare: float | None = None
-        self._pairs: deque[tuple[float, float]] = deque(maxlen=window)
+        self._pairs: deque[tuple[float, float]] = deque(maxlen=WINDOW)
         self.trips: list[GuardrailTrip] = []
 
     @property
@@ -143,7 +132,7 @@ class Guardrail:
         if self._baseline_mare is None:
             self._baseline_mare = mare
             return None
-        if mare > self.explode_factor * self._baseline_mare:
+        if mare > EXPLODE_FACTOR * self._baseline_mare:
             return self._trip(
                 LOSS_EXPLOSION,
                 run_index=run_index,
@@ -151,7 +140,7 @@ class Guardrail:
                 detail={
                     "test_mare": mare,
                     "baseline_mare": self._baseline_mare,
-                    "explode_factor": self.explode_factor,
+                    "explode_factor": EXPLODE_FACTOR,
                 },
             )
         return None
@@ -173,21 +162,21 @@ class Guardrail:
         if self._mode == FALLBACK or predicted_gbps is None:
             return None
         self._pairs.append((float(realized_gbps), float(predicted_gbps)))
-        if len(self._pairs) < self.window:
+        if len(self._pairs) < WINDOW:
             return None
         realized = sum(pair[0] for pair in self._pairs)
         predicted = sum(pair[1] for pair in self._pairs)
-        if predicted > 0 and realized < self.regression_fraction * predicted:
+        if predicted > 0 and realized < REGRESSION_FRACTION * predicted:
             return self._trip(
                 THROUGHPUT_REGRESSION,
                 run_index=run_index,
                 t=t,
                 detail={
-                    "window": self.window,
+                    "window": WINDOW,
                     "realized_sum": realized,
                     "predicted_sum": predicted,
                     "fraction": realized / predicted,
-                    "threshold": self.regression_fraction,
+                    "threshold": REGRESSION_FRACTION,
                 },
             )
         return None
@@ -207,7 +196,7 @@ class Guardrail:
         trip = GuardrailTrip(reason=reason, run_index=run_index, t=t, detail=detail)
         self.trips.append(trip)
         self._mode = FALLBACK
-        self._cooldown_left = self.cooldown_runs
+        self._cooldown_left = COOLDOWN_RUNS
         self._pairs.clear()
         self.event_log.emit(
             "guardrail-trip",
@@ -215,7 +204,7 @@ class Guardrail:
             step=run_index,
             reason=reason,
             fallback=self.fallback,
-            cooldown_runs=self.cooldown_runs,
+            cooldown_runs=COOLDOWN_RUNS,
             **detail,
         )
         return trip
@@ -259,6 +248,6 @@ class Guardrail:
         )
         self._pairs = deque(
             ((float(r), float(p)) for r, p in state["pairs"]),
-            maxlen=self.window,
+            maxlen=WINDOW,
         )
         self.trips = [GuardrailTrip.from_dict(raw) for raw in state["trips"]]

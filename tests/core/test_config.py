@@ -8,6 +8,7 @@ from repro.core.geomancy import Geomancy
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.recoverable import run_recoverable
 from repro.faults import health as health_module
+from repro.recovery import guardrail as guardrail_module
 from repro.recovery.checkpoint import CheckpointManager
 from repro.simulation.bluesky import make_bluesky_cluster
 from repro.workloads.files import belle2_file_population
@@ -99,11 +100,12 @@ class TestRecoveryKnobs:
     def test_defaults(self):
         config = GeomancyConfig()
         assert not config.guardrail_enabled
-        assert config.guardrail_window == 4
-        assert config.guardrail_regression_fraction == 0.5
-        assert config.guardrail_explode_factor == 10.0
-        assert config.guardrail_cooldown_runs == 3
         assert config.fallback_policy == "static"
+        # The guardrail's tunables are constants of its module.
+        assert (
+            guardrail_module.WINDOW, guardrail_module.REGRESSION_FRACTION,
+            guardrail_module.EXPLODE_FACTOR, guardrail_module.COOLDOWN_RUNS,
+        ) == (4, 0.5, 10.0, 3)
 
     def test_checkpointing_disabled_by_zero(self, tmp_path):
         # The cadence is run_recoverable's parameter, not a config field.
@@ -132,7 +134,21 @@ class TestRecoveryKnobs:
     def test_invalid_rejected(self, kwargs, tmp_path):
         # Checkpoint cadence and retention left the config for the
         # harness that consumes them; each is rejected where it is read.
-        if "checkpoint_every" in kwargs:
+        # The guardrail's tunables are constants of its module, each in
+        # the range the config used to enforce.
+        ((name, bad),) = kwargs.items()
+        in_range = {
+            "guardrail_window": lambda v: v >= 1,
+            "guardrail_regression_fraction": lambda v: 0.0 < v < 1.0,
+            "guardrail_explode_factor": lambda v: v > 1.0,
+            "guardrail_cooldown_runs": lambda v: v >= 1,
+        }.get(name)
+        if in_range is not None:
+            constant = getattr(
+                guardrail_module, name.removeprefix("guardrail_").upper()
+            )
+            assert in_range(constant) and not in_range(bad)
+        elif "checkpoint_every" in kwargs:
             with pytest.raises(ReproError, match="checkpoint_every"):
                 run_recoverable(checkpoint_dir=tmp_path, **kwargs)
         elif "keep" in kwargs:

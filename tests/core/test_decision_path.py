@@ -184,9 +184,10 @@ class TestFacadeAndPolicyAgree:
         assert proposed and dispatched == [proposed]
 
     def test_gap_filter_drops_the_same_moves(self, decisions):
-        ungated, _ = consult_both(quick_config())
+        # A 1,000-row window: its layout moves files too hot to move.
+        ungated, _ = consult_both(quick_config(training_rows=1000))
         proposed, dispatched = consult_both(
-            quick_config(use_gap_scheduler=True)
+            quick_config(training_rows=1000, use_gap_scheduler=True)
         )
         assert dispatched == [proposed]
         # Files too hot to move are dropped, nothing else changes.

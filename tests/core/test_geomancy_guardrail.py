@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.config import GeomancyConfig
 from repro.core.geomancy import Geomancy
+from repro.recovery import guardrail
 from repro.recovery.guardrail import Guardrail
 from repro.simulation.bluesky import make_bluesky_cluster
 from repro.workloads.belle2 import Belle2Workload
@@ -18,7 +19,7 @@ from repro.workloads.runner import WorkloadRunner
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
-COOLDOWN = 3
+COOLDOWN = guardrail.COOLDOWN_RUNS
 
 
 def guarded(**overrides):
@@ -26,7 +27,7 @@ def guarded(**overrides):
         epochs=10, training_rows=800, smoothing_window=20,
         cooldown_runs=1, seed=0, require_skill=False,
         require_ranking_sanity=False, exploration_rate=0.0,
-        guardrail_enabled=True, guardrail_cooldown_runs=COOLDOWN,
+        guardrail_enabled=True,
     )
     params.update(overrides)
     config = GeomancyConfig(**params)
@@ -58,11 +59,9 @@ def drive(geo, runner, runs, *, realized=np.mean):
 
 class TestGuardrailIsTheProducts:
     def test_built_from_config(self):
-        geo, _ = guarded(fallback_policy="lru", guardrail_window=2)
+        geo, _ = guarded(fallback_policy="lru")
         assert isinstance(geo.guardrail, Guardrail)
         assert geo.guardrail.fallback == "lru"
-        assert geo.guardrail.window == 2
-        assert geo.guardrail.cooldown_runs == COOLDOWN
         assert geo.guardrail.event_log is geo.event_log
         plain = Geomancy(
             make_bluesky_cluster(seed=0), belle2_file_population(seed=0)
@@ -113,10 +112,11 @@ class TestGuardrailIsTheProducts:
         (outcome,) = drive(geo, runner, [1], realized=None)
         assert outcome.trip == "nan-loss"
 
-    def test_throughput_is_judged_only_when_told(self):
+    def test_throughput_is_judged_only_when_told(self, monkeypatch):
         # The scheduler never consults the learner here: only the
         # realized-vs-predicted check can trip.
-        geo, _ = guarded(guardrail_window=1, cooldown_runs=1000)
+        monkeypatch.setattr(guardrail, "WINDOW", 1)
+        geo, _ = guarded(cooldown_runs=1000)
         geo.pending_predicted = 1.0
         untold = geo.after_run(1, 10.0)
         assert untold.trip is None and not geo.guardrail.trips

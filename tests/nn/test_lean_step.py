@@ -130,3 +130,107 @@ def test_diverging_fit_reports_divergence_without_warning(model_number):
     assert history.diverged is True
     assert history.epochs_run < 30
     assert not np.all(np.isfinite(lean.layers[0].params["W"]))
+
+
+def rising_validation(seed=0):
+    """Learnable training rows, and validation targets of the opposite
+    sign: every epoch that fits the one moves away from the other."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(Z)
+    x, x_val = rng.random((330, Z)), rng.random((100, Z))
+    return x, x @ w, x_val, -3.0 * (x_val @ w)
+
+
+@pytest.mark.parametrize("model_number", DENSE_MODELS)
+def test_validation_stop_matches_the_oracle(model_number):
+    x, y = dataset()
+    x_val, y_val = dataset(rows=100, seed=1)
+    assert_same_training(
+        model_number, SGD(0.05), ReferenceSGD(0.05), x=x, y=y,
+        epochs=20, validation=(x_val, y_val),
+    )
+
+
+def test_validation_stop_matches_the_oracle_recurrent(monkeypatch):
+    monkeypatch.setattr(network, "BATCH_SIZE", 16)
+    x, y = dataset(rows=90, timesteps=4)
+    x_val, y_val = dataset(rows=30, timesteps=4, seed=1)
+    assert_same_training(
+        23, SGD(0.05), ReferenceSGD(0.05), x=x, y=y,
+        epochs=12, validation=(x_val, y_val),
+    )
+
+
+def test_rising_validation_loss_stops_on_the_first_epoch_weights():
+    x, y, x_val, y_val = rising_validation()
+    model, history = assert_same_training(
+        1, SGD(0.05), ReferenceSGD(0.05), x=x, y=y,
+        epochs=30, validation=(x_val, y_val),
+    )
+    assert history.epochs_run == 1 + network.PATIENCE
+    assert not history.diverged
+    first = build_model(1, Z, seed=11)
+    first.fit(x, y, epochs=1, optimizer=SGD(0.05))
+    assert same_bits(model.parameter_vector(), first.parameter_vector())
+
+
+def test_collapsed_validation_predictions_never_stop_a_fit_early():
+    """Constant validation inputs give constant predictions against
+    varying targets: every epoch is skipped, so the fit runs its budget
+    and ends where a fit without validation ends."""
+    x, y, _, y_val = rising_validation()
+    x_val = np.full((len(y_val), Z), 0.5)
+    model, history = assert_same_training(
+        1, SGD(0.05), ReferenceSGD(0.05), x=x, y=y,
+        epochs=12, validation=(x_val, y_val),
+    )
+    assert history.epochs_run == 12
+    plain = build_model(1, Z, seed=11)
+    plain.fit(x, y, epochs=12, optimizer=SGD(0.05))
+    assert same_bits(model.parameter_vector(), plain.parameter_vector())
+
+
+@pytest.mark.parametrize("model_number", [1, 5])
+def test_diverging_fit_with_validation_reports_divergence(model_number):
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((330, Z)), rng.standard_normal(330)
+    x_val, y_val = rng.standard_normal((100, Z)), rng.standard_normal(100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, history = assert_same_training(
+            model_number, SGD(5.0), ReferenceSGD(5.0), x=x, y=y,
+            epochs=30, validation=(x_val, y_val),
+        )
+    assert history.diverged is True
+    assert history.epochs_run < 30
+
+
+class BlowUpSGD(SGD):
+    """Plain SGD whose learning rate explodes after ``calm_steps`` steps."""
+
+    def __init__(self, learning_rate, calm_steps):
+        super().__init__(learning_rate)
+        self.calm_steps = calm_steps
+
+    def apply(self, key, param, grad):
+        self.calm_steps -= 1
+        if self.calm_steps < 0:
+            self.learning_rate = 1e6
+        super().apply(key, param, grad)
+
+
+def test_a_nan_stop_restores_the_best_epoch():
+    x, y, x_val, y_val = rising_validation()
+    steps = -(-len(x) // network.BATCH_SIZE)
+    calm = build_model(1, Z, seed=11)
+    calm.fit(x, y, epochs=2, optimizer=SGD(0.05), validation=(x_val, y_val))
+    model = build_model(1, Z, seed=11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        history = model.fit(
+            x, y, epochs=30, optimizer=BlowUpSGD(0.05, 2 * steps),
+            validation=(x_val, y_val),
+        )
+    assert history.diverged is True
+    assert history.epochs_run == 3
+    assert same_bits(model.parameter_vector(), calm.parameter_vector())

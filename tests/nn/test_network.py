@@ -89,6 +89,16 @@ class TestFit:
         with pytest.raises(ShapeError):
             net.fit(x, y[:10], epochs=1)
 
+    @pytest.mark.parametrize("val_rows", [(0, 0), (10, 9)])
+    def test_unusable_validation_rejected(self, linear_data, val_rows):
+        x, y = linear_data
+        net = Sequential([Dense(1)], seed=1)
+        with pytest.raises(ShapeError):
+            net.fit(
+                x, y, epochs=1,
+                validation=(x[: val_rows[0]], y[: val_rows[1]]),
+            )
+
     def test_empty_dataset_rejected(self):
         net = Sequential([Dense(1)], seed=1)
         net.build(4)
@@ -152,8 +162,9 @@ class TestSplit:
 
 class TestEarlyStopping:
     def test_no_patience_runs_all_epochs(self):
-        """``fit`` has no early stop: a stalling loss (noisy targets, long
-        after the signal is fit) never ends the run."""
+        """Without ``validation`` ``fit`` has no early stop: a stalling
+        loss (noisy targets, long after the signal is fit) never ends the
+        run."""
         rng = np.random.default_rng(4)
         x = rng.random((200, 4))
         y = (x.sum(axis=1) + rng.normal(0, 0.3, 200))[:, None]

@@ -9,14 +9,22 @@ leave the same weights and losses behind.
 
 Recurrent layers run their own ``forward``/``backward`` (the lean step
 did not touch their arithmetic); only ``Dense`` is re-derived here.
+
+With ``validation`` the loop also runs the plateau stop, per layer and
+parameter rather than on the flat vector: score the validation MSE after
+every epoch, skip an epoch whose predictions are collapsed, keep a copy
+of the best epoch's parameters, stop after ``network.PATIENCE`` epochs
+without a new best and put the best copy back.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.nn import network
 from repro.nn.layers import Dense
 from repro.nn.losses import MeanSquaredError
+from repro.nn.metrics import is_diverged
 from repro.nn.network import Sequential, TrainingHistory
 
 
@@ -95,6 +103,7 @@ def reference_fit(
     epochs: int = 200,
     batch_size: int = 32,
     sample_weight: np.ndarray | None = None,
+    validation: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TrainingHistory:
     """The original ``Sequential.fit`` loop over ``model``'s parameters,
     on mean squared error; ``optimizer`` is a :class:`ReferenceSGD` /
@@ -107,6 +116,7 @@ def reference_fit(
     if sample_weight is not None:
         sample_weight = np.asarray(sample_weight, dtype=np.float64).ravel()
     history = TrainingHistory()
+    best_loss, best, stale = np.inf, None, 0
     indices = np.arange(len(x))
     caches = [{} for _ in model.layers]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -149,4 +159,26 @@ def reference_fit(
             if not np.isfinite(mean_loss):
                 history.diverged = True
                 break
+            if validation is None:
+                continue
+            x_val, y_val = validation
+            pred = reference_predict(model, x_val)
+            y_val = model._adapt_target(y_val, model.output_dim)
+            if is_diverged(pred, y_val):
+                continue
+            loss, _ = MeanSquaredError().value_and_gradient(pred, y_val)
+            if loss < best_loss:
+                best_loss, stale = loss, 0
+                best = [
+                    {name: p.copy() for name, p in layer.params.items()}
+                    for layer in model.layers
+                ]
+                continue
+            stale += 1
+            if stale >= network.PATIENCE:
+                break
+    if best is not None:
+        for layer, saved in zip(model.layers, best):
+            for name, param in layer.params.items():
+                param[...] = saved[name]
     return history

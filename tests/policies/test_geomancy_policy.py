@@ -16,12 +16,13 @@ from repro.workloads.runner import WorkloadRunner
 
 
 def quick_config():
-    # The model-quality gate is disabled: at this tiny scale the model's
-    # held-out error is of course terrible, and these tests exercise the
-    # proposal mechanics, not model quality.
+    # The model-quality gates are disabled: at this tiny scale the model's
+    # held-out error and device ranking are of course poor, and these
+    # tests exercise the proposal mechanics, not model quality.
     return GeomancyConfig(
         epochs=8, training_rows=600, smoothing_window=20,
         max_actionable_mare=1e9, require_skill=False,
+        require_ranking_sanity=False,
     )
 
 

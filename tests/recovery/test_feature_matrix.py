@@ -149,7 +149,7 @@ def test_monitor_backlog_rides_the_checkpoint(tmp_path):
 def test_fault_stage_rides_the_checkpoint(tmp_path):
     """A lossy link's generator, fate counters and in-flight messages
     survive ``capture_system`` -> ``restore_system`` into a fresh loop."""
-    seed = 1  # moves files at runs 10 and 20, one batch in flight at run 7
+    seed = 2  # moves files, two batches in flight at run 7
     config = make_experiment_config(TEST_SCALE, seed=seed)
 
     def lossy_loop(**wiring):

@@ -15,6 +15,7 @@ from repro.experiments.recoverable import (
     resume_recoverable,
     run_recoverable,
 )
+from repro.recovery import guardrail
 from repro.recovery.checkpoint import STATE_NAME
 from repro.recovery.journal import LayoutJournal
 
@@ -207,16 +208,16 @@ class TestGuardrailAcceptance:
         assert result.fallback_runs > 0
         assert len(result.movements) == 0
 
-    def test_throughput_collapse_trips_and_recovers(self, tmp_path):
+    def test_throughput_collapse_trips_and_recovers(self, tmp_path, monkeypatch):
         # Killing the two busiest devices collapses realized throughput
         # far below the model's predictions; the regression window fills
         # and trips, then cooldown re-admits the learner.
+        monkeypatch.setattr(guardrail, "WINDOW", 2)
         result = run_recoverable(
             checkpoint_dir=tmp_path,
             checkpoint_every=0,
             seed=0,
             guardrail=True,
-            guardrail_window=2,
             schedule_specs=("kill:file0@80", "kill:pic@80"),
         )
         reasons = [t["reason"] for t in result.guardrail_trips]
@@ -224,7 +225,9 @@ class TestGuardrailAcceptance:
         assert result.fallback_runs >= 1
         assert result.guardrail_mode == "learning"  # re-admitted
 
-    def test_fallback_cycle_rescue_is_ledgered_as_a_rescue(self, tmp_path):
+    def test_fallback_cycle_rescue_is_ledgered_as_a_rescue(
+        self, tmp_path, monkeypatch
+    ):
         # The learner is benched at its first control step (run 5) for
         # ten runs; file0 dies in between, so it is a fallback cycle that
         # rescues the stranded files.
@@ -232,14 +235,14 @@ class TestGuardrailAcceptance:
         from repro.observability.provenance import ProvenanceLedger
 
         obs = Observability(enabled=True)
-        with use(obs):
+        with use(obs), monkeypatch.context() as patch:
+            patch.setattr(guardrail, "COOLDOWN_RUNS", 10)
             result = run_recoverable(
                 checkpoint_dir=tmp_path / "ckpt",
                 checkpoint_every=0,
                 seed=0,
                 guardrail=True,
                 learning_rate=1e6,
-                guardrail_cooldown_runs=10,
                 schedule_specs=("kill:file0@150",),
                 causal_tracing_enabled=True,
                 provenance_enabled=True,
@@ -265,12 +268,12 @@ class TestGuardrailAcceptance:
 
         # A learner that works until the throughput collapses: what it
         # dispatched before the trip is ledgered under its own authority.
+        monkeypatch.setattr(guardrail, "WINDOW", 2)
         tripped = run_recoverable(
             checkpoint_dir=tmp_path / "ckpt-collapse",
             checkpoint_every=0,
             seed=0,
             guardrail=True,
-            guardrail_window=2,
             schedule_specs=("kill:file0@80", "kill:pic@80"),
             causal_tracing_enabled=True,
             provenance_enabled=True,

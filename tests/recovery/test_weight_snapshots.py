@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.core.engine import DRLEngine, TrainingReport
+from repro.recovery import guardrail
 from repro.recovery.guardrail import Guardrail
 from repro.replaydb.db import ReplayDB
 from tests.core.test_engine_online import (
@@ -63,11 +64,10 @@ class TestGuardrailRollbackHook:
         assert trip is not None and calls == [1]
         assert trip.detail["weights_rolled_back"] is False
 
-    def test_throughput_regression_does_not_touch_weights(self):
+    def test_throughput_regression_does_not_touch_weights(self, monkeypatch):
         calls = []
-        rail = Guardrail(
-            window=2, weight_rollback=lambda: calls.append(1) or None
-        )
+        monkeypatch.setattr(guardrail, "WINDOW", 2)
+        rail = Guardrail(weight_rollback=lambda: calls.append(1) or None)
         for i in range(2):
             trip = rail.observe_throughput(
                 0.1, 10.0, run_index=i, t=float(i)

@@ -20,13 +20,13 @@ def quality(monkeypatch):
     return quality
 
 
-def record(gain, speed, moves_ok=10, moves_failed=0, diverged=0):
+def record(gain, speed, moves_ok=10, moves_failed=0, diverged=0, acted=9):
     return {
         "sim_gain_pct": gain, "sim_speed_vs_static_pct": speed,
         "failures": [],
         "facts": {
             "moves_ok": moves_ok, "moves_failed": moves_failed,
-            "epochs_diverged": diverged,
+            "epochs_acted": acted, "epochs_diverged": diverged,
         },
     }
 
@@ -63,17 +63,18 @@ class TestPairedDifferences:
 class TestReport:
     def test_tables_and_fact_sums(self, quality):
         parent = [record(1.0, 100.0, 5, 1, 0), record(2.0, 101.0, 7, 0, 1)]
-        change = [record(3.0, 99.0, 6, 0, 0), record(2.0, 104.0, 9, 0, 0)]
+        change = [record(3.0, 99.0, 6, 0, 0, 8), record(2.0, 104.0, 9, 0, 0)]
         text = quality.report("wide_probe", [0, 3], parent, change)
         assert text.startswith("### wide_probe: 2 paired seeds")
-        assert "| 0 | 1.00 | 3.00 | 100.00 | 99.00 | 5/1/0 | 6/0/0 |" in text
+        assert "| 0 | 1.00 | 3.00 | 100.00 | 99.00 | 5/1/9/0 | 6/0/8/0 |" in text
         # exclusive quartiles of two differences reach past both
         assert "| sim_gain_pct (pp) | +1.00 [-0.50 .. +2.50] | 1/1/0 |" in text
         assert (
             "| sim_speed_vs_static_pct (pp) | +1.00 [-2.00 .. +4.00] | 1/0/1 |"
         ) in text
         assert (
-            "moves_ok 12 -> 15, moves_failed 1 -> 0, epochs_diverged 1 -> 0"
+            "moves_ok 12 -> 15, moves_failed 1 -> 0, epochs_acted 18 -> 17, "
+            "epochs_diverged 1 -> 0"
         ) in text
 
     def test_seed_ranges(self, quality):
