@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import GeomancyConfig
-from repro.core.engine import DRLEngine
+from repro.core.engine import REFIT_EPOCHS, DRLEngine
 from repro.errors import ModelError, ReplayDBError
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord
@@ -105,6 +105,43 @@ class TestTraining:
         engine.train_on_records(synthetic_records(150, seed=9))
         import numpy as np
         np.testing.assert_array_equal(engine.pipeline._x_norm._min, norm_min)
+
+
+def spy_fit(engine) -> list[tuple[int, bool]]:
+    """(epochs, validation given) of every later ``engine.model.fit``."""
+    calls, fit = [], engine.model.fit
+
+    def spy(x, y, *, epochs, validation=None, **kwargs):
+        calls.append((epochs, validation is not None))
+        return fit(x, y, epochs=epochs, validation=validation, **kwargs)
+
+    engine.model.fit = spy
+    return calls
+
+
+class TestRefitBudget:
+    """A model's first fit runs every epoch; a refit (the model already
+    trained, so it warm-starts) stops on the validation plateau within
+    ``REFIT_EPOCHS``."""
+
+    def test_first_fit_runs_every_epoch_without_validation(self):
+        engine = DRLEngine(small_config(epochs=REFIT_EPOCHS + 5))
+        calls = spy_fit(engine)
+        report = engine.train_on_records(synthetic_records(200))
+        assert calls == [(REFIT_EPOCHS + 5, False)]
+        assert report.epochs == REFIT_EPOCHS + 5
+
+    @pytest.mark.parametrize(
+        "epochs, budget", [(REFIT_EPOCHS + 5, REFIT_EPOCHS), (3, 3)]
+    )
+    def test_refit_stops_on_the_plateau_within_its_budget(self, epochs, budget):
+        engine = DRLEngine(small_config(epochs=epochs))
+        records = synthetic_records(200)
+        engine.train_on_records(records)
+        calls = spy_fit(engine)
+        report = engine.train_on_records(records)
+        assert calls == [(budget, True)]
+        assert report.epochs <= budget
 
 
 class TestPrediction:
