@@ -47,8 +47,9 @@ REPLAY_NAME = "replay.npz"
 MODEL_NAME = "model.npz"
 #: 2: the ReplayDB snapshot is an ``.npz`` archive (1 held a SQLite file);
 #: 3: the saved config has no method constants (2's has 18 more fields);
-#: 4: nor guardrail tunables (3's has 4 more fields)
-FORMAT_VERSION = 4
+#: 4: nor guardrail tunables (3's has 4 more fields);
+#: 5: the drift detector's state carries its Welford ``m2``
+FORMAT_VERSION = 5
 
 _GEN_PREFIX = "gen-"
 _STAGING_PREFIX = ".staging-"

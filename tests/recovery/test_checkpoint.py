@@ -134,20 +134,25 @@ class TestCorruptionFallback:
 
     def test_format_2_generation_is_refused_before_its_config(self, tmp_path):
         """A format-2 checkpoint's config carries fields that are module
-        constants now; resuming names the format instead of dying inside
-        ``GeomancyConfig(**config)``."""
-        mgr = CheckpointManager(tmp_path)
-        gen = mgr.save(1, {"meta": {"config": {"warm_start": True}}})
-        manifest = json.loads((gen / MANIFEST_NAME).read_text())
-        manifest["format_version"] = 2
-        (gen / MANIFEST_NAME).write_text(json.dumps(manifest))
-        assert mgr.verify(gen) == [
-            "gen-00000001: unsupported format_version 2"
-        ]
-        with pytest.raises(RecoveryError, match="unsupported format_version 2"):
-            mgr.latest_valid()
-        with pytest.raises(RecoveryError, match="unsupported format_version 2"):
-            resume_recoverable(tmp_path)
+        constants now, and a format-4 one's drift state lacks ``m2``;
+        resuming names the format instead of dying inside
+        ``GeomancyConfig(**config)`` or the detector's state load."""
+        for version, state in (
+            (2, {"meta": {"config": {"warm_start": True}}}),
+            (4, {"engine": {"online": {"drift": {"n": 9, "mean": 1.0}}}}),
+        ):
+            root = tmp_path / f"format-{version}"
+            mgr = CheckpointManager(root)
+            gen = mgr.save(1, state)
+            manifest = json.loads((gen / MANIFEST_NAME).read_text())
+            manifest["format_version"] = version
+            (gen / MANIFEST_NAME).write_text(json.dumps(manifest))
+            refused = f"unsupported format_version {version}"
+            assert mgr.verify(gen) == [f"gen-00000001: {refused}"]
+            with pytest.raises(RecoveryError, match=refused):
+                mgr.latest_valid()
+            with pytest.raises(RecoveryError, match=refused):
+                resume_recoverable(root)
 
 
 class TestCrashAtomicity:
