@@ -44,7 +44,7 @@ def test_fig6_adaptation(benchmark, save_result):
         + "\n\nrecovery-time comparison (rolling mean back to 90% of "
         "pre-disturbance):\n"
         f"  from-scratch retraining: {_recovery_line(result)}\n"
-        f"  online (incremental + replay + drift): {_recovery_line(online)}",
+        f"  online (incremental + replay): {_recovery_line(online)}",
     )
 
     for mode in (result, online):

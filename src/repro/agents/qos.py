@@ -22,7 +22,7 @@ pattern is a pure function of the workload and the configuration.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import IntEnum
 
 from repro.agents.messages import LayoutCommand, TelemetryBatch
@@ -128,9 +128,6 @@ class TokenBucket:
         return False
 
 
-#: what of a :class:`TokenBucket` changes as it runs (rate and burst are config)
-_BUCKET_STATE = ("tokens", "last_refill_t", "granted", "denied")
-
 #: share of a tenant's burst telemetry may not draw its bucket below
 #: (movement traffic: half of it), kept for decision traffic
 CONTROL_RESERVE_FRACTION = 0.1
@@ -159,12 +156,13 @@ class AdmissionDecision:
 class AdmissionController:
     """Token-bucket admission in front of the Interface Daemon.
 
-    One bucket per tenant (rate overrides per tenant, a shared default
-    otherwise).  Priority classes map to reserve floors: ``TELEMETRY``
-    may only draw a bucket down to ``CONTROL_RESERVE_FRACTION * burst``,
-    ``MOVEMENT`` down to half of that, and ``CONTROL`` is exempt -- a
-    layout command is never shed by admission, so the decision path
-    stays open while telemetry is being shed.
+    One bucket per tenant, all at one rate and depth, so a flooding
+    tenant cannot spend a quiet one's tokens.  Priority classes map to
+    reserve floors: ``TELEMETRY`` may only draw a bucket down to
+    ``CONTROL_RESERVE_FRACTION * burst``, ``MOVEMENT`` down to half of
+    that, and ``CONTROL`` is exempt -- a layout command is never shed by
+    admission, so the decision path stays open while telemetry is being
+    shed.
     """
 
     def __init__(
@@ -172,7 +170,6 @@ class AdmissionController:
         *,
         rate_records_s: float,
         burst_records: float,
-        tenant_rates: dict[str, float] | None = None,
     ) -> None:
         if rate_records_s <= 0:
             raise ConfigurationError(
@@ -184,12 +181,6 @@ class AdmissionController:
             )
         self.rate_records_s = float(rate_records_s)
         self.burst_records = float(burst_records)
-        self.tenant_rates = dict(tenant_rates or {})
-        for tenant, rate in self.tenant_rates.items():
-            if rate <= 0:
-                raise ConfigurationError(
-                    f"tenant {tenant!r} rate must be positive, got {rate}"
-                )
         self._buckets: dict[str, TokenBucket] = {}
         self.usage: dict[str, TenantUsage] = {}
         self.admitted_records = 0
@@ -198,8 +189,7 @@ class AdmissionController:
     def bucket(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)
         if bucket is None:
-            rate = self.tenant_rates.get(tenant, self.rate_records_s)
-            bucket = TokenBucket(rate, self.burst_records)
+            bucket = TokenBucket(self.rate_records_s, self.burst_records)
             self._buckets[tenant] = bucket
         return bucket
 
@@ -248,26 +238,3 @@ class AdmissionController:
         return AdmissionDecision(
             admitted=admitted, tenant=tenant, priority=priority, cost=cost
         )
-
-    def state_dict(self) -> dict:
-        """Every bucket's level and the admission accounting, as JSON."""
-        return {
-            "buckets": {
-                tenant: {name: getattr(bucket, name) for name in _BUCKET_STATE}
-                for tenant, bucket in self._buckets.items()
-            },
-            "usage": {tenant: asdict(usage) for tenant, usage in self.usage.items()},
-            "admitted_records": self.admitted_records,
-            "shed_records": self.shed_records,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        for tenant, levels in state["buckets"].items():
-            bucket = self.bucket(tenant)
-            for name in _BUCKET_STATE:
-                setattr(bucket, name, levels[name])
-        self.usage = {
-            tenant: TenantUsage(**usage) for tenant, usage in state["usage"].items()
-        }
-        self.admitted_records = int(state["admitted_records"])
-        self.shed_records = int(state["shed_records"])

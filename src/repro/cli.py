@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig6.add_argument(
         "--online", action="store_true",
         help="adapt with the online continual-learning engine "
-             "(incremental fits + prioritized replay + drift detection) "
+             "(incremental fits + prioritized replay) "
              "instead of from-scratch retraining",
     )
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.agents.transport import SHED_POLICIES
 from repro.errors import ConfigurationError
 from repro.features.pipeline import DEFAULT_LIVE_FEATURES
 from repro.nn.model_zoo import ARCHITECTURES, is_recurrent
@@ -47,28 +46,6 @@ class GeomancyConfig:
     #: estimated transfer (the section X future-work gap model,
     #: implemented by repro.core.scheduler.AccessGapScheduler)
     use_gap_scheduler: bool = False
-    #: -- overload & QoS (repro.agents.qos / Transport) -------------------
-    #: telemetry transport queue capacity in messages (0 = unbounded, the
-    #: legacy behaviour); bounded queues shed per ``queue_shed_policy``
-    telemetry_queue_capacity: int = 0
-    #: what a full bounded queue does with new traffic: "drop-oldest"
-    #: evicts the oldest lowest-priority message, "drop-newest" refuses
-    #: the offer (backpressure), "reject" refuses without displacement
-    queue_shed_policy: str = "drop-oldest"
-    #: put a per-tenant token-bucket admission controller in front of the
-    #: Interface Daemon (control > movement > telemetry priority classes)
-    admission_enabled: bool = False
-    #: default per-tenant sustained ingest rate (records per simulated s)
-    admission_rate_records_s: float = 50_000.0
-    #: per-tenant burst allowance (bucket depth, records)
-    admission_burst_records: int = 10_000
-    #: (tenant, rate) overrides for specific tenants
-    admission_tenant_rates: tuple[tuple[str, float], ...] = ()
-    #: dead letters kept in the bounded ring store (0 disables the store;
-    #: dead letters are then only counted, the legacy behaviour)
-    dead_letter_capacity: int = 0
-    #: JSONL path the dead-letter ring persists to (None = memory only)
-    dead_letter_path: str | None = None
     #: modeling target: "throughput" (the paper's live system) or
     #: "latency" (the sensitivity the paper defers to future work)
     target: str = "throughput"
@@ -136,42 +113,6 @@ class GeomancyConfig:
         if self.target not in ("throughput", "latency"):
             raise ConfigurationError(
                 f"target must be 'throughput' or 'latency', got {self.target!r}"
-            )
-        if self.telemetry_queue_capacity < 0:
-            raise ConfigurationError(
-                f"telemetry_queue_capacity must be >= 0, "
-                f"got {self.telemetry_queue_capacity}"
-            )
-        if self.queue_shed_policy not in SHED_POLICIES:
-            raise ConfigurationError(
-                f"queue_shed_policy must be one of {SHED_POLICIES}, "
-                f"got {self.queue_shed_policy!r}"
-            )
-        if self.admission_rate_records_s <= 0:
-            raise ConfigurationError(
-                f"admission_rate_records_s must be positive, "
-                f"got {self.admission_rate_records_s}"
-            )
-        if self.admission_burst_records < 1:
-            raise ConfigurationError(
-                f"admission_burst_records must be >= 1, "
-                f"got {self.admission_burst_records}"
-            )
-        # Checkpoint round trips deserialize tuples as lists; normalize
-        # before validating the tenant overrides.
-        self.admission_tenant_rates = tuple(
-            (str(tenant), float(rate))
-            for tenant, rate in self.admission_tenant_rates
-        )
-        if any(rate <= 0 for _, rate in self.admission_tenant_rates):
-            raise ConfigurationError(
-                f"admission_tenant_rates must all be positive, "
-                f"got {self.admission_tenant_rates}"
-            )
-        if self.dead_letter_capacity < 0:
-            raise ConfigurationError(
-                f"dead_letter_capacity must be >= 0, "
-                f"got {self.dead_letter_capacity}"
             )
         if self.fallback_policy not in ("static", "lru"):
             raise ConfigurationError(

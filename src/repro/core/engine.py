@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.core.adjustment import PredictionAdjuster
 from repro.core.config import GeomancyConfig
-from repro.core.drift import PageHinkley
 from repro.errors import ModelError
 from repro.features.pipeline import FeaturePipeline, make_windows
 from repro.nn.metrics import is_diverged, mean_absolute_relative_error
@@ -67,8 +66,6 @@ REPLAY_SAMPLE_ROWS = 256
 #: incremental updates between frozen weight copies, which the guardrail
 #: rolls back to on loss explosion
 FREEZE_EVERY = 10
-#: ONLINE_EPOCHS multiplier for the burst on a cycle the detector fires
-DRIFT_BURST_MULTIPLIER = 4
 
 
 def _spearman(a: list[float], b: list[float]) -> float:
@@ -141,8 +138,6 @@ class TrainingReport:
     new_rows: int = 0
     #: prioritized-replay rows mixed into the update batch
     replayed_rows: int = 0
-    #: whether the drift detector fired this cycle
-    drift_detected: bool = False
 
     @property
     def accuracy_percent(self) -> float:
@@ -220,19 +215,14 @@ class DRLEngine:
         #: ``(update step, frozen copy of the model's parameter vector)``:
         #: the target-network copy :meth:`rollback_weights` restores
         self._frozen: tuple[int, np.ndarray] | None = None
-        self.drift_detector: PageHinkley | None = None
         if self.config.online_learning:
             self.replay = PrioritizedReplay(
                 REPLAY_CAPACITY, seed=self.config.seed
             )
-            self.drift_detector = PageHinkley()
         metrics = self.obs.metrics
         self._m_train_rows = metrics.counter(
             "repro_engine_train_rows_total",
             "telemetry rows consumed by training cycles",
-        )
-        self._m_drifts = metrics.counter(
-            "repro_engine_drift_total", "drift detector firings"
         )
         self._h_engine_train = metrics.histogram(
             "repro_engine_train_seconds",
@@ -414,13 +404,13 @@ class DRLEngine:
         1. fetches the (burst-bounded) rows above the cursor -- O(new),
            not O(history);
         2. scores them *prequentially* (predict-then-train): an honest
-           held-out error for the report, whose mean relative residual
-           feeds the Page-Hinkley drift detector;
+           held-out error for the report;
         3. merges the rows into the running normalization statistics;
         4. mixes them with a prioritized sample of buffered history
            (TD-style error x recency weighting, importance-weight
            corrected in the loss) and runs :data:`ONLINE_EPOCHS` SGD
-           epochs, times :data:`DRIFT_BURST_MULTIPLIER` if drift fired;
+           epochs -- the same small budget every cycle, so a shift in
+           the workload is absorbed by the cycles that follow it;
         5. re-scores the batch to refresh replay priorities, and
            periodically freezes a copy of the weights for the
            guardrail's loss-explosion rollback.
@@ -464,18 +454,6 @@ class DRLEngine:
             constant_mare, _ = mean_absolute_relative_error(
                 np.full_like(fresh_true, self._target_mean), fresh_true
             )
-            drift = bool(np.isfinite(mare)) and self.drift_detector.update(mare / 100)
-            if drift:
-                statistic = self.drift_detector.statistic
-                self.drift_detector.reset()
-                self._m_drifts.inc()
-                self.obs.emit(
-                    "drift-detected",
-                    t=float(fresh["cts"][-1] + fresh["ctms"][-1] / 1000.0),
-                    step=self._updates,
-                    mean_relative_error=mare / 100.0,
-                    statistic=statistic,
-                )
             # -- incremental normalization + replay mixing -----------------
             self._update_target_mean(fresh_true)
             self.pipeline.partial_fit(fresh)
@@ -510,14 +488,13 @@ class DRLEngine:
             y = self.pipeline.transform_target(window)
             if self.capture_provenance:
                 self.last_feature_digest = _digest(x)
-            epochs = ONLINE_EPOCHS * (DRIFT_BURST_MULTIPLIER if drift else 1)
             optimizer = get_optimizer(
                 self.config.optimizer, learning_rate=self.config.learning_rate
             )
-            with self.obs.span("model_fit", epochs=epochs, rows=len(x)):
+            with self.obs.span("model_fit", epochs=ONLINE_EPOCHS, rows=len(x)):
                 history = self.model.fit(
                     x, y,
-                    epochs=epochs,
+                    epochs=ONLINE_EPOCHS,
                     optimizer=optimizer,
                     sample_weight=weights,
                 )
@@ -554,7 +531,6 @@ class DRLEngine:
                 mode="incremental",
                 new_rows=len(ids),
                 replayed_rows=n_replayed,
-                drift_detected=drift,
             )
         return self._finish(report)
 
@@ -587,10 +563,6 @@ class DRLEngine:
                     self.replay.state_dict()
                     if self.replay is not None else None
                 ),
-                "drift": (
-                    self.drift_detector.state_dict()
-                    if self.drift_detector is not None else None
-                ),
             },
         }
 
@@ -619,8 +591,6 @@ class DRLEngine:
         self._target_count = int(online["target_count"])
         if online["replay"] is not None and self.replay is not None:
             self.replay.load_state_dict(online["replay"])
-        if online["drift"] is not None and self.drift_detector is not None:
-            self.drift_detector.load_state_dict(online["drift"])
 
     # -- prediction --------------------------------------------------------
     def predict_throughput_matrix(

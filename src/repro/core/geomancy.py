@@ -18,10 +18,8 @@ from dataclasses import dataclass, field
 
 from repro.agents.control import ControlAgent
 from repro.agents.daemon import InterfaceDaemon
-from repro.agents.deadletter import DeadLetterStore
 from repro.agents.messages import LayoutCommand
 from repro.agents.monitoring import MonitoringAgent
-from repro.agents.qos import AdmissionController, classify
 from repro.agents.transport import Transport
 from repro.core.config import GeomancyConfig
 from repro.core.decision import NO_DEVICES, DecisionPath
@@ -96,14 +94,9 @@ class Geomancy:
         self.obs = obs if obs is not None else get_observability()
         self.db = db if db is not None else ReplayDB()
         # The telemetry channel is injectable so chaos runs can hand in a
-        # lossy one; the command channel stays internal.  A configured
-        # queue capacity bounds the default channel, so overload sheds
-        # telemetry instead of growing memory without limit.
-        self.telemetry = telemetry if telemetry is not None else Transport(
-            capacity=self.config.telemetry_queue_capacity or None,
-            policy=self.config.queue_shed_policy,
-            lane_of=classify,
-        )
+        # lossy one, or overload studies a bounded one; the default is
+        # unbounded, and the command channel stays internal.
+        self.telemetry = telemetry if telemetry is not None else Transport()
         #: optional write-ahead :class:`repro.recovery.journal.LayoutJournal`;
         #: when set, every dispatched layout is bracketed by intent/commit
         #: records so a crash mid-movement is resolvable on restore
@@ -114,29 +107,8 @@ class Geomancy:
             event_log if event_log is not None else EventLog(bus=self.obs.bus)
         )
         self.commands = Transport()
-        #: per-tenant token-bucket admission in front of the daemon; None
-        #: (the default) keeps the legacy ingest-everything behaviour
-        self.admission = (
-            AdmissionController(
-                rate_records_s=self.config.admission_rate_records_s,
-                burst_records=self.config.admission_burst_records,
-                tenant_rates=dict(self.config.admission_tenant_rates),
-            )
-            if self.config.admission_enabled
-            else None
-        )
-        self.dead_letter_store = (
-            DeadLetterStore(
-                capacity=self.config.dead_letter_capacity,
-                path=self.config.dead_letter_path,
-            )
-            if self.config.dead_letter_capacity > 0
-            else None
-        )
         self.daemon = InterfaceDaemon(
-            self.db, self.telemetry, self.commands, obs=self.obs,
-            admission=self.admission,
-            dead_letter_store=self.dead_letter_store,
+            self.db, self.telemetry, self.commands, obs=self.obs
         )
         self.monitors = {
             name: MonitoringAgent(name, self.telemetry)
@@ -390,7 +362,6 @@ class Geomancy:
                 entry.train_seconds = report.train_seconds
                 entry.test_mare = report.test_mare
                 entry.skillful = report.skillful
-                entry.drift_detected = report.drift_detected
         self.ledger.record_decision(entry)
 
     def _rescue_layout(self, available: list[str]) -> dict[int, str]:

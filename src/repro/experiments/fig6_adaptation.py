@@ -132,8 +132,8 @@ def run_fig6(
     original workload.
 
     ``online=True`` drives every relayout through the continual-learning
-    engine (``train_incremental`` + prioritized replay + drift detection)
-    instead of from-scratch retraining.
+    engine (``train_incremental`` + prioritized replay) instead of
+    from-scratch retraining.
     """
     if runs_before is None:
         runs_before = max(scale.runs // 2, scale.update_every)

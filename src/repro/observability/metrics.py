@@ -208,6 +208,12 @@ NULL_HISTOGRAM = _NullHistogram()
 
 
 def _format_value(value: float) -> str:
+    """A sample as the text exposition format writes it: a diverged
+    model's NaN error reads ``NaN``, an overflow ``+Inf`` / ``-Inf``."""
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)

@@ -17,7 +17,7 @@ into one navigable causal chain:
 * :class:`ProvenanceLedger` is the bounded, rotated JSONL flight
   recorder.  Every resolved batch and every decision epoch (replay-window
   rowid span, feature digest, per-candidate predicted throughputs, chosen
-  layout, drift/guardrail state, resulting movement ids) is appended as
+  layout, guardrail state, resulting movement ids) is appended as
   one JSON line; when the file exceeds ``rotate_bytes`` it is rotated to
   ``<path>.1`` so the recorder can run forever in bounded space.
   :meth:`ProvenanceLedger.explain` walks the chain backward from a
@@ -161,7 +161,6 @@ class DecisionProvenance:
     train_seconds: float | None = None
     test_mare: float | None = None
     skillful: bool | None = None
-    drift_detected: bool | None = None
     guardrail_mode: str | None = None
     #: simulated seconds the dispatched movements took to apply
     movement_duration_s: float = 0.0
@@ -187,7 +186,6 @@ class DecisionProvenance:
             "train_seconds": self.train_seconds,
             "test_mare": self.test_mare,
             "skillful": self.skillful,
-            "drift_detected": self.drift_detected,
             "guardrail_mode": self.guardrail_mode,
             "movement_duration_s": self.movement_duration_s,
         }
@@ -216,7 +214,6 @@ class DecisionProvenance:
             train_seconds=raw.get("train_seconds"),
             test_mare=raw.get("test_mare"),
             skillful=raw.get("skillful"),
-            drift_detected=raw.get("drift_detected"),
             guardrail_mode=raw.get("guardrail_mode"),
             movement_duration_s=float(raw.get("movement_duration_s", 0.0)),
         )
@@ -439,8 +436,7 @@ class ProvenanceLedger:
             lines.append(
                 f"  training: mode={decision['train_mode']} "
                 f"mare={decision['test_mare']:.1f}% "
-                f"skillful={decision['skillful']} "
-                f"drift={decision['drift_detected']}"
+                f"skillful={decision['skillful']}"
                 + (
                     f" guardrail={decision['guardrail_mode']}"
                     if decision["guardrail_mode"] else ""

@@ -11,10 +11,9 @@ dicts, the guardrail with the facade's safety-net state around it
 (known-good layout, pending prediction, fallback-run count), the causal
 plane's id counters when tracing is on, and the channel: both
 transports (counters, anything still queued, a fault stage's generator,
-fate counters and held messages), the admission controller's token
-buckets and usage, and every monitoring agent's coalesced backlog and
-counters -- what decides which telemetry the engine gets to train on
-next.  ``restore_system`` is its exact inverse over a freshly
+fate counters and held messages) and every monitoring agent's coalesced
+backlog and counters -- what decides which telemetry the engine gets to
+train on next.  ``restore_system`` is its exact inverse over a freshly
 constructed (files *not* yet placed) Geomancy + runner pair.
 
 Model weights and the ReplayDB are deliberately **not** in this dict --
@@ -78,11 +77,6 @@ def capture_system(geo, runner) -> dict:
         "channel": {
             "telemetry": geo.telemetry.state_dict(),
             "commands": geo.commands.state_dict(),
-            "admission": (
-                geo.admission.state_dict()
-                if geo.admission is not None
-                else None
-            ),
             "monitors": {
                 name: monitor.state_dict()
                 for name, monitor in geo.monitors.items()
@@ -143,7 +137,5 @@ def restore_system(geo, runner, state: dict) -> None:
     channel = state["channel"]
     geo.telemetry.load_state_dict(channel["telemetry"])
     geo.commands.load_state_dict(channel["commands"])
-    if geo.admission is not None:
-        geo.admission.load_state_dict(channel["admission"])
     for name, monitor_state in channel["monitors"].items():
         geo.monitors[name].load_state_dict(monitor_state)

@@ -130,15 +130,6 @@ class TestAdmissionController:
         # A quiet tenant's bucket is untouched by the flooder.
         assert ctl.admit("quiet", Priority.TELEMETRY, cost=9, now=0.0).admitted
 
-    def test_per_tenant_rate_override(self):
-        ctl = self.controller(tenant_rates={"slow": 1.0})
-        ctl.admit("slow", Priority.TELEMETRY, cost=9, now=0.0)
-        # Refill at 1 rec/s, not the default 10.
-        assert not ctl.admit(
-            "slow", Priority.TELEMETRY, cost=9, now=1.0
-        ).admitted
-        assert ctl.admit("slow", Priority.TELEMETRY, cost=9, now=9.0).admitted
-
     def test_control_reserve_keeps_room_for_decisions(self, monkeypatch):
         monkeypatch.setattr(qos, "CONTROL_RESERVE_FRACTION", 0.2)
         ctl = self.controller()

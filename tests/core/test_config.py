@@ -45,12 +45,12 @@ class TestValidation:
             {"exploration_rate": 1.5},
             {"cooldown_runs": 0},
             {"max_actionable_mare": 0.0},
-            {"telemetry_queue_capacity": -1},
-            {"queue_shed_policy": "drop-random"},
-            {"admission_rate_records_s": 0.0},
-            {"admission_burst_records": 0},
-            {"admission_tenant_rates": (("b2", 0.0),)},
-            {"dead_letter_capacity": -1},
+            {"training_rows": 9},
+            {"learning_rate": -0.1},
+            {"target": "iops"},
+            {"fallback_policy": "random"},
+            {"online_learning": True, "model_number": 12},
+            {"max_actionable_mare": -1.0},
             {"provenance_enabled": True},
         ],
     )

@@ -1,13 +1,11 @@
 """Online continual-learning engine: oracle equivalence, cursors,
-replay mixing, drift bursts, snapshots, checkpointing, telemetry."""
+replay mixing, snapshots, checkpointing, telemetry."""
 
 import numpy as np
 import pytest
 
 from repro.core import engine as engine_module
 from repro.core.config import GeomancyConfig
-from repro.core import drift
-from repro.core.drift import PageHinkley
 from repro.core.engine import DRLEngine
 from repro.errors import ConfigurationError, ModelError
 from repro.nn.serialization import _weight_arrays, load_weights, save_weights
@@ -204,55 +202,6 @@ class TestIncrementalCycle:
         assert report.new_rows == 50
         # Skipped older rows are never revisited: cursor is at the head.
         assert engine._hwm == db.max_rowid()
-
-
-class TestDrift:
-    def test_distribution_shift_detected_with_burst(self, monkeypatch):
-        # In stds of the prior residuals.  The model absorbs this shift
-        # within one warm-start cycle, so its error is a one-cycle spike,
-        # which the module's constants ignore like any outlier (one value
-        # adds at most drift.CLIP).  To reach the burst the threshold sits
-        # below CLIP plus what the stationary cycles leave (~1.5).
-        monkeypatch.setattr(drift, "DELTA", 0.0)
-        monkeypatch.setattr(drift, "THRESHOLD", 2.5)
-        monkeypatch.setattr(drift, "MIN_SAMPLES", 2)
-        obs = Observability()
-        engine = DRLEngine(make_config(), obs=obs)
-        engine.drift_detector = PageHinkley()
-        db = ReplayDB()
-        t = 1_600_000_000
-        # Bootstrap and stationary cycles draw from the same generator,
-        # so the detector's running mean settles on the in-distribution
-        # residual level before the shift arrives.
-        db.insert_accesses(shifted_records(500, seed=9, start_t=t))
-        t += 1_000
-        engine.train_incremental(db)
-        for i in range(3):
-            db.insert_accesses(
-                shifted_records(120, seed=10 + i, start_t=t)
-            )
-            t += 240
-            report = engine.train_incremental(db)
-            assert not report.drift_detected
-        # ...then the location signal inverts: residuals jump.
-        drift_reports = []
-        for i in range(6):
-            db.insert_accesses(
-                shifted_records(
-                    120, seed=20 + i, start_t=t, invert=True
-                )
-            )
-            t += 240
-            drift_reports.append(engine.train_incremental(db))
-        fired = [r for r in drift_reports if r.drift_detected]
-        assert fired
-        # The re-adaptation burst multiplied the epoch budget.
-        assert fired[0].epochs > engine_module.ONLINE_EPOCHS
-        events = obs.bus.of_kind("drift-detected")
-        assert events
-        assert events[0].detail["mean_relative_error"] > 0
-        counter = obs.metrics.counter("repro_engine_drift_total")
-        assert counter.value == len(fired)
 
 
 class TestSnapshotsAndRollback:

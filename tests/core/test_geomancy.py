@@ -177,31 +177,8 @@ class TestQosWiring:
         geo = Geomancy(cluster, files, quick_config())
         assert geo.telemetry.capacity is None
         assert geo.telemetry.faults is None
-        assert geo.admission is None
-        assert geo.dead_letter_store is None
         assert geo.daemon.admission is None
-
-    def test_qos_knobs_wire_through(self, tmp_path):
-        cluster = make_bluesky_cluster(seed=0)
-        files = belle2_file_population(seed=0)
-        geo = Geomancy(cluster, files, quick_config(
-            telemetry_queue_capacity=16,
-            queue_shed_policy="reject",
-            admission_enabled=True,
-            admission_rate_records_s=100.0,
-            admission_burst_records=20,
-            admission_tenant_rates=(("belle2", 50.0),),
-            dead_letter_capacity=8,
-            dead_letter_path=str(tmp_path / "dead.jsonl"),
-        ))
-        assert geo.telemetry.capacity == 16
-        assert geo.telemetry.policy == "reject"
-        assert geo.admission is not None
-        assert geo.admission.tenant_rates == {"belle2": 50.0}
-        assert geo.daemon.admission is geo.admission
-        assert geo.dead_letter_store is not None
-        assert geo.dead_letter_store.capacity == 8
-        assert geo.daemon.dead_letter_store is geo.dead_letter_store
+        assert geo.daemon.dead_letter_store is None
 
     def test_qos_off_runs_are_bit_identical(self):
         def outcome():

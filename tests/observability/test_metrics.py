@@ -1,6 +1,7 @@
 """Metric semantics, null handles, and the two export surfaces."""
 
 import json
+import math
 import re
 
 import pytest
@@ -149,6 +150,22 @@ class TestExport:
             "repro_nn_train_seconds_sum 5.55\n"
             "repro_nn_train_seconds_count 3\n"
         )
+
+    def test_non_finite_samples_render_as_the_text_format_spells_them(self):
+        registry = MetricsRegistry()
+        for name, value in (("nan", "nan"), ("up", "inf"), ("down", "-inf")):
+            registry.gauge(f"repro_nn_{name}_percent").set(float(value))
+        samples = [
+            line for line in registry.render_prometheus().splitlines()
+            if not line.startswith("#")
+        ]
+        assert samples == [
+            "repro_nn_down_percent -Inf",
+            "repro_nn_nan_percent NaN",
+            "repro_nn_up_percent +Inf",
+        ]
+        # Rendering leaves the gauge as it was: NaN, not a clamped number.
+        assert math.isnan(registry.gauge("repro_nn_nan_percent").value)
 
     def test_snapshot_structure(self, registry):
         snap = registry.snapshot()

@@ -30,7 +30,6 @@ def decision(decision_id="d:1", trace_id="cmd:1", movement_ids=(1, 2), **kw):
         train_seconds=0.5,
         test_mare=12.0,
         skillful=True,
-        drift_detected=False,
         movement_duration_s=1.5,
     )
     defaults.update(kw)

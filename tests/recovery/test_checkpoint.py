@@ -134,12 +134,17 @@ class TestCorruptionFallback:
 
     def test_format_2_generation_is_refused_before_its_config(self, tmp_path):
         """A format-2 checkpoint's config carries fields that are module
-        constants now, and a format-4 one's drift state lacks ``m2``;
-        resuming names the format instead of dying inside
-        ``GeomancyConfig(**config)`` or the detector's state load."""
+        constants now, a format-4 one's drift state lacks ``m2``, and a
+        format-5 one's config still has the overload-plane fields beside
+        a drift detector the engine no longer has; resuming names the
+        format instead of dying inside ``GeomancyConfig(**config)``."""
         for version, state in (
             (2, {"meta": {"config": {"warm_start": True}}}),
             (4, {"engine": {"online": {"drift": {"n": 9, "mean": 1.0}}}}),
+            (5, {
+                "meta": {"config": {"telemetry_queue_capacity": 64}},
+                "engine": {"online": {"drift": {"n": 9, "m2": 0.5}}},
+            }),
         ):
             root = tmp_path / f"format-{version}"
             mgr = CheckpointManager(root)

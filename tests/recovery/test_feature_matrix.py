@@ -1,17 +1,15 @@
 """Features hold together: a pairwise matrix through the one measured loop.
 
-Every pair of {online learning, bounded + admission-controlled plane,
-causal tracing + provenance, guardrail with the LRU fallback, fault
-schedule + failing migrations} runs through ``run_recoverable`` at
-TEST_SCALE.  Each cell must keep the cluster invariants, be a pure
-function of its seed, and come out of a kill at run 7 + resume equal to
-its uninterrupted twin.
+Every pair of {online learning, causal tracing + provenance, guardrail
+with the LRU fallback, fault schedule + failing migrations} runs through
+``run_recoverable`` at TEST_SCALE.  Each cell must keep the cluster
+invariants, be a pure function of its seed, and come out of a kill at
+run 7 + resume equal to its uninterrupted twin.
 
-The stock bounded plane admits 50,000 records/s and never sheds at this
-scale, so a second variant of it (``shedding``) starves the token
-buckets, and two more cells put state *into* the channel at the
-checkpoint: a ``reject`` queue so small that monitoring agents carry a
-coalesced backlog across it, and a lossy link with messages in flight.
+Two more checks put state *into* the channel at the checkpoint, over an
+injected telemetry transport: a ``reject`` queue so small that
+monitoring agents carry a coalesced backlog across it, and a lossy link
+with messages in flight.
 """
 
 import json
@@ -41,22 +39,13 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 FEATURES = {
     "online": dict(online_learning=True),
-    "bounded": dict(telemetry_queue_capacity=64, admission_enabled=True),
     "provenance": dict(causal_tracing_enabled=True, provenance_enabled=True),
     "guardrail": dict(guardrail=True, fallback_policy="lru"),
     "faults": dict(
         schedule_specs=("kill:file0@150",), migration_failure_rate=0.05
     ),
-    "shedding": dict(
-        telemetry_queue_capacity=64, admission_enabled=True,
-        admission_rate_records_s=5, admission_burst_records=200,
-    ),
 }
-#: every pair, except the two variants of the bounded plane with each other
-PAIRS = [
-    pair for pair in combinations(FEATURES, 2)
-    if pair != ("bounded", "shedding")
-]
+PAIRS = list(combinations(FEATURES, 2))
 CADENCE = 5
 KILL_AT = 7
 
@@ -124,41 +113,16 @@ def test_pair_is_sound_deterministic_and_resumable(features, tmp_path):
     assert observable(resumed, tmp_path / "killed") == expected
 
 
-def test_monitor_backlog_rides_the_checkpoint(tmp_path):
-    """A two-slot ``reject`` queue refuses most batches: the agents coalesce,
-    and what they hold back at the checkpoint is telemetry the engine is
-    still owed after a resume."""
-    rejecting = dict(telemetry_queue_capacity=2, queue_shed_policy="reject")
-    for name in ("whole", "killed"):
-        (tmp_path / name).mkdir()
-    whole = run(tmp_path / "whole", (), **rejecting)
-    with pytest.raises(SimulatedCrash):
-        run(
-            tmp_path / "killed", (),
-            kill_at_run=KILL_AT, kill_point="pre-commit", **rejecting,
-        )
-    saved = CheckpointManager(tmp_path / "killed" / "ckpt").latest_valid().state
-    monitors = saved["system"]["channel"]["monitors"]
-    assert any(monitor["backlog"] for monitor in monitors.values())
-    resumed = resume_recoverable(tmp_path / "killed" / "ckpt")
-    assert observable(resumed, tmp_path / "killed") == observable(
-        whole, tmp_path / "whole"
-    )
-
-
-def test_fault_stage_rides_the_checkpoint(tmp_path):
-    """A lossy link's generator, fate counters and in-flight messages
-    survive ``capture_system`` -> ``restore_system`` into a fresh loop."""
-    seed = 2  # moves files, two batches in flight at run 7
+def resume_matches_whole_run(tmp_path, seed, telemetry):
+    """Run the facade loop over a fresh ``telemetry()`` channel once whole,
+    and once captured at run ``KILL_AT`` (``capture_system`` through a
+    JSON round trip and a checkpoint) and restored into a fresh loop; the
+    two must finish alike.  Returns the captured system and the outcome."""
     config = make_experiment_config(TEST_SCALE, seed=seed)
 
-    def lossy_loop(**wiring):
-        link = FaultStage(
-            seed=seed, drop_rate=0.05, corrupt_rate=0.05, delay_rate=0.2,
-            reorder_rate=0.2,
-        )
+    def started(**wiring):
         return build_facade_loop(
-            config, seed=seed, telemetry=Transport(faults=link), **wiring
+            config, seed=seed, telemetry=telemetry(), **wiring
         )
 
     def finish(geo, runner, first_run):
@@ -169,31 +133,57 @@ def test_fault_stage_rides_the_checkpoint(tmp_path):
             geo, throughput, seed=seed, scale=TEST_SCALE,
             runs_completed=TEST_SCALE.runs,
         )
-        link = geo.telemetry.faults
         return (
             result.movement_fingerprint(), result.final_layout,
-            (link.dropped, link.delayed, link.corrupted, link.reordered_drains),
+            geo.telemetry.state_dict(),
+            {name: m.state_dict() for name, m in geo.monitors.items()},
             geo.daemon.transfer_overhead_s,
         )
 
-    def started():
-        geo, runner = lossy_loop()
+    def placed():
+        geo, runner = started()
         geo.place_initial()
         warm_up_through_agents(geo, runner, TEST_SCALE.warmup_accesses)
         return geo, runner
 
-    expected = finish(*started(), first_run=1)
-    assert expected[0], "the loop never moved a file"
+    expected = finish(*placed(), first_run=1)
 
-    geo, runner = started()
+    geo, runner = placed()
     run_measured_loop(geo, runner, range(1, KILL_AT + 1))
     system = json.loads(json.dumps(capture_system(geo, runner)))
-    assert system["channel"]["telemetry"]["pending"], "nothing in flight"
     mgr = CheckpointManager(tmp_path / "ckpt")
     mgr.save(KILL_AT, {"system": system}, db=geo.db, model=geo.engine.model)
 
     loaded = mgr.latest_valid()
-    geo, runner = lossy_loop(db=ReplayDB.from_snapshot(loaded.replay_path))
+    geo, runner = started(db=ReplayDB.from_snapshot(loaded.replay_path))
     restore_system(geo, runner, loaded.state["system"])
     load_weights(geo.engine.model, loaded.model_path)
     assert finish(geo, runner, first_run=KILL_AT + 1) == expected
+    return system, expected
+
+
+def test_monitor_backlog_rides_the_checkpoint(tmp_path):
+    """A two-slot ``reject`` queue refuses most batches: the agents coalesce,
+    and what they hold back at the checkpoint is telemetry the engine is
+    still owed after a resume."""
+    system, _ = resume_matches_whole_run(
+        tmp_path, 0, lambda: Transport(capacity=2, policy="reject")
+    )
+    monitors = system["channel"]["monitors"]
+    assert any(monitor["backlog"] for monitor in monitors.values())
+
+
+def test_fault_stage_rides_the_checkpoint(tmp_path):
+    """A lossy link's generator, fate counters and in-flight messages
+    survive ``capture_system`` -> ``restore_system`` into a fresh loop."""
+    seed = 2  # moves files, two batches in flight at run 7
+
+    def lossy():
+        return Transport(faults=FaultStage(
+            seed=seed, drop_rate=0.05, corrupt_rate=0.05, delay_rate=0.2,
+            reorder_rate=0.2,
+        ))
+
+    system, expected = resume_matches_whole_run(tmp_path, seed, lossy)
+    assert expected[0], "the loop never moved a file"
+    assert system["channel"]["telemetry"]["pending"], "nothing in flight"

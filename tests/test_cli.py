@@ -112,6 +112,11 @@ class TestExecution:
         assert build_parser().parse_args(["fig6"]).seed == 0
 
 
+    def test_online_run_with_a_diverged_cycle_exits_cleanly(self, capsys):
+        # At seed 3 one online cycle diverges and its error gauge reads
+        # NaN, which the run's Prometheus dump must still render.
+        assert main(["run", "--online", "--scale", "test", "--seed", "3"]) == 0
+
     def test_testbed_describes_mounts(self, capsys):
         assert main(["testbed"]) == 0
         out = capsys.readouterr().out
