@@ -9,6 +9,7 @@ vs none), and the section V-G prediction adjustment (on vs off).
 import pytest
 
 from repro.experiments.harness import (
+    device_map,
     make_experiment_config,
     run_policy_experiment,
 )
@@ -28,14 +29,11 @@ ABLATION_SCALE = ExperimentScale(
 )
 
 
-def device_map(seed=0):
-    cluster = make_bluesky_cluster(seed=seed)
-    return {cluster.device(n).fsid: n for n in cluster.device_names}
-
-
 def run_geomancy_with(**config_overrides):
     config = make_experiment_config(ABLATION_SCALE, seed=0, **config_overrides)
-    policy = GeomancyDynamicPolicy(device_map(), config)
+    policy = GeomancyDynamicPolicy(
+        device_map(make_bluesky_cluster(seed=0)), config
+    )
     return run_policy_experiment(policy, scale=ABLATION_SCALE, seed=0)
 
 
@@ -82,7 +80,9 @@ def cooldown_sweep(save_result):
     for update_every in (1, 5, 15):
         scale = dataclasses.replace(ABLATION_SCALE, update_every=update_every)
         config = make_experiment_config(scale, seed=0)
-        policy = GeomancyDynamicPolicy(device_map(), config)
+        policy = GeomancyDynamicPolicy(
+            device_map(make_bluesky_cluster(seed=0)), config
+        )
         result = run_policy_experiment(policy, scale=scale, seed=0)
         results[update_every] = result
         rows.append(

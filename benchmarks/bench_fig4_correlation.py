@@ -1,13 +1,15 @@
 """Fig. 4 benchmark: feature/throughput correlations on the EOS trace."""
 
-from repro.experiments.fig4_correlation import run_fig4
+from repro.experiments import PAPER_COMMANDS
 from repro.experiments.spec import BENCH_SCALE
+
+FIG4 = PAPER_COMMANDS["fig4"]
 
 
 def test_fig4_correlation(benchmark, save_result):
     result = benchmark.pedantic(
-        run_fig4,
-        kwargs={"rows": BENCH_SCALE.trace_rows, "seed": 4},
+        FIG4.run,
+        kwargs={"scale": BENCH_SCALE, "seed": FIG4.seed},
         rounds=1,
         iterations=1,
     )

@@ -6,26 +6,20 @@ by a clear margin (the paper reports +11.7% over LFU, its closest
 competitor).
 """
 
-from repro.experiments.fig5_comparison import run_fig5a
+from repro.experiments import PAPER_COMMANDS
 from repro.experiments.spec import BENCH_SCALE
+
+FIG5A = PAPER_COMMANDS["fig5a"]
 
 
 def test_fig5a_dynamic_policies(benchmark, save_result):
     result = benchmark.pedantic(
-        run_fig5a,
-        kwargs={"scale": BENCH_SCALE, "seed": 2},
+        FIG5A.run,
+        kwargs={"scale": BENCH_SCALE, "seed": FIG5A.seed},
         rounds=1,
         iterations=1,
     )
-    gains = "\n".join(
-        f"Geomancy gain over {name}: {result.gain_percent(name):+.1f}%"
-        for name in sorted(result.results)
-        if name != "Geomancy dynamic"
-    )
-    save_result(
-        "fig5a_dynamic",
-        result.to_text(title="Fig. 5a -- dynamic policies") + "\n" + gains,
-    )
+    save_result("fig5a_dynamic", result.to_text())
 
     # Geomancy wins overall ...
     best = result.best_baseline()

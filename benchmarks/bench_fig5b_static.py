@@ -6,26 +6,20 @@ static (+24% in the paper) and the one-shot Geomancy-static layout (+30%):
 later during a workload's execution".
 """
 
-from repro.experiments.fig5_comparison import run_fig5b
+from repro.experiments import PAPER_COMMANDS
 from repro.experiments.spec import BENCH_SCALE
+
+FIG5B = PAPER_COMMANDS["fig5b"]
 
 
 def test_fig5b_static_policies(benchmark, save_result):
     result = benchmark.pedantic(
-        run_fig5b,
-        kwargs={"scale": BENCH_SCALE, "seed": 2},
+        FIG5B.run,
+        kwargs={"scale": BENCH_SCALE, "seed": FIG5B.seed},
         rounds=1,
         iterations=1,
     )
-    gains = "\n".join(
-        f"Geomancy gain over {name}: {result.gain_percent(name):+.1f}%"
-        for name in sorted(result.results)
-        if name != "Geomancy dynamic"
-    )
-    save_result(
-        "fig5b_static",
-        result.to_text(title="Fig. 5b -- static policies") + "\n" + gains,
-    )
+    save_result("fig5b_static", result.to_text())
 
     geomancy = result.mean("Geomancy dynamic")
     # Beats every static baseline.

@@ -10,16 +10,18 @@ their recovery times side by side, so the flat-cost path's behavioral
 parity with the retrain-everything baseline is inspectable.
 """
 
+import dataclasses
+
 import numpy as np
 
-from repro.experiments.fig6_adaptation import run_fig6
+from repro.experiments import PAPER_COMMANDS
 from repro.experiments.spec import BENCH_SCALE
 
+FIG6 = PAPER_COMMANDS["fig6"]
+#: 40 runs alone, then 80 beside the competitor
 FIG6_KWARGS = {
-    "scale": BENCH_SCALE,
-    "seed": 0,
-    "runs_before": 40,
-    "runs_after": 80,
+    "scale": dataclasses.replace(BENCH_SCALE, runs=80),
+    "seed": FIG6.seed,
 }
 
 
@@ -33,9 +35,10 @@ def _recovery_line(result) -> str:
 
 def test_fig6_adaptation(benchmark, save_result):
     result = benchmark.pedantic(
-        run_fig6, kwargs=FIG6_KWARGS, rounds=1, iterations=1,
+        FIG6.run, kwargs={**FIG6_KWARGS, "online": False},
+        rounds=1, iterations=1,
     )
-    online = run_fig6(**FIG6_KWARGS, online=True)
+    online = FIG6.run(**FIG6_KWARGS, online=True)
     save_result(
         "fig6_adaptation",
         result.to_text()

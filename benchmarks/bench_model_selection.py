@@ -6,18 +6,16 @@ candidates diverge elsewhere ("We chose model 1 since many other models
 diverged on one or more other storage points").
 """
 
-from repro.experiments.model_selection import run_model_selection
+from repro.experiments import PAPER_COMMANDS
 from repro.experiments.spec import BENCH_SCALE
+
+SELECTION = PAPER_COMMANDS["model-selection"]
 
 
 def test_model_selection(benchmark, save_result):
     result = benchmark.pedantic(
-        run_model_selection,
-        kwargs={
-            "rows": BENCH_SCALE.training_rows,
-            "epochs": BENCH_SCALE.epochs,
-            "seed": 0,
-        },
+        SELECTION.run,
+        kwargs={"scale": BENCH_SCALE, "seed": SELECTION.seed},
         rounds=1,
         iterations=1,
     )

@@ -47,7 +47,6 @@ def _enabled():
     return run_instrumented(
         scale=TEST_SCALE,
         seed=SEED,
-        causal_tracing_enabled=True,
         provenance_enabled=True,
         slo_enabled=True,
     )

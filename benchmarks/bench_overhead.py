@@ -6,18 +6,16 @@ training, i.e. comparable), prediction is orders of magnitude cheaper than
 training, and the telemetry transfer matches the modeled ~3 ms per batch.
 """
 
-from repro.experiments.overhead import run_overhead_study
+from repro.experiments import PAPER_COMMANDS
 from repro.experiments.spec import BENCH_SCALE
+
+OVERHEAD = PAPER_COMMANDS["overhead"]
 
 
 def test_overhead_study(benchmark, save_result):
     result = benchmark.pedantic(
-        run_overhead_study,
-        kwargs={
-            "rows": BENCH_SCALE.training_rows,
-            "epochs": BENCH_SCALE.epochs,
-            "seed": 0,
-        },
+        OVERHEAD.run,
+        kwargs={"scale": BENCH_SCALE, "seed": OVERHEAD.seed},
         rounds=1,
         iterations=1,
     )

@@ -6,7 +6,7 @@ per-seed gains -- the error bars behind EXPERIMENTS.md's honesty note.
 
 import dataclasses
 
-from repro.experiments.robustness import run_robustness
+from repro.experiments import PAPER_COMMANDS
 from repro.experiments.spec import BENCH_SCALE
 
 # Robustness costs 4x a single Fig. 5a; trim the measured phase.
@@ -17,7 +17,7 @@ def test_fig5a_robustness(benchmark, save_result):
     # workers=4: one process per seedx policy chunk; bit-for-bit identical
     # to the serial sweep (tested in tests/experiments/test_parallel.py).
     result = benchmark.pedantic(
-        run_robustness,
+        PAPER_COMMANDS["robustness"].run,
         kwargs={"seeds": (0, 1, 2, 3), "scale": SCALE, "workers": 4},
         rounds=1,
         iterations=1,

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.experiments.table1_zoo import table1_text
+from repro.experiments import PAPER_COMMANDS
 from repro.nn.model_zoo import MODEL_NUMBERS, build_model
 
 
@@ -16,7 +16,7 @@ def build_all_models():
 
 def test_table1_zoo(benchmark, save_result):
     models = benchmark.pedantic(build_all_models, rounds=1, iterations=1)
-    save_result("table1_zoo", table1_text(z=6))
+    save_result("table1_zoo", PAPER_COMMANDS["table1"].run().to_text())
     assert len(models) == 23
     # Every architecture ends in a single-output head.
     assert all(model.output_dim == 1 for model in models)

@@ -6,33 +6,23 @@ sized dense ones; the selected model 1 lands in the low-error group.
 """
 
 import numpy as np
-import pytest
 
+from repro.experiments import PAPER_COMMANDS
 from repro.experiments.spec import BENCH_SCALE
-from repro.experiments.table2_comparison import (
-    collect_mount_telemetry,
-    run_table2,
-    table2_text,
-)
 from repro.nn.model_zoo import MODEL_NUMBERS, is_recurrent
 
-ROWS = BENCH_SCALE.training_rows
-EPOCHS = BENCH_SCALE.epochs
+TABLE2 = PAPER_COMMANDS["table2"]
 
 
-@pytest.fixture(scope="module")
-def telemetry():
-    return collect_mount_telemetry("people", ROWS, seed=0)
-
-
-def test_table2_all_models(benchmark, save_result, telemetry):
-    rows = benchmark.pedantic(
-        run_table2,
-        kwargs={"epochs": EPOCHS, "seed": 0, "records": telemetry},
+def test_table2_all_models(benchmark, save_result):
+    result = benchmark.pedantic(
+        TABLE2.run,
+        kwargs={"scale": BENCH_SCALE, "seed": TABLE2.seed, "workers": 1},
         rounds=1,
         iterations=1,
     )
-    save_result("table2_models", table2_text(rows))
+    save_result("table2_models", result.to_text())
+    rows = result.rows
 
     by_number = {row.model_number: row for row in rows}
     assert set(by_number) == set(MODEL_NUMBERS)

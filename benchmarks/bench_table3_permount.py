@@ -5,32 +5,33 @@ errors in a 14-45% band -- "the model can correctly capture the normal
 rise and fall in I/O throughput on individual devices".
 """
 
+import dataclasses
+
+from repro.experiments import PAPER_COMMANDS
 from repro.experiments.spec import BENCH_SCALE
-from repro.experiments.table3_permount import (
-    average_accuracy,
-    run_table3,
-    table3_text,
-)
 from repro.simulation.bluesky import BLUESKY_DEVICE_NAMES
+
+TABLE3 = PAPER_COMMANDS["table3"]
 
 
 def test_table3_per_mount(benchmark, save_result):
-    rows = benchmark.pedantic(
-        run_table3,
+    result = benchmark.pedantic(
+        TABLE3.run,
         kwargs={
-            "rows": BENCH_SCALE.training_rows,
-            "epochs": BENCH_SCALE.epochs + 40,
-            "seed": 0,
+            "scale": dataclasses.replace(
+                BENCH_SCALE, epochs=BENCH_SCALE.epochs + 40
+            ),
+            "seed": TABLE3.seed,
         },
         rounds=1,
         iterations=1,
     )
-    save_result("table3_permount", table3_text(rows))
+    save_result("table3_permount", result.to_text())
 
-    assert [row.mount for row in rows] == list(BLUESKY_DEVICE_NAMES)
+    assert [row.mount for row in result.rows] == list(BLUESKY_DEVICE_NAMES)
     # No mount diverges, and every error stays inside a usable band.
-    for row in rows:
+    for row in result.rows:
         assert not row.diverged, row.mount
         assert row.mare < 60.0, (row.mount, row.mare)
     # Overall accuracy is in the paper's "reasonably high" regime.
-    assert average_accuracy(rows) > 55.0
+    assert result.average_accuracy() > 55.0

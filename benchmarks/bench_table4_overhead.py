@@ -5,14 +5,16 @@ and the heaviest tail; USBtmp is slowest; Geomancy's throughput exceeds
 every mount except raw file0 while spreading its accesses across devices.
 """
 
+from repro.experiments import PAPER_COMMANDS
 from repro.experiments.spec import BENCH_SCALE
-from repro.experiments.table4_overhead import run_table4
+
+TABLE4 = PAPER_COMMANDS["table4"]
 
 
 def test_table4_overhead(benchmark, save_result):
     result = benchmark.pedantic(
-        run_table4,
-        kwargs={"scale": BENCH_SCALE, "seed": 2},
+        TABLE4.run,
+        kwargs={"scale": BENCH_SCALE, "seed": TABLE4.seed},
         rounds=1,
         iterations=1,
     )

@@ -14,19 +14,20 @@ from repro import EOSTraceSynthesizer
 from repro.core.config import GeomancyConfig
 from repro.core.engine import DRLEngine
 from repro.features import feature_correlations, select_features
+from repro.replaydb.db import ReplayDB
 
 ROWS = 6000
 
 
-def train_with_features(records, features):
+def train_with_features(db, features):
     config = GeomancyConfig(
         features=features,
         epochs=60,
-        training_rows=len(records),
+        training_rows=db.access_count(),
         learning_rate=0.05,
         smoothing_window=20,
     )
-    return DRLEngine(config).train_on_records(records)
+    return DRLEngine(config).train(db)
 
 
 def main() -> None:
@@ -44,7 +45,8 @@ def main() -> None:
     )
     print(f"\nselected features (paper-style): {chosen}")
 
-    records = synthesizer.records(ROWS)
+    db = ReplayDB()
+    db.insert_accesses(synthesizer.records(ROWS))
     feature_sets = {
         "paper's six (rb, wb, ots/otms, cts/ctms)": (
             "rb", "wb", "ots", "otms", "cts", "ctms",
@@ -54,7 +56,7 @@ def main() -> None:
     }
     print("\nmodel 1 accuracy by feature set (Z varies with the set):")
     for label, features in feature_sets.items():
-        result = train_with_features(records, features)
+        result = train_with_features(db, features)
         status = (
             "diverged" if result.diverged
             else f"error {result.test_mare:5.1f}% ± {result.test_mare_std:.1f}"

@@ -8,23 +8,23 @@ of which model to deploy (accuracy vs training/prediction cost).
 Run:  python examples/model_search.py             (~60 s)
 """
 
-from repro.experiments.table2_comparison import (
-    collect_mount_telemetry,
-    run_table2,
-    table2_text,
-)
+import dataclasses
 
-ROWS = 3000
-EPOCHS = 40
+from repro.experiments.spec import BENCH_SCALE
+from repro.experiments.table2_comparison import run_table2
+
+SCALE = dataclasses.replace(BENCH_SCALE, training_rows=3000, epochs=40)
 
 
 def main() -> None:
-    print(f"collecting {ROWS} accesses of people-mount telemetry ...")
-    records = collect_mount_telemetry("people", ROWS, seed=0)
-    print("training all 23 Table-I architectures ...")
-    rows = run_table2(epochs=EPOCHS, seed=0, records=records)
+    print(
+        f"training all 23 Table-I architectures on {SCALE.training_rows} "
+        "accesses of people-mount telemetry ..."
+    )
+    result = run_table2(scale=SCALE, seed=0, workers=1)
     print()
-    print(table2_text(rows))
+    print(result.to_text())
+    rows = result.rows
 
     converged = [row for row in rows if not row.diverged]
     best_error = min(converged, key=lambda r: r.mare)

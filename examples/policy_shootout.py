@@ -3,28 +3,24 @@
 
 Runs LRU, LFU, MRU, random-dynamic and Geomancy-dynamic on identical
 seeded copies of the Bluesky testbed and prints the Fig. 5a comparison
-table, movement counts, and Geomancy's gains.
+table, movement counts, and Geomancy's gains -- what ``repro fig5a
+--scale bench`` prints.
 
 Run:  python examples/policy_shootout.py          (~30 s)
 """
 
-from repro.experiments import BENCH_SCALE, run_fig5a
+from repro.experiments import PAPER_COMMANDS
+from repro.experiments.spec import BENCH_SCALE
 
 
 def main() -> None:
+    fig5a = PAPER_COMMANDS["fig5a"]
     print("running five policies on the simulated Bluesky testbed ...")
-    result = run_fig5a(scale=BENCH_SCALE, seed=2)
+    result = fig5a.run(scale=BENCH_SCALE, seed=fig5a.seed)
     print()
-    print(result.to_text(bucket=500, title="Fig. 5a -- dynamic policies"))
+    print(result.to_text())
     print()
-    best = result.best_baseline()
-    print(f"best baseline: {best}")
-    for name in sorted(result.results):
-        if name != "Geomancy dynamic":
-            print(
-                f"Geomancy dynamic gain over {name}: "
-                f"{result.gain_percent(name):+.1f}%"
-            )
+    print(f"best baseline: {result.best_baseline()}")
     print(
         "\npaper's headline: Geomancy beats dynamic and static placement "
         "by 11-30% (Fig. 5)."

@@ -18,6 +18,7 @@ Run:  python examples/tiered_vs_flat.py           (~90 s)
 """
 
 from repro.experiments.harness import (
+    device_map,
     make_experiment_config,
     run_policy_experiment,
 )
@@ -41,7 +42,7 @@ def compare_on(cluster_factory, label: str) -> None:
     for make_policy in (
         lambda _: EvenSpreadPolicy(),
         lambda cluster: GeomancyDynamicPolicy(
-            {cluster.device(n).fsid: n for n in cluster.device_names},
+            device_map(cluster),
             make_experiment_config(SCALE, seed=0),
         ),
     ):

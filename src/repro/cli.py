@@ -1,20 +1,18 @@
 """Command-line interface: regenerate any paper table/figure.
 
+Each paper command (``fig4`` ... ``model-selection``; ``repro --help``
+lists them) is one entry of :data:`repro.experiments.PAPER_COMMANDS`,
+and its subparser is built from that entry; the operations commands
+have parsers of their own.
+
 ::
 
-    python -m repro fig4                 # Fig. 4 correlations
-    python -m repro table1               # Table I architectures
-    python -m repro table2 --scale test  # Table II (all 23 models)
-    python -m repro table3
     python -m repro fig5a --scale bench --seed 2
-    python -m repro fig5b
-    python -m repro table4
-    python -m repro fig6
+    python -m repro robustness --workers 4 --seeds 0 1 2 3
     python -m repro chaos --seed 7 --schedule kill:file0@40% kill:pic@55%
     python -m repro saturate --multipliers 0.5 1 2 4 --capacity 64
     python -m repro deadletters dead.jsonl --requeue
     python -m repro synth-trace out.jsonl --rows 5000
-    python -m repro robustness --workers 4 --seeds 0 1 2 3
     python -m repro recover ckpt/ --checkpoint-every 5 --guardrail
     python -m repro resume ckpt/          # restart a killed recover run
     python -m repro run --trace out.json --metrics-snapshot m.jsonl --profile
@@ -23,15 +21,9 @@
     python -m repro explain 3 --ledger prov.jsonl
 
 ``--log-level``/``--log-json`` (before the subcommand) turn on module
-logging for every ``repro.*`` logger.
-
-``--workers N`` (table2/robustness) spreads the experiment's (policy x
-seed / model) grid over N processes; results are bit-for-bit identical
-to ``--workers 1``, the serial fallback.
-
-``--scale`` picks the experiment sizing: ``test`` (seconds), ``bench``
-(the defaults the benchmark harness uses, minutes), or ``paper`` (the
-publication's full parameters).
+logging for every ``repro.*`` logger.  ``--scale`` picks the experiment
+sizing: ``test`` (seconds), ``bench`` (the bench gates' sizing,
+minutes), or ``paper`` (the publication's full parameters).
 """
 
 from __future__ import annotations
@@ -40,6 +32,7 @@ import argparse
 import sys
 
 from repro.errors import ReproError
+from repro.experiments import PAPER_COMMANDS
 from repro.experiments.spec import (
     BENCH_SCALE,
     PAPER_SCALE,
@@ -48,17 +41,20 @@ from repro.experiments.spec import (
 )
 
 _SCALES: dict[str, ExperimentScale] = {
-    "test": TEST_SCALE,
-    "bench": BENCH_SCALE,
-    "paper": PAPER_SCALE,
+    scale.name: scale for scale in (TEST_SCALE, BENCH_SCALE, PAPER_SCALE)
 }
 
 
-def _add_common(parser: argparse.ArgumentParser, *, default_seed: int) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, *, default_seed: int | None
+) -> None:
+    """``--scale``, and ``--seed`` unless ``default_seed`` is None."""
     parser.add_argument(
         "--scale", choices=sorted(_SCALES), default="test",
         help="experiment sizing (default: test)",
     )
+    if default_seed is None:
+        return
     parser.add_argument(
         "--seed", type=int, default=default_seed,
         help=f"environment seed (default: {default_seed})",
@@ -101,15 +97,6 @@ def _add_faults(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_workers(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the experiment grid (default: 1, "
-             "the deterministic serial fallback; results are identical "
-             "for any worker count)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -130,47 +117,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fig4 = sub.add_parser("fig4", help="feature/throughput correlations")
-    _add_common(fig4, default_seed=4)
-
-    sub.add_parser("table1", help="the 23 model architectures")
-
-    table2 = sub.add_parser("table2", help="23-model comparison")
-    _add_common(table2, default_seed=0)
-    _add_workers(table2)
-
-    table3 = sub.add_parser("table3", help="model 1 per-mount accuracy")
-    _add_common(table3, default_seed=0)
-
-    fig5a = sub.add_parser("fig5a", help="dynamic-policy comparison")
-    _add_common(fig5a, default_seed=2)
-
-    fig5b = sub.add_parser("fig5b", help="static-policy comparison")
-    _add_common(fig5b, default_seed=2)
-
-    table4 = sub.add_parser("table4", help="single-mount overhead study")
-    _add_common(table4, default_seed=2)
-
-    fig6 = sub.add_parser("fig6", help="competing-workload adaptation")
-    _add_common(fig6, default_seed=0)
-    fig6.add_argument(
-        "--online", action="store_true",
-        help="adapt with the online continual-learning engine "
-             "(incremental fits + prioritized replay) "
-             "instead of from-scratch retraining",
-    )
+    for name, command in PAPER_COMMANDS.items():
+        # No prefix matching: ``robustness --seed`` is not ``--seeds``.
+        paper = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        if command.scaled:
+            _add_common(paper, default_seed=command.seed)
+        paper.set_defaults(paper_flags=tuple(
+            paper.add_argument(flag, **spec).dest
+            for flag, spec in command.flags
+        ))
 
     sub.add_parser("testbed", help="describe the simulated Bluesky testbed")
-
-    robustness = sub.add_parser(
-        "robustness", help="Fig. 5a across several environment seeds"
-    )
-    _add_common(robustness, default_seed=0)
-    _add_workers(robustness)
-    robustness.add_argument(
-        "--seeds", type=int, nargs="+", default=[0, 1, 2, 3],
-        help="environment seeds to sweep",
-    )
 
     chaos = sub.add_parser(
         "chaos", help="fault-injection run vs. a fault-free twin"
@@ -248,16 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay every replayable letter through a fresh daemon into "
              "a ReplayDB, mark it requeued, and save the store back",
     )
-
-    overhead = sub.add_parser(
-        "overhead", help="section VIII training/prediction/transfer costs"
-    )
-    _add_common(overhead, default_seed=0)
-
-    selection = sub.add_parser(
-        "model-selection", help="section V-G model-selection procedure"
-    )
-    _add_common(selection, default_seed=0)
 
     recover = sub.add_parser(
         "recover",
@@ -373,85 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_fig4(args) -> str:
-    from repro.experiments.fig4_correlation import run_fig4
-
-    scale = _SCALES[args.scale]
-    return run_fig4(rows=scale.trace_rows, seed=args.seed).to_text()
-
-
-def _run_table1(args) -> str:
-    from repro.experiments.table1_zoo import table1_text
-
-    return table1_text()
-
-
-def _run_table2(args) -> str:
-    from repro.experiments.table2_comparison import run_table2, table2_text
-
-    scale = _SCALES[args.scale]
-    rows = run_table2(
-        rows=scale.training_rows, epochs=scale.epochs, seed=args.seed,
-        workers=args.workers,
-    )
-    return table2_text(rows)
-
-
-def _run_table3(args) -> str:
-    from repro.experiments.table3_permount import run_table3, table3_text
-
-    scale = _SCALES[args.scale]
-    rows = run_table3(
-        rows=scale.training_rows, epochs=scale.epochs, seed=args.seed
-    )
-    return table3_text(rows)
-
-
-def _run_fig5a(args) -> str:
-    from repro.experiments.fig5_comparison import run_fig5a
-
-    result = run_fig5a(scale=_SCALES[args.scale], seed=args.seed)
-    gains = "\n".join(
-        f"Geomancy gain over {name}: {result.gain_percent(name):+.1f}%"
-        for name in sorted(result.results)
-        if name != "Geomancy dynamic"
-    )
-    return result.to_text(title="Fig. 5a -- dynamic policies") + "\n" + gains
-
-
-def _run_fig5b(args) -> str:
-    from repro.experiments.fig5_comparison import run_fig5b
-
-    result = run_fig5b(scale=_SCALES[args.scale], seed=args.seed)
-    gains = "\n".join(
-        f"Geomancy gain over {name}: {result.gain_percent(name):+.1f}%"
-        for name in sorted(result.results)
-        if name != "Geomancy dynamic"
-    )
-    return result.to_text(title="Fig. 5b -- static policies") + "\n" + gains
-
-
-def _run_table4(args) -> str:
-    from repro.experiments.table4_overhead import run_table4
-
-    return run_table4(scale=_SCALES[args.scale], seed=args.seed).to_text()
-
-
-def _run_fig6(args) -> str:
-    from repro.experiments.fig6_adaptation import run_fig6
-
-    return run_fig6(
-        scale=_SCALES[args.scale], seed=args.seed, online=args.online
-    ).to_text()
-
-
-def _run_robustness(args) -> str:
-    from repro.experiments.robustness import run_robustness
-
-    return run_robustness(
-        seeds=tuple(args.seeds), scale=_SCALES[args.scale],
-        workers=args.workers,
-    ).to_text()
+def _run_paper(args) -> str:
+    command = PAPER_COMMANDS[args.command]
+    kwargs = {dest: getattr(args, dest) for dest in args.paper_flags}
+    if command.scaled:
+        kwargs["scale"] = _SCALES[args.scale]
+    if command.seed is not None:
+        kwargs["seed"] = args.seed
+    return command.run(**kwargs).to_text()
 
 
 def _run_chaos(args) -> str:
@@ -531,24 +407,6 @@ def _run_deadletters(args) -> str:
     return text
 
 
-def _run_overhead(args) -> str:
-    from repro.experiments.overhead import run_overhead_study
-
-    scale = _SCALES[args.scale]
-    return run_overhead_study(
-        rows=scale.training_rows, epochs=scale.epochs, seed=args.seed
-    ).to_text()
-
-
-def _run_model_selection(args) -> str:
-    from repro.experiments.model_selection import run_model_selection
-
-    scale = _SCALES[args.scale]
-    return run_model_selection(
-        rows=scale.training_rows, epochs=scale.epochs, seed=args.seed
-    ).to_text()
-
-
 def _run_recover(args) -> str:
     from repro.experiments.recoverable import run_recoverable
 
@@ -599,9 +457,7 @@ def _run_run(args) -> str:
     overrides = {}
     if args.provenance is not None:
         overrides.update(
-            causal_tracing_enabled=True,
-            provenance_enabled=True,
-            provenance_path=args.provenance,
+            provenance_enabled=True, provenance_path=args.provenance
         )
     result = run_instrumented(
         scale=_SCALES[args.scale],
@@ -647,23 +503,13 @@ def _run_synth_trace(args) -> str:
     return f"wrote {written} records to {args.output}"
 
 
+#: the operations commands; every other command is a paper command
 _COMMANDS = {
-    "fig4": _run_fig4,
-    "table1": _run_table1,
-    "table2": _run_table2,
-    "table3": _run_table3,
-    "fig5a": _run_fig5a,
-    "fig5b": _run_fig5b,
-    "table4": _run_table4,
-    "fig6": _run_fig6,
-    "robustness": _run_robustness,
     "chaos": _run_chaos,
     "saturate": _run_saturate,
     "deadletters": _run_deadletters,
     "recover": _run_recover,
     "resume": _run_resume,
-    "overhead": _run_overhead,
-    "model-selection": _run_model_selection,
     "testbed": _run_testbed,
     "synth-trace": _run_synth_trace,
     "run": _run_run,
@@ -678,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
 
         configure(args.log_level or "warning", json_format=args.log_json)
     try:
-        text = _COMMANDS[args.command](args)
+        text = _COMMANDS.get(args.command, _run_paper)(args)
     except ReproError as error:
         # What a user can cause (a missing ledger, --workers 0, an
         # injected kill) is one line and exit 1; argparse keeps 2.

@@ -63,12 +63,10 @@ class GeomancyConfig:
     online_learning: bool = False
     #: -- causal tracing / provenance (repro.observability.provenance) ----
     #: stamp trace ids on telemetry batches, layout commands and movement
-    #: records and resolve every message's fate through a CausalContext;
-    #: off by default -- the legacy plane carries no ids at all
-    causal_tracing_enabled: bool = False
+    #: records, resolve every message's fate through a CausalContext, and
     #: record per-decision provenance (training window rowids, feature
     #: digest, per-candidate predictions, chosen layout, movement ids);
-    #: requires causal_tracing_enabled for the movement -> decision join
+    #: off by default -- the plain plane carries no ids at all
     provenance_enabled: bool = False
     #: JSONL flight-recorder path for the provenance ledger (None keeps
     #: the ledger in memory only)
@@ -125,11 +123,6 @@ class GeomancyConfig:
                 "only; recurrent windows need contiguous chronology that "
                 f"replay mixing breaks (model {self.model_number} is "
                 "recurrent)"
-            )
-        if self.provenance_enabled and not self.causal_tracing_enabled:
-            raise ConfigurationError(
-                "provenance_enabled requires causal_tracing_enabled "
-                "(decisions join to telemetry through trace ids)"
             )
 
     @property

@@ -29,7 +29,6 @@ from repro.nn.network import train_val_test_split
 from repro.nn.optimizers import get_optimizer
 from repro.observability import Observability, get_observability
 from repro.replaydb.db import ReplayDB
-from repro.replaydb.records import AccessRecord
 from repro.replaydb.replay_buffer import PrioritizedReplay
 
 #: a move is proposed only when the predicted throughput at the best
@@ -249,33 +248,25 @@ class DRLEngine:
         return self.last_report is not None
 
     # -- training ----------------------------------------------------------
-    def train_on_records(self, records: list[AccessRecord]) -> TrainingReport:
-        """Retrain from scratch on a chronological record batch."""
-        return self._train_window(self.pipeline.record_columns(records))
-
-    def train(self, db: ReplayDB) -> TrainingReport:
-        """Retrain on the most recent ``training_rows`` ReplayDB accesses."""
-        window = self._telemetry(db, limit=self.config.training_rows)
-        ids = window["id"]
-        if self.capture_provenance and len(ids):
-            self.last_window = (int(ids[0]), int(ids[-1]))
-        return self._train_window(window)
-
     def _telemetry(self, db: ReplayDB, **window) -> dict[str, np.ndarray]:
         """One ReplayDB access window (``limit=``/``since=``/``ids=``, see
         :meth:`ReplayDB.access_columns`) with the columns this feature
         set reads; no AccessRecord is ever built."""
         return db.access_columns(**window, extra=self.pipeline.extra_features)
 
-    def _train_window(self, window: dict[str, np.ndarray]) -> TrainingReport:
-        """Retrain from scratch on one chronological telemetry window.
+    def train(self, db: ReplayDB) -> TrainingReport:
+        """Retrain on the most recent ``training_rows`` ReplayDB accesses.
 
         The paper's protocol: 60/20/20 chronological split, N epochs of
         plain SGD (a refit: at most REFIT_EPOCHS, stopped on the validation
         split's plateau), MAE-sign adjustment calibrated on the validation
         split, accuracy reported on the test split.
         """
-        samples = len(window["fsid"])
+        window = self._telemetry(db, limit=self.config.training_rows)
+        ids = window["id"]
+        if self.capture_provenance and len(ids):
+            self.last_window = (int(ids[0]), int(ids[-1]))
+        samples = len(ids)
         if samples < 10:
             raise ModelError(
                 f"need at least 10 records to train, got {samples}"
@@ -594,20 +585,18 @@ class DRLEngine:
 
     # -- prediction --------------------------------------------------------
     def predict_throughput_matrix(
-        self,
-        bases: list[AccessRecord] | dict[str, np.ndarray],
-        fsids: list[int],
+        self, bases: dict[str, np.ndarray], fsids: list[int]
     ) -> np.ndarray:
         """Predicted throughput for every (base access, location) pair.
 
-        ``bases`` as records or as a window of columns; returns an array
-        of shape ``(n_bases, len(fsids))`` in bytes/s (so locations
-        compare in physical units), MAE-sign adjusted when configured.
+        ``bases`` is a window of columns; returns an array of shape
+        ``(n_bases, len(fsids))`` in bytes/s (so locations compare in
+        physical units), MAE-sign adjusted when configured.
         """
         if not self.trained:
             raise ModelError("engine must be trained before predicting")
         return self._score_locations(
-            self.pipeline.feature_matrix(bases), fsids
+            self.pipeline.feature_matrix_from_columns(bases), fsids
         )
 
     def _score_locations(

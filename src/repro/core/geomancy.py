@@ -148,7 +148,7 @@ class Geomancy:
         self.causal: CausalContext | None = None
         self.ledger: ProvenanceLedger | None = None
         self._movement_rows = 0
-        if self.config.causal_tracing_enabled:
+        if self.config.provenance_enabled:
             self.ledger = ProvenanceLedger(self.config.provenance_path)
             self.causal = CausalContext(self.ledger)
             self.telemetry.causal = self.causal
@@ -160,7 +160,6 @@ class Geomancy:
             # counter so decision entries name real rowids even when the
             # DB already holds movements (a resumed run).
             self._movement_rows = len(self.db.movements())
-        if self.config.provenance_enabled:
             self.engine.capture_provenance = True
         metrics = self.obs.metrics
         self._m_ticks = metrics.counter(
@@ -289,20 +288,14 @@ class Geomancy:
             self.daemon.record_movements(movements)
             if txn is not None:
                 self.journal.log_commit(txn, movements, t=t)
-        movement_ids: list[int] = []
         if self.causal is not None:
             # record_movements is the only movements-table writer on this
             # plane, so insert order names the rowids just written.
-            movement_ids = list(
-                range(
-                    self._movement_rows + 1,
-                    self._movement_rows + 1 + len(movements),
-                )
-            )
+            first = self._movement_rows + 1
             self._movement_rows += len(movements)
-        if self.config.provenance_enabled and trace_id is not None:
             self._record_decision(
-                trace_id, kind, t, layout, movements, movement_ids
+                trace_id, kind, t, layout, movements,
+                list(range(first, self._movement_rows + 1)),
             )
         succeeded = sum(1 for m in movements if m.succeeded)
         failed = len(movements) - succeeded

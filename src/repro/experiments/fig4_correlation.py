@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.reporting import ascii_table
+from repro.experiments.spec import ExperimentScale
 from repro.features.correlation import CorrelationReport, feature_correlations
 from repro.workloads.eos import EOSTraceSynthesizer
 
@@ -27,17 +28,16 @@ DEFERRED_FIELDS: tuple[str, ...] = ("secgrps", "secrole", "secapp", "nwc")
 
 @dataclass
 class Fig4Result:
-    """The correlation report plus the paper's reading of it."""
+    """The correlation report, the paper's chosen fields marked."""
 
     report: CorrelationReport
-    chosen: tuple[str, ...]
 
     def to_text(self) -> str:
         rows = [
             (
                 name,
                 f"{value:+.3f}",
-                "chosen" if name in self.chosen else "",
+                "chosen" if name in self.report.chosen else "",
             )
             for name, value in self.report.sorted_items()
         ]
@@ -49,9 +49,12 @@ class Fig4Result:
         )
 
 
-def run_fig4(*, rows: int = 12_000, seed: int = 4) -> Fig4Result:
-    """Regenerate Fig. 4 from a synthetic EOS trace."""
-    columns, throughput = EOSTraceSynthesizer(seed=seed).table(rows)
+def run_fig4(*, scale: ExperimentScale, seed: int) -> Fig4Result:
+    """Regenerate Fig. 4 from a ``scale.trace_rows``-access synthetic EOS
+    trace."""
+    columns, throughput = EOSTraceSynthesizer(seed=seed).table(
+        scale.trace_rows
+    )
     report = feature_correlations(columns, throughput)
     report.chosen = CHOSEN_FIELDS
-    return Fig4Result(report=report, chosen=CHOSEN_FIELDS)
+    return Fig4Result(report=report)

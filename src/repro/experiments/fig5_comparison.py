@@ -14,12 +14,15 @@ from dataclasses import dataclass
 from repro.errors import ExperimentError
 from repro.experiments.harness import (
     PolicyRunResult,
+    bluesky_runner,
+    device_map,
     make_experiment_config,
     run_policy_experiment,
     shuffled_warm_up,
 )
 from repro.experiments.parallel import run_cells
 from repro.experiments.reporting import (
+    BUCKET_ACCESSES,
     ascii_table,
     bucket_series,
     movement_bars,
@@ -34,12 +37,9 @@ from repro.policies.lfu import LFUPolicy
 from repro.policies.lru import LRUPolicy
 from repro.policies.mru import MRUPolicy
 from repro.policies.random_policy import RandomDynamicPolicy, RandomStaticPolicy
-from repro.policies.static import EvenSpreadPolicy
+from repro.policies.static import EvenSpreadPolicy, SingleMountPolicy
 from repro.replaydb.db import ReplayDB
-from repro.simulation.bluesky import make_bluesky_cluster
-from repro.workloads.belle2 import Belle2Workload
-from repro.workloads.files import belle2_file_population
-from repro.workloads.runner import WorkloadRunner
+from repro.simulation.bluesky import BLUESKY_DEVICE_NAMES, make_bluesky_cluster
 
 GEOMANCY = "Geomancy dynamic"
 
@@ -57,6 +57,7 @@ class Fig5Result:
     """Per-policy measurements for one Fig. 5 panel."""
 
     results: dict[str, PolicyRunResult]
+    title: str = "Fig. 5"
 
     def mean(self, name: str) -> float:
         try:
@@ -84,14 +85,18 @@ class Fig5Result:
             raise ExperimentError("no baseline policies in result")
         return max(candidates, key=candidates.get)
 
-    def to_text(self, *, bucket: int = 500, title: str = "Fig. 5") -> str:
+    def to_text(self) -> str:
+        """The panel's table, Geomancy's movement bars and its gain over
+        each baseline."""
         rows = []
         for name, result in sorted(
             self.results.items(),
             key=lambda kv: kv[1].mean_throughput,
             reverse=True,
         ):
-            _, series = bucket_series(result.throughput_gbps, bucket)
+            _, series = bucket_series(
+                result.throughput_gbps, BUCKET_ACCESSES
+            )
             rows.append(
                 (
                     name,
@@ -103,25 +108,23 @@ class Fig5Result:
             )
         table = ascii_table(
             ["policy", "mean GB/s", "std", "files moved",
-             f"throughput per {bucket} accesses"],
+             f"throughput per {BUCKET_ACCESSES} accesses"],
             rows,
-            title=title,
+            title=self.title,
         )
         # The paper draws Geomancy's movement bars under the curves.
-        geomancy = self.results.get(GEOMANCY)
-        if geomancy is not None and geomancy.movements:
+        geomancy = self.results[GEOMANCY]
+        if geomancy.movements:
             bars = movement_bars(
                 geomancy.movements, max(geomancy.access_count, 1), width=40
             )
             table += "\nGeomancy movements:\n" + bars
-        return table
-
-
-def _geomancy_device_map(seed: int) -> dict[int, str]:
-    cluster = make_bluesky_cluster(seed=seed)
-    return {
-        cluster.device(name).fsid: name for name in cluster.device_names
-    }
+        gains = "\n".join(
+            f"Geomancy gain over {name}: {self.gain_percent(name):+.1f}%"
+            for name in sorted(self.results)
+            if name != GEOMANCY
+        )
+        return table + "\n" + gains
 
 
 def collect_random_dynamic_telemetry(
@@ -130,23 +133,21 @@ def collect_random_dynamic_telemetry(
     """Warm-up telemetry from a random-dynamic run (paper section VI:
     Geomancy static "uses approximately 10,000 performance metrics from the
     dynamic random experiment")."""
-    cluster = make_bluesky_cluster(seed=seed)
-    files = belle2_file_population(seed=seed)
-    db = ReplayDB()
-    runner = WorkloadRunner(
-        cluster, Belle2Workload(files, seed=1), db
-    )
-    shuffled_warm_up(runner, files, scale, seed=seed)
-    return db
+    runner = bluesky_runner(seed, db=ReplayDB())
+    shuffled_warm_up(runner, scale, seed=seed)
+    return runner.db
 
 
 def _build_policy(name: str, scale: ExperimentScale, seed: int):
     """Rebuild one comparison policy from its cell spec.
 
+    A Bluesky mount's name is Table IV's all-files-on-that-mount policy.
     The Geomancy static warm-up DB is regenerated from the seed: it
     derives only from ``(scale, seed)``, so every process builds the
     same telemetry.
     """
+    if name in BLUESKY_DEVICE_NAMES:
+        return SingleMountPolicy(name)
     if name == "LRU":
         return LRUPolicy()
     if name == "MRU":
@@ -161,13 +162,13 @@ def _build_policy(name: str, scale: ExperimentScale, seed: int):
         return EvenSpreadPolicy()
     if name == GEOMANCY:
         return GeomancyDynamicPolicy(
-            _geomancy_device_map(seed), make_experiment_config(scale, seed=seed)
+            device_map(make_bluesky_cluster(seed=seed)),
+            make_experiment_config(scale, seed=seed),
         )
     if name == "Geomancy static":
-        warmup_db = collect_random_dynamic_telemetry(scale=scale, seed=seed)
         return GeomancyStaticPolicy(
-            warmup_db,
-            _geomancy_device_map(seed),
+            collect_random_dynamic_telemetry(scale=scale, seed=seed),
+            device_map(make_bluesky_cluster(seed=seed)),
             make_experiment_config(scale, seed=seed),
         )
     raise ExperimentError(f"unknown comparison policy {name!r}")
@@ -212,17 +213,17 @@ def run_policy_grid(
     ]
 
 
-def run_fig5a(
-    *, scale: ExperimentScale = TEST_SCALE, seed: int = 0
-) -> Fig5Result:
+def run_fig5a(*, scale: ExperimentScale, seed: int) -> Fig5Result:
     """Experiment 1, dynamic policies: LRU / MRU / LFU / random dynamic
     versus Geomancy dynamic."""
-    return run_policy_grid(FIG5A_POLICIES, scale=scale, seeds=(seed,))[0]
+    (result,) = run_policy_grid(FIG5A_POLICIES, scale=scale, seeds=(seed,))
+    result.title = "Fig. 5a -- dynamic policies"
+    return result
 
 
-def run_fig5b(
-    *, scale: ExperimentScale = TEST_SCALE, seed: int = 0
-) -> Fig5Result:
+def run_fig5b(*, scale: ExperimentScale, seed: int) -> Fig5Result:
     """Experiment 1, static policies: random static / even spread /
     Geomancy static versus Geomancy dynamic."""
-    return run_policy_grid(FIG5B_POLICIES, scale=scale, seeds=(seed,))[0]
+    (result,) = run_policy_grid(FIG5B_POLICIES, scale=scale, seeds=(seed,))
+    result.title = "Fig. 5b -- static policies"
+    return result

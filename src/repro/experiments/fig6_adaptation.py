@@ -14,15 +14,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ExperimentError
-from repro.experiments.harness import consult_policy, make_experiment_config
-from repro.experiments.reporting import bucket_series, sparkline
-from repro.experiments.spec import ExperimentScale, TEST_SCALE
+from repro.experiments.harness import (
+    bluesky_runner,
+    consult_policy,
+    device_map,
+    make_experiment_config,
+)
+from repro.experiments.reporting import (
+    BUCKET_ACCESSES,
+    bucket_series,
+    sparkline,
+)
+from repro.experiments.spec import ExperimentScale
 from repro.policies.geomancy_policy import GeomancyDynamicPolicy
 from repro.replaydb.db import ReplayDB
-from repro.simulation.bluesky import make_bluesky_cluster
 from repro.simulation.clock import SimulationClock
-from repro.workloads.belle2 import Belle2Workload
-from repro.workloads.files import belle2_file_population
 from repro.workloads.interference import make_competing_workload
 from repro.workloads.runner import WorkloadRunner
 
@@ -50,6 +56,13 @@ class Fig6Result:
     def tuned_after(self) -> np.ndarray:
         return np.asarray(self.tuned_gbps[self.disturbance_access :])
 
+    def _sides(self) -> tuple[np.ndarray, np.ndarray]:
+        """The non-empty tuned series before and after the disturbance."""
+        before, after = self.tuned_before(), self.tuned_after()
+        if before.size == 0 or after.size == 0:
+            raise ExperimentError("need accesses on both sides of the disturbance")
+        return before, after
+
     def recovery_ratio(self) -> float:
         """Late post-disturbance throughput relative to pre-disturbance.
 
@@ -57,20 +70,14 @@ class Fig6Result:
         excluded by looking only at the final :data:`TAIL_FRACTION` of the
         post-disturbance series.
         """
-        before = self.tuned_before()
-        after = self.tuned_after()
-        if before.size == 0 or after.size == 0:
-            raise ExperimentError("need accesses on both sides of the disturbance")
+        before, after = self._sides()
         tail = after[int(len(after) * (1.0 - TAIL_FRACTION)) :]
         return float(tail.mean() / before.mean())
 
     def dip_ratio(self) -> float:
         """Throughput over the first :data:`HEAD_FRACTION` of the
         post-disturbance series relative to before."""
-        before = self.tuned_before()
-        after = self.tuned_after()
-        if before.size == 0 or after.size == 0:
-            raise ExperimentError("need accesses on both sides of the disturbance")
+        before, after = self._sides()
         head = after[: max(1, int(len(after) * HEAD_FRACTION))]
         return float(head.mean() / before.mean())
 
@@ -84,10 +91,7 @@ class Fig6Result:
         This is the "how fast did it adapt" companion to the "how far
         did it get back" :meth:`recovery_ratio`.
         """
-        before = self.tuned_before()
-        after = self.tuned_after()
-        if before.size == 0 or after.size == 0:
-            raise ExperimentError("need accesses on both sides of the disturbance")
+        before, after = self._sides()
         target = RECOVERY_THRESHOLD * before.mean()
         window = min(RECOVERY_WINDOW, after.size)
         rolling = np.convolve(after, np.ones(window) / window, mode="valid")
@@ -96,9 +100,9 @@ class Fig6Result:
             return None
         return int(hits[0]) + window
 
-    def to_text(self, *, bucket: int = 500) -> str:
-        _, tuned = bucket_series(self.tuned_gbps, bucket)
-        _, competing = bucket_series(self.competing_gbps, bucket)
+    def to_text(self) -> str:
+        _, tuned = bucket_series(self.tuned_gbps, BUCKET_ACCESSES)
+        _, competing = bucket_series(self.competing_gbps, BUCKET_ACCESSES)
         lines = [
             "Fig. 6 -- response to a competing workload",
             f"tuned workload    : {sparkline(tuned)}",
@@ -116,41 +120,26 @@ class Fig6Result:
 
 
 def run_fig6(
-    *,
-    scale: ExperimentScale = TEST_SCALE,
-    seed: int = 0,
-    runs_before: int | None = None,
-    runs_after: int | None = None,
-    online: bool = False,
+    *, scale: ExperimentScale, seed: int, online: bool
 ) -> Fig6Result:
     """Regenerate Fig. 6.
 
-    Phase 1: the tuned workload runs alone for ``runs_before`` runs with
-    Geomancy relayouts.  Phase 2: the duplicate untuned workload joins on
-    the same cluster (shared clock, shared device contention) for
-    ``runs_after`` interleaved runs; Geomancy keeps tuning only the
-    original workload.
+    Phase 1: the tuned workload runs alone for half of ``scale.runs``
+    (at least one consultation's worth) with Geomancy relayouts.  Phase
+    2: the duplicate untuned workload joins on the same cluster (shared
+    clock, shared device contention) for ``scale.runs`` interleaved
+    runs; Geomancy keeps tuning only the original workload.
 
     ``online=True`` drives every relayout through the continual-learning
     engine (``train_incremental`` + prioritized replay) instead of
     from-scratch retraining.
     """
-    if runs_before is None:
-        runs_before = max(scale.runs // 2, scale.update_every)
-    if runs_after is None:
-        runs_after = scale.runs
-    cluster = make_bluesky_cluster(seed=seed)
-    clock = SimulationClock()
-    files = belle2_file_population(seed=seed)
-    db = ReplayDB()
-    runner = WorkloadRunner(
-        cluster, Belle2Workload(files, seed=1), db, clock=clock
-    )
-    device_by_fsid = {
-        cluster.device(name).fsid: name for name in cluster.device_names
-    }
+    runs_before = max(scale.runs // 2, scale.update_every)
+    runner = bluesky_runner(seed, db=ReplayDB())
+    cluster, clock, db = runner.cluster, runner.clock, runner.db
+    files = runner.workload.files
     policy = GeomancyDynamicPolicy(
-        device_by_fsid,
+        device_map(cluster),
         make_experiment_config(scale, seed=seed, online_learning=online),
     )
     runner.ensure_files_placed(
@@ -218,6 +207,6 @@ def run_fig6(
                 break
         run_finished()
 
-    for _ in range(runs_after):
+    for _ in range(scale.runs):
         interleaved_tuned_run()
     return result

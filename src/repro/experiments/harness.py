@@ -46,8 +46,26 @@ from repro.workloads.belle2 import Belle2Workload
 from repro.workloads.files import FileSpec, belle2_file_population
 from repro.workloads.runner import WorkloadRunner
 
-#: seed of the BELLE II access stream every experiment measures under
+#: seed of the BELLE II access stream every experiment and control-loop
+#: harness measures under
 WORKLOAD_SEED = 1
+
+
+def bluesky_runner(seed: int, **wiring) -> WorkloadRunner:
+    """The BELLE II workload over a fresh Bluesky cluster and file
+    population, both built from ``seed``; ``wiring`` goes to the runner
+    (``db``, ``clock``, ``tolerate_offline``)."""
+    cluster = make_bluesky_cluster(seed=seed)
+    files = belle2_file_population(seed=seed)
+    return WorkloadRunner(
+        cluster, Belle2Workload(files, seed=WORKLOAD_SEED), **wiring
+    )
+
+
+def device_map(cluster: StorageCluster) -> dict[int, str]:
+    """fsid -> device name over ``cluster``: what a Geomancy policy
+    places files by."""
+    return {cluster.device(name).fsid: name for name in cluster.device_names}
 
 
 @dataclass
@@ -125,10 +143,6 @@ def consult_policy(
     return moves
 
 
-#: the workload access stream seed every control-loop harness shares
-WORKLOAD_SEED = 1
-
-
 def build_facade_loop(
     config: GeomancyConfig, *, seed: int, **wiring
 ) -> tuple[Geomancy, WorkloadRunner]:
@@ -140,14 +154,8 @@ def build_facade_loop(
     No file is placed yet: a fresh loop places and warms up
     (:func:`start_facade_loop`), a resumed one restores a checkpoint.
     """
-    cluster = make_bluesky_cluster(seed=seed)
-    files = belle2_file_population(seed=seed)
-    geo = Geomancy(cluster, files, config, **wiring)
-    runner = WorkloadRunner(
-        cluster,
-        Belle2Workload(files, seed=WORKLOAD_SEED),
-        tolerate_offline=True,
-    )
+    runner = bluesky_runner(seed, tolerate_offline=True)
+    geo = Geomancy(runner.cluster, runner.workload.files, config, **wiring)
     return geo, runner
 
 
@@ -313,11 +321,7 @@ def run_measured_loop(
 
 
 def shuffled_warm_up(
-    runner: WorkloadRunner,
-    files: list[FileSpec],
-    scale: ExperimentScale,
-    *,
-    seed: int,
+    runner: WorkloadRunner, scale: ExperimentScale, *, seed: int
 ) -> None:
     """Warm the runner's ReplayDB up under a random-dynamic layout.
 
@@ -326,7 +330,7 @@ def shuffled_warm_up(
     device) combinations -- the paper's warm-up data for Geomancy static
     likewise comes "from the dynamic random experiment".
     """
-    cluster, db = runner.cluster, runner.db
+    cluster, db, files = runner.cluster, runner.db, runner.workload.files
     shuffler = RandomDynamicPolicy(seed=seed)
     runner.ensure_files_placed(
         shuffler.initial_layout(files, cluster.device_names)
@@ -364,7 +368,7 @@ def run_policy_experiment(
     runner = WorkloadRunner(cluster, workload, db)
 
     # Every policy gets the identical warm-up for a fair comparison.
-    shuffled_warm_up(runner, files, scale, seed=seed)
+    shuffled_warm_up(runner, scale, seed=seed)
 
     # Hand the cluster over to the policy under test.
     layout = policy.initial_layout(files, cluster.device_names)

@@ -15,16 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.engine import DRLEngine
 from repro.errors import ExperimentError
 from repro.experiments.reporting import ascii_table
-from repro.experiments.table2_comparison import (
-    Table2Row,
-    collect_mount_telemetry,
-    run_table2,
-    table_config,
-)
-from repro.simulation.bluesky import BLUESKY_DEVICE_NAMES
+from repro.experiments.spec import ExperimentScale
+from repro.experiments.table2_comparison import Table2Row, run_table2
+from repro.experiments.table3_permount import run_table3
 
 #: Table II's lowest-error converged models that go on to the per-mount
 #: check (model 1 joins them if it is not among them)
@@ -89,14 +84,11 @@ class ModelSelectionResult:
 
 
 def run_model_selection(
-    *,
-    rows: int = 4000,
-    epochs: int = 60,
-    seed: int = 0,
+    *, scale: ExperimentScale, seed: int
 ) -> ModelSelectionResult:
-    """Run the full selection procedure."""
-    people = collect_mount_telemetry("people", rows, seed=seed)
-    table2 = run_table2(epochs=epochs, seed=seed, records=people)
+    """Run the full selection procedure: Table II, then Table III for
+    every shortlisted model."""
+    table2 = run_table2(scale=scale, seed=seed, workers=1).rows
     converged = [row for row in table2 if not row.diverged]
     if not converged:
         raise ExperimentError("every architecture diverged on people")
@@ -107,28 +99,19 @@ def run_model_selection(
         if one is not None:
             shortlist.append(one)
 
-    telemetry = {
-        mount: collect_mount_telemetry(mount, rows, seed=seed)
-        for mount in BLUESKY_DEVICE_NAMES
-        if mount != "people"
-    }
-    telemetry["people"] = people
-
-    candidates = []
-    for row in shortlist:
-        evaluation = CandidateEvaluation(
-            model_number=row.model_number, people_mare=row.mare
+    candidates = [
+        CandidateEvaluation(
+            model_number=row.model_number,
+            people_mare=row.mare,
+            per_mount={
+                mount.mount: (mount.mare, mount.diverged)
+                for mount in run_table3(
+                    scale=scale, seed=seed, model_number=row.model_number
+                ).rows
+            },
         )
-        for mount in BLUESKY_DEVICE_NAMES:
-            config = table_config(
-                row.model_number, rows, epochs=epochs, seed=seed
-            )
-            report = DRLEngine(config).train_on_records(telemetry[mount])
-            evaluation.per_mount[mount] = (
-                report.test_mare, report.diverged
-            )
-        candidates.append(evaluation)
-
+        for row in shortlist
+    ]
     viable = [c for c in candidates if c.converges_everywhere]
     pool = viable if viable else candidates
     selected = min(pool, key=lambda c: c.worst_mount_mare).model_number

@@ -15,7 +15,6 @@ the accounted telemetry-transfer latency per batch.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.agents.daemon import InterfaceDaemon
@@ -24,7 +23,11 @@ from repro.agents.transport import Transport
 from repro.core.config import GeomancyConfig
 from repro.core.engine import DRLEngine
 from repro.experiments.reporting import ascii_table
-from repro.experiments.table2_comparison import collect_mount_telemetry
+from repro.experiments.spec import ExperimentScale
+from repro.experiments.table2_comparison import (
+    collect_mount_telemetry,
+    train_and_time,
+)
 from repro.features.schema import EOS_MODEL_FEATURES
 from repro.replaydb.db import ReplayDB
 from repro.workloads.eos import EOSTraceSynthesizer
@@ -61,47 +64,39 @@ class OverheadResult:
         )
 
 
-def _measure(engine: DRLEngine, records) -> tuple[float, float]:
-    report = engine.train_on_records(records)
-    batch = engine.pipeline.transform_features(records[-6:])
-    repeats = 50
-    start = time.perf_counter()
-    for _ in range(repeats):
-        engine.model.predict(batch)
-    predict_ms = (time.perf_counter() - start) / repeats * 1000.0
-    return report.train_seconds, predict_ms
-
-
 def run_overhead_study(
-    *, rows: int = 4000, epochs: int = 60, seed: int = 0
+    *, scale: ExperimentScale, seed: int
 ) -> OverheadResult:
     """Measure training/prediction/transfer overheads."""
-    live_records = collect_mount_telemetry("people", rows, seed=seed)
+    rows = scale.training_rows
+    live_db = collect_mount_telemetry("people", rows, seed=seed)
     live_engine = DRLEngine(
-        GeomancyConfig(epochs=epochs, training_rows=rows, seed=seed)
+        GeomancyConfig(epochs=scale.epochs, training_rows=rows, seed=seed)
     )
-    live_train, live_predict = _measure(live_engine, live_records)
+    live_report, live_predict = train_and_time(live_engine, live_db)
 
-    eos_records = EOSTraceSynthesizer(seed=seed).records(rows)
+    eos_db = ReplayDB()
+    eos_db.insert_accesses(EOSTraceSynthesizer(seed=seed).records(rows))
     eos_engine = DRLEngine(
         GeomancyConfig(
             features=EOS_MODEL_FEATURES,
-            epochs=epochs,
+            epochs=scale.epochs,
             training_rows=rows,
             learning_rate=0.05,
             seed=seed,
         )
     )
-    eos_train, eos_predict = _measure(eos_engine, eos_records)
+    eos_report, eos_predict = train_and_time(eos_engine, eos_db)
 
     # Telemetry-transfer overhead: route one run's worth of records
     # through a monitoring agent into the daemon and read the accounted
     # per-batch latency (modeled at the paper's measured 3 ms).
+    records = live_db.recent_accesses(rows)[:320]
     telemetry = Transport()
     daemon = InterfaceDaemon(ReplayDB(), telemetry, Transport())
     agent = MonitoringAgent("people", telemetry, batch_size=32)
-    agent.observe_many(live_records[:320])
-    agent.flush(at=live_records[319].close_time)
+    agent.observe_many(records)
+    agent.flush(at=records[-1].close_time)
     daemon.pump_telemetry()
     transfer_ms = (
         daemon.transfer_overhead_s / max(daemon.batches_ingested, 1) * 1000.0
@@ -111,11 +106,11 @@ def run_overhead_study(
         rows=[
             OverheadRow(
                 "live (Bluesky telemetry, model 1)",
-                live_engine.config.z, live_train, live_predict,
+                live_engine.config.z, live_report.train_seconds, live_predict,
             ),
             OverheadRow(
                 "EOS trace (13 features, model 1)",
-                eos_engine.config.z, eos_train, eos_predict,
+                eos_engine.config.z, eos_report.train_seconds, eos_predict,
             ),
         ],
         transfer_ms_per_batch=transfer_ms,

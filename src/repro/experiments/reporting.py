@@ -12,6 +12,8 @@ from repro.errors import ExperimentError
 MEAN_STD_DIGITS = 2
 #: rows of the Fig. 5 movement-bar chart
 BAR_HEIGHT = 4
+#: accesses per point of the Fig. 5 / Fig. 6 throughput curves
+BUCKET_ACCESSES = 500
 
 
 def ascii_table(

@@ -16,6 +16,7 @@ movement history.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,10 +115,7 @@ class RobustnessResult:
 
 
 def run_robustness(
-    *,
-    seeds: tuple[int, ...] = (0, 1, 2, 3),
-    scale: ExperimentScale = TEST_SCALE,
-    workers: int = 1,
+    *, scale: ExperimentScale, seeds: Sequence[int], workers: int
 ) -> RobustnessResult:
     """Repeat Fig. 5a for each seed, as one (policy x seed) grid."""
     if not seeds:

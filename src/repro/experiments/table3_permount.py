@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.core.engine import DRLEngine
 from repro.experiments.reporting import ascii_table, mean_std
+from repro.experiments.spec import ExperimentScale
 from repro.experiments.table2_comparison import (
     collect_mount_telemetry,
     table_config,
@@ -26,7 +27,7 @@ MODEL_NUMBER = 1
 
 @dataclass
 class Table3Row:
-    """Model 1's error on one mount."""
+    """One model's error on one mount."""
 
     mount: str
     mare: float
@@ -38,21 +39,43 @@ class Table3Row:
         return max(0.0, 100.0 - self.mare)
 
 
-def run_table3(
-    *,
-    rows: int = 12_000,
-    epochs: int = 200,
-    seed: int = 0,
-) -> list[Table3Row]:
-    """Regenerate Table III: one training per mount."""
-    out = []
-    for mount in BLUESKY_DEVICE_NAMES:
-        records = collect_mount_telemetry(mount, rows, seed=seed)
-        config = table_config(
-            MODEL_NUMBER, len(records), epochs=epochs, seed=seed
+@dataclass
+class Table3Result:
+    """One row per Bluesky mount."""
+
+    rows: list[Table3Row]
+
+    def average_accuracy(self) -> float:
+        """The paper's "average accuracy of about 81.12% over all the
+        mounts"."""
+        return float(np.mean([row.accuracy_percent for row in self.rows]))
+
+    def to_text(self) -> str:
+        body = [
+            (
+                row.mount,
+                "Diverged" if row.diverged
+                else mean_std(row.mare, row.mare_std),
+            )
+            for row in self.rows
+        ]
+        table = ascii_table(
+            ["Storage point", "Absolute relative error (%)"],
+            body,
+            title="Table III -- model 1 accuracy per Bluesky storage point",
         )
-        report = DRLEngine(config).train_on_records(records)
-        out.append(
+        return f"{table}\naverage accuracy: {self.average_accuracy():.2f}%"
+
+
+def run_table3(
+    *, scale: ExperimentScale, seed: int, model_number: int = MODEL_NUMBER
+) -> Table3Result:
+    """Regenerate Table III: one training of ``model_number`` per mount."""
+    rows = []
+    for mount in BLUESKY_DEVICE_NAMES:
+        db = collect_mount_telemetry(mount, scale.training_rows, seed=seed)
+        report = DRLEngine(table_config(model_number, scale, seed)).train(db)
+        rows.append(
             Table3Row(
                 mount=mount,
                 mare=report.test_mare,
@@ -60,25 +83,4 @@ def run_table3(
                 diverged=report.diverged,
             )
         )
-    return out
-
-
-def average_accuracy(rows: list[Table3Row]) -> float:
-    """The paper's "average accuracy of about 81.12% over all the mounts"."""
-    return float(np.mean([row.accuracy_percent for row in rows]))
-
-
-def table3_text(rows: list[Table3Row]) -> str:
-    body = [
-        (
-            row.mount,
-            "Diverged" if row.diverged else mean_std(row.mare, row.mare_std),
-        )
-        for row in rows
-    ]
-    table = ascii_table(
-        ["Storage point", "Absolute relative error (%)"],
-        body,
-        title="Table III -- model 1 accuracy per Bluesky storage point",
-    )
-    return f"{table}\naverage accuracy: {average_accuracy(rows):.2f}%"
+    return Table3Result(rows)

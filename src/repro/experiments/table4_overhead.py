@@ -12,16 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ExperimentError
-from repro.experiments.harness import (
-    PolicyRunResult,
-    make_experiment_config,
-    run_policy_experiment,
-)
+from repro.experiments.fig5_comparison import GEOMANCY, run_policy_grid
+from repro.experiments.harness import PolicyRunResult
 from repro.experiments.reporting import ascii_table, mean_std
-from repro.experiments.spec import ExperimentScale, TEST_SCALE
-from repro.policies.geomancy_policy import GeomancyDynamicPolicy
-from repro.policies.static import SingleMountPolicy
-from repro.simulation.bluesky import BLUESKY_DEVICE_NAMES, make_bluesky_cluster
+from repro.experiments.spec import ExperimentScale
+from repro.simulation.bluesky import BLUESKY_DEVICE_NAMES
 
 
 @dataclass
@@ -76,27 +71,16 @@ class Table4Result:
         )
 
 
-def run_table4(
-    *,
-    scale: ExperimentScale = TEST_SCALE,
-    seed: int = 0,
-) -> Table4Result:
-    """Regenerate Table IV: every mount alone, then Geomancy."""
-    mount_results = {
-        mount: run_policy_experiment(
-            SingleMountPolicy(mount), scale=scale, seed=seed
-        )
-        for mount in BLUESKY_DEVICE_NAMES
-    }
-    cluster = make_bluesky_cluster(seed=seed)
-    device_by_fsid = {
-        cluster.device(name).fsid: name for name in cluster.device_names
-    }
-    geomancy = run_policy_experiment(
-        GeomancyDynamicPolicy(
-            device_by_fsid, make_experiment_config(scale, seed=seed)
-        ),
-        scale=scale,
-        seed=seed,
+def run_table4(*, scale: ExperimentScale, seed: int) -> Table4Result:
+    """Regenerate Table IV: every mount alone, then Geomancy.
+
+    One policy grid: a mount's name is its all-files-there policy, and
+    the Geomancy cell is Fig. 5's ``(GEOMANCY, scale, seed)`` cell.
+    """
+    (grid,) = run_policy_grid(
+        (*BLUESKY_DEVICE_NAMES, GEOMANCY), scale=scale, seeds=(seed,)
     )
-    return Table4Result(mounts=mount_results, geomancy=geomancy)
+    return Table4Result(
+        mounts={mount: grid.results[mount] for mount in BLUESKY_DEVICE_NAMES},
+        geomancy=grid.results[GEOMANCY],
+    )

@@ -21,7 +21,6 @@ available as optional features for ablation.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,13 +30,6 @@ from repro.features.smoothing import moving_average
 from repro.features.throughput import access_throughput
 from repro.observability import get_observability
 
-if TYPE_CHECKING:  # records imports this package; avoid the import cycle
-    from repro.replaydb.records import AccessRecord
-
-    #: what the pipeline accepts as telemetry: a window of columns, or
-    #: records (adapted to one through :func:`record_columns`)
-    Telemetry = dict[str, np.ndarray] | Sequence[AccessRecord]
-
 #: The Z = 6 live feature set (see the reproduction note above).
 DEFAULT_LIVE_FEATURES: tuple[str, ...] = (
     "rb", "wb", "ots", "otms", "fid", "fsid",
@@ -45,7 +37,9 @@ DEFAULT_LIVE_FEATURES: tuple[str, ...] = (
 
 #: The numeric fields every access carries, as the ReplayDB stores them.
 #: A telemetry *window* is a dict of equal-length float64 arrays keyed by
-#: these names (plus ``id`` and any ``extra`` telemetry a reader adds).
+#: these names (plus ``id`` and any ``extra`` telemetry a reader adds), as
+#: :meth:`repro.replaydb.db.ReplayDB.access_columns` returns it; it is
+#: the only telemetry the pipeline reads.
 NUMERIC_FIELDS: tuple[str, ...] = (
     "fid", "fsid", "rb", "wb", "ots", "otms", "cts", "ctms",
 )
@@ -76,8 +70,7 @@ def extra_columns(
     """One float64 column per ``extra`` name, read from each row's blob.
 
     ``blobs`` are the rows' extra-telemetry dicts (EOS-style ``rt``/
-    ``wt``/``nrc`` lives there), as records carry them and as the
-    ReplayDB stores them.
+    ``wt``/``nrc`` lives there), as the ReplayDB stores them.
     """
     columns = {}
     for name in extra:
@@ -91,22 +84,6 @@ def extra_columns(
                 f"feature {name!r} is neither a built-in column ({known}) "
                 "nor present in every record's extra telemetry"
             ) from None
-    return columns
-
-
-def record_columns(
-    records: "Sequence[AccessRecord]", extra: Sequence[str] = ()
-) -> dict[str, np.ndarray]:
-    """The records -> columns adapter: one window from a record list.
-
-    Carries every :data:`NUMERIC_FIELDS` column plus one column per name
-    in ``extra``, read from each record's ``extra`` dict.
-    """
-    columns = {
-        name: np.array([getattr(r, name) for r in records], dtype=np.float64)
-        for name in NUMERIC_FIELDS
-    }
-    columns.update(extra_columns([r.extra for r in records], extra))
     return columns
 
 
@@ -185,38 +162,22 @@ class FeaturePipeline:
         return self._x_norm.fitted and self._y_norm.fitted
 
     # -- raw extraction ----------------------------------------------------
-    def record_columns(
-        self, records: "Sequence[AccessRecord]"
-    ) -> dict[str, np.ndarray]:
-        """A record list as the window of columns this feature set reads."""
-        return record_columns(records, self.extra_features)
-
-    def _columns(self, telemetry: "Telemetry") -> dict[str, np.ndarray]:
-        if isinstance(telemetry, dict):
-            return telemetry
-        return self.record_columns(telemetry)
-
-    def _window(self, telemetry: "Telemetry") -> dict[str, np.ndarray]:
-        """``telemetry`` as columns, refusing an empty window."""
-        columns = self._columns(telemetry)
-        if not len(columns["fsid"]):
+    @staticmethod
+    def _window(columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """A telemetry window, refusing an empty one."""
+        if not columns or not len(columns["fsid"]):
             raise FeatureError("no records supplied")
         return columns
-
-    def feature_matrix(self, telemetry: "Telemetry") -> np.ndarray:
-        """Raw (unnormalized) feature matrix, one row per access."""
-        return self.feature_matrix_from_columns(self._window(telemetry))
 
     def feature_matrix_from_columns(
         self, columns: dict[str, np.ndarray]
     ) -> np.ndarray:
-        """Raw feature matrix from a window's column arrays.
+        """Raw (unnormalized) feature matrix, one row per access.
 
         Each feature is one vectorized expression over the flat arrays a
-        columnar ReplayDB reader (or :func:`record_columns`) returned.
+        columnar ReplayDB reader returned.
         """
-        if not columns:
-            raise FeatureError("no columns supplied")
+        self._window(columns)
         try:
             return np.column_stack([
                 _COLUMN_BUILDERS[name](columns)
@@ -229,7 +190,7 @@ class FeaturePipeline:
                 "read it with extra=pipeline.extra_features"
             ) from None
 
-    def target_vector(self, telemetry: "Telemetry") -> np.ndarray:
+    def target_vector(self, columns: dict[str, np.ndarray]) -> np.ndarray:
         """Raw throughput targets in bytes/s, smoothed with a moving average.
 
         The paper smooths ReplayDB data "to mitigate outliers" before
@@ -241,7 +202,7 @@ class FeaturePipeline:
         into one target level and erase the location signal the engine
         ranks candidate placements by.
         """
-        columns = self._window(telemetry)
+        columns = self._window(columns)
         if self.target == "throughput":
             values = access_throughput(
                 columns["rb"], columns["wb"], columns["ots"],
@@ -262,14 +223,16 @@ class FeaturePipeline:
         return out
 
     # -- normalization -----------------------------------------------------
-    def fit(self, telemetry: "Telemetry") -> "FeaturePipeline":
-        columns = self._window(telemetry)
-        self._x_norm.fit(self.feature_matrix(columns))
+    def fit(self, columns: dict[str, np.ndarray]) -> "FeaturePipeline":
+        columns = self._window(columns)
+        self._x_norm.fit(self.feature_matrix_from_columns(columns))
         self._y_norm.fit(self.target_vector(columns))
         self._fitted_features = self.features
         return self
 
-    def ensure_fitted(self, telemetry: "Telemetry") -> "FeaturePipeline":
+    def ensure_fitted(
+        self, columns: dict[str, np.ndarray]
+    ) -> "FeaturePipeline":
         """Fit normalization bounds once, then keep them frozen.
 
         Retrain cycles call this instead of ``fit``: as long as the feature
@@ -279,10 +242,12 @@ class FeaturePipeline:
         forces a refit because the column bounds no longer line up.
         """
         if not self.fitted or self._fitted_features != self.features:
-            self.fit(telemetry)
+            self.fit(columns)
         return self
 
-    def partial_fit(self, telemetry: "Telemetry") -> "FeaturePipeline":
+    def partial_fit(
+        self, columns: dict[str, np.ndarray]
+    ) -> "FeaturePipeline":
         """Merge new telemetry into the running normalization statistics.
 
         The online-learning update: each batch of fresh rows nudges the
@@ -293,10 +258,9 @@ class FeaturePipeline:
         """
         if self.normalization != "running":
             return self
-        columns = self._columns(telemetry)
         if not len(columns["fsid"]):
             return self
-        x = self.feature_matrix(columns)
+        x = self.feature_matrix_from_columns(columns)
         y = self.target_vector(columns)
         if not self.fitted or self._fitted_features != self.features:
             self._x_norm.fit(x)
@@ -307,28 +271,20 @@ class FeaturePipeline:
             self._y_norm.partial_fit(y)
         return self
 
-    def transform_features(self, telemetry: "Telemetry") -> np.ndarray:
+    def transform_features(self, columns: dict[str, np.ndarray]) -> np.ndarray:
         self._require_fitted()
-        x = self._x_norm.transform(self.feature_matrix(telemetry))
+        x = self._x_norm.transform(self.feature_matrix_from_columns(columns))
         self._m_rows.inc(len(x))
         return x
 
-    def transform_target(self, telemetry: "Telemetry") -> np.ndarray:
+    def transform_target(self, columns: dict[str, np.ndarray]) -> np.ndarray:
         self._require_fitted()
-        return self._y_norm.transform(self.target_vector(telemetry)).ravel()
+        return self._y_norm.transform(self.target_vector(columns)).ravel()
 
     def inverse_transform_target(self, y: np.ndarray) -> np.ndarray:
         """Map normalized model outputs back to bytes/s."""
         self._require_fitted()
         return self._y_norm.inverse_transform(np.asarray(y)).ravel()
-
-    def build_training_set(
-        self, telemetry: "Telemetry"
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fit on ``telemetry`` and return normalized ``(X, y)``."""
-        columns = self._window(telemetry)
-        self.fit(columns)
-        return self.transform_features(columns), self.transform_target(columns)
 
     # -- per-location probe batches ------------------------------------------
     def build_location_probe_parts(

@@ -49,8 +49,9 @@ MODEL_NAME = "model.npz"
 #: 3: the saved config has no method constants (2's has 18 more fields);
 #: 4: nor guardrail tunables (3's has 4 more fields);
 #: 5: the drift detector's state carries its Welford ``m2``;
-#: 6: neither overload-plane fields nor a drift detector (5 has both)
-FORMAT_VERSION = 6
+#: 6: neither overload-plane fields nor a drift detector (5 has both);
+#: 7: one provenance switch (6's config also has causal_tracing_enabled)
+FORMAT_VERSION = 7
 
 _GEN_PREFIX = "gen-"
 _STAGING_PREFIX = ".staging-"

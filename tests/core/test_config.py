@@ -51,7 +51,6 @@ class TestValidation:
             {"fallback_policy": "random"},
             {"online_learning": True, "model_number": 12},
             {"max_actionable_mare": -1.0},
-            {"provenance_enabled": True},
         ],
     )
     def test_invalid_rejected(self, kwargs):

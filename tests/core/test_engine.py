@@ -8,6 +8,7 @@ from repro.core.engine import REFIT_EPOCHS, DRLEngine
 from repro.errors import ModelError, ReplayDBError
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord
+from tests.oracles.record_features import record_columns, train_on_records
 
 
 def synthetic_records(n=400, n_devices=3, seed=0):
@@ -47,7 +48,7 @@ def small_config(**overrides):
 def trained_engine():
     engine = DRLEngine(small_config())
     records = synthetic_records()
-    report = engine.train_on_records(records)
+    report = train_on_records(engine, records)
     return engine, records, report
 
 
@@ -82,27 +83,27 @@ class TestTraining:
     def test_too_few_records_rejected(self):
         engine = DRLEngine(small_config())
         with pytest.raises(ModelError, match="at least 10"):
-            engine.train_on_records(synthetic_records(5))
+            train_on_records(engine, synthetic_records(5))
 
     def test_recurrent_model_trains(self):
         engine = DRLEngine(small_config(model_number=14, epochs=20))
-        report = engine.train_on_records(synthetic_records(200))
+        report = train_on_records(engine, synthetic_records(200))
         assert report.epochs == 20
 
     def test_warm_start_keeps_model_instance(self):
         engine = DRLEngine(small_config(epochs=5))
         records = synthetic_records(100)
-        engine.train_on_records(records)
+        train_on_records(engine, records)
         first = engine.model
-        engine.train_on_records(records)
+        train_on_records(engine, records)
         assert engine.model is first
 
     def test_warm_start_freezes_normalization(self):
         engine = DRLEngine(small_config(epochs=5))
         records = synthetic_records(100)
-        engine.train_on_records(records)
+        train_on_records(engine, records)
         norm_min = engine.pipeline._x_norm._min.copy()
-        engine.train_on_records(synthetic_records(150, seed=9))
+        train_on_records(engine, synthetic_records(150, seed=9))
         import numpy as np
         np.testing.assert_array_equal(engine.pipeline._x_norm._min, norm_min)
 
@@ -127,7 +128,7 @@ class TestRefitBudget:
     def test_first_fit_runs_every_epoch_without_validation(self):
         engine = DRLEngine(small_config(epochs=REFIT_EPOCHS + 5))
         calls = spy_fit(engine)
-        report = engine.train_on_records(synthetic_records(200))
+        report = train_on_records(engine, synthetic_records(200))
         assert calls == [(REFIT_EPOCHS + 5, False)]
         assert report.epochs == REFIT_EPOCHS + 5
 
@@ -137,9 +138,9 @@ class TestRefitBudget:
     def test_refit_stops_on_the_plateau_within_its_budget(self, epochs, budget):
         engine = DRLEngine(small_config(epochs=epochs))
         records = synthetic_records(200)
-        engine.train_on_records(records)
+        train_on_records(engine, records)
         calls = spy_fit(engine)
-        report = engine.train_on_records(records)
+        report = train_on_records(engine, records)
         assert calls == [(budget, True)]
         assert report.epochs <= budget
 
@@ -147,29 +148,33 @@ class TestRefitBudget:
 class TestPrediction:
     def test_per_location_predictions(self, trained_engine):
         engine, records, _ = trained_engine
-        scores = engine.predict_throughput_matrix([records[-1]], [0, 1, 2])
+        scores = engine.predict_throughput_matrix(record_columns([records[-1]]), [0, 1, 2])
         assert scores.shape == (1, 3)
         assert np.isfinite(scores).all()
 
     def test_faster_device_predicted_faster(self, trained_engine):
         engine, records, _ = trained_engine
-        slow, fast = engine.predict_throughput_matrix([records[-1]], [0, 2])[0]
+        slow, fast = engine.predict_throughput_matrix(
+            record_columns([records[-1]]), [0, 2]
+        )[0]
         # fsid 2 serves 3x the throughput of fsid 0 in the training data.
         assert fast > slow
 
     def test_predict_before_train_rejected(self):
         engine = DRLEngine(small_config())
         with pytest.raises(ModelError, match="trained before"):
-            engine.predict_throughput_matrix(synthetic_records(1), [0, 1])
+            engine.predict_throughput_matrix(
+                record_columns(synthetic_records(1)), [0, 1]
+            )
 
     def test_adjustment_toggle_changes_predictions(self):
         records = synthetic_records(300)
         on = DRLEngine(small_config(adjust_predictions=True))
         off = DRLEngine(small_config(adjust_predictions=False))
-        on.train_on_records(records)
-        off.train_on_records(records)
-        s_on = on.predict_throughput_matrix([records[-1]], [0])
-        s_off = off.predict_throughput_matrix([records[-1]], [0])
+        train_on_records(on, records)
+        train_on_records(off, records)
+        s_on = on.predict_throughput_matrix(record_columns([records[-1]]), [0])
+        s_off = off.predict_throughput_matrix(record_columns([records[-1]]), [0])
         if on.adjuster.mae > 1e-9:
             assert s_on[0, 0] != pytest.approx(s_off[0, 0])
 
@@ -208,7 +213,7 @@ class TestLatencyTarget:
         # lowest; a latency-target engine must pick it via argmin.
         records = synthetic_records(400)
         engine = DRLEngine(small_config(target="latency"))
-        engine.train_on_records(records)
+        train_on_records(engine, records)
         db = ReplayDB()
         db.insert_accesses(records)
         layout, gains = engine.propose_layout(
@@ -223,9 +228,9 @@ class TestLatencyTarget:
         pipeline = FeaturePipeline(
             features=("rb", "fsid"), smoothing_window=1, target="latency"
         )
-        pipeline.fit(records)
+        pipeline.fit(record_columns(records))
         raw = pipeline.inverse_transform_target(
-            pipeline.transform_target(records)
+            pipeline.transform_target(record_columns(records))
         )
         expected = np.array([r.duration for r in records])
         np.testing.assert_allclose(raw, expected, rtol=1e-9)

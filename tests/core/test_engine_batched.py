@@ -25,6 +25,7 @@ from tests.oracles.decision_loop import (
     ordered_column_sum,
     propose_layout_reference,
 )
+from tests.oracles.record_features import record_columns
 from tests.oracles.record_windows import RecordWindows
 
 RTOL = 1e-9
@@ -97,10 +98,14 @@ class TestProposeLayoutEquivalence:
         engine, db = engine_db
         bases = db.recent_accesses(10)
         fsids = sorted(_device_map())
-        matrix = engine.predict_throughput_matrix(bases, fsids)
+        matrix = engine.predict_throughput_matrix(
+            record_columns(bases), fsids
+        )
         assert matrix.shape == (len(bases), len(fsids))
         for i, base in enumerate(bases):
-            row = engine.predict_throughput_matrix([base], fsids)[0]
+            row = engine.predict_throughput_matrix(
+                record_columns([base]), fsids
+            )[0]
             for j in range(len(fsids)):
                 assert math.isclose(
                     float(matrix[i, j]), float(row[j]),
@@ -144,7 +149,9 @@ class TestRankingCorrelationBatched:
         fsids = sorted(observed)
         totals = {fsid: 0.0 for fsid in fsids}
         for base in db.recent_accesses(32):
-            row = engine.predict_throughput_matrix([base], fsids)[0]
+            row = engine.predict_throughput_matrix(
+                record_columns([base]), fsids
+            )[0]
             for fsid, score in zip(fsids, row):
                 totals[fsid] += float(score)
         legacy = _spearman(

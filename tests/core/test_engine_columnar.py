@@ -1,9 +1,8 @@
 """The engine's columnar learner path: same bits, no records.
 
 ``train`` reads the ReplayDB window as columns -- extra-telemetry
-features included; ``train_on_records`` adapts records into the same
-training body.  Reports, weights and provenance must agree bit for bit
-with an engine reading records (``tests/oracles/record_windows.py``),
+features included.  Reports, weights and provenance must agree bit for
+bit with an engine reading records (``tests/oracles/record_windows.py``),
 online included, and no decision epoch may build an ``AccessRecord``.
 """
 
@@ -76,7 +75,7 @@ class TestTrainMatchesTrainOnRecords:
         for _ in range(2):  # cold start, then a warm-started cycle
             records = db.recent_accesses(config.training_rows)
             a = by_columns.train(db)
-            b = by_records.train_on_records(records)
+            b = by_records.train(RecordWindows(db))
             assert report_fields(a) == report_fields(b)
             assert weights_equal(by_columns, by_records)
             assert (
@@ -117,9 +116,7 @@ class TestTrainMatchesTrainOnRecords:
         config = scratch_config(model_number=13, epochs=3)
         by_columns, by_records = DRLEngine(config), DRLEngine(config)
         a = by_columns.train(db)
-        b = by_records.train_on_records(
-            db.recent_accesses(config.training_rows)
-        )
+        b = by_records.train(RecordWindows(db))
         assert report_fields(a) == report_fields(b)
         assert weights_equal(by_columns, by_records)
 
@@ -135,7 +132,7 @@ class TestTrainMatchesTrainOnRecords:
             from_db.capture_provenance = True
             assert from_db.pipeline.extra_features
             a = from_db.train(db)
-            b = from_records.train_on_records(records)
+            b = from_records.train(RecordWindows(db))
             assert report_fields(a) == report_fields(b)
             assert weights_equal(from_db, from_records)
             assert from_db.last_window == (1, 500)

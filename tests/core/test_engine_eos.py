@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import GeomancyConfig
 from repro.core.engine import DRLEngine
 from repro.features.schema import EOS_MODEL_FEATURES
+from repro.replaydb.db import ReplayDB
 from repro.workloads.eos import EOSTraceSynthesizer
 
 
@@ -20,8 +21,10 @@ def eos_engine():
         seed=0,
     )
     engine = DRLEngine(config)
-    report = engine.train_on_records(records)
-    return engine, records, report
+    db = ReplayDB()
+    db.insert_accesses(records)
+    report = engine.train(db)
+    return engine, db, report
 
 
 class TestEOSConfiguration:
@@ -41,13 +44,18 @@ class TestEOSConfiguration:
         assert report.test_mare < 15.0
 
     def test_extra_telemetry_feeds_features(self, eos_engine):
-        engine, records, _ = eos_engine
-        # rt/nrc etc. come from record.extra; the pipeline must have
-        # consumed them without error for training to have run.
-        matrix = engine.pipeline.feature_matrix(records[:10])
+        engine, db, _ = eos_engine
+        # rt/nrc etc. come from each record's extra telemetry, which the
+        # ReplayDB window decodes for the pipeline.
+        matrix = engine.pipeline.feature_matrix_from_columns(db.access_columns(
+            ids=range(1, 11), extra=engine.pipeline.extra_features
+        ))
         assert matrix.shape == (10, 13)
 
     def test_location_probe_works_with_eos_features(self, eos_engine):
-        engine, records, _ = eos_engine
-        scores = engine.predict_throughput_matrix([records[-1]], [0, 1, 2])
+        engine, db, _ = eos_engine
+        scores = engine.predict_throughput_matrix(
+            db.access_columns(limit=1, extra=engine.pipeline.extra_features),
+            [0, 1, 2],
+        )
         assert scores.shape == (1, 3)

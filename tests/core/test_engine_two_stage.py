@@ -25,6 +25,7 @@ from repro.policies.static import EvenSpreadPolicy
 from repro.simulation.topologies import make_scaled_cluster
 from tests.core.test_engine_batched import engine_and_db
 from tests.oracles.decision_loop import propose_layout_reference, top_devices
+from tests.oracles.record_features import record_columns
 
 TOP = engine_module.PROBE_TOP_DEVICES
 
@@ -152,7 +153,9 @@ class TestThirtyTwoDevices:
             engine.propose_layout(db, [fid], devices)
         finally:
             engine.capture_provenance = False
-        expected = engine.predict_throughput_matrix(recent, [current])
+        expected = engine.predict_throughput_matrix(
+            record_columns(recent), [current]
+        )
         assert engine.last_candidates[fid][current] == pytest.approx(
             float(expected.mean()), rel=1e-12
         )
@@ -238,8 +241,8 @@ class TestProvenance:
             seed=0, epochs=5, training_rows=1500, cooldown_runs=5,
             features=("rb", "wb", "otms", "fid", "fsid"),
             require_skill=False, require_ranking_sanity=False,
-            max_actionable_mare=1e18, causal_tracing_enabled=True,
-            provenance_enabled=True, provenance_path=str(ledger),
+            max_actionable_mare=1e18, provenance_enabled=True,
+            provenance_path=str(ledger),
         ))
         geo.place_initial()
         runner = WorkloadRunner(

@@ -41,10 +41,10 @@ class TestRobustness:
         with pytest.raises(ExperimentError):
             RobustnessResult(outcomes=[])
         with pytest.raises(ExperimentError):
-            run_robustness(seeds=())
+            run_robustness(seeds=(), scale=TINY, workers=1)
 
     def test_runs_across_seeds(self):
-        result = run_robustness(seeds=(0, 1), scale=TINY)
+        result = run_robustness(seeds=(0, 1), scale=TINY, workers=1)
         assert [o.seed for o in result.outcomes] == [0, 1]
         text = result.to_text()
         assert "win rate" in text and "median gain" in text
@@ -53,7 +53,13 @@ class TestRobustness:
 class TestOverheadStudy:
     @pytest.fixture(scope="class")
     def study(self):
-        return run_overhead_study(rows=400, epochs=4, seed=0)
+        return run_overhead_study(
+            scale=ExperimentScale(
+                name="overhead", warmup_accesses=150, runs=5,
+                update_every=3, training_rows=400, epochs=4, trace_rows=1000,
+            ),
+            seed=0,
+        )
 
     def test_both_feature_sets_measured(self, study):
         assert [row.z for row in study.rows] == [6, 13]

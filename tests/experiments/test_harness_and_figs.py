@@ -107,7 +107,7 @@ class TestFig5:
             fig5a.mean("nope")
 
     def test_text_rendering(self, fig5a):
-        text = fig5a.to_text(bucket=100)
+        text = fig5a.to_text()
         assert "Geomancy dynamic" in text
 
     def test_fig5b_static_policies(self):
@@ -159,7 +159,7 @@ class TestTable4:
 class TestFig6:
     @pytest.fixture(scope="class")
     def fig6(self):
-        return run_fig6(scale=TINY, seed=0, runs_before=4, runs_after=6)
+        return run_fig6(scale=TINY, seed=0, online=False)
 
     def test_series_collected_on_both_sides(self, fig6):
         assert fig6.disturbance_access > 0
@@ -171,5 +171,5 @@ class TestFig6:
         assert fig6.recovery_ratio() > 0
 
     def test_text_rendering(self, fig6):
-        text = fig6.to_text(bucket=50)
+        text = fig6.to_text()
         assert "Fig. 6" in text and "dip ratio" in text

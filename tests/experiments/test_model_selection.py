@@ -1,13 +1,16 @@
 """Tests for the section V-G model-selection procedure."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import model_selection
+from repro.experiments import model_selection, table3_permount
 from repro.experiments.model_selection import (
     CandidateEvaluation,
     run_model_selection,
 )
+from repro.experiments.spec import TEST_SCALE
 
 
 class TestCandidateEvaluation:
@@ -56,9 +59,14 @@ class TestEndToEnd:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(model_selection, "SHORTLIST_SIZE", 2)
             patch.setattr(
-                model_selection, "BLUESKY_DEVICE_NAMES", ("people", "USBtmp")
+                table3_permount, "BLUESKY_DEVICE_NAMES", ("people", "USBtmp")
             )
-            return run_model_selection(rows=500, epochs=5, seed=0)
+            return run_model_selection(
+                scale=dataclasses.replace(
+                    TEST_SCALE, training_rows=500, epochs=5
+                ),
+                seed=0,
+            )
 
     def test_table2_complete(self, result):
         assert len(result.table2) == 23

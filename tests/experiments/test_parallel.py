@@ -7,16 +7,15 @@ from seeds.  Equality below is dataclass equality over float lists -- no
 tolerances.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import fig5_comparison, parallel, table2_comparison
 from repro.experiments.robustness import run_robustness
 from repro.experiments.spec import ExperimentScale
-from repro.experiments.table2_comparison import (
-    collect_mount_telemetry,
-    run_table2,
-)
+from repro.experiments.table2_comparison import run_table2
 
 TINY = ExperimentScale(
     name="tiny",
@@ -47,9 +46,11 @@ class TestRunCells:
         self, workers, monkeypatch
     ):
         monkeypatch.setattr(table2_comparison, "MODEL_NUMBERS", (1,))
-        records = collect_mount_telemetry("people", 150, seed=0)
         with pytest.raises(ExperimentError, match="workers must be >= 1"):
-            run_table2(records=records, epochs=1, workers=workers)
+            run_table2(
+                scale=dataclasses.replace(TINY, epochs=1), seed=0,
+                workers=workers,
+            )
 
     def test_single_cell_skips_pool(self):
         assert parallel.run_cells(_square, [5], workers=8) == [25]
@@ -61,7 +62,7 @@ def _square(n: int) -> int:
 
 class TestParallelMatchesSerial:
     def test_robustness_bit_for_bit(self):
-        serial = run_robustness(seeds=(0, 1), scale=TINY)
+        serial = run_robustness(seeds=(0, 1), scale=TINY, workers=1)
         par = run_robustness(seeds=(0, 1), scale=TINY, workers=2)
         assert serial == par
 
@@ -71,9 +72,9 @@ class TestParallelMatchesSerial:
 
     def test_table2_accuracy_columns_deterministic(self, monkeypatch):
         monkeypatch.setattr(table2_comparison, "MODEL_NUMBERS", (1, 2))
-        records = collect_mount_telemetry("people", 150, seed=0)
-        serial = run_table2(records=records, epochs=2)
-        par = run_table2(records=records, epochs=2, workers=2)
+        scale = dataclasses.replace(TINY, epochs=2)
+        serial = run_table2(scale=scale, seed=0, workers=1).rows
+        par = run_table2(scale=scale, seed=0, workers=2).rows
         for s, p in zip(serial, par):
             # Wall-clock columns differ across processes by design; every
             # deterministic column must agree exactly.

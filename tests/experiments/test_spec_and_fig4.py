@@ -1,5 +1,7 @@
 """Tests for experiment scales and the Fig. 4 experiment."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -57,13 +59,15 @@ class TestScales:
 class TestFig4:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig4(rows=3000, seed=4)
+        return run_fig4(
+            scale=dataclasses.replace(TEST_SCALE, trace_rows=3000), seed=4
+        )
 
     def test_chosen_fields_are_papers(self, result):
-        assert set(result.chosen) == set(CHOSEN_FIELDS)
+        assert set(result.report.chosen) == set(CHOSEN_FIELDS)
 
     def test_chosen_fields_not_negative(self, result):
-        for name in result.chosen:
+        for name in result.report.chosen:
             assert result.report.sign_of(name) >= 0, name
 
     def test_dropped_fields_strongly_negative(self, result):

@@ -1,37 +1,39 @@
 """Tests for the Table I / II / III experiment harnesses (small scale)."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import table2_comparison, table3_permount
-from repro.experiments.table1_zoo import table1_rows, table1_text
+from repro.experiments.spec import TEST_SCALE
+from repro.experiments.table1_zoo import run_table1
 from repro.experiments.table2_comparison import (
     Table2Row,
     collect_mount_telemetry,
     run_table2,
-    table2_text,
 )
-from repro.experiments.table3_permount import (
-    average_accuracy,
-    run_table3,
-    table3_text,
-)
+from repro.experiments.table3_permount import run_table3
+
+
+def small(epochs: int):
+    return dataclasses.replace(TEST_SCALE, training_rows=700, epochs=epochs)
 
 
 class TestTable1:
     def test_23_rows(self):
-        rows = table1_rows()
+        rows = run_table1().rows
         assert len(rows) == 23
         assert rows[0][0] == 1
 
     def test_model1_description(self):
-        rows = dict(table1_rows(z=6))
+        rows = dict(run_table1().rows)
         assert rows[1] == (
             "96 (Dense) Relu, 48 (Dense) Relu, 24 (Dense) Relu, "
             "1 (Dense) Linear"
         )
 
     def test_text_contains_all_models(self):
-        text = table1_text()
+        text = run_table1().to_text()
         for number in range(1, 24):
             assert f"Model {number}" in text
 
@@ -42,9 +44,9 @@ def telemetry():
 
 
 class TestTable2:
-    def test_subset_evaluation(self, telemetry, monkeypatch):
+    def test_subset_evaluation(self, monkeypatch):
         monkeypatch.setattr(table2_comparison, "MODEL_NUMBERS", (1, 11))
-        rows = run_table2(epochs=5, records=telemetry)
+        rows = run_table2(scale=small(5), seed=0, workers=1).rows
         assert [r.model_number for r in rows] == [1, 11]
         for row in rows:
             assert row.train_seconds > 0
@@ -56,47 +58,47 @@ class TestTable2:
         assert "±" in ok.error_cell()
         assert bad.error_cell() == "Diverged"
 
-    def test_recurrent_model_evaluates(self, telemetry, monkeypatch):
+    def test_recurrent_model_evaluates(self, monkeypatch):
         monkeypatch.setattr(table2_comparison, "MODEL_NUMBERS", (14,))
-        rows = run_table2(epochs=3, records=telemetry)
+        rows = run_table2(scale=small(3), seed=0, workers=1).rows
         assert rows[0].model_number == 14
 
-    def test_text_rendering(self, telemetry, monkeypatch):
+    def test_text_rendering(self, monkeypatch):
         monkeypatch.setattr(table2_comparison, "MODEL_NUMBERS", (1,))
-        rows = run_table2(epochs=3, records=telemetry)
-        text = table2_text(rows)
+        text = run_table2(scale=small(3), seed=0, workers=1).to_text()
         assert "Table II" in text and "Prediction time" in text
 
     def test_telemetry_is_single_mount(self, telemetry):
-        assert {r.device for r in telemetry} == {"people"}
+        assert telemetry.devices() == ["people"]
+        assert telemetry.access_count() >= 700
 
 
 class TestTable3:
     @pytest.fixture(scope="class")
-    def rows(self):
+    def result(self):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
                 table3_permount, "BLUESKY_DEVICE_NAMES", ("USBtmp", "file0")
             )
-            return run_table3(rows=700, epochs=8, seed=0)
+            return run_table3(scale=small(8), seed=0)
 
-    def test_one_row_per_mount(self, rows):
-        assert [r.mount for r in rows] == ["USBtmp", "file0"]
+    def test_one_row_per_mount(self, result):
+        assert [r.mount for r in result.rows] == ["USBtmp", "file0"]
 
-    def test_errors_positive(self, rows):
-        for row in rows:
+    def test_errors_positive(self, result):
+        for row in result.rows:
             assert row.mare > 0
 
-    def test_accuracy_complement(self, rows):
-        for row in rows:
+    def test_accuracy_complement(self, result):
+        for row in result.rows:
             assert row.accuracy_percent == pytest.approx(
                 max(0.0, 100.0 - row.mare)
             )
 
-    def test_average_accuracy(self, rows):
-        avg = average_accuracy(rows)
+    def test_average_accuracy(self, result):
+        avg = result.average_accuracy()
         assert 0.0 <= avg <= 100.0
 
-    def test_text_rendering(self, rows):
-        text = table3_text(rows)
+    def test_text_rendering(self, result):
+        text = result.to_text()
         assert "Table III" in text and "average accuracy" in text

@@ -1,7 +1,9 @@
-"""Columns vs records: the columnar learner window against the per-record oracle.
+"""Columns vs records: the ReplayDB learner window against the per-record oracle.
 
-Every comparison is ``np.array_equal`` -- the columnar pipeline must not
-move a single bit of what the per-record loops produced.
+The pipeline reads only ReplayDB windows; every comparison holds one to
+the record-built reference with ``np.array_equal`` -- the columnar
+pipeline must not move a single bit of what the per-record loops
+produced.
 """
 
 import numpy as np
@@ -12,7 +14,6 @@ from repro.features.pipeline import (
     DEFAULT_LIVE_FEATURES,
     NUMERIC_FIELDS,
     FeaturePipeline,
-    record_columns,
 )
 from repro.features.schema import EOS_MODEL_FEATURES
 from repro.replaydb.db import PROBE_FIELDS, ReplayDB
@@ -22,8 +23,10 @@ from repro.workloads.eos import EOSTraceSynthesizer
 from repro.workloads.files import belle2_file_population
 from repro.workloads.runner import WorkloadRunner
 from tests.oracles.record_features import (
+    record_columns,
     record_feature_matrix,
     record_target_vector,
+    training_set,
 )
 from tests.oracles.probe_grid import location_probe_batch
 
@@ -186,9 +189,8 @@ class TestColumnsMatchRecordLoops:
         for telemetry in (
             spread_db.access_columns(limit=600),
             record_columns(records),
-            records,
         ):
-            got = pipeline.feature_matrix(telemetry)
+            got = pipeline.feature_matrix_from_columns(telemetry)
             assert got.flags.c_contiguous
             assert np.array_equal(got, expected)
 
@@ -202,8 +204,10 @@ class TestColumnsMatchRecordLoops:
         pipeline = FeaturePipeline(
             target=target, smoothing_window=smoothing_window
         )
-        for telemetry in (spread_db.access_columns(limit=600), records):
-            assert np.array_equal(pipeline.target_vector(telemetry), expected)
+        assert np.array_equal(
+            pipeline.target_vector(spread_db.access_columns(limit=600)),
+            expected,
+        )
 
     def test_window_holding_a_single_device(self, single_device_db):
         records = single_device_db.recent_accesses(300)
@@ -214,9 +218,9 @@ class TestColumnsMatchRecordLoops:
             pipeline.target_vector(columns),
             record_target_vector(records, smoothing_window=10),
         )
-        x, y = pipeline.build_training_set(columns)
-        x_ref, y_ref = FeaturePipeline(smoothing_window=10).build_training_set(
-            records
+        x, y = training_set(pipeline, columns)
+        x_ref, y_ref = training_set(
+            FeaturePipeline(smoothing_window=10), record_columns(records)
         )
         assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
         # fsid is a constant column in this window: it maps to the midpoint
@@ -226,40 +230,50 @@ class TestColumnsMatchRecordLoops:
         pipeline = FeaturePipeline(
             features=EOS_MODEL_FEATURES, smoothing_window=10
         )
-        columns = pipeline.record_columns(eos_records)
-        assert set(columns) == {*NUMERIC_FIELDS, *pipeline.extra_features}
-        for telemetry in (columns, eos_records):
-            assert np.array_equal(
-                pipeline.feature_matrix(telemetry),
-                record_feature_matrix(EOS_MODEL_FEATURES, eos_records),
-            )
-            assert np.array_equal(
-                pipeline.target_vector(telemetry),
-                record_target_vector(eos_records, smoothing_window=10),
-            )
+        with ReplayDB() as db:
+            db.insert_accesses(eos_records)
+            columns = db.access_columns(extra=pipeline.extra_features)
+        assert set(columns) == {
+            "id", *NUMERIC_FIELDS, *pipeline.extra_features
+        }
+        assert np.array_equal(
+            pipeline.feature_matrix_from_columns(columns),
+            record_feature_matrix(EOS_MODEL_FEATURES, eos_records),
+        )
+        assert np.array_equal(
+            pipeline.target_vector(columns),
+            record_target_vector(eos_records, smoothing_window=10),
+        )
 
     def test_normalized_training_set_and_probe(self, spread_db):
-        """fit + transform + probe tensor: same bits from either carrier."""
+        """fit + transform + probe tensor: the ReplayDB window gives the
+        record-built reference's bits."""
         records = spread_db.recent_accesses(600)
         columns = spread_db.access_columns(limit=600)
         by_records, by_columns = FeaturePipeline(), FeaturePipeline()
-        x_r, y_r = by_records.build_training_set(records)
-        x_c, y_c = by_columns.build_training_set(columns)
+        x_r, y_r = training_set(by_records, record_columns(records))
+        x_c, y_c = training_set(by_columns, columns)
         assert np.array_equal(x_r, x_c) and np.array_equal(y_r, y_c)
         assert by_records.state_dict() == by_columns.state_dict()
         bases = spread_db.access_columns(limit=32)
         assert np.array_equal(
             location_probe_batch(by_columns, bases, [1, 2, 3]),
-            location_probe_batch(by_records, records[-32:], [1, 2, 3]),
+            location_probe_batch(
+                by_records, record_columns(records[-32:]), [1, 2, 3]
+            ),
         )
 
     def test_running_normalization_partial_fit(self, spread_db):
         records = spread_db.recent_accesses(600)
+        hi = spread_db.max_rowid()
         by_records = FeaturePipeline(normalization="running")
         by_columns = FeaturePipeline(normalization="running")
         for lo in range(0, 600, 150):
-            by_records.partial_fit(records[lo : lo + 150])
-            by_columns.partial_fit(record_columns(records[lo : lo + 150]))
+            by_records.partial_fit(record_columns(records[lo : lo + 150]))
+            first = hi - 600 + lo + 1
+            by_columns.partial_fit(
+                spread_db.access_columns(ids=range(first, first + 150))
+            )
         assert by_records.state_dict() == by_columns.state_dict()
         empty = spread_db.access_columns(since=spread_db.max_rowid())
         assert by_columns.partial_fit(empty).state_dict() == (
@@ -271,11 +285,15 @@ class TestWindowErrors:
     def test_empty_window_refused(self, spread_db):
         empty = spread_db.access_columns(since=spread_db.max_rowid())
         with pytest.raises(FeatureError, match="no records"):
-            FeaturePipeline().feature_matrix(empty)
+            FeaturePipeline().feature_matrix_from_columns(empty)
         with pytest.raises(FeatureError, match="no records"):
-            FeaturePipeline().target_vector([])
+            FeaturePipeline().target_vector(empty)
 
     def test_extra_feature_missing_from_a_record(self, eos_records):
         pipeline = FeaturePipeline(features=("rb", "fsid", "no_such_key"))
-        with pytest.raises(FeatureError, match="neither a built-in"):
-            pipeline.feature_matrix(eos_records)
+        with ReplayDB() as db:
+            db.insert_accesses(eos_records[:20])
+            with pytest.raises(FeatureError, match="neither a built-in"):
+                db.access_columns(extra=pipeline.extra_features)
+            with pytest.raises(FeatureError, match="not a column"):
+                pipeline.feature_matrix_from_columns(db.access_columns())

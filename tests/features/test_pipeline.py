@@ -11,6 +11,7 @@ from repro.features.pipeline import (
 )
 from repro.replaydb.records import AccessRecord
 from tests.oracles.probe_grid import location_probe_batch
+from tests.oracles.record_features import record_columns, training_set
 
 
 def make_records(n=60, n_files=4, n_devices=3):
@@ -39,9 +40,17 @@ def records():
     return make_records()
 
 
+def window(records, extra=("rt", "nrc")):
+    """``records`` as the window of columns the pipeline reads."""
+    return record_columns(records, extra)
+
+
 def column(records, name):
     """One raw feature column, read the way the learner reads it."""
-    return FeaturePipeline(features=(name,)).feature_matrix(records)[:, 0]
+    pipeline = FeaturePipeline(features=(name,))
+    return pipeline.feature_matrix_from_columns(
+        window(records, pipeline.extra_features)
+    )[:, 0]
 
 
 class TestRecordColumn:
@@ -76,9 +85,9 @@ class TestPipelineConstruction:
         # A pipeline without fsid is fine for accuracy experiments
         # (Tables II/III) but cannot build per-location probes.
         pipeline = FeaturePipeline(features=("rb", "wb"))
-        pipeline.fit(make_records())
+        pipeline.fit(window(make_records()))
         with pytest.raises(FeatureError, match="fsid"):
-            location_probe_batch(pipeline, [make_records()[0]], [0, 1])
+            location_probe_batch(pipeline, window([make_records()[0]]), [0, 1])
 
     def test_empty_features_rejected(self):
         with pytest.raises(FeatureError):
@@ -92,18 +101,18 @@ class TestPipelineConstruction:
 class TestTrainingSet:
     def test_shapes(self, records):
         pipeline = FeaturePipeline()
-        x, y = pipeline.build_training_set(records)
+        x, y = training_set(pipeline, window(records))
         assert x.shape == (len(records), 6)
         assert y.shape == (len(records),)
 
     def test_normalized_to_unit_interval(self, records):
-        x, y = FeaturePipeline().build_training_set(records)
+        x, y = training_set(FeaturePipeline(), window(records))
         assert x.min() >= 0.0 and x.max() <= 1.0
         assert y.min() >= 0.0 and y.max() <= 1.0
 
     def test_target_round_trip(self, records):
         pipeline = FeaturePipeline(smoothing_window=1)
-        _, y = pipeline.build_training_set(records)
+        _, y = training_set(pipeline, window(records))
         raw = pipeline.inverse_transform_target(y)
         expected = np.array([r.throughput for r in records])
         np.testing.assert_allclose(raw, expected, rtol=1e-9)
@@ -111,42 +120,42 @@ class TestTrainingSet:
     def test_smoothing_applied_to_target(self, records):
         rough = FeaturePipeline(smoothing_window=1)
         smooth = FeaturePipeline(smoothing_window=10)
-        _, y_rough = rough.build_training_set(records)
-        _, y_smooth = smooth.build_training_set(records)
+        _, y_rough = training_set(rough, window(records))
+        _, y_smooth = training_set(smooth, window(records))
         raw_rough = rough.inverse_transform_target(y_rough)
         raw_smooth = smooth.inverse_transform_target(y_smooth)
         assert np.var(raw_smooth) < np.var(raw_rough)
 
     def test_empty_records_raise(self):
         with pytest.raises(FeatureError):
-            FeaturePipeline().build_training_set([])
+            training_set(FeaturePipeline(), window([]))
 
     def test_use_before_fit_raises(self, records):
         pipeline = FeaturePipeline()
         with pytest.raises(FeatureError, match="before fit"):
-            pipeline.transform_features(records)
+            pipeline.transform_features(window(records))
 
     def test_eos_style_features_from_extra(self, records):
         pipeline = FeaturePipeline(
             features=("rb", "wb", "fsid", "rt", "nrc")
         )
-        x, _ = pipeline.build_training_set(records)
+        x, _ = training_set(pipeline, window(records))
         assert x.shape[1] == 5
 
 
 class TestLocationProbe:
     def test_one_row_per_candidate(self, records):
         pipeline = FeaturePipeline()
-        pipeline.fit(records)
+        pipeline.fit(window(records))
         probe = location_probe_batch(
-            pipeline, [records[0]], [0, 1, 2, 3, 4]
+            pipeline, window([records[0]]), [0, 1, 2, 3, 4]
         )
         assert probe.shape == (5, 6)
 
     def test_only_fsid_column_varies(self, records):
         pipeline = FeaturePipeline()
-        pipeline.fit(records)
-        probe = location_probe_batch(pipeline, [records[0]], [0, 1, 2])
+        pipeline.fit(window(records))
+        probe = location_probe_batch(pipeline, window([records[0]]), [0, 1, 2])
         fsid_col = pipeline.features.index("fsid")
         other_cols = [i for i in range(6) if i != fsid_col]
         for col in other_cols:
@@ -155,53 +164,53 @@ class TestLocationProbe:
 
     def test_current_location_includable(self, records):
         pipeline = FeaturePipeline()
-        pipeline.fit(records)
+        pipeline.fit(window(records))
         base = records[0]
-        probe = location_probe_batch(pipeline, [base], [base.fsid, 99])
+        probe = location_probe_batch(pipeline, window([base]), [base.fsid, 99])
         assert probe.shape[0] == 2
 
     def test_empty_candidates_raise(self, records):
         pipeline = FeaturePipeline()
-        pipeline.fit(records)
+        pipeline.fit(window(records))
         with pytest.raises(FeatureError):
-            location_probe_batch(pipeline, [records[0]], [])
+            location_probe_batch(pipeline, window([records[0]]), [])
 
     def test_probe_before_fit_raises(self, records):
         with pytest.raises(FeatureError):
-            location_probe_batch(FeaturePipeline(), [records[0]], [0, 1])
+            location_probe_batch(FeaturePipeline(), window([records[0]]), [0, 1])
 
 
 class TestBatchedProbe:
     def test_batch_stacks_per_base_probes(self, records):
         """The batched tensor is bitwise the per-base probes, stacked."""
         pipeline = FeaturePipeline()
-        pipeline.fit(records)
+        pipeline.fit(window(records))
         bases = records[:7]
         fsids = [0, 1, 2]
-        batch = location_probe_batch(pipeline, bases, fsids)
+        batch = location_probe_batch(pipeline, window(bases), fsids)
         assert batch.shape == (len(bases) * len(fsids), pipeline.z)
         expected = np.vstack(
-            [location_probe_batch(pipeline, [base], fsids) for base in bases]
+            [location_probe_batch(pipeline, window([base]), fsids) for base in bases]
         )
         assert np.array_equal(batch, expected)
 
     def test_empty_bases_raise(self, records):
         pipeline = FeaturePipeline()
-        pipeline.fit(records)
+        pipeline.fit(window(records))
         with pytest.raises(FeatureError):
-            location_probe_batch(pipeline, [], [0, 1])
+            location_probe_batch(pipeline, window([]), [0, 1])
 
     def test_empty_candidates_raise(self, records):
         pipeline = FeaturePipeline()
-        pipeline.fit(records)
+        pipeline.fit(window(records))
         with pytest.raises(FeatureError):
-            location_probe_batch(pipeline, records[:2], [])
+            location_probe_batch(pipeline, window(records[:2]), [])
 
     def test_fsid_feature_required(self, records):
         pipeline = FeaturePipeline(features=("rb", "wb"))
-        pipeline.fit(records)
+        pipeline.fit(window(records))
         with pytest.raises(FeatureError, match="fsid"):
-            location_probe_batch(pipeline, records[:2], [0, 1])
+            location_probe_batch(pipeline, window(records[:2]), [0, 1])
 
 
 class TestColumnarFeatures:
@@ -234,7 +243,7 @@ class TestColumnarFeatures:
         ):
             pipeline = FeaturePipeline(features=features)
             got = pipeline.feature_matrix_from_columns(self._columns(records))
-            assert np.array_equal(got, pipeline.feature_matrix(records))
+            assert np.array_equal(got, pipeline.feature_matrix_from_columns(window(records)))
 
     def test_unknown_feature_raises(self, records):
         pipeline = FeaturePipeline(features=("rb", "fsid", "rt"))
@@ -249,23 +258,23 @@ class TestColumnarFeatures:
 class TestEnsureFitted:
     def test_fits_once_then_freezes_bounds(self, records):
         pipeline = FeaturePipeline()
-        pipeline.ensure_fitted(records)
+        pipeline.ensure_fitted(window(records))
         assert pipeline.fitted
-        before = pipeline.transform_features(records)
+        before = pipeline.transform_features(window(records))
         # Re-ensuring on different telemetry must NOT move the bounds.
         shifted = make_records(n=30)
-        pipeline.ensure_fitted(shifted)
-        assert np.array_equal(pipeline.transform_features(records), before)
+        pipeline.ensure_fitted(window(shifted))
+        assert np.array_equal(pipeline.transform_features(window(records)), before)
 
     def test_schema_change_refits(self, records):
         pipeline = FeaturePipeline()
-        pipeline.ensure_fitted(records)
-        bounds_before = pipeline.transform_features(records)
+        pipeline.ensure_fitted(window(records))
+        bounds_before = pipeline.transform_features(window(records))
         # Simulate a schema change: fitted features no longer match.
         pipeline._fitted_features = ("rb",)
-        pipeline.ensure_fitted(records)
+        pipeline.ensure_fitted(window(records))
         assert np.array_equal(
-            pipeline.transform_features(records), bounds_before
+            pipeline.transform_features(window(records)), bounds_before
         )
         assert pipeline._fitted_features == pipeline.features
 

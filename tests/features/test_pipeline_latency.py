@@ -6,6 +6,7 @@ import pytest
 from repro.errors import FeatureError
 from repro.features.pipeline import FeaturePipeline
 from repro.replaydb.records import AccessRecord
+from tests.oracles.record_features import record_columns
 
 
 def records(n=40):
@@ -31,9 +32,9 @@ class TestLatencyTarget:
             features=("rb", "fsid"), smoothing_window=1, target="latency"
         )
         recs = records()
-        pipeline.fit(recs)
+        pipeline.fit(record_columns(recs))
         raw = pipeline.inverse_transform_target(
-            pipeline.transform_target(recs)
+            pipeline.transform_target(record_columns(recs))
         )
         np.testing.assert_allclose(raw, [r.duration for r in recs])
 
@@ -42,9 +43,9 @@ class TestLatencyTarget:
             features=("rb", "fsid"), smoothing_window=5, target="latency"
         )
         recs = records()
-        pipeline.fit(recs)
+        pipeline.fit(record_columns(recs))
         raw = pipeline.inverse_transform_target(
-            pipeline.transform_target(recs)
+            pipeline.transform_target(record_columns(recs))
         )
         # Device 0's first row has no earlier same-device rows to average
         # with, so its smoothed value equals its own duration.

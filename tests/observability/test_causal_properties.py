@@ -221,7 +221,6 @@ class TestEndToEndChain:
             prov = Path(tmp) / "prov.jsonl"
             result = run_instrumented(
                 seed=seed,
-                causal_tracing_enabled=True,
                 provenance_enabled=True,
                 provenance_path=str(prov),
             )

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core import engine as engine_module
 from repro.errors import ModelError
+from tests.oracles.record_features import record_columns
 
 
 def ordered_column_sum(matrix: np.ndarray) -> np.ndarray:
@@ -54,7 +55,9 @@ def propose_layout_reference(
             menu.append(current)
         totals = {fsid: 0.0 for fsid in menu}
         for base in recent:
-            row = engine.predict_throughput_matrix([base], menu)[0]
+            row = engine.predict_throughput_matrix(
+                record_columns([base], engine.pipeline.extra_features), menu
+            )[0]
             for fsid, score in zip(menu, row):
                 totals[fsid] += float(score)
         scores = {fsid: total / len(recent) for fsid, total in totals.items()}

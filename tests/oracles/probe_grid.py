@@ -11,12 +11,12 @@ from __future__ import annotations
 def location_probe_batch(pipeline, bases, fsids):
     """Every (base access, candidate location) probe row in one array.
 
-    Row ``i * len(fsids) + j`` replicates base access ``i`` (``bases`` as
-    records or as a window of columns) with only the ``fsid`` column
-    varying, set to ``fsids[j]``.
+    Row ``i * len(fsids) + j`` replicates base access ``i`` (``bases`` is
+    a window of columns) with only the ``fsid`` column varying, set to
+    ``fsids[j]``.
     """
     return pipeline.build_location_probe_block(
         *pipeline.build_location_probe_parts(
-            pipeline.feature_matrix(bases), fsids
+            pipeline.feature_matrix_from_columns(bases), fsids
         )
     )

@@ -2,15 +2,20 @@
 
 One Python-level accessor call per (record, feature) and one
 ``AccessRecord.throughput`` / ``.duration`` property read per record:
-the readable specification of what ``FeaturePipeline.feature_matrix``
-and ``target_vector`` now compute from a window of columns.
+the readable specification of what ``FeaturePipeline``'s
+``feature_matrix_from_columns`` and ``target_vector`` now compute from a
+window of columns.  Also the
+records -> columns adapter and record-list training the product gave up
+when the learner came to read only ReplayDB windows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.features.pipeline import NUMERIC_FIELDS, extra_columns
 from repro.features.smoothing import moving_average
+from repro.replaydb.db import ReplayDB
 
 _ACCESSORS = {
     "rb": lambda r: float(r.rb),
@@ -56,3 +61,38 @@ def record_target_vector(records, *, target="throughput", smoothing_window=10):
         idx = np.flatnonzero(fsids == fsid)
         out[idx] = moving_average(values[idx], smoothing_window)
     return out
+
+
+def record_columns(records, extra=()) -> dict[str, np.ndarray]:
+    """One window of columns from a record list: every
+    :data:`NUMERIC_FIELDS` column plus one per ``extra`` name, read from
+    each record's ``extra`` dict."""
+    columns = {
+        name: np.array([getattr(r, name) for r in records], dtype=np.float64)
+        for name in NUMERIC_FIELDS
+    }
+    columns.update(extra_columns([r.extra for r in records], extra))
+    return columns
+
+
+def training_set(pipeline, columns):
+    """Fit ``pipeline`` on ``columns``; the normalized ``(X, y)`` the
+    engine's training step builds from them."""
+    pipeline.fit(columns)
+    return (
+        pipeline.transform_features(columns),
+        pipeline.transform_target(columns),
+    )
+
+
+def train_on_records(engine, records):
+    """Retrain ``engine`` on exactly ``records``, landed in a fresh
+    ReplayDB: its newest ``training_rows`` must be all of them."""
+    if len(records) > engine.config.training_rows:
+        raise ValueError(
+            f"{len(records)} records exceed training_rows "
+            f"{engine.config.training_rows}"
+        )
+    db = ReplayDB()
+    db.insert_accesses(records)
+    return engine.train(db)

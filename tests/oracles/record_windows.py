@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.features.pipeline import record_columns
 from repro.replaydb.db import ReplayDB
+from tests.oracles.record_features import record_columns
 
 
 def all_records(db: ReplayDB) -> list:

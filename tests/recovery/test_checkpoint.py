@@ -136,8 +136,10 @@ class TestCorruptionFallback:
         """A format-2 checkpoint's config carries fields that are module
         constants now, a format-4 one's drift state lacks ``m2``, and a
         format-5 one's config still has the overload-plane fields beside
-        a drift detector the engine no longer has; resuming names the
-        format instead of dying inside ``GeomancyConfig(**config)``."""
+        a drift detector the engine no longer has, and a format-6 one's
+        config has a causal-tracing switch apart from provenance; resuming
+        names the format instead of dying inside
+        ``GeomancyConfig(**config)``."""
         for version, state in (
             (2, {"meta": {"config": {"warm_start": True}}}),
             (4, {"engine": {"online": {"drift": {"n": 9, "mean": 1.0}}}}),
@@ -145,6 +147,7 @@ class TestCorruptionFallback:
                 "meta": {"config": {"telemetry_queue_capacity": 64}},
                 "engine": {"online": {"drift": {"n": 9, "m2": 0.5}}},
             }),
+            (6, {"meta": {"config": {"causal_tracing_enabled": True}}}),
         ):
             root = tmp_path / f"format-{version}"
             mgr = CheckpointManager(root)

@@ -39,7 +39,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 FEATURES = {
     "online": dict(online_learning=True),
-    "provenance": dict(causal_tracing_enabled=True, provenance_enabled=True),
+    "provenance": dict(provenance_enabled=True),
     "guardrail": dict(guardrail=True, fallback_policy="lru"),
     "faults": dict(
         schedule_specs=("kill:file0@150",), migration_failure_rate=0.05

@@ -244,7 +244,6 @@ class TestGuardrailAcceptance:
                 guardrail=True,
                 learning_rate=1e6,
                 schedule_specs=("kill:file0@150",),
-                causal_tracing_enabled=True,
                 provenance_enabled=True,
                 provenance_path=str(tmp_path / "prov.jsonl"),
             )
@@ -275,7 +274,6 @@ class TestGuardrailAcceptance:
             seed=0,
             guardrail=True,
             schedule_specs=("kill:file0@80", "kill:pic@80"),
-            causal_tracing_enabled=True,
             provenance_enabled=True,
             provenance_path=str(tmp_path / "prov-collapse.jsonl"),
         )

@@ -111,6 +111,14 @@ class TestExecution:
         assert build_parser().parse_args(["fig5a"]).seed == 2
         assert build_parser().parse_args(["fig6"]).seed == 0
 
+    def test_robustness_takes_no_seed(self, capsys):
+        # Its environment seeds are --seeds; a --seed it would ignore, or
+        # read as an abbreviation of --seeds, is a usage error.
+        with pytest.raises(SystemExit) as exited:
+            main(["robustness", "--seed", "5"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
 
     def test_online_run_with_a_diverged_cycle_exits_cleanly(self, capsys):
         # At seed 3 one online cycle diverges and its error gauge reads
