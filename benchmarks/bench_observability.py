@@ -122,6 +122,6 @@ def test_observability_overhead(benchmark, save_result):
     assert summary["outputs_identical"]
     assert REQUIRED_SUBSYSTEMS <= set(summary["subsystems"])
     assert summary["disabled_spans"] == 0
-    assert summary["slo_objectives"] == 3
+    assert summary["slo_objectives"] == 2
     assert summary["disabled_slo"] is None
     assert summary["overhead_percent"] <= OVERHEAD_BUDGET_PERCENT

@@ -5,19 +5,16 @@ SQLite database located outside the target system.  The Interface Daemon is
 a networking middleware that allows parallel requests to be sent between
 the target system, Geomancy, and internally within Geomancy."
 
-Overload hardening (beyond the paper): an optional
-:class:`~repro.agents.qos.AdmissionController` rate-limits ingestion per
-tenant with priority classes, so decision traffic survives telemetry
-floods; dead-lettered messages are persisted to a bounded
-:class:`~repro.agents.deadletter.DeadLetterStore` (and announced on the
-event bus) instead of being counted and thrown away.
+Beyond the paper: a malformed message is dead-lettered -- counted,
+logged, announced on the event bus and, with a bounded
+:class:`~repro.agents.deadletter.DeadLetterStore` attached, kept for
+``repro deadletters`` -- so the rest of the queue still lands.
 """
 
 from __future__ import annotations
 
 from repro.agents.deadletter import DeadLetterStore
 from repro.agents.messages import LayoutCommand, TelemetryBatch
-from repro.agents.qos import AdmissionController, Priority
 from repro.agents.transport import Transport
 from repro.errors import ReplayDBError
 from repro.observability import Observability, get_observability
@@ -38,16 +35,12 @@ class InterfaceDaemon:
         commands: Transport,
         *,
         obs: Observability | None = None,
-        admission: AdmissionController | None = None,
         dead_letter_store: DeadLetterStore | None = None,
     ) -> None:
         self.db = db
         self.telemetry = telemetry
         self.commands = commands
         self.obs = obs if obs is not None else get_observability()
-        #: optional per-tenant token-bucket admission in front of the DB;
-        #: None keeps the legacy ingest-everything behaviour bit-for-bit
-        self.admission = admission
         #: malformed messages land here (bounded ring) instead of being
         #: discarded; None keeps the count-only legacy behaviour
         self.dead_letter_store = dead_letter_store
@@ -56,10 +49,6 @@ class InterfaceDaemon:
         #: malformed messages counted and dropped instead of crashing the
         #: drain -- one bad batch must not strand everything queued behind it
         self.dead_letters = 0
-        #: records the admission controller refused (deliberate shedding,
-        #: distinct from malformed dead letters)
-        self.records_shed = 0
-        self.batches_shed = 0
         metrics = self.obs.metrics
         self._m_batches = metrics.counter(
             "repro_agents_batches_ingested_total",
@@ -72,10 +61,6 @@ class InterfaceDaemon:
         self._m_dead = metrics.counter(
             "repro_agents_dead_letters_total",
             "telemetry messages dropped as malformed or rejected",
-        )
-        self._m_shed = metrics.counter(
-            "repro_agents_records_shed_total",
-            "telemetry records refused by the admission controller",
         )
         self._m_layouts = metrics.counter(
             "repro_agents_layout_commands_total",
@@ -121,8 +106,9 @@ class InterfaceDaemon:
                 getattr(message, "trace_id", None), outcome, **fields
             )
 
-    def _ingest(self, message, now: float, drained_at: float | None = None) -> int:
+    def _ingest(self, message, drained_at: float | None) -> int:
         """Route one drained message; returns records stored from it."""
+        now = _message_time(message)
         if not isinstance(message, TelemetryBatch):
             self._dead_letter("non-telemetry message", message, now)
             self._resolve(message, "dead-letter", drained_at=drained_at)
@@ -133,22 +119,6 @@ class InterfaceDaemon:
                 getattr(message, "trace_id", None),
             )
             return 0
-        if self.admission is not None:
-            decision = self.admission.admit(
-                message.tenant, Priority.TELEMETRY,
-                cost=len(message.records), now=message.sent_at,
-            )
-            if not decision.admitted:
-                self.batches_shed += 1
-                self.records_shed += len(message.records)
-                self._m_shed.inc(len(message.records))
-                self._resolve(message, "admission-shed", drained_at=drained_at)
-                if self.obs.enabled:
-                    self.obs.emit(
-                        "telemetry-shed", t=message.sent_at, step=0,
-                        tenant=message.tenant, records=len(message.records),
-                    )
-                return 0
         try:
             self.db.insert_accesses(message.records)
         except ReplayDBError as exc:
@@ -179,29 +149,13 @@ class InterfaceDaemon:
             )
         return stored
 
-    def ingest(self, message, *, now: float | None = None) -> int:
-        """Route one already-received message; returns records stored.
-
-        The seam for harnesses that drain a shared transport themselves
-        (e.g. the saturation study multiplexing control and telemetry
-        over one bounded channel) but still want the daemon to be the
-        single authority on admission, dead-lettering, and DB writes.
-        """
-        at = now if now is not None else _message_time(message)
-        stored = self._ingest(message, at)
-        self.records_ingested += stored
-        self._m_records.inc(stored)
-        return stored
-
     def pump_telemetry(self, *, drained_at: float | None = None) -> int:
         """Drain pending telemetry batches into the ReplayDB.
 
         Returns the number of records stored.  Messages that are not
         telemetry batches (or batches the DB rejects) are dead-lettered --
         counted, persisted when a store is attached, logged at WARNING --
-        so the rest of the queue still lands.  With an admission
-        controller attached, each batch must also win its tenant's token
-        bucket or it is shed (counted, announced on the bus).
+        so the rest of the queue still lands.
 
         Dead letters are timestamped with each batch's ``sent_at``.
         ``drained_at`` is the simulated drain time the causal layer
@@ -211,9 +165,7 @@ class InterfaceDaemon:
         stored = 0
         with self.obs.span("replaydb_write"):
             for message in self.telemetry.receive_all():
-                stored += self._ingest(
-                    message, _message_time(message), drained_at
-                )
+                stored += self._ingest(message, drained_at)
         self.records_ingested += stored
         self._m_records.inc(stored)
         return stored

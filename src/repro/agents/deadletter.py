@@ -1,12 +1,11 @@
 """Bounded dead-letter storage for the Interface Daemon.
 
-Malformed or rejected telemetry used to be counted and discarded; under
-overload that throws away the very evidence needed to debug the flood.
-The :class:`DeadLetterStore` keeps the most recent dead letters in a
-bounded ring -- oldest evicted first, so the store itself can never
-become the memory leak it exists to prevent -- and can persist them as
-JSONL so ``repro deadletters`` can inspect and requeue them after the
-run that shed them has exited.
+Counting and discarding malformed or rejected telemetry would throw away
+the evidence needed to debug it.  The :class:`DeadLetterStore` keeps the
+most recent dead letters in a bounded ring -- oldest evicted first, so
+the store itself can never become the memory leak it exists to prevent
+-- and can persist them as JSONL so ``repro deadletters`` can inspect
+and requeue them after the run that dead-lettered them has exited.
 
 Telemetry batches are stored with their full record payload, so a
 requeue reconstructs real :class:`~repro.agents.messages.TelemetryBatch`
@@ -35,7 +34,6 @@ def message_to_dict(message) -> dict:
     if isinstance(message, TelemetryBatch):
         return {
             "device": message.device,
-            "tenant": message.tenant,
             "sent_at": message.sent_at,
             "records": [record_to_dict(r) for r in message.records],
             "trace_id": message.trace_id,
@@ -58,7 +56,6 @@ def message_from_dict(raw: dict):
             device=str(raw["device"]),
             records=tuple(record_from_dict(r) for r in raw["records"]),
             sent_at=float(raw["sent_at"]),
-            tenant=str(raw.get("tenant", "default")),
             trace_id=raw.get("trace_id"),
         )
     if "layout" in raw:
@@ -141,10 +138,7 @@ class DeadLetterStore:
         summary = repr(message)[:120]
         if isinstance(message, TelemetryBatch):
             payload = message_to_dict(message)
-            summary = (
-                f"{len(message.records)} records from {message.device!r} "
-                f"(tenant {message.tenant!r})"
-            )
+            summary = f"{len(message.records)} records from {message.device!r}"
         letter = DeadLetter(
             reason=reason, kind=type(message).__name__, at=float(at),
             payload=payload, summary=summary,
@@ -169,16 +163,12 @@ class DeadLetterStore:
         ]
 
     def requeue_into(self, transport) -> int:
-        """Re-send every replayable letter; returns batches requeued.
-
-        Letters the transport refuses (a bounded queue under pressure)
-        stay un-requeued so a later attempt can retry them.
-        """
-        requeued = 0
-        for letter in self.replayable():
-            if transport.send(letter.to_batch()) is not False:
-                letter.requeued = True
-                requeued += 1
+        """Re-send every replayable letter; returns batches requeued."""
+        replayable = self.replayable()
+        for letter in replayable:
+            transport.send(letter.to_batch())
+            letter.requeued = True
+        requeued = len(replayable)
         if requeued and self.path is not None:
             self.save(self.path)
         return requeued

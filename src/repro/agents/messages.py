@@ -19,9 +19,6 @@ class TelemetryBatch:
     device: str
     records: tuple[AccessRecord, ...]
     sent_at: float
-    #: workload tenant the records belong to; the admission controller
-    #: rate-limits per tenant so one flooding tenant cannot starve the rest
-    tenant: str = "default"
     #: causal trace id stamped at emission (see
     #: ``observability.provenance.CausalContext``); None on a legacy plane
     trace_id: str | None = None

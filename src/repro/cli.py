@@ -10,7 +10,6 @@ have parsers of their own.
     python -m repro fig5a --scale bench --seed 2
     python -m repro robustness --workers 4 --seeds 0 1 2 3
     python -m repro chaos --seed 7 --schedule kill:file0@40% kill:pic@55%
-    python -m repro saturate --multipliers 0.5 1 2 4 --capacity 64
     python -m repro deadletters dead.jsonl --requeue
     python -m repro synth-trace out.jsonl --rows 5000
     python -m repro recover ckpt/ --checkpoint-every 5 --guardrail
@@ -157,40 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--corrupt-rate", type=float, default=0.01,
         help="telemetry batch corruption probability (default: 0.01)",
-    )
-
-    saturate = sub.add_parser(
-        "saturate",
-        help="overload study: bounded QoS plane vs unbounded twin "
-             "through and past service capacity",
-    )
-    _add_common(saturate, default_seed=0)
-    saturate.add_argument(
-        "--multipliers", type=float, nargs="+", default=[0.5, 1.0, 2.0, 4.0],
-        help="offered load as multiples of service capacity "
-             "(default: 0.5 1.0 2.0 4.0)",
-    )
-    saturate.add_argument(
-        "--service-rate", type=float, default=4_000.0,
-        help="daemon service capacity in records per simulated second "
-             "(default: 4000)",
-    )
-    saturate.add_argument(
-        "--capacity", type=int, default=64,
-        help="bounded transport capacity in messages (default: 64)",
-    )
-    saturate.add_argument(
-        "--policy", choices=("drop-oldest", "drop-newest", "reject"),
-        default="drop-oldest",
-        help="shed policy of the bounded plane (default: drop-oldest)",
-    )
-    saturate.add_argument(
-        "--chaos", action="store_true",
-        help="also drop 2%% and corrupt 1%% of batches in flight",
-    )
-    saturate.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="also write the sweep as JSON here",
     )
 
     deadletters = sub.add_parser(
@@ -347,25 +312,6 @@ def _run_chaos(args) -> str:
     ).to_text()
 
 
-def _run_saturate(args) -> str:
-    from repro.experiments.saturation import run_saturation
-
-    result = run_saturation(
-        scale=_SCALES[args.scale],
-        seed=args.seed,
-        multipliers=tuple(args.multipliers),
-        service_rate_records_s=args.service_rate,
-        capacity=args.capacity,
-        policy=args.policy,
-        chaos=args.chaos,
-    )
-    text = result.to_text()
-    if args.out is not None:
-        path = result.write_json(args.out)
-        text += f"\nwrote {path}"
-    return text
-
-
 def _run_deadletters(args) -> str:
     from repro.agents.daemon import InterfaceDaemon
     from repro.agents.deadletter import DeadLetterStore
@@ -506,7 +452,6 @@ def _run_synth_trace(args) -> str:
 #: the operations commands; every other command is a paper command
 _COMMANDS = {
     "chaos": _run_chaos,
-    "saturate": _run_saturate,
     "deadletters": _run_deadletters,
     "recover": _run_recover,
     "resume": _run_resume,

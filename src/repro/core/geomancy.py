@@ -94,8 +94,7 @@ class Geomancy:
         self.obs = obs if obs is not None else get_observability()
         self.db = db if db is not None else ReplayDB()
         # The telemetry channel is injectable so chaos runs can hand in a
-        # lossy one, or overload studies a bounded one; the default is
-        # unbounded, and the command channel stays internal.
+        # lossy one; the command channel stays internal.
         self.telemetry = telemetry if telemetry is not None else Transport()
         #: optional write-ahead :class:`repro.recovery.journal.LayoutJournal`;
         #: when set, every dispatched layout is bracketed by intent/commit

@@ -116,7 +116,7 @@ class AgentError(ReproError):
 
 
 class TransportError(AgentError):
-    """A message channel lost, corrupted, or refused a message."""
+    """A message channel's fault stage was misconfigured."""
 
 
 class RetryExhaustedError(AgentError):

@@ -7,12 +7,10 @@ into one navigable causal chain:
   :class:`~repro.agents.messages.TelemetryBatch` and
   :class:`~repro.agents.messages.LayoutCommand` with a lightweight trace
   id at emission and records each message's *fate* -- delivered into the
-  ReplayDB (with the exact rowid span its records landed in), shed by a
-  bounded queue, refused by the admission controller, dead-lettered,
-  dropped or corrupted by a chaos transport, or coalesced into a
-  successor batch after sender-side backpressure.  Ids are deterministic
-  sequence counters (never RNG or wall-clock derived), so causal tracing
-  can never perturb a seeded experiment.
+  ReplayDB (with the exact rowid span its records landed in),
+  dead-lettered, or dropped or corrupted by a chaos transport.  Ids are
+  deterministic sequence counters (never RNG or wall-clock derived), so
+  causal tracing can never perturb a seeded experiment.
 
 * :class:`ProvenanceLedger` is the bounded, rotated JSONL flight
   recorder.  Every resolved batch and every decision epoch (replay-window
@@ -48,10 +46,7 @@ ROTATE_BYTES = 4_000_000
 #: terminal fates a telemetry batch can meet
 BATCH_OUTCOMES = (
     "ingested",            # records landed in the ReplayDB
-    "admission-shed",      # refused by the per-tenant token bucket
     "dead-letter",         # malformed or rejected by the ReplayDB
-    "shed-backpressure",   # transport refused the send; survivors coalesce
-    "queue-shed",          # evicted from a full bounded queue
     "chaos-drop",          # silent network loss (FaultStage)
     "chaos-corrupt",       # mangled in transit; arrives as garbage
 )
@@ -63,12 +58,8 @@ class BatchProvenance:
 
     batch_id: str
     device: str
-    tenant: str
     records: int
     sent_at: float
-    #: batch id of the refused predecessor whose down-sampled survivors
-    #: ride in this batch (None for ordinary batches)
-    parent: str | None = None
     outcome: str = IN_FLIGHT
     #: when the daemon drained the batch off the transport (simulated s)
     drained_at: float | None = None
@@ -106,10 +97,8 @@ class BatchProvenance:
             "type": "batch",
             "batch_id": self.batch_id,
             "device": self.device,
-            "tenant": self.tenant,
             "records": self.records,
             "sent_at": self.sent_at,
-            "parent": self.parent,
             "outcome": self.outcome,
             "drained_at": self.drained_at,
             "rowid_lo": self.rowid_lo,
@@ -122,10 +111,8 @@ class BatchProvenance:
         return cls(
             batch_id=str(raw["batch_id"]),
             device=str(raw["device"]),
-            tenant=str(raw.get("tenant", "default")),
             records=int(raw["records"]),
             sent_at=float(raw["sent_at"]),
-            parent=raw.get("parent"),
             outcome=str(raw.get("outcome", IN_FLIGHT)),
             drained_at=raw.get("drained_at"),
             rowid_lo=raw.get("rowid_lo"),
@@ -467,12 +454,11 @@ class ProvenanceLedger:
                 f"{batch['drained_at'] - batch['sent_at']:.3f}s"
                 if batch["drained_at"] is not None else "?"
             )
-            parent = f" parent={batch['parent']}" if batch["parent"] else ""
             lines.append(
                 f"    {batch['batch_id']}: {batch['records']} records "
                 f"from {batch['device']} rows "
                 f"{batch['rowid_lo']}..{batch['rowid_hi']} "
-                f"queue-delay {delay}{parent}"
+                f"queue-delay {delay}"
             )
         lines.append("  critical path:")
         for stage in chain["critical_path"]:
@@ -487,7 +473,7 @@ class ProvenanceLedger:
 
         Batches render as complete events spanning ``sent_at`` to
         ``drained_at`` on one track, decisions on another; args link the
-        chain (batch ids, parents, rowid spans, movement ids) so the
+        chain (batch ids, rowid spans, movement ids) so the
         trace viewer can follow a movement back to its telemetry.
         """
         events: list[dict] = []
@@ -510,7 +496,6 @@ class ProvenanceLedger:
                         "outcome": batch.outcome,
                         "records": batch.records,
                         "rowids": [batch.rowid_lo, batch.rowid_hi],
-                        "parent": batch.parent,
                     },
                 }
             )
@@ -543,7 +528,7 @@ class CausalContext:
     """Stamps trace ids at emission; records every message's fate.
 
     One context serves a whole control plane: monitoring agents stamp
-    batches through it, transports report sheds/drops, the daemon
+    batches through it, fault stages report drops, the daemon
     reports ingestion (with rowid spans and queue delay) and dead
     letters, and Geomancy stamps layout commands.  All ids are
     deterministic sequence counters.
@@ -561,11 +546,8 @@ class CausalContext:
     def stamp_batch(
         self,
         device: str,
-        tenant: str,
         records: int,
         sent_at: float,
-        *,
-        parent: str | None = None,
     ) -> str:
         """Mint a batch id and start tracking the batch's life."""
         seq = self._batch_seq.get(device, 0) + 1
@@ -575,10 +557,8 @@ class CausalContext:
             BatchProvenance(
                 batch_id=batch_id,
                 device=device,
-                tenant=tenant,
                 records=int(records),
                 sent_at=float(sent_at),
-                parent=parent,
             )
         )
         return batch_id
@@ -663,23 +643,3 @@ class CausalContext:
             for batch_id, batch in self.ledger.batches.items()
             if batch.outcome == IN_FLIGHT
         ]
-
-    def orphaned_parents(self) -> list[str]:
-        """Parent ids referenced by surviving batches but never tracked.
-
-        Always empty for a correctly wired plane (the ledger records a
-        batch at stamp time, before any transport can shed it); the
-        causal-integrity property tests assert exactly that, including
-        under chaos transports.  Evicted ids do not count as orphans --
-        the bound is working as designed.
-        """
-        known = set(self.ledger.batches)
-        evicted_allowance = self.ledger.batches_evicted
-        orphans = []
-        for batch in self.ledger.batches.values():
-            if batch.parent is not None and batch.parent not in known:
-                if evicted_allowance > 0:
-                    evicted_allowance -= 1
-                    continue
-                orphans.append(batch.parent)
-        return orphans

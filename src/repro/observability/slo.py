@@ -1,11 +1,11 @@
 """SLO objectives with multi-window burn-rate alerting.
 
 Objectives are defined over signals the control plane already exports --
-delivery counters on the transports, the daemon's queue-delay histogram,
-realized run throughput -- and evaluated Google-SRE style: an alert fires
-only when the *fast* window and the *slow* window both burn error budget
-faster than the objective allows.  The fast window makes the alert
-responsive; the slow window keeps one transient blip from paging.
+the daemon's queue-delay histogram, realized run throughput -- and
+evaluated Google-SRE style: an alert fires only when the *fast* window
+and the *slow* window both burn error budget faster than the objective
+allows.  The fast window makes the alert responsive; the slow window
+keeps one transient blip from paging.
 
 Everything runs on the simulated clock and plain counters: evaluating an
 objective never touches an RNG, so an SLO-monitored run is bit-for-bit
@@ -230,10 +230,8 @@ def histogram_counts_above(histogram, threshold: float) -> tuple[int, int]:
 class ControlPlaneSLOFeed:
     """Feeds the stock control-plane objectives from a live Geomancy.
 
-    Three objectives over signals the plane already exports:
+    Two objectives over signals the plane already exports:
 
-    * ``control-delivery`` -- layout commands delivered vs shed/rejected
-      on the command transport;
     * ``queue-delay`` -- telemetry batches drained within
       ``queue_delay_threshold_s`` of ``sent_at`` (from the daemon's
       ingest queue-delay histogram);
@@ -266,19 +264,12 @@ class ControlPlaneSLOFeed:
         self.geo = geo
         self.queue_delay_threshold_s = float(queue_delay_threshold_s)
         self.throughput_floor_gbps = float(throughput_floor_gbps)
-        self._last_sent = 0
-        self._last_lost = 0
         self._last_delay_below = 0
         self._last_delay_above = 0
 
     @staticmethod
     def default_specs() -> list[SLOSpec]:
         return [
-            SLOSpec(
-                "control-delivery",
-                target=0.99,
-                description="layout commands delivered, not shed",
-            ),
             SLOSpec(
                 "queue-delay",
                 target=0.95,
@@ -293,16 +284,6 @@ class ControlPlaneSLOFeed:
 
     def tick(self, now: float, *, run_index: int = 0) -> None:
         """Sample the plane's counters and record this tick's deltas."""
-        commands = self.geo.commands
-        sent = commands.messages_sent
-        lost = commands.shed + commands.rejected
-        d_sent, d_lost = sent - self._last_sent, lost - self._last_lost
-        self._last_sent, self._last_lost = sent, lost
-        # messages_sent counts successful sends; shed/rejected are the loss
-        self.monitor.record(
-            "control-delivery", now, good=d_sent, bad=d_lost
-        )
-
         hist = self.geo.daemon.queue_delay_histogram
         below, above = histogram_counts_above(
             hist, self.queue_delay_threshold_s

@@ -50,8 +50,9 @@ MODEL_NAME = "model.npz"
 #: 4: nor guardrail tunables (3's has 4 more fields);
 #: 5: the drift detector's state carries its Welford ``m2``;
 #: 6: neither overload-plane fields nor a drift detector (5 has both);
-#: 7: one provenance switch (6's config also has causal_tracing_enabled)
-FORMAT_VERSION = 7
+#: 7: one provenance switch (6's config also has causal_tracing_enabled);
+#: 8: the channel state has no shed, lane or backlog fields
+FORMAT_VERSION = 8
 
 _GEN_PREFIX = "gen-"
 _STAGING_PREFIX = ".staging-"

@@ -11,10 +11,10 @@ dicts, the guardrail with the facade's safety-net state around it
 (known-good layout, pending prediction, fallback-run count), the causal
 plane's id counters when tracing is on, and the channel: both
 transports (counters, anything still queued, a fault stage's generator,
-fate counters and held messages) and every monitoring agent's coalesced
-backlog and counters -- what decides which telemetry the engine gets to
-train on next.  ``restore_system`` is its exact inverse over a freshly
-constructed (files *not* yet placed) Geomancy + runner pair.
+fate counters and held messages) and every monitoring agent's observed
+count -- what decides which telemetry the engine gets to train on next.
+``restore_system`` is its exact inverse over a freshly constructed (files
+*not* yet placed) Geomancy + runner pair.
 
 Model weights and the ReplayDB are deliberately **not** in this dict --
 they are binary artifacts the :class:`~repro.recovery.checkpoint.

@@ -33,6 +33,8 @@ _SEC_APPS = ("root", "xrdcp", "fuse", "gridftp")
 
 #: EOS filesystems the accesses spread over
 N_FILESYSTEMS = 40
+#: distinct files the accesses touch
+N_FILES = 500
 #: latent per-access throughput (bytes/s) at the start of a trace ...
 BASE_THROUGHPUT = 1.2e9
 #: ... and its drift per access (the planted ots/cts correlation)
@@ -42,16 +44,8 @@ DRIFT_PER_ACCESS = 6.0e4
 class EOSTraceSynthesizer:
     """Generates EOS-style access records with planted Fig. 4 correlations."""
 
-    def __init__(
-        self,
-        *,
-        seed: int = 0,
-        n_files: int = 500,
-    ) -> None:
-        if n_files < 1:
-            raise ConfigurationError(f"need n_files >= 1, got {n_files}")
+    def __init__(self, *, seed: int = 0) -> None:
         self.seed = int(seed)
-        self.n_files = int(n_files)
 
     #: order of the ``extra`` telemetry fields on every record
     _EXTRA_KEYS = (
@@ -95,7 +89,7 @@ class EOSTraceSynthesizer:
             1, (rt * rng.uniform(100, 300, n) + rng.uniform(0, 5, n)).astype(np.int64)
         )
         nwc = np.maximum(0, (wt * rng.uniform(50, 150, n)).astype(np.int64))
-        fid = rng.integers(0, self.n_files, n)
+        fid = rng.integers(0, N_FILES, n)
         fsid = rng.integers(0, N_FILESYSTEMS, n)
         osize = (nbytes * rng.uniform(1.0, 3.0, n)).astype(np.int64)
         csize = osize + wb

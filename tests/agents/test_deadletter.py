@@ -18,12 +18,11 @@ def access(device="var", fid=1, t=10, extra=None):
     )
 
 
-def batch(n=2, device="var", t=1.0, tenant="b2"):
+def batch(n=2, device="var", t=1.0):
     return TelemetryBatch(
         device=device,
         records=tuple(access(device, fid=i) for i in range(n)),
         sent_at=t,
-        tenant=tenant,
     )
 
 
@@ -97,18 +96,22 @@ class TestRequeue:
         # The replayed letter is marked; a second requeue is a no-op.
         assert store.requeue_into(transport) == 0
 
-    def test_requeue_respects_backpressure(self):
-        store = DeadLetterStore()
-        store.add("a", batch(t=1.0), at=1.0)
-        store.add("b", batch(t=2.0), at=2.0)
-        transport = Transport(capacity=1, policy="reject")
-        assert store.requeue_into(transport) == 1
-        # The refused letter stays replayable for a later attempt.
-        assert len(store.replayable()) == 1
-
     def test_dict_round_trip(self):
         letter = DeadLetter(reason="r", kind="str", at=1.5, summary="s")
         assert DeadLetter.from_dict(letter.to_dict()) == letter
+
+
+class TestDaemon:
+    def test_dead_letters_persist_to_store(self):
+        store = DeadLetterStore(capacity=4)
+        telemetry = Transport()
+        daemon = InterfaceDaemon(
+            ReplayDB(), telemetry, Transport(), dead_letter_store=store,
+        )
+        telemetry.send("not telemetry")
+        daemon.pump_telemetry()
+        assert len(store) == 1
+        assert store.entries()[0].kind == "str"
 
 
 class TestTraceJoin:
@@ -118,7 +121,7 @@ class TestTraceJoin:
             "transient",
             TelemetryBatch(
                 device="var", records=(access(),), sent_at=1.0,
-                tenant="b2", trace_id="b:var:7",
+                trace_id="b:var:7",
             ),
             at=1.0,
         )

@@ -2,24 +2,21 @@
 
 The ``StorageTester`` pattern: :class:`TransportContract` is one test
 sequence, instantiated against each way a
-:class:`~repro.agents.transport.Transport` can be built -- {FIFO, laned}
-x {unbounded, bounded x 3 shed policies} x {no faults, fault stage} --
-so whatever plugs into the channel seam next has one thing to pass.
+:class:`~repro.agents.transport.Transport` can be built -- without and
+with a fault stage -- so whatever plugs into the channel seam next has
+one thing to pass.
 """
 
 import json
 import random
-from itertools import product
 
 import pytest
 
 from repro.agents.messages import LayoutCommand, TelemetryBatch
-from repro.agents.qos import classify
-from repro.agents.transport import SHED_POLICIES, Transport
+from repro.agents.transport import Transport
 from repro.faults.chaos_transport import FaultStage
 from repro.replaydb.records import AccessRecord
 
-CAPACITY = 5
 RATES = dict(drop_rate=0.15, corrupt_rate=0.1, delay_rate=0.25, reorder_rate=0.3)
 
 
@@ -42,75 +39,46 @@ def script(length: int = 120, seed: int = 11) -> list[str]:
 class TransportContract:
     """What every configuration of the channel owes its callers."""
 
-    def __init__(self, *, laned: bool, capacity, policy: str, faulty: bool):
-        self.laned = laned
-        self.capacity = capacity
-        self.policy = policy
+    def __init__(self, *, faulty: bool):
         self.faulty = faulty
 
     def make(self, seed: int = 0, **rates) -> Transport:
         faults = FaultStage(seed=seed, **{**RATES, **rates}) if self.faulty else None
-        return Transport(
-            capacity=self.capacity, policy=self.policy,
-            lane_of=classify if self.laned else None, faults=faults,
-        )
+        return Transport(faults=faults)
 
     def play(self, transport: Transport, ops: list[str], start: int = 0) -> list:
         """Run ``ops``; returns everything the caller could observe."""
         seen = []
         for n, op in enumerate(ops, start):
             if op == "send":
-                refusals = transport.rejected
-                accepted = transport.send(message(n))
-                # False exactly when the offer was refused at the door.
-                assert (accepted is False) == (transport.rejected == refusals + 1)
-                seen.append(accepted)
+                transport.send(message(n))
+                seen.append(n)
             elif op == "receive" and transport.pending:
                 seen.append(transport.receive())
             elif op == "drain":
                 seen.append(transport.receive_all())
-            if self.capacity is not None:
-                assert transport.pending <= self.capacity
         return seen
 
     def test_common(self):
-        self._test_conservation_and_bound()
+        self._test_conservation()
         self._test_peek_is_the_next_drain()
         self._test_drain_order()
         self._test_same_seed_same_fates()
         self._test_state_round_trip_mid_stream()
 
-    def _test_conservation_and_bound(self):
+    def _test_conservation(self):
         transport = self.make()
         seen = self.play(transport, script())
-        sent = sum(1 for item in seen if isinstance(item, bool))
+        sent = sum(1 for item in seen if isinstance(item, int))
         delivered = sum(
             len(item) if isinstance(item, list) else 1
             for item in seen
-            if not isinstance(item, bool)
+            if not isinstance(item, int)
         )
         link = transport.faults
         held, dropped = (len(link.held), link.dropped) if link else (0, 0)
-        evicted = transport.shed - transport.rejected
         assert transport.messages_sent == sent
-        assert sent == (
-            delivered + transport.pending + held
-            + evicted + transport.rejected + dropped
-        )
-        assert transport.pending == sum(transport.pending_by_priority().values())
-        assert sum(transport.shed_by_priority.values()) == transport.shed
-        if self.capacity is None:
-            assert transport.shed == 0
-        else:
-            assert transport.peak_pending <= self.capacity
-            assert transport.shed > 0
-        if self.policy == "drop-oldest":
-            assert transport.rejected == 0
-        elif self.policy == "reject" or not self.laned:
-            # Nothing queued ranks below the offer: refusal is all there is.
-            assert evicted == 0
-        if not self.faulty:
-            assert seen.count(False) == transport.rejected
+        assert sent == delivered + transport.pending + held + dropped
 
     def _test_peek_is_the_next_drain(self):
         transport = self.make(reorder_rate=0.0)
@@ -125,16 +93,7 @@ class TransportContract:
         self.play(transport, ["send"] * 12)
         drained = transport.receive_all()
         stamps = [getattr(m, "issued_at", getattr(m, "sent_at", None)) for m in drained]
-        if self.laned:
-            # Higher class first, arrival order within a class.
-            classes = [int(classify(m)) for m in drained]
-            assert classes == sorted(classes)
-            assert len(set(classes)) == 2
-            for lane in set(classes):
-                in_lane = [s for s, c in zip(stamps, classes) if c == lane]
-                assert in_lane == sorted(in_lane)
-        else:
-            assert stamps == sorted(stamps)
+        assert stamps == sorted(stamps)
 
     def _test_same_seed_same_fates(self):
         first = self.play(self.make(seed=3), script())
@@ -155,24 +114,9 @@ class TransportContract:
         assert resumed.state_dict() == original.state_dict()
 
 
-CONFIGURATIONS = [
-    dict(laned=laned, capacity=capacity, policy=policy, faulty=faulty)
-    for laned, (capacity, policy), faulty in product(
-        (False, True),
-        [(None, "drop-oldest")] + [(CAPACITY, policy) for policy in SHED_POLICIES],
-        (False, True),
-    )
-]
-
-
-def _name(config: dict) -> str:
-    return "-".join([
-        "laned" if config["laned"] else "fifo",
-        config["policy"] if config["capacity"] else "unbounded",
-        "faults" if config["faulty"] else "clean",
-    ])
-
-
-@pytest.mark.parametrize("config", CONFIGURATIONS, ids=_name)
-def test_transport_contract(config):
-    TransportContract(**config).test_common()
+@pytest.mark.parametrize(
+    "faulty", [False, True],
+    ids=["fifo-unbounded-clean", "fifo-unbounded-faults"],
+)
+def test_transport_contract(faulty):
+    TransportContract(faulty=faulty).test_common()

@@ -175,9 +175,7 @@ class TestQosWiring:
         cluster = make_bluesky_cluster(seed=0)
         files = belle2_file_population(seed=0)
         geo = Geomancy(cluster, files, quick_config())
-        assert geo.telemetry.capacity is None
         assert geo.telemetry.faults is None
-        assert geo.daemon.admission is None
         assert geo.daemon.dead_letter_store is None
 
     def test_qos_off_runs_are_bit_identical(self):

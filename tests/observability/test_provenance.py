@@ -44,15 +44,15 @@ def decision(decision_id="d:1", trace_id="cmd:1", movement_ids=(1, 2), **kw):
 class TestCausalContext:
     def test_batch_ids_are_deterministic_per_device(self):
         causal = CausalContext()
-        assert causal.stamp_batch("var", "default", 3, 1.0) == "b:var:1"
-        assert causal.stamp_batch("tmp", "default", 3, 1.0) == "b:tmp:1"
-        assert causal.stamp_batch("var", "default", 3, 2.0) == "b:var:2"
+        assert causal.stamp_batch("var", 3, 1.0) == "b:var:1"
+        assert causal.stamp_batch("tmp", 3, 1.0) == "b:tmp:1"
+        assert causal.stamp_batch("var", 3, 2.0) == "b:var:2"
         assert causal.stamp_command() == "cmd:1"
         assert causal.stamp_command() == "cmd:2"
 
     def test_resolve_ingested_records_rowid_span_and_delay(self):
         causal = CausalContext()
-        bid = causal.stamp_batch("var", "default", 5, 10.0)
+        bid = causal.stamp_batch("var", 5, 10.0)
         causal.resolve(
             bid, "ingested", drained_at=12.5, rowid_lo=1, rowid_hi=5
         )
@@ -66,19 +66,19 @@ class TestCausalContext:
     def test_resolve_unknown_or_none_is_a_no_op(self):
         causal = CausalContext()
         causal.resolve(None, "ingested")
-        causal.resolve("b:ghost:1", "queue-shed")
+        causal.resolve("b:ghost:1", "chaos-drop")
         assert causal.resolved == {}
 
     def test_invalid_outcome_rejected(self):
         causal = CausalContext()
-        bid = causal.stamp_batch("var", "default", 1, 0.0)
+        bid = causal.stamp_batch("var", 1, 0.0)
         with pytest.raises(ConfigurationError):
             causal.resolve(bid, "vanished")
 
     def test_re_resolution_keeps_history(self):
         # dead-letter -> requeue -> ingested must keep the full story
         causal = CausalContext()
-        bid = causal.stamp_batch("var", "default", 2, 0.0)
+        bid = causal.stamp_batch("var", 2, 0.0)
         causal.resolve(bid, "dead-letter", drained_at=1.0)
         causal.resolve(bid, "ingested", drained_at=2.0, rowid_lo=1, rowid_hi=2)
         batch = causal.batch(bid)
@@ -87,18 +87,10 @@ class TestCausalContext:
 
     def test_notes_attach_without_resolving(self):
         causal = CausalContext()
-        bid = causal.stamp_batch("var", "default", 1, 0.0)
+        bid = causal.stamp_batch("var", 1, 0.0)
         causal.note(bid, "chaos-delay")
         assert causal.batch(bid).notes == ["chaos-delay"]
         assert causal.batch(bid).outcome == IN_FLIGHT
-
-    def test_backpressure_parent_links_are_never_orphaned(self):
-        causal = CausalContext()
-        first = causal.stamp_batch("var", "default", 4, 0.0)
-        causal.resolve(first, "shed-backpressure")
-        survivor = causal.stamp_batch("var", "default", 2, 1.0, parent=first)
-        assert causal.batch(survivor).parent == first
-        assert causal.orphaned_parents() == []
 
 
 class TestLedgerBounds:
@@ -110,28 +102,20 @@ class TestLedgerBounds:
     def test_batches_evict_oldest(self):
         ledger = ProvenanceLedger(max_entries=2)
         causal = CausalContext(ledger)
-        ids = [causal.stamp_batch("var", "default", 1, float(i))
+        ids = [causal.stamp_batch("var", 1, float(i))
                for i in range(3)]
         assert ids[0] not in ledger.batches
         assert ids[1] in ledger.batches and ids[2] in ledger.batches
         assert ledger.batches_evicted == 1
-
-    def test_eviction_does_not_count_as_orphan(self):
-        ledger = ProvenanceLedger(max_entries=1)
-        causal = CausalContext(ledger)
-        first = causal.stamp_batch("var", "default", 1, 0.0)
-        causal.stamp_batch("var", "default", 1, 1.0, parent=first)
-        # The parent was evicted by the bound, not lost by the plane.
-        assert causal.orphaned_parents() == []
 
 
 class TestLedgerPersistence:
     def test_batches_persist_on_resolution_only(self, tmp_path):
         path = tmp_path / "prov.jsonl"
         causal = CausalContext(ProvenanceLedger(path))
-        bid = causal.stamp_batch("var", "default", 1, 0.0)
+        bid = causal.stamp_batch("var", 1, 0.0)
         assert not path.exists()
-        causal.resolve(bid, "queue-shed")
+        causal.resolve(bid, "chaos-drop")
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert [l["batch_id"] for l in lines] == [bid]
 
@@ -139,7 +123,7 @@ class TestLedgerPersistence:
         path = tmp_path / "prov.jsonl"
         ledger = ProvenanceLedger(path)
         causal = CausalContext(ledger)
-        bid = causal.stamp_batch("var", "default", 3, 0.0)
+        bid = causal.stamp_batch("var", 3, 0.0)
         causal.resolve(bid, "dead-letter", drained_at=1.0)
         causal.resolve(bid, "ingested", drained_at=2.0,
                        rowid_lo=10, rowid_hi=12)
@@ -159,7 +143,7 @@ class TestLedgerPersistence:
         ledger = ProvenanceLedger(path)
         causal = CausalContext(ledger)
         for i in range(100):
-            bid = causal.stamp_batch("var", "default", 1, float(i))
+            bid = causal.stamp_batch("var", 1, float(i))
             causal.resolve(bid, "ingested", drained_at=float(i),
                            rowid_lo=i + 1, rowid_hi=i + 1)
         rotated = path.with_suffix(path.suffix + ".1")
@@ -178,10 +162,10 @@ class TestExplain:
     def _ledger(self):
         ledger = ProvenanceLedger()
         causal = CausalContext(ledger)
-        bid = causal.stamp_batch("var", "default", 30, 90.0)
+        bid = causal.stamp_batch("var", 30, 90.0)
         causal.resolve(bid, "ingested", drained_at=91.0,
                        rowid_lo=5, rowid_hi=34)
-        other = causal.stamp_batch("tmp", "default", 10, 90.0)
+        other = causal.stamp_batch("tmp", 10, 90.0)
         causal.resolve(other, "ingested", drained_at=90.5,
                        rowid_lo=100, rowid_hi=109)
         ledger.record_decision(decision(movement_ids=[1, 2]))
@@ -229,7 +213,7 @@ class TestChromeEvents:
     def test_causal_track_schema(self):
         ledger = ProvenanceLedger()
         causal = CausalContext(ledger)
-        bid = causal.stamp_batch("var", "default", 5, 1.0)
+        bid = causal.stamp_batch("var", 5, 1.0)
         causal.resolve(bid, "ingested", drained_at=2.0,
                        rowid_lo=1, rowid_hi=5)
         ledger.record_decision(decision(movement_ids=[1]))
@@ -242,15 +226,15 @@ class TestChromeEvents:
 
     def test_in_flight_batches_are_not_exported(self):
         ledger = ProvenanceLedger()
-        CausalContext(ledger).stamp_batch("var", "default", 1, 0.0)
+        CausalContext(ledger).stamp_batch("var", 1, 0.0)
         assert ledger.chrome_events() == []
 
 
 class TestSerialization:
     def test_batch_round_trip(self):
         batch = BatchProvenance(
-            batch_id="b:var:1", device="var", tenant="t", records=3,
-            sent_at=1.0, parent="b:var:0", outcome="ingested",
+            batch_id="b:var:1", device="var", records=3,
+            sent_at=1.0, outcome="ingested",
             drained_at=2.0, rowid_lo=1, rowid_hi=3, notes=["chaos-delay"],
         )
         assert BatchProvenance.from_dict(batch.to_dict()) == batch
@@ -265,6 +249,5 @@ class TestSerialization:
     def test_outcome_vocabulary_is_stable(self):
         # repro explain and the dashboards key on these strings
         assert BATCH_OUTCOMES == (
-            "ingested", "admission-shed", "dead-letter", "shed-backpressure",
-            "queue-shed", "chaos-drop", "chaos-corrupt",
+            "ingested", "dead-letter", "chaos-drop", "chaos-corrupt",
         )

@@ -125,18 +125,12 @@ class TestHistogramCountsAbove:
 
 class TestControlPlaneFeed:
     class _FakePlane:
-        """Just enough surface for the feed: commands + daemon histogram."""
+        """Just enough surface for the feed: the daemon's histogram."""
 
         def __init__(self, hist):
-            class _Commands:
-                messages_sent = 0
-                shed = 0
-                rejected = 0
-
             class _Daemon:
                 queue_delay_histogram = hist
 
-            self.commands = _Commands()
             self.daemon = _Daemon()
 
     def _feed(self):
@@ -152,17 +146,16 @@ class TestControlPlaneFeed:
         ), geo, hist
 
     def test_tick_records_counter_deltas_once(self):
-        feed, geo, hist = self._feed()
-        geo.commands.messages_sent = 5
-        geo.commands.shed = 1
+        feed, _, hist = self._feed()
         hist.observe(0.02)
         hist.observe(0.2)
         feed.tick(10.0)
         feed.tick(11.0)   # no new activity: no double counting
-        delivery = feed.monitor.trackers["control-delivery"]
-        assert (delivery.total_good, delivery.total_bad) == (5, 1)
         delay = feed.monitor.trackers["queue-delay"]
         assert (delay.total_good, delay.total_bad) == (1, 1)
+        hist.observe(0.03)
+        feed.tick(12.0)
+        assert (delay.total_good, delay.total_bad) == (2, 1)
 
     def test_observe_run_applies_floor(self):
         feed, _, _ = self._feed()
@@ -171,6 +164,6 @@ class TestControlPlaneFeed:
         floor = feed.monitor.trackers["throughput-floor"]
         assert (floor.total_good, floor.total_bad) == (1, 1)
 
-    def test_default_specs_cover_the_three_objectives(self):
+    def test_default_specs_cover_the_two_objectives(self):
         names = {s.name for s in ControlPlaneSLOFeed.default_specs()}
-        assert names == {"control-delivery", "queue-delay", "throughput-floor"}
+        assert names == {"queue-delay", "throughput-floor"}

@@ -137,8 +137,9 @@ class TestCorruptionFallback:
         constants now, a format-4 one's drift state lacks ``m2``, and a
         format-5 one's config still has the overload-plane fields beside
         a drift detector the engine no longer has, and a format-6 one's
-        config has a causal-tracing switch apart from provenance; resuming
-        names the format instead of dying inside
+        config has a causal-tracing switch apart from provenance, and a
+        format-7 one's channel carries shed counters and a monitor backlog;
+        resuming names the format instead of dying inside
         ``GeomancyConfig(**config)``."""
         for version, state in (
             (2, {"meta": {"config": {"warm_start": True}}}),
@@ -148,6 +149,10 @@ class TestCorruptionFallback:
                 "engine": {"online": {"drift": {"n": 9, "m2": 0.5}}},
             }),
             (6, {"meta": {"config": {"causal_tracing_enabled": True}}}),
+            (7, {"system": {"channel": {
+                "telemetry": {"shed": 0, "rejected": 0, "peak_pending": 0},
+                "monitors": {"var": {"backlog": [], "backlog_parent": None}},
+            }}}),
         ):
             root = tmp_path / f"format-{version}"
             mgr = CheckpointManager(root)

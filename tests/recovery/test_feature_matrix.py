@@ -6,10 +6,8 @@ with the LRU fallback, fault schedule + failing migrations} runs through
 invariants, be a pure function of its seed, and come out of a kill at
 run 7 + resume equal to its uninterrupted twin.
 
-Two more checks put state *into* the channel at the checkpoint, over an
-injected telemetry transport: a ``reject`` queue so small that
-monitoring agents carry a coalesced backlog across it, and a lossy link
-with messages in flight.
+One more check puts state *into* the channel at the checkpoint: an
+injected lossy telemetry link with messages in flight.
 """
 
 import json
@@ -160,17 +158,6 @@ def resume_matches_whole_run(tmp_path, seed, telemetry):
     load_weights(geo.engine.model, loaded.model_path)
     assert finish(geo, runner, first_run=KILL_AT + 1) == expected
     return system, expected
-
-
-def test_monitor_backlog_rides_the_checkpoint(tmp_path):
-    """A two-slot ``reject`` queue refuses most batches: the agents coalesce,
-    and what they hold back at the checkpoint is telemetry the engine is
-    still owed after a resume."""
-    system, _ = resume_matches_whole_run(
-        tmp_path, 0, lambda: Transport(capacity=2, policy="reject")
-    )
-    monitors = system["channel"]["monitors"]
-    assert any(monitor["backlog"] for monitor in monitors.values())
 
 
 def test_fault_stage_rides_the_checkpoint(tmp_path):

@@ -18,7 +18,7 @@ class TestParser:
             "fig5a", "fig5b", "table4", "fig6", "synth-trace", "testbed",
             "robustness", "chaos", "overhead", "model-selection",
             "recover", "resume", "run",
-            "saturate", "deadletters", "explain",
+            "deadletters", "explain",
         }
 
     def test_chaos_arguments_parse(self):
@@ -156,27 +156,6 @@ class TestUserErrors:
         )
 
 
-class TestSaturateCommand:
-    def test_saturate_arguments_parse(self):
-        args = build_parser().parse_args([
-            "saturate", "--multipliers", "1", "3",
-            "--capacity", "16", "--policy", "reject",
-            "--service-rate", "500", "--chaos", "--out", "sat.json",
-        ])
-        assert args.multipliers == [1.0, 3.0]
-        assert args.capacity == 16
-        assert args.policy == "reject"
-        assert args.chaos is True
-        assert args.out == "sat.json"
-
-    def test_saturate_defaults(self):
-        args = build_parser().parse_args(["saturate"])
-        assert args.multipliers == [0.5, 1.0, 2.0, 4.0]
-        assert args.capacity == 64
-        assert args.policy == "drop-oldest"
-        assert args.chaos is False
-
-
 class TestDeadlettersCommand:
     def test_deadletters_requires_store(self):
         with pytest.raises(SystemExit):
@@ -270,7 +249,6 @@ class TestProvenanceCommands:
     def test_slo_command_reports_objectives(self, capsys):
         assert main(["run", "--slo"]) == 0
         out = capsys.readouterr().out
-        assert "control-delivery" in out
         assert "queue-delay" in out
         assert "throughput-floor" in out
 

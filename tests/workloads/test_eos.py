@@ -48,8 +48,6 @@ class TestRecords:
             assert key in record.extra
 
     def test_invalid_args(self):
-        with pytest.raises(ConfigurationError):
-            EOSTraceSynthesizer(n_files=0)
         assert eos.BASE_THROUGHPUT > 0 and eos.N_FILESYSTEMS >= 1
         with pytest.raises(ConfigurationError):
             EOSTraceSynthesizer().records(0)
