@@ -6,8 +6,6 @@ movement cooldown (paper fixes 5 runs), target smoothing (moving average
 vs none), and the section V-G prediction adjustment (on vs off).
 """
 
-import pytest
-
 from repro.experiments.harness import (
     device_map,
     make_experiment_config,

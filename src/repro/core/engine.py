@@ -169,12 +169,6 @@ class DRLEngine:
             self.config.features,
             smoothing_window=self.config.smoothing_window,
             target=self.config.target,
-            # Online mode cannot afford refit-on-window normalization, and
-            # frozen first-window bounds go stale under drift; running
-            # mean/var statistics track the stream at O(batch) cost.
-            normalization=(
-                "running" if self.config.online_learning else "minmax"
-            ),
         )
         #: for throughput targets higher predictions are better; for
         #: latency targets (paper V-C future work) lower is better
@@ -272,14 +266,11 @@ class DRLEngine:
                 f"need at least 10 records to train, got {samples}"
             )
         with self.obs.span("train_step", samples=samples):
-            # Normalization bounds are learned once and then frozen: a
-            # warm-started model must see consistently scaled inputs/targets
-            # across cycles (later values beyond the bounds extrapolate
-            # linearly, which the normalizer supports).
+            # The bounds widen to cover every window trained on, so the
+            # window is in [0, 1] however far a growing column (``ots``)
+            # has moved, and a window inside them keeps every bit.
             with self.obs.span("feature_pipeline"):
-                self.pipeline.ensure_fitted(window)
-                x = self.pipeline.transform_features(window)
-                y = self.pipeline.transform_target(window)
+                x, y = self.pipeline.fit_transform(window)
                 if self.capture_provenance:
                     self.last_feature_digest = _digest(x)
                 if self._recurrent:
@@ -396,7 +387,8 @@ class DRLEngine:
            not O(history);
         2. scores them *prequentially* (predict-then-train): an honest
            held-out error for the report;
-        3. merges the rows into the running normalization statistics;
+        3. widens the min-max bounds to cover the rows, as
+           :meth:`train` does for its window;
         4. mixes them with a prioritized sample of buffered history
            (TD-style error x recency weighting, importance-weight
            corrected in the loss) and runs :data:`ONLINE_EPOCHS` SGD
@@ -445,7 +437,7 @@ class DRLEngine:
             constant_mare, _ = mean_absolute_relative_error(
                 np.full_like(fresh_true, self._target_mean), fresh_true
             )
-            # -- incremental normalization + replay mixing -----------------
+            # -- widen the bounds + replay mixing --------------------------
             self._update_target_mean(fresh_true)
             self.pipeline.partial_fit(fresh)
             replay_ids = np.empty(0, dtype=np.int64)
@@ -494,9 +486,8 @@ class DRLEngine:
                 self.model.predict(x).ravel()
             )
             post_true = self.pipeline.inverse_transform_target(y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scale = np.maximum(np.abs(post_true), 1e-12)
-                residuals = np.abs(post_pred - post_true) / scale
+            scale = np.maximum(np.abs(post_true), 1e-12)
+            residuals = np.abs(post_pred - post_true) / scale
             self.replay.update_priorities(batch_ids, residuals)
             fresh_post_pred = post_pred[n_replayed:]
             fresh_post_true = post_true[n_replayed:]

@@ -25,7 +25,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.errors import FeatureError
-from repro.features.normalize import MinMaxNormalizer, RunningNormalizer
+from repro.features.normalize import MinMaxNormalizer
 from repro.features.smoothing import moving_average
 from repro.features.throughput import access_throughput
 from repro.observability import get_observability
@@ -90,16 +90,12 @@ def extra_columns(
 class FeaturePipeline:
     """Stateful feature/target preparation shared by training and probing.
 
-    ``fit`` learns normalization bounds; ``transform_features`` /
-    ``transform_target`` map raw telemetry into [0, 1];
-    ``inverse_transform_target`` maps model outputs back to bytes/s so
-    predictions at different locations can be compared in physical units.
-
-    ``normalization`` selects between the paper's frozen min-max scaling
-    (``"minmax"``, the default) and incrementally updated standardization
-    (``"running"``) whose statistics :meth:`partial_fit` merges batch by
-    batch -- the online-learning path, where refitting bounds on a full
-    window every cycle would defeat the flat-cost goal.
+    ``partial_fit`` widens the min-max bounds to cover a window
+    (``fit_transform`` also returns it normalized);
+    ``transform_features`` / ``transform_target`` map raw telemetry into
+    [0, 1] over everything seen so far; ``inverse_transform_target`` maps
+    model outputs back to bytes/s so predictions at different locations
+    can be compared in physical units.
     """
 
     def __init__(
@@ -108,7 +104,6 @@ class FeaturePipeline:
         *,
         smoothing_window: int = 10,
         target: str = "throughput",
-        normalization: str = "minmax",
     ) -> None:
         if not features:
             raise FeatureError("need at least one feature")
@@ -120,28 +115,17 @@ class FeaturePipeline:
             raise FeatureError(
                 f"target must be 'throughput' or 'latency', got {target!r}"
             )
-        if normalization not in ("minmax", "running"):
-            raise FeatureError(
-                "normalization must be 'minmax' or 'running', "
-                f"got {normalization!r}"
-            )
         self.features = tuple(features)
         self.smoothing_window = int(smoothing_window)
         self.target = target
-        self.normalization = normalization
-        if normalization == "running":
-            self._x_norm = RunningNormalizer()
-            self._y_norm = RunningNormalizer()
-        else:
-            self._x_norm = MinMaxNormalizer()
-            self._y_norm = MinMaxNormalizer()
+        self._x_norm = MinMaxNormalizer()
+        self._y_norm = MinMaxNormalizer()
         #: features not derivable from the numeric access fields: keys of
         #: each access's ``extra`` telemetry, which the engine names to the
         #: ReplayDB's columnar readers (``extra=``)
         self.extra_features = tuple(
             name for name in self.features if name not in _COLUMN_BUILDERS
         )
-        self._fitted_features: tuple[str, ...] | None = None
         metrics = get_observability().metrics
         self._m_rows = metrics.counter(
             "repro_features_rows_transformed_total",
@@ -223,53 +207,35 @@ class FeaturePipeline:
         return out
 
     # -- normalization -----------------------------------------------------
-    def fit(self, columns: dict[str, np.ndarray]) -> "FeaturePipeline":
-        columns = self._window(columns)
-        self._x_norm.fit(self.feature_matrix_from_columns(columns))
-        self._y_norm.fit(self.target_vector(columns))
-        self._fitted_features = self.features
-        return self
-
-    def ensure_fitted(
-        self, columns: dict[str, np.ndarray]
-    ) -> "FeaturePipeline":
-        """Fit normalization bounds once, then keep them frozen.
-
-        Retrain cycles call this instead of ``fit``: as long as the feature
-        schema is unchanged the learned bounds are reused, so a warm-started
-        model keeps seeing consistently scaled inputs and the per-cycle
-        fit cost disappears.  A schema change (different feature tuple)
-        forces a refit because the column bounds no longer line up.
-        """
-        if not self.fitted or self._fitted_features != self.features:
-            self.fit(columns)
-        return self
-
     def partial_fit(
         self, columns: dict[str, np.ndarray]
     ) -> "FeaturePipeline":
-        """Merge new telemetry into the running normalization statistics.
+        """Widen the feature and target bounds to cover ``columns``.
 
-        The online-learning update: each batch of fresh rows nudges the
-        running mean/variance so normalization tracks the workload without
-        an O(window) refit.  A no-op under frozen ``"minmax"``
-        normalization (the from-scratch path owns those bounds via
-        ``fit``/``ensure_fitted``).
+        The online update calls this on its fresh rows, and
+        :meth:`fit_transform` on each training window, so the inputs and
+        targets of everything seen so far stay in [0, 1] (the paper's
+        scaling) while a warm-started model keeps a stable scale: a window
+        inside the bounds changes no bit, and an empty one is a no-op.
         """
-        if self.normalization != "running":
-            return self
         if not len(columns["fsid"]):
             return self
+        self._x_norm.partial_fit(self.feature_matrix_from_columns(columns))
+        self._y_norm.partial_fit(self.target_vector(columns))
+        return self
+
+    def fit_transform(
+        self, columns: dict[str, np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`partial_fit`, then ``columns``' normalized features and
+        target, building each raw matrix once (the training window's
+        path)."""
         x = self.feature_matrix_from_columns(columns)
         y = self.target_vector(columns)
-        if not self.fitted or self._fitted_features != self.features:
-            self._x_norm.fit(x)
-            self._y_norm.fit(y)
-            self._fitted_features = self.features
-        else:
-            self._x_norm.partial_fit(x)
-            self._y_norm.partial_fit(y)
-        return self
+        self._x_norm.partial_fit(x)
+        self._y_norm.partial_fit(y)
+        self._m_rows.inc(len(x))
+        return self._x_norm.transform(x), self._y_norm.transform(y).ravel()
 
     def transform_features(self, columns: dict[str, np.ndarray]) -> np.ndarray:
         self._require_fitted()
@@ -339,39 +305,23 @@ class FeaturePipeline:
 
     def _require_fitted(self) -> None:
         if not self.fitted:
-            raise FeatureError("pipeline used before fit()")
+            raise FeatureError("pipeline used before partial_fit()")
 
     # -- checkpointing -----------------------------------------------------
     def state_dict(self) -> dict:
         """JSON-serializable normalization state.
 
-        The frozen bounds are the pipeline's only mutable state; the
+        The min/max bounds are the pipeline's only mutable state; the
         feature tuple/accessors are reconstructed from config at restore.
         """
         return {
-            "normalization": self.normalization,
             "x_norm": self._x_norm.state_dict(),
             "y_norm": self._y_norm.state_dict(),
-            "fitted_features": (
-                list(self._fitted_features)
-                if self._fitted_features is not None else None
-            ),
         }
 
     def load_state_dict(self, state: dict) -> None:
-        saved_mode = state["normalization"]
-        if saved_mode != self.normalization:
-            raise FeatureError(
-                f"checkpoint normalization {saved_mode!r} does not match "
-                f"this pipeline's {self.normalization!r}; rebuild the "
-                "pipeline with the checkpoint's configuration"
-            )
         self._x_norm.load_state_dict(state["x_norm"])
         self._y_norm.load_state_dict(state["y_norm"])
-        self._fitted_features = (
-            tuple(state["fitted_features"])
-            if state["fitted_features"] is not None else None
-        )
 
 
 def make_windows(

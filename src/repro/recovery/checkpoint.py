@@ -51,8 +51,10 @@ MODEL_NAME = "model.npz"
 #: 5: the drift detector's state carries its Welford ``m2``;
 #: 6: neither overload-plane fields nor a drift detector (5 has both);
 #: 7: one provenance switch (6's config also has causal_tracing_enabled);
-#: 8: the channel state has no shed, lane or backlog fields
-FORMAT_VERSION = 8
+#: 8: the channel state has no shed, lane or backlog fields;
+#: 9: the pipeline state is min/max bounds only; 8 also carries a
+#: normalisation mode and fitted features
+FORMAT_VERSION = 9
 
 _GEN_PREFIX = "gen-"
 _STAGING_PREFIX = ".staging-"

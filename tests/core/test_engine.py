@@ -98,14 +98,39 @@ class TestTraining:
         train_on_records(engine, records)
         assert engine.model is first
 
-    def test_warm_start_freezes_normalization(self):
+    def test_warm_start_widens_normalization(self):
         engine = DRLEngine(small_config(epochs=5))
-        records = synthetic_records(100)
-        train_on_records(engine, records)
-        norm_min = engine.pipeline._x_norm._min.copy()
+        train_on_records(engine, synthetic_records(100))
+        first = engine.pipeline.state_dict()["x_norm"]
         train_on_records(engine, synthetic_records(150, seed=9))
-        import numpy as np
-        np.testing.assert_array_equal(engine.pipeline._x_norm._min, norm_min)
+        second = engine.pipeline.state_dict()["x_norm"]
+        assert np.all(np.array(second["min"]) <= np.array(first["min"]))
+        assert np.all(np.array(second["max"]) >= np.array(first["max"]))
+        assert second != first
+        train_on_records(engine, synthetic_records(100))
+        assert engine.pipeline.state_dict()["x_norm"] == second
+
+    def test_growing_stream_stays_in_unit_interval(self):
+        """``ots`` (a default feature) only grows: after every retrain the
+        newest window and its probe rows lie in [0, 1].  First-window
+        bounds, frozen, extrapolated each later window past 1."""
+        config = small_config(epochs=2, training_rows=100)
+        assert "ots" in config.features
+        engine, db = DRLEngine(config), ReplayDB()
+        stream = synthetic_records(500)
+        for stop in range(100, 501, 100):
+            db.insert_accesses(stream[stop - 100 : stop])
+            engine.train(db)
+            window = db.access_columns(limit=config.training_rows)
+            x = engine.pipeline.transform_features(window)
+            bases, locations = engine.pipeline.build_location_probe_parts(
+                engine.pipeline.feature_matrix_from_columns(window), [0, 1, 2]
+            )
+            probe = engine.pipeline.build_location_probe_block(
+                bases, locations
+            )
+            for rows in (x, probe):
+                assert rows.min() >= 0.0 and rows.max() <= 1.0
 
 
 def spy_fit(engine) -> list[tuple[int, bool]]:
@@ -228,7 +253,7 @@ class TestLatencyTarget:
         pipeline = FeaturePipeline(
             features=("rb", "fsid"), smoothing_window=1, target="latency"
         )
-        pipeline.fit(record_columns(records))
+        pipeline.partial_fit(record_columns(records))
         raw = pipeline.inverse_transform_target(
             pipeline.transform_target(record_columns(records))
         )

@@ -266,8 +266,7 @@ class TestColumnsMatchRecordLoops:
     def test_running_normalization_partial_fit(self, spread_db):
         records = spread_db.recent_accesses(600)
         hi = spread_db.max_rowid()
-        by_records = FeaturePipeline(normalization="running")
-        by_columns = FeaturePipeline(normalization="running")
+        by_records, by_columns = FeaturePipeline(), FeaturePipeline()
         for lo in range(0, 600, 150):
             by_records.partial_fit(record_columns(records[lo : lo + 150]))
             first = hi - 600 + lo + 1

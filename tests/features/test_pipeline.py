@@ -85,7 +85,7 @@ class TestPipelineConstruction:
         # A pipeline without fsid is fine for accuracy experiments
         # (Tables II/III) but cannot build per-location probes.
         pipeline = FeaturePipeline(features=("rb", "wb"))
-        pipeline.fit(window(make_records()))
+        pipeline.partial_fit(window(make_records()))
         with pytest.raises(FeatureError, match="fsid"):
             location_probe_batch(pipeline, window([make_records()[0]]), [0, 1])
 
@@ -132,7 +132,7 @@ class TestTrainingSet:
 
     def test_use_before_fit_raises(self, records):
         pipeline = FeaturePipeline()
-        with pytest.raises(FeatureError, match="before fit"):
+        with pytest.raises(FeatureError, match="before partial_fit"):
             pipeline.transform_features(window(records))
 
     def test_eos_style_features_from_extra(self, records):
@@ -146,7 +146,7 @@ class TestTrainingSet:
 class TestLocationProbe:
     def test_one_row_per_candidate(self, records):
         pipeline = FeaturePipeline()
-        pipeline.fit(window(records))
+        pipeline.partial_fit(window(records))
         probe = location_probe_batch(
             pipeline, window([records[0]]), [0, 1, 2, 3, 4]
         )
@@ -154,7 +154,7 @@ class TestLocationProbe:
 
     def test_only_fsid_column_varies(self, records):
         pipeline = FeaturePipeline()
-        pipeline.fit(window(records))
+        pipeline.partial_fit(window(records))
         probe = location_probe_batch(pipeline, window([records[0]]), [0, 1, 2])
         fsid_col = pipeline.features.index("fsid")
         other_cols = [i for i in range(6) if i != fsid_col]
@@ -164,14 +164,14 @@ class TestLocationProbe:
 
     def test_current_location_includable(self, records):
         pipeline = FeaturePipeline()
-        pipeline.fit(window(records))
+        pipeline.partial_fit(window(records))
         base = records[0]
         probe = location_probe_batch(pipeline, window([base]), [base.fsid, 99])
         assert probe.shape[0] == 2
 
     def test_empty_candidates_raise(self, records):
         pipeline = FeaturePipeline()
-        pipeline.fit(window(records))
+        pipeline.partial_fit(window(records))
         with pytest.raises(FeatureError):
             location_probe_batch(pipeline, window([records[0]]), [])
 
@@ -184,7 +184,7 @@ class TestBatchedProbe:
     def test_batch_stacks_per_base_probes(self, records):
         """The batched tensor is bitwise the per-base probes, stacked."""
         pipeline = FeaturePipeline()
-        pipeline.fit(window(records))
+        pipeline.partial_fit(window(records))
         bases = records[:7]
         fsids = [0, 1, 2]
         batch = location_probe_batch(pipeline, window(bases), fsids)
@@ -196,19 +196,19 @@ class TestBatchedProbe:
 
     def test_empty_bases_raise(self, records):
         pipeline = FeaturePipeline()
-        pipeline.fit(window(records))
+        pipeline.partial_fit(window(records))
         with pytest.raises(FeatureError):
             location_probe_batch(pipeline, window([]), [0, 1])
 
     def test_empty_candidates_raise(self, records):
         pipeline = FeaturePipeline()
-        pipeline.fit(window(records))
+        pipeline.partial_fit(window(records))
         with pytest.raises(FeatureError):
             location_probe_batch(pipeline, window(records[:2]), [])
 
     def test_fsid_feature_required(self, records):
         pipeline = FeaturePipeline(features=("rb", "wb"))
-        pipeline.fit(window(records))
+        pipeline.partial_fit(window(records))
         with pytest.raises(FeatureError, match="fsid"):
             location_probe_batch(pipeline, window(records[:2]), [0, 1])
 
@@ -255,28 +255,37 @@ class TestColumnarFeatures:
             FeaturePipeline().feature_matrix_from_columns({})
 
 
-class TestEnsureFitted:
-    def test_fits_once_then_freezes_bounds(self, records):
+class TestPartialFit:
+    def test_bounds_widen_and_never_narrow(self, records):
         pipeline = FeaturePipeline()
-        pipeline.ensure_fitted(window(records))
-        assert pipeline.fitted
+        pipeline.partial_fit(window(records[:20]))
+        narrow = pipeline.state_dict()
+        pipeline.partial_fit(window(records))
+        wide = pipeline.state_dict()
+        for norm in ("x_norm", "y_norm"):
+            assert np.all(
+                np.array(wide[norm]["min"]) <= np.array(narrow[norm]["min"])
+            )
+            assert np.all(
+                np.array(wide[norm]["max"]) >= np.array(narrow[norm]["max"])
+            )
+        # A window inside the bounds changes no bit; an empty one is a no-op.
         before = pipeline.transform_features(window(records))
-        # Re-ensuring on different telemetry must NOT move the bounds.
-        shifted = make_records(n=30)
-        pipeline.ensure_fitted(window(shifted))
-        assert np.array_equal(pipeline.transform_features(window(records)), before)
-
-    def test_schema_change_refits(self, records):
-        pipeline = FeaturePipeline()
-        pipeline.ensure_fitted(window(records))
-        bounds_before = pipeline.transform_features(window(records))
-        # Simulate a schema change: fitted features no longer match.
-        pipeline._fitted_features = ("rb",)
-        pipeline.ensure_fitted(window(records))
+        pipeline.partial_fit(window(records[5:15]))
+        pipeline.partial_fit(window([]))
+        assert pipeline.state_dict() == wide
         assert np.array_equal(
-            pipeline.transform_features(window(records)), bounds_before
+            pipeline.transform_features(window(records)), before
         )
-        assert pipeline._fitted_features == pipeline.features
+
+    def test_fit_transform_is_partial_fit_then_transform(self, records):
+        fused, oracle = FeaturePipeline(), FeaturePipeline()
+        for chunk in (records[:20], records[10:], records[:5]):
+            x, y = fused.fit_transform(window(chunk))
+            x_ref, y_ref = training_set(oracle, window(chunk))
+            assert x.tobytes() == x_ref.tobytes()
+            assert y.tobytes() == y_ref.tobytes()
+            assert fused.state_dict() == oracle.state_dict()
 
 
 class TestMakeWindows:

@@ -32,7 +32,7 @@ class TestLatencyTarget:
             features=("rb", "fsid"), smoothing_window=1, target="latency"
         )
         recs = records()
-        pipeline.fit(record_columns(recs))
+        pipeline.partial_fit(record_columns(recs))
         raw = pipeline.inverse_transform_target(
             pipeline.transform_target(record_columns(recs))
         )
@@ -43,7 +43,7 @@ class TestLatencyTarget:
             features=("rb", "fsid"), smoothing_window=5, target="latency"
         )
         recs = records()
-        pipeline.fit(record_columns(recs))
+        pipeline.partial_fit(record_columns(recs))
         raw = pipeline.inverse_transform_target(
             pipeline.transform_target(record_columns(recs))
         )

@@ -76,9 +76,9 @@ def record_columns(records, extra=()) -> dict[str, np.ndarray]:
 
 
 def training_set(pipeline, columns):
-    """Fit ``pipeline`` on ``columns``; the normalized ``(X, y)`` the
-    engine's training step builds from them."""
-    pipeline.fit(columns)
+    """Widen ``pipeline``'s bounds over ``columns``, then transform them:
+    the normalized ``(X, y)`` ``FeaturePipeline.fit_transform`` returns."""
+    pipeline.partial_fit(columns)
     return (
         pipeline.transform_features(columns),
         pipeline.transform_target(columns),

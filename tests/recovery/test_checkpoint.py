@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.errors import CheckpointCorruptError, RecoveryError, SimulatedCrash
@@ -138,9 +137,10 @@ class TestCorruptionFallback:
         format-5 one's config still has the overload-plane fields beside
         a drift detector the engine no longer has, and a format-6 one's
         config has a causal-tracing switch apart from provenance, and a
-        format-7 one's channel carries shed counters and a monitor backlog;
-        resuming names the format instead of dying inside
-        ``GeomancyConfig(**config)``."""
+        format-7 one's channel carries shed counters and a monitor backlog,
+        and a format-8 one's pipeline state carries a normalisation mode,
+        fitted features and min/range bounds; resuming names the format
+        instead of dying inside ``GeomancyConfig(**config)``."""
         for version, state in (
             (2, {"meta": {"config": {"warm_start": True}}}),
             (4, {"engine": {"online": {"drift": {"n": 9, "mean": 1.0}}}}),
@@ -152,6 +152,12 @@ class TestCorruptionFallback:
             (7, {"system": {"channel": {
                 "telemetry": {"shed": 0, "rejected": 0, "peak_pending": 0},
                 "monitors": {"var": {"backlog": [], "backlog_parent": None}},
+            }}}),
+            (8, {"engine": {"pipeline": {
+                "normalization": "running",
+                "x_norm": {"count": 3, "mean": [1.0], "m2": [0.5]},
+                "y_norm": {"min": [0.0], "range": [1.0]},
+                "fitted_features": ["fsid"],
             }}}),
         ):
             root = tmp_path / f"format-{version}"
