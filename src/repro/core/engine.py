@@ -516,6 +516,16 @@ class DRLEngine:
             )
         return self._finish(report)
 
+    def oldest_readable_row(self, db: ReplayDB) -> int:
+        """The oldest ReplayDB row id a later cycle of this engine can read:
+        the newest window's (the ranking check's bases are newer still),
+        or, online, the cursor's or one the replay ring holds."""
+        rows = max(self.config.training_rows, RANKING_PROBE_BASES)
+        first = db.max_rowid() + 1 - rows
+        if self.replay is None:
+            return first
+        return min(first, self._hwm + 1, self.replay.oldest_id)
+
     # -- checkpointing -----------------------------------------------------
     def state_dict(self) -> dict:
         """JSON-serializable engine state, *excluding* model weights.

@@ -559,6 +559,9 @@ class Geomancy:
         )
         outcome.training = decision.training
         outcome.trained = decision.training is not None
+        if outcome.trained:
+            # No later cycle reads older telemetry (section V-E).
+            self.db.release_before(self.engine.oldest_readable_row(self.db))
         if decision.predicted_mean is not None:
             outcome.predicted_gbps = decision.predicted_mean / BYTES_PER_GB
             self._g_predicted.set(outcome.predicted_gbps)

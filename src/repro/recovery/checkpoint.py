@@ -53,8 +53,11 @@ MODEL_NAME = "model.npz"
 #: 7: one provenance switch (6's config also has causal_tracing_enabled);
 #: 8: the channel state has no shed, lane or backlog fields;
 #: 9: the pipeline state is min/max bounds only; 8 also carries a
-#: normalisation mode and fitted features
-FORMAT_VERSION = 9
+#: normalisation mode and fitted features;
+#: 10: the ReplayDB snapshot holds the live rows, the first live row id,
+#: per-file state and device totals; device stats are Welford
+#: aggregates, not samples
+FORMAT_VERSION = 10
 
 _GEN_PREFIX = "gen-"
 _STAGING_PREFIX = ".staging-"

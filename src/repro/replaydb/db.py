@@ -1,4 +1,4 @@
-"""The ReplayDB: an append-only, in-memory column store of telemetry.
+"""The ReplayDB: an in-memory column store of telemetry, behind a horizon.
 
 The DRL engine trains on "the most recent X accesses for each of the storage
 devices" (paper section V-E), so the query surface is built around
@@ -7,8 +7,11 @@ to cluster file migrations for the Fig. 5 bar charts.
 
 Accesses are rows of fixed-size numpy chunks, appended where telemetry
 lands; a row's id is its position + 1.  Per-file state is folded in as rows
-land, per-device totals at the next aggregate read.  A database outlives
-its process only as a snapshot: one ``.npz`` archive.
+land, per-device totals at the next aggregate read, so the old rows
+themselves are read only by windows: :meth:`ReplayDB.release_before` frees
+the whole chunks below the oldest row a reader still needs, and a read
+that reaches a released row raises.  A database outlives its process only
+as a snapshot: one ``.npz`` archive of the live rows and the folded state.
 """
 
 from __future__ import annotations
@@ -48,8 +51,7 @@ _ROW = np.dtype([
 _CHUNK_ROWS = 1 << 16
 
 #: newest rows held per file: the deepest per-file read in ``src/`` (the
-#: gap scheduler's 20; the engine's probe asks 8).  A deeper ask raises
-#: the database's depth for good and pays one refold.
+#: gap scheduler's 20; the engine's probe asks 8).  A deeper ask raises.
 _TAIL_DEPTH = 20
 
 
@@ -64,7 +66,6 @@ class ReplayDB:
 
     def __init__(self) -> None:
         self._closed = False
-        self._tail_depth = _TAIL_DEPTH
         self._clear()
         metrics = get_observability().metrics
         self._m_rows_written = metrics.counter(
@@ -76,21 +77,26 @@ class ReplayDB:
         )
 
     def _clear(self) -> None:
-        """Empty every table (the per-file depth stays)."""
-        self._chunks: list[np.ndarray] = []
+        """Empty every table."""
+        #: chunk index -> rows; the chunks below ``_first`` are released
+        self._chunks: dict[int, np.ndarray] = {}
+        #: the last released chunk's array, for the next chunk the log needs
+        self._spare: np.ndarray | None = None
         self._rows = 0
+        #: position of the first row not released
+        self._first = 0
         #: name -> code per coded field; a code is its name's index
         self._codes: dict[str, dict[str, int]] = {"device": {}, "path": {}}
         #: the JSON blob of each row that carries extra telemetry
         self._extras: dict[int, str] = {}
         self._movements: list[MovementRecord] = []
         #: per-device ``(row count, throughput sum)`` over the rows below
-        #: ``_totals_cursor``; the log is append-only, so the rows above
-        #: the cursor are exactly the rows not yet folded in.
+        #: ``_totals_cursor``; rows land above it, so the rows above the
+        #: cursor are exactly the rows not yet folded in.
         self._device_totals: dict[str, tuple[int, float]] = {}
         self._totals_cursor = 0
         #: per-file state, folded in as rows land: every file's row count,
-        #: latest close time and newest ``_tail_depth`` row positions.  It
+        #: latest close time and newest ``_TAIL_DEPTH`` row positions.  It
         #: answers every per-file read.
         self._file_counts: dict[int, int] = {}
         self._file_last_close: dict[int, float] = {}
@@ -118,7 +124,9 @@ class ReplayDB:
 
     # -- snapshots -----------------------------------------------------------
     def snapshot_to(self, path: str | os.PathLike) -> Path:
-        """Write the whole database to one ``.npz`` archive at ``path``.
+        """Write the database to one ``.npz`` archive at ``path``: the live
+        rows, the first live row id and the folded per-file and per-device
+        state.
 
         The archive is staged beside ``path`` and renamed into place, so a
         crash mid-export never leaves a torn snapshot at the destination.
@@ -129,6 +137,11 @@ class ReplayDB:
             "path": list(self._codes["path"]),
             "extra": self._extras,
             "movements": [astuple(m) for m in self._movements],
+            "first": self._first + 1,
+            "counts": list(self._file_counts.items()),
+            "last_close": list(self._file_last_close.items()),
+            "tails": [[fid, list(t)] for fid, t in self._file_tails.items()],
+            "totals": [list(self._device_totals.items()), self._totals_cursor],
         }
         dest = Path(path)
         tmp = dest.with_name(f".{dest.name}.tmp")
@@ -137,7 +150,7 @@ class ReplayDB:
             with open(tmp, "wb") as handle:
                 np.savez(
                     handle,
-                    rows=self._range(0, self._rows),
+                    rows=self._range(self._first, self._rows),
                     tables=np.frombuffer(json.dumps(tables).encode(), np.uint8),
                 )
             os.replace(tmp, dest)
@@ -149,7 +162,8 @@ class ReplayDB:
         return dest
 
     def load_snapshot(self, path: str | os.PathLike) -> "ReplayDB":
-        """Replace this database's entire contents with a snapshot's."""
+        """Replace this database's entire contents with a snapshot's; the
+        folded state is restored, not refolded."""
         self._check_open()
         source = os.fspath(path)
         if not os.path.exists(source):
@@ -168,6 +182,13 @@ class ReplayDB:
             }
             extras = {int(pos): blob for pos, blob in tables["extra"].items()}
             movements = [MovementRecord(*row) for row in tables["movements"]]
+            first = int(tables["first"]) - 1
+            per_file = (
+                dict(tables["counts"]), dict(tables["last_close"]),
+                {fid: deque(tail, _TAIL_DEPTH) for fid, tail in tables["tails"]},
+            )
+            totals, cursor = tables["totals"]
+            totals = {name: tuple(total) for name, total in totals}
         except (OSError, EOFError, KeyError, TypeError, ValueError,
                 zipfile.BadZipFile) as exc:
             raise ReplayDBError(
@@ -175,12 +196,14 @@ class ReplayDB:
             ) from exc
         self._clear()
         self._codes, self._extras, self._movements = codes, extras, movements
-        for start in range(0, len(rows), _CHUNK_ROWS):
-            part = rows[start : start + _CHUNK_ROWS]
-            self._chunks.append(np.empty(_CHUNK_ROWS, _ROW))
-            self._chunks[-1][: len(part)] = part
-        self._rows = len(rows)
-        self._refold()
+        self._first, self._rows = first, first + len(rows)
+        for index in range(first // _CHUNK_ROWS, -(-self._rows // _CHUNK_ROWS)):
+            base = index * _CHUNK_ROWS
+            lo, hi = max(first, base), min(self._rows, base + _CHUNK_ROWS)
+            chunk = self._chunks[index] = np.empty(_CHUNK_ROWS, _ROW)
+            chunk[lo - base : hi - base] = rows[lo - first : hi - first]
+        self._file_counts, self._file_last_close, self._file_tails = per_file
+        self._device_totals, self._totals_cursor = totals, cursor
         return self
 
     @classmethod
@@ -224,11 +247,15 @@ class ReplayDB:
             )
         while stop < start + n:
             index, offset = divmod(stop, _CHUNK_ROWS)
-            if index == len(self._chunks):
-                self._chunks.append(np.empty(_CHUNK_ROWS, _ROW))
+            chunk = self._chunks.get(index)
+            if chunk is None:
+                chunk, self._spare = self._spare, None
+                if chunk is None:
+                    chunk = np.empty(_CHUNK_ROWS, _ROW)
+                self._chunks[index] = chunk
             lo = stop - start
             hi = min(n, lo + _CHUNK_ROWS - offset)
-            rows = self._chunks[index][offset : offset + hi - lo]
+            rows = chunk[offset : offset + hi - lo]
             for name, column in stored.items():
                 rows[name] = column if hi - lo == n else column[lo:hi]
             stop = start + hi
@@ -263,7 +290,7 @@ class ReplayDB:
             rows = range(start + lo, start + hi)
             tail = tails.get(fid)
             if tail is None:
-                tails[fid] = deque(rows, self._tail_depth)
+                tails[fid] = deque(rows, _TAIL_DEPTH)
                 counts[fid], last[fid] = hi - lo, close
             else:
                 tail.extend(rows)
@@ -272,21 +299,30 @@ class ReplayDB:
                     last[fid] = close
             lo = hi
 
-    def _refold(self) -> None:
-        """The per-file state, folded again from the first row."""
-        self._file_counts, self._file_last_close, self._file_tails = {}, {}, {}
-        for index, chunk in enumerate(self._chunks):
-            rows = chunk[: self._rows - index * _CHUNK_ROWS]
-            self._fold(
-                index * _CHUNK_ROWS, rows["fid"].tolist(),
-                list(zip(rows["cts"].tolist(), rows["ctms"].tolist())),
-            )
+    def release_before(self, rowid: int) -> int:
+        """Free the whole chunks below row id ``rowid``, clamped to the
+        oldest row a per-file tail names; returns the first id still held.
 
-    def _deepen(self, depth: int) -> None:
-        """Hold at least ``depth`` rows per file from now on."""
-        if depth > self._tail_depth:
-            self._tail_depth = depth
-            self._refold()
+        The device totals are folded first, so no aggregate or per-file
+        read changes; a read that reaches a released row raises.  The last
+        freed array serves the next chunk, so a log released as it grows
+        is a fixed ring.
+        """
+        self._check_open()
+        self._fold_totals()
+        oldest = min(
+            (tail[0] for tail in self._file_tails.values()), default=self._rows
+        )
+        stop = min(rowid - 1, oldest) // _CHUNK_ROWS
+        if stop * _CHUNK_ROWS > self._first:
+            for index in range(self._first // _CHUNK_ROWS, stop):
+                self._spare = self._chunks.pop(index)
+            self._first = stop * _CHUNK_ROWS
+            self._extras = {
+                pos: blob for pos, blob in self._extras.items()
+                if pos >= self._first
+            }
+        return self._first + 1
 
     def insert_movements(self, records: Iterable[MovementRecord]) -> int:
         """Bulk insert movements; returns the number of rows written."""
@@ -297,8 +333,25 @@ class ReplayDB:
         return len(rows)
 
     # -- reads -----------------------------------------------------------
+    def _check_held(self, position: int) -> None:
+        """Raise when the row at ``position`` was released."""
+        if position < self._first:
+            raise ReplayDBError(
+                f"the read reaches rows released below id {self._first + 1}"
+            )
+
+    def _check_depth(self, limit: int) -> None:
+        """Raise when a per-file read asks deeper than the tails go."""
+        if limit > _TAIL_DEPTH:
+            raise ReplayDBError(
+                f"per-file reads hold the newest {_TAIL_DEPTH} rows, "
+                f"asked for {limit}"
+            )
+
     def _take(self, positions: np.ndarray) -> np.ndarray:
         """The stored rows at ``positions`` (int64, any order)."""
+        if len(positions):
+            self._check_held(int(positions.min()))
         chunk_of, offsets = np.divmod(positions, _CHUNK_ROWS)
         indices = np.unique(chunk_of).tolist()
         if len(indices) == 1:
@@ -312,16 +365,13 @@ class ReplayDB:
     def _range(self, start: int, stop: int) -> np.ndarray:
         """The stored rows ``start:stop``: a view unless they straddle
         chunks."""
+        if start == stop:
+            return np.empty(0, _ROW)
+        self._check_held(start)
         index, offset = divmod(start, _CHUNK_ROWS)
-        if start == stop or offset + stop - start <= _CHUNK_ROWS:
-            chunk = self._chunks[index] if start < stop else np.empty(0, _ROW)
-            return chunk[offset : offset + stop - start]
+        if offset + stop - start <= _CHUNK_ROWS:
+            return self._chunks[index][offset : offset + stop - start]
         return self._take(np.arange(start, stop))
-
-    @staticmethod
-    def _to_record(row: tuple) -> AccessRecord:
-        """The record of one stored row (:data:`ACCESS_FIELDS`, extra)."""
-        return AccessRecord(*row)
 
     def _records(self, positions: np.ndarray) -> list[AccessRecord]:
         rows = self._take(positions)
@@ -333,7 +383,7 @@ class ReplayDB:
         fields.append(
             [json.loads(blobs.get(pos, "{}")) for pos in positions.tolist()]
         )
-        return [self._to_record(row) for row in zip(*fields)]
+        return [AccessRecord(*row) for row in zip(*fields)]
 
     def recent_accesses(
         self, limit: int, *, fid: int | None = None
@@ -348,10 +398,10 @@ class ReplayDB:
         self._check_open()
         self._m_queries.inc()
         if fid is not None:
-            self._deepen(limit)
+            self._check_depth(limit)
             tail = list(self._file_tails.get(fid, ()))[-limit:]
             return self._records(np.array(tail, dtype=np.int64))
-        return self._records(np.arange(self._rows)[-limit:])
+        return self._records(np.arange(max(0, self._rows - limit), self._rows))
 
     def max_rowid(self) -> int:
         """The largest access row id written so far (0 when empty).
@@ -458,7 +508,7 @@ class ReplayDB:
             raise ReplayDBError(f"limit must be positive, got {limit}")
         self._check_open()
         self._m_queries.inc()
-        self._deepen(limit)
+        self._check_depth(limit)
         tails, wanted = self._file_tails, set(fids)
         spans, positions = [], []
         for fid in sorted(fid for fid in tails if fid in wanted):
@@ -488,6 +538,10 @@ class ReplayDB:
         """
         self._check_open()
         self._m_queries.inc()
+        return self._fold_totals()
+
+    def _fold_totals(self) -> dict[str, tuple[int, float]]:
+        """The per-device totals, the rows above the cursor folded in."""
         if self._totals_cursor == self._rows:
             return self._device_totals
         rows = self._range(self._totals_cursor, self._rows)

@@ -66,6 +66,11 @@ class PrioritizedReplay:
     def max_priority(self) -> float:
         return self._max_priority
 
+    @property
+    def oldest_id(self) -> int:
+        """The smallest row id held (the largest int64 when none is)."""
+        return int(self._ids[: self._size].min(initial=np.iinfo(np.int64).max))
+
     def _slots_of(self, ids: np.ndarray) -> np.ndarray:
         """The slot holding each id, -1 where none does."""
         get = self._slot_by_id.get

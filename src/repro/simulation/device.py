@@ -121,127 +121,61 @@ class DeviceSpec:
 class DeviceStats:
     """Cumulative accounting for one device.
 
-    Throughput samples live in a growable float64 buffer, and the mean/std
-    telemetry reads come from Welford running mean/M2 aggregates, so a
-    telemetry query costs O(1) instead of an O(n) ``np.mean``/``np.std``
-    over the full history.  Welford (rather than sum/sum-of-squares) keeps
-    the variance numerically stable for large nearly-equal samples, where
-    the naive formula cancels catastrophically.
+    Throughput is Welford running mean/M2 aggregates, not the samples: O(1)
+    per read and in memory however many accesses the device served, and
+    numerically stable where sum/sum-of-squares cancels catastrophically.
     """
 
-    __slots__ = ("accesses", "bytes_served", "busy_time", "_buf", "_n", "_mean", "_m2")
+    __slots__ = ("accesses", "bytes_served", "busy_time", "n", "mean", "m2")
 
-    _INITIAL_CAPACITY = 256
-
-    def __init__(
-        self,
-        accesses: int = 0,
-        bytes_served: int = 0,
-        busy_time: float = 0.0,
-        throughput_samples: list[float] | None = None,
-    ) -> None:
-        self.accesses = int(accesses)
-        self.bytes_served = int(bytes_served)
-        self.busy_time = float(busy_time)
-        self._buf = np.empty(self._INITIAL_CAPACITY, dtype=np.float64)
-        self._n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        if throughput_samples:
-            for value in throughput_samples:
-                self.append_sample(float(value))
-
-    # -- samples -----------------------------------------------------------
-    @property
-    def throughput_samples(self) -> list[float]:
-        """The recorded samples as a plain list (copy)."""
-        return self._buf[: self._n].tolist()
-
-    @throughput_samples.setter
-    def throughput_samples(self, samples) -> None:
-        self._buf = np.empty(
-            max(self._INITIAL_CAPACITY, len(samples)), dtype=np.float64
-        )
-        self._n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        for value in samples:
-            self.append_sample(float(value))
+    def __init__(self) -> None:
+        self.accesses = self.bytes_served = 0
+        self.busy_time = 0.0
+        #: throughput samples folded in, their running mean and M2
+        self.n, self.mean, self.m2 = 0, 0.0, 0.0
 
     def append_sample(self, value: float) -> None:
-        n = self._n
-        buf = self._buf
-        if n == buf.shape[0]:
-            grown = np.empty(n * 2, dtype=np.float64)
-            grown[:n] = buf
-            self._buf = buf = grown
-        buf[n] = value
-        n += 1
-        self._n = n
-        delta = value - self._mean
-        self._mean += delta / n
-        self._m2 += delta * (value - self._mean)
+        self.n += 1
+        delta = value - self.mean
+        self.mean += delta / self.n
+        self.m2 += delta * (value - self.mean)
 
     def extend_samples(self, values: list[float]) -> None:
-        """Append many samples at once.
+        """Fold in many samples at once.
 
         Bit-for-bit equivalent to calling :meth:`append_sample` per value
         -- the running aggregates accumulate in the same left-to-right
-        order -- but grows the buffer at most once and accumulates in a
-        tight local loop.
+        order -- in a tight local loop.
         """
-        m = len(values)
-        if not m:
-            return
-        n = self._n
-        buf = self._buf
-        need = n + m
-        if need > buf.shape[0]:
-            grown = np.empty(max(need, buf.shape[0] * 2), dtype=np.float64)
-            grown[:n] = buf[:n]
-            self._buf = buf = grown
-        buf[n:need] = values
-        self._n = need
-        mean = self._mean
-        m2 = self._m2
+        n, mean, m2 = self.n, self.mean, self.m2
         for value in values:
             n += 1
             delta = value - mean
             mean += delta / n
             m2 += delta * (value - mean)
-        self._mean = mean
-        self._m2 = m2
+        self.n, self.mean, self.m2 = n, mean, m2
 
-    # -- telemetry reads ---------------------------------------------------
     def mean_throughput_gbps(self) -> float:
-        if not self._n:
+        if not self.n:
             raise SimulationError("no accesses recorded on this device")
-        return self._mean / GBPS
+        return self.mean / GBPS
 
     def std_throughput_gbps(self) -> float:
-        if not self._n:
+        if not self.n:
             raise SimulationError("no accesses recorded on this device")
-        variance = self._m2 / self._n
-        if variance < 0.0:
-            variance = 0.0
-        return float(np.sqrt(variance)) / GBPS
+        return float(np.sqrt(max(self.m2 / self.n, 0.0))) / GBPS
+
+    def state_dict(self) -> dict:
+        """The counters and aggregates; JSON floats round-trip exactly."""
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def __repr__(self) -> str:
-        return (
-            f"DeviceStats(accesses={self.accesses}, "
-            f"bytes_served={self.bytes_served}, busy_time={self.busy_time}, "
-            f"samples={self._n})"
-        )
+        return f"DeviceStats({self.state_dict()})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DeviceStats):
             return NotImplemented
-        return (
-            self.accesses == other.accesses
-            and self.bytes_served == other.bytes_served
-            and self.busy_time == other.busy_time
-            and self.throughput_samples == other.throughput_samples
-        )
+        return self.state_dict() == other.state_dict()
 
 
 class StorageDevice:
@@ -459,12 +393,7 @@ class StorageDevice:
             "rng": self._rng.bit_generator.state,
             "rng_cache": self._rng_cache.bit_generator.state,
             "recent": [[t, b] for t, b in self._window_entries()],
-            "stats": {
-                "accesses": self.stats.accesses,
-                "bytes_served": self.stats.bytes_served,
-                "busy_time": self.stats.busy_time,
-                "throughput_samples": self.stats.throughput_samples,
-            },
+            "stats": self.stats.state_dict(),
             "available": self.available,
             "online": self.online,
             "degradation": self.degradation,
@@ -477,13 +406,9 @@ class StorageDevice:
         self._recent_b = [int(b) for _, b in state["recent"]]
         self._recent_head = 0
         self._recent_sum = sum(self._recent_b)
-        stats = state["stats"]
-        self.stats = DeviceStats(
-            accesses=int(stats["accesses"]),
-            bytes_served=int(stats["bytes_served"]),
-            busy_time=float(stats["busy_time"]),
-            throughput_samples=[float(v) for v in stats["throughput_samples"]],
-        )
+        self.stats = DeviceStats()
+        for name, value in state["stats"].items():
+            setattr(self.stats, name, value)
         self.available = bool(state["available"])
         self.online = bool(state["online"])
         self.degradation = float(state["degradation"])

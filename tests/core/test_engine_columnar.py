@@ -175,10 +175,10 @@ class TestNoRecordIsMaterialised:
 
     @pytest.fixture
     def no_records(self, monkeypatch):
-        def refuse(row):
+        def refuse(db, positions):
             raise AssertionError("an AccessRecord was materialised")
 
-        monkeypatch.setattr(ReplayDB, "_to_record", staticmethod(refuse))
+        monkeypatch.setattr(ReplayDB, "_records", refuse)
 
     @pytest.fixture
     def cases(self, db):

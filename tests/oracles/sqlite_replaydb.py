@@ -5,7 +5,10 @@ table whose rowids ascend in arrival order and a ``movements`` table.
 Every read is a statement -- the per-file reads too, as one ``WHERE fid =
 ?`` probe per file and ``GROUP BY fid`` -- except the per-device totals,
 which are SQLite's ``SUM`` over the rows above a rowid cursor, folded in
-at each aggregate read and started over after a snapshot is loaded.
+at each aggregate read.  ``release_before`` deletes the rows below the
+horizon -- found with the column store's chunk size and tail depth --
+after folding them into a ``released`` per-file table; the totals, cursor
+and horizon ride a snapshot in a ``meta`` row.
 ``tests/replaydb/test_db_stateful.py`` holds the column store equal to it
 after every step.
 """
@@ -20,6 +23,7 @@ import numpy as np
 
 from repro.errors import ReplayDBError
 from repro.features.pipeline import extra_columns
+from repro.replaydb import db as db_module
 from repro.replaydb.db import PROBE_FIELDS
 from repro.replaydb.records import AccessRecord, MovementRecord
 
@@ -55,6 +59,21 @@ CREATE TABLE movements (
     succeeded  INTEGER NOT NULL DEFAULT 1,
     trace_id   TEXT
 );
+CREATE TABLE released (
+    fid        INTEGER PRIMARY KEY,
+    count      INTEGER NOT NULL,
+    last_close REAL    NOT NULL
+);
+CREATE TABLE meta (state TEXT NOT NULL);
+"""
+
+#: per-file state over live and released rows alike
+_PER_FILE = """
+SELECT fid, SUM(count), MAX(last_close) FROM (
+    SELECT fid, COUNT(*) AS count, MAX(cts + ctms / 1000.0) AS last_close
+    FROM accesses GROUP BY fid
+    UNION ALL SELECT fid, count, last_close FROM released
+) GROUP BY fid ORDER BY fid
 """
 
 
@@ -91,12 +110,19 @@ class SqliteReplayDB:
         self._conn.executescript(_SCHEMA)
         self._device_totals: dict[str, tuple[int, float]] = {}
         self._totals_cursor = 0
+        #: the first row id not released
+        self._horizon = 1
 
     def close(self) -> None:
         self._conn.close()
 
     # -- snapshots -------------------------------------------------------
     def snapshot_to(self, path) -> Path:
+        state = [list(self._device_totals.items()), self._totals_cursor,
+                 self._horizon]
+        self._conn.execute("DELETE FROM meta")
+        self._conn.execute("INSERT INTO meta VALUES (?)", (json.dumps(state),))
+        self._conn.commit()
         target = sqlite3.connect(path)
         try:
             self._conn.backup(target)
@@ -110,7 +136,9 @@ class SqliteReplayDB:
             source.backup(self._conn)
         finally:
             source.close()
-        self._device_totals, self._totals_cursor = {}, 0
+        (state,) = self._conn.execute("SELECT state FROM meta").fetchone()
+        totals, self._totals_cursor, self._horizon = json.loads(state)
+        self._device_totals = {name: tuple(total) for name, total in totals}
         return self
 
     # -- writes ----------------------------------------------------------
@@ -157,8 +185,54 @@ class SqliteReplayDB:
         self._conn.commit()
         return len(rows)
 
+    def release_before(self, rowid) -> int:
+        self._device_aggregates()
+        (oldest,) = self._conn.execute(
+            "SELECT MIN(id) FROM (SELECT id, ROW_NUMBER() OVER "
+            "(PARTITION BY fid ORDER BY id DESC) AS rn FROM accesses) "
+            "WHERE rn <= ?",
+            (db_module._TAIL_DEPTH,),
+        ).fetchone()
+        if oldest is None:
+            oldest = self.max_rowid() + 1
+        chunk = db_module._CHUNK_ROWS
+        horizon = (min(rowid, oldest) - 1) // chunk * chunk + 1
+        if horizon > self._horizon:
+            self._conn.execute(
+                "INSERT INTO released SELECT fid, COUNT(*), "
+                "MAX(cts + ctms / 1000.0) FROM accesses WHERE id < ? "
+                "GROUP BY fid ON CONFLICT (fid) DO UPDATE SET "
+                "count = count + excluded.count, "
+                "last_close = MAX(last_close, excluded.last_close)",
+                (horizon,),
+            )
+            self._conn.execute("DELETE FROM accesses WHERE id < ?", (horizon,))
+            self._conn.commit()
+            self._horizon = horizon
+        return self._horizon
+
     # -- reads -----------------------------------------------------------
+    def _check_held(self, first_id) -> None:
+        """The column store's error for a read that starts at
+        ``first_id``, when that row was released."""
+        if first_id < self._horizon:
+            raise ReplayDBError(
+                f"the read reaches rows released below id {self._horizon}"
+            )
+
+    @staticmethod
+    def _check_depth(limit) -> None:
+        if limit > db_module._TAIL_DEPTH:
+            raise ReplayDBError(
+                f"per-file reads hold the newest {db_module._TAIL_DEPTH} "
+                f"rows, asked for {limit}"
+            )
+
     def recent_accesses(self, limit, *, fid=None):
+        if fid is None:
+            self._check_held(max(0, self.max_rowid() - limit) + 1)
+        else:
+            self._check_depth(limit)
         where, params = ("WHERE fid = ?", [fid]) if fid is not None else ("", [])
         rows = self._conn.execute(
             f"SELECT {_ROW_SQL} FROM (SELECT * FROM accesses {where} "
@@ -172,12 +246,21 @@ class SqliteReplayDB:
         return int(row[0]) if row[0] is not None else 0
 
     def access_columns(self, *, limit=None, since=None, ids=None, extra=()):
+        total = self.max_rowid()
         if ids is not None:
             params = sorted({int(i) for i in ids})
+            held = [i for i in params if 1 <= i <= total]
+            if held:
+                self._check_held(held[0])
             source = (
                 f"accesses WHERE id IN ({', '.join('?' for _ in params)})"
             )
         else:
+            start = 0 if since is None else min(since, total)
+            if limit is not None:
+                start = max(start, total - limit)
+            if start < total:
+                self._check_held(start + 1)
             params = [] if since is None else [since]
             source = "accesses" if since is None else "accesses WHERE id > ?"
             if limit is not None:
@@ -193,6 +276,7 @@ class SqliteReplayDB:
         return columns
 
     def recent_access_columns_per_file(self, limit, fids, *, extra=()):
+        self._check_depth(limit)
         query = (
             f"SELECT {_select(PROBE_FIELDS, extra)} FROM accesses "
             "WHERE fid = ? ORDER BY id DESC LIMIT ?"
@@ -214,22 +298,15 @@ class SqliteReplayDB:
         return spans, columns
 
     def files(self) -> list[int]:
-        rows = self._conn.execute(
-            "SELECT DISTINCT fid FROM accesses ORDER BY fid"
-        )
-        return [row[0] for row in rows]
+        return [row[0] for row in self._conn.execute(_PER_FILE)]
 
     def access_count_per_file(self) -> dict[int, int]:
-        rows = self._conn.execute(
-            "SELECT fid, COUNT(*) FROM accesses GROUP BY fid"
-        )
-        return {int(fid): int(count) for fid, count in rows}
+        rows = self._conn.execute(_PER_FILE)
+        return {int(fid): int(count) for fid, count, _ in rows}
 
     def last_access_time_per_file(self) -> dict[int, float]:
-        rows = self._conn.execute(
-            "SELECT fid, MAX(cts + ctms / 1000.0) FROM accesses GROUP BY fid"
-        )
-        return {int(fid): float(t) for fid, t in rows}
+        rows = self._conn.execute(_PER_FILE)
+        return {int(fid): float(t) for fid, _, t in rows}
 
     def _device_aggregates(self) -> dict[str, tuple[int, float]]:
         rows = self._conn.execute(

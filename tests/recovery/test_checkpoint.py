@@ -139,7 +139,8 @@ class TestCorruptionFallback:
         config has a causal-tracing switch apart from provenance, and a
         format-7 one's channel carries shed counters and a monitor backlog,
         and a format-8 one's pipeline state carries a normalisation mode,
-        fitted features and min/range bounds; resuming names the format
+        fitted features and min/range bounds, and a format-9 one's device
+        stats carry every throughput sample; resuming names the format
         instead of dying inside ``GeomancyConfig(**config)``."""
         for version, state in (
             (2, {"meta": {"config": {"warm_start": True}}}),
@@ -159,6 +160,10 @@ class TestCorruptionFallback:
                 "y_norm": {"min": [0.0], "range": [1.0]},
                 "fitted_features": ["fsid"],
             }}}),
+            (9, {"system": {"devices": {"var": {"stats": {
+                "accesses": 2, "bytes_served": 10, "busy_time": 1.0,
+                "throughput_samples": [4.0, 6.0],
+            }}}}}),
         ):
             root = tmp_path / f"format-{version}"
             mgr = CheckpointManager(root)

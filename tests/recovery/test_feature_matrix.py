@@ -7,10 +7,12 @@ invariants, be a pure function of its seed, and come out of a kill at
 run 7 + resume equal to its uninterrupted twin.
 
 One more check puts state *into* the channel at the checkpoint: an
-injected lossy telemetry link with messages in flight.
+injected lossy telemetry link with messages in flight; another resumes
+from a ReplayDB snapshot taken after chunks were released.
 """
 
 import json
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -31,6 +33,7 @@ from repro.nn.serialization import load_weights
 from repro.observability.provenance import ProvenanceLedger
 from repro.recovery.checkpoint import CheckpointManager
 from repro.recovery.snapshot import capture_system, restore_system
+from repro.replaydb import db as db_module
 from repro.replaydb.db import ReplayDB
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -174,3 +177,27 @@ def test_fault_stage_rides_the_checkpoint(tmp_path):
     system, expected = resume_matches_whole_run(tmp_path, seed, lossy)
     assert expected[0], "the loop never moved a file"
     assert system["channel"]["telemetry"]["pending"], "nothing in flight"
+
+
+def test_resume_across_released_chunks(tmp_path, monkeypatch):
+    """With chunks small enough that the facade has released some by the
+    checkpoint, the snapshot holds only the live rows and the folded
+    state, and the resumed run still equals the uninterrupted one."""
+    monkeypatch.setattr(db_module, "_CHUNK_ROWS", 32)
+    features, scale = ("provenance", "faults"), replace(TEST_SCALE, runs=30)
+    for name in ("first", "killed"):
+        (tmp_path / name).mkdir()
+    first = run(tmp_path / "first", features, scale=scale)
+    expected = observable(first, tmp_path / "first")
+    with pytest.raises(SimulatedCrash):
+        run(
+            tmp_path / "killed", features, scale=scale,
+            kill_at_run=22, kill_point="pre-commit",
+        )
+    loaded = CheckpointManager(tmp_path / "killed" / "ckpt").latest_valid()
+    assert loaded.step == 20
+    snapshot = ReplayDB.from_snapshot(loaded.replay_path)
+    assert snapshot.release_before(0) > 1, "no chunk was released"
+    resumed = resume_recoverable(tmp_path / "killed" / "ckpt")
+    assert resumed.resumed_from_step == 20
+    assert observable(resumed, tmp_path / "killed") == expected

@@ -1,8 +1,10 @@
 """Tests for the ReplayDB."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ReplayDBError
+from repro.replaydb import db as db_module
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord, MovementRecord
 
@@ -170,3 +172,61 @@ class TestMovements:
         db.insert_movements([failed])
         (got,) = db.movements()
         assert got == failed and not got.succeeded
+
+
+class TestHorizon:
+    """``release_before`` frees whole chunks behind what every reader
+    still needs; a read that reaches them raises, naming the horizon."""
+
+    @pytest.fixture
+    def released(self, db, monkeypatch):
+        monkeypatch.setattr(db_module, "_CHUNK_ROWS", 4)
+        # File 1 lands 10 rows, then file 2 lands 10 (the newest).
+        db.insert_accesses(
+            make_access(fid=1 + k // 10, t=k, extra={"rt": k} if k < 3 else {})
+            for k in range(20)
+        )
+        return db
+
+    def test_clamped_to_the_oldest_tail_row(self, released):
+        # Both files' whole history sits in their 20-row tails.
+        assert released.release_before(20) == 1
+        released.insert_accesses(make_access(fid=1, t=20 + k) for k in range(20))
+        # File 1's tail is now rows 21..40, file 2's still 11..20.
+        assert released.release_before(40) == 9
+        assert released.release_before(30) == 9  # a horizon never moves back
+        assert len(released._chunks) == 8 and released._spare is not None
+        assert released._extras == {}
+        assert released.access_count_per_file() == {1: 30, 2: 10}
+
+    def test_reads_behind_the_horizon_raise(self, released):
+        released.insert_accesses(make_access(fid=1, t=20 + k) for k in range(20))
+        horizon = released.release_before(40)
+        behind = f"the read reaches rows released below id {horizon}"
+        for read in (
+            lambda: released.recent_accesses(40 - horizon + 2),
+            lambda: released.access_columns(since=horizon - 2),
+            lambda: released.access_columns(ids=[1, 30]),
+        ):
+            with pytest.raises(ReplayDBError, match=behind):
+                read()
+        assert len(released.recent_accesses(40 - horizon + 1)) == 32
+        assert released.access_columns(since=horizon - 1)["id"][0] == horizon
+        assert released.access_count() == 40
+
+    def test_snapshot_holds_the_live_rows_and_the_folded_state(
+        self, released, tmp_path
+    ):
+        released.insert_accesses(make_access(fid=1, t=20 + k) for k in range(20))
+        released.release_before(40)
+        snap = released.snapshot_to(tmp_path / "snap.npz")
+        with np.load(snap) as archive:
+            assert len(archive["rows"]) == 32
+        restored = ReplayDB.from_snapshot(snap)
+        for reader in ("access_count_per_file", "last_access_time_per_file",
+                       "device_throughput_ranking", "max_rowid"):
+            assert getattr(restored, reader)() == getattr(released, reader)()
+        assert restored.release_before(0) == 9
+        assert restored.recent_accesses(20, fid=2) == (
+            released.recent_accesses(20, fid=2)
+        )

@@ -83,7 +83,7 @@ class AggregateMachine(RuleBasedStateMachine):
             self.oracle.device_throughput_ranking()
         )
 
-    # -- the places the cursor starts over ---------------------------------
+    # -- snapshots carry the totals and the cursor ----------------------
     @rule()
     def take_snapshot(self):
         self.snapshots = (

@@ -2,10 +2,12 @@
 
 The column store and the SQL it replaced (``tests/oracles/
 sqlite_replaydb.py``) take the same steps -- single and bulk inserts,
-movements, snapshot and restore, per-file asks deeper than ever -- and
-after every step every read must return the same thing: columns equal in
-dtype and every bit, counts and means ``==``, records and movements
-``==``, the same error for the same bad read.
+movements, releases behind a horizon, snapshot and restore -- and after
+every step every read must return the same thing: columns equal in dtype
+and every bit, counts and means ``==``, records and movements ``==``, the
+same error for the same bad read (one behind the horizon, or deeper than
+the per-file tails go).  Chunks and tails are patched small, so that
+files outgrow their tails and releases free chunks within a few steps.
 """
 
 import tempfile
@@ -14,7 +16,13 @@ from pathlib import Path
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import settings
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.replaydb import db as db_module
 from repro.replaydb.db import ReplayDB
@@ -23,6 +31,8 @@ from tests.oracles.sqlite_replaydb import SqliteReplayDB
 
 FIDS = range(6)
 DEVICES = ("dev0", "dev1", "dev2", "nowhere")
+CHUNK_ROWS = 8
+TAIL_DEPTH = 3
 
 #: one access to be: (fid, fsid, rb, duration in ms, carries extra)
 ACCESS = st.tuples(
@@ -64,17 +74,16 @@ class ReplayDBMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.t = 1
-        #: the deepest per-file ask so far.  Starts far below the shipped
-        #: ``_TAIL_DEPTH``, so that files outgrow their tails within a
-        #: few steps and a deeper ask has dropped rows to bring back.
-        self.depth = 2
+        self._shipped = db_module._CHUNK_ROWS, db_module._TAIL_DEPTH
+        db_module._CHUNK_ROWS, db_module._TAIL_DEPTH = CHUNK_ROWS, TAIL_DEPTH
+        #: the first row id not released
+        self.horizon = 1
         self.db = ReplayDB()
-        assert self.db._tail_depth == db_module._TAIL_DEPTH
-        self.db._tail_depth = self.depth
         self.oracle = SqliteReplayDB()
         self._tmp = tempfile.TemporaryDirectory()
 
     def teardown(self):
+        db_module._CHUNK_ROWS, db_module._TAIL_DEPTH = self._shipped
         self.db.close()
         self.oracle.close()
         self._tmp.cleanup()
@@ -90,6 +99,13 @@ class ReplayDBMachine(RuleBasedStateMachine):
             rb=rb, wb=0, ots=self.t, otms=0, cts=cts, ctms=ctms,
             extra={"rt": rb / 7.0} if extra else {},
         )
+
+    @initialize(batch=st.lists(ACCESS, min_size=16, max_size=64))
+    def fill(self, batch):
+        """Start with a few chunks' worth of rows, so releases bite."""
+        records = [self._record(*access) for access in batch]
+        assert self.db.insert_accesses(records) == len(records)
+        self.oracle.insert_accesses(records)
 
     @rule(access=ACCESS)
     def insert(self, access):
@@ -141,17 +157,34 @@ class ReplayDBMachine(RuleBasedStateMachine):
         if fresh:
             self.db.close()
             self.db = ReplayDB.from_snapshot(ours)
-            self.depth = db_module._TAIL_DEPTH
         else:
             self.db.load_snapshot(ours)
         self.oracle.load_snapshot(theirs)
 
-    @rule(deeper=st.integers(1, 40), fid=st.integers(0, 5))
-    def ask_deeper_than_ever(self, deeper, fid):
-        self.depth += deeper
-        assert self.db.recent_accesses(self.depth, fid=fid) == (
-            self.oracle.recent_accesses(self.depth, fid=fid)
-        )
+    @precondition(lambda self: self.db.max_rowid() > 2 * CHUNK_ROWS)
+    @rule(
+        batch=st.lists(ACCESS, max_size=20),
+        rounds=st.integers(0, 5),
+        back=st.integers(-2, 12),
+    )
+    def release(self, batch, rounds, back):
+        """Land ``batch`` and ``rounds`` accesses to every file (which
+        can move every tail past the rows folded so far) with no
+        aggregate read in between, then release below the row ``back``
+        rows under the newest -- clamped by both stores to what the
+        per-file tails still name."""
+        every_file = [(fid, fid % 3, 1000 + fid, 10, False) for fid in FIDS]
+        records = [
+            self._record(*access) for access in batch + every_file * rounds
+        ]
+        self.db.insert_accesses(records)
+        self.oracle.insert_accesses(records)
+        rowid = self.db.max_rowid() - back
+        horizon = self.db.release_before(rowid)
+        assert horizon == self.oracle.release_before(rowid)
+        assert horizon >= self.horizon
+        self.horizon = horizon
+        assert min(self.db._extras, default=horizon) >= horizon - 1
 
     def _same(self, reader, *args, **kwargs):
         assert_same(
@@ -185,19 +218,28 @@ class ReplayDBMachine(RuleBasedStateMachine):
             self._same("access_columns", ids=[], extra=extra)
         self._same("recent_accesses", 3)
         self._same("recent_accesses", max(total, 1))
+        # Reads from the horizon on are answered; one row further back
+        # raises on both stores.
+        inside = self.horizon - 1
+        assert outcome(lambda: self.db.access_columns(since=inside))[0] == "ok"
+        self._same("access_columns", since=inside)
+        if self.horizon > 1:
+            self._same("access_columns", since=self.horizon - 2)
+            assert outcome(
+                lambda: self.db.access_columns(ids=[self.horizon - 1])
+            )[0] == "error"
 
     @invariant()
     def per_file_reads_equal(self):
         db = self.db
-        assert db._tail_depth == self.depth
-        assert all(len(tail) <= self.depth for tail in db._file_tails.values())
+        assert all(len(tail) <= TAIL_DEPTH for tail in db._file_tails.values())
         for reader in ("files", "access_count_per_file",
                        "last_access_time_per_file"):
             self._same(reader)
             assert list(getattr(db, reader)()) == list(
                 getattr(self.oracle, reader)()
             )  # the same (fid-ascending) order
-        for limit in sorted({1, self.depth // 2, self.depth}):  # none deeper
+        for limit in (1, TAIL_DEPTH - 1, TAIL_DEPTH, TAIL_DEPTH + 1):
             for fid in FIDS:
                 self._same("recent_accesses", limit, fid=fid)
             for fids in (FIDS, (4, 1, 99)):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ReplayDBError
-from repro.replaydb.db import PROBE_FIELDS, ReplayDB
+from repro.replaydb.db import _TAIL_DEPTH, PROBE_FIELDS, ReplayDB
 from repro.replaydb.records import AccessRecord
 from tests.oracles.sqlite_replaydb import as_sqlite
 
@@ -85,7 +85,7 @@ def db():
 
 
 class TestRecentAccessesPerFileSubset:
-    @pytest.mark.parametrize("limit", [1, 3, 100])
+    @pytest.mark.parametrize("limit", [1, 3, _TAIL_DEPTH])
     def test_subset_equals_filtered_full_result(self, db, limit):
         full = window_scan_columns(db, limit)
         for wanted in ([0], [1, 2], [0, 2, 5, 8], [3, 4], list(range(10))):
@@ -110,9 +110,15 @@ class TestRecentAccessesPerFileSubset:
         with pytest.raises(ReplayDBError):
             db.recent_access_columns_per_file(0, fids=[1])
 
+    def test_deeper_than_the_tails_raises(self, db):
+        with pytest.raises(ReplayDBError, match="newest 20 rows, asked for 21"):
+            db.recent_access_columns_per_file(_TAIL_DEPTH + 1, fids=[1])
+        with pytest.raises(ReplayDBError, match="asked for 21"):
+            db.recent_accesses(_TAIL_DEPTH + 1, fid=1)
+
 
 class TestColumnsSubset:
-    @pytest.mark.parametrize("limit", [1, 3, 100])
+    @pytest.mark.parametrize("limit", [1, 3, _TAIL_DEPTH])
     def test_all_fids_subset_matches_window_query(self, db, limit):
         assert_same(
             db.recent_access_columns_per_file(limit, fids=range(10)),

@@ -52,7 +52,9 @@ def device_fingerprint(device: StorageDevice) -> tuple:
         device.stats.accesses,
         device.stats.bytes_served,
         device.stats.busy_time,
-        tuple(device.stats.throughput_samples),
+        device.stats.n,
+        device.stats.mean,
+        device.stats.m2,
         device._recent_sum,
         tuple(device._window_entries()),
         device._rng.bit_generator.state,
@@ -408,8 +410,9 @@ class TestDeviceStatsAggregates:
         for value in samples:
             one_by_one.append_sample(value)
         assert bulk == one_by_one
-        assert bulk._mean == one_by_one._mean
-        assert bulk._m2 == one_by_one._m2
+        assert (bulk.n, bulk.mean, bulk.m2) == (
+            one_by_one.n, one_by_one.mean, one_by_one.m2
+        )
 
 
 class TestRunArraysPacking:

@@ -61,14 +61,13 @@ class TestServiceProperties:
     def test_throughput_samples_match_bytes_over_duration(self):
         device = make_device(noise_sigma=0.0, load=ConstantLoad(0.0))
         duration = device.perform_access(0.0, GB, 0)
-        sample = device.stats.throughput_samples[-1]
-        assert sample == pytest.approx(GB / duration)
+        assert device.stats.mean == GB / duration
 
 
 class TestStatsAggregation:
     def test_mean_and_std_over_known_samples(self):
         device = make_device(noise_sigma=0.0, load=ConstantLoad(0.0))
-        device.stats.throughput_samples = [1e9, 3e9]
+        device.stats.extend_samples([1e9, 3e9])
         assert device.stats.mean_throughput_gbps() == pytest.approx(2.0)
         assert device.stats.std_throughput_gbps() == pytest.approx(1.0)
 

@@ -6,8 +6,9 @@ nothing in the product reads, or that only tests set, fails outright, and
 so do a second transport class, a public name that only tests refer to,
 a defaulted parameter that only tests set, product code that imports
 ``sqlite3``, an access log that holds more than 64 bytes per BELLE II
-row, an access record with an instance dict, product code that touches
-the garbage collector and a new ``np.errstate`` block.
+row or grows with a run's length, an access record with an instance
+dict, product code that touches the garbage collector and a new
+``np.errstate`` block.
 """
 
 import ast
@@ -22,6 +23,12 @@ import repro
 from repro.agents.transport import Transport
 from repro.cli import build_parser
 from repro.core.config import GeomancyConfig
+from repro.experiments.harness import (
+    make_experiment_config,
+    run_measured_loop,
+    start_facade_loop,
+)
+from repro.experiments.spec import TEST_SCALE
 from repro.replaydb import db as db_module
 from repro.simulation.bluesky import make_bluesky_cluster
 from repro.workloads.belle2 import Belle2Workload
@@ -41,7 +48,7 @@ MAX_CLI_SUBCOMMANDS = 19
 #: ``find src -name '*.py' | xargs cat | wc -l``
 MAX_SRC_LINES = 16_931
 #: ``wc -c`` of the two documents a newcomer reads first
-MAX_DESIGN_BYTES = 74_265
+MAX_DESIGN_BYTES = 74_232
 MAX_README_BYTES = 18_067
 
 #: Public names under ``src/repro`` that only tests refer to, each with the
@@ -437,6 +444,28 @@ def test_access_log_holds_at_most_64_bytes_per_belle2_row():
         tracemalloc.stop()
     assert db.max_rowid() == rows
     assert held / rows <= 64
+
+
+def test_a_facade_run_keeps_a_fixed_ring_of_chunks(monkeypatch):
+    """A ratchet on what a growing run holds: with chunks patched small, a
+    facade run of 3N decision epochs ends with as many live ReplayDB
+    chunks as a run of N, and device stats keep running aggregates, no
+    per-access buffer."""
+    monkeypatch.setattr(db_module, "_CHUNK_ROWS", 512)
+    geo, runner = start_facade_loop(
+        make_experiment_config(TEST_SCALE, seed=0),
+        seed=0, warmup_accesses=TEST_SCALE.warmup_accesses,
+    )
+    live = []
+    for runs in (range(1, 21), range(21, 61)):  # 4 epochs, then 12
+        run_measured_loop(geo, runner, runs)
+        live.append(len(geo.db._chunks))
+    assert geo.db._first > 0
+    assert live[0] == live[1]
+    for name in geo.cluster.device_names:
+        state = geo.cluster.device(name).stats.state_dict()
+        assert state["n"] > 0
+        assert all(type(value) in (int, float) for value in state.values())
 
 
 def test_an_access_is_one_tuple_and_src_leaves_gc_alone():

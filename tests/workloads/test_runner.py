@@ -127,7 +127,9 @@ def _drive(db):
             cluster.device(name).stats.accesses,
             cluster.device(name).stats.bytes_served,
             cluster.device(name).stats.busy_time,
-            tuple(cluster.device(name).stats.throughput_samples),
+            cluster.device(name).stats.n,
+            cluster.device(name).stats.mean,
+            cluster.device(name).stats.m2,
         )
         for name in names
     }
