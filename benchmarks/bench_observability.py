@@ -1,7 +1,7 @@
 """Observability overhead: the instrumented loop vs. the disabled twin.
 
-Runs the same warm-up + measured control loop through
-``run_instrumented`` twice per sample -- once with a fully enabled
+Runs the same warm-up + measured control loop through ``run_facade``
+with an exports stage twice per sample -- once with a fully enabled
 :class:`~repro.observability.Observability` (every metric handle live,
 every span recorded, the event bus on) and once with a disabled
 instance, which swaps every handle for a shared null object on the
@@ -31,9 +31,10 @@ from pathlib import Path
 import pytest
 
 from _timing import paired_overhead
-from repro.experiments.instrumented import run_instrumented
-from repro.observability import Observability
+from repro.experiments.facade import Exports, run_facade
+from repro.experiments.harness import make_experiment_config
 from repro.experiments.spec import TEST_SCALE
+from repro.observability import Observability
 
 OUT_DIR = Path(__file__).parent / "out"
 SEED = 0
@@ -44,29 +45,30 @@ REQUIRED_SUBSYSTEMS = {
 
 
 def _enabled():
-    return run_instrumented(
+    return run_facade(
+        make_experiment_config(TEST_SCALE, seed=SEED, provenance_enabled=True),
         scale=TEST_SCALE,
         seed=SEED,
-        provenance_enabled=True,
-        slo_enabled=True,
+        exports=Exports(slo=True),
     )
 
 
 def _disabled():
-    return run_instrumented(
-        scale=TEST_SCALE, seed=SEED, obs=Observability(enabled=False)
+    return run_facade(
+        make_experiment_config(TEST_SCALE, seed=SEED),
+        scale=TEST_SCALE,
+        seed=SEED,
+        exports=Exports(),
+        obs=Observability(enabled=False),
     )
 
 
 def _measure() -> dict:
     enabled = _enabled()
     disabled = _disabled()
+    metrics = enabled.geo.obs.metrics.snapshot()
     subsystems = sorted(
-        {
-            name.split("_")[1]
-            for group in enabled.metrics.values()
-            for name in group
-        }
+        {name.split("_")[1] for group in metrics.values() for name in group}
     )
     rounds = [paired_overhead(_disabled, _enabled, pairs=6, batch=2)]
     if rounds[-1]["overhead_percent"] > OVERHEAD_BUDGET_PERCENT:
@@ -87,13 +89,11 @@ def _measure() -> dict:
             and enabled.accesses == disabled.accesses
         ),
         "subsystems": subsystems,
-        "spans_recorded": enabled.spans_recorded,
-        "metrics_registered": sum(
-            len(group) for group in enabled.metrics.values()
-        ),
-        "bus_events": len(enabled.events),
-        "disabled_spans": disabled.spans_recorded,
-        "disabled_bus_events": len(disabled.events),
+        "spans_recorded": len(enabled.geo.obs.tracer.spans),
+        "metrics_registered": sum(len(group) for group in metrics.values()),
+        "bus_events": len(enabled.geo.obs.bus),
+        "disabled_spans": len(disabled.geo.obs.tracer.spans),
+        "disabled_bus_events": len(disabled.geo.obs.bus),
         "slo_objectives": len(enabled.slo or []),
         "disabled_slo": disabled.slo,
     }

@@ -1,10 +1,10 @@
 """Crash-restart-resume matrix: recovery time and determinism.
 
 For every (checkpoint cadence x kill point) cell the benchmark runs the
-recoverable control loop to completion, runs an identical twin that is
-killed mid-flight, resumes the twin from its checkpoint directory, and
-checks the resumed result is bit-for-bit identical to the uninterrupted
-one.  Per-cell wall-clock recovery time (restore + replay to the end)
+facade loop (``run_facade``) with a checkpoint stage to completion, runs
+an identical twin that is killed mid-flight, resumes the twin from its
+checkpoint directory, and checks the resumed result is bit-for-bit
+identical to the uninterrupted one.  Per-cell wall-clock recovery time (restore + replay to the end)
 lands in ``benchmarks/out/BENCH_recovery.json`` for the CI artifact.
 """
 
@@ -20,14 +20,28 @@ import pytest
 
 from _timing import summarize
 from repro.errors import SimulatedCrash
-from repro.experiments.recoverable import run_recoverable, resume_recoverable
+from repro.experiments.facade import (
+    KILL_POINTS,
+    Checkpoints,
+    resume_facade,
+    run_facade,
+)
+from repro.experiments.harness import make_experiment_config
 from repro.experiments.spec import TEST_SCALE
 
 OUT_DIR = Path(__file__).parent / "out"
 SEED = 0
 KILL_AT_RUN = 10
 CADENCES = (1, 5)
-KILL_POINTS = ("pre-commit", "mid-checkpoint", "post-commit")
+
+
+def _recover(checkpoints: Checkpoints):
+    return run_facade(
+        make_experiment_config(TEST_SCALE, seed=SEED),
+        scale=TEST_SCALE,
+        seed=SEED,
+        checkpoints=checkpoints,
+    )
 
 
 def _run_matrix() -> dict:
@@ -37,29 +51,22 @@ def _run_matrix() -> dict:
         for cadence in CADENCES:
             t0 = time.perf_counter()
             base_dir = workdir / f"base-{cadence}"
-            baseline = run_recoverable(
-                checkpoint_dir=base_dir,
-                scale=TEST_SCALE,
-                seed=SEED,
-                checkpoint_every=cadence,
-            )
+            baseline = _recover(Checkpoints(base_dir, every=cadence))
             uninterrupted_s = time.perf_counter() - t0
             for kill_point in KILL_POINTS:
                 cell_dir = workdir / f"cell-{cadence}-{kill_point}"
                 try:
-                    run_recoverable(
-                        checkpoint_dir=cell_dir,
-                        scale=TEST_SCALE,
-                        seed=SEED,
-                        checkpoint_every=cadence,
+                    _recover(Checkpoints(
+                        cell_dir,
+                        every=cadence,
                         kill_at_run=KILL_AT_RUN,
                         kill_point=kill_point,
-                    )
+                    ))
                     raise AssertionError("injected kill did not fire")
                 except SimulatedCrash:
                     pass
                 t1 = time.perf_counter()
-                resumed = resume_recoverable(cell_dir)
+                resumed = resume_facade(cell_dir)
                 recovery_s = time.perf_counter() - t1
                 identical = (
                     resumed.final_layout == baseline.final_layout

@@ -12,18 +12,20 @@ Quick start::
         Geomancy, GeomancyConfig, make_bluesky_cluster,
         Belle2Workload, belle2_file_population, WorkloadRunner,
     )
-    from repro.experiments.harness import (
-        run_measured_loop, warm_up_through_agents,
-    )
 
     cluster = make_bluesky_cluster(seed=0)
     files = belle2_file_population(seed=0)
     geo = Geomancy(cluster, files, GeomancyConfig(epochs=60,
                                                   training_rows=4000))
     geo.place_initial()
-    runner = WorkloadRunner(cluster, Belle2Workload(files))
-    warm_up_through_agents(geo, runner, 1000)
-    gbps = run_measured_loop(geo, runner, range(1, 51))
+    runner = WorkloadRunner(cluster, Belle2Workload(files), geo.db)
+    for run in range(1, 51):
+        runner.run_once()
+        geo.after_run(run, runner.clock.now)
+
+The experiments' entry, :func:`repro.experiments.facade.run_facade`,
+runs the same loop with telemetry through the monitoring agents and
+optional fault, checkpoint and export stages.
 
 Subpackages: :mod:`repro.core` (the Geomancy engine), :mod:`repro.nn`
 (from-scratch numpy neural networks), :mod:`repro.features` (telemetry

@@ -6,14 +6,12 @@ a networking middleware that allows parallel requests to be sent between
 the target system, Geomancy, and internally within Geomancy."
 
 Beyond the paper: a malformed message is dead-lettered -- counted,
-logged, announced on the event bus and, with a bounded
-:class:`~repro.agents.deadletter.DeadLetterStore` attached, kept for
-``repro deadletters`` -- so the rest of the queue still lands.
+logged, announced on the event bus and resolved as such on the causal
+plane -- so the rest of the queue still lands.
 """
 
 from __future__ import annotations
 
-from repro.agents.deadletter import DeadLetterStore
 from repro.agents.messages import LayoutCommand, TelemetryBatch
 from repro.agents.transport import Transport
 from repro.errors import ReplayDBError
@@ -35,15 +33,11 @@ class InterfaceDaemon:
         commands: Transport,
         *,
         obs: Observability | None = None,
-        dead_letter_store: DeadLetterStore | None = None,
     ) -> None:
         self.db = db
         self.telemetry = telemetry
         self.commands = commands
         self.obs = obs if obs is not None else get_observability()
-        #: malformed messages land here (bounded ring) instead of being
-        #: discarded; None keeps the count-only legacy behaviour
-        self.dead_letter_store = dead_letter_store
         self.batches_ingested = 0
         self.records_ingested = 0
         #: malformed messages counted and dropped instead of crashing the
@@ -92,12 +86,10 @@ class InterfaceDaemon:
     def _dead_letter(self, reason: str, message, at: float) -> None:
         self.dead_letters += 1
         self._m_dead.inc()
-        if self.dead_letter_store is not None:
-            self.dead_letter_store.add(reason, message, at)
         if self.obs.enabled:
             self.obs.emit(
                 "dead-letter", t=at, step=0,
-                reason=reason, kind=type(message).__name__,
+                reason=reason, message_type=type(message).__name__,
             )
 
     def _resolve(self, message, outcome: str, **fields) -> None:
@@ -154,7 +146,7 @@ class InterfaceDaemon:
 
         Returns the number of records stored.  Messages that are not
         telemetry batches (or batches the DB rejects) are dead-lettered --
-        counted, persisted when a store is attached, logged at WARNING --
+        counted, logged at WARNING --
         so the rest of the queue still lands.
 
         Dead letters are timestamped with each batch's ``sent_at``.

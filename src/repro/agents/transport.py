@@ -14,10 +14,50 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.agents.deadletter import message_from_dict, message_to_dict
+from repro.agents.messages import CorruptMessage, LayoutCommand, TelemetryBatch
 from repro.errors import AgentError
+from repro.replaydb.records import record_from_dict, record_to_dict
 
 _COUNTERS = ("messages_sent", "total_latency_s")
+
+
+def message_to_dict(message) -> dict:
+    """JSON form of a control-plane message: the one codec for messages
+    at rest, what a checkpointed :class:`Transport` carries."""
+    if isinstance(message, TelemetryBatch):
+        return {
+            "device": message.device,
+            "sent_at": message.sent_at,
+            "records": [record_to_dict(r) for r in message.records],
+            "trace_id": message.trace_id,
+        }
+    if isinstance(message, LayoutCommand):
+        return {
+            "layout": {str(fid): dst for fid, dst in message.layout.items()},
+            "issued_at": message.issued_at,
+            "trace_id": message.trace_id,
+        }
+    if isinstance(message, CorruptMessage):
+        return {"corrupt": message.reason}
+    raise AgentError(f"no JSON form for a {type(message).__name__} message")
+
+
+def message_from_dict(raw: dict):
+    """Inverse of :func:`message_to_dict`."""
+    if "records" in raw:
+        return TelemetryBatch(
+            device=str(raw["device"]),
+            records=tuple(record_from_dict(r) for r in raw["records"]),
+            sent_at=float(raw["sent_at"]),
+            trace_id=raw.get("trace_id"),
+        )
+    if "layout" in raw:
+        return LayoutCommand(
+            layout={int(fid): str(dst) for fid, dst in raw["layout"].items()},
+            issued_at=float(raw["issued_at"]),
+            trace_id=raw.get("trace_id"),
+        )
+    return CorruptMessage(reason=str(raw["corrupt"]))
 
 
 class Transport:

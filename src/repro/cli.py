@@ -10,13 +10,11 @@ have parsers of their own.
     python -m repro fig5a --scale bench --seed 2
     python -m repro robustness --workers 4 --seeds 0 1 2 3
     python -m repro chaos --seed 7 --schedule kill:file0@40% kill:pic@55%
-    python -m repro deadletters dead.jsonl --requeue
     python -m repro synth-trace out.jsonl --rows 5000
     python -m repro recover ckpt/ --checkpoint-every 5 --guardrail
     python -m repro resume ckpt/          # restart a killed recover run
-    python -m repro run --trace out.json --metrics-snapshot m.jsonl --profile
+    python -m repro run --trace out.json --metrics m.prom --profile
     python -m repro run --provenance prov.jsonl --slo --throughput-floor 2.0
-    python -m repro run --metrics m.prom  # Prometheus dump of a run
     python -m repro explain 3 --ledger prov.jsonl
 
 ``--log-level``/``--log-json`` (before the subcommand) turn on module
@@ -156,19 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--corrupt-rate", type=float, default=0.01,
         help="telemetry batch corruption probability (default: 0.01)",
-    )
-
-    deadletters = sub.add_parser(
-        "deadletters",
-        help="inspect (and optionally requeue) a persisted dead-letter ring",
-    )
-    deadletters.add_argument(
-        "store", help="JSONL path a DeadLetterStore persisted to"
-    )
-    deadletters.add_argument(
-        "--requeue", action="store_true",
-        help="replay every replayable letter through a fresh daemon into "
-             "a ReplayDB, mark it requeued, and save the store back",
     )
 
     recover = sub.add_parser(
@@ -312,120 +297,49 @@ def _run_chaos(args) -> str:
     ).to_text()
 
 
-def _run_deadletters(args) -> str:
-    from repro.agents.daemon import InterfaceDaemon
-    from repro.agents.deadletter import DeadLetterStore
-    from repro.agents.transport import Transport
-    from repro.experiments.reporting import ascii_table
-    from repro.replaydb.db import ReplayDB
-
-    store = DeadLetterStore.load(args.store)
-    rows = [
-        [
-            i,
-            f"{letter.at:.2f}",
-            letter.kind,
-            letter.trace_id or "-",
-            "yes" if letter.requeued else "no",
-            letter.reason[:40],
-            letter.summary[:48],
-        ]
-        for i, letter in enumerate(store.entries())
-    ]
-    text = ascii_table(
-        ["#", "at", "kind", "trace", "requeued", "reason", "summary"],
-        rows,
-        title=(
-            f"{len(store)} dead letters (capacity {store.capacity}, "
-            f"{store.total} total, {store.evicted} evicted from the ring)"
-        ),
+def _run_facade(args) -> str:
+    """``recover``, ``resume`` and ``run``: the one facade loop, with a
+    checkpoint stage (``recover``) or an exports stage (``run``)."""
+    from repro.experiments.facade import (
+        Checkpoints, Exports, Faults, resume_facade, run_facade,
     )
-    if args.requeue:
-        transport = Transport()
-        daemon = InterfaceDaemon(ReplayDB(), transport, Transport())
-        requeued = store.requeue_into(transport)
-        stored = daemon.pump_telemetry()
-        store.save(args.store)
-        text += (
-            f"\nrequeued {requeued} batches; {stored} records re-ingested "
-            f"({daemon.dead_letters} still dead); store saved"
+    from repro.experiments.harness import make_experiment_config
+
+    if args.command == "resume":
+        return resume_facade(args.checkpoint_dir).recovery_text()
+    scale = _SCALES[args.scale]
+    faults = checkpoints = exports = None
+    if args.schedule or args.migration_failure_rate:
+        faults = Faults(tuple(args.schedule), args.migration_failure_rate)
+    if args.command == "recover":
+        config = dict(
+            guardrail_enabled=args.guardrail, fallback_policy=args.fallback
         )
-    return text
-
-
-def _run_recover(args) -> str:
-    from repro.experiments.recoverable import run_recoverable
-
-    return run_recoverable(
-        checkpoint_dir=args.checkpoint_dir,
-        scale=_SCALES[args.scale],
-        seed=args.seed,
-        checkpoint_every=args.checkpoint_every,
-        keep=args.keep,
-        guardrail=args.guardrail,
-        fallback_policy=args.fallback,
-        schedule_specs=tuple(args.schedule),
-        migration_failure_rate=args.migration_failure_rate,
-        kill_at_run=args.kill_at_run,
-        kill_point=args.kill_point,
-    ).to_text()
-
-
-def _run_resume(args) -> str:
-    from repro.experiments.recoverable import resume_recoverable
-
-    return resume_recoverable(args.checkpoint_dir).to_text()
-
-
-def _slo_text(statuses: list[dict]) -> str:
-    """Render SLO status dicts (from InstrumentedRunResult.slo)."""
-    lines = ["SLO burn status (final evaluation)"]
-    for status in statuses:
-        flag = "ALERT" if status["alerting"] else "ok"
-        lines.append(
-            f"  {status['name']:<28} target {status['target']:.3%}  "
-            f"compliance {status['compliance']:.3%}  [{flag}]"
+        checkpoints = Checkpoints(
+            args.checkpoint_dir, every=args.checkpoint_every, keep=args.keep,
+            kill_at_run=args.kill_at_run, kill_point=args.kill_point,
         )
-        for window_s, threshold, burn in status["burns"]:
-            marker = "!" if burn > threshold else " "
-            lines.append(
-                f"    {marker} window {window_s:>7.0f}s  "
-                f"burn {burn:6.2f}x  (alert above {threshold:.1f}x)"
+    else:
+        config = dict(online_learning=args.online)
+        if args.provenance is not None:
+            config.update(
+                provenance_enabled=True, provenance_path=args.provenance
             )
-    if not statuses:
-        lines.append("  (no objectives evaluated)")
-    return "\n".join(lines)
-
-
-def _run_run(args) -> str:
-    from repro.experiments.instrumented import run_instrumented
-
-    overrides = {}
-    if args.provenance is not None:
-        overrides.update(
-            provenance_enabled=True, provenance_path=args.provenance
+        exports = Exports(
+            metrics_path=args.metrics, snapshot_path=args.metrics_snapshot,
+            snapshot_every=args.snapshot_every, trace_path=args.trace,
+            sample_rate=args.sample_rate, profile=args.profile, slo=args.slo,
+            queue_delay_threshold_s=args.queue_delay_threshold,
+            throughput_floor_gbps=args.throughput_floor,
         )
-    result = run_instrumented(
-        scale=_SCALES[args.scale],
-        seed=args.seed,
-        metrics_path=args.metrics,
-        metrics_snapshot_path=args.metrics_snapshot,
-        snapshot_every=args.snapshot_every,
-        trace_path=args.trace,
-        profile=args.profile,
-        schedule_specs=tuple(args.schedule),
-        migration_failure_rate=args.migration_failure_rate,
-        slo_enabled=args.slo,
-        slo_queue_delay_threshold_s=args.queue_delay_threshold,
-        slo_throughput_floor_gbps=args.throughput_floor,
-        trace_sample_rate=args.sample_rate,
-        online_learning=args.online,
-        **overrides,
+    result = run_facade(
+        make_experiment_config(scale, seed=args.seed, **config),
+        scale=scale, seed=args.seed,
+        faults=faults, checkpoints=checkpoints, exports=exports,
     )
-    text = result.to_text(profile_top=args.profile_top)
-    if result.slo is not None:
-        text += "\n\n" + _slo_text(result.slo)
-    return text
+    if checkpoints is not None:
+        return result.recovery_text()
+    return result.observed_text(profile_top=args.profile_top)
 
 
 def _run_explain(args) -> str:
@@ -452,12 +366,11 @@ def _run_synth_trace(args) -> str:
 #: the operations commands; every other command is a paper command
 _COMMANDS = {
     "chaos": _run_chaos,
-    "deadletters": _run_deadletters,
-    "recover": _run_recover,
-    "resume": _run_resume,
+    "recover": _run_facade,
+    "resume": _run_facade,
     "testbed": _run_testbed,
     "synth-trace": _run_synth_trace,
-    "run": _run_run,
+    "run": _run_facade,
     "explain": _run_explain,
 }
 

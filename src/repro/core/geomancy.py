@@ -440,8 +440,8 @@ class Geomancy:
     def mark_known_good(self, step: int) -> None:
         """Make the present layout the one a guardrail trip returns to.
 
-        Callers mark at the points they trust (the recoverable harness:
-        after warm-up and at every checkpoint).  Ignored while the
+        Callers mark at the points they trust (``run_facade``'s checkpoint
+        stage: after warm-up and at every checkpoint).  Ignored while the
         guardrail has the learner benched: the mark then still names the
         layout that trip rolled back to.
         """

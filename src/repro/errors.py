@@ -145,7 +145,8 @@ class RecoveryError(ReproError):
 class SimulatedCrash(ReproError):
     """An injected process kill (crash-restart testing).
 
-    Raised by the recoverable harness at a configured kill point; tests and
-    the recovery benchmark catch it, throw the process state away, and
-    resume from the on-disk checkpoint exactly as a restarted process would.
+    Raised by ``run_facade``'s checkpoint stage at a configured kill
+    point; tests and the recovery benchmark catch it, throw the process
+    state away, and resume from the on-disk checkpoint exactly as a
+    restarted process would.
     """

@@ -1,11 +1,11 @@
-"""The shared experiment loops: one driver per loop shape.
+"""The policy loop: Experiment 1 and 2 machinery.
 
-**Policy loop** (Experiment 1 and 2 machinery).  A ``PlacementPolicy``
-reads the ReplayDB the runner writes.  :func:`consult_policy` is one
-consultation -- current layout of the tuned files, ``update_layout``,
-``apply_layout``, movements recorded.  :func:`run_policy_experiment` runs
-one policy on a fresh Bluesky cluster with the same seeded workload and
-interference as every other policy in the comparison:
+A ``PlacementPolicy`` reads the ReplayDB the runner writes.
+:func:`consult_policy` is one consultation -- current layout of the tuned
+files, ``update_layout``, ``apply_layout``, movements recorded.
+:func:`run_policy_experiment` runs one policy on a fresh Bluesky cluster
+with the same seeded workload and interference as every other policy in
+the comparison:
 
 1. place files per the policy's initial layout;
 2. warm up until the ReplayDB holds the configured access count ("BELLE 2
@@ -14,32 +14,23 @@ interference as every other policy in the comparison:
    ``update_every`` runs and applying their relayouts (movement overhead
    lands on the shared devices and is therefore part of every measurement).
 
-**Facade loop.**  The :class:`~repro.core.geomancy.Geomancy` facade gets
-its telemetry through the monitoring agents: :func:`start_facade_loop`
-builds it warmed up that way (:func:`warm_up_through_agents`), and
-:func:`run_measured_loop` is the measured phase -- per run one
-:func:`run_through_agents` (optionally under a fault injector), one
-``geo.after_run``, then the harness's own bookkeeping -- reported as a
-:class:`FacadeLoopResult`.
+The :class:`~repro.core.geomancy.Geomancy` facade has a loop of its own,
+:mod:`repro.experiments.facade`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.config import GeomancyConfig
-from repro.core.geomancy import Geomancy, StepOutcome
 from repro.errors import ExperimentError
 from repro.experiments.spec import ExperimentScale, TEST_SCALE
-from repro.faults.injector import FaultInjector
-from repro.faults.schedule import FaultSchedule
 from repro.policies.base import PlacementPolicy
 from repro.policies.random_policy import RandomDynamicPolicy
 from repro.replaydb.db import ReplayDB
-from repro.replaydb.records import AccessRecord, MovementRecord
+from repro.replaydb.records import MovementRecord
 from repro.simulation.bluesky import make_bluesky_cluster
 from repro.simulation.cluster import StorageCluster
 from repro.workloads.belle2 import Belle2Workload
@@ -141,183 +132,6 @@ def consult_policy(
     if moves:
         db.insert_movements(moves)
     return moves
-
-
-def build_facade_loop(
-    config: GeomancyConfig, *, seed: int, **wiring
-) -> tuple[Geomancy, WorkloadRunner]:
-    """Geomancy over an empty Bluesky testbed, and the runner that drives it.
-
-    ``wiring`` goes to the :class:`Geomancy` constructor (a lossy
-    ``telemetry`` transport, an ``obs`` instance, a ``journal`` ...).
-    The runner gets no ReplayDB of its own and tolerates offline devices.
-    No file is placed yet: a fresh loop places and warms up
-    (:func:`start_facade_loop`), a resumed one restores a checkpoint.
-    """
-    runner = bluesky_runner(seed, tolerate_offline=True)
-    geo = Geomancy(runner.cluster, runner.workload.files, config, **wiring)
-    return geo, runner
-
-
-def start_facade_loop(
-    config: GeomancyConfig, *, seed: int, warmup_accesses: int, **wiring
-) -> tuple[Geomancy, WorkloadRunner]:
-    """:func:`build_facade_loop`, files placed, warmed up through the agents."""
-    geo, runner = build_facade_loop(config, seed=seed, **wiring)
-    geo.place_initial()
-    warm_up_through_agents(geo, runner, warmup_accesses)
-    return geo, runner
-
-
-def absolute_fault_schedule(specs: tuple[str, ...]) -> FaultSchedule:
-    """Parse ``specs`` for a loop with no baseline twin to scale them by."""
-    schedule = FaultSchedule.from_specs(specs)
-    if schedule.has_fractional_times:
-        raise ExperimentError(
-            "this harness needs absolute fault times "
-            "(fractional '@N%' times depend on a baseline twin run)"
-        )
-    return schedule
-
-
-def install_faults(
-    cluster: StorageCluster,
-    schedule: FaultSchedule,
-    *,
-    phase_start: float,
-    migration_failure_rate: float,
-    seed: int,
-) -> FaultInjector:
-    """An installed injector; schedule times count from ``phase_start``."""
-    shifted = FaultSchedule(
-        replace(event, at=event.at + phase_start) for event in schedule
-    )
-    return FaultInjector(
-        cluster, shifted,
-        migration_failure_rate=migration_failure_rate, seed=seed,
-    ).install()
-
-
-def warm_up_through_agents(
-    geo: Geomancy, runner: WorkloadRunner, accesses: int
-) -> None:
-    """Run the workload until ``accesses`` rows landed in ``geo.db``.
-
-    Every run's telemetry travels monitoring agents -> transport ->
-    daemon; the run's stragglers are flushed at its last access's close
-    time.
-    """
-    while geo.db.access_count() < accesses:
-        records = runner.run_once().records
-        geo.observe_records(records)
-        geo.flush_telemetry(at=records[-1].close_time if records else 0.0)
-
-
-def run_through_agents(
-    geo: Geomancy,
-    runner: WorkloadRunner,
-    injector: FaultInjector | None = None,
-) -> list[AccessRecord]:
-    """One measured run of the facade loop; returns its access records.
-
-    The injector's scheduled faults fire after each served access and
-    once more at the end of the run; then the records go through the
-    monitoring agents and everything still buffered is flushed, so the
-    ReplayDB is current when the caller consults ``geo.after_run``.
-    """
-    obs = geo.obs
-    with obs.span("simulator_advance"):
-        records = runner.run_once(
-            advance_hook=injector.advance if injector is not None else None
-        ).records
-        if injector is not None:
-            injector.advance(runner.clock.now)
-    with obs.span("telemetry_collect", records=len(records)):
-        geo.observe_records(records)
-    with obs.span("telemetry_flush"):
-        geo.flush_telemetry(at=runner.clock.now)
-    return records
-
-
-@dataclass
-class FacadeLoopResult:
-    """What every measured facade loop reports; each harness adds its own."""
-
-    seed: int
-    scale_name: str
-    runs_completed: int
-    accesses: int
-    mean_gbps: float
-    final_layout: dict[int, str]
-    movements: list[MovementRecord]
-
-    def movement_fingerprint(self) -> tuple:
-        """Hashable movement history for bit-for-bit determinism comparisons."""
-        return tuple(
-            (m.timestamp, m.fid, m.src_device, m.dst_device, m.succeeded)
-            for m in self.movements
-        )
-
-    @classmethod
-    def measured(
-        cls,
-        geo: Geomancy,
-        throughput: list[float],
-        *,
-        seed: int,
-        scale: ExperimentScale,
-        runs_completed: int,
-        **extra,
-    ):
-        """The shared fields read off ``geo``; ``extra`` fills a subclass's."""
-        layout = geo.cluster.layout()
-        return cls(
-            seed=seed,
-            scale_name=scale.name,
-            runs_completed=runs_completed,
-            accesses=len(throughput),
-            mean_gbps=float(np.mean(throughput)) if throughput else 0.0,
-            final_layout={spec.fid: layout[spec.fid] for spec in geo.files},
-            movements=geo.db.movements(),
-            **extra,
-        )
-
-
-def run_measured_loop(
-    geo: Geomancy,
-    runner: WorkloadRunner,
-    runs: Iterable[int],
-    *,
-    injector: FaultInjector | None = None,
-    each_run: Callable[[int, list[float], StepOutcome], None] | None = None,
-) -> list[float]:
-    """The measured phase: run, consult, book-keep -- once per run number.
-
-    Every run is one observability tick around :func:`run_through_agents`
-    and ``geo.after_run``, which is told the run's mean throughput so an
-    enabled guardrail can hold it against the engine's prediction.
-    ``each_run(run_number, per-access GB/s, outcome)`` is the harness's
-    own bookkeeping; it may raise to abandon the loop.  The injector is
-    uninstalled after the last run.  Returns every access's GB/s.
-    """
-    throughput: list[float] = []
-    for run_number in runs:
-        with geo.obs.tick(run_number):
-            run_gbps = [
-                float(record.throughput_gbps)
-                for record in run_through_agents(geo, runner, injector)
-            ]
-            outcome = geo.after_run(
-                run_number,
-                runner.clock.now,
-                realized_gbps=float(np.mean(run_gbps)) if run_gbps else None,
-            )
-        throughput.extend(run_gbps)
-        if each_run is not None:
-            each_run(run_number, run_gbps, outcome)
-    if injector is not None:
-        injector.uninstall()
-    return throughput
 
 
 def shuffled_warm_up(

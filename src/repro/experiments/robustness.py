@@ -21,26 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.agents.transport import Transport
-from repro.core.geomancy import Geomancy, StepOutcome
 from repro.errors import ExperimentError
 from repro.experiments.fig5_comparison import (
     FIG5A_POLICIES,
     GEOMANCY,
     run_policy_grid,
 )
-from repro.experiments.harness import (
-    FacadeLoopResult,
-    install_faults,
-    make_experiment_config,
-    run_measured_loop,
-    start_facade_loop,
-)
+from repro.experiments.facade import FacadeRun, Faults, run_facade
+from repro.experiments.harness import make_experiment_config
 from repro.experiments.reporting import ascii_table
 from repro.experiments.spec import ExperimentScale, TEST_SCALE
-from repro.faults.chaos_transport import FaultStage
-from repro.faults.injector import FaultInjector
-from repro.faults.invariants import cluster_invariant_violations
 from repro.faults.schedule import FaultSchedule
 from repro.replaydb.records import MovementRecord
 
@@ -142,23 +132,7 @@ def run_robustness(
 # -- chaos engineering ---------------------------------------------------
 
 #: kill 2 of the 6 Bluesky mounts partway through the measured phase
-DEFAULT_CHAOS_SCHEDULE: tuple[str, ...] = (
-    "kill:file0@40%",
-    "kill:pic@55%",
-)
-
-
-@dataclass
-class _PhaseResult(FacadeLoopResult):
-    """One (baseline or chaos) loop, plus what only a chaos study asks."""
-
-    duration_s: float
-    end_time: float
-    failed_accesses: int
-    rescued_files: int
-    recovery_times: list[float]
-    stranded_at_end: int
-    invariant_violations: list[str]
+DEFAULT_CHAOS_SCHEDULE: tuple[str, ...] = ("kill:file0@40%", "kill:pic@55%")
 
 
 @dataclass
@@ -202,7 +176,7 @@ class ChaosResult:
         return self.recovery_times[-1] if self.recovery_times else None
 
     #: the chaos twin's movement history, compared like any loop's
-    movement_fingerprint = FacadeLoopResult.movement_fingerprint
+    movement_fingerprint = FacadeRun.movement_fingerprint
 
     def to_text(self) -> str:
         rows = [
@@ -239,81 +213,6 @@ class ChaosResult:
         return table
 
 
-def _run_control_loop(
-    *,
-    scale: ExperimentScale,
-    seed: int,
-    transport_faults: dict[str, float] | None = None,
-    schedule: FaultSchedule | None = None,
-    migration_failure_rate: float = 0.0,
-    baseline_duration: float | None = None,
-) -> tuple[_PhaseResult, Geomancy, FaultInjector | None]:
-    """One full warm-up + measured Geomancy loop, optionally under faults.
-
-    ``transport_faults`` (the :class:`FaultStage` rates) makes it the
-    chaos twin; without it the loop is the fault-free baseline.  Telemetry
-    flows through the monitoring agents and the (possibly lossy)
-    transport rather than straight into the DB, so transport faults have
-    real consequences for what the engine trains on.
-    """
-    chaos = transport_faults is not None
-    telemetry = (
-        Transport(faults=FaultStage(seed=seed, **transport_faults))
-        if chaos
-        else None
-    )
-    # Warm-up: telemetry lands (through the agents) but is not measured.
-    geo, runner = start_facade_loop(
-        make_experiment_config(scale, seed=seed),
-        seed=seed,
-        warmup_accesses=scale.warmup_accesses,
-        telemetry=telemetry,
-    )
-    cluster, files = geo.cluster, geo.files
-
-    injector = None
-    phase_start = runner.clock.now
-    if chaos:
-        if schedule.has_fractional_times:
-            # Fractional times ("@40%") refer to the measured phase; the
-            # fault-free twin already measured how long that phase lasts.
-            schedule = schedule.resolved(baseline_duration)
-        injector = install_faults(
-            cluster, schedule, phase_start=phase_start,
-            migration_failure_rate=migration_failure_rate, seed=seed,
-        )
-
-    measured_fail_start = runner.failed_accesses
-    recovery_times: list[float] = []
-    stranded_since: float | None = None
-    violations: list[str] = []
-
-    def track_recovery(_run: int, _gbps: list[float], _outcome: StepOutcome):
-        nonlocal stranded_since
-        stranded = len(cluster.files_stranded())
-        if stranded and stranded_since is None:
-            stranded_since = runner.clock.now
-        elif not stranded and stranded_since is not None:
-            recovery_times.append(runner.clock.now - stranded_since)
-            stranded_since = None
-        violations.extend(cluster_invariant_violations(cluster, files))
-
-    throughput = run_measured_loop(
-        geo, runner, range(1, scale.runs + 1),
-        injector=injector, each_run=track_recovery,
-    )
-    return _PhaseResult.measured(
-        geo, throughput, seed=seed, scale=scale, runs_completed=scale.runs,
-        duration_s=runner.clock.now - phase_start,
-        end_time=runner.clock.now,
-        failed_accesses=runner.failed_accesses - measured_fail_start,
-        rescued_files=sum(o.rescued_files for o in geo.outcomes),
-        recovery_times=recovery_times,
-        stranded_at_end=len(cluster.files_stranded()),
-        invariant_violations=violations,
-    ), geo, injector
-
-
 def run_chaos(
     *,
     scale: ExperimentScale = TEST_SCALE,
@@ -334,31 +233,36 @@ def run_chaos(
         tuple(schedule_specs) if schedule_specs is not None
         else DEFAULT_CHAOS_SCHEDULE
     )
-    baseline, _, _ = _run_control_loop(scale=scale, seed=seed)
-    stats, geo, injector = _run_control_loop(
-        scale=scale, seed=seed, schedule=FaultSchedule.from_specs(specs),
+    FaultSchedule.from_specs(specs)  # a malformed spec fails before either run
+    config = make_experiment_config(scale, seed=seed)
+    baseline = run_facade(config, scale=scale, seed=seed)
+    # Fractional times ("@40%") refer to the measured phase; the
+    # fault-free twin measured how long that phase lasts.
+    chaos = run_facade(config, scale=scale, seed=seed, faults=Faults(
+        schedule=specs,
         migration_failure_rate=migration_failure_rate,
-        transport_faults=dict(
+        link=dict(
             drop_rate=drop_rate, delay_rate=delay_rate,
             reorder_rate=reorder_rate, corrupt_rate=corrupt_rate,
         ),
-        baseline_duration=baseline.duration_s,
-    )
+        span_s=baseline.duration_s,
+    ))
+    geo = chaos.geo
     link = geo.telemetry.faults
     return ChaosResult(
         seed=seed,
         schedule_specs=specs,
         migration_failure_rate=migration_failure_rate,
         baseline_gbps=baseline.mean_gbps,
-        chaos_gbps=stats.mean_gbps,
+        chaos_gbps=chaos.mean_gbps,
         baseline_accesses=baseline.accesses,
-        chaos_accesses=stats.accesses,
-        failed_accesses=stats.failed_accesses,
-        outages=list(injector.outage_log) if injector is not None else [],
-        recovery_times=stats.recovery_times,
-        stranded_at_end=stats.stranded_at_end,
-        movements=stats.movements,
-        rescued_files=stats.rescued_files,
+        chaos_accesses=chaos.accesses,
+        failed_accesses=chaos.failed_accesses,
+        outages=chaos.outages,
+        recovery_times=chaos.recovery_times,
+        stranded_at_end=chaos.stranded_at_end,
+        movements=chaos.movements,
+        rescued_files=chaos.rescued_files,
         moves_failed=geo.control.moves_failed,
         moves_retried=geo.control.moves_retried,
         retries_exhausted=len(geo.control.exhausted),
@@ -366,6 +270,6 @@ def run_chaos(
         batches_dropped=link.dropped,
         batches_delayed=link.delayed,
         batches_corrupted=link.corrupted,
-        quarantined_devices=geo.health.quarantined_devices(stats.end_time),
-        invariant_violations=stats.invariant_violations,
+        quarantined_devices=geo.health.quarantined_devices(chaos.end_time),
+        invariant_violations=chaos.invariant_violations,
     )

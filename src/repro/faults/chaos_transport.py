@@ -14,8 +14,8 @@ from collections import deque
 
 import numpy as np
 
-from repro.agents.deadletter import message_from_dict, message_to_dict
 from repro.agents.messages import CorruptMessage
+from repro.agents.transport import message_from_dict, message_to_dict
 from repro.errors import TransportError
 
 _COUNTERS = ("dropped", "corrupted", "delayed", "reordered_drains")

@@ -24,6 +24,10 @@ LEVELS = ("debug", "info", "warning", "error", "critical")
 
 _TEXT_FORMAT = "%(asctime)s %(levelname)-8s %(name)s: %(message)s"
 
+# Until configure() runs, records stop here instead of falling through to
+# logging's last-resort handler, which would print every WARNING to stderr.
+logging.getLogger(ROOT_LOGGER).addHandler(logging.NullHandler())
+
 
 class JsonFormatter(logging.Formatter):
     """One JSON object per record: level, logger, message, extras."""

@@ -129,7 +129,7 @@ class DecisionProvenance:
     #: trace id stamped onto the LayoutCommand and its MovementRecords
     trace_id: str
     #: "decision" (model-proposed layout), "rescue", "retry", or a
-    #: recovery harness's "rollback" / "fallback"
+    #: guardrail's "rollback" / "fallback"
     kind: str
     run_index: int
     t: float

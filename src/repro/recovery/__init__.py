@@ -17,9 +17,9 @@ model can inflict.  This package provides:
 * :class:`~repro.recovery.events.EventLog` -- structured telemetry for
   every recovery-relevant event (rescues, trips, rollbacks, fallbacks).
 
-The recoverable control loop that ties these together lives in
-:mod:`repro.experiments.recoverable` (``repro recover`` / ``repro
-resume`` on the CLI).
+``run_facade``'s checkpoint stage ties these together
+(:mod:`repro.experiments.facade`; ``repro recover`` / ``repro resume``
+on the CLI).
 """
 
 from repro.recovery.checkpoint import CheckpointManager, LoadedCheckpoint

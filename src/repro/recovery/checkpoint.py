@@ -56,8 +56,9 @@ MODEL_NAME = "model.npz"
 #: normalisation mode and fitted features;
 #: 10: the ReplayDB snapshot holds the live rows, the first live row id,
 #: per-file state and device totals; device stats are Welford
-#: aggregates, not samples
-FORMAT_VERSION = 10
+#: aggregates, not samples;
+#: 11: the meta holds the fault stage as one dict
+FORMAT_VERSION = 11
 
 _GEN_PREFIX = "gen-"
 _STAGING_PREFIX = ".staging-"

@@ -35,8 +35,8 @@ def capture_system(geo, runner) -> dict:
     """Snapshot everything the deterministic control loop depends on.
 
     Must be called at a run boundary: monitor buffers flushed, no
-    dispatch in progress.  (The recoverable harness only checkpoints
-    right after ``after_run`` returns, which guarantees exactly that.)
+    dispatch in progress.  (``run_facade`` only checkpoints right
+    after ``after_run`` returns, which guarantees exactly that.)
     """
     cluster = geo.cluster
     layout = cluster.layout()

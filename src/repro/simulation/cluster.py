@@ -660,87 +660,6 @@ class StorageCluster:
         info.device = dst
         return move
 
-    def migrate_incremental(
-        self, fid: int, dst: str, t: float, *, chunk_bytes: int
-    ) -> MovementRecord | None:
-        """Move a file in chunks instead of one bulk transfer.
-
-        The paper's future work: "Currently Geomancy moves whole files in
-        one movement; however, in the future, we will incrementally move a
-        file to address parallel accesses."  Each chunk is a separate
-        transfer on both devices, so the crowding cost is spread over the
-        whole window instead of landing as one burst; the total duration
-        is correspondingly longer (per-chunk link latency re-paid).
-
-        Returns one :class:`MovementRecord` covering the whole migration,
-        or ``None`` if the file is already at ``dst``.
-        """
-        if chunk_bytes <= 0:
-            raise SimulationError(
-                f"chunk_bytes must be positive, got {chunk_bytes}"
-            )
-        info = self.file(fid)
-        dst_device = self.device(dst)
-        if info.device == dst:
-            return None
-        self._require_available(dst)
-        self._check_capacity(dst, info.size_bytes)
-        src_device = self.device(info.device)
-        abort_after = None
-        if self.migration_interceptor is not None:
-            fraction = self.migration_interceptor(
-                fid, info.device, dst, t, info.size_bytes
-            )
-            if fraction is not None:
-                if not 0.0 < fraction <= 1.0:
-                    raise SimulationError(
-                        f"abort fraction must be in (0, 1], got {fraction}"
-                    )
-                abort_after = int(info.size_bytes * fraction)
-        remaining = info.size_bytes
-        now = t
-        while remaining > 0:
-            chunk = min(chunk_bytes, remaining)
-            if src_device.online:
-                read_bw = src_device.effective_bandwidth(now, is_read=True)
-            else:
-                read_bw = self.link.bandwidth_bytes
-            write_bw = dst_device.effective_bandwidth(now, is_read=False)
-            bottleneck = min(read_bw, write_bw, self.link.bandwidth_bytes)
-            chunk_duration = self.link.latency_s + chunk / bottleneck
-            if src_device.online:
-                src_device.absorb_transfer(now, chunk, chunk_duration)
-            dst_device.absorb_transfer(now, chunk, chunk_duration)
-            now += chunk_duration
-            remaining -= chunk
-            moved = info.size_bytes - remaining
-            if abort_after is not None and moved >= abort_after:
-                self._m_migrations_aborted.inc()
-                raise MigrationError(
-                    f"migration of file {fid} to {dst!r} aborted after "
-                    f"{moved} of {info.size_bytes} bytes",
-                    fid=fid,
-                    src=info.device,
-                    dst=dst,
-                    bytes_attempted=info.size_bytes,
-                    bytes_transferred=moved,
-                    duration=now - t,
-                )
-        self._m_migrations.inc()
-        self._m_migrated_bytes.inc(info.size_bytes)
-        move = MovementRecord(
-            timestamp=t,
-            fid=fid,
-            src_device=info.device,
-            dst_device=dst,
-            bytes_moved=info.size_bytes,
-            duration=now - t,
-        )
-        self._stored_bytes[info.device] -= info.size_bytes
-        self._stored_bytes[dst] += info.size_bytes
-        info.device = dst
-        return move
-
     def apply_layout(
         self, layout: dict[int, str], t: float
     ) -> list[MovementRecord]:

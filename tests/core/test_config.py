@@ -6,7 +6,9 @@ from repro.agents import control as control_module
 from repro.core.config import GeomancyConfig
 from repro.core.geomancy import Geomancy
 from repro.errors import ConfigurationError, ReproError
-from repro.experiments.recoverable import run_recoverable
+from repro.experiments.facade import Checkpoints, run_facade
+from repro.experiments.harness import make_experiment_config
+from repro.experiments.spec import TEST_SCALE
 from repro.faults import health as health_module
 from repro.recovery import guardrail as guardrail_module
 from repro.recovery.checkpoint import CheckpointManager
@@ -107,10 +109,15 @@ class TestRecoveryKnobs:
         ) == (4, 0.5, 10.0, 3)
 
     def test_checkpointing_disabled_by_zero(self, tmp_path):
-        # The cadence is run_recoverable's parameter, not a config field.
-        off = run_recoverable(checkpoint_dir=tmp_path / "off", checkpoint_every=0)
-        assert off.checkpoints_written == 0
-        on = run_recoverable(checkpoint_dir=tmp_path / "on", checkpoint_every=5)
+        # The cadence is the checkpoint stage's, not a config field.
+        def run(name, every):
+            return run_facade(
+                make_experiment_config(TEST_SCALE), scale=TEST_SCALE, seed=0,
+                checkpoints=Checkpoints(tmp_path / name, every=every),
+            )
+
+        assert run("off", 0).checkpoints_written == 0
+        on = run("on", 5)
         assert on.checkpoints_written == 1 + on.runs_completed // 5
 
     def test_lru_fallback_accepted(self):
@@ -149,7 +156,7 @@ class TestRecoveryKnobs:
             assert in_range(constant) and not in_range(bad)
         elif "checkpoint_every" in kwargs:
             with pytest.raises(ReproError, match="checkpoint_every"):
-                run_recoverable(checkpoint_dir=tmp_path, **kwargs)
+                Checkpoints(tmp_path, every=kwargs["checkpoint_every"])
         elif "keep" in kwargs:
             with pytest.raises(ReproError, match="keep"):
                 CheckpointManager(tmp_path, **kwargs)

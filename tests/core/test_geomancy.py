@@ -176,7 +176,6 @@ class TestQosWiring:
         files = belle2_file_population(seed=0)
         geo = Geomancy(cluster, files, quick_config())
         assert geo.telemetry.faults is None
-        assert geo.daemon.dead_letter_store is None
 
     def test_qos_off_runs_are_bit_identical(self):
         def outcome():

@@ -1,5 +1,7 @@
 """Tests for a transport carrying the fault stage and the daemon surviving it."""
 
+import logging
+
 import pytest
 
 from repro.agents.daemon import InterfaceDaemon
@@ -7,7 +9,11 @@ from repro.agents.monitoring import MonitoringAgent
 from repro.agents.messages import CorruptMessage
 from repro.agents.transport import Transport
 from repro.errors import TransportError
+from repro.experiments.facade import Faults, run_facade
+from repro.experiments.harness import make_experiment_config
+from repro.experiments.spec import TEST_SCALE
 from repro.faults.chaos_transport import FaultStage
+from repro.observability import Observability
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord
 
@@ -112,6 +118,40 @@ class TestDaemonUnderChaos:
         assert daemon.pump_telemetry() == 0
         assert daemon.dead_letters == 1
         assert db.access_count() == 0
+
+    def test_a_corrupting_link_dead_letters_through_run_facade(
+        self, caplog, monkeypatch
+    ):
+        """The daemon's safety net fires in a whole facade run: every
+        corrupted batch it drains is counted, logged at WARNING and
+        announced on the bus, and the causal plane resolves each one."""
+        # Capture at the daemon's own logger, whatever an earlier
+        # configure() did to the ``repro`` root's handlers.
+        daemon_log = logging.getLogger("repro.agents.daemon")
+        monkeypatch.setattr(daemon_log, "propagate", False)
+        daemon_log.addHandler(caplog.handler)
+        try:
+            run = run_facade(
+                make_experiment_config(TEST_SCALE, provenance_enabled=True),
+                scale=TEST_SCALE, seed=0,
+                faults=Faults(link=dict(corrupt_rate=0.2)),
+                obs=Observability(),
+            )
+        finally:
+            daemon_log.removeHandler(caplog.handler)
+        geo = run.geo
+        dead = geo.daemon.dead_letters
+        assert dead > 0
+        counters = geo.obs.metrics.snapshot()["counters"]
+        assert counters["repro_agents_dead_letters_total"] == dead
+        assert len(geo.obs.bus.of_kind("dead-letter")) == dead
+        warnings = [
+            r for r in caplog.records
+            if r.levelno == logging.WARNING and "dead-lettered" in r.message
+        ]
+        assert len(warnings) == dead
+        corrupted = geo.telemetry.faults.corrupted
+        assert dead <= corrupted == geo.causal.resolved["chaos-corrupt"]
 
     def test_daemon_survives_drops_and_keeps_the_rest(self):
         db = ReplayDB()

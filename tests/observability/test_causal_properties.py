@@ -160,15 +160,21 @@ class TestEndToEndChain:
         import tempfile
         from pathlib import Path
 
-        from repro.experiments.instrumented import run_instrumented
+        from repro.experiments.facade import Exports, run_facade
+        from repro.experiments.harness import make_experiment_config
+        from repro.experiments.spec import TEST_SCALE
         from repro.observability.provenance import ProvenanceLedger
 
         with tempfile.TemporaryDirectory() as tmp:
             prov = Path(tmp) / "prov.jsonl"
-            result = run_instrumented(
+            result = run_facade(
+                make_experiment_config(
+                    TEST_SCALE, seed=seed, provenance_enabled=True,
+                    provenance_path=str(prov),
+                ),
+                scale=TEST_SCALE,
                 seed=seed,
-                provenance_enabled=True,
-                provenance_path=str(prov),
+                exports=Exports(),
             )
             assert result.movements, "control loop applied no movements"
             ledger = ProvenanceLedger.load(prov)

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.instrumented import run_instrumented
+from repro.experiments.facade import Exports, run_facade
+from repro.experiments.harness import make_experiment_config
+from repro.experiments.spec import TEST_SCALE
 from repro.observability import Observability, get_observability
 
 REQUIRED_SUBSYSTEMS = {
@@ -17,11 +19,13 @@ REQUIRED_SUBSYSTEMS = {
 @pytest.fixture(scope="module")
 def result(tmp_path_factory):
     out = tmp_path_factory.mktemp("instrumented")
-    return run_instrumented(
-        seed=0,
-        metrics_path=out / "metrics.prom",
-        metrics_snapshot_path=out / "metrics.jsonl",
-        trace_path=out / "trace.json",
+    return run_facade(
+        make_experiment_config(TEST_SCALE), scale=TEST_SCALE, seed=0,
+        exports=Exports(
+            metrics_path=out / "metrics.prom",
+            snapshot_path=out / "metrics.jsonl",
+            trace_path=out / "trace.json",
+        ),
     )
 
 
@@ -29,14 +33,14 @@ class TestMetricsCoverage:
     def test_covers_required_subsystems(self, result):
         subsystems = {
             name.split("_")[1]
-            for group in result.metrics.values()
+            for group in result.geo.obs.metrics.snapshot().values()
             for name in group
         }
         assert REQUIRED_SUBSYSTEMS <= subsystems
 
     def test_prometheus_dump_written_and_parseable(self, result):
         text = Path(result.artifacts["metrics"]).read_text()
-        assert text == result.prometheus
+        assert text == result.geo.obs.metrics.render_prometheus()
         assert "# TYPE repro_engine_ticks_total counter" in text
         assert "# TYPE repro_engine_train_seconds histogram" in text
         # every sample line is "name[{labels}] value"
@@ -68,7 +72,7 @@ class TestTraceNesting:
     def test_spans_nest_under_per_tick_roots(self, result):
         trace = json.loads(Path(result.artifacts["trace"]).read_text())
         events = trace["traceEvents"]
-        assert len(events) == result.spans_recorded > 0
+        assert len(events) == len(result.geo.obs.tracer.spans) > 0
         parents_of: dict[str, set] = {}
         for e in events:
             parents_of.setdefault(e["name"], set()).add(
@@ -107,16 +111,17 @@ class TestTraceNesting:
 
 class TestDeterminism:
     def test_disabled_run_is_bit_for_bit_identical(self, result):
-        disabled = run_instrumented(
-            seed=0, obs=Observability(enabled=False)
+        disabled = run_facade(
+            make_experiment_config(TEST_SCALE), scale=TEST_SCALE, seed=0,
+            exports=Exports(), obs=Observability(enabled=False),
         )
         assert disabled.movement_fingerprint() == result.movement_fingerprint()
         assert disabled.final_layout == result.final_layout
         assert disabled.mean_gbps == result.mean_gbps
         assert disabled.accesses == result.accesses
-        assert disabled.spans_recorded == 0
-        assert disabled.events == []
-        assert disabled.prometheus == ""
+        obs = disabled.geo.obs
+        assert obs.tracer.spans == [] and len(obs.bus) == 0
+        assert obs.metrics.render_prometheus() == ""
 
     def test_run_restores_the_process_default(self, result):
         assert get_observability().enabled is False

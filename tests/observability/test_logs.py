@@ -2,14 +2,22 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.agents.daemon import InterfaceDaemon
 from repro.agents.transport import Transport
 from repro.errors import ConfigurationError
 from repro.observability.logs import ROOT_LOGGER, configure, get_logger
 from repro.replaydb.db import ReplayDB
+
+SRC = Path(repro.__file__).parent.parent
 
 
 @pytest.fixture(autouse=True)
@@ -34,6 +42,21 @@ class TestGetLogger:
 
     def test_already_namespaced_names_pass_through(self):
         assert get_logger("repro.core").name == "repro.core"
+
+
+class TestUnconfigured:
+    def test_warnings_stay_silent_until_configure(self):
+        # pytest installs root handlers of its own, so only a fresh
+        # interpreter shows what an unconfigured host prints.
+        script = (
+            "from repro.observability.logs import get_logger; "
+            "get_logger('agents.daemon').warning('dead-lettered')"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
+        )
+        assert done.stderr == ""
 
 
 class TestConfigure:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cli import _slo_text
 from repro.errors import ConfigurationError
+from repro.experiments.facade import _slo_text
 from repro.observability.events import EventBus
 from repro.observability.metrics import (
     NULL_HISTOGRAM,

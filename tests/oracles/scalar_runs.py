@@ -64,7 +64,7 @@ def observe_each(geo: Geomancy, records: list[AccessRecord]) -> None:
 
 @contextmanager
 def scalar_control_loop():
-    """Every facade-loop harness on the scalar runner, record by record."""
+    """Every facade run on the scalar runner, record by record."""
     with mock.patch.object(harness, "WorkloadRunner", ScalarRunner), \
             mock.patch.object(Geomancy, "observe_records", observe_each):
         yield

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import CheckpointCorruptError, RecoveryError, SimulatedCrash
-from repro.experiments.recoverable import resume_recoverable
+from repro.experiments.facade import resume_facade
 from repro.nn.model_zoo import build_model
 from repro.recovery.checkpoint import (
     MANIFEST_NAME,
@@ -140,7 +140,8 @@ class TestCorruptionFallback:
         format-7 one's channel carries shed counters and a monitor backlog,
         and a format-8 one's pipeline state carries a normalisation mode,
         fitted features and min/range bounds, and a format-9 one's device
-        stats carry every throughput sample; resuming names the format
+        stats carry every throughput sample, and a format-10 one's meta
+        spreads the fault stage over flat keys; resuming names the format
         instead of dying inside ``GeomancyConfig(**config)``."""
         for version, state in (
             (2, {"meta": {"config": {"warm_start": True}}}),
@@ -164,6 +165,7 @@ class TestCorruptionFallback:
                 "accesses": 2, "bytes_served": 10, "busy_time": 1.0,
                 "throughput_samples": [4.0, 6.0],
             }}}}}),
+            (10, {"meta": {"schedule_specs": [], "checkpoint_every": 5}}),
         ):
             root = tmp_path / f"format-{version}"
             mgr = CheckpointManager(root)
@@ -176,7 +178,7 @@ class TestCorruptionFallback:
             with pytest.raises(RecoveryError, match=refused):
                 mgr.latest_valid()
             with pytest.raises(RecoveryError, match=refused):
-                resume_recoverable(root)
+                resume_facade(root)
 
 
 class TestCrashAtomicity:

@@ -1,68 +1,70 @@
-"""Features hold together: a pairwise matrix through the one measured loop.
+"""Features hold together: a pairwise matrix through the one facade loop.
 
 Every pair of {online learning, causal tracing + provenance, guardrail
-with the LRU fallback, fault schedule + failing migrations} runs through
-``run_recoverable`` at TEST_SCALE.  Each cell must keep the cluster
-invariants, be a pure function of its seed, and come out of a kill at
-run 7 + resume equal to its uninterrupted twin.
+with the LRU fallback, fault schedule + failing migrations, a lossy
+telemetry link} runs through ``run_facade`` with a checkpoint stage at
+TEST_SCALE.  Each cell must keep the cluster invariants, be a pure
+function of its seed, and come out of a kill at run 7 + resume equal to
+its uninterrupted twin -- the ``faults-chaos`` cell is chaos x kill x
+resume.
 
-One more check puts state *into* the channel at the checkpoint: an
-injected lossy telemetry link with messages in flight; another resumes
-from a ReplayDB snapshot taken after chunks were released.
+One more check puts state *into* the channel at the checkpoint: a lossy
+link with messages in flight; another resumes from a ReplayDB snapshot
+taken after chunks were released.
 """
 
-import json
 from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
-from repro.agents.transport import Transport
 from repro.errors import SimulatedCrash
-from repro.experiments.harness import (
-    FacadeLoopResult,
-    build_facade_loop,
-    make_experiment_config,
-    run_measured_loop,
-    warm_up_through_agents,
+from repro.experiments.facade import (
+    Checkpoints,
+    Faults,
+    resume_facade,
+    run_facade,
 )
-from repro.experiments.recoverable import resume_recoverable, run_recoverable
+from repro.experiments.harness import make_experiment_config
 from repro.experiments.spec import TEST_SCALE
-from repro.faults.chaos_transport import FaultStage
-from repro.nn.serialization import load_weights
 from repro.observability.provenance import ProvenanceLedger
 from repro.recovery.checkpoint import CheckpointManager
-from repro.recovery.snapshot import capture_system, restore_system
 from repro.replaydb import db as db_module
 from repro.replaydb.db import ReplayDB
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
+#: per feature, the config overrides and the fault stage's fields it sets
 FEATURES = {
-    "online": dict(online_learning=True),
-    "provenance": dict(provenance_enabled=True),
-    "guardrail": dict(guardrail=True, fallback_policy="lru"),
-    "faults": dict(
-        schedule_specs=("kill:file0@150",), migration_failure_rate=0.05
-    ),
+    "online": (dict(online_learning=True), {}),
+    "provenance": (dict(provenance_enabled=True), {}),
+    "guardrail": (dict(guardrail_enabled=True, fallback_policy="lru"), {}),
+    "faults": ({}, dict(
+        schedule=("kill:file0@150",), migration_failure_rate=0.05
+    )),
+    "chaos": ({}, dict(link=dict(
+        drop_rate=0.05, corrupt_rate=0.05, delay_rate=0.2, reorder_rate=0.2,
+    ))),
 }
 PAIRS = list(combinations(FEATURES, 2))
 CADENCE = 5
 KILL_AT = 7
 
 
-def run(directory, features, **extra):
-    overrides = {}
+def run(directory, features, *, seed=0, scale=TEST_SCALE, every=CADENCE,
+        **kill):
+    config, faults = {}, {}
     for name in features:
-        overrides.update(FEATURES[name])
+        config.update(FEATURES[name][0])
+        faults.update(FEATURES[name][1])
     if "provenance" in features:
-        overrides["provenance_path"] = str(directory / "prov.jsonl")
-    return run_recoverable(
-        checkpoint_dir=directory / "ckpt",
-        checkpoint_every=CADENCE,
-        seed=0,
-        **overrides,
-        **extra,
+        config["provenance_path"] = str(directory / "prov.jsonl")
+    return run_facade(
+        make_experiment_config(scale, seed=seed, **config),
+        scale=scale,
+        seed=seed,
+        faults=Faults(**faults) if faults else None,
+        checkpoints=Checkpoints(directory / "ckpt", every=every, **kill),
     )
 
 
@@ -108,75 +110,37 @@ def test_pair_is_sound_deterministic_and_resumable(features, tmp_path):
             tmp_path / "killed", features,
             kill_at_run=KILL_AT, kill_point="pre-commit",
         )
-    resumed = resume_recoverable(tmp_path / "killed" / "ckpt")
+    resumed = resume_facade(tmp_path / "killed" / "ckpt")
     assert resumed.resumed_from_step == CADENCE
     assert resumed.invariant_violations == []
     assert observable(resumed, tmp_path / "killed") == expected
 
 
-def resume_matches_whole_run(tmp_path, seed, telemetry):
-    """Run the facade loop over a fresh ``telemetry()`` channel once whole,
-    and once captured at run ``KILL_AT`` (``capture_system`` through a
-    JSON round trip and a checkpoint) and restored into a fresh loop; the
-    two must finish alike.  Returns the captured system and the outcome."""
-    config = make_experiment_config(TEST_SCALE, seed=seed)
-
-    def started(**wiring):
-        return build_facade_loop(
-            config, seed=seed, telemetry=telemetry(), **wiring
-        )
-
-    def finish(geo, runner, first_run):
-        throughput = run_measured_loop(
-            geo, runner, range(first_run, TEST_SCALE.runs + 1)
-        )
-        result = FacadeLoopResult.measured(
-            geo, throughput, seed=seed, scale=TEST_SCALE,
-            runs_completed=TEST_SCALE.runs,
-        )
-        return (
-            result.movement_fingerprint(), result.final_layout,
-            geo.telemetry.state_dict(),
-            {name: m.state_dict() for name, m in geo.monitors.items()},
-            geo.daemon.transfer_overhead_s,
-        )
-
-    def placed():
-        geo, runner = started()
-        geo.place_initial()
-        warm_up_through_agents(geo, runner, TEST_SCALE.warmup_accesses)
-        return geo, runner
-
-    expected = finish(*placed(), first_run=1)
-
-    geo, runner = placed()
-    run_measured_loop(geo, runner, range(1, KILL_AT + 1))
-    system = json.loads(json.dumps(capture_system(geo, runner)))
-    mgr = CheckpointManager(tmp_path / "ckpt")
-    mgr.save(KILL_AT, {"system": system}, db=geo.db, model=geo.engine.model)
-
-    loaded = mgr.latest_valid()
-    geo, runner = started(db=ReplayDB.from_snapshot(loaded.replay_path))
-    restore_system(geo, runner, loaded.state["system"])
-    load_weights(geo.engine.model, loaded.model_path)
-    assert finish(geo, runner, first_run=KILL_AT + 1) == expected
-    return system, expected
-
-
 def test_fault_stage_rides_the_checkpoint(tmp_path):
     """A lossy link's generator, fate counters and in-flight messages
-    survive ``capture_system`` -> ``restore_system`` into a fresh loop."""
+    survive a checkpoint at run 7 and a resume into a fresh loop."""
     seed = 2  # moves files, two batches in flight at run 7
-
-    def lossy():
-        return Transport(faults=FaultStage(
-            seed=seed, drop_rate=0.05, corrupt_rate=0.05, delay_rate=0.2,
-            reorder_rate=0.2,
-        ))
-
-    system, expected = resume_matches_whole_run(tmp_path, seed, lossy)
-    assert expected[0], "the loop never moved a file"
-    assert system["channel"]["telemetry"]["pending"], "nothing in flight"
+    for name in ("first", "killed"):
+        (tmp_path / name).mkdir()
+    first = run(tmp_path / "first", ("chaos",), seed=seed, every=KILL_AT)
+    assert first.movements, "the loop never moved a file"
+    with pytest.raises(SimulatedCrash):
+        run(
+            tmp_path / "killed", ("chaos",), seed=seed, every=KILL_AT,
+            kill_at_run=KILL_AT, kill_point="post-commit",
+        )
+    loaded = CheckpointManager(tmp_path / "killed" / "ckpt").latest_valid()
+    assert loaded.step == KILL_AT
+    channel = loaded.state["system"]["channel"]["telemetry"]
+    assert channel["pending"], "nothing in flight"
+    resumed = resume_facade(tmp_path / "killed" / "ckpt")
+    assert resumed.resumed_from_step == KILL_AT
+    assert observable(resumed, tmp_path / "killed") == observable(
+        first, tmp_path / "first"
+    )
+    link = resumed.geo.telemetry.faults
+    assert link.state_dict() == first.geo.telemetry.faults.state_dict()
+    assert link.dropped and link.corrupted and link.delayed
 
 
 def test_resume_across_released_chunks(tmp_path, monkeypatch):
@@ -198,6 +162,6 @@ def test_resume_across_released_chunks(tmp_path, monkeypatch):
     assert loaded.step == 20
     snapshot = ReplayDB.from_snapshot(loaded.replay_path)
     assert snapshot.release_before(0) > 1, "no chunk was released"
-    resumed = resume_recoverable(tmp_path / "killed" / "ckpt")
+    resumed = resume_facade(tmp_path / "killed" / "ckpt")
     assert resumed.resumed_from_step == 20
     assert observable(resumed, tmp_path / "killed") == expected

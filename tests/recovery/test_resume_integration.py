@@ -1,20 +1,24 @@
 """End-to-end crash/restart/resume and guardrail acceptance tests.
 
-Each scenario drives the full recoverable harness at TEST_SCALE: warm-up,
-measured Belle II loop, checkpoints, journal, and (where enabled) the
-safe-mode guardrail and fault injector.
+Each scenario drives ``run_facade`` with a checkpoint stage at
+TEST_SCALE: warm-up, measured Belle II loop, checkpoints, journal, and
+(where enabled) the safe-mode guardrail and a fault stage.
 """
 
 import json
 
 import pytest
 
-from repro.experiments.recoverable import (
+from repro.experiments.facade import (
     JOURNAL_NAME,
     KILL_POINTS,
-    resume_recoverable,
-    run_recoverable,
+    Checkpoints,
+    Faults,
+    resume_facade,
+    run_facade,
 )
+from repro.experiments.harness import make_experiment_config
+from repro.experiments.spec import TEST_SCALE
 from repro.recovery import guardrail
 from repro.recovery.checkpoint import STATE_NAME
 from repro.recovery.journal import LayoutJournal
@@ -26,6 +30,23 @@ CADENCE = 5
 SCHEDULE = ("outage:file0@60+60",)
 
 
+def recover(directory, *, seed=0, every=CADENCE, schedule=(),
+            kill_point=None, **config):
+    """A checkpointed facade run, killed at ``KILL_AT`` at ``kill_point``
+    when one is given; ``config`` overrides the experiment config."""
+    return run_facade(
+        make_experiment_config(TEST_SCALE, seed=seed, **config),
+        scale=TEST_SCALE,
+        seed=seed,
+        faults=Faults(schedule=schedule) if schedule else None,
+        checkpoints=Checkpoints(
+            directory, every=every,
+            kill_at_run=KILL_AT if kill_point is not None else None,
+            kill_point=kill_point,
+        ),
+    )
+
+
 def _identical(resumed, baseline):
     assert resumed.final_layout == baseline.final_layout
     assert resumed.movement_fingerprint() == baseline.movement_fingerprint()
@@ -35,20 +56,13 @@ def _identical(resumed, baseline):
 
 @pytest.fixture(scope="module")
 def baseline(tmp_path_factory):
-    return run_recoverable(
-        checkpoint_dir=tmp_path_factory.mktemp("baseline"),
-        checkpoint_every=CADENCE,
-        seed=0,
-    )
+    return recover(tmp_path_factory.mktemp("baseline"))
 
 
 @pytest.fixture(scope="module")
 def scheduled_baseline(tmp_path_factory):
-    return run_recoverable(
-        checkpoint_dir=tmp_path_factory.mktemp("sched-baseline"),
-        checkpoint_every=CADENCE,
-        seed=0,
-        schedule_specs=SCHEDULE,
+    return recover(
+        tmp_path_factory.mktemp("sched-baseline"), schedule=SCHEDULE
     )
 
 
@@ -60,14 +74,8 @@ class TestCrashRestartResume:
         from repro.errors import SimulatedCrash
 
         with pytest.raises(SimulatedCrash):
-            run_recoverable(
-                checkpoint_dir=tmp_path,
-                checkpoint_every=CADENCE,
-                seed=0,
-                kill_at_run=KILL_AT,
-                kill_point=kill_point,
-            )
-        resumed = resume_recoverable(tmp_path)
+            recover(tmp_path, kill_point=kill_point)
+        resumed = resume_facade(tmp_path)
         _identical(resumed, baseline)
         # post-commit dies after run 10's checkpoint lands; the other two
         # points must restart from the previous generation.
@@ -78,18 +86,12 @@ class TestCrashRestartResume:
         from repro.errors import SimulatedCrash
 
         with pytest.raises(SimulatedCrash):
-            run_recoverable(
-                checkpoint_dir=tmp_path,
-                checkpoint_every=CADENCE,
-                seed=0,
-                kill_at_run=KILL_AT,
-                kill_point="post-commit",
-            )
+            recover(tmp_path, kill_point="post-commit")
         state = tmp_path / f"gen-{KILL_AT:08d}" / STATE_NAME
         blob = state.read_bytes()
         state.write_bytes(blob[:9] + bytes([blob[9] ^ 0xFF]) + blob[10:])
 
-        resumed = resume_recoverable(tmp_path)
+        resumed = resume_facade(tmp_path)
         # Never a crash, never a silent bad load: the corrupt generation
         # is skipped with a logged warning and the run still completes
         # identically from the previous one.
@@ -106,15 +108,10 @@ class TestCrashRestartResume:
         from repro.errors import SimulatedCrash
 
         with pytest.raises(SimulatedCrash):
-            run_recoverable(
-                checkpoint_dir=tmp_path,
-                checkpoint_every=CADENCE,
-                seed=0,
-                schedule_specs=SCHEDULE,
-                kill_at_run=KILL_AT,
-                kill_point="mid-checkpoint",
+            recover(
+                tmp_path, schedule=SCHEDULE, kill_point="mid-checkpoint"
             )
-        resumed = resume_recoverable(tmp_path)
+        resumed = resume_facade(tmp_path)
         # The injector cursor travels in the checkpoint: outages applied
         # before the crash are not re-fired, pending ones still fire.
         _identical(resumed, scheduled_baseline)
@@ -139,20 +136,12 @@ class TestCrashRestartResume:
         monkeypatch.setattr(
             ReplayDB, "recent_access_columns_per_file", recording
         )
-        run_recoverable(
-            checkpoint_dir=tmp_path / "whole", checkpoint_every=CADENCE, seed=0
-        )
+        recover(tmp_path / "whole")
         whole = reads[:]
         with pytest.raises(SimulatedCrash):
-            run_recoverable(
-                checkpoint_dir=tmp_path / "killed",
-                checkpoint_every=CADENCE,
-                seed=0,
-                kill_at_run=KILL_AT,
-                kill_point="mid-checkpoint",
-            )
+            recover(tmp_path / "killed", kill_point="mid-checkpoint")
         del reads[:]
-        resume_recoverable(tmp_path / "killed")
+        resume_facade(tmp_path / "killed")
         assert 0 < len(reads) < len(whole)
         for got, want in zip(reads, whole[-len(reads):]):
             assert_same_columns(got, want)  # exact: refolded rows are rows
@@ -161,10 +150,7 @@ class TestCrashRestartResume:
         from repro.errors import ExperimentError
 
         with pytest.raises(ExperimentError, match="absolute"):
-            run_recoverable(
-                checkpoint_dir=tmp_path,
-                schedule_specs=("kill:file0@40%",),
-            )
+            recover(tmp_path, schedule=("kill:file0@40%",))
 
 
 class TestJournal:
@@ -194,18 +180,17 @@ class TestGuardrailAcceptance:
     def test_nan_loss_trips_on_first_control_step(self, tmp_path):
         # A pathological learning rate makes the very first training run
         # diverge; the guardrail must bench the learner on that same run.
-        result = run_recoverable(
-            checkpoint_dir=tmp_path,
-            checkpoint_every=0,
-            seed=0,
-            guardrail=True,
+        result = recover(
+            tmp_path,
+            every=0,
+            guardrail_enabled=True,
             learning_rate=1e6,
         )
         assert result.guardrail_trips
         first = result.guardrail_trips[0]
         assert first["reason"] == "nan-loss"
         assert first["run_index"] == CADENCE  # first run that trains
-        assert result.fallback_runs > 0
+        assert result.geo.fallback_runs > 0
         assert len(result.movements) == 0
 
     def test_throughput_collapse_trips_and_recovers(self, tmp_path, monkeypatch):
@@ -213,17 +198,16 @@ class TestGuardrailAcceptance:
         # far below the model's predictions; the regression window fills
         # and trips, then cooldown re-admits the learner.
         monkeypatch.setattr(guardrail, "WINDOW", 2)
-        result = run_recoverable(
-            checkpoint_dir=tmp_path,
-            checkpoint_every=0,
-            seed=0,
-            guardrail=True,
-            schedule_specs=("kill:file0@80", "kill:pic@80"),
+        result = recover(
+            tmp_path,
+            every=0,
+            guardrail_enabled=True,
+            schedule=("kill:file0@80", "kill:pic@80"),
         )
         reasons = [t["reason"] for t in result.guardrail_trips]
         assert "throughput-regression" in reasons
-        assert result.fallback_runs >= 1
-        assert result.guardrail_mode == "learning"  # re-admitted
+        assert result.geo.fallback_runs >= 1
+        assert result.geo.guardrail.mode == "learning"  # re-admitted
 
     def test_fallback_cycle_rescue_is_ledgered_as_a_rescue(
         self, tmp_path, monkeypatch
@@ -237,18 +221,17 @@ class TestGuardrailAcceptance:
         obs = Observability(enabled=True)
         with use(obs), monkeypatch.context() as patch:
             patch.setattr(guardrail, "COOLDOWN_RUNS", 10)
-            result = run_recoverable(
-                checkpoint_dir=tmp_path / "ckpt",
-                checkpoint_every=0,
-                seed=0,
-                guardrail=True,
+            result = recover(
+                tmp_path / "ckpt",
+                every=0,
+                guardrail_enabled=True,
                 learning_rate=1e6,
-                schedule_specs=("kill:file0@150",),
+                schedule=("kill:file0@150",),
                 provenance_enabled=True,
                 provenance_path=str(tmp_path / "prov.jsonl"),
             )
         assert result.guardrail_trips[0]["run_index"] == 5
-        assert result.fallback_runs == 10 and result.rescued_files > 0
+        assert result.geo.fallback_runs == 10 and result.rescued_files > 0
         decisions = ProvenanceLedger.load(tmp_path / "prov.jsonl").decisions
         assert "decision" not in {d.kind for d in decisions}
         rescues = [d for d in decisions if d.kind == "rescue"]
@@ -268,12 +251,11 @@ class TestGuardrailAcceptance:
         # A learner that works until the throughput collapses: what it
         # dispatched before the trip is ledgered under its own authority.
         monkeypatch.setattr(guardrail, "WINDOW", 2)
-        tripped = run_recoverable(
-            checkpoint_dir=tmp_path / "ckpt-collapse",
-            checkpoint_every=0,
-            seed=0,
-            guardrail=True,
-            schedule_specs=("kill:file0@80", "kill:pic@80"),
+        tripped = recover(
+            tmp_path / "ckpt-collapse",
+            every=0,
+            guardrail_enabled=True,
+            schedule=("kill:file0@80", "kill:pic@80"),
             provenance_enabled=True,
             provenance_path=str(tmp_path / "prov-collapse.jsonl"),
         )
@@ -297,20 +279,20 @@ class TestGuardrailAcceptance:
         # overhead stays inside the margin; the guardrail trips at every
         # seed, but how much the learner's first (pre-bench) moves cost
         # is environment luck.
-        static = run_recoverable(
-            checkpoint_dir=tmp_path_factory.mktemp("static"),
-            checkpoint_every=0,
+        static = recover(
+            tmp_path_factory.mktemp("static"),
+            every=0,
             seed=1,
             cooldown_runs=1_000_000,  # scheduler never fires: frozen layout
-            schedule_specs=SCHEDULE,
+            schedule=SCHEDULE,
         )
-        guarded = run_recoverable(
-            checkpoint_dir=tmp_path_factory.mktemp("guarded"),
-            checkpoint_every=0,
+        guarded = recover(
+            tmp_path_factory.mktemp("guarded"),
+            every=0,
             seed=1,
-            guardrail=True,
+            guardrail_enabled=True,
             learning_rate=1e6,  # worst case: the learner is broken
-            schedule_specs=SCHEDULE,
+            schedule=SCHEDULE,
         )
         assert len(static.movements) == 0
         assert guarded.guardrail_trips
@@ -321,36 +303,24 @@ class TestGuardrailAcceptance:
     ):
         from repro.errors import SimulatedCrash
 
-        kwargs = dict(
-            checkpoint_every=CADENCE,
-            seed=0,
-            guardrail=True,
-            learning_rate=1e6,
-        )
-        uninterrupted = run_recoverable(
-            checkpoint_dir=tmp_path_factory.mktemp("guard-base"), **kwargs
+        kwargs = dict(guardrail_enabled=True, learning_rate=1e6)
+        uninterrupted = recover(
+            tmp_path_factory.mktemp("guard-base"), **kwargs
         )
         killed_dir = tmp_path_factory.mktemp("guard-killed")
         with pytest.raises(SimulatedCrash):
-            run_recoverable(
-                checkpoint_dir=killed_dir,
-                kill_at_run=KILL_AT,
-                kill_point="pre-commit",
-                **kwargs,
-            )
-        resumed = resume_recoverable(killed_dir)
+            recover(killed_dir, kill_point="pre-commit", **kwargs)
+        resumed = resume_facade(killed_dir)
         # Trip history and fallback bookkeeping restore exactly.
         assert resumed.guardrail_trips == uninterrupted.guardrail_trips
-        assert resumed.fallback_runs == uninterrupted.fallback_runs
-        assert resumed.guardrail_mode == uninterrupted.guardrail_mode
+        assert resumed.geo.fallback_runs == uninterrupted.geo.fallback_runs
+        assert resumed.geo.guardrail.mode == uninterrupted.geo.guardrail.mode
         assert resumed.mean_gbps == uninterrupted.mean_gbps
 
 
 class TestStateIntrospection:
     def test_checkpoint_state_is_plain_json(self, tmp_path):
-        run_recoverable(
-            checkpoint_dir=tmp_path, checkpoint_every=CADENCE, seed=0
-        )
+        recover(tmp_path)
         newest = sorted(tmp_path.glob("gen-*"))[-1]
         state = json.loads((newest / STATE_NAME).read_text())
         assert state["meta"]["seed"] == 0

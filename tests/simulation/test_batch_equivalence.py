@@ -20,8 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeviceOfflineError, SimulatedCrash
-from repro.experiments.instrumented import run_instrumented
-from repro.experiments.recoverable import resume_recoverable, run_recoverable
+from repro.experiments.facade import (
+    Checkpoints,
+    Exports,
+    Faults,
+    resume_facade,
+    run_facade,
+)
+from repro.experiments.harness import make_experiment_config
 from repro.experiments.robustness import run_chaos
 from repro.experiments.spec import TEST_SCALE
 from repro.replaydb.db import ReplayDB
@@ -307,40 +313,48 @@ class TestChaosEndToEndEquivalence:
         assert batched == scalar
 
     def test_run_instrumented_bit_identical_to_scalar(self):
-        kwargs = dict(
-            scale=TEST_SCALE, seed=0, migration_failure_rate=0.1,
-            schedule_specs=("kill:file0@40", "outage:pic@60+30"),
+        faults = Faults(
+            schedule=("kill:file0@40", "outage:pic@60+30"),
+            migration_failure_rate=0.1,
         )
-        batched = run_instrumented(**kwargs)
+
+        def observed():
+            return run_facade(
+                make_experiment_config(TEST_SCALE), scale=TEST_SCALE,
+                seed=0, faults=faults, exports=Exports(),
+            )
+
+        batched = observed()
         with scalar_control_loop():
-            scalar = run_instrumented(**kwargs)
+            scalar = observed()
         assert batched.movements  # the faults and the learner both moved
         assert batched.movement_fingerprint() == scalar.movement_fingerprint()
         assert batched.final_layout == scalar.final_layout
         assert batched.mean_gbps == scalar.mean_gbps
-        assert batched.spans_recorded == scalar.spans_recorded
+        assert len(batched.geo.obs.tracer.spans) == len(
+            scalar.geo.obs.tracer.spans
+        )
 
     def test_run_recoverable_and_resume_bit_identical_to_scalar(
         self, tmp_path
     ):
-        kwargs = dict(
-            scale=TEST_SCALE, seed=0, checkpoint_every=2,
-            schedule_specs=("kill:file0@40",), migration_failure_rate=0.1,
-        )
-        batched = run_recoverable(
-            checkpoint_dir=tmp_path / "batched", **kwargs
-        )
-        with scalar_control_loop():
-            scalar = run_recoverable(
-                checkpoint_dir=tmp_path / "scalar", **kwargs
+        def recover(directory, **kill):
+            return run_facade(
+                make_experiment_config(TEST_SCALE), scale=TEST_SCALE,
+                seed=0,
+                faults=Faults(
+                    schedule=("kill:file0@40",), migration_failure_rate=0.1
+                ),
+                checkpoints=Checkpoints(tmp_path / directory, every=2, **kill),
             )
+
+        batched = recover("batched")
+        with scalar_control_loop():
+            scalar = recover("scalar")
             # Killed between checkpoints, resumed on the scalar path too.
             with pytest.raises(SimulatedCrash):
-                run_recoverable(
-                    checkpoint_dir=tmp_path / "killed", kill_at_run=5,
-                    kill_point="pre-commit", **kwargs,
-                )
-            resumed = resume_recoverable(tmp_path / "killed")
+                recover("killed", kill_at_run=5, kill_point="pre-commit")
+            resumed = resume_facade(tmp_path / "killed")
         assert batched.movements and batched.rescued_files
         assert resumed.resumed_from_step == 4
         for other in (scalar, resumed):

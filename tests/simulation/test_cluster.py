@@ -248,69 +248,6 @@ class TestAvailability:
         assert cluster.file(1).device == "slow"
 
 
-class TestIncrementalMigration:
-    def test_moves_file(self, cluster):
-        cluster.add_file(1, "a", GB, "fast")
-        move = cluster.migrate_incremental(1, "slow", t=0.0,
-                                           chunk_bytes=GB // 4)
-        assert cluster.file(1).device == "slow"
-        assert move.bytes_moved == GB
-
-    def test_noop_when_already_there(self, cluster):
-        cluster.add_file(1, "a", GB, "fast")
-        assert cluster.migrate_incremental(
-            1, "fast", t=0.0, chunk_bytes=GB
-        ) is None
-
-    def test_slower_than_bulk_due_to_per_chunk_latency(self):
-        devices = [make_device("src", 0), make_device("dst", 1)]
-        a = StorageCluster(devices,
-                           link=TransferLink(bandwidth_gbps=1.0,
-                                             latency_s=0.05))
-        a.add_file(1, "f", GB, "src")
-        bulk = a.migrate(1, "dst", t=0.0)
-        b = StorageCluster([make_device("src", 0), make_device("dst", 1)],
-                           link=TransferLink(bandwidth_gbps=1.0,
-                                             latency_s=0.05))
-        b.add_file(1, "f", GB, "src")
-        chunked = b.migrate_incremental(1, "dst", t=0.0,
-                                        chunk_bytes=GB // 10)
-        assert chunked.duration > bulk.duration
-
-    def test_spreads_crowding_over_time(self):
-        devices = [
-            make_device("src", 0, crowding_factor=5.0,
-                        utilization_window_s=1.0),
-            make_device("dst", 1, crowding_factor=5.0,
-                        utilization_window_s=1.0),
-        ]
-        cluster = StorageCluster(devices)
-        cluster.add_file(1, "f", 50 * GB, "src")
-        cluster.migrate_incremental(1, "dst", t=0.0, chunk_bytes=GB)
-        # With a 1 s utilization window, early chunks have expired by the
-        # time the migration ends: the destination is not fully crowded.
-        dst = cluster.device("dst")
-        assert dst.utilization(60.0) < 50 * GB / (2.0 * GB * 1.0)
-
-    def test_capacity_checked(self, cluster):
-        cluster.add_file(1, "a", 4 * GB, "slow")
-        cluster.add_file(2, "b", 4 * GB, "fast")
-        with pytest.raises(CapacityError):
-            cluster.migrate_incremental(2, "slow", t=0.0, chunk_bytes=GB)
-
-    def test_availability_checked(self, cluster):
-        from repro.errors import DeviceUnavailableError
-        cluster.add_file(1, "a", GB, "fast")
-        cluster.set_device_available("slow", False)
-        with pytest.raises(DeviceUnavailableError):
-            cluster.migrate_incremental(1, "slow", t=0.0, chunk_bytes=GB)
-
-    def test_invalid_chunk_rejected(self, cluster):
-        cluster.add_file(1, "a", GB, "fast")
-        with pytest.raises(SimulationError):
-            cluster.migrate_incremental(1, "slow", t=0.0, chunk_bytes=0)
-
-
 class TestApplyLayoutFailureModes:
     def test_strict_apply_raises_on_capacity(self, cluster):
         cluster.add_file(1, "a", 4 * GB, "slow")

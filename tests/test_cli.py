@@ -17,8 +17,7 @@ class TestParser:
             "fig4", "table1", "table2", "table3",
             "fig5a", "fig5b", "table4", "fig6", "synth-trace", "testbed",
             "robustness", "chaos", "overhead", "model-selection",
-            "recover", "resume", "run",
-            "deadletters", "explain",
+            "recover", "resume", "run", "explain",
         }
 
     def test_chaos_arguments_parse(self):
@@ -155,40 +154,17 @@ class TestUserErrors:
             "repro robustness: ExperimentError: workers must be >= 1, got 0\n"
         )
 
-
-class TestDeadlettersCommand:
-    def test_deadletters_requires_store(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["deadletters"])
-
-    def test_deadletters_inspects_and_requeues(self, tmp_path, capsys):
-        from repro.agents.deadletter import DeadLetterStore
-        from repro.agents.messages import TelemetryBatch
-        from repro.replaydb.records import AccessRecord
-
-        record = AccessRecord(
-            fid=1, fsid=0, device="var", path="p", rb=1000, wb=0,
-            ots=1, otms=0, cts=2, ctms=0,
+    @pytest.mark.parametrize("rate", ["--drop-rate", "--corrupt-rate"])
+    def test_a_link_that_loses_everything_ends_the_warm_up(
+        self, rate, capsys
+    ):
+        assert main(["chaos", "--scale", "test", rate, "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro chaos: ExperimentError: warm-up landed 0 of 400 accesses "
+            "in 400 runs: the telemetry link delivers too little\n"
         )
-        store = DeadLetterStore(capacity=4)
-        store.add(
-            "db rejected",
-            TelemetryBatch(device="var", records=(record,), sent_at=1.0),
-            at=1.0,
-        )
-        store.add("corrupt", "junk", at=2.0)
-        path = tmp_path / "dead.jsonl"
-        store.save(path)
-
-        assert main(["deadletters", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "2 dead letters" in out
-
-        assert main(["deadletters", str(path), "--requeue"]) == 0
-        out = capsys.readouterr().out
-        assert "requeued 1 batches; 1 records re-ingested" in out
-        reloaded = DeadLetterStore.load(path)
-        assert reloaded.replayable() == []
 
 
 class TestProvenanceCommands:
@@ -251,28 +227,3 @@ class TestProvenanceCommands:
         out = capsys.readouterr().out
         assert "queue-delay" in out
         assert "throughput-floor" in out
-
-    def test_deadletters_table_shows_trace_column(self, tmp_path, capsys):
-        from repro.agents.deadletter import DeadLetterStore
-        from repro.agents.messages import TelemetryBatch
-        from repro.replaydb.records import AccessRecord
-
-        record = AccessRecord(
-            fid=1, fsid=0, device="var", path="p", rb=1000, wb=0,
-            ots=1, otms=0, cts=2, ctms=0,
-        )
-        store = DeadLetterStore(capacity=2)
-        store.add(
-            "db rejected",
-            TelemetryBatch(
-                device="var", records=(record,), sent_at=1.0,
-                trace_id="b:var:9",
-            ),
-            at=1.0,
-        )
-        path = tmp_path / "dead.jsonl"
-        store.save(path)
-        assert main(["deadletters", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "trace" in out
-        assert "b:var:9" in out

@@ -16,18 +16,15 @@ import importlib
 import pkgutil
 import re
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import repro
 from repro.agents.transport import Transport
 from repro.cli import build_parser
 from repro.core.config import GeomancyConfig
-from repro.experiments.harness import (
-    make_experiment_config,
-    run_measured_loop,
-    start_facade_loop,
-)
+from repro.experiments.facade import run_facade
+from repro.experiments.harness import make_experiment_config
 from repro.experiments.spec import TEST_SCALE
 from repro.replaydb import db as db_module
 from repro.simulation.bluesky import make_bluesky_cluster
@@ -44,12 +41,12 @@ CONSUMERS = ("experiments", "cli.py")
 CONFIG = SRC / "core" / "config.py"
 
 MAX_CONFIG_FIELDS = 21
-MAX_CLI_SUBCOMMANDS = 19
+MAX_CLI_SUBCOMMANDS = 18
 #: ``find src -name '*.py' | xargs cat | wc -l``
-MAX_SRC_LINES = 16_931
+MAX_SRC_LINES = 16_289
 #: ``wc -c`` of the two documents a newcomer reads first
-MAX_DESIGN_BYTES = 74_232
-MAX_README_BYTES = 18_067
+MAX_DESIGN_BYTES = 74_225
+MAX_README_BYTES = 18_060
 
 #: Public names under ``src/repro`` that only tests refer to, each with the
 #: reason it stays.  A test that tests only the name is not a reason: the
@@ -84,8 +81,6 @@ TEST_SEAMS = {
                   "monitor (TestLazyMonitors)",
     "set_device_available": "StorageCluster: drives the Action Checker "
                             "and control-agent availability paths",
-    "migrate_incremental": "StorageCluster: README extension (paper "
-                           "section VI) with its own test class",
     "PathEncoder": "the paper's section V-E locality-preserving path "
                    "codec, with its own test module",
 }
@@ -239,9 +234,6 @@ TEST_OPTIONS = {
                  "tests pass a list",
     "Transport.latency_s": "the paper's 3 ms link latency (section V-A) is "
                            "the default; tests set and validate it",
-    "InterfaceDaemon.dead_letter_store": "the dead-letter safety net: no run "
-                                         "attaches a store, tests hold the "
-                                         "daemon's path into it",
 }
 
 
@@ -452,13 +444,12 @@ def test_a_facade_run_keeps_a_fixed_ring_of_chunks(monkeypatch):
     chunks as a run of N, and device stats keep running aggregates, no
     per-access buffer."""
     monkeypatch.setattr(db_module, "_CHUNK_ROWS", 512)
-    geo, runner = start_facade_loop(
-        make_experiment_config(TEST_SCALE, seed=0),
-        seed=0, warmup_accesses=TEST_SCALE.warmup_accesses,
-    )
     live = []
-    for runs in (range(1, 21), range(21, 61)):  # 4 epochs, then 12
-        run_measured_loop(geo, runner, runs)
+    for runs in (20, 60):  # 4 epochs, then 12
+        scale = replace(TEST_SCALE, runs=runs)
+        geo = run_facade(
+            make_experiment_config(scale, seed=0), scale=scale, seed=0
+        ).geo
         live.append(len(geo.db._chunks))
     assert geo.db._first > 0
     assert live[0] == live[1]
