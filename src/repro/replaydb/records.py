@@ -60,16 +60,13 @@ class AccessRecord(namedtuple(
             throughput, throughput / BYTES_PER_GB,
         ))
 
-    @classmethod
-    def _trusted(cls, fields: tuple) -> "AccessRecord":
-        """The record that *is* the finished 13-field tuple ``fields``.
-
-        The batched access scan builds records whose invariants hold by
-        construction (clamped millisecond parts, close strictly after
-        open) and computes both throughputs with the constructor's exact
-        floats, so it pays for one tuple and no re-validation.
-        """
-        return tuple.__new__(cls, fields)
+    #: ``_trusted(fields)``: the record that *is* the finished 13-field
+    #: tuple ``fields``.  The access paths build records whose invariants
+    #: hold by construction (clamped millisecond parts, close strictly
+    #: after open) and compute both throughputs with the constructor's
+    #: exact floats, so they pay for one tuple, no re-validation and no
+    #: Python frame (``tuple.__new__`` bound to the class).
+    _trusted = classmethod(tuple.__new__)
 
     @classmethod
     def _make(cls, iterable) -> "AccessRecord":
@@ -81,8 +78,9 @@ class AccessRecord(namedtuple(
         return type(self)(**{**dict(zip(self._fields[:-2], self)), **changes})
 
     def __reduce__(self):
-        # namedtuple's __getnewargs__ would feed all 13 values to __new__.
-        return type(self)._trusted, (tuple(self),)
+        # namedtuple's __getnewargs__ would feed all 13 values to __new__;
+        # this is _trusted's call, which pickle can name.
+        return tuple.__new__, (type(self), tuple(self))
 
     @property
     def open_time(self) -> float:
@@ -96,8 +94,8 @@ class AccessRecord(namedtuple(
 
     @property
     def duration(self) -> float:
-        """Access duration in seconds."""
-        return self.close_time - self.open_time
+        """Access duration in seconds: ``close_time - open_time``."""
+        return (self.cts + self.ctms / 1000.0) - (self.ots + self.otms / 1000.0)
 
     @property
     def total_bytes(self) -> int:

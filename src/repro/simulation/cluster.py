@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ from repro.features.throughput import BYTES_PER_GB
 from repro.observability import get_observability
 from repro.replaydb.records import AccessRecord, MovementRecord
 from repro.simulation.clock import timestamp_parts
-from repro.simulation.device import GBPS, MIN_ACCESS_DURATION, StorageDevice
+from repro.simulation.device import StorageDevice
 from repro.simulation.network import TransferLink
 
 
@@ -59,62 +60,30 @@ class BatchAccessResult:
 
 
 class _ScanDevice:
-    """Per-device scratch state for one :meth:`access_batch` scan.
-
-    Besides the pre-drawn randomness and rewind snapshots, it caches the
-    device's loop-invariant serving constants so the scan's hot path pays
-    slot lookups instead of ``spec`` attribute chains.  ``degradation``
-    and ``online`` stay live reads on the device -- fault injectors flip
-    them mid-batch through ``advance_hook``.
-    """
+    """Per-device scratch state for one :meth:`access_batch` scan: the
+    device, the batch positions of its ops, its RNG states before the
+    pre-draw, and its served ops' byte totals and durations, whose
+    accounting the scan defers to :meth:`flush_stats`."""
 
     __slots__ = (
-        "device", "cursor", "rng_state0", "rng_cache_state0",
-        # how many of the batch's ops land on this device
-        "ops",
-        # pre-drawn randomness (cursor-indexed lists or None)
-        "hit", "noise",
-        # loop-invariant serving constants
-        "name", "fsid", "sens", "load", "crowding", "window_capacity",
-        "window_s", "read_base", "write_base", "cache_base", "latency",
-        # deferred per-device outputs (served ops only, in serve order)
-        "durs", "tots",
+        "device", "name", "fsid", "positions", "rng_state0",
+        "rng_cache_state0", "durs", "tots",
     )
 
     def __init__(self, device: StorageDevice) -> None:
         self.device = device
-        self.cursor = 0
-        self.rng_state0 = None
-        self.rng_cache_state0 = None
-        self.ops = 0
-        self.hit = None
-        self.noise = None
-        spec = device.spec
-        self.name = spec.name
-        self.fsid = spec.fsid
-        self.sens = spec.interference_sensitivity
-        self.load = device.interference.load
-        self.crowding = spec.crowding_factor
-        self.window_capacity = device._window_capacity
-        self.window_s = spec.utilization_window_s
-        self.read_base = spec.read_gbps * GBPS
-        self.write_base = spec.write_gbps * GBPS
-        self.cache_base = spec.cache_gbps * GBPS
-        self.latency = spec.latency_s
-        self.durs = []
-        self.tots = []
-
-    def snapshot_and_prepare(self) -> None:
-        """Snapshot the RNG streams, then pre-draw for the grouped ops."""
-        device = self.device
+        self.name = device.name
+        self.fsid = device.fsid
+        self.positions: list[int] = []
         self.rng_state0 = device._rng.bit_generator.state
         self.rng_cache_state0 = device._rng_cache.bit_generator.state
-        self.hit, self.noise = device.prepare_batch(self.ops)
+        self.durs: list[float] = []
+        self.tots: list[int] = []
 
     def flush_stats(self) -> None:
         """Apply the deferred per-device accounting.
 
-        Bit-for-bit the scalar bookkeeping: ``busy_time`` and the
+        Bit-for-bit the one-op bookkeeping: ``busy_time`` and the
         throughput aggregates accumulate per op in serve order; only the
         loop moved out of the per-op hot path.
         """
@@ -133,19 +102,19 @@ class _ScanDevice:
             [total / duration for total, duration in zip(tots, durs)]
         )
 
-    def rewind_unconsumed_draws(self) -> None:
+    def rewind_unconsumed_draws(self, reached: int) -> None:
         """Roll the RNG streams back to cover only the ops actually reached.
 
-        Used when a batch aborts partway (offline device, tolerance off):
-        the scalar loop would have consumed draws only for the ops up
-        to and including the failing one, so the pre-drawn remainder is
-        undone by restoring the pre-batch states and re-consuming exactly
-        ``cursor`` ops' worth of draws.
+        Used when a batch aborts at op ``reached - 1`` (offline device,
+        tolerance off): the one-op loop would have drawn only for the ops
+        up to and including the failing one, so the pre-drawn remainder
+        is undone by restoring the pre-batch states and re-drawing for
+        this device's ops among the first ``reached``.
         """
         device = self.device
         device._rng.bit_generator.state = self.rng_state0
         device._rng_cache.bit_generator.state = self.rng_cache_state0
-        device.prepare_batch(self.cursor)
+        device.prepare_batch(bisect_left(self.positions, reached))
 
 
 class StorageCluster:
@@ -358,36 +327,42 @@ class StorageCluster:
         """Perform one file access starting at time ``t``.
 
         ``rb``/``wb`` default to a full-file read when both are zero, the
-        common case for the BELLE II workload's whole-file scans.
+        common case for the BELLE II workload's whole-file scans.  The
+        one-op form of :meth:`access_batch`: the same validation before
+        any draw, the same draws taken here one at a time, the same
+        :meth:`StorageDevice.serve` kernel, stats and record.
         """
         info = self.file(fid)
+        if rb < 0 or wb < 0:
+            raise SimulationError(
+                f"byte counts must be non-negative (rb={rb}, wb={wb})"
+            )
         if rb == 0 and wb == 0:
             rb = info.size_bytes
-        device = self.device(info.device)
+        ots, otms = timestamp_parts(t)
+        device = self._devices[info.device]
+        hit, noise = device.draw_access()
         if not device.online:
-            # Burn the draws a served access would have consumed so the
-            # RNG position depends only on the op sequence, never on fault
-            # state (the contract the batch path's pre-drawing relies on).
-            device.burn_access_draws()
+            # The draws stay burned: the RNG position depends only on the
+            # op sequence, never on fault state (the contract the batch
+            # path's pre-drawing relies on).
             raise DeviceOfflineError(
                 f"file {fid} is stranded on offline device {info.device!r}"
             )
-        duration = device.perform_access(t, rb, wb)
+        duration = device.serve(t, rb, wb, hit, noise)
+        total = rb + wb
+        stats = device.stats
+        stats.accesses += 1
+        stats.bytes_served += total
+        stats.busy_time += duration
+        stats.append_sample(total / duration)
         self._m_accesses.inc()
-        ots, otms = timestamp_parts(t)
         cts, ctms = timestamp_parts(t + duration)
-        return AccessRecord(
-            fid=fid,
-            fsid=device.fsid,
-            device=device.name,
-            path=info.path,
-            rb=rb,
-            wb=wb,
-            ots=ots,
-            otms=otms,
-            cts=cts,
-            ctms=ctms,
-        )
+        tp = total / ((cts + ctms / 1000.0) - (ots + otms / 1000.0))
+        return AccessRecord._trusted((
+            fid, device.spec.fsid, info.device, info.path, rb, wb,
+            ots, otms, cts, ctms, {}, tp, tp / BYTES_PER_GB,
+        ))
 
     def access_batch(
         self,
@@ -421,7 +396,7 @@ class StorageCluster:
         the error is returned in :attr:`BatchAccessResult.pending_error`
         (not raised) with the already-completed records, and the unused
         pre-drawn randomness is rolled back so the devices' RNG streams
-        sit exactly where the scalar loop would have left them.
+        sit exactly where the :meth:`access` loop would have left them.
         """
         fid_list = (
             fids.tolist() if isinstance(fids, np.ndarray) else [int(f) for f in fids]
@@ -472,9 +447,14 @@ class StorageCluster:
                 rb_list[i] = info.size_bytes
             op_state.append(state)
             paths.append(info.path)
-            state.ops += 1
+            state.positions.append(i)
+        # Each device's draws, scattered back into op order.
+        op_hit = np.zeros(n, dtype=bool)
+        op_noise = np.ones(n, dtype=np.float64)
         for state in scan_devices.values():
-            state.snapshot_and_prepare()
+            hit, noise = state.device.prepare_batch(len(state.positions))
+            op_hit[state.positions] = hit
+            op_noise[state.positions] = noise
 
         result = BatchAccessResult()
         t = float(t0)
@@ -482,73 +462,25 @@ class StorageCluster:
         records = result.records
         append_record = records.append
         trusted = AccessRecord._trusted
-        for i in range(n):
-            state = op_state[i]
+        for fid, state, path, rbi, wbi, hit, noise in zip(
+            fid_list, op_state, paths, rb_list, wb_list,
+            op_hit.tolist(), op_noise.tolist(),
+        ):
             dev = state.device
-            k = state.cursor
-            state.cursor = k + 1
             if not dev.online:
-                # This op's draws stay burned (matching burn_access_draws
-                # on the scalar path).
+                # This op's draws stay burned, as on the one-op path.
                 if not tolerate_offline:
                     pending = DeviceOfflineError(
-                        f"file {fid_list[i]} is stranded on offline device "
+                        f"file {fid} is stranded on offline device "
                         f"{state.name!r}"
                     )
                     break
                 result.failed += 1
                 t += offline_penalty_s + think_time_s
                 continue
-            rbi = rb_list[i]
-            wbi = wb_list[i]
-            total = rbi + wbi
-            hit = state.hit
-            if hit is not None and hit[k]:
-                # StorageDevice.service_time's cache-hit branch, inlined:
-                # load-independent, same float-op order.
-                duration = state.latency + total / state.cache_base
-                if duration < MIN_ACCESS_DURATION:
-                    duration = MIN_ACCESS_DURATION
-            else:
-                # StorageDevice.service_time's miss branch (through
-                # effective_bandwidth), inlined: same float-op order, with
-                # the loop-invariant spec constants read off the scan
-                # state.  degradation/online stay live reads --
-                # advance_hook may flip them between ops.
-                ext = state.sens * state.load(t)
-                if ext > 0.95:
-                    ext = 0.95
-                rt = dev._recent_t
-                head = dev._recent_head
-                if head < len(rt) and rt[head] < t - state.window_s:
-                    dev._prune_recent(t)
-                crowd = state.crowding * (
-                    dev._recent_sum / state.window_capacity
-                )
-                deg = dev.degradation
-                one_minus_ext = 1.0 - ext
-                denom = 1.0 + crowd
-                transfer = 0.0
-                if rbi:
-                    transfer += rbi / (
-                        state.read_base * deg * one_minus_ext / denom
-                    )
-                if wbi:
-                    transfer += wbi / (
-                        state.write_base * deg * one_minus_ext / denom
-                    )
-                noise = state.noise
-                if noise is not None:
-                    transfer *= noise[k]
-                duration = state.latency + transfer
-                if duration < MIN_ACCESS_DURATION:
-                    duration = MIN_ACCESS_DURATION
+            duration = dev.serve(t, rbi, wbi, hit, noise)
             close = t + duration
-            # perform_access's _window_append, inlined; its stats are
-            # deferred to flush_stats.
-            dev._recent_t.append(close)
-            dev._recent_b.append(total)
-            dev._recent_sum += total
+            total = rbi + wbi
             state.durs.append(duration)
             state.tots.append(total)
             # Inlined timestamp_parts (t is monotone non-negative here).
@@ -566,23 +498,24 @@ class StorageCluster:
             trunc = (cts + ctms / 1000.0) - (ots + otms / 1000.0)
             tp = total / trunc
             append_record(trusted(
-                (fid_list[i], state.fsid, state.name, paths[i], rbi, wbi,
+                (fid, state.fsid, state.name, path, rbi, wbi,
                  ots, otms, cts, ctms, {}, tp, tp / BYTES_PER_GB)
             ))
             # The clock advances by the record's ms-truncated duration,
-            # exactly as the scalar runner does.
+            # exactly as the one-op runner does.
             t += trunc + think_time_s
             if advance_hook is not None:
                 advance_hook(t)
         # Ops completed before an abort keep their accounting, exactly as
-        # the scalar loop would have left it.
+        # the one-op loop would have left it.
         for state in scan_devices.values():
             state.flush_stats()
         if records:
             self._m_accesses.inc(len(records))
         if pending is not None:
+            reached = len(records) + result.failed + 1
             for state in scan_devices.values():
-                state.rewind_unconsumed_draws()
+                state.rewind_unconsumed_draws(reached)
         result.end_time = t
         result.pending_error = pending
         return result

@@ -16,29 +16,32 @@ live system exhibits:
   the means, which a cache-hit mechanism (occasional much-faster accesses)
   plus lognormal service noise reproduces.
 
-Two access paths share this model:
+One kernel, :meth:`StorageDevice.serve`, holds the serving arithmetic;
+two draw sources feed it:
 
-* the **scalar access** (:meth:`StorageDevice.perform_access`) serves one
-  access per call: the path of :meth:`StorageCluster.access`, which
-  interleaved workloads take access by access, and the semantic source
-  of truth;
+* the **one-op access** (:meth:`StorageCluster.access`, the path
+  ``WorkloadRunner.run_stream`` takes when interleaved workloads share the
+  cluster access by access) draws one access's randomness right there
+  (:meth:`StorageDevice.draw_access`);
 * the **batched scan** (:meth:`StorageCluster.access_batch`) serves a
   whole run: :meth:`StorageDevice.prepare_batch` pre-draws each device's
   randomness with one vectorized generator call per stream, then the
-  scan repeats ``perform_access``'s arithmetic inline, op by op, and is
-  regression-tested bit-for-bit against it.
+  scan calls ``serve`` op by op.
+
+Both are regression-tested bit-for-bit against the readable scalar model
+in ``tests/oracles/scalar_device.py``.
 
 RNG-draw-order contract: each device owns two independent streams -- a
 cache-hit uniform stream (``default_rng((seed, fsid, 1))``) and a
 service-noise lognormal stream (``default_rng((seed, fsid))``).  A served
 access consumes one uniform (iff ``cache_hit_rate > 0``) and one lognormal
 (iff it missed the cache and ``noise_sigma > 0``).  An access *rejected by
-an offline device* burns the same draws (:meth:`burn_access_draws`), so the
-number of draws consumed depends only on the op sequence, never on fault
-state -- which is what makes whole-batch pre-drawing safe across mid-batch
+an offline device* takes the same draws and discards them, so the number
+of draws consumed depends only on the op sequence, never on fault state --
+which is what makes whole-batch pre-drawing safe across mid-batch
 online/offline transitions.  Numpy's batched ``random(n)`` /
 ``lognormal(.., n)`` produce bit-identical values and end states to ``n``
-sequential scalar calls, so the batch path replays the scalar one exactly.
+sequential scalar calls, so the batch path replays the one-op path exactly.
 """
 
 from __future__ import annotations
@@ -205,6 +208,16 @@ class StorageDevice:
         self._window_capacity = (
             spec.read_gbps * GBPS * spec.utilization_window_s
         )
+        # serve()'s loop-invariant constants: the spec is frozen and the
+        # load process fixed at construction
+        self._sens = spec.interference_sensitivity
+        self._load = self.interference.load
+        self._crowding = spec.crowding_factor
+        self._window_s = spec.utilization_window_s
+        self._read_base = spec.read_gbps * GBPS
+        self._write_base = spec.write_gbps * GBPS
+        self._cache_base = spec.cache_gbps * GBPS
+        self._latency = spec.latency_s
         self.stats = DeviceStats()
         #: whether the device accepts *new* placements; existing data keeps
         #: being served ("permissions or availability changes", paper V-H)
@@ -267,98 +280,101 @@ class StorageDevice:
 
     def effective_bandwidth(self, t: float, *, is_read: bool) -> float:
         """Deterministic (noise-free) bandwidth in bytes/s at time ``t``."""
-        base = (self.spec.read_gbps if is_read else self.spec.write_gbps) * GBPS
+        base = self._read_base if is_read else self._write_base
         ext = min(0.95, self.external_load(t))
-        crowd = self.spec.crowding_factor * self.utilization(t)
+        crowd = self._crowding * self.utilization(t)
         return base * self.degradation * (1.0 - ext) / (1.0 + crowd)
 
-    # -- scalar path -------------------------------------------------------
-    def service_time(self, t: float, rb: int, wb: int) -> float:
-        """Sampled duration of an access starting at ``t`` (seconds)."""
-        if rb < 0 or wb < 0:
-            raise SimulationError(
-                f"byte counts must be non-negative (rb={rb}, wb={wb})"
-            )
-        if rb == 0 and wb == 0:
-            raise SimulationError("access must read or write at least one byte")
-        if self.spec.cache_hit_rate and self._rng_cache.random() < self.spec.cache_hit_rate:
-            transfer = (rb + wb) / (self.spec.cache_gbps * GBPS)
+    # -- serving -----------------------------------------------------------
+    def serve(
+        self, t: float, rb: int, wb: int, hit: bool, noise: float
+    ) -> float:
+        """Serve one validated access starting at ``t``; returns its duration.
+
+        The one copy of the serving arithmetic.  ``hit`` and ``noise`` are
+        the access's draws -- whether the cache served it, and its mean-one
+        lognormal factor on the transfer time (1.0 without noise; unread
+        on a hit) -- from :meth:`draw_access` or :meth:`prepare_batch`.
+        The access enters the crowding window; the caller keeps its stats.
+        ``degradation`` is read live: fault injectors flip it between ops.
+        """
+        total = rb + wb
+        if hit:
+            duration = self._latency + total / self._cache_base
         else:
+            # effective_bandwidth's float ops, in its order
+            ext = self._sens * self._load(t)
+            if ext > 0.95:
+                ext = 0.95
+            times = self._recent_t
+            head = self._recent_head
+            if head < len(times) and times[head] < t - self._window_s:
+                self._prune_recent(t)
+            denom = 1.0 + self._crowding * (
+                self._recent_sum / self._window_capacity
+            )
+            deg = self.degradation
+            one_minus_ext = 1.0 - ext
             transfer = 0.0
             if rb:
-                transfer += rb / self.effective_bandwidth(t, is_read=True)
+                transfer += rb / (
+                    self._read_base * deg * one_minus_ext / denom
+                )
             if wb:
-                transfer += wb / self.effective_bandwidth(t, is_read=False)
-            if self.spec.noise_sigma:
-                sigma = self.spec.noise_sigma
-                # Mean-one multiplicative noise on the transfer time.
-                transfer *= self._rng.lognormal(-sigma * sigma / 2.0, sigma)
-        return max(self.spec.latency_s + transfer, MIN_ACCESS_DURATION)
-
-    def perform_access(self, t: float, rb: int, wb: int) -> float:
-        """Serve one access and account for it; returns its duration.
-
-        :meth:`StorageCluster.access_batch` is equivalence-tested against
-        this method; it stays the semantic source of truth.
-        """
-        duration = self.service_time(t, rb, wb)
-        total = rb + wb
-        self._window_append(t + duration, total)
-        self.stats.accesses += 1
-        self.stats.bytes_served += total
-        self.stats.busy_time += duration
-        self.stats.append_sample(total / duration)
+                transfer += wb / (
+                    self._write_base * deg * one_minus_ext / denom
+                )
+            duration = self._latency + transfer * noise
+        if duration < MIN_ACCESS_DURATION:
+            duration = MIN_ACCESS_DURATION
+        self._recent_t.append(t + duration)
+        self._recent_b.append(total)
+        self._recent_sum += total
         return duration
 
-    def burn_access_draws(self) -> None:
-        """Consume the draws a served access would have, discarding them.
+    def draw_access(self) -> tuple[bool, float]:
+        """One access's draws, ``(hit, noise)``, taken from the streams now.
 
-        Called when an access is rejected (offline device) so the RNG
-        draw count stays a function of the op sequence alone.  This keeps
-        fault-free and faulted runs on shared noise streams, and lets the
-        batch path pre-draw a whole run regardless of mid-run faults.
+        Exactly the draws :meth:`prepare_batch` takes per op.  An access
+        rejected by an offline device takes them too and discards them,
+        so the RNG draw count stays a function of the op sequence alone.
+        This keeps fault-free and faulted runs on shared noise streams,
+        and lets the batch path pre-draw a whole run regardless of
+        mid-run faults.
         """
         spec = self.spec
-        if spec.cache_hit_rate:
-            if self._rng_cache.random() < spec.cache_hit_rate:
-                return  # would have been a cache hit: no noise draw
+        if spec.cache_hit_rate and self._rng_cache.random() < spec.cache_hit_rate:
+            return True, 1.0
         if spec.noise_sigma:
             sigma = spec.noise_sigma
-            self._rng.lognormal(-sigma * sigma / 2.0, sigma)
+            return False, self._rng.lognormal(-sigma * sigma / 2.0, sigma)
+        return False, 1.0
 
     # -- batched pre-draw --------------------------------------------------
-    def prepare_batch(
-        self, n: int
-    ) -> tuple[list[bool] | None, list[float] | None]:
+    def prepare_batch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Pre-draw all randomness for ``n`` accesses in op order.
 
-        Consumes exactly the draws ``n`` sequential :meth:`service_time`
+        Consumes exactly the draws ``n`` sequential :meth:`draw_access`
         calls would: one uniform per op on the cache stream (iff the
         device caches), one lognormal per cache *miss* on the noise stream
         (iff it has noise).  Ops that later fail against an offline device
-        keep their draws burned, matching :meth:`burn_access_draws` on the
-        scalar path.  Returns ``(hit, noise)``: per-op cache-hit flags
-        (``None`` when the device has no cache) and per-op lognormal
-        factors aligned with the ops (``None`` when ``noise_sigma == 0``;
-        entries at cache-hit positions are placeholders and never read).
+        keep their draws burned, as on the one-op path.  Returns ``(hit,
+        noise)``: per-op cache-hit flags and per-op lognormal factors,
+        1.0 at hits and on a device without noise.
         """
         spec = self.spec
-        hit = hit_list = noise_list = None
-        miss_count = n
         if spec.cache_hit_rate:
             hit = self._rng_cache.random(n) < spec.cache_hit_rate
-            miss_count = n - int(np.count_nonzero(hit))
-            hit_list = hit.tolist()
+        else:
+            hit = np.zeros(n, dtype=bool)
+        noise = np.ones(n, dtype=np.float64)
         if spec.noise_sigma:
             sigma = spec.noise_sigma
-            z = self._rng.lognormal(-sigma * sigma / 2.0, sigma, miss_count)
-            if hit is None:
-                noise = z
-            else:
-                noise = np.ones(n, dtype=np.float64)
-                noise[~hit] = z
-            noise_list = noise.tolist()
-        return hit_list, noise_list
+            miss = ~hit
+            noise[miss] = self._rng.lognormal(
+                -sigma * sigma / 2.0, sigma, int(np.count_nonzero(miss))
+            )
+        return hit, noise
 
     # -- migrations --------------------------------------------------------
     def absorb_transfer(self, t: float, nbytes: int, duration: float) -> None:

@@ -9,10 +9,11 @@ Processes are deterministic functions of time given their construction
 seed -- two queries at the same ``t`` agree, and interleaving queries from
 multiple workloads (Experiment 3) cannot perturb the environment.
 
-Both access paths of :mod:`repro.simulation.device` -- the scalar access
-and the cluster's batched scan -- query :meth:`LoadProcess.load` once per
-cache-miss access, at that access's start time: the start times of a run
-are only known as the scan resolves them, so there is no array form.
+The serving kernel :meth:`~repro.simulation.device.StorageDevice.serve`
+queries :meth:`LoadProcess.load` once per cache-miss access, at that
+access's start time, whether the one-op access or the batched scan calls
+it: the start times of a run are only known as the scan resolves them,
+so there is no array form.
 """
 
 from __future__ import annotations
@@ -118,20 +119,20 @@ class BurstyLoad(LoadProcess):
         self._slot_table: dict[int, bool] = {}
 
     def _slot_on(self, slot: int) -> bool:
-        cached = self._slot_table.get(slot)
-        if cached is None:
-            # Counter-based determinism: one generator per *slot*, built
-            # on first touch and remembered for every later access.
-            rng = np.random.default_rng((self.seed, slot))
-            cached = bool(rng.random() < self.p_on)
-            self._slot_table[slot] = cached
-        return cached
+        # Counter-based determinism: one generator per *slot*, built on
+        # first touch and remembered for every later access.
+        rng = np.random.default_rng((self.seed, slot))
+        on = self._slot_table[slot] = bool(rng.random() < self.p_on)
+        return on
 
     def load(self, t: float) -> float:
         if t < 0:
             raise SimulationError(f"time must be non-negative, got {t}")
         slot = int(t / self.slot_seconds)
-        return self.on_level if self._slot_on(slot) else self.off_level
+        on = self._slot_table.get(slot)
+        if on is None:
+            on = self._slot_on(slot)
+        return self.on_level if on else self.off_level
 
 
 class CompositeLoad(LoadProcess):

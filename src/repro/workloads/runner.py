@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError, DeviceOfflineError
+from repro.errors import ConfigurationError, DeviceOfflineError, SimulationError
 from repro.observability import get_observability
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord
@@ -105,18 +105,21 @@ class WorkloadRunner:
     def run_stream(self):
         """Start the next run; yields each access record as it completes.
 
-        Consuming the generator drives the shared clock forward access by
-        access, so two runners over one clock can interleave at access
-        granularity (Experiment 3 runs a competing workload this way).
+        Consuming the generator serves the run's ops one
+        :meth:`StorageCluster.access` at a time and drives the runner's
+        clock forward access by access, so two runners on one cluster
+        can interleave at access granularity (Experiment 3 runs a
+        competing workload this way, on its own clock).
         """
         index = self.next_run_index
         self.next_run_index += 1
         self._m_runs.inc()
-        for op in self.workload.run(index):
+        fids, rb, wb = self.workload.run_arrays(index)
+        access = self.cluster.access
+        clock = self.clock
+        for fid, rbi, wbi in zip(fids.tolist(), rb.tolist(), wb.tolist()):
             try:
-                record = self.cluster.access(
-                    op.fid, self.clock.now, rb=op.rb, wb=op.wb
-                )
+                record = access(fid, clock.now, rb=rbi, wb=wbi)
             except DeviceOfflineError:
                 if not self.tolerate_offline:
                     raise
@@ -124,9 +127,9 @@ class WorkloadRunner:
                 # carry on with the rest of the run.
                 self.failed_accesses += 1
                 self._m_failed.inc()
-                self.clock.advance(OFFLINE_PENALTY_S + THINK_TIME_S)
+                clock.advance(OFFLINE_PENALTY_S + THINK_TIME_S)
                 continue
-            self.clock.advance(record.duration + THINK_TIME_S)
+            clock.advance(record.duration + THINK_TIME_S)
             if self.db is not None:
                 self.db.insert_access(record)
             self.total_accesses += 1
@@ -233,7 +236,9 @@ class WorkloadRunner:
 
         The paper primes every experiment this way: "BELLE 2 is run until
         Geomancy's monitoring agents can capture 10000 accesses" (VI).
-        Returns the number of runs executed.
+        Returns the number of runs executed.  Every run serves an access
+        unless its devices are offline, so ``min_accesses`` runs that
+        leave the target unreached raise :class:`SimulationError`.
         """
         if self.db is None:
             raise ConfigurationError(
@@ -245,6 +250,12 @@ class WorkloadRunner:
             )
         runs = 0
         while self.db.access_count() < min_accesses:
+            if runs == min_accesses:
+                raise SimulationError(
+                    f"warm-up stored {self.db.access_count()} of "
+                    f"{min_accesses} accesses in {runs} runs: too few "
+                    f"land on online devices"
+                )
             self.run_once()
             runs += 1
         return runs

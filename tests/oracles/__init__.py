@@ -8,8 +8,9 @@ itself as SQL (:mod:`tests.oracles.sqlite_replaydb`), the replay
 buffer's row loops (:mod:`tests.oracles.replay_loops`), the mini-batch
 training loop with its allocating Dense step and optimizer updates
 (:mod:`tests.oracles.fit_loop`, :mod:`tests.oracles.minmax`), the
-per-file decision loop (:mod:`tests.oracles.decision_loop`) and the
-access-by-access workload run and chaos experiment
-(:mod:`tests.oracles.scalar_runs`).  They are test fixtures, not product
-code: nothing under ``src/`` imports them.
+per-file decision loop (:mod:`tests.oracles.decision_loop`), the
+storage service model one access at a time
+(:mod:`tests.oracles.scalar_device`) and the access-by-access workload
+run and chaos experiment (:mod:`tests.oracles.scalar_runs`).  They are
+test fixtures, not product code: nothing under ``src/`` imports them.
 """

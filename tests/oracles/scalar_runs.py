@@ -1,13 +1,15 @@
 """Workload runs served access by access, and the control loops on them.
 
 ``WorkloadRunner.run_once``/``run_many`` hand whole runs to
-``StorageCluster.access_batch``; here every run is ``run_stream``
-consumed one ``StorageCluster.access`` at a time.  ``Geomancy.
-observe_records`` and ``MonitoringAgent.observe_many`` take a run's
-records as chunks; here every record reaches its monitoring agent through
-its own call (:func:`observe_each`, :func:`agent_observe`).  Records,
-clock, device state, batch boundaries, DB rows and every downstream
-decision must come out bit for bit the same.
+``StorageCluster.access_batch``; here every run is the scalar model's
+``run_stream`` (:mod:`tests.oracles.scalar_device`), one access at a
+time through the readable service model rather than the
+``StorageDevice.serve`` kernel both ``src/`` paths share.
+``Geomancy.observe_records`` and ``MonitoringAgent.observe_many`` take a
+run's records as chunks; here every record reaches its monitoring agent
+through its own call (:func:`observe_each`, :func:`agent_observe`).
+Records, clock, device state, batch boundaries, DB rows and every
+downstream decision must come out bit for bit the same.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.errors import AgentError
 from repro.experiments import harness, robustness
 from repro.replaydb.records import AccessRecord
 from repro.workloads.runner import RunResult, WorkloadRunner
+from tests.oracles.scalar_device import run_stream
 
 
 class ScalarRunner(WorkloadRunner):
@@ -28,7 +31,7 @@ class ScalarRunner(WorkloadRunner):
 
     def run_once(self, *, advance_hook=None) -> RunResult:
         result = RunResult(run_index=self.next_run_index)
-        for record in self.run_stream():
+        for record in run_stream(self):
             result.records.append(record)
             if advance_hook is not None:
                 advance_hook(self.clock.now)

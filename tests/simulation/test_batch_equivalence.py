@@ -28,6 +28,7 @@ from repro.experiments.facade import (
     run_facade,
 )
 from repro.experiments.harness import make_experiment_config
+from repro.experiments.fig6_adaptation import run_fig6
 from repro.experiments.robustness import run_chaos
 from repro.experiments.spec import TEST_SCALE
 from repro.replaydb.db import ReplayDB
@@ -42,6 +43,8 @@ from repro.workloads import belle2
 from repro.workloads.belle2 import Belle2Workload
 from repro.workloads.files import belle2_file_population
 from repro.workloads.runner import WorkloadRunner
+from tests.oracles import scalar_device
+from tests.oracles.scalar_device import access as scalar_access
 from tests.oracles.scalar_ops import scalar_run
 from tests.oracles.scalar_runs import (
     ScalarRunner,
@@ -142,14 +145,15 @@ def make_twin_clusters(seed: int):
 def scalar_access_loop(
     cluster, ops, *, t0, think, tolerate, penalty, hook=None
 ):
-    """The documented scalar contract ``access_batch`` must reproduce."""
+    """The documented scalar contract ``access_batch`` must reproduce,
+    one access at a time through the readable scalar model."""
     t = t0
     records = []
     failed = 0
     error = None
     for fid, rb, wb in ops:
         try:
-            record = cluster.access(fid, t, rb=rb, wb=wb)
+            record = scalar_access(cluster, fid, t, rb=rb, wb=wb)
         except DeviceOfflineError as exc:
             if not tolerate:
                 error = exc
@@ -311,6 +315,21 @@ class TestChaosEndToEndEquivalence:
         batched = run_chaos(scale=TEST_SCALE, seed=7)
         scalar = run_chaos_scalar(scale=TEST_SCALE, seed=7)
         assert batched == scalar
+
+    @pytest.mark.parametrize("online", [False, True])
+    def test_fig6_bit_identical_to_scalar(self, online):
+        # Fig. 6's tuned runner (batched alone, then streamed) and its
+        # competitor (streamed), against both on the scalar model.
+        def fig6():
+            return run_fig6(scale=TEST_SCALE, seed=0, online=online)
+
+        served = fig6()
+        with scalar_control_loop(), patch.object(
+            WorkloadRunner, "run_stream", scalar_device.run_stream
+        ):
+            scalar = fig6()
+        assert served.competing_gbps
+        assert served == scalar
 
     def test_run_instrumented_bit_identical_to_scalar(self):
         faults = Faults(

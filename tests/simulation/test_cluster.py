@@ -254,3 +254,44 @@ class TestApplyLayoutFailureModes:
         cluster.add_file(2, "b", 4 * GB, "fast")
         with pytest.raises(CapacityError):
             cluster.apply_layout({2: "slow"}, t=0.0)
+
+
+class TestInvalidOpOnOfflineDevice:
+    """Both access paths check byte counts before anything else: an
+    invalid op on an offline device is a SimulationError that takes no
+    draw, not a stranded access that burns its draws."""
+
+    @staticmethod
+    def offline_cluster():
+        spec = DeviceSpec(
+            name="noisy", fsid=0, read_gbps=2.0, write_gbps=1.0,
+            capacity_bytes=100 * GB, noise_sigma=0.3, cache_hit_rate=0.5,
+        )
+        cluster = StorageCluster([StorageDevice(spec, ConstantLoad(0.1))])
+        cluster.add_file(1, "a", GB, "noisy")
+        cluster.set_device_online("noisy", False)
+        return cluster
+
+    @staticmethod
+    def rng_states(cluster):
+        device = cluster.device("noisy")
+        return (
+            device._rng.bit_generator.state,
+            device._rng_cache.bit_generator.state,
+        )
+
+    @pytest.mark.parametrize(
+        "serve",
+        [
+            lambda cluster: cluster.access(1, 3.0, rb=-5),
+            lambda cluster: cluster.access_batch([1], 3.0, [-5], [0]),
+        ],
+        ids=["access", "access_batch"],
+    )
+    def test_rejected_before_any_draw(self, serve):
+        cluster = self.offline_cluster()
+        before = self.rng_states(cluster)
+        with pytest.raises(SimulationError, match="non-negative") as caught:
+            serve(cluster)
+        assert type(caught.value) is SimulationError
+        assert self.rng_states(cluster) == before

@@ -1,4 +1,10 @@
-"""Tests for the storage-device service model."""
+"""Tests for the storage-device service model.
+
+The access-level cases run the readable scalar model in
+``tests/oracles/scalar_device.py`` over a real device (its spec, RNG
+streams, crowding window and stats); ``test_device_properties.py`` holds
+the ``StorageDevice.serve`` kernel bit-equal to it.
+"""
 
 import numpy as np
 import pytest
@@ -11,6 +17,7 @@ from repro.simulation.device import (
     StorageDevice,
 )
 from repro.simulation.interference import ConstantLoad
+from tests.oracles.scalar_device import perform_access, service_time
 
 
 def make_spec(**overrides):
@@ -84,14 +91,14 @@ class TestCrowding:
 
     def test_recent_traffic_raises_utilization(self):
         dev = StorageDevice(make_spec(crowding_factor=3.0), ConstantLoad(0.0))
-        dev.perform_access(0.0, rb=10**9, wb=0)
+        perform_access(dev, 0.0, rb=10**9, wb=0)
         assert dev.utilization(0.5) > 0.0
 
     def test_crowding_slows_subsequent_accesses(self):
         dev = StorageDevice(make_spec(crowding_factor=5.0), ConstantLoad(0.0))
         fresh = dev.effective_bandwidth(0.0, is_read=True)
         for i in range(10):
-            dev.perform_access(float(i), rb=5 * 10**9, wb=0)
+            perform_access(dev, float(i), rb=5 * 10**9, wb=0)
         crowded = dev.effective_bandwidth(10.0, is_read=True)
         assert crowded < fresh
 
@@ -100,12 +107,12 @@ class TestCrowding:
             make_spec(crowding_factor=5.0, utilization_window_s=10.0),
             ConstantLoad(0.0),
         )
-        dev.perform_access(0.0, rb=10**9, wb=0)
+        perform_access(dev, 0.0, rb=10**9, wb=0)
         assert dev.utilization(100.0) == 0.0
 
     def test_zero_crowding_factor_ignores_utilization(self):
         dev = StorageDevice(make_spec(crowding_factor=0.0), ConstantLoad(0.0))
-        dev.perform_access(0.0, rb=10**10, wb=0)
+        perform_access(dev, 0.0, rb=10**10, wb=0)
         assert dev.effective_bandwidth(0.1, is_read=True) == pytest.approx(
             2.0 * GBPS
         )
@@ -115,38 +122,38 @@ class TestServiceTime:
     def test_deterministic_without_noise(self):
         dev = StorageDevice(make_spec(), ConstantLoad(0.0))
         # 2 GB read at 2 GB/s + 2 ms latency.
-        assert dev.service_time(0.0, 2 * 10**9, 0) == pytest.approx(1.002)
+        assert service_time(dev, 0.0, 2 * 10**9, 0) == pytest.approx(1.002)
 
     def test_read_write_mix(self):
         dev = StorageDevice(make_spec(), ConstantLoad(0.0))
         # 2 GB read at 2 GB/s + 1 GB write at 1 GB/s + latency.
-        t = dev.service_time(0.0, 2 * 10**9, 10**9)
+        t = service_time(dev, 0.0, 2 * 10**9, 10**9)
         assert t == pytest.approx(2.002)
 
     def test_minimum_duration_enforced(self):
         dev = StorageDevice(make_spec(latency_s=0.0), ConstantLoad(0.0))
-        assert dev.service_time(0.0, 1, 0) >= MIN_ACCESS_DURATION
+        assert service_time(dev, 0.0, 1, 0) >= MIN_ACCESS_DURATION
 
     def test_zero_byte_access_rejected(self):
         dev = StorageDevice(make_spec(), ConstantLoad(0.0))
         with pytest.raises(SimulationError):
-            dev.service_time(0.0, 0, 0)
+            service_time(dev, 0.0, 0, 0)
 
     def test_negative_bytes_rejected(self):
         dev = StorageDevice(make_spec(), ConstantLoad(0.0))
         with pytest.raises(SimulationError):
-            dev.service_time(0.0, -1, 0)
+            service_time(dev, 0.0, -1, 0)
 
     def test_noise_varies_durations(self):
         dev = StorageDevice(make_spec(noise_sigma=0.5), ConstantLoad(0.0), seed=1)
-        times = {dev.service_time(0.0, 10**9, 0) for _ in range(10)}
+        times = {service_time(dev, 0.0, 10**9, 0) for _ in range(10)}
         assert len(times) > 1
 
     def test_seed_reproducibility(self):
         a = StorageDevice(make_spec(noise_sigma=0.5), ConstantLoad(0.0), seed=7)
         b = StorageDevice(make_spec(noise_sigma=0.5), ConstantLoad(0.0), seed=7)
-        assert [a.service_time(0.0, 10**9, 0) for _ in range(5)] == [
-            b.service_time(0.0, 10**9, 0) for _ in range(5)
+        assert [service_time(a, 0.0, 10**9, 0) for _ in range(5)] == [
+            service_time(b, 0.0, 10**9, 0) for _ in range(5)
         ]
 
     def test_cache_hits_produce_fast_accesses(self):
@@ -154,7 +161,7 @@ class TestServiceTime:
             make_spec(cache_hit_rate=1.0, cache_gbps=20.0), ConstantLoad(0.0)
         )
         # Always cached: 2 GB at 20 GB/s + 2 ms.
-        assert dev.service_time(0.0, 2 * 10**9, 0) == pytest.approx(0.102)
+        assert service_time(dev, 0.0, 2 * 10**9, 0) == pytest.approx(0.102)
 
     def test_cache_hits_create_heavy_upper_tail(self):
         dev = StorageDevice(
@@ -163,7 +170,7 @@ class TestServiceTime:
             seed=3,
         )
         samples = np.array([
-            10**9 / dev.perform_access(0.0, rb=10**9, wb=0)
+            10**9 / perform_access(dev, 0.0, rb=10**9, wb=0)
             for _ in range(300)
         ])
         assert samples.max() > 5 * np.median(samples)
@@ -172,8 +179,8 @@ class TestServiceTime:
 class TestAccounting:
     def test_stats_accumulate(self):
         dev = StorageDevice(make_spec(), ConstantLoad(0.0))
-        dev.perform_access(0.0, rb=10**9, wb=0)
-        dev.perform_access(1.0, rb=0, wb=10**9)
+        perform_access(dev, 0.0, rb=10**9, wb=0)
+        perform_access(dev, 1.0, rb=0, wb=10**9)
         assert dev.stats.accesses == 2
         assert dev.stats.bytes_served == 2 * 10**9
         assert dev.stats.busy_time > 0.0
@@ -181,7 +188,7 @@ class TestAccounting:
 
     def test_mean_throughput_gbps(self):
         dev = StorageDevice(make_spec(latency_s=0.0), ConstantLoad(0.0))
-        dev.perform_access(0.0, rb=2 * 10**9, wb=0)
+        perform_access(dev, 0.0, rb=2 * 10**9, wb=0)
         assert dev.stats.mean_throughput_gbps() == pytest.approx(2.0)
 
     def test_stats_empty_raises(self):
@@ -203,7 +210,7 @@ class TestAccounting:
 
     def test_reset_stats(self):
         dev = StorageDevice(make_spec(crowding_factor=3.0), ConstantLoad(0.0))
-        dev.perform_access(0.0, rb=10**9, wb=0)
+        perform_access(dev, 0.0, rb=10**9, wb=0)
         dev.reset_stats()
         assert dev.stats.accesses == 0
         assert dev.utilization(0.1) == 0.0

@@ -10,6 +10,7 @@ from repro.simulation.topologies import (
     make_scaled_cluster,
     make_tiered_cluster,
 )
+from tests.oracles.scalar_device import perform_access
 
 GB = 10**9
 
@@ -117,10 +118,10 @@ class TestScaledCluster:
         for name in small.device_names:
             assert small.device(name).spec == large.device(name).spec
             assert [
-                small.device(name).perform_access(t, rb, wb)
+                perform_access(small.device(name), t, rb, wb)
                 for t, rb, wb in ops
             ] == [
-                large.device(name).perform_access(t, rb, wb)
+                perform_access(large.device(name), t, rb, wb)
                 for t, rb, wb in ops
             ]
 

@@ -1,10 +1,11 @@
 """Tests for the workload runner (integration with cluster + ReplayDB)."""
 
 import gc
+import time
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord
 from repro.simulation.bluesky import make_bluesky_cluster
@@ -105,6 +106,18 @@ class TestRunExecution:
         bare = WorkloadRunner(cluster, runner.workload)
         with pytest.raises(ConfigurationError, match="pass the runner a db"):
             bare.warm_up(200)
+
+    def test_warm_up_raises_when_no_access_can_land(self, setup):
+        cluster, runner = setup
+        runner.tolerate_offline = True
+        for name in cluster.device_names:
+            cluster.set_device_online(name, False)
+        started = time.perf_counter()
+        with pytest.raises(SimulationError, match="0 of 200 accesses"):
+            runner.warm_up(200)
+        assert time.perf_counter() - started < 1.0
+        assert runner.next_run_index == 200
+        assert runner.failed_accesses > 0
 
     def test_negative_think_time_rejected(self):
         assert runner_module.THINK_TIME_S >= 0
