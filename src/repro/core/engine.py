@@ -62,9 +62,6 @@ REFIT_EPOCHS = 10
 ONLINE_MAX_NEW_ROWS = 2_048
 #: replayed history rows mixed into each incremental update
 REPLAY_SAMPLE_ROWS = 256
-#: incremental updates between frozen weight copies, which the guardrail
-#: rolls back to on loss explosion
-FREEZE_EVERY = 10
 
 
 def _spearman(a: list[float], b: list[float]) -> float:
@@ -198,16 +195,11 @@ class DRLEngine:
         #: ReplayDB high-water-mark cursor: rows at or below it have been
         #: consumed by training; train_incremental fits on what is above
         self._hwm = 0
-        #: incremental updates applied since the from-scratch base epoch
-        self._updates = 0
         #: running mean of physical-unit targets (the constant baseline
         #: the skill gate compares against, maintained prequentially)
         self._target_mean = 0.0
         self._target_count = 0
         self.replay: PrioritizedReplay | None = None
-        #: ``(update step, frozen copy of the model's parameter vector)``:
-        #: the target-network copy :meth:`rollback_weights` restores
-        self._frozen: tuple[int, np.ndarray] | None = None
         if self.config.online_learning:
             self.replay = PrioritizedReplay(
                 REPLAY_CAPACITY, seed=self.config.seed
@@ -352,27 +344,6 @@ class DRLEngine:
             self._hwm = max(self._hwm, int(ids[-1]), db.max_rowid())
             self.replay.add(ids)
             self._update_target_mean(self.pipeline.target_vector(window))
-        self._updates = 0
-        if self.model.built:
-            self._freeze_weights_if_due()
-
-    def _freeze_weights_if_due(self) -> None:
-        """Every :data:`FREEZE_EVERY` updates (and at the base epoch,
-        update 0), replace the frozen copy with the live weights."""
-        if self._updates % FREEZE_EVERY == 0:
-            self._frozen = (self._updates, self.model.parameter_vector())
-
-    def rollback_weights(self) -> int | None:
-        """Restore the frozen weight copy into the live model.
-
-        The guardrail's loss-explosion hook: returns the step the copy was
-        taken at, or ``None`` when nothing was frozen yet.
-        """
-        if self._frozen is None or not self.model.built:
-            return None
-        step, theta = self._frozen
-        self.model.set_parameter_vector(theta)
-        return step
 
     def train_incremental(self, db: ReplayDB) -> TrainingReport:
         """Online update: fit on rows appended since the last decision point.
@@ -394,9 +365,10 @@ class DRLEngine:
            corrected in the loss) and runs :data:`ONLINE_EPOCHS` SGD
            epochs -- the same small budget every cycle, so a shift in
            the workload is absorbed by the cycles that follow it;
-        5. re-scores the batch to refresh replay priorities, and
-           periodically freezes a copy of the weights for the
-           guardrail's loss-explosion rollback.
+        5. re-scores the batch to refresh replay priorities.  A fit
+           that diverges keeps the weights it started with (see
+           :meth:`~repro.nn.network.Sequential.fit`), so the report
+           says ``diverged`` and the model stays finite.
 
         Every step is O(new + replay_sample + capacity) regardless of
         ReplayDB size (timed by the ``online_drift`` e2e workload).
@@ -497,9 +469,6 @@ class DRLEngine:
                 or is_diverged(fresh_post_pred, fresh_post_true)
             )
             elapsed = time.perf_counter() - start
-            self._updates += 1
-            if not diverged:
-                self._freeze_weights_if_due()
             report = TrainingReport(
                 samples=len(x),
                 epochs=history.epochs_run,
@@ -548,7 +517,6 @@ class DRLEngine:
             "model_rng": self.model._rng.bit_generator.state,
             "online": {
                 "hwm": self._hwm,
-                "updates": self._updates,
                 "target_mean": self._target_mean,
                 "target_count": self._target_count,
                 "replay": (
@@ -578,7 +546,6 @@ class DRLEngine:
         self.model._rng.bit_generator.state = state["model_rng"]
         online = state["online"]
         self._hwm = int(online["hwm"])
-        self._updates = int(online["updates"])
         self._target_mean = float(online["target_mean"])
         self._target_count = int(online["target_count"])
         if online["replay"] is not None and self.replay is not None:

@@ -129,7 +129,6 @@ class Geomancy:
             Guardrail(
                 fallback=self.config.fallback_policy,
                 event_log=self.event_log,
-                weight_rollback=self.engine.rollback_weights,
             )
             if self.config.guardrail_enabled
             else None

@@ -154,25 +154,6 @@ class Sequential:
                 view[...] = held
                 arrays[name] = view
 
-    def parameter_vector(self) -> np.ndarray:
-        """A copy of every parameter as one flat vector (slot-table order)."""
-        self._home_parameters()
-        return self._theta.copy()
-
-    def set_parameter_vector(self, theta: np.ndarray) -> None:
-        """Overwrite every parameter from :meth:`parameter_vector` output.
-
-        In place: the layers' arrays stay views of the one vector the
-        optimizer updates.
-        """
-        self._home_parameters()
-        if np.shape(theta) != self._theta.shape:
-            raise ShapeError(
-                f"parameter vector has shape {np.shape(theta)}, "
-                f"the model holds {self._theta.shape}"
-            )
-        self._theta[...] = theta
-
     def _optimizer_slots(
         self, opt: Optimizer
     ) -> list[tuple[str, np.ndarray, np.ndarray]]:
@@ -265,10 +246,12 @@ class Sequential:
 
         The paper's defaults are 200 epochs and standard (plain) SGD; data is
         chronological, so batches are :data:`BATCH_SIZE` consecutive rows.
-        When training produces a non-finite loss the run stops and the
-        history is flagged
+        When an epoch's loss is non-finite (or the last step leaves
+        non-finite weights) the run stops and the history is flagged
         ``diverged``; nothing is raised -- Table II needs to *report*
-        divergence, not crash.
+        divergence, not crash.  A diverged fit never leaves non-finite
+        weights: it keeps the best validated epoch's, if there is one,
+        and otherwise the weights it started with.
 
         ``sample_weight`` supplies per-row loss weights (the prioritized
         replay buffer's importance-sampling correction).  ``None`` is
@@ -313,6 +296,7 @@ class Sequential:
         history = TrainingHistory()
         best_loss, best_theta, waited = np.inf, None, 0
         self._home_parameters()
+        start_theta = self._theta.copy()
         slots = self._optimizer_slots(opt)
         # Chronological batches are contiguous row ranges: views, not
         # fancy-index copies, sliced once.
@@ -357,8 +341,12 @@ class Sequential:
                     waited += 1
                     if waited == PATIENCE:
                         break
+            if not np.isfinite(self._theta).all():
+                history.diverged = True
         if best_theta is not None:
             self._theta[...] = best_theta
+        elif history.diverged:
+            self._theta[...] = start_theta
         self._m_epochs.inc(history.epochs_run)
         return history
 

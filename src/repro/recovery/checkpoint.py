@@ -57,8 +57,10 @@ MODEL_NAME = "model.npz"
 #: 10: the ReplayDB snapshot holds the live rows, the first live row id,
 #: per-file state and device totals; device stats are Welford
 #: aggregates, not samples;
-#: 11: the meta holds the fault stage as one dict
-FORMAT_VERSION = 11
+#: 11: the meta holds the fault stage as one dict;
+#: 12: the engine's online state has no update counter (11's ``updates``
+#: only timed a frozen weight copy that is gone)
+FORMAT_VERSION = 12
 
 _GEN_PREFIX = "gen-"
 _STAGING_PREFIX = ".staging-"

@@ -19,7 +19,8 @@ last known-good one, and the guardrail demotes the policy to the
 configured fallback (``static`` holds the layout; ``lru`` runs the
 paper's LRU baseline) for :data:`COOLDOWN_RUNS` control cycles before
 re-admitting the learner.  Every trip and mode change is recorded as
-structured telemetry.
+structured telemetry.  A trip never rewrites weights: a fit that
+diverges already keeps finite ones (``Sequential.fit``).
 """
 
 from __future__ import annotations
@@ -87,19 +88,12 @@ class Guardrail:
         *,
         fallback: str = "static",
         event_log: EventLog | None = None,
-        weight_rollback=None,
     ) -> None:
         if fallback not in FALLBACK_POLICIES:
             raise ConfigurationError(
                 f"fallback must be one of {FALLBACK_POLICIES}, got {fallback!r}"
             )
         self.fallback = fallback
-        #: optional ``() -> int | None`` hook restoring the engine's frozen
-        #: weight copy (:meth:`~repro.core.engine.DRLEngine.rollback_weights`);
-        #: invoked on training-health trips so a poisoned online model is
-        #: rolled back to stable weights, not just demoted.  Returns the
-        #: step the copy was frozen at, or ``None`` when nothing was restored.
-        self.weight_rollback = weight_rollback
         self.event_log = event_log if event_log is not None else EventLog()
         self._mode = LEARNING
         self._cooldown_left = 0
@@ -184,15 +178,6 @@ class Guardrail:
     # -- mode machine ----------------------------------------------------
 
     def _trip(self, reason: str, *, run_index: int, t: float, detail: dict):
-        if (
-            self.weight_rollback is not None
-            and reason in (NAN_LOSS, LOSS_EXPLOSION)
-        ):
-            restored = self.weight_rollback()
-            detail = dict(detail)
-            detail["weights_rolled_back"] = restored is not None
-            if restored is not None:
-                detail["weight_snapshot_step"] = int(restored)
         trip = GuardrailTrip(reason=reason, run_index=run_index, t=t, detail=detail)
         self.trips.append(trip)
         self._mode = FALLBACK

@@ -1,5 +1,5 @@
 """Online continual-learning engine: oracle equivalence, cursors,
-replay mixing, snapshots, checkpointing, telemetry."""
+replay mixing, diverged cycles, checkpointing, telemetry."""
 
 import numpy as np
 import pytest
@@ -204,34 +204,29 @@ class TestIncrementalCycle:
         assert engine._hwm == db.max_rowid()
 
 
-class TestSnapshotsAndRollback:
-    def test_periodic_snapshots_and_rollback(self, db, monkeypatch):
-        monkeypatch.setattr(engine_module, "FREEZE_EVERY", 2)
-        engine = DRLEngine(make_config())
-        engine.train_incremental(db)
+class TestDivergedCycles:
+    @pytest.mark.parametrize("online", [False, True], ids=["scratch", "online"])
+    def test_a_diverged_cycle_keeps_finite_weights(self, db, online):
+        """One cycle at an absurd learning rate reports ``diverged`` but
+        serves the weights it started from; the next cycle, at the
+        normal rate, trains on from them and is healthy again."""
+        engine = DRLEngine(make_config(online_learning=online))
+        cycle = engine.train_incremental if online else engine.train
         t = 1_600_010_000
-        for i in range(2):
-            db.insert_accesses(shifted_records(60, seed=30 + i, start_t=t))
+        reports = []
+        for rate in (0.05, 1e6, 0.05):
+            engine.config.learning_rate = rate
+            before = engine.model._theta.copy()
+            reports.append(cycle(db))
+            assert np.all(np.isfinite(engine.model._theta))
+            db.insert_accesses(shifted_records(90, seed=70, start_t=t))
             t += 10_000
-            engine.train_incremental(db)
-        frozen = _weight_arrays(engine.model)
-        frozen = {k: v.copy() for k, v in frozen.items()}
-        # The frozen copy outlives a rollback: a second poisoning is
-        # undone to the very same weights.
-        for poison in (5.0, -3.0):
-            for layer in engine.model.layers:
-                for param in layer.params.values():
-                    param += poison  # poison the live weights
-            assert engine.rollback_weights() == 2
-            restored = _weight_arrays(engine.model)
-            for key in frozen:
-                np.testing.assert_array_equal(restored[key], frozen[key])
-
-    def test_rollback_without_snapshots_is_none(self, db):
-        # A from-scratch fit builds the model but freezes nothing.
-        engine = DRLEngine(make_config())
-        engine.train(db)
-        assert engine.rollback_weights() is None
+        healthy, diverged, after = reports
+        assert not healthy.diverged
+        assert diverged.diverged
+        assert np.isfinite(diverged.test_mare)
+        assert not after.diverged
+        assert not np.array_equal(before, engine.model._theta)
 
 
 class TestCheckpointing:
@@ -251,7 +246,6 @@ class TestCheckpointing:
         load_weights(b.model, tmp_path / "w.npz")
         b.load_state_dict(state)
         assert b._hwm == a._hwm
-        assert b._updates == a._updates
 
         db.insert_accesses(
             shifted_records(90, seed=41, start_t=1_600_020_000)
@@ -267,10 +261,7 @@ class TestWeightsStayViewsOfTheFlatVector:
     """Whatever restores weights must leave them where the optimizer
     updates them: a detached array would make training a silent no-op."""
 
-    def test_cold_start_checkpoint_round_trip_and_rollback(
-        self, db, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(engine_module, "FREEZE_EVERY", 1)
+    def test_cold_start_checkpoint_round_trip_and_rollback(self, db, tmp_path):
         config = make_config()
         a = DRLEngine(config)
         a.train_incremental(db)  # cold start: a full fit
@@ -294,10 +285,16 @@ class TestWeightsStayViewsOfTheFlatVector:
             assert_homed(engine.model)
         assert weights_equal(a, b)
 
-        assert b.rollback_weights() is not None
-        assert_homed(b.model)
+        # a diverged cycle rolls back to the weights it started from
+        db.insert_accesses(
+            shifted_records(90, seed=61, start_t=1_600_020_000)
+        )
         probe = np.random.default_rng(0).random((16, config.z))
         restored = b.model.predict(probe)
+        b.config.learning_rate = 1e6
+        assert b.train_incremental(db).diverged
+        assert_homed(b.model)
+        assert np.array_equal(restored, b.model.predict(probe))
         b.model.fit(probe, probe[:, 0], epochs=1)
         assert_homed(b.model)
         assert not np.array_equal(restored, b.model.predict(probe))

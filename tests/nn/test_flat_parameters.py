@@ -125,28 +125,22 @@ def test_rebinding_a_wrong_shape_is_refused():
 
 @pytest.mark.parametrize("detach", [lambda m: m, _rebind, copy.deepcopy, _pickled])
 def test_parameter_vector_freezes_what_the_layers_hold(detach):
-    from repro.errors import ShapeError
-
+    """The parameter vector a diverged fit puts back is copied after
+    homing: it is what the layers held, detached or not, and it goes
+    back in place, where the next fit trains it."""
     x, y = dataset(rows=40)
     model = build_model(1, Z, seed=11)
     model.fit(x, y, epochs=1, optimizer=SGD(0.05))
     model = detach(model)
-    frozen_prediction = model.predict(x)
-    theta = model.parameter_vector()
-    assert not np.shares_memory(theta, model._theta)
-    assert_homed(model)
-
-    model = detach(model)  # detached again between freeze and restore
     for layer in model.layers:
         for param in layer.params.values():
             param += 1.0
-    model.set_parameter_vector(theta)
+    held_prediction = model.predict(x)
+    history = model.fit(x, y, epochs=30, optimizer=SGD(1e6))
+    assert history.diverged
     assert_homed(model)
-    assert same_bits(model.parameter_vector(), theta)
-    assert same_bits(model.predict(x), frozen_prediction)
+    assert same_bits(model.predict(x), held_prediction)
     assert_fit_moves_predictions(model, x, y)
-    with pytest.raises(ShapeError, match="parameter vector"):
-        model.set_parameter_vector(theta[:-1])
 
 
 # -- (c) batch tails ---------------------------------------------------------
@@ -285,7 +279,4 @@ def test_sequential_adds_no_public_method():
     }
     assert public == {
         "build", "parameter_count", "predict", "fit",
-        # the engine's frozen copy: one call per ``FREEZE_EVERY``
-        # updates, one per rollback
-        "parameter_vector", "set_parameter_vector",
     }

@@ -2,7 +2,8 @@
 
 ``Sequential.fit`` and ``tests.oracles.fit_loop.reference_fit`` start
 from equally seeded models and must end with the same bits: weights,
-per-epoch losses, epochs run, divergence.
+per-epoch losses, epochs run, divergence.  A diverged fit keeps the
+weights it started with, or its best validated epoch's.
 """
 
 import warnings
@@ -36,6 +37,12 @@ def dataset(rows=330, timesteps=None, seed=0):
     x = rng.random(shape)
     y = rng.random(rows)
     return x, y
+
+
+def built(model_number):
+    model = build_model(model_number, Z, seed=11)
+    model.build(Z)
+    return model
 
 
 def assert_same_training(model_number, lean_opt, ref_opt, *, x, y, **fit_kwargs):
@@ -129,7 +136,7 @@ def test_diverging_fit_reports_divergence_without_warning(model_number):
         )
     assert history.diverged is True
     assert history.epochs_run < 30
-    assert not np.all(np.isfinite(lean.layers[0].params["W"]))
+    assert same_bits(lean._theta, built(model_number)._theta)
 
 
 def rising_validation(seed=0):
@@ -171,7 +178,7 @@ def test_rising_validation_loss_stops_on_the_first_epoch_weights():
     assert not history.diverged
     first = build_model(1, Z, seed=11)
     first.fit(x, y, epochs=1, optimizer=SGD(0.05))
-    assert same_bits(model.parameter_vector(), first.parameter_vector())
+    assert same_bits(model._theta, first._theta)
 
 
 def test_collapsed_validation_predictions_never_stop_a_fit_early():
@@ -187,7 +194,7 @@ def test_collapsed_validation_predictions_never_stop_a_fit_early():
     assert history.epochs_run == 12
     plain = build_model(1, Z, seed=11)
     plain.fit(x, y, epochs=12, optimizer=SGD(0.05))
-    assert same_bits(model.parameter_vector(), plain.parameter_vector())
+    assert same_bits(model._theta, plain._theta)
 
 
 @pytest.mark.parametrize("model_number", [1, 5])
@@ -206,16 +213,18 @@ def test_diverging_fit_with_validation_reports_divergence(model_number):
 
 
 class BlowUpSGD(SGD):
-    """Plain SGD whose learning rate explodes after ``calm_steps`` steps."""
+    """Plain SGD whose learning rate becomes ``blown`` after
+    ``calm_steps`` steps."""
 
-    def __init__(self, learning_rate, calm_steps):
+    def __init__(self, learning_rate, calm_steps, blown=1e6):
         super().__init__(learning_rate)
         self.calm_steps = calm_steps
+        self.blown = blown
 
     def apply(self, key, param, grad):
         self.calm_steps -= 1
         if self.calm_steps < 0:
-            self.learning_rate = 1e6
+            self.learning_rate = self.blown
         super().apply(key, param, grad)
 
 
@@ -233,4 +242,47 @@ def test_a_nan_stop_restores_the_best_epoch():
         )
     assert history.diverged is True
     assert history.epochs_run == 3
-    assert same_bits(model.parameter_vector(), calm.parameter_vector())
+    assert same_bits(model._theta, calm._theta)
+
+
+@pytest.mark.parametrize("validated", [False, True], ids=["plain", "validated"])
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+def test_a_diverged_fit_leaves_the_starting_weights(warm, validated):
+    """Without a validated epoch to fall back on, a fit whose loss goes
+    non-finite keeps the weights it was called with, still says
+    ``diverged``, and the model trains on from them."""
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((330, Z)), rng.standard_normal(330)
+    x_val, y_val = rng.standard_normal((100, Z)), rng.standard_normal(100)
+    model = built(1)
+    if warm:
+        model.fit(x, y, epochs=2, optimizer=SGD(0.05))
+    start = model._theta.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        history = model.fit(
+            x, y, epochs=30, optimizer=SGD(5.0),
+            validation=(x_val, y_val) if validated else None,
+        )
+    assert history.diverged is True
+    assert not np.isfinite(history.train_loss[-1])
+    assert same_bits(model._theta, start)
+    history = model.fit(x, y, epochs=1, optimizer=SGD(0.05))
+    assert not history.diverged
+    assert not same_bits(model._theta, start)
+
+
+def test_non_finite_weights_after_the_last_step_are_a_divergence():
+    """Every epoch loss is finite, but the very last update overflows:
+    the fit still reports ``diverged`` and keeps its starting weights."""
+    x, y = dataset()
+    steps = -(-len(x) // network.BATCH_SIZE)
+    model = built(1)
+    start = model._theta.copy()
+    history = model.fit(
+        x, y, epochs=3,
+        optimizer=BlowUpSGD(0.05, 3 * steps - 1, blown=np.inf),
+    )
+    assert np.all(np.isfinite(history.train_loss))
+    assert history.diverged is True
+    assert same_bits(model._theta, start)

@@ -178,7 +178,7 @@ class TestErrors:
         np.savez(path, **arrays)
         clone = build_model(1, z=6, seed=3)
         clone.build(6)
-        before = clone.parameter_vector()
+        before = clone._theta.copy()
         with pytest.raises(ModelError, match="optstate/m/layer0/W"):
             load_weights(clone, path)
-        np.testing.assert_array_equal(clone.parameter_vector(), before)
+        np.testing.assert_array_equal(clone._theta, before)

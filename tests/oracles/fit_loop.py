@@ -15,6 +15,10 @@ parameter rather than on the flat vector: score the validation MSE after
 every epoch, skip an epoch whose predictions are collapsed, keep a copy
 of the best epoch's parameters, stop after ``network.PATIENCE`` epochs
 without a new best and put the best copy back.
+
+A diverged fit -- a non-finite epoch loss, or non-finite weights once
+the loop ends -- never leaves non-finite weights: it puts the best copy
+back when there is one, and otherwise the parameters it started with.
 """
 
 from __future__ import annotations
@@ -117,6 +121,7 @@ def reference_fit(
         sample_weight = np.asarray(sample_weight, dtype=np.float64).ravel()
     history = TrainingHistory()
     best_loss, best, stale = np.inf, None, 0
+    first = _copy_params(model)
     indices = np.arange(len(x))
     caches = [{} for _ in model.layers]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -169,16 +174,27 @@ def reference_fit(
             loss, _ = MeanSquaredError().value_and_gradient(pred, y_val)
             if loss < best_loss:
                 best_loss, stale = loss, 0
-                best = [
-                    {name: p.copy() for name, p in layer.params.items()}
-                    for layer in model.layers
-                ]
+                best = _copy_params(model)
                 continue
             stale += 1
             if stale >= network.PATIENCE:
                 break
+    if not all(
+        np.isfinite(param).all()
+        for layer in model.layers for param in layer.params.values()
+    ):
+        history.diverged = True
+    if best is None and history.diverged:
+        best = first
     if best is not None:
         for layer, saved in zip(model.layers, best):
             for name, param in layer.params.items():
                 param[...] = saved[name]
     return history
+
+
+def _copy_params(model: Sequential) -> list[dict[str, np.ndarray]]:
+    return [
+        {name: p.copy() for name, p in layer.params.items()}
+        for layer in model.layers
+    ]

@@ -141,8 +141,9 @@ class TestCorruptionFallback:
         and a format-8 one's pipeline state carries a normalisation mode,
         fitted features and min/range bounds, and a format-9 one's device
         stats carry every throughput sample, and a format-10 one's meta
-        spreads the fault stage over flat keys; resuming names the format
-        instead of dying inside ``GeomancyConfig(**config)``."""
+        spreads the fault stage over flat keys, and a format-11 one's
+        engine counts online updates; resuming names the format instead
+        of dying inside ``GeomancyConfig(**config)``."""
         for version, state in (
             (2, {"meta": {"config": {"warm_start": True}}}),
             (4, {"engine": {"online": {"drift": {"n": 9, "mean": 1.0}}}}),
@@ -166,6 +167,7 @@ class TestCorruptionFallback:
                 "throughput_samples": [4.0, 6.0],
             }}}}}),
             (10, {"meta": {"schedule_specs": [], "checkpoint_every": 5}}),
+            (11, {"engine": {"online": {"hwm": 40, "updates": 3}}}),
         ):
             root = tmp_path / f"format-{version}"
             mgr = CheckpointManager(root)

@@ -7,6 +7,7 @@ TEST_SCALE: warm-up, measured Belle II loop, checkpoints, journal, and
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.experiments.facade import (
@@ -315,6 +316,46 @@ class TestGuardrailAcceptance:
         assert resumed.guardrail_trips == uninterrupted.guardrail_trips
         assert resumed.geo.fallback_runs == uninterrupted.geo.fallback_runs
         assert resumed.geo.guardrail.mode == uninterrupted.geo.guardrail.mode
+        assert resumed.mean_gbps == uninterrupted.mean_gbps
+
+    def test_a_diverged_online_learner_keeps_finite_weights_and_resumes(
+        self, tmp_path, monkeypatch
+    ):
+        # The online learner at an absurd rate: every fit diverges, the
+        # guardrail trips on nan-loss, and no cycle serves a NaN model.
+        from repro.core.engine import DRLEngine
+        from repro.errors import SimulatedCrash
+
+        finite = []
+        cycle = DRLEngine.train_incremental
+
+        def checked(engine, db):
+            report = cycle(engine, db)
+            finite.append(bool(np.all(np.isfinite(engine.model._theta))))
+            return report
+
+        monkeypatch.setattr(DRLEngine, "train_incremental", checked)
+
+        def online(directory, **kill):
+            return run_facade(
+                make_experiment_config(
+                    TEST_SCALE, seed=0, online_learning=True,
+                    guardrail_enabled=True, learning_rate=1e6,
+                ),
+                scale=TEST_SCALE,
+                seed=0,
+                checkpoints=Checkpoints(directory, every=CADENCE, **kill),
+            )
+
+        uninterrupted = online(tmp_path / "base")
+        assert "nan-loss" in {t["reason"] for t in uninterrupted.guardrail_trips}
+        with pytest.raises(SimulatedCrash):
+            online(tmp_path / "killed", kill_at_run=7, kill_point="pre-commit")
+        resumed = resume_facade(tmp_path / "killed")
+        assert resumed.resumed_from_step == CADENCE
+        assert finite and all(finite)
+        assert resumed.guardrail_trips == uninterrupted.guardrail_trips
+        assert resumed.final_layout == uninterrupted.final_layout
         assert resumed.mean_gbps == uninterrupted.mean_gbps
 
 

@@ -43,10 +43,10 @@ CONFIG = SRC / "core" / "config.py"
 MAX_CONFIG_FIELDS = 21
 MAX_CLI_SUBCOMMANDS = 18
 #: ``find src -name '*.py' | xargs cat | wc -l``
-MAX_SRC_LINES = 16_248
+MAX_SRC_LINES = 16_189
 #: ``wc -c`` of the two documents a newcomer reads first
-MAX_DESIGN_BYTES = 74_225
-MAX_README_BYTES = 18_060
+MAX_DESIGN_BYTES = 73_484
+MAX_README_BYTES = 18_042
 
 #: Public names under ``src/repro`` that only tests refer to, each with the
 #: reason it stays.  A test that tests only the name is not a reason: the
