@@ -98,8 +98,8 @@ class InterfaceDaemon:
                 getattr(message, "trace_id", None), outcome, **fields
             )
 
-    def _ingest(self, message, drained_at: float | None) -> int:
-        """Route one drained message; returns records stored from it."""
+    def _ingest(self, message, drained_at: float | None, landed: bool) -> int:
+        """Route one drained message, stored already if ``landed``; returns its rows."""
         now = _message_time(message)
         if not isinstance(message, TelemetryBatch):
             self._dead_letter("non-telemetry message", message, now)
@@ -112,7 +112,8 @@ class InterfaceDaemon:
             )
             return 0
         try:
-            self.db.insert_accesses(message.records)
+            if not landed:
+                self.db.insert_accesses(message.records)
         except ReplayDBError as exc:
             self._dead_letter(f"rejected by the ReplayDB: {exc}", message, now)
             self._resolve(message, "dead-letter", drained_at=drained_at)
@@ -144,10 +145,12 @@ class InterfaceDaemon:
     def pump_telemetry(self, *, drained_at: float | None = None) -> int:
         """Drain pending telemetry batches into the ReplayDB.
 
-        Returns the number of records stored.  Messages that are not
-        telemetry batches (or batches the DB rejects) are dead-lettered --
-        counted, logged at WARNING --
-        so the rest of the queue still lands.
+        Returns the number of records stored.  The drained batches land
+        in one ReplayDB write; when the DB rejects it (it checks every
+        record before storing any), they land batch by batch.  Messages
+        that are not telemetry batches, and batches the DB rejects, are
+        dead-lettered -- counted, logged at WARNING -- so the rest of the
+        queue still lands.
 
         Dead letters are timestamped with each batch's ``sent_at``.
         ``drained_at`` is the simulated drain time the causal layer
@@ -156,8 +159,15 @@ class InterfaceDaemon:
         """
         stored = 0
         with self.obs.span("replaydb_write"):
-            for message in self.telemetry.receive_all():
-                stored += self._ingest(message, drained_at)
+            messages = self.telemetry.receive_all()
+            batches = [m for m in messages if isinstance(m, TelemetryBatch)]
+            try:
+                self.db.insert_accesses(r for b in batches for r in b.records)
+                landed = True
+            except ReplayDBError:
+                landed = False
+            for message in messages:
+                stored += self._ingest(message, drained_at, landed)
         self.records_ingested += stored
         self._m_records.inc(stored)
         return stored

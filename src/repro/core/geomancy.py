@@ -121,7 +121,9 @@ class Geomancy:
         self.engine = self.decision_path.engine
         self.checker = self.decision_path.checker
         self.scheduler = CooldownScheduler(self.config.cooldown_runs)
-        self.outcomes: list[StepOutcome] = []
+        #: control cycles consulted, the last one's run index, and the
+        #: files moved by them all
+        self.steps, self._last_run_index, self.total_moves = 0, 0, 0
         #: the safe-mode guardrail (None unless ``guardrail_enabled``):
         #: watches training health and realized-vs-predicted throughput in
         #: :meth:`after_run`, benches the learner when it trips
@@ -303,7 +305,7 @@ class Geomancy:
             self.obs.emit(
                 "movement-dispatched",
                 t=t,
-                step=len(self.outcomes) - 1,
+                step=self.steps - 1,
                 attempted=len(movements),
                 succeeded=succeeded,
                 failed=failed,
@@ -320,14 +322,13 @@ class Geomancy:
         movement_ids: list[int],
     ) -> None:
         """Append one decision-epoch entry to the provenance ledger."""
-        run_index = self.outcomes[-1].run_index if self.outcomes else 0
         engine = self.engine
         report = engine.last_report
         entry = DecisionProvenance(
             decision_id=self.causal.stamp_decision(),
             trace_id=trace_id,
             kind=kind,
-            run_index=run_index,
+            run_index=self._last_run_index,
             t=t,
             chosen={int(fid): str(dst) for fid, dst in layout.items()},
             movement_ids=movement_ids,
@@ -415,9 +416,8 @@ class Geomancy:
                 # dispatch under the last finished cycle; the fallback
                 # policy takes over from the next one.
                 self._rollback_to_known_good(run_index, t)
-                outcome = StepOutcome(run_index=run_index, trip=trip.reason)
-                self.outcomes.append(outcome)
-                return outcome
+                self.steps, self._last_run_index = self.steps + 1, run_index
+                return StepOutcome(run_index=run_index, trip=trip.reason)
         if rail.in_fallback:
             outcome = self.safety_step(
                 run_index, t,
@@ -507,7 +507,7 @@ class Geomancy:
         when nothing else went out this cycle.
         """
         outcome = StepOutcome(run_index=run_index)
-        self.outcomes.append(outcome)
+        self.steps, self._last_run_index = self.steps + 1, run_index
         self._m_ticks.inc()
         if not self.scheduler.should_move(run_index):
             return outcome
@@ -539,6 +539,7 @@ class Geomancy:
             outcome.movements.extend(act(outcome, available, t))
         if self.control.has_due_retries(t):
             outcome.movements.extend(self.dispatch({}, t, kind="retry"))
+        self.total_moves += outcome.moved_files
         return outcome
 
     def _learn(
@@ -571,8 +572,3 @@ class Geomancy:
             # A gate stopped a trained model (nowhere to move to is not one).
             self._m_skipped.inc()
         return []
-
-    # -- reporting -----------------------------------------------------------
-    @property
-    def total_moves(self) -> int:
-        return sum(outcome.moved_files for outcome in self.outcomes)

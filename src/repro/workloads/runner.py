@@ -131,7 +131,7 @@ class WorkloadRunner:
                 continue
             clock.advance(record.duration + THINK_TIME_S)
             if self.db is not None:
-                self.db.insert_access(record)
+                self.db.insert_accesses([record])
             self.total_accesses += 1
             self._m_accesses.inc()
             yield record

@@ -102,11 +102,15 @@ class TestDecisionLoop:
         assert len(geo.db.movements()) == geo.total_moves
 
     def test_outcomes_accumulate(self, setup):
+        """The facade keeps tallies of its cycles, not their outcomes."""
         _, geo, runner = setup
+        outcomes = []
         for run in range(1, 4):
             runner.run_once()
-            geo.after_run(run, runner.clock.now)
-        assert [o.run_index for o in geo.outcomes] == [1, 2, 3]
+            outcomes.append(geo.after_run(run, runner.clock.now))
+        assert [o.run_index for o in outcomes] == [1, 2, 3]
+        assert geo.steps == 3 and geo._last_run_index == 3
+        assert geo.total_moves == sum(o.moved_files for o in outcomes)
 
 
 class TestEndToEnd:

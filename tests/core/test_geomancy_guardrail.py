@@ -126,4 +126,4 @@ class TestGuardrailIsTheProducts:
         assert geo.pending_predicted is None
         assert geo.event_log.of_kind("guardrail-rollback")[0].step == 2
         assert geo.after_run(3, 30.0, realized_gbps=0.4).fallback
-        assert [o.run_index for o in geo.outcomes] == [1, 2, 3]
+        assert geo.steps == 3 and geo._last_run_index == 3

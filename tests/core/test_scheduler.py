@@ -44,9 +44,9 @@ class TestAccessGapScheduler:
         db = ReplayDB()
         # File 1: accesses with ~10 s gaps.  File 2: back-to-back accesses.
         for i in range(5):
-            db.insert_access(access(1, 100 + i * 10, 100 + i * 10 + 1))
+            db.insert_accesses([access(1, 100 + i * 10, 100 + i * 10 + 1)])
         for i in range(5):
-            db.insert_access(access(2, 200 + i, 200 + i))
+            db.insert_accesses([access(2, 200 + i, 200 + i)])
         return db
 
     def test_mean_gap_measured(self, db):

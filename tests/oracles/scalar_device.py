@@ -128,7 +128,7 @@ def run_stream(runner):
             continue
         runner.clock.advance(record.duration + runner_module.THINK_TIME_S)
         if runner.db is not None:
-            runner.db.insert_access(record)
+            runner.db.insert_accesses([record])
         runner.total_accesses += 1
         runner._m_accesses.inc()
         yield record

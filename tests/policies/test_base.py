@@ -18,19 +18,19 @@ def record(device, rb, t):
 class TestRankDevices:
     def test_fastest_first(self):
         db = ReplayDB()
-        db.insert_access(record("slow", 100, 1))
-        db.insert_access(record("fast", 9000, 2))
+        db.insert_accesses([record("slow", 100, 1)])
+        db.insert_accesses([record("fast", 9000, 2)])
         assert rank_devices(db, ["slow", "fast"]) == ["fast", "slow"]
 
     def test_unseen_devices_rank_last(self):
         db = ReplayDB()
-        db.insert_access(record("seen", 100, 1))
+        db.insert_accesses([record("seen", 100, 1)])
         assert rank_devices(db, ["ghost", "seen"]) == ["seen", "ghost"]
 
     def test_devices_outside_list_ignored(self):
         db = ReplayDB()
-        db.insert_access(record("other", 100, 1))
-        db.insert_access(record("mine", 50, 2))
+        db.insert_accesses([record("other", 100, 1)])
+        db.insert_accesses([record("mine", 50, 2)])
         assert rank_devices(db, ["mine"]) == ["mine"]
 
     def test_empty_devices_rejected(self):

@@ -27,12 +27,12 @@ def db():
     distinct recency (higher fid = more recent) and frequency (fid 0 most
     accessed)."""
     db = ReplayDB()
-    db.insert_access(access(0, "fast", 9000, 1))
-    db.insert_access(access(0, "mid", 500, 2))
-    db.insert_access(access(0, "slow", 10, 3))
-    db.insert_access(access(0, "fast", 9000, 4))
+    db.insert_accesses([access(0, "fast", 9000, 1)])
+    db.insert_accesses([access(0, "mid", 500, 2)])
+    db.insert_accesses([access(0, "slow", 10, 3)])
+    db.insert_accesses([access(0, "fast", 9000, 4)])
     for t, fid in enumerate([1, 2, 3, 4, 5], start=10):
-        db.insert_access(access(fid, "mid", 500, t))
+        db.insert_accesses([access(fid, "mid", 500, t)])
     return db
 
 

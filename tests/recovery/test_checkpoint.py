@@ -40,7 +40,7 @@ class TestSaveLoad:
 
     def test_db_and_model_artifacts(self, tmp_path):
         db = ReplayDB()
-        db.insert_access(_access())
+        db.insert_accesses([_access()])
         model = build_model(1, z=6, seed=0)
         model.build(6)
         mgr = CheckpointManager(tmp_path)
@@ -81,7 +81,7 @@ class TestCorruptionFallback:
 
     def test_truncated_artifact_detected(self, tmp_path):
         db = ReplayDB()
-        db.insert_access(_access())
+        db.insert_accesses([_access()])
         mgr = CheckpointManager(tmp_path)
         mgr.save(1, _state(1))
         newest = mgr.save(2, _state(2), db=db)

@@ -61,7 +61,7 @@ class AggregateMachine(RuleBasedStateMachine):
     @rule(device=devices, rb=sizes)
     def insert_one(self, device, rb):
         record = self._record(device, rb)
-        self.db.insert_access(record)
+        self.db.insert_accesses([record])
         self.oracle.insert_access(record)
 
     @rule(batch=st.lists(st.tuples(devices, sizes), min_size=1, max_size=12))
@@ -138,6 +138,6 @@ class TestIncrementQueryPlan:
             db.insert_accesses(make_record("dev0", 1000, t) for t in (1, 3, 5))
             assert db.access_count(device="dev0") == 3
             assert db._totals_cursor == db.max_rowid() == 3
-            db.insert_access(make_record("dev1", 500, 7))
+            db.insert_accesses([make_record("dev1", 500, 7)])
             assert db.access_count() == 4
             assert db._totals_cursor == 4

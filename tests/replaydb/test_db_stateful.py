@@ -110,9 +110,8 @@ class ReplayDBMachine(RuleBasedStateMachine):
     @rule(access=ACCESS)
     def insert(self, access):
         record = self._record(*access)
-        assert self.db.insert_access(record) == (
-            self.oracle.insert_access(record)
-        )
+        assert self.db.insert_accesses([record]) == 1
+        assert self.db.max_rowid() == self.oracle.insert_access(record)
 
     @rule(
         batches=st.lists(

@@ -77,10 +77,10 @@ def db():
         for rounds, fid in ((7, 0), (1, 1), (4, 2), (9, 5), (2, 8)):
             for k in range(rounds):
                 t += 1
-                db.insert_access(make_access(
+                db.insert_accesses([make_access(
                     fid=fid, device=f"dev{(fid + k) % 3}", t=t,
                     rb=100 * fid + k,
-                ))
+                )])
         yield db
 
 

@@ -23,13 +23,13 @@ class TestExtrasThroughDB:
     @settings(max_examples=40, deadline=None)
     def test_extra_dict_round_trips(self, extra):
         with ReplayDB() as db:
-            db.insert_access(record_with_extra(extra))
+            db.insert_accesses([record_with_extra(extra)])
             got = db.recent_accesses(1)[0]
             assert got.extra == extra
 
     def test_empty_extra_round_trips(self):
         with ReplayDB() as db:
-            db.insert_access(record_with_extra({}))
+            db.insert_accesses([record_with_extra({})])
             assert db.recent_accesses(1)[0].extra == {}
 
     def test_bulk_insert_preserves_extras(self):
@@ -46,14 +46,14 @@ class TestExtrasThroughDB:
         b = record_with_extra({"rt": 2.0})
         assert a != b
         with ReplayDB() as db:
-            db.insert_access(a)
+            db.insert_accesses([a])
             assert db.recent_accesses(1)[0] == a
             assert db.recent_accesses(1)[0] != b
 
     def test_throughput_column_matches_record_property(self):
         record = record_with_extra({"rt": 1.0})
         with ReplayDB() as db:
-            db.insert_access(record)
+            db.insert_accesses([record])
             assert db.average_throughput() == pytest.approx(
                 record.throughput
             )

@@ -174,7 +174,7 @@ class TestAccessRecord:
         assert built.throughput.hex() == throughput.hex()
         with ReplayDB() as db:
             db.insert_accesses([built, trusted])
-            db.insert_access(built)
+            db.insert_accesses([built])
             assert db.recent_accesses(3) == [built, trusted, built]
 
 
