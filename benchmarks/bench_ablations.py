@@ -7,14 +7,11 @@ vs none), and the section V-G prediction adjustment (on vs off).
 """
 
 from repro.experiments.harness import (
-    device_map,
     make_experiment_config,
     run_policy_experiment,
 )
 from repro.experiments.reporting import ascii_table
 from repro.experiments.spec import ExperimentScale
-from repro.policies.geomancy_policy import GeomancyDynamicPolicy
-from repro.simulation.bluesky import make_bluesky_cluster
 
 ABLATION_SCALE = ExperimentScale(
     name="ablation",
@@ -29,10 +26,7 @@ ABLATION_SCALE = ExperimentScale(
 
 def run_geomancy_with(**config_overrides):
     config = make_experiment_config(ABLATION_SCALE, seed=0, **config_overrides)
-    policy = GeomancyDynamicPolicy(
-        device_map(make_bluesky_cluster(seed=0)), config
-    )
-    return run_policy_experiment(policy, scale=ABLATION_SCALE, seed=0)
+    return run_policy_experiment(config, scale=ABLATION_SCALE, seed=0)
 
 
 def sweep(name, values, key, save_result):
@@ -77,11 +71,9 @@ def cooldown_sweep(save_result):
     rows = []
     for update_every in (1, 5, 15):
         scale = dataclasses.replace(ABLATION_SCALE, update_every=update_every)
-        config = make_experiment_config(scale, seed=0)
-        policy = GeomancyDynamicPolicy(
-            device_map(make_bluesky_cluster(seed=0)), config
+        result = run_policy_experiment(
+            make_experiment_config(scale, seed=0), scale=scale, seed=0
         )
-        result = run_policy_experiment(policy, scale=scale, seed=0)
         results[update_every] = result
         rows.append(
             (update_every, f"{result.mean_throughput:.2f}",

@@ -7,8 +7,8 @@
 The host's speed drifts by 20-50 % over minutes, so a parent and a change
 are only comparable run back to back.  Each pair measures both checkouts
 on one seed -- each through *its own* ``benchmarks/e2e/run.py``
-``measure()``, in a subprocess started in that checkout -- and pairs
-alternate which side runs first.  A change that must not alter decisions
+``measure()``, in a subprocess started in that checkout -- and each
+seed's pairs alternate which side runs first.  A change that must not alter decisions
 fails here (exit 1) the moment ``fingerprint`` or ``facts`` differ on any
 seed.  The report is Markdown: one row per pair, then per end-to-end
 metric both medians, both quartile ranges, wins/ties/losses and the
@@ -58,6 +58,19 @@ def measure_in_checkout(checkout: str, workload: str, seed: str,
     )
     print(json.dumps(record, default=str))
     return 0
+
+
+def pair_schedule(pairs: int, seeds: list[int]) -> list[tuple[int, bool]]:
+    """``(seed, parent_first)`` for each pair.
+
+    Seeds take turns; each seed's own pairs alternate which side runs
+    first, so with an even number of seeds no seed always starts on the
+    same side (a seed/order confound a drifting host turns into a bias).
+    """
+    n = len(seeds)
+    return [
+        (seeds[i % n], (i % n + i // n) % 2 == 0) for i in range(pairs)
+    ]
 
 
 def measure(checkout: Path, workload: str, seed: int, seconds: float,
@@ -132,9 +145,10 @@ def main() -> int:
     print(f"### {args.workload}: {args.pairs} alternating pairs, "
           f"{seconds:g} s\n\n| pair | seed | first | {head} |")
     print("|" + "---|" * (3 + 2 * len(PAIR_COLUMNS)))
-    for index in range(args.pairs):
-        seed = args.seeds[index % len(args.seeds)]
-        order = list(sides) if index % 2 == 0 else list(sides)[::-1]
+    for index, (seed, parent_first) in enumerate(
+        pair_schedule(args.pairs, args.seeds)
+    ):
+        order = list(sides) if parent_first else list(sides)[::-1]
         for side in order:
             runs[side].append(
                 measure(sides[side], args.workload, seed, seconds)

@@ -18,12 +18,12 @@ Run:  python examples/tiered_vs_flat.py           (~90 s)
 """
 
 from repro.experiments.harness import (
-    device_map,
+    GEOMANCY,
     make_experiment_config,
     run_policy_experiment,
 )
 from repro.experiments.spec import ExperimentScale
-from repro.policies import EvenSpreadPolicy, GeomancyDynamicPolicy
+from repro.policies import EvenSpreadPolicy
 from repro.simulation.topologies import (
     make_homogeneous_cluster,
     make_tiered_cluster,
@@ -39,25 +39,19 @@ SCALE = ExperimentScale(
 def compare_on(cluster_factory, label: str) -> None:
     files = belle2_file_population(12, seed=3)
     results = {}
-    for make_policy in (
-        lambda _: EvenSpreadPolicy(),
-        lambda cluster: GeomancyDynamicPolicy(
-            device_map(cluster),
-            make_experiment_config(SCALE, seed=0),
-        ),
-    ):
-        cluster = cluster_factory()
-        policy = make_policy(cluster)
-        results[policy.name] = run_policy_experiment(
-            policy, scale=SCALE, seed=0, cluster=cluster, files=files
+    # Geomancy's cell is its config: the harness runs the learner itself.
+    for policy in (EvenSpreadPolicy(), make_experiment_config(SCALE, seed=0)):
+        result = run_policy_experiment(
+            policy, scale=SCALE, seed=0, cluster=cluster_factory(), files=files
         )
+        results[result.policy_name] = result
     spread = results["even spread"].mean_throughput
-    geomancy = results["Geomancy dynamic"].mean_throughput
+    geomancy = results[GEOMANCY].mean_throughput
     gain = (geomancy - spread) / spread * 100
     print(f"{label}:")
     print(f"  even spread      {spread:.2f} GB/s")
     print(f"  Geomancy dynamic {geomancy:.2f} GB/s  ({gain:+.1f}%)")
-    usage = results["Geomancy dynamic"].usage_percent
+    usage = results[GEOMANCY].usage_percent
     top = max(usage, key=usage.get)
     print(f"  Geomancy's favourite device: {top} ({usage[top]:.0f}% of accesses)\n")
 

@@ -5,9 +5,9 @@ ReplayDB and the control agent: train, veto a model that is unskilled,
 diverged, over the error backstop or ranks the devices backwards, let the
 engine propose, pass the proposal through the Action Checker, cap the
 moves, and (section X) keep only files whose access gaps fit the
-transfer.  The :class:`~repro.core.geomancy.Geomancy` facade and
-:class:`~repro.policies.geomancy_policy.GeomancyDynamicPolicy` both act on
-what :meth:`DecisionPath.decide` returns.
+transfer.  The :class:`~repro.core.geomancy.Geomancy` facade acts on
+what :meth:`DecisionPath.decide` returns, in its control loop and in every
+paper figure's Geomancy cell alike.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class DecisionPath:
         fids: list[int],
         device_by_fsid: dict[int, str],
         valid_devices: set[str],
-        current: dict[int, str] | None,
+        current: dict[int, str],
         transfer_time: Callable[[int], float],
     ) -> Decision:
         """Train on ``db`` and decide where ``fids`` should live.
@@ -84,9 +84,7 @@ class DecisionPath:
         ``device_by_fsid`` are the candidate locations, ``valid_devices``
         what the Action Checker accepts as a target, ``current`` the
         present placement of ``fids`` and ``transfer_time(fid)`` the
-        estimated seconds moving that file takes.  ``current=None`` asks
-        for the engine's full proposal with nothing to diff, check or cap
-        it against (a one-shot static placement).
+        estimated seconds moving that file takes.
         """
         config, engine = self.config, self.engine
         decision = Decision()
@@ -122,26 +120,22 @@ class DecisionPath:
             return decision
         proposal, gains = engine.propose_layout(db, fids, device_by_fsid)
         decision.predicted_mean = engine.last_predicted_mean
-        if current is None:
-            decision.layout = proposal
-        else:
-            with engine.obs.span("action_check", proposals=len(proposal)):
-                checked = self.checker.check(proposal, valid_devices, current)
-                changes = cap_moves(
-                    layout_diff(current, checked), MAX_FILES_PER_MOVE, gains
+        with engine.obs.span("action_check", proposals=len(proposal)):
+            checked = self.checker.check(proposal, valid_devices, current)
+            changes = cap_moves(
+                layout_diff(current, checked), MAX_FILES_PER_MOVE, gains
+            )
+        if self.gap_scheduler is not None:
+            # Section X extension: only move files whose observed access
+            # gaps accommodate the transfer ("We will not consider moving
+            # files that are always accessed and never released").
+            changes = [
+                change for change in changes
+                if self.gap_scheduler.can_move(
+                    db, change.fid, transfer_time(change.fid)
                 )
-            if self.gap_scheduler is not None:
-                # Section X extension: only move files whose observed
-                # access gaps accommodate the transfer ("We will not
-                # consider moving files that are always accessed and
-                # never released").
-                changes = [
-                    change for change in changes
-                    if self.gap_scheduler.can_move(
-                        db, change.fid, transfer_time(change.fid)
-                    )
-                ]
-            decision.layout = as_layout(changes)
+            ]
+        decision.layout = as_layout(changes)
         if not decision.layout:
             decision.veto = NO_CHANGES
         return decision

@@ -34,6 +34,7 @@ from repro.observability.provenance import (
     DecisionProvenance,
     ProvenanceLedger,
 )
+from repro.policies.base import PlacementPolicy
 from repro.policies.lru import LRUPolicy
 from repro.policies.static import EvenSpreadPolicy
 from repro.recovery.events import EventLog
@@ -66,6 +67,11 @@ class StepOutcome:
     @property
     def moved_files(self) -> int:
         return sum(1 for move in self.movements if move.succeeded)
+
+
+#: what a control cycle runs between its rescues and its retries:
+#: ``act(outcome, available, t)`` dispatches a layout, returns the moves
+Act = Callable[[StepOutcome, list[str], float], list[MovementRecord]]
 
 
 class Geomancy:
@@ -258,13 +264,13 @@ class Geomancy:
         """Push a layout through the daemon/command path and execute it.
 
         ``kind`` says whose layout it is -- ``"decision"`` (the model's),
-        ``"rescue"``, ``"retry"``, or the guardrail's ``"rollback"`` /
-        ``"fallback"`` -- and is what the provenance ledger files the
-        dispatch under.  With a journal attached the dispatch is a
-        write-ahead transaction: the intent is durably logged before any
-        file moves, the commit after every movement has settled, so a
-        crash in between leaves a pending intent the recovery path rolls
-        back.
+        ``"rescue"``, ``"retry"``, the guardrail's ``"rollback"`` /
+        ``"fallback"``, or a baseline's ``"policy"`` -- and is what the
+        provenance ledger files the dispatch under.  With a journal
+        attached the dispatch is a write-ahead transaction: the intent is
+        durably logged before any file moves, the commit after every
+        movement has settled, so a crash in between leaves a pending
+        intent the recovery path rolls back.
         On a causal plane the command is stamped with a trace id that
         flows onto every resulting movement record, and the dispatch is
         journaled in the provenance ledger as one decision entry.
@@ -421,7 +427,8 @@ class Geomancy:
         if rail.in_fallback:
             outcome = self.safety_step(
                 run_index, t,
-                self._lru_fallback if rail.fallback == "lru" else None,
+                self.policy_act(LRUPolicy(), kind="fallback")
+                if rail.fallback == "lru" else None,
             )
             outcome.fallback = True
             self.fallback_runs += 1
@@ -471,29 +478,36 @@ class Geomancy:
             files_moved=sum(1 for m in movements if m.succeeded),
         )
 
-    def _lru_fallback(
-        self, _outcome: StepOutcome, available: list[str], t: float
-    ) -> list[MovementRecord]:
-        """The ``lru`` fallback policy's layout for one benched cycle."""
-        if not available:
-            return []
-        current = self.cluster.layout({spec.fid for spec in self.files})
-        proposal = LRUPolicy().update_layout(
-            self.db, self.files, available, current
-        )
-        diff = {
-            fid: device
-            for fid, device in (proposal or {}).items()
-            if current.get(fid) != device
-        }
-        return self.dispatch(diff, t, kind="fallback") if diff else []
+    def policy_act(self, policy: PlacementPolicy, *, kind: str) -> Act:
+        """``policy`` as a :meth:`safety_step` act, dispatched as ``kind``.
+
+        Each cycle the policy sees the present placement of the workload's
+        files and the available devices; the files its layout would move
+        go out in one dispatch.  Build one act per policy instance: a
+        policy may carry state across cycles (random dynamic's RNG).
+        """
+        fids = {spec.fid for spec in self.files}
+
+        def act(
+            _outcome: StepOutcome, available: list[str], t: float
+        ) -> list[MovementRecord]:
+            if not available:
+                return []
+            current = self.cluster.layout(fids)
+            proposal = policy.update_layout(
+                self.db, self.files, available, current
+            )
+            diff = {
+                fid: device
+                for fid, device in (proposal or {}).items()
+                if current.get(fid) != device
+            }
+            return self.dispatch(diff, t, kind=kind) if diff else []
+
+        return act
 
     def safety_step(
-        self,
-        run_index: int,
-        t: float,
-        act: Callable[[StepOutcome, list[str], float], list[MovementRecord]]
-        | None = None,
+        self, run_index: int, t: float, act: Act | None = None
     ) -> StepOutcome:
         """One control cycle's safety duties, around an optional ``act``.
 
@@ -501,7 +515,8 @@ class Geomancy:
         offline devices are rescued first, then ``act(outcome, available,
         t)`` dispatches whatever layout its policy wants and returns the
         movements (:meth:`after_run` passes the learner -- or, while the
-        guardrail has it benched, the fallback policy or nothing), and
+        guardrail has it benched, the fallback policy's :meth:`policy_act`
+        or nothing; the experiment harness passes a baseline's), and
         failed moves whose backoff has expired are re-attempted -- they
         ride along with any dispatch, so they get one of their own only
         when nothing else went out this cycle.

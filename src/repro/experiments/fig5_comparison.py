@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 from repro.errors import ExperimentError
 from repro.experiments.harness import (
+    GEOMANCY,
     PolicyRunResult,
     bluesky_runner,
-    device_map,
     make_experiment_config,
     run_policy_experiment,
     shuffled_warm_up,
@@ -29,10 +29,7 @@ from repro.experiments.reporting import (
     sparkline,
 )
 from repro.experiments.spec import ExperimentScale, TEST_SCALE
-from repro.policies.geomancy_policy import (
-    GeomancyDynamicPolicy,
-    GeomancyStaticPolicy,
-)
+from repro.policies.geomancy_policy import GeomancyStaticPolicy
 from repro.policies.lfu import LFUPolicy
 from repro.policies.lru import LRUPolicy
 from repro.policies.mru import MRUPolicy
@@ -40,8 +37,6 @@ from repro.policies.random_policy import RandomDynamicPolicy, RandomStaticPolicy
 from repro.policies.static import EvenSpreadPolicy, SingleMountPolicy
 from repro.replaydb.db import ReplayDB
 from repro.simulation.bluesky import BLUESKY_DEVICE_NAMES, make_bluesky_cluster
-
-GEOMANCY = "Geomancy dynamic"
 
 #: the Fig. 5a (dynamic) and Fig. 5b (static) policy grids, by policy name
 FIG5A_POLICIES: tuple[str, ...] = (
@@ -141,7 +136,8 @@ def collect_random_dynamic_telemetry(
 def _build_policy(name: str, scale: ExperimentScale, seed: int):
     """Rebuild one comparison policy from its cell spec.
 
-    A Bluesky mount's name is Table IV's all-files-on-that-mount policy.
+    A Bluesky mount's name is Table IV's all-files-on-that-mount policy;
+    the learner's cell is its config.
     The Geomancy static warm-up DB is regenerated from the seed: it
     derives only from ``(scale, seed)``, so every process builds the
     same telemetry.
@@ -161,14 +157,12 @@ def _build_policy(name: str, scale: ExperimentScale, seed: int):
     if name == "even spread":
         return EvenSpreadPolicy()
     if name == GEOMANCY:
-        return GeomancyDynamicPolicy(
-            device_map(make_bluesky_cluster(seed=seed)),
-            make_experiment_config(scale, seed=seed),
-        )
+        return make_experiment_config(scale, seed=seed)
     if name == "Geomancy static":
+        cluster = make_bluesky_cluster(seed=seed)
         return GeomancyStaticPolicy(
             collect_random_dynamic_telemetry(scale=scale, seed=seed),
-            device_map(make_bluesky_cluster(seed=seed)),
+            {cluster.device(n).fsid: n for n in cluster.device_names},
             make_experiment_config(scale, seed=seed),
         )
     raise ExperimentError(f"unknown comparison policy {name!r}")

@@ -13,20 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.geomancy import Geomancy
 from repro.errors import ExperimentError
-from repro.experiments.harness import (
-    bluesky_runner,
-    consult_policy,
-    device_map,
-    make_experiment_config,
-)
+from repro.experiments.harness import bluesky_runner, make_experiment_config
 from repro.experiments.reporting import (
     BUCKET_ACCESSES,
     bucket_series,
     sparkline,
 )
 from repro.experiments.spec import ExperimentScale
-from repro.policies.geomancy_policy import GeomancyDynamicPolicy
 from repro.replaydb.db import ReplayDB
 from repro.simulation.clock import SimulationClock
 from repro.workloads.interference import make_competing_workload
@@ -136,15 +131,15 @@ def run_fig6(
     """
     runs_before = max(scale.runs // 2, scale.update_every)
     runner = bluesky_runner(seed, db=ReplayDB())
-    cluster, clock, db = runner.cluster, runner.clock, runner.db
+    cluster, clock = runner.cluster, runner.clock
     files = runner.workload.files
-    policy = GeomancyDynamicPolicy(
-        device_map(cluster),
+    # The runner lands the tuned workload's telemetry; the facade decides.
+    geo = Geomancy(
+        cluster, files,
         make_experiment_config(scale, seed=seed, online_learning=online),
+        db=runner.db,
     )
-    runner.ensure_files_placed(
-        policy.initial_layout(files, cluster.device_names)
-    )
+    geo.place_initial()
     runner.warm_up(scale.warmup_accesses)
 
     result = Fig6Result()
@@ -153,10 +148,7 @@ def run_fig6(
     def run_finished() -> None:
         nonlocal run_number
         run_number += 1
-        if run_number % scale.update_every == 0:
-            consult_policy(
-                policy, db, cluster, files, cluster.device_names, clock.now
-            )
+        geo.after_run(run_number, clock.now)
 
     # Phase 1: alone.
     for _ in range(runs_before):

@@ -1,36 +1,39 @@
 """The policy loop: Experiment 1 and 2 machinery.
 
-A ``PlacementPolicy`` reads the ReplayDB the runner writes.
-:func:`consult_policy` is one consultation -- current layout of the tuned
-files, ``update_layout``, ``apply_layout``, movements recorded.
 :func:`run_policy_experiment` runs one policy on a fresh Bluesky cluster
 with the same seeded workload and interference as every other policy in
 the comparison:
 
-1. place files per the policy's initial layout;
-2. warm up until the ReplayDB holds the configured access count ("BELLE 2
-   is run until Geomancy's monitoring agents can capture 10000 accesses");
+1. warm up under a random-dynamic shuffle until the ReplayDB holds the
+   configured access count ("BELLE 2 is run until Geomancy's monitoring
+   agents can capture 10000 accesses");
+2. hand the cluster over to the policy's initial layout;
 3. run the measured phase, consulting dynamic policies every
-   ``update_every`` runs and applying their relayouts (movement overhead
-   lands on the shared devices and is therefore part of every measurement).
+   ``update_every`` runs (movement overhead lands on the shared devices
+   and is therefore part of every measurement).
 
-The :class:`~repro.core.geomancy.Geomancy` facade has a loop of its own,
-:mod:`repro.experiments.facade`.
+Every consultation is one :meth:`~repro.core.geomancy.Geomancy.safety_step`
+of a facade over the runner's ReplayDB: ``after_run``'s learner for
+Geomancy, a :meth:`~repro.core.geomancy.Geomancy.policy_act` for a
+baseline.  The runner, not the facade's per-device monitoring agents,
+lands the telemetry, so the ReplayDB rows keep access order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from repro.core.config import GeomancyConfig
+from repro.core.geomancy import Geomancy
 from repro.errors import ExperimentError
 from repro.experiments.spec import ExperimentScale, TEST_SCALE
 from repro.policies.base import PlacementPolicy
 from repro.policies.random_policy import RandomDynamicPolicy
+from repro.policies.static import EvenSpreadPolicy
 from repro.replaydb.db import ReplayDB
-from repro.replaydb.records import MovementRecord
 from repro.simulation.bluesky import make_bluesky_cluster
 from repro.simulation.cluster import StorageCluster
 from repro.workloads.belle2 import Belle2Workload
@@ -40,6 +43,8 @@ from repro.workloads.runner import WorkloadRunner
 #: seed of the BELLE II access stream every experiment and control-loop
 #: harness measures under
 WORKLOAD_SEED = 1
+#: the learner's cell name in every policy comparison
+GEOMANCY = "Geomancy dynamic"
 
 
 def bluesky_runner(seed: int, **wiring) -> WorkloadRunner:
@@ -51,12 +56,6 @@ def bluesky_runner(seed: int, **wiring) -> WorkloadRunner:
     return WorkloadRunner(
         cluster, Belle2Workload(files, seed=WORKLOAD_SEED), **wiring
     )
-
-
-def device_map(cluster: StorageCluster) -> dict[int, str]:
-    """fsid -> device name over ``cluster``: what a Geomancy policy
-    places files by."""
-    return {cluster.device(name).fsid: name for name in cluster.device_names}
 
 
 @dataclass
@@ -110,30 +109,6 @@ def make_experiment_config(
     return GeomancyConfig(**params)
 
 
-def consult_policy(
-    policy: PlacementPolicy,
-    db: ReplayDB,
-    cluster: StorageCluster,
-    files: list[FileSpec],
-    devices: list[str],
-    t: float,
-) -> list[MovementRecord]:
-    """One consultation of a dynamic policy; returns the moves it caused.
-
-    The policy sees the present placement of ``files`` (the cluster may
-    hold other workloads' files too) and may target ``devices``; its
-    relayout is applied at ``t`` and the movements land in ``db``.
-    """
-    current = cluster.layout({f.fid for f in files})
-    layout = policy.update_layout(db, files, devices, current)
-    if not layout:
-        return []
-    moves = cluster.apply_layout(layout, t)
-    if moves:
-        db.insert_movements(moves)
-    return moves
-
-
 def shuffled_warm_up(
     runner: WorkloadRunner, scale: ExperimentScale, *, seed: int
 ) -> None:
@@ -160,7 +135,7 @@ def shuffled_warm_up(
 
 
 def run_policy_experiment(
-    policy: PlacementPolicy,
+    policy: PlacementPolicy | GeomancyConfig,
     *,
     scale: ExperimentScale = TEST_SCALE,
     seed: int = 0,
@@ -169,28 +144,48 @@ def run_policy_experiment(
 ) -> PolicyRunResult:
     """Measure one policy on the standard setup.
 
-    All stochastic inputs (cluster interference, device noise, workload
-    access stream) derive from ``seed``/:data:`WORKLOAD_SEED`, so two
-    policies run with the same seed face exactly the same environment.
+    ``policy`` is a baseline, or the :class:`GeomancyConfig` of the
+    learner itself (:data:`GEOMANCY`).  All stochastic inputs (cluster
+    interference, device noise, workload access stream) derive from
+    ``seed``/:data:`WORKLOAD_SEED`, so two policies run with the same
+    seed face exactly the same environment.
     """
     if cluster is None:
         cluster = make_bluesky_cluster(seed=seed)
     if files is None:
         files = belle2_file_population(seed=seed)
-    workload = Belle2Workload(files, seed=WORKLOAD_SEED)
-    db = ReplayDB()
-    runner = WorkloadRunner(cluster, workload, db)
+    runner = WorkloadRunner(
+        cluster, Belle2Workload(files, seed=WORKLOAD_SEED), ReplayDB()
+    )
+    learner = isinstance(policy, GeomancyConfig)
+    geo = Geomancy(
+        cluster, files,
+        policy if learner else make_experiment_config(scale, seed=seed),
+        db=runner.db,
+    )
 
     # Every policy gets the identical warm-up for a fair comparison.
     shuffled_warm_up(runner, scale, seed=seed)
 
     # Hand the cluster over to the policy under test.
-    layout = policy.initial_layout(files, cluster.device_names)
-    cluster.apply_layout(layout, runner.clock.now)
+    if learner:
+        initial, step = EvenSpreadPolicy(), geo.after_run
+        result = PolicyRunResult(policy_name=GEOMANCY)
+    else:
+        initial = policy
+        step = partial(
+            geo.safety_step, act=geo.policy_act(policy, kind="policy")
+        )
+        result = PolicyRunResult(policy_name=policy.name)
+    dynamic = learner or policy.dynamic
+    cluster.apply_layout(
+        initial.initial_layout(files, cluster.device_names), runner.clock.now
+    )
     cluster.reset_stats()
 
-    result = PolicyRunResult(policy_name=policy.name)
-    run_number = 0
+    # The facade's cooldown is the consultation cadence (the scale's
+    # ``update_every`` unless the learner's config says otherwise).
+    every, run_number = geo.config.cooldown_runs, 0
     while run_number < scale.runs:
         # Nothing can change the cluster between two consultations of the
         # policy, so the runs up to the next decision point are handed to
@@ -198,10 +193,9 @@ def run_policy_experiment(
         # access_batch call (static policies fuse the whole measured
         # phase).  Record order, decision timing, and layouts are
         # exactly those of the one-run-at-a-time loop.
-        if policy.dynamic:
+        if dynamic:
             group = min(
-                scale.update_every - run_number % scale.update_every,
-                scale.runs - run_number,
+                every - run_number % every, scale.runs - run_number
             )
         else:
             group = scale.runs - run_number
@@ -210,13 +204,10 @@ def run_policy_experiment(
                 r.throughput_gbps for r in run.records
             )
         run_number += group
-        if policy.dynamic and run_number % scale.update_every == 0:
-            moves = consult_policy(
-                policy, db, cluster, files,
-                cluster.available_device_names, runner.clock.now,
-            )
-            if moves:
-                result.movements.append((result.access_count, len(moves)))
+        if dynamic and run_number % every == 0:
+            moved = step(run_number, runner.clock.now).moved_files
+            if moved:
+                result.movements.append((result.access_count, moved))
     result.usage_percent = cluster.usage_percent()
     for name in cluster.device_names:
         stats = cluster.device(name).stats

@@ -1,4 +1,4 @@
-"""Placement policies: the baselines of Experiment 1 plus Geomancy adapters.
+"""Placement policies: the baselines of Experiment 1 plus Geomancy static.
 
 Every policy implements the :class:`~repro.policies.base.PlacementPolicy`
 interface: an initial layout for the workload's files, and an optional
@@ -13,7 +13,7 @@ from repro.policies.base import (
     rank_devices,
     spread_in_groups,
 )
-from repro.policies.geomancy_policy import GeomancyDynamicPolicy, GeomancyStaticPolicy
+from repro.policies.geomancy_policy import GeomancyStaticPolicy
 from repro.policies.lfu import LFUPolicy
 from repro.policies.lru import LRUPolicy
 from repro.policies.mru import MRUPolicy
@@ -24,7 +24,6 @@ __all__ = [
     "PlacementPolicy",
     "rank_devices",
     "spread_in_groups",
-    "GeomancyDynamicPolicy",
     "GeomancyStaticPolicy",
     "LFUPolicy",
     "LRUPolicy",

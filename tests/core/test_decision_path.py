@@ -1,7 +1,8 @@
-"""The facade and the policy adapter act on one decision path.
+"""The facade and the old policy adapter act on one decision path.
 
 Same ReplayDB, config and seed: the layout ``Geomancy.after_run``
-dispatches is the layout ``GeomancyDynamicPolicy.update_layout`` returns.
+dispatches is the layout the adapter of :mod:`tests.oracles.policy_loop`
+returns.
 Each gate of ``DecisionPath.decide`` is shown to stop both in a scenario
 that acts as soon as that gate alone is switched off -- so deleting a
 gate fails its case.
@@ -15,12 +16,13 @@ from repro.core.config import GeomancyConfig
 from repro.core.decision import DecisionPath
 from repro.core.engine import DRLEngine
 from repro.core.geomancy import Geomancy
-from repro.policies import GeomancyDynamicPolicy, RandomDynamicPolicy
+from repro.policies import RandomDynamicPolicy
 from repro.replaydb.db import ReplayDB
 from repro.simulation.bluesky import make_bluesky_cluster
 from repro.workloads.belle2 import Belle2Workload
 from repro.workloads.files import belle2_file_population
 from repro.workloads.runner import WorkloadRunner
+from tests.oracles.policy_loop import adapter_for
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -66,9 +68,7 @@ def consult_both(config, *, shuffled=True):
                 shuffler.update_layout(db, files, cluster.device_names),
                 runner.clock.now,
             )
-    policy = GeomancyDynamicPolicy(
-        {cluster.device(n).fsid: n for n in cluster.device_names}, config
-    )
+    policy = adapter_for(cluster, config)
     # The policy only reads the DB; the facade's dispatch writes to it.
     proposed = policy.update_layout(
         db, files, cluster.available_device_names, cluster.layout()
@@ -198,10 +198,7 @@ class TestFacadeAndPolicyAgree:
         files = belle2_file_population(seed=0)
         geo = Geomancy(cluster, files, quick_config())
         geo.place_initial()
-        policy = GeomancyDynamicPolicy(
-            {cluster.device(n).fsid: n for n in cluster.device_names},
-            quick_config(),
-        )
+        policy = adapter_for(cluster, quick_config())
         assert policy.update_layout(
             geo.db, files, cluster.device_names, cluster.layout()
         ) is None

@@ -10,7 +10,9 @@ training loop with its allocating Dense step and optimizer updates
 (:mod:`tests.oracles.fit_loop`, :mod:`tests.oracles.minmax`), the
 per-file decision loop (:mod:`tests.oracles.decision_loop`), the
 storage service model one access at a time
-(:mod:`tests.oracles.scalar_device`) and the access-by-access workload
-run and chaos experiment (:mod:`tests.oracles.scalar_runs`).  They are
+(:mod:`tests.oracles.scalar_device`), the access-by-access workload
+run and chaos experiment (:mod:`tests.oracles.scalar_runs`) and the
+paper harness consulting policies itself, Geomancy behind an adapter
+(:mod:`tests.oracles.policy_loop`).  They are
 test fixtures, not product code: nothing under ``src/`` imports them.
 """

@@ -1,13 +1,11 @@
-"""Tests for the Geomancy policy adapters."""
+"""Tests for the Geomancy static adapter and Geomancy dynamic's facade."""
 
 import pytest
 
 from repro.core.config import GeomancyConfig
+from repro.core.geomancy import Geomancy
 from repro.errors import PolicyError
-from repro.policies.geomancy_policy import (
-    GeomancyDynamicPolicy,
-    GeomancyStaticPolicy,
-)
+from repro.policies.geomancy_policy import GeomancyStaticPolicy
 from repro.replaydb.db import ReplayDB
 from repro.simulation.bluesky import make_bluesky_cluster
 from repro.workloads.belle2 import Belle2Workload
@@ -64,28 +62,43 @@ class TestGeomancyStatic:
             GeomancyStaticPolicy(db, {}, quick_config())
 
 
+def warm_facade():
+    """A facade over 600 warm-up accesses, and the time they ended."""
+    cluster = make_bluesky_cluster(seed=0)
+    files = belle2_file_population(seed=0)
+    geo = Geomancy(cluster, files, quick_config())
+    geo.place_initial()
+    runner = WorkloadRunner(cluster, Belle2Workload(files, seed=1), geo.db)
+    runner.warm_up(600)
+    return geo, runner.clock.now
+
+
 class TestGeomancyDynamic:
-    def test_initial_layout_is_even_spread(self, warm_db):
-        _, files, names, device_by_fsid = warm_db
-        policy = GeomancyDynamicPolicy(device_by_fsid, quick_config())
-        layout = policy.initial_layout(files, names)
+    """Geomancy dynamic is the facade itself; every paper figure's cell
+    is held to the old policy loop in
+    ``tests/experiments/test_policy_loop_oracle.py``."""
+
+    def test_initial_layout_is_even_spread(self):
+        cluster = make_bluesky_cluster(seed=0)
+        files = belle2_file_population(seed=0)
+        layout = Geomancy(cluster, files, quick_config()).place_initial()
+        assert layout == cluster.layout()
         counts = {}
         for device in layout.values():
             counts[device] = counts.get(device, 0) + 1
         assert all(count == 4 for count in counts.values())
 
-    def test_update_proposes_layout(self, warm_db):
-        db, files, names, device_by_fsid = warm_db
-        policy = GeomancyDynamicPolicy(device_by_fsid, quick_config())
-        layout = policy.update_layout(db, files, names)
-        assert layout is not None
-        assert set(layout.values()) <= set(names)
+    def test_update_proposes_layout(self):
+        geo, now = warm_facade()
+        outcome = geo.after_run(5, now)
+        assert outcome.trained and outcome.moved_files > 0
+        names = set(geo.cluster.device_names)
+        assert {move.dst_device for move in outcome.movements} <= names
 
-    def test_update_skips_on_thin_telemetry(self, warm_db):
-        _, files, names, device_by_fsid = warm_db
-        policy = GeomancyDynamicPolicy(device_by_fsid, quick_config())
-        assert policy.update_layout(ReplayDB(), files, names) is None
-
-    def test_dynamic_flag(self, warm_db):
-        *_, device_by_fsid = warm_db
-        assert GeomancyDynamicPolicy(device_by_fsid, quick_config()).dynamic
+    def test_update_skips_on_thin_telemetry(self):
+        cluster = make_bluesky_cluster(seed=0)
+        files = belle2_file_population(seed=0)
+        geo = Geomancy(cluster, files, quick_config())
+        geo.place_initial()
+        outcome = geo.after_run(5, 1.0)
+        assert not outcome.trained and outcome.movements == []

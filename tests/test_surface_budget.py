@@ -46,7 +46,7 @@ CONFIG = SRC / "core" / "config.py"
 MAX_CONFIG_FIELDS = 21
 MAX_CLI_SUBCOMMANDS = 18
 #: ``find src -name '*.py' | xargs cat | wc -l``
-MAX_SRC_LINES = 16_187
+MAX_SRC_LINES = 16_114
 #: ``wc -c`` of the two documents a newcomer reads first
 MAX_DESIGN_BYTES = 73_448
 MAX_README_BYTES = 18_042
