@@ -3,9 +3,11 @@
 Runs the same warm-up + measured control loop through ``run_facade``
 with an exports stage twice per sample -- once with a fully enabled
 :class:`~repro.observability.Observability` (every metric handle live,
-every span recorded, the event bus on) and once with a disabled
-instance, which swaps every handle for a shared null object on the
-identical code path.  Asserts the paper-level guarantees:
+the event bus on) and once with a disabled instance, which swaps every
+handle for a shared null object on the identical code path.  Neither
+arm traces its layers: a run opts into that with a trace path, and an
+untraced run wraps nothing, so both record zero spans.  Asserts the
+paper-level guarantees:
 
 * outputs are bit-for-bit identical with observability on or off;
 * the Prometheus dump covers the whole stack (>= 6 subsystems);
@@ -14,7 +16,7 @@ identical code path.  Asserts the paper-level guarantees:
 The enabled arm now carries the whole PR 9 layer too -- causal tracing,
 the decision-provenance ledger (in memory, no JSONL path) and SLO
 burn-rate monitoring -- so the 2% budget gates the full observability
-stack, not just metrics/spans/events.
+stack, not just metrics and events.
 
 The overhead estimate uses :func:`_timing.paired_overhead`; if a first
 cheap round lands over budget -- wall-clock noise on shared runners
@@ -89,10 +91,10 @@ def _measure() -> dict:
             and enabled.accesses == disabled.accesses
         ),
         "subsystems": subsystems,
-        "spans_recorded": len(enabled.geo.obs.tracer.spans),
+        "spans_recorded": len(enabled.trace.spans) if enabled.trace else 0,
         "metrics_registered": sum(len(group) for group in metrics.values()),
         "bus_events": len(enabled.geo.obs.bus),
-        "disabled_spans": len(disabled.geo.obs.tracer.spans),
+        "disabled_spans": len(disabled.trace.spans) if disabled.trace else 0,
         "disabled_bus_events": len(disabled.geo.obs.bus),
         "slo_objectives": len(enabled.slo or []),
         "disabled_slo": disabled.slo,

@@ -158,16 +158,15 @@ class InterfaceDaemon:
         per batch); None skips the attribution.
         """
         stored = 0
-        with self.obs.span("replaydb_write"):
-            messages = self.telemetry.receive_all()
-            batches = [m for m in messages if isinstance(m, TelemetryBatch)]
-            try:
-                self.db.insert_accesses(r for b in batches for r in b.records)
-                landed = True
-            except ReplayDBError:
-                landed = False
-            for message in messages:
-                stored += self._ingest(message, drained_at, landed)
+        messages = self.telemetry.receive_all()
+        batches = [m for m in messages if isinstance(m, TelemetryBatch)]
+        try:
+            self.db.insert_accesses(r for b in batches for r in b.records)
+            landed = True
+        except ReplayDBError:
+            landed = False
+        for message in messages:
+            stored += self._ingest(message, drained_at, landed)
         self.records_ingested += stored
         self._m_records.inc(stored)
         return stored

@@ -73,12 +73,8 @@ def _add_observability(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
-        help="write the Chrome-trace JSON here (load in chrome://tracing)",
-    )
-    parser.add_argument(
-        "--sample-rate", type=float, default=1.0,
-        help="fraction of ticks to trace, sampled deterministically by "
-             "tick id (default: 1.0)",
+        help="time the measured phase per layer, print the self-time "
+             "table and write the spans here as Chrome-trace JSON",
     )
 
 
@@ -215,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser(
         "run",
-        help="one fully observed control loop (metrics + spans + events)",
+        help="one fully observed control loop (metrics + events; "
+             "--trace adds the per-layer timing)",
     )
     _add_common(run, default_seed=0)
     _add_observability(run)
@@ -328,7 +325,7 @@ def _run_facade(args) -> str:
         exports = Exports(
             metrics_path=args.metrics, snapshot_path=args.metrics_snapshot,
             snapshot_every=args.snapshot_every, trace_path=args.trace,
-            sample_rate=args.sample_rate, profile=args.profile, slo=args.slo,
+            profile=args.profile, slo=args.slo,
             queue_delay_threshold_s=args.queue_delay_threshold,
             throughput_floor_gbps=args.throughput_floor,
         )

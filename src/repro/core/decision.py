@@ -108,11 +108,10 @@ class DecisionPath:
             decision.veto = NO_DEVICES
         if decision.veto is not None:
             return decision
-        with engine.obs.span("ranking_check"):
-            inverted = (
-                config.require_ranking_sanity
-                and engine.ranking_correlation(db, device_by_fsid) < 0.0
-            )
+        inverted = (
+            config.require_ranking_sanity
+            and engine.ranking_correlation(db, device_by_fsid) < 0.0
+        )
         if inverted:
             # The model currently ranks devices opposite to what telemetry
             # shows; acting on it would herd files onto the worst mounts.
@@ -120,11 +119,10 @@ class DecisionPath:
             return decision
         proposal, gains = engine.propose_layout(db, fids, device_by_fsid)
         decision.predicted_mean = engine.last_predicted_mean
-        with engine.obs.span("action_check", proposals=len(proposal)):
-            checked = self.checker.check(proposal, valid_devices, current)
-            changes = cap_moves(
-                layout_diff(current, checked), MAX_FILES_PER_MOVE, gains
-            )
+        checked = self.checker.check(proposal, valid_devices, current)
+        changes = cap_moves(
+            layout_diff(current, checked), MAX_FILES_PER_MOVE, gains
+        )
         if self.gap_scheduler is not None:
             # Section X extension: only move files whose observed access
             # gaps accommodate the transfer ("We will not consider moving

@@ -257,65 +257,62 @@ class DRLEngine:
             raise ModelError(
                 f"need at least 10 records to train, got {samples}"
             )
-        with self.obs.span("train_step", samples=samples):
-            # The bounds widen to cover every window trained on, so the
-            # window is in [0, 1] however far a growing column (``ots``)
-            # has moved, and a window inside them keeps every bit.
-            with self.obs.span("feature_pipeline"):
-                x, y = self.pipeline.fit_transform(window)
-                if self.capture_provenance:
-                    self.last_feature_digest = _digest(x)
-                if self._recurrent:
-                    x, y = make_windows(x, y, TIMESTEPS)
-                xt, yt, xv, yv, xs, ys = train_val_test_split(x, y)
-            optimizer = get_optimizer(
-                self.config.optimizer, learning_rate=self.config.learning_rate
-            )
-            refit = self.trained and len(xv) > 0
-            epochs = min(self.config.epochs, REFIT_EPOCHS if refit else np.inf)
-            start = time.perf_counter()
-            with self.obs.span("model_fit", epochs=epochs):
-                history = self.model.fit(
-                    xt, yt, epochs=epochs, optimizer=optimizer,
-                    validation=(xv, yv) if refit else None,
-                )
-            elapsed = time.perf_counter() - start
-            # Calibrate and score in physical units (bytes/s): relative
-            # error on the normalized [0, 1] scale explodes near its zero
-            # point, while the paper's Table II/III errors are on measured
-            # throughput.
-            calib_x, calib_y = (xv, yv) if len(xv) else (xt, yt)
-            self.adjuster.fit(
-                self.pipeline.inverse_transform_target(
-                    self.model.predict(calib_x).ravel()
-                ),
-                self.pipeline.inverse_transform_target(calib_y),
-            )
-            test_x, test_y = (xs, ys) if len(xs) else (xt, yt)
-            test_pred = self.pipeline.inverse_transform_target(
-                self.model.predict(test_x).ravel()
-            )
-            test_true = self.pipeline.inverse_transform_target(test_y)
-            mare, mare_std = mean_absolute_relative_error(test_pred, test_true)
-            train_mean = float(
-                np.mean(self.pipeline.inverse_transform_target(yt))
-            )
-            constant_mare, _ = mean_absolute_relative_error(
-                np.full_like(test_true, train_mean), test_true
-            )
-            report = TrainingReport(
-                samples=samples,
-                epochs=history.epochs_run,
-                train_seconds=elapsed,
-                test_mare=mare,
-                test_mare_std=mare_std,
-                constant_mare=constant_mare,
-                diverged=(
-                    history.diverged or is_diverged(test_pred, test_true)
-                ),
-                adjustment_mae=self.adjuster.mae,
-                adjustment_sign=self.adjuster.sign,
-            )
+        # The bounds widen to cover every window trained on, so the
+        # window is in [0, 1] however far a growing column (``ots``)
+        # has moved, and a window inside them keeps every bit.
+        x, y = self.pipeline.fit_transform(window)
+        if self.capture_provenance:
+            self.last_feature_digest = _digest(x)
+        if self._recurrent:
+            x, y = make_windows(x, y, TIMESTEPS)
+        xt, yt, xv, yv, xs, ys = train_val_test_split(x, y)
+        optimizer = get_optimizer(
+            self.config.optimizer, learning_rate=self.config.learning_rate
+        )
+        refit = self.trained and len(xv) > 0
+        epochs = min(self.config.epochs, REFIT_EPOCHS if refit else np.inf)
+        start = time.perf_counter()
+        history = self.model.fit(
+            xt, yt, epochs=epochs, optimizer=optimizer,
+            validation=(xv, yv) if refit else None,
+        )
+        elapsed = time.perf_counter() - start
+        # Calibrate and score in physical units (bytes/s): relative
+        # error on the normalized [0, 1] scale explodes near its zero
+        # point, while the paper's Table II/III errors are on measured
+        # throughput.
+        calib_x, calib_y = (xv, yv) if len(xv) else (xt, yt)
+        self.adjuster.fit(
+            self.pipeline.inverse_transform_target(
+                self.model.predict(calib_x).ravel()
+            ),
+            self.pipeline.inverse_transform_target(calib_y),
+        )
+        test_x, test_y = (xs, ys) if len(xs) else (xt, yt)
+        test_pred = self.pipeline.inverse_transform_target(
+            self.model.predict(test_x).ravel()
+        )
+        test_true = self.pipeline.inverse_transform_target(test_y)
+        mare, mare_std = mean_absolute_relative_error(test_pred, test_true)
+        train_mean = float(
+            np.mean(self.pipeline.inverse_transform_target(yt))
+        )
+        constant_mare, _ = mean_absolute_relative_error(
+            np.full_like(test_true, train_mean), test_true
+        )
+        report = TrainingReport(
+            samples=samples,
+            epochs=history.epochs_run,
+            train_seconds=elapsed,
+            test_mare=mare,
+            test_mare_std=mare_std,
+            constant_mare=constant_mare,
+            diverged=(
+                history.diverged or is_diverged(test_pred, test_true)
+            ),
+            adjustment_mae=self.adjuster.mae,
+            adjustment_sign=self.adjuster.sign,
+        )
         return self._finish(report)
 
     def _finish(self, report: TrainingReport) -> TrainingReport:
@@ -379,110 +376,107 @@ class DRLEngine:
                 "use train() for the from-scratch path"
             )
         if not self.trained:
-            with self.obs.span("train_incremental", bootstrap=True):
-                report = self.train(db)
-                self._bootstrap_online_state(db)
+            report = self.train(db)
+            self._bootstrap_online_state(db)
             return report
-        with self.obs.span("train_incremental"):
-            fresh = self._telemetry(
-                db, since=self._hwm, limit=ONLINE_MAX_NEW_ROWS
+        fresh = self._telemetry(
+            db, since=self._hwm, limit=ONLINE_MAX_NEW_ROWS
+        )
+        ids = fresh["id"]
+        if not len(ids):
+            # Nothing new arrived: the model is unchanged, the last
+            # report still describes it.
+            return self.last_report
+        self._hwm = int(ids[-1])
+        if self.capture_provenance:
+            self.last_window = (int(ids[0]), self._hwm)
+        start = time.perf_counter()
+        # -- prequential evaluation (predict before training) ----------
+        fresh_true = self.pipeline.target_vector(fresh)
+        fresh_pred = self.pipeline.inverse_transform_target(
+            self.model.predict(
+                self.pipeline.transform_features(fresh)
+            ).ravel()
+        )
+        mare, mare_std = mean_absolute_relative_error(
+            fresh_pred, fresh_true
+        )
+        constant_mare, _ = mean_absolute_relative_error(
+            np.full_like(fresh_true, self._target_mean), fresh_true
+        )
+        # -- widen the bounds + replay mixing --------------------------
+        self._update_target_mean(fresh_true)
+        self.pipeline.partial_fit(fresh)
+        replay_ids = np.empty(0, dtype=np.int64)
+        replay_weights = np.empty(0, dtype=np.float64)
+        if len(self.replay):
+            replay_ids, replay_weights = self.replay.sample(
+                REPLAY_SAMPLE_ROWS
             )
-            ids = fresh["id"]
-            if not len(ids):
-                # Nothing new arrived: the model is unchanged, the last
-                # report still describes it.
-                return self.last_report
-            self._hwm = int(ids[-1])
-            if self.capture_provenance:
-                self.last_window = (int(ids[0]), self._hwm)
-            start = time.perf_counter()
-            # -- prequential evaluation (predict before training) ----------
-            fresh_true = self.pipeline.target_vector(fresh)
-            fresh_pred = self.pipeline.inverse_transform_target(
-                self.model.predict(
-                    self.pipeline.transform_features(fresh)
-                ).ravel()
+            order = np.argsort(replay_ids)
+            replay_ids = replay_ids[order]
+            replay_weights = replay_weights[order]
+        self.replay.add(ids)
+        replayed = self._telemetry(db, ids=replay_ids)
+        n_replayed = len(replayed["fsid"])
+        if n_replayed != len(replay_ids):
+            raise ModelError(
+                f"replay sample fetched {n_replayed} rows for "
+                f"{len(replay_ids)} buffered ids; ReplayDB rows must "
+                "never disappear under the buffer"
             )
-            mare, mare_std = mean_absolute_relative_error(
-                fresh_pred, fresh_true
-            )
-            constant_mare, _ = mean_absolute_relative_error(
-                np.full_like(fresh_true, self._target_mean), fresh_true
-            )
-            # -- widen the bounds + replay mixing --------------------------
-            self._update_target_mean(fresh_true)
-            self.pipeline.partial_fit(fresh)
-            replay_ids = np.empty(0, dtype=np.int64)
-            replay_weights = np.empty(0, dtype=np.float64)
-            if len(self.replay):
-                replay_ids, replay_weights = self.replay.sample(
-                    REPLAY_SAMPLE_ROWS
-                )
-                order = np.argsort(replay_ids)
-                replay_ids = replay_ids[order]
-                replay_weights = replay_weights[order]
-            self.replay.add(ids)
-            replayed = self._telemetry(db, ids=replay_ids)
-            n_replayed = len(replayed["fsid"])
-            if n_replayed != len(replay_ids):
-                raise ModelError(
-                    f"replay sample fetched {n_replayed} rows for "
-                    f"{len(replay_ids)} buffered ids; ReplayDB rows must "
-                    "never disappear under the buffer"
-                )
-            # Replayed history first, fresh rows after: chronological.
-            window = {
-                name: np.concatenate((column, fresh[name]))
-                for name, column in replayed.items() if name != "id"
-            }
-            batch_ids = np.concatenate((replay_ids, ids))
-            weights = np.concatenate(
-                (replay_weights, np.ones(len(ids), dtype=np.float64))
-            )
-            x = self.pipeline.transform_features(window)
-            y = self.pipeline.transform_target(window)
-            if self.capture_provenance:
-                self.last_feature_digest = _digest(x)
-            optimizer = get_optimizer(
-                self.config.optimizer, learning_rate=self.config.learning_rate
-            )
-            with self.obs.span("model_fit", epochs=ONLINE_EPOCHS, rows=len(x)):
-                history = self.model.fit(
-                    x, y,
-                    epochs=ONLINE_EPOCHS,
-                    optimizer=optimizer,
-                    sample_weight=weights,
-                )
-            # -- refresh priorities and calibration ------------------------
-            post_pred = self.pipeline.inverse_transform_target(
-                self.model.predict(x).ravel()
-            )
-            post_true = self.pipeline.inverse_transform_target(y)
-            scale = np.maximum(np.abs(post_true), 1e-12)
-            residuals = np.abs(post_pred - post_true) / scale
-            self.replay.update_priorities(batch_ids, residuals)
-            fresh_post_pred = post_pred[n_replayed:]
-            fresh_post_true = post_true[n_replayed:]
-            self.adjuster.fit(fresh_post_pred, fresh_post_true)
-            diverged = bool(
-                history.diverged
-                or is_diverged(fresh_post_pred, fresh_post_true)
-            )
-            elapsed = time.perf_counter() - start
-            report = TrainingReport(
-                samples=len(x),
-                epochs=history.epochs_run,
-                train_seconds=elapsed,
-                test_mare=mare,
-                test_mare_std=mare_std,
-                constant_mare=constant_mare,
-                diverged=diverged,
-                adjustment_mae=self.adjuster.mae,
-                adjustment_sign=self.adjuster.sign,
-                mode="incremental",
-                new_rows=len(ids),
-                replayed_rows=n_replayed,
-            )
+        # Replayed history first, fresh rows after: chronological.
+        window = {
+            name: np.concatenate((column, fresh[name]))
+            for name, column in replayed.items() if name != "id"
+        }
+        batch_ids = np.concatenate((replay_ids, ids))
+        weights = np.concatenate(
+            (replay_weights, np.ones(len(ids), dtype=np.float64))
+        )
+        x = self.pipeline.transform_features(window)
+        y = self.pipeline.transform_target(window)
+        if self.capture_provenance:
+            self.last_feature_digest = _digest(x)
+        optimizer = get_optimizer(
+            self.config.optimizer, learning_rate=self.config.learning_rate
+        )
+        history = self.model.fit(
+            x, y,
+            epochs=ONLINE_EPOCHS,
+            optimizer=optimizer,
+            sample_weight=weights,
+        )
+        # -- refresh priorities and calibration ------------------------
+        post_pred = self.pipeline.inverse_transform_target(
+            self.model.predict(x).ravel()
+        )
+        post_true = self.pipeline.inverse_transform_target(y)
+        scale = np.maximum(np.abs(post_true), 1e-12)
+        residuals = np.abs(post_pred - post_true) / scale
+        self.replay.update_priorities(batch_ids, residuals)
+        fresh_post_pred = post_pred[n_replayed:]
+        fresh_post_true = post_true[n_replayed:]
+        self.adjuster.fit(fresh_post_pred, fresh_post_true)
+        diverged = bool(
+            history.diverged
+            or is_diverged(fresh_post_pred, fresh_post_true)
+        )
+        elapsed = time.perf_counter() - start
+        report = TrainingReport(
+            samples=len(x),
+            epochs=history.epochs_run,
+            train_seconds=elapsed,
+            test_mare=mare,
+            test_mare_std=mare_std,
+            constant_mare=constant_mare,
+            diverged=diverged,
+            adjustment_mae=self.adjuster.mae,
+            adjustment_sign=self.adjuster.sign,
+            mode="incremental",
+            new_rows=len(ids),
+            replayed_rows=n_replayed,
+        )
         return self._finish(report)
 
     def oldest_readable_row(self, db: ReplayDB) -> int:
@@ -588,15 +582,14 @@ class DRLEngine:
         step = 16 * -(-PROBE_BLOCK_ROWS // (16 * n_fsids))
         n_blocks = max(1, n_bases // step)
         scores = np.empty((n_bases, n_fsids), dtype=np.float64)
-        with self.obs.span("model_predict", rows=n_bases * n_fsids):
-            for block in range(n_blocks):
-                start = block * step
-                stop = n_bases if block == n_blocks - 1 else start + step
-                scores[start:stop] = self._throughput(
-                    self.pipeline.build_location_probe_block(
-                        bases[start:stop], locations
-                    )
-                ).reshape(-1, n_fsids)
+        for block in range(n_blocks):
+            start = block * step
+            stop = n_bases if block == n_blocks - 1 else start + step
+            scores[start:stop] = self._throughput(
+                self.pipeline.build_location_probe_block(
+                    bases[start:stop], locations
+                )
+            ).reshape(-1, n_fsids)
         return scores
 
     def _throughput(self, probe: np.ndarray) -> np.ndarray:
@@ -637,12 +630,11 @@ class DRLEngine:
                 stays[start:stop] = fsid
         away = np.flatnonzero(~np.isnan(stays))
         if len(away):
-            with self.obs.span("model_predict", rows=len(away)):
-                stays[away] = self._throughput(
-                    self.pipeline.build_location_probe_rows(
-                        raw[away], stays[away]
-                    )
+            stays[away] = self._throughput(
+                self.pipeline.build_location_probe_rows(
+                    raw[away], stays[away]
                 )
+            )
         return stays
 
     def _gather_probe_bases(
@@ -760,48 +752,47 @@ class DRLEngine:
             raise ModelError("engine must be trained before predicting")
         if not device_by_fsid:
             raise ModelError("no candidate locations supplied")
-        with self.obs.span("propose_layout", files=len(fids)):
-            per_fid, raw = self._gather_probe_bases(db, fids)
-            layout: dict[int, str] = {}
-            gains: dict[int, float] = {}
-            if self.capture_provenance:
-                self.last_candidates = {}
-            if raw is None:
-                self.last_predicted_mean = None
-                return layout, gains
-            probed = [fid for fid in fids if fid in per_fid]
-            starts, stops, currents = (
-                np.array(column) for column in
-                zip(*(per_fid[fid] for fid in probed))
-            )
-            fsids = self._probe_devices(db, device_by_fsid)
-            unprobed = set(device_by_fsid).difference(fsids)
-            grid = self._score_locations(raw, fsids)
-            if unprobed:
-                grid = np.column_stack((
-                    grid, self._score_stays(raw, per_fid.values(), unprobed)
-                ))
-            # Average the per-location scores over several recent
-            # accesses: a single access's features carry noise (burst
-            # position, request size) that would otherwise whipsaw
-            # placements.
-            means = _ordered_span_sums(grid, starts, stops) / (
-                stops - starts
-            )[:, None]
-            chosen_scores: list[float] = []
-            for fid, current_fsid, row in zip(
-                probed, currents.tolist(), means.tolist()
-            ):
-                scores = dict(zip(fsids, row))
-                if current_fsid in unprobed:
-                    scores[current_fsid] = row[-1]
-                best, gain = self._choose_placement(scores, current_fsid)
-                layout[fid] = device_by_fsid[best]
-                gains[fid] = gain
-                chosen_scores.append(scores[best])
-                if self.capture_provenance:
-                    self.last_candidates[fid] = scores
-            self.last_predicted_mean = (
-                float(np.mean(chosen_scores)) if chosen_scores else None
-            )
+        per_fid, raw = self._gather_probe_bases(db, fids)
+        layout: dict[int, str] = {}
+        gains: dict[int, float] = {}
+        if self.capture_provenance:
+            self.last_candidates = {}
+        if raw is None:
+            self.last_predicted_mean = None
             return layout, gains
+        probed = [fid for fid in fids if fid in per_fid]
+        starts, stops, currents = (
+            np.array(column) for column in
+            zip(*(per_fid[fid] for fid in probed))
+        )
+        fsids = self._probe_devices(db, device_by_fsid)
+        unprobed = set(device_by_fsid).difference(fsids)
+        grid = self._score_locations(raw, fsids)
+        if unprobed:
+            grid = np.column_stack((
+                grid, self._score_stays(raw, per_fid.values(), unprobed)
+            ))
+        # Average the per-location scores over several recent
+        # accesses: a single access's features carry noise (burst
+        # position, request size) that would otherwise whipsaw
+        # placements.
+        means = _ordered_span_sums(grid, starts, stops) / (
+            stops - starts
+        )[:, None]
+        chosen_scores: list[float] = []
+        for fid, current_fsid, row in zip(
+            probed, currents.tolist(), means.tolist()
+        ):
+            scores = dict(zip(fsids, row))
+            if current_fsid in unprobed:
+                scores[current_fsid] = row[-1]
+            best, gain = self._choose_placement(scores, current_fsid)
+            layout[fid] = device_by_fsid[best]
+            gains[fid] = gain
+            chosen_scores.append(scores[best])
+            if self.capture_provenance:
+                self.last_candidates[fid] = scores
+        self.last_predicted_mean = (
+            float(np.mean(chosen_scores)) if chosen_scores else None
+        )
+        return layout, gains

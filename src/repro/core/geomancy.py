@@ -278,22 +278,21 @@ class Geomancy:
         trace_id = (
             self.causal.stamp_command() if self.causal is not None else None
         )
-        with self.obs.span("movement_dispatch", files=len(layout)):
-            txn = (
-                self.journal.log_intent(layout, t=t)
-                if self.journal is not None
-                else None
+        txn = (
+            self.journal.log_intent(layout, t=t)
+            if self.journal is not None
+            else None
+        )
+        self.daemon.send_layout(layout, at=t, trace_id=trace_id)
+        command = self.commands.receive()
+        if not isinstance(command, LayoutCommand):
+            raise AgentError(
+                f"command channel carried {type(command).__name__}"
             )
-            self.daemon.send_layout(layout, at=t, trace_id=trace_id)
-            command = self.commands.receive()
-            if not isinstance(command, LayoutCommand):
-                raise AgentError(
-                    f"command channel carried {type(command).__name__}"
-                )
-            movements = self.control.execute(command)
-            self.daemon.record_movements(movements)
-            if txn is not None:
-                self.journal.log_commit(txn, movements, t=t)
+        movements = self.control.execute(command)
+        self.daemon.record_movements(movements)
+        if txn is not None:
+            self.journal.log_commit(txn, movements, t=t)
         if self.causal is not None:
             # record_movements is the only movements-table writer on this
             # plane, so insert order names the rowids just written.
@@ -537,8 +536,7 @@ class Geomancy:
         # rescued before (and regardless of) any other layout.
         rescue = self._rescue_layout(available)
         if rescue:
-            with self.obs.span("rescue", files=len(rescue)):
-                rescued = self.dispatch(rescue, t, kind="rescue")
+            rescued = self.dispatch(rescue, t, kind="rescue")
             outcome.movements.extend(rescued)
             outcome.rescued_files = sum(1 for m in rescued if m.succeeded)
             self._m_rescued.inc(outcome.rescued_files)

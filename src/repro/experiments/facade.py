@@ -6,7 +6,7 @@ Three optional stages plug into that one loop: :class:`Faults` (a fault
 schedule, failing migrations, a lossy telemetry link), :class:`Checkpoints`
 (write-ahead journal, atomic checkpoints that are also the guardrail's
 known-good layouts, an injected kill for tests) and :class:`Exports`
-(Prometheus, JSONL snapshots, Chrome trace, cProfile, SLO feed).  Every
+(Prometheus, JSONL snapshots, a layer trace, cProfile, SLO feed).  Every
 run keeps the same books -- invariant violations, rescued and stranded
 files, recovery times -- and returns one :class:`FacadeRun`.
 :func:`resume_facade` finishes a killed run from its checkpoint directory
@@ -37,12 +37,9 @@ from repro.faults.invariants import cluster_invariant_violations
 from repro.faults.schedule import FaultSchedule
 from repro.nn.serialization import load_weights
 from repro.observability import Observability, get_observability, use
-from repro.observability.profiling import (
-    ProfileReport,
-    profile_call,
-    span_attribution,
-)
+from repro.observability.profiling import ProfileReport, profile_call
 from repro.observability.slo import ControlPlaneSLOFeed, SLOMonitor
+from repro.observability.tracing import Recorder, facade_layers
 from repro.recovery.checkpoint import CheckpointManager
 from repro.recovery.journal import LayoutJournal
 from repro.recovery.snapshot import capture_system, restore_system
@@ -108,15 +105,15 @@ class Checkpoints:
 
 @dataclass(frozen=True)
 class Exports:
-    """The exports stage: Prometheus dump, JSONL snapshots, Chrome trace,
-    cProfile over the measured phase, the stock SLOs after every run."""
+    """The exports stage: Prometheus dump, JSONL snapshots, cProfile over
+    the measured phase, the stock SLOs after every run; a ``trace_path``
+    traces the measured phase's layers (:mod:`repro.observability.tracing`)
+    and writes their spans as a Chrome trace."""
 
     metrics_path: str | os.PathLike | None = None
     snapshot_path: str | os.PathLike | None = None
     snapshot_every: int = 1
     trace_path: str | os.PathLike | None = None
-    #: share of ticks traced by the instance ``run_facade`` builds
-    sample_rate: float = 1.0
     profile: bool = False
     slo: bool = False
     queue_delay_threshold_s: float = 0.05
@@ -164,6 +161,8 @@ class FacadeRun:
     #: files the exports landed in (absent keys were not requested)
     artifacts: dict[str, str] = field(default_factory=dict)
     profile: ProfileReport | None = None
+    #: the measured phase's layer recorder (None unless traced)
+    trace: Recorder | None = field(default=None, repr=False, compare=False)
     #: final SLO burn-rate statuses (None without the SLO feed)
     slo: list[dict] | None = None
 
@@ -221,24 +220,37 @@ class FacadeRun:
         return table
 
     def observed_text(self, profile_top: int = 15) -> str:
-        """The ``run`` report: counts, artifacts, spans, profile, SLOs."""
+        """The ``run`` report: counts, artifacts, layers, profile, SLOs."""
         obs = self.geo.obs
         table = self._table("Instrumented run", [
             ("files moved", sum(1 for m in self.movements if m.succeeded)),
-            ("spans recorded", len(obs.tracer.spans)),
+            ("spans recorded", len(self.trace.spans) if self.trace else 0),
             ("bus events", len(obs.bus)),
             ("metrics registered",
              sum(len(group) for group in obs.metrics.snapshot().values())),
         ])
         for kind, path in sorted(self.artifacts.items()):
             table += f"\n{kind}: {path}"
-        if obs.tracer.spans:
-            table += "\n\n" + span_attribution(obs.tracer).to_text()
+        if self.trace is not None:
+            table += "\n\n" + _trace_text(self.trace)
         if self.profile is not None:
             table += "\n" + self.profile.top_table(profile_top)
         if self.slo is not None:
             table += "\n\n" + _slo_text(self.slo)
         return table
+
+
+def _trace_text(trace: Recorder) -> str:
+    """The traced measured phase as the ``run`` report's layer table."""
+    wall = trace.wall_s
+    return ascii_table(
+        ["layer", "calls", "self s", "share"],
+        [
+            (layer, calls, f"{seconds:.4f}", f"{100 * seconds / wall:.1f}%")
+            for layer, calls, seconds in trace.layer_rows()
+        ],
+        title=f"Per-layer self time (measured phase, {wall:.4f} s wall)",
+    )
 
 
 def _slo_text(statuses: list[dict]) -> str:
@@ -294,32 +306,27 @@ def run_measured_loop(
 ) -> None:
     """The measured phase: run, consult, book-keep -- once per run number.
 
-    Every run is one observability tick: the injector's faults fire after
-    each access and at the run's end, the records go through the agents
-    and are flushed, then ``geo.after_run`` hears the run's mean GB/s (an
-    enabled guardrail holds it against the prediction).  ``each_run(run,
-    per-access GB/s, outcome)`` keeps the run's books and may raise to
-    abandon the loop.  The injector is uninstalled after the last run.
+    Every run: the injector's faults fire after each access and at the
+    run's end, the records go through the agents and are flushed, then
+    ``geo.after_run`` hears the run's mean GB/s (an enabled guardrail
+    holds it against the prediction).  ``each_run(run, per-access GB/s,
+    outcome)`` keeps the run's books and may raise to abandon the loop.
+    The injector is uninstalled after the last run.
     """
-    obs = geo.obs
     for run_number in runs:
-        with obs.tick(run_number):
-            with obs.span("simulator_advance"):
-                records = runner.run_once(
-                    advance_hook=injector.advance if injector else None
-                ).records
-                if injector is not None:
-                    injector.advance(runner.clock.now)
-            with obs.span("telemetry_collect", records=len(records)):
-                geo.observe_records(records)
-            with obs.span("telemetry_flush"):
-                geo.flush_telemetry(at=runner.clock.now)
-            run_gbps = [float(record.throughput_gbps) for record in records]
-            outcome = geo.after_run(
-                run_number,
-                runner.clock.now,
-                realized_gbps=float(np.mean(run_gbps)) if run_gbps else None,
-            )
+        records = runner.run_once(
+            advance_hook=injector.advance if injector else None
+        ).records
+        if injector is not None:
+            injector.advance(runner.clock.now)
+        geo.observe_records(records)
+        geo.flush_telemetry(at=runner.clock.now)
+        run_gbps = [float(record.throughput_gbps) for record in records]
+        outcome = geo.after_run(
+            run_number,
+            runner.clock.now,
+            realized_gbps=float(np.mean(run_gbps)) if run_gbps else None,
+        )
         each_run(run_number, run_gbps, outcome)
     if injector is not None:
         injector.uninstall()
@@ -345,9 +352,7 @@ def run_facade(
     exports stage runs the disabled twin through the identical path.
     """
     if obs is None:
-        obs = get_observability() if exports is None else Observability(
-            trace_sample_rate=exports.sample_rate
-        )
+        obs = get_observability() if exports is None else Observability()
     mgr = journal = None
     if checkpoints is not None:
         mgr = CheckpointManager(checkpoints.directory, keep=checkpoints.keep)
@@ -579,6 +584,12 @@ def _drive(
         run_measured_loop, geo, runner,
         range(books["next_run"], meta["scale"]["runs"] + 1), injector, each_run,
     )
+    trace = None
+    if exports is not None and exports.trace_path is not None:
+        trace = Recorder()
+        for part, layer in facade_layers(geo, runner):
+            trace.wrap(part, layer)
+        measured_phase = partial(trace.measure, measured_phase)
     report = None
     if exports is not None and exports.profile:
         report = profile_call(measured_phase)
@@ -593,13 +604,13 @@ def _drive(
         artifacts["metrics"] = str(path)
     if exports is not None and exports.snapshot_path is not None:
         artifacts["metrics_snapshots"] = str(Path(exports.snapshot_path))
-    if exports is not None and exports.trace_path is not None:
+    if trace is not None:
         path = Path(exports.trace_path)
         path.parent.mkdir(parents=True, exist_ok=True)
         # The provenance ledger contributes a causal track (batches and
-        # decisions as linked spans) alongside the tracer's own spans.
+        # decisions as linked spans) alongside the layers' spans.
         extra = geo.ledger.chrome_events() if geo.ledger is not None else None
-        obs.tracer.export_chrome(path, extra_events=extra)
+        trace.export_chrome(path, extra_events=extra)
         artifacts["trace"] = str(path)
     if exports is not None and geo.ledger is not None and geo.ledger.path:
         artifacts["provenance"] = str(geo.ledger.path)
@@ -626,6 +637,7 @@ def _drive(
         warnings=list(loaded.warnings) if loaded is not None else [],
         artifacts=artifacts,
         profile=report,
+        trace=trace,
         slo=None if slo_feed is None else [
             status.to_dict()
             for status in slo_feed.monitor.evaluate(runner.clock.now)

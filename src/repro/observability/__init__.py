@@ -1,14 +1,18 @@
-"""Unified observability: metrics, tracing, events, logs, profiling.
+"""Unified observability: metrics, events, logs, tracing, profiling.
 
-One :class:`Observability` object bundles the three always-on telemetry
+One :class:`Observability` object bundles the two always-on telemetry
 surfaces the stack instruments against:
 
 * :class:`~repro.observability.metrics.MetricsRegistry` -- counters,
   gauges, fixed-bucket histograms (Prometheus text + JSONL snapshots);
-* :class:`~repro.observability.tracing.Tracer` -- nested spans with
-  per-tick trace ids and Chrome-trace export;
 * :class:`~repro.observability.events.EventBus` -- typed structured
   events in one bounded history (the recovery ``EventLog`` rides on it).
+
+Timing is opt-in per run and comes from outside the code it times: a
+:class:`~repro.observability.tracing.Recorder` wraps the public methods
+of a run's objects and charges them to layers (``repro run --trace``),
+:func:`~repro.observability.profiling.profile_call` runs cProfile
+(``--profile``).
 
 Instrumented modules resolve the *installed* instance through
 :func:`get_observability` at construction time and cache the handles
@@ -31,7 +35,6 @@ from contextlib import contextmanager
 
 from repro.observability.events import Event, EventBus
 from repro.observability.metrics import DEFAULT_BUCKETS, MetricsRegistry
-from repro.observability.tracing import Tracer
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -39,7 +42,6 @@ __all__ = [
     "EventBus",
     "MetricsRegistry",
     "Observability",
-    "Tracer",
     "get_observability",
     "install",
     "uninstall",
@@ -48,23 +50,11 @@ __all__ = [
 
 
 class Observability:
-    """Metrics + tracer + event bus behind one enable switch."""
+    """Metrics + event bus behind one enable switch."""
 
-    def __init__(
-        self,
-        *,
-        enabled: bool = True,
-        trace_sample_rate: float = 1.0,
-    ) -> None:
+    def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = bool(enabled)
         self.metrics = MetricsRegistry(enabled=self.enabled)
-        self.tracer = Tracer(
-            enabled=self.enabled, sample_rate=trace_sample_rate
-        )
-        self.tracer._drop_counter = self.metrics.counter(
-            "repro_trace_spans_dropped_total",
-            "spans discarded after the tracer hit its retention cap",
-        )
         # A disabled instance keeps no history: every default-constructed
         # EventLog bridges here, and the process-global default must not
         # accumulate events across runs.
@@ -79,12 +69,6 @@ class Observability:
 
     def histogram(self, name: str, help: str = "", buckets=None):
         return self.metrics.histogram(name, help, buckets)
-
-    def span(self, name: str, **args):
-        return self.tracer.span(name, **args)
-
-    def tick(self, tick_id: int):
-        return self.tracer.tick(tick_id)
 
     def emit(self, kind: str, *, t: float, step: int, **detail) -> Event:
         return self.bus.emit(kind, t=t, step=step, **detail)

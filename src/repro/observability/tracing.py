@@ -1,251 +1,152 @@
-"""Span-based control-loop tracing with Chrome-trace export.
+"""Boundary tracing: a run's layers timed from outside, at public methods.
 
-A :class:`Tracer` records *spans*: named wall/CPU-timed intervals that
-nest (each span remembers its parent, forming a tree per control tick).
-The control loop opens a root span per tick via :meth:`Tracer.tick`, so
-"where did tick 4812 spend its time" is answerable by filtering spans on
-their tick id.  Usage::
+A :class:`Recorder` wraps every public method of one object *instance*
+(:meth:`Recorder.wrap` sets instance attributes; the class and every
+other instance stay as they were) and charges each call to the layer
+that object belongs to.  Spans nest through one stack, so a span's
+**self time** is its duration minus its child spans, and a layer's self
+time is the sum over its spans: self times never overlap, so they add up
+to the time spent inside wrapped calls, and what is left of the traced
+wall is the caller's own (unattributed) time.  :func:`facade_layers`
+maps the parts of a facade run onto layers.
 
-    with tracer.tick(run_number):
-        with tracer.span("train_step", samples=n):
-            ...
-
-Export is the Chrome-trace JSON event format (open the file in
-``chrome://tracing`` or https://ui.perfetto.dev): complete ``"ph": "X"``
-events whose nesting is implied by time containment on one thread track.
-
-Ticks can be *sampled*: with ``sample_rate=0.1`` only every 10th tick
-records spans (deterministically by tick id -- no RNG, so tracing never
-perturbs seeded experiments).  A disabled tracer hands out one shared
-no-op span, so the instrumented hot path pays a method call and a branch.
+Nothing is wrapped unless a run asks for a trace, so an untraced run
+pays nothing, and a recorder never touches an RNG or the simulated
+clock, so a traced run makes the same decisions as an untraced one.
+Spans are kept for a Chrome-trace export (open it in
+``chrome://tracing`` or https://ui.perfetto.dev) up to :data:`MAX_SPANS`;
+later ones are counted as dropped while self times keep adding up.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import time
+from collections import Counter
+from pathlib import Path
 
-from repro.errors import ConfigurationError
-from repro.observability.logs import get_logger
-from repro.observability.metrics import NULL_COUNTER
-
-logger = get_logger("observability.tracing")
-
-#: hard cap on retained spans -- a runaway loop must not eat the heap
+#: spans kept for the Chrome trace -- a long run must not eat the heap
 MAX_SPANS = 200_000
 
 
-class _NullSpan:
-    """Shared no-op context manager for disabled/unsampled tracing."""
+class Recorder:
+    """Self time, calls and spans per layer for one traced run."""
 
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-NULL_SPAN = _NullSpan()
-
-
-class _Span:
-    """One live span; records itself on the tracer at exit."""
-
-    __slots__ = ("tracer", "name", "args", "start", "cpu_start", "parent")
-
-    def __init__(self, tracer: "Tracer", name: str, args: dict | None) -> None:
-        self.tracer = tracer
-        self.name = name
-        self.args = args
-
-    def __enter__(self) -> "_Span":
-        tracer = self.tracer
-        self.parent = tracer._stack[-1] if tracer._stack else None
-        tracer._stack.append(self.name)
-        self.cpu_start = time.process_time()
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        end = time.perf_counter()
-        cpu_end = time.process_time()
-        tracer = self.tracer
-        tracer._stack.pop()
-        tracer._record(
-            self.name,
-            self.start,
-            end - self.start,
-            cpu_end - self.cpu_start,
-            self.parent,
-            self.args,
-        )
-
-
-class Tracer:
-    """Collects nested spans; exports Chrome-trace JSON."""
-
-    def __init__(
-        self,
-        *,
-        enabled: bool = True,
-        sample_rate: float = 1.0,
-    ) -> None:
-        if not 0.0 < sample_rate <= 1.0:
-            raise ConfigurationError(
-                f"sample_rate must be in (0, 1], got {sample_rate}"
-            )
-        self.enabled = bool(enabled)
-        self.sample_rate = float(sample_rate)
-        #: record every Nth tick (1 = all); derived once from sample_rate
-        self._tick_stride = max(1, round(1.0 / sample_rate))
-        self._epoch = time.perf_counter()
-        self._stack: list[str] = []
-        self._tick: int | None = None
-        self._in_unsampled_tick = False
-        self.spans: list[dict] = []
+    def __init__(self) -> None:
+        #: layer -> self seconds, in the order layers were first wrapped
+        self.self_s: dict[str, float] = {}
+        #: layer -> wrapped calls into it
+        self.calls: Counter = Counter()
+        #: ``(layer.method, layer, start, duration)`` per finished span
+        self.spans: list[tuple[str, str, float, float]] = []
         self.dropped = 0
-        #: wired to ``repro_trace_spans_dropped_total`` by the
-        #: Observability bundle; stays null for a bare tracer
-        self._drop_counter = NULL_COUNTER
+        #: wall seconds of the traced call (:meth:`measure`)
+        self.wall_s = 0.0
+        self._origin = time.perf_counter()
+        #: child seconds of each open span, innermost last
+        self._stack: list[float] = []
+        self._wrapped: list[tuple[object, str]] = []
 
-    def __len__(self) -> int:
-        return len(self.spans)
+    def wrap(self, obj: object, layer: str) -> None:
+        """Charge every public method of ``obj`` (this instance) to ``layer``."""
+        self.self_s.setdefault(layer, 0.0)
+        for name, _ in inspect.getmembers(type(obj), inspect.isfunction):
+            if not name.startswith("_"):
+                setattr(obj, name, self._timed(getattr(obj, name), layer, name))
+                self._wrapped.append((obj, name))
 
-    # -- recording -------------------------------------------------------
-    def _record(
-        self,
-        name: str,
-        start: float,
-        wall: float,
-        cpu: float,
-        parent: str | None,
-        args: dict | None,
-    ) -> None:
-        if len(self.spans) >= MAX_SPANS:
-            self.dropped += 1
-            self._drop_counter.inc()
-            if self.dropped == 1:
-                logger.warning(
-                    "span cap of %d reached; further spans are dropped "
-                    "(counted in repro_trace_spans_dropped_total)",
-                    MAX_SPANS,
-                )
-            return
-        self.spans.append(
-            {
-                "name": name,
-                "ts": start - self._epoch,
-                "dur": wall,
-                "cpu": cpu,
-                "tick": self._tick,
-                "parent": parent,
-                "args": args,
-            }
-        )
+    def _timed(self, inner, layer: str, name: str):
+        label = f"{layer}.{name}"
+        stack = self._stack
 
-    def span(self, name: str, **args) -> "_Span | _NullSpan":
-        """A context manager timing one named interval."""
-        if not self.enabled or self._in_unsampled_tick:
-            return NULL_SPAN
-        return _Span(self, name, args or None)
+        def timed(*args, **kwargs):
+            stack.append(0.0)
+            start = time.perf_counter()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                duration = time.perf_counter() - start
+                self.self_s[layer] += duration - stack.pop()
+                self.calls[layer] += 1
+                if stack:
+                    stack[-1] += duration
+                if len(self.spans) < MAX_SPANS:
+                    self.spans.append((label, layer, start, duration))
+                else:
+                    self.dropped += 1
 
-    def tick(self, tick_id: int) -> "_Span | _NullSpan":
-        """The per-tick root span; children carry ``tick_id`` as trace id.
+        return timed
 
-        Sampling is deterministic in the tick id, so a seeded experiment
-        traces the same ticks run after run.
-        """
-        if not self.enabled:
-            return NULL_SPAN
-        sampled = tick_id % self._tick_stride == 0
-        return _Tick(self, int(tick_id), sampled)
+    def measure(self, fn):
+        """Call ``fn()`` as the traced run, its wall in :attr:`wall_s`;
+        every wrapped method is restored when it returns."""
+        start = time.perf_counter()
+        try:
+            return fn()
+        finally:
+            self.wall_s = time.perf_counter() - start
+            for obj, name in self._wrapped:
+                delattr(obj, name)
+            self._wrapped.clear()
 
-    # -- analysis --------------------------------------------------------
-    def aggregate(self) -> dict[str, dict]:
-        """Per-span-name totals: count, wall seconds, CPU seconds."""
-        out: dict[str, dict] = {}
-        for span in self.spans:
-            entry = out.setdefault(
-                span["name"], {"count": 0, "wall_s": 0.0, "cpu_s": 0.0}
-            )
-            entry["count"] += 1
-            entry["wall_s"] += span["dur"]
-            entry["cpu_s"] += span["cpu"]
-        return out
+    def layer_rows(self) -> list[tuple[str, int | str, float]]:
+        """``(layer, calls, self seconds)`` per layer, then the
+        unattributed rest of :attr:`wall_s`: the rows add up to it."""
+        rest = self.wall_s - sum(self.self_s.values())
+        return [
+            *((layer, self.calls[layer], s) for layer, s in self.self_s.items()),
+            ("(unattributed)", "", rest),
+        ]
 
-    # -- export ----------------------------------------------------------
     def chrome_trace(self, extra_events: list[dict] | None = None) -> dict:
-        """The Chrome-trace JSON object (``traceEvents`` complete events).
-
-        ``extra_events`` are appended verbatim -- the hook the causal
-        provenance layer uses to add its linked batch/decision track
-        (see :meth:`~repro.observability.provenance.ProvenanceLedger.chrome_events`).
-        """
-        events = []
-        for span in self.spans:
-            args = dict(span["args"]) if span["args"] else {}
-            if span["tick"] is not None:
-                args["tick"] = span["tick"]
-            if span["parent"] is not None:
-                args["parent"] = span["parent"]
-            args["cpu_ms"] = round(span["cpu"] * 1e3, 6)
-            events.append(
-                {
-                    "name": span["name"],
-                    "cat": "repro",
-                    "ph": "X",
-                    "ts": round(span["ts"] * 1e6, 3),
-                    "dur": round(span["dur"] * 1e6, 3),
-                    "pid": 1,
-                    "tid": 1,
-                    "args": args,
-                }
-            )
-        if extra_events:
-            events.extend(extra_events)
+        """The Chrome-trace JSON object: one complete event per kept span,
+        nested by time containment; ``extra_events`` (the provenance
+        ledger's causal track) are appended verbatim."""
+        events = [
+            {
+                "name": label,
+                "cat": layer,
+                "ph": "X",
+                "ts": round((start - self._origin) * 1e6, 3),
+                "dur": round(duration * 1e6, 3),
+                "pid": 1,
+                "tid": 1,
+            }
+            for label, layer, start, duration in self.spans
+        ]
         return {
-            "traceEvents": events,
+            "traceEvents": events + (extra_events or []),
             "displayTimeUnit": "ms",
             "otherData": {"dropped_spans": self.dropped},
         }
 
     def export_chrome(
-        self,
-        path: str | os.PathLike,
-        extra_events: list[dict] | None = None,
-    ) -> int:
-        """Write :meth:`chrome_trace` to ``path``; returns the span count."""
-        with open(path, "w", encoding="utf-8") as sink:
-            json.dump(self.chrome_trace(extra_events), sink)
-        return len(self.spans)
+        self, path: str | os.PathLike, extra_events: list[dict] | None = None
+    ) -> None:
+        """Write :meth:`chrome_trace` to ``path`` (one ``dumps``: its C
+        encoder, where ``json.dump`` streams through the Python one)."""
+        Path(path).write_text(
+            json.dumps(self.chrome_trace(extra_events)), encoding="utf-8"
+        )
 
 
-class _Tick(_Span):
-    """Root span for one control tick; gates sampling for its children."""
-
-    __slots__ = ("tick_id", "sampled", "_prev_tick", "_prev_unsampled")
-
-    def __init__(self, tracer: Tracer, tick_id: int, sampled: bool) -> None:
-        super().__init__(tracer, "tick", {"n": tick_id})
-        self.tick_id = tick_id
-        self.sampled = sampled
-
-    def __enter__(self) -> "_Tick":
-        tracer = self.tracer
-        self._prev_tick = tracer._tick
-        self._prev_unsampled = tracer._in_unsampled_tick
-        tracer._tick = self.tick_id
-        tracer._in_unsampled_tick = not self.sampled
-        if self.sampled:
-            super().__enter__()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        tracer = self.tracer
-        if self.sampled:
-            super().__exit__(*exc)
-        tracer._tick = self._prev_tick
-        tracer._in_unsampled_tick = self._prev_unsampled
+def facade_layers(geo, runner) -> list[tuple[object, str]]:
+    """Each part of a facade run, with the layer its calls are charged to."""
+    engine = geo.engine
+    return [
+        (runner, "workloads"),
+        (geo.cluster, "simulation"),
+        *((monitor, "agents.monitoring") for monitor in geo.monitors.values()),
+        (geo.telemetry, "agents.transport"),
+        (geo.commands, "agents.transport"),
+        (geo.daemon, "agents.daemon"),
+        (geo.control, "agents.control"),
+        (geo.db, "replaydb"),
+        (engine.pipeline, "features"),
+        (engine.model, "nn"),
+        (engine, "engine"),
+        (geo.checker, "action_checker"),
+        (geo, "geomancy"),
+    ]

@@ -10,6 +10,7 @@ from repro.core.engine import DRLEngine
 from repro.errors import ConfigurationError, ModelError
 from repro.nn.serialization import _weight_arrays, load_weights, save_weights
 from repro.observability import Observability
+from repro.observability.tracing import Recorder
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord
 from tests.nn.test_flat_parameters import assert_homed
@@ -315,13 +316,20 @@ class TestTelemetry:
         assert seconds.count >= 1
 
     def test_incremental_cycle_traced(self, db):
-        obs = Observability()
-        engine = DRLEngine(make_config(), obs=obs)
+        engine = DRLEngine(make_config())
+        recorder = Recorder()
+        recorder.wrap(engine, "engine")
+        recorder.wrap(engine.model, "nn")
         engine.train_incremental(db)
         db.insert_accesses(
             shifted_records(70, seed=51, start_t=1_600_010_000)
         )
         engine.train_incremental(db)
-        names = {span["name"] for span in obs.tracer.spans}
-        assert "train_incremental" in names
-        assert "model_fit" in names
+        # The bootstrap cycle and the incremental one each fit the model
+        # inside their train_incremental call.
+        cycles = [s for s in recorder.spans if s[0] == "engine.train_incremental"]
+        fits = [s for s in recorder.spans if s[0] == "nn.fit"]
+        assert len(cycles) == 2 and len(fits) == 2
+        for cycle, fit in zip(cycles, fits):
+            assert cycle[2] <= fit[2]
+            assert fit[2] + fit[3] <= cycle[2] + cycle[3]

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core import engine as engine_module
 from repro.core.engine import PROBE_BLOCK_ROWS
 from repro.observability import Observability
+from repro.observability.tracing import Recorder
 from tests.core.test_engine_batched import engine_and_db
 from tests.oracles.decision_loop import propose_layout_reference
 from tests.oracles.probe_grid import location_probe_batch
@@ -230,13 +231,18 @@ class TestCountersAndSpans:
             "repro_features_probe_rows_total",
         )
         before = obs.metrics.snapshot()["counters"]
-        first_span = len(obs.tracer.spans)
-        engine.propose_layout(db, db.files(), devices)
+        recorder = Recorder()
+        recorder.wrap(engine, "engine")
+        recorder.wrap(engine.model, "nn")
+        recorder.measure(lambda: engine.propose_layout(db, db.files(), devices))
         after = obs.metrics.snapshot()["counters"]
         assert [after[n] - before[n] for n in names] == [rows] * 3
-        spans = [
-            s for s in obs.tracer.spans[first_span:]
-            if s["name"] == "model_predict"
-        ]
-        assert [s["args"] for s in spans] == [{"rows": rows}]
-        assert spans[0]["parent"] == "propose_layout"
+        # One streamed pass over the probe: a forward pass per block, all
+        # of them inside the one propose_layout call.
+        (call,) = [s for s in recorder.spans if s[0] == "engine.propose_layout"]
+        predicts = [s for s in recorder.spans if s[0] == "nn.predict"]
+        assert len(predicts) == len(raw) // bases_per_block(len(devices))
+        assert all(
+            call[2] <= s[2] and s[2] + s[3] <= call[2] + call[3]
+            for s in predicts
+        )

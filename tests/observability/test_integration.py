@@ -68,45 +68,58 @@ class TestMetricsCoverage:
         assert ticks[-1] == result.runs_completed
 
 
-class TestTraceNesting:
-    def test_spans_nest_under_per_tick_roots(self, result):
-        trace = json.loads(Path(result.artifacts["trace"]).read_text())
-        events = trace["traceEvents"]
-        assert len(events) == len(result.geo.obs.tracer.spans) > 0
-        parents_of: dict[str, set] = {}
-        for e in events:
-            parents_of.setdefault(e["name"], set()).add(
-                e["args"].get("parent")
-            )
-        assert parents_of["tick"] == {None}
-        # telemetry -> train -> predict -> move, all under the tick root
-        assert parents_of["telemetry_collect"] == {"tick"}
-        assert parents_of["telemetry_flush"] == {"tick"}
-        # warm-up flushes land before any tick root exists
-        assert parents_of["replaydb_write"] <= {None, "telemetry_flush"}
-        assert "telemetry_flush" in parents_of["replaydb_write"]
-        assert parents_of["train_step"] == {"tick"}
-        assert parents_of["feature_pipeline"] == {"train_step"}
-        assert parents_of["model_fit"] == {"train_step"}
-        assert parents_of["propose_layout"] == {"tick"}
-        # the ranking-sanity gate probes the model too, so predictions
-        # nest under whichever decision step issued them
-        assert parents_of["model_predict"] <= {
-            "propose_layout", "ranking_check",
-        }
-        assert "propose_layout" in parents_of["model_predict"]
-        assert parents_of["action_check"] == {"tick"}
-        assert parents_of["movement_dispatch"] == {"tick"}
-        assert parents_of["simulator_advance"] == {"tick"}
+def _with_parents(events: list[dict]):
+    """``(event, innermost enclosing event or None)`` per span event; one
+    track, so nesting is time containment."""
+    stack: list[dict] = []
+    for event in sorted(events, key=lambda e: (e["ts"], -e["dur"])):
+        # ts and dur are rounded to the nanosecond separately
+        while stack and event["ts"] >= (
+            stack[-1]["ts"] + stack[-1]["dur"] - 0.002
+        ):
+            stack.pop()
+        yield event, stack[-1] if stack else None
+        stack.append(event)
 
-    def test_every_tick_has_a_root(self, result):
+
+class TestTraceNesting:
+    @pytest.fixture(scope="class")
+    def events(self, result):
         trace = json.loads(Path(result.artifacts["trace"]).read_text())
+        return trace["traceEvents"]
+
+    def test_layers_nest_along_the_control_loop(self, result, events):
+        assert len(events) == len(result.trace.spans) > 0
+        parents: dict[str, set] = {}
+        for event, parent in _with_parents(events):
+            parents.setdefault(event["cat"], set()).add(
+                parent["cat"] if parent else None
+            )
+        # the loop drives the workload and the facade; the facade drives
+        # the agents and the decision path; only the engine drives the
+        # feature pipeline and the network
+        assert parents["workloads"] == {None}
+        assert parents["geomancy"] - {"geomancy"} == {None}
+        for layer in ("agents.monitoring", "agents.daemon", "agents.control",
+                      "action_checker", "engine"):
+            assert parents[layer] - {layer} == {"geomancy"}, layer
+        assert parents["features"] - {"features"} == {"engine"}
+        assert parents["nn"] - {"nn"} == {"engine"}
+        # telemetry lands through the daemon, training windows are read
+        # by the engine
+        assert {"agents.daemon", "engine"} <= parents["replaydb"] <= {
+            "agents.daemon", "engine", "geomancy",
+        }
+
+    def test_every_run_is_one_root_per_phase(self, result, events):
         roots = [
-            e["args"]["tick"]
-            for e in trace["traceEvents"]
-            if e["name"] == "tick"
+            event["name"]
+            for event, parent in _with_parents(events)
+            if parent is None
         ]
-        assert roots == list(range(1, result.runs_completed + 1))
+        runs = result.runs_completed
+        assert roots.count("workloads.run_once") == runs
+        assert roots.count("geomancy.after_run") == runs
 
 
 class TestDeterminism:
@@ -120,7 +133,7 @@ class TestDeterminism:
         assert disabled.mean_gbps == result.mean_gbps
         assert disabled.accesses == result.accesses
         obs = disabled.geo.obs
-        assert obs.tracer.spans == [] and len(obs.bus) == 0
+        assert disabled.trace is None and len(obs.bus) == 0
         assert obs.metrics.render_prometheus() == ""
 
     def test_run_restores_the_process_default(self, result):

@@ -1,150 +1,212 @@
-"""Span nesting, deterministic sampling, and Chrome-trace export."""
+"""The boundary recorder: self time, instance-only wrapping, a balanced
+stack on exceptions, the span cap, and a traced facade run."""
 
+import itertools
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.experiments.facade import Exports, run_facade
+from repro.experiments.harness import make_experiment_config
+from repro.experiments.spec import TEST_SCALE
 from repro.observability import tracing
-from repro.observability.tracing import NULL_SPAN, Tracer
+from repro.observability.tracing import Recorder
 
 
-class TestNesting:
-    def test_child_records_parent(self):
-        tracer = Tracer()
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                pass
-        by_name = {span["name"]: span for span in tracer.spans}
-        assert by_name["outer"]["parent"] is None
-        assert by_name["inner"]["parent"] == "outer"
-        # Children close before parents, so inner is recorded first.
-        assert [span["name"] for span in tracer.spans] == ["inner", "outer"]
+class Inner:
+    def work(self):
+        return "done"
 
-    def test_tick_is_root_and_tags_children(self):
-        tracer = Tracer()
-        with tracer.tick(7):
-            with tracer.span("telemetry_collect"):
-                pass
-        collect, tick = tracer.spans
-        assert tick["name"] == "tick"
-        assert tick["args"] == {"n": 7}
-        assert collect["tick"] == 7
-        assert collect["parent"] == "tick"
-        assert tick["tick"] == 7
+    def fail(self):
+        raise ValueError("inner failure")
 
-    def test_span_args_recorded(self):
-        tracer = Tracer()
-        with tracer.span("train_step", samples=128):
-            pass
-        assert tracer.spans[0]["args"] == {"samples": 128}
+    def _private(self):
+        return "private"
 
 
-class TestSampling:
-    def test_stride_is_deterministic_in_tick_id(self):
-        tracer = Tracer(sample_rate=0.5)
-        for tick_id in range(1, 7):
-            with tracer.tick(tick_id):
-                with tracer.span("work"):
-                    pass
-        # Stride 2: only even tick ids record their spans.
-        assert {span["tick"] for span in tracer.spans} == {2, 4, 6}
-        assert len(tracer.spans) == 6  # work + tick root, 3 sampled ticks
+class Outer:
+    def __init__(self, inner):
+        self.inner = inner
 
-    def test_unsampled_tick_suppresses_children(self):
-        tracer = Tracer(sample_rate=0.5)
-        with tracer.tick(1):
-            assert tracer.span("work") is NULL_SPAN
-        assert tracer.spans == []
+    def call(self):
+        return self.inner.work()
 
-    def test_disabled_tracer_hands_out_null_spans(self):
-        tracer = Tracer(enabled=False)
-        assert tracer.span("work") is NULL_SPAN
-        assert tracer.tick(1) is NULL_SPAN
-        assert len(tracer) == 0
-
-    def test_sample_rate_validated(self):
-        with pytest.raises(ConfigurationError, match="sample_rate"):
-            Tracer(sample_rate=0.0)
+    def call_failing(self):
+        return self.inner.fail()
 
 
+def traced_pair():
+    recorder = Recorder()
+    inner = Inner()
+    outer = Outer(inner)
+    recorder.wrap(outer, "outer")
+    recorder.wrap(inner, "inner")
+    return recorder, outer, inner
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """The recorder's clock, one second per reading."""
+    readings = itertools.count()
+    monkeypatch.setattr(
+        tracing, "time",
+        SimpleNamespace(perf_counter=lambda: float(next(readings))),
+    )
+
+
+@pytest.mark.usefixtures("clock")
+class TestSelfTime:
+    def test_self_time_is_duration_minus_children(self):
+        recorder, outer, _ = traced_pair()
+        assert outer.call() == "done"
+        # readings: outer in 1, inner in 2, inner out 3, outer out 4
+        assert recorder.spans == [
+            ("inner.work", "inner", 2.0, 1.0),
+            ("outer.call", "outer", 1.0, 3.0),
+        ]
+        assert recorder.self_s == {"outer": 2.0, "inner": 1.0}
+        assert dict(recorder.calls) == {"outer": 1, "inner": 1}
+
+
+class TestWrapping:
+    def test_only_the_wrapped_instance_changes(self):
+        recorder = Recorder()
+        traced, untouched = Inner(), Inner()
+        recorder.wrap(traced, "inner")
+        assert "work" in vars(traced) and "fail" in vars(traced)
+        assert "_private" not in vars(traced)  # private methods stay
+        assert vars(untouched) == {}
+        assert Inner.work is Inner.__dict__["work"]
+        untouched.work()
+        assert recorder.spans == []
+        traced.work()
+        assert len(recorder.spans) == 1
+
+    def test_measure_restores_every_method(self):
+        recorder, outer, inner = traced_pair()
+        recorder.measure(outer.call)
+        assert vars(inner) == {} and set(vars(outer)) == {"inner"}
+        outer.call()
+        assert len(recorder.spans) == 2  # nothing recorded after measure
+
+    def test_exception_leaves_the_stack_balanced(self):
+        recorder, outer, _ = traced_pair()
+        with pytest.raises(ValueError, match="inner failure"):
+            outer.call_failing()
+        assert recorder._stack == []
+        assert [span[0] for span in recorder.spans] == [
+            "inner.fail", "outer.call_failing",
+        ]
+        # The next call nests and charges as if the failure never happened.
+        outer.call()
+        assert recorder._stack == []
+        assert dict(recorder.calls) == {"outer": 2, "inner": 2}
+
+
+@pytest.mark.usefixtures("clock")
 class TestCapAndAggregate:
     def test_drops_beyond_max_spans(self, monkeypatch):
-        monkeypatch.setattr(tracing, "MAX_SPANS", 2)
-        tracer = Tracer()
+        monkeypatch.setattr(tracing, "MAX_SPANS", 3)
+        recorder, outer, _ = traced_pair()
         for _ in range(4):
-            with tracer.span("work"):
-                pass
-        assert len(tracer.spans) == 2
-        assert tracer.dropped == 2
+            outer.call()
+        assert len(recorder.spans) == 3
+        assert recorder.dropped == 5
+        # Every call is timed, kept or dropped: 2 s outer + 1 s inner each.
+        assert recorder.self_s == {"outer": 8.0, "inner": 4.0}
+        assert dict(recorder.calls) == {"outer": 4, "inner": 4}
+        trace = recorder.chrome_trace()
+        assert trace["otherData"] == {"dropped_spans": 5}
+        assert len(trace["traceEvents"]) == 3
 
     def test_aggregate_totals(self):
-        tracer = Tracer()
-        for _ in range(3):
-            with tracer.span("work"):
-                pass
-        totals = tracer.aggregate()
-        assert totals["work"]["count"] == 3
-        assert totals["work"]["wall_s"] >= 0.0
+        recorder, outer, _ = traced_pair()
+        recorder.measure(lambda: [outer.call(), outer.call()])
+        assert recorder.wall_s == 9.0
+        assert recorder.layer_rows() == [
+            ("outer", 2, 4.0),
+            ("inner", 2, 2.0),
+            ("(unattributed)", "", 3.0),
+        ]
 
 
 class TestChromeTrace:
     def test_event_schema(self):
-        tracer = Tracer()
-        with tracer.tick(3):
-            with tracer.span("train_step", samples=8):
-                pass
-        trace = tracer.chrome_trace()
+        recorder, outer, _ = traced_pair()
+        outer.call()
+        causal = {"name": "decision 1", "ph": "X", "pid": 2, "tid": 2}
+        trace = recorder.chrome_trace(extra_events=[causal])
         assert trace["displayTimeUnit"] == "ms"
         assert trace["otherData"] == {"dropped_spans": 0}
-        train = next(
-            e for e in trace["traceEvents"] if e["name"] == "train_step"
+        inner_event, outer_event, extra = trace["traceEvents"]
+        assert extra == causal
+        assert outer_event["name"] == "outer.call"
+        assert outer_event["cat"] == "outer"
+        assert outer_event["ph"] == "X"
+        assert outer_event["pid"] == 1 and outer_event["tid"] == 1
+        # nesting is time containment on the one track
+        assert outer_event["ts"] <= inner_event["ts"]
+        assert (
+            inner_event["ts"] + inner_event["dur"]
+            <= outer_event["ts"] + outer_event["dur"] + 1e-3
         )
-        assert train["ph"] == "X"
-        assert train["cat"] == "repro"
-        assert train["pid"] == 1 and train["tid"] == 1
-        assert train["ts"] >= 0.0 and train["dur"] >= 0.0
-        assert train["args"]["tick"] == 3
-        assert train["args"]["parent"] == "tick"
-        assert "cpu_ms" in train["args"]
 
     def test_export_writes_valid_json(self, tmp_path):
-        tracer = Tracer()
-        with tracer.span("work"):
-            pass
+        recorder, outer, _ = traced_pair()
+        outer.call()
         path = tmp_path / "trace.json"
-        assert tracer.export_chrome(path) == 1
+        recorder.export_chrome(path)
         loaded = json.loads(path.read_text())
-        assert [e["name"] for e in loaded["traceEvents"]] == ["work"]
-
-
-class TestSpanCap:
-    def test_drops_are_counted_and_warned_once(self, monkeypatch, caplog):
-        import logging
-
-        monkeypatch.setattr(tracing, "MAX_SPANS", 2)
-        tracer = Tracer()
-
-        class _Counter:
-            value = 0.0
-
-            def inc(self, amount=1.0):
-                self.value += amount
-
-        tracer._drop_counter = _Counter()
-        with caplog.at_level(
-            logging.WARNING, logger="repro.observability.tracing"
-        ):
-            for _ in range(4):
-                with tracer.span("work"):
-                    pass
-        assert len(tracer.spans) == 2
-        assert tracer.dropped == 2
-        # The silent-drop satellite: the counter sees every drop, the log
-        # warns exactly once.
-        assert tracer._drop_counter.value == 2.0
-        warnings = [
-            r for r in caplog.records if "span cap" in r.getMessage()
+        assert [e["name"] for e in loaded["traceEvents"]] == [
+            "inner.work", "outer.call",
         ]
-        assert len(warnings) == 1
-        assert tracer.chrome_trace()["otherData"] == {"dropped_spans": 2}
+
+
+class TestTracedFacade:
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        def run(**exports):
+            return run_facade(
+                make_experiment_config(TEST_SCALE), scale=TEST_SCALE,
+                seed=0, exports=Exports(**exports),
+            )
+
+        path = tmp_path_factory.mktemp("traced") / "trace.json"
+        return run(trace_path=path), run()
+
+    def test_tracing_changes_no_decision(self, runs):
+        traced, untraced = runs
+        assert traced.movements
+        assert traced.movement_fingerprint() == untraced.movement_fingerprint()
+        assert traced.final_layout == untraced.final_layout
+        assert traced.mean_gbps == untraced.mean_gbps
+        assert untraced.trace is None
+
+    def test_every_layer_is_charged(self, runs):
+        trace = runs[0].trace
+        assert set(trace.self_s) == {
+            "workloads", "simulation", "agents.monitoring",
+            "agents.transport", "agents.daemon", "agents.control",
+            "replaydb", "features", "nn", "engine", "action_checker",
+            "geomancy",
+        }
+        assert trace.calls["workloads"] == TEST_SCALE.runs
+        assert all(trace.calls[layer] > 0 for layer in trace.self_s)
+        assert sum(row[2] for row in trace.layer_rows()) == pytest.approx(
+            trace.wall_s, abs=1e-9
+        )
+
+    def test_report_and_trace_file(self, runs):
+        traced = runs[0]
+        text = traced.observed_text()
+        assert "Per-layer self time (measured phase" in text
+        assert "(unattributed)" in text
+        assert f"spans recorded     | {len(traced.trace.spans)}" in text
+        events = json.loads(
+            Path(traced.artifacts["trace"]).read_text()
+        )["traceEvents"]
+        assert len(events) == len(traced.trace.spans)
+        # the facade is left unwrapped for whoever reads it afterwards
+        assert "after_run" not in vars(traced.geo)

@@ -331,7 +331,7 @@ class TestChaosEndToEndEquivalence:
         assert served.competing_gbps
         assert served == scalar
 
-    def test_run_instrumented_bit_identical_to_scalar(self):
+    def test_run_instrumented_bit_identical_to_scalar(self, tmp_path):
         faults = Faults(
             schedule=("kill:file0@40", "outage:pic@60+30"),
             migration_failure_rate=0.1,
@@ -340,8 +340,18 @@ class TestChaosEndToEndEquivalence:
         def observed():
             return run_facade(
                 make_experiment_config(TEST_SCALE), scale=TEST_SCALE,
-                seed=0, faults=faults, exports=Exports(),
+                seed=0, faults=faults,
+                exports=Exports(trace_path=tmp_path / "trace.json"),
             )
+
+        def decision_calls(run):
+            """Traced calls above the runner and the agents it feeds."""
+            calls = run.trace.calls
+            return {
+                layer: calls[layer]
+                for layer in ("geomancy", "engine", "features", "nn",
+                              "action_checker", "agents.control")
+            }
 
         batched = observed()
         with scalar_control_loop():
@@ -350,9 +360,7 @@ class TestChaosEndToEndEquivalence:
         assert batched.movement_fingerprint() == scalar.movement_fingerprint()
         assert batched.final_layout == scalar.final_layout
         assert batched.mean_gbps == scalar.mean_gbps
-        assert len(batched.geo.obs.tracer.spans) == len(
-            scalar.geo.obs.tracer.spans
-        )
+        assert decision_calls(batched) == decision_calls(scalar)
 
     def test_run_recoverable_and_resume_bit_identical_to_scalar(
         self, tmp_path
