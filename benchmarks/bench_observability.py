@@ -5,9 +5,9 @@ with an exports stage twice per sample -- once with a fully enabled
 :class:`~repro.observability.Observability` (every metric handle live,
 the event bus on) and once with a disabled instance, which swaps every
 handle for a shared null object on the identical code path.  Neither
-arm traces its layers: a run opts into that with a trace path, and an
-untraced run wraps nothing, so both record zero spans.  Asserts the
-paper-level guarantees:
+arm traces its layers (a run opts into that with a trace path; that an
+untraced run records nothing is a unit test of the recorder).  Asserts
+the paper-level guarantees:
 
 * outputs are bit-for-bit identical with observability on or off;
 * the Prometheus dump covers the whole stack (>= 6 subsystems);
@@ -91,10 +91,8 @@ def _measure() -> dict:
             and enabled.accesses == disabled.accesses
         ),
         "subsystems": subsystems,
-        "spans_recorded": len(enabled.trace.spans) if enabled.trace else 0,
         "metrics_registered": sum(len(group) for group in metrics.values()),
         "bus_events": len(enabled.geo.obs.bus),
-        "disabled_spans": len(disabled.trace.spans) if disabled.trace else 0,
         "disabled_bus_events": len(disabled.geo.obs.bus),
         "slo_objectives": len(enabled.slo or []),
         "disabled_slo": disabled.slo,
@@ -115,7 +113,6 @@ def test_observability_overhead(benchmark, save_result):
                 f"(budget {summary['budget_percent']:.1f}%)",
                 f"outputs identical: {summary['outputs_identical']}",
                 f"subsystems: {', '.join(summary['subsystems'])}",
-                f"spans: {summary['spans_recorded']}, "
                 f"metrics: {summary['metrics_registered']}, "
                 f"events: {summary['bus_events']}",
             ]
@@ -123,7 +120,6 @@ def test_observability_overhead(benchmark, save_result):
     )
     assert summary["outputs_identical"]
     assert REQUIRED_SUBSYSTEMS <= set(summary["subsystems"])
-    assert summary["disabled_spans"] == 0
     assert summary["slo_objectives"] == 2
     assert summary["disabled_slo"] is None
     assert summary["overhead_percent"] <= OVERHEAD_BUDGET_PERCENT

@@ -13,24 +13,20 @@ from repro.errors import AgentError
 from repro.observability import get_observability
 from repro.replaydb.records import AccessRecord
 
+#: accesses per telemetry batch ("Geomancy captures groups of accesses as
+#: one access"); an agent reads it at construction
+BATCH_SIZE = 32
+
 
 class MonitoringAgent:
     """Observes one storage device; batches telemetry toward Geomancy."""
 
-    def __init__(
-        self,
-        device: str,
-        transport: Transport,
-        *,
-        batch_size: int = 32,
-    ) -> None:
+    def __init__(self, device: str, transport: Transport) -> None:
         if not device:
             raise AgentError("device name must be non-empty")
-        if batch_size < 1:
-            raise AgentError(f"batch_size must be >= 1, got {batch_size}")
         self.device = device
         self.transport = transport
-        self.batch_size = int(batch_size)
+        self.batch_size = BATCH_SIZE
         self._buffer: list[AccessRecord] = []
         #: optional :class:`~repro.observability.provenance.CausalContext`;
         #: when attached, every batch is stamped with a trace id at emission

@@ -13,7 +13,8 @@ have parsers of their own.
     python -m repro synth-trace out.jsonl --rows 5000
     python -m repro recover ckpt/ --checkpoint-every 5 --guardrail
     python -m repro resume ckpt/          # restart a killed recover run
-    python -m repro run --trace out.json --metrics m.prom --profile
+    python -m repro run --trace out.json --metrics m.prom
+    python -m cProfile -s cumulative -m repro run --scale test
     python -m repro run --provenance prov.jsonl --slo --throughput-floor 2.0
     python -m repro explain 3 --ledger prov.jsonl
 
@@ -221,14 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="train the engine online (incremental fits over new rows + "
              "prioritized replay) instead of from scratch every decision",
     )
-    run.add_argument(
-        "--profile", action="store_true",
-        help="wrap the measured phase in cProfile and print a top-N table",
-    )
-    run.add_argument(
-        "--profile-top", type=int, default=15, metavar="N",
-        help="rows in the cProfile table (default: 15)",
-    )
     _add_faults(run)
     run.add_argument(
         "--provenance", default=None, metavar="PATH",
@@ -325,7 +318,7 @@ def _run_facade(args) -> str:
         exports = Exports(
             metrics_path=args.metrics, snapshot_path=args.metrics_snapshot,
             snapshot_every=args.snapshot_every, trace_path=args.trace,
-            profile=args.profile, slo=args.slo,
+            slo=args.slo,
             queue_delay_threshold_s=args.queue_delay_threshold,
             throughput_floor_gbps=args.throughput_floor,
         )
@@ -336,7 +329,7 @@ def _run_facade(args) -> str:
     )
     if checkpoints is not None:
         return result.recovery_text()
-    return result.observed_text(profile_top=args.profile_top)
+    return result.observed_text()
 
 
 def _run_explain(args) -> str:

@@ -130,6 +130,8 @@ class Geomancy:
         #: control cycles consulted, the last one's run index, and the
         #: files moved by them all
         self.steps, self._last_run_index, self.total_moves = 0, 0, 0
+        #: cycles the cooldown scheduler let through: the decisions made
+        self.decisions = 0
         #: the safe-mode guardrail (None unless ``guardrail_enabled``):
         #: watches training health and realized-vs-predicted throughput in
         #: :meth:`after_run`, benches the learner when it trips
@@ -525,6 +527,7 @@ class Geomancy:
         self._m_ticks.inc()
         if not self.scheduler.should_move(run_index):
             return outcome
+        self.decisions += 1
         # Only devices currently accepting placements -- and not
         # quarantined by the health tracker -- are candidates; the Action
         # Checker is the final filter in case availability changed between

@@ -6,7 +6,7 @@ Three optional stages plug into that one loop: :class:`Faults` (a fault
 schedule, failing migrations, a lossy telemetry link), :class:`Checkpoints`
 (write-ahead journal, atomic checkpoints that are also the guardrail's
 known-good layouts, an injected kill for tests) and :class:`Exports`
-(Prometheus, JSONL snapshots, a layer trace, cProfile, SLO feed).  Every
+(Prometheus, JSONL snapshots, a layer trace, SLO feed).  Every
 run keeps the same books -- invariant violations, rescued and stranded
 files, recovery times -- and returns one :class:`FacadeRun`.
 :func:`resume_facade` finishes a killed run from its checkpoint directory
@@ -37,7 +37,6 @@ from repro.faults.invariants import cluster_invariant_violations
 from repro.faults.schedule import FaultSchedule
 from repro.nn.serialization import load_weights
 from repro.observability import Observability, get_observability, use
-from repro.observability.profiling import ProfileReport, profile_call
 from repro.observability.slo import ControlPlaneSLOFeed, SLOMonitor
 from repro.observability.tracing import Recorder, facade_layers
 from repro.recovery.checkpoint import CheckpointManager
@@ -105,16 +104,15 @@ class Checkpoints:
 
 @dataclass(frozen=True)
 class Exports:
-    """The exports stage: Prometheus dump, JSONL snapshots, cProfile over
-    the measured phase, the stock SLOs after every run; a ``trace_path``
-    traces the measured phase's layers (:mod:`repro.observability.tracing`)
-    and writes their spans as a Chrome trace."""
+    """The exports stage: Prometheus dump, JSONL snapshots, the stock
+    SLOs after every run; a ``trace_path`` traces the measured phase's
+    layers (:mod:`repro.observability.tracing`) and writes their spans as
+    a Chrome trace."""
 
     metrics_path: str | os.PathLike | None = None
     snapshot_path: str | os.PathLike | None = None
     snapshot_every: int = 1
     trace_path: str | os.PathLike | None = None
-    profile: bool = False
     slo: bool = False
     queue_delay_threshold_s: float = 0.05
     throughput_floor_gbps: float = 0.0
@@ -160,7 +158,6 @@ class FacadeRun:
     warnings: list[str] = field(default_factory=list)
     #: files the exports landed in (absent keys were not requested)
     artifacts: dict[str, str] = field(default_factory=dict)
-    profile: ProfileReport | None = None
     #: the measured phase's layer recorder (None unless traced)
     trace: Recorder | None = field(default=None, repr=False, compare=False)
     #: final SLO burn-rate statuses (None without the SLO feed)
@@ -185,6 +182,29 @@ class FacadeRun:
         return tuple(
             (m.timestamp, m.fid, m.src_device, m.dst_device, m.succeeded)
             for m in self.movements
+        )
+
+    def trace_text(self) -> str:
+        """The traced measured phase as a layer table: self time per
+        layer, and its cost per decision (a cycle the cooldown scheduler
+        let through) and per access measured."""
+        trace, decisions = self.trace, self.geo.decisions
+        wall = trace.wall_s
+
+        def per(seconds: float, count: int, scale: float) -> str:
+            return f"{scale * seconds / count:.3f}" if count else "—"
+
+        return ascii_table(
+            ["layer", "calls", "self s", "share", "ms/decision", "µs/access"],
+            [
+                (layer, calls, f"{seconds:.4f}", f"{100 * seconds / wall:.1f}%",
+                 per(seconds, decisions, 1e3), per(seconds, self.accesses, 1e6))
+                for layer, calls, seconds in trace.layer_rows()
+            ],
+            title=(
+                f"Per-layer self time (measured phase, {wall:.4f} s wall, "
+                f"{decisions} decisions, {self.accesses} accesses)"
+            ),
         )
 
     def _table(self, title: str, rows: list[tuple]) -> str:
@@ -219,8 +239,8 @@ class FacadeRun:
             table += "\nVIOLATIONS:\n" + "\n".join(self.invariant_violations)
         return table
 
-    def observed_text(self, profile_top: int = 15) -> str:
-        """The ``run`` report: counts, artifacts, layers, profile, SLOs."""
+    def observed_text(self) -> str:
+        """The ``run`` report: counts, artifacts, layers, SLOs."""
         obs = self.geo.obs
         table = self._table("Instrumented run", [
             ("files moved", sum(1 for m in self.movements if m.succeeded)),
@@ -232,25 +252,10 @@ class FacadeRun:
         for kind, path in sorted(self.artifacts.items()):
             table += f"\n{kind}: {path}"
         if self.trace is not None:
-            table += "\n\n" + _trace_text(self.trace)
-        if self.profile is not None:
-            table += "\n" + self.profile.top_table(profile_top)
+            table += "\n\n" + self.trace_text()
         if self.slo is not None:
             table += "\n\n" + _slo_text(self.slo)
         return table
-
-
-def _trace_text(trace: Recorder) -> str:
-    """The traced measured phase as the ``run`` report's layer table."""
-    wall = trace.wall_s
-    return ascii_table(
-        ["layer", "calls", "self s", "share"],
-        [
-            (layer, calls, f"{seconds:.4f}", f"{100 * seconds / wall:.1f}%")
-            for layer, calls, seconds in trace.layer_rows()
-        ],
-        title=f"Per-layer self time (measured phase, {wall:.4f} s wall)",
-    )
 
 
 def _slo_text(statuses: list[dict]) -> str:
@@ -590,11 +595,7 @@ def _drive(
         for part, layer in facade_layers(geo, runner):
             trace.wrap(part, layer)
         measured_phase = partial(trace.measure, measured_phase)
-    report = None
-    if exports is not None and exports.profile:
-        report = profile_call(measured_phase)
-    else:
-        measured_phase()
+    measured_phase()
 
     artifacts: dict[str, str] = {}
     if exports is not None and exports.metrics_path is not None:
@@ -636,7 +637,6 @@ def _drive(
         rolled_back_txns=books["rolled_back"],
         warnings=list(loaded.warnings) if loaded is not None else [],
         artifacts=artifacts,
-        profile=report,
         trace=trace,
         slo=None if slo_feed is None else [
             status.to_dict()

@@ -9,19 +9,23 @@ Geomancy's dataset takes around 3ms on average."
 
 This experiment measures the same three overheads on our substrate: model-1
 training and prediction cost with the Z = 6 live features (Bluesky
-telemetry) and with the Z = 13 EOS feature set (synthetic EOS trace), plus
-the accounted telemetry-transfer latency per batch.
+telemetry) and with the Z = 13 EOS feature set (synthetic EOS trace), on
+Table II's protocol; then one traced facade run at the same scale, whose
+daemon accounts the telemetry-transfer latency per batch and whose layer
+recorder splits the live loop's cost per layer, per decision and per
+access.
 """
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
-from repro.agents.daemon import InterfaceDaemon
-from repro.agents.monitoring import MonitoringAgent
-from repro.agents.transport import Transport
 from repro.core.config import GeomancyConfig
 from repro.core.engine import DRLEngine
+from repro.experiments.facade import Exports, FacadeRun, run_facade
+from repro.experiments.harness import make_experiment_config
 from repro.experiments.reporting import ascii_table
 from repro.experiments.spec import ExperimentScale
 from repro.experiments.table2_comparison import (
@@ -47,6 +51,8 @@ class OverheadRow:
 class OverheadResult:
     rows: list[OverheadRow]
     transfer_ms_per_batch: float
+    #: the traced facade run the transfer row and layer table come from
+    run: FacadeRun
 
     def to_text(self) -> str:
         table = ascii_table(
@@ -61,13 +67,14 @@ class OverheadResult:
         return (
             f"{table}\n"
             f"telemetry transfer: {self.transfer_ms_per_batch:.1f} ms per batch"
+            f"\n\n{self.run.trace_text()}"
         )
 
 
 def run_overhead_study(
     *, scale: ExperimentScale, seed: int
 ) -> OverheadResult:
-    """Measure training/prediction/transfer overheads."""
+    """Measure training/prediction overheads, then trace one facade run."""
     rows = scale.training_rows
     live_db = collect_mount_telemetry("people", rows, seed=seed)
     live_engine = DRLEngine(
@@ -88,19 +95,12 @@ def run_overhead_study(
     )
     eos_report, eos_predict = train_and_time(eos_engine, eos_db)
 
-    # Telemetry-transfer overhead: route one run's worth of records
-    # through a monitoring agent into the daemon and read the accounted
-    # per-batch latency (modeled at the paper's measured 3 ms).
-    records = live_db.recent_accesses(rows)[:320]
-    telemetry = Transport()
-    daemon = InterfaceDaemon(ReplayDB(), telemetry, Transport())
-    agent = MonitoringAgent("people", telemetry, batch_size=32)
-    agent.observe_many(records)
-    agent.flush(at=records[-1].close_time)
-    daemon.pump_telemetry()
-    transfer_ms = (
-        daemon.transfer_overhead_s / max(daemon.batches_ingested, 1) * 1000.0
-    )
+    with tempfile.TemporaryDirectory() as directory:
+        run = run_facade(
+            make_experiment_config(scale, seed=seed), scale=scale, seed=seed,
+            exports=Exports(trace_path=Path(directory) / "trace.json"),
+        )
+    daemon = run.geo.daemon
 
     return OverheadResult(
         rows=[
@@ -113,5 +113,8 @@ def run_overhead_study(
                 eos_engine.config.z, eos_report.train_seconds, eos_predict,
             ),
         ],
-        transfer_ms_per_batch=transfer_ms,
+        transfer_ms_per_batch=(
+            daemon.transfer_overhead_s / daemon.batches_ingested * 1000.0
+        ),
+        run=run,
     )

@@ -1,4 +1,4 @@
-"""Unified observability: metrics, events, logs, tracing, profiling.
+"""Unified observability: metrics, events, logs, tracing.
 
 One :class:`Observability` object bundles the two always-on telemetry
 surfaces the stack instruments against:
@@ -10,9 +10,9 @@ surfaces the stack instruments against:
 
 Timing is opt-in per run and comes from outside the code it times: a
 :class:`~repro.observability.tracing.Recorder` wraps the public methods
-of a run's objects and charges them to layers (``repro run --trace``),
-:func:`~repro.observability.profiling.profile_call` runs cProfile
-(``--profile``).
+of a run's objects and charges them to layers (``repro run --trace``).
+The per-function view is the stdlib's: ``python -m cProfile -s
+cumulative -m repro run --scale test``.
 
 Instrumented modules resolve the *installed* instance through
 :func:`get_observability` at construction time and cache the handles
@@ -59,16 +59,6 @@ class Observability:
         # EventLog bridges here, and the process-global default must not
         # accumulate events across runs.
         self.bus = EventBus(max_history=None if self.enabled else 0)
-
-    # Convenience pass-throughs so call sites read tersely.
-    def counter(self, name: str, help: str = ""):
-        return self.metrics.counter(name, help)
-
-    def gauge(self, name: str, help: str = ""):
-        return self.metrics.gauge(name, help)
-
-    def histogram(self, name: str, help: str = "", buckets=None):
-        return self.metrics.histogram(name, help, buckets)
 
     def emit(self, kind: str, *, t: float, step: int, **detail) -> Event:
         return self.bus.emit(kind, t=t, step=step, **detail)

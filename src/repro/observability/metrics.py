@@ -252,17 +252,12 @@ class MetricsRegistry:
             return NULL_GAUGE
         return self._get_or_create(Gauge, name, help)
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: tuple[float, ...] | None = None,
-    ) -> Histogram:
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        """A histogram over :data:`DEFAULT_BUCKETS` (read at call time)."""
         if not self.enabled:
             return NULL_HISTOGRAM
         return self._get_or_create(
-            Histogram, name, help,
-            buckets=tuple(buckets) if buckets is not None else DEFAULT_BUCKETS,
+            Histogram, name, help, buckets=DEFAULT_BUCKETS
         )
 
     # -- export ----------------------------------------------------------

@@ -103,7 +103,9 @@ class Recorder:
     def chrome_trace(self, extra_events: list[dict] | None = None) -> dict:
         """The Chrome-trace JSON object: one complete event per kept span,
         nested by time containment; ``extra_events`` (the provenance
-        ledger's causal track) are appended verbatim."""
+        ledger's causal track) are appended verbatim.  ``otherData``
+        carries :meth:`layer_rows` and the wall, so the file alone says
+        where the time went even past :data:`MAX_SPANS`."""
         events = [
             {
                 "name": label,
@@ -119,7 +121,11 @@ class Recorder:
         return {
             "traceEvents": events + (extra_events or []),
             "displayTimeUnit": "ms",
-            "otherData": {"dropped_spans": self.dropped},
+            "otherData": {
+                "dropped_spans": self.dropped,
+                "wall_s": self.wall_s,
+                "layer_rows": self.layer_rows(),
+            },
         }
 
     def export_chrome(

@@ -88,7 +88,8 @@ class TestTransport:
 class TestMonitoringAgent:
     def test_buffers_until_batch_size(self):
         transport = Transport()
-        agent = MonitoringAgent("var", transport, batch_size=3)
+        agent = MonitoringAgent("var", transport)
+        agent.batch_size = 3
         agent.observe_many([access(t=1)])
         agent.observe_many([access(t=2)])
         assert transport.pending == 0 and agent.buffered == 2
@@ -97,7 +98,7 @@ class TestMonitoringAgent:
 
     def test_flush_sends_partial_batch(self):
         transport = Transport()
-        agent = MonitoringAgent("var", transport, batch_size=100)
+        agent = MonitoringAgent("var", transport)
         agent.observe_many([access()])
         assert agent.flush(at=11.0)
         batch = transport.receive()
@@ -116,8 +117,6 @@ class TestMonitoringAgent:
     def test_invalid_construction(self):
         with pytest.raises(AgentError):
             MonitoringAgent("", Transport())
-        with pytest.raises(AgentError):
-            MonitoringAgent("var", Transport(), batch_size=0)
 
 
 class TestControlAgent:
@@ -207,14 +206,16 @@ class TestInterfaceDaemon:
 class TestAutoFlushTiming:
     def test_auto_flush_uses_last_record_close_time(self):
         transport = Transport()
-        agent = MonitoringAgent("var", transport, batch_size=2)
+        agent = MonitoringAgent("var", transport)
+        agent.batch_size = 2
         agent.observe_many([access(t=5)])
         agent.observe_many([access(t=9)])
         batch = transport.receive()
         assert batch.sent_at == pytest.approx(10.0)  # close of t=9 access
 
     def test_observed_counter_survives_flushes(self):
-        agent = MonitoringAgent("var", Transport(), batch_size=1)
+        agent = MonitoringAgent("var", Transport())
+        agent.batch_size = 1
         for t in (1, 3, 5):
             agent.observe_many([access(t=t)])
         assert agent.observed == 3

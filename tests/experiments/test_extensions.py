@@ -70,9 +70,35 @@ class TestOverheadStudy:
             assert row.predict_ms > 0
 
     def test_transfer_matches_modelled_latency(self, study):
+        daemon = study.run.geo.daemon
+        assert daemon.batches_ingested > 0
+        assert study.transfer_ms_per_batch == (
+            daemon.transfer_overhead_s / daemon.batches_ingested * 1000.0
+        )
         # The transport models the paper's ~3 ms per batch.
         assert study.transfer_ms_per_batch == pytest.approx(3.0, abs=0.5)
+
+    def test_layer_rows_add_up_to_the_traced_wall(self, study):
+        trace = study.run.trace
+        assert trace.wall_s > 0
+        assert sum(row[2] for row in trace.layer_rows()) == pytest.approx(
+            trace.wall_s, abs=1e-9
+        )
+
+    def test_costs_per_decision_and_per_access(self, study):
+        run = study.run
+        decisions, accesses = run.geo.decisions, run.accesses
+        assert decisions > 0 and accesses > 0
+        lines = study.to_text().splitlines()
+        for layer, _, seconds in run.trace.layer_rows():
+            line = next(row for row in lines if row.startswith(f"{layer} "))
+            assert [cell.strip() for cell in line.split("|")[4:]] == [
+                f"{1e3 * seconds / decisions:.3f}",
+                f"{1e6 * seconds / accesses:.3f}",
+            ]
 
     def test_text_rendering(self, study):
         text = study.to_text()
         assert "Overhead study" in text and "per batch" in text
+        # the layer table is the one ``run --trace`` prints
+        assert study.run.trace_text() in text

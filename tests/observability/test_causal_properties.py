@@ -53,7 +53,8 @@ ops = st.lists(
 def _build_plane(transport):
     causal = CausalContext()
     transport.causal = causal
-    monitor = MonitoringAgent(DEVICE, transport, batch_size=8)
+    monitor = MonitoringAgent(DEVICE, transport)
+    monitor.batch_size = 8
     monitor.causal = causal
     daemon = InterfaceDaemon(ReplayDB(), transport, Transport())
     daemon.attach_causal(causal)

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.observability import metrics as metrics_module
 from repro.observability.metrics import (
     NULL_COUNTER,
     NULL_GAUGE,
@@ -85,9 +86,7 @@ class TestHistogram:
 
     def test_p999_in_snapshot(self):
         registry = MetricsRegistry()
-        hist = registry.histogram(
-            "repro_test_lat_seconds", buckets=(0.1, 1.0)
-        )
+        hist = registry.histogram("repro_test_lat_seconds")
         hist.observe(0.05)
         snap = registry.snapshot()
         assert "p999" in snap["histograms"]["repro_test_lat_seconds"]
@@ -124,13 +123,12 @@ class TestDisabledRegistry:
 
 class TestExport:
     @pytest.fixture
-    def registry(self):
+    def registry(self, monkeypatch):
+        monkeypatch.setattr(metrics_module, "DEFAULT_BUCKETS", (0.1, 1.0))
         registry = MetricsRegistry()
         registry.counter("repro_engine_ticks_total", "control ticks").inc(3)
         registry.gauge("repro_nn_test_mare_percent").set(12.5)
-        hist = registry.histogram(
-            "repro_nn_train_seconds", "training time", buckets=(0.1, 1.0)
-        )
+        hist = registry.histogram("repro_nn_train_seconds", "training time")
         for value in (0.05, 0.5, 5.0):
             hist.observe(value)
         return registry

@@ -111,9 +111,8 @@ class TestMonitor:
 
 class TestHistogramCountsAbove:
     def test_splits_at_bucket_boundary(self):
-        hist = MetricsRegistry().histogram(
-            "repro_test_delay_seconds", buckets=(0.01, 0.05, 0.5)
-        )
+        # 0.05 is one of the default bucket edges
+        hist = MetricsRegistry().histogram("repro_test_delay_seconds")
         for value in (0.001, 0.02, 0.2, 2.0):
             hist.observe(value)
         below, above = histogram_counts_above(hist, 0.05)
@@ -135,8 +134,7 @@ class TestControlPlaneFeed:
 
     def _feed(self):
         hist = MetricsRegistry().histogram(
-            "repro_agents_ingest_queue_delay_seconds",
-            buckets=(0.01, 0.05, 0.5),
+            "repro_agents_ingest_queue_delay_seconds"
         )
         monitor = SLOMonitor(ControlPlaneSLOFeed.default_specs())
         geo = self._FakePlane(hist)

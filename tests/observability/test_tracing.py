@@ -110,15 +110,21 @@ class TestCapAndAggregate:
     def test_drops_beyond_max_spans(self, monkeypatch):
         monkeypatch.setattr(tracing, "MAX_SPANS", 3)
         recorder, outer, _ = traced_pair()
-        for _ in range(4):
-            outer.call()
+        recorder.measure(lambda: [outer.call() for _ in range(4)])
         assert len(recorder.spans) == 3
         assert recorder.dropped == 5
         # Every call is timed, kept or dropped: 2 s outer + 1 s inner each.
         assert recorder.self_s == {"outer": 8.0, "inner": 4.0}
         assert dict(recorder.calls) == {"outer": 4, "inner": 4}
         trace = recorder.chrome_trace()
-        assert trace["otherData"] == {"dropped_spans": 5}
+        # the layer table survives in the file whatever was dropped
+        assert trace["otherData"] == {
+            "dropped_spans": 5,
+            "wall_s": 17.0,
+            "layer_rows": [
+                ("outer", 4, 8.0), ("inner", 4, 4.0), ("(unattributed)", "", 5.0),
+            ],
+        }
         assert len(trace["traceEvents"]) == 3
 
     def test_aggregate_totals(self):
@@ -139,7 +145,7 @@ class TestChromeTrace:
         causal = {"name": "decision 1", "ph": "X", "pid": 2, "tid": 2}
         trace = recorder.chrome_trace(extra_events=[causal])
         assert trace["displayTimeUnit"] == "ms"
-        assert trace["otherData"] == {"dropped_spans": 0}
+        assert trace["otherData"]["dropped_spans"] == 0
         inner_event, outer_event, extra = trace["traceEvents"]
         assert extra == causal
         assert outer_event["name"] == "outer.call"
@@ -155,13 +161,20 @@ class TestChromeTrace:
 
     def test_export_writes_valid_json(self, tmp_path):
         recorder, outer, _ = traced_pair()
-        outer.call()
+        recorder.measure(outer.call)
         path = tmp_path / "trace.json"
         recorder.export_chrome(path)
         loaded = json.loads(path.read_text())
         assert [e["name"] for e in loaded["traceEvents"]] == [
             "inner.work", "outer.call",
         ]
+        other = loaded["otherData"]
+        assert [row[:2] for row in other["layer_rows"]] == [
+            ["outer", 1], ["inner", 1], ["(unattributed)", ""],
+        ]
+        assert sum(row[2] for row in other["layer_rows"]) == pytest.approx(
+            other["wall_s"], abs=1e-9
+        )
 
 
 class TestTracedFacade:
@@ -204,6 +217,17 @@ class TestTracedFacade:
         assert "Per-layer self time (measured phase" in text
         assert "(unattributed)" in text
         assert f"spans recorded     | {len(traced.trace.spans)}" in text
+        # per decision: the cycles the cooldown scheduler let through
+        decisions = traced.geo.decisions
+        assert decisions == TEST_SCALE.runs // TEST_SCALE.update_every
+        assert f"{decisions} decisions, {traced.accesses} accesses" in text
+        assert "ms/decision | µs/access" in text
+        nn = next(line for line in text.splitlines() if line.startswith("nn "))
+        seconds = traced.trace.self_s["nn"]
+        assert [cell.strip() for cell in nn.split("|")[4:]] == [
+            f"{1e3 * seconds / decisions:.3f}",
+            f"{1e6 * seconds / traced.accesses:.3f}",
+        ]
         events = json.loads(
             Path(traced.artifacts["trace"]).read_text()
         )["traceEvents"]

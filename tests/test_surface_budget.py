@@ -46,10 +46,10 @@ CONFIG = SRC / "core" / "config.py"
 MAX_CONFIG_FIELDS = 21
 MAX_CLI_SUBCOMMANDS = 18
 #: ``find src -name '*.py' | xargs cat | wc -l``
-MAX_SRC_LINES = 15_919
+MAX_SRC_LINES = 15_856
 #: ``wc -c`` of the two documents a newcomer reads first
 MAX_DESIGN_BYTES = 73_448
-MAX_README_BYTES = 18_042
+MAX_README_BYTES = 18_002
 
 #: Public names under ``src/repro`` that only tests refer to, each with the
 #: reason it stays.  A test that tests only the name is not a reason: the
