@@ -62,7 +62,6 @@ def summarize(samples, *, buckets: tuple[float, ...] | None = None) -> dict:
     if not samples:
         raise ValueError("summarize needs at least one sample")
     hist = Histogram(
-        "bench_timing_seconds",
         buckets=buckets if buckets is not None else _bucket_ladder(samples),
     )
     for sample in samples:

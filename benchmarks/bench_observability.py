@@ -2,12 +2,14 @@
 
 Runs the same warm-up + measured control loop through ``run_facade``
 with an exports stage twice per sample -- once with a fully enabled
-:class:`~repro.observability.Observability` (every metric handle live,
-the event bus on) and once with a disabled instance, which swaps every
-handle for a shared null object on the identical code path.  Neither
-arm traces its layers (a run opts into that with a trace path; that an
-untraced run records nothing is a unit test of the recorder).  Asserts
-the paper-level guarantees:
+:class:`~repro.observability.Observability` (the event bus keeping its
+history) and once with a disabled instance, whose bus keeps none, on the
+identical code path.  The layers keep the same plain-int tallies in both
+arms; the metrics are read off them only when an export is written
+(:mod:`repro.observability.metrics`).  Neither arm traces its layers (a
+run opts into that with a trace path; that an untraced run records
+nothing is a unit test of the recorder).  Asserts the paper-level
+guarantees:
 
 * outputs are bit-for-bit identical with observability on or off;
 * the Prometheus dump covers the whole stack (>= 6 subsystems);
@@ -36,7 +38,7 @@ from _timing import paired_overhead
 from repro.experiments.facade import Exports, run_facade
 from repro.experiments.harness import make_experiment_config
 from repro.experiments.spec import TEST_SCALE
-from repro.observability import Observability
+from repro.observability import Observability, metrics
 
 OUT_DIR = Path(__file__).parent / "out"
 SEED = 0
@@ -68,9 +70,9 @@ def _disabled():
 def _measure() -> dict:
     enabled = _enabled()
     disabled = _disabled()
-    metrics = enabled.geo.obs.metrics.snapshot()
+    snapshot = metrics.snapshot(enabled.geo, enabled.runner, enabled.injector)
     subsystems = sorted(
-        {name.split("_")[1] for group in metrics.values() for name in group}
+        {name.split("_")[1] for group in snapshot.values() for name in group}
     )
     rounds = [paired_overhead(_disabled, _enabled, pairs=6, batch=2)]
     if rounds[-1]["overhead_percent"] > OVERHEAD_BUDGET_PERCENT:
@@ -91,7 +93,7 @@ def _measure() -> dict:
             and enabled.accesses == disabled.accesses
         ),
         "subsystems": subsystems,
-        "metrics_registered": sum(len(group) for group in metrics.values()),
+        "metrics_registered": sum(len(group) for group in snapshot.values()),
         "bus_events": len(enabled.geo.obs.bus),
         "disabled_bus_events": len(disabled.geo.obs.bus),
         "slo_objectives": len(enabled.slo or []),

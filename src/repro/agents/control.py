@@ -29,7 +29,6 @@ from repro.errors import (
     UnknownFileError,
 )
 from repro.faults.health import HealthTracker
-from repro.observability import get_observability
 from repro.observability.logs import get_logger
 from repro.replaydb.records import MovementRecord
 from repro.simulation.cluster import StorageCluster
@@ -78,19 +77,6 @@ class ControlAgent:
         self._retries: dict[int, _RetryState] = {}
         #: moves that ran out of retries, kept as data for reporting
         self.exhausted: list[RetryExhaustedError] = []
-        metrics = get_observability().metrics
-        self._m_commands = metrics.counter(
-            "repro_agents_commands_executed_total",
-            "layout commands executed against the cluster",
-        )
-        self._m_retries = metrics.counter(
-            "repro_agents_moves_retried_total",
-            "failed moves re-attempted after backoff",
-        )
-        self._m_exhausted = metrics.counter(
-            "repro_agents_retries_exhausted_total",
-            "moves abandoned after exhausting their retry budget",
-        )
 
     # -- retry bookkeeping -------------------------------------------------
     @property
@@ -112,7 +98,6 @@ class ControlAgent:
                     fid=fid, dst=dst, attempts=attempts,
                 )
             )
-            self._m_exhausted.inc()
             logger.warning(
                 "gave up moving file %d to %r after %d attempts",
                 fid, dst, attempts,
@@ -207,7 +192,6 @@ class ControlAgent:
             if fid not in work:
                 work[fid] = dst
                 self.moves_retried += 1
-                self._m_retries.inc()
         t = command.issued_at
         records: list[MovementRecord] = []
         for fid in sorted(work):
@@ -262,5 +246,4 @@ class ControlAgent:
             if self.health is not None:
                 self.health.record_success(dst, t)
         self.commands_executed += 1
-        self._m_commands.inc()
         return records

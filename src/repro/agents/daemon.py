@@ -16,6 +16,7 @@ from repro.agents.messages import LayoutCommand, TelemetryBatch
 from repro.agents.transport import Transport
 from repro.errors import ReplayDBError
 from repro.observability import Observability, get_observability
+from repro.observability.metrics import Histogram
 from repro.observability.logs import get_logger
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import MovementRecord
@@ -43,29 +44,9 @@ class InterfaceDaemon:
         #: malformed messages counted and dropped instead of crashing the
         #: drain -- one bad batch must not strand everything queued behind it
         self.dead_letters = 0
-        metrics = self.obs.metrics
-        self._m_batches = metrics.counter(
-            "repro_agents_batches_ingested_total",
-            "telemetry batches stored into the ReplayDB",
-        )
-        self._m_records = metrics.counter(
-            "repro_agents_records_ingested_total",
-            "access records stored into the ReplayDB",
-        )
-        self._m_dead = metrics.counter(
-            "repro_agents_dead_letters_total",
-            "telemetry messages dropped as malformed or rejected",
-        )
-        self._m_layouts = metrics.counter(
-            "repro_agents_layout_commands_total",
-            "layout commands forwarded to the control agents",
-        )
         #: drain time minus ``sent_at`` per ingested batch -- the queue +
         #: transport delay the causal layer and the queue-delay SLO read
-        self.queue_delay_histogram = metrics.histogram(
-            "repro_agents_ingest_queue_delay_seconds",
-            "delay between a batch's sent_at and its drain into the DB",
-        )
+        self.queue_delay_histogram = Histogram()
         #: optional :class:`~repro.observability.provenance.CausalContext`
         #: (see :meth:`attach_causal`)
         self.causal = None
@@ -85,7 +66,6 @@ class InterfaceDaemon:
 
     def _dead_letter(self, reason: str, message, at: float) -> None:
         self.dead_letters += 1
-        self._m_dead.inc()
         if self.obs.enabled:
             self.obs.emit(
                 "dead-letter", t=at, step=0,
@@ -124,7 +104,6 @@ class InterfaceDaemon:
             )
             return 0
         self.batches_ingested += 1
-        self._m_batches.inc()
         stored = len(message.records)
         if self.causal is not None:
             # The ReplayDB assigns rowids in arrival order, so the batch's
@@ -168,7 +147,6 @@ class InterfaceDaemon:
         for message in messages:
             stored += self._ingest(message, drained_at, landed)
         self.records_ingested += stored
-        self._m_records.inc(stored)
         return stored
 
     def send_layout(
@@ -178,17 +156,11 @@ class InterfaceDaemon:
         self.commands.send(
             LayoutCommand(layout=dict(layout), issued_at=at, trace_id=trace_id)
         )
-        self._m_layouts.inc()
 
     def record_movements(self, moves: list[MovementRecord]) -> None:
         """Log executed movements so the layout evolution is queryable."""
         if moves:
             self.db.insert_movements(moves)
-
-    @property
-    def transfer_overhead_s(self) -> float:
-        """Accumulated simulated network latency (the paper's ~3 ms/batch)."""
-        return self.telemetry.total_latency_s + self.commands.total_latency_s
 
 
 def _message_time(message) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from repro.agents.messages import TelemetryBatch
 from repro.agents.transport import Transport
 from repro.errors import AgentError
-from repro.observability import get_observability
 from repro.replaydb.records import AccessRecord
 
 #: accesses per telemetry batch ("Geomancy captures groups of accesses as
@@ -32,15 +31,6 @@ class MonitoringAgent:
         #: when attached, every batch is stamped with a trace id at emission
         self.causal = None
         self.observed = 0
-        metrics = get_observability().metrics
-        self._m_observed = metrics.counter(
-            "repro_agents_accesses_observed_total",
-            "accesses seen by the monitoring agents",
-        )
-        self._m_batches_sent = metrics.counter(
-            "repro_agents_telemetry_batches_sent_total",
-            "telemetry batches sent toward the Interface Daemon",
-        )
 
     def observe_many(self, records: list[AccessRecord]) -> None:
         """Record accesses on this agent's device, in order.
@@ -69,7 +59,6 @@ class MonitoringAgent:
             if len(buffer) >= batch_size:
                 self.flush(at=buffer[-1].close_time)
         self.observed += n
-        self._m_observed.inc(n)
 
     def flush(self, at: float) -> bool:
         """Send any buffered records; returns whether a batch was sent."""
@@ -83,7 +72,6 @@ class MonitoringAgent:
         self.transport.send(TelemetryBatch(
             device=self.device, records=records, sent_at=at, trace_id=trace_id,
         ))
-        self._m_batches_sent.inc()
         return True
 
     @property

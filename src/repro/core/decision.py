@@ -25,7 +25,6 @@ from repro.core.layout import (
     layout_diff,
 )
 from repro.core.scheduler import AccessGapScheduler
-from repro.observability import Observability
 from repro.replaydb.db import ReplayDB
 
 #: accesses required in the ReplayDB before the engine first trains
@@ -60,11 +59,9 @@ class DecisionPath:
     """The engine, Action Checker and gap scheduler one config asks for,
     and the gate sequence over them."""
 
-    def __init__(
-        self, config: GeomancyConfig, *, obs: Observability | None = None
-    ) -> None:
+    def __init__(self, config: GeomancyConfig) -> None:
         self.config = config
-        self.engine = DRLEngine(config, obs=obs)
+        self.engine = DRLEngine(config)
         self.checker = ActionChecker(config.exploration_rate, seed=config.seed)
         self.gap_scheduler = (
             AccessGapScheduler() if config.use_gap_scheduler else None

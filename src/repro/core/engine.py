@@ -27,7 +27,7 @@ from repro.nn.metrics import is_diverged, mean_absolute_relative_error
 from repro.nn.model_zoo import build_model, is_recurrent
 from repro.nn.network import train_val_test_split
 from repro.nn.optimizers import get_optimizer
-from repro.observability import Observability, get_observability
+from repro.observability.metrics import Histogram
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.replay_buffer import PrioritizedReplay
 
@@ -154,14 +154,8 @@ class TrainingReport:
 class DRLEngine:
     """Trains on ReplayDB telemetry; predicts throughput per location."""
 
-    def __init__(
-        self,
-        config: GeomancyConfig | None = None,
-        *,
-        obs: Observability | None = None,
-    ) -> None:
+    def __init__(self, config: GeomancyConfig | None = None) -> None:
         self.config = config if config is not None else GeomancyConfig()
-        self.obs = obs if obs is not None else get_observability()
         self.pipeline = FeaturePipeline(
             self.config.features,
             smoothing_window=self.config.smoothing_window,
@@ -204,30 +198,10 @@ class DRLEngine:
             self.replay = PrioritizedReplay(
                 REPLAY_CAPACITY, seed=self.config.seed
             )
-        metrics = self.obs.metrics
-        self._m_train_rows = metrics.counter(
-            "repro_engine_train_rows_total",
-            "telemetry rows consumed by training cycles",
-        )
-        self._h_engine_train = metrics.histogram(
-            "repro_engine_train_seconds",
-            "wall seconds per decision-epoch training step",
-        )
-        self._m_trainings = metrics.counter(
-            "repro_nn_trainings_total", "engine (re)training cycles"
-        )
-        self._m_predictions = metrics.counter(
-            "repro_nn_predictions_total",
-            "probe rows scored by forward passes",
-        )
-        self._g_test_mare = metrics.gauge(
-            "repro_nn_test_mare_percent",
-            "held-out mean absolute relative error of the latest training",
-        )
-        self._g_skillful = metrics.gauge(
-            "repro_nn_skillful",
-            "1 when the latest model out-predicts the constant baseline",
-        )
+        #: telemetry rows every training cycle consumed, and each cycle's
+        #: wall seconds (its count is the cycles trained)
+        self.rows_trained = 0
+        self.train_seconds = Histogram()
 
     @property
     def trained(self) -> bool:
@@ -316,13 +290,10 @@ class DRLEngine:
         return self._finish(report)
 
     def _finish(self, report: TrainingReport) -> TrainingReport:
-        """Keep ``report`` as the latest cycle's and publish its metrics."""
+        """Keep ``report`` as the latest cycle's and count it."""
         self.last_report = report
-        self._m_trainings.inc()
-        self._m_train_rows.inc(report.samples)
-        self._h_engine_train.observe(report.train_seconds)
-        self._g_test_mare.set(report.test_mare)
-        self._g_skillful.set(1.0 if report.skillful else 0.0)
+        self.rows_trained += report.samples
+        self.train_seconds.observe(report.train_seconds)
         return report
 
     # -- online continual learning ------------------------------------------
@@ -599,7 +570,6 @@ class DRLEngine:
         )
         if self.config.adjust_predictions:
             throughput = self.adjuster.adjust(throughput)
-        self._m_predictions.inc(len(probe))
         return throughput
 
     def _probe_devices(

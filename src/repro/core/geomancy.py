@@ -94,9 +94,9 @@ class Geomancy:
         self.cluster = cluster
         self.files = list(files)
         self.config = config if config is not None else GeomancyConfig()
-        #: the observability instance the whole control plane reports to;
-        #: defaults to whatever is installed process-wide (a no-op unless
-        #: a run enabled it)
+        #: the observability instance whose event bus the control plane
+        #: publishes to; defaults to whatever is installed process-wide
+        #: (keeping no history unless a run enabled it)
         self.obs = obs if obs is not None else get_observability()
         self.db = db if db is not None else ReplayDB()
         # The telemetry channel is injectable so chaos runs can hand in a
@@ -123,15 +123,21 @@ class Geomancy:
         self.control = ControlAgent(cluster, health=self.health)
         #: the gate sequence from ReplayDB to layout, with its engine and
         #: Action Checker
-        self.decision_path = DecisionPath(self.config, obs=self.obs)
+        self.decision_path = DecisionPath(self.config)
         self.engine = self.decision_path.engine
         self.checker = self.decision_path.checker
         self.scheduler = CooldownScheduler(self.config.cooldown_runs)
         #: control cycles consulted, the last one's run index, and the
         #: files moved by them all
         self.steps, self._last_run_index, self.total_moves = 0, 0, 0
-        #: cycles the cooldown scheduler let through: the decisions made
-        self.decisions = 0
+        #: cycles the cooldown scheduler let through: the decisions made;
+        #: of those, the ones that dispatched the model's layout and the
+        #: trained ones a gate vetoed
+        self.decisions = self.acted_cycles = self.skipped_cycles = 0
+        #: files rescued off offline devices by every cycle
+        self.files_rescued = 0
+        #: mean predicted throughput (GB/s) at the latest chosen placements
+        self.predicted_gbps = 0.0
         #: the safe-mode guardrail (None unless ``guardrail_enabled``):
         #: watches training health and realized-vs-predicted throughput in
         #: :meth:`after_run`, benches the learner when it trips
@@ -169,32 +175,6 @@ class Geomancy:
             # DB already holds movements (a resumed run).
             self._movement_rows = len(self.db.movements())
             self.engine.capture_provenance = True
-        metrics = self.obs.metrics
-        self._m_ticks = metrics.counter(
-            "repro_engine_ticks_total", "control-loop consultations"
-        )
-        self._m_acted = metrics.counter(
-            "repro_engine_acted_cycles_total",
-            "cycles that dispatched a model-proposed layout",
-        )
-        self._m_skipped = metrics.counter(
-            "repro_engine_skipped_cycles_total",
-            "trained cycles vetoed by skill/sanity/gain gates",
-        )
-        self._m_moves_ok = metrics.counter(
-            "repro_engine_moves_succeeded_total", "file moves that completed"
-        )
-        self._m_moves_failed = metrics.counter(
-            "repro_engine_moves_failed_total", "file moves that aborted"
-        )
-        self._m_rescued = metrics.counter(
-            "repro_engine_files_rescued_total",
-            "files rescued off offline devices",
-        )
-        self._g_predicted = metrics.gauge(
-            "repro_engine_predicted_gbps",
-            "mean predicted throughput at the latest chosen placements",
-        )
 
     # -- placement -----------------------------------------------------------
     def place_initial(self) -> dict[int, str]:
@@ -306,8 +286,6 @@ class Geomancy:
             )
         succeeded = sum(1 for m in movements if m.succeeded)
         failed = len(movements) - succeeded
-        self._m_moves_ok.inc(succeeded)
-        self._m_moves_failed.inc(failed)
         if movements and self.obs.enabled:
             self.obs.emit(
                 "movement-dispatched",
@@ -524,7 +502,6 @@ class Geomancy:
         """
         outcome = StepOutcome(run_index=run_index)
         self.steps, self._last_run_index = self.steps + 1, run_index
-        self._m_ticks.inc()
         if not self.scheduler.should_move(run_index):
             return outcome
         self.decisions += 1
@@ -542,7 +519,7 @@ class Geomancy:
             rescued = self.dispatch(rescue, t, kind="rescue")
             outcome.movements.extend(rescued)
             outcome.rescued_files = sum(1 for m in rescued if m.succeeded)
-            self._m_rescued.inc(outcome.rescued_files)
+            self.files_rescued += outcome.rescued_files
             self.event_log.emit(
                 "stranded-file-rescued",
                 t=t,
@@ -580,11 +557,11 @@ class Geomancy:
             self.db.release_before(self.engine.oldest_readable_row(self.db))
         if decision.predicted_mean is not None:
             outcome.predicted_gbps = decision.predicted_mean / BYTES_PER_GB
-            self._g_predicted.set(outcome.predicted_gbps)
+            self.predicted_gbps = outcome.predicted_gbps
         if decision.veto is None:
-            self._m_acted.inc()
+            self.acted_cycles += 1
             return self.dispatch(decision.layout, t, kind="decision")
         if outcome.trained and decision.veto != NO_DEVICES:
             # A gate stopped a trained model (nowhere to move to is not one).
-            self._m_skipped.inc()
+            self.skipped_cycles += 1
         return []

@@ -37,6 +37,7 @@ from repro.faults.invariants import cluster_invariant_violations
 from repro.faults.schedule import FaultSchedule
 from repro.nn.serialization import load_weights
 from repro.observability import Observability, get_observability, use
+from repro.observability import metrics
 from repro.observability.slo import ControlPlaneSLOFeed, SLOMonitor
 from repro.observability.tracing import Recorder, facade_layers
 from repro.recovery.checkpoint import CheckpointManager
@@ -126,9 +127,10 @@ class Exports:
 
 @dataclass
 class FacadeRun:
-    """One facade run: the measured phase's books, the facade it left
-    behind (``geo.obs`` holds what observability recorded) and what the
-    other stages recorded."""
+    """One facade run: the measured phase's books, the objects it left
+    behind (``geo.obs`` holds the events; :mod:`repro.observability.metrics`
+    reads the metrics off ``geo``, ``runner`` and ``injector``) and what
+    the other stages recorded."""
 
     seed: int
     scale_name: str
@@ -150,6 +152,9 @@ class FacadeRun:
     #: the facade's recovery events (checkpoints, trips, resume ...)
     events: list[dict]
     geo: Geomancy = field(repr=False, compare=False)
+    runner: WorkloadRunner = field(repr=False, compare=False)
+    #: the fault stage's injector (None without one)
+    injector: FaultInjector | None = field(repr=False, compare=False)
     checkpoints_written: int = 0
     #: step of the generation this process restored (None: not resumed)
     resumed_from_step: int | None = None
@@ -241,13 +246,11 @@ class FacadeRun:
 
     def observed_text(self) -> str:
         """The ``run`` report: counts, artifacts, layers, SLOs."""
-        obs = self.geo.obs
         table = self._table("Instrumented run", [
             ("files moved", sum(1 for m in self.movements if m.succeeded)),
-            ("spans recorded", len(self.trace.spans) if self.trace else 0),
-            ("bus events", len(obs.bus)),
-            ("metrics registered",
-             sum(len(group) for group in obs.metrics.snapshot().values())),
+            *([("spans recorded", len(self.trace.spans))] if self.trace else []),
+            ("bus events", len(self.geo.obs.bus)),
+            ("metrics registered", len(metrics.run_metrics(self.injector))),
         ])
         for kind, path in sorted(self.artifacts.items()):
             table += f"\n{kind}: {path}"
@@ -363,9 +366,9 @@ def run_facade(
         mgr = CheckpointManager(checkpoints.directory, keep=checkpoints.keep)
         journal = LayoutJournal(Path(checkpoints.directory) / JOURNAL_NAME)
     with use(obs):
-        # Components cache their metric handles at construction, so the
-        # system is built after the instance is installed.  Checkpoints
-        # cover the measured phase only: a killed warm-up starts over.
+        # Event emitters resolve the instance at construction, so the
+        # system is built after it is installed.  Checkpoints cover the
+        # measured phase only: a killed warm-up starts over.
         geo, runner = _build(config, seed, faults, obs=obs, journal=journal)
         geo.place_initial()
         warm_up_through_agents(geo, runner, scale.warmup_accesses)
@@ -552,8 +555,9 @@ def _drive(
         if exports is not None and exports.snapshot_path is not None and (
             run_number % exports.snapshot_every == 0
         ):
-            obs.metrics.write_snapshot(
-                exports.snapshot_path, run=run_number, seed=meta["seed"]
+            metrics.write_snapshot(
+                exports.snapshot_path, geo, runner, injector,
+                run=run_number, seed=meta["seed"],
             )
         if mgr is None:
             return
@@ -601,7 +605,7 @@ def _drive(
     if exports is not None and exports.metrics_path is not None:
         path = Path(exports.metrics_path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(obs.metrics.render_prometheus())
+        path.write_text(metrics.render_prometheus(geo, runner, injector))
         artifacts["metrics"] = str(path)
     if exports is not None and exports.snapshot_path is not None:
         artifacts["metrics_snapshots"] = str(Path(exports.snapshot_path))
@@ -632,6 +636,8 @@ def _drive(
         outages=list(injector.outage_log) if injector is not None else [],
         events=[event.to_dict() for event in geo.event_log],
         geo=geo,
+        runner=runner,
+        injector=injector,
         checkpoints_written=books["checkpoints_written"],
         resumed_from_step=loaded.step if loaded is not None else None,
         rolled_back_txns=books["rolled_back"],

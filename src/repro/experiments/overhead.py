@@ -11,8 +11,8 @@ This experiment measures the same three overheads on our substrate: model-1
 training and prediction cost with the Z = 6 live features (Bluesky
 telemetry) and with the Z = 13 EOS feature set (synthetic EOS trace), on
 Table II's protocol; then one traced facade run at the same scale, whose
-daemon accounts the telemetry-transfer latency per batch and whose layer
-recorder splits the live loop's cost per layer, per decision and per
+telemetry link accounts the transfer latency per batch it carried and
+whose layer recorder splits the live loop's cost per layer, per decision and per
 access.
 """
 
@@ -100,7 +100,7 @@ def run_overhead_study(
             make_experiment_config(scale, seed=seed), scale=scale, seed=seed,
             exports=Exports(trace_path=Path(directory) / "trace.json"),
         )
-    daemon = run.geo.daemon
+    telemetry = run.geo.telemetry
 
     return OverheadResult(
         rows=[
@@ -114,7 +114,7 @@ def run_overhead_study(
             ),
         ],
         transfer_ms_per_batch=(
-            daemon.transfer_overhead_s / daemon.batches_ingested * 1000.0
+            telemetry.total_latency_s / telemetry.messages_sent * 1000.0
         ),
         run=run,
     )

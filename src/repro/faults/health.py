@@ -30,10 +30,6 @@ class HealthTracker:
         self.failures = 0
         self.quarantines_opened = 0
         self.obs = get_observability()
-        self._m_quarantines = self.obs.metrics.counter(
-            "repro_faults_quarantines_opened_total",
-            "circuit-breaker quarantines opened against devices",
-        )
 
     def record_success(self, device: str, t: float = 0.0) -> None:
         """A move toward ``device`` completed; close its circuit."""
@@ -52,7 +48,6 @@ class HealthTracker:
         if count >= QUARANTINE_THRESHOLD:
             if device not in self._quarantined_until:
                 self.quarantines_opened += 1
-                self._m_quarantines.inc()
                 if self.obs.enabled:
                     self.obs.emit(
                         "circuit-open",

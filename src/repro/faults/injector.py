@@ -70,14 +70,6 @@ class FaultInjector:
         #: (time, device) for every offline action, for recovery reporting
         self.outage_log: list[tuple[float, str]] = []
         self.obs = get_observability()
-        metrics = self.obs.metrics
-        self._m_faults = metrics.counter(
-            "repro_faults_injected_total", "scheduled fault actions applied"
-        )
-        self._m_migration_faults = metrics.counter(
-            "repro_faults_migration_aborts_total",
-            "migration failures injected mid-transfer",
-        )
 
     # -- wiring ----------------------------------------------------------
     def install(self) -> "FaultInjector":
@@ -122,7 +114,6 @@ class FaultInjector:
             elif action == RESTORE:
                 self.cluster.device(device).degradation = 1.0
                 self.recoveries_applied += 1
-            self._m_faults.inc()
             if self.obs.enabled:
                 self.obs.emit(
                     _EVENT_KINDS[action],
@@ -184,7 +175,6 @@ class FaultInjector:
         roll = self._rng.random()
         if self.migration_failure_rate and roll < self.migration_failure_rate:
             self.migration_faults_injected += 1
-            self._m_migration_faults.inc()
             # Fail somewhere in the middle of the transfer: the wasted
             # traffic is real, but the file never reaches the target.
             return float(0.05 + 0.90 * self._rng.random())

@@ -28,7 +28,6 @@ from repro.errors import FeatureError
 from repro.features.normalize import MinMaxNormalizer
 from repro.features.smoothing import moving_average
 from repro.features.throughput import access_throughput
-from repro.observability import get_observability
 
 #: The Z = 6 live feature set (see the reproduction note above).
 DEFAULT_LIVE_FEATURES: tuple[str, ...] = (
@@ -126,15 +125,9 @@ class FeaturePipeline:
         self.extra_features = tuple(
             name for name in self.features if name not in _COLUMN_BUILDERS
         )
-        metrics = get_observability().metrics
-        self._m_rows = metrics.counter(
-            "repro_features_rows_transformed_total",
-            "telemetry rows turned into feature vectors",
-        )
-        self._m_probe_rows = metrics.counter(
-            "repro_features_probe_rows_total",
-            "per-location probe rows built for prediction",
-        )
+        #: telemetry rows turned into feature vectors, and per-location
+        #: probe rows built for prediction
+        self.rows_transformed = self.probe_rows = 0
 
     @property
     def z(self) -> int:
@@ -234,13 +227,13 @@ class FeaturePipeline:
         y = self.target_vector(columns)
         self._x_norm.partial_fit(x)
         self._y_norm.partial_fit(y)
-        self._m_rows.inc(len(x))
+        self.rows_transformed += len(x)
         return self._x_norm.transform(x), self._y_norm.transform(y).ravel()
 
     def transform_features(self, columns: dict[str, np.ndarray]) -> np.ndarray:
         self._require_fitted()
         x = self._x_norm.transform(self.feature_matrix_from_columns(columns))
-        self._m_rows.inc(len(x))
+        self.rows_transformed += len(x)
         return x
 
     def transform_target(self, columns: dict[str, np.ndarray]) -> np.ndarray:
@@ -290,7 +283,7 @@ class FeaturePipeline:
         """
         probe = np.repeat(bases, len(locations), axis=0)
         probe[:, self.features.index("fsid")] = np.tile(locations, len(bases))
-        self._m_probe_rows.inc(len(probe))
+        self.probe_rows += len(probe)
         return probe
 
     def build_location_probe_rows(
@@ -300,7 +293,7 @@ class FeaturePipeline:
         one probe row per base, each at its own location."""
         rows = raw.copy()
         rows[:, self.features.index("fsid")] = fsids
-        self._m_probe_rows.inc(len(rows))
+        self.probe_rows += len(rows)
         return self._x_norm.transform(rows)
 
     def _require_fitted(self) -> None:

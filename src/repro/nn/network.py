@@ -20,7 +20,6 @@ from repro.nn.layers import Layer
 from repro.nn.losses import MeanSquaredError
 from repro.nn.metrics import is_diverged
 from repro.nn.optimizers import Optimizer, get_optimizer
-from repro.observability import get_observability
 
 #: chronological train/validation/test shares (the paper's 60/20/20)
 SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
@@ -96,14 +95,8 @@ class Sequential:
         #: (state key, layer, parameter name, start, shape) per parameter:
         #: where in the flat vectors it lives
         self._slot_table: list[tuple] = []
-        metrics = get_observability().metrics
-        self._m_epochs = metrics.counter(
-            "repro_nn_epochs_total", "training epochs completed"
-        )
-        self._m_forward = metrics.counter(
-            "repro_nn_forward_rows_total",
-            "rows pushed through inference forward passes",
-        )
+        #: epochs every ``fit`` ran and rows every ``predict`` scored
+        self.epochs_trained = self.rows_predicted = 0
 
     # -- construction ------------------------------------------------------
     def build(self, input_dim: int) -> None:
@@ -216,7 +209,7 @@ class Sequential:
         x = self._adapt_input(x)
         if not self.built:
             self.build(x.shape[-1])
-        self._m_forward.inc(len(x))
+        self.rows_predicted += len(x)
         return self._forward(x, training=False)
 
     def _forward(self, x: np.ndarray, training: bool) -> np.ndarray:
@@ -347,7 +340,7 @@ class Sequential:
             self._theta[...] = best_theta
         elif history.diverged:
             self._theta[...] = start_theta
-        self._m_epochs.inc(history.epochs_run)
+        self.epochs_trained += history.epochs_run
         return history
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

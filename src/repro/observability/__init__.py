@@ -1,32 +1,30 @@
 """Unified observability: metrics, events, logs, tracing.
 
-One :class:`Observability` object bundles the two always-on telemetry
-surfaces the stack instruments against:
+Metrics and timing are read from outside the code they describe:
 
-* :class:`~repro.observability.metrics.MetricsRegistry` -- counters,
-  gauges, fixed-bucket histograms (Prometheus text + JSONL snapshots);
-* :class:`~repro.observability.events.EventBus` -- typed structured
-  events in one bounded history (the recovery ``EventLog`` rides on it).
+* :mod:`~repro.observability.metrics` -- one table maps every Prometheus
+  name to a tally a layer already keeps (the daemon's batches, the
+  cluster's migrations ...) and renders it, when an export is written,
+  as Prometheus text or a JSONL snapshot;
+* :class:`~repro.observability.tracing.Recorder` -- opt-in per run, wraps
+  the public methods of a run's objects and charges them to layers
+  (``repro run --trace``).  The per-function view is the stdlib's:
+  ``python -m cProfile -s cumulative -m repro run --scale test``.
 
-Timing is opt-in per run and comes from outside the code it times: a
-:class:`~repro.observability.tracing.Recorder` wraps the public methods
-of a run's objects and charges them to layers (``repro run --trace``).
-The per-function view is the stdlib's: ``python -m cProfile -s
-cumulative -m repro run --scale test``.
-
-Instrumented modules resolve the *installed* instance through
-:func:`get_observability` at construction time and cache the handles
-they need.  The process default is a **disabled** instance whose handles
-are shared no-ops, so an uninstrumented run pays a few no-op method
-calls and nothing else -- and, because no instrument ever touches an RNG
-or the simulated clock, experiment outputs are bit-for-bit identical
-with observability on or off.
+The one surface code publishes to is the
+:class:`~repro.observability.events.EventBus` of an :class:`Observability`
+-- typed structured events in one bounded history (the recovery
+``EventLog`` rides on it).  Modules that emit resolve the *installed*
+instance through :func:`get_observability` at construction time.  The
+process default is a **disabled** instance that keeps no history; no
+event ever touches an RNG or the simulated clock, so experiment outputs
+are bit-for-bit identical with observability on or off.
 
 Enable per run with::
 
     with observability.use(Observability()) as obs:
         ...build and drive the system...
-        print(obs.metrics.render_prometheus())
+        print(len(obs.bus))
 """
 
 from __future__ import annotations
@@ -34,13 +32,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from repro.observability.events import Event, EventBus
-from repro.observability.metrics import DEFAULT_BUCKETS, MetricsRegistry
 
 __all__ = [
-    "DEFAULT_BUCKETS",
     "Event",
     "EventBus",
-    "MetricsRegistry",
     "Observability",
     "get_observability",
     "install",
@@ -50,11 +45,10 @@ __all__ = [
 
 
 class Observability:
-    """Metrics + event bus behind one enable switch."""
+    """The event bus behind one enable switch."""
 
     def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = bool(enabled)
-        self.metrics = MetricsRegistry(enabled=self.enabled)
         # A disabled instance keeps no history: every default-constructed
         # EventLog bridges here, and the process-global default must not
         # accumulate events across runs.
@@ -77,8 +71,8 @@ def get_observability() -> Observability:
 def install(obs: Observability) -> Observability:
     """Install ``obs`` as the process-wide instance; returns the previous.
 
-    Components cache their metric handles at construction, so install the
-    instance *before* building the system it should observe.
+    Emitters resolve the instance at construction, so install it *before*
+    building the system it should observe.
     """
     global _current
     previous = _current

@@ -1,23 +1,24 @@
-"""Allocation-light metrics: counters, gauges, fixed-bucket histograms.
+"""The run's metrics, read off the tallies its layers already keep.
 
-The registry is the stack's single metric namespace.  Instrumented code
-resolves a handle once (at construction time) and then pays one attribute
-add per observation -- no locks, no label-set hashing on the hot path, no
-allocation after the handle exists.  Metric names follow the convention
-``repro_<subsystem>_<name>_<unit>`` (see DESIGN.md "Observability
-architecture").
+Every layer of the control loop counts what it moves: the monitoring
+agents the accesses they observe, the Interface Daemon the batches it
+lands, the control agent its retries, the cluster its migrations.
+:data:`METRICS` names each such tally once as a Prometheus metric
+(``repro_<subsystem>_<name>_<unit>``, see DESIGN.md "Observability
+architecture"): its kind, its help text and a getter on the run's objects
+(``geo`` and ``runner``; :data:`INJECTOR_METRICS` read the fault
+injector of a run that had one).  Several names may read one tally.
+Nothing is registered or bumped while the run executes; the two exports
+read the table when they are written:
 
-Two export surfaces:
+* :func:`render_prometheus` -- the Prometheus text exposition format
+  (``# HELP``/``# TYPE`` + samples, histograms with cumulative
+  ``_bucket{le=...}`` series), for scraping or one-shot dumps;
+* :func:`write_snapshot` -- one JSON object per call appended to a JSONL
+  sink, for post-hoc analysis of a run's trajectory.
 
-* :meth:`MetricsRegistry.render_prometheus` -- the Prometheus text
-  exposition format (``# HELP``/``# TYPE`` + samples, histograms with
-  cumulative ``_bucket{le=...}`` series), for scraping or one-shot dumps;
-* :meth:`MetricsRegistry.write_snapshot` -- one JSON object per call
-  appended to a JSONL sink, for post-hoc analysis of a run's trajectory.
-
-A registry constructed with ``enabled=False`` hands out shared null
-handles whose methods do nothing, so a disabled stack pays only a no-op
-method call per would-be observation.
+:class:`Histogram` is the one value type a layer keeps for them: the
+daemon's ingest queue delay and the engine's training seconds.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 from bisect import bisect_left
+from collections.abc import Callable
+from typing import NamedTuple
 
 from repro.errors import ConfigurationError
 
@@ -36,49 +38,6 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
-
-_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-
-
-def _check_name(name: str) -> str:
-    if not _NAME_RE.match(name):
-        raise ConfigurationError(f"invalid metric name {name!r}")
-    return name
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "help", "value")
-
-    kind = "counter"
-
-    def __init__(self, name: str, help: str) -> None:
-        self.name = name
-        self.help = help
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-
-class Gauge:
-    """A value that can go up and down."""
-
-    __slots__ = ("name", "help", "value")
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str) -> None:
-        self.name = name
-        self.help = help
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
 
 
 class Histogram:
@@ -91,16 +50,9 @@ class Histogram:
     update.
     """
 
-    __slots__ = ("name", "help", "buckets", "counts", "sum", "count")
+    __slots__ = ("buckets", "counts", "sum", "count")
 
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> None:
+    def __init__(self, buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> None:
         edges = tuple(float(b) for b in buckets)
         if not edges:
             raise ConfigurationError("histogram needs at least one bucket")
@@ -112,8 +64,6 @@ class Histogram:
             raise ConfigurationError(
                 f"histogram buckets must be finite, got {edges}"
             )
-        self.name = name
-        self.help = help
         self.buckets = edges
         # one slot per finite bucket + the +Inf overflow
         self.counts = [0] * (len(edges) + 1)
@@ -167,49 +117,176 @@ class Histogram:
         return self.sum / self.count if self.count else 0.0
 
 
-class _NullCounter:
-    """Shared do-nothing counter handed out by a disabled registry."""
+class Metric(NamedTuple):
+    """One exported name: what it is and where its value lives."""
 
-    __slots__ = ()
-    value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-
-class _NullGauge:
-    __slots__ = ()
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
+    name: str
+    #: ``counter``, ``gauge`` or ``histogram``
+    kind: str
+    help: str
+    #: the value now, off the run's objects (a :class:`Histogram` for a
+    #: histogram); ``read(geo, runner)``, ``read(injector)`` for
+    #: :data:`INJECTOR_METRICS`.  It reads attributes and calls no method,
+    #: so a traced run charges its mid-run snapshots to no layer.
+    read: Callable
 
 
-class _NullHistogram:
-    __slots__ = ()
-    sum = 0.0
-    count = 0
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-    p50 = p95 = p99 = p999 = mean = 0.0
+def _last_report(geo, field: str) -> float:
+    """A field of the engine's latest training report (0 before one)."""
+    report = geo.engine.last_report
+    return 0.0 if report is None else float(getattr(report, field))
 
 
-NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
-NULL_HISTOGRAM = _NullHistogram()
+#: every metric of a run, by subsystem
+METRICS: tuple[Metric, ...] = (
+    # -- the paper's monitoring agents, Interface Daemon, control agent --
+    Metric("repro_agents_accesses_observed_total", "counter",
+           "accesses seen by the monitoring agents",
+           lambda geo, runner: sum(m.observed for m in geo.monitors.values())),
+    Metric("repro_agents_telemetry_batches_sent_total", "counter",
+           "telemetry batches sent toward the Interface Daemon",
+           lambda geo, runner: geo.telemetry.messages_sent),
+    Metric("repro_agents_batches_ingested_total", "counter",
+           "telemetry batches stored into the ReplayDB",
+           lambda geo, runner: geo.daemon.batches_ingested),
+    Metric("repro_agents_records_ingested_total", "counter",
+           "access records stored into the ReplayDB",
+           lambda geo, runner: geo.daemon.records_ingested),
+    Metric("repro_agents_dead_letters_total", "counter",
+           "telemetry messages dropped as malformed or rejected",
+           lambda geo, runner: geo.daemon.dead_letters),
+    Metric("repro_agents_layout_commands_total", "counter",
+           "layout commands forwarded to the control agents",
+           lambda geo, runner: geo.commands.messages_sent),
+    Metric("repro_agents_ingest_queue_delay_seconds", "histogram",
+           "delay between a batch's sent_at and its drain into the DB",
+           lambda geo, runner: geo.daemon.queue_delay_histogram),
+    Metric("repro_agents_commands_executed_total", "counter",
+           "layout commands executed against the cluster",
+           lambda geo, runner: geo.control.commands_executed),
+    Metric("repro_agents_moves_retried_total", "counter",
+           "failed moves re-attempted after backoff",
+           lambda geo, runner: geo.control.moves_retried),
+    Metric("repro_agents_retries_exhausted_total", "counter",
+           "moves abandoned after exhausting their retry budget",
+           lambda geo, runner: len(geo.control.exhausted)),
+    # -- the facade's control cycles and the DRL engine --------------------
+    Metric("repro_engine_ticks_total", "counter",
+           "control-loop consultations",
+           lambda geo, runner: geo.steps),
+    Metric("repro_engine_acted_cycles_total", "counter",
+           "cycles that dispatched a model-proposed layout",
+           lambda geo, runner: geo.acted_cycles),
+    Metric("repro_engine_skipped_cycles_total", "counter",
+           "trained cycles vetoed by skill/sanity/gain gates",
+           lambda geo, runner: geo.skipped_cycles),
+    Metric("repro_engine_moves_succeeded_total", "counter",
+           "file moves that completed",
+           lambda geo, runner: geo.control.files_moved),
+    Metric("repro_engine_moves_failed_total", "counter",
+           "file moves that aborted",
+           lambda geo, runner: geo.control.moves_failed),
+    Metric("repro_engine_files_rescued_total", "counter",
+           "files rescued off offline devices",
+           lambda geo, runner: geo.files_rescued),
+    Metric("repro_engine_predicted_gbps", "gauge",
+           "mean predicted throughput at the latest chosen placements",
+           lambda geo, runner: geo.predicted_gbps),
+    Metric("repro_engine_train_rows_total", "counter",
+           "telemetry rows consumed by training cycles",
+           lambda geo, runner: geo.engine.rows_trained),
+    Metric("repro_engine_train_seconds", "histogram",
+           "wall seconds per decision-epoch training step",
+           lambda geo, runner: geo.engine.train_seconds),
+    # -- the network --------------------------------------------------------
+    Metric("repro_nn_trainings_total", "counter",
+           "engine (re)training cycles",
+           lambda geo, runner: geo.engine.train_seconds.count),
+    Metric("repro_nn_predictions_total", "counter",
+           "probe rows scored by forward passes",
+           lambda geo, runner: geo.engine.pipeline.probe_rows),
+    Metric("repro_nn_test_mare_percent", "gauge",
+           "held-out mean absolute relative error of the latest training",
+           lambda geo, runner: _last_report(geo, "test_mare")),
+    Metric("repro_nn_skillful", "gauge",
+           "1 when the latest model out-predicts the constant baseline",
+           lambda geo, runner: _last_report(geo, "skillful")),
+    Metric("repro_nn_epochs_total", "counter",
+           "training epochs completed",
+           lambda geo, runner: geo.engine.model.epochs_trained),
+    Metric("repro_nn_forward_rows_total", "counter",
+           "rows pushed through inference forward passes",
+           lambda geo, runner: geo.engine.model.rows_predicted),
+    # -- the ReplayDB and the feature pipeline ------------------------------
+    Metric("repro_replaydb_rows_written_total", "counter",
+           "access and movement rows inserted",
+           lambda geo, runner: geo.db.rows_written),
+    Metric("repro_replaydb_queries_total", "counter",
+           "read queries served",
+           lambda geo, runner: geo.db.queries),
+    Metric("repro_features_rows_transformed_total", "counter",
+           "telemetry rows turned into feature vectors",
+           lambda geo, runner: geo.engine.pipeline.rows_transformed),
+    Metric("repro_features_probe_rows_total", "counter",
+           "per-location probe rows built for prediction",
+           lambda geo, runner: geo.engine.pipeline.probe_rows),
+    # -- the simulated storage and the workload ------------------------------
+    Metric("repro_simulation_accesses_total", "counter",
+           "file accesses served",
+           lambda geo, runner: geo.cluster.accesses_served),
+    Metric("repro_simulation_migrations_total", "counter",
+           "file migrations completed",
+           lambda geo, runner: geo.cluster.migrations),
+    Metric("repro_simulation_migrations_aborted_total", "counter",
+           "file migrations aborted mid-transfer",
+           lambda geo, runner: geo.cluster.migrations_aborted),
+    Metric("repro_simulation_migrated_bytes_total", "counter",
+           "bytes moved by completed migrations",
+           lambda geo, runner: geo.cluster.migrated_bytes),
+    Metric("repro_workloads_runs_total", "counter",
+           "workload runs started",
+           lambda geo, runner: runner.next_run_index),
+    Metric("repro_workloads_accesses_total", "counter",
+           "workload accesses completed",
+           lambda geo, runner: runner.total_accesses),
+    Metric("repro_workloads_failed_accesses_total", "counter",
+           "accesses that timed out against offline devices",
+           lambda geo, runner: runner.failed_accesses),
+    Metric("repro_faults_quarantines_opened_total", "counter",
+           "circuit-breaker quarantines opened against devices",
+           lambda geo, runner: geo.health.quarantines_opened),
+)
+
+#: the fault injector's, exported only by a run that had one
+INJECTOR_METRICS: tuple[Metric, ...] = (
+    Metric("repro_faults_injected_total", "counter",
+           "scheduled fault actions applied",
+           lambda injector: injector.outages_applied
+           + injector.recoveries_applied + injector.degradations_applied),
+    Metric("repro_faults_migration_aborts_total", "counter",
+           "migration failures injected mid-transfer",
+           lambda injector: injector.migration_faults_injected),
+)
+
+
+def run_metrics(injector) -> tuple[Metric, ...]:
+    """The metrics a run exports: :data:`METRICS`, plus the injector's
+    when it had one."""
+    return METRICS + (INJECTOR_METRICS if injector is not None else ())
+
+
+def _samples(geo, runner, injector) -> list[tuple[Metric, object]]:
+    """``(metric, value now)`` per metric of the run, in name order."""
+    samples = [(metric, metric.read(geo, runner)) for metric in METRICS]
+    if injector is not None:
+        samples += [(metric, metric.read(injector)) for metric in INJECTOR_METRICS]
+    return sorted(samples, key=lambda sample: sample[0].name)
 
 
 def _format_value(value: float) -> str:
     """A sample as the text exposition format writes it: a diverged
     model's NaN error reads ``NaN``, an overflow ``+Inf`` / ``-Inf``."""
+    value = float(value)
     if math.isnan(value):
         return "NaN"
     if math.isinf(value):
@@ -219,98 +296,54 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-class MetricsRegistry:
-    """Get-or-create registry of named counters/gauges/histograms."""
+def render_prometheus(geo, runner, injector) -> str:
+    """The run's metrics now, in the Prometheus text exposition format."""
+    lines: list[str] = []
+    for (name, kind, help, _), value in _samples(geo, runner, injector):
+        if help:
+            lines.append(f"# HELP {name} {help}")
+        lines.append(f"# TYPE {name} {kind}")
+        if kind == "histogram":
+            cumulative = 0
+            for edge, bucket_count in zip(value.buckets, value.counts):
+                cumulative += bucket_count
+                lines.append(f'{name}_bucket{{le="{edge}"}} {cumulative}')
+            lines.append(f'{name}_bucket{{le="+Inf"}} {value.count}')
+            lines.append(f"{name}_sum {_format_value(value.sum)}")
+            lines.append(f"{name}_count {value.count}")
+        else:
+            lines.append(f"{name} {_format_value(value)}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
-    def __init__(self, *, enabled: bool = True) -> None:
-        self.enabled = bool(enabled)
-        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
 
-    def __len__(self) -> int:
-        return len(self._metrics)
+def snapshot(geo, runner, injector) -> dict:
+    """JSON-serializable values of the run's metrics now."""
+    out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
+    for (name, kind, _, _), value in _samples(geo, runner, injector):
+        if kind != "histogram":
+            out[f"{kind}s"][name] = float(value)
+            continue
+        out["histograms"][name] = {
+            "count": value.count,
+            "sum": value.sum,
+            "p50": value.p50,
+            "p95": value.p95,
+            "p99": value.p99,
+            "p999": value.p999,
+            "buckets": {
+                str(edge): count
+                for edge, count in zip(value.buckets, value.counts)
+            },
+            "overflow": value.counts[-1],
+        }
+    return out
 
-    def _get_or_create(self, cls, name: str, help: str, **kwargs):
-        existing = self._metrics.get(name)
-        if existing is not None:
-            if not isinstance(existing, cls):
-                raise ConfigurationError(
-                    f"metric {name!r} already registered as "
-                    f"{existing.kind}, not {cls.kind}"
-                )
-            return existing
-        metric = cls(_check_name(name), help, **kwargs)
-        self._metrics[name] = metric
-        return metric
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        if not self.enabled:
-            return NULL_COUNTER
-        return self._get_or_create(Counter, name, help)
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        if not self.enabled:
-            return NULL_GAUGE
-        return self._get_or_create(Gauge, name, help)
-
-    def histogram(self, name: str, help: str = "") -> Histogram:
-        """A histogram over :data:`DEFAULT_BUCKETS` (read at call time)."""
-        if not self.enabled:
-            return NULL_HISTOGRAM
-        return self._get_or_create(
-            Histogram, name, help, buckets=DEFAULT_BUCKETS
-        )
-
-    # -- export ----------------------------------------------------------
-    def render_prometheus(self) -> str:
-        """Prometheus text exposition format, metrics in name order."""
-        lines: list[str] = []
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if metric.help:
-                lines.append(f"# HELP {name} {metric.help}")
-            lines.append(f"# TYPE {name} {metric.kind}")
-            if isinstance(metric, Histogram):
-                cumulative = 0
-                for edge, bucket_count in zip(metric.buckets, metric.counts):
-                    cumulative += bucket_count
-                    lines.append(
-                        f'{name}_bucket{{le="{edge}"}} {cumulative}'
-                    )
-                lines.append(f'{name}_bucket{{le="+Inf"}} {metric.count}')
-                lines.append(f"{name}_sum {_format_value(metric.sum)}")
-                lines.append(f"{name}_count {metric.count}")
-            else:
-                lines.append(f"{name} {_format_value(metric.value)}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def snapshot(self) -> dict:
-        """JSON-serializable state of every registered metric."""
-        out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if isinstance(metric, Counter):
-                out["counters"][name] = metric.value
-            elif isinstance(metric, Gauge):
-                out["gauges"][name] = metric.value
-            else:
-                out["histograms"][name] = {
-                    "count": metric.count,
-                    "sum": metric.sum,
-                    "p50": metric.p50,
-                    "p95": metric.p95,
-                    "p99": metric.p99,
-                    "p999": metric.p999,
-                    "buckets": {
-                        str(edge): count
-                        for edge, count in zip(metric.buckets, metric.counts)
-                    },
-                    "overflow": metric.counts[-1],
-                }
-        return out
-
-    def write_snapshot(self, path: str | os.PathLike, **labels) -> None:
-        """Append one snapshot (plus caller labels) as a JSONL line."""
-        record = dict(labels)
-        record["metrics"] = self.snapshot()
-        with open(path, "a", encoding="utf-8") as sink:
-            sink.write(json.dumps(record, sort_keys=True) + "\n")
+def write_snapshot(
+    path: str | os.PathLike, geo, runner, injector, **labels
+) -> None:
+    """Append one snapshot (plus caller labels) as a JSONL line."""
+    record = dict(labels)
+    record["metrics"] = snapshot(geo, runner, injector)
+    with open(path, "a", encoding="utf-8") as sink:
+        sink.write(json.dumps(record, sort_keys=True) + "\n")

@@ -213,10 +213,9 @@ def histogram_counts_above(histogram, threshold: float) -> tuple[int, int]:
 
     Works on :class:`~repro.observability.metrics.Histogram` bucket
     counts (an observation in the bucket containing the threshold counts
-    as *at_or_below* -- the conservative reading); the shared null
-    histogram reports (0, 0).
+    as *at_or_below* -- the conservative reading).
     """
-    total = getattr(histogram, "count", 0)
+    total = histogram.count
     if not total:
         return 0, 0
     buckets = histogram.buckets

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.errors import ReplayDBError
 from repro.features.pipeline import NUMERIC_FIELDS, extra_columns
-from repro.observability import get_observability
 from repro.replaydb.records import ACCESS_FIELDS, AccessRecord, MovementRecord
 
 #: numeric access fields served by the columnar queries, in column order
@@ -70,14 +69,8 @@ class ReplayDB:
     def __init__(self) -> None:
         self._closed = False
         self._clear()
-        metrics = get_observability().metrics
-        self._m_rows_written = metrics.counter(
-            "repro_replaydb_rows_written_total",
-            "access and movement rows inserted",
-        )
-        self._m_queries = metrics.counter(
-            "repro_replaydb_queries_total", "read queries served"
-        )
+        #: access and movement rows inserted, and read queries served
+        self.rows_written = self.queries = 0
 
     def _clear(self) -> None:
         """Empty every table."""
@@ -253,7 +246,7 @@ class ReplayDB:
             stop = start + hi
         self._rows = stop
         self._fold(start, stored)
-        self._m_rows_written.inc(n)
+        self.rows_written += n
         return n
 
     @staticmethod
@@ -319,7 +312,7 @@ class ReplayDB:
         self._check_open()
         rows = list(records)
         self._movements.extend(rows)
-        self._m_rows_written.inc(len(rows))
+        self.rows_written += len(rows)
         return len(rows)
 
     # -- reads -----------------------------------------------------------
@@ -388,7 +381,7 @@ class ReplayDB:
         if limit <= 0:
             raise ReplayDBError(f"limit must be positive, got {limit}")
         self._check_open()
-        self._m_queries.inc()
+        self.queries += 1
         if fid is not None:
             self._check_depth(limit)
             tail = list(self._file_tails.get(fid, ()))[-limit:]
@@ -428,10 +421,10 @@ class ReplayDB:
                 raise ReplayDBError("ids excludes limit and since")
             wanted = np.unique(np.fromiter(ids, np.int64))
             if len(wanted):
-                self._m_queries.inc()
+                self.queries += 1
             positions = wanted[(wanted >= 1) & (wanted <= self._rows)] - 1
             return self._take(positions), positions
-        self._m_queries.inc()
+        self.queries += 1
         start = 0 if since is None else min(since, self._rows)
         if limit is not None:
             start = max(start, self._rows - limit)
@@ -499,7 +492,7 @@ class ReplayDB:
         if limit <= 0:
             raise ReplayDBError(f"limit must be positive, got {limit}")
         self._check_open()
-        self._m_queries.inc()
+        self.queries += 1
         self._check_depth(limit)
         tails, wanted = self._file_tails, set(fids)
         spans, positions = [], []
@@ -529,7 +522,7 @@ class ReplayDB:
         since the last read) however large the log has grown.
         """
         self._check_open()
-        self._m_queries.inc()
+        self.queries += 1
         return self._fold_totals()
 
     def _fold_totals(self) -> dict[str, tuple[int, float]]:

@@ -18,7 +18,6 @@ from repro.errors import (
     UnknownFileError,
 )
 from repro.features.throughput import BYTES_PER_GB
-from repro.observability import get_observability
 from repro.replaydb.records import AccessRecord, MovementRecord
 from repro.simulation.clock import timestamp_parts
 from repro.simulation.device import StorageDevice
@@ -155,21 +154,11 @@ class StorageCluster:
         self.migration_interceptor: (
             Callable[[int, str, str, float, int], float | None] | None
         ) = None
-        metrics = get_observability().metrics
-        self._m_accesses = metrics.counter(
-            "repro_simulation_accesses_total", "file accesses served"
-        )
-        self._m_migrations = metrics.counter(
-            "repro_simulation_migrations_total", "file migrations completed"
-        )
-        self._m_migrations_aborted = metrics.counter(
-            "repro_simulation_migrations_aborted_total",
-            "file migrations aborted mid-transfer",
-        )
-        self._m_migrated_bytes = metrics.counter(
-            "repro_simulation_migrated_bytes_total",
-            "bytes moved by completed migrations",
-        )
+        #: accesses served, migrations completed and aborted, and the
+        #: bytes the completed ones moved -- never reset, unlike the
+        #: devices' stats
+        self.accesses_served = 0
+        self.migrations = self.migrations_aborted = self.migrated_bytes = 0
 
     # -- device access -----------------------------------------------------
     @property
@@ -356,7 +345,7 @@ class StorageCluster:
         stats.bytes_served += total
         stats.busy_time += duration
         stats.append_sample(total / duration)
-        self._m_accesses.inc()
+        self.accesses_served += 1
         cts, ctms = timestamp_parts(t + duration)
         tp = total / ((cts + ctms / 1000.0) - (ots + otms / 1000.0))
         return AccessRecord._trusted((
@@ -510,8 +499,7 @@ class StorageCluster:
         # the one-op loop would have left it.
         for state in scan_devices.values():
             state.flush_stats()
-        if records:
-            self._m_accesses.inc(len(records))
+        self.accesses_served += len(records)
         if pending is not None:
             reached = len(records) + result.failed + 1
             for state in scan_devices.values():
@@ -563,7 +551,7 @@ class StorageCluster:
                 if src_device.online:
                     src_device.absorb_transfer(t, partial, duration)
                 dst_device.absorb_transfer(t, partial, duration)
-                self._m_migrations_aborted.inc()
+                self.migrations_aborted += 1
                 raise MigrationError(
                     f"migration of file {fid} to {dst!r} aborted after "
                     f"{partial} of {info.size_bytes} bytes",
@@ -578,8 +566,8 @@ class StorageCluster:
         if src_device.online:
             src_device.absorb_transfer(t, info.size_bytes, duration)
         dst_device.absorb_transfer(t, info.size_bytes, duration)
-        self._m_migrations.inc()
-        self._m_migrated_bytes.inc(info.size_bytes)
+        self.migrations += 1
+        self.migrated_bytes += info.size_bytes
         move = MovementRecord(
             timestamp=t,
             fid=fid,

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, DeviceOfflineError, SimulationError
-from repro.observability import get_observability
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord
 from repro.simulation.clock import SimulationClock
@@ -73,17 +72,6 @@ class WorkloadRunner:
         self.next_run_index = 0
         self.total_accesses = 0
         self.failed_accesses = 0
-        metrics = get_observability().metrics
-        self._m_runs = metrics.counter(
-            "repro_workloads_runs_total", "workload runs started"
-        )
-        self._m_accesses = metrics.counter(
-            "repro_workloads_accesses_total", "workload accesses completed"
-        )
-        self._m_failed = metrics.counter(
-            "repro_workloads_failed_accesses_total",
-            "accesses that timed out against offline devices",
-        )
 
     def ensure_files_placed(self, layout: dict[int, str]) -> None:
         """Register workload files that are not yet in the cluster.
@@ -113,7 +101,6 @@ class WorkloadRunner:
         """
         index = self.next_run_index
         self.next_run_index += 1
-        self._m_runs.inc()
         fids, rb, wb = self.workload.run_arrays(index)
         access = self.cluster.access
         clock = self.clock
@@ -126,14 +113,12 @@ class WorkloadRunner:
                 # The device timed out under us; charge the wait and
                 # carry on with the rest of the run.
                 self.failed_accesses += 1
-                self._m_failed.inc()
                 clock.advance(OFFLINE_PENALTY_S + THINK_TIME_S)
                 continue
             clock.advance(record.duration + THINK_TIME_S)
             if self.db is not None:
                 self.db.insert_accesses([record])
             self.total_accesses += 1
-            self._m_accesses.inc()
             yield record
 
     def run_once(self, *, advance_hook=None) -> RunResult:
@@ -151,7 +136,6 @@ class WorkloadRunner:
         """
         index = self.next_run_index
         self.next_run_index += 1
-        self._m_runs.inc()
         fids, rb, wb = self.workload.run_arrays(index)
         batch = self.cluster.access_batch(
             fids,
@@ -167,7 +151,6 @@ class WorkloadRunner:
         self._record_batch(records)
         if batch.failed:
             self.failed_accesses += batch.failed
-            self._m_failed.inc(batch.failed)
         self.clock.advance_to(batch.end_time)
         if batch.pending_error is not None:
             raise batch.pending_error
@@ -179,7 +162,6 @@ class WorkloadRunner:
             if self.db is not None:
                 self.db.insert_accesses(records)
             self.total_accesses += len(records)
-            self._m_accesses.inc(len(records))
 
     def run_many(self, count: int) -> list[RunResult]:
         """Execute ``count`` consecutive runs.
@@ -201,7 +183,6 @@ class WorkloadRunner:
             return [self.run_once() for _ in range(count)]
         start = self.next_run_index
         self.next_run_index += count
-        self._m_runs.inc(count)
         fids, rb, wb, counts = self.workload.runs_arrays(start, count)
         batch = self.cluster.access_batch(
             fids,

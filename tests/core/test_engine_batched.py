@@ -10,7 +10,6 @@ bitwise-deterministic).
 """
 
 import math
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ import pytest
 from repro.core.config import GeomancyConfig
 from repro.core.engine import DRLEngine, _ordered_span_sums
 from repro.errors import ModelError
-from repro.observability import use
 from repro.replaydb.db import ReplayDB
 from tests.core.test_engine_online import synthetic_decision_records
 from tests.oracles.decision_loop import (
@@ -37,10 +35,9 @@ N_LOCATIONS = 4
 
 def engine_and_db(
     model_number, *, files=N_FILES, locations=N_LOCATIONS, rows=400,
-    obs=None, **overrides,
+    **overrides,
 ):
-    """A trained engine and the ReplayDB it trained on; with ``obs``,
-    every layer of it reports there."""
+    """A trained engine and the ReplayDB it trained on."""
     params = dict(
         model_number=model_number,
         epochs=8,
@@ -57,11 +54,8 @@ def engine_and_db(
             rows=rows, files=files, locations=locations, seed=3
         )
     )
-    # The pipeline and the network take their metric handles from the
-    # installed instance, at construction (the model's: first train).
-    with use(obs) if obs is not None else nullcontext():
-        engine = DRLEngine(config, obs=obs)
-        engine.train(db)
+    engine = DRLEngine(config)
+    engine.train(db)
     return engine, db
 
 

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from repro.core import engine as engine_module
 from repro.core.engine import PROBE_BLOCK_ROWS
-from repro.observability import Observability
 from repro.observability.tracing import Recorder
 from tests.core.test_engine_batched import engine_and_db
+from tests.core.test_engine_online import engine_metric
 from tests.oracles.decision_loop import propose_layout_reference
 from tests.oracles.probe_grid import location_probe_batch
 
@@ -217,10 +217,7 @@ class TestRaggedSpansAgainstReference:
 class TestCountersAndSpans:
     @pytest.mark.usefixtures("full_grid")
     def test_totals_are_the_whole_probe_and_one_span_per_call(self):
-        obs = Observability()
-        engine, db = engine_and_db(
-            1, files=64, rows=1200, obs=obs
-        )
+        engine, db = engine_and_db(1, files=64, rows=1200)
         devices = {k: f"dev{k}" for k in range(1, 513)}
         _, raw = engine._gather_probe_bases(db, db.files())
         rows = len(raw) * len(devices)
@@ -230,13 +227,13 @@ class TestCountersAndSpans:
             "repro_nn_forward_rows_total",
             "repro_features_probe_rows_total",
         )
-        before = obs.metrics.snapshot()["counters"]
+        before = [engine_metric(engine, name) for name in names]
         recorder = Recorder()
         recorder.wrap(engine, "engine")
         recorder.wrap(engine.model, "nn")
         recorder.measure(lambda: engine.propose_layout(db, db.files(), devices))
-        after = obs.metrics.snapshot()["counters"]
-        assert [after[n] - before[n] for n in names] == [rows] * 3
+        after = [engine_metric(engine, name) for name in names]
+        assert [a - b for a, b in zip(after, before)] == [rows] * 3
         # One streamed pass over the probe: a forward pass per block, all
         # of them inside the one propose_layout call.
         (call,) = [s for s in recorder.spans if s[0] == "engine.propose_layout"]

@@ -13,7 +13,7 @@ from repro.experiments.facade import Faults, run_facade
 from repro.experiments.harness import make_experiment_config
 from repro.experiments.spec import TEST_SCALE
 from repro.faults.chaos_transport import FaultStage
-from repro.observability import Observability
+from repro.observability import Observability, metrics
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord
 
@@ -142,7 +142,7 @@ class TestDaemonUnderChaos:
         geo = run.geo
         dead = geo.daemon.dead_letters
         assert dead > 0
-        counters = geo.obs.metrics.snapshot()["counters"]
+        counters = metrics.snapshot(geo, run.runner, run.injector)["counters"]
         assert counters["repro_agents_dead_letters_total"] == dead
         assert len(geo.obs.bus.of_kind("dead-letter")) == dead
         warnings = [

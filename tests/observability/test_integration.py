@@ -1,15 +1,15 @@
-"""End-to-end: one instrumented control loop, checked against the paper
-PR's acceptance bar -- subsystem coverage, span nesting, determinism."""
+"""End-to-end: one instrumented control loop -- subsystem coverage, the
+layers' counts agreeing with each other, span nesting, determinism."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.facade import Exports, run_facade
+from repro.experiments.facade import Exports, Faults, run_facade
 from repro.experiments.harness import make_experiment_config
 from repro.experiments.spec import TEST_SCALE
-from repro.observability import Observability, get_observability
+from repro.observability import Observability, get_observability, metrics
 
 REQUIRED_SUBSYSTEMS = {
     "engine", "replaydb", "features", "nn", "simulation", "faults",
@@ -29,18 +29,34 @@ def result(tmp_path_factory):
     )
 
 
+def snapshot(run) -> dict:
+    """The derived export of a finished facade run."""
+    return metrics.snapshot(run.geo, run.runner, run.injector)
+
+
+def snapshot_lines(run) -> list[dict]:
+    return [
+        json.loads(line)
+        for line in Path(
+            run.artifacts["metrics_snapshots"]
+        ).read_text().splitlines()
+    ]
+
+
 class TestMetricsCoverage:
     def test_covers_required_subsystems(self, result):
         subsystems = {
             name.split("_")[1]
-            for group in result.geo.obs.metrics.snapshot().values()
+            for group in snapshot(result).values()
             for name in group
         }
         assert REQUIRED_SUBSYSTEMS <= subsystems
 
     def test_prometheus_dump_written_and_parseable(self, result):
         text = Path(result.artifacts["metrics"]).read_text()
-        assert text == result.geo.obs.metrics.render_prometheus()
+        assert text == metrics.render_prometheus(
+            result.geo, result.runner, result.injector
+        )
         assert "# TYPE repro_engine_ticks_total counter" in text
         assert "# TYPE repro_engine_train_seconds histogram" in text
         # every sample line is "name[{labels}] value"
@@ -51,12 +67,7 @@ class TestMetricsCoverage:
             float(value)
 
     def test_snapshots_track_the_run(self, result):
-        lines = [
-            json.loads(line)
-            for line in Path(
-                result.artifacts["metrics_snapshots"]
-            ).read_text().splitlines()
-        ]
+        lines = snapshot_lines(result)
         assert [line["run"] for line in lines] == list(
             range(1, result.runs_completed + 1)
         )
@@ -66,6 +77,46 @@ class TestMetricsCoverage:
         ]
         assert ticks == sorted(ticks)  # counters are monotone
         assert ticks[-1] == result.runs_completed
+
+
+class TestCountsAgree:
+    """The layers count one run's traffic alike (lossless, fault-free)."""
+
+    def test_the_four_access_counts_agree(self, result):
+        counters = snapshot(result)["counters"]
+        counts = {
+            counters[f"repro_{name}_total"]
+            for name in (
+                "agents_accesses_observed", "agents_records_ingested",
+                "simulation_accesses", "workloads_accesses",
+            )
+        }
+        assert len(counts) == 1 and counts.pop() > 0
+
+    def test_moves_succeeded_are_the_runs_succeeded_movements(self, result):
+        counters = snapshot(result)["counters"]
+        succeeded = sum(1 for move in result.movements if move.succeeded)
+        assert succeeded > 0
+        assert counters["repro_engine_moves_succeeded_total"] == succeeded
+
+    def test_every_counter_is_monotone_across_snapshots(self, result):
+        lines = snapshot_lines(result)
+        for name in lines[0]["metrics"]["counters"]:
+            values = [line["metrics"]["counters"][name] for line in lines]
+            assert values == sorted(values), name
+
+    def test_aborted_migrations_are_the_injected_faults(self):
+        run = run_facade(
+            make_experiment_config(TEST_SCALE), scale=TEST_SCALE, seed=0,
+            faults=Faults(
+                schedule=("kill:file0@150",), migration_failure_rate=0.2
+            ),
+        )
+        counters = snapshot(run)["counters"]
+        injected = run.injector.migration_faults_injected
+        assert injected > 0
+        assert counters["repro_simulation_migrations_aborted_total"] == injected
+        assert counters["repro_faults_migration_aborts_total"] == injected
 
 
 def _with_parents(events: list[dict]):
@@ -132,9 +183,10 @@ class TestDeterminism:
         assert disabled.final_layout == result.final_layout
         assert disabled.mean_gbps == result.mean_gbps
         assert disabled.accesses == result.accesses
-        obs = disabled.geo.obs
-        assert disabled.trace is None and len(obs.bus) == 0
-        assert obs.metrics.render_prometheus() == ""
+        assert disabled.trace is None and len(disabled.geo.obs.bus) == 0
+        # The metrics are read off the run's own tallies: the switch
+        # changes none of them.
+        assert snapshot(disabled)["counters"] == snapshot(result)["counters"]
 
     def test_run_restores_the_process_default(self, result):
         assert get_observability().enabled is False

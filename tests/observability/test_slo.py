@@ -5,10 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.facade import _slo_text
 from repro.observability.events import EventBus
-from repro.observability.metrics import (
-    NULL_HISTOGRAM,
-    MetricsRegistry,
-)
+from repro.observability.metrics import Histogram
 from repro.observability.slo import (
     ControlPlaneSLOFeed,
     SLOMonitor,
@@ -112,14 +109,15 @@ class TestMonitor:
 class TestHistogramCountsAbove:
     def test_splits_at_bucket_boundary(self):
         # 0.05 is one of the default bucket edges
-        hist = MetricsRegistry().histogram("repro_test_delay_seconds")
+        hist = Histogram()
         for value in (0.001, 0.02, 0.2, 2.0):
             hist.observe(value)
         below, above = histogram_counts_above(hist, 0.05)
         assert (below, above) == (2, 2)
 
     def test_null_histogram_reports_nothing(self):
-        assert histogram_counts_above(NULL_HISTOGRAM, 0.05) == (0, 0)
+        # A histogram that saw no batch yet (a run's first tick).
+        assert histogram_counts_above(Histogram(), 0.05) == (0, 0)
 
 
 class TestControlPlaneFeed:
@@ -133,9 +131,7 @@ class TestControlPlaneFeed:
             self.daemon = _Daemon()
 
     def _feed(self):
-        hist = MetricsRegistry().histogram(
-            "repro_agents_ingest_queue_delay_seconds"
-        )
+        hist = Histogram()
         monitor = SLOMonitor(ControlPlaneSLOFeed.default_specs())
         geo = self._FakePlane(hist)
         return ControlPlaneSLOFeed(

@@ -91,7 +91,7 @@ def access(cluster, fid: int, t: float, *, rb: int = 0, wb: int = 0):
             f"file {fid} is stranded on offline device {info.device!r}"
         )
     duration = perform_access(device, t, rb, wb)
-    cluster._m_accesses.inc()
+    cluster.accesses_served += 1
     ots, otms = timestamp_parts(t)
     cts, ctms = timestamp_parts(t + duration)
     return AccessRecord(
@@ -106,12 +106,11 @@ def run_stream(runner):
     Starts the runner's next run and yields each record as it completes,
     advancing the runner's clock by the record's duration plus think
     time (offline penalty plus think time for an op a tolerant runner
-    lost), with the runner's counters, metrics and ReplayDB kept as
+    lost), with the runner's counters and ReplayDB kept as
     ``src/`` keeps them.
     """
     index = runner.next_run_index
     runner.next_run_index += 1
-    runner._m_runs.inc()
     for op in runner.workload.run(index):
         try:
             record = access(
@@ -121,7 +120,6 @@ def run_stream(runner):
             if not runner.tolerate_offline:
                 raise
             runner.failed_accesses += 1
-            runner._m_failed.inc()
             runner.clock.advance(
                 runner_module.OFFLINE_PENALTY_S + runner_module.THINK_TIME_S
             )
@@ -130,5 +128,4 @@ def run_stream(runner):
         if runner.db is not None:
             runner.db.insert_accesses([record])
         runner.total_accesses += 1
-        runner._m_accesses.inc()
         yield record

@@ -54,7 +54,6 @@ def agent_observe(agent: MonitoringAgent, record: AccessRecord) -> None:
         )
     agent._buffer.append(record)
     agent.observed += 1
-    agent._m_observed.inc()
     if len(agent._buffer) >= agent.batch_size:
         agent.flush(at=record.close_time)
 

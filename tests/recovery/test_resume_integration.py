@@ -216,11 +216,10 @@ class TestGuardrailAcceptance:
         # The learner is benched at its first control step (run 5) for
         # ten runs; file0 dies in between, so it is a fallback cycle that
         # rescues the stranded files.
-        from repro.observability import Observability, use
+        from repro.observability import metrics
         from repro.observability.provenance import ProvenanceLedger
 
-        obs = Observability(enabled=True)
-        with use(obs), monkeypatch.context() as patch:
+        with monkeypatch.context() as patch:
             patch.setattr(guardrail, "COOLDOWN_RUNS", 10)
             result = recover(
                 tmp_path / "ckpt",
@@ -243,7 +242,9 @@ class TestGuardrailAcceptance:
             assert not entry.candidates
             assert entry.window_lo is None and entry.test_mare is None
             assert entry.guardrail_mode == "fallback"
-        counters = obs.metrics.snapshot()["counters"]
+        counters = metrics.snapshot(
+            result.geo, result.runner, result.injector
+        )["counters"]
         assert (
             counters["repro_engine_files_rescued_total"]
             == result.rescued_files
