@@ -15,10 +15,10 @@ guarantees:
 * the Prometheus dump covers the whole stack (>= 6 subsystems);
 * wall-clock overhead stays within the 2% budget (DESIGN.md).
 
-The enabled arm now carries the whole PR 9 layer too -- causal tracing,
-the decision-provenance ledger (in memory, no JSONL path) and SLO
-burn-rate monitoring -- so the 2% budget gates the full observability
-stack, not just metrics and events.
+The enabled arm also keeps the decision-provenance ledger (in memory, no
+JSONL path: the daemon records each landed batch, every dispatch its
+decision) and SLO burn-rate monitoring, so the 2% budget gates the full
+observability stack, not just metrics and events.
 
 The overhead estimate uses :func:`_timing.paired_overhead`; if a first
 cheap round lands over budget -- wall-clock noise on shared runners

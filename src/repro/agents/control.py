@@ -17,7 +17,7 @@ quarantined upstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.agents.messages import LayoutCommand
 from repro.errors import (
@@ -207,7 +207,6 @@ class ControlAgent:
                     bytes_moved=exc.bytes_transferred,
                     duration=exc.duration,
                     succeeded=False,
-                    trace_id=command.trace_id,
                 )
                 records.append(failed)
                 t += exc.duration
@@ -235,10 +234,6 @@ class ControlAgent:
                 # Already in place; a stale retry resolves itself.
                 self._retries.pop(fid, None)
                 continue
-            if command.trace_id is not None:
-                # The cluster constructs the record; stamp the causing
-                # command's trace id onto it (legacy commands leave None).
-                move = replace(move, trace_id=command.trace_id)
             records.append(move)
             t += move.duration
             self.files_moved += 1

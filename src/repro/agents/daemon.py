@@ -6,8 +6,9 @@ a networking middleware that allows parallel requests to be sent between
 the target system, Geomancy, and internally within Geomancy."
 
 Beyond the paper: a malformed message is dead-lettered -- counted,
-logged, announced on the event bus and resolved as such on the causal
-plane -- so the rest of the queue still lands.
+logged and announced on the event bus -- so the rest of the queue still
+lands; each batch that does land is recorded, with its rowid span, in
+the provenance ledger when one is attached.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.errors import ReplayDBError
 from repro.observability import Observability, get_observability
 from repro.observability.metrics import Histogram
 from repro.observability.logs import get_logger
+from repro.observability.provenance import ProvenanceLedger
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import MovementRecord
 
@@ -34,6 +36,7 @@ class InterfaceDaemon:
         commands: Transport,
         *,
         obs: Observability | None = None,
+        ledger: ProvenanceLedger | None = None,
     ) -> None:
         self.db = db
         self.telemetry = telemetry
@@ -45,24 +48,10 @@ class InterfaceDaemon:
         #: drain -- one bad batch must not strand everything queued behind it
         self.dead_letters = 0
         #: drain time minus ``sent_at`` per ingested batch -- the queue +
-        #: transport delay the causal layer and the queue-delay SLO read
+        #: transport delay the provenance ledger and the queue-delay SLO read
         self.queue_delay_histogram = Histogram()
-        #: optional :class:`~repro.observability.provenance.CausalContext`
-        #: (see :meth:`attach_causal`)
-        self.causal = None
-        #: cumulative ReplayDB access rows landed through this daemon,
-        #: tracked so each batch's rowid span is known without a DB query
-        self._rows_landed = 0
-
-    def attach_causal(self, causal) -> None:
-        """Resolve batch fates (with rowid spans) through ``causal``.
-
-        Must be attached before telemetry flows: the landed-row counter
-        is seeded from the DB's current count so rowid spans line up with
-        the ReplayDB's rowids, which it assigns in arrival order.
-        """
-        self.causal = causal
-        self._rows_landed = self.db.access_count()
+        #: where each landed batch is recorded (None: nowhere)
+        self.ledger = ledger
 
     def _dead_letter(self, reason: str, message, at: float) -> None:
         self.dead_letters += 1
@@ -72,23 +61,18 @@ class InterfaceDaemon:
                 reason=reason, message_type=type(message).__name__,
             )
 
-    def _resolve(self, message, outcome: str, **fields) -> None:
-        if self.causal is not None:
-            self.causal.resolve(
-                getattr(message, "trace_id", None), outcome, **fields
-            )
-
-    def _ingest(self, message, drained_at: float | None, landed: bool) -> int:
-        """Route one drained message, stored already if ``landed``; returns its rows."""
+    def _ingest(
+        self, message, drained_at: float | None, landed: bool, last_row: int
+    ) -> int:
+        """Route one drained message, stored already if ``landed`` right
+        after row ``last_row``; returns its rows."""
         now = _message_time(message)
         if not isinstance(message, TelemetryBatch):
             self._dead_letter("non-telemetry message", message, now)
-            self._resolve(message, "dead-letter", drained_at=drained_at)
             logger.warning(
                 "dead-lettered non-telemetry message of type %s "
-                "on the telemetry transport (trace %s)",
+                "on the telemetry transport",
                 type(message).__name__,
-                getattr(message, "trace_id", None),
             )
             return 0
         try:
@@ -96,24 +80,18 @@ class InterfaceDaemon:
                 self.db.insert_accesses(message.records)
         except ReplayDBError as exc:
             self._dead_letter(f"rejected by the ReplayDB: {exc}", message, now)
-            self._resolve(message, "dead-letter", drained_at=drained_at)
             logger.warning(
                 "dead-lettered telemetry batch of %d records "
-                "rejected by the ReplayDB: %s (trace %s)",
-                len(message.records), exc, message.trace_id,
+                "rejected by the ReplayDB: %s",
+                len(message.records), exc,
             )
             return 0
         self.batches_ingested += 1
         stored = len(message.records)
-        if self.causal is not None:
-            # The ReplayDB assigns rowids in arrival order, so the batch's
-            # span is the next `stored` rows after the last land.
-            lo = self._rows_landed + 1
-            self._rows_landed += stored
-            self.causal.resolve(
-                message.trace_id, "ingested",
-                drained_at=drained_at,
-                rowid_lo=lo, rowid_hi=self._rows_landed,
+        if self.ledger is not None:
+            self.ledger.record_batch(
+                message.device, stored, message.sent_at, drained_at,
+                last_row + 1, last_row + stored,
             )
         if drained_at is not None:
             self.queue_delay_histogram.observe(
@@ -132,30 +110,31 @@ class InterfaceDaemon:
         queue still lands.
 
         Dead letters are timestamped with each batch's ``sent_at``.
-        ``drained_at`` is the simulated drain time the causal layer
-        attributes queue delay against (delay = ``drained_at - sent_at``
-        per batch); None skips the attribution.
+        ``drained_at`` is the simulated drain time queue delay is
+        attributed against (delay = ``drained_at - sent_at`` per batch);
+        None skips the attribution.  The ReplayDB numbers rows in arrival
+        order, so each landed batch's rowid span follows from the
+        largest rowid before the write.
         """
         stored = 0
         messages = self.telemetry.receive_all()
         batches = [m for m in messages if isinstance(m, TelemetryBatch)]
+        first_row = self.db.max_rowid() if self.ledger is not None else 0
         try:
             self.db.insert_accesses(r for b in batches for r in b.records)
             landed = True
         except ReplayDBError:
             landed = False
         for message in messages:
-            stored += self._ingest(message, drained_at, landed)
+            stored += self._ingest(
+                message, drained_at, landed, first_row + stored
+            )
         self.records_ingested += stored
         return stored
 
-    def send_layout(
-        self, layout: dict[int, str], at: float, *, trace_id: str | None = None
-    ) -> None:
+    def send_layout(self, layout: dict[int, str], at: float) -> None:
         """Forward a layout decision to the control agents."""
-        self.commands.send(
-            LayoutCommand(layout=dict(layout), issued_at=at, trace_id=trace_id)
-        )
+        self.commands.send(LayoutCommand(layout=dict(layout), issued_at=at))
 
     def record_movements(self, moves: list[MovementRecord]) -> None:
         """Log executed movements so the layout evolution is queryable."""

@@ -19,9 +19,6 @@ class TelemetryBatch:
     device: str
     records: tuple[AccessRecord, ...]
     sent_at: float
-    #: causal trace id stamped at emission (see
-    #: ``observability.provenance.CausalContext``); None on a legacy plane
-    trace_id: str | None = None
 
     def __post_init__(self) -> None:
         if not self.records:
@@ -42,9 +39,6 @@ class LayoutCommand:
 
     layout: dict[int, str] = field(default_factory=dict)
     issued_at: float = 0.0
-    #: causal trace id linking this command to its decision epoch and the
-    #: movements it produces; None on a legacy plane
-    trace_id: str | None = None
 
     def __post_init__(self) -> None:
         if self.issued_at < 0:

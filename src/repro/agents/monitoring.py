@@ -27,9 +27,6 @@ class MonitoringAgent:
         self.transport = transport
         self.batch_size = BATCH_SIZE
         self._buffer: list[AccessRecord] = []
-        #: optional :class:`~repro.observability.provenance.CausalContext`;
-        #: when attached, every batch is stamped with a trace id at emission
-        self.causal = None
         self.observed = 0
 
     def observe_many(self, records: list[AccessRecord]) -> None:
@@ -66,12 +63,9 @@ class MonitoringAgent:
             return False
         records = tuple(self._buffer)
         self._buffer.clear()
-        trace_id = None
-        if self.causal is not None:
-            trace_id = self.causal.stamp_batch(self.device, len(records), at)
-        self.transport.send(TelemetryBatch(
-            device=self.device, records=records, sent_at=at, trace_id=trace_id,
-        ))
+        self.transport.send(
+            TelemetryBatch(device=self.device, records=records, sent_at=at)
+        )
         return True
 
     @property

@@ -29,13 +29,11 @@ def message_to_dict(message) -> dict:
             "device": message.device,
             "sent_at": message.sent_at,
             "records": [record_to_dict(r) for r in message.records],
-            "trace_id": message.trace_id,
         }
     if isinstance(message, LayoutCommand):
         return {
             "layout": {str(fid): dst for fid, dst in message.layout.items()},
             "issued_at": message.issued_at,
-            "trace_id": message.trace_id,
         }
     if isinstance(message, CorruptMessage):
         return {"corrupt": message.reason}
@@ -49,13 +47,11 @@ def message_from_dict(raw: dict):
             device=str(raw["device"]),
             records=tuple(record_from_dict(r) for r in raw["records"]),
             sent_at=float(raw["sent_at"]),
-            trace_id=raw.get("trace_id"),
         )
     if "layout" in raw:
         return LayoutCommand(
             layout={int(fid): str(dst) for fid, dst in raw["layout"].items()},
             issued_at=float(raw["issued_at"]),
-            trace_id=raw.get("trace_id"),
         )
     return CorruptMessage(reason=str(raw["corrupt"]))
 
@@ -71,9 +67,6 @@ class Transport:
         self._queue: deque = deque()
         self.messages_sent = 0
         self.total_latency_s = 0.0
-        #: optional :class:`~repro.observability.provenance.CausalContext`
-        #: the fault stage reports drops and corruptions through
-        self.causal = None
 
     @property
     def pending(self) -> int:
@@ -85,7 +78,7 @@ class Transport:
         self.messages_sent += 1
         self.total_latency_s += self.latency_s
         if self.faults is not None:
-            arrives, message = self.faults.on_send(message, self.causal)
+            arrives, message = self.faults.on_send(message)
             if not arrives:
                 return
         self._queue.append(message)
@@ -107,10 +100,6 @@ class Transport:
             self._queue.extend(self.faults.held)
             self.faults.held.clear()
         return drained
-
-    def iter_pending(self):
-        """The pending messages, in the order a drain would deliver them."""
-        return iter(self._queue)
 
     def state_dict(self) -> dict:
         """Counters, queued messages and the fault stage's state, as JSON."""

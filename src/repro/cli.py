@@ -225,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_faults(run)
     run.add_argument(
         "--provenance", default=None, metavar="PATH",
-        help="enable causal tracing and write the decision-provenance "
-             "ledger here (walk it with 'repro explain')",
+        help="record decision provenance and write the ledger here "
+             "(walk it with 'repro explain')",
     )
     run.add_argument(
         "--slo", action="store_true",

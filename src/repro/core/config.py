@@ -61,12 +61,11 @@ class GeomancyConfig:
     #: (plus prioritized replay) instead of from scratch on the window;
     #: keeps decision-epoch cost flat as ReplayDB grows
     online_learning: bool = False
-    #: -- causal tracing / provenance (repro.observability.provenance) ----
-    #: stamp trace ids on telemetry batches, layout commands and movement
-    #: records, resolve every message's fate through a CausalContext, and
-    #: record per-decision provenance (training window rowids, feature
-    #: digest, per-candidate predictions, chosen layout, movement ids);
-    #: off by default -- the plain plane carries no ids at all
+    #: -- decision provenance (repro.observability.provenance) ----------
+    #: record every telemetry batch the daemon lands (with its ReplayDB
+    #: rowid span) and every dispatch (training window rowids, feature
+    #: digest, per-candidate predictions, chosen layout, movement ids)
+    #: in a provenance ledger; off by default
     provenance_enabled: bool = False
     #: JSONL flight-recorder path for the provenance ledger (None keeps
     #: the ledger in memory only)

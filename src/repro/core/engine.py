@@ -170,7 +170,7 @@ class DRLEngine:
         )
         self.adjuster = PredictionAdjuster()
         self.last_report: TrainingReport | None = None
-        # -- decision provenance capture (off unless the causal layer asks) --
+        # -- decision provenance capture (off unless a ledger is kept) ----
         #: when True, each train/propose call records what it consumed:
         #: the ReplayDB rowid window, a digest of the transformed feature
         #: matrix, and every candidate's predicted throughput

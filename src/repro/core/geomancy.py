@@ -29,11 +29,7 @@ from repro.core.scheduler import CooldownScheduler
 from repro.errors import AgentError, ConfigurationError
 from repro.faults.health import HealthTracker
 from repro.observability import Observability, get_observability
-from repro.observability.provenance import (
-    CausalContext,
-    DecisionProvenance,
-    ProvenanceLedger,
-)
+from repro.observability.provenance import ProvenanceLedger
 from repro.policies.base import PlacementPolicy
 from repro.policies.lru import LRUPolicy
 from repro.policies.static import EvenSpreadPolicy
@@ -111,9 +107,17 @@ class Geomancy:
         self.event_log = (
             event_log if event_log is not None else EventLog(bus=self.obs.bus)
         )
+        #: decision provenance (None unless ``provenance_enabled``): the
+        #: daemon records each batch it lands, :meth:`dispatch` each layout
+        self.ledger = (
+            ProvenanceLedger(self.config.provenance_path)
+            if self.config.provenance_enabled
+            else None
+        )
         self.commands = Transport()
         self.daemon = InterfaceDaemon(
-            self.db, self.telemetry, self.commands, obs=self.obs
+            self.db, self.telemetry, self.commands, obs=self.obs,
+            ledger=self.ledger,
         )
         self.monitors = {
             name: MonitoringAgent(name, self.telemetry)
@@ -125,6 +129,7 @@ class Geomancy:
         #: Action Checker
         self.decision_path = DecisionPath(self.config)
         self.engine = self.decision_path.engine
+        self.engine.capture_provenance = self.ledger is not None
         self.checker = self.decision_path.checker
         self.scheduler = CooldownScheduler(self.config.cooldown_runs)
         #: control cycles consulted, the last one's run index, and the
@@ -158,23 +163,6 @@ class Geomancy:
         self.pending_predicted: float | None = None
         #: cycles spent under the fallback policy so far
         self.fallback_runs = 0
-        # -- causal tracing + decision provenance (all off by default) ----
-        self.causal: CausalContext | None = None
-        self.ledger: ProvenanceLedger | None = None
-        self._movement_rows = 0
-        if self.config.provenance_enabled:
-            self.ledger = ProvenanceLedger(self.config.provenance_path)
-            self.causal = CausalContext(self.ledger)
-            self.telemetry.causal = self.causal
-            self.commands.causal = self.causal
-            self.daemon.attach_causal(self.causal)
-            for monitor in self.monitors.values():
-                monitor.causal = self.causal
-            # Movements-table rowids are 1-based insert order; seed the
-            # counter so decision entries name real rowids even when the
-            # DB already holds movements (a resumed run).
-            self._movement_rows = len(self.db.movements())
-            self.engine.capture_provenance = True
 
     # -- placement -----------------------------------------------------------
     def place_initial(self) -> dict[int, str]:
@@ -205,7 +193,6 @@ class Geomancy:
                     f"no monitoring agent for device {device!r}"
                 )
             monitor = MonitoringAgent(device, self.telemetry)
-            monitor.causal = self.causal
             self.monitors[device] = monitor
         return monitor
 
@@ -233,7 +220,7 @@ class Geomancy:
 
         ``at`` doubles as the drain time, so each batch's queue delay
         (``at - sent_at``) lands in the daemon's delay histogram and in
-        the causal ledger.
+        the provenance ledger.
         """
         for monitor in self.monitors.values():
             monitor.flush(at=at)
@@ -253,19 +240,15 @@ class Geomancy:
         durably logged before any file moves, the commit after every
         movement has settled, so a crash in between leaves a pending
         intent the recovery path rolls back.
-        On a causal plane the command is stamped with a trace id that
-        flows onto every resulting movement record, and the dispatch is
-        journaled in the provenance ledger as one decision entry.
+        With a provenance ledger the dispatch is recorded there as one
+        decision entry, naming the movements-table rows it wrote.
         """
-        trace_id = (
-            self.causal.stamp_command() if self.causal is not None else None
-        )
         txn = (
             self.journal.log_intent(layout, t=t)
             if self.journal is not None
             else None
         )
-        self.daemon.send_layout(layout, at=t, trace_id=trace_id)
+        self.daemon.send_layout(layout, at=t)
         command = self.commands.receive()
         if not isinstance(command, LayoutCommand):
             raise AgentError(
@@ -275,14 +258,13 @@ class Geomancy:
         self.daemon.record_movements(movements)
         if txn is not None:
             self.journal.log_commit(txn, movements, t=t)
-        if self.causal is not None:
-            # record_movements is the only movements-table writer on this
-            # plane, so insert order names the rowids just written.
-            first = self._movement_rows + 1
-            self._movement_rows += len(movements)
+        if self.ledger is not None:
+            # Movements-table rowids are 1-based insert order, so the
+            # rows just written are the table's last ones.
+            last = len(self.db.movements())
             self._record_decision(
-                trace_id, kind, t, layout, movements,
-                list(range(first, self._movement_rows + 1)),
+                kind, t, layout, movements,
+                list(range(last - len(movements) + 1, last + 1)),
             )
         succeeded = sum(1 for m in movements if m.succeeded)
         failed = len(movements) - succeeded
@@ -299,7 +281,6 @@ class Geomancy:
 
     def _record_decision(
         self,
-        trace_id: str,
         kind: str,
         t: float,
         layout: dict[int, str],
@@ -309,9 +290,7 @@ class Geomancy:
         """Append one decision-epoch entry to the provenance ledger."""
         engine = self.engine
         report = engine.last_report
-        entry = DecisionProvenance(
-            decision_id=self.causal.stamp_decision(),
-            trace_id=trace_id,
+        entry = dict(
             kind=kind,
             run_index=self._last_run_index,
             t=t,
@@ -327,19 +306,21 @@ class Geomancy:
             # other kind the captured window/digest/candidates describe the
             # *last* training epoch and would mislead there.
             if engine.last_window is not None:
-                entry.window_lo, entry.window_hi = engine.last_window
-            entry.feature_digest = engine.last_feature_digest
-            entry.candidates = {
+                entry["window_lo"], entry["window_hi"] = engine.last_window
+            entry["feature_digest"] = engine.last_feature_digest
+            entry["candidates"] = {
                 int(fid): dict(scores)
                 for fid, scores in engine.last_candidates.items()
                 if fid in layout
             }
             if report is not None:
-                entry.train_mode = report.mode
-                entry.train_seconds = report.train_seconds
-                entry.test_mare = report.test_mare
-                entry.skillful = report.skillful
-        self.ledger.record_decision(entry)
+                entry.update(
+                    train_mode=report.mode,
+                    train_seconds=report.train_seconds,
+                    test_mare=report.test_mare,
+                    skillful=report.skillful,
+                )
+        self.ledger.record_decision(**entry)
 
     def _rescue_layout(self, available: list[str]) -> dict[int, str]:
         """Targets for files stranded on offline devices.

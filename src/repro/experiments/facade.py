@@ -140,15 +140,11 @@ class FacadeRun:
     #: simulated length and end of the measured phase
     duration_s: float
     end_time: float
-    #: accesses that found their device offline (none do in warm-up)
-    failed_accesses: int
     rescued_files: int
     #: per outage wave, seconds until no file was stranded any more
     recovery_times: list[float]
     stranded_at_end: int
     invariant_violations: list[str]
-    #: (simulated time, device) per applied outage
-    outages: list[tuple[float, str]]
     #: the facade's recovery events (checkpoints, trips, resume ...)
     events: list[dict]
     geo: Geomancy = field(repr=False, compare=False)
@@ -628,12 +624,10 @@ def _drive(
         mean_gbps=float(np.mean(throughput)) if throughput else 0.0,
         duration_s=runner.clock.now - meta["phase_start"],
         end_time=runner.clock.now,
-        failed_accesses=runner.failed_accesses,
         rescued_files=books["rescued"],
         recovery_times=list(books["recovery_times"]),
         stranded_at_end=len(cluster.files_stranded()),
         invariant_violations=list(books["violations"]),
-        outages=list(injector.outage_log) if injector is not None else [],
         events=[event.to_dict() for event in geo.event_log],
         geo=geo,
         runner=runner,

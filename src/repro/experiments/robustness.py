@@ -257,8 +257,8 @@ def run_chaos(
         chaos_gbps=chaos.mean_gbps,
         baseline_accesses=baseline.accesses,
         chaos_accesses=chaos.accesses,
-        failed_accesses=chaos.failed_accesses,
-        outages=chaos.outages,
+        failed_accesses=chaos.runner.failed_accesses,
+        outages=list(chaos.injector.outage_log),
         recovery_times=chaos.recovery_times,
         stranded_at_end=chaos.stranded_at_end,
         movements=chaos.movements,

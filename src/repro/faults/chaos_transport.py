@@ -41,25 +41,17 @@ class FaultStage:
         self.held: deque = deque()
         self.dropped = self.corrupted = self.delayed = self.reordered_drains = 0
 
-    def on_send(self, message, causal) -> tuple[bool, object]:
+    def on_send(self, message) -> tuple[bool, object]:
         """Decide one sent message's fate: (arrives now, what arrives)."""
-        trace_id = getattr(message, "trace_id", None)
         if self._rng.random() < self.drop_rate:
             self.dropped += 1
-            if causal is not None:
-                causal.resolve(trace_id, "chaos-drop")
             return False, message
         if self._rng.random() < self.corrupt_rate:
             self.corrupted += 1
-            # The original payload is gone; its causal chain ends here
-            # (the garbage the daemon receives carries no trace id).
-            if causal is not None:
-                causal.resolve(trace_id, "chaos-corrupt")
-            message, trace_id = CorruptMessage(), None
+            # The original payload is gone; the daemon dead-letters this.
+            message = CorruptMessage()
         if self._rng.random() < self.delay_rate:
             self.delayed += 1
-            if causal is not None:
-                causal.note(trace_id, "chaos-delay")
             self.held.append(message)
             return False, message
         return True, message

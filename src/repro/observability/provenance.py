@@ -1,31 +1,29 @@
-"""Causal trace context and the decision provenance ledger.
+"""The decision provenance ledger: from telemetry to movement.
 
-Two cooperating pieces turn the control plane's per-subsystem telemetry
-into one navigable causal chain:
+The ledger is written where the ReplayDB is written, by the two owners
+of those writes:
 
-* :class:`CausalContext` stamps every
-  :class:`~repro.agents.messages.TelemetryBatch` and
-  :class:`~repro.agents.messages.LayoutCommand` with a lightweight trace
-  id at emission and records each message's *fate* -- delivered into the
-  ReplayDB (with the exact rowid span its records landed in),
-  dead-lettered, or dropped or corrupted by a chaos transport.  Ids are
-  deterministic sequence counters (never RNG or wall-clock derived), so
-  causal tracing can never perturb a seeded experiment.
+* the Interface Daemon records every telemetry batch it lands -- device,
+  record count, ``sent_at``, ``drained_at`` and the ReplayDB rowid span
+  its records took;
+* ``Geomancy.dispatch`` records every dispatched layout as one decision
+  entry -- replay-window rowid span, feature digest, per-candidate
+  predicted throughputs, chosen layout, guardrail state and the
+  movements-table rowids it just wrote.
 
-* :class:`ProvenanceLedger` is the bounded, rotated JSONL flight
-  recorder.  Every resolved batch and every decision epoch (replay-window
-  rowid span, feature digest, per-candidate predicted throughputs, chosen
-  layout, guardrail state, resulting movement ids) is appended as
-  one JSON line; when the file exceeds ``rotate_bytes`` it is rotated to
-  ``<path>.1`` so the recorder can run forever in bounded space.
-  :meth:`ProvenanceLedger.explain` walks the chain backward from a
-  movement id to the telemetry that caused it -- the ``repro explain``
-  CLI and the causal-integrity property tests are both built on it.
+The ledger names both from its own counters: ``b:<device>:<n>`` counts a
+device's landed batches, ``d:<n>`` the dispatches.  Those counters are
+its checkpoint state; no id travels with a message.  Ids are sequence
+counters, never RNG or wall-clock derived, so recording can never
+perturb a seeded experiment.
 
-Nothing here touches an RNG or the simulated clock: with the causal
-knobs off no id is ever stamped, and with them on the observed system's
-outputs are bit-for-bit identical (the observability benchmark gates
-this).
+:class:`ProvenanceLedger` is bounded in memory and optionally backed by
+a JSONL flight recorder: every record is appended as one JSON line, and
+when the file exceeds ``ROTATE_BYTES`` it is rotated to ``<path>.1`` so
+the recorder can run forever in bounded space.
+:meth:`ProvenanceLedger.explain` walks the chain backward from a
+movement id to the telemetry that fed its decision -- the ``repro
+explain`` CLI is built on it.
 """
 
 from __future__ import annotations
@@ -38,36 +36,23 @@ from pathlib import Path
 
 from repro.errors import ConfigurationError
 
-#: outcome a batch carries between emission and resolution
-IN_FLIGHT = "in-flight"
 #: flight-recorder size at which the file rotates to ``<path>.1``
 ROTATE_BYTES = 4_000_000
-
-#: terminal fates a telemetry batch can meet
-BATCH_OUTCOMES = (
-    "ingested",            # records landed in the ReplayDB
-    "dead-letter",         # malformed or rejected by the ReplayDB
-    "chaos-drop",          # silent network loss (FaultStage)
-    "chaos-corrupt",       # mangled in transit; arrives as garbage
-)
 
 
 @dataclass
 class BatchProvenance:
-    """One telemetry batch's life, from emission to its terminal fate."""
+    """One telemetry batch the daemon landed in the ReplayDB."""
 
     batch_id: str
     device: str
     records: int
     sent_at: float
-    outcome: str = IN_FLIGHT
     #: when the daemon drained the batch off the transport (simulated s)
-    drained_at: float | None = None
+    drained_at: float | None
     #: inclusive ReplayDB rowid span the batch's records landed in
-    rowid_lo: int | None = None
-    rowid_hi: int | None = None
-    #: non-terminal events along the way (chaos delays, prior outcomes)
-    notes: list[str] = field(default_factory=list)
+    rowid_lo: int
+    rowid_hi: int
 
     @property
     def queue_delay_s(self) -> float | None:
@@ -76,21 +61,9 @@ class BatchProvenance:
             return None
         return max(0.0, self.drained_at - self.sent_at)
 
-    def covers_rowid(self, rowid: int) -> bool:
-        return (
-            self.rowid_lo is not None
-            and self.rowid_hi is not None
-            and self.rowid_lo <= rowid <= self.rowid_hi
-        )
-
     def overlaps(self, lo: int, hi: int) -> bool:
         """Whether the batch's rowid span intersects ``[lo, hi]``."""
-        return (
-            self.rowid_lo is not None
-            and self.rowid_hi is not None
-            and self.rowid_lo <= hi
-            and lo <= self.rowid_hi
-        )
+        return self.rowid_lo <= hi and lo <= self.rowid_hi
 
     def to_dict(self) -> dict:
         return {
@@ -99,11 +72,9 @@ class BatchProvenance:
             "device": self.device,
             "records": self.records,
             "sent_at": self.sent_at,
-            "outcome": self.outcome,
             "drained_at": self.drained_at,
             "rowid_lo": self.rowid_lo,
             "rowid_hi": self.rowid_hi,
-            "notes": list(self.notes),
         }
 
     @classmethod
@@ -113,11 +84,9 @@ class BatchProvenance:
             device=str(raw["device"]),
             records=int(raw["records"]),
             sent_at=float(raw["sent_at"]),
-            outcome=str(raw.get("outcome", IN_FLIGHT)),
             drained_at=raw.get("drained_at"),
-            rowid_lo=raw.get("rowid_lo"),
-            rowid_hi=raw.get("rowid_hi"),
-            notes=list(raw.get("notes", [])),
+            rowid_lo=int(raw["rowid_lo"]),
+            rowid_hi=int(raw["rowid_hi"]),
         )
 
 
@@ -126,10 +95,8 @@ class DecisionProvenance:
     """One dispatched layout: what the engine saw and what it chose."""
 
     decision_id: str
-    #: trace id stamped onto the LayoutCommand and its MovementRecords
-    trace_id: str
-    #: "decision" (model-proposed layout), "rescue", "retry", or a
-    #: guardrail's "rollback" / "fallback"
+    #: "decision" (model-proposed layout), "rescue", "retry", a
+    #: guardrail's "rollback" / "fallback", or a baseline's "policy"
     kind: str
     run_index: int
     t: float
@@ -145,6 +112,7 @@ class DecisionProvenance:
     #: movements-table rowids this dispatch produced, in insert order
     movement_ids: list[int] = field(default_factory=list)
     train_mode: str | None = None
+    #: host (wall-clock) seconds the training took; not simulated time
     train_seconds: float | None = None
     test_mare: float | None = None
     skillful: bool | None = None
@@ -156,7 +124,6 @@ class DecisionProvenance:
         return {
             "type": "decision",
             "decision_id": self.decision_id,
-            "trace_id": self.trace_id,
             "kind": self.kind,
             "run_index": self.run_index,
             "t": self.t,
@@ -181,7 +148,6 @@ class DecisionProvenance:
     def from_dict(cls, raw: dict) -> "DecisionProvenance":
         return cls(
             decision_id=str(raw["decision_id"]),
-            trace_id=str(raw["trace_id"]),
             kind=str(raw["kind"]),
             run_index=int(raw["run_index"]),
             t=float(raw["t"]),
@@ -211,11 +177,10 @@ class ProvenanceLedger:
 
     ``max_entries`` bounds each of the batch and decision stores (oldest
     evicted first); ``path`` enables persistence, with the file rotated
-    to ``<path>.1`` once it exceeds :data:`ROTATE_BYTES`.  Batches are
-    persisted when they *resolve* (reach a terminal outcome), decisions
-    when they are recorded; a batch resolved twice (dead-lettered, then
-    requeued and ingested) appends again and the latest line wins on
-    load.
+    to ``<path>.1`` once it exceeds :data:`ROTATE_BYTES`.  Every record
+    is appended when it is made.  A resumed run re-records what its
+    killed twin did after the checkpoint under the same ids, and the
+    latest line wins on load.
     """
 
     def __init__(
@@ -234,32 +199,52 @@ class ProvenanceLedger:
         self.decisions: deque[DecisionProvenance] = deque(maxlen=max_entries)
         #: movement id -> decision id, bounded alongside the decisions
         self._movement_index: OrderedDict[int, str] = OrderedDict()
-        self.batches_evicted = 0
+        #: landed batches per device and dispatches: the next ids
+        self._batch_seq: dict[str, int] = {}
+        self._decision_seq = 0
         if self.path is not None and self.path.parent != Path(""):
             self.path.parent.mkdir(parents=True, exist_ok=True)
 
-    def __len__(self) -> int:
-        return len(self.batches) + len(self.decisions)
-
     # -- recording -------------------------------------------------------
-    def record_batch(self, batch: BatchProvenance) -> None:
-        """Track a freshly stamped (still in-flight) batch."""
+    def record_batch(
+        self, device: str, records: int, sent_at: float,
+        drained_at: float | None, rowid_lo: int, rowid_hi: int,
+    ) -> BatchProvenance:
+        """Name, keep and persist one batch the daemon just landed."""
+        seq = self._batch_seq.get(device, 0) + 1
+        self._batch_seq[device] = seq
+        batch = BatchProvenance(
+            batch_id=f"b:{device}:{seq}", device=device, records=int(records),
+            sent_at=float(sent_at),
+            drained_at=None if drained_at is None else float(drained_at),
+            rowid_lo=int(rowid_lo), rowid_hi=int(rowid_hi),
+        )
+        self._keep_batch(batch)
+        self._append(batch.to_dict())
+        return batch
+
+    def record_decision(self, **fields) -> DecisionProvenance:
+        """Name, keep and persist one dispatch's entry; ``fields`` are
+        :class:`DecisionProvenance`'s, all but the id."""
+        self._decision_seq += 1
+        decision = DecisionProvenance(
+            decision_id=f"d:{self._decision_seq}", **fields
+        )
+        self._keep_decision(decision)
+        self._append(decision.to_dict())
+        return decision
+
+    def _keep_batch(self, batch: BatchProvenance) -> None:
         self.batches[batch.batch_id] = batch
         while len(self.batches) > self.max_entries:
             self.batches.popitem(last=False)
-            self.batches_evicted += 1
 
-    def persist_batch(self, batch: BatchProvenance) -> None:
-        """Append a resolved batch to the flight recorder."""
-        self._append(batch.to_dict())
-
-    def record_decision(self, decision: DecisionProvenance) -> None:
+    def _keep_decision(self, decision: DecisionProvenance) -> None:
         self.decisions.append(decision)
         for movement_id in decision.movement_ids:
             self._movement_index[movement_id] = decision.decision_id
         while len(self._movement_index) > self.max_entries:
             self._movement_index.popitem(last=False)
-        self._append(decision.to_dict())
 
     def _append(self, obj: dict) -> None:
         if self.path is None:
@@ -278,7 +263,20 @@ class ProvenanceLedger:
         with open(self.path, "a", encoding="utf-8") as sink:
             sink.write(line)
 
-    # -- loading ---------------------------------------------------------
+    # -- persistence -----------------------------------------------------
+    def state_dict(self) -> dict:
+        """The id counters: a resumed plane must not mint an id twice."""
+        return {
+            "batch_seq": dict(self._batch_seq),
+            "decision_seq": self._decision_seq,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        self._batch_seq = {
+            str(device): int(seq) for device, seq in state["batch_seq"].items()
+        }
+        self._decision_seq = int(state["decision_seq"])
+
     @classmethod
     def load(cls, path: str | os.PathLike) -> "ProvenanceLedger":
         """Rebuild a ledger from its JSONL file (plus the ``.1`` rotation).
@@ -301,29 +299,23 @@ class ProvenanceLedger:
                 continue
             raw = json.loads(line)
             if raw.get("type") == "decision":
-                ledger.record_decision_loaded(DecisionProvenance.from_dict(raw))
+                ledger._keep_decision(DecisionProvenance.from_dict(raw))
             else:
-                ledger.record_batch(BatchProvenance.from_dict(raw))
+                ledger._keep_batch(BatchProvenance.from_dict(raw))
         return ledger
-
-    def record_decision_loaded(self, decision: DecisionProvenance) -> None:
-        """Track a decision read back from disk (no re-append)."""
-        self.decisions.append(decision)
-        for movement_id in decision.movement_ids:
-            self._movement_index[movement_id] = decision.decision_id
 
     # -- the walk --------------------------------------------------------
     def decision_for_movement(self, movement_id: int) -> DecisionProvenance | None:
         decision_id = self._movement_index.get(int(movement_id))
         if decision_id is None:
             return None
-        for decision in self.decisions:
+        for decision in reversed(self.decisions):
             if decision.decision_id == decision_id:
                 return decision
         return None
 
     def batches_for_window(self, lo: int, hi: int) -> list[BatchProvenance]:
-        """Ingested batches whose rowid span intersects ``[lo, hi]``."""
+        """Landed batches whose rowid span intersects ``[lo, hi]``."""
         return [
             batch for batch in self.batches.values() if batch.overlaps(lo, hi)
         ]
@@ -359,38 +351,26 @@ class ProvenanceLedger:
                 "max_s": max(delays) if delays else 0.0,
                 "mean_s": sum(delays) / len(delays) if delays else 0.0,
             },
-            "critical_path": self.critical_path(decision, batches),
+            "critical_path": self.critical_path(decision, delays),
         }
 
     @staticmethod
     def critical_path(
-        decision: DecisionProvenance, batches: list[BatchProvenance]
+        decision: DecisionProvenance, delays: list[float]
     ) -> list[dict]:
-        """Stage timings along the telemetry -> movement chain."""
+        """Simulated stage timings along the telemetry -> movement chain.
+
+        Training does not advance the simulated clock, so its host time
+        (``decision.train_seconds``) is not a stage here.
+        """
         stages: list[dict] = []
-        delays = [
-            batch.queue_delay_s for batch in batches
-            if batch.queue_delay_s is not None
-        ]
         if delays:
-            stages.append(
-                {"stage": "telemetry_queue", "seconds": max(delays)}
-            )
-        if decision.train_seconds is not None:
-            stages.append(
-                {"stage": "train", "seconds": decision.train_seconds}
-            )
+            stages.append({"stage": "telemetry_queue", "seconds": max(delays)})
         stages.append(
-            {
-                "stage": "movement_apply",
-                "seconds": decision.movement_duration_s,
-            }
+            {"stage": "movement_apply", "seconds": decision.movement_duration_s}
         )
         stages.append(
-            {
-                "stage": "total",
-                "seconds": sum(s["seconds"] for s in stages),
-            }
+            {"stage": "total", "seconds": sum(s["seconds"] for s in stages)}
         )
         return stages
 
@@ -408,7 +388,7 @@ class ProvenanceLedger:
         lines = [
             f"movement {movement_id} <- {decision['decision_id']} "
             f"({decision['kind']}, run {decision['run_index']}, "
-            f"t={decision['t']:.2f}s, trace {decision['trace_id']})",
+            f"t={decision['t']:.2f}s)",
         ]
         if decision["window_lo"] is not None:
             lines.append(
@@ -465,6 +445,11 @@ class ProvenanceLedger:
             lines.append(
                 f"    {stage['stage']:<16} {stage['seconds']:.3f}s"
             )
+        if decision["train_seconds"] is not None:
+            lines.append(
+                f"    {'train':<16} {decision['train_seconds']:.3f}s "
+                f"(host time, not in total)"
+            )
         return "\n".join(lines)
 
     # -- chrome export ---------------------------------------------------
@@ -472,9 +457,10 @@ class ProvenanceLedger:
         """Causal spans for the Chrome-trace export (simulated time).
 
         Batches render as complete events spanning ``sent_at`` to
-        ``drained_at`` on one track, decisions on another; args link the
-        chain (batch ids, rowid spans, movement ids) so the
-        trace viewer can follow a movement back to its telemetry.
+        ``drained_at`` on one track, decisions (spanning their movements'
+        apply time) on another; args link the chain (batch ids, rowid
+        spans, movement ids) so the trace viewer can follow a movement
+        back to its telemetry.
         """
         events: list[dict] = []
         for batch in self.batches.values():
@@ -486,35 +472,30 @@ class ProvenanceLedger:
                     "cat": "causal",
                     "ph": "X",
                     "ts": round(batch.sent_at * 1e6, 3),
-                    "dur": round(
-                        max(0.0, batch.drained_at - batch.sent_at) * 1e6, 3
-                    ),
+                    "dur": round(batch.queue_delay_s * 1e6, 3),
                     "pid": 2,
                     "tid": 1,
                     "args": {
                         "batch_id": batch.batch_id,
-                        "outcome": batch.outcome,
                         "records": batch.records,
                         "rowids": [batch.rowid_lo, batch.rowid_hi],
                     },
                 }
             )
         for decision in self.decisions:
-            duration = (decision.train_seconds or 0.0) + (
-                decision.movement_duration_s
-            )
             events.append(
                 {
                     "name": f"{decision.kind} {decision.decision_id}",
                     "cat": "causal",
                     "ph": "X",
                     "ts": round(decision.t * 1e6, 3),
-                    "dur": round(max(duration, 1e-6) * 1e6, 3),
+                    "dur": round(
+                        max(decision.movement_duration_s, 1e-6) * 1e6, 3
+                    ),
                     "pid": 2,
                     "tid": 2,
                     "args": {
                         "decision_id": decision.decision_id,
-                        "trace_id": decision.trace_id,
                         "window": [decision.window_lo, decision.window_hi],
                         "movement_ids": list(decision.movement_ids),
                         "files": len(decision.chosen),
@@ -522,124 +503,3 @@ class ProvenanceLedger:
                 }
             )
         return events
-
-
-class CausalContext:
-    """Stamps trace ids at emission; records every message's fate.
-
-    One context serves a whole control plane: monitoring agents stamp
-    batches through it, fault stages report drops, the daemon
-    reports ingestion (with rowid spans and queue delay) and dead
-    letters, and Geomancy stamps layout commands.  All ids are
-    deterministic sequence counters.
-    """
-
-    def __init__(self, ledger: ProvenanceLedger | None = None) -> None:
-        self.ledger = ledger if ledger is not None else ProvenanceLedger()
-        self._batch_seq: dict[str, int] = {}
-        self._command_seq = 0
-        self._decision_seq = 0
-        #: batches whose terminal outcome was recorded, by outcome kind
-        self.resolved: dict[str, int] = {}
-
-    # -- stamping --------------------------------------------------------
-    def stamp_batch(
-        self,
-        device: str,
-        records: int,
-        sent_at: float,
-    ) -> str:
-        """Mint a batch id and start tracking the batch's life."""
-        seq = self._batch_seq.get(device, 0) + 1
-        self._batch_seq[device] = seq
-        batch_id = f"b:{device}:{seq}"
-        self.ledger.record_batch(
-            BatchProvenance(
-                batch_id=batch_id,
-                device=device,
-                records=int(records),
-                sent_at=float(sent_at),
-            )
-        )
-        return batch_id
-
-    def stamp_command(self) -> str:
-        """Mint a trace id for one layout dispatch."""
-        self._command_seq += 1
-        return f"cmd:{self._command_seq}"
-
-    def stamp_decision(self) -> str:
-        """Mint the id of one ledgered decision entry."""
-        self._decision_seq += 1
-        return f"d:{self._decision_seq}"
-
-    # -- persistence -----------------------------------------------------
-    def state_dict(self) -> dict:
-        """The id counters: a resumed plane must not mint an id twice."""
-        return {
-            "batch_seq": dict(self._batch_seq),
-            "command_seq": self._command_seq,
-            "decision_seq": self._decision_seq,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._batch_seq = {
-            str(device): int(seq) for device, seq in state["batch_seq"].items()
-        }
-        self._command_seq = int(state["command_seq"])
-        self._decision_seq = int(state["decision_seq"])
-
-    # -- resolution ------------------------------------------------------
-    def batch(self, trace_id: str | None) -> BatchProvenance | None:
-        if trace_id is None:
-            return None
-        return self.ledger.batches.get(trace_id)
-
-    def note(self, trace_id: str | None, note: str) -> None:
-        """Attach a non-terminal event (e.g. a chaos delay) to a batch."""
-        batch = self.batch(trace_id)
-        if batch is not None:
-            batch.notes.append(note)
-
-    def resolve(
-        self,
-        trace_id: str | None,
-        outcome: str,
-        *,
-        drained_at: float | None = None,
-        rowid_lo: int | None = None,
-        rowid_hi: int | None = None,
-    ) -> None:
-        """Record a batch's terminal fate (idempotent on unknown ids).
-
-        A batch resolved a second time (a dead letter later requeued and
-        ingested) keeps its history: the prior outcome moves into the
-        notes and the new one becomes terminal.
-        """
-        if outcome not in BATCH_OUTCOMES:
-            raise ConfigurationError(
-                f"outcome must be one of {BATCH_OUTCOMES}, got {outcome!r}"
-            )
-        batch = self.batch(trace_id)
-        if batch is None:
-            return
-        if batch.outcome != IN_FLIGHT:
-            batch.notes.append(f"previously:{batch.outcome}")
-        batch.outcome = outcome
-        if drained_at is not None:
-            batch.drained_at = float(drained_at)
-        if rowid_lo is not None:
-            batch.rowid_lo = int(rowid_lo)
-        if rowid_hi is not None:
-            batch.rowid_hi = int(rowid_hi)
-        self.resolved[outcome] = self.resolved.get(outcome, 0) + 1
-        self.ledger.persist_batch(batch)
-
-    # -- integrity -------------------------------------------------------
-    def in_flight(self) -> list[str]:
-        """Ids of batches with no terminal outcome yet."""
-        return [
-            batch_id
-            for batch_id, batch in self.ledger.batches.items()
-            if batch.outcome == IN_FLIGHT
-        ]

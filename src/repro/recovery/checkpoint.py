@@ -59,8 +59,11 @@ MODEL_NAME = "model.npz"
 #: aggregates, not samples;
 #: 11: the meta holds the fault stage as one dict;
 #: 12: the engine's online state has no update counter (11's ``updates``
-#: only timed a frozen weight copy that is gone)
-FORMAT_VERSION = 12
+#: only timed a frozen weight copy that is gone);
+#: 13: no trace ids: channel messages and the ReplayDB's movement tuples
+#: carry none, and the system state's ``causal`` entry is ``provenance``,
+#: the ledger's batch and decision counters
+FORMAT_VERSION = 13
 
 _GEN_PREFIX = "gen-"
 _STAGING_PREFIX = ".staging-"

@@ -8,8 +8,8 @@ every file placement (in workload-spec order, so the cluster namespace
 is rebuilt with identical iteration order), per-device RNG/stat state,
 the engine / action-checker / control-agent / health-tracker state
 dicts, the guardrail with the facade's safety-net state around it
-(known-good layout, pending prediction, fallback-run count), the causal
-plane's id counters when tracing is on, and the channel: both
+(known-good layout, pending prediction, fallback-run count), the
+provenance ledger's id counters when it is on, and the channel: both
 transports (counters, anything still queued, a fault stage's generator,
 fate counters and held messages) and every monitoring agent's observed
 count -- what decides which telemetry the engine gets to train on next.
@@ -61,8 +61,8 @@ def capture_system(geo, runner) -> dict:
         "checker": geo.checker.state_dict(),
         "control": geo.control.state_dict(),
         "health": geo.health.state_dict(),
-        "causal": (
-            geo.causal.state_dict() if geo.causal is not None else None
+        "provenance": (
+            geo.ledger.state_dict() if geo.ledger is not None else None
         ),
         "guardrail": {
             "rail": (
@@ -126,8 +126,8 @@ def restore_system(geo, runner, state: dict) -> None:
     geo.checker.load_state_dict(state["checker"])
     geo.control.load_state_dict(state["control"])
     geo.health.load_state_dict(state["health"])
-    if geo.causal is not None:
-        geo.causal.load_state_dict(state["causal"])
+    if geo.ledger is not None:
+        geo.ledger.load_state_dict(state["provenance"])
     safety = state["guardrail"]
     if geo.guardrail is not None:
         geo.guardrail.load_state_dict(safety["rail"])

@@ -146,9 +146,6 @@ class MovementRecord:
     bytes_moved: int
     duration: float
     succeeded: bool = True
-    #: trace id of the LayoutCommand that caused the move (None for
-    #: baseline policies or a plane without causal tracing)
-    trace_id: str | None = None
 
     def __post_init__(self) -> None:
         if self.bytes_moved < 0:

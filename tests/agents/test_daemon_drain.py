@@ -1,9 +1,10 @@
 """The Interface Daemon lands a whole drain in one ReplayDB write.
 
 One pump of k batches must leave the database, the per-batch books and
-the causal rowid spans exactly as k pumps of one batch each; a batch the
-ReplayDB rejects falls back to batch-by-batch landing, so it alone is
-dead-lettered and the batches around it land in drain order.
+the provenance ledger's rowid spans exactly as k pumps of one batch
+each; a batch the ReplayDB rejects falls back to batch-by-batch landing,
+so it alone is dead-lettered and the batches around it land in drain
+order.
 """
 
 import numpy as np
@@ -12,18 +13,9 @@ from repro.agents.daemon import InterfaceDaemon
 from repro.agents.messages import TelemetryBatch
 from repro.agents.transport import Transport
 from repro.observability import Observability
+from repro.observability.provenance import ProvenanceLedger
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord
-
-
-class CausalRecorder:
-    """Stands in for a ``CausalContext``: keeps every resolution."""
-
-    def __init__(self) -> None:
-        self.resolved = []
-
-    def resolve(self, trace_id, outcome, **fields) -> None:
-        self.resolved.append((trace_id, outcome, fields))
 
 
 def access(device: str, i: int, **changes) -> AccessRecord:
@@ -43,21 +35,23 @@ def batches(k: int = 5) -> list[TelemetryBatch]:
         device = ("var", "pic", "file0")[n % 3]
         records = tuple(access(device, i + j) for j in range(3 + 4 * n))
         i += len(records)
-        out.append(TelemetryBatch(
-            device=device, records=records, sent_at=float(n),
-            trace_id=f"b:{device}:{n}",
-        ))
+        out.append(
+            TelemetryBatch(device=device, records=records, sent_at=float(n))
+        )
     return out
 
 
-def daemon_with_causal():
+def daemon_with_ledger():
     telemetry = Transport()
+    ledger = ProvenanceLedger()
     daemon = InterfaceDaemon(
-        ReplayDB(), telemetry, Transport(), obs=Observability()
+        ReplayDB(), telemetry, Transport(), obs=Observability(), ledger=ledger
     )
-    causal = CausalRecorder()
-    daemon.attach_causal(causal)
-    return daemon, telemetry, causal
+    return daemon, telemetry, ledger
+
+
+def recorded(ledger: ProvenanceLedger) -> list[dict]:
+    return [batch.to_dict() for batch in ledger.batches.values()]
 
 
 def state(daemon: InterfaceDaemon) -> dict:
@@ -80,7 +74,7 @@ def state(daemon: InterfaceDaemon) -> dict:
 
 def test_one_pump_of_k_batches_equals_pumping_them_one_at_a_time(monkeypatch):
     sent = batches()
-    whole, whole_link, whole_causal = daemon_with_causal()
+    whole, whole_link, whole_ledger = daemon_with_ledger()
     writes = []
     insert = whole.db.insert_accesses
     monkeypatch.setattr(
@@ -90,15 +84,15 @@ def test_one_pump_of_k_batches_equals_pumping_them_one_at_a_time(monkeypatch):
     for batch in sent:
         whole_link.send(batch)
     stored = whole.pump_telemetry(drained_at=9.0)
-    each, each_link, each_causal = daemon_with_causal()
+    each, each_link, each_ledger = daemon_with_ledger()
     for batch in sent:
         each_link.send(batch)
         each.pump_telemetry(drained_at=9.0)
     assert writes == [1]
     assert stored == sum(len(b.records) for b in sent) == each.db.max_rowid()
     assert state(whole) == state(each)
-    assert whole_causal.resolved == each_causal.resolved
-    assert [fields["rowid_lo"] for _, _, fields in whole_causal.resolved] == (
+    assert recorded(whole_ledger) == recorded(each_ledger)
+    assert [b["rowid_lo"] for b in recorded(whole_ledger)] == (
         np.cumsum([1] + [len(b.records) for b in sent[:-1]]).tolist()
     )
 
@@ -107,9 +101,9 @@ def test_a_batch_the_db_rejects_alone_is_dead_lettered():
     good = batches(4)
     bad = TelemetryBatch(
         device="var", records=(access("var", 99), access("var", 98, rb=1.5)),
-        sent_at=2.5, trace_id="b:var:bad",
+        sent_at=2.5,
     )
-    daemon, telemetry, causal = daemon_with_causal()
+    daemon, telemetry, ledger = daemon_with_ledger()
     for message in (good[0], good[1], bad, "not a batch", good[2], good[3]):
         telemetry.send(message)
     stored = daemon.pump_telemetry(drained_at=9.0)
@@ -118,14 +112,10 @@ def test_a_batch_the_db_rejects_alone_is_dead_lettered():
     assert daemon.db.recent_accesses(len(landed)) == landed
     assert (daemon.batches_ingested, daemon.dead_letters) == (4, 2)
     assert daemon.queue_delay_histogram.count == 4
-    outcomes = [(trace, outcome) for trace, outcome, _ in causal.resolved]
-    assert outcomes == [
-        ("b:var:0", "ingested"), ("b:pic:1", "ingested"),
-        ("b:var:bad", "dead-letter"), (None, "dead-letter"),
-        ("b:file0:2", "ingested"), ("b:var:3", "ingested"),
-    ]
     spans = [
-        (fields["rowid_lo"], fields["rowid_hi"])
-        for _, outcome, fields in causal.resolved if outcome == "ingested"
+        (b["batch_id"], b["rowid_lo"], b["rowid_hi"]) for b in recorded(ledger)
     ]
-    assert spans == [(1, 3), (4, 10), (11, 21), (22, 36)]
+    assert spans == [
+        ("b:var:1", 1, 3), ("b:pic:1", 4, 10),
+        ("b:file0:1", 11, 21), ("b:var:2", 22, 36),
+    ]

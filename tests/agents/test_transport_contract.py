@@ -61,7 +61,6 @@ class TransportContract:
 
     def test_common(self):
         self._test_conservation()
-        self._test_peek_is_the_next_drain()
         self._test_drain_order()
         self._test_same_seed_same_fates()
         self._test_state_round_trip_mid_stream()
@@ -79,14 +78,6 @@ class TransportContract:
         held, dropped = (len(link.held), link.dropped) if link else (0, 0)
         assert transport.messages_sent == sent
         assert sent == delivered + transport.pending + held + dropped
-
-    def _test_peek_is_the_next_drain(self):
-        transport = self.make(reorder_rate=0.0)
-        for cut in (7, 19, 40):
-            self.play(transport, ["send"] * cut, start=cut)
-            peeked = list(transport.iter_pending())
-            assert len(peeked) == transport.pending
-            assert peeked == transport.receive_all()
 
     def _test_drain_order(self):
         transport = self.make(reorder_rate=0.0, corrupt_rate=0.0, delay_rate=0.0)

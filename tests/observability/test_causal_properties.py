@@ -1,11 +1,11 @@
 """Causal-integrity property tests (Hypothesis).
 
-The accounting guarantee the tracing layer must hold under *any*
+The accounting guarantee the provenance ledger must hold under *any*
 interleaving of observations, flushes, drains and chaos faults: every
-stamped telemetry batch is either resolved to a terminal outcome or still
+sent telemetry message is dropped, landed, dead-lettered or still
 physically in flight (queued or chaos-held); nothing is silently lost,
-and the rowid spans of ingested batches exactly partition the rows that
-landed in the ReplayDB -- plus the end-to-end guarantee the ``repro
+and the rowid spans of the ledger's batches exactly partition the rows
+that landed in the ReplayDB -- plus the end-to-end guarantee the ``repro
 explain`` CLI sells: every movement a full control loop applies resolves
 to a non-empty provenance chain.
 """
@@ -20,10 +20,7 @@ from repro.agents.daemon import InterfaceDaemon  # noqa: E402
 from repro.agents.monitoring import MonitoringAgent  # noqa: E402
 from repro.agents.transport import Transport  # noqa: E402
 from repro.faults.chaos_transport import FaultStage  # noqa: E402
-from repro.observability.provenance import (  # noqa: E402
-    IN_FLIGHT,
-    CausalContext,
-)
+from repro.observability.provenance import ProvenanceLedger  # noqa: E402
 from repro.replaydb.db import ReplayDB  # noqa: E402
 from repro.replaydb.records import AccessRecord  # noqa: E402
 
@@ -51,17 +48,15 @@ ops = st.lists(
 
 
 def _build_plane(transport):
-    causal = CausalContext()
-    transport.causal = causal
     monitor = MonitoringAgent(DEVICE, transport)
     monitor.batch_size = 8
-    monitor.causal = causal
-    daemon = InterfaceDaemon(ReplayDB(), transport, Transport())
-    daemon.attach_causal(causal)
-    return causal, monitor, daemon
+    daemon = InterfaceDaemon(
+        ReplayDB(), transport, Transport(), ledger=ProvenanceLedger()
+    )
+    return monitor, daemon
 
 
-def _drive(causal, monitor, daemon, transport, op_list):
+def _drive(monitor, daemon, op_list):
     clock = 0.0
     i = 0
     for op in op_list:
@@ -78,48 +73,27 @@ def _drive(causal, monitor, daemon, transport, op_list):
     return clock
 
 
-def _queued_trace_ids(transport) -> set:
-    """Trace ids physically pending: queued or chaos-held."""
-    pending = list(transport.iter_pending())
-    if transport.faults is not None:
-        pending.extend(transport.faults.held)
-    return {getattr(m, "trace_id", None) for m in pending} - {None}
-
-
-def _assert_causal_integrity(causal, daemon, transport):
-    ledger = causal.ledger
-    # Accounting: every in-flight batch is physically somewhere.
-    queued = _queued_trace_ids(transport)
-    for batch_id in causal.in_flight():
-        assert batch_id in queued, (
-            f"{batch_id} neither resolved nor queued"
-        )
-    # Ingested rowid spans exactly partition the landed rows.
-    ingested = sorted(
-        (
-            b for b in ledger.batches.values()
-            if b.outcome == "ingested"
-        ),
-        key=lambda b: b.rowid_lo,
+def _assert_causal_integrity(daemon, transport):
+    ledger = daemon.ledger
+    faults = transport.faults
+    # Accounting: every sent message met exactly one fate so far.
+    assert transport.messages_sent == (
+        faults.dropped + daemon.batches_ingested + daemon.dead_letters
+        + transport.pending + len(faults.held)
     )
+    # The ledger holds every landed batch, numbered without gaps.
+    assert list(ledger.batches) == [
+        f"b:{DEVICE}:{n}" for n in range(1, daemon.batches_ingested + 1)
+    ]
+    # Landed rowid spans exactly partition the landed rows.
     next_row = 1
-    for batch in ingested:
+    for batch in sorted(ledger.batches.values(), key=lambda b: b.rowid_lo):
         assert batch.rowid_lo == next_row
-        assert batch.rowid_hi >= batch.rowid_lo
+        assert batch.rowid_hi - batch.rowid_lo + 1 == batch.records
         assert batch.queue_delay_s is not None
         assert batch.queue_delay_s >= 0.0
         next_row = batch.rowid_hi + 1
     assert next_row - 1 == daemon.db.access_count()
-    # Outcome counts line up with what the ledger holds.
-    resolved_total = sum(causal.resolved.values())
-    terminal = sum(
-        1 for b in ledger.batches.values() if b.outcome != IN_FLIGHT
-    )
-    reresolved = sum(
-        sum(1 for note in b.notes if note.startswith("previously:"))
-        for b in ledger.batches.values()
-    )
-    assert resolved_total == terminal + reresolved
 
 
 class TestChaosPlane:
@@ -140,14 +114,11 @@ class TestChaosPlane:
                 reorder_rate=0.3, seed=seed,
             ),
         )
-        causal, monitor, daemon = _build_plane(transport)
-        _drive(causal, monitor, daemon, transport, op_list)
-        _assert_causal_integrity(causal, daemon, transport)
-        # Corrupted payloads end their chain explicitly, never silently.
-        assert (
-            causal.resolved.get("chaos-corrupt", 0)
-            <= transport.faults.corrupted
-        )
+        monitor, daemon = _build_plane(transport)
+        _drive(monitor, daemon, op_list)
+        _assert_causal_integrity(daemon, transport)
+        # Corrupted payloads are dead-lettered, never landed.
+        assert daemon.dead_letters <= transport.faults.corrupted
 
 
 class TestEndToEndChain:
@@ -184,14 +155,10 @@ class TestEndToEndChain:
                 chain = ledger.explain(movement_id)
                 assert chain is not None
                 decision = chain["decision"]
-                assert decision["trace_id"].startswith("cmd:")
+                assert decision["decision_id"].startswith("d:")
                 assert movement_id in decision["movement_ids"]
                 if decision["kind"] == "decision":
                     # Model-proposed layouts trace back to real telemetry.
                     assert chain["batches"], (
                         f"movement {movement_id} has no causing telemetry"
-                    )
-                    assert all(
-                        b["outcome"] == "ingested"
-                        for b in chain["batches"]
                     )

@@ -1,4 +1,4 @@
-"""Unit tests for the causal context and the provenance ledger."""
+"""Unit tests for the provenance ledger."""
 
 import json
 
@@ -7,17 +7,14 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.observability import provenance
 from repro.observability.provenance import (
-    BATCH_OUTCOMES,
-    IN_FLIGHT,
     BatchProvenance,
-    CausalContext,
     DecisionProvenance,
     ProvenanceLedger,
 )
 
 
-def decision(decision_id="d:1", trace_id="cmd:1", movement_ids=(1, 2), **kw):
-    defaults = dict(
+def decision_fields(movement_ids=(1, 2), **kw):
+    fields = dict(
         kind="decision",
         run_index=5,
         t=100.0,
@@ -26,71 +23,56 @@ def decision(decision_id="d:1", trace_id="cmd:1", movement_ids=(1, 2), **kw):
         feature_digest="abcd" * 4,
         candidates={0: {0: 1.0, 1: 2.0}},
         chosen={0: "tmp"},
+        movement_ids=list(movement_ids),
         train_mode="scratch",
         train_seconds=0.5,
         test_mare=12.0,
         skillful=True,
         movement_duration_s=1.5,
     )
-    defaults.update(kw)
-    return DecisionProvenance(
-        decision_id=decision_id,
-        trace_id=trace_id,
-        movement_ids=list(movement_ids),
-        **defaults,
+    fields.update(kw)
+    return fields
+
+
+def land(ledger, device, records, sent_at, drained_at, lo):
+    return ledger.record_batch(
+        device, records, sent_at, drained_at, lo, lo + records - 1
     )
 
 
 class TestCausalContext:
+    """The ledger names what the two ReplayDB writers record."""
+
     def test_batch_ids_are_deterministic_per_device(self):
-        causal = CausalContext()
-        assert causal.stamp_batch("var", 3, 1.0) == "b:var:1"
-        assert causal.stamp_batch("tmp", 3, 1.0) == "b:tmp:1"
-        assert causal.stamp_batch("var", 3, 2.0) == "b:var:2"
-        assert causal.stamp_command() == "cmd:1"
-        assert causal.stamp_command() == "cmd:2"
+        ledger = ProvenanceLedger()
+        assert land(ledger, "var", 3, 1.0, 1.0, 1).batch_id == "b:var:1"
+        assert land(ledger, "tmp", 3, 1.0, 1.0, 4).batch_id == "b:tmp:1"
+        assert land(ledger, "var", 3, 2.0, 2.0, 7).batch_id == "b:var:2"
+        assert ledger.record_decision(**decision_fields()).decision_id == "d:1"
+        assert ledger.record_decision(
+            **decision_fields(movement_ids=[3])
+        ).decision_id == "d:2"
 
     def test_resolve_ingested_records_rowid_span_and_delay(self):
-        causal = CausalContext()
-        bid = causal.stamp_batch("var", 5, 10.0)
-        causal.resolve(
-            bid, "ingested", drained_at=12.5, rowid_lo=1, rowid_hi=5
-        )
-        batch = causal.batch(bid)
-        assert batch.outcome == "ingested"
+        ledger = ProvenanceLedger()
+        batch = land(ledger, "var", 5, 10.0, 12.5, 1)
+        assert ledger.batches[batch.batch_id] is batch
         assert batch.queue_delay_s == 2.5
-        assert batch.covers_rowid(3) and not batch.covers_rowid(6)
-        assert causal.resolved == {"ingested": 1}
-        assert causal.in_flight() == []
+        assert (batch.rowid_lo, batch.rowid_hi) == (1, 5)
+        assert batch.overlaps(3, 3) and not batch.overlaps(6, 9)
 
-    def test_resolve_unknown_or_none_is_a_no_op(self):
-        causal = CausalContext()
-        causal.resolve(None, "ingested")
-        causal.resolve("b:ghost:1", "chaos-drop")
-        assert causal.resolved == {}
-
-    def test_invalid_outcome_rejected(self):
-        causal = CausalContext()
-        bid = causal.stamp_batch("var", 1, 0.0)
-        with pytest.raises(ConfigurationError):
-            causal.resolve(bid, "vanished")
-
-    def test_re_resolution_keeps_history(self):
-        # dead-letter -> requeue -> ingested must keep the full story
-        causal = CausalContext()
-        bid = causal.stamp_batch("var", 2, 0.0)
-        causal.resolve(bid, "dead-letter", drained_at=1.0)
-        causal.resolve(bid, "ingested", drained_at=2.0, rowid_lo=1, rowid_hi=2)
-        batch = causal.batch(bid)
-        assert batch.outcome == "ingested"
-        assert "previously:dead-letter" in batch.notes
-
-    def test_notes_attach_without_resolving(self):
-        causal = CausalContext()
-        bid = causal.stamp_batch("var", 1, 0.0)
-        causal.note(bid, "chaos-delay")
-        assert causal.batch(bid).notes == ["chaos-delay"]
-        assert causal.batch(bid).outcome == IN_FLIGHT
+    def test_counters_are_the_checkpoint_state(self):
+        """A resumed ledger goes on numbering where its twin left off."""
+        ledger = ProvenanceLedger()
+        land(ledger, "var", 1, 0.0, 0.0, 1)
+        ledger.record_decision(**decision_fields())
+        resumed = ProvenanceLedger()
+        resumed.load_state_dict(json.loads(json.dumps(ledger.state_dict())))
+        assert land(resumed, "var", 1, 1.0, 1.0, 2).batch_id == "b:var:2"
+        assert land(resumed, "pic", 1, 1.0, 1.0, 3).batch_id == "b:pic:1"
+        assert resumed.record_decision(
+            **decision_fields(movement_ids=[3])
+        ).decision_id == "d:2"
 
 
 class TestLedgerBounds:
@@ -101,51 +83,68 @@ class TestLedgerBounds:
 
     def test_batches_evict_oldest(self):
         ledger = ProvenanceLedger(max_entries=2)
-        causal = CausalContext(ledger)
-        ids = [causal.stamp_batch("var", 1, float(i))
+        ids = [land(ledger, "var", 1, float(i), float(i), i + 1).batch_id
                for i in range(3)]
         assert ids[0] not in ledger.batches
         assert ids[1] in ledger.batches and ids[2] in ledger.batches
-        assert ledger.batches_evicted == 1
 
 
 class TestLedgerPersistence:
     def test_batches_persist_on_resolution_only(self, tmp_path):
+        """A batch gets a line when the daemon lands it; what the link
+        drops or corrupts never does, and numbering has no gaps."""
+        from repro.agents.daemon import InterfaceDaemon
+        from repro.agents.messages import CorruptMessage, TelemetryBatch
+        from repro.agents.transport import Transport
+        from repro.replaydb.db import ReplayDB
+        from repro.replaydb.records import AccessRecord
+
         path = tmp_path / "prov.jsonl"
-        causal = CausalContext(ProvenanceLedger(path))
-        bid = causal.stamp_batch("var", 1, 0.0)
+        telemetry = Transport()
+        daemon = InterfaceDaemon(
+            ReplayDB(), telemetry, Transport(),
+            ledger=ProvenanceLedger(path),
+        )
+        record = AccessRecord(
+            fid=0, fsid=0, device="var", path="/d/0",
+            rb=1000, wb=0, ots=0, otms=0, cts=1, ctms=0,
+        )
+        telemetry.send(TelemetryBatch("var", (record,), 0.0))
         assert not path.exists()
-        causal.resolve(bid, "chaos-drop")
+        telemetry.send(CorruptMessage())
+        telemetry.send(TelemetryBatch("var", (record, record), 1.0))
+        daemon.pump_telemetry(drained_at=2.0)
         lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert [l["batch_id"] for l in lines] == [bid]
+        assert [(l["batch_id"], l["rowid_lo"], l["rowid_hi"]) for l in lines] == [
+            ("b:var:1", 1, 1), ("b:var:2", 2, 3),
+        ]
+        assert "outcome" not in lines[0] and "notes" not in lines[0]
 
     def test_load_round_trips_and_latest_line_wins(self, tmp_path):
         path = tmp_path / "prov.jsonl"
         ledger = ProvenanceLedger(path)
-        causal = CausalContext(ledger)
-        bid = causal.stamp_batch("var", 3, 0.0)
-        causal.resolve(bid, "dead-letter", drained_at=1.0)
-        causal.resolve(bid, "ingested", drained_at=2.0,
-                       rowid_lo=10, rowid_hi=12)
-        ledger.record_decision(decision(movement_ids=[1]))
+        land(ledger, "var", 3, 0.0, 2.0, 10)
+        ledger.record_decision(**decision_fields(movement_ids=[1]))
+        # A resumed twin re-records the same batch under the same id.
+        again = ProvenanceLedger(path)
+        land(again, "var", 3, 0.0, 4.0, 10)
         loaded = ProvenanceLedger.load(path)
-        assert loaded.batches[bid].outcome == "ingested"
-        assert loaded.batches[bid].rowid_hi == 12
+        assert list(loaded.batches) == ["b:var:1"]
+        assert loaded.batches["b:var:1"].drained_at == 4.0
+        assert loaded.batches["b:var:1"].rowid_hi == 12
         assert loaded.movement_ids() == [1]
+        assert loaded.decisions[0].train_seconds == 0.5
         # Loading never re-appends to the file it read.
         size = path.stat().st_size
-        loaded.record_decision_loaded(decision("d:2", movement_ids=[9]))
+        loaded.record_decision(**decision_fields(movement_ids=[9]))
         assert path.stat().st_size == size
 
     def test_rotation_keeps_bounded_disk(self, tmp_path, monkeypatch):
         monkeypatch.setattr(provenance, "ROTATE_BYTES", 4096)
         path = tmp_path / "prov.jsonl"
         ledger = ProvenanceLedger(path)
-        causal = CausalContext(ledger)
         for i in range(100):
-            bid = causal.stamp_batch("var", 1, float(i))
-            causal.resolve(bid, "ingested", drained_at=float(i),
-                           rowid_lo=i + 1, rowid_hi=i + 1)
+            land(ledger, "var", 1, float(i), float(i), i + 1)
         rotated = path.with_suffix(path.suffix + ".1")
         assert rotated.exists()
         assert path.stat().st_size <= 4096 + 512
@@ -161,14 +160,9 @@ class TestLedgerPersistence:
 class TestExplain:
     def _ledger(self):
         ledger = ProvenanceLedger()
-        causal = CausalContext(ledger)
-        bid = causal.stamp_batch("var", 30, 90.0)
-        causal.resolve(bid, "ingested", drained_at=91.0,
-                       rowid_lo=5, rowid_hi=34)
-        other = causal.stamp_batch("tmp", 10, 90.0)
-        causal.resolve(other, "ingested", drained_at=90.5,
-                       rowid_lo=100, rowid_hi=109)
-        ledger.record_decision(decision(movement_ids=[1, 2]))
+        bid = land(ledger, "var", 30, 90.0, 91.0, 5).batch_id
+        other = land(ledger, "tmp", 10, 90.0, 90.5, 100).batch_id
+        ledger.record_decision(**decision_fields(movement_ids=[1, 2]))
         return ledger, bid, other
 
     def test_explain_walks_movement_to_window_batches(self):
@@ -179,10 +173,51 @@ class TestExplain:
         assert batch_ids == [bid]          # rows 100..109 miss window 10..40
         assert chain["queue_delay"]["max_s"] == 1.0
         stages = {s["stage"]: s["seconds"] for s in chain["critical_path"]}
-        assert stages["telemetry_queue"] == 1.0
-        assert stages["train"] == 0.5
-        assert stages["movement_apply"] == 1.5
-        assert stages["total"] == 3.0
+        assert stages == {
+            "telemetry_queue": 1.0, "movement_apply": 1.5, "total": 2.5,
+        }
+
+    def test_critical_path_total_is_simulated_time_only(self):
+        """Training's host seconds neither join the total nor the span."""
+        ledger, _, _ = self._ledger()
+        stages = {
+            s["stage"]: s["seconds"]
+            for s in ledger.explain(1)["critical_path"]
+        }
+        assert "train" not in stages
+        assert stages["total"] == (
+            stages["telemetry_queue"] + stages["movement_apply"]
+        )
+        text = ledger.explain_text(1)
+        assert "    train            0.500s (host time, not in total)" in text
+        assert "    total            2.500s" in text
+        span = next(e for e in ledger.chrome_events() if e["tid"] == 2)
+        assert span["dur"] == 1.5e6
+
+    def test_explain_text_repeats_across_runs_of_one_seed(self):
+        """Apart from training's host-time row, what ``repro explain``
+        prints is a function of the seed."""
+        from repro.experiments.facade import run_facade
+        from repro.experiments.harness import make_experiment_config
+        from repro.experiments.spec import TEST_SCALE
+
+        def explained():
+            ledger = run_facade(
+                make_experiment_config(
+                    TEST_SCALE, seed=0, provenance_enabled=True
+                ),
+                scale=TEST_SCALE, seed=0,
+            ).geo.ledger
+            assert ledger.movement_ids()
+            return [
+                [
+                    line for line in ledger.explain_text(m).splitlines()
+                    if "host time" not in line
+                ]
+                for m in ledger.movement_ids()
+            ]
+
+        assert explained() == explained()
 
     def test_unknown_movement_returns_none_and_text_degrades(self):
         ledger, _, _ = self._ledger()
@@ -192,7 +227,9 @@ class TestExplain:
     def test_explain_text_renders_chain(self):
         ledger, bid, _ = self._ledger()
         text = ledger.explain_text(1)
-        assert "movement 1 <- d:1" in text
+        assert text.splitlines()[0] == (
+            "movement 1 <- d:1 (decision, run 5, t=100.00s)"
+        )
         assert "ReplayDB rows 10..40" in text
         assert bid in text
         assert "critical path:" in text
@@ -200,23 +237,23 @@ class TestExplain:
     def test_retry_decision_has_no_window(self):
         ledger = ProvenanceLedger()
         ledger.record_decision(
-            decision("d:2", "cmd:2", movement_ids=[7], kind="retry",
-                     window_lo=None, window_hi=None, feature_digest=None,
-                     candidates={}, train_mode=None, train_seconds=None)
+            **decision_fields(
+                movement_ids=[7], kind="retry", window_lo=None,
+                window_hi=None, feature_digest=None, candidates={},
+                train_mode=None, train_seconds=None,
+            )
         )
         chain = ledger.explain(7)
         assert chain["batches"] == []
         assert chain["decision"]["kind"] == "retry"
+        assert "host time" not in ledger.explain_text(7)
 
 
 class TestChromeEvents:
     def test_causal_track_schema(self):
         ledger = ProvenanceLedger()
-        causal = CausalContext(ledger)
-        bid = causal.stamp_batch("var", 5, 1.0)
-        causal.resolve(bid, "ingested", drained_at=2.0,
-                       rowid_lo=1, rowid_hi=5)
-        ledger.record_decision(decision(movement_ids=[1]))
+        land(ledger, "var", 5, 1.0, 2.0, 1)
+        ledger.record_decision(**decision_fields(movement_ids=[1]))
         events = ledger.chrome_events()
         assert all(e["ph"] == "X" and e["pid"] == 2 for e in events)
         batch_event = next(e for e in events if e["tid"] == 1)
@@ -224,30 +261,18 @@ class TestChromeEvents:
         decision_event = next(e for e in events if e["tid"] == 2)
         assert decision_event["args"]["movement_ids"] == [1]
 
-    def test_in_flight_batches_are_not_exported(self):
-        ledger = ProvenanceLedger()
-        CausalContext(ledger).stamp_batch("var", 1, 0.0)
-        assert ledger.chrome_events() == []
-
 
 class TestSerialization:
     def test_batch_round_trip(self):
         batch = BatchProvenance(
             batch_id="b:var:1", device="var", records=3,
-            sent_at=1.0, outcome="ingested",
-            drained_at=2.0, rowid_lo=1, rowid_hi=3, notes=["chaos-delay"],
+            sent_at=1.0, drained_at=2.0, rowid_lo=1, rowid_hi=3,
         )
         assert BatchProvenance.from_dict(batch.to_dict()) == batch
 
     def test_decision_round_trip_restores_int_keys(self):
-        entry = decision()
+        entry = DecisionProvenance(decision_id="d:1", **decision_fields())
         restored = DecisionProvenance.from_dict(entry.to_dict())
         assert restored == entry
         assert list(restored.candidates) == [0]
         assert list(restored.candidates[0]) == [0, 1]
-
-    def test_outcome_vocabulary_is_stable(self):
-        # repro explain and the dashboards key on these strings
-        assert BATCH_OUTCOMES == (
-            "ingested", "dead-letter", "chaos-drop", "chaos-corrupt",
-        )

@@ -56,8 +56,7 @@ CREATE TABLE movements (
     dst_device TEXT    NOT NULL,
     bytes_moved INTEGER NOT NULL,
     duration   REAL    NOT NULL,
-    succeeded  INTEGER NOT NULL DEFAULT 1,
-    trace_id   TEXT
+    succeeded  INTEGER NOT NULL DEFAULT 1
 );
 CREATE TABLE released (
     fid        INTEGER PRIMARY KEY,
@@ -173,13 +172,13 @@ class SqliteReplayDB:
     def insert_movements(self, records) -> int:
         rows = [
             (r.timestamp, r.fid, r.src_device, r.dst_device, r.bytes_moved,
-             r.duration, int(r.succeeded), r.trace_id)
+             r.duration, int(r.succeeded))
             for r in records
         ]
         self._conn.executemany(
             "INSERT INTO movements (timestamp, fid, src_device, dst_device, "
-            "bytes_moved, duration, succeeded, trace_id) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+            "bytes_moved, duration, succeeded) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?)",
             rows,
         )
         self._conn.commit()
@@ -359,11 +358,10 @@ class SqliteReplayDB:
     def movements(self):
         rows = self._conn.execute(
             "SELECT timestamp, fid, src_device, dst_device, bytes_moved, "
-            "duration, succeeded, trace_id FROM movements ORDER BY id ASC"
+            "duration, succeeded FROM movements ORDER BY id ASC"
         ).fetchall()
         return [
-            MovementRecord(*row[:6], succeeded=bool(row[6]), trace_id=row[7])
-            for row in rows
+            MovementRecord(*row[:6], succeeded=bool(row[6])) for row in rows
         ]
 
 

@@ -1,6 +1,6 @@
 """Features hold together: a pairwise matrix through the one facade loop.
 
-Every pair of {online learning, causal tracing + provenance, guardrail
+Every pair of {online learning, decision provenance, guardrail
 with the LRU fallback, fault schedule + failing migrations, a lossy
 telemetry link} runs through ``run_facade`` with a checkpoint stage at
 TEST_SCALE.  Each cell must keep the cluster invariants, be a pure
@@ -141,6 +141,29 @@ def test_fault_stage_rides_the_checkpoint(tmp_path):
     link = resumed.geo.telemetry.faults
     assert link.state_dict() == first.geo.telemetry.faults.state_dict()
     assert link.dropped and link.corrupted and link.delayed
+
+
+def test_in_flight_batches_keep_their_provenance_across_a_resume(tmp_path):
+    """A batch still on the lossy link at the checkpoint is named and
+    recorded when the resumed run lands it, as in the uninterrupted run:
+    the kill comes after the commit, so no line of the killed process
+    stands in for the resumed one's."""
+    seed, features = 2, ("provenance", "chaos")
+    for name in ("first", "killed"):
+        (tmp_path / name).mkdir()
+    first = run(tmp_path / "first", features, seed=seed, every=KILL_AT)
+    with pytest.raises(SimulatedCrash):
+        run(
+            tmp_path / "killed", features, seed=seed, every=KILL_AT,
+            kill_at_run=KILL_AT, kill_point="post-commit",
+        )
+    loaded = CheckpointManager(tmp_path / "killed" / "ckpt").latest_valid()
+    assert loaded.state["system"]["channel"]["telemetry"]["pending"]
+    resumed = resume_facade(tmp_path / "killed" / "ckpt")
+    expected = observable(first, tmp_path / "first")
+    seen = observable(resumed, tmp_path / "killed")
+    assert sorted(seen["batches"]) == sorted(expected["batches"])
+    assert seen == expected
 
 
 def test_resume_across_released_chunks(tmp_path, monkeypatch):

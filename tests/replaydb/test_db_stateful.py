@@ -141,7 +141,7 @@ class ReplayDBMachine(RuleBasedStateMachine):
             self.t += 1
             records.append(MovementRecord(
                 float(self.t), fid, "dev0", "dev1", size, 0.25,
-                succeeded=succeeded, trace_id=None if succeeded else "cmd:1",
+                succeeded=succeeded,
             ))
         assert self.db.insert_movements(records) == (
             self.oracle.insert_movements(records)

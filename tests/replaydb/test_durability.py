@@ -75,8 +75,7 @@ class TestSnapshots:
         db.insert_accesses([_access(0, 3)._replace(extra={"rt": 0.5})])
         db.insert_movements([
             MovementRecord(4.0, 0, "ssd", "hdd", 100, 0.5),
-            MovementRecord(5.0, 1, "ssd", "hdd", 7, 0.25, succeeded=False,
-                           trace_id="cmd:3"),
+            MovementRecord(5.0, 1, "ssd", "hdd", 7, 0.25, succeeded=False),
         ])
         restored = ReplayDB.from_snapshot(db.snapshot_to(tmp_path / "s"))
         assert restored.recent_accesses(3) == db.recent_accesses(3)

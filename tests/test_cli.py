@@ -216,9 +216,7 @@ class TestProvenanceCommands:
         from repro.observability.provenance import ProvenanceLedger
 
         prov = tmp_path / "prov.jsonl"
-        ledger = ProvenanceLedger(prov)
-        ledger._append({"type": "batch", "batch_id": "b:var:1",
-                        "device": "var", "records": 1, "sent_at": 0.0})
+        ProvenanceLedger(prov).record_batch("var", 1, 0.0, 0.0, 1, 1)
         assert main(["explain", "42", "--ledger", str(prov)]) == 0
         assert "no provenance recorded" in capsys.readouterr().out
 

@@ -46,10 +46,10 @@ CONFIG = SRC / "core" / "config.py"
 MAX_CONFIG_FIELDS = 21
 MAX_CLI_SUBCOMMANDS = 18
 #: ``find src -name '*.py' | xargs cat | wc -l``
-MAX_SRC_LINES = 15_708
+MAX_SRC_LINES = 15_485
 #: ``wc -c`` of the two documents a newcomer reads first
-MAX_DESIGN_BYTES = 73_448
-MAX_README_BYTES = 18_002
+MAX_DESIGN_BYTES = 73_336
+MAX_README_BYTES = 17_990
 
 #: Public names under ``src/repro`` that only tests refer to, each with the
 #: reason it stays.  A test that tests only the name is not a reason: the
@@ -59,8 +59,6 @@ TEST_SEAMS = {
     "pending_retries": "ControlAgent: tests watch the retry queue drain",
     "buffered": "MonitoringAgent: tests watch records wait for a full "
                 "batch",
-    "iter_pending": "Transport: the causal-integrity check finds in-flight "
-                    "batches in the queue",
     "random_fraction": "ActionChecker: tests watch the exploration share "
                        "approach `exploration_rate`",
     "mount_mean": "Table4Result: Table IV's device ordering is asserted "
@@ -71,8 +69,6 @@ TEST_SEAMS = {
                        "its start/end actions",
     "of_kind": "EventBus / EventLog: tests pick rollback and readmit "
                "events out of a run's history",
-    "covers_rowid": "provenance: causal-integrity check of a batch's rows",
-    "in_flight": "provenance: causal-integrity check, no batch left open",
     "closed": "ReplayDB: tests watch close() and the context manager",
     "average_throughput": "ReplayDB: per-device view of the running totals "
                           "that test_db_aggregates holds to SQLite's",
@@ -569,3 +565,34 @@ def test_src_counts_itself_nowhere():
     the table in ``repro.observability.metrics``; no module registers a
     metric of its own to bump beside them."""
     assert _registrations(SRC) == []
+
+
+#: what a message or record would carry if ids rode along in transit
+_TRACE_NAMES = {"trace_id", "CausalContext", "causal"}
+
+
+def _trace_ids(src: Path) -> list[str]:
+    """Every name, attribute, parameter, keyword, definition or import
+    under ``src`` in ``_TRACE_NAMES``, and every ``"trace_id"`` key."""
+    sites = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {
+                getattr(node, field, None)
+                for field in ("id", "attr", "arg", "name")
+            }
+            if isinstance(node, ast.Constant) and node.value == "trace_id":
+                names.add(node.value)
+            sites += [
+                f"{path.relative_to(src)}:{node.lineno}:{name}"
+                for name in sorted(names & _TRACE_NAMES)
+            ]
+    return sites
+
+
+def test_src_carries_no_trace_ids():
+    """A ratchet: provenance is recorded where the ReplayDB is written
+    (the daemon's landed batches, the facade's dispatches) and named by
+    the ledger's own counters; no id rides a message, a record or a
+    channel."""
+    assert _trace_ids(SRC) == []
