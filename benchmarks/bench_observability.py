@@ -1,15 +1,13 @@
 """Observability overhead: the instrumented loop vs. the disabled twin.
 
 Runs the same warm-up + measured control loop through ``run_facade``
-with an exports stage twice per sample -- once with a fully enabled
-:class:`~repro.observability.Observability` (the event bus keeping its
-history) and once with a disabled instance, whose bus keeps none, on the
-identical code path.  The layers keep the same plain-int tallies in both
-arms; the metrics are read off them only when an export is written
-(:mod:`repro.observability.metrics`).  Neither arm traces its layers (a
-run opts into that with a trace path; that an untraced run records
-nothing is a unit test of the recorder).  Asserts the paper-level
-guarantees:
+twice per sample -- once with an exports stage and once without one
+(``exports=None``).  The layers keep the same plain-int tallies and the
+same recovery ``EventLog`` in both arms; the metrics are read off them
+only when an export is written (:mod:`repro.observability.metrics`).
+Neither arm traces its layers (a run opts into that with a trace path;
+that an untraced run records nothing is a unit test of the recorder).
+Asserts the paper-level guarantees:
 
 * outputs are bit-for-bit identical with observability on or off;
 * the Prometheus dump covers the whole stack (>= 6 subsystems);
@@ -18,7 +16,7 @@ guarantees:
 The enabled arm also keeps the decision-provenance ledger (in memory, no
 JSONL path: the daemon records each landed batch, every dispatch its
 decision) and SLO burn-rate monitoring, so the 2% budget gates the full
-observability stack, not just metrics and events.
+observability stack, not just metrics.
 
 The overhead estimate uses :func:`_timing.paired_overhead`; if a first
 cheap round lands over budget -- wall-clock noise on shared runners
@@ -38,7 +36,7 @@ from _timing import paired_overhead
 from repro.experiments.facade import Exports, run_facade
 from repro.experiments.harness import make_experiment_config
 from repro.experiments.spec import TEST_SCALE
-from repro.observability import Observability, metrics
+from repro.observability import metrics
 
 OUT_DIR = Path(__file__).parent / "out"
 SEED = 0
@@ -62,8 +60,7 @@ def _disabled():
         make_experiment_config(TEST_SCALE, seed=SEED),
         scale=TEST_SCALE,
         seed=SEED,
-        exports=Exports(),
-        obs=Observability(enabled=False),
+        exports=None,
     )
 
 
@@ -94,8 +91,6 @@ def _measure() -> dict:
         ),
         "subsystems": subsystems,
         "metrics_registered": sum(len(group) for group in snapshot.values()),
-        "bus_events": len(enabled.geo.obs.bus),
-        "disabled_bus_events": len(disabled.geo.obs.bus),
         "slo_objectives": len(enabled.slo or []),
         "disabled_slo": disabled.slo,
     }
@@ -115,8 +110,7 @@ def test_observability_overhead(benchmark, save_result):
                 f"(budget {summary['budget_percent']:.1f}%)",
                 f"outputs identical: {summary['outputs_identical']}",
                 f"subsystems: {', '.join(summary['subsystems'])}",
-                f"metrics: {summary['metrics_registered']}, "
-                f"events: {summary['bus_events']}",
+                f"metrics: {summary['metrics_registered']}",
             ]
         ),
     )

@@ -239,6 +239,6 @@ class ControlAgent:
             self.files_moved += 1
             self._retries.pop(fid, None)
             if self.health is not None:
-                self.health.record_success(dst, t)
+                self.health.record_success(dst)
         self.commands_executed += 1
         return records

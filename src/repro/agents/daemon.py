@@ -5,10 +5,10 @@ SQLite database located outside the target system.  The Interface Daemon is
 a networking middleware that allows parallel requests to be sent between
 the target system, Geomancy, and internally within Geomancy."
 
-Beyond the paper: a malformed message is dead-lettered -- counted,
-logged and announced on the event bus -- so the rest of the queue still
-lands; each batch that does land is recorded, with its rowid span, in
-the provenance ledger when one is attached.
+Beyond the paper: a malformed message is dead-lettered -- counted and
+logged -- so the rest of the queue still lands; each batch that does
+land is recorded, with its rowid span, in the provenance ledger when one
+is attached.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 from repro.agents.messages import LayoutCommand, TelemetryBatch
 from repro.agents.transport import Transport
 from repro.errors import ReplayDBError
-from repro.observability import Observability, get_observability
 from repro.observability.metrics import Histogram
 from repro.observability.logs import get_logger
 from repro.observability.provenance import ProvenanceLedger
@@ -35,13 +34,11 @@ class InterfaceDaemon:
         telemetry: Transport,
         commands: Transport,
         *,
-        obs: Observability | None = None,
         ledger: ProvenanceLedger | None = None,
     ) -> None:
         self.db = db
         self.telemetry = telemetry
         self.commands = commands
-        self.obs = obs if obs is not None else get_observability()
         self.batches_ingested = 0
         self.records_ingested = 0
         #: malformed messages counted and dropped instead of crashing the
@@ -53,22 +50,13 @@ class InterfaceDaemon:
         #: where each landed batch is recorded (None: nowhere)
         self.ledger = ledger
 
-    def _dead_letter(self, reason: str, message, at: float) -> None:
-        self.dead_letters += 1
-        if self.obs.enabled:
-            self.obs.emit(
-                "dead-letter", t=at, step=0,
-                reason=reason, message_type=type(message).__name__,
-            )
-
     def _ingest(
         self, message, drained_at: float | None, landed: bool, last_row: int
     ) -> int:
         """Route one drained message, stored already if ``landed`` right
         after row ``last_row``; returns its rows."""
-        now = _message_time(message)
         if not isinstance(message, TelemetryBatch):
-            self._dead_letter("non-telemetry message", message, now)
+            self.dead_letters += 1
             logger.warning(
                 "dead-lettered non-telemetry message of type %s "
                 "on the telemetry transport",
@@ -79,7 +67,7 @@ class InterfaceDaemon:
             if not landed:
                 self.db.insert_accesses(message.records)
         except ReplayDBError as exc:
-            self._dead_letter(f"rejected by the ReplayDB: {exc}", message, now)
+            self.dead_letters += 1
             logger.warning(
                 "dead-lettered telemetry batch of %d records "
                 "rejected by the ReplayDB: %s",
@@ -109,7 +97,6 @@ class InterfaceDaemon:
         dead-lettered -- counted, logged at WARNING -- so the rest of the
         queue still lands.
 
-        Dead letters are timestamped with each batch's ``sent_at``.
         ``drained_at`` is the simulated drain time queue delay is
         attributed against (delay = ``drained_at - sent_at`` per batch);
         None skips the attribution.  The ReplayDB numbers rows in arrival
@@ -140,8 +127,3 @@ class InterfaceDaemon:
         """Log executed movements so the layout evolution is queryable."""
         if moves:
             self.db.insert_movements(moves)
-
-
-def _message_time(message) -> float:
-    at = getattr(message, "sent_at", None)
-    return float(at) if isinstance(at, (int, float)) else 0.0

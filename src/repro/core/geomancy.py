@@ -28,7 +28,6 @@ from repro.core.layout import MAX_FILES_PER_MOVE
 from repro.core.scheduler import CooldownScheduler
 from repro.errors import AgentError, ConfigurationError
 from repro.faults.health import HealthTracker
-from repro.observability import Observability, get_observability
 from repro.observability.provenance import ProvenanceLedger
 from repro.policies.base import PlacementPolicy
 from repro.policies.lru import LRUPolicy
@@ -83,17 +82,12 @@ class Geomancy:
         telemetry: Transport | None = None,
         journal=None,
         event_log: EventLog | None = None,
-        obs: Observability | None = None,
     ) -> None:
         if not files:
             raise ConfigurationError("Geomancy needs a workload file set")
         self.cluster = cluster
         self.files = list(files)
         self.config = config if config is not None else GeomancyConfig()
-        #: the observability instance whose event bus the control plane
-        #: publishes to; defaults to whatever is installed process-wide
-        #: (keeping no history unless a run enabled it)
-        self.obs = obs if obs is not None else get_observability()
         self.db = db if db is not None else ReplayDB()
         # The telemetry channel is injectable so chaos runs can hand in a
         # lossy one; the command channel stays internal.
@@ -102,11 +96,8 @@ class Geomancy:
         #: when set, every dispatched layout is bracketed by intent/commit
         #: records so a crash mid-movement is resolvable on restore
         self.journal = journal
-        #: structured recovery telemetry (rescues, rollbacks, trips),
-        #: bridged onto the observability event bus
-        self.event_log = (
-            event_log if event_log is not None else EventLog(bus=self.obs.bus)
-        )
+        #: structured recovery telemetry (rescues, rollbacks, trips)
+        self.event_log = event_log if event_log is not None else EventLog()
         #: decision provenance (None unless ``provenance_enabled``): the
         #: daemon records each batch it lands, :meth:`dispatch` each layout
         self.ledger = (
@@ -116,8 +107,7 @@ class Geomancy:
         )
         self.commands = Transport()
         self.daemon = InterfaceDaemon(
-            self.db, self.telemetry, self.commands, obs=self.obs,
-            ledger=self.ledger,
+            self.db, self.telemetry, self.commands, ledger=self.ledger,
         )
         self.monitors = {
             name: MonitoringAgent(name, self.telemetry)
@@ -265,17 +255,6 @@ class Geomancy:
             self._record_decision(
                 kind, t, layout, movements,
                 list(range(last - len(movements) + 1, last + 1)),
-            )
-        succeeded = sum(1 for m in movements if m.succeeded)
-        failed = len(movements) - succeeded
-        if movements and self.obs.enabled:
-            self.obs.emit(
-                "movement-dispatched",
-                t=t,
-                step=self.steps - 1,
-                attempted=len(movements),
-                succeeded=succeeded,
-                failed=failed,
             )
         return movements
 

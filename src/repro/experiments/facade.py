@@ -36,7 +36,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.invariants import cluster_invariant_violations
 from repro.faults.schedule import FaultSchedule
 from repro.nn.serialization import load_weights
-from repro.observability import Observability, get_observability, use
 from repro.observability import metrics
 from repro.observability.slo import ControlPlaneSLOFeed, SLOMonitor
 from repro.observability.tracing import Recorder, facade_layers
@@ -106,9 +105,9 @@ class Checkpoints:
 @dataclass(frozen=True)
 class Exports:
     """The exports stage: Prometheus dump, JSONL snapshots, the stock
-    SLOs after every run; a ``trace_path`` traces the measured phase's
-    layers (:mod:`repro.observability.tracing`) and writes their spans as
-    a Chrome trace."""
+    SLOs fed every run and evaluated at its end; a ``trace_path`` traces
+    the measured phase's layers (:mod:`repro.observability.tracing`) and
+    writes their spans as a Chrome trace."""
 
     metrics_path: str | os.PathLike | None = None
     snapshot_path: str | os.PathLike | None = None
@@ -128,9 +127,10 @@ class Exports:
 @dataclass
 class FacadeRun:
     """One facade run: the measured phase's books, the objects it left
-    behind (``geo.obs`` holds the events; :mod:`repro.observability.metrics`
-    reads the metrics off ``geo``, ``runner`` and ``injector``) and what
-    the other stages recorded."""
+    behind (:mod:`repro.observability.metrics` reads the metrics off
+    ``geo``, ``runner`` and ``injector``) and what the other stages
+    recorded.  ``events`` is the run's one event history, the
+    ``geo.event_log`` a checkpoint carries."""
 
     seed: int
     scale_name: str
@@ -245,7 +245,6 @@ class FacadeRun:
         table = self._table("Instrumented run", [
             ("files moved", sum(1 for m in self.movements if m.succeeded)),
             *([("spans recorded", len(self.trace.spans))] if self.trace else []),
-            ("bus events", len(self.geo.obs.bus)),
             ("metrics registered", len(metrics.run_metrics(self.injector))),
         ])
         for kind, path in sorted(self.artifacts.items()):
@@ -347,49 +346,43 @@ def run_facade(
     faults: Faults | None = None,
     checkpoints: Checkpoints | None = None,
     exports: Exports | None = None,
-    obs: Observability | None = None,
 ) -> FacadeRun:
     """One warm-up + measured facade loop with the given stages.
 
-    ``obs`` defaults to the process-wide instance, with an exports stage
-    to a new enabled one; ``Observability(enabled=False)`` with an
-    exports stage runs the disabled twin through the identical path.
+    No stage changes a decision: a run with ``exports=None`` is the
+    uninstrumented twin of one with an exports stage.
     """
-    if obs is None:
-        obs = get_observability() if exports is None else Observability()
     mgr = journal = None
     if checkpoints is not None:
         mgr = CheckpointManager(checkpoints.directory, keep=checkpoints.keep)
         journal = LayoutJournal(Path(checkpoints.directory) / JOURNAL_NAME)
-    with use(obs):
-        # Event emitters resolve the instance at construction, so the
-        # system is built after it is installed.  Checkpoints cover the
-        # measured phase only: a killed warm-up starts over.
-        geo, runner = _build(config, seed, faults, obs=obs, journal=journal)
-        geo.place_initial()
-        warm_up_through_agents(geo, runner, scale.warmup_accesses)
-        meta = dict(
-            seed=seed, scale=asdict(scale), config=asdict(config),
-            faults=asdict(faults) if faults is not None else None,
-            phase_start=runner.clock.now,
-        )
-        books = dict(
-            next_run=1, throughput=[], rescued=0, violations=[],
-            recovery_times=[], stranded_since=None, checkpoints_written=0,
-            rolled_back=0,
-        )
-        injector = _injector(faults, geo, meta)
-        if checkpoints is not None:
-            meta.update(every=checkpoints.every, keep=checkpoints.keep)
-            geo.mark_known_good(0)
-            if checkpoints.every > 0:
-                # Generation 0: the post-warm-up baseline every resume can
-                # fall back to even if every later generation is torn.
-                _checkpoint(mgr, 0, geo, runner, meta, books, injector)
-        return _drive(
-            geo, runner, meta, books, injector, mgr,
-            obs=obs, checkpoints=checkpoints, exports=exports,
-        )
+    # Checkpoints cover the measured phase only: a killed warm-up
+    # starts over.
+    geo, runner = _build(config, seed, faults, journal=journal)
+    geo.place_initial()
+    warm_up_through_agents(geo, runner, scale.warmup_accesses)
+    meta = dict(
+        seed=seed, scale=asdict(scale), config=asdict(config),
+        faults=asdict(faults) if faults is not None else None,
+        phase_start=runner.clock.now,
+    )
+    books = dict(
+        next_run=1, throughput=[], rescued=0, violations=[],
+        recovery_times=[], stranded_since=None, checkpoints_written=0,
+        rolled_back=0,
+    )
+    injector = _injector(faults, geo, meta)
+    if checkpoints is not None:
+        meta.update(every=checkpoints.every, keep=checkpoints.keep)
+        geo.mark_known_good(0)
+        if checkpoints.every > 0:
+            # Generation 0: the post-warm-up baseline every resume can
+            # fall back to even if every later generation is torn.
+            _checkpoint(mgr, 0, geo, runner, meta, books, injector)
+    return _drive(
+        geo, runner, meta, books, injector, mgr,
+        checkpoints=checkpoints, exports=exports,
+    )
 
 
 def resume_facade(directory: str | os.PathLike) -> FacadeRun:
@@ -414,10 +407,9 @@ def resume_facade(directory: str | os.PathLike) -> FacadeRun:
     config = {**meta["config"], "features": tuple(meta["config"]["features"])}
     faults = Faults(**meta["faults"]) if meta["faults"] is not None else None
     seed = int(meta["seed"])
-    obs = get_observability()
     journal = LayoutJournal(directory / JOURNAL_NAME)
     geo, runner = _build(
-        GeomancyConfig(**config), seed, faults, obs=obs,
+        GeomancyConfig(**config), seed, faults,
         db=(
             ReplayDB.from_snapshot(loaded.replay_path)
             if loaded.replay_path is not None
@@ -447,7 +439,7 @@ def resume_facade(directory: str | os.PathLike) -> FacadeRun:
         injector.load_state_dict(state["injector"])
     books = dict(state["loop"])
     books["rolled_back"] += rolled
-    return _drive(geo, runner, meta, books, injector, mgr, obs=obs, loaded=loaded)
+    return _drive(geo, runner, meta, books, injector, mgr, loaded=loaded)
 
 
 def _build(
@@ -510,7 +502,6 @@ def _drive(
     injector: FaultInjector | None,
     mgr: CheckpointManager | None,
     *,
-    obs: Observability,
     checkpoints: Checkpoints | None = None,
     exports: Exports | None = None,
     loaded=None,
@@ -520,7 +511,7 @@ def _drive(
     every = meta["every"] if mgr is not None else 0
     slo_feed = None
     if exports is not None and exports.slo:
-        monitor = SLOMonitor(ControlPlaneSLOFeed.default_specs(), bus=obs.bus)
+        monitor = SLOMonitor(ControlPlaneSLOFeed.default_specs())
         slo_feed = ControlPlaneSLOFeed(
             monitor, geo,
             queue_delay_threshold_s=exports.queue_delay_threshold_s,
@@ -544,10 +535,9 @@ def _drive(
             books["stranded_since"] = None
         books["next_run"] = run_number + 1
         if slo_feed is not None:
-            slo_feed.tick(now, run_index=run_number)
+            slo_feed.tick(now)
             mean = float(np.mean(run_gbps)) if run_gbps else 0.0
-            slo_feed.observe_run(now, mean, run_index=run_number)
-            slo_feed.monitor.evaluate(now, run_index=run_number)
+            slo_feed.observe_run(now, mean)
         if exports is not None and exports.snapshot_path is not None and (
             run_number % exports.snapshot_every == 0
         ):

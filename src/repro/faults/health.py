@@ -12,8 +12,6 @@ re-opens it immediately.
 
 from __future__ import annotations
 
-from repro.observability import get_observability
-
 #: consecutive failures toward a device that quarantine it
 QUARANTINE_THRESHOLD = 3
 #: how long a quarantine keeps placements off the device
@@ -29,16 +27,12 @@ class HealthTracker:
         self.successes = 0
         self.failures = 0
         self.quarantines_opened = 0
-        self.obs = get_observability()
 
-    def record_success(self, device: str, t: float = 0.0) -> None:
+    def record_success(self, device: str) -> None:
         """A move toward ``device`` completed; close its circuit."""
         self.successes += 1
-        was_open = device in self._quarantined_until
         self._consecutive[device] = 0
         self._quarantined_until.pop(device, None)
-        if was_open and self.obs.enabled:
-            self.obs.emit("circuit-closed", t=t, step=0, device=device)
 
     def record_failure(self, device: str, t: float) -> None:
         """A move toward ``device`` failed at time ``t``."""
@@ -48,14 +42,6 @@ class HealthTracker:
         if count >= QUARANTINE_THRESHOLD:
             if device not in self._quarantined_until:
                 self.quarantines_opened += 1
-                if self.obs.enabled:
-                    self.obs.emit(
-                        "circuit-open",
-                        t=t,
-                        step=0,
-                        device=device,
-                        consecutive_failures=count,
-                    )
             self._quarantined_until[device] = t + QUARANTINE_DURATION_S
 
     def is_quarantined(self, device: str, t: float) -> bool:
@@ -72,8 +58,6 @@ class HealthTracker:
         if t >= until:
             del self._quarantined_until[device]
             self._consecutive[device] = QUARANTINE_THRESHOLD - 1
-            if self.obs.enabled:
-                self.obs.emit("circuit-half-open", t=t, step=0, device=device)
             return False
         return True
 

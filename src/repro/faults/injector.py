@@ -21,16 +21,7 @@ from repro.faults.schedule import (
     RESTORE,
     FaultSchedule,
 )
-from repro.observability import get_observability
 from repro.simulation.cluster import StorageCluster
-
-#: bus event kind per scheduled fault primitive
-_EVENT_KINDS = {
-    OFFLINE: "fault-outage",
-    ONLINE: "fault-online",
-    DEGRADE: "fault-degrade",
-    RESTORE: "fault-restore",
-}
 
 
 class FaultInjector:
@@ -69,7 +60,6 @@ class FaultInjector:
         self.migration_faults_injected = 0
         #: (time, device) for every offline action, for recovery reporting
         self.outage_log: list[tuple[float, str]] = []
-        self.obs = get_observability()
 
     # -- wiring ----------------------------------------------------------
     def install(self) -> "FaultInjector":
@@ -114,14 +104,6 @@ class FaultInjector:
             elif action == RESTORE:
                 self.cluster.device(device).degradation = 1.0
                 self.recoveries_applied += 1
-            if self.obs.enabled:
-                self.obs.emit(
-                    _EVENT_KINDS[action],
-                    t=at,
-                    step=self._cursor - 1,
-                    device=device,
-                    factor=factor,
-                )
         return applied
 
     # -- persistence -----------------------------------------------------

@@ -178,9 +178,9 @@ class ProvenanceLedger:
     ``max_entries`` bounds each of the batch and decision stores (oldest
     evicted first); ``path`` enables persistence, with the file rotated
     to ``<path>.1`` once it exceeds :data:`ROTATE_BYTES`.  Every record
-    is appended when it is made.  A resumed run re-records what its
-    killed twin did after the checkpoint under the same ids, and the
-    latest line wins on load.
+    is appended when it is made.  A checkpoint keeps the file's length,
+    and a resume cuts the file back to it before its run re-records,
+    under the same ids, what the killed process did after the checkpoint.
     """
 
     def __init__(
@@ -251,13 +251,8 @@ class ProvenanceLedger:
             return
         line = json.dumps(obj, sort_keys=True) + "\n"
         try:
-            if (
-                self.path.exists()
-                and self.path.stat().st_size + len(line) > ROTATE_BYTES
-            ):
-                self.path.replace(self.path.with_suffix(
-                    self.path.suffix + ".1"
-                ))
+            if _size(self.path) + len(line) > ROTATE_BYTES:
+                self.path.replace(_rotation(self.path))
         except OSError:
             pass  # a failed rotation must not take down the control loop
         with open(self.path, "a", encoding="utf-8") as sink:
@@ -265,17 +260,36 @@ class ProvenanceLedger:
 
     # -- persistence -----------------------------------------------------
     def state_dict(self) -> dict:
-        """The id counters: a resumed plane must not mint an id twice."""
+        """The id counters -- a resumed plane must not mint an id twice --
+        and the byte sizes of the file and of its rotation."""
         return {
             "batch_seq": dict(self._batch_seq),
             "decision_seq": self._decision_seq,
+            "file_bytes": _size(self.path),
+            "rotated_bytes": (
+                _size(_rotation(self.path)) if self.path is not None else 0
+            ),
         }
 
     def load_state_dict(self, state: dict) -> None:
+        """Restore the counters and cut the file back to its size at the
+        checkpoint: every line the killed process wrote after it goes,
+        and the resumed run writes them again.
+
+        A rotation since the checkpoint (``<path>.1`` changed size) put
+        the checkpoint's end inside the rotated file; the files are then
+        left whole, and :meth:`load`'s latest-line-wins hides the lines
+        written twice.
+        """
         self._batch_seq = {
             str(device): int(seq) for device, seq in state["batch_seq"].items()
         }
         self._decision_seq = int(state["decision_seq"])
+        size = int(state["file_bytes"])
+        if self.path is not None and _size(self.path) > size and (
+            _size(_rotation(self.path)) == state["rotated_bytes"]
+        ):
+            os.truncate(self.path, size)
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "ProvenanceLedger":
@@ -289,7 +303,7 @@ class ProvenanceLedger:
         if not path.exists():
             raise ConfigurationError(f"no provenance ledger at {path}")
         lines: list[str] = []
-        rotated = path.with_suffix(path.suffix + ".1")
+        rotated = _rotation(path)
         if rotated.exists():
             lines.extend(rotated.read_text().splitlines())
         lines.extend(path.read_text().splitlines())
@@ -503,3 +517,13 @@ class ProvenanceLedger:
                 }
             )
         return events
+
+
+def _rotation(path: Path) -> Path:
+    """Where :data:`ROTATE_BYTES` moves the file at ``path``."""
+    return path.with_suffix(path.suffix + ".1")
+
+
+def _size(path: Path | None) -> int:
+    """Bytes in the file at ``path`` (0 when there is none)."""
+    return path.stat().st_size if path is not None and path.exists() else 0

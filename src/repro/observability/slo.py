@@ -9,9 +9,8 @@ keeps one transient blip from paging.
 
 Everything runs on the simulated clock and plain counters: evaluating an
 objective never touches an RNG, so an SLO-monitored run is bit-for-bit
-identical to an unmonitored one.  Alerts are published as ``slo-alert``
-events on the :class:`~repro.observability.events.EventBus` (recoveries
-as ``slo-clear``).
+identical to an unmonitored one.  A run records every interval and
+evaluates once, at its end: the final statuses are the report.
 """
 
 from __future__ import annotations
@@ -147,21 +146,13 @@ class SLOStatus:
 
 
 class SLOMonitor:
-    """Evaluates a set of objectives and publishes burn alerts.
+    """Records good/bad events per objective and evaluates their burn."""
 
-    ``bus`` is an :class:`~repro.observability.events.EventBus` (or None
-    to stay silent); alerts dedup -- one ``slo-alert`` when an objective
-    starts burning, one ``slo-clear`` when it stops.
-    """
-
-    def __init__(self, specs: list[SLOSpec], *, bus=None) -> None:
+    def __init__(self, specs: list[SLOSpec]) -> None:
         names = [spec.name for spec in specs]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate SLO names in {names}")
         self.trackers = {spec.name: SLOTracker(spec) for spec in specs}
-        self.bus = bus
-        self._alerting: set[str] = set()
-        self.alerts_fired = 0
 
     def record(self, name: str, t: float, good: float, bad: float) -> None:
         tracker = self.trackers.get(name)
@@ -169,43 +160,22 @@ class SLOMonitor:
             raise ConfigurationError(f"unknown SLO {name!r}")
         tracker.record(t, good, bad)
 
-    def evaluate(self, now: float, *, run_index: int = 0) -> list[SLOStatus]:
-        """Evaluate every objective; publish alert/clear transitions."""
+    def evaluate(self, now: float) -> list[SLOStatus]:
+        """Every objective's burn-rate status at ``now``."""
         statuses = []
         for name, tracker in self.trackers.items():
             burns = [
                 (window_s, threshold, tracker.burn_rate(window_s, now))
                 for window_s, threshold in tracker.spec.windows
             ]
-            alerting = all(burn > threshold for _, threshold, burn in burns)
-            status = SLOStatus(
+            statuses.append(SLOStatus(
                 name=name,
                 target=tracker.spec.target,
                 compliance=tracker.compliance,
-                alerting=alerting,
+                alerting=all(burn > threshold for _, threshold, burn in burns),
                 burns=burns,
-            )
-            statuses.append(status)
-            if alerting and name not in self._alerting:
-                self._alerting.add(name)
-                self.alerts_fired += 1
-                if self.bus is not None:
-                    self.bus.emit(
-                        "slo-alert", t=now, step=run_index,
-                        slo=name, target=tracker.spec.target,
-                        burns=[list(b) for b in burns],
-                    )
-            elif not alerting and name in self._alerting:
-                self._alerting.discard(name)
-                if self.bus is not None:
-                    self.bus.emit(
-                        "slo-clear", t=now, step=run_index, slo=name,
-                    )
+            ))
         return statuses
-
-    @property
-    def alerting(self) -> set[str]:
-        return set(self._alerting)
 
 
 def histogram_counts_above(histogram, threshold: float) -> tuple[int, int]:
@@ -281,7 +251,7 @@ class ControlPlaneSLOFeed:
             ),
         ]
 
-    def tick(self, now: float, *, run_index: int = 0) -> None:
+    def tick(self, now: float) -> None:
         """Sample the plane's counters and record this tick's deltas."""
         hist = self.geo.daemon.queue_delay_histogram
         below, above = histogram_counts_above(
@@ -294,7 +264,7 @@ class ControlPlaneSLOFeed:
         )
         self._last_delay_below, self._last_delay_above = below, above
 
-    def observe_run(self, now: float, gbps: float, *, run_index: int = 0) -> None:
+    def observe_run(self, now: float, gbps: float) -> None:
         """Record one measured run against the throughput floor."""
         ok = gbps >= self.throughput_floor_gbps
         self.monitor.record(

@@ -62,8 +62,10 @@ MODEL_NAME = "model.npz"
 #: only timed a frozen weight copy that is gone);
 #: 13: no trace ids: channel messages and the ReplayDB's movement tuples
 #: carry none, and the system state's ``causal`` entry is ``provenance``,
-#: the ledger's batch and decision counters
-FORMAT_VERSION = 13
+#: the ledger's batch and decision counters;
+#: 14: the ``provenance`` entry also holds the ledger file's byte size
+#: (and its rotation's), which a resume truncates the file back to
+FORMAT_VERSION = 14
 
 _GEN_PREFIX = "gen-"
 _STAGING_PREFIX = ".staging-"

@@ -1,31 +1,56 @@
-"""Structured recovery telemetry -- a recorded view over the event bus.
+"""Structured recovery telemetry: the run's one event history.
 
-:class:`EventLog` is a recording facade over an
-:class:`~repro.observability.events.EventBus`: every ``emit`` publishes
-a plain bus :class:`~repro.observability.events.Event` (guardrail trips,
-checkpoint commits, journal rollbacks, stranded-file rescues), so the
-bus history holds recovery traffic alongside fault and movement events,
-and keeps it in an append-only log that checkpoints carry
-(``events``, ``of_kind``, ``state_dict``/``load_state_dict``).
-
-By default an ``EventLog`` bridges to the *installed* observability
-bus (see :func:`repro.observability.get_observability`), which is a
-no-op collector unless a run enabled observability; pass ``bus=`` to
-wire it to a specific one.
+:class:`EventLog` keeps guardrail trips, checkpoint commits, journal
+rollbacks, stranded-file rescues and resumes as typed :class:`Event`
+records in an append-only log that checkpoints carry (``events``,
+``of_kind``, ``state_dict``/``load_state_dict``).  Everything else a run
+could report as an event is a tally its layer already keeps (see
+DESIGN.md "Observability architecture").
 """
 
 from __future__ import annotations
 
-from repro.observability import get_observability
-from repro.observability.events import Event, EventBus
+from dataclasses import dataclass, field
+
+
+@dataclass(frozen=True)
+class Event:
+    """One structured occurrence.
+
+    ``kind`` is a stable machine-readable tag (e.g. ``checkpoint-saved``,
+    ``guardrail-trip``, ``rollback``); ``detail`` carries kind-specific,
+    JSON-serializable context.  ``t`` is simulated seconds; ``step`` the
+    control-loop run index (0 when not applicable).
+    """
+
+    kind: str
+    t: float
+    step: int
+    detail: dict = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "t": self.t,
+            "step": self.step,
+            "detail": dict(self.detail),
+        }
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "Event":
+        return cls(
+            kind=str(raw["kind"]),
+            t=float(raw["t"]),
+            step=int(raw["step"]),
+            detail=dict(raw.get("detail", {})),
+        )
 
 
 class EventLog:
-    """Append-only log of recovery events, mirrored onto an event bus."""
+    """Append-only log of recovery events."""
 
-    def __init__(self, bus: EventBus | None = None) -> None:
+    def __init__(self) -> None:
         self._events: list[Event] = []
-        self.bus = bus if bus is not None else get_observability().bus
 
     def __len__(self) -> int:
         return len(self._events)
@@ -38,10 +63,9 @@ class EventLog:
         return tuple(self._events)
 
     def emit(self, kind: str, *, t: float, step: int, **detail) -> Event:
-        """Record a new event and publish it on the attached bus."""
+        """Record a new event."""
         event = Event(kind=kind, t=float(t), step=int(step), detail=detail)
         self._events.append(event)
-        self.bus.publish(event)
         return event
 
     def of_kind(self, kind: str) -> tuple[Event, ...]:
@@ -51,9 +75,5 @@ class EventLog:
         return {"events": [e.to_dict() for e in self._events]}
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore the log's contents.
-
-        Restored events are *not* re-published: a resume must not
-        double-count trips or checkpoints on the bus.
-        """
+        """Restore the log's contents."""
         self._events = [Event.from_dict(raw) for raw in state["events"]]

@@ -12,7 +12,6 @@ import numpy as np
 from repro.agents.daemon import InterfaceDaemon
 from repro.agents.messages import TelemetryBatch
 from repro.agents.transport import Transport
-from repro.observability import Observability
 from repro.observability.provenance import ProvenanceLedger
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord
@@ -44,9 +43,7 @@ def batches(k: int = 5) -> list[TelemetryBatch]:
 def daemon_with_ledger():
     telemetry = Transport()
     ledger = ProvenanceLedger()
-    daemon = InterfaceDaemon(
-        ReplayDB(), telemetry, Transport(), obs=Observability(), ledger=ledger
-    )
+    daemon = InterfaceDaemon(ReplayDB(), telemetry, Transport(), ledger=ledger)
     return daemon, telemetry, ledger
 
 

@@ -9,7 +9,7 @@ import pytest
 from repro.experiments.facade import Exports, Faults, run_facade
 from repro.experiments.harness import make_experiment_config
 from repro.experiments.spec import TEST_SCALE
-from repro.observability import Observability, get_observability, metrics
+from repro.observability import metrics
 
 REQUIRED_SUBSYSTEMS = {
     "engine", "replaydb", "features", "nn", "simulation", "faults",
@@ -177,16 +177,14 @@ class TestDeterminism:
     def test_disabled_run_is_bit_for_bit_identical(self, result):
         disabled = run_facade(
             make_experiment_config(TEST_SCALE), scale=TEST_SCALE, seed=0,
-            exports=Exports(), obs=Observability(enabled=False),
+            exports=None,
         )
         assert disabled.movement_fingerprint() == result.movement_fingerprint()
         assert disabled.final_layout == result.final_layout
         assert disabled.mean_gbps == result.mean_gbps
         assert disabled.accesses == result.accesses
-        assert disabled.trace is None and len(disabled.geo.obs.bus) == 0
-        # The metrics are read off the run's own tallies: the switch
-        # changes none of them.
+        assert disabled.events == result.events
+        assert disabled.trace is None and disabled.artifacts == {}
+        # The metrics are read off the run's own tallies: the exports
+        # stage changes none of them.
         assert snapshot(disabled)["counters"] == snapshot(result)["counters"]
-
-    def test_run_restores_the_process_default(self, result):
-        assert get_observability().enabled is False

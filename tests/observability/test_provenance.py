@@ -152,6 +152,28 @@ class TestLedgerPersistence:
         loaded = ProvenanceLedger.load(path)
         assert loaded.batches
 
+    def test_a_rotation_since_the_checkpoint_leaves_the_files_whole(
+        self, tmp_path, monkeypatch
+    ):
+        """Without a rotation a resume cuts the file back to the
+        checkpoint's size; after one, the checkpoint's end lies in
+        ``.1`` and neither file is cut."""
+        monkeypatch.setattr(provenance, "ROTATE_BYTES", 4096)
+        path = tmp_path / "prov.jsonl"
+        ledger = ProvenanceLedger(path)
+        land(ledger, "var", 1, 0.0, 0.0, 1)
+        state = ledger.state_dict()
+        land(ledger, "var", 1, 1.0, 1.0, 2)
+        ProvenanceLedger(path).load_state_dict(state)
+        assert path.stat().st_size == state["file_bytes"]
+        for i in range(1, 100):
+            land(ledger, "var", 1, float(i), float(i), i + 1)
+        rotated = path.with_suffix(path.suffix + ".1")
+        sizes = (path.stat().st_size, rotated.stat().st_size)
+        assert sizes[0] > state["file_bytes"]
+        ProvenanceLedger(path).load_state_dict(state)
+        assert (path.stat().st_size, rotated.stat().st_size) == sizes
+
     def test_load_missing_raises(self, tmp_path):
         with pytest.raises(ConfigurationError):
             ProvenanceLedger.load(tmp_path / "absent.jsonl")

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.facade import _slo_text
-from repro.observability.events import EventBus
 from repro.observability.metrics import Histogram
 from repro.observability.slo import (
     ControlPlaneSLOFeed,
@@ -79,21 +78,15 @@ class TestMonitor:
         (status,) = monitor.evaluate(100.0)
         assert not status.alerting
 
-    def test_alert_and_clear_transitions_hit_the_bus_once(self):
-        bus = EventBus()
-        monitor = SLOMonitor([spec()], bus=bus)
+    def test_final_status_alerts_then_clears(self):
+        monitor = SLOMonitor([spec()])
         monitor.record("avail", 99.0, good=0, bad=10)
-        monitor.evaluate(100.0, run_index=3)
-        monitor.evaluate(101.0, run_index=4)     # still burning: no re-alert
-        assert monitor.alerting == {"avail"}
-        assert monitor.alerts_fired == 1
+        (burning,) = monitor.evaluate(100.0)
+        assert burning.alerting and burning.name == "avail"
+        assert len(burning.burns) == len(WINDOWS)
         monitor.record("avail", 150.0, good=1000, bad=0)
-        monitor.evaluate(250.0, run_index=5)     # both windows recovered
-        kinds = [event.kind for event in bus]
-        assert kinds == ["slo-alert", "slo-clear"]
-        alert = next(e for e in bus if e.kind == "slo-alert")
-        assert alert.detail["slo"] == "avail"
-        assert len(alert.detail["burns"]) == len(WINDOWS)
+        (recovered,) = monitor.evaluate(250.0)   # both windows recovered
+        assert not recovered.alerting
 
     def test_unknown_objective_rejected(self):
         with pytest.raises(ConfigurationError):

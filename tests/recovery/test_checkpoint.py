@@ -168,6 +168,9 @@ class TestCorruptionFallback:
             }}}}}),
             (10, {"meta": {"schedule_specs": [], "checkpoint_every": 5}}),
             (11, {"engine": {"online": {"hwm": 40, "updates": 3}}}),
+            (13, {"system": {"provenance": {
+                "batch_seq": {"var": 4}, "decision_seq": 2,
+            }}}),
         ):
             root = tmp_path / f"format-{version}"
             mgr = CheckpointManager(root)

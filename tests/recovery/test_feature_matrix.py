@@ -15,9 +15,11 @@ taken after chunks were released.
 
 from dataclasses import replace
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core import engine as engine_module
 from repro.errors import SimulatedCrash
 from repro.experiments.facade import (
     Checkpoints,
@@ -164,6 +166,27 @@ def test_in_flight_batches_keep_their_provenance_across_a_resume(tmp_path):
     seen = observable(resumed, tmp_path / "killed")
     assert sorted(seen["batches"]) == sorted(expected["batches"])
     assert seen == expected
+
+
+def test_a_resume_rewrites_no_provenance_line(tmp_path, monkeypatch):
+    """A ``pre-commit`` kill at run 7 leaves the lines of runs 6 and 7
+    after checkpoint 5 in the ledger file; the resume cuts them off
+    before it writes them again, so the file equals the uninterrupted
+    run's byte for byte (host training time pinned to 0)."""
+    monkeypatch.setattr(
+        engine_module, "time", SimpleNamespace(perf_counter=lambda: 0.0)
+    )
+    for name in ("first", "killed"):
+        (tmp_path / name).mkdir()
+    run(tmp_path / "first", ("provenance",))
+    with pytest.raises(SimulatedCrash):
+        run(
+            tmp_path / "killed", ("provenance",),
+            kill_at_run=KILL_AT, kill_point="pre-commit",
+        )
+    resume_facade(tmp_path / "killed" / "ckpt")
+    expected = (tmp_path / "first" / "prov.jsonl").read_bytes()
+    assert (tmp_path / "killed" / "prov.jsonl").read_bytes() == expected
 
 
 def test_resume_across_released_chunks(tmp_path, monkeypatch):
