@@ -15,8 +15,8 @@ Asserts the paper-level guarantees:
 
 The enabled arm also keeps the decision-provenance ledger (in memory, no
 JSONL path: the daemon records each landed batch, every dispatch its
-decision) and SLO burn-rate monitoring, so the 2% budget gates the full
-observability stack, not just metrics.
+decision) and the SLO burn table every exports stage evaluates, so the
+2% budget gates the full observability stack, not just metrics.
 
 The overhead estimate uses :func:`_timing.paired_overhead`; if a first
 cheap round lands over budget -- wall-clock noise on shared runners
@@ -51,7 +51,7 @@ def _enabled():
         make_experiment_config(TEST_SCALE, seed=SEED, provenance_enabled=True),
         scale=TEST_SCALE,
         seed=SEED,
-        exports=Exports(slo=True),
+        exports=Exports(),
     )
 
 

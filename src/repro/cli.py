@@ -15,7 +15,7 @@ have parsers of their own.
     python -m repro resume ckpt/          # restart a killed recover run
     python -m repro run --trace out.json --metrics m.prom
     python -m cProfile -s cumulative -m repro run --scale test
-    python -m repro run --provenance prov.jsonl --slo --throughput-floor 2.0
+    python -m repro run --provenance prov.jsonl --throughput-floor 2.0
     python -m repro explain 3 --ledger prov.jsonl
 
 ``--log-level``/``--log-json`` (before the subcommand) turn on module
@@ -212,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser(
         "run",
-        help="one fully observed control loop (metrics + events; "
-             "--trace adds the per-layer timing)",
+        help="one fully observed control loop (counts and the SLO burn "
+             "table; --trace adds the per-layer timing)",
     )
     _add_common(run, default_seed=0)
     _add_observability(run)
@@ -229,18 +229,14 @@ def build_parser() -> argparse.ArgumentParser:
              "(walk it with 'repro explain')",
     )
     run.add_argument(
-        "--slo", action="store_true",
-        help="evaluate the stock control-plane SLOs during the run and "
-             "append the burn-rate report",
-    )
-    run.add_argument(
         "--queue-delay-threshold", type=float, default=0.05, metavar="S",
-        help="--slo's telemetry queue-delay budget in simulated seconds "
-             "(default: 0.05)",
+        help="the SLO burn table's telemetry queue-delay budget in "
+             "simulated seconds (default: 0.05)",
     )
     run.add_argument(
         "--throughput-floor", type=float, default=0.0, metavar="GBPS",
-        help="--slo's per-run mean throughput floor in GB/s (default: 0)",
+        help="the SLO burn table's per-run mean throughput floor in GB/s "
+             "(default: 0)",
     )
 
     explain = sub.add_parser(
@@ -318,7 +314,6 @@ def _run_facade(args) -> str:
         exports = Exports(
             metrics_path=args.metrics, snapshot_path=args.metrics_snapshot,
             snapshot_every=args.snapshot_every, trace_path=args.trace,
-            slo=args.slo,
             queue_delay_threshold_s=args.queue_delay_threshold,
             throughput_floor_gbps=args.throughput_floor,
         )

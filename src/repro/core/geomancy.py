@@ -81,7 +81,6 @@ class Geomancy:
         db: ReplayDB | None = None,
         telemetry: Transport | None = None,
         journal=None,
-        event_log: EventLog | None = None,
     ) -> None:
         if not files:
             raise ConfigurationError("Geomancy needs a workload file set")
@@ -97,7 +96,7 @@ class Geomancy:
         #: records so a crash mid-movement is resolvable on restore
         self.journal = journal
         #: structured recovery telemetry (rescues, rollbacks, trips)
-        self.event_log = event_log if event_log is not None else EventLog()
+        self.event_log = EventLog()
         #: decision provenance (None unless ``provenance_enabled``): the
         #: daemon records each batch it lands, :meth:`dispatch` each layout
         self.ledger = (

@@ -6,7 +6,7 @@ Three optional stages plug into that one loop: :class:`Faults` (a fault
 schedule, failing migrations, a lossy telemetry link), :class:`Checkpoints`
 (write-ahead journal, atomic checkpoints that are also the guardrail's
 known-good layouts, an injected kill for tests) and :class:`Exports`
-(Prometheus, JSONL snapshots, a layer trace, SLO feed).  Every
+(Prometheus, JSONL snapshots, a layer trace, the SLO burn table).  Every
 run keeps the same books -- invariant violations, rescued and stranded
 files, recovery times -- and returns one :class:`FacadeRun`.
 :func:`resume_facade` finishes a killed run from its checkpoint directory
@@ -37,7 +37,7 @@ from repro.faults.invariants import cluster_invariant_violations
 from repro.faults.schedule import FaultSchedule
 from repro.nn.serialization import load_weights
 from repro.observability import metrics
-from repro.observability.slo import ControlPlaneSLOFeed, SLOMonitor
+from repro.observability.slo import histogram_counts_above, slo_statuses
 from repro.observability.tracing import Recorder, facade_layers
 from repro.recovery.checkpoint import CheckpointManager
 from repro.recovery.journal import LayoutJournal
@@ -104,16 +104,16 @@ class Checkpoints:
 
 @dataclass(frozen=True)
 class Exports:
-    """The exports stage: Prometheus dump, JSONL snapshots, the stock
-    SLOs fed every run and evaluated at its end; a ``trace_path`` traces
-    the measured phase's layers (:mod:`repro.observability.tracing`) and
-    writes their spans as a Chrome trace."""
+    """The exports stage: Prometheus dump, JSONL snapshots and the stock
+    SLOs' burn table (:mod:`repro.observability.slo`) under the two
+    thresholds; a ``trace_path`` traces the measured phase's layers
+    (:mod:`repro.observability.tracing`) and writes their spans as a
+    Chrome trace."""
 
     metrics_path: str | os.PathLike | None = None
     snapshot_path: str | os.PathLike | None = None
     snapshot_every: int = 1
     trace_path: str | os.PathLike | None = None
-    slo: bool = False
     queue_delay_threshold_s: float = 0.05
     throughput_floor_gbps: float = 0.0
 
@@ -121,6 +121,16 @@ class Exports:
         if self.snapshot_every < 1:
             raise ExperimentError(
                 f"snapshot_every must be >= 1, got {self.snapshot_every}"
+            )
+        if self.queue_delay_threshold_s <= 0:
+            raise ExperimentError(
+                f"queue_delay_threshold_s must be positive, "
+                f"got {self.queue_delay_threshold_s}"
+            )
+        if self.throughput_floor_gbps < 0:
+            raise ExperimentError(
+                f"throughput_floor_gbps must be >= 0, "
+                f"got {self.throughput_floor_gbps}"
             )
 
 
@@ -161,7 +171,7 @@ class FacadeRun:
     artifacts: dict[str, str] = field(default_factory=dict)
     #: the measured phase's layer recorder (None unless traced)
     trace: Recorder | None = field(default=None, repr=False, compare=False)
-    #: final SLO burn-rate statuses (None without the SLO feed)
+    #: final SLO burn-rate statuses (None without an exports stage)
     slo: list[dict] | None = None
 
     @property
@@ -443,7 +453,12 @@ def resume_facade(directory: str | os.PathLike) -> FacadeRun:
 
 
 def _build(
-    config: GeomancyConfig, seed: int, faults: Faults | None, **wiring
+    config: GeomancyConfig,
+    seed: int,
+    faults: Faults | None,
+    *,
+    db: ReplayDB | None = None,
+    journal: LayoutJournal | None = None,
 ) -> tuple[Geomancy, WorkloadRunner]:
     """Unplaced Geomancy (over the stage's link) on a fresh testbed, and
     a runner that tolerates offline devices."""
@@ -455,7 +470,8 @@ def _build(
             if faults is not None and faults.link is not None
             else None
         ),
-        **wiring,
+        db=db,
+        journal=journal,
     )
     return geo, runner
 
@@ -509,14 +525,9 @@ def _drive(
     """The measured phase from ``books["next_run"]`` on, and its report."""
     cluster = geo.cluster
     every = meta["every"] if mgr is not None else 0
-    slo_feed = None
-    if exports is not None and exports.slo:
-        monitor = SLOMonitor(ControlPlaneSLOFeed.default_specs())
-        slo_feed = ControlPlaneSLOFeed(
-            monitor, geo,
-            queue_delay_threshold_s=exports.queue_delay_threshold_s,
-            throughput_floor_gbps=exports.throughput_floor_gbps,
-        )
+    # one SLO row per run: t, the cumulative queue-delay counts around
+    # the threshold, the run's mean GB/s
+    slo_rows: list[tuple[float, int, int, float]] = []
 
     def each_run(
         run_number: int, run_gbps: list[float], outcome: StepOutcome
@@ -534,10 +545,15 @@ def _drive(
             books["recovery_times"].append(now - books["stranded_since"])
             books["stranded_since"] = None
         books["next_run"] = run_number + 1
-        if slo_feed is not None:
-            slo_feed.tick(now)
-            mean = float(np.mean(run_gbps)) if run_gbps else 0.0
-            slo_feed.observe_run(now, mean)
+        if exports is not None:
+            slo_rows.append((
+                now,
+                *histogram_counts_above(
+                    geo.daemon.queue_delay_histogram,
+                    exports.queue_delay_threshold_s,
+                ),
+                float(np.mean(run_gbps)) if run_gbps else 0.0,
+            ))
         if exports is not None and exports.snapshot_path is not None and (
             run_number % exports.snapshot_every == 0
         ):
@@ -628,9 +644,8 @@ def _drive(
         warnings=list(loaded.warnings) if loaded is not None else [],
         artifacts=artifacts,
         trace=trace,
-        slo=None if slo_feed is None else [
-            status.to_dict()
-            for status in slo_feed.monitor.evaluate(runner.clock.now)
-        ],
+        slo=None if exports is None else slo_statuses(
+            slo_rows, runner.clock.now, exports.throughput_floor_gbps
+        ),
     )
 

@@ -9,9 +9,9 @@ layers already keep:
   as Prometheus text or a JSONL snapshot;
 * events -- the recovery :class:`~repro.recovery.events.EventLog`
   (checkpoints, trips, rollbacks, rescues, resumes) is the one event
-  history; dead letters, faults, circuit breakers, movements and SLO
-  alerts are tallies of their own layers (DESIGN.md "Observability
-  architecture");
+  history; dead letters, faults, circuit breakers and movements are
+  tallies of their own layers, SLO alerts the run report's burn table
+  (:mod:`~repro.observability.slo`);
 * :class:`~repro.observability.tracing.Recorder` -- opt-in per run, wraps
   the public methods of a run's objects and charges them to layers
   (``repro run --trace``).  The per-function view is the stdlib's:

@@ -11,13 +11,12 @@
   into a :class:`~repro.replaydb.db.ReplayDB`.
 """
 
-from repro.workloads.belle2 import AccessOp, Belle2Workload
+from repro.workloads.belle2 import Belle2Workload
 from repro.workloads.eos import EOSTraceSynthesizer
 from repro.workloads.files import FileSpec, belle2_file_population
 from repro.workloads.runner import WorkloadRunner
 
 __all__ = [
-    "AccessOp",
     "Belle2Workload",
     "EOSTraceSynthesizer",
     "FileSpec",

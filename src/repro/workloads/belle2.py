@@ -13,8 +13,6 @@ matter which policy is steering placement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -29,23 +27,6 @@ READ_FRACTION_RANGE = (0.25, 1.0)
 WRITE_PROBABILITY = 0.1
 #: ... of this share of the file's size
 WRITE_FRACTION = 0.02
-
-
-@dataclass(frozen=True)
-class AccessOp:
-    """One file operation the workload wants to perform."""
-
-    fid: int
-    rb: int
-    wb: int
-
-    def __post_init__(self) -> None:
-        if self.rb < 0 or self.wb < 0:
-            raise ConfigurationError(
-                f"byte counts must be non-negative (rb={self.rb}, wb={self.wb})"
-            )
-        if self.rb == 0 and self.wb == 0:
-            raise ConfigurationError("an access must read or write something")
 
 
 class Belle2Workload:
@@ -77,10 +58,6 @@ class Belle2Workload:
             dtype=np.int64,
         )
 
-    @property
-    def fids(self) -> list[int]:
-        return [f.fid for f in self.files]
-
     def _files_for_run(self, run_index: int) -> list[int]:
         """Pick the files this run works on, as indices into ``files``.
 
@@ -92,14 +69,6 @@ class Belle2Workload:
         count = min(self.files_per_run, n)
         rng = np.random.default_rng((self.seed, run_index, 7))
         return rng.choice(n, size=count, replace=False).tolist()
-
-    def run(self, run_index: int) -> list[AccessOp]:
-        """The access stream of run ``run_index`` (deterministic)."""
-        fids, rb, wb = self.run_arrays(run_index)
-        return [
-            AccessOp(fid=f, rb=r, wb=w)
-            for f, r, w in zip(fids.tolist(), rb.tolist(), wb.tolist())
-        ]
 
     def run_arrays(
         self, run_index: int
@@ -158,10 +127,3 @@ class Belle2Workload:
             0,
         )
         return self._fids[file_of_op], rb, wb, counts
-
-    def runs(self, count: int):
-        """Yield runs ``0 .. count - 1``."""
-        if count < 0:
-            raise ConfigurationError(f"count must be >= 0, got {count}")
-        for i in range(count):
-            yield self.run(i)

@@ -1,16 +1,22 @@
-"""Unit tests for SLO tracking, burn-rate alerting, and the plane feed."""
+"""The ``run`` report's SLO burn table, and the streaming tracker it is
+held to (:mod:`tests.oracles.slo_tracker`)."""
+
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
-from repro.experiments.facade import _slo_text
+from repro.errors import ConfigurationError, ExperimentError
+from repro.experiments.facade import Exports, _slo_text
+from repro.observability import slo
 from repro.observability.metrics import Histogram
-from repro.observability.slo import (
+from repro.observability.slo import histogram_counts_above, slo_statuses
+from tests.oracles.slo_tracker import (
     ControlPlaneSLOFeed,
     SLOMonitor,
     SLOSpec,
     SLOTracker,
-    histogram_counts_above,
 )
 
 WINDOWS = ((10.0, 2.0), (100.0, 1.5))
@@ -154,3 +160,128 @@ class TestControlPlaneFeed:
     def test_default_specs_cover_the_two_objectives(self):
         names = {s.name for s in ControlPlaneSLOFeed.default_specs()}
         assert names == {"queue-delay", "throughput-floor"}
+
+
+#: a row lands on a cutoff when ``now`` is a row's time plus a window
+_GAPS = st.sampled_from([0.0, 1.0, 10.0, 60.0, 600.0]) | st.integers(
+    0, 900
+).map(float)
+_DELAYS = st.lists(st.sampled_from([0.001, 0.02, 0.05, 0.2, 2.0]), max_size=5)
+_GBPS = st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 5.0)
+#: the burns of a window half bad (queue-delay) and all bad (throughput)
+_AT_BURN = (0.5 / (1.0 - 0.95), 1.0 / (1.0 - 0.90))
+
+
+@st.composite
+def slo_streams(draw):
+    """``(windows, delay threshold, floor, runs, now)``: each run is a
+    time gap, the queue delays landed in it (none: a zero-delta row) and
+    its mean GB/s; ``now`` is the last run's time or sits one window
+    after some run's.  Thresholds as low as 0.5x let both objectives
+    alert (throughput-floor burns at most 10x); two equal a burn a window
+    can reach, which must not alert."""
+    windows = tuple(draw(st.lists(
+        st.tuples(
+            st.integers(1, 700).map(float),
+            st.sampled_from([0.5, 1.5, 6.0, 14.0, *_AT_BURN]),
+        ),
+        min_size=1, max_size=3,
+    )))
+    runs = draw(st.lists(st.tuples(_GAPS, _DELAYS, _GBPS), max_size=30))
+    t, times = 0.0, []
+    for gap, _, _ in runs:
+        t += gap
+        times.append(t)
+    nows = [times[-1] if times else 0.0]
+    nows += [at + window_s for at in times for window_s, _ in windows]
+    return (
+        windows,
+        draw(st.sampled_from([0.001, 0.05, 0.5])),
+        draw(st.sampled_from([0.0, 1.0, 2.5])),
+        runs,
+        draw(st.sampled_from(nows)),
+    )
+
+
+def _both(windows, threshold, floor, runs, now):
+    """The burn table from per-run rows, and the oracle's statuses
+    from its feed sampling the same run as it went."""
+    hist = Histogram()
+    monitor = SLOMonitor([
+        SLOSpec(name, target=target, windows=windows)
+        for name, target in slo.OBJECTIVES
+    ])
+    feed = ControlPlaneSLOFeed(
+        monitor, TestControlPlaneFeed._FakePlane(hist),
+        queue_delay_threshold_s=threshold,
+        throughput_floor_gbps=floor,
+    )
+    t, rows = 0.0, []
+    for gap, delays, gbps in runs:
+        t += gap
+        for delay in delays:
+            hist.observe(delay)
+        feed.tick(t)
+        feed.observe_run(t, gbps)
+        rows.append((t, *histogram_counts_above(hist, threshold), gbps))
+    with mock.patch.object(slo, "WINDOWS", windows):
+        ours = slo_statuses(rows, now, floor)
+    return ours, [status.to_dict() for status in monitor.evaluate(now)]
+
+
+_STOCK = slo.WINDOWS
+_LOW = ((10.0, 0.5), (100.0, 0.5))
+
+
+class TestStatusesMatchTheTracker:
+    @settings(max_examples=300, deadline=None)
+    @given(slo_streams())
+    # a zero-delta run (no batch landed) inside both windows
+    @example((_STOCK, 0.05, 1.0, [(0.0, [0.2], 2.0), (5.0, [], 0.5)], 5.0))
+    # a run exactly at the 60 s cutoff counts in the window
+    @example((_STOCK, 0.05, 1.0, [(0.0, [2.0], 0.5), (60.0, [0.02], 2.0)],
+              60.0))
+    # both objectives alerting
+    @example((_LOW, 0.05, 1.0, [(0.0, [0.2, 2.0], 0.5), (5.0, [2.0], 0.0)],
+              5.0))
+    def test_equal_statuses(self, stream):
+        ours, oracle = _both(*stream)
+        assert ours == oracle
+
+    def test_the_examples_cover_what_they_say(self):
+        zero = _both(_STOCK, 0.05, 1.0, [(0.0, [], 2.0)], 0.0)[0]
+        assert zero[0]["compliance"] == 1.0
+        assert zero[0]["burns"][0][2] == 0.0
+        at_cutoff = _both(
+            _STOCK, 0.05, 1.0, [(0.0, [2.0], 0.5), (60.0, [0.02], 2.0)], 60.0
+        )[0]
+        assert at_cutoff[0]["burns"][0][2] == pytest.approx(0.5 / 0.05)
+        alerting = _both(
+            _LOW, 0.05, 1.0, [(0.0, [0.2, 2.0], 0.5), (5.0, [2.0], 0.0)], 5.0
+        )[0]
+        assert [status["alerting"] for status in alerting] == [True, True]
+
+    def test_a_burn_at_its_threshold_does_not_alert(self):
+        windows = tuple((window_s, _AT_BURN[1]) for window_s, _ in _STOCK)
+        (_, floor), oracle = _both(windows, 0.05, 1.0, [(0.0, [], 0.5)], 0.0)
+        assert floor["burns"][0][2] == floor["burns"][0][1]
+        assert not floor["alerting"] and not oracle[1]["alerting"]
+
+    def test_stock_objectives_and_windows(self):
+        (delay, floor) = slo_statuses([], 0.0, 0.0)
+        assert (delay["name"], delay["target"]) == ("queue-delay", 0.95)
+        assert (floor["name"], floor["target"]) == ("throughput-floor", 0.90)
+        assert [burn[:2] for burn in delay["burns"]] == [
+            [60.0, 14.0], [600.0, 6.0]
+        ]
+
+
+class TestExportsThresholds:
+    @pytest.mark.parametrize("kwargs", [
+        dict(queue_delay_threshold_s=0.0),
+        dict(queue_delay_threshold_s=-1.0),
+        dict(throughput_floor_gbps=-0.5),
+    ])
+    def test_bad_threshold_rejected(self, kwargs):
+        with pytest.raises(ExperimentError):
+            Exports(**kwargs)

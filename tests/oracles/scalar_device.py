@@ -20,6 +20,7 @@ from repro.replaydb.records import AccessRecord
 from repro.simulation.clock import timestamp_parts
 from repro.simulation.device import GBPS, MIN_ACCESS_DURATION, StorageDevice
 from repro.workloads import runner as runner_module
+from tests.oracles.scalar_ops import scalar_run
 
 
 def service_time(device: StorageDevice, t: float, rb: int, wb: int) -> float:
@@ -111,7 +112,7 @@ def run_stream(runner):
     """
     index = runner.next_run_index
     runner.next_run_index += 1
-    for op in runner.workload.run(index):
+    for op in scalar_run(runner.workload, index):
         try:
             record = access(
                 runner.cluster, op.fid, runner.clock.now, rb=op.rb, wb=op.wb

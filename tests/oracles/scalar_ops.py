@@ -2,17 +2,38 @@
 
 ``Belle2Workload.runs_arrays`` draws a burst length and one
 ``random(2 * burst)`` per file and computes every run's byte counts as
-one vector expression; ``run`` and ``run_arrays`` unpack it.  Here each
-op draws its own ``uniform`` read fraction and its own ``random`` write
-coin, in stream order -- the loop the arrays must reproduce op for op.
+one vector expression; ``run_arrays`` unpacks it.  Here each op draws
+its own ``uniform`` read fraction and its own ``random`` write coin, in
+stream order, into an :class:`AccessOp` -- the loop the arrays must
+reproduce op for op.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.workloads import belle2
-from repro.workloads.belle2 import AccessOp, Belle2Workload
+from repro.workloads.belle2 import Belle2Workload
+
+
+@dataclass(frozen=True)
+class AccessOp:
+    """One file operation the workload wants to perform."""
+
+    fid: int
+    rb: int
+    wb: int
+
+    def __post_init__(self) -> None:
+        if self.rb < 0 or self.wb < 0:
+            raise ConfigurationError(
+                f"byte counts must be non-negative (rb={self.rb}, wb={self.wb})"
+            )
+        if self.rb == 0 and self.wb == 0:
+            raise ConfigurationError("an access must read or write something")
 
 
 def scalar_run(workload: Belle2Workload, run_index: int) -> list[AccessOp]:

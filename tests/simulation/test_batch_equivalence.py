@@ -458,7 +458,7 @@ class TestDeviceStatsAggregates:
 
 class TestRunArraysPacking:
     def test_run_arrays_matches_op_list(self):
-        """``run`` and ``run_arrays`` against the op-by-op draw loop."""
+        """``run_arrays`` against the op-by-op draw loop."""
         files = belle2_file_population(seed=5)[:30]
         for files_per_run, constants in (
             (4, {}),
@@ -473,7 +473,6 @@ class TestRunArraysPacking:
                 for index in range(50):
                     fids, rb, wb = workload.run_arrays(index)
                     ops = scalar_run(workload, index)
-                    assert workload.run(index) == ops
                     assert fids.tolist() == [op.fid for op in ops]
                     assert rb.tolist() == [op.rb for op in ops]
                     assert wb.tolist() == [op.wb for op in ops]

@@ -177,23 +177,21 @@ class TestProvenanceCommands:
 
     def test_slo_arguments_parse(self):
         args = build_parser().parse_args(
-            ["run", "--slo", "--queue-delay-threshold", "0.1",
+            ["run", "--queue-delay-threshold", "0.1",
              "--throughput-floor", "2.0"]
         )
-        assert args.slo is True
         assert args.queue_delay_threshold == 0.1
         assert args.throughput_floor == 2.0
 
     def test_run_provenance_flags_parse(self):
         args = build_parser().parse_args(
-            ["run", "--provenance", "prov.jsonl", "--slo"]
+            ["run", "--provenance", "prov.jsonl"]
         )
         assert args.provenance == "prov.jsonl"
-        assert args.slo is True
 
     def test_run_then_explain_walks_every_movement(self, tmp_path, capsys):
         prov = tmp_path / "prov.jsonl"
-        assert main(["run", "--provenance", str(prov), "--slo"]) == 0
+        assert main(["run", "--provenance", str(prov)]) == 0
         out = capsys.readouterr().out
         assert "SLO burn status" in out
         assert prov.exists()
@@ -221,7 +219,13 @@ class TestProvenanceCommands:
         assert "no provenance recorded" in capsys.readouterr().out
 
     def test_slo_command_reports_objectives(self, capsys):
-        assert main(["run", "--slo"]) == 0
+        assert main(["run"]) == 0
         out = capsys.readouterr().out
         assert "queue-delay" in out
         assert "throughput-floor" in out
+
+    def test_bad_slo_threshold_fails_before_the_run(self, capsys):
+        assert main(["run", "--queue-delay-threshold", "0"]) == 1
+        assert "queue_delay_threshold_s must be positive" in (
+            capsys.readouterr().err
+        )

@@ -1,11 +1,13 @@
 """Tests for the BELLE II workload generator."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.workloads import belle2
-from repro.workloads.belle2 import AccessOp, Belle2Workload
+from repro.workloads.belle2 import Belle2Workload
 from repro.workloads.files import belle2_file_population
+from tests.oracles.scalar_ops import AccessOp
 
 
 @pytest.fixture
@@ -16,6 +18,13 @@ def files():
 @pytest.fixture
 def workload(files):
     return Belle2Workload(files, seed=1)
+
+
+def ops(workload, run_index):
+    """Run ``run_index`` of ``run_arrays`` as ``(fid, rb, wb)`` tuples."""
+    return list(zip(*(
+        column.tolist() for column in workload.run_arrays(run_index)
+    )))
 
 
 class TestAccessOp:
@@ -34,68 +43,59 @@ class TestAccessOp:
 
 class TestRunGeneration:
     def test_run_deterministic(self, workload):
-        assert workload.run(5) == workload.run(5)
+        assert ops(workload, 5) == ops(workload, 5)
 
     def test_runs_differ(self, workload):
-        assert workload.run(0) != workload.run(1)
+        assert ops(workload, 0) != ops(workload, 1)
 
     def test_burst_lengths_in_range(self, workload):
         # Each selected file is accessed 10-20 times in succession.
-        ops = workload.run(0)
-        bursts = []
-        current_fid, count = ops[0].fid, 0
-        for op in ops:
-            if op.fid == current_fid:
-                count += 1
-            else:
-                bursts.append(count)
-                current_fid, count = op.fid, 1
-        bursts.append(count)
+        fids = workload.run_arrays(0)[0]
+        edges = np.flatnonzero(np.diff(fids)) + 1
+        bursts = np.diff(np.concatenate(([0], edges, [len(fids)])))
         assert all(10 <= b <= 20 for b in bursts)
 
     def test_files_per_run_respected(self, workload):
-        fids = {op.fid for op in workload.run(0)}
-        assert len(fids) == 4
+        assert len(set(workload.run_arrays(0)[0].tolist())) == 4
 
     def test_successive_accesses_are_grouped(self, workload):
         # A file's accesses form one contiguous burst within a run.
-        ops = workload.run(3)
+        fids = workload.run_arrays(3)[0].tolist()
         seen_done = set()
         current = None
-        for op in ops:
-            if op.fid != current:
-                assert op.fid not in seen_done
+        for fid in fids:
+            if fid != current:
+                assert fid not in seen_done
                 if current is not None:
                     seen_done.add(current)
-                current = op.fid
+                current = fid
 
     def test_read_heavy(self, workload):
-        ops = [op for i in range(10) for op in workload.run(i)]
-        reads = sum(op.rb for op in ops)
-        writes = sum(op.wb for op in ops)
-        assert reads > 20 * writes
+        _, rb, wb, _ = workload.runs_arrays(0, 10)
+        assert rb.sum() > 20 * wb.sum()
 
     def test_read_sizes_bounded_by_file_size(self, workload, files):
         sizes = {f.fid: f.size_bytes for f in files}
-        for op in workload.run(0):
-            assert 1 <= op.rb <= sizes[op.fid]
+        for fid, rb, _ in ops(workload, 0):
+            assert 1 <= rb <= sizes[fid]
 
     def test_random_selection_covers_population_eventually(self, workload, files):
-        fids = {op.fid for i in range(40) for op in workload.run(i)}
+        fids = set(workload.runs_arrays(0, 40)[0].tolist())
         assert fids == {f.fid for f in files}
 
     def test_negative_run_index_rejected(self, workload):
         with pytest.raises(ConfigurationError):
-            workload.run(-1)
+            workload.run_arrays(-1)
 
     def test_runs_iterator(self, workload):
-        runs = list(workload.runs(3))
-        assert len(runs) == 3
-        assert runs[2] == workload.run(2)
+        *columns, counts = workload.runs_arrays(0, 3)
+        assert len(counts) == 3
+        last = [column[-counts[2]:].tolist() for column in columns]
+        assert last == [column.tolist() for column in workload.run_arrays(2)]
 
     def test_runs_negative_count_rejected(self, workload):
         with pytest.raises(ConfigurationError):
-            list(workload.runs(-1))
+            workload.runs_arrays(0, -1)
 
 
 class TestValidation:

@@ -29,9 +29,8 @@ class TestCompetingWorkload:
 
     def test_workload_ops_reference_offset_fids(self):
         files, workload = make_competing_workload(seed=5)
-        ops = workload.run(0)
-        valid = {f.fid for f in files}
-        assert all(op.fid in valid for op in ops)
+        fids, _, _ = workload.run_arrays(0)
+        assert set(fids.tolist()) <= {f.fid for f in files}
 
     def test_custom_offset(self, monkeypatch):
         monkeypatch.setattr(interference, "COMPETING_FID_OFFSET", 5000)
@@ -42,4 +41,5 @@ class TestCompetingWorkload:
         a_files, a_wl = make_competing_workload(seed=7)
         b_files, b_wl = make_competing_workload(seed=7)
         assert a_files == b_files
-        assert a_wl.run(3) == b_wl.run(3)
+        for a, b in zip(a_wl.run_arrays(3), b_wl.run_arrays(3)):
+            assert a.tolist() == b.tolist()
