@@ -121,37 +121,3 @@ def test_ablation_prediction_adjustment(benchmark, save_result):
         iterations=1,
     )
     assert all(r.mean_throughput > 0 for r in results.values())
-
-
-def test_ablation_optimizer(benchmark, save_result):
-    """The paper kept SGD after finding Adam gave higher error."""
-    results = benchmark.pedantic(
-        sweep,
-        args=("optimizer", ("sgd", "adam"), "optimizer", save_result),
-        rounds=1,
-        iterations=1,
-    )
-    assert all(r.mean_throughput > 0 for r in results.values())
-
-
-def test_ablation_target_metric(benchmark, save_result):
-    """Throughput vs latency modeling target (the section V-C extension)."""
-    results = benchmark.pedantic(
-        sweep,
-        args=("target", ("throughput", "latency"), "target", save_result),
-        rounds=1,
-        iterations=1,
-    )
-    assert all(r.mean_throughput > 0 for r in results.values())
-
-
-def test_ablation_gap_scheduler(benchmark, save_result):
-    """Access-gap movement gating (the section X extension)."""
-    results = benchmark.pedantic(
-        sweep,
-        args=("gap_scheduler", (False, True), "use_gap_scheduler",
-              save_result),
-        rounds=1,
-        iterations=1,
-    )
-    assert all(r.mean_throughput > 0 for r in results.values())

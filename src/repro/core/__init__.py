@@ -8,8 +8,7 @@
 * :mod:`repro.core.action_checker` -- validity filtering plus the 10%
   random exploration action of section V-H.
 * :mod:`repro.core.layout` -- layout diffing and move capping.
-* :mod:`repro.core.scheduler` -- the move-every-N-runs cooldown plus the
-  access-gap scheduler sketched as future work in section X.
+* :mod:`repro.core.scheduler` -- the move-every-N-runs cooldown.
 * :mod:`repro.core.decision` -- the one gate sequence from a trained model
   to the layout worth applying, shared by the facade and the policy adapter.
 * :mod:`repro.core.geomancy` -- the facade tying it all together with the
@@ -22,7 +21,7 @@ from repro.core.config import GeomancyConfig
 from repro.core.engine import DRLEngine, TrainingReport
 from repro.core.geomancy import Geomancy
 from repro.core.layout import LayoutChange, cap_moves, layout_diff
-from repro.core.scheduler import AccessGapScheduler, CooldownScheduler
+from repro.core.scheduler import CooldownScheduler
 
 __all__ = [
     "ActionChecker",
@@ -34,6 +33,5 @@ __all__ = [
     "LayoutChange",
     "cap_moves",
     "layout_diff",
-    "AccessGapScheduler",
     "CooldownScheduler",
 ]

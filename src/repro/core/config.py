@@ -4,8 +4,9 @@ Defaults follow the paper's live experiment: Table-I model 1, the six live
 features, 12,000 training rows, 200 epochs of plain SGD, a moving-average
 smoothing window, 10% random exploration and data movement every 5
 workload runs.  What the paper fixes as part of the method rather than
-the experiment (the 8-access probe, the 14-file movement cap, the SGD
-batch) is a constant or default of the code that reads it, not a field.
+the experiment (plain SGD, the throughput target, the 8-access probe, the
+14-file movement cap, the SGD batch) is a constant or default of the code
+that reads it, not a field.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ class GeomancyConfig:
     training_rows: int = 12_000
     epochs: int = 200
     learning_rate: float = 0.2
-    optimizer: str = "sgd"
     smoothing_window: int = 50
     exploration_rate: float = 0.10
     cooldown_runs: int = 5
@@ -42,13 +42,6 @@ class GeomancyConfig:
     #: backstop: never act on a model whose held-out error exceeds this
     #: (percent), regardless of its skill against the constant baseline
     max_actionable_mare: float = 300.0
-    #: only move files whose observed inter-access gap accommodates the
-    #: estimated transfer (the section X future-work gap model,
-    #: implemented by repro.core.scheduler.AccessGapScheduler)
-    use_gap_scheduler: bool = False
-    #: modeling target: "throughput" (the paper's live system) or
-    #: "latency" (the sensitivity the paper defers to future work)
-    target: str = "throughput"
     #: -- safe mode (repro.recovery.guardrail) ----------------------------
     #: watch training health and realized-vs-predicted throughput in
     #: ``Geomancy.after_run``; a trip rolls the layout back to the marked
@@ -106,10 +99,6 @@ class GeomancyConfig:
             raise ConfigurationError(
                 f"max_actionable_mare must be positive, "
                 f"got {self.max_actionable_mare}"
-            )
-        if self.target not in ("throughput", "latency"):
-            raise ConfigurationError(
-                f"target must be 'throughput' or 'latency', got {self.target!r}"
             )
         if self.fallback_policy not in ("static", "lru"):
             raise ConfigurationError(

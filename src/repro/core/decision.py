@@ -3,16 +3,14 @@
 One definition of the gate sequence the paper's Fig. 2 draws between the
 ReplayDB and the control agent: train, veto a model that is unskilled,
 diverged, over the error backstop or ranks the devices backwards, let the
-engine propose, pass the proposal through the Action Checker, cap the
-moves, and (section X) keep only files whose access gaps fit the
-transfer.  The :class:`~repro.core.geomancy.Geomancy` facade acts on
+engine propose, pass the proposal through the Action Checker and cap the
+moves.  The :class:`~repro.core.geomancy.Geomancy` facade acts on
 what :meth:`DecisionPath.decide` returns, in its control loop and in every
 paper figure's Geomancy cell alike.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.action_checker import ActionChecker
@@ -24,7 +22,6 @@ from repro.core.layout import (
     cap_moves,
     layout_diff,
 )
-from repro.core.scheduler import AccessGapScheduler
 from repro.replaydb.db import ReplayDB
 
 #: accesses required in the ReplayDB before the engine first trains
@@ -56,16 +53,13 @@ class Decision:
 
 
 class DecisionPath:
-    """The engine, Action Checker and gap scheduler one config asks for,
-    and the gate sequence over them."""
+    """The engine and Action Checker one config asks for, and the gate
+    sequence over them."""
 
     def __init__(self, config: GeomancyConfig) -> None:
         self.config = config
         self.engine = DRLEngine(config)
         self.checker = ActionChecker(config.exploration_rate, seed=config.seed)
-        self.gap_scheduler = (
-            AccessGapScheduler() if config.use_gap_scheduler else None
-        )
 
     def decide(
         self,
@@ -74,14 +68,12 @@ class DecisionPath:
         device_by_fsid: dict[int, str],
         valid_devices: set[str],
         current: dict[int, str],
-        transfer_time: Callable[[int], float],
     ) -> Decision:
         """Train on ``db`` and decide where ``fids`` should live.
 
         ``device_by_fsid`` are the candidate locations, ``valid_devices``
-        what the Action Checker accepts as a target, ``current`` the
-        present placement of ``fids`` and ``transfer_time(fid)`` the
-        estimated seconds moving that file takes.
+        what the Action Checker accepts as a target and ``current`` the
+        present placement of ``fids``.
         """
         config, engine = self.config, self.engine
         decision = Decision()
@@ -120,16 +112,6 @@ class DecisionPath:
         changes = cap_moves(
             layout_diff(current, checked), MAX_FILES_PER_MOVE, gains
         )
-        if self.gap_scheduler is not None:
-            # Section X extension: only move files whose observed access
-            # gaps accommodate the transfer ("We will not consider moving
-            # files that are always accessed and never released").
-            changes = [
-                change for change in changes
-                if self.gap_scheduler.can_move(
-                    db, change.fid, transfer_time(change.fid)
-                )
-            ]
         decision.layout = as_layout(changes)
         if not decision.layout:
             decision.veto = NO_CHANGES

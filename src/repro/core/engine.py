@@ -26,7 +26,6 @@ from repro.features.pipeline import FeaturePipeline, make_windows
 from repro.nn.metrics import is_diverged, mean_absolute_relative_error
 from repro.nn.model_zoo import build_model, is_recurrent
 from repro.nn.network import train_val_test_split
-from repro.nn.optimizers import get_optimizer
 from repro.observability.metrics import Histogram
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.replay_buffer import PrioritizedReplay
@@ -159,11 +158,7 @@ class DRLEngine:
         self.pipeline = FeaturePipeline(
             self.config.features,
             smoothing_window=self.config.smoothing_window,
-            target=self.config.target,
         )
-        #: for throughput targets higher predictions are better; for
-        #: latency targets (paper V-C future work) lower is better
-        self._maximize = self.config.target == "throughput"
         self._recurrent = is_recurrent(self.config.model_number)
         self.model = build_model(
             self.config.model_number, self.config.z, seed=self.config.seed
@@ -240,14 +235,11 @@ class DRLEngine:
         if self._recurrent:
             x, y = make_windows(x, y, TIMESTEPS)
         xt, yt, xv, yv, xs, ys = train_val_test_split(x, y)
-        optimizer = get_optimizer(
-            self.config.optimizer, learning_rate=self.config.learning_rate
-        )
         refit = self.trained and len(xv) > 0
         epochs = min(self.config.epochs, REFIT_EPOCHS if refit else np.inf)
         start = time.perf_counter()
         history = self.model.fit(
-            xt, yt, epochs=epochs, optimizer=optimizer,
+            xt, yt, epochs=epochs, learning_rate=self.config.learning_rate,
             validation=(xv, yv) if refit else None,
         )
         elapsed = time.perf_counter() - start
@@ -409,13 +401,10 @@ class DRLEngine:
         y = self.pipeline.transform_target(window)
         if self.capture_provenance:
             self.last_feature_digest = _digest(x)
-        optimizer = get_optimizer(
-            self.config.optimizer, learning_rate=self.config.learning_rate
-        )
         history = self.model.fit(
             x, y,
             epochs=ONLINE_EPOCHS,
-            optimizer=optimizer,
+            learning_rate=self.config.learning_rate,
             sample_weight=weights,
         )
         # -- refresh priorities and calibration ------------------------
@@ -642,9 +631,7 @@ class DRLEngine:
         """
         if not self.trained:
             raise ModelError("engine must be trained before predicting")
-        # For latency targets lower observed *throughput* still means a
-        # worse device, so the observed ordering is the same.  A device
-        # absent from the ranking has no telemetry yet.
+        # A device absent from the ranking has no telemetry yet.
         mean_by_device = dict(db.device_throughput_ranking())
         observed = {
             fsid: mean_by_device[device]
@@ -662,27 +649,16 @@ class DRLEngine:
             )[0].tolist()
         else:
             predicted = [0.0 for _ in fsids]
-        if not self._maximize:
-            # Latency predictions: smaller is better, so invert for the
-            # comparison against observed throughput.
-            predicted = [-p for p in predicted]
         return _spearman(predicted, [observed[fsid] for fsid in fsids])
 
     def _choose_placement(
         self, scores: dict[int, float], current_fsid: int
     ) -> tuple[int, float]:
         """The act/skip rule: best location, and the gain of moving there."""
-        if self._maximize:
-            best = max(scores, key=lambda fsid: scores[fsid])
-        else:
-            best = min(scores, key=lambda fsid: scores[fsid])
+        best = max(scores, key=lambda fsid: scores[fsid])
         if current_fsid in scores:
             current_score = scores[current_fsid]
-            gain = (
-                scores[best] - current_score
-                if self._maximize
-                else current_score - scores[best]
-            )
+            gain = scores[best] - current_score
             # Propose a move only when the model predicts a clear win
             # at the new location; flat or marginal predictions keep
             # the file where it is ("it only applies layouts that the

@@ -505,9 +505,6 @@ class Geomancy:
             {self.cluster.device(name).fsid: name for name in available},
             set(available),
             self.cluster.layout(set(fids)),
-            lambda fid: self.cluster.link.transfer_time(
-                self.cluster.file(fid).size_bytes
-            ),
         )
         outcome.training = decision.training
         outcome.trained = decision.training is not None

@@ -37,7 +37,11 @@ from repro.faults.invariants import cluster_invariant_violations
 from repro.faults.schedule import FaultSchedule
 from repro.nn.serialization import load_weights
 from repro.observability import metrics
-from repro.observability.slo import histogram_counts_above, slo_statuses
+from repro.observability.slo import (
+    histogram_counts_above,
+    slo_statuses,
+    window_fires,
+)
 from repro.observability.tracing import Recorder, facade_layers
 from repro.recovery.checkpoint import CheckpointManager
 from repro.recovery.journal import LayoutJournal
@@ -275,11 +279,17 @@ def _slo_text(statuses: list[dict]) -> str:
             f"  {status['name']:<28} target {status['target']:.3%}  "
             f"compliance {status['compliance']:.3%}  [{flag}]"
         )
+        ceiling = 1.0 / (1.0 - status["target"])
         for window_s, threshold, burn in status["burns"]:
-            marker = "!" if burn > threshold else " "
+            fires = window_fires(burn, threshold, status["target"])
+            marker = "!" if fires else " "
+            limit = (
+                f"alert above {threshold:.1f}x" if threshold <= ceiling
+                else f"alert at {ceiling:.1f}x, the most it can burn"
+            )
             lines.append(
                 f"    {marker} window {window_s:>7.0f}s  "
-                f"burn {burn:6.2f}x  (alert above {threshold:.1f}x)"
+                f"burn {burn:6.2f}x  ({limit})"
             )
     if not statuses:
         lines.append("  (no objectives evaluated)")
@@ -525,9 +535,14 @@ def _drive(
     """The measured phase from ``books["next_run"]`` on, and its report."""
     cluster = geo.cluster
     every = meta["every"] if mgr is not None else 0
-    # one SLO row per run: t, the cumulative queue-delay counts around
-    # the threshold, the run's mean GB/s
+    # one SLO row per run: t, the queue-delay counts around the threshold
+    # since this phase began, the run's mean GB/s
     slo_rows: list[tuple[float, int, int, float]] = []
+    if exports is not None:
+        # The daemon's histogram also holds the warm-up's batches.
+        before = histogram_counts_above(
+            geo.daemon.queue_delay_histogram, exports.queue_delay_threshold_s
+        )
 
     def each_run(
         run_number: int, run_gbps: list[float], outcome: StepOutcome
@@ -546,12 +561,12 @@ def _drive(
             books["stranded_since"] = None
         books["next_run"] = run_number + 1
         if exports is not None:
+            below, above = histogram_counts_above(
+                geo.daemon.queue_delay_histogram,
+                exports.queue_delay_threshold_s,
+            )
             slo_rows.append((
-                now,
-                *histogram_counts_above(
-                    geo.daemon.queue_delay_histogram,
-                    exports.queue_delay_threshold_s,
-                ),
+                now, below - before[0], above - before[1],
                 float(np.mean(run_gbps)) if run_gbps else 0.0,
             ))
         if exports is not None and exports.snapshot_path is not None and (

@@ -102,7 +102,6 @@ class FeaturePipeline:
         features: Sequence[str] = DEFAULT_LIVE_FEATURES,
         *,
         smoothing_window: int = 10,
-        target: str = "throughput",
     ) -> None:
         if not features:
             raise FeatureError("need at least one feature")
@@ -110,13 +109,8 @@ class FeaturePipeline:
             raise FeatureError(
                 f"smoothing_window must be >= 1, got {smoothing_window}"
             )
-        if target not in ("throughput", "latency"):
-            raise FeatureError(
-                f"target must be 'throughput' or 'latency', got {target!r}"
-            )
         self.features = tuple(features)
         self.smoothing_window = int(smoothing_window)
-        self.target = target
         self._x_norm = MinMaxNormalizer()
         self._y_norm = MinMaxNormalizer()
         #: features not derivable from the numeric access fields: keys of
@@ -180,16 +174,10 @@ class FeaturePipeline:
         ranks candidate placements by.
         """
         columns = self._window(columns)
-        if self.target == "throughput":
-            values = access_throughput(
-                columns["rb"], columns["wb"], columns["ots"],
-                columns["otms"], columns["cts"], columns["ctms"],
-            )
-        else:
-            # Latency target (paper V-C: "there exist workloads that are
-            # more latency sensitive, we will explore modeling latency of
-            # the system in the future"): the per-access duration.
-            values = _COLUMN_BUILDERS["duration"](columns)
+        values = access_throughput(
+            columns["rb"], columns["wb"], columns["ots"],
+            columns["otms"], columns["cts"], columns["ctms"],
+        )
         if self.smoothing_window == 1:
             return values
         fsids = columns["fsid"]

@@ -25,7 +25,6 @@ from repro.nn.metrics import (
 )
 from repro.nn.model_zoo import MODEL_NUMBERS, build_model, model_summary
 from repro.nn.network import Sequential, TrainingHistory
-from repro.nn.optimizers import SGD, Adam, Optimizer, get_optimizer
 from repro.nn.recurrent import GRU, LSTM, SimpleRNN
 from repro.nn.serialization import load_weights, save_weights
 
@@ -46,10 +45,6 @@ __all__ = [
     "model_summary",
     "Sequential",
     "TrainingHistory",
-    "SGD",
-    "Adam",
-    "Optimizer",
-    "get_optimizer",
     "SimpleRNN",
     "LSTM",
     "GRU",

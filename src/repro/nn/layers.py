@@ -22,12 +22,12 @@ class Layer:
 
     Subclasses implement ``build`` (allocate parameters once the input
     dimension is known), ``forward`` and ``backward``.  Parameters and their
-    gradients live in the ``params`` / ``grads`` dicts so optimizers can
+    gradients live in the ``params`` / ``grads`` dicts so training can
     treat all layers uniformly.  A layer allocates both at ``build`` and
     from then on only writes *into* them: :class:`~repro.nn.network.
     Sequential` re-homes the arrays as views of its two flat vectors, and
-    a layer that rebound an entry would detach itself from the vector the
-    optimizer updates.
+    a layer that rebound an entry would detach itself from the vector each
+    SGD step updates.
     """
 
     #: rank of the input array this layer expects (2 for Dense, 3 for RNNs)

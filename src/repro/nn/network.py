@@ -1,8 +1,8 @@
 """The :class:`Sequential` model container.
 
 Mirrors the slice of the Keras API the paper relies on: stack layers, train
-on squared error with an optimizer for N epochs on a chronological 60/20/20
-train/validation/test split, then predict.
+on squared error with plain gradient descent for N epochs on a
+chronological 60/20/20 train/validation/test split, then predict.
 
 Recurrent-first models consume ``(batch, timesteps, features)`` windows; a
 2-D input is automatically promoted to a single-timestep window so the same
@@ -19,7 +19,6 @@ from repro.errors import ConfigurationError, ModelError, ShapeError
 from repro.nn.layers import Layer
 from repro.nn.losses import MeanSquaredError
 from repro.nn.metrics import is_diverged
-from repro.nn.optimizers import Optimizer, get_optimizer
 
 #: chronological train/validation/test shares (the paper's 60/20/20)
 SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
@@ -79,8 +78,8 @@ class Sequential:
     All parameters live in one flat float64 vector and all gradients in
     another; every ``layer.params[name]`` / ``layer.grads[name]`` is a
     reshaped view into them, laid out in ``layer{i}/{name}`` order (the
-    keys of Adam's moments and of the weight archive).  Plain SGD can
-    therefore update the whole model in one call.
+    keys of the weight archive).  One SGD step therefore updates the
+    whole model in one vector operation.
     """
 
     def __init__(self, layers: list[Layer], *, seed: int | None = None) -> None:
@@ -92,7 +91,7 @@ class Sequential:
         self.input_dim: int | None = None
         #: the flat parameter and gradient vectors, allocated by ``build``
         self._theta = self._grad = np.empty(0)
-        #: (state key, layer, parameter name, start, shape) per parameter:
+        #: (archive key, layer, parameter name, start, shape) per parameter:
         #: where in the flat vectors it lives
         self._slot_table: list[tuple] = []
         #: epochs every ``fit`` ran and rows every ``predict`` scored
@@ -146,20 +145,6 @@ class Sequential:
                 view = flat[start : start + held.size].reshape(shape)
                 view[...] = held
                 arrays[name] = view
-
-    def _optimizer_slots(
-        self, opt: Optimizer
-    ) -> list[tuple[str, np.ndarray, np.ndarray]]:
-        """The ``(key, parameters, gradients)`` triples one step updates:
-        one per named parameter, or the whole vectors as a single slot
-        when the optimizer's rule allows (see ``Optimizer.per_parameter``).
-        """
-        if not opt.per_parameter:
-            return [("all", self._theta, self._grad)]
-        return [
-            (key, layer.params[name], layer.grads[name])
-            for key, layer, name, _, _ in self._slot_table
-        ]
 
     @property
     def output_dim(self) -> int:
@@ -231,14 +216,16 @@ class Sequential:
         y: np.ndarray,
         *,
         epochs: int = 200,
-        optimizer: str | Optimizer = "sgd",
+        learning_rate: float = 0.01,
         sample_weight: np.ndarray | None = None,
         validation: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> TrainingHistory:
         """Train on mean squared error with mini-batch gradient descent.
 
-        The paper's defaults are 200 epochs and standard (plain) SGD; data is
-        chronological, so batches are :data:`BATCH_SIZE` consecutive rows.
+        The paper's defaults are 200 epochs and standard (plain) SGD, which
+        steps ``theta -= learning_rate * grad`` over the flat parameter
+        vector; data is chronological, so batches are :data:`BATCH_SIZE`
+        consecutive rows.
         When an epoch's loss is non-finite (or the last step leaves
         non-finite weights) the run stops and the history is flagged
         ``diverged``; nothing is raised -- Table II needs to *report*
@@ -260,6 +247,10 @@ class Sequential:
         """
         if epochs <= 0:
             raise ConfigurationError(f"epochs must be positive, got {epochs}")
+        if learning_rate <= 0:
+            raise ConfigurationError(
+                f"learning_rate must be positive, got {learning_rate}"
+            )
         x = self._adapt_input(x)
         if not self.built:
             self.build(x.shape[-1])
@@ -285,12 +276,10 @@ class Sequential:
                     f"validation has {len(x_val)} rows of x, {len(y_val)} of y"
                 )
         loss_fn = MeanSquaredError()
-        opt = get_optimizer(optimizer)
         history = TrainingHistory()
         best_loss, best_theta, waited = np.inf, None, 0
         self._home_parameters()
         start_theta = self._theta.copy()
-        slots = self._optimizer_slots(opt)
         # Chronological batches are contiguous row ranges: views, not
         # fancy-index copies, sliced once.
         batch_size = BATCH_SIZE
@@ -314,8 +303,7 @@ class Sequential:
                     value, grad = loss_fn.value_and_gradient(pred, yb, wb)
                     epoch_loss += value
                     self._backward(grad)
-                    for key, param, param_grad in slots:
-                        opt.apply(key, param, param_grad)
+                    self._theta -= learning_rate * self._grad
                 mean_loss = epoch_loss / len(batches)
                 history.train_loss.append(mean_loss)
                 history.epochs_run += 1

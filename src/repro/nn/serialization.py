@@ -17,8 +17,8 @@ Durability contract (the recovery subsystem depends on it):
   load).  Architecture mismatches (wrong key set) remain plain
   :class:`ModelError`, since those indicate caller error, not damage.
 
-An archive holds weights only: the engine builds a fresh optimizer for
-every training cycle, so there is no optimizer state to carry.
+An archive holds weights only: plain SGD keeps no state between steps,
+so there is no optimizer state to carry.
 """
 
 from __future__ import annotations
@@ -222,5 +222,5 @@ def load_weights(model: Sequential, path: str | os.PathLike) -> None:
                     f"model dtype {current.dtype}"
                 )
             # In place: the array is a view of the model's flat parameter
-            # vector, which is what the optimizer updates.
+            # vector, which is what each SGD step updates.
             current[...] = arr

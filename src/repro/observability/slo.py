@@ -5,8 +5,9 @@ ingest queue-delay histogram and each run's mean GB/s -- are evaluated
 Google-SRE style: an objective alerts only when *every* window burns
 error budget faster than its threshold (the fast window responds, the
 slow one keeps a blip from paging).  The facade appends one row per run,
-``(t, delay_at_or_below, delay_above, mean_gbps)`` with cumulative delay
-counts, so a window's events are a difference of two counts.
+``(t, delay_at_or_below, delay_above, mean_gbps)`` with delay counts
+cumulative from the start of the measured phase, so a window's events
+are a difference of two counts.
 """
 
 from __future__ import annotations
@@ -21,6 +22,17 @@ OBJECTIVES = (("queue-delay", 0.95), ("throughput-floor", 0.90))
 #: (window seconds, burn threshold) pairs, in simulated time: scaled-down
 #: analogues of the classic 1 h / 6 h production pairing
 WINDOWS = ((60.0, 14.0), (600.0, 6.0))
+
+
+def window_fires(burn: float, threshold: float, target: float) -> bool:
+    """Whether a window burning at ``burn`` is past ``threshold``.
+
+    A window whose every event is bad burns at ``1 / (1 - target)``, the
+    most it can (10x for a 0.90 target).  A threshold above that is
+    capped there, and a window burning at the cap fires.
+    """
+    ceiling = 1.0 / (1.0 - target)
+    return burn > threshold or ceiling < threshold and burn == ceiling
 
 
 def histogram_counts_above(histogram, threshold: float) -> tuple[int, int]:
@@ -72,7 +84,10 @@ def slo_statuses(
             "name": name,
             "target": target,
             "compliance": good[-1] / total if total else 1.0,
-            "alerting": all(burn > threshold for _, threshold, burn in burns),
+            "alerting": all(
+                window_fires(burn, threshold, target)
+                for _, threshold, burn in burns
+            ),
             "burns": burns,
         })
     return statuses

@@ -64,8 +64,10 @@ MODEL_NAME = "model.npz"
 #: carry none, and the system state's ``causal`` entry is ``provenance``,
 #: the ledger's batch and decision counters;
 #: 14: the ``provenance`` entry also holds the ledger file's byte size
-#: (and its rotation's), which a resume truncates the file back to
-FORMAT_VERSION = 14
+#: (and its rotation's), which a resume truncates the file back to;
+#: 15: the saved config has no optimizer, gap-filter or target field
+#: (14's has all three), and per-file tails are 8 rows deep
+FORMAT_VERSION = 15
 
 _GEN_PREFIX = "gen-"
 _STAGING_PREFIX = ".staging-"

@@ -53,8 +53,8 @@ _ROW_BYTES = np.dtype((np.void, _ROW.itemsize))
 _CHUNK_ROWS = 1 << 12
 
 #: newest rows held per file: the deepest per-file read in ``src/`` (the
-#: gap scheduler's 20; the engine's probe asks 8).  A deeper ask raises.
-_TAIL_DEPTH = 20
+#: engine's probe asks ``PROBE_SAMPLES`` = 8).  A deeper ask raises.
+_TAIL_DEPTH = 8
 
 
 class ReplayDB:
@@ -323,14 +323,6 @@ class ReplayDB:
                 f"the read reaches rows released below id {self._first + 1}"
             )
 
-    def _check_depth(self, limit: int) -> None:
-        """Raise when a per-file read asks deeper than the tails go."""
-        if limit > _TAIL_DEPTH:
-            raise ReplayDBError(
-                f"per-file reads hold the newest {_TAIL_DEPTH} rows, "
-                f"asked for {limit}"
-            )
-
     def _take(self, positions: np.ndarray) -> np.ndarray:
         """The stored rows at ``positions`` (int64, any order)."""
         if len(positions):
@@ -370,22 +362,12 @@ class ReplayDB:
         )
         return [AccessRecord(*row) for row in zip(*fields)]
 
-    def recent_accesses(
-        self, limit: int, *, fid: int | None = None
-    ) -> list[AccessRecord]:
-        """The most recent ``limit`` accesses, in chronological order.
-
-        Optionally restricted to one file, whose accesses come from the
-        per-file state.
-        """
+    def recent_accesses(self, limit: int) -> list[AccessRecord]:
+        """The most recent ``limit`` accesses, in chronological order."""
         if limit <= 0:
             raise ReplayDBError(f"limit must be positive, got {limit}")
         self._check_open()
         self.queries += 1
-        if fid is not None:
-            self._check_depth(limit)
-            tail = list(self._file_tails.get(fid, ()))[-limit:]
-            return self._records(np.array(tail, dtype=np.int64))
         return self._records(np.arange(max(0, self._rows - limit), self._rows))
 
     def max_rowid(self) -> int:
@@ -493,7 +475,11 @@ class ReplayDB:
             raise ReplayDBError(f"limit must be positive, got {limit}")
         self._check_open()
         self.queries += 1
-        self._check_depth(limit)
+        if limit > _TAIL_DEPTH:
+            raise ReplayDBError(
+                f"per-file reads hold the newest {_TAIL_DEPTH} rows, "
+                f"asked for {limit}"
+            )
         tails, wanted = self._file_tails, set(fids)
         spans, positions = [], []
         for fid in sorted(fid for fid in tails if fid in wanted):

@@ -8,7 +8,7 @@ is part of every measured experiment.
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.simulation.device import GBPS
 
 
@@ -31,9 +31,3 @@ class TransferLink:
     @property
     def bandwidth_bytes(self) -> float:
         return self.bandwidth_gbps * GBPS
-
-    def transfer_time(self, nbytes: int) -> float:
-        """Seconds to move ``nbytes`` across the link."""
-        if nbytes < 0:
-            raise SimulationError(f"nbytes must be non-negative, got {nbytes}")
-        return self.latency_s + nbytes / self.bandwidth_bytes

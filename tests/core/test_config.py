@@ -23,7 +23,6 @@ class TestDefaults:
         assert config.z == 6
         assert config.training_rows == 12_000
         assert config.epochs == 200
-        assert config.optimizer == "sgd"
         assert config.exploration_rate == 0.10
         assert config.cooldown_runs == 5
 
@@ -49,7 +48,7 @@ class TestValidation:
             {"max_actionable_mare": 0.0},
             {"training_rows": 9},
             {"learning_rate": -0.1},
-            {"target": "iops"},
+            {"cooldown_runs": -5},
             {"fallback_policy": "random"},
             {"online_learning": True, "model_number": 12},
             {"max_actionable_mare": -1.0},
@@ -62,19 +61,6 @@ class TestValidation:
     def test_all_model_numbers_accepted(self):
         for number in range(1, 24):
             assert GeomancyConfig(model_number=number).model_number == number
-
-
-class TestExtensionKnobs:
-    def test_latency_target_accepted(self):
-        assert GeomancyConfig(target="latency").target == "latency"
-
-    def test_invalid_target_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GeomancyConfig(target="iops")
-
-    def test_gap_scheduler_flag(self):
-        assert GeomancyConfig(use_gap_scheduler=True).use_gap_scheduler
-        assert not GeomancyConfig().use_gap_scheduler
 
 
 class TestResilienceKnobs:

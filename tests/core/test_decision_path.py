@@ -183,16 +183,6 @@ class TestFacadeAndPolicyAgree:
         )
         assert proposed and dispatched == [proposed]
 
-    def test_gap_filter_drops_the_same_moves(self, decisions):
-        # A 1,000-row window: its layout moves files too hot to move.
-        ungated, _ = consult_both(quick_config(training_rows=1000))
-        proposed, dispatched = consult_both(
-            quick_config(training_rows=1000, use_gap_scheduler=True)
-        )
-        assert dispatched == [proposed]
-        # Files too hot to move are dropped, nothing else changes.
-        assert set(proposed.items()) < set(ungated.items())
-
     def test_too_few_accesses_trains_nothing(self, decisions):
         cluster = make_bluesky_cluster(seed=0)
         files = belle2_file_population(seed=0)

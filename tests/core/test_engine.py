@@ -232,35 +232,6 @@ class TestProposeLayout:
             engine.propose_layout(db, [0], {})
 
 
-class TestLatencyTarget:
-    def test_latency_engine_prefers_fast_device(self):
-        # fsid 2 is 3x faster, so its (smoothed) per-access latency is
-        # lowest; a latency-target engine must pick it via argmin.
-        records = synthetic_records(400)
-        engine = DRLEngine(small_config(target="latency"))
-        train_on_records(engine, records)
-        db = ReplayDB()
-        db.insert_accesses(records)
-        layout, gains = engine.propose_layout(
-            db, [0, 1, 2], {0: "dev0", 1: "dev1", 2: "dev2"}
-        )
-        assert set(layout.values()) == {"dev2"}
-        assert all(g >= 0.0 for g in gains.values())
-
-    def test_latency_pipeline_target_is_duration(self):
-        from repro.features.pipeline import FeaturePipeline
-        records = synthetic_records(50)
-        pipeline = FeaturePipeline(
-            features=("rb", "fsid"), smoothing_window=1, target="latency"
-        )
-        pipeline.partial_fit(record_columns(records))
-        raw = pipeline.inverse_transform_target(
-            pipeline.transform_target(record_columns(records))
-        )
-        expected = np.array([r.duration for r in records])
-        np.testing.assert_allclose(raw, expected, rtol=1e-9)
-
-
 class TestRankingCorrelation:
     def test_spearman_helper(self):
         from repro.core.engine import _spearman

@@ -56,10 +56,9 @@ def reference_loop_engine(config: GeomancyConfig) -> DRLEngine:
     engine = DRLEngine(config)
     model = engine.model
 
-    def fit(x, y, *, optimizer, **kwargs):
+    def fit(x, y, *, learning_rate, **kwargs):
         return reference_fit(
-            model, x, y,
-            optimizer=ReferenceSGD(optimizer.learning_rate), **kwargs,
+            model, x, y, optimizer=ReferenceSGD(learning_rate), **kwargs,
         )
 
     model.fit = fit
@@ -67,9 +66,8 @@ def reference_loop_engine(config: GeomancyConfig) -> DRLEngine:
 
 
 class TestTrainMatchesTrainOnRecords:
-    @pytest.mark.parametrize("target", ["throughput", "latency"])
-    def test_reports_weights_and_provenance(self, db, target):
-        config = scratch_config(target=target)
+    def test_reports_weights_and_provenance(self, db):
+        config = scratch_config()
         by_columns, by_records = DRLEngine(config), DRLEngine(config)
         by_columns.capture_provenance = by_records.capture_provenance = True
         for _ in range(2):  # cold start, then a warm-started cycle

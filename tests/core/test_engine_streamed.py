@@ -21,6 +21,7 @@ from tests.core.test_engine_batched import engine_and_db
 from tests.core.test_engine_online import engine_metric
 from tests.oracles.decision_loop import propose_layout_reference
 from tests.oracles.probe_grid import location_probe_batch
+from tests.oracles.record_windows import file_records
 
 RTOL = 1e-9
 ATOL = 1e-9
@@ -146,7 +147,7 @@ class TestRaggedSpansAgainstReference:
     def ragged(self):
         engine, db = engine_and_db(1, files=24, rows=150)
         counts = [
-            len(db.recent_accesses(6, fid=fid)) for fid in db.files()
+            len(file_records(db, fid, 6)) for fid in db.files()
         ]
         assert min(counts) < 6 == max(counts)  # short and full spans
         return engine, db

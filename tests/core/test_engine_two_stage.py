@@ -26,6 +26,7 @@ from repro.simulation.topologies import make_scaled_cluster
 from tests.core.test_engine_batched import engine_and_db
 from tests.oracles.decision_loop import propose_layout_reference, top_devices
 from tests.oracles.record_features import record_columns
+from tests.oracles.record_windows import file_records
 
 TOP = engine_module.PROBE_TOP_DEVICES
 
@@ -113,7 +114,7 @@ class TestThirtyTwoDevices:
         got, expected = proposals(engine, db, devices)
         assert_match(got, expected)
         moved = sum(
-            got[0][fid] != db.recent_accesses(1, fid=fid)[0].device
+            got[0][fid] != file_records(db, fid, 1)[0].device
             for fid in got[0]
         )
         assert moved  # the comparison covers moves, not only stays
@@ -126,7 +127,7 @@ class TestThirtyTwoDevices:
         _, _, candidates = proposals(engine, db, devices)[0]
         outside = 0
         for fid, scores in candidates.items():
-            current = db.recent_accesses(1, fid=fid)[0].fsid
+            current = file_records(db, fid, 1)[0].fsid
             assert list(scores) == top + [current] * (current not in top)
             outside += current not in top
         assert outside  # stay rows were scored
@@ -144,9 +145,9 @@ class TestThirtyTwoDevices:
         top = set(top_devices(db, devices))
         fid = next(
             fid for fid in db.files()
-            if db.recent_accesses(1, fid=fid)[0].fsid not in top
+            if file_records(db, fid, 1)[0].fsid not in top
         )
-        recent = db.recent_accesses(engine_module.PROBE_SAMPLES, fid=fid)
+        recent = file_records(db, fid, engine_module.PROBE_SAMPLES)
         current = recent[-1].fsid
         engine.capture_provenance = True
         try:
@@ -223,7 +224,7 @@ class TestMenuEdges:
         ]
         assert stayed
         for fid in stayed:
-            assert db.recent_accesses(1, fid=fid)[0].fsid in range(1, 5)
+            assert file_records(db, fid, 1)[0].fsid in range(1, 5)
 
 
 class TestProvenance:

@@ -9,7 +9,6 @@ from repro.errors import AgentError, ConfigurationError
 from repro.simulation.bluesky import make_bluesky_cluster
 from repro.workloads.belle2 import Belle2Workload
 from repro.workloads.files import belle2_file_population
-from repro.workloads import runner as runner_module
 from repro.workloads.runner import WorkloadRunner
 
 
@@ -151,27 +150,6 @@ class TestAvailability:
             runner.run_once()
         outcome = geo.after_run(5, runner.clock.now)
         assert outcome.movements == []
-
-
-class TestGapScheduler:
-    def test_gap_scheduler_filters_hot_files(self, monkeypatch):
-        """With use_gap_scheduler, constantly accessed files stay put."""
-        # back-to-back accesses: gaps ~ 0
-        monkeypatch.setattr(runner_module, "THINK_TIME_S", 0.0)
-        cluster = make_bluesky_cluster(seed=0)
-        files = belle2_file_population(seed=0)
-        geo = Geomancy(
-            cluster, files,
-            quick_config(use_gap_scheduler=True, require_skill=False),
-        )
-        geo.place_initial()
-        runner = WorkloadRunner(cluster, Belle2Workload(files, seed=1), geo.db)
-        for run in range(1, 11):
-            runner.run_once()
-            geo.after_run(run, runner.clock.now)
-        # Bursty back-to-back re-reads leave no gap large enough for a
-        # multi-hundred-MB transfer, so movements are rare or absent.
-        assert geo.total_moves <= MAX_FILES_PER_MOVE
 
 
 class TestQosWiring:

@@ -194,16 +194,13 @@ class TestColumnsMatchRecordLoops:
             assert got.flags.c_contiguous
             assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("target", ["throughput", "latency"])
     @pytest.mark.parametrize("smoothing_window", [1, 10])
-    def test_target_vector(self, spread_db, target, smoothing_window):
+    def test_target_vector(self, spread_db, smoothing_window):
         records = spread_db.recent_accesses(600)
         expected = record_target_vector(
-            records, target=target, smoothing_window=smoothing_window
+            records, smoothing_window=smoothing_window
         )
-        pipeline = FeaturePipeline(
-            target=target, smoothing_window=smoothing_window
-        )
+        pipeline = FeaturePipeline(smoothing_window=smoothing_window)
         assert np.array_equal(
             pipeline.target_vector(spread_db.access_columns(limit=600)),
             expected,

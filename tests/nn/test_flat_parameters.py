@@ -1,11 +1,10 @@
 """One parameter vector, one update per step: the invariants behind it.
 
 ``Sequential`` keeps every parameter and gradient as a view of two flat
-vectors so that an elementwise, stateless optimizer updates the whole
-model in one call.  These tests hold what that rests on: the views
-survive everything that touches weights (or ``fit`` re-homes them), the
-slot choice follows the optimizer's rule, and the fused loss is the old
-pair of formulas.  Bit equality with the original loop is
+vectors so that one SGD step updates the whole model in one vector
+operation.  These tests hold what that rests on: the views survive
+everything that touches weights (or ``fit`` re-homes them), and the
+fused loss is the old pair of formulas.  Bit equality with the original loop is
 ``test_lean_step.py``'s job; the cases here reuse its harness.
 """
 
@@ -19,7 +18,6 @@ import pytest
 from repro.nn.losses import MeanSquaredError
 from repro.nn.model_zoo import build_model
 from repro.nn.network import Sequential
-from repro.nn.optimizers import SGD, Adam
 from repro.nn.serialization import load_weights, save_weights
 from tests.nn.test_lean_step import Z, assert_same_training, dataset, same_bits
 from tests.oracles.fit_loop import ReferenceSGD, reference_fit
@@ -38,7 +36,7 @@ def assert_homed(model):
 
 def assert_fit_moves_predictions(model, x, y):
     before = model.predict(x)
-    model.fit(x, y, epochs=1, optimizer=SGD(0.05))
+    model.fit(x, y, epochs=1, learning_rate=0.05)
     assert not np.array_equal(before, model.predict(x))
     assert_homed(model)
 
@@ -52,7 +50,7 @@ def test_views_after_build_fit_and_load_weights(model_number, tmp_path):
     model.build(Z)
     assert_homed(model)
     flat_before = model._theta.copy()
-    model.fit(x, y, epochs=2, optimizer=SGD(0.05))
+    model.fit(x, y, epochs=2, learning_rate=0.05)
     assert_homed(model)
     # training moved the vector the layers read, not a detached copy
     assert not np.array_equal(flat_before, model._theta)
@@ -96,13 +94,13 @@ def test_detached_arrays_are_rehomed_by_fit(detach):
     models = []
     for _ in range(2):
         model = build_model(1, Z, seed=11)
-        model.fit(x, y, epochs=1, optimizer=SGD(0.05))
+        model.fit(x, y, epochs=1, learning_rate=0.05)
         models.append(detach(model))
     lean, ref = models
     if detach is not _rebind:
         # each array came back on a buffer of its own
         assert not np.shares_memory(lean.layers[0].params["W"], lean._theta)
-    got = lean.fit(x, y, epochs=3, optimizer=SGD(0.05))
+    got = lean.fit(x, y, epochs=3, learning_rate=0.05)
     want = reference_fit(ref, x, y, epochs=3, optimizer=ReferenceSGD(0.05))
     assert same_bits(got.train_loss, want.train_loss)
     for layer_a, layer_b in zip(lean.layers, ref.layers):
@@ -130,13 +128,13 @@ def test_parameter_vector_freezes_what_the_layers_hold(detach):
     back in place, where the next fit trains it."""
     x, y = dataset(rows=40)
     model = build_model(1, Z, seed=11)
-    model.fit(x, y, epochs=1, optimizer=SGD(0.05))
+    model.fit(x, y, epochs=1, learning_rate=0.05)
     model = detach(model)
     for layer in model.layers:
         for param in layer.params.values():
             param += 1.0
     held_prediction = model.predict(x)
-    history = model.fit(x, y, epochs=30, optimizer=SGD(1e6))
+    history = model.fit(x, y, epochs=30, learning_rate=1e6)
     assert history.diverged
     assert_homed(model)
     assert same_bits(model.predict(x), held_prediction)
@@ -151,28 +149,27 @@ def test_batch_tails(rows, weighted):
     x, y = dataset(rows=rows)
     weights = np.random.default_rng(5).random(rows) if weighted else None
     assert_same_training(
-        1, SGD(0.05), ReferenceSGD(0.05), x=x, y=y, epochs=3,
+        1, 0.05, x=x, y=y, epochs=3,
         sample_weight=weights,
     )
 
 
 # -- (d) a restart in the middle changes nothing -----------------------------
-@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-def test_save_load_between_fits_equals_two_fits(optimizer, tmp_path):
-    """Each fit gets a fresh optimizer (as each engine cycle does), so the
-    weights are all a restart between two fits has to carry."""
+def test_save_load_between_fits_equals_two_fits(tmp_path):
+    """Plain SGD keeps no state between steps, so the weights are all a
+    restart between two fits has to carry."""
     x, y = dataset()
     straight = build_model(1, Z, seed=11)
-    straight.fit(x, y, epochs=2, optimizer=optimizer)
-    straight.fit(x, y, epochs=2, optimizer=optimizer)
+    straight.fit(x, y, epochs=2)
+    straight.fit(x, y, epochs=2)
 
     first = build_model(1, Z, seed=11)
-    first.fit(x, y, epochs=2, optimizer=optimizer)
+    first.fit(x, y, epochs=2)
     save_weights(first, tmp_path / "w.npz")
     resumed = build_model(1, Z, seed=99)
     resumed.build(Z)
     load_weights(resumed, tmp_path / "w.npz")
-    resumed.fit(x, y, epochs=2, optimizer=optimizer)
+    resumed.fit(x, y, epochs=2)
 
     assert same_bits(resumed._theta, straight._theta)
     assert same_bits(resumed.predict(x), straight.predict(x))
@@ -222,51 +219,6 @@ def test_value_and_gradient_equals_the_old_formulas(
         with np.errstate(over="ignore", invalid="ignore"):
             value, grad = loss.value_and_gradient(pred, true, weight[:, None])
         assert same_bits(value, want_value) and same_bits(grad, want_grad)
-
-
-# -- (f) which optimizers get one slot is observable --------------------------
-def _counting(optimizer):
-    calls = []
-    inner = optimizer.apply
-
-    def apply(key, param, grad):
-        calls.append(key)
-        inner(key, param, grad)
-
-    optimizer.apply = apply
-    return optimizer, calls
-
-
-@pytest.mark.parametrize(
-    "optimizer, per_parameter",
-    [
-        (SGD(0.05), False),
-        (Adam(0.01), True),
-    ],
-)
-def test_one_apply_per_step_only_for_plain_sgd(optimizer, per_parameter):
-    x, y = dataset(rows=100)  # four steps an epoch
-    model = build_model(1, Z, seed=11)
-    model.build(Z)
-    names = [
-        f"layer{i}/{name}"
-        for i, layer in enumerate(model.layers) for name in layer.params
-    ]
-    optimizer, calls = _counting(optimizer)
-    assert optimizer.per_parameter is per_parameter
-    model.fit(x, y, epochs=2, optimizer=optimizer)
-    steps = 2 * 4
-    if per_parameter:
-        # Adam keeps its moments under each parameter's key
-        assert calls == names * steps
-    else:
-        assert len(calls) == steps
-
-
-def test_a_new_optimizer_is_per_parameter_until_it_says_otherwise():
-    from repro.nn.optimizers import Optimizer
-
-    assert Optimizer(0.1).per_parameter is True
 
 
 # -- the e2e tracer wraps every public method of the model -------------------

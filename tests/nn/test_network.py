@@ -56,7 +56,7 @@ class TestFit:
     def test_learns_linear_function(self, linear_data):
         x, y = linear_data
         net = Sequential([Dense(16, "relu"), Dense(1, "linear")], seed=1)
-        history = net.fit(x, y, epochs=150, optimizer="sgd")
+        history = net.fit(x, y, epochs=150)
         assert history.train_loss[-1] < 0.05
         assert history.epochs_run == 150
         assert not history.diverged
@@ -71,9 +71,7 @@ class TestFit:
         x, y = linear_data
         net = Sequential([Dense(8, "relu"), Dense(1, "linear")], seed=1)
         # An absurd learning rate makes MSE explode to inf/NaN.
-        from repro.nn.optimizers import SGD
-
-        history = net.fit(x, y * 1e6, epochs=50, optimizer=SGD(learning_rate=1e9))
+        history = net.fit(x, y * 1e6, epochs=50, learning_rate=1e9)
         assert history.diverged
         assert history.epochs_run < 50
 

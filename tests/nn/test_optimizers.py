@@ -1,76 +1,50 @@
-"""Unit tests for SGD and Adam optimizers."""
+"""The one optimizer: plain SGD, as ``Sequential.fit`` steps it.
+
+The paper kept "standard gradient descent" after finding Adam's error
+higher, so ``fit`` has no optimizer to choose: each step is
+``theta -= learning_rate * grad`` over the model's flat parameter vector.
+"""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, ModelError
-from repro.nn import optimizers
-from repro.nn.optimizers import SGD, Adam, get_optimizer
+from repro.errors import ConfigurationError
+from repro.nn.layers import Dense
+from repro.nn.network import BATCH_SIZE, Sequential
 
 
-def quadratic_descent(opt, start, steps=200):
-    """Minimize f(x) = x^2 elementwise; gradient is 2x."""
-    x = np.array(start, dtype=np.float64)
-    for _ in range(steps):
-        opt.apply("x", x, 2.0 * x)
-    return x
+def linear_model(seed=0):
+    return Sequential([Dense(1, "linear")], seed=seed)
+
+
+def linear_data(rows, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.random((rows, 3))
+    return x, x @ np.array([0.5, -1.0, 2.0]) + 0.25
 
 
 class TestSGD:
     def test_plain_step(self):
-        x = np.array([1.0])
-        SGD(learning_rate=0.1).apply("x", x, np.array([2.0]))
-        assert x[0] == pytest.approx(0.8)
+        # one batch, one epoch: exactly one step
+        x, y = linear_data(BATCH_SIZE)
+        model = linear_model()
+        model.build(3)
+        before = model._theta.copy()
+        model.fit(x, y, epochs=1, learning_rate=0.1)
+        assert np.array_equal(model._theta, before - 0.1 * model._grad)
 
     def test_converges_on_quadratic(self):
-        x = quadratic_descent(SGD(learning_rate=0.1), [3.0, -2.0])
-        np.testing.assert_allclose(x, 0.0, atol=1e-8)
+        # A linear model's squared error is a quadratic in its weights.
+        x, y = linear_data(4 * BATCH_SIZE)
+        model = linear_model()
+        history = model.fit(x, y, epochs=400, learning_rate=0.2)
+        assert history.train_loss[-1] < 1e-6
+        np.testing.assert_allclose(
+            model.layers[0].params["W"].ravel(), [0.5, -1.0, 2.0], atol=1e-3
+        )
 
     def test_invalid_hyperparameters(self):
-        with pytest.raises(ConfigurationError):
-            SGD(learning_rate=0.0)
-        with pytest.raises(ConfigurationError):
-            SGD(learning_rate=-1.0)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ModelError):
-            SGD().apply("x", np.ones(3), np.ones(4))
-
-
-class TestAdam:
-    def test_converges_on_quadratic(self):
-        x = quadratic_descent(Adam(learning_rate=0.1), [3.0, -2.0], steps=500)
-        np.testing.assert_allclose(x, 0.0, atol=1e-4)
-
-    def test_first_step_magnitude_close_to_lr(self):
-        # Adam's bias-corrected first step has magnitude ~learning_rate.
-        opt = Adam(learning_rate=0.01)
-        x = np.array([1.0])
-        opt.apply("x", x, np.array([123.0]))
-        assert x[0] == pytest.approx(1.0 - 0.01, rel=1e-4)
-
-    def test_state_is_per_key(self):
-        opt = Adam()
-        a, b = np.array([1.0]), np.array([5.0])
-        opt.apply("a", a, np.array([1.0]))
-        opt.apply("b", b, np.array([1.0]))
-        assert opt._t == {"a": 1, "b": 1}
-
-    def test_invalid_betas(self):
-        assert 0.0 <= optimizers.ADAM_BETA1 < 1.0
-        assert 0.0 <= optimizers.ADAM_BETA2 < 1.0
-
-
-class TestRegistry:
-    def test_lookup_with_kwargs(self):
-        opt = get_optimizer("sgd", learning_rate=0.5)
-        assert isinstance(opt, SGD)
-        assert opt.learning_rate == 0.5
-
-    def test_instance_passthrough(self):
-        opt = Adam()
-        assert get_optimizer(opt) is opt
-
-    def test_unknown_raises(self):
-        with pytest.raises(ModelError, match="unknown optimizer"):
-            get_optimizer("rmsprop")
+        x, y = linear_data(8)
+        for learning_rate in (0.0, -1.0):
+            with pytest.raises(ConfigurationError, match="learning_rate"):
+                linear_model().fit(x, y, epochs=1, learning_rate=learning_rate)

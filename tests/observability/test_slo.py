@@ -7,8 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.agents.daemon import InterfaceDaemon
+from repro.core.config import GeomancyConfig
 from repro.errors import ConfigurationError, ExperimentError
+from repro.experiments import facade
 from repro.experiments.facade import Exports, _slo_text
+from repro.experiments.spec import TEST_SCALE
 from repro.observability import slo
 from repro.observability.metrics import Histogram
 from repro.observability.slo import histogram_counts_above, slo_statuses
@@ -267,6 +271,19 @@ class TestStatusesMatchTheTracker:
         assert floor["burns"][0][2] == floor["burns"][0][1]
         assert not floor["alerting"] and not oracle[1]["alerting"]
 
+    def test_every_run_below_the_floor_alerts(self):
+        """Throughput-floor burns at most 1 / (1 - 0.90) = 10x, under the
+        60 s window's 14x: that window is capped at 10x, which a window
+        of runs all below the floor reaches."""
+        runs = [(30.0, [], 0.5)] * 20
+        (delay, floor), (_, oracle) = _both(_STOCK, 0.05, 1.0, runs, 600.0)
+        assert [burn for *_, burn in floor["burns"]] == [
+            1.0 / (1.0 - 0.90)
+        ] * 2
+        assert floor["alerting"] and oracle["alerting"]
+        assert not delay["alerting"]
+        assert "alert at 10.0x, the most it can burn" in _slo_text([floor])
+
     def test_stock_objectives_and_windows(self):
         (delay, floor) = slo_statuses([], 0.0, 0.0)
         assert (delay["name"], delay["target"]) == ("queue-delay", 0.95)
@@ -285,3 +302,44 @@ class TestExportsThresholds:
     def test_bad_threshold_rejected(self, kwargs):
         with pytest.raises(ExperimentError):
             Exports(**kwargs)
+
+
+class TestRunRows:
+    def test_the_first_run_counts_no_warm_up_batch(self, monkeypatch):
+        """The daemon's queue-delay histogram also holds the warm-up's
+        batches; each run's row counts only those sent since the
+        measured phase began."""
+        landed, phase_starts, rows = [], [], []
+        ingest = InterfaceDaemon._ingest
+        warm_up = facade.warm_up_through_agents
+        statuses = facade.slo_statuses
+
+        def spy_ingest(daemon, message, drained_at, *args):
+            before = daemon.queue_delay_histogram.count
+            stored = ingest(daemon, message, drained_at, *args)
+            if daemon.queue_delay_histogram.count > before:
+                landed.append((message.sent_at, drained_at))
+            return stored
+
+        def spy_warm_up(geo, runner, accesses):
+            warm_up(geo, runner, accesses)
+            phase_starts.append(runner.clock.now)
+
+        def spy_statuses(slo_rows, now, floor):
+            rows.extend(slo_rows)
+            return statuses(slo_rows, now, floor)
+
+        monkeypatch.setattr(InterfaceDaemon, "_ingest", spy_ingest)
+        monkeypatch.setattr(facade, "warm_up_through_agents", spy_warm_up)
+        monkeypatch.setattr(facade, "slo_statuses", spy_statuses)
+        facade.run_facade(
+            GeomancyConfig(), scale=TEST_SCALE, seed=0, exports=Exports()
+        )
+        (phase_start,) = phase_starts
+        at, below, above, _ = rows[0]
+        assert any(sent < phase_start for sent, _ in landed)
+        in_run_1 = [
+            sent for sent, drained in landed
+            if phase_start <= sent and drained <= at
+        ]
+        assert below + above == len(in_run_1) > 0

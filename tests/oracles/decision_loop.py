@@ -1,10 +1,10 @@
 """The per-file decision loop ``DRLEngine.propose_layout`` must match.
 
-One per-file read (``recent_accesses(limit, fid=)``) and one model call
-per recent access of each file -- O(files x PROBE_SAMPLES) forward passes
-against the engine's one.  Each file is scored against the same menu:
-every candidate on a cluster of at most ``PROBE_TOP_DEVICES``, otherwise
-the best-ranked ones plus the file's own device.
+One per-file read (``file_records``, filtering every stored access) and
+one model call per recent access of each file -- O(files x PROBE_SAMPLES)
+forward passes against the engine's one.  Each file is scored against the
+same menu: every candidate on a cluster of at most ``PROBE_TOP_DEVICES``,
+otherwise the best-ranked ones plus the file's own device.
 Identical layouts always; gains may differ in the last bit, because BLAS
 picks different kernels for different batch heights.
 """
@@ -16,6 +16,7 @@ import numpy as np
 from repro.core import engine as engine_module
 from repro.errors import ModelError
 from tests.oracles.record_features import record_columns
+from tests.oracles.record_windows import file_records
 
 
 def ordered_column_sum(matrix: np.ndarray) -> np.ndarray:
@@ -46,7 +47,7 @@ def propose_layout_reference(
     layout: dict[int, str] = {}
     gains: dict[int, float] = {}
     for fid in fids:
-        recent = db.recent_accesses(engine_module.PROBE_SAMPLES, fid=fid)
+        recent = file_records(db, fid, engine_module.PROBE_SAMPLES)
         if not recent:
             continue
         current = recent[-1].fsid

@@ -42,35 +42,6 @@ class ReferenceSGD:
         param -= self.learning_rate * grad
 
 
-class ReferenceAdam:
-    """Adam with per-parameter step counts."""
-
-    def __init__(self, learning_rate=0.001, beta1=0.9, beta2=0.999,
-                 epsilon=1e-8):
-        self.learning_rate = float(learning_rate)
-        self.beta1, self.beta2 = float(beta1), float(beta2)
-        self.epsilon = float(epsilon)
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-        self.t: dict[str, int] = {}
-
-    def apply(self, key, param, grad):
-        m = self.m.get(key)
-        if m is None:
-            m = np.zeros_like(param)
-            self.v[key] = np.zeros_like(param)
-            self.t[key] = 0
-        v = self.v[key]
-        self.t[key] += 1
-        t = self.t[key]
-        m = self.beta1 * m + (1.0 - self.beta1) * grad
-        v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-        self.m[key], self.v[key] = m, v
-        m_hat = m / (1.0 - self.beta1**t)
-        v_hat = v / (1.0 - self.beta2**t)
-        param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-
-
 def _dense_forward(layer: Dense, x: np.ndarray, cache: dict | None):
     z = x @ layer.params["W"] + layer.params["b"]
     y = layer.activation(z)
@@ -110,8 +81,7 @@ def reference_fit(
     validation: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TrainingHistory:
     """The original ``Sequential.fit`` loop over ``model``'s parameters,
-    on mean squared error; ``optimizer`` is a :class:`ReferenceSGD` /
-    :class:`ReferenceAdam`.
+    on mean squared error; ``optimizer`` is a :class:`ReferenceSGD`.
     """
     x = model._adapt_input(x)
     if not model.built:

@@ -34,11 +34,6 @@ from repro.workloads.files import FileSpec
 from repro.workloads.interference import make_competing_workload
 from repro.workloads.runner import WorkloadRunner
 
-#: migration bandwidth the adapter assumed for gap estimation (10 GbE):
-#: the policy interface had no cluster handle to measure the real link
-ASSUMED_LINK_BYTES_PER_S = 1.25e9
-
-
 class DynamicPolicyAdapter(PlacementPolicy):
     """Geomancy's decision path behind the ``PlacementPolicy`` interface."""
 
@@ -63,14 +58,12 @@ class DynamicPolicyAdapter(PlacementPolicy):
         devices: list[str],
         current: dict[int, str] | None = None,
     ) -> dict[int, str] | None:
-        sizes = {f.fid: f.size_bytes for f in files}
         decision = self.decision_path.decide(
             db,
-            list(sizes),
+            [f.fid for f in files],
             self.device_by_fsid,
             set(devices),
             current,
-            lambda fid: sizes.get(fid, 0) / ASSUMED_LINK_BYTES_PER_S,
         )
         return decision.layout or None
 

@@ -47,12 +47,10 @@ def record_feature_matrix(features, records) -> np.ndarray:
     )
 
 
-def record_target_vector(records, *, target="throughput", smoothing_window=10):
-    """Raw targets from each record's own property, smoothed per device."""
-    if target == "throughput":
-        values = np.array([r.throughput for r in records], dtype=np.float64)
-    else:
-        values = np.array([r.duration for r in records], dtype=np.float64)
+def record_target_vector(records, *, smoothing_window=10):
+    """Raw throughput targets from each record's own property, smoothed
+    per device."""
+    values = np.array([r.throughput for r in records], dtype=np.float64)
     if smoothing_window == 1:
         return values
     fsids = np.array([r.fsid for r in records])

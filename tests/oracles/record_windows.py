@@ -20,6 +20,12 @@ def all_records(db: ReplayDB) -> list:
     return db.recent_accesses(total) if total else []
 
 
+def file_records(db: ReplayDB, fid: int, limit: int) -> list:
+    """The newest ``limit`` accesses of ``fid``, oldest first, picked out
+    of every stored access."""
+    return [record for record in all_records(db) if record.fid == fid][-limit:]
+
+
 class RecordWindows:
     """A ReplayDB stand-in whose two columnar readers go through records."""
 

@@ -168,7 +168,13 @@ class SLOMonitor:
                 name=name,
                 target=tracker.spec.target,
                 compliance=tracker.compliance,
-                alerting=all(burn > threshold for _, threshold, burn in burns),
+                alerting=all(
+                    burn > threshold
+                    # a threshold out of reach is capped at the most a
+                    # window can burn: every event in it bad
+                    or burn == 1.0 / tracker.spec.error_budget < threshold
+                    for _, threshold, burn in burns
+                ),
                 burns=burns,
             ))
         return statuses

@@ -227,16 +227,12 @@ class SqliteReplayDB:
                 f"rows, asked for {limit}"
             )
 
-    def recent_accesses(self, limit, *, fid=None):
-        if fid is None:
-            self._check_held(max(0, self.max_rowid() - limit) + 1)
-        else:
-            self._check_depth(limit)
-        where, params = ("WHERE fid = ?", [fid]) if fid is not None else ("", [])
+    def recent_accesses(self, limit):
+        self._check_held(max(0, self.max_rowid() - limit) + 1)
         rows = self._conn.execute(
-            f"SELECT {_ROW_SQL} FROM (SELECT * FROM accesses {where} "
+            f"SELECT {_ROW_SQL} FROM (SELECT * FROM accesses "
             f"ORDER BY id DESC LIMIT ?) ORDER BY id ASC",
-            (*params, limit),
+            (limit,),
         ).fetchall()
         return [_record(row) for row in rows]
 

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro.core.config import GeomancyConfig
 from repro.errors import CheckpointCorruptError, RecoveryError, SimulatedCrash
-from repro.experiments.facade import resume_facade
+from repro.experiments.facade import Checkpoints, resume_facade, run_facade
+from repro.experiments.spec import TEST_SCALE
 from repro.nn.model_zoo import build_model
 from repro.recovery.checkpoint import (
     MANIFEST_NAME,
@@ -184,6 +186,32 @@ class TestCorruptionFallback:
                 mgr.latest_valid()
             with pytest.raises(RecoveryError, match=refused):
                 resume_facade(root)
+
+
+    def test_format_14_run_is_refused_before_its_config(self, tmp_path):
+        """A format-14 run saved ``optimizer``, ``use_gap_scheduler`` and
+        ``target`` with its config, which ``GeomancyConfig`` no longer
+        takes: resuming it names the format, not a ``TypeError``."""
+        with pytest.raises(SimulatedCrash):
+            run_facade(
+                GeomancyConfig(), scale=TEST_SCALE, seed=0,
+                checkpoints=Checkpoints(
+                    tmp_path, every=2, kill_at_run=2, kill_point="post-commit"
+                ),
+            )
+        for gen in CheckpointManager(tmp_path).generations():
+            state = json.loads((gen / STATE_NAME).read_text())
+            config = state["meta"]["config"]
+            config.update(optimizer="sgd", use_gap_scheduler=False,
+                          target="throughput")
+            (gen / STATE_NAME).write_text(json.dumps(state))
+            manifest = json.loads((gen / MANIFEST_NAME).read_text())
+            manifest["format_version"] = 14
+            (gen / MANIFEST_NAME).write_text(json.dumps(manifest))
+            with pytest.raises(TypeError, match="optimizer"):
+                GeomancyConfig(**config)
+        with pytest.raises(RecoveryError, match="unsupported format_version 14"):
+            resume_facade(tmp_path)
 
 
 class TestCrashAtomicity:

@@ -52,8 +52,8 @@ class TestInsertAndQuery:
     def test_recent_filters_by_fid(self, db):
         db.insert_accesses([make_access(fid=1, t=1)])
         db.insert_accesses([make_access(fid=2, t=2)])
-        got = db.recent_accesses(10, fid=2)
-        assert len(got) == 1 and got[0].fid == 2
+        spans, columns = db.recent_access_columns_per_file(8, [2])
+        assert spans == [(2, 0, 1)] and columns["fid"].tolist() == [2.0]
 
     def test_recent_limit_zero_rejected(self, db):
         with pytest.raises(ReplayDBError):
@@ -64,6 +64,12 @@ class TestInsertAndQuery:
         db.insert_accesses([make_access(fid=2, device="file0", t=2)])
         assert db.devices() == ["file0", "var"]
         assert db.files() == [1, 2]
+
+
+def per_file_loop(db, limit, fid):
+    """The newest ``limit`` accesses of ``fid``, filtered out of the log."""
+    log = db.recent_accesses(db.access_count())
+    return [r for r in log if r.fid == fid][-limit:]
 
 
 class TestPerFileWindowQueries:
@@ -84,7 +90,7 @@ class TestPerFileWindowQueries:
         assert [fid for fid, _, _ in spans] == db.files()
         for fid, start, stop in spans:
             assert columns["rb"][start:stop].tolist() == [
-                float(r.rb) for r in db.recent_accesses(4, fid=fid)
+                float(r.rb) for r in per_file_loop(db, 4, fid)
             ]
 
     def test_limit_and_chronological_order(self, db):
@@ -115,7 +121,7 @@ class TestPerFileWindowQueries:
         spans, columns = db.recent_access_columns_per_file(4, db.files())
         assert set(columns) == set(PROBE_FIELDS)
         for fid, start, stop in spans:
-            records = db.recent_accesses(4, fid=fid)
+            records = per_file_loop(db, 4, fid)
             assert stop - start == len(records)
             for name in PROBE_FIELDS:
                 expected = [float(getattr(r, name)) for r in records]
@@ -190,13 +196,13 @@ class TestHorizon:
         return db
 
     def test_clamped_to_the_oldest_tail_row(self, released):
-        # Both files' whole history sits in their 20-row tails.
+        # File 1's 8-row tail is rows 3..10, which starts in chunk 0.
         assert released.release_before(20) == 1
         released.insert_accesses(make_access(fid=1, t=20 + k) for k in range(20))
-        # File 1's tail is now rows 21..40, file 2's still 11..20.
-        assert released.release_before(40) == 9
-        assert released.release_before(30) == 9  # a horizon never moves back
-        assert sorted(released._chunks) == list(range(2, 10))
+        # File 1's tail is now rows 33..40, file 2's still 13..20.
+        assert released.release_before(40) == 13
+        assert released.release_before(30) == 13  # a horizon never moves back
+        assert sorted(released._chunks) == list(range(3, 10))
         assert released._extras == {}
         assert released.access_count_per_file() == {1: 30, 2: 10}
 
@@ -211,7 +217,7 @@ class TestHorizon:
         ):
             with pytest.raises(ReplayDBError, match=behind):
                 read()
-        assert len(released.recent_accesses(40 - horizon + 1)) == 32
+        assert len(released.recent_accesses(40 - horizon + 1)) == 28
         assert released.access_columns(since=horizon - 1)["id"][0] == horizon
         assert released.access_count() == 40
 
@@ -222,12 +228,16 @@ class TestHorizon:
         released.release_before(40)
         snap = released.snapshot_to(tmp_path / "snap.npz")
         with np.load(snap) as archive:
-            assert len(archive["rows"]) == 32
+            assert len(archive["rows"]) == 28
         restored = ReplayDB.from_snapshot(snap)
         for reader in ("access_count_per_file", "last_access_time_per_file",
                        "device_throughput_ranking", "max_rowid"):
             assert getattr(restored, reader)() == getattr(released, reader)()
-        assert restored.release_before(0) == 9
-        assert restored.recent_accesses(20, fid=2) == (
-            released.recent_accesses(20, fid=2)
+        assert restored.release_before(0) == 13
+        (spans, got), (want_spans, want) = (
+            db.recent_access_columns_per_file(8, [1, 2])
+            for db in (restored, released)
         )
+        assert spans == want_spans and got.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ReplayDBError
-from repro.replaydb.db import ReplayDB
+from repro.replaydb.db import _TAIL_DEPTH, ReplayDB
 from repro.replaydb.records import AccessRecord
 from tests.replaydb.test_db_subset import window_scan_columns
 
@@ -95,9 +95,9 @@ class TestPerFidColumnarFastPath:
         )
         fids = db.files()
         spans_fast, cols_fast = db.recent_access_columns_per_file(
-            10, fids=fids
+            _TAIL_DEPTH, fids=fids
         )
-        spans_ref, cols_ref = window_scan_columns(db, 10)
+        spans_ref, cols_ref = window_scan_columns(db, _TAIL_DEPTH)
         assert spans_fast == spans_ref
         assert cols_fast.keys() == cols_ref.keys()
         for name in cols_ref:

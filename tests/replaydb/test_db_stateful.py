@@ -239,8 +239,6 @@ class ReplayDBMachine(RuleBasedStateMachine):
                 getattr(self.oracle, reader)()
             )  # the same (fid-ascending) order
         for limit in (1, TAIL_DEPTH - 1, TAIL_DEPTH, TAIL_DEPTH + 1):
-            for fid in FIDS:
-                self._same("recent_accesses", limit, fid=fid)
             for fids in (FIDS, (4, 1, 99)):
                 for extra in ((), ("rt",)):
                     self._same(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.simulation.network import TransferLink
 
 
@@ -10,18 +10,6 @@ class TestTransferLink:
     def test_default_is_10gbe(self):
         link = TransferLink()
         assert link.bandwidth_gbps == pytest.approx(1.25)
-
-    def test_transfer_time(self):
-        link = TransferLink(bandwidth_gbps=1.0, latency_s=0.5)
-        assert link.transfer_time(10**9) == pytest.approx(1.5)
-
-    def test_zero_bytes_costs_latency(self):
-        link = TransferLink(bandwidth_gbps=1.0, latency_s=0.25)
-        assert link.transfer_time(0) == pytest.approx(0.25)
-
-    def test_negative_bytes_rejected(self):
-        with pytest.raises(SimulationError):
-            TransferLink().transfer_time(-1)
 
     def test_invalid_bandwidth(self):
         with pytest.raises(ConfigurationError):
