@@ -1,15 +1,36 @@
-"""Ablations over DESIGN.md's called-out design choices.
+"""Ablations of the paper's fixed design choices, graded over ten seeds.
 
-Each ablation sweeps one Geomancy knob on the Fig. 5 setup at a reduced
-scale, writing a comparison table: exploration rate (paper fixes 10%),
-movement cooldown (paper fixes 5 runs), target smoothing (moving average
-vs none), and the section V-G prediction adjustment (on vs off).
+Every arm runs the Fig. 5 learner cell (``run_policy_experiment``) at
+``ABLATION_SCALE`` on seeds 0..9, one grid through ``run_cells``.  An arm
+differs from the shipped Geomancy in one way: a config override (no
+target smoothing), a scale replace (movement every 1 or 15 runs instead
+of 5, section VI), or a ``unittest.mock.patch`` applied inside the cell
+(the section V-H exploration rate at 0.0 or 0.5 instead of 0.10, or the
+section V-G MAE-sign adjustment as the identity) -- a patch inside the
+cell holds in spawned workers too.
+
+Each sweep writes ``benchmarks/out/ablations_<sweep>.txt``: the per-seed
+mean GB/s and files moved of every arm, then each arm's wins / ties /
+losses against the shipped arm (higher / equal / lower mean at the
+printed precision) and both medians.  Each test asserts the direction
+its sweep measured, at most one seed looser than measured.
 """
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import os
+import statistics
+from unittest import mock
+
+import pytest
 
 from repro.experiments.harness import (
     make_experiment_config,
     run_policy_experiment,
 )
+from repro.experiments.parallel import run_cells
 from repro.experiments.reporting import ascii_table
 from repro.experiments.spec import ExperimentScale
 
@@ -22,102 +43,134 @@ ABLATION_SCALE = ExperimentScale(
     epochs=50,
     trace_rows=4_000,
 )
+SEEDS = range(10)
+WORKERS = min(4, os.cpu_count() or 1)
+SHIPPED = "shipped"
+_RATE = "repro.core.action_checker.EXPLORATION_RATE"
+_ADJUST = "repro.core.adjustment.PredictionAdjuster.adjust"
 
 
-def run_geomancy_with(**config_overrides):
-    config = make_experiment_config(ABLATION_SCALE, seed=0, **config_overrides)
-    return run_policy_experiment(config, scale=ABLATION_SCALE, seed=0)
+def _unadjusted(self, predictions):
+    """``PredictionAdjuster.adjust`` switched off: the raw predictions."""
+    return predictions
 
 
-def sweep(name, values, key, save_result):
-    rows = []
-    results = {}
-    for value in values:
-        result = run_geomancy_with(**{key: value})
-        results[value] = result
-        rows.append(
-            (value, f"{result.mean_throughput:.2f}",
-             result.total_files_moved)
-        )
-    save_result(
-        f"ablation_{name}",
-        ascii_table(
-            [key, "mean GB/s", "files moved"], rows,
-            title=f"Ablation -- {name}",
-        ),
-    )
-    return results
+#: arm -> (GeomancyConfig overrides, ExperimentScale overrides, the
+#: ``mock.patch`` target and value a cell runs under, or None)
+ARMS = {
+    SHIPPED: ({}, {}, None),
+    "smoothing_window=1": ({"smoothing_window": 1}, {}, None),
+    "EXPLORATION_RATE=0.0": ({}, {}, (_RATE, 0.0)),
+    "EXPLORATION_RATE=0.5": ({}, {}, (_RATE, 0.5)),
+    "update_every=1": ({}, {"update_every": 1}, None),
+    "update_every=15": ({}, {"update_every": 15}, None),
+    "adjust=identity": ({}, {}, (_ADJUST, _unadjusted)),
+}
+
+#: sweep -> the arms it holds against the shipped one
+SWEEPS = {
+    "smoothing": ("smoothing_window=1",),
+    "exploration": ("EXPLORATION_RATE=0.0", "EXPLORATION_RATE=0.5"),
+    "cooldown": ("update_every=1", "update_every=15"),
+    "adjustment": ("adjust=identity",),
+}
 
 
-def test_ablation_exploration_rate(benchmark, save_result):
-    results = benchmark.pedantic(
-        sweep,
-        args=("exploration", (0.0, 0.10, 0.5), "exploration_rate", save_result),
-        rounds=1,
-        iterations=1,
-    )
-    # Heavy exploration burns throughput on random moves relative to the
-    # paper's 10% setting.
-    assert results[0.5].mean_throughput < max(
-        results[0.0].mean_throughput, results[0.10].mean_throughput
-    ) * 1.10
-
-
-def cooldown_sweep(save_result):
-    """Vary how often Geomancy is consulted (the paper's 5-run cooldown)."""
-    import dataclasses
-
-    results = {}
-    rows = []
-    for update_every in (1, 5, 15):
-        scale = dataclasses.replace(ABLATION_SCALE, update_every=update_every)
+def run_cell(cell: tuple[str, int]) -> tuple[float, int]:
+    """(mean GB/s to the printed 0.001, files moved) of one arm on one
+    seed."""
+    arm, seed = cell
+    config, scale_overrides, patch = ARMS[arm]
+    scale = dataclasses.replace(ABLATION_SCALE, **scale_overrides)
+    with mock.patch(*patch) if patch else contextlib.nullcontext():
         result = run_policy_experiment(
-            make_experiment_config(scale, seed=0), scale=scale, seed=0
+            make_experiment_config(scale, seed=seed, **config),
+            scale=scale, seed=seed,
         )
-        results[update_every] = result
-        rows.append(
-            (update_every, f"{result.mean_throughput:.2f}",
-             result.total_files_moved)
-        )
-    save_result(
-        "ablation_cooldown",
-        ascii_table(
-            ["cooldown (runs)", "mean GB/s", "files moved"], rows,
-            title="Ablation -- movement cooldown",
-        ),
+    return round(result.mean_throughput, 3), result.total_files_moved
+
+
+@pytest.fixture(scope="module")
+def grid() -> dict[str, list[tuple[float, int]]]:
+    """arm -> its (mean GB/s, files moved) per seed."""
+    cells = [(arm, seed) for arm in ARMS for seed in SEEDS]
+    results = iter(run_cells(run_cell, cells, workers=WORKERS))
+    return {arm: [next(results) for _ in SEEDS] for arm in ARMS}
+
+
+def versus(grid, arm: str) -> tuple[int, int, int]:
+    """Seeds on which ``arm``'s mean is above / equal to / below the
+    shipped arm's."""
+    pairs = list(zip(grid[arm], grid[SHIPPED]))
+    above = sum(mine > shipped for (mine, _), (shipped, _) in pairs)
+    equal = sum(mine == shipped for (mine, _), (shipped, _) in pairs)
+    return above, equal, len(pairs) - above - equal
+
+
+def grade(grid, sweep: str, save_result) -> dict[str, tuple[int, int, int]]:
+    """Write one sweep's tables; return each arm's wins/ties/losses."""
+    arms = (SHIPPED, *SWEEPS[sweep])
+    per_seed = ascii_table(
+        ["seed", *(f"{arm} {col}" for arm in arms for col in ("GB/s", "moved"))],
+        [
+            (seed, *(f"{value:{spec}}"
+                     for arm in arms
+                     for value, spec in zip(grid[arm][seed], (".3f", "d"))))
+            for seed in SEEDS
+        ],
+        title=f"Ablation -- {sweep}, seeds 0..{SEEDS[-1]} "
+              f"at {ABLATION_SCALE.name} scale",
     )
-    return results
-
-
-def test_ablation_cooldown(benchmark, save_result):
-    results = benchmark.pedantic(
-        cooldown_sweep, args=(save_result,), rounds=1, iterations=1
+    record = {arm: versus(grid, arm) for arm in SWEEPS[sweep]}
+    shipped_median = statistics.median(mean for mean, _ in grid[SHIPPED])
+    summary = ascii_table(
+        ["arm", "wins", "ties", "losses", "median GB/s", "shipped median GB/s"],
+        [
+            (arm, *record[arm],
+             f"{statistics.median(mean for mean, _ in grid[arm]):.3f}",
+             f"{shipped_median:.3f}")
+            for arm in SWEEPS[sweep]
+        ],
+        title="Against the shipped arm (a win is a higher mean on one seed)",
     )
-    # The paper's tradeoff: "if Geomancy moves files too often ... the
-    # overhead diminishes the performance increase"; "moving files less
-    # frequently caused new placements to be less relevant".  The 5-run
-    # cooldown should therefore be the best of the three settings.
-    best = max(results, key=lambda k: results[k].mean_throughput)
-    assert best == 5, {k: results[k].mean_throughput for k in results}
+    save_result(f"ablations_{sweep}", f"{per_seed}\n\n{summary}")
+    return record
 
 
-def test_ablation_smoothing(benchmark, save_result):
-    results = benchmark.pedantic(
-        sweep,
-        args=("smoothing", (1, 50), "smoothing_window", save_result),
-        rounds=1,
-        iterations=1,
+def _graded(benchmark, grid, sweep, save_result):
+    return benchmark.pedantic(
+        grade, args=(grid, sweep, save_result), rounds=1, iterations=1
     )
-    # Both configurations complete; the smoothed target is the default the
-    # comparison benches use.  Record both means for the report.
-    assert all(r.mean_throughput > 0 for r in results.values())
 
 
-def test_ablation_prediction_adjustment(benchmark, save_result):
-    results = benchmark.pedantic(
-        sweep,
-        args=("adjustment", (True, False), "adjust_predictions", save_result),
-        rounds=1,
-        iterations=1,
-    )
-    assert all(r.mean_throughput > 0 for r in results.values())
+def test_ablation_smoothing(benchmark, grid, save_result):
+    record = _graded(benchmark, grid, "smoothing", save_result)
+    # The 50-run moving-average target beats the unsmoothed one on 9 of
+    # 10 seeds (seed 7 loses).
+    assert record["smoothing_window=1"][2] >= 8, record
+
+
+def test_ablation_exploration_rate(benchmark, grid, save_result):
+    record = _graded(benchmark, grid, "exploration", save_result)
+    # Heavy exploration burns throughput on random moves: 0.5 is below
+    # the paper's 10 % on 7 of 10 seeds, with 2 ties.  No exploration is
+    # mostly a tie with 10 % (printed, not asserted).
+    assert record["EXPLORATION_RATE=0.5"][2] >= 6, record
+
+
+def test_ablation_cooldown(benchmark, grid, save_result):
+    record = _graded(benchmark, grid, "cooldown", save_result)
+    # "Moving files less frequently caused new placements to be less
+    # relevant": every 5 runs beats every 15 on 9 of 10 seeds.  The
+    # paper's other half -- moving too often costs more than it gains --
+    # does not reproduce here: every run beats every 5 on 7 of 10.
+    assert record["update_every=15"][2] >= 8, record
+    assert record["update_every=1"][0] >= 6, record
+
+
+def test_ablation_prediction_adjustment(benchmark, grid, save_result):
+    record = _graded(benchmark, grid, "adjustment", save_result)
+    # Without the section V-G adjustment the mean is higher on 5 seeds
+    # and equal on the other 5: a non-positive factor inverts every score.
+    above, _, below = record["adjust=identity"]
+    assert above >= 4 and below <= 1, record

@@ -8,7 +8,6 @@
 * :mod:`repro.core.action_checker` -- validity filtering plus the 10%
   random exploration action of section V-H.
 * :mod:`repro.core.layout` -- layout diffing and move capping.
-* :mod:`repro.core.scheduler` -- the move-every-N-runs cooldown.
 * :mod:`repro.core.decision` -- the one gate sequence from a trained model
   to the layout worth applying, shared by the facade and the policy adapter.
 * :mod:`repro.core.geomancy` -- the facade tying it all together with the
@@ -21,7 +20,6 @@ from repro.core.config import GeomancyConfig
 from repro.core.engine import DRLEngine, TrainingReport
 from repro.core.geomancy import Geomancy
 from repro.core.layout import LayoutChange, cap_moves, layout_diff
-from repro.core.scheduler import CooldownScheduler
 
 __all__ = [
     "ActionChecker",
@@ -33,5 +31,4 @@ __all__ = [
     "LayoutChange",
     "cap_moves",
     "layout_diff",
-    "CooldownScheduler",
 ]

@@ -14,16 +14,16 @@ import numpy as np
 
 from repro.errors import PolicyError
 
+#: share of decisions replaced by one random movement (section V-H: "10%
+#: of the runs"); read once per checker, so tests set the attribute
+EXPLORATION_RATE = 0.10
+
 
 class ActionChecker:
     """Filters proposed moves against device validity; explores randomly."""
 
-    def __init__(self, exploration_rate: float = 0.10, *, seed: int = 0) -> None:
-        if not 0.0 <= exploration_rate <= 1.0:
-            raise PolicyError(
-                f"exploration_rate must be in [0, 1], got {exploration_rate}"
-            )
-        self.exploration_rate = float(exploration_rate)
+    def __init__(self, *, seed: int) -> None:
+        self.exploration_rate = EXPLORATION_RATE
         self._rng = np.random.default_rng(seed)
         #: count of decisions taken randomly (for overhead reporting)
         self.random_decisions = 0

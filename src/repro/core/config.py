@@ -2,11 +2,12 @@
 
 Defaults follow the paper's live experiment: Table-I model 1, the six live
 features, 12,000 training rows, 200 epochs of plain SGD, a moving-average
-smoothing window, 10% random exploration and data movement every 5
-workload runs.  What the paper fixes as part of the method rather than
-the experiment (plain SGD, the throughput target, the 8-access probe, the
-14-file movement cap, the SGD batch) is a constant or default of the code
-that reads it, not a field.
+smoothing window and data movement every 5 workload runs.  What the paper
+fixes as part of the method rather than the experiment (plain SGD, the
+throughput target, the 8-access probe, the 14-file movement cap, the SGD
+batch, the 10% random exploration of section V-H and the MAE-sign
+prediction adjustment of section V-G) is a constant or default of the
+code that reads it, not a field.
 """
 
 from __future__ import annotations
@@ -28,10 +29,7 @@ class GeomancyConfig:
     epochs: int = 200
     learning_rate: float = 0.2
     smoothing_window: int = 50
-    exploration_rate: float = 0.10
     cooldown_runs: int = 5
-    #: apply the section V-G MAE-sign adjustment to predictions
-    adjust_predictions: bool = True
     #: act only on cycles whose model out-predicts a constant baseline
     #: (skip the layout otherwise; see TrainingReport.skillful)
     require_skill: bool = True
@@ -86,10 +84,6 @@ class GeomancyConfig:
         if self.smoothing_window < 1:
             raise ConfigurationError(
                 f"smoothing_window must be >= 1, got {self.smoothing_window}"
-            )
-        if not 0.0 <= self.exploration_rate <= 1.0:
-            raise ConfigurationError(
-                f"exploration_rate must be in [0, 1], got {self.exploration_rate}"
             )
         if self.cooldown_runs < 1:
             raise ConfigurationError(

@@ -59,7 +59,7 @@ class DecisionPath:
     def __init__(self, config: GeomancyConfig) -> None:
         self.config = config
         self.engine = DRLEngine(config)
-        self.checker = ActionChecker(config.exploration_rate, seed=config.seed)
+        self.checker = ActionChecker(seed=config.seed)
 
     def decide(
         self,

@@ -513,7 +513,7 @@ class DRLEngine:
 
         ``bases`` is a window of columns; returns an array of shape
         ``(n_bases, len(fsids))`` in bytes/s (so locations compare in
-        physical units), MAE-sign adjusted when configured.
+        physical units), MAE-sign adjusted.
         """
         if not self.trained:
             raise ModelError("engine must be trained before predicting")
@@ -554,12 +554,11 @@ class DRLEngine:
 
     def _throughput(self, probe: np.ndarray) -> np.ndarray:
         """Predicted (adjusted) throughput in bytes/s of each probe row."""
-        throughput = self.pipeline.inverse_transform_target(
-            self.model.predict(probe).ravel()
+        return self.adjuster.adjust(
+            self.pipeline.inverse_transform_target(
+                self.model.predict(probe).ravel()
+            )
         )
-        if self.config.adjust_predictions:
-            throughput = self.adjuster.adjust(throughput)
-        return throughput
 
     def _probe_devices(
         self, db: ReplayDB, device_by_fsid: dict[int, str]

@@ -25,7 +25,6 @@ from repro.core.config import GeomancyConfig
 from repro.core.decision import NO_DEVICES, DecisionPath
 from repro.core.engine import TrainingReport
 from repro.core.layout import MAX_FILES_PER_MOVE
-from repro.core.scheduler import CooldownScheduler
 from repro.errors import AgentError, ConfigurationError
 from repro.faults.health import HealthTracker
 from repro.observability.provenance import ProvenanceLedger
@@ -120,11 +119,10 @@ class Geomancy:
         self.engine = self.decision_path.engine
         self.engine.capture_provenance = self.ledger is not None
         self.checker = self.decision_path.checker
-        self.scheduler = CooldownScheduler(self.config.cooldown_runs)
         #: control cycles consulted, the last one's run index, and the
         #: files moved by them all
         self.steps, self._last_run_index, self.total_moves = 0, 0, 0
-        #: cycles the cooldown scheduler let through: the decisions made;
+        #: cycles the cooldown let through: the decisions made;
         #: of those, the ones that dispatched the model's layout and the
         #: trained ones a gate vetoed
         self.decisions = self.acted_cycles = self.skipped_cycles = 0
@@ -332,7 +330,7 @@ class Geomancy:
     ) -> StepOutcome:
         """Consult Geomancy after workload run ``run_index`` finished at ``t``.
 
-        Trains + moves only when the cooldown scheduler allows it and
+        Trains + moves only on a cooldown cycle (:meth:`safety_step`) once
         enough telemetry has accumulated; the safety duties of
         :meth:`safety_step` run on every eligible cycle regardless.
 
@@ -449,7 +447,7 @@ class Geomancy:
     ) -> StepOutcome:
         """One control cycle's safety duties, around an optional ``act``.
 
-        On a cycle the cooldown scheduler allows: files stranded on
+        On every ``cooldown_runs``-th run (from run 1): files stranded on
         offline devices are rescued first, then ``act(outcome, available,
         t)`` dispatches whatever layout its policy wants and returns the
         movements (:meth:`after_run` passes the learner -- or, while the
@@ -459,9 +457,13 @@ class Geomancy:
         ride along with any dispatch, so they get one of their own only
         when nothing else went out this cycle.
         """
+        if run_index < 0:
+            raise ConfigurationError(f"run_index must be >= 0, got {run_index}")
         outcome = StepOutcome(run_index=run_index)
         self.steps, self._last_run_index = self.steps + 1, run_index
-        if not self.scheduler.should_move(run_index):
+        # Section VI: layouts apply every ``cooldown_runs`` runs, never
+        # before the first run has been measured.
+        if not (run_index > 0 and run_index % self.config.cooldown_runs == 0):
             return outcome
         self.decisions += 1
         # Only devices currently accepting placements -- and not

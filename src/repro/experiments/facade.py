@@ -201,7 +201,7 @@ class FacadeRun:
 
     def trace_text(self) -> str:
         """The traced measured phase as a layer table: self time per
-        layer, and its cost per decision (a cycle the cooldown scheduler
+        layer, and its cost per decision (a cycle the cooldown
         let through) and per access measured."""
         trace, decisions = self.trace, self.geo.decisions
         wall = trace.wall_s

@@ -66,8 +66,9 @@ MODEL_NAME = "model.npz"
 #: 14: the ``provenance`` entry also holds the ledger file's byte size
 #: (and its rotation's), which a resume truncates the file back to;
 #: 15: the saved config has no optimizer, gap-filter or target field
-#: (14's has all three), and per-file tails are 8 rows deep
-FORMAT_VERSION = 15
+#: (14's has all three), and per-file tails are 8 rows deep;
+#: 16: the saved config has no exploration-rate or adjustment switch
+FORMAT_VERSION = 16
 
 _GEN_PREFIX = "gen-"
 _STAGING_PREFIX = ".staging-"

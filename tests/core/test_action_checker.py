@@ -2,15 +2,21 @@
 
 import pytest
 
-from repro.core.action_checker import ActionChecker
+from repro.core.action_checker import EXPLORATION_RATE, ActionChecker
 from repro.errors import PolicyError
 
 CURRENT = {1: "a", 2: "b", 3: "c"}
 VALID = {"a", "b", "c"}
 
 
+def checker_at(rate, seed):
+    checker = ActionChecker(seed=seed)
+    checker.exploration_rate = rate
+    return checker
+
+
 def no_explore(seed=0):
-    return ActionChecker(exploration_rate=0.0, seed=seed)
+    return checker_at(0.0, seed)
 
 
 class TestFiltering:
@@ -47,35 +53,41 @@ class TestFiltering:
 
 class TestExploration:
     def test_always_explore_replaces_proposal(self):
-        checker = ActionChecker(exploration_rate=1.0, seed=2)
+        checker = checker_at(1.0, seed=2)
         result = checker.check({1: "b", 2: "c"}, VALID, CURRENT)
         assert len(result) <= 1  # a single random move
         assert checker.random_decisions == 1
 
     def test_exploration_rate_approximated(self):
-        checker = ActionChecker(exploration_rate=0.10, seed=3)
+        checker = ActionChecker(seed=3)
         for _ in range(2000):
             checker.check({1: "b"}, VALID, CURRENT)
         assert 0.07 <= checker.random_fraction <= 0.13
 
     def test_random_move_targets_differ_from_current(self):
-        checker = ActionChecker(exploration_rate=1.0, seed=4)
+        checker = checker_at(1.0, seed=4)
         for _ in range(50):
             result = checker.check({}, VALID, CURRENT)
             for fid, device in result.items():
                 assert device != CURRENT[fid]
 
     def test_single_device_random_move_is_noop(self):
-        checker = ActionChecker(exploration_rate=1.0, seed=5)
+        checker = checker_at(1.0, seed=5)
         assert checker.check({}, {"a"}, {1: "a"}) == {}
 
     def test_empty_layout_random_move_is_noop(self):
-        checker = ActionChecker(exploration_rate=1.0, seed=6)
+        checker = checker_at(1.0, seed=6)
         assert checker.check({}, VALID, {}) == {}
 
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(PolicyError):
-            ActionChecker(exploration_rate=1.5)
+    def test_rate_is_the_papers_ten_percent(self, monkeypatch):
+        """Section V-H: "random decision are used by Geomancy 10% of the
+        runs"; a checker reads the constant when it is built."""
+        assert EXPLORATION_RATE == 0.10
+        assert ActionChecker(seed=0).exploration_rate == 0.10
+        monkeypatch.setattr(
+            "repro.core.action_checker.EXPLORATION_RATE", 0.5
+        )
+        assert ActionChecker(seed=0).exploration_rate == 0.5
 
     def test_random_fraction_zero_before_decisions(self):
-        assert ActionChecker().random_fraction == 0.0
+        assert ActionChecker(seed=0).random_fraction == 0.0

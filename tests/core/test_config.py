@@ -23,7 +23,6 @@ class TestDefaults:
         assert config.z == 6
         assert config.training_rows == 12_000
         assert config.epochs == 200
-        assert config.exploration_rate == 0.10
         assert config.cooldown_runs == 5
 
     def test_z_follows_features(self):
@@ -42,8 +41,8 @@ class TestValidation:
             {"epochs": 0},
             {"learning_rate": 0.0},
             {"smoothing_window": 0},
-            {"exploration_rate": -0.1},
-            {"exploration_rate": 1.5},
+            {"smoothing_window": -1},
+            {"epochs": -1},
             {"cooldown_runs": 0},
             {"max_actionable_mare": 0.0},
             {"training_rows": 9},

@@ -30,7 +30,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def quick_config(**overrides):
     base = dict(
         epochs=10, training_rows=800, smoothing_window=20,
-        cooldown_runs=5, seed=0, exploration_rate=0.0,
+        cooldown_runs=5, seed=0,
         require_skill=False, require_ranking_sanity=False,
     )
     base.update(overrides)
@@ -51,8 +51,9 @@ def decisions(monkeypatch):
     return seen
 
 
-def consult_both(config, *, shuffled=True):
-    """(policy's layout, layouts the facade dispatched as decisions)."""
+def consult_both(config, *, shuffled=True, exploration_rate=0.0):
+    """(policy's layout, layouts the facade dispatched as decisions), both
+    Action Checkers exploring at ``exploration_rate``."""
     cluster = make_bluesky_cluster(seed=0)
     files = belle2_file_population(seed=0)
     db = ReplayDB()
@@ -69,6 +70,8 @@ def consult_both(config, *, shuffled=True):
                 runner.clock.now,
             )
     policy = adapter_for(cluster, config)
+    geo.checker.exploration_rate = exploration_rate
+    policy.decision_path.checker.exploration_rate = exploration_rate
     # The policy only reads the DB; the facade's dispatch writes to it.
     proposed = policy.update_layout(
         db, files, cluster.available_device_names, cluster.layout()
@@ -160,7 +163,7 @@ class TestFacadeAndPolicyAgree:
 
     def test_exploration_draws_agree(self, decisions):
         proposed, dispatched = consult_both(
-            quick_config(exploration_rate=1.0)
+            quick_config(), exploration_rate=1.0
         )
         assert len(proposed) == 1 and dispatched == [proposed]
 

@@ -8,6 +8,7 @@ from repro.core.engine import REFIT_EPOCHS, DRLEngine
 from repro.errors import ModelError, ReplayDBError
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import AccessRecord
+from tests.oracles.probe_grid import location_probe_batch
 from tests.oracles.record_features import record_columns, train_on_records
 
 
@@ -192,16 +193,20 @@ class TestPrediction:
                 record_columns(synthetic_records(1)), [0, 1]
             )
 
-    def test_adjustment_toggle_changes_predictions(self):
-        records = synthetic_records(300)
-        on = DRLEngine(small_config(adjust_predictions=True))
-        off = DRLEngine(small_config(adjust_predictions=False))
-        train_on_records(on, records)
-        train_on_records(off, records)
-        s_on = on.predict_throughput_matrix(record_columns([records[-1]]), [0])
-        s_off = off.predict_throughput_matrix(record_columns([records[-1]]), [0])
-        if on.adjuster.mae > 1e-9:
-            assert s_on[0, 0] != pytest.approx(s_off[0, 0])
+    def test_throughput_is_the_adjusted_prediction(self, trained_engine):
+        """Section V-G: every score is the inverse-transformed prediction
+        scaled by ``1 + sign * MAE``, the adjustment fitted on the
+        held-out split."""
+        engine, records, _ = trained_engine
+        probe = location_probe_batch(
+            engine.pipeline, record_columns(records[-3:]), [0, 1]
+        )
+        raw = engine.pipeline.inverse_transform_target(
+            engine.model.predict(probe).ravel()
+        )
+        factor = 1.0 + engine.adjuster.sign * engine.adjuster.mae
+        assert engine.adjuster.mae > 0
+        np.testing.assert_array_equal(engine._throughput(probe), raw * factor)
 
 
 class TestProposeLayout:

@@ -66,11 +66,9 @@ def one_shot_scores(engine, bases, fsids):
     """What the parent computed: one probe tensor, one forward pass."""
     probe = location_probe_batch(engine.pipeline, bases, fsids)
     assert len(probe) == len(bases["fsid"]) * len(fsids)
-    throughput = engine.pipeline.inverse_transform_target(
+    throughput = engine.adjuster.adjust(engine.pipeline.inverse_transform_target(
         engine.model.predict(probe).ravel()
-    )
-    if engine.config.adjust_predictions:
-        throughput = engine.adjuster.adjust(throughput)
+    ))
     return throughput.reshape(-1, len(fsids))
 
 

@@ -26,14 +26,14 @@ def guarded(**overrides):
     params = dict(
         epochs=10, training_rows=800, smoothing_window=20,
         cooldown_runs=1, seed=0, require_skill=False,
-        require_ranking_sanity=False, exploration_rate=0.0,
-        guardrail_enabled=True,
+        require_ranking_sanity=False, guardrail_enabled=True,
     )
     params.update(overrides)
     config = GeomancyConfig(**params)
     cluster = make_bluesky_cluster(seed=0)
     files = belle2_file_population(seed=0)
     geo = Geomancy(cluster, files, config)
+    geo.checker.exploration_rate = 0.0
     geo.place_initial()
     runner = WorkloadRunner(
         cluster, Belle2Workload(files, seed=1), tolerate_offline=True

@@ -24,7 +24,6 @@ def quick_config(**overrides):
         epochs=10, training_rows=800,
         smoothing_window=20, cooldown_runs=1, seed=0,
         require_skill=False, require_ranking_sanity=False,
-        exploration_rate=0.0,
     )
     base.update(overrides)
     return GeomancyConfig(**base)
@@ -35,6 +34,7 @@ def setup():
     cluster = make_bluesky_cluster(seed=0)
     files = belle2_file_population(seed=0)
     geo = Geomancy(cluster, files, quick_config())
+    geo.checker.exploration_rate = 0.0
     geo.place_initial()
     runner = WorkloadRunner(
         cluster, Belle2Workload(files, seed=1), geo.db,
@@ -97,7 +97,8 @@ class TestShrinkingAvailability:
         assert outcome.movements == []
 
     def test_checker_drops_targets_that_went_away(self):
-        checker = ActionChecker(exploration_rate=0.0, seed=0)
+        checker = ActionChecker(seed=0)
+        checker.exploration_rate = 0.0
         current = {1: "a", 2: "a"}
         proposal = {1: "gone", 2: "b"}
         checked = checker.check(proposal, {"a", "b"}, current)

@@ -217,7 +217,7 @@ class TestTracedFacade:
         assert "Per-layer self time (measured phase" in text
         assert "(unattributed)" in text
         assert f"spans recorded     | {len(traced.trace.spans)}" in text
-        # per decision: the cycles the cooldown scheduler let through
+        # per decision: the cycles the cooldown let through
         decisions = traced.geo.decisions
         assert decisions == TEST_SCALE.runs // TEST_SCALE.update_every
         assert f"{decisions} decisions, {traced.accesses} accesses" in text

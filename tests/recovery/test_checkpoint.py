@@ -144,8 +144,10 @@ class TestCorruptionFallback:
         fitted features and min/range bounds, and a format-9 one's device
         stats carry every throughput sample, and a format-10 one's meta
         spreads the fault stage over flat keys, and a format-11 one's
-        engine counts online updates; resuming names the format instead
-        of dying inside ``GeomancyConfig(**config)``."""
+        engine counts online updates, and a format-15 one's config
+        carries the exploration rate and the adjustment switch; resuming
+        names the format instead of dying inside
+        ``GeomancyConfig(**config)``."""
         for version, state in (
             (2, {"meta": {"config": {"warm_start": True}}}),
             (4, {"engine": {"online": {"drift": {"n": 9, "mean": 1.0}}}}),
@@ -172,6 +174,9 @@ class TestCorruptionFallback:
             (11, {"engine": {"online": {"hwm": 40, "updates": 3}}}),
             (13, {"system": {"provenance": {
                 "batch_seq": {"var": 4}, "decision_seq": 2,
+            }}}),
+            (15, {"meta": {"config": {
+                "exploration_rate": 0.1, "adjust_predictions": True,
             }}}),
         ):
             root = tmp_path / f"format-{version}"

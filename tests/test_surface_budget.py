@@ -45,13 +45,13 @@ CONSUMERS = ("experiments", "cli.py")
 
 CONFIG = SRC / "core" / "config.py"
 
-MAX_CONFIG_FIELDS = 18
+MAX_CONFIG_FIELDS = 16
 MAX_CLI_SUBCOMMANDS = 18
 #: ``find src -name '*.py' | xargs cat | wc -l``
-MAX_SRC_LINES = 14_796
+MAX_SRC_LINES = 14_762
 #: ``wc -c`` of the two documents a newcomer reads first
-MAX_DESIGN_BYTES = 72_572
-MAX_README_BYTES = 17_798
+MAX_DESIGN_BYTES = 72_540
+MAX_README_BYTES = 17_794
 
 #: Public names under ``src/repro`` that only tests refer to, each with the
 #: reason it stays.  A test that tests only the name is not a reason: the
@@ -62,7 +62,7 @@ TEST_SEAMS = {
     "buffered": "MonitoringAgent: tests watch records wait for a full "
                 "batch",
     "random_fraction": "ActionChecker: tests watch the exploration share "
-                       "approach `exploration_rate`",
+                       "approach `EXPLORATION_RATE`",
     "mount_mean": "Table4Result: Table IV's device ordering is asserted "
                   "through it",
     "consecutive_failures": "HealthTracker: tests watch a success reset "
