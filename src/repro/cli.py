@@ -7,8 +7,8 @@ have parsers of their own.
 
 ::
 
-    python -m repro fig5a --scale bench --seed 2
-    python -m repro robustness --workers 4 --seeds 0 1 2 3
+    python -m repro fig5a --scale bench
+    python -m repro fig5a --workers 4 --seeds 0 1 2 3
     python -m repro chaos --seed 7 --schedule kill:file0@40% kill:pic@55%
     python -m repro synth-trace out.jsonl --rows 5000
     python -m repro recover ckpt/ --checkpoint-every 5 --guardrail
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, command in PAPER_COMMANDS.items():
-        # No prefix matching: ``robustness --seed`` is not ``--seeds``.
+        # No prefix matching: ``fig5a --seed`` is not ``--seeds``.
         paper = sub.add_parser(name, help=command.help, allow_abbrev=False)
         if command.scaled:
             _add_common(paper, default_seed=command.seed)
@@ -267,7 +267,7 @@ def _run_paper(args) -> str:
 
 
 def _run_chaos(args) -> str:
-    from repro.experiments.robustness import run_chaos
+    from repro.experiments.facade import run_chaos
 
     return run_chaos(
         scale=_SCALES[args.scale],

@@ -77,7 +77,7 @@ class GeomancyConfig:
             )
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ConfigurationError(
                 f"learning_rate must be positive, got {self.learning_rate}"
             )
@@ -89,7 +89,7 @@ class GeomancyConfig:
             raise ConfigurationError(
                 f"cooldown_runs must be >= 1, got {self.cooldown_runs}"
             )
-        if self.max_actionable_mare <= 0:
+        if not self.max_actionable_mare > 0:
             raise ConfigurationError(
                 f"max_actionable_mare must be positive, "
                 f"got {self.max_actionable_mare}"

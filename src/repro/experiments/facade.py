@@ -12,6 +12,8 @@ files, recovery times -- and returns one :class:`FacadeRun`.
 :func:`resume_facade` finishes a killed run from its checkpoint directory
 alone, bit for bit like the uninterrupted run; instrumentation never
 touches an RNG or the simulated clock, so exports change no output either.
+:func:`run_chaos` is two facade runs, fault-free and under a fault
+stage, and its :class:`ChaosResult` reports them side by side.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from repro.agents.transport import Transport
 from repro.core.config import GeomancyConfig
 from repro.core.geomancy import Geomancy, StepOutcome
 from repro.errors import ExperimentError, SimulatedCrash
-from repro.experiments.harness import bluesky_runner
+from repro.experiments.harness import bluesky_runner, make_experiment_config
 from repro.experiments.reporting import ascii_table
-from repro.experiments.spec import ExperimentScale
+from repro.experiments.spec import ExperimentScale, TEST_SCALE
 from repro.faults.chaos_transport import FaultStage
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import cluster_invariant_violations
@@ -126,12 +128,12 @@ class Exports:
             raise ExperimentError(
                 f"snapshot_every must be >= 1, got {self.snapshot_every}"
             )
-        if self.queue_delay_threshold_s <= 0:
+        if not self.queue_delay_threshold_s > 0:
             raise ExperimentError(
                 f"queue_delay_threshold_s must be positive, "
                 f"got {self.queue_delay_threshold_s}"
             )
-        if self.throughput_floor_gbps < 0:
+        if not self.throughput_floor_gbps >= 0:
             raise ExperimentError(
                 f"throughput_floor_gbps must be >= 0, "
                 f"got {self.throughput_floor_gbps}"
@@ -460,6 +462,119 @@ def resume_facade(directory: str | os.PathLike) -> FacadeRun:
     books = dict(state["loop"])
     books["rolled_back"] += rolled
     return _drive(geo, runner, meta, books, injector, mgr, loaded=loaded)
+
+
+# -- chaos ----------------------------------------------------------------
+
+#: kill 2 of the 6 Bluesky mounts partway through the measured phase
+DEFAULT_CHAOS_SCHEDULE: tuple[str, ...] = ("kill:file0@40%", "kill:pic@55%")
+
+
+@dataclass
+class ChaosResult:
+    """A chaos run beside its fault-free twin.  The report reads every
+    count off the run, injector, control agent, daemon, link or health
+    tracker that kept it."""
+
+    baseline: FacadeRun
+    chaos: FacadeRun
+    schedule_specs: tuple[str, ...]
+    migration_failure_rate: float
+
+    @property
+    def throughput_retention_percent(self) -> float:
+        """Chaos-run throughput as a share of the fault-free baseline."""
+        if self.baseline.mean_gbps <= 0:
+            raise ExperimentError("baseline measured non-positive throughput")
+        return self.chaos.mean_gbps / self.baseline.mean_gbps * 100.0
+
+    @property
+    def recovery_time_s(self) -> float | None:
+        """Time from the last outage wave until no file was stranded."""
+        times = self.chaos.recovery_times
+        return times[-1] if times else None
+
+    def movement_fingerprint(self) -> tuple:
+        """The chaos twin's movement history, compared like any loop's."""
+        return self.chaos.movement_fingerprint()
+
+    def to_text(self) -> str:
+        chaos = self.chaos
+        geo, outages = chaos.geo, chaos.injector.outage_log
+        link = geo.telemetry.faults
+        recovery = self.recovery_time_s
+        rows = [
+            ("baseline GB/s", f"{self.baseline.mean_gbps:.2f}"),
+            ("chaos GB/s", f"{chaos.mean_gbps:.2f}"),
+            ("throughput retention",
+             f"{self.throughput_retention_percent:.1f}%"),
+            ("outages injected",
+             ", ".join(f"{d}@{t:.0f}s" for t, d in outages) or "none"),
+            ("recovery time",
+             f"{recovery:.1f}s" if recovery is not None
+             else ("n/a" if not outages else "not recovered")),
+            ("files still stranded", chaos.stranded_at_end),
+            ("accesses failed (offline)", chaos.runner.failed_accesses),
+            ("moves failed mid-transfer", geo.control.moves_failed),
+            ("moves retried", geo.control.moves_retried),
+            ("retries exhausted", len(geo.control.exhausted)),
+            ("files rescued", chaos.rescued_files),
+            ("telemetry dead-letters", geo.daemon.dead_letters),
+            ("batches dropped/delayed/corrupted",
+             f"{link.dropped}/{link.delayed}/{link.corrupted}"),
+            ("quarantined devices",
+             ", ".join(geo.health.quarantined_devices(chaos.end_time))
+             or "none"),
+            ("invariant violations", len(chaos.invariant_violations)),
+        ]
+        table = ascii_table(
+            ["metric", "value"], rows,
+            title=f"Chaos run (seed {chaos.seed}, "
+                  f"{self.migration_failure_rate:.0%} migration failures)",
+        )
+        if chaos.invariant_violations:
+            table += "\nVIOLATIONS:\n" + "\n".join(chaos.invariant_violations)
+        return table
+
+
+def run_chaos(
+    *,
+    scale: ExperimentScale = TEST_SCALE,
+    seed: int = 7,
+    schedule_specs: tuple[str, ...] | None = None,
+    migration_failure_rate: float = 0.05,
+    drop_rate: float = 0.02,
+    delay_rate: float = 0.02,
+    reorder_rate: float = 0.05,
+    corrupt_rate: float = 0.01,
+) -> ChaosResult:
+    """Run the Belle II workload fault-free, then under the chaos schedule
+    (device kills and degradations, mid-transfer migration aborts, a lossy
+    telemetry link).
+
+    Both runs share every seed, so the throughput delta is attributable to
+    the injected faults (plus the control plane's recovery work), and a
+    fixed seed reproduces the byte-identical movement history.
+    """
+    specs = (
+        tuple(schedule_specs) if schedule_specs is not None
+        else DEFAULT_CHAOS_SCHEDULE
+    )
+    FaultSchedule.from_specs(specs)  # a malformed spec fails before either run
+    config = make_experiment_config(scale, seed=seed)
+    baseline = run_facade(config, scale=scale, seed=seed)
+    # Fractional times ("@40%") refer to the measured phase; the
+    # fault-free twin measured how long that phase lasts.
+    chaos = run_facade(config, scale=scale, seed=seed, faults=Faults(
+        schedule=specs,
+        migration_failure_rate=migration_failure_rate,
+        link=dict(
+            drop_rate=drop_rate, delay_rate=delay_rate,
+            reorder_rate=reorder_rate, corrupt_rate=corrupt_rate,
+        ),
+        span_s=baseline.duration_s,
+    ))
+    return ChaosResult(baseline, chaos, specs, migration_failure_rate)
 
 
 def _build(

@@ -9,7 +9,10 @@ algorithms by at least 11%".
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import ExperimentError
 from repro.experiments.harness import (
@@ -191,7 +194,7 @@ def run_policy_grid(
     Each cell runs in this process (``workers=1``) or in a process of
     its own, bit-for-bit the same result either way (the rules are
     :mod:`repro.experiments.parallel`'s).  Only a multi-seed grid
-    (``robustness``) gains from a pool: within one seed the Geomancy
+    (``fig5a --seeds``) gains from a pool: within one seed the Geomancy
     cell carries the learner and outlasts the other cells together.
     """
     cells = [(name, scale, seed) for seed in seeds for name in policies]
@@ -207,12 +210,74 @@ def run_policy_grid(
     ]
 
 
-def run_fig5a(*, scale: ExperimentScale, seed: int) -> Fig5Result:
+@dataclass
+class Fig5aResult:
+    """Fig. 5a over one or more environment seeds: one panel per seed."""
+
+    seeds: tuple[int, ...]
+    panels: list[Fig5Result]
+
+    def gains_percent(self) -> list[float]:
+        """Geomancy's gain over each seed's best baseline."""
+        return [p.gain_percent(p.best_baseline()) for p in self.panels]
+
+    @property
+    def win_rate(self) -> float:
+        return sum(g > 0 for g in self.gains_percent()) / len(self.panels)
+
+    @property
+    def median_gain_percent(self) -> float:
+        return float(np.median(self.gains_percent()))
+
+    @property
+    def gain_range(self) -> tuple[float, float]:
+        gains = self.gains_percent()
+        return (min(gains), max(gains))
+
+    def to_text(self) -> str:
+        """One seed: its panel.  Several: one row per seed, then the win
+        rate and the median and range of the gains."""
+        if len(self.panels) == 1:
+            return self.panels[0].to_text()
+        rows = []
+        for seed, panel, gain in zip(
+            self.seeds, self.panels, self.gains_percent()
+        ):
+            best = panel.best_baseline()
+            rows.append((
+                seed,
+                f"{panel.mean(GEOMANCY):.2f}",
+                f"{best} ({panel.mean(best):.2f})",
+                f"{gain:+.1f}%",
+                "win" if gain > 0 else "loss",
+            ))
+        table = ascii_table(
+            ["seed", "Geomancy GB/s", "best baseline", "gain", ""],
+            rows,
+            title="Fig. 5a robustness across environment seeds",
+        )
+        lo, hi = self.gain_range
+        return (
+            f"{table}\n"
+            f"win rate {self.win_rate:.0%}, median gain "
+            f"{self.median_gain_percent:+.1f}% (range {lo:+.1f}% .. {hi:+.1f}%)"
+        )
+
+
+def run_fig5a(
+    *, scale: ExperimentScale, seeds: Sequence[int], workers: int
+) -> Fig5aResult:
     """Experiment 1, dynamic policies: LRU / MRU / LFU / random dynamic
-    versus Geomancy dynamic."""
-    (result,) = run_policy_grid(FIG5A_POLICIES, scale=scale, seeds=(seed,))
-    result.title = "Fig. 5a -- dynamic policies"
-    return result
+    versus Geomancy dynamic, on each environment seed."""
+    if not seeds:
+        raise ExperimentError("need at least one seed")
+    seeds = tuple(seeds)
+    panels = run_policy_grid(
+        FIG5A_POLICIES, scale=scale, seeds=seeds, workers=workers
+    )
+    for panel in panels:
+        panel.title = "Fig. 5a -- dynamic policies"
+    return Fig5aResult(seeds=seeds, panels=panels)
 
 
 def run_fig5b(*, scale: ExperimentScale, seed: int) -> Fig5Result:

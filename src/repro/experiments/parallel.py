@@ -1,8 +1,8 @@
 """Parallel experiment harness: independent cells across processes.
 
 Every grid experiment in this package is a list of independent cells --
-one policy on one seeded environment (``fig5_comparison``,
-``robustness``), one model on one shared telemetry set
+one policy on one seeded environment (``fig5_comparison``, whose
+``fig5a --seeds`` sweeps several), one model on one shared telemetry set
 (``table2_comparison``).
 The module that owns the experiment owns its cell function; this one
 only evaluates them.  Each cell rebuilds *everything* it needs (cluster,

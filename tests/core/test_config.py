@@ -51,6 +51,8 @@ class TestValidation:
             {"fallback_policy": "random"},
             {"online_learning": True, "model_number": 12},
             {"max_actionable_mare": -1.0},
+            {"learning_rate": float("nan")},
+            {"max_actionable_mare": float("nan")},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -1,9 +1,11 @@
 """Tests for the chaos experiment: resilience end to end, deterministically."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.robustness import ChaosResult, run_chaos
+from repro.experiments.facade import run_chaos
 from repro.experiments.spec import ExperimentScale
 
 TINY = ExperimentScale(
@@ -29,14 +31,15 @@ def chaos_result():
 
 class TestChaosRun:
     def test_completes_with_both_outages_applied(self, chaos_result):
-        assert [d for _, d in chaos_result.outages] == ["file0", "pic"]
+        outages = chaos_result.chaos.injector.outage_log
+        assert [d for _, d in outages] == ["file0", "pic"]
 
     def test_no_file_lost_or_duplicated(self, chaos_result):
-        assert chaos_result.invariant_violations == []
+        assert chaos_result.chaos.invariant_violations == []
 
     def test_throughput_is_measured_in_both_phases(self, chaos_result):
-        assert chaos_result.baseline_gbps > 0
-        assert chaos_result.chaos_gbps > 0
+        assert chaos_result.baseline.mean_gbps > 0
+        assert chaos_result.chaos.mean_gbps > 0
         assert chaos_result.throughput_retention_percent > 0
 
     def test_report_renders(self, chaos_result):
@@ -53,27 +56,24 @@ class TestChaosRun:
         )
         assert again.movement_fingerprint() \
             == chaos_result.movement_fingerprint()
-        assert again.chaos_gbps == chaos_result.chaos_gbps
-        assert again.outages == chaos_result.outages
+        assert again.chaos.mean_gbps == chaos_result.chaos.mean_gbps
+        assert again.chaos.injector.outage_log \
+            == chaos_result.chaos.injector.outage_log
+        assert again.to_text() == chaos_result.to_text()
 
 
 class TestChaosResult:
-    def test_retention_requires_positive_baseline(self):
-        result = ChaosResult(
-            seed=0, schedule_specs=(), migration_failure_rate=0.0,
-            baseline_gbps=0.0, chaos_gbps=1.0, baseline_accesses=0,
-            chaos_accesses=0, failed_accesses=0, outages=[],
-            recovery_times=[], stranded_at_end=0,
+    def test_retention_requires_positive_baseline(self, chaos_result):
+        stalled = replace(
+            chaos_result, baseline=replace(chaos_result.baseline, mean_gbps=0.0)
         )
         with pytest.raises(ExperimentError):
-            result.throughput_retention_percent
+            stalled.throughput_retention_percent
 
     def test_recovery_time_is_none_without_recoveries(self):
-        result = ChaosResult(
-            seed=0, schedule_specs=(), migration_failure_rate=0.0,
-            baseline_gbps=1.0, chaos_gbps=1.0, baseline_accesses=0,
-            chaos_accesses=0, failed_accesses=0, outages=[],
-            recovery_times=[], stranded_at_end=0,
+        result = run_chaos(
+            scale=TINY, seed=7, schedule_specs=(), migration_failure_rate=0.0,
         )
+        assert result.chaos.injector.outage_log == []
         assert result.recovery_time_s is None
         assert "n/a" in result.to_text()

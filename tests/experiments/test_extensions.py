@@ -1,14 +1,11 @@
-"""Tests for the robustness and overhead experiment extensions."""
+"""Tests for Fig. 5a across seeds and the overhead study."""
 
 import pytest
 
 from repro.errors import ExperimentError
+from repro.experiments.fig5_comparison import Fig5aResult, Fig5Result, run_fig5a
+from repro.experiments.harness import GEOMANCY, PolicyRunResult
 from repro.experiments.overhead import run_overhead_study
-from repro.experiments.robustness import (
-    RobustnessResult,
-    SeedOutcome,
-    run_robustness,
-)
 from repro.experiments.spec import ExperimentScale
 
 TINY = ExperimentScale(
@@ -17,37 +14,56 @@ TINY = ExperimentScale(
 )
 
 
+def _panel(geomancy: float, **baselines: float) -> Fig5Result:
+    """A panel whose policies each measured one access at the given GB/s."""
+    return Fig5Result(results={
+        name: PolicyRunResult(name, throughput_gbps=[gbps])
+        for name, gbps in {GEOMANCY: geomancy, **baselines}.items()
+    })
+
+
 class TestRobustness:
+    """Fig. 5a across environment seeds (``repro fig5a --seeds``)."""
+
     def test_seed_outcome_gain(self):
-        outcome = SeedOutcome(0, 2.0, "LFU", 1.6)
-        assert outcome.gain_percent == pytest.approx(25.0)
-        assert outcome.won
+        result = Fig5aResult(seeds=(0,), panels=[_panel(2.0, LFU=1.6)])
+        assert result.gains_percent() == pytest.approx([25.0])
+        assert result.win_rate == 1.0
 
     def test_summary_statistics(self):
-        result = RobustnessResult(
-            outcomes=[
-                SeedOutcome(0, 2.0, "LFU", 1.6),
-                SeedOutcome(1, 1.0, "MRU", 1.25),
-                SeedOutcome(2, 1.5, "LFU", 1.0),
-            ]
-        )
+        result = Fig5aResult(seeds=(0, 1, 2), panels=[
+            _panel(2.0, LFU=1.6, MRU=1.0),
+            _panel(1.0, MRU=1.25),
+            _panel(1.5, LFU=1.0),
+        ])
+        assert result.gains_percent() == pytest.approx([25.0, -20.0, 50.0])
         assert result.win_rate == pytest.approx(2 / 3)
         assert result.median_gain_percent == pytest.approx(25.0)
         lo, hi = result.gain_range
         assert lo == pytest.approx(-20.0)
         assert hi == pytest.approx(50.0)
+        text = result.to_text()
+        assert "LFU (1.60)" in text and "MRU (1.25)" in text
+        assert text.endswith(
+            "win rate 67%, median gain +25.0% (range -20.0% .. +50.0%)"
+        )
+
+    def test_one_seed_prints_its_panel(self):
+        panel = _panel(2.0, LFU=1.6)
+        assert Fig5aResult(seeds=(4,), panels=[panel]).to_text() == (
+            panel.to_text()
+        )
 
     def test_empty_rejected(self):
-        with pytest.raises(ExperimentError):
-            RobustnessResult(outcomes=[])
-        with pytest.raises(ExperimentError):
-            run_robustness(seeds=(), scale=TINY, workers=1)
+        with pytest.raises(ExperimentError, match="at least one seed"):
+            run_fig5a(seeds=(), scale=TINY, workers=1)
 
     def test_runs_across_seeds(self):
-        result = run_robustness(seeds=(0, 1), scale=TINY, workers=1)
-        assert [o.seed for o in result.outcomes] == [0, 1]
+        result = run_fig5a(seeds=(0, 1), scale=TINY, workers=1)
+        assert result.seeds == (0, 1) and len(result.panels) == 2
         text = result.to_text()
         assert "win rate" in text and "median gain" in text
+        assert text.startswith("Fig. 5a robustness across environment seeds")
 
 
 class TestOverheadStudy:

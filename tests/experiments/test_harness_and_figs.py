@@ -85,7 +85,8 @@ class TestHarness:
 class TestFig5:
     @pytest.fixture(scope="class")
     def fig5a(self):
-        return run_fig5a(scale=TINY, seed=0)
+        (panel,) = run_fig5a(scale=TINY, seeds=(0,), workers=1).panels
+        return panel
 
     def test_all_dynamic_policies_present(self, fig5a):
         assert set(fig5a.results) == {

@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import fig5_comparison, parallel, table2_comparison
-from repro.experiments.robustness import run_robustness
+from repro.experiments.fig5_comparison import run_fig5a
 from repro.experiments.spec import ExperimentScale
 from repro.experiments.table2_comparison import run_table2
 
@@ -62,13 +62,13 @@ def _square(n: int) -> int:
 
 class TestParallelMatchesSerial:
     def test_robustness_bit_for_bit(self):
-        serial = run_robustness(seeds=(0, 1), scale=TINY, workers=1)
-        par = run_robustness(seeds=(0, 1), scale=TINY, workers=2)
+        serial = run_fig5a(seeds=(0, 1), scale=TINY, workers=1)
+        par = run_fig5a(seeds=(0, 1), scale=TINY, workers=2)
         assert serial == par
 
     def test_robustness_empty_seeds_rejected(self):
         with pytest.raises(ExperimentError):
-            run_robustness(seeds=(), scale=TINY, workers=2)
+            run_fig5a(seeds=(), scale=TINY, workers=2)
 
     def test_table2_accuracy_columns_deterministic(self, monkeypatch):
         monkeypatch.setattr(table2_comparison, "MODEL_NUMBERS", (1, 2))

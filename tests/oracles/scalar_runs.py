@@ -20,7 +20,7 @@ from unittest import mock
 from repro.agents.monitoring import MonitoringAgent
 from repro.core.geomancy import Geomancy
 from repro.errors import AgentError
-from repro.experiments import harness, robustness
+from repro.experiments import facade, harness
 from repro.replaydb.records import AccessRecord
 from repro.workloads.runner import RunResult, WorkloadRunner
 from tests.oracles.scalar_device import run_stream
@@ -72,7 +72,7 @@ def scalar_control_loop():
         yield
 
 
-def run_chaos_scalar(**kwargs) -> robustness.ChaosResult:
+def run_chaos_scalar(**kwargs) -> facade.ChaosResult:
     """``run_chaos`` with both twins on the scalar runner, record by record."""
     with scalar_control_loop():
-        return robustness.run_chaos(**kwargs)
+        return facade.run_chaos(**kwargs)

@@ -25,11 +25,11 @@ from repro.experiments.facade import (
     Exports,
     Faults,
     resume_facade,
+    run_chaos,
     run_facade,
 )
 from repro.experiments.harness import make_experiment_config
 from repro.experiments.fig6_adaptation import run_fig6
-from repro.experiments.robustness import run_chaos
 from repro.experiments.spec import TEST_SCALE
 from repro.replaydb.db import ReplayDB
 from repro.simulation.cluster import StorageCluster
@@ -314,6 +314,12 @@ class TestChaosEndToEndEquivalence:
         # device faults -- replays identically on both paths.
         batched = run_chaos(scale=TEST_SCALE, seed=7)
         scalar = run_chaos_scalar(scale=TEST_SCALE, seed=7)
+        # The report reads every counter off the two runs' objects; the
+        # runs compare by their books.
+        assert batched.to_text() == scalar.to_text()
+        assert batched.movement_fingerprint() == scalar.movement_fingerprint()
+        assert batched.baseline == scalar.baseline
+        assert batched.chaos == scalar.chaos
         assert batched == scalar
 
     @pytest.mark.parametrize("online", [False, True])

@@ -16,7 +16,7 @@ class TestParser:
         assert commands == {
             "fig4", "table1", "table2", "table3",
             "fig5a", "fig5b", "table4", "fig6", "synth-trace", "testbed",
-            "robustness", "chaos", "overhead", "model-selection",
+            "chaos", "overhead", "model-selection",
             "recover", "resume", "run", "explain",
         }
 
@@ -81,7 +81,7 @@ class TestParser:
 
     def test_workers_flag_parses(self):
         assert build_parser().parse_args(["table2"]).workers == 1
-        for cmd in ("table2", "robustness"):
+        for cmd in ("table2", "fig5a"):
             args = build_parser().parse_args([cmd, "--workers", "4"])
             assert args.workers == 4
 
@@ -107,14 +107,14 @@ class TestExecution:
         assert len(load_trace_jsonl(out_path)) == 25
 
     def test_default_seeds_mirror_benchmarks(self):
-        assert build_parser().parse_args(["fig5a"]).seed == 2
+        assert build_parser().parse_args(["fig5a"]).seeds == [2]
         assert build_parser().parse_args(["fig6"]).seed == 0
 
-    def test_robustness_takes_no_seed(self, capsys):
+    def test_fig5a_takes_seeds_not_seed(self, capsys):
         # Its environment seeds are --seeds; a --seed it would ignore, or
         # read as an abbreviation of --seeds, is a usage error.
         with pytest.raises(SystemExit) as exited:
-            main(["robustness", "--seed", "5"])
+            main(["fig5a", "--seed", "5"])
         assert exited.value.code == 2
         assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
@@ -147,11 +147,24 @@ class TestUserErrors:
         )
 
     def test_zero_workers_is_one_line_not_a_traceback(self, capsys):
-        assert main(["robustness", "--workers", "0"]) == 1
+        assert main(["fig5a", "--workers", "0"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "repro robustness: ExperimentError: workers must be >= 1, got 0\n"
+            "repro fig5a: ExperimentError: workers must be >= 1, got 0\n"
+        )
+
+    def test_a_nan_slo_threshold_is_one_line_and_no_run(self, capsys):
+        # NaN fails every comparison, so a check written ``x < 0`` would
+        # let it through to a burn table that alerts on every run.
+        assert main(
+            ["run", "--scale", "test", "--throughput-floor", "nan"]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro run: ExperimentError: throughput_floor_gbps must be "
+            ">= 0, got nan\n"
         )
 
     @pytest.mark.parametrize("rate", ["--drop-rate", "--corrupt-rate"])
