@@ -182,8 +182,9 @@ class FeaturePipeline:
             return values
         fsids = columns["fsid"]
         out = np.empty_like(values)
-        for fsid in np.unique(fsids):
-            idx = np.flatnonzero(fsids == fsid)
+        order = np.argsort(fsids, kind="stable")  # each fsid's rows in order
+        ordered = fsids[order]
+        for idx in np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1):
             out[idx] = moving_average(values[idx], self.smoothing_window)
         return out
 

@@ -10,6 +10,8 @@ Shapes follow the Keras convention the paper's models use:
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.errors import ModelError, ShapeError
@@ -21,9 +23,10 @@ class Layer:
     """Base class for trainable layers.
 
     Subclasses implement ``build`` (allocate parameters once the input
-    dimension is known), ``forward`` and ``backward``.  Parameters and their
-    gradients live in the ``params`` / ``grads`` dicts so training can
-    treat all layers uniformly.  A layer allocates both at ``build`` and
+    dimension is known), ``forward`` (inference) and ``bind`` (the
+    training step).  Parameters and their gradients live in the
+    ``params`` / ``grads`` dicts so training can treat all layers
+    uniformly.  A layer allocates both at ``build`` and
     from then on only writes *into* them: :class:`~repro.nn.network.
     Sequential` re-homes the arrays as views of its two flat vectors, and
     a layer that rebound an entry would detach itself from the vector each
@@ -48,17 +51,20 @@ class Layer:
     def build(self, input_dim: int, rng: np.random.Generator) -> None:
         raise NotImplementedError
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Inference over a whole ``x``."""
         raise NotImplementedError
 
-    def backward(
-        self, grad_out: np.ndarray, *, input_grad: bool = True
-    ) -> np.ndarray | None:
-        """Set parameter grads and return the gradient w.r.t. the input.
+    def bind(
+        self, rows: int, *, input_grad: bool = True
+    ) -> tuple[Callable, Callable]:
+        """This layer's training step over ``rows``-row batches, bound by
+        ``Sequential.fit`` once per batch height and run on every batch.
 
-        ``input_grad=False`` tells the layer nobody reads that gradient
-        (it is the first of its network): it may skip computing it and
-        return ``None``.
+        Returns ``(forward, backward)``: ``forward(x)`` is a training
+        forward pass; ``backward(grad_out)`` sets the parameter gradients
+        and returns the input gradient, or ``None`` when bound with
+        ``input_grad=False`` (the first layer: nobody reads it).
         """
         raise NotImplementedError
 
@@ -95,10 +101,6 @@ class Dense(Layer):
     """Fully connected layer: ``y = activation(x @ W + b)``."""
 
     input_rank = 2
-    #: input, pre-activation and output of the last training forward pass
-    _x: np.ndarray | None = None
-    _z: np.ndarray | None = None
-    _y: np.ndarray | None = None
 
     def build(self, input_dim: int, rng: np.random.Generator) -> None:
         if input_dim <= 0:
@@ -111,52 +113,69 @@ class Dense(Layer):
         self.zero_grads()
         self.built = True
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """``activation(x @ W + b)`` for a float64 ``(batch, input_dim)`` array.
+    def bind(
+        self, rows: int, *, input_grad: bool = True
+    ) -> tuple[Callable, Callable]:
+        return self._step(rows, training=True, input_grad=input_grad)
 
-        The bias add and a ReLU run in place on the one array the matmul
-        allocated, so the pre-activation does not survive a ReLU layer;
-        its sign pattern -- all :meth:`backward` needs of it -- does, in
-        the output.  ``Sequential`` validates its input once per
-        ``fit``/``predict`` call; the guard here is for direct callers.
-        """
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """``activation(x @ W + b)`` for a float64 ``(batch, input_dim)``
+        array: a forward-only step of its height, run once.  ``Sequential``
+        validates its input once per ``predict``; this guard is for direct
+        callers."""
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             self._require_built()
             raise ShapeError(
                 f"Dense expected (batch, {self.input_dim}), got {x.shape}"
             )
-        z = x @ self.params["W"]
-        z += self.params["b"]
-        if self.activation is relu:
-            y = np.maximum(z, 0.0, out=z)
-        else:
-            y = self.activation(z)
-        if training:
-            self._x, self._z, self._y = x, z, y
-        return y
+        return self._step(len(x), training=False)[0](x)
 
-    def backward(
-        self, grad_out: np.ndarray, *, input_grad: bool = True
-    ) -> np.ndarray | None:
-        self._require_built()
-        x, z, y = self._x, self._z, self._y
-        if y is None:
-            raise ModelError("backward() called before a training forward pass")
-        if grad_out.shape != y.shape:
-            raise ShapeError(
-                f"grad shape {grad_out.shape} does not match output {y.shape}"
-            )
-        if self.activation is relu:
-            # float64 * bool multiplies by exactly 1.0 / 0.0, as the
-            # materialized float mask did.
-            dz = grad_out * (y > 0.0)
-        elif self.activation is linear:
-            dz = grad_out
-        else:
-            dz = grad_out * self.activation.backward(z, y)
-        # Written into the arrays ``build`` allocated (views of the
-        # model's flat gradient vector), by the calls ``x.T @ dz`` and
-        # ``dz.sum(axis=0)`` make themselves.
-        np.matmul(x.T, dz, out=self.grads["W"])
-        np.add.reduce(dz, axis=0, out=self.grads["b"])
-        return dz @ self.params["W"].T if input_grad else None
+    def _step(
+        self, rows: int, *, training: bool, input_grad: bool = False
+    ) -> tuple[Callable, Callable | None]:
+        """Dense's arithmetic over ``rows``-row batches: the views it reads
+        and writes (``W``, ``W.T``, ``b``, the gradient windows of the flat
+        vector) looked up once, and the arrays it computes in (the
+        pre-activation, which a ReLU makes the output in place; for
+        training the mask, ``dz`` and, if asked for, the input gradient)
+        allocated once.  The bits are the allocating expressions' (``x @
+        W``, ``z += b``, ``grad_out * (y > 0.0)``, ``x.T @ dz``,
+        ``dz.sum(axis=0)``, ``dz @ W.T``): their ufuncs, and ``np.dot``
+        for the products, the BLAS call ``@`` makes at less overhead per
+        call.  An activation that only equals ``relu``/``linear`` (a
+        deep-copied or unpickled layer's) takes the generic branch: the
+        same bits."""
+        w, b, act = self.params["W"], self.params["b"], self.activation
+        is_relu, is_linear = act is relu, act is linear
+        z = np.empty((rows, self.units))
+        x = y = None
+
+        def forward(x_in):
+            nonlocal x, y
+            x = x_in
+            np.add(np.dot(x_in, w, out=z), b, out=z)
+            if is_relu:
+                y = np.maximum(z, 0.0, out=z)
+            else:
+                y = z if is_linear else act(z)
+            return y
+
+        if not training:
+            return forward, None
+        wt, gw, gb = w.T, self.grads["W"], self.grads["b"]
+        mask = np.empty((rows, self.units), dtype=bool)
+        dz = np.empty((rows, self.units))
+        dx = np.empty((rows, self.input_dim)) if input_grad else None
+
+        def backward(grad_out):
+            if is_relu:
+                d = np.multiply(grad_out, np.greater(y, 0.0, out=mask), out=dz)
+            elif is_linear:
+                d = grad_out
+            else:
+                d = np.multiply(grad_out, act.backward(z, y), out=dz)
+            np.dot(x.T, d, out=gw)
+            np.add.reduce(d, axis=0, out=gb)
+            return np.dot(d, wt, out=dx) if input_grad else None
+
+        return forward, backward

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.errors import ShapeError
@@ -15,35 +17,38 @@ def _mean(values: np.ndarray) -> float:
 class MeanSquaredError:
     """0.5-free MSE: ``mean((pred - true)**2)``; grad is ``2*(pred-true)/N``.
 
-    ``weight`` optionally carries per-row importance weights (prioritized
-    replay's bias correction); ``None`` is the exact unweighted
-    computation.
+    Per-row importance weights (prioritized replay's bias correction)
+    scale both; ``None`` is the exact unweighted computation.  Neither
+    form opens an ``errstate``: ``Sequential.fit`` holds one for the fit.
     """
 
     def value_and_gradient(
-        self,
-        y_pred: np.ndarray,
-        y_true: np.ndarray,
-        weight: np.ndarray | None = None,
+        self, y_pred: np.ndarray, y_true: np.ndarray
     ) -> tuple[float, np.ndarray]:
-        """The loss and its gradient w.r.t. ``y_pred``.
-
-        Opens no ``errstate`` of its own: ``Sequential.fit`` calls it once
-        per step under the one it holds for the whole fit.
-        """
+        """The unweighted loss and its gradient w.r.t. ``y_pred``."""
         if y_pred.shape != y_true.shape:
             raise ShapeError(
                 f"prediction shape {y_pred.shape} != target shape {y_true.shape}"
             )
-        diff = y_pred - y_true
-        if weight is None:
-            return _mean(diff ** 2), 2.0 * diff / diff.size
-        w = np.asarray(weight, dtype=np.float64)
-        if w.ndim == 1:
-            w = w[:, None]
-        if w.shape[0] != y_pred.shape[0]:
-            raise ShapeError(
-                f"weight has {w.shape[0]} rows but predictions have "
-                f"{y_pred.shape[0]}"
-            )
-        return _mean(w * diff ** 2), 2.0 * w * diff / diff.size
+        return self.bind(y_pred.shape)(y_pred, y_true, None)
+
+    def bind(self, shape: tuple[int, ...]) -> Callable:
+        """``value_and_gradient(y_pred, y_true, w)`` for ``shape``-d
+        predictions and a weight column ``w`` (or ``None``), computed in two
+        arrays allocated once -- the gradient is overwritten by the next
+        call -- by the ufuncs of the allocating formulas."""
+        diff, grad = np.empty(shape), np.empty(shape)
+
+        def value_and_gradient(y_pred, y_true, w):
+            np.subtract(y_pred, y_true, out=diff)
+            np.square(diff, out=grad)  # what ``diff ** 2`` runs
+            if w is None:
+                value = _mean(grad)
+                np.multiply(2.0, diff, out=grad)
+            else:
+                value = _mean(np.multiply(w, grad, out=grad))
+                np.multiply(2.0 * w, diff, out=grad)
+            np.divide(grad, diff.size, out=grad)
+            return value, grad
+
+        return value_and_gradient

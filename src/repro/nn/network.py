@@ -195,19 +195,24 @@ class Sequential:
         if not self.built:
             self.build(x.shape[-1])
         self.rows_predicted += len(x)
-        return self._forward(x, training=False)
+        return self._forward(x)
 
-    def _forward(self, x: np.ndarray, training: bool) -> np.ndarray:
+    def _forward(self, x: np.ndarray) -> np.ndarray:
         out = x
         for layer in self.layers:
-            out = layer.forward(out, training=training)
+            out = layer.forward(out)
         return out
 
-    def _backward(self, grad: np.ndarray) -> None:
-        for layer in self.layers[:0:-1]:
-            grad = layer.backward(grad)
-        # Nothing sits below the first layer to read its input gradient.
-        self.layers[0].backward(grad, input_grad=False)
+    def _bind(self, rows: int) -> tuple:
+        """The training step for ``rows``-row batches: each layer's bound
+        forward, the bound loss, and the bound backwards from the top down
+        (the first layer's skips the input gradient nothing reads)."""
+        steps = [
+            layer.bind(rows, input_grad=i > 0)
+            for i, layer in enumerate(self.layers)
+        ]
+        loss = MeanSquaredError().bind((rows, self.output_dim))
+        return [f for f, _ in steps], loss, [b for _, b in reversed(steps)]
 
     # -- training ----------------------------------------------------------
     def fit(
@@ -275,22 +280,27 @@ class Sequential:
                 raise ShapeError(
                     f"validation has {len(x_val)} rows of x, {len(y_val)} of y"
                 )
-        loss_fn = MeanSquaredError()
         history = TrainingHistory()
         best_loss, best_theta, waited = np.inf, None, 0
         self._home_parameters()
         start_theta = self._theta.copy()
         # Chronological batches are contiguous row ranges: views, not
-        # fancy-index copies, sliced once.
-        batch_size = BATCH_SIZE
+        # fancy-index copies, sliced once; each runs the step bound for its
+        # height (at most two: full batches and a short last one).
+        starts = range(0, len(x), BATCH_SIZE)
+        steps = {
+            rows: self._bind(rows)
+            for rows in {min(BATCH_SIZE, len(x) - start) for start in starts}
+        }
         batches = [
             (
-                x[start : start + batch_size],
-                y[start : start + batch_size],
+                x[start : start + BATCH_SIZE],
+                y[start : start + BATCH_SIZE],
                 None if sample_weight is None
-                else sample_weight[start : start + batch_size],
+                else sample_weight[start : start + BATCH_SIZE],
+                *steps[min(BATCH_SIZE, len(x) - start)],
             )
-            for start in range(0, len(x), batch_size)
+            for start in starts
         ]
         # A diverging fit overflows to inf and then multiplies inf by a
         # zero ReLU mask; divergence is an outcome fit reports (Table II),
@@ -298,11 +308,14 @@ class Sequential:
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(epochs):
                 epoch_loss = 0.0
-                for xb, yb, wb in batches:
-                    pred = self._forward(xb, training=True)
-                    value, grad = loss_fn.value_and_gradient(pred, yb, wb)
+                for xb, yb, wb, forwards, loss, backwards in batches:
+                    out = xb
+                    for forward in forwards:
+                        out = forward(out)
+                    value, grad = loss(out, yb, wb)
                     epoch_loss += value
-                    self._backward(grad)
+                    for backward in backwards:
+                        grad = backward(grad)
                     self._theta -= learning_rate * self._grad
                 mean_loss = epoch_loss / len(batches)
                 history.train_loss.append(mean_loss)
@@ -312,10 +325,10 @@ class Sequential:
                     break
                 if validation is None:
                     continue
-                pred = self._forward(x_val, training=False)
+                pred = self._forward(x_val)
                 if is_diverged(pred, y_val):
                     continue
-                val_loss, _ = loss_fn.value_and_gradient(pred, y_val)
+                val_loss, _ = MeanSquaredError().value_and_gradient(pred, y_val)
                 if val_loss < best_loss:
                     best_loss, best_theta, waited = val_loss, self._theta.copy(), 0
                 else:

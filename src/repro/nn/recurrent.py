@@ -12,6 +12,8 @@ sigmoid, as in Keras.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.errors import ModelError, ShapeError
@@ -45,6 +47,16 @@ class _Recurrent(Layer):
         }
         self.zero_grads()
         self.built = True
+
+    def bind(
+        self, rows: int, *, input_grad: bool = True
+    ) -> tuple[Callable, Callable]:
+        """The layer's own ``forward(x, training=True)``, which keeps what
+        BPTT needs on the layer, and ``backward``."""
+        return (
+            lambda x: self.forward(x, training=True),
+            lambda grad: self.backward(grad, input_grad=input_grad),
+        )
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

@@ -328,7 +328,7 @@ class ReplayDB:
         if len(positions):
             self._check_held(int(positions.min()))
         chunk_of, offsets = np.divmod(positions, _CHUNK_ROWS)
-        indices = np.unique(chunk_of).tolist()
+        indices = np.flatnonzero(np.bincount(chunk_of)).tolist()
         if len(indices) == 1:
             return self._chunks[indices[0]].view(_ROW_BYTES)[offsets].view(_ROW)
         rows = np.empty(len(positions), _ROW_BYTES)
@@ -401,10 +401,12 @@ class ReplayDB:
         if ids is not None:
             if limit is not None or since is not None:
                 raise ReplayDBError("ids excludes limit and since")
-            wanted = np.unique(np.fromiter(ids, np.int64))
+            wanted = np.sort(np.fromiter(ids, np.int64))
             if len(wanted):
                 self.queries += 1
-            positions = wanted[(wanted >= 1) & (wanted <= self._rows)] - 1
+            wanted = wanted[(wanted >= 1) & (wanted <= self._rows)]
+            # sorted and >= 1: a step up starts each distinct id
+            positions = wanted[np.diff(wanted, prepend=0) != 0] - 1
             return self._take(positions), positions
         self.queries += 1
         start = 0 if since is None else min(since, self._rows)
@@ -522,13 +524,15 @@ class ReplayDB:
         throughput = (rows["rb"].astype(np.float64) + rows["wb"]) / (
             close_time - open_time
         )
+        # A weighted bincount adds each device's rows in row order from 0.0,
+        # the sequential sum (held to tests/oracles/device_totals.py).
         codes, names = rows["device"], list(self._codes["device"])
+        counts, sums = np.bincount(codes), np.bincount(codes, weights=throughput)
         totals = self._device_totals
-        for code in sorted(np.unique(codes).tolist(), key=names.__getitem__):
-            mine = throughput[codes == code]
+        for code in sorted(np.flatnonzero(counts).tolist(), key=names.__getitem__):
             have_count, have_total = totals.get(names[code], (0, 0.0))
             totals[names[code]] = (
-                have_count + len(mine), have_total + float(np.cumsum(mine)[-1])
+                have_count + int(counts[code]), have_total + float(sums[code])
             )
         self._totals_cursor = self._rows
         return totals

@@ -56,9 +56,11 @@ def numerical_input_grad(
 def analytic_grads(
     layer: Layer, x: np.ndarray, target: np.ndarray
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Backprop gradients of MSE(layer(x), target) for params and input."""
-    pred = layer.forward(x, training=True)
-    dx = layer.backward(MeanSquaredError().value_and_gradient(pred, target)[1])
+    """Backprop gradients of MSE(layer(x), target) for params and input,
+    through the training step the layer binds."""
+    forward, backward = layer.bind(len(x))
+    pred = forward(x)
+    dx = backward(MeanSquaredError().value_and_gradient(pred, target)[1])
     return dict(layer.grads), dx
 
 

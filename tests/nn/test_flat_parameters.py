@@ -15,9 +15,11 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.nn.layers import Dense
 from repro.nn.losses import MeanSquaredError
 from repro.nn.model_zoo import build_model
 from repro.nn.network import Sequential
+from repro.nn.recurrent import LSTM
 from repro.nn.serialization import load_weights, save_weights
 from tests.nn.test_lean_step import Z, assert_same_training, dataset, same_bits
 from tests.oracles.fit_loop import ReferenceSGD, reference_fit
@@ -154,6 +156,54 @@ def test_batch_tails(rows, weighted):
     )
 
 
+# -- (c') the step plan: bound once per batch height, arrays reused ---------
+@pytest.mark.parametrize("model_number, rows, heights", [
+    (1, 320, {32}), (1, 321, {32, 1}), (1, 20, {20}), (23, 70, {32, 6}),
+])
+def test_fit_binds_each_batch_height_once(
+    model_number, rows, heights, monkeypatch
+):
+    """Every layer, Dense or recurrent, is bound once per distinct batch
+    height per fit -- full batches and a short last one -- however many
+    epochs run."""
+    bound = []
+    for cls in (Dense, LSTM):
+        shipped = cls.bind
+        monkeypatch.setattr(
+            cls, "bind",
+            lambda self, n, shipped=shipped, **kw: (
+                bound.append(n) or shipped(self, n, **kw)
+            ),
+        )
+    x, y = dataset(rows=rows, timesteps=3 if model_number == 23 else None)
+    model = build_model(model_number, Z, seed=11)
+    model.fit(x, y, epochs=3, learning_rate=0.05)
+    assert sorted(bound) == sorted([*heights] * len(model.layers))
+
+
+@pytest.mark.parametrize("activation", ["relu", "linear", "tanh"])
+def test_a_bound_dense_step_reuses_its_arrays(activation):
+    """A bound step writes every batch into the same arrays (the generic
+    activation branch allocates its output), and each batch gets the bits
+    of a step bound for it alone."""
+    rng = np.random.default_rng(3)
+    layer = Dense(6, activation=activation)
+    layer.build(4, rng)
+    forward, backward = layer.bind(8)
+    outs = []
+    for _ in range(3):
+        x, grad = rng.standard_normal((8, 4)), rng.standard_normal((8, 6))
+        fresh_forward, fresh_backward = layer.bind(8)
+        outs.append(forward(x))
+        assert same_bits(outs[-1], fresh_forward(x))
+        dx = backward(grad).copy()
+        grads = {name: g.copy() for name, g in layer.grads.items()}
+        assert same_bits(dx, fresh_backward(grad))
+        for name, g in layer.grads.items():
+            assert same_bits(grads[name], g), name
+    assert (outs[0] is outs[1] is outs[2]) == (activation != "tanh")
+
+
 # -- (d) a restart in the middle changes nothing -----------------------------
 def test_save_load_between_fits_equals_two_fits(tmp_path):
     """Plain SGD keeps no state between steps, so the weights are all a
@@ -210,15 +260,19 @@ def test_value_and_gradient_equals_the_old_formulas(
     weight = rng.random(33) if weighted else None
     with np.errstate(over="ignore", invalid="ignore"):
         want_value, want_grad = old(pred, true, weight)
-        got_value, got_grad = loss.value_and_gradient(pred, true, weight)
+        if weighted:  # a column of weights, as ``fit`` slices it
+            got_value, got_grad = loss.bind(pred.shape)(
+                pred, true, weight[:, None]
+            )
+        else:
+            got_value, got_grad = loss.value_and_gradient(pred, true)
+        # the form ``fit`` binds once and calls per step
+        bound = loss.bind(pred.shape)
+        again = bound(pred, true, None if weight is None else weight[:, None])
     assert isinstance(got_value, float)
     assert same_bits(got_value, want_value)
     assert same_bits(got_grad, want_grad)
-    # a column of weights, as ``fit`` slices it, is the same weights
-    if weighted:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value, grad = loss.value_and_gradient(pred, true, weight[:, None])
-        assert same_bits(value, want_value) and same_bits(grad, want_grad)
+    assert same_bits(again[0], want_value) and same_bits(again[1], want_grad)
 
 
 # -- the e2e tracer wraps every public method of the model -------------------

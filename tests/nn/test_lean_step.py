@@ -1,9 +1,13 @@
-"""The allocation-lean SGD step against the original training loop.
+"""The bound training step against the original training loop.
 
-``Sequential.fit`` and ``tests.oracles.fit_loop.reference_fit`` start
-from equally seeded models and must end with the same bits: weights,
-per-epoch losses, epochs run, divergence.  A diverged fit keeps the
-weights it started with, or its best validated epoch's.
+``Sequential.fit`` binds each layer's step (and the loss) once per batch
+height and runs them over reused arrays; ``tests.oracles.fit_loop.
+reference_fit`` allocates everything per step.  Started from equally
+seeded models they must end with the same bits: weights, per-epoch
+losses, epochs run, divergence -- for every Table-I model, a short last
+batch, sample weights, strided input rows, the validation stop and a
+learning rate that blows up mid-fit.  A diverged fit keeps the weights it
+started with, or its best validated epoch's.
 """
 
 import warnings
@@ -21,8 +25,8 @@ from tests.oracles.fit_loop import (
 
 Z = 5
 DENSE_MODELS = [n for n, specs in ARCHITECTURES.items() if specs[0].kind == "dense"]
-#: one each: LSTM, GRU, SimpleRNN (all followed by Dense layers)
-RECURRENT_MODELS = [23, 17, 18]
+#: LSTM, GRU and SimpleRNN first layers, each followed by Dense layers
+RECURRENT_MODELS = [n for n in ARCHITECTURES if n not in DENSE_MODELS]
 
 
 def same_bits(a, b) -> bool:
@@ -43,12 +47,14 @@ def built(model_number):
     return model
 
 
-def assert_same_training(model_number, learning_rate, *, x, y, **fit_kwargs):
+def assert_same_training(
+    model_number, learning_rate, *, x, y, optimizer=None, **fit_kwargs
+):
     lean = build_model(model_number, Z, seed=11)
     ref = build_model(model_number, Z, seed=11)
     got = lean.fit(x, y, learning_rate=learning_rate, **fit_kwargs)
     want = reference_fit(
-        ref, x, y, optimizer=ReferenceSGD(learning_rate),
+        ref, x, y, optimizer=optimizer or ReferenceSGD(learning_rate),
         batch_size=network.BATCH_SIZE, **fit_kwargs,
     )
     assert got.epochs_run == want.epochs_run
@@ -86,6 +92,19 @@ def test_sample_weight():
     weights = np.random.default_rng(5).random(len(x))
     assert_same_training(
         1, 0.05, x=x, y=y, epochs=4,
+        sample_weight=weights,
+    )
+
+
+@pytest.mark.parametrize("model_number", [5, 23])
+def test_sample_weight_all_linear_and_recurrent(model_number, monkeypatch):
+    """The weighted loss, as ``online_drift``'s replay trains it, through
+    linear hidden layers and through an LSTM; the last batch is short."""
+    monkeypatch.setattr(network, "BATCH_SIZE", 16)
+    x, y = dataset(rows=90, timesteps=4 if model_number == 23 else None)
+    weights = np.random.default_rng(5).random(len(x))
+    assert_same_training(
+        model_number, 0.05, x=x, y=y, epochs=4,
         sample_weight=weights,
     )
 
@@ -269,3 +288,57 @@ def test_non_finite_weights_after_the_last_step_are_a_divergence():
     assert np.all(np.isfinite(history.train_loss))
     assert history.diverged is True
     assert same_bits(model._theta, start)
+
+
+class BlowUpSGD(ReferenceSGD):
+    """The oracle's optimizer with :class:`BlowUpRate`'s schedule: its
+    rate becomes ``blown`` after ``calm_steps`` steps (a step starts at
+    the first parameter, ``layer0/W``)."""
+
+    def __init__(self, learning_rate, calm_steps, blown=1e6):
+        super().__init__(learning_rate)
+        self.calm_steps, self.blown = calm_steps, blown
+
+    def apply(self, key, param, grad):
+        if key == "layer0/W":
+            self.calm_steps -= 1
+        rate = self.blown if self.calm_steps < 0 else self.learning_rate
+        param -= rate * grad
+
+
+@pytest.mark.parametrize("model_number", [1, 23])
+def test_a_nan_stop_matches_the_oracle(model_number, monkeypatch):
+    """The first blow-up case against the oracle: the rate blows up in
+    epoch 3, the loss goes non-finite, and the best validated epoch
+    comes back."""
+    timesteps = 4 if model_number == 23 else None
+    if timesteps:
+        monkeypatch.setattr(network, "BATCH_SIZE", 16)
+    x, y, x_val, y_val = rising_validation()
+    if timesteps:
+        x, x_val = np.repeat(x[:90, None], 4, 1), np.repeat(x_val[:, None], 4, 1)
+        y = y[:90]
+    steps = -(-len(x) // network.BATCH_SIZE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, history = assert_same_training(
+            model_number, BlowUpRate(0.05, 2 * steps), x=x, y=y,
+            optimizer=BlowUpSGD(0.05, 2 * steps),
+            epochs=30, validation=(x_val, y_val),
+        )
+    assert history.diverged is True
+    assert 3 <= history.epochs_run < 30
+
+
+def test_a_last_step_overflow_matches_the_oracle():
+    """The second blow-up case against the oracle: finite losses, then
+    an infinite rate on the very last step."""
+    x, y = dataset()
+    steps = -(-len(x) // network.BATCH_SIZE)
+    calm = 3 * steps - 1
+    _, history = assert_same_training(
+        1, BlowUpRate(0.05, calm, blown=np.inf), x=x, y=y,
+        optimizer=BlowUpSGD(0.05, calm, blown=np.inf), epochs=3,
+    )
+    assert np.all(np.isfinite(history.train_loss))
+    assert history.diverged is True

@@ -1,7 +1,8 @@
 """The training loop as it stood before the allocation-lean SGD step.
 
 ``reference_fit`` drives the layers of a ``repro.nn`` model through the
-original mini-batch loop: a fancy-index copy per batch, a Dense step that
+original mini-batch loop: a fancy-index copy per batch, the loss by its
+allocating formulas (``reference_mse``), a Dense step that
 allocates the bias sum, the activation output, a float mask and the input
 gradient of every layer (the first included), and optimizer updates keyed
 by an f-string built per parameter per step.  ``Sequential.fit`` must
@@ -27,7 +28,6 @@ import numpy as np
 
 from repro.nn import network
 from repro.nn.layers import Dense
-from repro.nn.losses import MeanSquaredError
 from repro.nn.metrics import is_diverged
 from repro.nn.network import Sequential, TrainingHistory
 
@@ -40,6 +40,16 @@ class ReferenceSGD:
 
     def apply(self, key, param, grad):
         param -= self.learning_rate * grad
+
+
+def reference_mse(pred, true, weight=None):
+    """The loss and its gradient by the allocating formulas (``weight``
+    is the per-row column ``fit`` slices, or ``None``)."""
+    diff = pred - true
+    if weight is None:
+        return float(np.mean(diff ** 2)), 2.0 * diff / diff.size
+    w = weight[:, None]
+    return float(np.mean(w * diff ** 2)), 2.0 * w * diff / diff.size
 
 
 def _dense_forward(layer: Dense, x: np.ndarray, cache: dict | None):
@@ -111,9 +121,7 @@ def reference_fit(
                         out = _dense_forward(layer, out, cache)
                     else:
                         out = layer.forward(out, training=True)
-                value, grad = MeanSquaredError().value_and_gradient(
-                    out, yb, wb
-                )
+                value, grad = reference_mse(out, yb, wb)
                 epoch_loss += value
                 n_batches += 1
                 for layer, cache in zip(
@@ -141,7 +149,7 @@ def reference_fit(
             y_val = model._adapt_target(y_val, model.output_dim)
             if is_diverged(pred, y_val):
                 continue
-            loss, _ = MeanSquaredError().value_and_gradient(pred, y_val)
+            loss, _ = reference_mse(pred, y_val)
             if loss < best_loss:
                 best_loss, stale = loss, 0
                 best = _copy_params(model)

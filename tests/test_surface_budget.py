@@ -8,7 +8,8 @@ a defaulted parameter that only tests set, a ``*`` / ``**`` forward to a
 callee not listed in ``FORWARDED``, product code that imports
 ``sqlite3``, an access log that holds more than 64 bytes per BELLE II
 row or grows with a run's length, an access record with an instance
-dict, product code that touches the garbage collector, a new
+dict, product code that touches the garbage collector, a run that
+imports ``numpy.ma``, a new
 ``np.errstate`` block, a span or tick the code opens on itself and a
 ``global`` statement.
 """
@@ -16,8 +17,11 @@ dict, product code that touches the garbage collector, a new
 import ast
 import gc
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -48,7 +52,7 @@ CONFIG = SRC / "core" / "config.py"
 MAX_CONFIG_FIELDS = 16
 MAX_CLI_SUBCOMMANDS = 17
 #: ``find src -name '*.py' | xargs cat | wc -l``
-MAX_SRC_LINES = 14_665
+MAX_SRC_LINES = 14_719
 #: ``wc -c`` of the two documents a newcomer reads first
 MAX_DESIGN_BYTES = 72_540
 MAX_README_BYTES = 17_794
@@ -510,6 +514,28 @@ def test_a_test_scale_run_holds_at_most_512_kib_of_chunks():
         make_experiment_config(TEST_SCALE, seed=0), scale=TEST_SCALE, seed=0
     ).geo
     assert sum(chunk.nbytes for chunk in geo.db._chunks.values()) <= 512 << 10
+
+
+def test_a_facade_run_never_imports_numpy_ma():
+    """A ratchet on set-up cost: a plain ``np.unique`` imports
+    ``numpy.ma`` (about 15 ms and 1 MB in every fresh process), so the run
+    path takes distinct values by sorting or ``np.bincount`` instead.
+    Checked in a fresh interpreter, as this one has imported everything."""
+    script = (
+        "import sys\n"
+        "from repro.experiments.facade import run_facade\n"
+        "from repro.experiments.harness import make_experiment_config\n"
+        "from repro.experiments.spec import TEST_SCALE\n"
+        "run_facade(make_experiment_config(TEST_SCALE, seed=0),"
+        " scale=TEST_SCALE, seed=0)\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_a_facade_run_holds_no_history_of_its_outcomes():
