@@ -68,7 +68,7 @@ def main() -> None:
 
     runner = WorkloadRunner(cluster, Belle2Workload(files, seed=5), geo.db)
     for run in range(1, 41):
-        result = runner.run_once()
+        result = runner.run_many(1)[0]
         outcome = geo.after_run(run, runner.clock.now)
         if outcome.moved_files:
             print(

@@ -42,7 +42,7 @@ def main() -> None:
     shuffler = RandomDynamicPolicy(seed=0)
     warm_runs = 0
     while geo.db.access_count() < 2000:
-        runner.run_once()
+        runner.run_many(1)
         warm_runs += 1
         if warm_runs % 5 == 0:
             shuffled = shuffler.update_layout(
@@ -54,7 +54,7 @@ def main() -> None:
 
     throughputs = []
     for run in range(1, 51):
-        result = runner.run_once()
+        result = runner.run_many(1)[0]
         throughputs.append(result.mean_throughput_gbps)
         outcome = geo.after_run(run, runner.clock.now)
         if outcome.trained:

@@ -20,7 +20,7 @@ Quick start::
     geo.place_initial()
     runner = WorkloadRunner(cluster, Belle2Workload(files), geo.db)
     for run in range(1, 51):
-        runner.run_once()
+        runner.run_many(1)
         geo.after_run(run, runner.clock.now)
 
 The experiments' entry, :func:`repro.experiments.facade.run_facade`,

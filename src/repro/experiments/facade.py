@@ -317,7 +317,7 @@ def warm_up_through_agents(
                 f"too little"
             )
         runs += 1
-        records = runner.run_once().records
+        records = runner.run_many(1)[0].records
         geo.observe_records(records)
         geo.flush_telemetry(at=records[-1].close_time if records else 0.0)
 
@@ -339,9 +339,9 @@ def run_measured_loop(
     The injector is uninstalled after the last run.
     """
     for run_number in runs:
-        records = runner.run_once(
-            advance_hook=injector.advance if injector else None
-        ).records
+        records = runner.run_many(
+            1, advance_hook=injector.advance if injector else None
+        )[0].records
         if injector is not None:
             injector.advance(runner.clock.now)
         geo.observe_records(records)
@@ -586,8 +586,8 @@ def _build(
     journal: LayoutJournal | None = None,
 ) -> tuple[Geomancy, WorkloadRunner]:
     """Unplaced Geomancy (over the stage's link) on a fresh testbed, and
-    a runner that tolerates offline devices."""
-    runner = bluesky_runner(seed, tolerate_offline=True)
+    its runner."""
+    runner = bluesky_runner(seed)
     geo = Geomancy(
         runner.cluster, runner.workload.files, config,
         telemetry=(

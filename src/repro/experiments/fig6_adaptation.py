@@ -153,7 +153,7 @@ def run_fig6(
     # Phase 1: alone.
     for _ in range(runs_before):
         result.tuned_gbps.extend(
-            r.throughput_gbps for r in runner.run_once().records
+            r.throughput_gbps for r in runner.run_many(1)[0].records
         )
         run_finished()
     result.disturbance_access = len(result.tuned_gbps)

@@ -47,14 +47,14 @@ WORKLOAD_SEED = 1
 GEOMANCY = "Geomancy dynamic"
 
 
-def bluesky_runner(seed: int, **wiring) -> WorkloadRunner:
+def bluesky_runner(seed: int, *, db: ReplayDB | None = None) -> WorkloadRunner:
     """The BELLE II workload over a fresh Bluesky cluster and file
-    population, both built from ``seed``; ``wiring`` goes to the runner
-    (``db``, ``clock``, ``tolerate_offline``)."""
+    population, both built from ``seed``, landing its telemetry in
+    ``db`` when given."""
     cluster = make_bluesky_cluster(seed=seed)
     files = belle2_file_population(seed=seed)
     return WorkloadRunner(
-        cluster, Belle2Workload(files, seed=WORKLOAD_SEED), **wiring
+        cluster, Belle2Workload(files, seed=WORKLOAD_SEED), db
     )
 
 
@@ -126,7 +126,7 @@ def shuffled_warm_up(
     )
     warm_runs = 0
     while db.access_count() < scale.warmup_accesses:
-        runner.run_once()
+        runner.run_many(1)
         warm_runs += 1
         if warm_runs % scale.update_every == 0:
             shuffled = shuffler.update_layout(db, files, cluster.device_names)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -44,38 +43,30 @@ class FileInfo:
 class BatchAccessResult:
     """Outcome of :meth:`StorageCluster.access_batch`.
 
-    ``end_time`` is the simulated time after the last processed op
-    (including think time / offline penalties), ``failed`` counts ops
-    rejected by offline devices under ``tolerate_offline``, and
-    ``pending_error`` carries the :class:`DeviceOfflineError` that stopped
-    the batch when offline tolerance is off -- the caller finalizes its
-    bookkeeping (records already completed, clock position) and re-raises.
+    ``records`` holds the served ops in batch order, ``failed`` the
+    ascending batch positions of the ops offline devices rejected, and
+    ``end_time`` the simulated time after the last op (including think
+    time and offline penalties).
     """
 
     records: list[AccessRecord] = field(default_factory=list)
-    failed: int = 0
+    failed: list[int] = field(default_factory=list)
     end_time: float = 0.0
-    pending_error: Exception | None = None
 
 
 class _ScanDevice:
     """Per-device scratch state for one :meth:`access_batch` scan: the
-    device, the batch positions of its ops, its RNG states before the
-    pre-draw, and its served ops' byte totals and durations, whose
-    accounting the scan defers to :meth:`flush_stats`."""
+    device, the batch positions of its ops, and its served ops' byte
+    totals and durations, whose accounting the scan defers to
+    :meth:`flush_stats`."""
 
-    __slots__ = (
-        "device", "name", "fsid", "positions", "rng_state0",
-        "rng_cache_state0", "durs", "tots",
-    )
+    __slots__ = ("device", "name", "fsid", "positions", "durs", "tots")
 
     def __init__(self, device: StorageDevice) -> None:
         self.device = device
         self.name = device.name
         self.fsid = device.fsid
         self.positions: list[int] = []
-        self.rng_state0 = device._rng.bit_generator.state
-        self.rng_cache_state0 = device._rng_cache.bit_generator.state
         self.durs: list[float] = []
         self.tots: list[int] = []
 
@@ -100,20 +91,6 @@ class _ScanDevice:
         stats.extend_samples(
             [total / duration for total, duration in zip(tots, durs)]
         )
-
-    def rewind_unconsumed_draws(self, reached: int) -> None:
-        """Roll the RNG streams back to cover only the ops actually reached.
-
-        Used when a batch aborts at op ``reached - 1`` (offline device,
-        tolerance off): the one-op loop would have drawn only for the ops
-        up to and including the failing one, so the pre-drawn remainder
-        is undone by restoring the pre-batch states and re-drawing for
-        this device's ops among the first ``reached``.
-        """
-        device = self.device
-        device._rng.bit_generator.state = self.rng_state0
-        device._rng_cache.bit_generator.state = self.rng_cache_state0
-        device.prepare_batch(bisect_left(self.positions, reached))
 
 
 class StorageCluster:
@@ -361,7 +338,6 @@ class StorageCluster:
         wb=None,
         *,
         think_time_s: float = 0.0,
-        tolerate_offline: bool = False,
         offline_penalty_s: float = 0.0,
         advance_hook: Callable[[float], None] | None = None,
     ) -> BatchAccessResult:
@@ -370,8 +346,9 @@ class StorageCluster:
         Equivalent -- bit-for-bit, including RNG draw order per device --
         to a loop of :meth:`access` calls that advances a clock by each
         record's (millisecond-truncated) duration plus ``think_time_s``,
-        with offline accesses charged ``offline_penalty_s + think_time_s``
-        under ``tolerate_offline`` (the :class:`WorkloadRunner` contract).
+        with each op :meth:`access` rejects as offline counted as failed
+        and charged ``offline_penalty_s + think_time_s`` (the
+        :class:`WorkloadRunner` contract).
 
         All randomness is pre-drawn per device with vectorized generator
         calls; the sequential scan then resolves each op against the
@@ -381,11 +358,7 @@ class StorageCluster:
         for rejected ops stay burned, so the pre-draw stays aligned).
 
         The layout must not change during the batch (no concurrent
-        migrations).  When an offline device stops a non-tolerant batch,
-        the error is returned in :attr:`BatchAccessResult.pending_error`
-        (not raised) with the already-completed records, and the unused
-        pre-drawn randomness is rolled back so the devices' RNG streams
-        sit exactly where the :meth:`access` loop would have left them.
+        migrations).
         """
         fid_list = (
             fids.tolist() if isinstance(fids, np.ndarray) else [int(f) for f in fids]
@@ -447,8 +420,8 @@ class StorageCluster:
 
         result = BatchAccessResult()
         t = float(t0)
-        pending: Exception | None = None
         records = result.records
+        failed = result.failed
         append_record = records.append
         trusted = AccessRecord._trusted
         for fid, state, path, rbi, wbi, hit, noise in zip(
@@ -458,13 +431,7 @@ class StorageCluster:
             dev = state.device
             if not dev.online:
                 # This op's draws stay burned, as on the one-op path.
-                if not tolerate_offline:
-                    pending = DeviceOfflineError(
-                        f"file {fid} is stranded on offline device "
-                        f"{state.name!r}"
-                    )
-                    break
-                result.failed += 1
+                failed.append(len(records) + len(failed))
                 t += offline_penalty_s + think_time_s
                 continue
             duration = dev.serve(t, rbi, wbi, hit, noise)
@@ -495,17 +462,10 @@ class StorageCluster:
             t += trunc + think_time_s
             if advance_hook is not None:
                 advance_hook(t)
-        # Ops completed before an abort keep their accounting, exactly as
-        # the one-op loop would have left it.
         for state in scan_devices.values():
             state.flush_stats()
         self.accesses_served += len(records)
-        if pending is not None:
-            reached = len(records) + result.failed + 1
-            for state in scan_devices.values():
-                state.rewind_unconsumed_draws(reached)
         result.end_time = t
-        result.pending_error = pending
         return result
 
     def migrate(self, fid: int, dst: str, t: float) -> MovementRecord | None:

@@ -23,10 +23,11 @@ two draw sources feed it:
   ``WorkloadRunner.run_stream`` takes when interleaved workloads share the
   cluster access by access) draws one access's randomness right there
   (:meth:`StorageDevice.draw_access`);
-* the **batched scan** (:meth:`StorageCluster.access_batch`) serves a
-  whole run: :meth:`StorageDevice.prepare_batch` pre-draws each device's
-  randomness with one vectorized generator call per stream, then the
-  scan calls ``serve`` op by op.
+* the **batched scan** (:meth:`StorageCluster.access_batch`) serves
+  ``WorkloadRunner.run_many``'s runs in one go:
+  :meth:`StorageDevice.prepare_batch` pre-draws each device's randomness
+  with one vectorized generator call per stream, then the scan calls
+  ``serve`` op by op.
 
 Both are regression-tested bit-for-bit against the readable scalar model
 in ``tests/oracles/scalar_device.py``.

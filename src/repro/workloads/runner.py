@@ -7,14 +7,18 @@ configuration, so accesses always hit the file's current device.
 
 The runner owns a clock shared with any co-running workloads, advances it by
 each access's duration, and reports per-run summaries the experiment harness
-aggregates into Fig. 5/6 series.  Given a ReplayDB it also writes every
-access there -- the telemetry path of the policy harnesses; a caller that
-ships the returned records through the monitoring agents gives it none.
+aggregates into Fig. 5/6 series.  An access to a file stranded on an offline
+mount is counted as failed and charged a timeout; the run carries on.
+Given a ReplayDB it also writes every access there -- the telemetry path of
+the policy harnesses; a caller that ships the returned records through the
+monitoring agents gives it none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.errors import ConfigurationError, DeviceOfflineError, SimulationError
 from repro.replaydb.db import ReplayDB
@@ -57,7 +61,6 @@ class WorkloadRunner:
         db: ReplayDB | None = None,
         *,
         clock: SimulationClock | None = None,
-        tolerate_offline: bool = False,
     ) -> None:
         self.cluster = cluster
         self.workload = workload
@@ -65,10 +68,6 @@ class WorkloadRunner:
         #: the run methods return are then the only telemetry
         self.db = db
         self.clock = clock if clock is not None else SimulationClock()
-        #: with ``tolerate_offline`` an access to a file stranded on an
-        #: offline device is counted as failed (and charged a timeout)
-        #: instead of raising -- the behaviour chaos runs need
-        self.tolerate_offline = bool(tolerate_offline)
         self.next_run_index = 0
         self.total_accesses = 0
         self.failed_accesses = 0
@@ -108,8 +107,6 @@ class WorkloadRunner:
             try:
                 record = access(fid, clock.now, rb=rbi, wb=wbi)
             except DeviceOfflineError:
-                if not self.tolerate_offline:
-                    raise
                 # The device timed out under us; charge the wait and
                 # carry on with the rest of the run.
                 self.failed_accesses += 1
@@ -121,66 +118,23 @@ class WorkloadRunner:
             self.total_accesses += 1
             yield record
 
-    def run_once(self, *, advance_hook=None) -> RunResult:
-        """Execute the next run of the workload; returns its summary.
+    def run_many(self, count: int, *, advance_hook=None) -> list[RunResult]:
+        """Execute the next ``count`` runs; returns their summaries.
 
-        The run's ops go through :meth:`StorageCluster.access_batch` as
-        arrays, its telemetry to the ReplayDB (when there is one) in one
-        ``insert_accesses`` batch, and the shared clock to the batch's
-        end time -- bit-for-bit the records, clock position, device
-        state and DB rows of consuming :meth:`run_stream`
-        (``tests/oracles/scalar_runs.py``).  ``advance_hook``, when
-        given, is called with the simulated time after each completed
-        access -- the seam fault injectors use to fire scheduled events
-        mid-run.
-        """
-        index = self.next_run_index
-        self.next_run_index += 1
-        fids, rb, wb = self.workload.run_arrays(index)
-        batch = self.cluster.access_batch(
-            fids,
-            self.clock.now,
-            rb,
-            wb,
-            think_time_s=THINK_TIME_S,
-            tolerate_offline=self.tolerate_offline,
-            offline_penalty_s=OFFLINE_PENALTY_S,
-            advance_hook=advance_hook,
-        )
-        records = batch.records
-        self._record_batch(records)
-        if batch.failed:
-            self.failed_accesses += batch.failed
-        self.clock.advance_to(batch.end_time)
-        if batch.pending_error is not None:
-            raise batch.pending_error
-        return RunResult(run_index=index, records=records)
-
-    def _record_batch(self, records: list[AccessRecord]) -> None:
-        """Count (and, with a database, store) one batch's accesses."""
-        if records:
-            if self.db is not None:
-                self.db.insert_accesses(records)
-            self.total_accesses += len(records)
-
-    def run_many(self, count: int) -> list[RunResult]:
-        """Execute ``count`` consecutive runs.
-
-        Consecutive runs are fused into one ``access_batch`` call when
-        nothing can happen between them -- no fault hook and every device
-        online -- which amortizes the per-run setup (pre-draws, RNG
-        snapshots, one DB insert) across the whole span.  Bit-for-bit
-        identical to looping :meth:`run_once`: the op sequence, clock
-        advances, RNG draw order, DB rows, and per-run record boundaries
-        are all unchanged.
+        The runs' ops go through one :meth:`StorageCluster.access_batch`
+        call as arrays, their telemetry to the ReplayDB (when there is
+        one) in one ``insert_accesses`` batch, and the shared clock to the
+        batch's end time -- bit-for-bit the records, clock position,
+        device state and DB rows of consuming :meth:`run_stream`
+        ``count`` times (``tests/oracles/scalar_runs.py``), offline
+        accesses included.  ``advance_hook``, when given, is called with
+        the simulated time after each served access -- the seam fault
+        injectors use to fire scheduled events mid-run.
         """
         if count < 0:
             raise ConfigurationError(f"count must be >= 0, got {count}")
-        if count <= 1 or any(
-            not self.cluster.device(name).online
-            for name in self.cluster.device_names
-        ):
-            return [self.run_once() for _ in range(count)]
+        if count == 0:
+            return []
         start = self.next_run_index
         self.next_run_index += count
         fids, rb, wb, counts = self.workload.runs_arrays(start, count)
@@ -190,26 +144,27 @@ class WorkloadRunner:
             rb,
             wb,
             think_time_s=THINK_TIME_S,
-            tolerate_offline=self.tolerate_offline,
             offline_penalty_s=OFFLINE_PENALTY_S,
+            advance_hook=advance_hook,
         )
-        # Every device was online and nothing could flip one mid-batch
-        # (no advance hook), so every op was served.
         records = batch.records
-        self._record_batch(records)
+        if records:
+            if self.db is not None:
+                self.db.insert_accesses(records)
+            self.total_accesses += len(records)
+        self.failed_accesses += len(batch.failed)
         self.clock.advance_to(batch.end_time)
-        if batch.pending_error is not None:  # pragma: no cover - see above
-            raise batch.pending_error
+        # A run's records end where its ops end, less the ops rejected
+        # up to there.
+        ends = np.cumsum(counts)
+        ends -= np.searchsorted(batch.failed, ends)
         results = []
         pos = 0
-        for offset, run_count in enumerate(counts):
+        for offset, end in enumerate(ends.tolist()):
             results.append(
-                RunResult(
-                    run_index=start + offset,
-                    records=records[pos:pos + run_count],
-                )
+                RunResult(run_index=start + offset, records=records[pos:end])
             )
-            pos += run_count
+            pos = end
         return results
 
     def warm_up(self, min_accesses: int) -> int:
@@ -237,6 +192,6 @@ class WorkloadRunner:
                     f"{min_accesses} accesses in {runs} runs: too few "
                     f"land on online devices"
                 )
-            self.run_once()
+            self.run_many(1)
             runs += 1
         return runs

@@ -63,7 +63,7 @@ def consult_both(config, *, shuffled=True, exploration_rate=0.0):
     # Shuffled warm-up, so the telemetry covers (file, device) pairs.
     shuffler = RandomDynamicPolicy(seed=0)
     for run in range(1, 21):
-        runner.run_once()
+        runner.run_many(1)
         if shuffled and run % 2 == 0:
             cluster.apply_layout(
                 shuffler.update_layout(db, files, cluster.device_names),

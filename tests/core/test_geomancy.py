@@ -48,7 +48,7 @@ class TestPlacement:
 class TestTelemetryPath:
     def test_observe_run_lands_in_db(self, setup):
         _, geo, runner = setup
-        result = runner.run_once()
+        result = runner.run_many(1)[0]
         before = geo.db.access_count()
         geo.observe_records(result.records)
         geo.flush_telemetry(at=runner.clock.now)
@@ -74,7 +74,7 @@ class TestTelemetryPath:
 class TestDecisionLoop:
     def test_no_move_before_cooldown(self, setup):
         _, geo, runner = setup
-        runner.run_once()
+        runner.run_many(1)
         outcome = geo.after_run(1, runner.clock.now)
         assert not outcome.trained and not outcome.movements
 
@@ -86,7 +86,7 @@ class TestDecisionLoop:
     def test_trains_and_may_move_on_cooldown_boundary(self, setup):
         _, geo, runner = setup
         for _ in range(5):
-            runner.run_once()
+            runner.run_many(1)
         outcome = geo.after_run(5, runner.clock.now)
         assert outcome.trained
         assert outcome.training is not None
@@ -96,7 +96,7 @@ class TestDecisionLoop:
     def test_movements_recorded_in_db(self, setup):
         _, geo, runner = setup
         for run in range(1, 11):
-            runner.run_once()
+            runner.run_many(1)
             geo.after_run(run, runner.clock.now)
         assert len(geo.db.movements()) == geo.total_moves
 
@@ -105,7 +105,7 @@ class TestDecisionLoop:
         _, geo, runner = setup
         outcomes = []
         for run in range(1, 4):
-            runner.run_once()
+            runner.run_many(1)
             outcomes.append(geo.after_run(run, runner.clock.now))
         assert [o.run_index for o in outcomes] == [1, 2, 3]
         assert geo.steps == 3 and geo._last_run_index == 3
@@ -123,7 +123,7 @@ class TestEndToEnd:
             cluster, Belle2Workload(files, seed=1), geo.db
         )
         for run in range(1, 16):
-            runner.run_once()
+            runner.run_many(1)
             geo.after_run(run, runner.clock.now)
         final = cluster.layout()
         assert geo.total_moves > 0
@@ -137,7 +137,7 @@ class TestAvailability:
         for name in ("file0", "pic", "tmp"):
             cluster.set_device_available(name, False)
         for run in range(1, 16):
-            runner.run_once()
+            runner.run_many(1)
             geo.after_run(run, runner.clock.now)
         for move in geo.db.movements():
             assert move.dst_device in ("USBtmp", "var", "people")
@@ -147,7 +147,7 @@ class TestAvailability:
         for name in cluster.device_names:
             cluster.set_device_available(name, False)
         for _ in range(5):
-            runner.run_once()
+            runner.run_many(1)
         outcome = geo.after_run(5, runner.clock.now)
         assert outcome.movements == []
 
@@ -169,7 +169,7 @@ class TestQosWiring:
                 cluster, Belle2Workload(files, seed=1), geo.db,
             )
             for i in range(6):
-                geo.observe_records(runner.run_once().records)
+                geo.observe_records(runner.run_many(1)[0].records)
                 geo.flush_telemetry(at=runner.clock.now)
                 geo.after_run(i, float(i))
             return (

@@ -35,9 +35,7 @@ def guarded(**overrides):
     geo = Geomancy(cluster, files, config)
     geo.checker.exploration_rate = 0.0
     geo.place_initial()
-    runner = WorkloadRunner(
-        cluster, Belle2Workload(files, seed=1), tolerate_offline=True
-    )
+    runner = WorkloadRunner(cluster, Belle2Workload(files, seed=1))
     return geo, runner
 
 
@@ -45,7 +43,7 @@ def drive(geo, runner, runs, *, realized=np.mean):
     """The product's loop; ``realized`` maps a run's GB/s to what is told."""
     outcomes = []
     for run in runs:
-        records = runner.run_once().records
+        records = runner.run_many(1)[0].records
         geo.observe_records(records)
         geo.flush_telemetry(at=runner.clock.now)
         kwargs = {}

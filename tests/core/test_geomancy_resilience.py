@@ -6,7 +6,7 @@ from repro.core import geomancy as geomancy_module
 from repro.core.config import GeomancyConfig
 from repro.core.action_checker import ActionChecker
 from repro.core.geomancy import Geomancy
-from repro.errors import AgentError, DeviceOfflineError
+from repro.errors import AgentError
 from repro.faults.health import QUARANTINE_THRESHOLD
 from repro.replaydb.records import AccessRecord
 from repro.simulation.bluesky import make_bluesky_cluster
@@ -36,16 +36,13 @@ def setup():
     geo = Geomancy(cluster, files, quick_config())
     geo.checker.exploration_rate = 0.0
     geo.place_initial()
-    runner = WorkloadRunner(
-        cluster, Belle2Workload(files, seed=1), geo.db,
-        tolerate_offline=True,
-    )
+    runner = WorkloadRunner(cluster, Belle2Workload(files, seed=1), geo.db)
     return cluster, geo, runner
 
 
 def warm_up(geo, runner, min_accesses=60):
     while geo.db.access_count() < min_accesses:
-        runner.run_once()
+        runner.run_many(1)
 
 
 class TestLazyMonitors:
@@ -142,19 +139,10 @@ class TestStrandedRescue:
 
 
 class TestRunnerTolerance:
-    def test_intolerant_runner_raises_on_offline_device(self, setup):
-        cluster, geo, _ = setup
-        strict = WorkloadRunner(
-            cluster, Belle2Workload(geo.files, seed=2), geo.db
-        )
-        cluster.set_device_online("file0", False)
-        with pytest.raises(DeviceOfflineError):
-            strict.run_once()
-
     def test_tolerant_runner_counts_failures_and_continues(self, setup):
         cluster, geo, runner = setup
         cluster.set_device_online("file0", False)
-        result = runner.run_once()
+        result = runner.run_many(1)[0]
         assert runner.failed_accesses > 0
         assert result.access_count > 0
         assert all(r.device != "file0" for r in result.records)

@@ -169,7 +169,7 @@ class TestTraceNesting:
             if parent is None
         ]
         runs = result.runs_completed
-        assert roots.count("workloads.run_once") == runs
+        assert roots.count("workloads.run_many") == runs
         assert roots.count("geomancy.after_run") == runs
 
 

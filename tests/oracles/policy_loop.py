@@ -112,7 +112,7 @@ def run_policy_cell(
     result = PolicyRunResult(policy_name=policy.name)
     for run_number in range(1, scale.runs + 1):
         result.throughput_gbps.extend(
-            r.throughput_gbps for r in runner.run_once().records
+            r.throughput_gbps for r in runner.run_many(1)[0].records
         )
         if policy.dynamic and run_number % scale.update_every == 0:
             moves = consult_policy(
@@ -151,7 +151,7 @@ def run_fig6_cell(
 
     for run_number in range(1, runs_before + 1):
         result.tuned_gbps.extend(
-            r.throughput_gbps for r in runner.run_once().records
+            r.throughput_gbps for r in runner.run_many(1)[0].records
         )
         run_finished(run_number)
     result.disturbance_access = len(result.tuned_gbps)

@@ -106,8 +106,8 @@ def run_stream(runner):
 
     Starts the runner's next run and yields each record as it completes,
     advancing the runner's clock by the record's duration plus think
-    time (offline penalty plus think time for an op a tolerant runner
-    lost), with the runner's counters and ReplayDB kept as
+    time (offline penalty plus think time for an op an offline device
+    rejected), with the runner's counters and ReplayDB kept as
     ``src/`` keeps them.
     """
     index = runner.next_run_index
@@ -118,8 +118,6 @@ def run_stream(runner):
                 runner.cluster, op.fid, runner.clock.now, rb=op.rb, wb=op.wb
             )
         except DeviceOfflineError:
-            if not runner.tolerate_offline:
-                raise
             runner.failed_accesses += 1
             runner.clock.advance(
                 runner_module.OFFLINE_PENALTY_S + runner_module.THINK_TIME_S

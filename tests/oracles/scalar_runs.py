@@ -1,6 +1,6 @@
 """Workload runs served access by access, and the control loops on them.
 
-``WorkloadRunner.run_once``/``run_many`` hand whole runs to
+``WorkloadRunner.run_many`` hands whole runs to
 ``StorageCluster.access_batch``; here every run is the scalar model's
 ``run_stream`` (:mod:`tests.oracles.scalar_device`), one access at a
 time through the readable service model rather than the
@@ -29,16 +29,16 @@ from tests.oracles.scalar_device import run_stream
 class ScalarRunner(WorkloadRunner):
     """A runner whose runs are access-by-access loops."""
 
-    def run_once(self, *, advance_hook=None) -> RunResult:
-        result = RunResult(run_index=self.next_run_index)
-        for record in run_stream(self):
-            result.records.append(record)
-            if advance_hook is not None:
-                advance_hook(self.clock.now)
-        return result
-
-    def run_many(self, count: int) -> list[RunResult]:
-        return [self.run_once() for _ in range(count)]
+    def run_many(self, count: int, *, advance_hook=None) -> list[RunResult]:
+        results = []
+        for _ in range(count):
+            result = RunResult(run_index=self.next_run_index)
+            for record in run_stream(self):
+                result.records.append(record)
+                if advance_hook is not None:
+                    advance_hook(self.clock.now)
+            results.append(result)
+        return results
 
 
 def agent_observe(agent: MonitoringAgent, record: AccessRecord) -> None:

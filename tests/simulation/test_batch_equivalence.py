@@ -142,30 +142,25 @@ def make_twin_clusters(seed: int):
     return build(), build()
 
 
-def scalar_access_loop(
-    cluster, ops, *, t0, think, tolerate, penalty, hook=None
-):
+def scalar_access_loop(cluster, ops, *, t0, think, penalty, hook=None):
     """The documented scalar contract ``access_batch`` must reproduce,
-    one access at a time through the readable scalar model."""
+    one access at a time through the readable scalar model: the records,
+    the positions of the ops offline devices rejected, and the end time."""
     t = t0
     records = []
-    failed = 0
-    error = None
-    for fid, rb, wb in ops:
+    failed = []
+    for position, (fid, rb, wb) in enumerate(ops):
         try:
             record = scalar_access(cluster, fid, t, rb=rb, wb=wb)
-        except DeviceOfflineError as exc:
-            if not tolerate:
-                error = exc
-                break
-            failed += 1
+        except DeviceOfflineError:
+            failed.append(position)
             t += penalty + think
             continue
         records.append(record)
         t += record.duration + think
         if hook is not None:
             hook(t)
-    return records, failed, t, error
+    return records, failed, t
 
 
 def make_fault_hook(cluster, schedule):
@@ -201,12 +196,11 @@ class TestAccessBatchEquivalence:
         result = batched.access_batch(
             fids, 0.0, rb, wb, think_time_s=0.01
         )
-        records, failed, end, error = scalar_access_loop(
-            reference, ops, t0=0.0, think=0.01, tolerate=False, penalty=0.0
+        records, failed, end = scalar_access_loop(
+            reference, ops, t0=0.0, think=0.01, penalty=0.0
         )
-        assert error is None and result.pending_error is None
         assert result.records == records
-        assert result.failed == failed == 0
+        assert result.failed == failed == []
         assert result.end_time == end
         for name in batched.device_names:
             assert device_fingerprint(
@@ -216,16 +210,14 @@ class TestAccessBatchEquivalence:
     @given(
         seed=st.integers(0, 20),
         fids=st.lists(st.integers(0, 5), min_size=4, max_size=40),
-        tolerate=st.booleans(),
         data=st.data(),
     )
     @settings(max_examples=30, deadline=None)
-    def test_mid_batch_faults_match_scalar_loop(
-        self, seed, fids, tolerate, data
-    ):
+    def test_mid_batch_faults_match_scalar_loop(self, seed, fids, data):
         # Random schedule of offline/online flips fired from the advance
-        # hook mid-batch: the batched path must burn/rewind draws exactly
-        # as the scalar loop does around every rejected op.
+        # hook mid-batch: the batched path must burn draws exactly as the
+        # scalar loop does around every rejected op, and name the same
+        # rejected positions.
         n = len(fids)
         flips = data.draw(
             st.lists(
@@ -249,62 +241,85 @@ class TestAccessBatchEquivalence:
             fids,
             0.0,
             think_time_s=0.01,
-            tolerate_offline=tolerate,
             offline_penalty_s=0.05,
             advance_hook=make_fault_hook(batched, schedule),
         )
-        records, failed, end, error = scalar_access_loop(
+        records, failed, end = scalar_access_loop(
             reference,
             ops,
             t0=0.0,
             think=0.01,
-            tolerate=tolerate,
             penalty=0.05,
             hook=make_fault_hook(reference, schedule),
         )
         assert result.records == records
         assert result.failed == failed
+        assert len(records) + len(failed) == n
         assert result.end_time == end
-        assert (result.pending_error is None) == (error is None)
         for name in batched.device_names:
             assert device_fingerprint(
                 batched.device(name)
             ) == device_fingerprint(reference.device(name))
 
 
+def build_runner(runner_type=WorkloadRunner):
+    """A seeded runner with a ReplayDB over :func:`make_cluster`."""
+    cluster = make_cluster(3)
+    files = belle2_file_population(seed=3)[:20]
+    for spec in files:
+        cluster.add_file(
+            spec.fid, spec.path, spec.size_bytes,
+            cluster.device_names[spec.fid % 3],
+        )
+    return runner_type(cluster, Belle2Workload(files, seed=4), ReplayDB())
+
+
+def assert_same_runs(runner, results, other, other_results):
+    """Runs, failures, clock, DB rows and every device's state agree."""
+    assert [r.run_index for r in results] == [
+        r.run_index for r in other_results
+    ]
+    assert [r.records for r in results] == [r.records for r in other_results]
+    assert runner.failed_accesses == other.failed_accesses
+    assert runner.clock.now == other.clock.now
+    assert runner.db.recent_accesses(10**6) == (
+        other.db.recent_accesses(10**6)
+    )
+    for name in runner.cluster.device_names:
+        assert device_fingerprint(
+            runner.cluster.device(name)
+        ) == device_fingerprint(other.cluster.device(name))
+
+
 class TestRunnerFusionEquivalence:
     def test_run_many_matches_run_once_loop(self):
-        def build(runner_type=WorkloadRunner):
-            cluster = make_cluster(3)
-            files = belle2_file_population(seed=3)[:20]
-            for spec in files:
-                cluster.add_file(
-                    spec.fid, spec.path, spec.size_bytes,
-                    cluster.device_names[spec.fid % 3],
-                )
-            return runner_type(
-                cluster, Belle2Workload(files, seed=4), ReplayDB()
-            )
-
-        fused = build()
+        fused = build_runner()
         fused_results = fused.run_many(6)
         # ... one access_batch per run, and one scalar access per op.
-        for other in (build(), build(ScalarRunner)):
-            other_results = [other.run_once() for _ in range(6)]
-            assert [r.run_index for r in fused_results] == [
-                r.run_index for r in other_results
-            ]
-            assert [r.records for r in fused_results] == [
-                r.records for r in other_results
-            ]
-            assert fused.clock.now == other.clock.now
-            assert fused.db.recent_accesses(10**6) == (
-                other.db.recent_accesses(10**6)
-            )
-            for name in fused.cluster.device_names:
-                assert device_fingerprint(
-                    fused.cluster.device(name)
-                ) == device_fingerprint(other.cluster.device(name))
+        for other in (build_runner(), build_runner(ScalarRunner)):
+            other_results = [other.run_many(1)[0] for _ in range(6)]
+            assert_same_runs(fused, fused_results, other, other_results)
+
+    def test_fused_runs_under_faults_match_scalar_runs(self):
+        # One device is offline from the first op and the hook takes a
+        # second one down mid-span and back: the one access_batch of
+        # run_many(k) must split records and failures into runs exactly
+        # as k access-by-access runs do.
+        schedule = {60: [("fast", False)], 140: [("fast", True)]}
+        runs = []
+        for runner_type in (WorkloadRunner, ScalarRunner):
+            runner = build_runner(runner_type)
+            runner.cluster.set_device_online("plain", False)
+            hook = make_fault_hook(runner.cluster, schedule)
+            runs.append((runner, runner.run_many(6, advance_hook=hook)))
+        (fused, fused_results), (scalar, scalar_results) = runs
+        assert_same_runs(fused, fused_results, scalar, scalar_results)
+        served = sum(r.access_count for r in fused_results)
+        assert served > 140 and fused.failed_accesses > 0
+        assert sum(
+            r.access_count < len(fused.workload.run_arrays(r.run_index)[0])
+            for r in fused_results
+        ) > 1
 
 
 class TestChaosEndToEndEquivalence:

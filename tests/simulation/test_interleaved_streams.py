@@ -8,7 +8,7 @@ runs on twin clusters: once through ``run_stream`` and the
 ``tests/oracles/scalar_device.py``.  Records, both clocks, both RNG
 streams of every device, crowding windows, ``DeviceStats``, the runners'
 counters and the ReplayDB rows must come out bit for bit the same, also
-when a device drops out mid-interleave under ``tolerate_offline``.
+when a device drops out mid-interleave.
 """
 
 from hypothesis import example, given, settings
@@ -34,16 +34,14 @@ def build(seed: int, offset: float):
     names = cluster.device_names
     files = belle2_file_population(seed=seed)
     tuned = WorkloadRunner(
-        cluster, Belle2Workload(files, seed=seed + 1), ReplayDB(),
-        tolerate_offline=True,
+        cluster, Belle2Workload(files, seed=seed + 1), ReplayDB()
     )
     tuned.ensure_files_placed(
         {f.fid: names[f.fid % len(names)] for f in files}
     )
     dup_files, dup_workload = make_competing_workload(seed=seed + 99)
     competing = WorkloadRunner(
-        cluster, dup_workload, clock=SimulationClock(offset),
-        tolerate_offline=True,
+        cluster, dup_workload, clock=SimulationClock(offset)
     )
     competing.ensure_files_placed(
         {f.fid: names[(f.fid + 1) % len(names)] for f in dup_files}

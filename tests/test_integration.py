@@ -32,7 +32,7 @@ def tuned_session():
     runner = WorkloadRunner(cluster, Belle2Workload(files, seed=1), geo.db)
     outcomes = []
     for run in range(1, 21):
-        runner.run_once()
+        runner.run_many(1)
         outcomes.append(geo.after_run(run, runner.clock.now))
     return cluster, geo, runner, outcomes
 

@@ -50,7 +50,7 @@ class TestPlacement:
 class TestRunExecution:
     def test_run_once_produces_records(self, setup):
         _, runner = setup
-        result = runner.run_once()
+        result = runner.run_many(1)[0]
         assert result.run_index == 0
         assert 4 * 10 <= result.access_count <= 4 * 20
         assert runner.db.access_count() == result.access_count
@@ -58,25 +58,25 @@ class TestRunExecution:
     def test_clock_advances(self, setup):
         _, runner = setup
         before = runner.clock.now
-        runner.run_once()
+        runner.run_many(1)
         assert runner.clock.now > before
 
     def test_run_indices_increment(self, setup):
         _, runner = setup
-        first = runner.run_once()
-        second = runner.run_once()
+        first = runner.run_many(1)[0]
+        second = runner.run_many(1)[0]
         assert (first.run_index, second.run_index) == (0, 1)
 
     def test_records_follow_layout(self, setup):
         cluster, runner = setup
-        result = runner.run_once()
+        result = runner.run_many(1)[0]
         layout = cluster.layout()
         for record in result.records:
             assert record.device == layout[record.fid]
 
     def test_mean_throughput_positive(self, setup):
         _, runner = setup
-        result = runner.run_once()
+        result = runner.run_many(1)[0]
         assert result.mean_throughput_gbps > 0.0
 
     def test_run_many(self, setup):
@@ -89,6 +89,19 @@ class TestRunExecution:
         _, runner = setup
         with pytest.raises(ConfigurationError):
             runner.run_many(-1)
+
+    def test_run_many_zero_runs_nothing(self, setup):
+        cluster, runner = setup
+        states = [
+            cluster.device(name)._rng.bit_generator.state
+            for name in cluster.device_names
+        ]
+        assert runner.run_many(0) == []
+        assert (runner.next_run_index, runner.clock.now) == (0, 0.0)
+        assert states == [
+            cluster.device(name)._rng.bit_generator.state
+            for name in cluster.device_names
+        ]
 
     def test_warm_up_reaches_target(self, setup):
         _, runner = setup
@@ -109,7 +122,6 @@ class TestRunExecution:
 
     def test_warm_up_raises_when_no_access_can_land(self, setup):
         cluster, runner = setup
-        runner.tolerate_offline = True
         for name in cluster.device_names:
             cluster.set_device_online(name, False)
         started = time.perf_counter()
@@ -131,7 +143,7 @@ def _drive(db):
     runner = WorkloadRunner(cluster, Belle2Workload(files, seed=1), db)
     names = cluster.device_names
     runner.ensure_files_placed({f.fid: names[f.fid % len(names)] for f in files})
-    records = list(runner.run_once().records)
+    records = list(runner.run_many(1)[0].records)
     for result in runner.run_many(3):
         records.extend(result.records)
     records.extend(runner.run_stream())
@@ -194,7 +206,7 @@ class TestOneObjectPerAccess:
             return built[-1]
 
         monkeypatch.setattr(AccessRecord, "_trusted", classmethod(spy))
-        results = [*runner.run_many(5), runner.run_once()]
+        results = [*runner.run_many(5), runner.run_many(1)[0]]
         returned = [r for result in results for r in result.records]
         assert len(returned) == len(built) == runner.total_accesses
         assert all(ours is scanned for ours, scanned in zip(returned, built))
@@ -213,9 +225,9 @@ class TestSharedCluster:
         # Both workloads pile onto file0 so they contend there.
         runner_a.ensure_files_placed({f.fid: "file0" for f in files_a})
         runner_b.ensure_files_placed({f.fid: "file0" for f in files_b})
-        runner_a.run_once()
+        runner_a.run_many(1)
         t_after_a = clock.now
-        runner_b.run_once()
+        runner_b.run_many(1)
         assert clock.now > t_after_a
         # Distinct fid ranges kept both namespaces separate.
         assert len(cluster.files) == 48
@@ -248,4 +260,4 @@ class TestRunStream:
         next(stream)
         assert runner.next_run_index == 1
         # The next stream is a fresh run.
-        assert runner.run_once().run_index == 1
+        assert runner.run_many(1)[0].run_index == 1
