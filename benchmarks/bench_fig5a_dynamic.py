@@ -4,7 +4,7 @@ Shape target (paper Fig. 5a / section VII): Geomancy dynamic delivers the
 highest mean throughput of the dynamic policies, beating the best baseline
 by a clear margin (the paper reports +11.7% over LFU, its closest
 competitor).  The same comparison across four environment seeds gives the
-per-seed gains -- the error bars behind EXPERIMENTS.md's honesty note.
+per-seed gains -- the spread EXPERIMENTS.md quotes under Fig. 5a.
 """
 
 import dataclasses

@@ -14,12 +14,13 @@ seed.  The report is Markdown: one row per pair, then per end-to-end
 metric both medians, both quartile ranges, wins/ties/losses and the
 ``choosing-metrics`` verdict -- a *gain* needs ten pairs or more, the
 change to win at least nine tenths of them (ties count for neither side)
-and the medians to lie further apart than the parent's own interquartile
-range; otherwise a
-metric is *outside bound* when its median is worse by more than its
-``BENCHMARK.json`` bound, *unresolved* when the parent's spread is wider
-than that bound (unless every run of the change beats every run of the
-parent), and *within bound* when neither.
+and, on every seed, that seed's two medians to lie further apart than
+the parent's own interquartile range on that seed (seeds differ in
+level, so pooling them would count the gap between seeds as noise);
+otherwise a metric is *outside bound* when its pooled median is worse by
+more than its ``BENCHMARK.json`` bound, *unresolved* when the parent's
+pooled spread is wider than that bound (unless every run of the change
+beats every run of the parent), and *within bound* when neither.
 
 Nothing is written anywhere: contract-mode measurements append no
 history.  Both directories must be checkouts with a ``BENCHMARK.json``.
@@ -94,18 +95,34 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def verdict(metric: dict, parent: list[float], change: list[float]) -> dict:
-    """Medians, quartiles, wins and the ``choosing-metrics`` verdict."""
+def lead(parent: list[float], change: list[float],
+         lower: bool) -> tuple[float, float]:
+    """How far the change's median beats the parent's (> 0: better) and
+    the parent's interquartile range."""
+    p_q1, p_med, p_q3 = quartiles(parent)
+    c_med = quartiles(change)[1]
+    return (p_med - c_med) if lower else (c_med - p_med), p_q3 - p_q1
+
+
+def verdict(metric: dict, parent: list[float], change: list[float],
+            seeds: list[int]) -> dict:
+    """Medians, quartiles, wins and the ``choosing-metrics`` verdict;
+    ``seeds[i]`` is the seed pair ``i`` ran."""
     lower = metric["better"] == "lower"
     wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
     ties = sum(c == p for p, c in zip(parent, change))
     losses = len(parent) - wins - ties
     p_q1, p_med, p_q3 = quartiles(parent)
     c_q1, c_med, c_q3 = quartiles(change)
-    gap = (p_med - c_med) if lower else (c_med - p_med)  # > 0: change better
-    iqr = p_q3 - p_q1
+    gap, iqr = lead(parent, change, lower)
+    per_seed = [
+        lead([p for p, s in zip(parent, seeds) if s == seed],
+             [c for c, s in zip(change, seeds) if s == seed], lower)
+        for seed in set(seeds)
+    ]
     bound = metric["bound"] * abs(p_med)
-    if len(parent) >= 10 and wins >= 0.9 * len(parent) and gap > iqr:
+    if (len(parent) >= 10 and wins >= 0.9 * len(parent)
+            and all(seed_gap > seed_iqr for seed_gap, seed_iqr in per_seed)):
         word = "gain"
     elif -gap > bound:
         word = "outside bound"
@@ -139,15 +156,14 @@ def main() -> int:
         contract = json.load(handle)
     seconds = args.seconds or contract["run_seconds"]
 
+    schedule = pair_schedule(args.pairs, args.seeds)
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     differing = []
     head = " | ".join(f"{side} {c}" for c in PAIR_COLUMNS for side in sides)
     print(f"### {args.workload}: {args.pairs} alternating pairs, "
           f"{seconds:g} s\n\n| pair | seed | first | {head} |")
     print("|" + "---|" * (3 + 2 * len(PAIR_COLUMNS)))
-    for index, (seed, parent_first) in enumerate(
-        pair_schedule(args.pairs, args.seeds)
-    ):
+    for index, (seed, parent_first) in enumerate(schedule):
         order = list(sides) if parent_first else list(sides)[::-1]
         for side in order:
             runs[side].append(
@@ -172,6 +188,7 @@ def main() -> int:
         result = verdict(
             metric, [run[name] for run in runs["parent"]],
             [run[name] for run in runs["change"]],
+            [seed for seed, _ in schedule],
         )
         shown = " | ".join(
             "{:.4g} [{:.4g} .. {:.4g}]".format(*result[side]) for side in sides

@@ -53,9 +53,11 @@ MAX_CONFIG_FIELDS = 16
 MAX_CLI_SUBCOMMANDS = 17
 #: ``find src -name '*.py' | xargs cat | wc -l``
 MAX_SRC_LINES = 14_635
-#: ``wc -c`` of the two documents a newcomer reads first
-MAX_DESIGN_BYTES = 72_540
-MAX_README_BYTES = 17_794
+#: ``wc -c`` of the two documents a newcomer reads first, and of the
+#: paper-vs-measured record
+MAX_DESIGN_BYTES = 71_468
+MAX_README_BYTES = 17_787
+MAX_EXPERIMENTS_BYTES = 25_000
 
 #: Public names under ``src/repro`` that only tests refer to, each with the
 #: reason it stays.  A test that tests only the name is not a reason: the
@@ -166,6 +168,7 @@ def test_src_line_ceiling():
 def test_document_byte_ceilings():
     assert (REPO / "DESIGN.md").stat().st_size <= MAX_DESIGN_BYTES
     assert (REPO / "README.md").stat().st_size <= MAX_README_BYTES
+    assert (REPO / "EXPERIMENTS.md").stat().st_size <= MAX_EXPERIMENTS_BYTES
 
 
 def _trees(*tops: Path):
