@@ -13,6 +13,8 @@ is attached.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from repro.agents.messages import LayoutCommand, TelemetryBatch
 from repro.agents.transport import Transport
 from repro.errors import ReplayDBError
@@ -108,7 +110,9 @@ class InterfaceDaemon:
         batches = [m for m in messages if isinstance(m, TelemetryBatch)]
         first_row = self.db.max_rowid() if self.ledger is not None else 0
         try:
-            self.db.insert_accesses(r for b in batches for r in b.records)
+            self.db.insert_accesses(
+                chain.from_iterable(b.records for b in batches)
+            )
             landed = True
         except ReplayDBError:
             landed = False

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import AgentError
-from repro.replaydb.records import AccessRecord
+from repro.replaydb.records import AccessRecord, record_device
 
 
 @dataclass(frozen=True)
@@ -23,11 +23,12 @@ class TelemetryBatch:
     def __post_init__(self) -> None:
         if not self.records:
             raise AgentError("telemetry batch must not be empty")
-        wrong = [r.device for r in self.records if r.device != self.device]
+        wrong = set(map(record_device, self.records))
+        wrong.discard(self.device)
         if wrong:
             raise AgentError(
                 f"batch for device {self.device!r} contains records from "
-                f"{sorted(set(wrong))}"
+                f"{sorted(wrong)}"
             )
         if self.sent_at < 0:
             raise AgentError(f"sent_at must be non-negative, got {self.sent_at}")

@@ -7,10 +7,12 @@ of bytes read and written on the file."
 
 from __future__ import annotations
 
+from operator import countOf
+
 from repro.agents.messages import TelemetryBatch
 from repro.agents.transport import Transport
 from repro.errors import AgentError
-from repro.replaydb.records import AccessRecord
+from repro.replaydb.records import AccessRecord, record_device
 
 #: accesses per telemetry batch ("Geomancy captures groups of accesses as
 #: one access"); an agent reads it at construction
@@ -36,25 +38,23 @@ class MonitoringAgent:
         of the record that filled it ("Geomancy captures groups of
         accesses as one access to lower the overhead") -- the batch
         boundaries of feeding the records one call at a time
-        (``tests/oracles/scalar_runs.py``).
+        (``tests/oracles/scalar_runs.py``).  A record from another
+        device is rejected before any is buffered.
         """
         n = len(records)
-        i = 0
-        buffer = self._buffer
-        batch_size = self.batch_size
-        while i < n:
-            take = min(batch_size - len(buffer), n - i)
-            chunk = records[i : i + take]
-            for record in chunk:
-                if record.device != self.device:
-                    raise AgentError(
-                        f"agent for {self.device!r} observed access on "
-                        f"{record.device!r}"
-                    )
-            buffer.extend(chunk)
-            i += take
-            if len(buffer) >= batch_size:
-                self.flush(at=buffer[-1].close_time)
+        device = self.device
+        if countOf(map(record_device, records), device) != n:
+            wrong = next(r.device for r in records if r.device != device)
+            raise AgentError(
+                f"agent for {device!r} observed access on {wrong!r}"
+            )
+        buffer, start = self._buffer, 0
+        # A batch fills at each stop: the buffer's room, then every batch.
+        for stop in range(self.batch_size - len(buffer), n + 1, self.batch_size):
+            buffer.extend(records[start:stop])
+            self.flush(at=buffer[-1].close_time)
+            start = stop
+        buffer.extend(records[start:])
         self.observed += n
 
     def flush(self, at: float) -> bool:

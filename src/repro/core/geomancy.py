@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from repro.agents.control import ControlAgent
 from repro.agents.daemon import InterfaceDaemon
@@ -35,6 +36,7 @@ from repro.recovery.events import EventLog
 from repro.recovery.guardrail import Guardrail
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.records import BYTES_PER_GB, AccessRecord, MovementRecord
+from repro.replaydb.records import record_device
 from repro.simulation.cluster import StorageCluster
 from repro.workloads.files import FileSpec
 
@@ -192,15 +194,8 @@ class Geomancy:
         the agent as one chunk, with the flush boundaries and send order
         of one call per record (``tests/oracles/scalar_runs.py``).
         """
-        n = len(records)
-        i = 0
-        while i < n:
-            device = records[i].device
-            j = i + 1
-            while j < n and records[j].device == device:
-                j += 1
-            self._monitor_for(device).observe_many(records[i:j])
-            i = j
+        for device, run in groupby(records, record_device):
+            self._monitor_for(device).observe_many(list(run))
 
     def flush_telemetry(self, at: float) -> int:
         """Flush every agent's buffer and pump the daemon.

@@ -72,9 +72,14 @@ def is_diverged(y_pred: np.ndarray, y_true: np.ndarray) -> bool:
     """
     y_pred = np.asarray(y_pred, dtype=np.float64)
     y_true = np.asarray(y_true, dtype=np.float64)
+    return predictions_collapsed(y_pred, float(np.var(y_true)))
+
+
+def predictions_collapsed(y_pred: np.ndarray, target_var: float) -> bool:
+    """:func:`is_diverged` given the targets' variance, for a caller that
+    scores many predictions against one target set (``Sequential.fit``)."""
     if not np.all(np.isfinite(y_pred)):
         return True
-    target_var = float(np.var(y_true))
     if target_var <= _EPS:
         # Constant targets: any finite prediction is as good as any other.
         return False

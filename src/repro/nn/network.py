@@ -18,7 +18,7 @@ import numpy as np
 from repro.errors import ConfigurationError, ModelError, ShapeError
 from repro.nn.layers import Layer
 from repro.nn.losses import MeanSquaredError
-from repro.nn.metrics import is_diverged
+from repro.nn.metrics import predictions_collapsed
 
 #: chronological train/validation/test shares (the paper's 60/20/20)
 SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
@@ -302,6 +302,10 @@ class Sequential:
             )
             for start in starts
         ]
+        if validation is not None:
+            # A step bound for its height scores it: forwards and loss.
+            val_forwards, val_loss, _ = self._bind(len(x_val))
+            val_var = float(np.var(y_val))
         # A diverging fit overflows to inf and then multiplies inf by a
         # zero ReLU mask; divergence is an outcome fit reports (Table II),
         # not a numerical accident to warn about.
@@ -325,12 +329,14 @@ class Sequential:
                     break
                 if validation is None:
                     continue
-                pred = self._forward(x_val)
-                if is_diverged(pred, y_val):
+                pred = x_val
+                for forward in val_forwards:
+                    pred = forward(pred)
+                if predictions_collapsed(pred, val_var):
                     continue
-                val_loss, _ = MeanSquaredError().value_and_gradient(pred, y_val)
-                if val_loss < best_loss:
-                    best_loss, best_theta, waited = val_loss, self._theta.copy(), 0
+                value, _ = val_loss(pred, y_val, None)
+                if value < best_loss:
+                    best_loss, best_theta, waited = value, self._theta.copy(), 0
                 else:
                     waited += 1
                     if waited == PATIENCE:

@@ -253,7 +253,7 @@ class ReplayDB:
     def _encode(table: dict[str, int], names: tuple[str, ...]) -> list[int]:
         """The codes of ``names``, new names appended to ``table``."""
         try:
-            return [table[name] for name in names]
+            return list(map(table.__getitem__, names))
         except KeyError:
             return [table.setdefault(name, len(table)) for name in names]
 

@@ -4,9 +4,30 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.errors import ReplayDBError
 from repro.features.throughput import BYTES_PER_GB
+
+
+class _EmptyExtra(dict):
+    """:data:`EMPTY_EXTRA`'s type: an empty dict whose mutators raise, which
+    pickles and copies as that instance (``MappingProxyType`` cannot)."""
+
+    __slots__ = ()
+
+    def _immutable(self, *args, **kwargs):
+        raise TypeError("a record's empty extra is shared and immutable")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = _immutable
+    setdefault = update = _immutable
+
+    def __reduce__(self):
+        return "EMPTY_EXTRA"
+
+
+#: every record's ``extra`` when it has no further telemetry: one object
+EMPTY_EXTRA = _EmptyExtra()
 
 
 class AccessRecord(namedtuple(
@@ -21,7 +42,8 @@ class AccessRecord(namedtuple(
     ``cts``/``ctms`` the close timestamp's, ``fid`` the file id and
     ``fsid`` the storage-device id.  ``device`` and ``path`` carry the
     human-readable location for monitoring output, ``extra`` any further
-    telemetry (rt, wt, nrc, ... for EOS-style records).
+    telemetry (rt, wt, nrc, ... for EOS-style records), or
+    :data:`EMPTY_EXTRA` when there is none.
 
     A record is an immutable tuple.  Field order is constructor order --
     ``fid, fsid, device, path, rb, wb, ots, otms, cts, ctms, extra`` --
@@ -56,7 +78,7 @@ class AccessRecord(namedtuple(
         throughput = (float(rb) + float(wb)) / (close_time - open_time)
         return tuple.__new__(cls, (
             fid, fsid, device, path, rb, wb, ots, otms, cts, ctms,
-            {} if extra is None else extra,
+            extra if extra else EMPTY_EXTRA,
             throughput, throughput / BYTES_PER_GB,
         ))
 
@@ -107,6 +129,9 @@ class AccessRecord(namedtuple(
 ACCESS_FIELDS = (
     "fid", "fsid", "device", "path", "rb", "wb", "ots", "otms", "cts", "ctms",
 )
+
+#: ``record.device`` as a C-level key (``groupby``, ``map``)
+record_device = itemgetter(ACCESS_FIELDS.index("device"))
 
 
 def record_to_dict(record: AccessRecord) -> dict:

@@ -17,7 +17,7 @@ from repro.errors import (
     UnknownFileError,
 )
 from repro.features.throughput import BYTES_PER_GB
-from repro.replaydb.records import AccessRecord, MovementRecord
+from repro.replaydb.records import EMPTY_EXTRA, AccessRecord, MovementRecord
 from repro.simulation.clock import timestamp_parts
 from repro.simulation.device import StorageDevice
 from repro.simulation.network import TransferLink
@@ -52,45 +52,6 @@ class BatchAccessResult:
     records: list[AccessRecord] = field(default_factory=list)
     failed: list[int] = field(default_factory=list)
     end_time: float = 0.0
-
-
-class _ScanDevice:
-    """Per-device scratch state for one :meth:`access_batch` scan: the
-    device, the batch positions of its ops, and its served ops' byte
-    totals and durations, whose accounting the scan defers to
-    :meth:`flush_stats`."""
-
-    __slots__ = ("device", "name", "fsid", "positions", "durs", "tots")
-
-    def __init__(self, device: StorageDevice) -> None:
-        self.device = device
-        self.name = device.name
-        self.fsid = device.fsid
-        self.positions: list[int] = []
-        self.durs: list[float] = []
-        self.tots: list[int] = []
-
-    def flush_stats(self) -> None:
-        """Apply the deferred per-device accounting.
-
-        Bit-for-bit the one-op bookkeeping: ``busy_time`` and the
-        throughput aggregates accumulate per op in serve order; only the
-        loop moved out of the per-op hot path.
-        """
-        durs = self.durs
-        if not durs:
-            return
-        stats = self.device.stats
-        tots = self.tots
-        stats.accesses += len(durs)
-        stats.bytes_served += sum(tots)
-        busy = stats.busy_time
-        for duration in durs:
-            busy += duration
-        stats.busy_time = busy
-        stats.extend_samples(
-            [total / duration for total, duration in zip(tots, durs)]
-        )
 
 
 class StorageCluster:
@@ -327,7 +288,7 @@ class StorageCluster:
         tp = total / ((cts + ctms / 1000.0) - (ots + otms / 1000.0))
         return AccessRecord._trusted((
             fid, device.spec.fsid, info.device, info.path, rb, wb,
-            ots, otms, cts, ctms, {}, tp, tp / BYTES_PER_GB,
+            ots, otms, cts, ctms, EMPTY_EXTRA, tp, tp / BYTES_PER_GB,
         ))
 
     def access_batch(
@@ -350,9 +311,10 @@ class StorageCluster:
         and charged ``offline_penalty_s + think_time_s`` (the
         :class:`WorkloadRunner` contract).
 
-        All randomness is pre-drawn per device with vectorized generator
-        calls; the sequential scan then resolves each op against the
-        crowding created by its predecessors.  ``advance_hook`` is called
+        Ops are resolved, checked and grouped by device as arrays, and
+        each device pre-draws their randomness in one vectorized call per
+        stream; the sequential scan then serves each op against the
+        crowding its predecessors created.  ``advance_hook`` is called
         with the simulated time after every *successful* access -- the
         seam fault injectors use to flip devices offline mid-batch (draws
         for rejected ops stay burned, so the pre-draw stays aligned).
@@ -360,85 +322,69 @@ class StorageCluster:
         The layout must not change during the batch (no concurrent
         migrations).
         """
-        fid_list = (
-            fids.tolist() if isinstance(fids, np.ndarray) else [int(f) for f in fids]
-        )
-        n = len(fid_list)
-        if rb is None:
-            rb_list = [0] * n
-        else:
-            rb_list = (
-                rb.tolist() if isinstance(rb, np.ndarray) else [int(v) for v in rb]
-            )
-        if wb is None:
-            wb_list = [0] * n
-        else:
-            wb_list = (
-                wb.tolist() if isinstance(wb, np.ndarray) else [int(v) for v in wb]
-            )
-        if len(rb_list) != n or len(wb_list) != n:
+        fids = np.asarray(fids, dtype=np.int64)
+        n = len(fids)
+        rb = np.zeros(n, np.int64) if rb is None else np.asarray(rb, np.int64)
+        wb = np.zeros(n, np.int64) if wb is None else np.asarray(wb, np.int64)
+        if rb.shape != fids.shape or wb.shape != fids.shape:
             raise SimulationError("fids/rb/wb must be equal-length arrays")
+        result = BatchAccessResult(end_time=float(t0))
+        if not n:
+            return result
 
-        # Resolve files, default byte counts, pre-validate every op, and
-        # group ops by device -- all in one pass, before any randomness is
-        # consumed.  The fid cache is sound because the layout is frozen
-        # for the duration of the batch.
-        scan_devices: dict[str, _ScanDevice] = {}
-        fid_cache: dict[int, tuple[FileInfo, _ScanDevice]] = {}
-        op_state: list[_ScanDevice] = []
-        paths: list[str] = []
-        for i in range(n):
-            fid = fid_list[i]
-            entry = fid_cache.get(fid)
-            if entry is None:
-                info = self.file(fid)
-                state = scan_devices.get(info.device)
-                if state is None:
-                    state = _ScanDevice(self._devices[info.device])
-                    scan_devices[info.device] = state
-                entry = (info, state)
-                fid_cache[fid] = entry
-            info, state = entry
-            rbi = rb_list[i]
-            wbi = wb_list[i]
-            if rbi < 0 or wbi < 0:
-                raise SimulationError(
-                    f"byte counts must be non-negative (rb={rbi}, wb={wbi})"
-                )
-            if rbi == 0 and wbi == 0:
-                rb_list[i] = info.size_bytes
-            op_state.append(state)
-            paths.append(info.path)
-            state.positions.append(i)
-        # Each device's draws, scattered back into op order.
-        op_hit = np.zeros(n, dtype=bool)
-        op_noise = np.ones(n, dtype=np.float64)
-        for state in scan_devices.values():
-            hit, noise = state.device.prepare_batch(len(state.positions))
-            op_hit[state.positions] = hit
-            op_noise[state.positions] = noise
+        # Check every op before any draw: the first bad op in op order
+        # raises what access() would.  The layout is frozen for the batch,
+        # so each file resolves once, in first-use order.
+        fid_list = fids.tolist()
+        file_index = {fid: i for i, fid in enumerate(dict.fromkeys(fid_list))}
+        unknown = file_index.keys() - self._files.keys()
+        negative = np.flatnonzero((rb < 0) | (wb < 0))
+        if unknown or len(negative):
+            first = min(map(fid_list.index, unknown), default=n)
+            if len(negative) and negative[0] < first:
+                first = int(negative[0])
+            # access() raises this op's error before it draws
+            self.access(fid_list[first], t0, rb=int(rb[first]), wb=int(wb[first]))
+        infos = list(map(self._files.__getitem__, file_index))
+        slot_of = {name: i for i, name in enumerate(
+            dict.fromkeys(info.device for info in infos))}
+        devices = list(map(self._devices.__getitem__, slot_of))
+        op_file = np.fromiter(map(file_index.__getitem__, fid_list), np.intp, n)
+        op_slot = np.array([slot_of[info.device] for info in infos])[op_file]
+        sizes = np.array([info.size_bytes for info in infos], np.int64)
+        rb = np.where((rb == 0) & (wb == 0), sizes[op_file], rb)
+        totals = rb + wb
+        # The one grouping pass: op positions by device, op order kept
+        # within each.  Each device draws its ops' randomness in one go;
+        # the draws land in op order.
+        by_device = np.argsort(op_slot, kind="stable")
+        ends = np.cumsum(np.bincount(op_slot)).tolist()
+        spans = list(zip(devices, [0, *ends], ends))
+        draws = [device.prepare_batch(hi - lo) for device, lo, hi in spans]
+        op_hit, op_noise = np.empty(n, dtype=bool), np.empty(n)
+        op_hit[by_device], op_noise[by_device] = map(np.concatenate, zip(*draws))
+        paths = [info.path for info in infos]
 
-        result = BatchAccessResult()
         t = float(t0)
-        records = result.records
-        failed = result.failed
+        records, failed, durations = result.records, result.failed, []
         append_record = records.append
+        append_duration = durations.append
         trusted = AccessRecord._trusted
-        for fid, state, path, rbi, wbi, hit, noise in zip(
-            fid_list, op_state, paths, rb_list, wb_list,
+        for fid, dev, path, rbi, wbi, total, hit, noise in zip(
+            fid_list, map(devices.__getitem__, op_slot.tolist()),
+            map(paths.__getitem__, op_file.tolist()),
+            rb.tolist(), wb.tolist(), totals.tolist(),
             op_hit.tolist(), op_noise.tolist(),
         ):
-            dev = state.device
             if not dev.online:
                 # This op's draws stay burned, as on the one-op path.
-                failed.append(len(records) + len(failed))
+                failed.append(len(durations))
+                append_duration(np.nan)
                 t += offline_penalty_s + think_time_s
                 continue
             duration = dev.serve(t, rbi, wbi, hit, noise)
+            append_duration(duration)
             close = t + duration
-            total = rbi + wbi
-            state.durs.append(duration)
-            state.tots.append(total)
             # Inlined timestamp_parts (t is monotone non-negative here).
             ots = int(t)
             otms = int((t - ots) * 1000.0)
@@ -453,17 +399,28 @@ class StorageCluster:
             # computes -- so the tuple built here is the finished record.
             trunc = (cts + ctms / 1000.0) - (ots + otms / 1000.0)
             tp = total / trunc
-            append_record(trusted(
-                (fid, state.fsid, state.name, path, rbi, wbi,
-                 ots, otms, cts, ctms, {}, tp, tp / BYTES_PER_GB)
-            ))
+            append_record(trusted((
+                fid, dev.spec.fsid, dev.spec.name, path, rbi, wbi,
+                ots, otms, cts, ctms, EMPTY_EXTRA, tp, tp / BYTES_PER_GB,
+            )))
             # The clock advances by the record's ms-truncated duration,
             # exactly as the one-op runner does.
             t += trunc + think_time_s
             if advance_hook is not None:
                 advance_hook(t)
-        for state in scan_devices.values():
-            state.flush_stats()
+        # Each device's accounting, in serve order through the same
+        # grouping, less the rejected ops (their duration is NaN).
+        durations = np.array(durations)
+        if failed:
+            served = ~np.isnan(durations)
+            by_device = by_device[served[by_device]]
+            ends = np.cumsum(np.bincount(op_slot[served])).tolist()
+            spans = list(zip(devices, [0, *ends], ends))
+        durations, totals = durations[by_device], totals[by_device]
+        samples = (totals / durations).tolist()
+        durations, totals = durations.tolist(), totals.tolist()
+        for device, lo, hi in spans:
+            device.stats.fold(totals[lo:hi], durations[lo:hi], samples[lo:hi])
         self.accesses_served += len(records)
         result.end_time = t
         return result

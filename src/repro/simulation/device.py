@@ -159,6 +159,18 @@ class DeviceStats:
             m2 += delta * (value - mean)
         self.n, self.mean, self.m2 = n, mean, m2
 
+    def fold(self, totals: list, durations: list, samples: list) -> None:
+        """Account served accesses in serve order -- byte totals, durations
+        and throughput samples ``total / duration``, which the caller
+        divides as arrays -- bit for bit one access at a time."""
+        self.accesses += len(durations)
+        self.bytes_served += sum(totals)
+        busy = self.busy_time
+        for duration in durations:
+            busy += duration
+        self.busy_time = busy
+        self.extend_samples(samples)
+
     def mean_throughput_gbps(self) -> float:
         if not self.n:
             raise SimulationError("no accesses recorded on this device")
@@ -243,11 +255,6 @@ class StorageDevice:
         """Live (completion_time, bytes) entries, oldest first."""
         head = self._recent_head
         return list(zip(self._recent_t[head:], self._recent_b[head:]))
-
-    def _window_append(self, completion: float, nbytes: int) -> None:
-        self._recent_t.append(completion)
-        self._recent_b.append(nbytes)
-        self._recent_sum += nbytes
 
     def _prune_recent(self, t: float) -> None:
         horizon = t - self.spec.utilization_window_s
@@ -387,7 +394,9 @@ class StorageDevice:
         """
         if nbytes < 0 or duration < 0:
             raise SimulationError("transfer bytes/duration must be non-negative")
-        self._window_append(t + duration, nbytes)
+        self._recent_t.append(t + duration)
+        self._recent_b.append(nbytes)
+        self._recent_sum += nbytes
         self.stats.busy_time += duration
 
     def reset_stats(self) -> None:

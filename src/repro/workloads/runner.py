@@ -158,14 +158,11 @@ class WorkloadRunner:
         # up to there.
         ends = np.cumsum(counts)
         ends -= np.searchsorted(batch.failed, ends)
-        results = []
-        pos = 0
-        for offset, end in enumerate(ends.tolist()):
-            results.append(
-                RunResult(run_index=start + offset, records=records[pos:end])
-            )
-            pos = end
-        return results
+        bounds = [0, *ends.tolist()]
+        return [
+            RunResult(run_index=start + offset, records=records[lo:hi])
+            for offset, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        ]
 
     def warm_up(self, min_accesses: int) -> int:
         """Run the workload until the ReplayDB holds ``min_accesses`` rows.

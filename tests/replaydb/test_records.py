@@ -1,6 +1,7 @@
 """Tests for AccessRecord and MovementRecord validation and properties."""
 
 import copy
+import json
 import pickle
 
 import numpy as np
@@ -11,7 +12,17 @@ from hypothesis import strategies as st
 from repro.errors import ReplayDBError
 from repro.features.throughput import BYTES_PER_GB, access_throughput
 from repro.replaydb.db import ReplayDB
-from repro.replaydb.records import AccessRecord, MovementRecord
+from repro.replaydb.records import (
+    EMPTY_EXTRA,
+    AccessRecord,
+    MovementRecord,
+    record_to_dict,
+)
+from repro.replaydb.traceio import save_trace_csv
+from repro.simulation.bluesky import make_bluesky_cluster
+from repro.workloads.belle2 import Belle2Workload
+from repro.workloads.files import belle2_file_population
+from repro.workloads.runner import WorkloadRunner
 
 #: the record strategy: byte counts and a millisecond-resolution open
 #: time and duration, over the ranges the simulator and EOS traces reach
@@ -154,11 +165,12 @@ class TestAccessRecord:
         self, rb, wb, open_ms, dur_ms, extra
     ):
         """One type whichever way a record is made: validated, built as
-        a finished tuple, or read back from the ReplayDB."""
+        a finished tuple (with the shared empty ``extra``, as the access
+        paths build it), or read back from the ReplayDB."""
         fields = dict(
             fid=3, fsid=1, device="file0", path="data/a.root",
             **timed_fields(rb, wb, open_ms, dur_ms),
-            extra={"rt": rb / 7.0} if extra else {},
+            extra={"rt": rb / 7.0} if extra else EMPTY_EXTRA,
         )
         built = AccessRecord(**fields)
         throughput = float(access_throughput(
@@ -176,6 +188,93 @@ class TestAccessRecord:
             db.insert_accesses([built, trusted])
             db.insert_accesses([built])
             assert db.recent_accesses(3) == [built, trusted, built]
+
+
+def served_records(runs=3):
+    """A run's records, as both access paths build them."""
+    cluster = make_bluesky_cluster(seed=0)
+    files = belle2_file_population(seed=0)
+    runner = WorkloadRunner(cluster, Belle2Workload(files, seed=1))
+    names = cluster.device_names
+    runner.ensure_files_placed(
+        {f.fid: names[f.fid % len(names)] for f in files}
+    )
+    records = [r for run in runner.run_many(runs) for r in run.records]
+    records.append(cluster.access(files[0].fid, runner.clock.now))
+    return records
+
+
+class TestEmptyExtra:
+    """Every record without extra telemetry shares one frozen empty dict,
+    and nothing a record is written to can tell it from a fresh ``{}``."""
+
+    def test_every_route_shares_it(self):
+        records = served_records()
+        assert all(r.extra is EMPTY_EXTRA for r in records)
+        assert make_access().extra is EMPTY_EXTRA
+        assert make_access(extra={}).extra is EMPTY_EXTRA
+        assert make_access(extra={"rt": 1.0}).extra == {"rt": 1.0}
+        with ReplayDB() as db:
+            db.insert_accesses(records)
+            back = db.recent_accesses(len(records))
+        assert back == records
+        assert all(r.extra == {} and r.extra is EMPTY_EXTRA for r in back)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.__setitem__("rt", 1.0),
+            lambda d: d.__delitem__("rt"),
+            lambda d: d.update(rt=1.0),
+            lambda d: d.setdefault("rt", 1.0),
+            lambda d: d.pop("rt", None),
+            lambda d: d.popitem(),
+            lambda d: d.clear(),
+            lambda d: d.__ior__({"rt": 1.0}),
+        ],
+    )
+    def test_mutation_raises(self, mutate):
+        extra = make_access().extra
+        with pytest.raises(TypeError, match="immutable"):
+            mutate(extra)
+        assert extra == {} and not extra
+
+    def test_pickle_and_copy_keep_the_one_instance(self):
+        """Grid workers receive records pickled."""
+        records = served_records(runs=1)
+        for clones in (
+            pickle.loads(pickle.dumps(records)),
+            copy.copy(records), copy.deepcopy(records),
+            [copy.copy(r) for r in records],
+        ):
+            assert clones == records
+            assert all(c.extra is EMPTY_EXTRA for c in clones)
+        with pytest.raises(TypeError):
+            pickle.loads(pickle.dumps(records[0])).extra["rt"] = 1.0
+
+    def test_written_forms_match_a_plain_empty_dict(self, tmp_path):
+        """JSON, CSV and snapshot bytes equal those of the same records
+        each holding its own ``{}``, as records were built before the
+        shared instance."""
+        shared = served_records()
+        plain = [AccessRecord._trusted((*r[:10], {}, *r[11:])) for r in shared]
+        assert plain == shared
+        assert json.dumps(shared) == json.dumps(plain)
+        assert json.dumps(list(map(record_to_dict, shared))) == json.dumps(
+            list(map(record_to_dict, plain))
+        )
+        assert repr(shared) == repr(plain)
+        written = []
+        for name, records in (("shared", shared), ("plain", plain)):
+            save_trace_csv(records, tmp_path / f"{name}.csv")
+            with ReplayDB() as db:
+                db.insert_accesses(records)
+                db.snapshot_to(tmp_path / f"{name}.npz")
+            written.append(
+                [(tmp_path / f"{name}{ext}").read_bytes()
+                 for ext in (".csv", ".npz")]
+            )
+        assert written[0] == written[1]
 
 
 class TestMovementRecord:

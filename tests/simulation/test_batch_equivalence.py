@@ -39,6 +39,7 @@ from repro.simulation.interference import (
     CompositeLoad,
     ConstantLoad,
 )
+from repro.simulation.topologies import make_scaled_cluster
 from repro.workloads import belle2
 from repro.workloads.belle2 import Belle2Workload
 from repro.workloads.files import belle2_file_population
@@ -255,6 +256,56 @@ class TestAccessBatchEquivalence:
         assert result.records == records
         assert result.failed == failed
         assert len(records) + len(failed) == n
+        assert result.end_time == end
+        for name in batched.device_names:
+            assert device_fingerprint(
+                batched.device(name)
+            ) == device_fingerprint(reference.device(name))
+
+
+class TestManyDeviceBatch:
+    """``wide_probe``'s shape: one batch over 32 devices, grouped and
+    pre-drawn per device, with devices dropping out and coming back."""
+
+    @staticmethod
+    def scaled_twins(seed: int):
+        def build():
+            cluster = make_scaled_cluster(32, seed=seed)
+            names = cluster.device_names
+            for fid in range(96):
+                cluster.add_file(
+                    fid, f"/s{fid}", (fid % 7 + 1) * 10**8, names[fid % 32]
+                )
+            return cluster
+
+        return build(), build()
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_mid_batch_offline_schedule_matches_scalar_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        fids = rng.integers(0, 96, 600)
+        rb = rng.integers(0, 2, 600) * rng.integers(0, GB, 600)
+        wb = rng.integers(0, 2, 600) * rng.integers(0, GB, 600)
+        # Devices leave and return at served-op counts 50..450; one is
+        # offline across the rest of the batch.
+        schedule = {
+            50: [("dev00003", False), ("dev00017", False)],
+            180: [("dev00003", True), ("dev00030", False)],
+            320: [("dev00017", True), ("dev00000", False)],
+            450: [("dev00000", True)],
+        }
+        batched, reference = self.scaled_twins(seed)
+        result = batched.access_batch(
+            fids, 1.0, rb, wb, think_time_s=0.01, offline_penalty_s=0.05,
+            advance_hook=make_fault_hook(batched, schedule),
+        )
+        records, failed, end = scalar_access_loop(
+            reference, list(zip(fids.tolist(), rb.tolist(), wb.tolist())),
+            t0=1.0, think=0.01, penalty=0.05,
+            hook=make_fault_hook(reference, schedule),
+        )
+        assert result.records == records
+        assert result.failed == failed and len(failed) > 10
         assert result.end_time == end
         for name in batched.device_names:
             assert device_fingerprint(

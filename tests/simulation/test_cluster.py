@@ -1,5 +1,6 @@
 """Tests for the storage cluster."""
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -257,9 +258,10 @@ class TestApplyLayoutFailureModes:
 
 
 class TestInvalidOpOnOfflineDevice:
-    """Both access paths check byte counts before anything else: an
-    invalid op on an offline device is a SimulationError that takes no
-    draw, not a stranded access that burns its draws."""
+    """Both access paths check an op's file, then its byte counts, before
+    any draw: an invalid op on an offline device raises what it is and
+    takes no draw, not a stranded access that burns its draws.  In a
+    batch the first bad op in op order decides."""
 
     @staticmethod
     def offline_cluster():
@@ -281,17 +283,43 @@ class TestInvalidOpOnOfflineDevice:
         )
 
     @pytest.mark.parametrize(
-        "serve",
+        "serve, error",
         [
-            lambda cluster: cluster.access(1, 3.0, rb=-5),
-            lambda cluster: cluster.access_batch([1], 3.0, [-5], [0]),
+            (lambda c: c.access(1, 3.0, rb=-5),
+             r"byte counts must be non-negative \(rb=-5, wb=0\)"),
+            (lambda c: c.access_batch([1], 3.0, [-5], [0]),
+             r"byte counts must be non-negative \(rb=-5, wb=0\)"),
+            # One op both unknown and negative: the file lookup comes first.
+            (lambda c: c.access(99, 3.0, rb=-5), "no file with fid 99"),
+            (lambda c: c.access_batch([99], 3.0, [-5], None),
+             "no file with fid 99"),
+            # The first bad op in op order decides: an unknown fid before a
+            # negative byte count, and the reverse, with rb/wb as lists,
+            # arrays and None.
+            (lambda c: c.access_batch([1, 99, 1], 3.0, [0, 0, -5], [0, 0, 0]),
+             "no file with fid 99"),
+            (lambda c: c.access_batch(
+                np.array([1, 1, 99]), 3.0, np.array([0, -5, 0]),
+                np.array([0, 0, 0])),
+             r"byte counts must be non-negative \(rb=-5, wb=0\)"),
+            (lambda c: c.access_batch([1, 99], 3.0, None, np.array([0, -2])),
+             "no file with fid 99"),
+            (lambda c: c.access_batch(np.array([1, 99]), 3.0, None, [-2, 0]),
+             r"byte counts must be non-negative \(rb=0, wb=-2\)"),
+            (lambda c: c.access_batch([1, 1, 99], 3.0, [4, 0, 0], [0, -1, -3]),
+             r"byte counts must be non-negative \(rb=0, wb=-1\)"),
         ],
-        ids=["access", "access_batch"],
+        ids=[
+            "access", "access_batch", "access-both", "batch-both",
+            "unknown-first-lists", "negative-first-arrays",
+            "unknown-first-none", "negative-first-none", "two-negatives",
+        ],
     )
-    def test_rejected_before_any_draw(self, serve):
+    def test_rejected_before_any_draw(self, serve, error):
         cluster = self.offline_cluster()
         before = self.rng_states(cluster)
-        with pytest.raises(SimulationError, match="non-negative") as caught:
+        with pytest.raises(SimulationError, match=f"^{error}$") as caught:
             serve(cluster)
-        assert type(caught.value) is SimulationError
+        expected = UnknownFileError if "fid" in error else SimulationError
+        assert type(caught.value) is expected
         assert self.rng_states(cluster) == before

@@ -52,7 +52,7 @@ CONFIG = SRC / "core" / "config.py"
 MAX_CONFIG_FIELDS = 16
 MAX_CLI_SUBCOMMANDS = 17
 #: ``find src -name '*.py' | xargs cat | wc -l``
-MAX_SRC_LINES = 14_635
+MAX_SRC_LINES = 14_634
 #: ``wc -c`` of the two documents a newcomer reads first, and of the
 #: paper-vs-measured record
 MAX_DESIGN_BYTES = 71_468

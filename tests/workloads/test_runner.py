@@ -181,18 +181,32 @@ class TestOneObjectPerAccess:
     path allocates per access, counted instead of clocked."""
 
     def test_batch_leaves_one_tracked_object_per_record(self, setup):
+        """Counted two ways, collector off: the objects left tracked, and
+        the net growth of the gen0 allocation count, which also sees an
+        untracked container such as a fresh empty dict -- whose allocation
+        drives collections all the same."""
         cluster, runner = setup
         fids, rb, wb, _ = runner.workload.runs_arrays(0, 80)
         gc.collect()
         gc.disable()
         try:
             before = len(gc.get_objects())
+            allocated = gc.get_count()[0]
             batch = cluster.access_batch(fids, 0.0, rb, wb, think_time_s=0.01)
+            allocated = gc.get_count()[0] - allocated
             grown = len(gc.get_objects()) - before
+            t, one_by_one = batch.end_time, []
+            alone = gc.get_count()[0]
+            for fid in fids[:1000].tolist():
+                one_by_one.append(cluster.access(fid, t))
+                t += one_by_one[-1].duration
+            alone = gc.get_count()[0] - alone
         finally:
             gc.enable()
         assert len(batch.records) == len(fids) > 4000
         assert grown <= 1.01 * len(fids)
+        assert allocated <= 1.05 * len(fids)
+        assert alone <= 1.05 * len(one_by_one)
         assert not hasattr(batch.records[0], "__dict__")
 
     def test_run_results_hold_the_objects_the_scan_built(
