@@ -8,8 +8,9 @@ A side is a checkout ``PATH`` or ``PATH@ARM`` (``ARM`` a row of
 ``bench_ablations.ARMS``); a cell is an e2e workload or ``fig5``.
 Each listed seed is a pair of fresh children, one per side, run one at a
 time.  The Markdown report grades decisions as paired differences (A/A
-prints zero on every seed) and e2e time by :func:`verdict`, and ends
-with whether fingerprints and decisions matched on every pair.  Exit
+prints zero on every seed) and e2e time by :func:`verdict`, shows each
+side's host slowdown and raw timings ungraded, and ends with whether
+fingerprints and decisions matched on every pair.  Exit
 status 1: a run failed its output checks.  Nothing is written.
 """
 
@@ -42,6 +43,17 @@ KINDS = {
               "gain_vs_5b_pct": "higher", "file0_ratio": "higher",
               "file0_ratio_last_half": "higher", "first_move": "lower"},
              ("files_moved", "relayouts")),
+}
+#: e2e rows shown under the graded metrics but not graded: the host's
+#: slowdown against the yardstick, and two timings before it divides
+#: them out -- a normalised change the raw one does not show is the
+#: yardstick's, not the code's
+UNGRADED = {
+    "host_slowdown": ("x", "lower", lambda run: run["host_slowdown"]),
+    "decision_epoch_ms_p50 raw": ("ms", "lower", lambda run: (
+        run["decision_epoch_ms_p50"] * run["host_slowdown"])),
+    "accesses_per_s raw": ("1/s", "higher", lambda run: (
+        run["accesses_per_s"] / run["host_slowdown"])),
 }
 
 
@@ -290,6 +302,16 @@ def report(cell: str, schedule: list, runs: dict, contract: dict) -> str:
             *("{:.4g} [{:.4g} .. {:.4g}]".format(*result[side])
               for side in SIDES), f"{result['delta_pct']:+.1f} %",
             "{wins}/{ties}/{losses}".format(**result), result["verdict"]))
+    for name, (unit, better, value) in UNGRADED.items() if cell != "fig5" else ():
+        p, c = ([value(run) for run in runs[side]] for side in SIDES)
+        d = paired_differences(p, c, lower=better == "lower")
+        (p_q1, p_med, p_q3), (c_q1, c_med, c_q3) = map(quartiles, (p, c))
+        lines.append(row(
+            f"{name} ({unit}, {better} is better)",
+            f"{p_med:.4g} [{p_q1:.4g} .. {p_q3:.4g}]",
+            f"{c_med:.4g} [{c_q1:.4g} .. {c_q3:.4g}]",
+            f"{100.0 * (c_med - p_med) / p_med:+.1f} %",
+            "{wins}/{ties}/{losses}".format(**d), "ungraded"))
     return "\n".join(lines)
 
 

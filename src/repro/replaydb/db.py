@@ -24,7 +24,7 @@ import zipfile
 from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import astuple
-from itertools import islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,9 @@ from repro.replaydb.records import ACCESS_FIELDS, AccessRecord, MovementRecord
 
 #: numeric access fields served by the columnar queries, in column order
 PROBE_FIELDS: tuple[str, ...] = NUMERIC_FIELDS
+#: fields of one ``AccessRecord``: the stored ones, then ``extra`` and
+#: the two derived throughputs
+_RECORD_WIDTH = len(AccessRecord._fields)
 
 #: one stored access, 60 bytes: the numeric fields (``otms``/``ctms`` are
 #: validated to 0-999), then the device and path as codes into the
@@ -210,29 +213,35 @@ class ReplayDB:
         """Store accesses as the next rows, folded into the per-file state;
         returns the rows accepted.  A call it rejects stores nothing."""
         self._check_open()
-        # The eleven stored fields; the derived throughputs are not kept.
-        columns = list(islice(zip(*records), 11))
-        if not columns:
+        # The records' fields end to end, so each stored field is one
+        # strided slice (the derived throughputs are not kept).  Unlike
+        # zip(*records), flattening holds one iterator at a time rather
+        # than one per record, so a large insert drives no collection.
+        flat = list(chain.from_iterable(records))
+        n = len(flat) // _RECORD_WIDTH
+        if len(flat) != n * _RECORD_WIDTH:
+            raise ReplayDBError(f"an access record has {_RECORD_WIDTH} fields")
+        if not n:
             return 0
-        fid, fsid, device, path, rb, wb, ots, otms, cts, ctms, extra = columns
+        column = {
+            name: flat[i::_RECORD_WIDTH]
+            for i, name in enumerate((*ACCESS_FIELDS, "extra"))
+        }
         try:
             stored = {
-                name: array.array("q", column)
-                for name, column in zip(
-                    PROBE_FIELDS, (fid, fsid, rb, wb, ots, otms, cts, ctms)
-                )
+                name: array.array("q", column[name]) for name in PROBE_FIELDS
             }
         except (TypeError, OverflowError) as exc:
             raise ReplayDBError(
                 f"numeric access fields must be 64-bit integers ({exc})"
             ) from None
-        stored["device"] = self._encode(self._codes["device"], device)
-        stored["path"] = self._encode(self._codes["path"], path)
-        n = len(fid)
+        for name in ("device", "path"):
+            stored[name] = self._encode(self._codes[name], column[name])
         start = stop = self._rows
-        if any(extra):
+        if any(column["extra"]):
             self._extras.update(
-                (start + i, json.dumps(e)) for i, e in enumerate(extra) if e
+                (start + i, json.dumps(e))
+                for i, e in enumerate(column["extra"]) if e
             )
         while stop < start + n:
             index, offset = divmod(stop, _CHUNK_ROWS)
@@ -250,7 +259,7 @@ class ReplayDB:
         return n
 
     @staticmethod
-    def _encode(table: dict[str, int], names: tuple[str, ...]) -> list[int]:
+    def _encode(table: dict[str, int], names: list[str]) -> list[int]:
         """The codes of ``names``, new names appended to ``table``."""
         try:
             return list(map(table.__getitem__, names))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -314,7 +315,8 @@ class StorageCluster:
         Ops are resolved, checked and grouped by device as arrays, and
         each device pre-draws their randomness in one vectorized call per
         stream; the sequential scan then serves each op against the
-        crowding its predecessors created.  ``advance_hook`` is called
+        crowding its predecessors created, and the records are built
+        afterwards, a column at a time.  ``advance_hook`` is called
         with the simulated time after every *successful* access -- the
         seam fault injectors use to flip devices offline mid-batch (draws
         for rejected ops stay burned, so the pre-draw stays aligned).
@@ -363,17 +365,18 @@ class StorageCluster:
         draws = [device.prepare_batch(hi - lo) for device, lo, hi in spans]
         op_hit, op_noise = np.empty(n, dtype=bool), np.empty(n)
         op_hit[by_device], op_noise[by_device] = map(np.concatenate, zip(*draws))
-        paths = [info.path for info in infos]
+        slots = op_slot.tolist()
 
+        # The scan keeps only the recurrence: each op is served against
+        # the crowding and clock its predecessors left, and the clock
+        # advances by the op's ms-truncated duration (inlined
+        # timestamp_parts: t is monotone non-negative here), exactly as
+        # the one-op runner's does.  The records are built afterwards.
         t = float(t0)
-        records, failed, durations = result.records, result.failed, []
-        append_record = records.append
-        append_duration = durations.append
-        trusted = AccessRecord._trusted
-        for fid, dev, path, rbi, wbi, total, hit, noise in zip(
-            fid_list, map(devices.__getitem__, op_slot.tolist()),
-            map(paths.__getitem__, op_file.tolist()),
-            rb.tolist(), wb.tolist(), totals.tolist(),
+        failed, opens, durations = result.failed, [], []
+        append_open, append_duration = opens.append, durations.append
+        for dev, rbi, wbi, hit, noise in zip(
+            map(devices.__getitem__, slots), rb.tolist(), wb.tolist(),
             op_hit.tolist(), op_noise.tolist(),
         ):
             if not dev.online:
@@ -383,9 +386,9 @@ class StorageCluster:
                 t += offline_penalty_s + think_time_s
                 continue
             duration = dev.serve(t, rbi, wbi, hit, noise)
+            append_open(t)
             append_duration(duration)
             close = t + duration
-            # Inlined timestamp_parts (t is monotone non-negative here).
             ots = int(t)
             otms = int((t - ots) * 1000.0)
             if otms > 999:
@@ -394,28 +397,38 @@ class StorageCluster:
             ctms = int((close - cts) * 1000.0)
             if ctms > 999:
                 ctms = 999
-            # ms-truncated duration: the clock advance AND the throughput
-            # denominator, exactly the floats AccessRecord's constructor
-            # computes -- so the tuple built here is the finished record.
-            trunc = (cts + ctms / 1000.0) - (ots + otms / 1000.0)
-            tp = total / trunc
-            append_record(trusted((
-                fid, dev.spec.fsid, dev.spec.name, path, rbi, wbi,
-                ots, otms, cts, ctms, EMPTY_EXTRA, tp, tp / BYTES_PER_GB,
-            )))
-            # The clock advances by the record's ms-truncated duration,
-            # exactly as the one-op runner does.
-            t += trunc + think_time_s
+            t += (cts + ctms / 1000.0) - (ots + otms / 1000.0) + think_time_s
             if advance_hook is not None:
                 advance_hook(t)
         # Each device's accounting, in serve order through the same
         # grouping, less the rejected ops (their duration is NaN).
         durations = np.array(durations)
+        served = slice(None)
         if failed:
             served = ~np.isnan(durations)
             by_device = by_device[served[by_device]]
             ends = np.cumsum(np.bincount(op_slot[served])).tolist()
             spans = list(zip(devices, [0, *ends], ends))
+            slots = op_slot[served].tolist()
+        # The served ops' records, one column at a time: the timestamp
+        # parts and throughputs are the loop's floats as arrays (numpy's
+        # int64 -> float64 and truncation match Python's int and float).
+        opens = np.array(opens)
+        closes = opens + durations[served]
+        ots, cts = opens.astype(np.int64), closes.astype(np.int64)
+        otms = np.minimum(((opens - ots) * 1000.0).astype(np.int64), 999)
+        ctms = np.minimum(((closes - cts) * 1000.0).astype(np.int64), 999)
+        tp = totals[served] / ((cts + ctms / 1000.0) - (ots + otms / 1000.0))
+        records = result.records = list(map(AccessRecord._trusted, zip(
+            fids[served].tolist(),
+            map([device.spec.fsid for device in devices].__getitem__, slots),
+            map([device.spec.name for device in devices].__getitem__, slots),
+            map([info.path for info in infos].__getitem__,
+                op_file[served].tolist()),
+            rb[served].tolist(), wb[served].tolist(), ots.tolist(),
+            otms.tolist(), cts.tolist(), ctms.tolist(), repeat(EMPTY_EXTRA),
+            tp.tolist(), (tp / BYTES_PER_GB).tolist(),
+        )))
         durations, totals = durations[by_device], totals[by_device]
         samples = (totals / durations).tolist()
         durations, totals = durations.tolist(), totals.tolist()

@@ -47,6 +47,7 @@ sequential scalar calls, so the batch path replays the one-op path exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,6 +226,14 @@ class StorageDevice:
         # load process fixed at construction
         self._sens = spec.interference_sensitivity
         self._load = self.interference.load
+        self._span = self.interference.span
+        self._holds = self.interference.holds
+        # 1 - the scaled, clipped external load, and the start times
+        # [lo, hi) it holds for: derived from the load process, so it
+        # stays out of the checkpoint.  Empty until the first miss, and
+        # for ever when the process holds nowhere (lo = inf fails at once).
+        self._one_minus_ext, self._ext_hi = 1.0, 0.0
+        self._ext_lo = 0.0 if self._holds else math.inf
         self._crowding = spec.crowding_factor
         self._window_s = spec.utilization_window_s
         self._read_base = spec.read_gbps * GBPS
@@ -305,15 +314,25 @@ class StorageDevice:
         on a hit) -- from :meth:`draw_access` or :meth:`prepare_batch`.
         The access enters the crowding window; the caller keeps its stats.
         ``degradation`` is read live: fault injectors flip it between ops.
+        The external load is asked for again only once ``t`` leaves the
+        span the last answer holds over (:meth:`LoadProcess.span`).
         """
         total = rb + wb
         if hit:
             duration = self._latency + total / self._cache_base
         else:
-            # effective_bandwidth's float ops, in its order
-            ext = self._sens * self._load(t)
-            if ext > 0.95:
-                ext = 0.95
+            # effective_bandwidth's float ops, in its order; the load is
+            # asked again only once t leaves the span it holds over
+            if self._ext_lo <= t < self._ext_hi:
+                one_minus_ext = self._one_minus_ext
+            else:
+                ext = self._sens * self._load(t)
+                if ext > 0.95:
+                    ext = 0.95
+                one_minus_ext = 1.0 - ext
+                if self._holds:
+                    _, self._ext_lo, self._ext_hi = self._span(t)
+                    self._one_minus_ext = one_minus_ext
             times = self._recent_t
             head = self._recent_head
             if head < len(times) and times[head] < t - self._window_s:
@@ -322,12 +341,10 @@ class StorageDevice:
                 self._recent_sum / self._window_capacity
             )
             deg = self.degradation
-            one_minus_ext = 1.0 - ext
-            transfer = 0.0
-            if rb:
-                transfer += rb / (
-                    self._read_base * deg * one_minus_ext / denom
-                )
+            # 0.0 + x is x for the positive quotient: no add on a read
+            transfer = rb / (
+                self._read_base * deg * one_minus_ext / denom
+            ) if rb else 0.0
             if wb:
                 transfer += wb / (
                     self._write_base * deg * one_minus_ext / denom

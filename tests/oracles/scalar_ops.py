@@ -41,8 +41,13 @@ def scalar_run(workload: Belle2Workload, run_index: int) -> list[AccessOp]:
     rng = np.random.default_rng((workload.seed, run_index))
     lo, hi = belle2.BURST_RANGE
     frac_lo, frac_hi = belle2.READ_FRACTION_RANGE
+    population = len(workload.files)
+    picker = np.random.default_rng((workload.seed, run_index, 7))
+    picked = picker.choice(
+        population, size=min(workload.files_per_run, population), replace=False
+    )
     ops: list[AccessOp] = []
-    for index in workload._files_for_run(run_index):
+    for index in picked.tolist():
         spec = workload.files[index]
         burst = int(rng.integers(lo, hi + 1))
         for _ in range(burst):

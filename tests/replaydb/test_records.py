@@ -1,6 +1,7 @@
 """Tests for AccessRecord and MovementRecord validation and properties."""
 
 import copy
+import gc
 import json
 import pickle
 
@@ -275,6 +276,49 @@ class TestEmptyExtra:
                  for ext in (".csv", ".npz")]
             )
         assert written[0] == written[1]
+
+
+class TestInsertTranspose:
+    """``insert_accesses`` takes each stored column straight from the
+    records, so a telemetry batch allocates no object per record."""
+
+    def test_a_large_insert_triggers_no_collection(self):
+        records = served_records(runs=85)[:4800]
+        assert len(records) == 4800
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        db = ReplayDB()
+        thresholds = gc.get_threshold()
+        gc.collect()
+        gc.callbacks.append(count)
+        gc.set_threshold(100, *thresholds[1:])
+        try:
+            assert db.insert_accesses(records) == 4800
+        finally:
+            gc.set_threshold(*thresholds)
+            gc.callbacks.remove(count)
+        # a transpose holding one object per record, as zip(*records)
+        # does, triggers about 48 collections at this threshold
+        assert started == []
+        assert db.recent_accesses(4800) == records
+        db.close()
+
+    def test_a_row_of_another_width_is_rejected(self):
+        record = served_records(runs=1)[0]
+        with ReplayDB() as db:
+            with pytest.raises(ReplayDBError, match="13 fields"):
+                db.insert_accesses([record, tuple(record[:11])])
+            assert db.access_count() == 0
+
+    def test_an_iterable_of_records_is_taken_once(self):
+        records = served_records(runs=1)
+        with ReplayDB() as db:
+            assert db.insert_accesses(iter(records)) == len(records)
+            assert db.recent_accesses(len(records)) == records
 
 
 class TestMovementRecord:

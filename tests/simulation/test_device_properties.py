@@ -1,12 +1,21 @@
 """Additional property-style tests for the device service model."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.recovery import checkpoint
 from repro.simulation.device import DeviceSpec, StorageDevice
-from repro.simulation.interference import ConstantLoad, DiurnalLoad
+from repro.simulation.interference import (
+    BurstyLoad,
+    CompositeLoad,
+    ConstantLoad,
+    DiurnalLoad,
+)
 from tests.oracles.scalar_device import perform_access, service_time
 
 GB = 10**9
@@ -22,6 +31,20 @@ def make_device(**overrides):
     load = overrides.pop("load", ConstantLoad(0.2))
     base.update(overrides)
     return StorageDevice(DeviceSpec(**base), load, seed=seed)
+
+
+#: a load process of every kind, fresh per call; the bursty slots are
+#: short enough for the ops below to cross many of them
+LOADS = {
+    "diurnal": lambda: DiurnalLoad(base=0.3, amplitude=0.6, period=90.0),
+    "bursty": lambda: BurstyLoad(p_on=0.5, on_level=0.8, slot_seconds=3.0),
+    "constant+bursty": lambda: CompositeLoad([
+        ConstantLoad(0.1), BurstyLoad(p_on=0.4, slot_seconds=7.0, seed=2),
+    ]),
+    "diurnal+bursty": lambda: CompositeLoad([
+        DiurnalLoad(period=50.0), BurstyLoad(p_on=0.4, slot_seconds=7.0),
+    ]),
+}
 
 
 class TestServiceProperties:
@@ -87,6 +110,7 @@ class TestServeKernel:
         seed=st.integers(0, 30),
         cache_hit_rate=st.sampled_from([0.0, 0.3, 1.0]),
         noise_sigma=st.sampled_from([0.0, 0.3]),
+        load=st.sampled_from(sorted(LOADS)),
         ops=st.lists(
             st.tuples(
                 st.floats(0.0, 40.0, allow_nan=False),
@@ -100,13 +124,13 @@ class TestServeKernel:
     )
     @settings(max_examples=60, deadline=None)
     def test_serve_matches_the_scalar_model(
-        self, seed, cache_hit_rate, noise_sigma, ops
+        self, seed, cache_hit_rate, noise_sigma, load, ops
     ):
         def build():
             return make_device(
                 seed=seed, cache_hit_rate=cache_hit_rate,
                 noise_sigma=noise_sigma, utilization_window_s=20.0,
-                load=DiurnalLoad(base=0.3, amplitude=0.6, period=90.0),
+                load=LOADS[load](),
             )
 
         kernel, model = build(), build()
@@ -155,3 +179,49 @@ class TestServeKernel:
         assert batched._rng_cache.bit_generator.state == (
             single._rng_cache.bit_generator.state
         )
+
+
+class TestLoadSpanCache:
+    """The kernel keeps the scaled external load while accesses start
+    inside the span it holds over; that cache is derived state."""
+
+    @pytest.mark.parametrize("load", sorted(LOADS))
+    def test_slot_edges_serve_as_the_scalar_model(self, load):
+        # Start times on, just below and just above every slot edge.
+        kernel, model = make_device(load=LOADS[load]()), make_device(
+            load=LOADS[load]()
+        )
+        times = sorted({
+            edge for k in range(1, 40) for edge in (
+                k * 3.0, math.nextafter(k * 3.0, 0.0),
+                math.nextafter(k * 3.0, math.inf), k * 7.0,
+                math.nextafter(k * 7.0, 0.0),
+            )
+        })
+        for t in times:
+            hit, noise = kernel.draw_access()
+            assert kernel.serve(t, GB, 0, hit, noise) == perform_access(
+                model, t, GB, 0
+            )
+
+    @pytest.mark.parametrize("load", ["bursty", "constant+bursty"])
+    def test_a_device_restored_mid_span_serves_the_same_durations(
+        self, load
+    ):
+        original = make_device(load=LOADS[load]())
+        times = np.cumsum(np.random.default_rng(5).uniform(0.01, 0.5, 400))
+        for t in times[:200]:
+            original.serve(t, GB, 0, *original.draw_access())
+        assert original._ext_lo <= times[200] < original._ext_hi
+        state = json.loads(json.dumps(original.state_dict()))
+        assert set(state) == {
+            "rng", "rng_cache", "recent", "stats", "available", "online",
+            "degradation",
+        }
+        assert checkpoint.FORMAT_VERSION == 16
+        restored = make_device(load=LOADS[load]())
+        restored.load_state_dict(state)
+        for t in times[200:]:
+            assert restored.serve(t, GB, 0, *restored.draw_access()) == (
+                original.serve(t, GB, 0, *original.draw_access())
+            )

@@ -1,7 +1,9 @@
 """Tests for external-load processes."""
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
@@ -116,3 +118,75 @@ class TestCompositeLoad:
             ConstantLoad(0.4),
         ])
         assert 0.0 <= load.load(t) <= 1.0
+
+
+def processes(slot_seconds=60.0, seed=0):
+    """One of every kind of load process, by name."""
+    bursty = BurstyLoad(p_on=0.5, on_level=0.6, off_level=0.05,
+                        slot_seconds=slot_seconds, seed=seed)
+    diurnal = DiurnalLoad(base=0.1, amplitude=0.4, period=333.0)
+    return {
+        "constant": ConstantLoad(0.3),
+        "bursty": bursty,
+        "diurnal": diurnal,
+        "composite": CompositeLoad([ConstantLoad(0.2), bursty]),
+        "composite_diurnal": CompositeLoad([diurnal, bursty]),
+    }
+
+
+class TestSpans:
+    """``span(t)``: the load at ``t`` and the interval ``[lo, hi)`` that
+    load holds over, which lets the serving kernel skip the query until
+    an access starts outside it."""
+
+    @given(
+        t=TIMES,
+        slot_seconds=st.floats(1e-3, 1e4, allow_nan=False),
+        seed=st.integers(0, 2**32 - 1),
+        fractions=st.lists(st.floats(0, 1, exclude_max=True), max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_the_load_holds_over_the_whole_span(
+        self, t, slot_seconds, seed, fractions
+    ):
+        for name, process in processes(slot_seconds, seed).items():
+            load, lo, hi = process.span(t)
+            assert load == process.load(t), name
+            assert (lo <= t < hi) == process.holds, name
+            if not process.holds:
+                assert lo == hi == t, name
+                continue
+            first = max(lo, 0.0)
+            last = min(math.nextafter(hi, -math.inf), 1e300)
+            inside = [first, last] + [
+                min(first + f * (last - first), last) for f in fractions
+            ]
+            assert {process.load(point) for point in inside} == {load}, name
+
+    @given(t=TIMES, slot_seconds=st.floats(1e-3, 1e4, allow_nan=False))
+    @settings(max_examples=200, deadline=None)
+    def test_bursty_span_is_exactly_its_slot(self, t, slot_seconds):
+        process = BurstyLoad(slot_seconds=slot_seconds)
+        _, lo, hi = process.span(t)
+        slot = int(t / slot_seconds)
+        assert int(lo / slot_seconds) == slot
+        assert int(math.nextafter(hi, -math.inf) / slot_seconds) == slot
+        assert int(hi / slot_seconds) == slot + 1
+        if lo > 0:
+            below = math.nextafter(lo, -math.inf)
+            assert int(below / slot_seconds) == slot - 1
+
+    def test_constant_holds_everywhere(self):
+        assert ConstantLoad(0.4).span(5.0) == (0.4, -math.inf, math.inf)
+
+    def test_composite_span_is_the_intersection(self):
+        a = BurstyLoad(slot_seconds=10.0, seed=1)
+        b = BurstyLoad(slot_seconds=4.0, seed=2)
+        load, lo, hi = CompositeLoad([a, b]).span(13.0)
+        assert load == a.load(13.0) + b.load(13.0)
+        assert (lo, hi) == (12.0, 16.0)
+
+    @pytest.mark.parametrize("name", ["bursty", "composite", "composite_diurnal"])
+    def test_negative_time_still_raises(self, name):
+        with pytest.raises(SimulationError):
+            processes()[name].span(-1.0)

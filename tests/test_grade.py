@@ -210,8 +210,10 @@ class TestFig5Record:
 
 
 def record(gain, speed, moves_ok=10, moves_failed=0, diverged=0, acted=9,
-           vetoes=None):
+           vetoes=None, **timings):
     return {
+        "host_slowdown": 1.0, "decision_epoch_ms_p50": 10.0,
+        "accesses_per_s": 1e5, **timings,
         "sim_gain_pct": gain, "sim_speed_vs_static_pct": speed,
         "failures": [], "vetoes": vetoes or {"acted": acted},
         "facts": {
@@ -243,3 +245,24 @@ class TestReport:
             "epochs_diverged 1 -> 0"
         ) in text
         assert "acted 18 -> 17, unskilled 0 -> 1" in text
+
+    def test_slowdown_and_raw_timings_ride_ungraded(self, grade):
+        # Normalised, the change's p50 ties the parent's; but its host's
+        # slowdown read lower, and raw it is faster.  (Normalised = raw /
+        # slowdown for a time, raw * slowdown for a rate.)
+        parent = [record(0, 0, host_slowdown=1.0, decision_epoch_ms_p50=10.0,
+                         accesses_per_s=2e5) for _ in range(2)]
+        change = [record(0, 0, host_slowdown=0.8, decision_epoch_ms_p50=10.0,
+                         accesses_per_s=2.1e5) for _ in range(2)]
+        p50 = dict(P50, unit="ms")
+        text = grade.report("telemetry_flood", [(0, True), (1, False)],
+                            {"parent": parent, "change": change},
+                            {"end_to_end": [p50]})
+        assert ("| host_slowdown (x, lower is better) | 1 [1 .. 1] | "
+                "0.8 [0.8 .. 0.8] | -20.0 % | 2/0/0 | ungraded |") in text
+        assert ("| decision_epoch_ms_p50 raw (ms, lower is better) | "
+                "10 [10 .. 10] | 8 [8 .. 8] | -20.0 % | 2/0/0 | ungraded |"
+                ) in text
+        assert ("| accesses_per_s raw (1/s, higher is better) | 2e+05 "
+                "[2e+05 .. 2e+05] | 2.625e+05 [2.625e+05 .. 2.625e+05] | "
+                "+31.2 % | 2/0/0 | ungraded |") in text
